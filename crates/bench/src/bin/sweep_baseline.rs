@@ -13,10 +13,10 @@
 //!    the two paths, and shared ≥ 3× faster (≥ 2× for `--quick`).
 //! 2. **The resume-parity matrix** — a two-cell shared-prefix grid
 //!    replayed through every cell of {clean/chaos} × {overload on/off} ×
-//!    {cluster fast-forward on/off} × the four same-instant tie-break
-//!    orders (32 combinations). Each combination's shared and unshared
-//!    canonical reports must match byte for byte, and sharing must have
-//!    actually engaged (`cells_resumed = 2`, never vacuous).
+//!    the four same-instant tie-break orders (16 combinations). Each
+//!    combination's shared and unshared canonical reports must match
+//!    byte for byte, and sharing must have actually engaged
+//!    (`cells_resumed = 2`, never vacuous).
 //!
 //! ```text
 //! sweep_baseline             # full measurement, writes BENCH_8.json
@@ -98,8 +98,8 @@ fn matrix_chaos() -> FaultPlan {
 }
 
 /// One matrix combination: a two-cell shared-prefix grid under the given
-/// chaos / overload / cluster-FF / tie-break knobs.
-fn matrix_grid(chaos: bool, overload: bool, cluster_ff: bool, tiebreak: TieBreak) -> Vec<Scenario> {
+/// chaos / overload / tie-break knobs.
+fn matrix_grid(chaos: bool, overload: bool, tiebreak: TieBreak) -> Vec<Scenario> {
     let mut config = PlatformConfig::default()
         .nodes(2)
         .seed(43)
@@ -107,7 +107,6 @@ fn matrix_grid(chaos: bool, overload: bool, cluster_ff: bool, tiebreak: TieBreak
         .recovery(true)
         .overload_control(overload)
         .fastforward(true)
-        .cluster_fastforward(cluster_ff)
         .tiebreak(tiebreak);
     if chaos {
         config = config.fault_plan(matrix_chaos());
@@ -232,8 +231,8 @@ fn main() {
         "headline cells are indistinguishable; the treatment is inert"
     );
 
-    // 2. The resume-parity matrix: every chaos × overload × cluster-FF ×
-    //    tie-break combination, shared vs unshared, byte-compared.
+    // 2. The resume-parity matrix: every chaos × overload × tie-break
+    //    combination, shared vs unshared, byte-compared.
     let tiebreaks = [
         TieBreak::Fifo,
         TieBreak::Lifo,
@@ -245,43 +244,37 @@ fn main() {
     let mut matrix_matches = 0u64;
     for chaos in [false, true] {
         for overload in [false, true] {
-            for cluster_ff in [false, true] {
-                for tb in tiebreaks {
-                    let (shared, stats) =
-                        run_sweep_stats(matrix_grid(chaos, overload, cluster_ff, tb), 1)
-                            .expect("matrix shared sweep");
-                    let unshared =
-                        run_sweep_unshared(matrix_grid(chaos, overload, cluster_ff, tb), 1)
-                            .expect("matrix unshared sweep");
-                    assert_eq!(stats.cells_resumed, 2, "matrix sharing never engaged");
-                    let cell_match = shared.iter().zip(&unshared).all(|((n1, r1), (n2, r2))| {
-                        n1 == n2 && r1.canonical_text() == r2.canonical_text()
-                    });
-                    matrix_cells += 1;
-                    matrix_matches += u64::from(cell_match);
-                    assert!(
-                        cell_match,
-                        "resume parity broke: chaos={chaos} overload={overload} \
-                         cluster_ff={cluster_ff} tiebreak={}",
-                        tiebreak_name(tb),
-                    );
-                    matrix.push(
-                        ObjectBuilder::new()
-                            .field("chaos", chaos)
-                            .field("overload", overload)
-                            .field("cluster_fastforward", cluster_ff)
-                            .field("tiebreak", tiebreak_name(tb))
-                            .field("digest", format!("{:016x}", shared[0].1.digest()))
-                            .field("shared_matches_unshared", cell_match)
-                            .build(),
-                    );
-                }
+            for tb in tiebreaks {
+                let (shared, stats) = run_sweep_stats(matrix_grid(chaos, overload, tb), 1)
+                    .expect("matrix shared sweep");
+                let unshared = run_sweep_unshared(matrix_grid(chaos, overload, tb), 1)
+                    .expect("matrix unshared sweep");
+                assert_eq!(stats.cells_resumed, 2, "matrix sharing never engaged");
+                let cell_match = shared.iter().zip(&unshared).all(|((n1, r1), (n2, r2))| {
+                    n1 == n2 && r1.canonical_text() == r2.canonical_text()
+                });
+                matrix_cells += 1;
+                matrix_matches += u64::from(cell_match);
+                assert!(
+                    cell_match,
+                    "resume parity broke: chaos={chaos} overload={overload} tiebreak={}",
+                    tiebreak_name(tb),
+                );
+                matrix.push(
+                    ObjectBuilder::new()
+                        .field("chaos", chaos)
+                        .field("overload", overload)
+                        .field("tiebreak", tiebreak_name(tb))
+                        .field("digest", format!("{:016x}", shared[0].1.digest()))
+                        .field("shared_matches_unshared", cell_match)
+                        .build(),
+                );
             }
         }
     }
     println!(
         "resume-parity matrix: {matrix_matches}/{matrix_cells} combinations digest-exact \
-         (chaos x overload x cluster-ff x 4 tie-breaks)"
+         (chaos x overload x 4 tie-breaks)"
     );
 
     let doc = ObjectBuilder::new()

@@ -278,9 +278,9 @@ pub fn ms(t: SimTime) -> String {
 // ----- fleet-scale scenarios ----------------------------------------
 
 /// The fleet model menu: `(zoo name, min rps, max rps)`. The rate caps
-/// keep a single full-GPU replica inside the steady envelope (constant
-/// arrival gap strictly above the model's service latency), which is what
-/// lets cluster fast-forward credit whole request cycles analytically.
+/// keep a single full-GPU replica below saturation (constant arrival gap
+/// strictly above the model's service latency), so the queue never
+/// grows.
 pub const FLEET_MODELS: [(&str, f64, f64); 4] = [
     ("resnet50", 6.0, 60.0),
     ("bert_base", 6.0, 35.0),
@@ -290,8 +290,8 @@ pub const FLEET_MODELS: [(&str, f64, f64); 4] = [
 
 /// Per-function `(model, constant rps)` assignments for a fleet of
 /// `funcs` single-replica functions: Zipf-popularity rates (exponent 1.1)
-/// clamped into each model's steady envelope, models assigned round-robin
-/// by rank. Deterministic; the sum of rates sizes the arrival budget.
+/// clamped into each model's [`FLEET_MODELS`] band, models assigned
+/// round-robin by rank. Deterministic.
 pub fn fleet_rates(funcs: usize) -> Vec<(&'static str, f64)> {
     fastg_workload::fleet::zipf_rates(funcs, funcs as f64 * 30.0, 1.1)
         .iter()
@@ -301,48 +301,6 @@ pub fn fleet_rates(funcs: usize) -> Vec<(&'static str, f64)> {
             (model, r.clamp(lo, hi))
         })
         .collect()
-}
-
-/// The fleet platform configuration: one function per node, quota
-/// `(100 % SM, 1.0, 1.0)` so each replica owns its device, 1 s quota
-/// windows and 2 s metric samples (the control-plane touch cadence that
-/// bounds how many events a steady node still schedules), and a
-/// pre-reserved event heap sized to the fleet. Device-level fast-forward
-/// follows `FASTG_FASTFORWARD` (the `PlatformConfig` default), so the
-/// `=0` CI leg really is event-by-event — cluster fast-forward requires
-/// the device layer, so `cluster_ff` only takes effect on top of it.
-pub fn fleet_config(nodes: usize, seed: u64, cluster_ff: bool) -> PlatformConfig {
-    PlatformConfig::default()
-        .nodes(nodes)
-        .policy(SharingPolicy::FaST)
-        .oversubscribe(true)
-        .window(SimTime::from_secs(1))
-        .sample_interval(SimTime::from_secs(2))
-        .event_capacity(nodes * 4)
-        .cluster_fastforward(cluster_ff)
-        .seed(seed)
-}
-
-/// Builds the steady fleet and attaches its constant Zipf loads. Returns
-/// the platform plus the aggregate arrival rate (rps), from which callers
-/// size the duration needed to hit an arrival budget.
-pub fn fleet_platform(nodes: usize, seed: u64, cluster_ff: bool) -> (Platform, f64) {
-    let mut p = Platform::new(fleet_config(nodes, seed, cluster_ff));
-    let mut total_rps = 0.0;
-    for (i, (model, rate)) in fleet_rates(nodes).iter().enumerate() {
-        let f = p
-            .deploy(
-                FunctionConfig::new(&format!("fleet-{i:04}"), model)
-                    .replicas(1)
-                    .resources(100.0, 1.0, 1.0),
-            )
-            // Bench fixture constructor; a failed deploy is a bug in
-            // the fixture itself. fastg-lint: allow(no-panic-in-lib)
-            .expect("fleet function deploys");
-        p.set_load(f, ArrivalProcess::constant(*rate));
-        total_rps += rate;
-    }
-    (p, total_rps)
 }
 
 /// A non-oversubscribed fleet where every function demands the full
@@ -472,36 +430,4 @@ pub fn churn_storm(sched: &mut dyn Scheduler, nodes: usize, ops: u64, seed: u64)
     out.probes = stats.probes;
     out.fallbacks = stats.exact_fallbacks;
     out
-}
-
-/// A fleet [`Scenario`] with the *layered* arrival model — diurnal
-/// breathing on the tail, a flash crowd on the head function and a
-/// regional-failover step on the near-head band (`fastg_workload::fleet`)
-/// — for the multi-core sweep leg, where realism matters more than
-/// coalescing.
-pub fn fleet_sweep_scenario(
-    name: impl Into<String>,
-    nodes: usize,
-    seconds: u64,
-    seed: u64,
-) -> Scenario {
-    let duration = SimTime::from_secs(seconds);
-    // The layered model re-derives each rank's Zipf share internally, so
-    // it takes the fleet-wide aggregate rate; cap the head's share at the
-    // single-replica envelope by keeping the aggregate modest.
-    let total_rps = nodes as f64 * 12.0;
-    let mut s = Scenario::new(name, fleet_config(nodes, seed, true));
-    for (i, (model, _)) in fleet_rates(nodes).iter().enumerate() {
-        s = s
-            .function(
-                FunctionConfig::new(&format!("fleet-{i:04}"), model)
-                    .replicas(1)
-                    .resources(100.0, 1.0, 1.0),
-            )
-            .load(
-                i,
-                fastg_workload::fleet::fleet_function(i, nodes, total_rps, 1.1, duration, seed),
-            );
-    }
-    s.duration(duration)
 }

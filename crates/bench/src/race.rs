@@ -154,51 +154,41 @@ fn sweep_scenarios() -> Vec<Scenario> {
         .collect()
 }
 
-/// The fleet matrix: single-replica functions pinned one-per-node at
-/// full quota (the cluster fast-forward steady envelope), cluster FF
-/// {on, off} × {clean, chaos}. Steady-cycle crediting and the replay
-/// machinery that re-materializes in-flight work at control-plane
-/// touches must be tie-break clean like everything else.
+/// The fleet matrix: single-replica constant-rate functions pinned
+/// one-per-node at full quota, {clean, chaos}.
 fn fleet_scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
-    for cluster_ff in [true, false] {
-        for chaos in [false, true] {
-            let mut cfg = PlatformConfig::default()
-                .nodes(3)
-                .policy(SharingPolicy::FaST)
-                .oversubscribe(true)
-                .recovery(true)
-                .cluster_fastforward(cluster_ff)
-                .seed(23);
-            if chaos {
-                cfg = cfg.fault_plan(chaos_plan());
-            }
-            let mut sc = Scenario::new(
-                format!(
-                    "fleet-cff{}-{}",
-                    u8::from(cluster_ff),
-                    if chaos { "faults" } else { "clean" }
-                ),
-                cfg,
-            );
-            for (i, (name, model, rate)) in [
-                ("fleet-resnet", "resnet50", 18.0),
-                ("fleet-bert", "bert_base", 30.0),
-                ("fleet-rnnt", "rnnt", 9.0),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                sc = sc
-                    .function(
-                        FunctionConfig::new(name, model)
-                            .replicas(1)
-                            .resources(100.0, 1.0, 1.0),
-                    )
-                    .load(i, ArrivalProcess::constant(rate));
-            }
-            out.push(sc.duration(SimTime::from_secs(6)));
+    for chaos in [false, true] {
+        let mut cfg = PlatformConfig::default()
+            .nodes(3)
+            .policy(SharingPolicy::FaST)
+            .oversubscribe(true)
+            .recovery(true)
+            .seed(23);
+        if chaos {
+            cfg = cfg.fault_plan(chaos_plan());
         }
+        let mut sc = Scenario::new(
+            format!("fleet-{}", if chaos { "faults" } else { "clean" }),
+            cfg,
+        );
+        for (i, (name, model, rate)) in [
+            ("fleet-resnet", "resnet50", 18.0),
+            ("fleet-bert", "bert_base", 30.0),
+            ("fleet-rnnt", "rnnt", 9.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            sc = sc
+                .function(
+                    FunctionConfig::new(name, model)
+                        .replicas(1)
+                        .resources(100.0, 1.0, 1.0),
+                )
+                .load(i, ArrivalProcess::constant(rate));
+        }
+        out.push(sc.duration(SimTime::from_secs(6)));
     }
     out
 }
@@ -233,7 +223,7 @@ fn overload_scenarios() -> Vec<Scenario> {
 
 /// Every scenario the detector perturbs: the determinism fingerprint
 /// workloads, the chaos/FF-parity runs, the seeded sweep grid, the
-/// overload matrix and the cluster fast-forward fleet matrix.
+/// overload matrix and the fleet matrix.
 pub fn race_matrix() -> Vec<Scenario> {
     let mut all = policy_scenarios();
     all.extend(chaos_scenarios());

@@ -203,25 +203,6 @@ impl Gateway {
         }
     }
 
-    /// Credits `count` arrivals at `start, start+gap, …` to the function's
-    /// arrival log and consumes the matching block of request ids,
-    /// returning the first id of the block. Cluster fast-forward uses this
-    /// to replay coalesced steady cycles: the log and the id counter end
-    /// up exactly where `count` individual [`Self::on_arrival`] calls
-    /// would have left them.
-    pub fn credit_arrival_run(
-        &mut self,
-        func: FuncId,
-        start: SimTime,
-        gap: SimTime,
-        count: u64,
-    ) -> RequestId {
-        let first = RequestId(self.next_request);
-        self.next_request += count;
-        self.func_mut(func).arrivals.record_run(start, gap, count);
-        first
-    }
-
     /// Bounds (or unbounds, with `None`) a function's admission queue.
     pub fn set_queue_capacity(&mut self, func: FuncId, capacity: Option<usize>) {
         self.func_mut(func).capacity = capacity;

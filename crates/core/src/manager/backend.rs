@@ -721,57 +721,6 @@ impl FastBackend {
         self.tokens_dispatched
     }
 
-    /// A probe of the counters cluster fast-forward templates around one
-    /// real cycle: `(q_used, next_epoch, tokens_dispatched)`. All three are
-    /// exact integer quantities, so per-cycle deltas derived from two
-    /// probes are exact.
-    pub fn steady_probe(&self, pod: PodId) -> Option<(SimTime, u64, u64)> {
-        self.pods
-            .get(pod)
-            .map(|e| (e.q_used, e.next_epoch, self.tokens_dispatched))
-    }
-
-    /// Credits `k` coalesced steady cycles against `pod` in closed form —
-    /// bit-identical to replaying the template cycle `k` times through
-    /// `request`/`sync_point`/`release_idle`, because `q_used`, epochs and
-    /// token counts are all integer sums. Only valid between cycles, when
-    /// the pod is idle (no lease, no burst, not queued) — which holds at
-    /// the completion instants cluster FF enters and advances on.
-    pub fn credit_steady_cycles(
-        &mut self,
-        pod: PodId,
-        k: u64,
-        cycle_gpu: SimTime,
-        cycle_epochs: u64,
-        cycle_tokens: u64,
-    ) {
-        self.tokens_dispatched += cycle_tokens * k;
-        if let Some(e) = self.pods.get_mut(pod) {
-            debug_assert!(
-                e.lease.is_none() && !e.in_burst && !e.waiting,
-                "steady credit on non-idle pod {pod:?}"
-            );
-            e.q_used += cycle_gpu * k;
-            e.next_epoch += cycle_epochs * k;
-            // The burst estimator is deliberately NOT credited: an EWMA of
-            // k identical observations has no exact closed form, and the
-            // estimate is inert under the cluster-FF eligibility gates
-            // (strict admission and adaptive leases off), so skipping the
-            // observations is benign drift rather than divergence.
-        }
-    }
-
-    /// Resets one pod's window accounting (the cluster fast-forward
-    /// catch-up applying a coalesced window boundary to a node whose only
-    /// active pod is in the steady regime; other rows are untouched, which
-    /// matches [`Self::on_window_reset`] because idle rows hold
-    /// `q_used == 0` already).
-    pub fn reset_window_quota(&mut self, pod: PodId) {
-        if let Some(e) = self.pods.get_mut(pod) {
-            e.q_used = SimTime::ZERO;
-        }
-    }
-
     fn entry(&self, pod: PodId) -> Result<&PodEntry, BackendError> {
         self.pods.get(pod).ok_or(BackendError::UnknownPod(pod))
     }

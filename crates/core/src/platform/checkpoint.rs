@@ -17,8 +17,8 @@
 //!    (env-independent), cluster + GPUs + MPS servers, gateway queues,
 //!    per-node FaST Backends and model storage servers, scheduler planes,
 //!    function/pod runtime tables (arena generations included, so stale
-//!    handles stay stale), overload control plane, fast-forward phase
-//!    lattice, and metrics accumulators,
+//!    handles stay stale), overload control plane, device fast-forward
+//!    timelines, and metrics accumulators,
 //! 3. the event queue: live entries with their tie-break keys and the
 //!    sequence counter, so outstanding [`CancelToken`]s stay valid and
 //!    the restored run pops events in exactly the original order.
@@ -40,7 +40,7 @@ pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"FGSN");
 
 /// Current snapshot format version. Bumped whenever any `snap`/`unsnap`
 /// encoding changes shape; old snapshots are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Length of the `magic ‖ version` header preceding the payload.
 const HEADER_LEN: usize = 8;

@@ -85,14 +85,6 @@ pub struct PlatformConfig {
     /// construction) or [`Self::fastforward`] disables it for A/B parity
     /// checks.
     pub fastforward: bool,
-    /// Cluster-level fast-forward: a node serving a single steady
-    /// constant-rate function schedules no per-request events at all —
-    /// whole request cycles are credited analytically and replayed lazily
-    /// at the next control-plane touch. Requires `fastforward`; off by
-    /// default, opt in via `FASTG_CLUSTER_FF=1` (read once, at config
-    /// construction) or [`Self::cluster_fastforward`]. Reports stay
-    /// byte-identical to the event-by-event run.
-    pub cluster_fastforward: bool,
     /// Pre-reserves the event-queue heap for this many events at platform
     /// construction (`None` keeps organic growth). Fleet benches set it to
     /// skip the doubling reallocations of a 1k-node warm-up.
@@ -145,7 +137,6 @@ impl Default for PlatformConfig {
             retry_budget: None,
             overload: None,
             fastforward: std::env::var("FASTG_FASTFORWARD").map_or(true, |v| v != "0"),
-            cluster_fastforward: std::env::var("FASTG_CLUSTER_FF").is_ok_and(|v| v != "0"),
             event_capacity: None,
             tiebreak: std::env::var("FASTG_TIEBREAK")
                 .ok()
@@ -320,11 +311,12 @@ impl PlatformConfig {
         self
     }
 
-    /// Enables or disables cluster-level fast-forward (overrides the
-    /// `FASTG_CLUSTER_FF` environment default). Only effective when
-    /// [`Self::fastforward`] is also on.
-    pub fn cluster_fastforward(mut self, on: bool) -> Self {
-        self.cluster_fastforward = on;
+    /// Inert: accepts and ignores its argument. Cluster-level
+    /// fast-forward was removed; this builder survives only because the
+    /// `fastg-bench` suite still pins it off, and it goes away together
+    /// with that suite's `gpu.cluster_ff_cycles` metric in a later
+    /// benchmark change.
+    pub fn cluster_fastforward(self, _on: bool) -> Self {
         self
     }
 
@@ -334,7 +326,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the same-instant tie-break policy (overrides the
     /// Selects the placement engine (overrides the `FASTG_SCHED`
     /// environment default).
     pub fn scheduler(mut self, sched: SchedPolicy) -> Self {
@@ -342,6 +333,7 @@ impl PlatformConfig {
         self
     }
 
+    /// Sets the same-instant tie-break policy (overrides the
     /// `FASTG_TIEBREAK` environment default).
     pub fn tiebreak(mut self, tiebreak: TieBreak) -> Self {
         self.tiebreak = tiebreak;
@@ -382,7 +374,6 @@ impl Snap for PlatformConfig {
             retry_budget,
             overload,
             fastforward,
-            cluster_fastforward,
             event_capacity,
             tiebreak,
             trace_events,
@@ -411,7 +402,6 @@ impl Snap for PlatformConfig {
         retry_budget.snap(w);
         overload.snap(w);
         fastforward.snap(w);
-        cluster_fastforward.snap(w);
         event_capacity.snap(w);
         tiebreak.snap(w);
         trace_events.snap(w);
@@ -460,7 +450,6 @@ impl Snap for PlatformConfig {
             retry_budget: Option::unsnap(r)?,
             overload: Option::unsnap(r)?,
             fastforward: bool::unsnap(r)?,
-            cluster_fastforward: bool::unsnap(r)?,
             event_capacity: Option::unsnap(r)?,
             tiebreak: TieBreak::unsnap(r)?,
             trace_events: bool::unsnap(r)?,

@@ -137,9 +137,7 @@ struct FuncRt {
     /// The function's circuit breaker (overload control plane).
     breaker: CircuitBreaker,
     /// Cancellation token of the function's pending self-timed arrival
-    /// event. Cluster fast-forward cancels it on steady entry (virtual
-    /// arrivals replace the chain) and re-homes it on exit; `set_load`
-    /// cancels it before installing a new process.
+    /// event; `set_load` cancels it before installing a new process.
     arrival_token: Option<CancelToken>,
     /// Full-quota resources to restore when brownout ends. The snapshot
     /// is taken at brownout entry; an external reconfigure during
@@ -162,67 +160,6 @@ struct ActiveReq {
     /// Cancellation token of the burst's pending macro-event, when the
     /// burst was coalesced by the fast-forward layer.
     ff: Option<CancelToken>,
-}
-
-/// Snapshot taken at a qualifying completion `C0`: one full request cycle
-/// is then measured against the next completion `C1 = C0 + gap` before the
-/// node enters the steady regime.
-struct ArmedCycle {
-    pod: PodId,
-    /// Arrival time of the request completing at `C0`.
-    arrival: SimTime,
-    /// `C0` itself.
-    completion: SimTime,
-    busy: SimTime,
-    occ_raw: f64,
-    kernels: u64,
-    client_busy: SimTime,
-    q_used: SimTime,
-    epochs: u64,
-    tokens: u64,
-    /// Node event count at `C0` (cycle event cost = delta + 1 arrival).
-    events: u64,
-}
-
-/// The verified template cycle of a steady node: every counter delta one
-/// request cycle contributes, all exact integer quantities, so `k` cycles
-/// credit in closed form bit-identically to replaying `k` real cycles.
-struct SteadyCycle {
-    func: FuncId,
-    pod: PodId,
-    client: ClientId,
-    /// Constant inter-arrival gap (strictly greater than `latency`).
-    gap: SimTime,
-    /// Per-request latency == service time (the queue is always empty).
-    latency: SimTime,
-    /// Arrival time of the first cycle not yet credited.
-    next_arrival: SimTime,
-    /// Whether the template cycle met its SLO.
-    met: bool,
-    d_busy: SimTime,
-    d_occ_raw: f64,
-    d_kernels: u64,
-    d_client_busy: SimTime,
-    d_q_used: SimTime,
-    d_epochs: u64,
-    d_tokens: u64,
-    /// Events one real cycle delivers (coalescing-ratio accounting).
-    cycle_events: u64,
-}
-
-/// Cluster fast-forward node-state lattice: `Inactive → Armed → Steady`,
-/// with `Resuming` bridging a materialized catch-up request back into
-/// `Steady` without re-measuring (nothing about the timeline changed).
-enum NodePhase {
-    /// Node schedules real events; no cycle measurement in progress.
-    Inactive,
-    /// First qualifying completion seen; measuring one template cycle.
-    Armed(ArmedCycle),
-    /// No per-request events scheduled: cycles credit analytically.
-    Steady(SteadyCycle),
-    /// One real request (materialized by an exit) is in flight; its
-    /// completion at `expect + latency` re-enters `Steady` directly.
-    Resuming { cycle: SteadyCycle, expect: SimTime },
 }
 
 struct PodRt {
@@ -276,14 +213,6 @@ pub struct Engine {
     /// for the current instant (deduplication set; see
     /// [`Engine::poke_dispatch`]).
     dispatch_pending: IdSet<NodeId>,
-    /// Cluster fast-forward phase per node (indexed by `NodeId`).
-    node_phase: Vec<NodePhase>,
-    /// Per-node count of delivered data-plane events (cycle measurement).
-    node_events: Vec<u64>,
-    /// Steady cycles credited analytically so far.
-    ff_cluster_cycles: u64,
-    /// Events those cycles would have delivered (never scheduled).
-    ff_cluster_events_coalesced: u64,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     trace: Vec<String>,
@@ -337,8 +266,6 @@ impl Engine {
             );
             stores.insert(n, ModelStorageServer::new(DEFAULT_CTX_OVERHEAD));
         }
-        let node_phase = nodes.iter().map(|_| NodePhase::Inactive).collect();
-        let node_events = vec![0; nodes.len()];
         Engine {
             cfg,
             cluster,
@@ -359,10 +286,6 @@ impl Engine {
             burst_scratch: Vec::new(),
             started_scratch: Vec::new(),
             dispatch_pending: IdSet::new(),
-            node_phase,
-            node_events,
-            ff_cluster_cycles: 0,
-            ff_cluster_events_coalesced: 0,
             trace: Vec::new(),
         }
     }
@@ -426,9 +349,6 @@ impl Engine {
         resources: ResourceSpec,
         queue: &mut EventQueue<Event>,
     ) -> Result<PodId, PlatformError> {
-        // A new pod changes routing and contention: replay every steady
-        // node back onto the event queue before placement looks around.
-        self.steady_exit_all(now, false, queue);
         let rt = self.funcs.get(func).ok_or(PlatformError::UnknownFunction)?;
         let sharing = self.cfg.model_sharing;
         let mem = &rt.model.memory;
@@ -440,8 +360,9 @@ impl Engine {
         // Memory feasibility per node: the pod's private reservation plus,
         // if this node's store does not yet hold the model, the shared
         // weights + storage context.
-        let mut extra_per_node: Vec<u64> = vec![0; self.node_events.len()];
-        for n in self.cluster.node_ids() {
+        let node_ids = self.cluster.node_ids();
+        let mut extra_per_node: Vec<u64> = vec![0; node_ids.len()];
+        for n in node_ids {
             if sharing && self.stores[n].model_bytes(&model_name) == 0 {
                 extra_per_node[n.index()] =
                     footprint::server_reservation(mem, DEFAULT_CTX_OVERHEAD);
@@ -576,8 +497,6 @@ impl Engine {
 
     /// Starts draining a pod; deletes it immediately when idle.
     fn drain_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
-        // Removing a replica changes routing: replay steady nodes first.
-        self.steady_exit_all(now, false, queue);
         let Some(rt) = self.pods.get(pod) else {
             return;
         };
@@ -634,9 +553,6 @@ impl Engine {
         queue: &mut EventQueue<Event>,
     ) -> Result<(), PlatformError> {
         resources.validate();
-        // Quota/partition changes alter cycle timing: no steady node may
-        // coast through them.
-        self.steady_exit_all(now, false, queue);
         let rt = self
             .funcs
             .get_mut(func)
@@ -695,7 +611,6 @@ impl Engine {
     /// on the GPU drain as a "zombie" before final teardown, exactly as a
     /// dead process's launched work completes on real hardware.
     fn kill_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) -> bool {
-        self.steady_exit_all(now, false, queue);
         let Some(rt) = self.pods.get_mut(pod) else {
             return false;
         };
@@ -826,7 +741,6 @@ impl Engine {
         if !matches!(self.cluster.node_state(node), Ok(s) if s != NodeState::Down) {
             return false;
         }
-        self.steady_exit_all(now, false, queue);
         // Hardware teardown: marks the node Down, hard-resets its GPU and
         // removes all its pods from the cluster.
         let Ok(dead) = self.cluster.crash_node(now, node) else {
@@ -888,8 +802,6 @@ impl Engine {
         else {
             return;
         };
-        // Faults change topology and timing: replay steady nodes first.
-        self.steady_exit_all(now, false, queue);
         self.faults_injected += 1;
         match ev.kind {
             FaultKind::PodCrash { func_index } => {
@@ -1079,18 +991,14 @@ impl Engine {
     // ----- request lifecycle ------------------------------------------
 
     fn on_arrival(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
-        // Schedule the next arrival first (the process is self-timed).
-        // Under cluster fast-forward the chain event is cancellable so a
-        // node entering the steady regime can absorb it.
-        let cff = self.cluster_ff_on();
+        // Schedule the next arrival first (the process is self-timed). The
+        // chain event is cancellable so `set_load` can replace the chain.
         if let Some(frt) = self.funcs.get_mut(func) {
-            match frt.load.as_mut().and_then(|l| l.next_after(now)) {
-                Some(t) if cff => {
-                    frt.arrival_token = Some(queue.schedule_cancellable(t, Event::Arrival(func)));
-                }
-                Some(t) => queue.schedule(t, Event::Arrival(func)),
-                None => frt.arrival_token = None,
-            }
+            frt.arrival_token = frt
+                .load
+                .as_mut()
+                .and_then(|l| l.next_after(now))
+                .map(|t| queue.schedule_cancellable(t, Event::Arrival(func)));
         }
         let overload = self.cfg.overload;
         let slo = self.funcs.get(func).map(|f| f.slo.slo());
@@ -1498,348 +1406,6 @@ impl Engine {
         }
     }
 
-    // ----- cluster-level fast-forward ---------------------------------
-    //
-    // A node serving exactly one pod of one single-replica function with a
-    // constant arrival gap strictly above the service latency repeats the
-    // same request cycle forever: same kernels, same latency, same counter
-    // deltas, always returning to a fully idle node. The machinery below
-    // detects that regime (`Armed` measures one template cycle between two
-    // completions), then stops scheduling per-request events entirely
-    // (`Steady`): whole cycles are credited in closed form at the next
-    // control-plane touch, and the at-most-one in-flight request a touch
-    // can observe is materialized by replaying real events through a local
-    // queue. All credited quantities are exact integer arithmetic, so
-    // reports stay byte-identical to the event-by-event run.
-
-    /// Whether cluster fast-forward is active (requires the device layer).
-    fn cluster_ff_on(&self) -> bool {
-        self.cfg.fastforward && self.cfg.cluster_fastforward
-    }
-
-    /// The steady-regime eligibility gates. Returns the constant arrival
-    /// gap when every gate passes. The gates deliberately exclude every
-    /// feature whose bookkeeping has no exact closed form (overload
-    /// control, timeouts, autoscaling, tracing) and every topology where
-    /// routing is not a single fixed pod.
-    fn steady_eligible(
-        &self,
-        now: SimTime,
-        node: NodeId,
-        pod: PodId,
-        func: FuncId,
-        arrived: SimTime,
-    ) -> Option<SimTime> {
-        if self.cfg.overload.is_some()
-            || self.cfg.request_timeout_factor.is_some()
-            || self.cfg.trace_events
-            || self.autoscale_db.is_some()
-        {
-            return None;
-        }
-        let frt = self.funcs.get(func)?;
-        if frt.saturate {
-            return None;
-        }
-        let gap = frt.load.as_ref()?.constant_gap()?;
-        // The node must be provably idle between cycles: service must end
-        // strictly before the next arrival.
-        if gap <= now - arrived {
-            return None;
-        }
-        if !matches!(self.cluster.node_state(node), Ok(s) if s != NodeState::Down) {
-            return None;
-        }
-        if self.cluster.pods_on(node).len() != 1 {
-            return None;
-        }
-        let running = self.cluster.running_pods_of(func);
-        if running.as_slice() != [pod] {
-            return None;
-        }
-        if self.gateway.queue_len(func) != 0 {
-            return None;
-        }
-        // Quota can never throttle the cycle: gpu time per window is below
-        // the elapsed time, which is below the window.
-        if self.cluster.pod(pod).ok()?.resources.quota_limit < 1.0 {
-            return None;
-        }
-        Some(gap)
-    }
-
-    /// Observes a completion on an idle node: arms a cycle measurement,
-    /// verifies an armed one (entering `Steady`), or re-enters `Steady`
-    /// after a materialized catch-up request (`Resuming`).
-    fn steady_observe(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        pod: PodId,
-        func: FuncId,
-        arrived: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let i = node.index();
-        let Some(gap) = self.steady_eligible(now, node, pod, func, arrived) else {
-            self.node_phase[i] = NodePhase::Inactive;
-            return;
-        };
-        let client = self.pods[pod].client;
-        let Ok(gpu_probe) = self
-            .cluster
-            .node(node)
-            .map(|n| n.gpu.metrics().steady_probe(now, client))
-        else {
-            return;
-        };
-        let (busy, occ_raw, kernels, client_busy) = gpu_probe;
-        let Some((q_used, epochs, tokens)) =
-            self.backends.get(node).and_then(|b| b.steady_probe(pod))
-        else {
-            self.node_phase[i] = NodePhase::Inactive;
-            return;
-        };
-        match std::mem::replace(&mut self.node_phase[i], NodePhase::Inactive) {
-            NodePhase::Resuming { mut cycle, expect }
-                if cycle.pod == pod
-                    && cycle.gap == gap
-                    && arrived == expect
-                    && now == expect + cycle.latency =>
-            {
-                // The materialized request replayed the template cycle
-                // exactly; resume crediting without re-measuring.
-                if let Some(tok) = self.funcs.get_mut(func).and_then(|f| f.arrival_token.take())
-                {
-                    let cancelled = queue.cancel(tok);
-                    debug_assert!(cancelled, "steady entry cancels a live arrival");
-                    cycle.next_arrival = arrived + gap;
-                    self.node_phase[i] = NodePhase::Steady(cycle);
-                }
-            }
-            NodePhase::Armed(a)
-                if a.pod == pod && now == a.completion + gap && arrived == a.arrival + gap =>
-            {
-                // One full cycle measured between two completions exactly
-                // one gap apart: its deltas are the template.
-                let latency = now - arrived;
-                let met = self.funcs.get(func).is_some_and(|f| latency <= f.slo.slo());
-                let Some(tok) = self.funcs.get_mut(func).and_then(|f| f.arrival_token.take())
-                else {
-                    return; // no pending arrival chain: nothing to coalesce
-                };
-                let cancelled = queue.cancel(tok);
-                debug_assert!(cancelled, "steady entry cancels a live arrival");
-                self.node_phase[i] = NodePhase::Steady(SteadyCycle {
-                    func,
-                    pod,
-                    client,
-                    gap,
-                    latency,
-                    next_arrival: arrived + gap,
-                    met,
-                    d_busy: busy - a.busy,
-                    d_occ_raw: occ_raw - a.occ_raw,
-                    d_kernels: kernels - a.kernels,
-                    d_client_busy: client_busy - a.client_busy,
-                    d_q_used: q_used - a.q_used,
-                    d_epochs: epochs - a.epochs,
-                    d_tokens: tokens - a.tokens,
-                    cycle_events: (self.node_events[i] - a.events) + 1,
-                });
-            }
-            _ => {
-                // Fresh (or failed) measurement: this completion is C0.
-                self.node_phase[i] = NodePhase::Armed(ArmedCycle {
-                    pod,
-                    arrival: arrived,
-                    completion: now,
-                    busy,
-                    occ_raw,
-                    kernels,
-                    client_busy,
-                    q_used,
-                    epochs,
-                    tokens,
-                    events: self.node_events[i],
-                });
-            }
-        }
-    }
-
-    /// Credits every steady cycle completing before `now` (`inclusive`
-    /// bounds at `≤ now`, for Platform-API touches; control events that
-    /// order before same-instant work use the strict `< now` bound) in
-    /// closed form against the gateway, trackers, backend and GPU metrics.
-    fn steady_credit(&mut self, now: SimTime, node: NodeId, inclusive: bool) {
-        let Some(NodePhase::Steady(cycle)) = self.node_phase.get_mut(node.index()) else {
-            return;
-        };
-        let c0 = cycle.next_arrival + cycle.latency;
-        let gap_us = cycle.gap.as_micros().max(1);
-        let k = if inclusive {
-            if c0 <= now {
-                (now.as_micros() - c0.as_micros()) / gap_us + 1
-            } else {
-                0
-            }
-        } else if c0 < now {
-            (now.as_micros() - c0.as_micros() - 1) / gap_us + 1
-        } else {
-            0
-        };
-        if k == 0 {
-            return;
-        }
-        let func = cycle.func;
-        let pod = cycle.pod;
-        let client = cycle.client;
-        let gap = cycle.gap;
-        let latency = cycle.latency;
-        let met = cycle.met;
-        let start = cycle.next_arrival;
-        let (d_busy, d_occ_raw, d_kernels, d_client_busy) = (
-            cycle.d_busy,
-            cycle.d_occ_raw,
-            cycle.d_kernels,
-            cycle.d_client_busy,
-        );
-        let (d_q_used, d_epochs, d_tokens) = (cycle.d_q_used, cycle.d_epochs, cycle.d_tokens);
-        let cycle_events = cycle.cycle_events;
-        cycle.next_arrival = start + gap * k;
-        self.ff_cluster_cycles += k;
-        self.ff_cluster_events_coalesced += cycle_events * k;
-        self.gateway.credit_arrival_run(func, start, gap, k);
-        if let Some(frt) = self.funcs.get_mut(func) {
-            frt.slo.record_n(latency, k);
-            frt.completions.record_run(c0, gap, k);
-            if met {
-                frt.goodput.record_run(c0, gap, k);
-            } else {
-                // Queue wait is always zero in the steady regime, so
-                // service time equals latency.
-                frt.wasted_service += latency * k;
-            }
-        }
-        if let Some(b) = self.backends.get_mut(node) {
-            b.credit_steady_cycles(pod, k, d_q_used, d_epochs, d_tokens);
-        }
-        if let Ok(n) = self.cluster.node_mut(node) {
-            n.gpu
-                .metrics_mut()
-                .credit_steady_cycles(client, k, d_busy, d_occ_raw, d_kernels, d_client_busy);
-        }
-    }
-
-    /// Replays a steady node back onto the real event queue: credits
-    /// cycles up to `now`, then either re-schedules the next (future)
-    /// arrival or materializes the single in-flight request by replaying
-    /// its events through a local queue — events beyond the bound drain to
-    /// the real queue with their cancellation tokens re-homed. `resume`
-    /// stashes the template for direct re-entry (only sound when nothing
-    /// about the node's timing changed, i.e. metric-sample catch-ups).
-    fn steady_exit(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        inclusive: bool,
-        resume: bool,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let i = node.index();
-        match self.node_phase.get(i) {
-            None | Some(NodePhase::Inactive) => return,
-            Some(NodePhase::Armed(_) | NodePhase::Resuming { .. }) => {
-                // Already running real events; drop the measurement.
-                self.node_phase[i] = NodePhase::Inactive;
-                return;
-            }
-            Some(NodePhase::Steady(_)) => {}
-        }
-        self.steady_credit(now, node, inclusive);
-        let NodePhase::Steady(mut cycle) =
-            std::mem::replace(&mut self.node_phase[i], NodePhase::Inactive)
-        else {
-            return;
-        };
-        let expect = cycle.next_arrival;
-        let in_flight = if inclusive { expect <= now } else { expect < now };
-        if !in_flight {
-            // The next arrival is still in the future: hand the chain
-            // back to the real queue.
-            let tok = queue.schedule_cancellable(expect, Event::Arrival(cycle.func));
-            if let Some(frt) = self.funcs.get_mut(cycle.func) {
-                debug_assert!(frt.arrival_token.is_none(), "one pending arrival per chain");
-                frt.arrival_token = Some(tok);
-            }
-            if resume {
-                self.node_phase[i] = NodePhase::Resuming { cycle, expect };
-            }
-            return;
-        }
-        // Exactly one request is in flight at the bound: it arrived at
-        // `expect ≤/< now`, completes at `expect + latency ≥/> now` (the
-        // credit loop stopped), and the following arrival is beyond the
-        // bound because `gap > latency`. Replay it through a local queue
-        // with the same tie-break and class order; whatever lands beyond
-        // the bound drains to the real queue (heap order guarantees the
-        // remainder is all beyond the bound once one event is).
-        let func = cycle.func;
-        let mut local = EventQueue::new();
-        local.set_tiebreak(queue.tiebreak());
-        local.set_classifier(|e: &Event| e.class());
-        self.handle(expect, Event::Arrival(func), &mut local);
-        while let Some((t, ev)) = local.pop() {
-            let within = if inclusive { t <= now } else { t < now };
-            if within {
-                self.handle(t, ev, &mut local);
-                continue;
-            }
-            match ev {
-                Event::Arrival(f) => {
-                    // Re-home the chain's cancellation token: the local
-                    // token stored by `on_arrival` dies with the local
-                    // queue.
-                    let tok = queue.schedule_cancellable(t, ev);
-                    if let Some(frt) = self.funcs.get_mut(f) {
-                        frt.arrival_token = Some(tok);
-                    }
-                }
-                Event::BurstFastForward(_, p) => {
-                    let tok = queue.schedule_cancellable(t, ev);
-                    if let Some(a) = self.pods.get_mut(p).and_then(|rt| rt.active.as_mut()) {
-                        a.ff = Some(tok);
-                    }
-                }
-                Event::HostDone(_)
-                | Event::KernelFinish(_, _)
-                | Event::WindowReset(_)
-                | Event::ScaleTick
-                | Event::MetricsSample
-                | Event::Fault(_)
-                | Event::HealthTick
-                | Event::RequestTimeout(_, _)
-                | Event::BreakerTick
-                | Event::Dispatch(_) => queue.schedule(t, ev),
-            }
-        }
-        if resume {
-            cycle.next_arrival = expect + cycle.gap;
-            self.node_phase[i] = NodePhase::Resuming { cycle, expect };
-        }
-    }
-
-    /// Exits every node from the steady regime (control-plane touches
-    /// whose effects are not provably cycle-neutral).
-    fn steady_exit_all(&mut self, now: SimTime, inclusive: bool, queue: &mut EventQueue<Event>) {
-        if !self.cluster_ff_on() {
-            return;
-        }
-        for i in 0..self.node_phase.len() {
-            self.steady_exit(now, NodeId::from_index(i), inclusive, false, queue);
-        }
-    }
-
     /// Sheds the provably dead queue prefix, then pulls the next request
     /// for an idle pod. With overload control off (or a cold estimator)
     /// this is exactly `gateway.on_pod_idle`.
@@ -1938,11 +1504,6 @@ impl Engine {
                 };
                 self.process_grants(now, &grants, queue);
                 self.poke_dispatch(now, node, queue);
-                // The node just went fully idle — the observation point of
-                // the steady-regime detector.
-                if self.cluster_ff_on() {
-                    self.steady_observe(now, node, pod, func, arrived, queue);
-                }
             }
         }
     }
@@ -1996,18 +1557,6 @@ impl Engine {
         if matches!(self.cluster.node_state(node), Ok(NodeState::Down)) {
             return;
         }
-        if self.cluster_ff_on() {
-            // An armed measurement cannot span the reset: the window
-            // zeroes quota usage, so the q_used delta would underflow.
-            // A steady node just credits up to here (strictly before: a
-            // control event orders ahead of same-instant work) — the
-            // reset itself is cycle-neutral under the `quota_limit = 1`
-            // eligibility gate.
-            if matches!(self.node_phase.get(node.index()), Some(NodePhase::Armed(_))) {
-                self.node_phase[node.index()] = NodePhase::Inactive;
-            }
-            self.steady_credit(now, node, false);
-        }
         let grants = match self.backends.get_mut(node) {
             Some(b) => b.on_window_reset(now),
             None => {
@@ -2021,31 +1570,6 @@ impl Engine {
     }
 
     fn on_metrics_sample(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        if self.cluster_ff_on() {
-            // Samples observe instantaneous GPU state, so a steady node
-            // with a request in flight at the sample instant must
-            // materialize it (replaying its kernel events) before the
-            // probes below run. `resume = true`: sampling is
-            // cycle-neutral, so the template re-enters Steady when the
-            // materialized request completes on schedule.
-            for i in 0..self.node_phase.len() {
-                let node = NodeId::from_index(i);
-                // An armed measurement cannot span the sample: it resets
-                // the utilization and occupancy windows, so busy/occ
-                // deltas across it would be meaningless (or underflow).
-                if matches!(self.node_phase.get(i), Some(NodePhase::Armed(_))) {
-                    self.node_phase[i] = NodePhase::Inactive;
-                }
-                self.steady_credit(now, node, false);
-                let in_flight = matches!(
-                    self.node_phase.get(i),
-                    Some(NodePhase::Steady(c)) if c.next_arrival < now
-                );
-                if in_flight {
-                    self.steady_exit(now, node, false, true, queue);
-                }
-            }
-        }
         for node in self.cluster.node_ids() {
             if let Ok(n) = self.cluster.node_mut(node) {
                 // Land deferred fast-forward boundaries (strictly before
@@ -2313,31 +1837,6 @@ impl World for Engine {
         if self.cfg.trace_events {
             self.trace.push(format!("{now:?} {event:?}"));
         }
-        if self.cfg.cluster_fastforward {
-            // Per-node event tally: the cycle-event count an armed
-            // measurement captures, and thus the coalescing credit per
-            // steady cycle. Arrivals are counted by the observer (+1)
-            // since they carry no node.
-            let touched = match event {
-                Event::HostDone(pod) => self.pods.get(pod).map(|rt| rt.node),
-                Event::KernelFinish(node, _)
-                | Event::BurstFastForward(node, _)
-                | Event::WindowReset(node)
-                | Event::Dispatch(node) => Some(node),
-                Event::Arrival(_)
-                | Event::ScaleTick
-                | Event::MetricsSample
-                | Event::Fault(_)
-                | Event::HealthTick
-                | Event::RequestTimeout(_, _)
-                | Event::BreakerTick => None,
-            };
-            if let Some(n) = touched {
-                if let Some(c) = self.node_events.get_mut(n.index()) {
-                    *c += 1;
-                }
-            }
-        }
         match event {
             Event::Arrival(func) => self.on_arrival(now, func, queue),
             // A host phase may complete for a pod that crashed meanwhile.
@@ -2428,43 +1927,30 @@ impl Platform {
     /// node selection and registers them with the gateway and backends.
     pub fn deploy(&mut self, fc: FunctionConfig) -> Result<FuncId, PlatformError> {
         let (world, queue, now) = self.sim.parts_mut();
-        // Platform-API touches observe state inclusive of `now`: replay
-        // any steady node up to and including this instant first.
-        world.steady_exit_all(now, true, queue);
         world.deploy(now, &fc, queue)
     }
 
-    /// Attaches an open-loop arrival process to a function.
+    /// Attaches an open-loop arrival process to a function, replacing
+    /// any previous one: the old chain's pending arrival is cancelled,
+    /// so two arrival chains never run concurrently.
     pub fn set_load(&mut self, func: FuncId, mut load: ArrivalProcess) {
         let (world, queue, now) = self.sim.parts_mut();
-        world.steady_exit_all(now, true, queue);
-        let cff = world.cluster_ff_on();
-        // Retire the previous chain's pending event (if cancellable) so
-        // two arrival chains never run concurrently.
-        if let Some(tok) = world.funcs.get_mut(func).and_then(|f| f.arrival_token.take()) {
+        let Some(rt) = world.funcs.get_mut(func) else {
+            debug_assert!(false, "unknown function");
+            return;
+        };
+        if let Some(tok) = rt.arrival_token.take() {
             queue.cancel(tok);
         }
-        if let Some(t) = load.next_after(now) {
-            if cff {
-                let tok = queue.schedule_cancellable(t, Event::Arrival(func));
-                if let Some(rt) = world.funcs.get_mut(func) {
-                    rt.arrival_token = Some(tok);
-                }
-            } else {
-                queue.schedule(t, Event::Arrival(func));
-            }
-        }
-        if let Some(rt) = world.funcs.get_mut(func) {
-            rt.load = Some(load);
-        } else {
-            debug_assert!(false, "unknown function");
-        }
+        rt.arrival_token = load
+            .next_after(now)
+            .map(|t| queue.schedule_cancellable(t, Event::Arrival(func)));
+        rt.load = Some(load);
     }
 
     /// Enables the auto-scaler with the given profile database.
     pub fn enable_autoscaler(&mut self, db: ProfileDb) {
         let (world, queue, now) = self.sim.parts_mut();
-        world.steady_exit_all(now, true, queue);
         let interval = world.cfg.autoscale_interval;
         world.autoscale_db = Some(db);
         queue.schedule(now + interval, Event::ScaleTick);
@@ -2475,7 +1961,6 @@ impl Platform {
     pub fn scale_to(&mut self, func: FuncId, replicas: usize) {
         use fastg_cluster::cluster::ReconcileAction;
         let (world, queue, now) = self.sim.parts_mut();
-        world.steady_exit_all(now, true, queue);
         if let Some(rt) = world.funcs.get_mut(func) {
             rt.desired_replicas = replicas;
         }
@@ -2509,12 +1994,6 @@ impl Platform {
         }
         let deadline = self.sim.now() + duration;
         self.sim.run_until(deadline);
-        {
-            // The report boundary is inclusive of `now`: steady nodes
-            // replay up to and including it before counters are read.
-            let (world, queue, now) = self.sim.parts_mut();
-            world.steady_exit_all(now, true, queue);
-        }
         let now = self.sim.now();
         self.sim.world_mut().build_report(now)
     }
@@ -2555,7 +2034,6 @@ impl Platform {
             .gpu_mem;
         let spec = ResourceSpec::new(sm_partition, quota_request, quota_limit, mem);
         let (world, queue, now) = self.sim.parts_mut();
-        world.steady_exit_all(now, true, queue);
         world.reconfigure(now, func, spec, queue)
     }
 
@@ -2564,7 +2042,6 @@ impl Platform {
     /// teardown. Returns whether a live pod was killed.
     pub fn kill_pod(&mut self, pod: fastg_cluster::PodId) -> bool {
         let (world, queue, now) = self.sim.parts_mut();
-        world.steady_exit_all(now, true, queue);
         world.kill_pod(now, pod, queue)
     }
 
@@ -2582,7 +2059,6 @@ impl Platform {
     /// path the plan's `NodeCrash` takes). Returns whether the node was up.
     pub fn crash_node(&mut self, node_index: usize) -> bool {
         let (world, queue, now) = self.sim.parts_mut();
-        world.steady_exit_all(now, true, queue);
         let ids = world.cluster.node_ids();
         if node_index >= ids.len() {
             return false;
@@ -2623,16 +2099,12 @@ impl Platform {
         self.sim.world().ff_coalesced_kernels
     }
 
-    /// Steady request cycles the cluster fast-forward credited in closed
-    /// form (each one a full request served without any scheduled event).
+    /// Inert: always 0. Cluster-level fast-forward was removed; this
+    /// accessor survives only because the `fastg-bench` suite still
+    /// reads it, and it goes away together with that suite's
+    /// `gpu.cluster_ff_cycles` metric in a later benchmark change.
     pub fn ff_cluster_cycles(&self) -> u64 {
-        self.sim.world().ff_cluster_cycles
-    }
-
-    /// Events the cluster fast-forward never had to schedule: the
-    /// per-cycle event count times the cycles credited analytically.
-    pub fn ff_cluster_coalesced_events(&self) -> u64 {
-        self.sim.world().ff_cluster_events_coalesced
+        0
     }
 
     /// Requests of a function waiting in the gateway queue.
@@ -2722,10 +2194,6 @@ impl Platform {
 
     /// Builds a report at the current instant without advancing time.
     pub fn report(&mut self) -> PlatformReport {
-        {
-            let (world, queue, now) = self.sim.parts_mut();
-            world.steady_exit_all(now, true, queue);
-        }
         let now = self.sim.now();
         self.sim.world_mut().build_report(now)
     }
@@ -2892,145 +2360,6 @@ impl Snap for FuncRt {
     }
 }
 
-impl Snap for ArmedCycle {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            pod,
-            arrival,
-            completion,
-            busy,
-            occ_raw,
-            kernels,
-            client_busy,
-            q_used,
-            epochs,
-            tokens,
-            events,
-        } = self;
-        pod.snap(w);
-        arrival.snap(w);
-        completion.snap(w);
-        busy.snap(w);
-        w.f64(*occ_raw);
-        w.u64(*kernels);
-        client_busy.snap(w);
-        q_used.snap(w);
-        w.u64(*epochs);
-        w.u64(*tokens);
-        w.u64(*events);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ArmedCycle {
-            pod: PodId::unsnap(r)?,
-            arrival: SimTime::unsnap(r)?,
-            completion: SimTime::unsnap(r)?,
-            busy: SimTime::unsnap(r)?,
-            occ_raw: r.f64()?,
-            kernels: r.u64()?,
-            client_busy: SimTime::unsnap(r)?,
-            q_used: SimTime::unsnap(r)?,
-            epochs: r.u64()?,
-            tokens: r.u64()?,
-            events: r.u64()?,
-        })
-    }
-}
-
-impl Snap for SteadyCycle {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            func,
-            pod,
-            client,
-            gap,
-            latency,
-            next_arrival,
-            met,
-            d_busy,
-            d_occ_raw,
-            d_kernels,
-            d_client_busy,
-            d_q_used,
-            d_epochs,
-            d_tokens,
-            cycle_events,
-        } = self;
-        func.snap(w);
-        pod.snap(w);
-        client.snap(w);
-        gap.snap(w);
-        latency.snap(w);
-        next_arrival.snap(w);
-        w.bool(*met);
-        d_busy.snap(w);
-        w.f64(*d_occ_raw);
-        w.u64(*d_kernels);
-        d_client_busy.snap(w);
-        d_q_used.snap(w);
-        w.u64(*d_epochs);
-        w.u64(*d_tokens);
-        w.u64(*cycle_events);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cycle = SteadyCycle {
-            func: FuncId::unsnap(r)?,
-            pod: PodId::unsnap(r)?,
-            client: ClientId::unsnap(r)?,
-            gap: SimTime::unsnap(r)?,
-            latency: SimTime::unsnap(r)?,
-            next_arrival: SimTime::unsnap(r)?,
-            met: r.bool()?,
-            d_busy: SimTime::unsnap(r)?,
-            d_occ_raw: r.f64()?,
-            d_kernels: r.u64()?,
-            d_client_busy: SimTime::unsnap(r)?,
-            d_q_used: SimTime::unsnap(r)?,
-            d_epochs: r.u64()?,
-            d_tokens: r.u64()?,
-            cycle_events: r.u64()?,
-        };
-        // A steady template requires gap > latency (the queue is provably
-        // always empty); an encoding violating that is corrupt.
-        if cycle.gap <= cycle.latency {
-            return Err(SnapError::new("steady cycle gap"));
-        }
-        Ok(cycle)
-    }
-}
-
-impl Snap for NodePhase {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            NodePhase::Inactive => w.u8(0),
-            NodePhase::Armed(cycle) => {
-                w.u8(1);
-                cycle.snap(w);
-            }
-            NodePhase::Steady(cycle) => {
-                w.u8(2);
-                cycle.snap(w);
-            }
-            NodePhase::Resuming { cycle, expect } => {
-                w.u8(3);
-                cycle.snap(w);
-                expect.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => NodePhase::Inactive,
-            1 => NodePhase::Armed(ArmedCycle::unsnap(r)?),
-            2 => NodePhase::Steady(SteadyCycle::unsnap(r)?),
-            3 => NodePhase::Resuming {
-                cycle: SteadyCycle::unsnap(r)?,
-                expect: SimTime::unsnap(r)?,
-            },
-            _ => return Err(SnapError::new("node phase tag")),
-        })
-    }
-}
-
 impl ActiveReq {
     /// Encodes the request plus its inference cursor. The model profile
     /// itself is *not* written — checkpoints of a fleet hold one profile
@@ -3164,10 +2493,6 @@ impl Engine {
             burst_scratch: _,
             started_scratch: _,
             dispatch_pending,
-            node_phase,
-            node_events,
-            ff_cluster_cycles,
-            ff_cluster_events_coalesced,
             trace,
         } = self;
         cfg.snap(w);
@@ -3187,10 +2512,6 @@ impl Engine {
         w.u64(*ff_bursts);
         w.u64(*ff_coalesced_kernels);
         dispatch_pending.snap(w);
-        node_phase.snap(w);
-        node_events.snap(w);
-        w.u64(*ff_cluster_cycles);
-        w.u64(*ff_cluster_events_coalesced);
         trace.snap(w);
     }
 
@@ -3216,15 +2537,8 @@ impl Engine {
         let ff_bursts = r.u64()?;
         let ff_coalesced_kernels = r.u64()?;
         let dispatch_pending = IdSet::unsnap(r)?;
-        let node_phase: Vec<NodePhase> = Vec::unsnap(r)?;
-        let node_events: Vec<u64> = Vec::unsnap(r)?;
-        let ff_cluster_cycles = r.u64()?;
-        let ff_cluster_events_coalesced = r.u64()?;
         let trace = Vec::unsnap(r)?;
         let nodes = cluster.node_ids().len();
-        if node_phase.len() != nodes || node_events.len() != nodes {
-            return Err(SnapError::new("engine node tables"));
-        }
         if backends.len() != nodes || stores.len() != nodes {
             return Err(SnapError::new("engine per-node services"));
         }
@@ -3248,10 +2562,6 @@ impl Engine {
             burst_scratch: Vec::new(),
             started_scratch: Vec::new(),
             dispatch_pending,
-            node_phase,
-            node_events,
-            ff_cluster_cycles,
-            ff_cluster_events_coalesced,
             trace,
         })
     }
@@ -3261,8 +2571,8 @@ impl Platform {
     /// Captures the complete platform — driver clock, engine state, event
     /// queue — as a versioned, immutable [`Snapshot`].
     ///
-    /// The capture is exact, not a quiesced approximation: steady
-    /// fast-forward phases, in-flight requests, pending cancellable
+    /// The capture is exact, not a quiesced approximation: device
+    /// fast-forward timelines, in-flight requests, pending cancellable
     /// events and RNG states are all carried verbatim, so a platform
     /// restored from the snapshot replays the future byte-identically
     /// (equal [`PlatformReport::digest`]) to this one running on.

@@ -13,8 +13,8 @@ use crate::time::SimTime;
 /// converted to seconds at read time. For integer-valued signals (SM
 /// counts) every accumulated term is then an exact integer in `f64`
 /// (products stay far below 2⁵³), which makes the sum associative — the
-/// property cluster fast-forward relies on to credit `k × cycle_delta` in
-/// closed form and land bit-identical to `k` event-driven accumulations.
+/// property device fast-forward relies on when it merges same-instant
+/// boundaries and still lands bit-identical to per-kernel accumulation.
 #[derive(Debug, Clone)]
 pub struct TimeWeighted {
     value: f64,
@@ -55,18 +55,10 @@ impl TimeWeighted {
     /// The integral of the signal from the start through `now`, in
     /// `value × seconds` units.
     pub fn integral_at(&self, now: SimTime) -> f64 {
-        self.raw_integral_at(now) / 1e6
-    }
-
-    /// The raw running integral through `now` in `value × microseconds`
-    /// units — exact (no division) for integer-valued signals. Cluster
-    /// fast-forward probes this to measure one steady cycle's delta and
-    /// later credits `k × delta` through [`Self::credit_raw`].
-    pub fn raw_integral_at(&self, now: SimTime) -> f64 {
         // u64→f64: dt is far below 2^53 µs (≈ 285 simulated years).
         // fastg-lint: allow(no-lossy-cast)
-        self.integral_us
-            + self.value * now.saturating_sub(self.last_change).as_micros() as f64
+        let dt = now.saturating_sub(self.last_change).as_micros() as f64;
+        (self.integral_us + self.value * dt) / 1e6
     }
 
     /// The time-weighted mean of the signal from the start through `now`.
@@ -95,21 +87,6 @@ impl TimeWeighted {
         let dt = now.saturating_sub(self.last_change).as_micros() as f64;
         self.integral_us += self.value * dt;
         self.last_change = self.last_change.max(now);
-    }
-
-    /// Credits `amount` of pre-computed signal area (in `value × µs`
-    /// units, i.e. [`Self::raw_integral_at`] units) directly into the
-    /// integral without advancing the clock. Used by cluster fast-forward
-    /// to replay k analytically-coalesced cycles in closed form: the
-    /// caller measured one real cycle's raw-integral delta and adds
-    /// `k × delta` here. For integer-valued signals every term is an exact
-    /// integer in `f64`, so this is bit-identical to k event-driven
-    /// accumulations. Only valid while the live signal sits at the level
-    /// it held at each credited cycle boundary — cluster FF guarantees
-    /// this by entering/exiting steady state only at completion instants
-    /// where the signal is zero.
-    pub fn credit_raw(&mut self, amount: f64) {
-        self.integral_us += amount;
     }
 }
 
@@ -217,16 +194,6 @@ impl BusyTracker {
         if self.active > 0 {
             self.busy_since = Some(now);
         }
-    }
-
-    /// Credits `busy` of pre-computed busy time directly into the total,
-    /// without opening an interval. Used by cluster fast-forward to replay
-    /// k coalesced steady cycles (`k × cycle_busy`) in closed form; only
-    /// valid while idle (`active == 0`), which the caller guarantees by
-    /// crediting at completion instants.
-    pub fn credit(&mut self, busy: SimTime) {
-        debug_assert!(self.active == 0, "BusyTracker::credit while busy");
-        self.busy_total += busy;
     }
 }
 

@@ -159,43 +159,6 @@ impl GpuMetrics {
         self.kernels_completed
     }
 
-    /// A probe of the counters cluster fast-forward snapshots around one
-    /// real template cycle: `(busy_total, raw occupancy integral, total
-    /// kernels, client busy)`. All four are exact quantities (integer
-    /// SimTime sums and integer-valued `f64`), so the per-cycle deltas the
-    /// caller derives are exact too.
-    pub fn steady_probe(&self, now: SimTime, client: ClientId) -> (SimTime, f64, u64, SimTime) {
-        (
-            self.util.busy_at(now),
-            self.occupied_sms.raw_integral_at(now),
-            self.kernels_completed,
-            self.client_busy(client),
-        )
-    }
-
-    /// Credits `k` coalesced steady cycles in closed form — bit-identical
-    /// to replaying the template cycle `k` times through the event-driven
-    /// path, because every credited quantity is exact integer arithmetic
-    /// (see [`fastg_des::TimeWeighted::credit_raw`]). Only valid while the
-    /// device is idle (no resident kernels), which holds at the completion
-    /// instants cluster FF enters and exits steady state on.
-    pub fn credit_steady_cycles(
-        &mut self,
-        client: ClientId,
-        k: u64,
-        cycle_busy: SimTime,
-        cycle_occ_raw: f64,
-        cycle_kernels: u64,
-        cycle_client_busy: SimTime,
-    ) {
-        debug_assert_eq!(self.util.active(), 0, "credit while kernels resident");
-        self.util.credit(cycle_busy * k);
-        // u64→f64: k is bounded by the run's cycle count, far below 2^53.
-        // fastg-lint: allow(no-lossy-cast)
-        self.occupied_sms.credit_raw(cycle_occ_raw * k as f64);
-        self.tally_finished(client, cycle_kernels * k, cycle_client_busy * k);
-    }
-
     /// Cumulative GPU busy time attributed to `client` (the Gemini-style
     /// usage monitor the FaST Backend charges quotas from).
     pub fn client_busy(&self, client: ClientId) -> SimTime {

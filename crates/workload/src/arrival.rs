@@ -92,20 +92,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// For a constant-rate process with positive rate, the fixed
-    /// inter-arrival gap (exactly the increment `next_after` applies);
-    /// `None` for every other kind. Cluster fast-forward uses this to
-    /// compute steady arrival sequences analytically — `anchor + k × gap`
-    /// reproduces the event-driven timestamps bit for bit.
-    pub fn constant_gap(&self) -> Option<SimTime> {
-        match &self.kind {
-            Kind::Constant { rate } if *rate > 0.0 => {
-                Some(SimTime::from_secs_f64(1.0 / *rate).max(SimTime::from_micros(1)))
-            }
-            _ => None,
-        }
-    }
-
     /// The instantaneous target rate at `t` (requests/second).
     pub fn rate_at(&self, t: SimTime) -> f64 {
         match &self.kind {

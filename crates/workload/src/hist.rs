@@ -61,19 +61,9 @@ impl LatencyHistogram {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimTime) {
-        self.record_n(latency, 1);
-    }
-
-    /// Records `n` identical latency samples in one step — bit-identical
-    /// to `n` calls of [`Self::record`] (all fields are integer adds), so
-    /// cluster fast-forward can credit coalesced steady cycles in O(1).
-    pub fn record_n(&mut self, latency: SimTime, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::bucket_of(latency)] += n;
-        self.count += n;
-        self.sum_us += u128::from(latency.as_micros()) * u128::from(n);
+        self.counts[Self::bucket_of(latency)] += 1;
+        self.count += 1;
+        self.sum_us += u128::from(latency.as_micros());
         self.max = self.max.max(latency);
         self.min = Some(match self.min {
             Some(m) => m.min(latency),

@@ -34,8 +34,7 @@ impl Run {
 /// them over windows.
 ///
 /// Timestamps are stored run-length encoded: evenly spaced stretches (the
-/// shape every steady-state load produces, and exactly what cluster
-/// fast-forward credits in bulk via [`Self::record_run`]) collapse to one
+/// shape every constant-rate load produces) collapse to one
 /// `(start, gap, count)` triple, so memory stays O(rate changes) instead of
 /// O(events) — the difference between 10⁸ arrivals fitting in RAM or not.
 /// Counting queries stay exact.
@@ -72,34 +71,6 @@ impl RateMeter {
             start_us: now_us,
             gap_us: 0,
             count: 1,
-        });
-    }
-
-    /// Records `count` events at `start, start+gap, …` in one step —
-    /// equivalent to `count` ordered [`Self::record`] calls. Cluster
-    /// fast-forward uses this to credit coalesced steady cycles in O(1).
-    pub fn record_run(&mut self, start: SimTime, gap: SimTime, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let (start_us, gap_us) = (start.as_micros(), gap.as_micros());
-        debug_assert!(self.runs.last().map_or(true, |r| r.last_us() <= start_us));
-        self.total += count;
-        if let Some(r) = self.runs.last_mut() {
-            if r.gap_us == gap_us && start_us.checked_sub(r.last_us()) == Some(gap_us) {
-                r.count += count;
-                return;
-            }
-            if r.count == 1 && start_us.checked_sub(r.start_us) == Some(gap_us) {
-                r.gap_us = gap_us;
-                r.count += count;
-                return;
-            }
-        }
-        self.runs.push(Run {
-            start_us,
-            gap_us,
-            count,
         });
     }
 
@@ -306,29 +277,6 @@ mod tests {
                 assert_eq!(got, expect, "window [{from},{to})");
             }
         }
-    }
-
-    #[test]
-    fn record_run_equals_individual_records() {
-        let mut a = RateMeter::new();
-        let mut b = RateMeter::new();
-        a.record(SimTime::from_micros(5));
-        b.record(SimTime::from_micros(5));
-        a.record_run(SimTime::from_micros(15), SimTime::from_micros(10), 1000);
-        for i in 0..1000u64 {
-            b.record(SimTime::from_micros(15 + i * 10));
-        }
-        assert_eq!(a.count(), b.count());
-        for (from, to) in [(0u64, 20_000u64), (14, 16), (15, 25), (9_990, 10_050)] {
-            assert_eq!(
-                a.count_between(SimTime::from_micros(from), SimTime::from_micros(to)),
-                b.count_between(SimTime::from_micros(from), SimTime::from_micros(to)),
-                "window [{from},{to})"
-            );
-        }
-        // A matching-spacing run extends the tail instead of growing memory.
-        assert_eq!(a.runs.len(), b.runs.len());
-        assert!(b.runs.len() <= 2, "steady load must stay RLE-compact");
     }
 
     #[test]

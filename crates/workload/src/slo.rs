@@ -32,17 +32,10 @@ impl SloTracker {
 
     /// Records a completed request's latency.
     pub fn record(&mut self, latency: SimTime) {
-        self.record_n(latency, 1);
-    }
-
-    /// Records `n` identical latencies in one step — bit-identical to `n`
-    /// calls of [`Self::record`]; used by cluster fast-forward to credit
-    /// coalesced steady cycles.
-    pub fn record_n(&mut self, latency: SimTime, n: u64) {
         if latency > self.slo {
-            self.violations += n;
+            self.violations += 1;
         }
-        self.histogram.record_n(latency, n);
+        self.histogram.record(latency);
     }
 
     /// Requests observed.

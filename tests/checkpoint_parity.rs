@@ -1,7 +1,7 @@
 //! Checkpoint/restore digest parity: suspending a platform at an instant
 //! T and resuming from the snapshot must reproduce the straight-through
-//! run byte-for-byte — chaos plans, overload control, cluster
-//! fast-forward and every same-instant tie-break order included.
+//! run byte-for-byte — chaos plans, overload control, fast-forward and
+//! every same-instant tie-break order included.
 //!
 //! These are the correctness bars the prefix-shared sweep and the
 //! checkpoint-forking search lean on: if any of them breaks, warm-resume
@@ -42,8 +42,8 @@ fn chaos_plan() -> FaultPlan {
 }
 
 /// The fleet-shaped scenario from `determinism.rs`: three single-replica
-/// constant-rate functions on three nodes, chaos plan armed, both
-/// fast-forward layers on, under a chosen tie-break order.
+/// constant-rate functions on three nodes, chaos plan armed, fast-forward
+/// on, under a chosen tie-break order.
 fn fleet_platform(tiebreak: TieBreak, overload: bool) -> Platform {
     let mut p = Platform::new(
         PlatformConfig::default()
@@ -53,7 +53,6 @@ fn fleet_platform(tiebreak: TieBreak, overload: bool) -> Platform {
             .recovery(true)
             .seed(23)
             .fastforward(true)
-            .cluster_fastforward(true)
             .overload_control(overload)
             .tiebreak(tiebreak)
             .fault_plan(chaos_plan()),
@@ -78,23 +77,19 @@ fn fleet_platform(tiebreak: TieBreak, overload: bool) -> Platform {
 /// halves on one platform; the resumed run checkpoints at the split,
 /// drops the live platform, restores from the snapshot and runs the
 /// second half. Returns each second-half report's canonical text plus
-/// the final event/cycle counters of both runs.
+/// the final event counter of both runs.
 fn split_run(
     mut straight: Platform,
     mut twin: Platform,
     at: SimTime,
     total: SimTime,
-) -> ((String, u64, u64), (String, u64, u64)) {
+) -> ((String, u64), (String, u64)) {
     let rest = total.saturating_sub(at);
 
     straight.run_for(at);
     let handled_at_split = straight.events_handled();
     let s_report = straight.run_for(rest);
-    let s = (
-        s_report.canonical_text(),
-        straight.events_handled(),
-        straight.ff_cluster_cycles(),
-    );
+    let s = (s_report.canonical_text(), straight.events_handled());
 
     twin.run_for(at);
     let snapshot = twin.checkpoint();
@@ -107,17 +102,12 @@ fn split_run(
     );
     assert_eq!(resumed.now(), at, "restore must resume the clock at the split");
     let r_report = resumed.run_for(rest);
-    let r = (
-        r_report.canonical_text(),
-        resumed.events_handled(),
-        resumed.ff_cluster_cycles(),
-    );
+    let r = (r_report.canonical_text(), resumed.events_handled());
     (s, r)
 }
 
 /// Checkpoint-at-T ≡ straight-through on the chaotic fleet, under all
-/// four tie-break orders — and cluster fast-forward genuinely engaged,
-/// or the parity claim would be vacuous.
+/// four tie-break orders.
 #[test]
 fn fleet_checkpoint_parity_across_tiebreak_orders() {
     for tb in TIEBREAKS {
@@ -127,10 +117,8 @@ fn fleet_checkpoint_parity_across_tiebreak_orders() {
             SimTime::from_millis(2500),
             SimTime::from_secs(6),
         );
-        assert!(s.2 > 0, "cluster fast-forward never engaged under {tb:?}");
         assert_eq!(s.0, r.0, "resume diverged from straight-through under {tb:?}");
         assert_eq!(s.1, r.1, "event counts diverged under {tb:?}");
-        assert_eq!(s.2, r.2, "steady-cycle credit diverged under {tb:?}");
     }
 }
 
@@ -299,8 +287,7 @@ fn ckpt_grid_run(g: CkptGrid, checkpoint: bool) -> (String, u64) {
         .policy(SharingPolicy::FaST)
         .oversubscribe(true)
         .seed(g.seed)
-        .fastforward(true)
-        .cluster_fastforward(true);
+        .fastforward(true);
     if g.chaos {
         cfg = cfg.fault_plan(
             FaultPlan::new()

@@ -319,6 +319,35 @@ fn reconfigure_running_function() {
         .is_err());
 }
 
+/// `set_load` replaces the arrival chain instead of adding a second one:
+/// swapping a load for an identical one mid-run leaves the run exactly as
+/// if the load had never been touched.
+#[test]
+fn set_load_replaces_the_arrival_chain() {
+    let run = |swap: bool| {
+        let mut p = Platform::new(PlatformConfig::default().nodes(1).seed(5));
+        let f = p
+            .deploy(
+                FunctionConfig::new("f", "resnet50")
+                    .replicas(1)
+                    .resources(100.0, 1.0, 1.0),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::constant(10.0));
+        p.run_for(SimTime::from_secs(1));
+        if swap {
+            p.set_load(f, ArrivalProcess::constant(10.0));
+        }
+        let report = p.run_for(SimTime::from_secs(10));
+        (report.functions[&f].arrivals, report.canonical_text())
+    };
+    let (kept, kept_text) = run(false);
+    let (swapped, swapped_text) = run(true);
+    assert_eq!(kept, 110, "10 rps for 11 s");
+    assert_eq!(swapped, kept, "a stale arrival survived set_load");
+    assert_eq!(swapped_text, kept_text);
+}
+
 /// Deploying more replicas than fit fails atomically with a clear error
 /// and counts the unschedulable pod.
 #[test]

@@ -241,128 +241,6 @@ proptest! {
     }
 }
 
-/// A random fleet grid for cluster-level fast-forward parity: a handful
-/// of single-replica, constant-rate functions — one pod per node when
-/// placement allows, the steady regime's habitat — with mid-run kills,
-/// degrades and reconfigurations to exercise every exit path.
-#[derive(Debug, Clone, Copy)]
-struct FleetGrid {
-    nodes: usize,
-    rate: u32,
-    seed: u64,
-    /// Kill the first function's pod at the 2 s mark.
-    kill: bool,
-    /// Degrade node 0 mid-run, recover it a second later.
-    degrade: bool,
-    /// Reconfigure the last function's partition at the 2 s mark.
-    reconfig: bool,
-}
-
-fn arb_fleet_grid() -> impl Strategy<Value = FleetGrid> {
-    (
-        2usize..5,
-        5u32..45,
-        0u64..1000,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(nodes, rate, seed, kill, degrade, reconfig)| FleetGrid {
-            nodes,
-            rate,
-            seed,
-            kill,
-            degrade,
-            reconfig,
-        })
-}
-
-const FLEET_MODELS: [&str; 4] = ["resnet50", "bert_base", "rnnt", "resnext101"];
-
-/// Runs one fleet grid point with cluster fast-forward forced on or off
-/// and returns the canonical report text plus the steady cycles credited
-/// analytically.
-fn fleet_grid_run(g: FleetGrid, cluster_ff: bool) -> (String, u64) {
-    let mut cfg = PlatformConfig::default()
-        .nodes(g.nodes)
-        .policy(SharingPolicy::FaST)
-        .oversubscribe(true)
-        .seed(g.seed)
-        .fastforward(true)
-        .cluster_fastforward(cluster_ff);
-    if g.degrade {
-        cfg = cfg.fault_plan(
-            FaultPlan::new()
-                .at(
-                    SimTime::from_millis(1500),
-                    FaultKind::NodeDegrade {
-                        node_index: 0,
-                        factor: 1.5,
-                    },
-                )
-                .at(
-                    SimTime::from_millis(2500),
-                    FaultKind::NodeRecover { node_index: 0 },
-                ),
-        );
-    }
-    let mut p = Platform::new(cfg);
-    let mut funcs = Vec::new();
-    for i in 0..g.nodes {
-        let f = p
-            .deploy(
-                FunctionConfig::new(&format!("f{i}"), FLEET_MODELS[i % FLEET_MODELS.len()])
-                    .replicas(1)
-                    .resources(100.0, 1.0, 1.0),
-            )
-            .unwrap();
-        p.set_load(f, ArrivalProcess::constant(f64::from(g.rate) + i as f64));
-        funcs.push(f);
-    }
-    p.run_for(SimTime::from_secs(2));
-    if g.kill {
-        if let Some(&victim) = p.pods_of(funcs[0]).first() {
-            p.kill_pod(victim);
-        }
-    }
-    if g.reconfig {
-        let _ = p.reconfigure(funcs[g.nodes - 1], 50.0, 1.0, 1.0);
-    }
-    let report = p.run_for(SimTime::from_secs(3));
-    (report.canonical_text(), p.ff_cluster_cycles())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Cluster fast-forward digest parity over random fleets: crediting
-    /// whole request cycles in closed form must never change a byte of
-    /// the report — kills, degrades and reconfigurations included.
-    #[test]
-    fn cluster_fastforward_parity_on_random_fleets(g in arb_fleet_grid()) {
-        let (on, _) = fleet_grid_run(g, true);
-        let (off, off_cycles) = fleet_grid_run(g, false);
-        prop_assert_eq!(off_cycles, 0, "disabled cluster fast-forward must not credit cycles");
-        prop_assert_eq!(on, off, "cluster fast-forward parity broke on {:?}", g);
-    }
-}
-
-/// The steady regime actually engages on a quiet fleet (a guard against
-/// the eligibility gates silently never passing).
-#[test]
-fn cluster_fastforward_engages_on_steady_fleet() {
-    let g = FleetGrid {
-        nodes: 2,
-        rate: 20,
-        seed: 42,
-        kill: false,
-        degrade: false,
-        reconfig: false,
-    };
-    let (_, cycles) = fleet_grid_run(g, true);
-    assert!(cycles > 0, "steady regime never entered on a quiet fleet");
-}
-
 /// Memory conservation after a full teardown, checked once with a fixed
 /// churn (cheaper than a proptest but the strongest leak check).
 #[test]
