@@ -7,7 +7,7 @@
 //!    reconfigure) run through `run_sweep_stats` (shared prefixes,
 //!    checkpoint + restore per cell) and `run_sweep_unshared` (every
 //!    cell replays its own warmup), both at **threads = 1** and timed
-//!    min-of-3. On one thread the only speedup available is the warmup
+//!    min-of-5. On one thread the only speedup available is the warmup
 //!    re-simulation the snapshot fan-out avoids — no parallel credit.
 //!    Hard bars, asserted in-run: per-cell digests byte-identical across
 //!    the two paths, and shared ≥ 3× faster (≥ 2× for `--quick`).
@@ -158,9 +158,9 @@ fn main() {
     // 1. The headline: shared vs unshared warmup, single-threaded, so
     //    the only speedup on offer is the avoided warmup re-simulation.
     let (cells, warmup_secs, window_ms) = if opts.quick {
-        (6u64, 4u64, 500u64)
+        (6u64, 12u64, 500u64)
     } else {
-        (8, 8, 1_000)
+        (8, 24, 1_000)
     };
     let warmup = SimTime::from_secs(warmup_secs);
     let window = SimTime::from_millis(window_ms);
@@ -182,7 +182,7 @@ fn main() {
     let snapshot_bytes = prefix.checkpoint().size_bytes();
     drop(prefix);
 
-    let repeats = 3;
+    let repeats = 5;
     let (t_shared, (shared, stats)) =
         best_of(repeats, || run_sweep_stats(grid(), 1).expect("shared sweep"));
     let (t_unshared, unshared) =

@@ -199,8 +199,9 @@ pub struct Engine {
     faults_injected: u64,
     /// Bursts coalesced into a single macro-event so far.
     ff_bursts: u64,
-    /// Kernel completions those bursts covered (the per-kernel events the
-    /// fast-forward layer never had to schedule).
+    /// Kernel completions applied analytically, counted when a macro-event
+    /// is delivered or broken (the per-kernel events the fast-forward
+    /// layer never had to schedule).
     ff_coalesced_kernels: u64,
     /// Reusable buffer of `(finish_at, KernelFinish)` pairs built while
     /// launching a burst, so a multi-kernel burst costs zero steady-state
@@ -405,19 +406,6 @@ impl Engine {
         let eff = ResourceSpec::new(eff_sm, resources.quota_request, resources.quota_limit, resources.gpu_mem);
         let pod = self.cluster.create_pod(now, node, func, eff, pod_bytes)?;
         let client = self.cluster.pod(pod)?.client;
-
-        // The new client's SM cap may push the node out of the capped
-        // regime; fast-forwarded schedules are only exact inside it, so
-        // any in-flight macro-event on this node must be invalidated
-        // before the pod can contend.
-        let regime_ok = self
-            .cluster
-            .node(node)
-            .map(|n| n.gpu.ff_regime_ok())
-            .unwrap_or(true);
-        if !regime_ok {
-            self.ff_break_node(now, node, queue);
-        }
 
         // Model sharing: attach the weights through the store library.
         let storelib = if sharing && weights > 0 {
@@ -1200,10 +1188,21 @@ impl Engine {
                     debug_assert!(false, "burst belongs to a request");
                 }
                 self.ff_bursts += 1;
-                self.ff_coalesced_kernels += u64::try_from(kernels.len()).unwrap_or(u64::MAX);
                 return;
             }
         }
+
+        // The per-kernel fallback is the one place a client activates
+        // while timelines may be live: if it pushes the active SM caps
+        // past the device, the node's timelines fall back first.
+        if gpu.has_ff() && !gpu.ff_admits(client) {
+            self.ff_break_node(now, node, queue);
+        }
+        let Ok(node_rt) = self.cluster.node_mut(node) else {
+            debug_assert!(false, "node exists");
+            return;
+        };
+        let gpu = &mut node_rt.gpu;
 
         let mut starts = std::mem::take(&mut self.burst_scratch);
         debug_assert!(starts.is_empty(), "scratch drained after each burst");
@@ -1339,6 +1338,7 @@ impl Engine {
             debug_assert!(false, "macro-event without a timeline (token not cancelled)");
             return;
         };
+        self.ff_coalesced_kernels += done.completed;
         let Some(active) = self.pods.get_mut(pod).and_then(|rt| rt.active.as_mut()) else {
             return;
         };
@@ -1378,6 +1378,7 @@ impl Engine {
             debug_assert!(false, "live token implies a timeline");
             return;
         };
+        self.ff_coalesced_kernels += brk.completed;
         queue.schedule(
             brk.resumed.finish_at,
             Event::KernelFinish(node, brk.resumed.kernel),
@@ -1391,7 +1392,8 @@ impl Engine {
     }
 
     /// Invalidates every fast-forwarded burst on a node; called before any
-    /// contention change (new client, repartition, clock change).
+    /// contention change (a client activating past the SM budget,
+    /// repartition, clock change).
     fn ff_break_node(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
         let pods: Vec<PodId> = self
             .pods
@@ -2094,7 +2096,8 @@ impl Platform {
     }
 
     /// Kernel completions covered by coalesced macro-events (per-kernel
-    /// events the simulation never had to schedule).
+    /// events the simulation never had to schedule). Counted as bursts
+    /// complete or break, so bursts still in flight do not count yet.
     pub fn coalesced_kernels(&self) -> u64 {
         self.sim.world().ff_coalesced_kernels
     }

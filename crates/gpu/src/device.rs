@@ -564,29 +564,52 @@ impl GpuDevice {
 
     // ----- analytic fast-forward --------------------------------------
     //
-    // When a burst runs in the *capped regime* — the sum of every client's
-    // SM cap fits in the device, nobody is waiting for SMs, and no
-    // resident grant exceeds its owner's cap — each kernel start is
-    // guaranteed its full `min(cap, blocks)` grant no matter what other
-    // clients do, so a client's whole burst schedule can be computed up
-    // front with wave arithmetic. The device then holds the schedule as a
-    // timeline and applies its per-kernel metric/SM-pool boundary events
-    // lazily (in global time order, via `ff_sync`) so that utilization,
-    // occupancy, per-client busy time and completion counters stay
-    // byte-identical to per-kernel stepping.
+    // When a burst runs in the *capped regime* — the SM caps of the
+    // *active* clients (a resident kernel, queued kernels, a wait-queue
+    // slot or a fast-forward timeline) fit in the device, nobody is
+    // waiting for SMs, and no resident grant exceeds its owner's cap —
+    // each kernel start is guaranteed its full `min(cap, blocks)` grant no
+    // matter what other clients do, so a client's whole burst schedule can
+    // be computed up front with wave arithmetic. Idle registered clients
+    // hold no SMs and do not count: under token-based time sharing their
+    // partitions may over-commit the device. The caller keeps the regime
+    // while timelines live by breaking them before a client activates past
+    // the budget (see [`GpuDevice::ff_admits`]). The device holds each
+    // schedule as a timeline and applies its per-kernel metric/SM-pool
+    // boundary events lazily (in global time order, via `ff_sync`) so that
+    // utilization, occupancy, per-client busy time and completion counters
+    // stay byte-identical to per-kernel stepping.
 
-    /// Whether the device is in the capped regime (see module comment):
-    /// the precondition under which fast-forwarded schedules are exact.
-    pub fn ff_regime_ok(&self) -> bool {
+    /// Whether `client` may run inside the capped regime (see the comment
+    /// above): nobody waits for SMs, every resident grant is within its
+    /// owner's cap, and the caps of the active clients plus `client`'s own
+    /// (if it is idle) sum to at most the device's SM count. This gates
+    /// [`Self::fast_forward_burst`]; while timelines are live, a caller
+    /// about to activate `client` per kernel must break them first when
+    /// this is false.
+    pub fn ff_admits(&self, client: ClientId) -> bool {
         if !self.wait_queue.is_empty() {
             return false;
         }
-        if self.mps.total_sm_cap() > u64::from(self.spec.sm_count) {
+        let grants_capped = self
+            .running
+            .iter()
+            .all(|(_, r)| self.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap));
+        if !grants_capped {
             return false;
         }
-        self.running
-            .iter()
-            .all(|(_, r)| self.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap))
+        // Waiting clients are active too, but any waiter refused above.
+        let mut caps = 0u64;
+        for (id, s) in &self.streams {
+            let active = s.running.is_some() || !s.queued.is_empty() || self.ff_active(*id);
+            if active || *id == client {
+                let Ok(cap) = self.mps.sm_cap(*id) else {
+                    return false;
+                };
+                caps += u64::from(cap);
+            }
+        }
+        caps <= u64::from(self.spec.sm_count)
     }
 
     /// Whether `client` has an active fast-forward timeline.
@@ -622,7 +645,7 @@ impl GpuDevice {
             .iter()
             .find(|(id, _)| *id == client)
             .is_some_and(|(_, s)| s.running.is_none() && s.queued.is_empty() && !s.waiting);
-        if !idle || self.ff_active(client) || !self.ff_regime_ok() {
+        if !idle || self.ff_active(client) || !self.ff_admits(client) {
             return None;
         }
         let cap = self.mps.sm_cap(client).ok()?;
@@ -1435,15 +1458,27 @@ mod tests {
     #[test]
     fn fast_forward_refused_outside_capped_regime() {
         let mut gpu = v100();
-        let a = gpu.register_client(100.0).unwrap();
-        let b = gpu.register_client(100.0).unwrap(); // 200 % total: contended
+        let a = gpu.register_client(25.0).unwrap(); // 20 SMs
+        let b = gpu.register_client(100.0).unwrap(); // 80 SMs: 125 % registered
+        let burst = [kernel(20, 10), kernel(20, 10)];
+
+        // An idle registered client holds no SMs: it does not refuse.
+        let end = gpu
+            .fast_forward_burst(SimTime::ZERO, a, burst.iter().copied())
+            .expect("idle neighbour leaves the capped regime intact");
+        // While the timeline runs, activating b would over-commit the SMs.
+        assert!(!gpu.ff_admits(b));
+        gpu.ff_complete(end, a).unwrap();
+
+        // Once b has a resident kernel, coalescing is refused.
+        let sb = gpu.launch(end, b, kernel(80, 100)).unwrap().unwrap();
+        assert!(!gpu.ff_admits(a));
+        assert!(gpu.fast_forward_burst(end, a, burst.iter().copied()).is_none());
+
+        // After it finishes, the regime holds again.
+        gpu.on_kernel_finish(sb.finish_at, sb.kernel).unwrap();
         assert!(gpu
-            .fast_forward_burst(SimTime::ZERO, a, [kernel(1, 1)].iter().copied())
-            .is_none());
-        gpu.unregister_client(b).unwrap();
-        // Alone at 100 % the regime holds again.
-        assert!(gpu
-            .fast_forward_burst(SimTime::ZERO, a, [kernel(1, 1)].iter().copied())
+            .fast_forward_burst(sb.finish_at, a, burst.iter().copied())
             .is_some());
     }
 

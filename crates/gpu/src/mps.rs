@@ -189,14 +189,6 @@ impl MpsServer {
         self.clients.values().map(|e| e.percentage).sum()
     }
 
-    /// Sum of every client's SM cap, in SMs. When this is at most the
-    /// device's SM count, the partitions cannot contend: every kernel start
-    /// is guaranteed its full `min(cap, blocks)` grant regardless of what
-    /// other clients are running (the fast-forward eligibility condition).
-    pub fn total_sm_cap(&self) -> u64 {
-        self.clients.values().map(|e| u64::from(e.sm_cap)).sum()
-    }
-
     fn sm_cap_for(&self, percentage: f64) -> u32 {
         // The rounded value is clamped into [1, sm_count] below.
         // fastg-lint: allow(no-lossy-cast)

@@ -284,6 +284,88 @@ fn fastpath_fleet_digest_identical_across_tiebreak_orders() {
     }
 }
 
+/// A Figure 11-shaped token-shared fleet: every node hosts two BERT
+/// (50 % SMs, 0.6 quota), two RNNT (24 %, 0.4) and four ResNet-50 (12 %,
+/// 0.4) pods, packed by the paper scheduler under Poisson load. The MPS
+/// partitions on each GPU register 196 % of its SMs, so coalescing
+/// engages only because the gate counts the token holders' caps, not
+/// every registered pod's. Time sharing packs whole-GPU pods along the
+/// quota axis only, so it places the same pods least-loaded instead.
+/// Returns the canonical report text, the bursts coalesced, and the
+/// coalesced-kernel count beside the report's total.
+fn token_shared_fleet(
+    policy: SharingPolicy,
+    chaos: bool,
+    fastforward: bool,
+) -> (String, u64, (u64, u64)) {
+    const NODES: usize = 3;
+    let time_sharing = policy == SharingPolicy::SingleToken;
+    let mut cfg = PlatformConfig::default()
+        .nodes(NODES)
+        .policy(policy)
+        .oversubscribe(time_sharing)
+        .recovery(chaos)
+        .overload_control(chaos)
+        .seed(29)
+        .fastforward(fastforward);
+    if chaos {
+        cfg = cfg.fault_plan(chaos_plan());
+    }
+    let mut p = Platform::new(cfg);
+    for (i, (model, sm, quota, rate)) in [
+        ("bert_base", 50.0, 0.6, 40.0),
+        ("rnnt", 24.0, 0.4, 6.0),
+        ("resnet50", 12.0, 0.4, 30.0),
+        ("resnet50", 12.0, 0.4, 20.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let f = p
+            .deploy(
+                FunctionConfig::new(&format!("fig11-{i}"), model)
+                    .replicas(2 * NODES)
+                    .resources(sm, quota, quota),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::poisson(rate, 31 + i as u64));
+    }
+    if !time_sharing {
+        assert_eq!(p.gpus_in_use(), NODES, "one Figure 11 pod set per GPU");
+    }
+    let report = p.run_for(SimTime::from_secs(5));
+    let kernels = report.nodes.iter().map(|n| n.kernels).sum();
+    (
+        report.canonical_text(),
+        p.ff_bursts(),
+        (p.coalesced_kernels(), kernels),
+    )
+}
+
+/// Fast-forward engages on the paper's own over-committed packing and
+/// stays a pure optimization there: FaST clean, FaST with overload
+/// control plus chaos, and time sharing (every pod registered at 100 %)
+/// all digest identically with coalescing on and off, and the coalesced
+/// count never exceeds the kernels the report saw.
+#[test]
+fn fleet_token_shared_fastforward_parity() {
+    for (policy, chaos) in [
+        (SharingPolicy::FaST, false),
+        (SharingPolicy::FaST, true),
+        (SharingPolicy::SingleToken, false),
+    ] {
+        let (on, bursts, (coalesced, kernels)) = token_shared_fleet(policy, chaos, true);
+        let (off, none, _) = token_shared_fleet(policy, chaos, false);
+        assert!(bursts > 0, "{policy:?} chaos={chaos}: fast-forward never engaged");
+        assert_eq!(none, 0, "disabled fast-forward must not coalesce");
+        assert!(
+            coalesced <= kernels,
+            "{policy:?} chaos={chaos}: {coalesced} coalesced of {kernels} kernels"
+        );
+        assert_eq!(on, off, "{policy:?} chaos={chaos}: fast-forward parity broke");
+    }
+}
+
 /// A small sweep grid mixing clean and chaotic scenarios.
 fn sweep_grid(with_faults: bool) -> Vec<Scenario> {
     [11u64, 12, 13]

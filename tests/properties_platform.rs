@@ -111,16 +111,22 @@ proptest! {
     }
 }
 
-/// A random platform grid for fast-forward parity: node count, partition
-/// size, replica count, load and mid-run perturbations all drawn at
-/// random, so the coalescing layer is exercised across capped and
-/// over-subscribed regimes, invalidation paths included.
+/// A random platform grid for fast-forward parity: sharing policy, node
+/// count, partition size, replica count, load and mid-run perturbations
+/// all drawn at random, so the coalescing layer is exercised across
+/// capped and over-subscribed regimes, invalidation paths included.
 #[derive(Debug, Clone, Copy)]
 struct FfGrid {
+    /// FaST and time sharing coalesce the token holders; Racing lets
+    /// every replica launch at once, so replicas activating past the SM
+    /// budget break live timelines.
+    policy: SharingPolicy,
     nodes: usize,
     replicas: usize,
-    /// Index into the partition menu (12 %–50 %): small values keep the
-    /// device in the capped regime, large ones push it out of it.
+    /// Index into the partition menu (12 %–75 %): small values keep the
+    /// device in the capped regime, large ones push it out of it once
+    /// several replicas share a node (two racing 75 % replicas need 120
+    /// SMs).
     sm_idx: usize,
     rate: f64,
     seed: u64,
@@ -132,12 +138,18 @@ struct FfGrid {
     chaos: bool,
 }
 
-const SM_MENU: [f64; 4] = [12.0, 24.0, 25.0, 50.0];
+const SM_MENU: [f64; 5] = [12.0, 24.0, 25.0, 50.0, 75.0];
+
+const POLICIES: [SharingPolicy; 3] = [
+    SharingPolicy::FaST,
+    SharingPolicy::Racing,
+    SharingPolicy::SingleToken,
+];
 
 fn arb_ff_grid() -> impl Strategy<Value = FfGrid> {
     (
-        1usize..3,
-        1usize..4,
+        (0usize..POLICIES.len(), 1usize..3),
+        1usize..5,
         0usize..SM_MENU.len(),
         5u32..70,
         0u64..1000,
@@ -146,7 +158,8 @@ fn arb_ff_grid() -> impl Strategy<Value = FfGrid> {
         any::<bool>(),
     )
         .prop_map(
-            |(nodes, replicas, sm_idx, rate, seed, kill, repartition, chaos)| FfGrid {
+            |((policy, nodes), replicas, sm_idx, rate, seed, kill, repartition, chaos)| FfGrid {
+                policy: POLICIES[policy],
                 nodes,
                 replicas,
                 sm_idx,
@@ -166,7 +179,7 @@ fn arb_ff_grid() -> impl Strategy<Value = FfGrid> {
 fn ff_grid_run(g: FfGrid, fastforward: bool, tiebreak: TieBreak) -> (String, u64) {
     let mut cfg = PlatformConfig::default()
         .nodes(g.nodes)
-        .policy(SharingPolicy::FaST)
+        .policy(g.policy)
         .oversubscribe(true)
         .seed(g.seed)
         .fastforward(fastforward)
@@ -211,7 +224,7 @@ fn ff_grid_run(g: FfGrid, fastforward: bool, tiebreak: TieBreak) -> (String, u64
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Fast-forward digest parity over random grids: whatever the regime,
     /// load or mid-run perturbation, coalescing must never change a byte
