@@ -395,6 +395,20 @@ impl Cluster {
         self.pods.len()
     }
 
+    /// Running pods per function and pods per node, from one pass over
+    /// the pod table (per-function [`Self::running_pods_of`] calls would
+    /// each scan every pod).
+    pub fn pod_counts(&self) -> PodCounts {
+        let mut counts = PodCounts::default();
+        for p in self.pods.values() {
+            if p.state == PodState::Running {
+                bump(&mut counts.running, p.func.index());
+            }
+            bump(&mut counts.on_node, p.node.index());
+        }
+        counts
+    }
+
     /// Reconciliation helper (the FaSTPod controller loop): given a desired
     /// replica count for `func`, returns how many pods to create (positive)
     /// or which running pods to drain (chosen newest-first so the
@@ -563,6 +577,32 @@ impl Snap for Cluster {
     }
 }
 
+/// Pod tallies from [`Cluster::pod_counts`], indexed densely by id.
+#[derive(Debug, Default)]
+pub struct PodCounts {
+    running: Vec<usize>,
+    on_node: Vec<usize>,
+}
+
+impl PodCounts {
+    /// Running (non-terminating) pods of `func`.
+    pub fn running_of(&self, func: FuncId) -> usize {
+        self.running.get(func.index()).copied().unwrap_or(0)
+    }
+
+    /// All pods on `node`.
+    pub fn on_node(&self, node: NodeId) -> usize {
+        self.on_node.get(node.index()).copied().unwrap_or(0)
+    }
+}
+
+fn bump(counts: &mut Vec<usize>, i: usize) {
+    if counts.len() <= i {
+        counts.resize(i + 1, 0);
+    }
+    counts[i] += 1;
+}
+
 /// Outcome of a reconciliation pass for one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReconcileAction {
@@ -623,6 +663,12 @@ mod tests {
         c.begin_terminate(b).unwrap();
         assert_eq!(c.running_pods_of(FuncId(0)), vec![a]);
         assert_eq!(c.pods_on(n).len(), 3);
+        let counts = c.pod_counts();
+        assert_eq!(counts.running_of(FuncId(0)), 1);
+        assert_eq!(counts.running_of(FuncId(1)), 1);
+        assert_eq!(counts.running_of(FuncId(7)), 0);
+        assert_eq!(counts.on_node(n), 3);
+        assert_eq!(counts.on_node(NodeId(9)), 0);
     }
 
     #[test]

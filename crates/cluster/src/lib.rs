@@ -26,6 +26,8 @@ pub mod cluster;
 pub mod gateway;
 pub mod spec;
 
-pub use cluster::{Cluster, ClusterError, Node, NodeId, NodeState, Pod, PodId, PodState};
+pub use cluster::{
+    Cluster, ClusterError, Node, NodeId, NodeState, Pod, PodCounts, PodId, PodState,
+};
 pub use gateway::{Admission, Gateway, Request, RequestId};
 pub use spec::{FaSTFuncSpec, FuncId, ResourceSpec};

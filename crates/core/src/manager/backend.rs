@@ -716,6 +716,12 @@ impl FastBackend {
         self.pods.values().filter(|e| e.waiting).count()
     }
 
+    /// Whether any pod waits in the ready queue. A dispatch pass grants
+    /// only waiting pods, so without one it is a no-op.
+    pub fn has_waiter(&self) -> bool {
+        self.pods.values().any(|e| e.waiting)
+    }
+
     /// Total tokens dispatched since creation.
     pub fn tokens_dispatched(&self) -> u64 {
         self.tokens_dispatched
@@ -1354,6 +1360,40 @@ mod tests {
         // Tolerant paths stay tolerant.
         assert!(b.release_idle(t(3), ghost).is_empty());
         assert!(b.on_lease_timer(t(3), ghost, 0).is_empty());
+    }
+
+    #[test]
+    fn has_waiter_tracks_the_ready_queue() {
+        let mut b = fast_backend(5);
+        b.register(PodId(0), spec(60.0, 0.3, 0.3));
+        b.register(PodId(1), spec(60.0, 1.0, 1.0));
+        assert!(!b.has_waiter());
+        // A grant leaves nobody waiting.
+        assert!(matches!(
+            req(&mut b, SimTime::ZERO, PodId(0)),
+            RequestOutcome::Granted(_)
+        ));
+        assert!(!b.has_waiter());
+        // The adapter budget is taken: pod 1 queues.
+        assert_eq!(req(&mut b, SimTime::ZERO, PodId(1)), RequestOutcome::Queued);
+        assert!(b.has_waiter());
+        // Pod 0 burns its quota; its released lease grants pod 1.
+        b.begin_burst(PodId(0)).unwrap();
+        let out = b.sync_point(t(300), PodId(0), t(300)).unwrap();
+        assert!(!out.lease_valid);
+        assert_eq!(out.granted.len(), 1);
+        assert_eq!(out.granted[0].pod, PodId(1));
+        assert!(!b.has_waiter());
+        // A quota-blocked pod still waits: a window reset re-admits it
+        // without a new request.
+        assert_eq!(
+            req(&mut b, t(300), PodId(0)),
+            RequestOutcome::BlockedUntilReset
+        );
+        assert!(b.has_waiter());
+        // Going idle leaves the queue.
+        assert!(b.release_idle(t(400), PodId(0)).is_empty());
+        assert!(!b.has_waiter());
     }
 
     #[test]

@@ -1515,9 +1515,15 @@ impl Engine {
     /// change who should hold a token: queueing a waiter, releasing a
     /// lease, resetting a window, tearing down a pod. Grant decisions
     /// are thereby a function of the instant's final backend state, not
-    /// of same-instant event delivery order.
+    /// of same-instant event delivery order. A pass grants only waiting
+    /// pods, so none is scheduled while the node has no waiter; a pod
+    /// starts waiting only in `request`, and `try_start_burst` pokes right
+    /// after.
     fn poke_dispatch(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
         if !self.cfg.policy.uses_tokens() {
+            return;
+        }
+        if !self.backends.get(node).is_some_and(|b| b.has_waiter()) {
             return;
         }
         if self.dispatch_pending.insert(node) {
@@ -1581,15 +1587,9 @@ impl Engine {
                 n.gpu.metrics_mut().sample(now);
             }
         }
-        let counts: Vec<(FuncId, usize)> = self
-            .funcs
-            .keys()
-            .map(|f| (f, self.cluster.running_pods_of(f).len()))
-            .collect();
-        for (f, n) in counts {
-            if let Some(rt) = self.funcs.get_mut(f) {
-                rt.replica_series.push(now, n as f64);
-            }
+        let counts = self.cluster.pod_counts();
+        for (f, rt) in self.funcs.iter_mut() {
+            rt.replica_series.push(now, counts.running_of(f) as f64);
         }
         queue.schedule(now + self.cfg.sample_interval, Event::MetricsSample);
     }
@@ -1705,6 +1705,7 @@ impl Engine {
             }
         }
         let warmup = self.cfg.warmup;
+        let counts = self.cluster.pod_counts();
         // fastg-lint: allow(no-btreemap-hot-path)
         let mut functions = BTreeMap::new();
         for (id, rt) in self.funcs.iter() {
@@ -1726,7 +1727,7 @@ impl Engine {
                     slo: rt.slo.slo(),
                     slo_violations: rt.slo.violations(),
                     violation_ratio: rt.slo.violation_ratio(),
-                    replicas: self.cluster.running_pods_of(id).len(),
+                    replicas: counts.running_of(id),
                     replica_series: rt.replica_series.clone(),
                     dropped: self.gateway.dropped(id),
                     rejected: self.gateway.rejected(id),
@@ -1765,7 +1766,7 @@ impl Engine {
                 utilization: series_mean(m.utilization_series()),
                 sm_occupancy: series_mean(m.occupancy_series()),
                 kernels: m.total_kernels(),
-                pods: self.cluster.pods_on(id).len(),
+                pods: counts.on_node(id),
                 up: !matches!(self.cluster.node_state(id), Ok(NodeState::Down)),
                 memory_used: node.gpu.memory().used(),
                 utilization_series: m.utilization_series().clone(),

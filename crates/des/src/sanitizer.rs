@@ -16,8 +16,9 @@
 //! * `monotone-dispatch` — event dispatch time never decreases,
 //! * `cancel-token-generation` — a [`crate::CancelToken`] always names a
 //!   live entry from its own queue's sequence space,
-//! * `ff-sync-order` — lazy fast-forward boundary replay lands strictly
-//!   before the synchronizing instant (inclusive only at report flush),
+//! * `ff-credit-order` — a fast-forward timeline's credited point never
+//!   moves backwards and never passes the settling instant or the burst's
+//!   end,
 //! * `sm-conservation` — per-kernel SM grants stay within client caps and
 //!   the device-wide SM budget,
 //! * `overload-conservation` — every admitted request is accounted for

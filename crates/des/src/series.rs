@@ -13,8 +13,9 @@ use crate::time::SimTime;
 /// converted to seconds at read time. For integer-valued signals (SM
 /// counts) every accumulated term is then an exact integer in `f64`
 /// (products stay far below 2⁵³), which makes the sum associative — the
-/// property device fast-forward relies on when it merges same-instant
-/// boundaries and still lands bit-identical to per-kernel accumulation.
+/// property device fast-forward relies on when it credits a whole burst's
+/// area through [`TimeWeighted::credit_us`] and still lands bit-identical
+/// to per-kernel accumulation.
 #[derive(Debug, Clone)]
 pub struct TimeWeighted {
     value: f64,
@@ -45,6 +46,17 @@ impl TimeWeighted {
     pub fn add(&mut self, now: SimTime, delta: f64) {
         self.accumulate(now);
         self.value += delta;
+    }
+
+    /// Adds `value_us` (value × microseconds) straight to the integral:
+    /// the area of a stretch of signal the caller integrated itself and
+    /// kept out of the live value. An integer area keeps the integral an
+    /// exact sum, so crediting it in one piece equals integrating it step
+    /// by step.
+    pub fn credit_us(&mut self, value_us: u64) {
+        // u64→f64: areas stay far below 2^53 (see the type docs).
+        // fastg-lint: allow(no-lossy-cast)
+        self.integral_us += value_us as f64;
     }
 
     /// The current instantaneous value.
@@ -322,6 +334,24 @@ mod tests {
         assert_eq!(tw.integral_at(SimTime::from_secs(2)), 0.0);
         // After reset, value 4 for 1s.
         assert!((tw.mean_at(SimTime::from_secs(3)) - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn credited_area_equals_stepped_integration() {
+        // 7 for 3 µs then 5 for 4 µs on top of a constant 2, stepped...
+        let mut stepped = TimeWeighted::new(SimTime::ZERO, 2.0);
+        stepped.add(SimTime::ZERO, 7.0);
+        stepped.add(SimTime::from_micros(3), -2.0);
+        stepped.add(SimTime::from_micros(7), -5.0);
+        // ...or credited in one piece while only the 2 stays live.
+        let mut credited = TimeWeighted::new(SimTime::ZERO, 2.0);
+        credited.credit_us(7 * 3 + 5 * 4);
+        let t = SimTime::from_micros(10);
+        assert_eq!(
+            stepped.integral_at(t).to_bits(),
+            credited.integral_at(t).to_bits()
+        );
+        assert_eq!(stepped.mean_at(t).to_bits(), credited.mean_at(t).to_bits());
     }
 
     #[test]

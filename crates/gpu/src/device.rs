@@ -113,25 +113,111 @@ struct FfKernel {
     granted: u32,
 }
 
-/// The analytic schedule of one client's uncontended burst. The `resident`
-/// kernel's start has already been accounted (it *is* running as far as
-/// metrics and the SM pool are concerned); `rest` holds the projected
-/// future kernels in order.
+/// The analytic schedule of one client's uncontended burst, settled up to
+/// some instant. `kernels[cursor]` is the resident kernel: its grant is out
+/// of `free_sms`, and every earlier kernel's finish is in `free_sms` and
+/// the completion tallies. The occupied area of `[kernels[0].start,
+/// credited]` has been credited to the occupancy integral; `credited`
+/// always lies inside the resident kernel's interval.
 #[derive(Debug)]
 struct FfTimeline {
     client: ClientId,
-    resident: FfKernel,
-    rest: VecDeque<FfKernel>,
-    /// Kernels whose finish boundary has been applied so far.
-    completed: u64,
-    /// Total GPU time of the applied finishes.
-    served: SimTime,
-    /// Prefix of `completed` whose integer counter tallies have been
-    /// flushed into the metrics (the boundary halves are always applied
-    /// eagerly; the commutative tallies batch up between syncs).
-    tallied: u64,
-    /// Prefix of `served` covered by `tallied`.
-    tallied_served: SimTime,
+    /// The burst's kernels in stream order, back to back (gapless).
+    kernels: Vec<FfKernel>,
+    /// Index of the resident kernel; `kernels.len()` once the burst ended.
+    cursor: usize,
+    /// Instant up to which the occupied area has been credited.
+    credited: SimTime,
+}
+
+impl FfTimeline {
+    /// The resident kernel. A live timeline always has one: only
+    /// [`GpuDevice::ff_complete`] moves the cursor past the last kernel,
+    /// and it drops the timeline.
+    fn resident(&self) -> FfKernel {
+        self.kernels[self.cursor]
+    }
+
+    /// When the burst's final kernel finishes.
+    fn end(&self) -> SimTime {
+        self.kernels.last().map_or(self.credited, |k| k.finish)
+    }
+
+    /// Kernels whose finish has been settled.
+    fn completed(&self) -> u64 {
+        u64::try_from(self.cursor).unwrap_or(u64::MAX)
+    }
+
+    /// GPU time of the settled finishes (the burst is gapless, so it is
+    /// the span from the first start to the resident kernel's start).
+    fn served(&self) -> SimTime {
+        match (self.kernels.first(), self.kernels.get(self.cursor)) {
+            (Some(first), Some(k)) => k.start - first.start,
+            (Some(first), None) => self.end() - first.start,
+            _ => SimTime::ZERO,
+        }
+    }
+
+    /// Brings this timeline alone up to `now`. The cursor advances over
+    /// every finish strictly before `now` (or at `now` too, when
+    /// `inclusive`), stopping at the last kernel unless `end_burst`; each
+    /// finish hands its SMs to the successor through `free_sms` and joins
+    /// the completion tallies. The occupied area since the credited point
+    /// goes to the occupancy integral as one exact integer (SM × µs), so
+    /// the order in which timelines settle cannot change any metric bit.
+    fn settle(
+        &mut self,
+        now: SimTime,
+        inclusive: bool,
+        end_burst: bool,
+        free_sms: &mut u32,
+        metrics: &mut GpuMetrics,
+    ) {
+        let stop = if end_burst {
+            self.kernels.len()
+        } else {
+            self.kernels.len().saturating_sub(1)
+        };
+        let from = self.cursor;
+        let mut area = 0u64;
+        while self.cursor < stop {
+            let k = self.kernels[self.cursor];
+            if k.finish > now || (k.finish == now && !inclusive) {
+                break;
+            }
+            area += u64::from(k.granted) * k.finish.saturating_sub(self.credited).as_micros();
+            self.credited = k.finish;
+            self.cursor += 1;
+        }
+        let (mut finished, mut busy) = (0, SimTime::ZERO);
+        if self.cursor > from {
+            // Each finish hands its SMs to its successor, so the pool
+            // deltas telescope; the burst is gapless, so its GPU time is
+            // one span.
+            let first = self.kernels[from];
+            let last = self.kernels[self.cursor - 1];
+            let next = self.kernels.get(self.cursor).map_or(0, |n| n.granted);
+            *free_sms = *free_sms + first.granted - next;
+            finished = u64::try_from(self.cursor - from).unwrap_or(u64::MAX);
+            busy = last.finish - first.start;
+        }
+        if let Some(k) = self.kernels.get(self.cursor) {
+            let upto = now.min(self.end());
+            if sanitizer::active() {
+                let credited = self.credited;
+                sanitizer::check(upto >= credited, "ff-credit-order", || {
+                    format!(
+                        "{:?}: credited point {credited:?} would move back to {upto:?} (now {now:?}, burst end {:?})",
+                        self.client,
+                        self.end()
+                    )
+                });
+            }
+            area += u64::from(k.granted) * upto.saturating_sub(self.credited).as_micros();
+            self.credited = self.credited.max(upto);
+        }
+        metrics.ff_settled(self.client, area, finished, busy);
+    }
 }
 
 /// Result of completing an entire fast-forwarded burst
@@ -212,11 +298,11 @@ pub struct GpuDevice {
     /// while the scale is raised. Resident kernels keep their durations.
     clock_scale: f64,
     /// Active fast-forward timelines, one per coalesced client burst.
-    /// Their metric/SM-pool boundary events are applied lazily, in global
-    /// time order, by [`Self::ff_sync`] before any other device activity.
+    /// Each settles on its own, only where device state is read (see
+    /// [`Self::ff_sync`]).
     ff: Vec<FfTimeline>,
     /// Recycled timeline buffers (a burst per request makes this hot).
-    ff_pool: Vec<VecDeque<FfKernel>>,
+    ff_pool: Vec<Vec<FfKernel>>,
 }
 
 impl GpuDevice {
@@ -312,15 +398,16 @@ impl GpuDevice {
     /// caller ([`Self::on_kernel_finish`] returns
     /// [`GpuError::KernelNotResident`] for them).
     pub fn hard_reset(&mut self, now: SimTime) {
-        // Bring lazily-deferred fast-forward accounting up to the crash
-        // instant, then abort each timeline's in-flight kernel exactly as
-        // a real resident would be (busy time accounted, no completion).
+        // Settle every timeline up to the crash instant, then abort its
+        // in-flight kernel: its area is credited and its SMs never entered
+        // the live occupancy value, so only the busy interval ends (busy
+        // time accounted, no completion).
         self.ff_sync(now);
         let ff = std::mem::take(&mut self.ff);
         for mut tl in ff {
-            self.metrics.kernel_aborted(now, tl.resident.granted);
-            tl.rest.clear();
-            self.ff_pool.push(tl.rest);
+            self.metrics.ff_end(now);
+            tl.kernels.clear();
+            self.ff_pool.push(tl.kernels);
         }
         let running = std::mem::take(&mut self.running);
         for (_, run) in running {
@@ -575,8 +662,13 @@ impl GpuDevice {
     // partitions may over-commit the device. The caller keeps the regime
     // while timelines live by breaking them before a client activates past
     // the budget (see [`GpuDevice::ff_admits`]). The device holds each
-    // schedule as a timeline and applies its per-kernel metric/SM-pool
-    // boundary events lazily (in global time order, via `ff_sync`) so that
+    // schedule as a timeline and settles it lazily, each timeline on its
+    // own and only where device state is read (`ff_sync`). A timeline's
+    // busy interval opens at burst start and closes at burst end; its SMs
+    // stay out of the live occupancy value, and each settle credits the
+    // elapsed occupied area as one integer (SM × µs). Per-kernel stepping
+    // sums integer SMs × integer µs too, so every partial sum is an exact
+    // integer below 2^53 and any grouping lands on the same bits:
     // utilization, occupancy, per-client busy time and completion counters
     // stay byte-identical to per-kernel stepping.
 
@@ -629,6 +721,11 @@ impl GpuDevice {
     /// caller can schedule a single macro-event for it. Returns `None`
     /// (leaving the device untouched) when the burst is not provably
     /// uncontended: the caller must fall back to per-kernel launches.
+    ///
+    /// Other timelines are not settled: admission reads only the streams,
+    /// the wait queue and the timeline list, which pending boundaries
+    /// never change, and in the capped regime the stale `free_sms` still
+    /// covers this client's whole cap.
     pub fn fast_forward_burst<I>(
         &mut self,
         now: SimTime,
@@ -639,7 +736,6 @@ impl GpuDevice {
         I: IntoIterator<Item = KernelDesc>,
         I::IntoIter: ExactSizeIterator,
     {
-        self.ff_sync(now);
         let idle = self
             .streams
             .iter()
@@ -650,13 +746,9 @@ impl GpuDevice {
         }
         let cap = self.mps.sm_cap(client).ok()?;
         let iter = descs.into_iter();
-        if iter.len() == 0 {
-            return None;
-        }
-        let mut rest = self.ff_pool.pop().unwrap_or_default();
-        rest.reserve(iter.len().saturating_sub(1));
+        let mut kernels = self.ff_pool.pop().unwrap_or_default();
+        kernels.reserve(iter.len());
         let mut t = now;
-        let mut first: Option<FfKernel> = None;
         for desc in iter {
             // Same wave arithmetic as `start_head`; in the capped regime
             // `free_sms` never binds below `min(cap, blocks)`.
@@ -668,61 +760,53 @@ impl GpuDevice {
             } else {
                 nominal.scale(self.clock_scale)
             };
-            let k = FfKernel {
+            kernels.push(FfKernel {
                 desc,
                 start: t,
                 finish: t + duration,
                 granted,
-            };
-            t = k.finish;
-            if first.is_none() {
-                first = Some(k);
-            } else {
-                rest.push_back(k);
-            }
+            });
+            t += duration;
         }
-        let resident = first?;
-        debug_assert!(self.free_sms >= resident.granted, "capped regime violated");
-        self.free_sms -= resident.granted;
+        let Some(granted) = kernels.first().map(|k| k.granted) else {
+            self.ff_pool.push(kernels);
+            return None;
+        };
+        debug_assert!(self.free_sms >= granted, "capped regime violated");
+        self.free_sms -= granted;
         if sanitizer::active() {
-            sanitizer::check(
-                resident.granted <= self.spec.sm_count,
-                "sm-conservation",
-                || {
-                    format!(
-                        "fast-forward grant {} exceeds device {}",
-                        resident.granted, self.spec.sm_count
-                    )
-                },
-            );
+            sanitizer::check(granted <= self.spec.sm_count, "sm-conservation", || {
+                format!(
+                    "fast-forward grant {granted} exceeds device {}",
+                    self.spec.sm_count
+                )
+            });
         }
-        self.metrics.kernel_started(now, resident.granted);
+        self.metrics.ff_begin(now);
         self.ff.push(FfTimeline {
             client,
-            resident,
-            rest,
-            completed: 0,
-            served: SimTime::ZERO,
-            tallied: 0,
-            tallied_served: SimTime::ZERO,
+            kernels,
+            cursor: 0,
+            credited: now,
         });
         Some(t)
     }
 
-    /// Applies every deferred fast-forward boundary event *strictly
-    /// before* `now`, across all timelines in global time order. Called
-    /// at the top of every device entry point; boundaries at exactly
-    /// `now` are left pending, matching the event-queue order in which
-    /// per-kernel stepping would deliver them (a finish scheduled in the
-    /// past always outranks one scheduled at the current instant).
+    /// Settles every timeline up to `now`, each on its own, applying
+    /// finishes *strictly before* `now`. Called where device state is
+    /// read: per-kernel launches and finishes (they need the true
+    /// `free_sms`), breaks, resets, and the caller's metric samples.
+    /// Finishes at exactly `now` stay pending, matching the event-queue
+    /// order in which per-kernel stepping would deliver them (a finish
+    /// scheduled in the past always outranks one scheduled at the current
+    /// instant).
     pub fn ff_sync(&mut self, now: SimTime) {
         self.ff_sync_to(now, false);
     }
 
-    /// Like [`Self::ff_sync`] but inclusive of boundaries at exactly
-    /// `now`: the report/sampling flush at the end of a run, where
-    /// per-kernel stepping would already have delivered same-instant
-    /// finish events.
+    /// Like [`Self::ff_sync`] but inclusive of finishes at exactly `now`:
+    /// the report/sampling flush at the end of a run, where per-kernel
+    /// stepping would already have delivered same-instant finish events.
     pub fn ff_sync_inclusive(&mut self, now: SimTime) {
         self.ff_sync_to(now, true);
     }
@@ -731,46 +815,9 @@ impl GpuDevice {
         if self.ff.is_empty() {
             return;
         }
-        let mut last_landed = SimTime::ZERO;
-        loop {
-            // Earliest pending boundary across timelines; ties break by
-            // client id (same-instant cross-client boundaries commute in
-            // every metric, so any fixed order is parity-safe).
-            let next = self
-                .ff
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.rest.is_empty())
-                .min_by_key(|(_, t)| (t.resident.finish, t.client));
-            let Some((i, t)) = next else {
-                break;
-            };
-            let due = if inclusive {
-                t.resident.finish <= now
-            } else {
-                t.resident.finish < now
-            };
-            if !due {
-                break;
-            }
-            if sanitizer::active() {
-                let boundary = t.resident.finish;
-                sanitizer::check(
-                    boundary >= last_landed
-                        && (boundary < now || (inclusive && boundary == now)),
-                    "ff-sync-order",
-                    || {
-                        format!(
-                            "boundary {boundary:?} violates {} replay to {now:?} (last landed {last_landed:?})",
-                            if inclusive { "inclusive" } else { "strict-<" }
-                        )
-                    },
-                );
-                last_landed = boundary;
-            }
-            self.ff_advance(i);
+        for tl in &mut self.ff {
+            tl.settle(now, inclusive, false, &mut self.free_sms, &mut self.metrics);
         }
-        self.ff_flush_tallies();
         if sanitizer::active() {
             self.sanitize_sm_conservation("ff_sync");
         }
@@ -778,14 +825,15 @@ impl GpuDevice {
 
     /// Shadow-check (`FASTG_SANITIZE=1`): every SM is either free or
     /// granted to exactly one resident kernel — real or fast-forwarded —
-    /// at all times. O(residents); only ever runs with the sanitizer
-    /// armed.
+    /// at all times. Timelines settled to different instants each hold
+    /// their resident kernel's grant, so the identity holds between
+    /// settles too. O(residents); only ever runs with the sanitizer armed.
     fn sanitize_sm_conservation(&self, site: &'static str) {
         let granted: u32 = self
             .running
             .iter()
             .map(|(_, r)| r.granted)
-            .chain(self.ff.iter().map(|t| t.resident.granted))
+            .chain(self.ff.iter().map(|t| t.resident().granted))
             .sum();
         sanitizer::check(
             granted + self.free_sms == self.spec.sm_count,
@@ -802,120 +850,61 @@ impl GpuDevice {
         );
     }
 
-    /// Flushes the batched completion counters of every live timeline, so
-    /// any external metrics read after a sync sees exactly what per-kernel
-    /// stepping would have recorded.
-    fn ff_flush_tallies(&mut self) {
-        let metrics = &mut self.metrics;
-        for tl in &mut self.ff {
-            let kernels = tl.completed - tl.tallied;
-            if kernels > 0 {
-                let busy = tl.served - tl.tallied_served;
-                tl.tallied = tl.completed;
-                tl.tallied_served = tl.served;
-                metrics.tally_finished(tl.client, kernels, busy);
-            }
-        }
-    }
-
-    /// Applies one finish/start boundary pair of timeline `i`: the
-    /// resident kernel finishes and its successor becomes resident, with
-    /// the exact metric-call sequence `on_kernel_finish_into` +
-    /// `start_head` would have produced. Caller guarantees `rest` is
-    /// non-empty (the final finish is applied only by [`Self::ff_complete`],
-    /// because it carries the burst's synchronization point).
-    fn ff_advance(&mut self, i: usize) {
-        let Some(tl) = self.ff.get_mut(i) else {
-            debug_assert!(false, "ff_advance on missing timeline");
-            return;
-        };
-        let Some(next) = tl.rest.pop_front() else {
-            debug_assert!(false, "ff_advance past the final kernel");
-            return;
-        };
-        let k = tl.resident;
-        debug_assert_eq!(next.start, k.finish, "burst timelines are gapless");
-        tl.completed += 1;
-        tl.served += k.finish - k.start;
-        tl.resident = next;
-        self.free_sms += k.granted;
-        self.free_sms -= next.granted;
-        self.metrics
-            .kernel_handoff(k.finish, k.granted, next.granted);
-    }
-
     /// Completes a fast-forwarded burst at its macro-event time `now` (the
-    /// analytic finish of its final kernel): applies every remaining
-    /// boundary and returns the burst's totals for the caller's
-    /// synchronization point. Returns `None` if `client` has no timeline
-    /// (e.g. a stale macro-event after an invalidation the caller missed).
+    /// analytic finish of its final kernel): settles this timeline alone
+    /// to its end — its remaining area, completions and GPU time, its
+    /// grant back into `free_sms`, and its busy interval's end — and
+    /// returns the burst's totals for the caller's synchronization point.
+    /// Returns `None` if `client` has no timeline (e.g. a stale
+    /// macro-event after an invalidation the caller missed).
     pub fn ff_complete(&mut self, now: SimTime, client: ClientId) -> Option<FfDone> {
-        // Other timelines' earlier boundaries must land first so the
-        // global metric ordering matches per-kernel stepping.
-        self.ff_sync(now);
         let i = self.ff.iter().position(|t| t.client == client)?;
         let mut tl = self.ff.swap_remove(i);
-        loop {
-            let k = tl.resident;
-            debug_assert!(k.finish <= now, "macro-event fired before its burst end");
-            tl.completed += 1;
-            tl.served += k.finish - k.start;
-            self.free_sms += k.granted;
-            match tl.rest.pop_front() {
-                Some(next) => {
-                    self.free_sms -= next.granted;
-                    self.metrics
-                        .kernel_handoff(k.finish, k.granted, next.granted);
-                    tl.resident = next;
-                }
-                None => {
-                    self.metrics.kernel_finish_boundary(k.finish, k.granted);
-                    break;
-                }
-            }
-        }
-        self.metrics
-            .tally_finished(tl.client, tl.completed - tl.tallied, tl.served - tl.tallied_served);
-        debug_assert_eq!(tl.resident.finish, now, "burst end mismatch");
+        let end = tl.end();
+        debug_assert_eq!(end, now, "burst end mismatch");
         if sanitizer::active() {
-            sanitizer::check(tl.resident.finish == now, "ff-sync-order", || {
-                format!(
-                    "macro-event for {client:?} fired at {now:?} but its burst ends at {:?}",
-                    tl.resident.finish
-                )
+            sanitizer::check(end == now, "ff-credit-order", || {
+                format!("macro-event for {client:?} fired at {now:?} but its burst ends at {end:?}")
             });
+        }
+        tl.settle(now, true, true, &mut self.free_sms, &mut self.metrics);
+        self.metrics.ff_end(now);
+        if sanitizer::active() {
             self.sanitize_sm_conservation("ff_complete");
         }
-        self.ff_pool.push(tl.rest);
-        Some(FfDone {
-            completed: tl.completed,
-            gpu_time: tl.served,
-        })
+        let done = FfDone {
+            completed: tl.completed(),
+            gpu_time: tl.served(),
+        };
+        tl.kernels.clear();
+        self.ff_pool.push(tl.kernels);
+        Some(done)
     }
 
     /// Invalidates `client`'s fast-forwarded burst at `now`, analytically
-    /// reconstructing exact per-kernel state: boundaries strictly before
-    /// `now` are applied, the mid-flight kernel is materialized as a real
-    /// resident (the caller schedules its finish), and the untouched
-    /// remainder is requeued into the client's stream for normal stepping
-    /// under whatever contention change triggered the break.
+    /// reconstructing exact per-kernel state: finishes strictly before
+    /// `now` are settled, the mid-flight kernel is materialized as a real
+    /// resident (its SMs rejoin the live occupancy value; the caller
+    /// schedules its finish), and the untouched remainder is requeued into
+    /// the client's stream for normal stepping under whatever contention
+    /// change triggered the break.
     pub fn ff_break(&mut self, now: SimTime, client: ClientId) -> Option<FfBreak> {
         self.ff_sync(now);
         let i = self.ff.iter().position(|t| t.client == client)?;
         let mut tl = self.ff.swap_remove(i);
-        debug_assert_eq!(tl.tallied, tl.completed, "sync flushes tallies");
-        let k = tl.resident;
+        let k = tl.resident();
         if sanitizer::active() {
             // Strict-< sync left the mid-flight kernel resident: it must
             // span the break instant, or the reconstruction re-runs (or
             // drops) GPU time.
-            sanitizer::check(k.start <= now && k.finish >= now, "ff-sync-order", || {
+            sanitizer::check(k.start <= now && k.finish >= now, "ff-credit-order", || {
                 format!(
                     "materialized kernel [{:?}, {:?}] does not span break at {now:?}",
                     k.start, k.finish
                 )
             });
         }
+        self.metrics.ff_materialize(now, k.granted);
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
         self.running.push((
@@ -929,16 +918,15 @@ impl GpuDevice {
         ));
         if let Some(stream) = self.stream_mut(client) {
             stream.running = Some(id);
-            for q in tl.rest.drain(..) {
+            for q in &tl.kernels[tl.cursor + 1..] {
                 stream.queued.push_back(q.desc);
             }
         } else {
             debug_assert!(false, "fast-forwarded client {client:?} has no stream");
         }
-        self.ff_pool.push(tl.rest);
-        Some(FfBreak {
-            completed: tl.completed,
-            gpu_time: tl.served,
+        let brk = FfBreak {
+            completed: tl.completed(),
+            gpu_time: tl.served(),
             resumed: KernelStart {
                 kernel: id,
                 client,
@@ -947,7 +935,10 @@ impl GpuDevice {
                 started: k.start,
                 finish_at: k.finish,
             },
-        })
+        };
+        tl.kernels.clear();
+        self.ff_pool.push(tl.kernels);
+        Some(brk)
     }
 }
 
@@ -1037,40 +1028,36 @@ impl Snap for FfTimeline {
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
             client,
-            resident,
-            rest,
-            completed,
-            served,
-            tallied,
-            tallied_served,
+            kernels,
+            cursor,
+            credited,
         } = self;
         client.snap(w);
-        resident.snap(w);
-        rest.snap(w);
-        w.u64(*completed);
-        served.snap(w);
-        w.u64(*tallied);
-        tallied_served.snap(w);
+        kernels.snap(w);
+        cursor.snap(w);
+        credited.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let client = ClientId::unsnap(r)?;
-        let resident = FfKernel::unsnap(r)?;
-        let rest: VecDeque<FfKernel> = VecDeque::unsnap(r)?;
-        let completed = r.u64()?;
-        let served = SimTime::unsnap(r)?;
-        let tallied = r.u64()?;
-        let tallied_served = SimTime::unsnap(r)?;
-        if tallied > completed || tallied_served > served {
-            return Err(SnapError::new("ff tally prefix"));
+        let kernels: Vec<FfKernel> = Vec::unsnap(r)?;
+        let cursor = usize::unsnap(r)?;
+        let credited = SimTime::unsnap(r)?;
+        // A live timeline is a gapless burst with a resident kernel whose
+        // interval holds the credited point.
+        if kernels.windows(2).any(|w| w[1].start != w[0].finish) {
+            return Err(SnapError::new("ff timeline gap"));
+        }
+        let Some(k) = kernels.get(cursor) else {
+            return Err(SnapError::new("ff timeline cursor"));
+        };
+        if credited < k.start || credited > k.finish {
+            return Err(SnapError::new("ff credited point"));
         }
         Ok(FfTimeline {
             client,
-            resident,
-            rest,
-            completed,
-            served,
-            tallied,
-            tallied_served,
+            kernels,
+            cursor,
+            credited,
         })
     }
 }
@@ -1453,6 +1440,225 @@ mod tests {
         assert_eq!(gpu.free_sms(), 80);
         assert_eq!(gpu.metrics().client_busy(a), SimTime::from_micros(200));
         assert_eq!(gpu.metrics().client_busy(b), SimTime::from_micros(210));
+    }
+
+    /// Two overlapping bursts whose grants differ between clients and
+    /// from kernel to kernel: `a` (20-SM cap) finishes at 100, 150 and
+    /// 200 µs; `b` (40-SM cap) at 70, 140 and 280 µs.
+    fn lazy_bursts() -> ([KernelDesc; 3], [KernelDesc; 3]) {
+        (
+            [kernel(20, 100), kernel(5, 50), kernel(20, 50)],
+            [kernel(40, 70), kernel(30, 70), kernel(80, 70)],
+        )
+    }
+
+    /// A V100 with the lazy-settle clients registered in a fixed order
+    /// (so ids match across devices): `a` 20 SMs, `b` 40, `c` 10.
+    fn three_clients() -> (GpuDevice, ClientId, ClientId, ClientId) {
+        let mut gpu = v100();
+        let a = gpu.register_client(25.0).unwrap();
+        let b = gpu.register_client(50.0).unwrap();
+        let c = gpu.register_client(12.0).unwrap();
+        (gpu, a, b, c)
+    }
+
+    /// The per-kernel reference: every kernel of both bursts launched at
+    /// time zero, finishes pending.
+    fn stepped_reference() -> (GpuDevice, Vec<KernelStart>) {
+        let (mut gpu, a, b, _) = three_clients();
+        let (ba, bb) = lazy_bursts();
+        let mut pending = Vec::new();
+        for (client, burst) in [(a, ba), (b, bb)] {
+            for d in burst {
+                pending.extend(gpu.launch(SimTime::ZERO, client, d).unwrap());
+            }
+        }
+        (gpu, pending)
+    }
+
+    /// Delivers the reference's pending finishes strictly before `until`,
+    /// in time order.
+    fn step_until(gpu: &mut GpuDevice, pending: &mut Vec<KernelStart>, until: SimTime) {
+        while let Some(i) = pending
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.finish_at < until)
+            .min_by_key(|(_, s)| (s.finish_at, s.kernel))
+            .map(|(i, _)| i)
+        {
+            let s = pending.swap_remove(i);
+            let (_, started) = gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+            pending.extend(started);
+        }
+    }
+
+    /// Samples both devices at `at` (the fast-forwarded one after the
+    /// sync the engine's sample path does) and requires every counter and
+    /// the window's utilization/occupancy bits to agree.
+    fn assert_same_sample(ff: &mut GpuDevice, stepped: &mut GpuDevice, at: SimTime) {
+        ff.ff_sync(at);
+        assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
+        assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels());
+        for c in ff.mps().client_ids() {
+            assert_eq!(ff.metrics().client_busy(c), stepped.metrics().client_busy(c));
+        }
+        let x = ff.metrics_mut().sample(at);
+        let y = stepped.metrics_mut().sample(at);
+        assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "util at {at:?}");
+        assert_eq!(x.sm_occupancy.to_bits(), y.sm_occupancy.to_bits(), "occ at {at:?}");
+        assert_eq!(x.kernels_completed, y.kernels_completed);
+    }
+
+    /// Starts both lazy bursts at time zero on a fresh device.
+    fn fast_forwarded() -> (GpuDevice, ClientId, ClientId, ClientId) {
+        let (mut gpu, a, b, c) = three_clients();
+        let (ba, bb) = lazy_bursts();
+        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba).unwrap();
+        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb).unwrap();
+        assert_eq!(end_a, SimTime::from_micros(200));
+        assert_eq!(end_b, SimTime::from_micros(280));
+        (gpu, a, b, c)
+    }
+
+    #[test]
+    fn completing_one_burst_leaves_the_other_unsettled_but_exact() {
+        let (mut ff, a, b, _) = fast_forwarded();
+        let (mut stepped, mut pending) = stepped_reference();
+        // `a` completes while `b` is mid-burst, with no sync in between:
+        // only `a` settles.
+        let done = ff.ff_complete(SimTime::from_micros(200), a).unwrap();
+        assert_eq!(done.completed, 3);
+        assert_eq!(done.gpu_time, SimTime::from_micros(200));
+        assert_eq!(ff.metrics().client_busy(b), SimTime::ZERO, "b not settled yet");
+        // A mid-burst sample settles `b` and matches per-kernel stepping.
+        let t = SimTime::from_micros(250);
+        step_until(&mut stepped, &mut pending, t);
+        assert_same_sample(&mut ff, &mut stepped, t);
+        let t = SimTime::from_micros(300);
+        ff.ff_complete(SimTime::from_micros(280), b).unwrap();
+        step_until(&mut stepped, &mut pending, t);
+        assert_same_sample(&mut ff, &mut stepped, t);
+        assert_eq!(ff.free_sms(), 80);
+    }
+
+    #[test]
+    fn per_kernel_launch_mid_burst_settles_every_timeline() {
+        let (mut ff, a, b, c) = fast_forwarded();
+        let (mut stepped, mut pending) = stepped_reference();
+        // `c` launches per kernel mid-burst (caps 20 + 40 + 10 fit): the
+        // launch settles both timelines first, so it sees the true pool.
+        let t = SimTime::from_micros(120);
+        assert!(ff.ff_admits(c));
+        let sc = ff.launch(t, c, kernel(10, 30)).unwrap().unwrap();
+        step_until(&mut stepped, &mut pending, t);
+        pending.extend(stepped.launch(t, c, kernel(10, 30)).unwrap());
+        assert_eq!(ff.free_sms(), 80 - 5 - 30 - 10);
+        assert_eq!(ff.free_sms(), stepped.free_sms());
+        // Its finish at 150 ties `a`'s second boundary, which stays pending.
+        ff.on_kernel_finish(sc.finish_at, sc.kernel).unwrap();
+        ff.ff_complete(SimTime::from_micros(200), a).unwrap();
+        let t = SimTime::from_micros(250);
+        step_until(&mut stepped, &mut pending, t);
+        assert_same_sample(&mut ff, &mut stepped, t);
+        ff.ff_complete(SimTime::from_micros(280), b).unwrap();
+        let t = SimTime::from_micros(300);
+        step_until(&mut stepped, &mut pending, t);
+        assert_same_sample(&mut ff, &mut stepped, t);
+    }
+
+    #[test]
+    fn break_mid_burst_matches_per_kernel_stepping() {
+        let (mut ff, a, b, _) = fast_forwarded();
+        let (mut stepped, mut pending) = stepped_reference();
+        // `a` falls back to per-kernel stepping mid-flight of its second
+        // kernel; `b` stays coalesced.
+        let brk = ff.ff_break(SimTime::from_micros(120), a).unwrap();
+        assert_eq!(brk.completed, 1);
+        assert_eq!(brk.resumed.granted_sms, 5);
+        let mut resumed = vec![brk.resumed];
+        for t in [250, 300].map(SimTime::from_micros) {
+            if t > SimTime::from_micros(280) {
+                ff.ff_complete(SimTime::from_micros(280), b).unwrap();
+            }
+            step_until(&mut ff, &mut resumed, t);
+            step_until(&mut stepped, &mut pending, t);
+            assert_same_sample(&mut ff, &mut stepped, t);
+        }
+        assert_eq!(ff.free_sms(), 80);
+    }
+
+    #[test]
+    fn snapshot_after_partial_credit_resumes_exactly() {
+        let (mut gpu, a, b, _) = fast_forwarded();
+        // A sample mid-kernel leaves both credited points inside their
+        // resident kernels.
+        let (mut reference, mut pending) = stepped_reference();
+        let t = SimTime::from_micros(120);
+        step_until(&mut reference, &mut pending, t);
+        assert_same_sample(&mut gpu, &mut reference, t);
+
+        let mut w = SnapWriter::new();
+        gpu.snap(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let restored = GpuDevice::unsnap(&mut r).unwrap();
+        r.expect_done().unwrap();
+
+        for mut dev in [gpu, restored] {
+            let (mut stepped, mut pending) = stepped_reference();
+            step_until(&mut stepped, &mut pending, t);
+            stepped.metrics_mut().sample(t);
+            dev.ff_complete(SimTime::from_micros(200), a).unwrap();
+            let t = SimTime::from_micros(250);
+            step_until(&mut stepped, &mut pending, t);
+            assert_same_sample(&mut dev, &mut stepped, t);
+            dev.ff_complete(SimTime::from_micros(280), b).unwrap();
+            let t = SimTime::from_micros(300);
+            step_until(&mut stepped, &mut pending, t);
+            assert_same_sample(&mut dev, &mut stepped, t);
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_credited_point_outside_the_resident_kernel() {
+        let tl = FfTimeline {
+            client: ClientId(0),
+            kernels: vec![FfKernel {
+                desc: kernel(10, 100),
+                start: SimTime::ZERO,
+                finish: SimTime::from_micros(100),
+                granted: 10,
+            }],
+            cursor: 0,
+            credited: SimTime::from_micros(101),
+        };
+        let decodes = |tl: &FfTimeline| {
+            let mut w = SnapWriter::new();
+            tl.snap(&mut w);
+            let bytes = w.finish();
+            FfTimeline::unsnap(&mut SnapReader::new(&bytes)).is_ok()
+        };
+        assert!(!decodes(&tl));
+        let tl = FfTimeline {
+            credited: SimTime::from_micros(50),
+            ..tl
+        };
+        assert!(decodes(&tl));
+        // The cursor must name a kernel, and the burst must be gapless.
+        let past_end = FfTimeline {
+            cursor: 1,
+            kernels: tl.kernels.clone(),
+            ..tl
+        };
+        assert!(!decodes(&past_end));
+        let mut gap = tl.kernels[0];
+        gap.start = SimTime::from_micros(150);
+        gap.finish = SimTime::from_micros(200);
+        let gapped = FfTimeline {
+            kernels: vec![tl.kernels[0], gap],
+            ..tl
+        };
+        assert!(!decodes(&gapped));
     }
 
     #[test]

@@ -82,34 +82,28 @@ impl GpuMetrics {
             .or_insert(SimTime::ZERO) += gpu_time;
     }
 
-    /// The pure time-integral half of [`Self::kernel_finished`] — busy
-    /// interval end plus SM release — without the completion tallies. The
-    /// fast-forward drain applies these boundaries one by one (their order
-    /// against other clients' boundaries is what report parity hangs on)
-    /// and batches the commutative integer counters through
-    /// [`Self::tally_finished`] instead.
-    pub fn kernel_finish_boundary(&mut self, now: SimTime, granted_sms: u32) {
-        self.util.end(now);
-        self.occupied_sms.add(now, -(granted_sms as f64));
+    /// A fast-forwarded burst becomes resident at `now`. Only its busy
+    /// interval opens: a gapless burst keeps the device busy until
+    /// [`Self::ff_end`], and its SMs never enter the live occupancy value
+    /// (the device credits their area through [`Self::ff_settled`]).
+    pub fn ff_begin(&mut self, now: SimTime) {
+        self.util.begin(now);
     }
 
-    /// The merged boundary of a back-to-back kernel handoff: one kernel
-    /// finishes and its successor starts at the same instant `now`.
-    /// Bit-identical to [`Self::kernel_finish_boundary`] followed by
-    /// [`Self::kernel_started`] at equal timestamps: the busy tracker's
-    /// end+begin pair telescopes to a no-op (integer busy sums are
-    /// associative and the active count is unchanged), and the two
-    /// occupancy deltas — exact small integers in `f64` — sum into one.
-    pub fn kernel_handoff(&mut self, now: SimTime, finished_sms: u32, started_sms: u32) {
-        self.occupied_sms
-            .add(now, f64::from(started_sms) - f64::from(finished_sms));
-    }
-
-    /// Batched counter updates equivalent to `kernels` individual
-    /// [`Self::kernel_finished`] calls whose boundary halves were already
-    /// applied via [`Self::kernel_finish_boundary`]: pure integer sums, so
-    /// one call per sync is bit-identical to one call per kernel.
-    pub fn tally_finished(&mut self, client: ClientId, kernels: u64, busy: SimTime) {
+    /// Settles part of a fast-forwarded burst: `occupied_sm_us` is the
+    /// exact SM × µs area its kernels occupied since the last settle, and
+    /// `kernels` completions of `client` totalling `busy` GPU time
+    /// finished. Per-kernel stepping adds the same integers one kernel at
+    /// a time; as every partial sum is an exact integer, batching them is
+    /// bit-identical.
+    pub fn ff_settled(
+        &mut self,
+        client: ClientId,
+        occupied_sm_us: u64,
+        kernels: u64,
+        busy: SimTime,
+    ) {
+        self.occupied_sms.credit_us(occupied_sm_us);
         if kernels == 0 {
             return;
         }
@@ -119,6 +113,20 @@ impl GpuMetrics {
             .per_client_busy
             .entry(client)
             .or_insert(SimTime::ZERO) += busy;
+    }
+
+    /// A fast-forwarded burst's busy interval ends at `now`: its last
+    /// kernel finished, or the device was reset under it.
+    pub fn ff_end(&mut self, now: SimTime) {
+        self.util.end(now);
+    }
+
+    /// A fast-forwarded kernel becomes a real resident at `now` (its burst
+    /// was broken): its `granted_sms` rejoin the live occupancy value,
+    /// which [`Self::kernel_finished`] later releases. Its busy interval
+    /// opened with the burst.
+    pub fn ff_materialize(&mut self, now: SimTime, granted_sms: u32) {
+        self.occupied_sms.add(now, f64::from(granted_sms));
     }
 
     /// Records a resident kernel being aborted (node crash / hard reset):
