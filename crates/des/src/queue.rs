@@ -1,10 +1,38 @@
 //! The timed event queue.
+//!
+//! Every pending entry is ordered by one packed `u128` *rank*:
+//!
+//! ```text
+//! rank = time << 64 | class << 56 | tie
+//! ```
+//!
+//! `time` is the entry's [`SimTime`] in microseconds, `class` the
+//! classifier's byte (see [`EventQueue::set_classifier`]) and `tie` the
+//! [`TieBreak`] policy's 56-bit key for the entry's insertion sequence
+//! number. The tie key is a bijection of the 56-bit sequence space, so
+//! ranks are unique and a single integer compare orders two entries. The
+//! ranks live in a 4-ary implicit min-heap; the payloads sit in a parallel
+//! vector and move along the same paths.
 
 use crate::sanitizer;
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
+
+/// Width of the tie key, the low bits of a rank. Sequence numbers must
+/// stay below `2^TIE_BITS`.
+const TIE_BITS: u32 = 56;
+/// The tie-key (and sequence-number) mask.
+const TIE_MASK: u64 = (1 << TIE_BITS) - 1;
+
+/// Children per heap node: a node's four 16-byte child ranks span 64
+/// bytes, about one cache line, and the heap is half as deep as a binary
+/// one.
+const ARITY: usize = 4;
+
+/// The smallest encoded queue entry: 8-byte time, 8-byte order word and
+/// at least one byte of event. Bounds the restore reservation.
+const MIN_ENTRY_BYTES: usize = 17;
 
 /// How the queue orders entries scheduled for the same instant *within one
 /// semantic class* (see [`EventQueue::set_classifier`]). Cross-class order
@@ -21,18 +49,32 @@ pub enum TieBreak {
     /// Reverse insertion order — the cheapest adversarial permutation.
     Lifo,
     /// A deterministic pseudo-random permutation keyed by the given seed
-    /// (mix of seed and insertion sequence — never wall-clock).
+    /// (mix of seed and insertion sequence — never wall-clock). The seed's
+    /// low 56 bits select the permutation.
     SeededShuffle(u64),
 }
 
 impl TieBreak {
-    /// The heap ordering key for insertion sequence `seq` under this
-    /// policy. Lower keys pop first among same-time, same-class entries.
-    fn key(self, seq: u64) -> u64 {
+    /// The tie key for insertion sequence `seq` under this policy: a
+    /// bijection of the 56-bit sequence space (higher bits of `seq` are
+    /// ignored). Lower keys pop first among same-time, same-class entries.
+    pub fn key(self, seq: u64) -> u64 {
+        let seq = seq & TIE_MASK;
         match self {
             TieBreak::Fifo => seq,
-            TieBreak::Lifo => u64::MAX - seq,
-            TieBreak::SeededShuffle(seed) => splitmix64(seed ^ seq),
+            TieBreak::Lifo => TIE_MASK - seq,
+            TieBreak::SeededShuffle(seed) => mix56(seq ^ (seed & TIE_MASK)),
+        }
+    }
+
+    /// The inverse of [`Self::key`]: the sequence number whose tie key is
+    /// `key` (higher bits of `key` are ignored).
+    fn seq_of(self, key: u64) -> u64 {
+        let key = key & TIE_MASK;
+        match self {
+            TieBreak::Fifo => key,
+            TieBreak::Lifo => TIE_MASK - key,
+            TieBreak::SeededShuffle(seed) => unmix56(key) ^ (seed & TIE_MASK),
         }
     }
 
@@ -84,47 +126,84 @@ impl Snap for TieBreak {
     }
 }
 
+/// splitmix64's constants; both multipliers are odd, so multiplication by
+/// them is invertible modulo `2^56` (see [`mix56`]).
+const MIX_ADD: u64 = 0x9E37_79B9_7F4A_7C15;
+const MIX_MUL1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX_MUL2: u64 = 0x94D0_49BB_1331_11EB;
+const MIX_INV1: u64 = inverse_mod_2_64(MIX_MUL1);
+const MIX_INV2: u64 = inverse_mod_2_64(MIX_MUL2);
+
 /// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = z.wrapping_add(MIX_ADD);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_MUL2);
     z ^ (z >> 31)
 }
 
-/// An entry in the queue: ordered by time, then semantic class, then the
-/// tie-break key (insertion sequence under FIFO), with the raw sequence as
-/// the final total-order anchor so shuffle-key collisions stay
-/// deterministic.
-struct Entry<E> {
-    time: SimTime,
-    class: u8,
-    key: u64,
-    seq: u64,
-    event: E,
+/// The multiplicative inverse of odd `m` modulo `2^64` (hence also modulo
+/// `2^56`): Newton's iteration doubles the correct low bits each step,
+/// starting from the 3 that `m * m ≡ 1 (mod 8)` gives.
+const fn inverse_mod_2_64(m: u64) -> u64 {
+    let mut x = m;
+    let mut i = 0;
+    while i < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)));
+        i += 1;
+    }
+    x
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// splitmix64's finalizer restricted to 56 bits. The add, each xorshift
+/// and each odd multiply is taken modulo `2^56`, so every step — and the
+/// whole mix — is a bijection of the 56-bit space ([`unmix56`] inverts it).
+fn mix56(z: u64) -> u64 {
+    let z = z.wrapping_add(MIX_ADD) & TIE_MASK;
+    let z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL1) & TIE_MASK;
+    let z = (z ^ (z >> 27)).wrapping_mul(MIX_MUL2) & TIE_MASK;
+    z ^ (z >> 31)
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The inverse of [`mix56`].
+fn unmix56(z: u64) -> u64 {
+    let z = unxorshift56(z, 31).wrapping_mul(MIX_INV2) & TIE_MASK;
+    let z = unxorshift56(z, 27).wrapping_mul(MIX_INV1) & TIE_MASK;
+    unxorshift56(z, 30).wrapping_sub(MIX_ADD) & TIE_MASK
 }
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.seq.cmp(&self.seq))
+
+/// Inverts `y = z ^ (z >> k)` on 56-bit values: `z` is the xor of
+/// `y >> (i * k)` over every shift still inside the word.
+fn unxorshift56(y: u64, k: u32) -> u64 {
+    let mut z = y;
+    let mut shift = k;
+    while shift < TIE_BITS {
+        z ^= y >> shift;
+        shift += k;
     }
+    z
+}
+
+/// Packs a timestamp and an order word (`class << 56 | tie`) into a rank.
+fn pack(time: SimTime, order: u64) -> u128 {
+    u128::from(time.as_micros()) << 64 | u128::from(order)
+}
+
+/// The timestamp half of a rank.
+fn time_of(rank: u128) -> SimTime {
+    // The high half of a u128 always fits; the fallback is unreachable.
+    SimTime::from_micros(u64::try_from(rank >> 64).unwrap_or(u64::MAX))
+}
+
+/// The order word (`class << 56 | tie`), the low half of a rank.
+fn order_of(rank: u128) -> u64 {
+    // The masked value always fits; the fallback is unreachable.
+    u64::try_from(rank & u128::from(u64::MAX)).unwrap_or(0)
+}
+
+/// The tie key, the low 56 bits of a rank.
+fn tie_of(rank: u128) -> u64 {
+    order_of(rank) & TIE_MASK
 }
 
 /// A handle to a cancellable entry, returned by
@@ -144,16 +223,21 @@ impl Snap for CancelToken {
     }
 }
 
-/// A priority queue of `(SimTime, E)` pairs with deterministic FIFO
-/// tie-breaking for events scheduled at the same instant.
+/// A priority queue of `(SimTime, E)` pairs, ordered by time, then the
+/// classifier's class, then the [`TieBreak`] policy (FIFO by default).
 ///
 /// Entries scheduled through [`Self::schedule_cancellable`] can later be
 /// revoked with [`Self::cancel`]; dead entries are skipped by [`Self::pop`]
 /// and never surface through [`Self::peek_time`] (the queue eagerly purges
 /// a cancelled head so the reported horizon is always a live event).
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Packed ranks of every entry still in the heap (live or cancelled),
+    /// as a 4-ary min-heap: the children of slot `i` are `4i+1 ..= 4i+4`.
+    ranks: Vec<u128>,
+    /// Payloads, parallel to `ranks`.
+    events: Vec<E>,
     next_seq: u64,
+    /// Tie keys of cancelled entries still in the heap.
     cancelled: BTreeSet<u64>,
     tiebreak: TieBreak,
     classify: fn(&E) -> u8,
@@ -170,7 +254,8 @@ impl<E> EventQueue<E> {
     /// class.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            ranks: Vec::new(),
+            events: Vec::new(),
             next_seq: 0,
             cancelled: BTreeSet::new(),
             tiebreak: TieBreak::Fifo,
@@ -183,7 +268,8 @@ impl<E> EventQueue<E> {
     /// expected concurrent event count so the heap never regrows mid-run.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
+            ranks: Vec::with_capacity(capacity),
+            events: Vec::with_capacity(capacity),
             ..Self::new()
         }
     }
@@ -191,12 +277,13 @@ impl<E> EventQueue<E> {
     /// Reserves heap capacity for at least `additional` more pending
     /// entries.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.ranks.reserve(additional);
+        self.events.reserve(additional);
     }
 
     /// The heap's current allocated capacity (pending + free slots).
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.ranks.capacity()
     }
 
     /// Sets the same-instant, same-class ordering policy. Must be called
@@ -204,7 +291,7 @@ impl<E> EventQueue<E> {
     /// keys they were assigned at insertion).
     pub fn set_tiebreak(&mut self, tiebreak: TieBreak) {
         debug_assert!(
-            self.heap.is_empty(),
+            self.ranks.is_empty(),
             "tie-break policy must be set before scheduling"
         );
         self.tiebreak = tiebreak;
@@ -224,27 +311,26 @@ impl<E> EventQueue<E> {
     /// detector to perturb. Must be called before any events are scheduled.
     pub fn set_classifier(&mut self, classify: fn(&E) -> u8) {
         debug_assert!(
-            self.heap.is_empty(),
+            self.ranks.is_empty(),
             "classifier must be set before scheduling"
         );
         self.classify = classify;
     }
 
-    /// The single insertion point: assigns the next sequence number and
-    /// the tie-break key, pushes the entry, and returns the sequence. All
+    /// The single insertion point: assigns the next sequence number, packs
+    /// the rank, pushes the entry, and returns the sequence. All
     /// scheduling paths (`schedule`, `schedule_batch`,
     /// `schedule_cancellable`) funnel through here so the tie-break policy
     /// lives in exactly one place.
     fn push_entry(&mut self, at: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
+        debug_assert!(seq <= TIE_MASK, "sequence space exhausted");
         self.next_seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            class: (self.classify)(&event),
-            key: self.tiebreak.key(seq),
-            seq,
-            event,
-        });
+        let order = u64::from((self.classify)(&event)) << TIE_BITS | self.tiebreak.key(seq);
+        let pos = self.ranks.len();
+        self.ranks.push(0);
+        self.events.push(event);
+        self.sift_up(pos, pack(at, order));
         seq
     }
 
@@ -262,20 +348,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Revokes the entry behind `token`. Returns `true` if the entry was
-    /// still pending and is now dead, `false` if it had already fired or
-    /// been cancelled. Must only be called with tokens whose entry has not
-    /// been popped (the caller clears its token when the event fires);
-    /// cancelling an already-delivered token is detected and ignored.
+    /// still pending and is now dead, and `false` for a token from beyond
+    /// this queue's sequence space or a repeat cancel of an entry that is
+    /// still queued. A token whose entry has left the queue — it fired, or
+    /// it was cancelled and then purged — must not be passed: the caller
+    /// drops its token when the event fires or when it cancels. The
+    /// sanitizer's `cancel-token-generation` rule catches violations.
     pub fn cancel(&mut self, token: CancelToken) -> bool {
-        // Tokens for entries that already popped have seq < next_seq too, so
-        // membership in the heap is what decides. We cannot look inside the
-        // heap cheaply; instead rely on the caller contract and keep the
-        // cancelled set consistent by purging on pop. A double-cancel is
-        // caught by the set insert.
         if sanitizer::active() {
             self.sanitize_cancel(token);
         }
-        if token.0 >= self.next_seq || !self.cancelled.insert(token.0) {
+        if token.0 >= self.next_seq || !self.cancelled.insert(self.tiebreak.key(token.0)) {
             return false;
         }
         // Eagerly drop a dead head so `peek_time` never reports a cancelled
@@ -286,7 +369,7 @@ impl<E> EventQueue<E> {
 
     /// Shadow-check for [`Self::cancel`]: a token must come from this
     /// queue's own sequence space (generation validity) and, if it is not
-    /// a detected double-cancel, its entry must still be live in the heap.
+    /// a detected double-cancel, its tie key must still be in the heap.
     /// O(n) heap scan — only ever runs under `FASTG_SANITIZE=1`.
     #[cfg(debug_assertions)]
     fn sanitize_cancel(&self, token: CancelToken) {
@@ -296,9 +379,10 @@ impl<E> EventQueue<E> {
                 token.0, self.next_seq
             )
         });
-        if token.0 < self.next_seq && !self.cancelled.contains(&token.0) {
+        let key = self.tiebreak.key(token.0);
+        if token.0 < self.next_seq && !self.cancelled.contains(&key) {
             sanitizer::check(
-                self.heap.iter().any(|e| e.seq == token.0),
+                self.ranks.iter().any(|&rank| tie_of(rank) == key),
                 "cancel-token-generation",
                 || {
                     format!(
@@ -327,7 +411,7 @@ impl<E> EventQueue<E> {
         I::IntoIter: ExactSizeIterator,
     {
         let iter = events.into_iter();
-        self.heap.reserve(iter.len());
+        self.reserve(iter.len());
         for (at, event) in iter {
             self.push_entry(at, event);
         }
@@ -340,17 +424,15 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(e) = self.heap.pop() {
-            if self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            // An entry cancelled while buried in the heap may have risen
-            // to the head just now; keep the head-is-live invariant that
-            // `peek_time` relies on.
-            self.purge_dead_head();
-            return Some((e.time, e.event));
-        }
-        None
+        let (rank, event) = self.pop_head()?;
+        // The head is always live (see `purge_dead_head`), but an entry
+        // cancelled while buried may have risen to the head just now.
+        debug_assert!(
+            !self.cancelled.contains(&tie_of(rank)),
+            "popped a cancelled entry"
+        );
+        self.purge_dead_head();
+        Some((time_of(rank), event))
     }
 
     /// Removes and returns the earliest live event if its timestamp is at
@@ -366,18 +448,17 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest live pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
+        let head = self.ranks.first().copied();
         debug_assert!(
-            self.heap
-                .peek()
-                .map_or(true, |e| !self.cancelled.contains(&e.seq)),
+            head.map_or(true, |rank| !self.cancelled.contains(&tie_of(rank))),
             "queue head must never be a cancelled entry"
         );
-        self.heap.peek().map(|e| e.time)
+        head.map(time_of)
     }
 
     /// Number of live pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.ranks.len() - self.cancelled.len()
     }
 
     /// Whether no live events are pending.
@@ -387,17 +468,19 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.ranks.clear();
+        self.events.clear();
         self.cancelled.clear();
     }
 
     /// Serializes the queue's full ordering state: tie-break policy, the
-    /// sequence counter, and every *live* entry with its stored
-    /// time/class/key/seq verbatim (cancelled entries are dropped — their
-    /// tokens are dead and nothing restores them). Entries are written in
-    /// canonical pop order so the encoding is independent of the heap's
-    /// internal layout. The classifier is a function pointer and is not
-    /// encoded; [`Self::restore_state`] keeps whichever classifier the
+    /// sequence counter, and every *live* entry as `(time, order, event)`,
+    /// where `order = class << 56 | tie` is the low half of its rank,
+    /// stored verbatim (cancelled entries are dropped — their tokens are
+    /// dead and nothing restores them). Entries are written in ascending
+    /// rank order, i.e. pop order, so the encoding is independent of the
+    /// heap's internal layout. The classifier is a function pointer and is
+    /// not encoded; [`Self::restore_state`] keeps whichever classifier the
     /// restored queue was constructed with.
     pub fn snap_state(&self, w: &mut SnapWriter)
     where
@@ -405,63 +488,65 @@ impl<E> EventQueue<E> {
     {
         self.tiebreak.snap(w);
         w.u64(self.next_seq);
-        let mut live: Vec<&Entry<E>> = self
-            .heap
+        let mut live: Vec<(u128, &E)> = self
+            .ranks
             .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
+            .copied()
+            .zip(&self.events)
+            .filter(|&(rank, _)| !self.cancelled.contains(&tie_of(rank)))
             .collect();
-        live.sort_by(|a, b| {
-            (a.time, a.class, a.key, a.seq).cmp(&(b.time, b.class, b.key, b.seq))
-        });
+        // Ranks are unique, so the unstable sort is deterministic.
+        live.sort_unstable_by_key(|&(rank, _)| rank);
         w.len_prefix(live.len());
-        for e in live {
-            let Entry {
-                time,
-                class,
-                key,
-                seq,
-                event,
-            } = e;
-            time.snap(w);
-            class.snap(w);
-            key.snap(w);
-            seq.snap(w);
+        for (rank, event) in live {
+            time_of(rank).snap(w);
+            w.u64(order_of(rank));
             event.snap(w);
         }
     }
 
     /// Restores state captured by [`Self::snap_state`], replacing all
-    /// pending entries. Stored tie-break keys are reused verbatim (not
+    /// pending entries. Stored order words are reused verbatim (not
     /// recomputed), so the restored queue pops in exactly the order the
     /// original would have; the sequence counter resumes where it left
     /// off, so future scheduling continues the same sequence space and
     /// outstanding [`CancelToken`]s stay valid.
+    ///
+    /// Rejects, with a [`SnapError`], a sequence counter beyond the 56-bit
+    /// space, ranks that are not strictly ascending, an entry whose
+    /// sequence number is at or above the counter, and class bits that
+    /// disagree with the classifier.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>
     where
         E: Snap,
     {
         self.tiebreak = TieBreak::unsnap(r)?;
         self.next_seq = r.u64()?;
-        self.heap.clear();
-        self.cancelled.clear();
+        if self.next_seq > TIE_MASK + 1 {
+            return Err(SnapError::new("queue next_seq"));
+        }
+        self.clear();
         let n = r.len_prefix()?;
-        self.heap.reserve(n.min(r.remaining()));
+        let bound = n.min(r.remaining() / MIN_ENTRY_BYTES);
+        self.ranks.reserve_exact(bound);
+        self.events.reserve_exact(bound);
         for _ in 0..n {
             let time = SimTime::unsnap(r)?;
-            let class = r.u8()?;
-            let key = r.u64()?;
-            let seq = r.u64()?;
-            if seq >= self.next_seq {
+            let order = r.u64()?;
+            let event = E::unsnap(r)?;
+            let rank = pack(time, order);
+            if self.ranks.last().is_some_and(|&prev| prev >= rank) {
+                return Err(SnapError::new("queue entry order"));
+            }
+            if self.tiebreak.seq_of(order) >= self.next_seq {
                 return Err(SnapError::new("queue entry seq"));
             }
-            let event = E::unsnap(r)?;
-            self.heap.push(Entry {
-                time,
-                class,
-                key,
-                seq,
-                event,
-            });
+            if order >> TIE_BITS != u64::from((self.classify)(&event)) {
+                return Err(SnapError::new("queue entry class"));
+            }
+            // Ascending ranks already form a valid min-heap.
+            self.ranks.push(rank);
+            self.events.push(event);
         }
         Ok(())
     }
@@ -469,14 +554,75 @@ impl<E> EventQueue<E> {
     /// Pops cancelled entries off the head so the next live event (or
     /// nothing) is on top.
     fn purge_dead_head(&mut self) {
-        while let Some(e) = self.heap.peek() {
-            if !self.cancelled.contains(&e.seq) {
+        while !self.cancelled.is_empty() {
+            match self.ranks.first() {
+                Some(&head) if self.cancelled.remove(&tie_of(head)) => {
+                    self.pop_head();
+                }
+                _ => break,
+            }
+        }
+    }
+
+    /// Removes the minimum-rank entry, live or dead.
+    fn pop_head(&mut self) -> Option<(u128, E)> {
+        let last = self.ranks.pop()?;
+        let mut event = self.events.pop()?;
+        let Some(&head) = self.ranks.first() else {
+            return Some((last, event));
+        };
+        // The last entry takes the head's slot and sinks from there.
+        std::mem::swap(&mut event, &mut self.events[0]);
+        self.sift_down(last);
+        Some((head, event))
+    }
+
+    /// Sifts the entry at `pos` up. Its rank slot is a hole: ancestors'
+    /// ranks move down into it until `rank` fits, and `rank` is stored
+    /// once, at the end. Its payload follows by swaps.
+    fn sift_up(&mut self, mut pos: usize, rank: u128) {
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            let above = self.ranks[parent];
+            if above < rank {
                 break;
             }
-            let seq = e.seq;
-            self.heap.pop();
-            self.cancelled.remove(&seq);
+            self.ranks[pos] = above;
+            self.events.swap(pos, parent);
+            pos = parent;
         }
+        self.ranks[pos] = rank;
+    }
+
+    /// Sifts the entry at the root down, the mirror of [`Self::sift_up`]:
+    /// the smallest child's rank moves up into the hole until `rank` fits.
+    fn sift_down(&mut self, rank: u128) {
+        let n = self.ranks.len();
+        let mut pos = 0;
+        loop {
+            let first = ARITY * pos + 1;
+            let (child, low) = if first + ARITY <= n {
+                // A branch-free tournament: which child is smallest is
+                // data-dependent, so branching on it mispredicts often.
+                let c = &self.ranks[first..first + ARITY];
+                let left = usize::from(c[1] < c[0]);
+                let right = 2 + usize::from(c[3] < c[2]);
+                let i = if c[right] < c[left] { right } else { left };
+                (first + i, c[i])
+            } else if first < n {
+                let i = (first..n).min_by_key(|&i| self.ranks[i]).unwrap_or(first);
+                (i, self.ranks[i])
+            } else {
+                break;
+            };
+            if rank < low {
+                break;
+            }
+            self.ranks[pos] = low;
+            self.events.swap(pos, child);
+            pos = child;
+        }
+        self.ranks[pos] = rank;
     }
 }
 
@@ -747,21 +893,131 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_rejects_future_seq() {
-        use crate::snap::{Snap, SnapReader, SnapWriter};
+    /// Encodes a queue snapshot by hand: `(time, order, event)` entries
+    /// written in the given order.
+    fn encode_queue(tiebreak: TieBreak, next_seq: u64, entries: &[(u64, u64, u64)]) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        TieBreak::Fifo.snap(&mut w);
-        w.u64(1); // next_seq = 1
-        w.len_prefix(1);
-        SimTime::ZERO.snap(&mut w);
-        w.u8(0); // class
-        w.u64(5); // key
-        w.u64(5); // seq — from the future
-        3u64.snap(&mut w); // event
-        let bytes = w.finish();
+        tiebreak.snap(&mut w);
+        w.u64(next_seq);
+        w.len_prefix(entries.len());
+        for &(time, order, event) in entries {
+            w.u64(time);
+            w.u64(order);
+            event.snap(&mut w);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn snapshot_rejects_corrupt_entries() {
+        let order = |class: u64, tb: TieBreak, seq: u64| class << TIE_BITS | tb.key(seq);
+        let shuffle = TieBreak::SeededShuffle(7);
+        let fifo = TieBreak::Fifo;
+        // Events classify as `e % 3`.
+        let restore = |bytes: &[u8]| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.set_classifier(|e: &u64| u8::try_from(e % 3).unwrap());
+            q.restore_state(&mut SnapReader::new(bytes))
+        };
+        let valid = [
+            (
+                fifo,
+                2,
+                vec![(5, order(0, fifo, 1), 3), (6, order(1, fifo, 0), 4)],
+            ),
+            (
+                shuffle,
+                2,
+                vec![(5, order(0, shuffle, 1), 3), (6, order(2, shuffle, 0), 5)],
+            ),
+        ];
+        for (tb, next_seq, entries) in valid {
+            let bytes = encode_queue(tb, next_seq, &entries);
+            assert_eq!(restore(&bytes), Ok(()), "{tb:?} {entries:?}");
+        }
+        let corrupt = [
+            ("future seq", fifo, 1, vec![(0, order(0, fifo, 5), 3)]),
+            (
+                "future seq, lifo",
+                TieBreak::Lifo,
+                1,
+                vec![(0, order(0, TieBreak::Lifo, 1), 3)],
+            ),
+            (
+                "future seq, shuffle",
+                shuffle,
+                1,
+                vec![(0, order(0, shuffle, 5), 3)],
+            ),
+            (
+                "unsorted ranks",
+                fifo,
+                2,
+                vec![(6, order(0, fifo, 0), 3), (5, order(0, fifo, 1), 6)],
+            ),
+            (
+                "duplicate ranks",
+                fifo,
+                1,
+                vec![(5, order(0, fifo, 0), 3), (5, order(0, fifo, 0), 3)],
+            ),
+            (
+                "class bits disagree",
+                fifo,
+                1,
+                vec![(5, order(0, fifo, 0), 4)],
+            ),
+            ("next_seq beyond 56 bits", fifo, TIE_MASK + 2, vec![]),
+        ];
+        for (what, tb, next_seq, entries) in corrupt {
+            let bytes = encode_queue(tb, next_seq, &entries);
+            assert!(restore(&bytes).is_err(), "accepted: {what}");
+        }
+    }
+
+    #[test]
+    fn restore_reserves_no_more_than_the_input_can_hold() {
+        let mut bytes = encode_queue(TieBreak::Fifo, 1, &[]);
+        // Overwrite the empty entry count with a length bomb.
+        let len_at = bytes.len() - 8;
+        bytes[len_at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend(0..40u8);
         let mut q: EventQueue<u64> = EventQueue::new();
         assert!(q.restore_state(&mut SnapReader::new(&bytes)).is_err());
+        assert!(
+            q.capacity() <= bytes.len() / MIN_ENTRY_BYTES,
+            "reserved {} entries from {} bytes",
+            q.capacity(),
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn tie_keys_are_a_56_bit_bijection() {
+        assert_eq!(MIX_MUL1.wrapping_mul(MIX_INV1), 1);
+        assert_eq!(MIX_MUL2.wrapping_mul(MIX_INV2), 1);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut seqs = vec![0, 1, TIE_MASK];
+        for _ in 0..1000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            seqs.push(x & TIE_MASK);
+        }
+        for tb in [
+            TieBreak::Fifo,
+            TieBreak::Lifo,
+            TieBreak::SeededShuffle(7),
+            TieBreak::SeededShuffle(u64::MAX),
+        ] {
+            for &s in &seqs {
+                let k = tb.key(s);
+                assert!(k <= TIE_MASK, "{tb:?}: key of {s} exceeds 56 bits");
+                assert_eq!(tb.seq_of(k), s, "{tb:?}: seq_of does not invert key at {s}");
+            }
+        }
+        assert_eq!(TieBreak::Fifo.key(42), 42);
+        assert_eq!(TieBreak::Lifo.key(42), TIE_MASK - 42);
     }
 
     #[test]

@@ -1,9 +1,223 @@
 //! Property tests for the event engine.
 
-use fastg_des::{BusyTracker, EventQueue, SimTime, TimeWeighted};
+use fastg_des::{
+    BusyTracker, CancelToken, EventQueue, SimTime, SnapReader, SnapWriter, TieBreak, TimeWeighted,
+};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+
+/// One step of the differential queue test. Indices pick among the
+/// tokens issued so far (modulo their count).
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Schedule at `time` an event of class `class` (0..3).
+    Schedule(u64, u64),
+    ScheduleCancellable(u64, u64),
+    /// Cancel an issued token: a fresh cancel while its entry is live, a
+    /// double cancel while its dead entry is still queued. Tokens whose
+    /// entry has left the queue are not passed (the caller contract).
+    Cancel(usize),
+    /// Cancel a token from beyond this queue's sequence space.
+    CancelForeign,
+    Pop,
+    PopBefore(u64),
+    /// Replace the queue by a `snap_state` → `restore_state` copy.
+    RoundTrip,
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    // Repeated arms weight the draw toward scheduling, cancels and pops.
+    prop_oneof![
+        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::Schedule(t, c)),
+        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::Schedule(t, c)),
+        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::ScheduleCancellable(t, c)),
+        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::ScheduleCancellable(t, c)),
+        (0usize..64).prop_map(QueueOp::Cancel),
+        (0usize..64).prop_map(QueueOp::Cancel),
+        Just(QueueOp::CancelForeign),
+        Just(QueueOp::Pop),
+        Just(QueueOp::Pop),
+        (0u64..12).prop_map(QueueOp::PopBefore),
+        Just(QueueOp::RoundTrip),
+    ]
+}
+
+/// The reference model's view of one queued entry. Events are
+/// `seq * 3 + class`, so a popped event names its entry.
+#[derive(Debug, Clone, Copy)]
+struct ModelEntry {
+    time: u64,
+    seq: u64,
+    event: u64,
+    dead: bool,
+}
+
+fn class_of(event: &u64) -> u8 {
+    u8::try_from(event % 3).unwrap()
+}
+
+/// A sorted-`Vec` reference model of `EventQueue`: entries stay queued
+/// (dead or alive) until popped, and a dead head is dropped eagerly.
+struct QueueModel {
+    tiebreak: TieBreak,
+    entries: Vec<ModelEntry>,
+    next_seq: u64,
+}
+
+impl QueueModel {
+    /// The queue's documented order: `(time, class, tiebreak.key(seq))`.
+    fn sort(&mut self) {
+        let tb = self.tiebreak;
+        self.entries
+            .sort_by_key(|e| (e.time, class_of(&e.event), tb.key(e.seq)));
+        // FIFO and LIFO must also keep the orders they had before tie
+        // keys were packed: `(time, class, ±seq)`.
+        let seq_order: Vec<u64> = self.entries.iter().map(|e| e.seq).collect();
+        let mut pinned = self.entries.clone();
+        match tb {
+            TieBreak::Fifo => pinned.sort_by_key(|e| (e.time, class_of(&e.event), e.seq)),
+            TieBreak::Lifo => pinned.sort_by_key(|e| (e.time, class_of(&e.event), Reverse(e.seq))),
+            TieBreak::SeededShuffle(_) => return,
+        }
+        let pinned: Vec<u64> = pinned.iter().map(|e| e.seq).collect();
+        assert_eq!(
+            seq_order, pinned,
+            "{tb:?} order moved from (time, class, ±seq)"
+        );
+    }
+
+    fn purge_dead_head(&mut self) {
+        while self.entries.first().is_some_and(|e| e.dead) {
+            self.entries.remove(0);
+        }
+    }
+
+    fn schedule(&mut self, time: u64, class: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.entries.push(ModelEntry {
+            time,
+            seq,
+            event: seq * 3 + class,
+            dead: false,
+        });
+        self.sort();
+        seq
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let e = self.entries.remove(0);
+        assert!(!e.dead, "model head must be live");
+        self.purge_dead_head();
+        Some((SimTime::from_micros(e.time), e.event))
+    }
+
+    fn len(&self) -> usize {
+        self.entries.iter().filter(|e| !e.dead).count()
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.entries.first().map(|e| SimTime::from_micros(e.time))
+    }
+}
+
+fn restored_copy(q: &EventQueue<u64>) -> EventQueue<u64> {
+    let mut w = SnapWriter::new();
+    q.snap_state(&mut w);
+    let bytes = w.finish();
+    let mut copy = EventQueue::new();
+    copy.set_classifier(class_of);
+    let mut r = SnapReader::new(&bytes);
+    copy.restore_state(&mut r).unwrap();
+    r.expect_done().unwrap();
+    copy
+}
 
 proptest! {
+    /// Random interleavings of every queue operation, under all three
+    /// tie-break policies and three classes, agree with a sorted-`Vec`
+    /// model after every step: same pops, same `len()`, same
+    /// `peek_time()`, same cancel verdicts.
+    #[test]
+    fn queue_matches_sorted_model(
+        policy in 0u8..3,
+        seed in any::<u64>(),
+        ops in prop::collection::vec(queue_op(), 1..160),
+    ) {
+        let tiebreak = match policy {
+            0 => TieBreak::Fifo,
+            1 => TieBreak::Lifo,
+            _ => TieBreak::SeededShuffle(seed),
+        };
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.set_tiebreak(tiebreak);
+        q.set_classifier(class_of);
+        let mut model = QueueModel { tiebreak, entries: Vec::new(), next_seq: 0 };
+        // A token from a queue that has issued more sequence numbers than
+        // this one ever will.
+        let mut donor: EventQueue<u64> = EventQueue::new();
+        let mut foreign = None;
+        for _ in 0..=ops.len() {
+            foreign = Some(donor.schedule_cancellable(SimTime::ZERO, 0));
+        }
+        let foreign = foreign.unwrap();
+        let mut tokens: Vec<(CancelToken, u64)> = Vec::new();
+        for op in &ops {
+            match *op {
+                QueueOp::Schedule(t, c) => {
+                    let seq = model.schedule(t, c);
+                    q.schedule(SimTime::from_micros(t), seq * 3 + c);
+                }
+                QueueOp::ScheduleCancellable(t, c) => {
+                    let seq = model.schedule(t, c);
+                    tokens.push((q.schedule_cancellable(SimTime::from_micros(t), seq * 3 + c), seq));
+                }
+                QueueOp::Cancel(i) => {
+                    if tokens.is_empty() {
+                        continue;
+                    }
+                    let (token, seq) = tokens[i % tokens.len()];
+                    let Some(entry) = model.entries.iter_mut().find(|e| e.seq == seq) else {
+                        continue;
+                    };
+                    let expected = !entry.dead;
+                    entry.dead = true;
+                    model.purge_dead_head();
+                    prop_assert_eq!(q.cancel(token), expected, "cancel of seq {}", seq);
+                }
+                QueueOp::CancelForeign => {
+                    // The armed sanitizer aborts on a foreign token by design.
+                    if !fastg_des::sanitizer::active() {
+                        prop_assert!(!q.cancel(foreign), "foreign token cancelled an entry");
+                    }
+                }
+                QueueOp::Pop => prop_assert_eq!(q.pop(), model.pop()),
+                QueueOp::PopBefore(d) => {
+                    let deadline = SimTime::from_micros(d);
+                    let expected = match model.peek_time() {
+                        Some(t) if t <= deadline => model.pop(),
+                        _ => None,
+                    };
+                    prop_assert_eq!(q.pop_before(deadline), expected);
+                }
+                QueueOp::RoundTrip => {
+                    q = restored_copy(&q);
+                    // Cancelled entries are not encoded.
+                    model.entries.retain(|e| !e.dead);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len(), "len after {:?}", op);
+            prop_assert_eq!(q.peek_time(), model.peek_time(), "peek_time after {:?}", op);
+        }
+        while let Some(expected) = model.pop() {
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
     /// Events pop globally sorted by time, with FIFO order inside equal
     /// timestamps.
     #[test]
