@@ -309,6 +309,9 @@ pub struct FastBackend {
     /// Sum of adapter shares of current lease holders.
     sm_running: f64,
     tokens_dispatched: u64,
+    /// The dispatch pass's ready list, reused across passes: a recycling
+    /// buffer with no content between passes, so it is not snapshotted.
+    ready: Vec<(u8, i128, SimTime, PodId)>,
 }
 
 impl FastBackend {
@@ -326,6 +329,7 @@ impl FastBackend {
             pods: PodTable::default(),
             sm_running: 0.0,
             tokens_dispatched: 0,
+            ready: Vec::new(),
         }
     }
 
@@ -607,21 +611,23 @@ impl FastBackend {
         // still untouched, which guarantees forward progress even for
         // bursts larger than the whole quota.
         let strict = self.cfg.strict_admission;
-        let mut ready: Vec<(u8, i128, SimTime, PodId)> = self
-            .pods
-            .iter()
-            .filter(|(_, e)| e.waiting && e.lease.is_none() && !e.quota_exhausted(window))
-            .filter(|(_, e)| {
-                if !strict || e.q_used == SimTime::ZERO {
-                    return true;
-                }
-                match e.estimator.upper() {
-                    Some(est) => e.q_used + est <= e.q_limit_time(window),
-                    None => true,
-                }
-            })
-            .map(|(id, e)| (e.class.rank(), e.q_miss(window), e.waiting_since, id))
-            .collect();
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        ready.extend(
+            self.pods
+                .iter()
+                .filter(|(_, e)| e.waiting && e.lease.is_none() && !e.quota_exhausted(window))
+                .filter(|(_, e)| {
+                    if !strict || e.q_used == SimTime::ZERO {
+                        return true;
+                    }
+                    match e.estimator.upper() {
+                        Some(est) => e.q_used + est <= e.q_limit_time(window),
+                        None => true,
+                    }
+                })
+                .map(|(id, e)| (e.class.rank(), e.q_miss(window), e.waiting_since, id)),
+        );
         // Priority: the co-location class rank first (LC strictly before
         // BE; all-LC tables degenerate to the paper's order), then
         // descending Q_miss (largest timing gap first, the paper's rule)
@@ -637,7 +643,7 @@ impl FastBackend {
         }
 
         let mut grants = Vec::new();
-        for (_class, _miss, _since, pod) in ready {
+        for &(_class, _miss, _since, pod) in &ready {
             // The ready list was snapshotted from the table above, so the
             // row exists — but stay panic-free and skip if it is gone.
             let Some(entry) = self.pods.get(pod) else {
@@ -680,6 +686,7 @@ impl FastBackend {
                 epoch: lease.epoch,
             });
         }
+        self.ready = ready;
         debug_assert!(self.sm_running <= self.cfg.sm_global_limit + 1e-6);
         grants
     }
@@ -879,6 +886,7 @@ impl Snap for FastBackend {
             pods,
             sm_running,
             tokens_dispatched,
+            ready: _,
         } = self;
         cfg.snap(w);
         pods.rows.snap(w);
@@ -900,6 +908,7 @@ impl Snap for FastBackend {
             pods: PodTable { rows },
             sm_running,
             tokens_dispatched: r.u64()?,
+            ready: Vec::new(),
         })
     }
 }

@@ -217,6 +217,26 @@ pub struct Engine {
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     trace: Vec<String>,
+    /// One shared profile per distinct model (see [`intern_profile`]).
+    /// A cache: not snapshotted, rebuilt while decoding the functions.
+    profiles: Vec<Arc<ModelProfile>>,
+}
+
+/// The table's copy of `profile`, adding it if no equal profile is there
+/// yet. Every function of one model then reads one `Arc`, so a burst
+/// loads kernel specs that the model's other functions keep hot. Keyed by
+/// full equality, not the name. The table is per platform rather than
+/// process-wide: every request clones the `Arc`, and a global profile
+/// would bounce its refcount between sweep worker threads.
+fn intern_profile(
+    profiles: &mut Vec<Arc<ModelProfile>>,
+    profile: Arc<ModelProfile>,
+) -> Arc<ModelProfile> {
+    if let Some(shared) = profiles.iter().find(|p| **p == profile) {
+        return Arc::clone(shared);
+    }
+    profiles.push(Arc::clone(&profile));
+    profile
 }
 
 /// Builds the placement engine a config selects. Factored out of
@@ -288,6 +308,7 @@ impl Engine {
             started_scratch: Vec::new(),
             dispatch_pending: IdSet::new(),
             trace: Vec::new(),
+            profiles: Vec::new(),
         }
     }
 
@@ -303,6 +324,7 @@ impl Engine {
             .ok_or_else(|| PlatformError::UnknownModel(fc.model.clone()))?;
         let (sm, q_req, q_lim) = fc.resources;
         let resources = ResourceSpec::new(sm, q_req, q_lim, model.memory.total());
+        let model = intern_profile(&mut self.profiles, Arc::new(model));
         let id = FuncId(self.next_func);
         self.next_func += 1;
         self.gateway.register_func(id);
@@ -313,7 +335,7 @@ impl Engine {
             id,
             FuncRt {
                 spec: FaSTFuncSpec::new(&fc.name, &fc.model, fc.slo),
-                model: Arc::new(model),
+                model,
                 resources,
                 slo: SloTracker::new(fc.slo),
                 completions: RateMeter::new(),
@@ -2475,7 +2497,8 @@ impl PodRt {
 impl Engine {
     /// Serializes the complete engine state. Scratch buffers
     /// (`burst_scratch`, `started_scratch`) are recycling caches with no
-    /// semantic content between events; they restore empty.
+    /// semantic content between events; they restore empty. The profile
+    /// table is rebuilt from the functions on restore.
     fn snap_state(&self, w: &mut SnapWriter) {
         let Self {
             cfg,
@@ -2498,6 +2521,7 @@ impl Engine {
             started_scratch: _,
             dispatch_pending,
             trace,
+            profiles: _,
         } = self;
         cfg.snap(w);
         cluster.snap(w);
@@ -2530,7 +2554,13 @@ impl Engine {
         let stores: IdArena<NodeId, ModelStorageServer> = IdArena::unsnap(r)?;
         let mut selector = make_selector(&cfg);
         selector.restore_state(r)?;
-        let funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
+        // Functions share their model's profile exactly as after deploy,
+        // and the pods' runs below clone the shared `Arc`.
+        let mut funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
+        let mut profiles = Vec::new();
+        for f in funcs.values_mut() {
+            f.model = intern_profile(&mut profiles, Arc::clone(&f.model));
+        }
         let pods = IdArena::unsnap_with(r, |_, r| PodRt::unsnap_state(r, &funcs))?;
         let autoscale_db = Option::unsnap(r)?;
         let next_func = r.u32()?;
@@ -2567,6 +2597,7 @@ impl Engine {
             started_scratch: Vec::new(),
             dispatch_pending,
             trace,
+            profiles,
         })
     }
 }
@@ -2823,6 +2854,51 @@ mod tests {
         p.scale_to(f, 1);
         p.run_for(SimTime::from_secs(2));
         assert_eq!(p.replicas(f), 1);
+    }
+
+    /// Requires one profile `Arc` per model: functions 0–2 run
+    /// `resnet50` and function 3 `rnnt`, and every in-flight request runs
+    /// its function's `Arc`.
+    fn assert_one_profile_per_model(p: &Platform, fs: &[FuncId]) {
+        let world = p.sim.world();
+        let m: Vec<&Arc<ModelProfile>> = fs.iter().map(|&f| &world.funcs[f].model).collect();
+        assert!(Arc::ptr_eq(m[0], m[1]) && Arc::ptr_eq(m[1], m[2]));
+        assert!(!Arc::ptr_eq(m[0], m[3]));
+        let mut active = 0;
+        for pod in world.pods.values() {
+            if let Some(a) = &pod.active {
+                assert!(Arc::ptr_eq(a.run.profile(), &world.funcs[pod.func].model));
+                active += 1;
+            }
+        }
+        assert!(active > 0, "no request in flight to check");
+    }
+
+    #[test]
+    fn functions_of_one_model_share_one_profile() {
+        let mut straight = Platform::new(PlatformConfig::default().nodes(2).seed(4));
+        let fs: Vec<FuncId> = ["resnet50", "resnet50", "resnet50", "rnnt"]
+            .iter()
+            .enumerate()
+            .map(|(i, model)| {
+                let fc = FunctionConfig::new(&format!("f{i}"), model).resources(12.0, 0.25, 0.25);
+                straight.deploy(fc).unwrap()
+            })
+            .collect();
+        for &f in &fs {
+            straight.set_load(f, ArrivalProcess::constant(300.0));
+        }
+        straight.run_for(SimTime::from_millis(503));
+        assert_one_profile_per_model(&straight, &fs);
+        let snap = straight.checkpoint();
+        let tail = straight.run_for(SimTime::from_secs(1)).canonical_text();
+
+        let mut restored = Platform::from_snapshot(&snap).unwrap();
+        assert_one_profile_per_model(&restored, &fs);
+        let mut forked = restored.fork().unwrap();
+        assert_one_profile_per_model(&forked, &fs);
+        assert_eq!(restored.run_for(SimTime::from_secs(1)).canonical_text(), tail);
+        assert_eq!(forked.run_for(SimTime::from_secs(1)).canonical_text(), tail);
     }
 
     #[test]

@@ -391,6 +391,15 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// How many elements of `T` a decoder of an `n`-element container may
+/// reserve up front with `remaining` input bytes left: at most `n`, and
+/// never more bytes of elements than the input holds, so a forged length
+/// cannot make a short input allocate much. A container whose elements
+/// encode smaller than they sit in memory grows past that as it decodes.
+fn reservation<T>(n: usize, remaining: usize) -> usize {
+    n.min(remaining / std::mem::size_of::<T>().max(1))
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn snap(&self, w: &mut SnapWriter) {
         w.len_prefix(self.len());
@@ -400,9 +409,7 @@ impl<T: Snap> Snap for Vec<T> {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len_prefix()?;
-        // Pre-allocation is bounded by the bytes actually present (each
-        // element encodes to at least one byte).
-        let mut out = Vec::with_capacity(n.min(r.remaining()));
+        let mut out = Vec::with_capacity(reservation::<T>(n, r.remaining()));
         for _ in 0..n {
             out.push(T::unsnap(r)?);
         }
@@ -419,7 +426,7 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len_prefix()?;
-        let mut out = VecDeque::with_capacity(n.min(r.remaining()));
+        let mut out = VecDeque::with_capacity(reservation::<T>(n, r.remaining()));
         for _ in 0..n {
             out.push_back(T::unsnap(r)?);
         }
@@ -570,6 +577,35 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
             assert!(Vec::<u64>::unsnap(&mut r).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn length_bombs_are_errors_without_a_large_reservation() {
+        let mut w = SnapWriter::new();
+        w.u64(u64::MAX);
+        w.u64(7);
+        w.u8(1);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        assert!(Vec::<(u64, u64, u64)>::unsnap(&mut r).is_err());
+        let mut r = SnapReader::new(&bytes);
+        assert!(VecDeque::<(u64, u64, u64)>::unsnap(&mut r).is_err());
+        // The reservation never holds more bytes of elements than the
+        // input does, whatever the claimed length and element size.
+        fn bounded<T>(len: usize) {
+            for n in [0, 1, 2, len / 2, len, len + 1, usize::MAX] {
+                let reserved = reservation::<T>(n, len);
+                assert!(reserved <= n);
+                assert!(reserved * std::mem::size_of::<T>() <= len, "{n} of {len} bytes");
+            }
+        }
+        for len in [0, 1, 17, bytes.len(), 4096] {
+            bounded::<u8>(len);
+            bounded::<()>(len);
+            bounded::<(u64, u64, u64)>(len);
+            bounded::<String>(len);
+            bounded::<[u64; 40]>(len);
         }
     }
 

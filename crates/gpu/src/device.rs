@@ -103,58 +103,126 @@ struct Running {
     started: SimTime,
 }
 
-/// One kernel of a fast-forwarded burst: its launch description plus the
-/// analytically derived residency interval and grant.
-#[derive(Debug, Clone, Copy)]
-struct FfKernel {
+/// A run of identical kernels inside a fast-forwarded burst: `count`
+/// back-to-back launches of `desc`, each granted `granted` SMs for
+/// `duration` (the wave arithmetic is paid once per run).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FfRun {
     desc: KernelDesc,
-    start: SimTime,
-    finish: SimTime,
+    count: u32,
     granted: u32,
+    duration: SimTime,
+}
+
+impl FfRun {
+    /// The whole run's span, or `None` if it overflows the clock.
+    fn span(&self) -> Option<SimTime> {
+        self.duration
+            .as_micros()
+            .checked_mul(u64::from(self.count))
+            .map(SimTime::from_micros)
+    }
 }
 
 /// The analytic schedule of one client's uncontended burst, settled up to
-/// some instant. `kernels[cursor]` is the resident kernel: its grant is out
-/// of `free_sms`, and every earlier kernel's finish is in `free_sms` and
-/// the completion tallies. The occupied area of `[kernels[0].start,
-/// credited]` has been credited to the occupancy integral; `credited`
-/// always lies inside the resident kernel's interval.
+/// some instant, as runs of identical kernels. Kernel `done` of
+/// `runs[run]` is the resident kernel: its grant is out of `free_sms`, and
+/// every earlier kernel's finish is in `free_sms` and the completion
+/// tallies. The occupied area of `[start, credited]` has been credited to
+/// the occupancy integral; `credited` always lies inside the resident
+/// kernel's interval.
 #[derive(Debug)]
 struct FfTimeline {
     client: ClientId,
-    /// The burst's kernels in stream order, back to back (gapless).
-    kernels: Vec<FfKernel>,
-    /// Index of the resident kernel; `kernels.len()` once the burst ended.
-    cursor: usize,
+    /// The burst's runs in stream order, back to back (gapless).
+    runs: Vec<FfRun>,
+    /// When the burst's first kernel started.
+    start: SimTime,
+    /// Index of the resident kernel's run; `runs.len()` once the burst
+    /// ended.
+    run: usize,
+    /// Finished kernels of `runs[run]`.
+    done: u32,
     /// Instant up to which the occupied area has been credited.
     credited: SimTime,
+    /// When `runs[run]`'s first kernel started (derived).
+    run_start: SimTime,
+    /// When the burst's final kernel finishes (derived).
+    end: SimTime,
+    /// Kernels whose finish has been settled (derived).
+    completed: u64,
 }
 
 impl FfTimeline {
-    /// The resident kernel. A live timeline always has one: only
-    /// [`GpuDevice::ff_complete`] moves the cursor past the last kernel,
-    /// and it drops the timeline.
-    fn resident(&self) -> FfKernel {
-        self.kernels[self.cursor]
+    /// Rebuilds a timeline from its encoded parts, deriving the run start,
+    /// the burst end and the completion count. A live timeline has a
+    /// resident kernel whose interval holds the credited point, and its
+    /// whole burst fits the clock.
+    fn from_parts(
+        client: ClientId,
+        runs: Vec<FfRun>,
+        start: SimTime,
+        run: usize,
+        done: u32,
+        credited: SimTime,
+    ) -> Result<Self, SnapError> {
+        if runs.is_empty() || runs.iter().any(|r| r.count == 0) {
+            return Err(SnapError::new("ff timeline runs"));
+        }
+        let Some(resident) = runs.get(run).copied() else {
+            return Err(SnapError::new("ff timeline cursor"));
+        };
+        if done >= resident.count {
+            return Err(SnapError::new("ff timeline cursor"));
+        }
+        let (mut end, mut run_start, mut completed) = (start, start, u64::from(done));
+        for (i, r) in runs.iter().enumerate() {
+            if i == run {
+                run_start = end;
+            } else if i < run {
+                completed += u64::from(r.count);
+            }
+            end = r
+                .span()
+                .and_then(|span| end.checked_add(span))
+                .ok_or(SnapError::new("ff timeline span"))?;
+        }
+        let kernel_start = run_start + resident.duration * u64::from(done);
+        if credited < kernel_start || credited > kernel_start + resident.duration {
+            return Err(SnapError::new("ff credited point"));
+        }
+        Ok(FfTimeline {
+            client,
+            runs,
+            start,
+            run,
+            done,
+            credited,
+            run_start,
+            end,
+            completed,
+        })
     }
 
-    /// When the burst's final kernel finishes.
-    fn end(&self) -> SimTime {
-        self.kernels.last().map_or(self.credited, |k| k.finish)
+    /// The resident kernel's run. A live timeline always has one: only
+    /// [`GpuDevice::ff_complete`] moves the cursor past the last run, and
+    /// it drops the timeline.
+    fn resident(&self) -> FfRun {
+        self.runs[self.run]
     }
 
-    /// Kernels whose finish has been settled.
-    fn completed(&self) -> u64 {
-        u64::try_from(self.cursor).unwrap_or(u64::MAX)
+    /// When the resident kernel started.
+    fn resident_start(&self) -> SimTime {
+        self.run_start + self.resident().duration * u64::from(self.done)
     }
 
     /// GPU time of the settled finishes (the burst is gapless, so it is
-    /// the span from the first start to the resident kernel's start).
+    /// the span from the burst start to the resident kernel's start).
     fn served(&self) -> SimTime {
-        match (self.kernels.first(), self.kernels.get(self.cursor)) {
-            (Some(first), Some(k)) => k.start - first.start,
-            (Some(first), None) => self.end() - first.start,
-            _ => SimTime::ZERO,
+        if self.run < self.runs.len() {
+            self.resident_start() - self.start
+        } else {
+            self.end - self.start
         }
     }
 
@@ -162,9 +230,11 @@ impl FfTimeline {
     /// every finish strictly before `now` (or at `now` too, when
     /// `inclusive`), stopping at the last kernel unless `end_burst`; each
     /// finish hands its SMs to the successor through `free_sms` and joins
-    /// the completion tallies. The occupied area since the credited point
-    /// goes to the occupancy integral as one exact integer (SM × µs), so
-    /// the order in which timelines settle cannot change any metric bit.
+    /// the completion tallies. A run's finished kernels come from one
+    /// division of the time elapsed since the run started. The occupied
+    /// area since the credited point goes to the occupancy integral as
+    /// one exact integer (SM × µs), so the order in which timelines
+    /// settle cannot change any metric bit.
     fn settle(
         &mut self,
         now: SimTime,
@@ -173,47 +243,67 @@ impl FfTimeline {
         free_sms: &mut u32,
         metrics: &mut GpuMetrics,
     ) {
-        let stop = if end_burst {
-            self.kernels.len()
-        } else {
-            self.kernels.len().saturating_sub(1)
-        };
-        let from = self.cursor;
+        let from_granted = self.resident().granted;
+        let from_start = self.resident_start();
+        let before = self.completed;
         let mut area = 0u64;
-        while self.cursor < stop {
-            let k = self.kernels[self.cursor];
-            if k.finish > now || (k.finish == now && !inclusive) {
+        while let Some(&r) = self.runs.get(self.run) {
+            let stop = if self.run + 1 == self.runs.len() && !end_burst {
+                r.count - 1
+            } else {
+                r.count
+            };
+            // Kernel `i` of the run finishes at `run_start + (i + 1) ×
+            // duration`; count those at or (strictly) before `now`. A
+            // zero-duration run finishes whole at its start, so it takes
+            // one of the first two arms and never reaches the division.
+            let run_end = self.run_start + r.duration * u64::from(r.count);
+            let run_done = if now > run_end || (now == run_end && inclusive) {
+                r.count
+            } else if now <= self.run_start {
+                0
+            } else {
+                let elapsed = (now - self.run_start).as_micros() - u64::from(!inclusive);
+                u32::try_from(elapsed / r.duration.as_micros()).unwrap_or(u32::MAX)
+            }
+            .min(stop);
+            if run_done <= self.done {
                 break;
             }
-            area += u64::from(k.granted) * k.finish.saturating_sub(self.credited).as_micros();
-            self.credited = k.finish;
-            self.cursor += 1;
+            let to = self.run_start + r.duration * u64::from(run_done);
+            area += u64::from(r.granted) * to.saturating_sub(self.credited).as_micros();
+            self.credited = to;
+            self.completed += u64::from(run_done - self.done);
+            if run_done < r.count {
+                self.done = run_done;
+                break;
+            }
+            self.run += 1;
+            self.done = 0;
+            self.run_start = to;
         }
-        let (mut finished, mut busy) = (0, SimTime::ZERO);
-        if self.cursor > from {
+        let finished = self.completed - before;
+        let mut busy = SimTime::ZERO;
+        if finished > 0 {
             // Each finish hands its SMs to its successor, so the pool
             // deltas telescope; the burst is gapless, so its GPU time is
             // one span.
-            let first = self.kernels[from];
-            let last = self.kernels[self.cursor - 1];
-            let next = self.kernels.get(self.cursor).map_or(0, |n| n.granted);
-            *free_sms = *free_sms + first.granted - next;
-            finished = u64::try_from(self.cursor - from).unwrap_or(u64::MAX);
-            busy = last.finish - first.start;
+            let next = self.runs.get(self.run).map_or(0, |r| r.granted);
+            *free_sms = *free_sms + from_granted - next;
+            busy = self.credited - from_start;
         }
-        if let Some(k) = self.kernels.get(self.cursor) {
-            let upto = now.min(self.end());
+        if let Some(r) = self.runs.get(self.run) {
+            let upto = now.min(self.end);
             if sanitizer::active() {
                 let credited = self.credited;
                 sanitizer::check(upto >= credited, "ff-credit-order", || {
                     format!(
                         "{:?}: credited point {credited:?} would move back to {upto:?} (now {now:?}, burst end {:?})",
-                        self.client,
-                        self.end()
+                        self.client, self.end
                     )
                 });
             }
-            area += u64::from(k.granted) * upto.saturating_sub(self.credited).as_micros();
+            area += u64::from(r.granted) * upto.saturating_sub(self.credited).as_micros();
             self.credited = self.credited.max(upto);
         }
         metrics.ff_settled(self.client, area, finished, busy);
@@ -302,7 +392,7 @@ pub struct GpuDevice {
     /// [`Self::ff_sync`]).
     ff: Vec<FfTimeline>,
     /// Recycled timeline buffers (a burst per request makes this hot).
-    ff_pool: Vec<Vec<FfKernel>>,
+    ff_pool: Vec<Vec<FfRun>>,
 }
 
 impl GpuDevice {
@@ -406,8 +496,8 @@ impl GpuDevice {
         let ff = std::mem::take(&mut self.ff);
         for mut tl in ff {
             self.metrics.ff_end(now);
-            tl.kernels.clear();
-            self.ff_pool.push(tl.kernels);
+            tl.runs.clear();
+            self.ff_pool.push(tl.runs);
         }
         let running = std::mem::take(&mut self.running);
         for (_, run) in running {
@@ -722,6 +812,9 @@ impl GpuDevice {
     /// (leaving the device untouched) when the burst is not provably
     /// uncontended: the caller must fall back to per-kernel launches.
     ///
+    /// Consecutive equal descriptions collapse into one run, so the wave
+    /// arithmetic runs once per run of identical kernels.
+    ///
     /// Other timelines are not settled: admission reads only the streams,
     /// the wait queue and the timeline list, which pending boundaries
     /// never change, and in the capped regime the stale `free_sms` still
@@ -734,7 +827,6 @@ impl GpuDevice {
     ) -> Option<SimTime>
     where
         I: IntoIterator<Item = KernelDesc>,
-        I::IntoIter: ExactSizeIterator,
     {
         let idle = self
             .streams
@@ -745,11 +837,14 @@ impl GpuDevice {
             return None;
         }
         let cap = self.mps.sm_cap(client).ok()?;
-        let iter = descs.into_iter();
-        let mut kernels = self.ff_pool.pop().unwrap_or_default();
-        kernels.reserve(iter.len());
-        let mut t = now;
-        for desc in iter {
+        let mut runs = self.ff_pool.pop().unwrap_or_default();
+        for desc in descs {
+            if let Some(run) = runs.last_mut() {
+                if run.desc == desc && run.count < u32::MAX {
+                    run.count += 1;
+                    continue;
+                }
+            }
             // Same wave arithmetic as `start_head`; in the capped regime
             // `free_sms` never binds below `min(cap, blocks)`.
             let granted = cap.min(desc.blocks.max(1));
@@ -760,18 +855,20 @@ impl GpuDevice {
             } else {
                 nominal.scale(self.clock_scale)
             };
-            kernels.push(FfKernel {
+            runs.push(FfRun {
                 desc,
-                start: t,
-                finish: t + duration,
+                count: 1,
                 granted,
+                duration,
             });
-            t += duration;
         }
-        let Some(granted) = kernels.first().map(|k| k.granted) else {
-            self.ff_pool.push(kernels);
+        let Some(granted) = runs.first().map(|r| r.granted) else {
+            self.ff_pool.push(runs);
             return None;
         };
+        let end = runs
+            .iter()
+            .fold(now, |t, r| t + r.duration * u64::from(r.count));
         debug_assert!(self.free_sms >= granted, "capped regime violated");
         self.free_sms -= granted;
         if sanitizer::active() {
@@ -785,11 +882,16 @@ impl GpuDevice {
         self.metrics.ff_begin(now);
         self.ff.push(FfTimeline {
             client,
-            kernels,
-            cursor: 0,
+            runs,
+            start: now,
+            run: 0,
+            done: 0,
             credited: now,
+            run_start: now,
+            end,
+            completed: 0,
         });
-        Some(t)
+        Some(end)
     }
 
     /// Settles every timeline up to `now`, each on its own, applying
@@ -860,7 +962,7 @@ impl GpuDevice {
     pub fn ff_complete(&mut self, now: SimTime, client: ClientId) -> Option<FfDone> {
         let i = self.ff.iter().position(|t| t.client == client)?;
         let mut tl = self.ff.swap_remove(i);
-        let end = tl.end();
+        let end = tl.end;
         debug_assert_eq!(end, now, "burst end mismatch");
         if sanitizer::active() {
             sanitizer::check(end == now, "ff-credit-order", || {
@@ -873,11 +975,11 @@ impl GpuDevice {
             self.sanitize_sm_conservation("ff_complete");
         }
         let done = FfDone {
-            completed: tl.completed(),
+            completed: tl.completed,
             gpu_time: tl.served(),
         };
-        tl.kernels.clear();
-        self.ff_pool.push(tl.kernels);
+        tl.runs.clear();
+        self.ff_pool.push(tl.runs);
         Some(done)
     }
 
@@ -893,15 +995,14 @@ impl GpuDevice {
         let i = self.ff.iter().position(|t| t.client == client)?;
         let mut tl = self.ff.swap_remove(i);
         let k = tl.resident();
+        let started = tl.resident_start();
+        let finish = started + k.duration;
         if sanitizer::active() {
             // Strict-< sync left the mid-flight kernel resident: it must
             // span the break instant, or the reconstruction re-runs (or
             // drops) GPU time.
-            sanitizer::check(k.start <= now && k.finish >= now, "ff-credit-order", || {
-                format!(
-                    "materialized kernel [{:?}, {:?}] does not span break at {now:?}",
-                    k.start, k.finish
-                )
+            sanitizer::check(started <= now && finish >= now, "ff-credit-order", || {
+                format!("materialized kernel [{started:?}, {finish:?}] does not span break at {now:?}")
             });
         }
         self.metrics.ff_materialize(now, k.granted);
@@ -913,31 +1014,35 @@ impl GpuDevice {
                 client,
                 tag: k.desc.tag,
                 granted: k.granted,
-                started: k.start,
+                started,
             },
         ));
         if let Some(stream) = self.stream_mut(client) {
             stream.running = Some(id);
-            for q in &tl.kernels[tl.cursor + 1..] {
-                stream.queued.push_back(q.desc);
+            // The rest of the resident kernel's run, then the later runs.
+            let rest = (k.desc, k.count - tl.done - 1);
+            let later = tl.runs[tl.run + 1..].iter().map(|r| (r.desc, r.count));
+            for (desc, count) in std::iter::once(rest).chain(later) {
+                let count = usize::try_from(count).unwrap_or(usize::MAX);
+                stream.queued.extend(std::iter::repeat(desc).take(count));
             }
         } else {
             debug_assert!(false, "fast-forwarded client {client:?} has no stream");
         }
         let brk = FfBreak {
-            completed: tl.completed(),
+            completed: tl.completed,
             gpu_time: tl.served(),
             resumed: KernelStart {
                 kernel: id,
                 client,
                 tag: k.desc.tag,
                 granted_sms: k.granted,
-                started: k.start,
-                finish_at: k.finish,
+                started,
+                finish_at: finish,
             },
         };
-        tl.kernels.clear();
-        self.ff_pool.push(tl.kernels);
+        tl.runs.clear();
+        self.ff_pool.push(tl.runs);
         Some(brk)
     }
 }
@@ -995,70 +1100,59 @@ impl Snap for Running {
     }
 }
 
-impl Snap for FfKernel {
+impl Snap for FfRun {
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
             desc,
-            start,
-            finish,
+            count,
             granted,
+            duration,
         } = self;
         desc.snap(w);
-        start.snap(w);
-        finish.snap(w);
+        w.u32(*count);
         w.u32(*granted);
+        duration.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let desc = KernelDesc::unsnap(r)?;
-        let start = SimTime::unsnap(r)?;
-        let finish = SimTime::unsnap(r)?;
-        if finish < start {
-            return Err(SnapError::new("ff kernel interval"));
-        }
-        Ok(FfKernel {
-            desc,
-            start,
-            finish,
+        Ok(FfRun {
+            desc: KernelDesc::unsnap(r)?,
+            count: r.u32()?,
             granted: r.u32()?,
+            duration: SimTime::unsnap(r)?,
         })
     }
 }
 
 impl Snap for FfTimeline {
+    /// Encodes the runs and the cursor; the run start, the burst end and
+    /// the completion count are derived again on decode.
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
             client,
-            kernels,
-            cursor,
+            runs,
+            start,
+            run,
+            done,
             credited,
+            run_start: _,
+            end: _,
+            completed: _,
         } = self;
         client.snap(w);
-        kernels.snap(w);
-        cursor.snap(w);
+        runs.snap(w);
+        start.snap(w);
+        run.snap(w);
+        w.u32(*done);
         credited.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let client = ClientId::unsnap(r)?;
-        let kernels: Vec<FfKernel> = Vec::unsnap(r)?;
-        let cursor = usize::unsnap(r)?;
+        let runs = Vec::unsnap(r)?;
+        let start = SimTime::unsnap(r)?;
+        let run = usize::unsnap(r)?;
+        let done = r.u32()?;
         let credited = SimTime::unsnap(r)?;
-        // A live timeline is a gapless burst with a resident kernel whose
-        // interval holds the credited point.
-        if kernels.windows(2).any(|w| w[1].start != w[0].finish) {
-            return Err(SnapError::new("ff timeline gap"));
-        }
-        let Some(k) = kernels.get(cursor) else {
-            return Err(SnapError::new("ff timeline cursor"));
-        };
-        if credited < k.start || credited > k.finish {
-            return Err(SnapError::new("ff credited point"));
-        }
-        Ok(FfTimeline {
-            client,
-            kernels,
-            cursor,
-            credited,
-        })
+        FfTimeline::from_parts(client, runs, start, run, done, credited)
     }
 }
 
@@ -1619,46 +1713,147 @@ mod tests {
         }
     }
 
+    fn ff_run(desc: KernelDesc, count: u32, granted: u32, duration_us: u64) -> FfRun {
+        FfRun {
+            desc,
+            count,
+            granted,
+            duration: SimTime::from_micros(duration_us),
+        }
+    }
+
+    /// Whether a timeline encoded from these raw parts decodes.
+    fn timeline_decodes(runs: &[FfRun], start: u64, run: usize, done: u32, credited: u64) -> bool {
+        let mut w = SnapWriter::new();
+        ClientId(0).snap(&mut w);
+        runs.to_vec().snap(&mut w);
+        SimTime::from_micros(start).snap(&mut w);
+        run.snap(&mut w);
+        w.u32(done);
+        SimTime::from_micros(credited).snap(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        FfTimeline::unsnap(&mut r).is_ok_and(|_| r.expect_done().is_ok())
+    }
+
     #[test]
     fn snapshot_rejects_a_credited_point_outside_the_resident_kernel() {
-        let tl = FfTimeline {
-            client: ClientId(0),
-            kernels: vec![FfKernel {
-                desc: kernel(10, 100),
-                start: SimTime::ZERO,
-                finish: SimTime::from_micros(100),
-                granted: 10,
-            }],
-            cursor: 0,
-            credited: SimTime::from_micros(101),
-        };
-        let decodes = |tl: &FfTimeline| {
-            let mut w = SnapWriter::new();
-            tl.snap(&mut w);
-            let bytes = w.finish();
-            FfTimeline::unsnap(&mut SnapReader::new(&bytes)).is_ok()
-        };
-        assert!(!decodes(&tl));
-        let tl = FfTimeline {
-            credited: SimTime::from_micros(50),
-            ..tl
-        };
-        assert!(decodes(&tl));
-        // The cursor must name a kernel, and the burst must be gapless.
-        let past_end = FfTimeline {
-            cursor: 1,
-            kernels: tl.kernels.clone(),
-            ..tl
-        };
-        assert!(!decodes(&past_end));
-        let mut gap = tl.kernels[0];
-        gap.start = SimTime::from_micros(150);
-        gap.finish = SimTime::from_micros(200);
-        let gapped = FfTimeline {
-            kernels: vec![tl.kernels[0], gap],
-            ..tl
-        };
-        assert!(!decodes(&gapped));
+        // One 100 µs kernel: the credited point must lie in [0, 100].
+        let single = [ff_run(kernel(10, 100), 1, 10, 100)];
+        assert!(!timeline_decodes(&single, 0, 0, 0, 101));
+        assert!(timeline_decodes(&single, 0, 0, 0, 50));
+
+        // Two runs starting at 1000 µs: 3 × 100 µs, then 2 × 40 µs. With
+        // the cursor on the first run's second kernel, the resident kernel
+        // spans [1100, 1200].
+        let max = SimTime::MAX.as_micros();
+        let runs = [ff_run(kernel(10, 100), 3, 10, 100), ff_run(kernel(40, 20), 2, 20, 40)];
+        let cases = [
+            ("resident start", runs.to_vec(), 1000, 0, 1, 1100, true),
+            ("resident finish", runs.to_vec(), 1000, 0, 1, 1200, true),
+            ("second run", runs.to_vec(), 1000, 1, 1, 1340, true),
+            ("credited before the resident kernel", runs.to_vec(), 1000, 0, 1, 1099, false),
+            ("credited after the resident kernel", runs.to_vec(), 1000, 0, 1, 1201, false),
+            ("empty runs", Vec::new(), 1000, 0, 0, 1000, false),
+            (
+                "zero-count run",
+                vec![runs[0], ff_run(kernel(40, 20), 0, 20, 40)],
+                1000,
+                0,
+                0,
+                1000,
+                false,
+            ),
+            ("cursor past the runs", runs.to_vec(), 1000, 2, 0, 1380, false),
+            ("done = count", runs.to_vec(), 1000, 0, 3, 1300, false),
+            ("done > count", runs.to_vec(), 1000, 1, 7, 1340, false),
+            (
+                "run span overflows",
+                vec![ff_run(kernel(1, max / 2), 3, 1, max / 2)],
+                0,
+                0,
+                0,
+                0,
+                false,
+            ),
+            ("burst end overflows", runs.to_vec(), max - 300, 0, 0, max - 300, false),
+        ];
+        for (name, runs, start, run, done, credited, ok) in cases {
+            assert_eq!(timeline_decodes(&runs, start, run, done, credited), ok, "{name}");
+        }
+    }
+
+    #[test]
+    fn timeline_round_trip_derives_the_cursor_state() {
+        let runs = vec![ff_run(kernel(10, 100), 3, 10, 100), ff_run(kernel(40, 20), 2, 20, 40)];
+        let at = |us| SimTime::from_micros(us);
+        let tl = FfTimeline::from_parts(ClientId(3), runs, at(1000), 1, 1, at(1350)).unwrap();
+        assert_eq!((tl.run_start, tl.end, tl.completed), (at(1300), at(1380), 4));
+        assert_eq!(tl.resident_start(), at(1340));
+        assert_eq!(tl.served(), at(340));
+        let mut w = SnapWriter::new();
+        tl.snap(&mut w);
+        let bytes = w.finish();
+        let back = FfTimeline::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.runs, tl.runs);
+        assert_eq!(
+            (back.run, back.done, back.credited, back.run_start, back.end, back.completed),
+            (tl.run, tl.done, tl.credited, tl.run_start, tl.end, tl.completed)
+        );
+    }
+
+    #[test]
+    fn uniform_burst_is_one_run_and_settles_by_division() {
+        // Ten 2-wave kernels on a 10-SM client: one run of 40 µs kernels.
+        let mut gpu = v100();
+        let c = gpu.register_client(12.0).unwrap();
+        let end = gpu
+            .fast_forward_burst(SimTime::ZERO, c, [kernel(20, 20); 10])
+            .unwrap();
+        assert_eq!(end, SimTime::from_micros(400));
+        assert_eq!(gpu.ff[0].runs.len(), 1);
+        // Finishes at 40, 80, 120: strictly before 120 are two.
+        gpu.ff_sync(SimTime::from_micros(120));
+        assert_eq!(gpu.metrics().total_kernels(), 2);
+        gpu.ff_sync_inclusive(SimTime::from_micros(120));
+        assert_eq!(gpu.metrics().total_kernels(), 3);
+        assert_eq!(gpu.metrics().client_busy(c), SimTime::from_micros(120));
+        // A strict sync past the end stops at the last kernel.
+        gpu.ff_sync(SimTime::from_micros(1000));
+        assert_eq!(gpu.metrics().total_kernels(), 9);
+        assert_eq!(gpu.free_sms(), 70);
+        let done = gpu.ff_complete(end, c).unwrap();
+        assert_eq!(done, FfDone { completed: 10, gpu_time: end });
+        assert_eq!(gpu.free_sms(), 80);
+    }
+
+    #[test]
+    fn zero_duration_runs_finish_at_their_start() {
+        let mut gpu = v100();
+        let c = gpu.register_client(12.0).unwrap();
+        let burst = [kernel(10, 0), kernel(10, 0), kernel(10, 50), kernel(4, 0)];
+        let t0 = SimTime::from_micros(10);
+        let end = gpu.fast_forward_burst(t0, c, burst).unwrap();
+        assert_eq!(end, SimTime::from_micros(60));
+        assert_eq!(gpu.ff[0].runs.len(), 3);
+        // At the start instant the zero-duration kernels are pending
+        // under a strict sync and finished under an inclusive one.
+        gpu.ff_sync(t0);
+        assert_eq!(gpu.metrics().total_kernels(), 0);
+        gpu.ff_sync_inclusive(t0);
+        assert_eq!(gpu.metrics().total_kernels(), 2);
+        // The break lands in the 50 µs kernel; the trailing zero-duration
+        // kernel requeues.
+        let brk = gpu.ff_break(SimTime::from_micros(30), c).unwrap();
+        assert_eq!(brk.completed, 2);
+        assert_eq!(brk.gpu_time, SimTime::ZERO);
+        assert_eq!((brk.resumed.started, brk.resumed.finish_at), (t0, end));
+        let (_, started) = gpu.on_kernel_finish(end, brk.resumed.kernel).unwrap();
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].finish_at, end);
+        gpu.on_kernel_finish(end, started[0].kernel).unwrap();
+        assert_eq!(gpu.metrics().total_kernels(), 4);
+        assert_eq!(gpu.free_sms(), 80);
     }
 
     #[test]

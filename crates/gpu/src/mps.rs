@@ -9,7 +9,6 @@
 
 use crate::spec::GpuSpec;
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::BTreeMap;
 
 /// Identifies an MPS client (one function-instance container / pod).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,7 +81,11 @@ struct ClientEntry {
 pub struct MpsServer {
     mode: MpsMode,
     sm_count: u32,
-    clients: BTreeMap<ClientId, ClientEntry>,
+    /// Registered clients in ascending id order, keyed by linear scan: a
+    /// device hosts a handful of clients, and every fast-forward
+    /// admission reads several caps, so a short `Vec` probe beats tree
+    /// traversal (same rationale as the device's stream table).
+    clients: Vec<(ClientId, ClientEntry)>,
     next_id: u32,
 }
 
@@ -92,7 +95,7 @@ impl MpsServer {
         MpsServer {
             mode,
             sm_count: spec.sm_count,
-            clients: BTreeMap::new(),
+            clients: Vec::new(),
             next_id: 0,
         }
     }
@@ -119,22 +122,34 @@ impl MpsServer {
         let id = ClientId(self.next_id);
         self.next_id += 1;
         let sm_cap = self.sm_cap_for(percentage);
-        self.clients.insert(
+        // Ids only grow, so pushing keeps the table in ascending order.
+        self.clients.push((
             id,
             ClientEntry {
                 percentage,
                 sm_cap,
             },
-        );
+        ));
         Ok(id)
+    }
+
+    fn entry(&self, id: ClientId) -> Result<&ClientEntry, MpsError> {
+        self.clients
+            .iter()
+            .find(|(c, _)| *c == id)
+            .map(|(_, e)| e)
+            .ok_or(MpsError::UnknownClient(id))
     }
 
     /// Removes a client.
     pub fn unregister(&mut self, id: ClientId) -> Result<(), MpsError> {
-        self.clients
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(MpsError::UnknownClient(id))
+        let i = self
+            .clients
+            .iter()
+            .position(|(c, _)| *c == id)
+            .ok_or(MpsError::UnknownClient(id))?;
+        self.clients.remove(i);
+        Ok(())
     }
 
     /// Changes a client's active-thread percentage.
@@ -143,9 +158,10 @@ impl MpsServer {
             return Err(MpsError::BadPercentage(percentage));
         }
         let cap = self.sm_cap_for(percentage);
-        let entry = self
+        let (_, entry) = self
             .clients
-            .get_mut(&id)
+            .iter_mut()
+            .find(|(c, _)| *c == id)
             .ok_or(MpsError::UnknownClient(id))?;
         entry.percentage = percentage;
         entry.sm_cap = cap;
@@ -154,23 +170,17 @@ impl MpsServer {
 
     /// The SM cap of a client.
     pub fn sm_cap(&self, id: ClientId) -> Result<u32, MpsError> {
-        self.clients
-            .get(&id)
-            .map(|e| e.sm_cap)
-            .ok_or(MpsError::UnknownClient(id))
+        self.entry(id).map(|e| e.sm_cap)
     }
 
     /// The active-thread percentage of a client.
     pub fn percentage(&self, id: ClientId) -> Result<f64, MpsError> {
-        self.clients
-            .get(&id)
-            .map(|e| e.percentage)
-            .ok_or(MpsError::UnknownClient(id))
+        self.entry(id).map(|e| e.percentage)
     }
 
     /// Whether the client is registered.
     pub fn is_registered(&self, id: ClientId) -> bool {
-        self.clients.contains_key(&id)
+        self.entry(id).is_ok()
     }
 
     /// Number of registered clients.
@@ -180,13 +190,13 @@ impl MpsServer {
 
     /// Ids of all registered clients, in ascending order.
     pub fn client_ids(&self) -> Vec<ClientId> {
-        self.clients.keys().copied().collect()
+        self.clients.iter().map(|(c, _)| *c).collect()
     }
 
     /// Sum of all clients' active-thread percentages; > 100 means the GPU is
     /// spatially over-subscribed.
     pub fn total_percentage(&self) -> f64 {
-        self.clients.values().map(|e| e.percentage).sum()
+        self.clients.iter().map(|(_, e)| e.percentage).sum()
     }
 
     fn sm_cap_for(&self, percentage: f64) -> u32 {
@@ -254,9 +264,13 @@ impl Snap for MpsServer {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mode = MpsMode::unsnap(r)?;
         let sm_count = r.u32()?;
-        let clients: BTreeMap<ClientId, ClientEntry> = BTreeMap::unsnap(r)?;
+        // Lookups assume the ascending id order `register` keeps.
+        let clients: Vec<(ClientId, ClientEntry)> = Vec::unsnap(r)?;
         let next_id = r.u32()?;
-        if clients.keys().any(|c| c.0 >= next_id) {
+        if clients.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SnapError::new("mps client order"));
+        }
+        if clients.iter().any(|(c, _)| c.0 >= next_id) {
             return Err(SnapError::new("mps client id space"));
         }
         Ok(MpsServer {
@@ -342,5 +356,28 @@ mod tests {
         let mut s = MpsServer::new(&GpuSpec::custom("mini", 4, 1 << 30), MpsMode::Shared);
         let a = s.register(1.0).unwrap();
         assert_eq!(s.sm_cap(a).unwrap(), 1);
+    }
+
+    #[test]
+    fn snapshot_keeps_the_table_order_and_rejects_a_broken_one() {
+        let mut s = server(MpsMode::Shared);
+        let ids: Vec<_> = [10.0, 20.0, 30.0].iter().map(|&p| s.register(p).unwrap()).collect();
+        s.unregister(ids[1]).unwrap();
+        let mut w = SnapWriter::new();
+        s.snap(&mut w);
+        let bytes = w.finish();
+        let back = MpsServer::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.client_ids(), vec![ids[0], ids[2]]);
+        assert_eq!(back.sm_cap(ids[2]), s.sm_cap(ids[2]));
+
+        // The same table with its two clients swapped does not decode.
+        let mut w = SnapWriter::new();
+        MpsMode::Shared.snap(&mut w);
+        w.u32(80);
+        let entry = |id: ClientId| back.entry(id).unwrap().clone();
+        vec![(ids[2], entry(ids[2])), (ids[0], entry(ids[0]))].snap(&mut w);
+        w.u32(3);
+        let bytes = w.finish();
+        assert!(MpsServer::unsnap(&mut SnapReader::new(&bytes)).is_err());
     }
 }

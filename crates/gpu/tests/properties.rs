@@ -1,8 +1,133 @@
 //! Property tests for the GPU device model.
 
+use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 use fastg_des::SimTime;
-use fastg_gpu::{GpuDevice, GpuMemory, GpuSpec, KernelDesc, MpsMode};
+use fastg_gpu::{ClientId, GpuDevice, GpuMemory, GpuSpec, KernelDesc, KernelStart, MpsMode};
 use proptest::prelude::*;
+
+/// An exact copy of a device, through its snapshot codec.
+fn copy(dev: &GpuDevice) -> GpuDevice {
+    let mut w = SnapWriter::new();
+    dev.snap(&mut w);
+    let bytes = w.finish();
+    let mut r = SnapReader::new(&bytes);
+    let out = GpuDevice::unsnap(&mut r).expect("a live device decodes");
+    r.expect_done().expect("the encoding is consumed");
+    out
+}
+
+/// The earliest entry of `v` by `key`, with its index.
+fn earliest<T>(v: &[T], key: impl Fn(&T) -> (SimTime, u64)) -> Option<(usize, (SimTime, u64))> {
+    v.iter().map(key).enumerate().min_by_key(|&(_, k)| k)
+}
+
+/// Two devices fed the same bursts: `ff` coalesces each burst into a
+/// fast-forward timeline, `stepped` launches and finishes every kernel.
+struct Twin {
+    ff: GpuDevice,
+    stepped: GpuDevice,
+    clients: Vec<ClientId>,
+    /// Per client: its bursts, each as kernels in stream order, and the
+    /// idle gap between them.
+    bursts: Vec<(Vec<Vec<KernelDesc>>, SimTime)>,
+    /// Pending burst starts: `(at, client, burst)`.
+    starts: Vec<(SimTime, usize, usize)>,
+    /// Pending macro-events of `ff`'s timelines: `(burst end, client)`.
+    macros: Vec<(SimTime, usize)>,
+    ff_pending: Vec<KernelStart>,
+    stepped_pending: Vec<KernelStart>,
+    /// The latest instant delivered.
+    last: SimTime,
+}
+
+impl Twin {
+    /// Delivers every event before `until` (or at it too, when
+    /// `inclusive`) to both devices in time order, finishes before burst
+    /// starts at equal instants.
+    fn advance(&mut self, until: SimTime, inclusive: bool) {
+        let due = |t: SimTime| t < until || (inclusive && t == until);
+        loop {
+            let by_kernel = |s: &KernelStart| (s.finish_at, s.kernel.0);
+            let finishes = [
+                earliest(&self.macros, |&(t, c)| (t, c as u64)),
+                earliest(&self.ff_pending, by_kernel),
+                earliest(&self.stepped_pending, by_kernel),
+            ];
+            let start = earliest(&self.starts, |&(t, c, _)| (t, c as u64));
+            // Kinds 0–2 are finishes, 3 is a burst start.
+            let Some((t, kind, i)) = finishes
+                .iter()
+                .chain([&start])
+                .enumerate()
+                .filter_map(|(kind, e)| e.map(|(i, key)| (key.0, kind, i)))
+                .filter(|&(t, _, _)| due(t))
+                .min()
+            else {
+                return;
+            };
+            self.last = self.last.max(t);
+            match kind {
+                0 => {
+                    let (t, c) = self.macros.swap_remove(i);
+                    self.ff.ff_complete(t, self.clients[c]).expect("live timeline");
+                }
+                1 => {
+                    let s = self.ff_pending.swap_remove(i);
+                    let (_, started) = self.ff.on_kernel_finish(t, s.kernel).unwrap();
+                    self.ff_pending.extend(started);
+                }
+                2 => {
+                    let s = self.stepped_pending.swap_remove(i);
+                    let (_, started) = self.stepped.on_kernel_finish(t, s.kernel).unwrap();
+                    self.stepped_pending.extend(started);
+                }
+                _ => self.start_burst(i),
+            }
+        }
+    }
+
+    /// Starts pending burst `i`: per kernel on `stepped`, coalesced on
+    /// `ff`, and schedules the client's next burst after this one ends.
+    fn start_burst(&mut self, i: usize) {
+        let (t, c, b) = self.starts.swap_remove(i);
+        let client = self.clients[c];
+        let (bursts, gap) = &self.bursts[c];
+        for &d in &bursts[b] {
+            self.stepped_pending.extend(self.stepped.launch(t, client, d).unwrap());
+        }
+        let end = self
+            .ff
+            .fast_forward_burst(t, client, bursts[b].iter().copied())
+            .expect("an idle client in the capped regime coalesces");
+        self.macros.push((end, c));
+        if b + 1 < bursts.len() {
+            self.starts.push((end + *gap, c, b + 1));
+        }
+    }
+
+    /// Compares copies of both devices at `at` (the fast-forwarded one
+    /// synced first, as every read site does): free SMs, completions,
+    /// per-client busy time and a metric sample's bits.
+    fn check(&self, at: SimTime) {
+        let (mut ff, mut stepped) = (copy(&self.ff), copy(&self.stepped));
+        ff.ff_sync(at);
+        assert_same(&mut ff, &mut stepped, &self.clients, at);
+    }
+}
+
+/// Requires equal free SMs, completions, busy times and sample bits.
+fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, clients: &[ClientId], at: SimTime) {
+    assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
+    assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels(), "completions at {at:?}");
+    for &c in clients {
+        assert_eq!(ff.metrics().client_busy(c), stepped.metrics().client_busy(c), "{c:?} busy at {at:?}");
+    }
+    let x = ff.metrics_mut().sample(at);
+    let y = stepped.metrics_mut().sample(at);
+    assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "utilization at {at:?}");
+    assert_eq!(x.sm_occupancy.to_bits(), y.sm_occupancy.to_bits(), "occupancy at {at:?}");
+    assert_eq!(x.kernels_completed, y.kernels_completed, "window completions at {at:?}");
+}
 
 proptest! {
     /// Allocator invariants under arbitrary alloc/free interleavings:
@@ -145,5 +270,117 @@ proptest! {
         if waves > 1 {
             prop_assert!((waves - 1) * start.granted_sms < blocks);
         }
+    }
+}
+
+proptest! {
+    // Each case is a few hundred events on two small devices, so many
+    // cases stay cheap; boundary ties need them to show up.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Run-length timelines against per-kernel stepping. Two or three
+    /// clients in the capped regime (caps of at most 24 SMs each on an
+    /// 80-SM V100) each run one or two bursts of 1–4 runs, with random
+    /// run lengths, single-kernel runs and zero-duration kernels. Syncs,
+    /// inclusive syncs, breaks, completions, samples and snapshot round
+    /// trips interleave, and after every operation free SMs, completions,
+    /// busy times and sample bits must equal per-kernel stepping's.
+    #[test]
+    fn run_length_timelines_match_per_kernel_stepping(
+        clients in prop::collection::vec(
+            (
+                1u32..=30,
+                0u64..150,
+                0u64..60,
+                prop::collection::vec(
+                    prop::collection::vec((0u32..64, 0u64..40, 1u32..6), 1..5),
+                    1..3,
+                ),
+            ),
+            2..4,
+        ),
+        ops in prop::collection::vec((0u64..120, 0u8..6, 0usize..3), 1..40)
+    ) {
+        let spec = GpuSpec::v100();
+        let mut ff = GpuDevice::new(spec.clone(), MpsMode::Shared);
+        let mut stepped = GpuDevice::new(spec, MpsMode::Shared);
+        let mut twin_clients = Vec::new();
+        let mut bursts = Vec::new();
+        let mut starts = Vec::new();
+        for (i, (pct, start, gap, runs)) in clients.iter().enumerate() {
+            let c = ff.register_client(f64::from(*pct)).unwrap();
+            prop_assert_eq!(stepped.register_client(f64::from(*pct)).unwrap(), c);
+            twin_clients.push(c);
+            let expand = |burst: &Vec<(u32, u64, u32)>| -> Vec<KernelDesc> {
+                burst
+                    .iter()
+                    .flat_map(|&(blocks, work, count)| {
+                        let desc = KernelDesc {
+                            blocks,
+                            work_per_block: SimTime::from_micros(work),
+                            tag: i as u64,
+                        };
+                        std::iter::repeat(desc).take(count as usize)
+                    })
+                    .collect()
+            };
+            bursts.push((runs.iter().map(expand).collect(), SimTime::from_micros(*gap)));
+            starts.push((SimTime::from_micros(*start), i, 0));
+        }
+        let mut twin = Twin {
+            ff,
+            stepped,
+            clients: twin_clients,
+            bursts,
+            starts,
+            macros: Vec::new(),
+            ff_pending: Vec::new(),
+            stepped_pending: Vec::new(),
+            last: SimTime::ZERO,
+        };
+        let mut now = SimTime::ZERO;
+        for &(dt, op, c) in &ops {
+            now += SimTime::from_micros(dt);
+            let c = c % twin.clients.len();
+            match op {
+                // Deliver events only: nothing reads the device, so
+                // timelines stay unsettled.
+                0 => twin.advance(now, false),
+                1 => {
+                    twin.advance(now, false);
+                    twin.ff.ff_sync(now);
+                }
+                2 => {
+                    twin.advance(now, true);
+                    twin.ff.ff_sync_inclusive(now);
+                }
+                3 => {
+                    twin.advance(now, false);
+                    let client = twin.clients[c];
+                    if twin.ff.ff_active(client) {
+                        let brk = twin.ff.ff_break(now, client).unwrap();
+                        prop_assert!(brk.resumed.started <= now && now <= brk.resumed.finish_at);
+                        twin.macros.retain(|&(_, m)| m != c);
+                        twin.ff_pending.push(brk.resumed);
+                    }
+                }
+                4 => {
+                    twin.advance(now, false);
+                    twin.ff.ff_sync(now);
+                    assert_same(&mut twin.ff, &mut twin.stepped, &twin.clients, now);
+                }
+                _ => {
+                    twin.advance(now, false);
+                    twin.ff = copy(&twin.ff);
+                }
+            }
+            twin.last = twin.last.max(now);
+            twin.check(now);
+        }
+        twin.advance(SimTime::MAX, true);
+        twin.check(twin.last);
+        prop_assert!(!twin.ff.has_ff());
+        prop_assert_eq!(twin.ff.free_sms(), 80);
+        prop_assert_eq!(twin.ff.resident_kernels(), 0);
     }
 }
