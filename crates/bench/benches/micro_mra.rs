@@ -8,7 +8,7 @@
 
 use criterion::Criterion;
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
-use fastgshare::scheduler::{NodeSelector, PlacementPolicy};
+use fastgshare::scheduler::{NodeSelector, PlacementPolicy, Scheduler};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

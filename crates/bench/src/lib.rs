@@ -5,11 +5,9 @@
 //! representative configuration. The scenario builders live here so the
 //! benches stay declarative.
 
-use fastg_cluster::{NodeId, PodId, ResourceSpec};
 use fastg_des::SimTime;
 use fastg_workload::{patterns, ArrivalProcess};
-use fastgshare::manager::{SchedPolicy, SharingPolicy};
-use fastgshare::scheduler::Scheduler;
+use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{
     FaultPlan, FunctionConfig, OverloadConfig, Platform, PlatformConfig, PlatformError,
     PlatformReport, Scenario,
@@ -301,133 +299,4 @@ pub fn fleet_rates(funcs: usize) -> Vec<(&'static str, f64)> {
             (model, r.clamp(lo, hi))
         })
         .collect()
-}
-
-/// A non-oversubscribed fleet where every function demands the full
-/// (100 % quota × 100 % SM) plane, so placement flows through the
-/// pluggable scheduler instead of the oversubscribe least-loaded scan.
-/// On full-plane demands the paper reference and the guillotine fast
-/// path provably agree — an empty plane is the only feasible host and
-/// both orderings reduce to "lowest empty node id" — so whole-run
-/// canonical reports must match byte for byte across `sched` values.
-pub fn parity_fleet(nodes: usize, seed: u64, sched: SchedPolicy) -> Platform {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(nodes)
-            .policy(SharingPolicy::FaST)
-            .scheduler(sched)
-            .window(SimTime::from_secs(1))
-            .sample_interval(SimTime::from_secs(2))
-            .event_capacity(nodes * 4)
-            .seed(seed),
-    );
-    for (i, (model, rate)) in fleet_rates(nodes).iter().enumerate() {
-        let f = p
-            .deploy(
-                FunctionConfig::new(&format!("fleet-{i:04}"), model)
-                    .replicas(1)
-                    .resources(100.0, 1.0, 1.0),
-            )
-            // Bench fixture constructor; a failed deploy is a bug in
-            // the fixture itself. fastg-lint: allow(no-panic-in-lib)
-            .expect("parity fleet function deploys");
-        p.set_load(f, ArrivalProcess::constant(*rate));
-    }
-    p
-}
-
-// ----- scheduler churn storms ---------------------------------------
-
-/// The churn pod menu: `(SM %, quota)` shapes spanning small slivers to
-/// near-full planes, so storms exercise every size class of the arena's
-/// free-capacity index.
-pub const CHURN_SHAPES: [(f64, f64); 6] = [
-    (50.0, 0.6),
-    (24.0, 0.4),
-    (12.0, 0.4),
-    (6.0, 0.2),
-    (25.0, 0.5),
-    (95.0, 0.95),
-];
-
-/// The `i`-th storm pod's resource spec (menu round-robin).
-pub fn churn_spec(i: u64) -> ResourceSpec {
-    let (sm, q) = CHURN_SHAPES[usize::try_from(i).unwrap_or(0) % CHURN_SHAPES.len()];
-    ResourceSpec::new(sm, q, q, 0)
-}
-
-/// Outcome of one churn storm, for cross-allocator comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnOutcome {
-    /// Successful placements (select + bind).
-    pub placements: u64,
-    /// Releases performed.
-    pub releases: u64,
-    /// Demands no node could host.
-    pub rejects: u64,
-    /// Bound area across the cluster at storm end.
-    pub used_area: u64,
-    /// GPUs hosting at least one pod at storm end.
-    pub gpus_in_use: usize,
-    /// Per-node fit probes the selector performed.
-    pub probes: u64,
-    /// Placements that took the exact maximal-rects fallback.
-    pub fallbacks: u64,
-}
-
-/// Drives `sched` through a deterministic place/release storm over
-/// `nodes` fresh GPUs: `ops` operations, ~45 % of them releases of a
-/// pseudo-randomly chosen live pod (xorshift64, seed-keyed — never
-/// wall-clock), the rest placements off the [`CHURN_SHAPES`] menu.
-/// Live-pod count is capped at 3 × nodes (~60 % mean occupancy), so the
-/// storm measures steady-state placement churn, not the degenerate
-/// full-cluster reject scan. The op sequence depends only on
-/// `(ops, seed)` and the live-pod count, so allocators processing the
-/// same demands see comparable work.
-pub fn churn_storm(sched: &mut dyn Scheduler, nodes: usize, ops: u64, seed: u64) -> ChurnOutcome {
-    for i in 0..nodes {
-        sched.add_gpu(NodeId(u32::try_from(i).unwrap_or(u32::MAX)));
-    }
-    let max_live = nodes * 3;
-    let mut rng = seed | 1;
-    let mut live: Vec<(NodeId, PodId)> = Vec::new();
-    let mut next_pod = 0u64;
-    let mut out = ChurnOutcome {
-        placements: 0,
-        releases: 0,
-        rejects: 0,
-        used_area: 0,
-        gpus_in_use: 0,
-        probes: 0,
-        fallbacks: 0,
-    };
-    for _ in 0..ops {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        if !live.is_empty() && (rng % 100 < 45 || live.len() >= max_live) {
-            let len = u64::try_from(live.len()).unwrap_or(1);
-            let at = usize::try_from((rng / 100) % len).unwrap_or(0);
-            let (node, pod) = live.swap_remove(at);
-            sched.release(node, pod);
-            out.releases += 1;
-        } else {
-            let spec = churn_spec(next_pod);
-            let pod = PodId(next_pod);
-            next_pod += 1;
-            match sched.select_node(&spec, &mut |_| true) {
-                Some(node) if sched.bind(node, pod, &spec).is_some() => {
-                    live.push((node, pod));
-                    out.placements += 1;
-                }
-                _ => out.rejects += 1,
-            }
-        }
-    }
-    out.used_area = sched.total_used_area();
-    out.gpus_in_use = sched.gpus_in_use();
-    let stats = sched.stats();
-    out.probes = stats.probes;
-    out.fallbacks = stats.exact_fallbacks;
-    out
 }

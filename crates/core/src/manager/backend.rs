@@ -146,35 +146,9 @@ pub struct PodQuotaState {
     pub holds_token: bool,
 }
 
-/// Token-dispatch priority class, the temporal half of Tally-style
-/// priority co-location: latency-critical pods outrank best-effort pods
-/// in every dispatch pass, so BE kernels only absorb SM budget LC pods
-/// left idle. The default is latency-critical, which leaves the paper's
-/// dispatch order untouched (every rank equal ⇒ the original Q_miss/FIFO
-/// comparison decides).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum PodClass {
-    /// Strict-priority tier: dispatched first, in paper order.
-    #[default]
-    LatencyCritical,
-    /// Opportunistic tier: dispatched only after every ready LC pod.
-    BestEffort,
-}
-
-impl PodClass {
-    /// Sort rank (lower dispatches first).
-    fn rank(self) -> u8 {
-        match self {
-            PodClass::LatencyCritical => 0,
-            PodClass::BestEffort => 1,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct PodEntry {
     spec: ResourceSpec,
-    class: PodClass,
     q_used: SimTime,
     lease: Option<Lease>,
     waiting: bool,
@@ -311,7 +285,7 @@ pub struct FastBackend {
     tokens_dispatched: u64,
     /// The dispatch pass's ready list, reused across passes: a recycling
     /// buffer with no content between passes, so it is not snapshotted.
-    ready: Vec<(u8, i128, SimTime, PodId)>,
+    ready: Vec<(i128, SimTime, PodId)>,
 }
 
 impl FastBackend {
@@ -339,21 +313,13 @@ impl FastBackend {
     }
 
     /// Registers a pod's resource configuration in the backend table (the
-    /// FaSTPod controller does this when the pod starts). The pod joins
-    /// the latency-critical class, i.e. paper dispatch semantics.
+    /// FaSTPod controller does this when the pod starts).
     pub fn register(&mut self, pod: PodId, spec: ResourceSpec) {
-        self.register_class(pod, spec, PodClass::LatencyCritical);
-    }
-
-    /// Registers a pod with an explicit dispatch class (the co-location
-    /// policy marks elastic pods best-effort).
-    pub fn register_class(&mut self, pod: PodId, spec: ResourceSpec, class: PodClass) {
         spec.validate();
         let fresh = self.pods.insert(
             pod,
             PodEntry {
                 spec,
-                class,
                 q_used: SimTime::ZERO,
                 lease: None,
                 waiting: false,
@@ -364,11 +330,6 @@ impl FastBackend {
             },
         );
         debug_assert!(fresh, "pod {pod:?} registered twice");
-    }
-
-    /// A pod's dispatch class, if registered.
-    pub fn class_of(&self, pod: PodId) -> Option<PodClass> {
-        self.pods.get(pod).map(|e| e.class)
     }
 
     /// Updates a pod's resource configuration (FaSTPod spec sync). Takes
@@ -626,24 +587,22 @@ impl FastBackend {
                         None => true,
                     }
                 })
-                .map(|(id, e)| (e.class.rank(), e.q_miss(window), e.waiting_since, id)),
+                .map(|(id, e)| (e.q_miss(window), e.waiting_since, id)),
         );
-        // Priority: the co-location class rank first (LC strictly before
-        // BE; all-LC tables degenerate to the paper's order), then
-        // descending Q_miss (largest timing gap first, the paper's rule)
-        // or plain FIFO for the ablation; PodId breaks remaining ties
-        // deterministically.
+        // Priority: descending Q_miss (largest timing gap first, the
+        // paper's rule) or plain FIFO for the ablation; PodId breaks
+        // remaining ties deterministically.
         match self.cfg.dispatch_order {
             DispatchOrder::QMissDesc => {
-                ready.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)).then(a.3.cmp(&b.3)));
+                ready.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)));
             }
             DispatchOrder::Fifo => {
-                ready.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)).then(a.3.cmp(&b.3)));
+                ready.sort_by(|a, b| a.1.cmp(&b.1).then(a.2.cmp(&b.2)));
             }
         }
 
         let mut grants = Vec::new();
-        for &(_class, _miss, _since, pod) in &ready {
+        for &(_miss, _since, pod) in &ready {
             // The ready list was snapshotted from the table above, so the
             // row exists — but stay panic-free and skip if it is gone.
             let Some(entry) = self.pods.get(pod) else {
@@ -801,19 +760,6 @@ impl Snap for BackendConfig {
     }
 }
 
-impl Snap for PodClass {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(self.rank());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => PodClass::LatencyCritical,
-            1 => PodClass::BestEffort,
-            _ => return Err(SnapError::new("pod class tag")),
-        })
-    }
-}
-
 impl Snap for Lease {
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
@@ -838,7 +784,6 @@ impl Snap for PodEntry {
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
             spec,
-            class,
             q_used,
             lease,
             waiting,
@@ -848,7 +793,6 @@ impl Snap for PodEntry {
             estimator,
         } = self;
         spec.snap(w);
-        class.snap(w);
         q_used.snap(w);
         lease.snap(w);
         waiting.snap(w);
@@ -860,7 +804,6 @@ impl Snap for PodEntry {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let entry = PodEntry {
             spec: ResourceSpec::unsnap(r)?,
-            class: PodClass::unsnap(r)?,
             q_used: SimTime::unsnap(r)?,
             lease: Option::unsnap(r)?,
             waiting: bool::unsnap(r)?,
@@ -1025,28 +968,6 @@ mod tests {
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].pod, PodId(2));
         assert_eq!(b.waiting(), 1); // pod 1 still queued behind
-    }
-
-    #[test]
-    fn class_rank_outranks_q_miss() {
-        let mut b = fast_backend(5);
-        // One holder plus two waiters: a best-effort pod with a huge
-        // timing gap and a latency-critical pod with a small one. The LC
-        // pod must win the next token despite losing on Q_miss.
-        b.register(PodId(0), spec(60.0, 0.5, 1.0));
-        b.register_class(PodId(1), spec(60.0, 0.8, 1.0), PodClass::BestEffort);
-        b.register_class(PodId(2), spec(60.0, 0.2, 1.0), PodClass::LatencyCritical);
-        assert_eq!(b.class_of(PodId(1)), Some(PodClass::BestEffort));
-        assert_eq!(b.class_of(PodId(0)), Some(PodClass::LatencyCritical));
-        assert!(matches!(
-            req(&mut b, SimTime::ZERO, PodId(0)),
-            RequestOutcome::Granted(_)
-        ));
-        assert_eq!(req(&mut b, SimTime::ZERO, PodId(1)), RequestOutcome::Queued);
-        assert_eq!(req(&mut b, SimTime::ZERO, PodId(2)), RequestOutcome::Queued);
-        let grants = b.release_idle(t(1), PodId(0));
-        assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].pod, PodId(2), "LC dispatches before BE");
     }
 
     #[test]

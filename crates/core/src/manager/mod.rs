@@ -31,8 +31,8 @@ mod estimator;
 mod policy;
 
 pub use backend::{
-    BackendConfig, BackendError, DispatchOrder, FastBackend, Grant, PodClass, PodQuotaState,
-    RequestOutcome, SyncOutcome,
+    BackendConfig, BackendError, DispatchOrder, FastBackend, Grant, PodQuotaState, RequestOutcome,
+    SyncOutcome,
 };
 pub use estimator::BurstEstimator;
 pub use policy::{SchedPolicy, SharingPolicy};

@@ -60,58 +60,13 @@ impl std::fmt::Display for SharingPolicy {
     }
 }
 
-/// Which placement engine drives node selection and rectangle packing —
-/// the scheduler arena's policy axis, orthogonal to [`SharingPolicy`]
-/// (which governs the *per-GPU* token/partition mechanism).
+/// Which placement engine drives node selection and rectangle packing.
+/// The paper's Algorithm 2 is the only one; the type stays so configs can
+/// name it explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SchedPolicy {
-    /// The paper's Algorithm 1/2 over the maximal-rects reference
-    /// allocator (`GpuRects`) — the digest-pinned default.
+    /// The paper's Algorithm 1/2 over maximal rectangles (`GpuRects`).
     Paper,
-    /// The same best-area-fit intent over the guillotine free-list
-    /// allocator with a bucketed free-capacity node index: O(log)-ish
-    /// placement under churn.
-    FastPath,
-    /// ParvaGPU-style demand matching: demands are quantized up to MIG
-    /// compute-slice percents (SM axis) and MPS 5 % quota segments
-    /// (quota axis), then matched tightest-class-first.
-    DemandMatch,
-    /// Tally-style priority co-location: latency-critical pods (no
-    /// elastic quota headroom) spread to the least-loaded GPU; best-effort
-    /// pods pack onto the busiest.
-    PriorityColocate,
-}
-
-impl SchedPolicy {
-    /// Whether this policy runs on the guillotine arena (everything but
-    /// the digest-pinned paper reference).
-    pub fn uses_arena(self) -> bool {
-        !matches!(self, SchedPolicy::Paper)
-    }
-
-    /// Parses the `FASTG_SCHED` environment value. Unknown values fall
-    /// back to the paper reference so a typo can never silently change
-    /// digests to a non-pinned family.
-    pub fn from_env_value(value: &str) -> Self {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "fast" | "fastpath" | "guillotine" => SchedPolicy::FastPath,
-            "demand" | "demand-match" | "parvagpu" => SchedPolicy::DemandMatch,
-            "priority" | "colocate" | "tally" => SchedPolicy::PriorityColocate,
-            _ => SchedPolicy::Paper,
-        }
-    }
-}
-
-impl std::fmt::Display for SchedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SchedPolicy::Paper => "paper-algo1",
-            SchedPolicy::FastPath => "fast-path",
-            SchedPolicy::DemandMatch => "demand-match",
-            SchedPolicy::PriorityColocate => "priority-colocate",
-        };
-        f.write_str(s)
-    }
 }
 
 impl Snap for SharingPolicy {
@@ -130,26 +85,6 @@ impl Snap for SharingPolicy {
             2 => SharingPolicy::Racing,
             3 => SharingPolicy::FaST,
             _ => return Err(SnapError::new("sharing policy tag")),
-        })
-    }
-}
-
-impl Snap for SchedPolicy {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            SchedPolicy::Paper => 0,
-            SchedPolicy::FastPath => 1,
-            SchedPolicy::DemandMatch => 2,
-            SchedPolicy::PriorityColocate => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SchedPolicy::Paper,
-            1 => SchedPolicy::FastPath,
-            2 => SchedPolicy::DemandMatch,
-            3 => SchedPolicy::PriorityColocate,
-            _ => return Err(SnapError::new("sched policy tag")),
         })
     }
 }
@@ -181,27 +116,5 @@ mod tests {
     fn display_names() {
         assert_eq!(SharingPolicy::FaST.to_string(), "fast-gshare");
         assert_eq!(SharingPolicy::SingleToken.to_string(), "time-sharing");
-    }
-
-    #[test]
-    fn sched_policy_env_parsing_defaults_to_paper() {
-        assert_eq!(SchedPolicy::from_env_value("fast"), SchedPolicy::FastPath);
-        assert_eq!(
-            SchedPolicy::from_env_value(" Guillotine "),
-            SchedPolicy::FastPath
-        );
-        assert_eq!(
-            SchedPolicy::from_env_value("demand"),
-            SchedPolicy::DemandMatch
-        );
-        assert_eq!(
-            SchedPolicy::from_env_value("tally"),
-            SchedPolicy::PriorityColocate
-        );
-        assert_eq!(SchedPolicy::from_env_value("paper"), SchedPolicy::Paper);
-        assert_eq!(SchedPolicy::from_env_value("bogus"), SchedPolicy::Paper);
-        assert!(!SchedPolicy::Paper.uses_arena());
-        assert!(SchedPolicy::FastPath.uses_arena());
-        assert_eq!(SchedPolicy::DemandMatch.to_string(), "demand-match");
     }
 }

@@ -85,10 +85,6 @@ pub struct PlatformConfig {
     /// construction) or [`Self::fastforward`] disables it for A/B parity
     /// checks.
     pub fastforward: bool,
-    /// Pre-reserves the event-queue heap for this many events at platform
-    /// construction (`None` keeps organic growth). Fleet benches set it to
-    /// skip the doubling reallocations of a 1k-node warm-up.
-    pub event_capacity: Option<usize>,
     /// Same-instant event ordering policy ([`TieBreak::Fifo`] by
     /// default). `Lifo` and `SeededShuffle` are deterministic adversarial
     /// permutations used by the race detector to prove handler outcomes
@@ -102,13 +98,6 @@ pub struct PlatformConfig {
     /// by default (it allocates per event); the race detector turns it on
     /// to delta-debug a digest divergence to the first differing event.
     pub trace_events: bool,
-    /// Which placement engine drives node selection and rectangle
-    /// packing. [`SchedPolicy::Paper`] (the default) is the digest-pinned
-    /// maximal-rects reference; the other policies run on the guillotine
-    /// scheduler arena. Overridable via the `FASTG_SCHED` environment
-    /// variable (`paper`, `fast`, `demand`, `priority`; read once, at
-    /// config construction) or [`Self::scheduler`].
-    pub sched: SchedPolicy,
 }
 
 impl Default for PlatformConfig {
@@ -137,15 +126,12 @@ impl Default for PlatformConfig {
             retry_budget: None,
             overload: None,
             fastforward: std::env::var("FASTG_FASTFORWARD").map_or(true, |v| v != "0"),
-            event_capacity: None,
             tiebreak: std::env::var("FASTG_TIEBREAK")
                 .ok()
                 .as_deref()
                 .and_then(TieBreak::parse)
                 .unwrap_or(TieBreak::Fifo),
             trace_events: false,
-            sched: std::env::var("FASTG_SCHED")
-                .map_or(SchedPolicy::Paper, |v| SchedPolicy::from_env_value(&v)),
         }
     }
 }
@@ -320,16 +306,9 @@ impl PlatformConfig {
         self
     }
 
-    /// Pre-reserves the event-queue heap for `n` events.
-    pub fn event_capacity(mut self, n: usize) -> Self {
-        self.event_capacity = Some(n);
-        self
-    }
-
-    /// Selects the placement engine (overrides the `FASTG_SCHED`
-    /// environment default).
-    pub fn scheduler(mut self, sched: SchedPolicy) -> Self {
-        self.sched = sched;
+    /// Selects the placement engine. [`SchedPolicy::Paper`] is the only
+    /// one, so this changes nothing; it stays for configs that name it.
+    pub fn scheduler(self, _sched: SchedPolicy) -> Self {
         self
     }
 
@@ -374,10 +353,8 @@ impl Snap for PlatformConfig {
             retry_budget,
             overload,
             fastforward,
-            event_capacity,
             tiebreak,
             trace_events,
-            sched,
         } = self;
         gpu.snap(w);
         w.len_prefix(*node_count);
@@ -402,10 +379,8 @@ impl Snap for PlatformConfig {
         retry_budget.snap(w);
         overload.snap(w);
         fastforward.snap(w);
-        event_capacity.snap(w);
         tiebreak.snap(w);
         trace_events.snap(w);
-        sched.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let gpu = GpuSpec::unsnap(r)?;
@@ -450,10 +425,8 @@ impl Snap for PlatformConfig {
             retry_budget: Option::unsnap(r)?,
             overload: Option::unsnap(r)?,
             fastforward: bool::unsnap(r)?,
-            event_capacity: Option::unsnap(r)?,
             tiebreak: TieBreak::unsnap(r)?,
             trace_events: bool::unsnap(r)?,
-            sched: SchedPolicy::unsnap(r)?,
         })
     }
 }

@@ -1,9 +1,6 @@
 //! The platform engine: the event loop wiring every component together.
 
-use crate::manager::{
-    BackendConfig, BurstEstimator, FastBackend, PodClass, RequestOutcome, SchedPolicy,
-    SharingPolicy,
-};
+use crate::manager::{BackendConfig, BurstEstimator, FastBackend, RequestOutcome, SharingPolicy};
 use crate::modelshare::{footprint, ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
 use crate::platform::checkpoint::Snapshot;
 use crate::platform::config::{FunctionConfig, PlatformConfig};
@@ -15,8 +12,8 @@ use crate::platform::overload::{
 use crate::platform::report::{FunctionReport, NodeReport, PlatformReport};
 use crate::profiler::ProfileDb;
 use crate::scheduler::{
-    heuristic_scale, ArenaScheduler, ConfigPoint, NodeSelector, PlacementPolicy, RunningPod,
-    ScaleAction, SchedStats, Scheduler,
+    heuristic_scale, ConfigPoint, NodeSelector, PlacementPolicy, RunningPod, ScaleAction,
+    SchedStats, Scheduler,
 };
 use fastg_cluster::{
     Cluster, FuncId, FaSTFuncSpec, Gateway, NodeId, NodeState, PodId, PodState, Request,
@@ -184,11 +181,8 @@ pub struct Engine {
     gateway: Gateway,
     backends: IdArena<NodeId, FastBackend>,
     stores: IdArena<NodeId, ModelStorageServer>,
-    /// The placement engine behind the pluggable [`Scheduler`] trait:
-    /// the paper's maximal-rects reference ([`NodeSelector`]) or a
-    /// guillotine-arena policy ([`ArenaScheduler`]), per
-    /// [`PlatformConfig::sched`].
-    selector: Box<dyn Scheduler>,
+    /// The paper's Algorithm 2 placement engine.
+    selector: NodeSelector,
     funcs: IdArena<FuncId, FuncRt>,
     pods: IdArena<PodId, PodRt>,
     autoscale_db: Option<ProfileDb>,
@@ -239,22 +233,16 @@ fn intern_profile(
     profile
 }
 
-/// Builds the placement engine a config selects. Factored out of
-/// [`Engine::new`] because snapshot restore must reconstruct the same
-/// engine before handing it its captured state: policy identity is
-/// config, not snapshot payload (see [`Scheduler::snap_state`]).
-fn make_selector(cfg: &PlatformConfig) -> Box<dyn Scheduler> {
-    let time_sharing = matches!(cfg.policy, SharingPolicy::SingleToken);
-    if cfg.sched.uses_arena() {
-        Box::new(ArenaScheduler::new(cfg.sched, time_sharing))
+/// Builds the placement engine for a config: time sharing widens every
+/// pod to the full SM axis. Factored out of [`Engine::new`] because
+/// snapshot restore must rebuild the same engine before handing it its
+/// captured state: the placement policy is config, not snapshot payload.
+fn make_selector(cfg: &PlatformConfig) -> NodeSelector {
+    NodeSelector::new(if matches!(cfg.policy, SharingPolicy::SingleToken) {
+        PlacementPolicy::TimeSharingOnly
     } else {
-        let placement = if time_sharing {
-            PlacementPolicy::TimeSharingOnly
-        } else {
-            PlacementPolicy::MaximalRectangles
-        };
-        Box::new(NodeSelector::new(placement))
-    }
+        PlacementPolicy::MaximalRectangles
+    })
 }
 
 impl Engine {
@@ -453,18 +441,9 @@ impl Engine {
                 .unwrap_or(false)
         };
 
-        // Backend table row (the FaSTPod controller's spec sync). Under
-        // the priority co-location policy, pods that burst past their
-        // request (quota_request < quota_limit) run as best-effort.
-        let class = if self.cfg.sched == SchedPolicy::PriorityColocate
-            && resources.quota_request < resources.quota_limit - 1e-9
-        {
-            PodClass::BestEffort
-        } else {
-            PodClass::LatencyCritical
-        };
+        // Backend table row (the FaSTPod controller's spec sync).
         if let Some(backend) = self.backends.get_mut(node) {
-            backend.register_class(pod, resources, class);
+            backend.register(pod, resources);
         } else {
             debug_assert!(false, "backend per node");
         }
@@ -1941,9 +1920,6 @@ impl Platform {
             if let Some(o) = &world.cfg.overload {
                 queue.schedule(o.breaker_window, Event::BreakerTick);
             }
-            if let Some(cap) = world.cfg.event_capacity {
-                queue.reserve(cap);
-            }
         }
         Platform { sim }
     }
@@ -2202,13 +2178,7 @@ impl Platform {
         self.sim.world().selector.gpus_in_use()
     }
 
-    /// Name of the active placement policy (e.g. `"paper-algo1"`,
-    /// `"fast-path"`).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sim.world().selector.name()
-    }
-
-    /// Lifetime placement counters of the active scheduler.
+    /// Lifetime placement counters of the scheduler.
     pub fn scheduler_stats(&self) -> SchedStats {
         self.sim.world().selector.stats()
     }
@@ -2544,8 +2514,8 @@ impl Engine {
     }
 
     /// Rebuilds an engine from [`Self::snap_state`] output. The scheduler
-    /// is reconstructed from the decoded config (policy identity is not
-    /// part of the payload) and then handed its captured planes.
+    /// is reconstructed from the decoded config (its placement policy is
+    /// not part of the payload) and then handed its captured planes.
     fn unsnap_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
         let cluster = Cluster::unsnap(r)?;
@@ -2634,15 +2604,12 @@ impl Platform {
         let engine = Engine::unsnap_state(&mut r)?;
         let mut sim = Simulation::new(engine);
         {
-            let (world, queue, _) = sim.parts_mut();
+            let (_, queue, _) = sim.parts_mut();
             // The classifier is a function pointer (not serializable);
             // reinstall it before the queue refills. The tie-break policy
             // and sequence counter come from the snapshot itself.
             queue.set_classifier(|e: &Event| e.class());
             queue.restore_state(&mut r)?;
-            if let Some(cap) = world.cfg.event_capacity {
-                queue.reserve(cap);
-            }
         }
         r.expect_done()?;
         sim.restore_clock(now, handled);

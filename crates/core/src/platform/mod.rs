@@ -23,7 +23,6 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod overload;
-pub mod policy_compare;
 pub mod report;
 pub mod sweep;
 
@@ -33,9 +32,6 @@ pub use fastg_des::TieBreak;
 pub use engine::Platform;
 pub use error::PlatformError;
 pub use overload::{BreakerState, CircuitBreaker, OverloadConfig};
-pub use policy_compare::{
-    run_policy_cell, run_policy_grid, standard_grid, CompareReport, CompareScenario, PolicyCell,
-};
 pub use sweep::{
     run_sweep, run_sweep_stats, run_sweep_unshared, Scenario, SweepStats, TreatmentAction,
 };

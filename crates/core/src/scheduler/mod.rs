@@ -17,28 +17,19 @@
 //!   policy.
 //!
 //! [`node_select::NodeSelector`] lifts Algorithm 2 across all GPUs of the
-//! cluster (plus a memory-capacity filter), and also provides the
-//! comparison placers used in the evaluation: the KubeShare-style
-//! time-sharing placement (every pod needs 100 % of the SMs, so packing is
-//! quota-only) and a first-fit baseline for the fragmentation ablation.
-//!
-//! The **scheduler arena** generalizes that reference path for fleet
-//! scale: [`guillotine::GuillotineAlloc`] is a disjoint free-list
-//! allocator with size-bucketed pieces and generation-stamped slab
-//! handles (O(log)-ish place/release, exact-feasibility fallback), and
-//! [`arena::ArenaScheduler`] drives it behind the pluggable
-//! [`arena::Scheduler`] trait with an incremental free-capacity class
-//! index over the node slab — plus the ParvaGPU-style demand-matching
-//! and Tally-style priority co-location comparison policies.
+//! cluster (plus a memory-capacity filter) and is the platform's only
+//! placement engine. Placement is split-phase ([`Scheduler`]):
+//! `select_node` picks a GPU without mutating state, then `bind` reserves
+//! the rectangle once the engine has created the pod. The selector also
+//! provides the comparison placers used in the evaluation: the
+//! KubeShare-style time-sharing placement (every pod needs 100 % of the
+//! SMs, so packing is quota-only) and a first-fit baseline for the
+//! fragmentation ablation.
 
-pub mod arena;
-pub mod guillotine;
 pub mod node_select;
 pub mod rects;
 pub mod scaling;
 
-pub use arena::{ArenaScheduler, SchedStats, Scheduler};
-pub use guillotine::{AllocId, GuillotineAlloc};
-pub use node_select::{NodeSelector, PlacementPolicy};
+pub use node_select::{NodeSelector, PlacementPolicy, SchedStats, Scheduler};
 pub use rects::{FitRule, GpuRects, Rect};
 pub use scaling::{heuristic_scale, ConfigPoint, RunningPod, ScaleAction};

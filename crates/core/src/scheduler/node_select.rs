@@ -1,11 +1,52 @@
 //! Node selection: lifting Algorithm 2 across every GPU in the cluster.
 
-use super::arena::SchedStats;
 use super::rects::{GpuRects, Rect};
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::IdArena;
 use std::cell::Cell;
+
+/// Placement counters, reported per run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Successful rectangle bindings.
+    pub placements: u64,
+    /// Rectangle releases.
+    pub releases: u64,
+    /// Selections that found no feasible node ("a new GPU required").
+    pub rejects: u64,
+    /// Per-node fit probes performed during selection.
+    pub probes: u64,
+    /// Placements that needed an exact-feasibility fallback. Maximal
+    /// rectangles are exact by construction, so this is always zero.
+    pub exact_fallbacks: u64,
+}
+
+/// The placement contract, split-phase by design: `select_node` is
+/// read-only so the engine can create the pod and learn its id before
+/// `bind` mutates rectangle state, and `mem_fits` keeps device-memory
+/// feasibility the engine's knowledge, not the scheduler's. Identical
+/// call sequences yield identical decisions.
+pub trait Scheduler: std::fmt::Debug + Send {
+    /// Registers a node's GPU (one per node).
+    fn add_gpu(&mut self, node: NodeId);
+
+    /// Picks the target node for a demand without mutating state, or
+    /// `None` when every GPU is too full ("a new GPU required").
+    fn select_node(
+        &self,
+        spec: &ResourceSpec,
+        mem_fits: &mut dyn FnMut(NodeId) -> bool,
+    ) -> Option<NodeId>;
+
+    /// Binds `pod` on a specific node (chosen by `select_node`). Returns
+    /// `None` if that GPU cannot fit the demand after all.
+    fn bind(&mut self, node: NodeId, pod: PodId, spec: &ResourceSpec) -> Option<Rect>;
+
+    /// Releases a pod's rectangle on `node` (keep-restructure policy
+    /// applies inside [`GpuRects::release`]).
+    fn release(&mut self, node: NodeId, pod: PodId) -> Option<Rect>;
+}
 
 /// How pods are bound to GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +63,7 @@ pub enum PlacementPolicy {
     TimeSharingOnly,
 }
 
-/// The multi-GPU placement engine (the paper's reference implementation;
-/// the guillotine arena in [`super::arena`] is the fleet-scale path).
+/// The multi-GPU placement engine: FaST-Scheduler's node selection.
 #[derive(Debug)]
 pub struct NodeSelector {
     policy: PlacementPolicy,
@@ -48,11 +88,6 @@ impl NodeSelector {
             probes: Cell::new(0),
             rejects: Cell::new(0),
         }
-    }
-
-    /// Registers a GPU (one per node).
-    pub fn add_gpu(&mut self, node: NodeId) {
-        self.gpus.insert(node, GpuRects::standard());
     }
 
     /// Removes a node's GPU from the placement pool (node crash): all its
@@ -93,19 +128,84 @@ impl NodeSelector {
         &mut self,
         pod: PodId,
         spec: &ResourceSpec,
-        mem_fits: impl FnMut(NodeId) -> bool,
+        mut mem_fits: impl FnMut(NodeId) -> bool,
     ) -> Option<(NodeId, Rect)> {
-        let node = self.select_node(spec, mem_fits)?;
+        let node = self.select_node(spec, &mut mem_fits)?;
         let rect = self.bind(node, pod, spec)?;
         Some((node, rect))
     }
 
-    /// Phase 1 of placement: picks the target GPU without mutating state
-    /// (so the caller can create the pod and obtain its id first).
-    pub fn select_node(
+    /// Per-GPU state, for reports and tests.
+    pub fn gpu(&self, node: NodeId) -> Option<&GpuRects> {
+        self.gpus.get(node)
+    }
+
+    /// Number of GPUs hosting at least one pod.
+    pub fn gpus_in_use(&self) -> usize {
+        self.gpus.values().filter(|g| g.pod_count() > 0).count()
+    }
+
+    /// Total bound area across all GPUs.
+    pub fn total_used_area(&self) -> u64 {
+        self.gpus.values().map(|g| g.used_area()).sum()
+    }
+
+    /// Mean fragmentation across GPUs that have free space.
+    pub fn mean_fragmentation(&self) -> f64 {
+        let frags: Vec<f64> = self
+            .gpus
+            .values()
+            .filter(|g| g.free_area() > 0)
+            .map(|g| g.fragmentation())
+            .collect();
+        if frags.is_empty() {
+            0.0
+        } else {
+            frags.iter().sum::<f64>() / frags.len() as f64
+        }
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> SchedStats {
+        SchedStats {
+            placements: self.placements,
+            releases: self.releases,
+            rejects: self.rejects.get(),
+            probes: self.probes.get(),
+            exact_fallbacks: 0,
+        }
+    }
+
+    /// Encodes the per-GPU rectangle state and counters (the policy is
+    /// reconstructed from platform config on restore).
+    pub fn snap_state(&self, w: &mut SnapWriter) {
+        self.gpus.snap(w);
+        w.u64(self.placements);
+        w.u64(self.releases);
+        w.u64(self.probes.get());
+        w.u64(self.rejects.get());
+    }
+
+    /// Restores state written by [`Self::snap_state`].
+    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.gpus = IdArena::unsnap(r)?;
+        self.placements = r.u64()?;
+        self.releases = r.u64()?;
+        self.probes = Cell::new(r.u64()?);
+        self.rejects = Cell::new(r.u64()?);
+        Ok(())
+    }
+}
+
+impl Scheduler for NodeSelector {
+    fn add_gpu(&mut self, node: NodeId) {
+        self.gpus.insert(node, GpuRects::standard());
+    }
+
+    fn select_node(
         &self,
         spec: &ResourceSpec,
-        mut mem_fits: impl FnMut(NodeId) -> bool,
+        mem_fits: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
         let (w, h) = self.demand_of(spec);
         let probe = |g: &GpuRects| {
@@ -140,10 +240,7 @@ impl NodeSelector {
         chosen
     }
 
-    /// Phase 2 of placement: binds `pod` on a specific GPU (chosen by
-    /// [`Self::select_node`]). Returns `None` if that GPU cannot fit the
-    /// demand after all.
-    pub fn bind(&mut self, node: NodeId, pod: PodId, spec: &ResourceSpec) -> Option<Rect> {
+    fn bind(&mut self, node: NodeId, pod: PodId, spec: &ResourceSpec) -> Option<Rect> {
         let (w, h) = self.demand_of(spec);
         let rect = self.gpus.get_mut(node)?.place(pod, w, h);
         if rect.is_some() {
@@ -152,77 +249,12 @@ impl NodeSelector {
         rect
     }
 
-    /// Releases a pod's rectangle on `node` (keep-restructure policy
-    /// applies inside [`GpuRects::release`]).
-    pub fn release(&mut self, node: NodeId, pod: PodId) -> Option<Rect> {
+    fn release(&mut self, node: NodeId, pod: PodId) -> Option<Rect> {
         let rect = self.gpus.get_mut(node)?.release(pod);
         if rect.is_some() {
             self.releases += 1;
         }
         rect
-    }
-
-    /// Per-GPU state, for reports and tests.
-    pub fn gpu(&self, node: NodeId) -> Option<&GpuRects> {
-        self.gpus.get(node)
-    }
-
-    /// Number of GPUs hosting at least one pod.
-    pub fn gpus_in_use(&self) -> usize {
-        self.gpus.values().filter(|g| g.pod_count() > 0).count()
-    }
-
-    /// Total bound area across all GPUs.
-    pub fn total_used_area(&self) -> u64 {
-        self.gpus.values().map(|g| g.used_area()).sum()
-    }
-
-    /// Mean fragmentation across GPUs that have free space.
-    pub fn mean_fragmentation(&self) -> f64 {
-        let frags: Vec<f64> = self
-            .gpus
-            .values()
-            .filter(|g| g.free_area() > 0)
-            .map(|g| g.fragmentation())
-            .collect();
-        if frags.is_empty() {
-            0.0
-        } else {
-            frags.iter().sum::<f64>() / frags.len() as f64
-        }
-    }
-
-    /// Counter snapshot in the arena's uniform shape.
-    pub fn stats(&self) -> SchedStats {
-        SchedStats {
-            placements: self.placements,
-            releases: self.releases,
-            rejects: self.rejects.get(),
-            probes: self.probes.get(),
-            exact_fallbacks: 0,
-            merges: 0,
-            restructures: self.gpus.values().map(GpuRects::restructure_count).sum(),
-        }
-    }
-
-    /// Encodes the per-GPU rectangle state and counters (the policy is
-    /// reconstructed from platform config on restore).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.gpus.snap(w);
-        w.u64(self.placements);
-        w.u64(self.releases);
-        w.u64(self.probes.get());
-        w.u64(self.rejects.get());
-    }
-
-    /// Restores state written by [`Self::snap_state`].
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.gpus = IdArena::unsnap(r)?;
-        self.placements = r.u64()?;
-        self.releases = r.u64()?;
-        self.probes = Cell::new(r.u64()?);
-        self.rejects = Cell::new(r.u64()?);
-        Ok(())
     }
 }
 
@@ -312,6 +344,16 @@ mod tests {
         let mut s = selector(PlacementPolicy::FirstFit, 2);
         let (n, _) = s.place(PodId(0), &spec(10.0, 0.1), |_| true).unwrap();
         assert_eq!(n, NodeId(0));
+    }
+
+    #[test]
+    fn split_phase_through_a_trait_object() {
+        let mut s: Box<dyn Scheduler> = Box::new(selector(PlacementPolicy::MaximalRectangles, 2));
+        let sp = spec(50.0, 0.5);
+        let n = s.select_node(&sp, &mut |_| true).unwrap();
+        assert!(s.bind(n, PodId(0), &sp).is_some());
+        assert_eq!(s.release(n, PodId(0)), Some(Rect::new(0, 0, 50, 50)));
+        assert!(s.release(n, PodId(0)).is_none(), "a pod releases once");
     }
 
     #[test]

@@ -11,16 +11,16 @@
 
 use fastg_cluster::PodId;
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-// The reference allocator keeps its pod bindings in an ordered tree: it
-// is the differential-testing baseline, not a fleet hot path (the fast
-// path is `scheduler::guillotine`). fastg-lint: allow(no-btreemap-hot-path)
+// Pod bindings live in an ordered tree: a GPU holds a handful of pods and
+// placement is deploy-time work (768 placements in a whole 256-node fleet
+// run), not a per-event path. fastg-lint: allow(no-btreemap-hot-path)
 use std::collections::BTreeMap;
 
 /// The single validated path for allocator constructor parameters: flags
 /// a degenerate (zero) dimension or threshold in debug builds and clamps
-/// it to one unit in release builds. Every spatial-allocator constructor
-/// (`GpuRects`, `GuillotineAlloc`) funnels through this.
-pub(crate) fn at_least_one<T: Ord + From<u8>>(value: T, what: &'static str) -> T {
+/// it to one unit in release builds. Every `GpuRects` constructor funnels
+/// through this.
+fn at_least_one<T: Ord + From<u8>>(value: T, what: &'static str) -> T {
     debug_assert!(value >= T::from(1u8), "degenerate {what}");
     value.max(T::from(1u8))
 }
@@ -86,9 +86,8 @@ impl Rect {
 /// Removes every part of `f` from `free` by subdividing intersecting
 /// rectangles into up to four *maximal* remainders (left/right strips at
 /// full height, bottom/top strips at full width — the MAXRECTS
-/// `Subdivide(R, I)` step). Shared by [`GpuRects`] and the guillotine
-/// allocator's exact-feasibility fallback.
-pub(crate) fn subtract_maximal(free: &mut Vec<Rect>, f: &Rect) {
+/// `Subdivide(R, I)` step).
+fn subtract_maximal(free: &mut Vec<Rect>, f: &Rect) {
     let mut out = Vec::with_capacity(free.len() + 4);
     for r in free.drain(..) {
         if !r.intersects(f) {
@@ -113,7 +112,7 @@ pub(crate) fn subtract_maximal(free: &mut Vec<Rect>, f: &Rect) {
 
 /// Removes rectangles contained in other rectangles of the same list
 /// (the MAXRECTS redundancy prune).
-pub(crate) fn prune_contained(free: &mut Vec<Rect>) {
+fn prune_contained(free: &mut Vec<Rect>) {
     let mut keep = vec![true; free.len()];
     for i in 0..free.len() {
         if !keep[i] {
@@ -135,19 +134,6 @@ pub(crate) fn prune_contained(free: &mut Vec<Rect>) {
         idx += 1;
         kept
     });
-}
-
-/// The exact set of maximal free rectangles of a `width × height` plane
-/// minus `placements`: the ground truth every allocator's accept/reject
-/// decision can be checked against (a `w × h` demand is geometrically
-/// feasible iff it fits in one of these).
-pub(crate) fn maximal_free_rects(width: u32, height: u32, placements: &[Rect]) -> Vec<Rect> {
-    let mut free = vec![Rect::new(0, 0, width, height)];
-    for f in placements {
-        subtract_maximal(&mut free, f);
-    }
-    prune_contained(&mut free);
-    free
 }
 
 /// Which free rectangle a placement prefers (MAXRECTS literature's
@@ -360,27 +346,6 @@ impl GpuRects {
         prune_contained(&mut self.free);
     }
 
-    /// Binds `pod` at an exact, caller-chosen position. Accepts iff the
-    /// rectangle lies in bounds and overlaps no current placement (true
-    /// geometric feasibility, independent of the incremental free-list
-    /// state). This is the differential-testing hook: driving two
-    /// allocators with *identical positions* keeps their placement sets —
-    /// and therefore all future accept/reject decisions — comparable.
-    pub fn place_at(&mut self, pod: PodId, rect: Rect) -> bool {
-        if rect.w == 0 || rect.h == 0 || self.placed.contains_key(&pod) {
-            return false;
-        }
-        let bounds = Rect::new(0, 0, self.width, self.height);
-        if !bounds.contains(&rect) || self.placed.values().any(|p| p.intersects(&rect)) {
-            return false;
-        }
-        self.subtract_from_free(&rect);
-        self.prune();
-        self.placed.insert(pod, rect);
-        self.debug_check();
-        true
-    }
-
     /// Releases a pod's rectangle under the **keep-restructure** policy:
     /// the exact rectangle returns to the free list (so the same function
     /// can reclaim the same resources), and once the list exceeds the
@@ -448,13 +413,19 @@ impl Snap for Rect {
         w.u32(*rw);
         w.u32(*h);
     }
+    /// Rejects rectangles whose far edges overflow `u32`, so
+    /// [`Rect::right`] and [`Rect::top`] cannot overflow on decoded input.
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Rect {
+        let rect = Rect {
             x: r.u32()?,
             y: r.u32()?,
             w: r.u32()?,
             h: r.u32()?,
-        })
+        };
+        if rect.x.checked_add(rect.w).is_none() || rect.y.checked_add(rect.h).is_none() {
+            return Err(SnapError::new("rect edge overflow"));
+        }
+        Ok(rect)
     }
 }
 
@@ -722,6 +693,16 @@ mod tests {
                     id += 1;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_edges_past_u32() {
+        for rect in [Rect::new(u32::MAX, 0, 1, 1), Rect::new(0, 1, 1, u32::MAX)] {
+            let mut w = SnapWriter::new();
+            rect.snap(&mut w);
+            let bytes = w.finish();
+            assert!(Rect::unsnap(&mut SnapReader::new(&bytes)).is_err());
         }
     }
 }

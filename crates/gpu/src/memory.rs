@@ -235,9 +235,12 @@ impl Snap for GpuMemory {
         let live: BTreeMap<u64, u64> = BTreeMap::unsnap(r)?;
         let handles: BTreeMap<u64, DevicePtr> = BTreeMap::unsnap(r)?;
         let next_handle = r.u64()?;
-        let used: u64 = live.values().sum();
-        let unused: u64 = free.values().sum();
-        if used.checked_add(unused) != Some(capacity) {
+        // Checked: decoded sizes may sum past `u64::MAX`.
+        let sum = |m: &BTreeMap<u64, u64>| m.values().try_fold(0u64, |a, &b| a.checked_add(b));
+        let total = sum(&live)
+            .zip(sum(&free))
+            .and_then(|(used, unused)| used.checked_add(unused));
+        if total != Some(capacity) {
             return Err(SnapError::new("gpu memory accounting"));
         }
         Ok(GpuMemory {
@@ -339,5 +342,17 @@ mod tests {
         m.free(c).unwrap();
         m.free(b).unwrap(); // coalesces with both neighbours
         assert_eq!(m.largest_free_extent(), 300);
+    }
+
+    #[test]
+    fn decode_rejects_overflowing_extent_sums() {
+        let mut w = SnapWriter::new();
+        w.u64(0); // capacity: the wrapped sum
+        BTreeMap::from([(0u64, u64::MAX), (1, 1)]).snap(&mut w);
+        BTreeMap::<u64, u64>::new().snap(&mut w);
+        BTreeMap::<u64, DevicePtr>::new().snap(&mut w);
+        w.u64(0);
+        let bytes = w.finish();
+        assert!(GpuMemory::unsnap(&mut SnapReader::new(&bytes)).is_err());
     }
 }

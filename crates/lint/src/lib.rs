@@ -168,11 +168,9 @@ const DETERMINISTIC_CRATES: [&str; 4] = [
 
 /// Files on the per-event hot path, where entity lookups must be arena
 /// indexing rather than ordered-tree walks (`no-btreemap-hot-path`).
-const HOT_PATH_FILES: [&str; 6] = [
+const HOT_PATH_FILES: [&str; 4] = [
     "crates/core/src/platform/engine.rs",
     "crates/core/src/manager/backend.rs",
-    "crates/core/src/scheduler/guillotine.rs",
-    "crates/core/src/scheduler/arena.rs",
     "crates/core/src/scheduler/node_select.rs",
     "crates/cluster/src/gateway.rs",
 ];
@@ -1402,8 +1400,7 @@ mod tests {
         assert_eq!(classify("crates/workload/src/rate.rs"), Some(FileScope { lib_code: true, deterministic: false, threads_banned: true, hot_path: false }));
         assert_eq!(classify("crates/par/src/lib.rs"), Some(FileScope { lib_code: true, deterministic: false, threads_banned: false, hot_path: false }));
         assert_eq!(classify("crates/core/src/bin/fastgshare.rs"), Some(FileScope { lib_code: false, deterministic: true, threads_banned: false, hot_path: false }));
-        assert_eq!(classify("crates/core/src/scheduler/guillotine.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true }));
-        assert_eq!(classify("crates/core/src/scheduler/arena.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true }));
+        assert_eq!(classify("crates/core/src/scheduler/node_select.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true }));
         assert_eq!(classify("crates/core/src/scheduler/rects.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: false }));
         assert_eq!(classify("crates/lint/src/main.rs"), Some(FileScope { lib_code: false, deterministic: false, threads_banned: false, hot_path: false }));
         assert_eq!(classify("crates/gpu/tests/scenarios.rs"), None);

@@ -170,7 +170,8 @@ impl Snap for LatencyHistogram {
             return Err(SnapError::new("histogram bucket count"));
         }
         let count = r.u64()?;
-        if counts.iter().sum::<u64>() != count {
+        // Checked: decoded bucket counts may sum past `u64::MAX`.
+        if counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(count) {
             return Err(SnapError::new("histogram total"));
         }
         Ok(LatencyHistogram {
@@ -263,5 +264,17 @@ mod tests {
         h.record(SimTime::from_secs(100_000));
         assert_eq!(h.count(), 1);
         assert_eq!(h.quantile(0.5), SimTime::from_secs(100_000));
+    }
+
+    #[test]
+    fn decode_rejects_overflowing_bucket_sum() {
+        let mut counts = vec![0u64; BUCKETS];
+        counts[0] = u64::MAX;
+        counts[1] = 1;
+        let mut w = SnapWriter::new();
+        counts.snap(&mut w);
+        w.u64(0); // the wrapped sum
+        let bytes = w.finish();
+        assert!(LatencyHistogram::unsnap(&mut SnapReader::new(&bytes)).is_err());
     }
 }

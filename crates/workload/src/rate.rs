@@ -141,8 +141,12 @@ impl Snap for RateMeter {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let runs: Vec<Run> = Vec::unsnap(r)?;
         let total = r.u64()?;
-        let sum: u64 = runs.iter().map(|run| run.count).sum();
-        if sum != total {
+        // Checked: decoded run counts may sum past `u64::MAX`.
+        if runs
+            .iter()
+            .try_fold(0u64, |a, run| a.checked_add(run.count))
+            != Some(total)
+        {
             return Err(SnapError::new("rate meter total"));
         }
         Ok(RateMeter { runs, total })
@@ -323,5 +327,19 @@ mod tests {
     #[should_panic(expected = "zero estimator window")]
     fn zero_window_rejected() {
         RateEstimator::new(SimTime::ZERO, 0.5);
+    }
+
+    #[test]
+    fn decode_rejects_overflowing_run_counts() {
+        let run = |count| Run {
+            start_us: 0,
+            gap_us: 0,
+            count,
+        };
+        let mut w = SnapWriter::new();
+        vec![run(u64::MAX), run(1)].snap(&mut w);
+        w.u64(0); // the wrapped sum
+        let bytes = w.finish();
+        assert!(RateMeter::unsnap(&mut SnapReader::new(&bytes)).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
-use fastgshare::scheduler::{NodeSelector, PlacementPolicy};
+use fastgshare::scheduler::{NodeSelector, PlacementPolicy, Scheduler};
 
 fn pod_set() -> Vec<(&'static str, ResourceSpec, usize)> {
     vec![

@@ -9,7 +9,7 @@
 
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
-use fastgshare::manager::{SchedPolicy, SharingPolicy};
+use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{
     FaultKind, FaultPlan, FunctionConfig, Platform, PlatformConfig, Snapshot, TieBreak,
 };
@@ -155,15 +155,15 @@ fn checkpoint_at_every_chaos_phase_is_digest_exact() {
     }
 }
 
-/// The flash-crowd overload scenario on the guillotine fast path (the
-/// `fastpath_overload_digest` fixture): checkpointing mid-crowd, while
-/// shedding and breaker state are live, resumes byte-identically.
-fn flash_crowd_platform(tiebreak: TieBreak) -> Platform {
+/// The flash-crowd overload scenario under chaos (the
+/// `flash_crowd_chaos_digest` fixture of `determinism.rs`): checkpointing
+/// mid-crowd, while shedding and breaker state are live, resumes
+/// byte-identically.
+fn flash_crowd_chaos_platform(tiebreak: TieBreak) -> Platform {
     let mut p = Platform::new(
         PlatformConfig::default()
             .nodes(2)
             .policy(SharingPolicy::FaST)
-            .scheduler(SchedPolicy::FastPath)
             .recovery(true)
             .seed(17)
             .fastforward(true)
@@ -201,8 +201,8 @@ fn flash_crowd_checkpoint_parity_across_tiebreak_orders() {
         // 2.5 s is inside the crowd plateau: shedding, brownout and
         // breaker state are all live at the split.
         let (s, r) = split_run(
-            flash_crowd_platform(tb),
-            flash_crowd_platform(tb),
+            flash_crowd_chaos_platform(tb),
+            flash_crowd_chaos_platform(tb),
             SimTime::from_millis(2500),
             SimTime::from_secs(6),
         );
@@ -228,6 +228,55 @@ fn snapshot_round_trips_through_raw_bytes() {
     let b = revived.run_for(SimTime::from_secs(3));
     assert_eq!(a.canonical_text(), b.canonical_text());
     assert_eq!(a.digest(), b.digest());
+}
+
+/// Byte-level fuzz of the restore path: snapshot bytes are untrusted
+/// input, so every corruption must decode to `Ok` or `Err`, never panic.
+/// At every payload offset the snapshot is overwritten with an 8-byte
+/// `u64::MAX` and a `1 << 40` word (huge lengths, counts and sums), and
+/// separately truncated there.
+#[test]
+fn from_snapshot_never_panics_on_corrupt_bytes() {
+    /// The `magic ‖ version` header ahead of the payload.
+    const HEADER: usize = 8;
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(2)
+            .policy(SharingPolicy::FaST)
+            .recovery(true)
+            .seed(17)
+            .overload_control(true)
+            .fault_plan(chaos_plan()),
+    );
+    for (model, rate) in [("resnet50", 40.0), ("bert_base", 25.0)] {
+        let f = p
+            .deploy(
+                FunctionConfig::new(model, model)
+                    .replicas(2)
+                    .resources(50.0, 0.5, 0.8),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::constant(rate));
+    }
+    p.run_for(SimTime::from_millis(1500));
+    let bytes = p.checkpoint().as_bytes().to_vec();
+    let restore = |case: Vec<u8>, what: &str, at: usize| {
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(s) = Snapshot::from_bytes(case) {
+                let _ = Platform::from_snapshot(&s);
+            }
+        });
+        assert!(outcome.is_ok(), "restore panicked on {what} at byte {at}");
+    };
+    for at in HEADER..bytes.len() {
+        for word in [u64::MAX, 1 << 40] {
+            let mut case = bytes.clone();
+            let end = (at + 8).min(case.len());
+            case[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+            restore(case, "overwrite", at);
+        }
+        restore(bytes[..at].to_vec(), "truncation", at);
+    }
 }
 
 /// A random fleet grid for checkpoint parity: node count, load, seed and

@@ -3,7 +3,7 @@
 
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
-use fastgshare::manager::{SchedPolicy, SharingPolicy};
+use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{
     run_sweep, FaultKind, FaultPlan, FunctionConfig, Platform, PlatformConfig, Scenario, TieBreak,
 };
@@ -226,61 +226,6 @@ fn fleet_digest_identical_across_tiebreak_orders() {
     ] {
         let other = fleet_digest(tb);
         assert_eq!(fifo, other, "tie-break {tb:?} changed the fleet report");
-    }
-}
-
-/// The fleet scenario again, but placed by the guillotine fast path
-/// instead of the paper's maximal-rects selector.
-fn fastpath_fleet_digest(tiebreak: TieBreak) -> (String, u64) {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(3)
-            .policy(SharingPolicy::FaST)
-            .scheduler(SchedPolicy::FastPath)
-            .oversubscribe(true)
-            .recovery(true)
-            .seed(23)
-            .fastforward(true)
-            .tiebreak(tiebreak)
-            .fault_plan(chaos_plan()),
-    );
-    for (i, (model, rate)) in [("resnet50", 18.0), ("bert_base", 30.0), ("rnnt", 9.0)]
-        .iter()
-        .enumerate()
-    {
-        let f = p
-            .deploy(
-                FunctionConfig::new(&format!("fleet-{i}"), model)
-                    .replicas(1)
-                    .resources(100.0, 1.0, 1.0),
-            )
-            .unwrap();
-        p.set_load(f, ArrivalProcess::constant(*rate));
-    }
-    let report = p.run_for(SimTime::from_secs(6));
-    (report.canonical_text(), report.digest())
-}
-
-/// The guillotine arena is tie-break independent end-to-end: swapping the
-/// same-instant delivery order cannot change which free piece a demand
-/// lands in, so the FastPath fleet report replays byte-for-byte across
-/// the full `race_detector` matrix, chaos included.
-#[test]
-fn fastpath_fleet_digest_identical_across_tiebreak_orders() {
-    assert_eq!(
-        "fast-path",
-        Platform::new(PlatformConfig::default().scheduler(SchedPolicy::FastPath))
-            .scheduler_name(),
-        "config must actually select the guillotine arena"
-    );
-    let (fifo, _) = fastpath_fleet_digest(TieBreak::Fifo);
-    for tb in [
-        TieBreak::Lifo,
-        TieBreak::SeededShuffle(1),
-        TieBreak::SeededShuffle(2),
-    ] {
-        let (other, _) = fastpath_fleet_digest(tb);
-        assert_eq!(fifo, other, "tie-break {tb:?} changed the FastPath fleet");
     }
 }
 
@@ -553,14 +498,13 @@ fn overload_fastforward_parity() {
     }
 }
 
-/// The flash-crowd overload scenario under the guillotine fast path,
-/// run under one same-instant tie-break order.
-fn fastpath_overload_digest(tiebreak: TieBreak) -> (u64, String) {
+/// The flash-crowd overload scenario under chaos, run under one
+/// same-instant tie-break order.
+fn flash_crowd_chaos_digest(tiebreak: TieBreak) -> (u64, String) {
     let mut p = Platform::new(
         PlatformConfig::default()
             .nodes(2)
             .policy(SharingPolicy::FaST)
-            .scheduler(SchedPolicy::FastPath)
             .recovery(true)
             .seed(17)
             .fastforward(true)
@@ -593,19 +537,22 @@ fn fastpath_overload_digest(tiebreak: TieBreak) -> (u64, String) {
     (report.digest(), report.canonical_text())
 }
 
-/// Overload control, chaos, and the guillotine arena compose without
-/// breaking determinism: the FastPath flash-crowd trace is byte-identical
-/// across all four canonical same-instant tie-break orders.
+/// Overload control and chaos compose without breaking determinism: the
+/// flash-crowd trace is byte-identical across all four canonical
+/// same-instant tie-break orders.
 #[test]
-fn fastpath_overload_digest_identical_across_tiebreak_orders() {
-    let (fifo_digest, fifo_text) = fastpath_overload_digest(TieBreak::Fifo);
+fn flash_crowd_chaos_digest_identical_across_tiebreak_orders() {
+    let (fifo_digest, fifo_text) = flash_crowd_chaos_digest(TieBreak::Fifo);
     for tb in [
         TieBreak::Lifo,
         TieBreak::SeededShuffle(1),
         TieBreak::SeededShuffle(2),
     ] {
-        let (digest, text) = fastpath_overload_digest(tb);
-        assert_eq!(fifo_text, text, "tie-break {tb:?} changed the FastPath trace");
+        let (digest, text) = flash_crowd_chaos_digest(tb);
+        assert_eq!(
+            fifo_text, text,
+            "tie-break {tb:?} changed the flash-crowd trace"
+        );
         assert_eq!(fifo_digest, digest);
     }
 }
