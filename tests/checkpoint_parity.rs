@@ -12,6 +12,7 @@ use fastg_workload::ArrivalProcess;
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{
     FaultKind, FaultPlan, FunctionConfig, Platform, PlatformConfig, Snapshot, TieBreak,
+    SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -228,6 +229,37 @@ fn snapshot_round_trips_through_raw_bytes() {
     let b = revived.run_for(SimTime::from_secs(3));
     assert_eq!(a.canonical_text(), b.canonical_text());
     assert_eq!(a.digest(), b.digest());
+}
+
+/// FNV-1a, 64-bit: a fixed, dependency-free hash of snapshot bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The wire format is pinned: the length and hash of two mid-run
+/// snapshots are fixed for this `SNAPSHOT_VERSION`. Any codec change that
+/// moves a byte must bump the version and re-pin these figures.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    assert_eq!(SNAPSHOT_VERSION, 6, "bump SNAPSHOT_VERSION and re-pin");
+    let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
+    flash.run_for(SimTime::from_millis(2500));
+    let mut fleet = fleet_platform(TieBreak::Fifo, true);
+    fleet.run_for(SimTime::from_secs(3));
+    for (name, p, len, hash) in [
+        ("flash crowd", flash, 21_444, 0xa851_e65d_6d92_1bf4),
+        ("fleet", fleet, 23_528, 0x2708_c96a_75b7_8e54),
+    ] {
+        let snapshot = p.checkpoint();
+        let bytes = snapshot.as_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a64(bytes)),
+            (len, hash),
+            "{name} snapshot bytes moved: bump SNAPSHOT_VERSION and re-pin"
+        );
+    }
 }
 
 /// Byte-level fuzz of the restore path: snapshot bytes are untrusted
