@@ -1,8 +1,8 @@
 //! Nodes, pods and their lifecycle.
 
 use crate::spec::{FuncId, ResourceSpec};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{ArenaKey, IdArena, SimTime};
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_enum, snap_struct, ArenaKey, IdArena, SimTime};
 use fastg_gpu::{ClientId, DevicePtr, GpuDevice, GpuSpec, MpsMode};
 
 /// Identifies a worker node (one GPU per node, as in the paper's testbed).
@@ -435,147 +435,38 @@ impl Cluster {
     }
 }
 
-impl Snap for NodeId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let NodeId(raw) = self;
-        w.u32(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeId(r.u32()?))
-    }
-}
+snap_struct!(NodeId(raw));
 
-impl Snap for PodId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let PodId(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PodId(r.u64()?))
-    }
-}
+snap_struct!(PodId(raw));
 
-impl Snap for PodState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            PodState::Running => w.u8(0),
-            PodState::Terminating => w.u8(1),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(PodState::Running),
-            1 => Ok(PodState::Terminating),
-            _ => Err(SnapError::new("pod state tag")),
-        }
-    }
-}
+snap_enum!(PodState, "pod state tag" { Running = 0, Terminating = 1 });
 
-impl Snap for NodeState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            NodeState::Up => w.u8(0),
-            NodeState::Degraded => w.u8(1),
-            NodeState::Down => w.u8(2),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(NodeState::Up),
-            1 => Ok(NodeState::Degraded),
-            2 => Ok(NodeState::Down),
-            _ => Err(SnapError::new("node state tag")),
-        }
-    }
-}
+snap_enum!(NodeState, "node state tag" { Up = 0, Degraded = 1, Down = 2 });
 
-impl Snap for Node {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            id,
-            name,
-            gpu,
-            state,
-        } = self;
-        id.snap(w);
-        name.snap(w);
-        gpu.snap(w);
-        state.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Node {
-            id: NodeId::unsnap(r)?,
-            name: String::unsnap(r)?,
-            gpu: GpuDevice::unsnap(r)?,
-            state: NodeState::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Node {
+    id,
+    name,
+    gpu,
+    state,
+});
 
-impl Snap for Pod {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            id,
-            func,
-            node,
-            client,
-            resources,
-            memory,
-            state,
-            created_at,
-        } = self;
-        id.snap(w);
-        func.snap(w);
-        node.snap(w);
-        client.snap(w);
-        resources.snap(w);
-        memory.snap(w);
-        state.snap(w);
-        created_at.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Pod {
-            id: PodId::unsnap(r)?,
-            func: FuncId::unsnap(r)?,
-            node: NodeId::unsnap(r)?,
-            client: ClientId::unsnap(r)?,
-            resources: ResourceSpec::unsnap(r)?,
-            memory: Option::unsnap(r)?,
-            state: PodState::unsnap(r)?,
-            created_at: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Pod {
+    id,
+    func,
+    node,
+    client,
+    resources,
+    memory,
+    state,
+    created_at,
+});
 
-impl Snap for Cluster {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            nodes,
-            pods,
-            next_node,
-            next_pod,
-        } = self;
-        nodes.snap(w);
-        pods.snap(w);
-        w.u32(*next_node);
-        w.u64(*next_pod);
+snap_struct!(Cluster { nodes, pods, next_node, next_pod } check |c| {
+    if c.nodes.keys().any(|n| n.0 >= c.next_node) || c.pods.keys().any(|p| p.0 >= c.next_pod) {
+        return Err(SnapError::new("cluster id space"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let nodes: IdArena<NodeId, Node> = IdArena::unsnap(r)?;
-        let pods: IdArena<PodId, Pod> = IdArena::unsnap(r)?;
-        let next_node = r.u32()?;
-        let next_pod = r.u64()?;
-        if nodes.keys().any(|n| n.0 >= next_node) || pods.keys().any(|p| p.0 >= next_pod) {
-            return Err(SnapError::new("cluster id space"));
-        }
-        Ok(Cluster {
-            nodes,
-            pods,
-            next_node,
-            next_pod,
-        })
-    }
-}
+    Ok(())
+});
 
 /// Pod tallies from [`Cluster::pod_counts`], indexed densely by id.
 #[derive(Debug, Default)]

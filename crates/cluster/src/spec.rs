@@ -1,8 +1,7 @@
 //! CRD-style specifications: functions and their spatio-temporal resource
 //! annotations.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{ArenaKey, SimTime};
+use fastg_des::{snap_struct, ArenaKey, SimTime};
 
 /// Identifies a deployed FaaS function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,54 +105,16 @@ impl ResourceSpec {
     }
 }
 
-impl Snap for FuncId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let FuncId(raw) = self;
-        w.u32(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FuncId(r.u32()?))
-    }
-}
+snap_struct!(FuncId(raw));
 
-impl Snap for ResourceSpec {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            sm_partition,
-            quota_limit,
-            quota_request,
-            gpu_mem,
-        } = self;
-        sm_partition.snap(w);
-        quota_limit.snap(w);
-        quota_request.snap(w);
-        w.u64(*gpu_mem);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ResourceSpec {
-            sm_partition: f64::unsnap(r)?,
-            quota_limit: f64::unsnap(r)?,
-            quota_request: f64::unsnap(r)?,
-            gpu_mem: r.u64()?,
-        })
-    }
-}
+snap_struct!(ResourceSpec {
+    sm_partition,
+    quota_limit,
+    quota_request,
+    gpu_mem,
+});
 
-impl Snap for FaSTFuncSpec {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { name, model, slo } = self;
-        name.snap(w);
-        model.snap(w);
-        slo.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaSTFuncSpec {
-            name: String::unsnap(r)?,
-            model: String::unsnap(r)?,
-            slo: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FaSTFuncSpec { name, model, slo });
 
 /// The FaSTFunc CRD analogue: a user-deployed inference function.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,8 +4,8 @@
 use super::estimator::BurstEstimator;
 use super::policy::SharingPolicy;
 use fastg_cluster::{PodId, ResourceSpec};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_enum, snap_struct, SimTime};
 
 /// Order in which the Ready-function Priority Queue is drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -702,159 +702,50 @@ impl FastBackend {
     }
 }
 
-impl Snap for DispatchOrder {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            DispatchOrder::QMissDesc => 0,
-            DispatchOrder::Fifo => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => DispatchOrder::QMissDesc,
-            1 => DispatchOrder::Fifo,
-            _ => return Err(SnapError::new("dispatch order tag")),
-        })
-    }
-}
+snap_enum!(DispatchOrder, "dispatch order tag" { QMissDesc = 0, Fifo = 1 });
 
-impl Snap for BackendConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            policy,
-            window,
-            token_lease,
-            sm_global_limit,
-            dispatch_order,
-            strict_admission,
-            adaptive_lease,
-            deferred_dispatch,
-        } = self;
-        policy.snap(w);
-        window.snap(w);
-        token_lease.snap(w);
-        sm_global_limit.snap(w);
-        dispatch_order.snap(w);
-        strict_admission.snap(w);
-        adaptive_lease.snap(w);
-        deferred_dispatch.snap(w);
+snap_struct!(BackendConfig {
+    policy, window, token_lease, sm_global_limit, dispatch_order, strict_admission,
+    adaptive_lease, deferred_dispatch,
+} check |cfg| {
+    if cfg.window == SimTime::ZERO
+        || cfg.token_lease == SimTime::ZERO
+        || !(cfg.sm_global_limit.is_finite() && cfg.sm_global_limit > 0.0)
+    {
+        return Err(SnapError::new("backend config bounds"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cfg = BackendConfig {
-            policy: SharingPolicy::unsnap(r)?,
-            window: SimTime::unsnap(r)?,
-            token_lease: SimTime::unsnap(r)?,
-            sm_global_limit: f64::unsnap(r)?,
-            dispatch_order: DispatchOrder::unsnap(r)?,
-            strict_admission: bool::unsnap(r)?,
-            adaptive_lease: bool::unsnap(r)?,
-            deferred_dispatch: bool::unsnap(r)?,
-        };
-        if cfg.window == SimTime::ZERO
-            || cfg.token_lease == SimTime::ZERO
-            || !(cfg.sm_global_limit.is_finite() && cfg.sm_global_limit > 0.0)
-        {
-            return Err(SnapError::new("backend config bounds"));
-        }
-        Ok(cfg)
-    }
-}
+    Ok(())
+});
 
-impl Snap for Lease {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            expires,
-            epoch,
-            share,
-        } = self;
-        expires.snap(w);
-        w.u64(*epoch);
-        share.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Lease {
-            expires: SimTime::unsnap(r)?,
-            epoch: r.u64()?,
-            share: f64::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Lease {
+    expires,
+    epoch,
+    share,
+});
 
-impl Snap for PodEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            spec,
-            q_used,
-            lease,
-            waiting,
-            waiting_since,
-            in_burst,
-            next_epoch,
-            estimator,
-        } = self;
-        spec.snap(w);
-        q_used.snap(w);
-        lease.snap(w);
-        waiting.snap(w);
-        waiting_since.snap(w);
-        in_burst.snap(w);
-        w.u64(*next_epoch);
-        estimator.snap(w);
+snap_struct!(PodEntry {
+    spec, q_used, lease, waiting, waiting_since, in_burst, next_epoch, estimator,
+} check |entry| {
+    if entry.lease.is_some_and(|lease| lease.epoch > entry.next_epoch) {
+        return Err(SnapError::new("backend lease epoch"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let entry = PodEntry {
-            spec: ResourceSpec::unsnap(r)?,
-            q_used: SimTime::unsnap(r)?,
-            lease: Option::unsnap(r)?,
-            waiting: bool::unsnap(r)?,
-            waiting_since: SimTime::unsnap(r)?,
-            in_burst: bool::unsnap(r)?,
-            next_epoch: r.u64()?,
-            estimator: BurstEstimator::unsnap(r)?,
-        };
-        if entry
-            .lease
-            .is_some_and(|lease| lease.epoch > entry.next_epoch)
-        {
-            return Err(SnapError::new("backend lease epoch"));
-        }
-        Ok(entry)
-    }
-}
+    Ok(())
+});
 
-impl Snap for FastBackend {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            cfg,
-            pods,
-            sm_running,
-            tokens_dispatched,
-            ready: _,
-        } = self;
-        cfg.snap(w);
-        pods.rows.snap(w);
-        sm_running.snap(w);
-        w.u64(*tokens_dispatched);
+snap_struct!(PodTable { rows } check |t| {
+    if t.rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        return Err(SnapError::new("backend row order"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cfg = BackendConfig::unsnap(r)?;
-        let rows: Vec<(PodId, PodEntry)> = Vec::unsnap(r)?;
-        if rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-            return Err(SnapError::new("backend row order"));
-        }
-        let sm_running = f64::unsnap(r)?;
-        if !(sm_running.is_finite() && sm_running >= 0.0) {
-            return Err(SnapError::new("backend sm accounting"));
-        }
-        Ok(FastBackend {
-            cfg,
-            pods: PodTable { rows },
-            sm_running,
-            tokens_dispatched: r.u64()?,
-            ready: Vec::new(),
-        })
+    Ok(())
+});
+
+// The ready list is dispatch scratch space, empty between events.
+snap_struct!(FastBackend { cfg, pods, sm_running, tokens_dispatched } skip { ready } check |b| {
+    if !(b.sm_running.is_finite() && b.sm_running >= 0.0) {
+        return Err(SnapError::new("backend sm accounting"));
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! The GPU sharing policies compared in the paper's evaluation.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap_enum;
 
 /// How a node's GPU is shared among function pods.
 ///
@@ -69,25 +69,7 @@ pub enum SchedPolicy {
     Paper,
 }
 
-impl Snap for SharingPolicy {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            SharingPolicy::Exclusive => 0,
-            SharingPolicy::SingleToken => 1,
-            SharingPolicy::Racing => 2,
-            SharingPolicy::FaST => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SharingPolicy::Exclusive,
-            1 => SharingPolicy::SingleToken,
-            2 => SharingPolicy::Racing,
-            3 => SharingPolicy::FaST,
-            _ => return Err(SnapError::new("sharing policy tag")),
-        })
-    }
-}
+snap_enum!(SharingPolicy, "sharing policy tag" { Exclusive = 0, SingleToken = 1, Racing = 2, FaST = 3 });
 
 #[cfg(test)]
 mod tests {

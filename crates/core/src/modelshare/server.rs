@@ -1,6 +1,7 @@
 //! The model storage server and its client library.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::SnapError;
+use fastg_des::snap_struct;
 use fastg_gpu::{DevicePtr, GpuMemory, IpcHandle};
 use std::collections::BTreeMap;
 
@@ -236,75 +237,27 @@ impl ModelStorageServer {
     }
 }
 
-impl Snap for StoredTensor {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { ptr, ipc, refs } = self;
-        ptr.snap(w);
-        ipc.snap(w);
-        w.u32(*refs);
+snap_struct!(StoredTensor { ptr, ipc, refs } check |t| {
+    if t.refs == 0 {
+        // A zero-ref tensor is freed eagerly by `release`; it can
+        // never appear in a live server.
+        return Err(SnapError::new("model store zero-ref tensor"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let ptr = DevicePtr::unsnap(r)?;
-        let ipc = IpcHandle::unsnap(r)?;
-        let refs = r.u32()?;
-        if refs == 0 {
-            // A zero-ref tensor is freed eagerly by `release`; it can
-            // never appear in a live server.
-            return Err(SnapError::new("model store zero-ref tensor"));
-        }
-        Ok(StoredTensor { ptr, ipc, refs })
-    }
-}
+    Ok(())
+});
 
-impl Snap for ModelEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { ctx, tensors } = self;
-        ctx.snap(w);
-        tensors.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ModelEntry {
-            ctx: DevicePtr::unsnap(r)?,
-            tensors: BTreeMap::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(ModelEntry { ctx, tensors });
 
-impl Snap for ModelStorageServer {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            ctx_overhead,
-            models,
-        } = self;
-        w.u64(*ctx_overhead);
-        models.snap(w);
+snap_struct!(ModelStorageServer { ctx_overhead, models } check |s| {
+    // `gc_model` removes a model the moment its last tensor is
+    // released, so every entry holds at least one tensor.
+    if s.models.values().any(|e| e.tensors.is_empty()) {
+        return Err(SnapError::new("model store empty model"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let ctx_overhead = r.u64()?;
-        let models: BTreeMap<String, ModelEntry> = BTreeMap::unsnap(r)?;
-        // `gc_model` removes a model the moment its last tensor is
-        // released, so every entry holds at least one tensor.
-        if models.values().any(|e| e.tensors.is_empty()) {
-            return Err(SnapError::new("model store empty model"));
-        }
-        Ok(ModelStorageServer {
-            ctx_overhead,
-            models,
-        })
-    }
-}
+    Ok(())
+});
 
-impl Snap for StoreLib {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { attached } = self;
-        attached.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(StoreLib {
-            attached: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(StoreLib { attached });
 
 /// The client-side store library: what the PyTorch C++ extension exposes
 /// to a function instance.

@@ -3,8 +3,8 @@
 use super::faults::FaultPlan;
 use super::overload::OverloadConfig;
 use crate::manager::{SchedPolicy, SharingPolicy};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{SimTime, TieBreak};
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_struct, SimTime, TieBreak};
 use fastg_gpu::GpuSpec;
 
 /// Cluster-wide configuration. Builder-style setters return `self`.
@@ -327,109 +327,32 @@ impl PlatformConfig {
     }
 }
 
-impl Snap for PlatformConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            gpu,
-            node_count,
-            node_gpus,
-            policy,
-            window,
-            token_lease,
-            sm_global_limit,
-            model_sharing,
-            sample_interval,
-            warmup,
-            autoscale_interval,
-            autoscale_headroom,
-            predict_window,
-            min_replicas,
-            oversubscribe,
-            seed,
-            fault_plan,
-            recovery,
-            health_interval,
-            request_timeout_factor,
-            retry_budget,
-            overload,
-            fastforward,
-            tiebreak,
-            trace_events,
-        } = self;
-        gpu.snap(w);
-        w.len_prefix(*node_count);
-        node_gpus.snap(w);
-        policy.snap(w);
-        window.snap(w);
-        token_lease.snap(w);
-        w.f64(*sm_global_limit);
-        model_sharing.snap(w);
-        sample_interval.snap(w);
-        warmup.snap(w);
-        autoscale_interval.snap(w);
-        w.f64(*autoscale_headroom);
-        predict_window.snap(w);
-        w.len_prefix(*min_replicas);
-        oversubscribe.snap(w);
-        w.u64(*seed);
-        fault_plan.snap(w);
-        recovery.snap(w);
-        health_interval.snap(w);
-        request_timeout_factor.snap(w);
-        retry_budget.snap(w);
-        overload.snap(w);
-        fastforward.snap(w);
-        tiebreak.snap(w);
-        trace_events.snap(w);
+snap_struct!(PlatformConfig {
+    gpu, node_count, node_gpus, policy, window, token_lease, sm_global_limit, model_sharing,
+    sample_interval, warmup, autoscale_interval, autoscale_headroom, predict_window,
+    min_replicas, oversubscribe, seed, fault_plan, recovery, health_interval,
+    request_timeout_factor, retry_budget, overload, fastforward, tiebreak, trace_events,
+} check |c| {
+    if !(c.sm_global_limit.is_finite() && c.sm_global_limit > 0.0) {
+        return Err(SnapError::new("config sm limit"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let gpu = GpuSpec::unsnap(r)?;
-        let node_count = r.len_prefix()?;
-        let node_gpus = Option::<Vec<GpuSpec>>::unsnap(r)?;
-        let policy = SharingPolicy::unsnap(r)?;
-        let window = SimTime::unsnap(r)?;
-        let token_lease = Option::<SimTime>::unsnap(r)?;
-        let sm_global_limit = r.f64()?;
-        if !(sm_global_limit.is_finite() && sm_global_limit > 0.0) {
-            return Err(SnapError::new("config sm limit"));
-        }
-        let model_sharing = bool::unsnap(r)?;
-        let sample_interval = SimTime::unsnap(r)?;
-        let warmup = SimTime::unsnap(r)?;
-        let autoscale_interval = SimTime::unsnap(r)?;
-        let autoscale_headroom = r.f64()?;
-        if !(autoscale_headroom.is_finite() && autoscale_headroom >= 1.0) {
-            return Err(SnapError::new("config headroom"));
-        }
-        Ok(PlatformConfig {
-            gpu,
-            node_count,
-            node_gpus,
-            policy,
-            window,
-            token_lease,
-            sm_global_limit,
-            model_sharing,
-            sample_interval,
-            warmup,
-            autoscale_interval,
-            autoscale_headroom,
-            predict_window: SimTime::unsnap(r)?,
-            min_replicas: r.len_prefix()?,
-            oversubscribe: bool::unsnap(r)?,
-            seed: r.u64()?,
-            fault_plan: Option::unsnap(r)?,
-            recovery: bool::unsnap(r)?,
-            health_interval: SimTime::unsnap(r)?,
-            request_timeout_factor: Option::unsnap(r)?,
-            retry_budget: Option::unsnap(r)?,
-            overload: Option::unsnap(r)?,
-            fastforward: bool::unsnap(r)?,
-            tiebreak: TieBreak::unsnap(r)?,
-            trace_events: bool::unsnap(r)?,
-        })
+    if !(c.autoscale_headroom.is_finite() && c.autoscale_headroom >= 1.0) {
+        return Err(SnapError::new("config headroom"));
     }
-}
+    // Each periodic handler reschedules itself one period on: a zero
+    // period would re-fire at the same instant forever.
+    for (period, what) in [
+        (c.window, "config window"),
+        (c.sample_interval, "config sample interval"),
+        (c.autoscale_interval, "config autoscale interval"),
+        (c.health_interval, "config health interval"),
+    ] {
+        if period == SimTime::ZERO {
+            return Err(SnapError::new(what));
+        }
+    }
+    Ok(())
+});
 
 /// Per-function deployment configuration.
 #[derive(Debug, Clone)]
@@ -550,42 +473,13 @@ impl FunctionConfig {
     }
 }
 
-impl Snap for FunctionConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            name,
-            model,
-            slo,
-            replicas,
-            resources,
-            saturate,
-        } = self;
-        name.snap(w);
-        model.snap(w);
-        slo.snap(w);
-        w.len_prefix(*replicas);
-        resources.snap(w);
-        saturate.snap(w);
+snap_struct!(FunctionConfig { name, model, slo, replicas, resources, saturate } check |f| {
+    let (sm, limit, request) = f.resources;
+    if !(sm.is_finite() && limit.is_finite() && request.is_finite()) {
+        return Err(SnapError::new("function resources"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let name = String::unsnap(r)?;
-        let model = String::unsnap(r)?;
-        let slo = SimTime::unsnap(r)?;
-        let replicas = r.len_prefix()?;
-        let resources = <(f64, f64, f64)>::unsnap(r)?;
-        if !(resources.0.is_finite() && resources.1.is_finite() && resources.2.is_finite()) {
-            return Err(SnapError::new("function resources"));
-        }
-        Ok(FunctionConfig {
-            name,
-            model,
-            slo,
-            replicas,
-            resources,
-            saturate: bool::unsnap(r)?,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -672,5 +566,49 @@ mod tests {
             r#"{"kind":"FaSTFunc","metadata":{},"spec":{"model":"x"}}"#
         )
         .is_err());
+    }
+
+    /// A zero period makes its periodic handler re-fire at the same
+    /// instant forever, so a snapshot carrying one must not restore. Each
+    /// case re-encodes a live snapshot's config with one period zeroed.
+    #[test]
+    fn zero_period_snapshots_are_rejected() {
+        use crate::platform::{Platform, Snapshot};
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        let live = Platform::new(PlatformConfig::default().recovery(true)).checkpoint();
+        let payload = live.payload().unwrap();
+        let mut r = SnapReader::new(payload);
+        let now = SimTime::unsnap(&mut r).unwrap();
+        let handled = u64::unsnap(&mut r).unwrap();
+        let cfg = PlatformConfig::unsnap(&mut r).unwrap();
+        let rest = &payload[payload.len() - r.remaining()..];
+        type Zero = fn(&mut PlatformConfig);
+        let cases: [(&str, Zero); 4] = [
+            ("config window", |c| c.window = SimTime::ZERO),
+            ("config sample interval", |c| {
+                c.sample_interval = SimTime::ZERO
+            }),
+            ("config autoscale interval", |c| {
+                c.autoscale_interval = SimTime::ZERO
+            }),
+            ("config health interval", |c| {
+                c.health_interval = SimTime::ZERO
+            }),
+        ];
+        let restore = |cfg: &PlatformConfig| {
+            let mut w = SnapWriter::new();
+            now.snap(&mut w);
+            handled.snap(&mut w);
+            cfg.snap(&mut w);
+            let mut bytes = w.finish();
+            bytes.extend_from_slice(rest);
+            Platform::from_snapshot(&Snapshot::seal(bytes)).map(|_| ())
+        };
+        assert_eq!(restore(&cfg), Ok(()));
+        for (what, zero) in cases {
+            let mut bad = cfg.clone();
+            zero(&mut bad);
+            assert_eq!(restore(&bad), Err(SnapError::new(what)), "{what}");
+        }
     }
 }

@@ -21,8 +21,8 @@ use fastg_cluster::{
 };
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{
-    sanitizer, ArenaKey, CancelToken, EventQueue, IdArena, IdSet, SimTime, Simulation, TimeSeries,
-    World,
+    sanitizer, snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, IdSet, SimTime,
+    Simulation, TimeSeries, World,
 };
 use fastg_gpu::{ClientId, KernelDesc, KernelId, MpsMode};
 use fastg_models::{zoo, InferenceRun, ModelProfile, StageOp};
@@ -2214,147 +2214,48 @@ impl Platform {
 // ----- checkpoint / fork ------------------------------------------------
 //
 // Everything below serializes engine state for `Platform::checkpoint`.
-// Every `snap`/`unsnap` body destructures its struct exhaustively (no
-// `..` rest patterns) so adding a field without deciding its snapshot
-// story is a compile error, and the `exhaustive-snapshot-fields` lint
-// rule keeps it that way.
+// The macro-written impls and every hand-written `snap_state` body
+// destructure exhaustively (no `..` rest patterns), so adding a field
+// without deciding its snapshot story is a compile error; the
+// `exhaustive-snapshot-fields` lint rule keeps the hand-written ones so.
 
-impl Snap for Event {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Arrival(func) => {
-                w.u8(0);
-                func.snap(w);
-            }
-            Event::HostDone(pod) => {
-                w.u8(1);
-                pod.snap(w);
-            }
-            Event::KernelFinish(node, kernel) => {
-                w.u8(2);
-                node.snap(w);
-                kernel.snap(w);
-            }
-            Event::BurstFastForward(node, pod) => {
-                w.u8(3);
-                node.snap(w);
-                pod.snap(w);
-            }
-            Event::WindowReset(node) => {
-                w.u8(4);
-                node.snap(w);
-            }
-            Event::ScaleTick => w.u8(5),
-            Event::MetricsSample => w.u8(6),
-            Event::Fault(index) => {
-                w.u8(7);
-                w.len_prefix(*index);
-            }
-            Event::HealthTick => w.u8(8),
-            Event::RequestTimeout(func, id) => {
-                w.u8(9);
-                func.snap(w);
-                id.snap(w);
-            }
-            Event::BreakerTick => w.u8(10),
-            Event::Dispatch(node) => {
-                w.u8(11);
-                node.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Event::Arrival(FuncId::unsnap(r)?),
-            1 => Event::HostDone(PodId::unsnap(r)?),
-            2 => Event::KernelFinish(NodeId::unsnap(r)?, KernelId::unsnap(r)?),
-            3 => Event::BurstFastForward(NodeId::unsnap(r)?, PodId::unsnap(r)?),
-            4 => Event::WindowReset(NodeId::unsnap(r)?),
-            5 => Event::ScaleTick,
-            6 => Event::MetricsSample,
-            7 => Event::Fault(r.len_prefix()?),
-            8 => Event::HealthTick,
-            9 => Event::RequestTimeout(FuncId::unsnap(r)?, RequestId::unsnap(r)?),
-            10 => Event::BreakerTick,
-            11 => Event::Dispatch(NodeId::unsnap(r)?),
-            // A match over the wire tag, not over `Event`: the wildcard
-            // is the mandatory invalid-byte error path.
-            // fastg-lint: allow(exhaustive-event-match)
-            _ => return Err(SnapError::new("event tag")),
-        })
-    }
-}
+snap_enum!(Event, "event tag" {
+    Arrival(func) = 0,
+    HostDone(pod) = 1,
+    KernelFinish(node, kernel) = 2,
+    BurstFastForward(node, pod) = 3,
+    WindowReset(node) = 4,
+    ScaleTick = 5,
+    MetricsSample = 6,
+    Fault(index) = 7,
+    HealthTick = 8,
+    RequestTimeout(func, id) = 9,
+    BreakerTick = 10,
+    Dispatch(node) = 11,
+});
 
-impl Snap for FuncRt {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            spec,
-            model,
-            resources,
-            slo,
-            completions,
-            load,
-            saturate,
-            replica_series,
-            desired_replicas,
-            outage_since,
-            backoff_exp,
-            backoff_until,
-            recoveries,
-            service_est,
-            goodput,
-            wasted_service,
-            browned_out,
-            breaker,
-            arrival_token,
-            normal_resources,
-        } = self;
-        spec.snap(w);
-        model.snap(w);
-        resources.snap(w);
-        slo.snap(w);
-        completions.snap(w);
-        load.snap(w);
-        w.bool(*saturate);
-        replica_series.snap(w);
-        w.len_prefix(*desired_replicas);
-        outage_since.snap(w);
-        w.u32(*backoff_exp);
-        backoff_until.snap(w);
-        recoveries.snap(w);
-        service_est.snap(w);
-        goodput.snap(w);
-        wasted_service.snap(w);
-        w.u64(*browned_out);
-        breaker.snap(w);
-        arrival_token.snap(w);
-        normal_resources.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FuncRt {
-            spec: FaSTFuncSpec::unsnap(r)?,
-            model: Arc::unsnap(r)?,
-            resources: ResourceSpec::unsnap(r)?,
-            slo: SloTracker::unsnap(r)?,
-            completions: RateMeter::unsnap(r)?,
-            load: Option::unsnap(r)?,
-            saturate: r.bool()?,
-            replica_series: TimeSeries::unsnap(r)?,
-            desired_replicas: r.len_prefix()?,
-            outage_since: Option::unsnap(r)?,
-            backoff_exp: r.u32()?,
-            backoff_until: SimTime::unsnap(r)?,
-            recoveries: Vec::unsnap(r)?,
-            service_est: BurstEstimator::unsnap(r)?,
-            goodput: RateMeter::unsnap(r)?,
-            wasted_service: SimTime::unsnap(r)?,
-            browned_out: r.u64()?,
-            breaker: CircuitBreaker::unsnap(r)?,
-            arrival_token: Option::unsnap(r)?,
-            normal_resources: ResourceSpec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FuncRt {
+    spec,
+    model,
+    resources,
+    slo,
+    completions,
+    load,
+    saturate,
+    replica_series,
+    desired_replicas,
+    outage_since,
+    backoff_exp,
+    backoff_until,
+    recoveries,
+    service_est,
+    goodput,
+    wasted_service,
+    browned_out,
+    breaker,
+    arrival_token,
+    normal_resources,
+});
 
 impl ActiveReq {
     /// Encodes the request plus its inference cursor. The model profile

@@ -12,8 +12,8 @@
 //! of id-assignment order), at the cost of a plan never being able to miss:
 //! a fault always hits *something* as long as the cluster is non-empty.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_enum, snap_struct, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,77 +136,23 @@ impl FaultPlan {
     }
 }
 
-impl Snap for FaultKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            FaultKind::PodCrash { func_index } => {
-                w.u8(0);
-                w.len_prefix(*func_index);
-            }
-            FaultKind::NodeCrash { node_index } => {
-                w.u8(1);
-                w.len_prefix(*node_index);
-            }
-            FaultKind::NodeDegrade { node_index, factor } => {
-                w.u8(2);
-                w.len_prefix(*node_index);
-                w.f64(*factor);
-            }
-            FaultKind::NodeRecover { node_index } => {
-                w.u8(3);
-                w.len_prefix(*node_index);
-            }
+snap_enum!(FaultKind, "fault kind tag" {
+    PodCrash { func_index } = 0,
+    NodeCrash { node_index } = 1,
+    NodeDegrade { node_index, factor } = 2,
+    NodeRecover { node_index } = 3,
+} check |k| {
+    match k {
+        FaultKind::NodeDegrade { node_index: _, factor } if !factor.is_finite() => {
+            Err(SnapError::new("fault degrade factor"))
         }
+        _ => Ok(()),
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FaultKind::PodCrash {
-                func_index: r.len_prefix()?,
-            },
-            1 => FaultKind::NodeCrash {
-                node_index: r.len_prefix()?,
-            },
-            2 => {
-                let node_index = r.len_prefix()?;
-                let factor = r.f64()?;
-                if !factor.is_finite() {
-                    return Err(SnapError::new("fault degrade factor"));
-                }
-                FaultKind::NodeDegrade { node_index, factor }
-            }
-            3 => FaultKind::NodeRecover {
-                node_index: r.len_prefix()?,
-            },
-            _ => return Err(SnapError::new("fault kind tag")),
-        })
-    }
-}
+});
 
-impl Snap for FaultEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { at, kind } = self;
-        at.snap(w);
-        kind.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultEvent {
-            at: SimTime::unsnap(r)?,
-            kind: FaultKind::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FaultEvent { at, kind });
 
-impl Snap for FaultPlan {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { events } = self;
-        events.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultPlan {
-            events: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FaultPlan { events });
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,7 @@
 //! The profile database.
 
 use crate::scheduler::ConfigPoint;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::{snap_struct, SimTime};
 use std::collections::BTreeMap;
 
 /// A resource configuration key: fixed-point to make it orderable and
@@ -200,60 +199,20 @@ impl ProfileDb {
     }
 }
 
-impl Snap for ProfileKey {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            sm_centi,
-            quota_centi,
-        } = self;
-        w.u32(*sm_centi);
-        w.u32(*quota_centi);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProfileKey {
-            sm_centi: r.u32()?,
-            quota_centi: r.u32()?,
-        })
-    }
-}
+snap_struct!(ProfileKey {
+    sm_centi,
+    quota_centi,
+});
 
-impl Snap for ProfileRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            rps,
-            p50,
-            p99,
-            utilization,
-            sm_occupancy,
-        } = self;
-        w.f64(*rps);
-        p50.snap(w);
-        p99.snap(w);
-        w.f64(*utilization);
-        w.f64(*sm_occupancy);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProfileRecord {
-            rps: r.f64()?,
-            p50: SimTime::unsnap(r)?,
-            p99: SimTime::unsnap(r)?,
-            utilization: r.f64()?,
-            sm_occupancy: r.f64()?,
-        })
-    }
-}
+snap_struct!(ProfileRecord {
+    rps,
+    p50,
+    p99,
+    utilization,
+    sm_occupancy,
+});
 
-impl Snap for ProfileDb {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { records } = self;
-        records.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProfileDb {
-            records: BTreeMap::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(ProfileDb { records });
 
 #[cfg(test)]
 mod tests {

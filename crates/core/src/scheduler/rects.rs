@@ -11,6 +11,7 @@
 
 use fastg_cluster::PodId;
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::{snap_enum, snap_struct};
 // Pod bindings live in an ordered tree: a GPU holds a handful of pods and
 // placement is deploy-time work (768 placements in a whole 256-node fleet
 // run), not a per-event path. fastg-lint: allow(no-btreemap-hot-path)
@@ -405,47 +406,16 @@ impl GpuRects {
     }
 }
 
-impl Snap for Rect {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { x, y, w: rw, h } = self;
-        w.u32(*x);
-        w.u32(*y);
-        w.u32(*rw);
-        w.u32(*h);
+// Rejects rectangles whose far edges overflow `u32`, so `Rect::right`
+// and `Rect::top` cannot overflow on decoded input.
+snap_struct!(Rect { x, y, w, h } check |rect| {
+    if rect.x.checked_add(rect.w).is_none() || rect.y.checked_add(rect.h).is_none() {
+        return Err(SnapError::new("rect edge overflow"));
     }
-    /// Rejects rectangles whose far edges overflow `u32`, so
-    /// [`Rect::right`] and [`Rect::top`] cannot overflow on decoded input.
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let rect = Rect {
-            x: r.u32()?,
-            y: r.u32()?,
-            w: r.u32()?,
-            h: r.u32()?,
-        };
-        if rect.x.checked_add(rect.w).is_none() || rect.y.checked_add(rect.h).is_none() {
-            return Err(SnapError::new("rect edge overflow"));
-        }
-        Ok(rect)
-    }
-}
+    Ok(())
+});
 
-impl Snap for FitRule {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            FitRule::BestAreaFit => 0,
-            FitRule::BestShortSideFit => 1,
-            FitRule::BottomLeft => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FitRule::BestAreaFit,
-            1 => FitRule::BestShortSideFit,
-            2 => FitRule::BottomLeft,
-            _ => return Err(SnapError::new("fit rule tag")),
-        })
-    }
-}
+snap_enum!(FitRule, "fit rule tag" { BestAreaFit = 0, BestShortSideFit = 1, BottomLeft = 2 });
 
 impl Snap for GpuRects {
     /// The free list is encoded in its exact in-memory order: MAXRECTS

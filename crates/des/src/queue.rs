@@ -17,6 +17,7 @@
 use crate::sanitizer;
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
+use crate::{snap_enum, snap_struct};
 use std::collections::BTreeSet;
 
 /// Width of the tie key, the low bits of a rank. Sequence numbers must
@@ -105,26 +106,7 @@ impl TieBreak {
     }
 }
 
-impl Snap for TieBreak {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            TieBreak::Fifo => w.u8(0),
-            TieBreak::Lifo => w.u8(1),
-            TieBreak::SeededShuffle(seed) => {
-                w.u8(2);
-                w.u64(*seed);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(TieBreak::Fifo),
-            1 => Ok(TieBreak::Lifo),
-            2 => Ok(TieBreak::SeededShuffle(r.u64()?)),
-            _ => Err(SnapError::new("TieBreak tag")),
-        }
-    }
-}
+snap_enum!(TieBreak, "TieBreak tag" { Fifo = 0, Lifo = 1, SeededShuffle(seed) = 2 });
 
 /// splitmix64's constants; both multipliers are odd, so multiplication by
 /// them is invertible modulo `2^56` (see [`mix56`]).
@@ -213,15 +195,7 @@ fn tie_of(rank: u128) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CancelToken(u64);
 
-impl Snap for CancelToken {
-    fn snap(&self, w: &mut SnapWriter) {
-        let CancelToken(seq) = self;
-        w.u64(*seq);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CancelToken(r.u64()?))
-    }
-}
+snap_struct!(CancelToken(seq));
 
 /// A priority queue of `(SimTime, E)` pairs, ordered by time, then the
 /// classifier's class, then the [`TieBreak`] policy (FIFO by default).

@@ -5,22 +5,31 @@
 //! allocator planes, estimator state, metrics accumulators — into one
 //! contiguous byte buffer, and restores it byte-exactly. This module is
 //! the codec substrate: a hand-rolled writer/reader pair (no serde; the
-//! build is offline) plus the [`Snap`] trait every snapshottable type
-//! implements.
+//! build is offline), the [`Snap`] trait every snapshottable type
+//! implements, its impls for primitives and std containers, and two
+//! macros that write the impls for state types from one field list:
+//!
+//! * [`snap_struct!`](crate::snap_struct) — a struct (or tuple struct)
+//!   encoded as its fields in list order, with optional `skip`ped cache
+//!   fields and a `check` run on the decoded value;
+//! * [`snap_enum!`](crate::snap_enum) — an enum encoded as a one-byte tag
+//!   followed by the variant's fields.
 //!
 //! Encoding rules, chosen for determinism rather than compactness:
 //!
 //! * all integers are **fixed-width little-endian** — no varints, so the
-//!   encoded form of a value never depends on its magnitude;
+//!   encoded form of a value never depends on its magnitude; `usize` is
+//!   written as a `u64`;
 //! * `f64` is encoded via [`f64::to_bits`] — bit-exact round trips, the
 //!   same convention the report digest uses;
 //! * collections are length-prefixed (`u64`) and encoded in their own
 //!   deterministic iteration order;
 //! * there is no schema or tagging inside the stream — the layout *is*
-//!   the schema, which is why encode/decode implementations must
-//!   destructure their structs exhaustively (enforced by the
-//!   `exhaustive-snapshot-fields` lint rule: a newly added field that the
-//!   codec silently skips would corrupt every checkpoint).
+//!   the schema. The macros destructure exhaustively by construction, so
+//!   a newly added field is a compile error until it is listed; the few
+//!   impls still written by hand (decoders that need context, generic
+//!   containers, derived fields) destructure exhaustively too, which the
+//!   `exhaustive-snapshot-fields` lint rule enforces.
 //!
 //! Decoding is fallible and total: a truncated or corrupt buffer returns
 //! a [`SnapError`] naming the decode site, never a panic.
@@ -237,9 +246,12 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Reads a collection length prefix, bounds-checked against the bytes
-    /// actually remaining (each element takes at least one byte), so a
-    /// corrupt length cannot trigger an absurd pre-allocation.
+    /// Reads a collection length prefix (also the encoding of `usize`
+    /// values such as counts and capacities). It is deliberately *not*
+    /// checked against the bytes remaining: a `usize` field may hold any
+    /// value. The container decoders bound their up-front allocation by
+    /// the bytes remaining instead, so a corrupt length cannot trigger an
+    /// absurd pre-allocation.
     pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
         let n = self.u64()?;
         let n = usize::try_from(n).map_err(|_| SnapError::new("len"))?;
@@ -262,15 +274,169 @@ impl<'a> SnapReader<'a> {
 /// A type whose full state can be serialized into a [`SnapWriter`] and
 /// reconstructed, byte-exactly, from a [`SnapReader`].
 ///
-/// Implementations must destructure their struct exhaustively (no `..`
-/// rest patterns) so a newly added field fails to compile rather than
-/// being silently dropped from checkpoints — the `exhaustive-snapshot-
-/// fields` lint rule enforces this mechanically.
+/// State types implement it through [`snap_struct!`](crate::snap_struct)
+/// or [`snap_enum!`](crate::snap_enum), which list each field once and
+/// destructure exhaustively. A hand-written impl is for a layout that is
+/// not a plain field list; it must destructure its struct exhaustively
+/// too (no `..` rest patterns), so a newly added field fails to compile
+/// rather than being silently dropped from checkpoints — the
+/// `exhaustive-snapshot-fields` lint rule enforces this mechanically.
 pub trait Snap: Sized {
     /// Serializes `self` into `w`.
     fn snap(&self, w: &mut SnapWriter);
     /// Reconstructs a value from `r`.
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+/// Implements [`Snap`] for a struct whose wire layout is its fields in
+/// list order, each encoded with its own [`Snap`] impl.
+///
+/// ```
+/// use fastg_des::{snap_struct, SimTime, SnapError};
+///
+/// #[derive(Debug, Default, PartialEq)]
+/// pub struct Window {
+///     start: SimTime,
+///     count: u64,
+///     /// Derived on demand; never on the wire.
+///     cache: Vec<u64>,
+/// }
+///
+/// snap_struct!(Window { start, count } skip { cache } check |v| {
+///     if v.count > 1 << 20 {
+///         return Err(SnapError::new("Window count"));
+///     }
+///     Ok(())
+/// });
+///
+/// /// A tuple newtype lists a binding per field.
+/// pub struct Id(u32);
+/// snap_struct!(Id(raw));
+/// ```
+///
+/// The encoder destructures the struct exhaustively: a field missing
+/// from both lists is a compile error, never a field the checkpoint
+/// silently drops. The decoder reads a struct literal, which Rust
+/// evaluates in the order written, so bytes are read in list order.
+/// `skip` fields are caches and scratch space: they are not written and
+/// decode as `Default::default()`. `check |v| { … }` validates the
+/// decoded value (`v: &Self`) and returns `Result<(), SnapError>`; it
+/// runs after the whole struct has been read.
+#[macro_export]
+macro_rules! snap_struct {
+    (
+        $ty:ident { $($field:ident),* $(,)? }
+        $(skip { $($skip:ident),* $(,)? })?
+        $(check |$v:ident| $check:block)?
+    ) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                let $ty { $($field,)* $($($skip: _,)*)? } = self;
+                $($crate::snap::Snap::snap($field, w);)*
+            }
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                let value = $ty {
+                    $($field: $crate::snap::Snap::unsnap(r)?,)*
+                    $($($skip: ::core::default::Default::default(),)*)?
+                };
+                $({
+                    let $v: &$ty = &value;
+                    let checked: ::core::result::Result<(), $crate::snap::SnapError> = $check;
+                    checked?;
+                })?
+                Ok(value)
+            }
+        }
+    };
+    ($ty:ident ( $($field:ident),+ $(,)? )) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                let $ty($($field),+) = self;
+                $($crate::snap::Snap::snap($field, w);)+
+            }
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                Ok($ty($({
+                    let $field = $crate::snap::Snap::unsnap(r)?;
+                    $field
+                }),+))
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for an enum as a one-byte tag followed by the
+/// variant's fields in list order. Each variant is written as it is
+/// matched: bare, with a binding per tuple field, or with its struct
+/// field names, then paired with its tag. Decoding an unlisted tag fails
+/// with a [`SnapError`] carrying the given name; an optional
+/// `check |v| { … }` validates the decoded value as in [`snap_struct!`].
+///
+/// ```
+/// use fastg_des::{snap_enum, SnapError};
+///
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// pub enum Light {
+///     Off,
+///     Blink(u64),
+///     Dim { level: f64 },
+/// }
+///
+/// snap_enum!(Light, "Light tag" { Off = 0, Blink(period) = 1, Dim { level } = 2 } check |l| {
+///     match l {
+///         Light::Dim { level } if !level.is_finite() => Err(SnapError::new("Light level")),
+///         _ => Ok(()),
+///     }
+/// });
+/// ```
+///
+/// The encoder's `match` is exhaustive, so a new variant is a compile
+/// error until it has a tag, and a new field is one until it is listed.
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $ty:ident, $what:literal {
+            $(
+                $variant:ident $(( $($tf:ident),+ $(,)? ))? $({ $($sf:ident),+ $(,)? })? = $tag:literal
+            ),+ $(,)?
+        }
+        $(check |$v:ident| $check:block)?
+    ) => {
+        impl $crate::snap::Snap for $ty {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $($ty::$variant $(($($tf),+))? $({ $($sf),+ })? => {
+                        w.u8($tag);
+                        $($($crate::snap::Snap::snap($tf, w);)+)?
+                        $($($crate::snap::Snap::snap($sf, w);)+)?
+                    })+
+                }
+            }
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                let value = match r.u8()? {
+                    $($tag => $ty::$variant
+                        $(($({
+                            let $tf = $crate::snap::Snap::unsnap(r)?;
+                            $tf
+                        }),+))?
+                        $({ $($sf: $crate::snap::Snap::unsnap(r)?),+ })?,
+                    )+
+                    _ => return Err($crate::snap::SnapError::new($what)),
+                };
+                $({
+                    let $v: &$ty = &value;
+                    let checked: ::core::result::Result<(), $crate::snap::SnapError> = $check;
+                    checked?;
+                })?
+                Ok(value)
+            }
+        }
+    };
 }
 
 impl Snap for u8 {
@@ -628,6 +794,119 @@ mod tests {
         assert!(r.expect_done().is_err());
         let _ = u8::unsnap(&mut r).expect("second");
         assert!(r.expect_done().is_ok());
+    }
+
+    /// A struct with a skipped cache field and a decode check.
+    #[derive(Debug, Default, PartialEq)]
+    struct Window {
+        start: SimTime,
+        count: u32,
+        cache: Vec<u64>,
+    }
+
+    snap_struct!(Window { start, count } skip { cache } check |v| {
+        if v.count > 100 {
+            return Err(SnapError::new("window count"));
+        }
+        Ok(())
+    });
+
+    #[derive(Debug, PartialEq)]
+    struct Pair(u64, String);
+
+    snap_struct!(Pair(id, name));
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line(u64, u64),
+        Box { w: u32, h: u32 },
+    }
+
+    snap_enum!(Shape, "shape tag" { Dot = 0, Line(from, to) = 1, Box { w, h } = 2 });
+
+    fn encode<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.finish()
+    }
+
+    fn decode<T: Snap>(bytes: &[u8]) -> Result<T, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let v = T::unsnap(&mut r)?;
+        r.expect_done()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn snap_struct_writes_listed_fields_in_order_and_skips_the_rest() {
+        let v = Window {
+            start: SimTime::from_micros(9),
+            count: 7,
+            cache: vec![1, 2, 3],
+        };
+        let bytes = encode(&v);
+        let mut w = SnapWriter::new();
+        w.u64(9);
+        w.u32(7);
+        assert_eq!(bytes, w.finish());
+        let back: Window = decode(&bytes).expect("decode");
+        assert_eq!(back.start, v.start);
+        assert_eq!(back.count, v.count);
+        assert!(
+            back.cache.is_empty(),
+            "a skipped field decodes as its default"
+        );
+    }
+
+    #[test]
+    fn snap_struct_check_surfaces_its_error() {
+        let v = Window {
+            count: 101,
+            ..Window::default()
+        };
+        assert_eq!(
+            decode::<Window>(&encode(&v)),
+            Err(SnapError::new("window count"))
+        );
+    }
+
+    #[test]
+    fn snap_struct_tuple_newtype_round_trips() {
+        round_trip(&Pair(u64::MAX, String::from("gpu-0")));
+        let mut w = SnapWriter::new();
+        w.u64(3);
+        w.str("x");
+        assert_eq!(encode(&Pair(3, String::from("x"))), w.finish());
+    }
+
+    #[test]
+    fn snap_enum_round_trips_every_variant_and_rejects_bad_tags() {
+        round_trip(&Shape::Dot);
+        round_trip(&Shape::Line(4, 5));
+        round_trip(&Shape::Box { w: 6, h: 7 });
+        assert_eq!(encode(&Shape::Dot), vec![0]);
+        assert_eq!(decode::<Shape>(&[3]), Err(SnapError::new("shape tag")));
+        assert_eq!(
+            decode::<Shape>(&[u8::MAX]),
+            Err(SnapError::new("shape tag"))
+        );
+        for v in [Shape::Line(4, 5), Shape::Box { w: 6, h: 7 }] {
+            let bytes = encode(&v);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode::<Shape>(&bytes[..cut]).is_err(),
+                    "{v:?} cut at {cut}"
+                );
+            }
+        }
+        let bytes = encode(&Window::default());
+        for cut in 0..bytes.len() {
+            assert!(
+                decode::<Window>(&bytes[..cut]).is_err(),
+                "window cut at {cut}"
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::metrics::GpuMetrics;
 use crate::mps::{MpsError, MpsMode, MpsServer};
 use crate::spec::GpuSpec;
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{sanitizer, SimTime};
+use fastg_des::{sanitizer, snap_struct, SimTime};
 use std::collections::VecDeque;
 
 pub use crate::mps::ClientId;
@@ -1047,81 +1047,27 @@ impl GpuDevice {
     }
 }
 
-impl Snap for KernelId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let KernelId(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(KernelId(r.u64()?))
-    }
-}
+snap_struct!(KernelId(raw));
 
-impl Snap for KernelDesc {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            blocks,
-            work_per_block,
-            tag,
-        } = self;
-        w.u32(*blocks);
-        work_per_block.snap(w);
-        w.u64(*tag);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(KernelDesc {
-            blocks: r.u32()?,
-            work_per_block: SimTime::unsnap(r)?,
-            tag: r.u64()?,
-        })
-    }
-}
+snap_struct!(KernelDesc {
+    blocks,
+    work_per_block,
+    tag,
+});
 
-impl Snap for Running {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            client,
-            tag,
-            granted,
-            started,
-        } = self;
-        client.snap(w);
-        w.u64(*tag);
-        w.u32(*granted);
-        started.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Running {
-            client: ClientId::unsnap(r)?,
-            tag: r.u64()?,
-            granted: r.u32()?,
-            started: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Running {
+    client,
+    tag,
+    granted,
+    started,
+});
 
-impl Snap for FfRun {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            desc,
-            count,
-            granted,
-            duration,
-        } = self;
-        desc.snap(w);
-        w.u32(*count);
-        w.u32(*granted);
-        duration.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FfRun {
-            desc: KernelDesc::unsnap(r)?,
-            count: r.u32()?,
-            granted: r.u32()?,
-            duration: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FfRun {
+    desc,
+    count,
+    granted,
+    duration,
+});
 
 impl Snap for FfTimeline {
     /// Encodes the runs and the cursor; the run start, the burst end and
@@ -1156,89 +1102,26 @@ impl Snap for FfTimeline {
     }
 }
 
-impl Snap for ClientStream {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            queued,
-            running,
-            waiting,
-        } = self;
-        queued.snap(w);
-        running.snap(w);
-        w.bool(*waiting);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClientStream {
-            queued: VecDeque::unsnap(r)?,
-            running: Option::unsnap(r)?,
-            waiting: r.bool()?,
-        })
-    }
-}
+snap_struct!(ClientStream {
+    queued,
+    running,
+    waiting,
+});
 
-impl Snap for GpuDevice {
-    /// Captures the complete behavioral state of the device. The recycled
-    /// timeline buffers (`ff_pool`) are a pure allocation cache and restore
-    /// empty.
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            spec,
-            mps,
-            memory,
-            metrics,
-            free_sms,
-            streams,
-            running,
-            wait_queue,
-            next_kernel,
-            clock_scale,
-            ff,
-            ff_pool: _,
-        } = self;
-        spec.snap(w);
-        mps.snap(w);
-        memory.snap(w);
-        metrics.snap(w);
-        w.u32(*free_sms);
-        streams.snap(w);
-        running.snap(w);
-        wait_queue.snap(w);
-        w.u64(*next_kernel);
-        clock_scale.snap(w);
-        ff.snap(w);
+// The recycled timeline buffers (`ff_pool`) are a pure allocation cache
+// and restore empty.
+snap_struct!(GpuDevice {
+    spec, mps, memory, metrics, free_sms, streams, running, wait_queue, next_kernel,
+    clock_scale, ff,
+} skip { ff_pool } check |d| {
+    if d.free_sms > d.spec.sm_count {
+        return Err(SnapError::new("gpu free sms"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let spec = GpuSpec::unsnap(r)?;
-        let mps = MpsServer::unsnap(r)?;
-        let memory = GpuMemory::unsnap(r)?;
-        let metrics = GpuMetrics::unsnap(r)?;
-        let free_sms = r.u32()?;
-        if free_sms > spec.sm_count {
-            return Err(SnapError::new("gpu free sms"));
-        }
-        let streams: Vec<(ClientId, ClientStream)> = Vec::unsnap(r)?;
-        let running: Vec<(KernelId, Running)> = Vec::unsnap(r)?;
-        let wait_queue: VecDeque<ClientId> = VecDeque::unsnap(r)?;
-        let next_kernel = r.u64()?;
-        if running.iter().any(|(id, _)| id.0 >= next_kernel) {
-            return Err(SnapError::new("gpu kernel id space"));
-        }
-        Ok(GpuDevice {
-            spec,
-            mps,
-            memory,
-            metrics,
-            free_sms,
-            streams,
-            running,
-            wait_queue,
-            next_kernel,
-            clock_scale: f64::unsnap(r)?,
-            ff: Vec::unsnap(r)?,
-            ff_pool: Vec::new(),
-        })
+    if d.running.iter().any(|(id, _)| id.0 >= d.next_kernel) {
+        return Err(SnapError::new("gpu kernel id space"));
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,8 @@
 //! study fragmentation and capacity questions (e.g. "how many ResNeXt pods
 //! fit in 16 GB?").
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::SnapError;
+use fastg_des::snap_struct;
 use std::collections::BTreeMap;
 
 /// A device pointer: base offset and length of a live allocation.
@@ -190,72 +191,26 @@ impl GpuMemory {
     }
 }
 
-impl Snap for DevicePtr {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { offset, len } = self;
-        w.u64(*offset);
-        w.u64(*len);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DevicePtr {
-            offset: r.u64()?,
-            len: r.u64()?,
-        })
-    }
-}
+snap_struct!(DevicePtr { offset, len });
 
-impl Snap for IpcHandle {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IpcHandle(r.u64()?))
-    }
-}
+snap_struct!(IpcHandle(raw));
 
-impl Snap for GpuMemory {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            capacity,
-            free,
-            live,
-            handles,
-            next_handle,
-        } = self;
-        w.u64(*capacity);
-        free.snap(w);
-        live.snap(w);
-        handles.snap(w);
-        w.u64(*next_handle);
+snap_struct!(GpuMemory { capacity, free, live, handles, next_handle } check |m| {
+    // Checked: decoded sizes may sum past `u64::MAX`.
+    let sum = |m: &BTreeMap<u64, u64>| m.values().try_fold(0u64, |a, &b| a.checked_add(b));
+    let total = sum(&m.live)
+        .zip(sum(&m.free))
+        .and_then(|(used, unused)| used.checked_add(unused));
+    if total != Some(m.capacity) {
+        return Err(SnapError::new("gpu memory accounting"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let capacity = r.u64()?;
-        let free: BTreeMap<u64, u64> = BTreeMap::unsnap(r)?;
-        let live: BTreeMap<u64, u64> = BTreeMap::unsnap(r)?;
-        let handles: BTreeMap<u64, DevicePtr> = BTreeMap::unsnap(r)?;
-        let next_handle = r.u64()?;
-        // Checked: decoded sizes may sum past `u64::MAX`.
-        let sum = |m: &BTreeMap<u64, u64>| m.values().try_fold(0u64, |a, &b| a.checked_add(b));
-        let total = sum(&live)
-            .zip(sum(&free))
-            .and_then(|(used, unused)| used.checked_add(unused));
-        if total != Some(capacity) {
-            return Err(SnapError::new("gpu memory accounting"));
-        }
-        Ok(GpuMemory {
-            capacity,
-            free,
-            live,
-            handles,
-            next_handle,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn alloc_and_free_round_trip() {

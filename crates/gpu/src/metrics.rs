@@ -11,8 +11,7 @@
 //!   resident kernels.
 
 use crate::device::ClientId;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{BusyTracker, SimTime, TimeSeries, TimeWeighted};
+use fastg_des::{snap_struct, BusyTracker, SimTime, TimeSeries, TimeWeighted};
 use std::collections::BTreeMap;
 
 /// A snapshot of the GPU's aggregate counters over a window.
@@ -197,43 +196,17 @@ impl GpuMetrics {
     }
 }
 
-impl Snap for GpuMetrics {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            sm_count,
-            util,
-            occupied_sms,
-            kernels_completed,
-            window_kernels,
-            per_client_busy,
-            util_series,
-            occ_series,
-            window_start,
-        } = self;
-        w.u32(*sm_count);
-        util.snap(w);
-        occupied_sms.snap(w);
-        w.u64(*kernels_completed);
-        w.u64(*window_kernels);
-        per_client_busy.snap(w);
-        util_series.snap(w);
-        occ_series.snap(w);
-        window_start.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(GpuMetrics {
-            sm_count: r.u32()?,
-            util: BusyTracker::unsnap(r)?,
-            occupied_sms: TimeWeighted::unsnap(r)?,
-            kernels_completed: r.u64()?,
-            window_kernels: r.u64()?,
-            per_client_busy: BTreeMap::unsnap(r)?,
-            util_series: TimeSeries::unsnap(r)?,
-            occ_series: TimeSeries::unsnap(r)?,
-            window_start: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(GpuMetrics {
+    sm_count,
+    util,
+    occupied_sms,
+    kernels_completed,
+    window_kernels,
+    per_client_busy,
+    util_series,
+    occ_series,
+    window_start,
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,8 @@
 //! ([`crate::GpuDevice`]) enforces.
 
 use crate::spec::GpuSpec;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_enum, snap_struct};
 
 /// Identifies an MPS client (one function-instance container / pod).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -208,83 +209,27 @@ impl MpsServer {
     }
 }
 
-impl Snap for ClientId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let ClientId(raw) = self;
-        w.u32(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClientId(r.u32()?))
-    }
-}
+snap_struct!(ClientId(raw));
 
-impl Snap for MpsMode {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            MpsMode::Shared => w.u8(0),
-            MpsMode::Exclusive => w.u8(1),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(MpsMode::Shared),
-            1 => Ok(MpsMode::Exclusive),
-            _ => Err(SnapError::new("mps mode tag")),
-        }
-    }
-}
+snap_enum!(MpsMode, "mps mode tag" { Shared = 0, Exclusive = 1 });
 
-impl Snap for ClientEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { percentage, sm_cap } = self;
-        percentage.snap(w);
-        w.u32(*sm_cap);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClientEntry {
-            percentage: f64::unsnap(r)?,
-            sm_cap: r.u32()?,
-        })
-    }
-}
+snap_struct!(ClientEntry { percentage, sm_cap });
 
-impl Snap for MpsServer {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            mode,
-            sm_count,
-            clients,
-            next_id,
-        } = self;
-        mode.snap(w);
-        w.u32(*sm_count);
-        clients.snap(w);
-        w.u32(*next_id);
+snap_struct!(MpsServer { mode, sm_count, clients, next_id } check |s| {
+    // Lookups assume the ascending id order `register` keeps.
+    if s.clients.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(SnapError::new("mps client order"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mode = MpsMode::unsnap(r)?;
-        let sm_count = r.u32()?;
-        // Lookups assume the ascending id order `register` keeps.
-        let clients: Vec<(ClientId, ClientEntry)> = Vec::unsnap(r)?;
-        let next_id = r.u32()?;
-        if clients.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(SnapError::new("mps client order"));
-        }
-        if clients.iter().any(|(c, _)| c.0 >= next_id) {
-            return Err(SnapError::new("mps client id space"));
-        }
-        Ok(MpsServer {
-            mode,
-            sm_count,
-            clients,
-            next_id,
-        })
+    if s.clients.iter().any(|(c, _)| c.0 >= s.next_id) {
+        return Err(SnapError::new("mps client id space"));
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     fn server(mode: MpsMode) -> MpsServer {
         MpsServer::new(&GpuSpec::v100(), mode)

@@ -1,6 +1,7 @@
 //! GPU hardware descriptions.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::SnapError;
+use fastg_des::snap_struct;
 
 /// Static description of a GPU device.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,30 +76,12 @@ impl GpuSpec {
     }
 }
 
-impl Snap for GpuSpec {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            name,
-            sm_count,
-            memory_bytes,
-        } = self;
-        name.snap(w);
-        w.u32(*sm_count);
-        w.u64(*memory_bytes);
+snap_struct!(GpuSpec { name, sm_count, memory_bytes } check |s| {
+    if s.sm_count == 0 {
+        return Err(SnapError::new("gpu spec sm count"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let name = String::unsnap(r)?;
-        let sm_count = r.u32()?;
-        if sm_count == 0 {
-            return Err(SnapError::new("gpu spec sm count"));
-        }
-        Ok(GpuSpec {
-            name,
-            sm_count,
-            memory_bytes: r.u64()?,
-        })
-    }
-}
+    Ok(())
+});
 
 /// One gibibyte, in bytes.
 pub const GIB: u64 = 1024 * 1024 * 1024;

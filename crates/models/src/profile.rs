@@ -1,7 +1,6 @@
 //! Model profiles: kernel traces and memory footprints.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::{snap_struct, SimTime};
 
 /// One kernel launch within a stage burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,73 +167,23 @@ impl ModelProfile {
     }
 }
 
-impl Snap for KernelSpec {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            blocks,
-            work_per_block,
-        } = self;
-        w.u32(*blocks);
-        work_per_block.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(KernelSpec {
-            blocks: r.u32()?,
-            work_per_block: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(KernelSpec {
+    blocks,
+    work_per_block,
+});
 
-impl Snap for Stage {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { host, kernels } = self;
-        host.snap(w);
-        kernels.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Stage {
-            host: SimTime::unsnap(r)?,
-            kernels: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Stage { host, kernels });
 
-impl Snap for MemoryFootprint {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            runtime_bytes,
-            weights_bytes,
-        } = self;
-        w.u64(*runtime_bytes);
-        w.u64(*weights_bytes);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemoryFootprint {
-            runtime_bytes: r.u64()?,
-            weights_bytes: r.u64()?,
-        })
-    }
-}
+snap_struct!(MemoryFootprint {
+    runtime_bytes,
+    weights_bytes,
+});
 
-impl Snap for ModelProfile {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            name,
-            stages,
-            memory,
-        } = self;
-        name.snap(w);
-        stages.snap(w);
-        memory.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ModelProfile {
-            name: String::unsnap(r)?,
-            stages: Vec::unsnap(r)?,
-            memory: MemoryFootprint::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(ModelProfile {
+    name,
+    stages,
+    memory,
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,8 @@
 //! The inference cursor: walks a [`ModelProfile`] one operation at a time.
 
 use crate::profile::{KernelSpec, ModelProfile};
-use fastg_des::snap::{SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::{snap_enum, SimTime};
 use std::sync::Arc;
 
 /// The next thing an in-flight inference needs to do.
@@ -39,6 +39,8 @@ enum Phase {
     Host,
     Burst,
 }
+
+snap_enum!(Phase, "inference cursor phase" { Host = 0, Burst = 1 });
 
 /// A resumable cursor over one request's stage sequence.
 ///
@@ -142,11 +144,8 @@ impl InferenceRun {
             stage,
             phase,
         } = self;
-        w.len_prefix(*stage);
-        match phase {
-            Phase::Host => w.u8(0),
-            Phase::Burst => w.u8(1),
-        }
+        stage.snap(w);
+        phase.snap(w);
     }
 
     /// Rebuilds a run from a cursor encoded by [`Self::snap_cursor`],
@@ -155,15 +154,11 @@ impl InferenceRun {
         r: &mut SnapReader<'_>,
         profile: Arc<ModelProfile>,
     ) -> Result<Self, SnapError> {
-        let stage = r.len_prefix()?;
+        let stage = usize::unsnap(r)?;
         if stage > profile.stages.len() {
             return Err(SnapError::new("inference cursor stage"));
         }
-        let phase = match r.u8()? {
-            0 => Phase::Host,
-            1 => Phase::Burst,
-            _ => return Err(SnapError::new("inference cursor phase")),
-        };
+        let phase = Phase::unsnap(r)?;
         Ok(InferenceRun {
             profile,
             stage,

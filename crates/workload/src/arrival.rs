@@ -1,7 +1,7 @@
 //! Open-loop request arrival processes.
 
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::{snap_enum, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -194,47 +194,12 @@ impl ArrivalProcess {
     }
 }
 
-impl Snap for Kind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Kind::Constant { rate } => {
-                w.u8(0);
-                rate.snap(w);
-            }
-            Kind::Poisson { rate } => {
-                w.u8(1);
-                rate.snap(w);
-            }
-            Kind::Profile { knots } => {
-                w.u8(2);
-                knots.snap(w);
-            }
-            Kind::Trace { times, next } => {
-                w.u8(3);
-                times.snap(w);
-                next.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Kind::Constant {
-                rate: f64::unsnap(r)?,
-            }),
-            1 => Ok(Kind::Poisson {
-                rate: f64::unsnap(r)?,
-            }),
-            2 => Ok(Kind::Profile {
-                knots: Vec::unsnap(r)?,
-            }),
-            3 => Ok(Kind::Trace {
-                times: Vec::unsnap(r)?,
-                next: usize::unsnap(r)?,
-            }),
-            _ => Err(SnapError::new("arrival Kind tag")),
-        }
-    }
-}
+snap_enum!(Kind, "arrival Kind tag" {
+    Constant { rate } = 0,
+    Poisson { rate } = 1,
+    Profile { knots } = 2,
+    Trace { times, next } = 3,
+});
 
 impl Snap for ArrivalProcess {
     /// The RNG is captured as its raw xoshiro256++ state, so a restored

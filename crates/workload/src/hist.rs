@@ -1,7 +1,7 @@
 //! Log-bucket latency histogram (HdrHistogram-style, simplified).
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_struct, SimTime};
 
 /// Per-bucket growth factor: ~5 % relative quantile error.
 const GROWTH: f64 = 1.05;
@@ -149,44 +149,21 @@ impl LatencyHistogram {
     }
 }
 
-impl Snap for LatencyHistogram {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            counts,
-            count,
-            sum_us,
-            min,
-            max,
-        } = self;
-        counts.snap(w);
-        w.u64(*count);
-        w.u128(*sum_us);
-        min.snap(w);
-        max.snap(w);
+snap_struct!(LatencyHistogram { counts, count, sum_us, min, max } check |h| {
+    if h.counts.len() != BUCKETS {
+        return Err(SnapError::new("histogram bucket count"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let counts: Vec<u64> = Vec::unsnap(r)?;
-        if counts.len() != BUCKETS {
-            return Err(SnapError::new("histogram bucket count"));
-        }
-        let count = r.u64()?;
-        // Checked: decoded bucket counts may sum past `u64::MAX`.
-        if counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(count) {
-            return Err(SnapError::new("histogram total"));
-        }
-        Ok(LatencyHistogram {
-            counts,
-            count,
-            sum_us: r.u128()?,
-            min: Option::unsnap(r)?,
-            max: SimTime::unsnap(r)?,
-        })
+    // Checked: decoded bucket counts may sum past `u64::MAX`.
+    if h.counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(h.count) {
+        return Err(SnapError::new("histogram total"));
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn empty_histogram() {

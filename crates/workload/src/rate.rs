@@ -1,7 +1,7 @@
 //! Throughput measurement and arrival-rate prediction.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_struct, SimTime};
 use std::collections::VecDeque;
 
 /// One run-length-encoded stretch of evenly spaced timestamps:
@@ -112,72 +112,27 @@ impl RateMeter {
     }
 }
 
-impl Snap for Run {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            start_us,
-            gap_us,
-            count,
-        } = self;
-        w.u64(*start_us);
-        w.u64(*gap_us);
-        w.u64(*count);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Run {
-            start_us: r.u64()?,
-            gap_us: r.u64()?,
-            count: r.u64()?,
-        })
-    }
-}
+snap_struct!(Run {
+    start_us,
+    gap_us,
+    count,
+});
 
-impl Snap for RateMeter {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { runs, total } = self;
-        runs.snap(w);
-        w.u64(*total);
+snap_struct!(RateMeter { runs, total } check |m| {
+    // Checked: decoded run counts may sum past `u64::MAX`.
+    if m.runs.iter().try_fold(0u64, |a, run| a.checked_add(run.count)) != Some(m.total) {
+        return Err(SnapError::new("rate meter total"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let runs: Vec<Run> = Vec::unsnap(r)?;
-        let total = r.u64()?;
-        // Checked: decoded run counts may sum past `u64::MAX`.
-        if runs
-            .iter()
-            .try_fold(0u64, |a, run| a.checked_add(run.count))
-            != Some(total)
-        {
-            return Err(SnapError::new("rate meter total"));
-        }
-        Ok(RateMeter { runs, total })
-    }
-}
+    Ok(())
+});
 
-impl Snap for RateEstimator {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            window,
-            alpha,
-            recent,
-            smoothed,
-            last_update,
-        } = self;
-        window.snap(w);
-        alpha.snap(w);
-        recent.snap(w);
-        smoothed.snap(w);
-        last_update.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RateEstimator {
-            window: SimTime::unsnap(r)?,
-            alpha: f64::unsnap(r)?,
-            recent: VecDeque::unsnap(r)?,
-            smoothed: Option::unsnap(r)?,
-            last_update: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(RateEstimator {
+    window,
+    alpha,
+    recent,
+    smoothed,
+    last_update,
+});
 
 /// Predicts the near-future request rate from recent arrivals — the
 /// gateway-side signal `R_j` the Heuristic Scaling Algorithm consumes.
@@ -247,6 +202,7 @@ impl RateEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn meter_counts_windows() {

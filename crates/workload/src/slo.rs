@@ -1,8 +1,8 @@
 //! Service-level-objective accounting.
 
 use crate::hist::LatencyHistogram;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::SimTime;
+use fastg_des::snap::SnapError;
+use fastg_des::{snap_struct, SimTime};
 
 /// Tracks request latencies against a latency SLO (e.g. the paper's 69 ms
 /// ResNet objective) and reports the violation ratio.
@@ -70,31 +70,12 @@ impl SloTracker {
     }
 }
 
-impl Snap for SloTracker {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            slo,
-            histogram,
-            violations,
-        } = self;
-        slo.snap(w);
-        histogram.snap(w);
-        w.u64(*violations);
+snap_struct!(SloTracker { slo, histogram, violations } check |t| {
+    if t.violations > t.histogram.count() {
+        return Err(SnapError::new("slo violations"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let slo = SimTime::unsnap(r)?;
-        let histogram = LatencyHistogram::unsnap(r)?;
-        let violations = r.u64()?;
-        if violations > histogram.count() {
-            return Err(SnapError::new("slo violations"));
-        }
-        Ok(SloTracker {
-            slo,
-            histogram,
-            violations,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
