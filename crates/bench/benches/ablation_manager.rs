@@ -1,132 +1,17 @@
-//! Ablations of the FaST-Manager design choices (DESIGN.md §7):
+//! Sensitivity of the FaST-Manager and auto-scaler to the platform
+//! settings the workloads use (DESIGN.md §7):
 //!
-//! 1. Q_miss-descending priority vs FIFO token dispatch — does the
-//!    priority queue actually protect guaranteed quotas under contention?
-//! 2. Strict burst admission (Gemini-estimate-gated) vs the paper's
-//!    one-burst overrun tolerance — quota fidelity vs throughput.
-//! 3. Token-lease duration sensitivity for the time-sharing comparator —
-//!    the knob that separates "time sharing" from "racing with extra
-//!    steps".
+//! 1. Token-lease duration for the time-sharing comparator — the knob
+//!    that separates "time sharing" from "racing with extra steps".
+//! 2. The auto-scaler's control interval — SLO violations under a ramp.
+//!
+//! The backend's dispatch order and burst admission are fixed to the
+//! paper's choices; EXPERIMENTS.md records the ablations that fixed them.
 
-use criterion::Criterion;
-use fastg_cluster::{PodId, ResourceSpec};
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
-use fastgshare::manager::{
-    BackendConfig, DispatchOrder, FastBackend, RequestOutcome, SharingPolicy,
-};
+use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
-
-/// Drives a contended backend directly: `n` pods with mixed quota
-/// requests all want tokens constantly; measures how much GPU time each
-/// pod's guarantee actually received over `windows` windows. Returns the
-/// worst shortfall ratio (achieved / requested) among pods.
-fn quota_fidelity(order: DispatchOrder, windows: u32) -> f64 {
-    let window = SimTime::from_millis(100);
-    let mut b = FastBackend::new(BackendConfig {
-        policy: SharingPolicy::FaST,
-        window,
-        token_lease: SimTime::from_millis(2),
-        dispatch_order: order,
-        ..BackendConfig::default()
-    });
-    // Over-subscribed adapter: 3 × 60 % shares but only 100 % budget, so
-    // exactly one pod runs at a time; guarantees sum to the whole window.
-    let requests = [0.6, 0.3, 0.1];
-    for (i, &q) in requests.iter().enumerate() {
-        b.register(PodId(i as u64), ResourceSpec::new(60.0, q, 1.0, 0));
-    }
-    let mut achieved = [SimTime::ZERO; 3];
-    let mut now = SimTime::ZERO;
-    let burst = SimTime::from_millis(2);
-    // All pods ask up front; the backend's dispatch picks the holder.
-    let mut holder: Option<PodId> = None;
-    for i in 0..3u64 {
-        if let (RequestOutcome::Granted(_), _) = b.request(now, PodId(i)).unwrap() {
-            holder = Some(PodId(i));
-        }
-    }
-    let end = window * windows as u64;
-    let mut next_reset = window;
-    while now < end {
-        if now >= next_reset {
-            for g in b.on_window_reset(now) {
-                holder.get_or_insert(g.pod);
-            }
-            next_reset += window;
-        }
-        let Some(pod) = holder else {
-            now = next_reset;
-            continue;
-        };
-        // The holder bursts until its lease lapses; the dispatch then
-        // hands the token to whichever waiter the policy prefers, and the
-        // old holder re-queues.
-        b.begin_burst(pod).unwrap();
-        now += burst;
-        achieved[pod.0 as usize] += burst;
-        let out = b.sync_point(now, pod, burst).unwrap();
-        if !out.lease_valid {
-            holder = out.granted.first().map(|g| g.pod);
-            let (outcome, side) = b.request(now, pod).unwrap();
-            if holder.is_none() {
-                if let RequestOutcome::Granted(_) = outcome {
-                    holder = Some(pod);
-                }
-                holder = holder.or(side.first().map(|g| g.pod));
-            }
-        }
-    }
-    let total = window * windows as u64;
-    (0..3)
-        .map(|i| {
-            let want = total.scale(requests[i]).as_secs_f64();
-            let got = achieved[i].as_secs_f64();
-            (got / want).min(1.0)
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// End-to-end strict-admission comparison: a pod with a tight quota and
-/// large bursts; how far does it overrun its limit per window?
-fn overrun_with(strict: bool) -> (f64, f64) {
-    let window = SimTime::from_millis(100);
-    let mut b = FastBackend::new(BackendConfig {
-        policy: SharingPolicy::FaST,
-        window,
-        token_lease: SimTime::from_millis(50),
-        strict_admission: strict,
-        ..BackendConfig::default()
-    });
-    b.register(PodId(0), ResourceSpec::new(50.0, 0.3, 0.3, 0));
-    let burst = SimTime::from_millis(8); // 30ms quota, 8ms bursts
-    let mut now = SimTime::ZERO;
-    let mut served = 0u32;
-    let mut max_overrun = SimTime::ZERO;
-    for w in 0..50u32 {
-        let window_end = window * (w as u64 + 1);
-        loop {
-            let (outcome, _) = b.request(now, PodId(0)).unwrap();
-            match outcome {
-                RequestOutcome::Granted(_) => {
-                    b.begin_burst(PodId(0)).unwrap();
-                    now += burst;
-                    b.sync_point(now, PodId(0), burst).unwrap();
-                    served += 1;
-                    let qs = b.quota_state(PodId(0)).unwrap();
-                    max_overrun = max_overrun.max(qs.q_used.saturating_sub(qs.q_limit));
-                    if now >= window_end {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        now = window_end;
-        b.on_window_reset(now);
-    }
-    (served as f64 / 5.0, max_overrun.as_millis_f64())
-}
 
 /// Time-sharing throughput as a function of lease duration (full
 /// platform): short leases behave like per-burst rotation, long leases
@@ -177,42 +62,18 @@ fn slo_with_interval(interval: SimTime) -> f64 {
     r.functions[&f].violation_ratio
 }
 
-fn print_tables() {
-    println!("\n=== Ablation 1: token dispatch order (worst quota fidelity) ===");
-    println!(
-        "q_miss priority: {:.2}   fifo: {:.2}   (1.0 = every guarantee met)",
-        quota_fidelity(DispatchOrder::QMissDesc, 50),
-        quota_fidelity(DispatchOrder::Fifo, 50)
-    );
-
-    println!("\n=== Ablation 2: strict burst admission ===");
-    let (rps_loose, over_loose) = overrun_with(false);
-    let (rps_strict, over_strict) = overrun_with(true);
-    println!(
-        "tolerant: {rps_loose:.1} req/s, max overrun {over_loose:.1}ms | \
-         strict: {rps_strict:.1} req/s, max overrun {over_strict:.1}ms"
-    );
-
-    println!("\n=== Ablation 3: time-sharing lease duration (8 ResNet pods) ===");
+fn main() {
+    println!("\n=== Ablation 1: time-sharing lease duration (8 ResNet pods) ===");
     for lease in [2u64, 10, 50, 100, 400] {
         println!("lease {lease:>4}ms -> {:>6.1} req/s", ts_throughput(lease));
     }
     println!("(racing ceiling ≈ 71 req/s: long leases converge to it)");
 
-    println!("\n=== Ablation 4: auto-scaler control interval ===");
+    println!("\n=== Ablation 2: auto-scaler control interval ===");
     for secs in [1u64, 2, 4, 8] {
         println!(
             "interval {secs}s -> {:.2}% SLO violations",
             slo_with_interval(SimTime::from_secs(secs)) * 100.0
         );
     }
-}
-
-fn main() {
-    print_tables();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("ablation/quota_fidelity_qmiss_50_windows", |b| {
-        b.iter(|| quota_fidelity(DispatchOrder::QMissDesc, 50))
-    });
-    c.final_summary();
 }

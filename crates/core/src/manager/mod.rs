@@ -15,7 +15,10 @@
 //!   the next window), the Ready-function Priority Queue ordered by
 //!   `Q_miss = Q_request − Q_used` descending, and the **SM Allocation
 //!   Adapter** that keeps the sum of token-holding pods' SM partitions at
-//!   or below `SM_GLOBAL_LIMIT` (100 %).
+//!   or below `SM_GLOBAL_LIMIT` (100 %). A request only queues the pod
+//!   (or confirms a held lease); tokens are granted by one batched
+//!   [`FastBackend::dispatch_pass`], which the platform runs per node at
+//!   the end of each simulated instant.
 //!
 //! Tokens are *leases*: a granted pod may launch kernel bursts until the
 //! lease expires or its quota runs out, whichever comes first. Lease
@@ -30,9 +33,6 @@ mod backend;
 mod estimator;
 mod policy;
 
-pub use backend::{
-    BackendConfig, BackendError, DispatchOrder, FastBackend, Grant, PodQuotaState, RequestOutcome,
-    SyncOutcome,
-};
+pub use backend::{BackendConfig, BackendError, FastBackend, Grant, PodQuotaState, RequestOutcome};
 pub use estimator::BurstEstimator;
 pub use policy::{SchedPolicy, SharingPolicy};

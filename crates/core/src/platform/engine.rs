@@ -245,6 +245,18 @@ fn make_selector(cfg: &PlatformConfig) -> NodeSelector {
     })
 }
 
+/// Builds a node's FaST Backend for a config, at start-up and again when
+/// a crashed node's backend is replaced.
+fn make_backend(cfg: &PlatformConfig) -> FastBackend {
+    FastBackend::new(BackendConfig {
+        policy: cfg.policy,
+        window: cfg.window,
+        token_lease: cfg.effective_token_lease(),
+        sm_global_limit: cfg.sm_global_limit,
+        ..BackendConfig::default()
+    })
+}
+
 impl Engine {
     fn new(cfg: PlatformConfig) -> Self {
         let mut cluster = Cluster::new();
@@ -262,17 +274,7 @@ impl Engine {
         let mut stores = IdArena::new();
         for &n in &nodes {
             selector.add_gpu(n);
-            backends.insert(
-                n,
-                FastBackend::new(BackendConfig {
-                    policy: cfg.policy,
-                    window: cfg.window,
-                    token_lease: cfg.effective_token_lease(),
-                    sm_global_limit: cfg.sm_global_limit,
-                    deferred_dispatch: true,
-                    ..BackendConfig::default()
-                }),
-            );
+            backends.insert(n, make_backend(&cfg));
             stores.insert(n, ModelStorageServer::new(DEFAULT_CTX_OVERHEAD));
         }
         Engine {
@@ -506,13 +508,10 @@ impl Engine {
         };
         debug_assert!(rt.active.is_none(), "deleting pod with a request in flight");
         let node = rt.node;
-        let grants = match self.backends.get_mut(node) {
-            Some(b) => b.deregister(now, pod),
-            None => {
-                debug_assert!(false, "backend per node");
-                Vec::new()
-            }
-        };
+        match self.backends.get_mut(node) {
+            Some(b) => b.deregister(pod),
+            None => debug_assert!(false, "backend per node"),
+        }
         if let Some(lib) = rt.storelib.as_mut() {
             if let (Some(store), Ok(n)) = (self.stores.get_mut(node), self.cluster.node_mut(node))
             {
@@ -526,7 +525,6 @@ impl Engine {
         }
         let deleted = self.cluster.delete_pod(pod);
         debug_assert!(deleted.is_ok(), "pod exists in cluster");
-        self.process_grants(now, &grants, queue);
         self.poke_dispatch(now, node, queue);
     }
 
@@ -619,13 +617,10 @@ impl Engine {
         // otherwise reconciliation would refuse to create replacements
         // while the corpse's kernels drain.
         let _ = self.cluster.begin_terminate(pod);
-        let grants = match self.backends.get_mut(node) {
-            Some(b) => b.force_deregister(now, pod),
-            None => {
-                debug_assert!(false, "backend per node");
-                Vec::new()
-            }
-        };
+        match self.backends.get_mut(node) {
+            Some(b) => b.force_deregister(pod),
+            None => debug_assert!(false, "backend per node"),
+        }
         // Salvage the request, remember how many kernels must drain.
         let mut release_rect = false;
         let (lost_req, outstanding) = match self.pods.get_mut(pod) {
@@ -657,7 +652,6 @@ impl Engine {
             self.retry_or_shed(now, req, queue);
         }
         self.mark_outage(now, func);
-        self.process_grants(now, &grants, queue);
         self.poke_dispatch(now, node, queue);
         true
     }
@@ -741,6 +735,11 @@ impl Engine {
         for pod in &dead {
             self.gateway.deregister_pod(pod.func, pod.id);
             if let Some(mut rt) = self.pods.remove(pod.id) {
+                // A zombie (a crashed pod whose kernels were still
+                // draining) was already counted when it was killed.
+                if rt.zombie.is_none() {
+                    self.killed += 1;
+                }
                 if !affected.contains(&rt.func) {
                     affected.push(rt.func);
                 }
@@ -754,22 +753,11 @@ impl Engine {
                     lost_reqs.push(a.req);
                 }
             }
-            self.killed += 1;
         }
         // Control-plane teardown: rectangle bindings, backend table and
         // model store die with the node.
         self.selector.remove_gpu(node);
-        self.backends.insert(
-            node,
-            FastBackend::new(BackendConfig {
-                policy: self.cfg.policy,
-                window: self.cfg.window,
-                token_lease: self.cfg.effective_token_lease(),
-                sm_global_limit: self.cfg.sm_global_limit,
-                deferred_dispatch: true,
-                ..BackendConfig::default()
-            }),
-        );
+        self.backends.insert(node, make_backend(&self.cfg));
         self.stores
             .insert(node, ModelStorageServer::new(DEFAULT_CTX_OVERHEAD));
         for req in lost_reqs {
@@ -1109,7 +1097,7 @@ impl Engine {
             debug_assert!(false, "backend per node");
             return;
         };
-        let Ok((outcome, side_grants)) = backend.request(now, pod) else {
+        let Ok((outcome, _)) = backend.request(now, pod) else {
             // The pod's backend row is gone (crash teardown raced this
             // burst); the pod itself is being destroyed, so do nothing.
             return;
@@ -1131,8 +1119,6 @@ impl Engine {
                 self.poke_dispatch(now, node, queue);
             }
         }
-        // Capacity released by this request may have admitted other pods.
-        self.process_grants(now, &side_grants, queue);
     }
 
     fn launch_burst(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
@@ -1291,8 +1277,8 @@ impl Engine {
     }
 
     /// Synchronization point after a burst's last kernel: report usage to
-    /// the backend (maybe losing the lease), admit whoever the released
-    /// capacity unblocks, and advance the pod's inference cursor.
+    /// the backend (maybe losing the lease, whose capacity the next
+    /// dispatch pass hands on), and advance the pod's inference cursor.
     fn burst_sync_point(
         &mut self,
         now: SimTime,
@@ -1306,13 +1292,10 @@ impl Engine {
             .get_mut(node)
             .map(|b| b.sync_point(now, pod, gpu_time));
         debug_assert!(sync.is_some(), "backend per node");
-        if let Some(Ok(out)) = sync {
-            self.process_grants(now, &out.granted, queue);
-            // A dropped lease freed SM budget: re-decide token holders at
-            // the end of this instant.
-            if !out.lease_valid {
-                self.poke_dispatch(now, node, queue);
-            }
+        // A dropped lease freed SM budget: re-decide token holders at the
+        // end of this instant.
+        if let Some(Ok(false)) = sync {
+            self.poke_dispatch(now, node, queue);
         }
         self.step_pod(now, pod, queue);
     }
@@ -1478,15 +1461,7 @@ impl Engine {
 
         // Terminating pods are deleted as soon as their request finishes.
         if self.cluster.pod(pod).map(|p| p.state) == Ok(PodState::Terminating) {
-            let grants = match self.backends.get_mut(node) {
-                Some(b) => b.release_idle(now, pod),
-                None => {
-                    debug_assert!(false, "backend per node");
-                    Vec::new()
-                }
-            };
-            self.process_grants(now, &grants, queue);
-            self.poke_dispatch(now, node, queue);
+            self.release_idle(now, node, pod, queue);
             self.delete_pod(now, pod, queue);
             return;
         }
@@ -1497,18 +1472,24 @@ impl Engine {
                 let req = self.synth_request(now, func);
                 self.assign_request(now, pod, req, queue);
             }
-            None => {
-                let grants = match self.backends.get_mut(node) {
-                    Some(b) => b.release_idle(now, pod),
-                    None => {
-                        debug_assert!(false, "backend per node");
-                        Vec::new()
-                    }
-                };
-                self.process_grants(now, &grants, queue);
-                self.poke_dispatch(now, node, queue);
-            }
+            None => self.release_idle(now, node, pod, queue),
         }
+    }
+
+    /// The pod has no request to serve: its lease goes back to the node's
+    /// next dispatch pass.
+    fn release_idle(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        pod: PodId,
+        queue: &mut EventQueue<Event>,
+    ) {
+        match self.backends.get_mut(node) {
+            Some(b) => b.release_idle(pod),
+            None => debug_assert!(false, "backend per node"),
+        }
+        self.poke_dispatch(now, node, queue);
     }
 
     /// Schedules (at most once per node per instant) the batched
@@ -1533,22 +1514,15 @@ impl Engine {
     }
 
     /// Delivers a node's batched dispatch pass: one canonical-order walk
-    /// of the ready queue, granting tokens until the SM budget stops it.
+    /// of the ready queue, granting tokens until the SM budget stops it,
+    /// then launching each granted pod's pending burst. This is the only
+    /// place a pod waiting for a token starts.
     fn on_dispatch(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
         self.dispatch_pending.remove(node);
         let grants = match self.backends.get_mut(node) {
             Some(b) => b.dispatch_pass(now),
             None => Vec::new(),
         };
-        self.process_grants(now, &grants, queue);
-    }
-
-    fn process_grants(
-        &mut self,
-        now: SimTime,
-        grants: &[crate::manager::Grant],
-        queue: &mut EventQueue<Event>,
-    ) {
         for g in grants {
             let has_burst = self
                 .pods
@@ -1566,14 +1540,10 @@ impl Engine {
         if matches!(self.cluster.node_state(node), Ok(NodeState::Down)) {
             return;
         }
-        let grants = match self.backends.get_mut(node) {
+        match self.backends.get_mut(node) {
             Some(b) => b.on_window_reset(now),
-            None => {
-                debug_assert!(false, "backend per node");
-                Vec::new()
-            }
-        };
-        self.process_grants(now, &grants, queue);
+            None => debug_assert!(false, "backend per node"),
+        }
         self.poke_dispatch(now, node, queue);
         queue.schedule(now + self.cfg.window, Event::WindowReset(node));
     }

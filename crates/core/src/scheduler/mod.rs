@@ -21,15 +21,14 @@
 //! placement engine. Placement is split-phase ([`Scheduler`]):
 //! `select_node` picks a GPU without mutating state, then `bind` reserves
 //! the rectangle once the engine has created the pod. The selector also
-//! provides the comparison placers used in the evaluation: the
-//! KubeShare-style time-sharing placement (every pod needs 100 % of the
-//! SMs, so packing is quota-only) and a first-fit baseline for the
-//! fragmentation ablation.
+//! provides the KubeShare-style time-sharing placement used in the
+//! evaluation (every pod needs 100 % of the SMs, so packing is
+//! quota-only).
 
 pub mod node_select;
 pub mod rects;
 pub mod scaling;
 
 pub use node_select::{NodeSelector, PlacementPolicy, SchedStats, Scheduler};
-pub use rects::{FitRule, GpuRects, Rect};
+pub use rects::{GpuRects, Rect};
 pub use scaling::{heuristic_scale, ConfigPoint, RunningPod, ScaleAction};

@@ -55,9 +55,6 @@ pub enum PlacementPolicy {
     /// lists of all GPUs (Algorithm 2), preferring GPUs that already host
     /// rectangles so shared GPUs fill up before new ones are opened.
     MaximalRectangles,
-    /// First-fit baseline for the fragmentation ablation: the first GPU
-    /// (lowest id) with any fitting free rectangle.
-    FirstFit,
     /// KubeShare-style time sharing: every pod is widened to the full SM
     /// axis (no spatial sharing), so packing degenerates to quota-only.
     TimeSharingOnly,
@@ -208,32 +205,21 @@ impl Scheduler for NodeSelector {
         mem_fits: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
         let (w, h) = self.demand_of(spec);
-        let probe = |g: &GpuRects| {
-            self.probes.set(self.probes.get() + 1);
-            g.best_fit(w, h)
-        };
-        let chosen = match self.policy {
-            PlacementPolicy::MaximalRectangles | PlacementPolicy::TimeSharingOnly => {
-                // Global best fit: minimum secondCores slack across every
-                // free rectangle of every (memory-feasible) GPU; ties go
-                // to the busier GPU, then the lower node id, which keeps
-                // pods consolidating instead of spreading.
-                self.gpus
-                    .iter()
-                    .filter(|&(n, _)| mem_fits(n))
-                    .filter_map(|(n, g)| {
-                        probe(g).map(|(_, slack)| (slack, std::cmp::Reverse(g.pod_count()), n))
-                    })
-                    .min()
-                    .map(|(_, _, n)| n)
-            }
-            PlacementPolicy::FirstFit => self
-                .gpus
-                .iter()
-                .filter(|&(n, _)| mem_fits(n))
-                .find(|(_, g)| probe(g).is_some())
-                .map(|(n, _)| n),
-        };
+        // Global best fit: minimum secondCores slack across every free
+        // rectangle of every (memory-feasible) GPU; ties go to the busier
+        // GPU, then the lower node id, which keeps pods consolidating
+        // instead of spreading.
+        let chosen = self
+            .gpus
+            .iter()
+            .filter(|&(n, _)| mem_fits(n))
+            .filter_map(|(n, g)| {
+                self.probes.set(self.probes.get() + 1);
+                g.best_fit(w, h)
+                    .map(|(_, slack)| (slack, std::cmp::Reverse(g.pod_count()), n))
+            })
+            .min()
+            .map(|(_, _, n)| n);
         if chosen.is_none() {
             self.rejects.set(self.rejects.get() + 1);
         }
@@ -335,15 +321,6 @@ mod tests {
         assert!(s.place(PodId(1), &spec(10.0, 0.1), |_| true).is_none());
         s.release(NodeId(0), PodId(0)).unwrap();
         assert!(s.place(PodId(1), &spec(10.0, 0.1), |_| true).is_some());
-    }
-
-    #[test]
-    fn first_fit_spreads_less_carefully() {
-        // First-fit picks GPU 0 while it fits anything, even when GPU 1
-        // has a tighter slot — this is what the ablation measures.
-        let mut s = selector(PlacementPolicy::FirstFit, 2);
-        let (n, _) = s.place(PodId(0), &spec(10.0, 0.1), |_| true).unwrap();
-        assert_eq!(n, NodeId(0));
     }
 
     #[test]

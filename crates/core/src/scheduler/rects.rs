@@ -10,8 +10,8 @@
 //! that the pod now overlaps, and prunes redundancies.
 
 use fastg_cluster::PodId;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{snap_enum, snap_struct};
+use fastg_des::snap::SnapError;
+use fastg_des::snap_struct;
 // Pod bindings live in an ordered tree: a GPU holds a handful of pods and
 // placement is deploy-time work (768 placements in a whole 256-node fleet
 // run), not a per-event path. fastg-lint: allow(no-btreemap-hot-path)
@@ -137,21 +137,6 @@ fn prune_contained(free: &mut Vec<Rect>) {
     });
 }
 
-/// Which free rectangle a placement prefers (MAXRECTS literature's
-/// classic heuristics). The paper uses best-area-fit: minimal
-/// "secondCores" slack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FitRule {
-    /// Minimum `Area(R) − Area(F)` (the paper's rule).
-    BestAreaFit,
-    /// Minimum leftover along the rectangle's tighter dimension
-    /// (MAXRECTS-BSSF, usually the strongest generic heuristic).
-    BestShortSideFit,
-    /// Lowest `y`, then lowest `x` (classic bottom-left; the ablation
-    /// baseline).
-    BottomLeft,
-}
-
 /// Algorithm 2's per-GPU state: the free-rectangle list and pod bindings.
 ///
 /// ```
@@ -177,23 +162,12 @@ pub struct GpuRects {
     /// [`Self::release`] (the keep-restructure policy's threshold).
     restructure_threshold: usize,
     restructures: u64,
-    fit_rule: FitRule,
 }
 
 impl GpuRects {
     /// A fresh GPU: one free rectangle of `width × height` (defaults to
-    /// 100 × 100 percent), using the paper's best-area-fit rule.
+    /// 100 × 100 percent).
     pub fn new(width: u32, height: u32, restructure_threshold: usize) -> Self {
-        Self::with_rule(width, height, restructure_threshold, FitRule::BestAreaFit)
-    }
-
-    /// A fresh GPU with an explicit fit rule (ablation constructor).
-    pub fn with_rule(
-        width: u32,
-        height: u32,
-        restructure_threshold: usize,
-        fit_rule: FitRule,
-    ) -> Self {
         let width = at_least_one(width, "GPU rectangle width");
         let height = at_least_one(height, "GPU rectangle height");
         let restructure_threshold = at_least_one(restructure_threshold, "restructure threshold");
@@ -204,18 +178,12 @@ impl GpuRects {
             placed: BTreeMap::new(),
             restructure_threshold,
             restructures: 0,
-            fit_rule,
         }
     }
 
     /// The standard paper-sized GPU rectangle.
     pub fn standard() -> Self {
         Self::new(100, 100, 24)
-    }
-
-    /// The configured fit rule.
-    pub fn fit_rule(&self) -> FitRule {
-        self.fit_rule
     }
 
     /// Total capacity ("secondCores").
@@ -279,26 +247,18 @@ impl GpuRects {
         self.restructures
     }
 
-    /// The best free rectangle for a `w × h` pod under the configured fit
-    /// rule, ties broken bottom-left-most for determinism. Returns the
-    /// rectangle and its area slack (the "secondCores" difference the
-    /// global node selection compares).
+    /// The best-area-fit free rectangle for a `w × h` pod: minimal
+    /// "secondCores" slack `Area(R) − Area(F)`, ties broken
+    /// bottom-left-most for determinism. Returns the rectangle and its
+    /// slack (the difference the global node selection compares).
     pub fn best_fit(&self, w: u32, h: u32) -> Option<(Rect, u64)> {
-        let key = |r: &Rect| -> (u64, u32, u32) {
-            match self.fit_rule {
-                FitRule::BestAreaFit => (r.area() - u64::from(w) * u64::from(h), r.y, r.x),
-                FitRule::BestShortSideFit => {
-                    let short = u64::from((r.w - w).min(r.h - h));
-                    (short, r.y, r.x)
-                }
-                FitRule::BottomLeft => (0, r.y, r.x),
-            }
-        };
+        let demand = u64::from(w) * u64::from(h);
         self.free
             .iter()
             .filter(|r| r.fits(w, h))
-            .min_by_key(|r| key(r))
-            .map(|r| (*r, r.area() - u64::from(w) * u64::from(h)))
+            .map(|r| (r.area() - demand, r.y, r.x, *r))
+            .min_by_key(|&(slack, y, x, _)| (slack, y, x))
+            .map(|(slack, _, _, r)| (r, slack))
     }
 
     /// Places `pod` (size `w × h`) using Algorithm 2. Returns its bound
@@ -415,65 +375,38 @@ snap_struct!(Rect { x, y, w, h } check |rect| {
     Ok(())
 });
 
-snap_enum!(FitRule, "fit rule tag" { BestAreaFit = 0, BestShortSideFit = 1, BottomLeft = 2 });
-
-impl Snap for GpuRects {
-    /// The free list is encoded in its exact in-memory order: MAXRECTS
-    /// tie-breaks scan it linearly, so a reordered list could pick a
-    /// different (equally valid) rectangle and diverge from the
-    /// straight-through run.
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            width,
-            height,
-            free,
-            placed,
-            restructure_threshold,
-            restructures,
-            fit_rule,
-        } = self;
-        w.u32(*width);
-        w.u32(*height);
-        free.snap(w);
-        placed.snap(w);
-        w.len_prefix(*restructure_threshold);
-        w.u64(*restructures);
-        fit_rule.snap(w);
+// The free list is encoded in its exact in-memory order: MAXRECTS
+// tie-breaks scan it linearly, so a reordered list could pick a
+// different (equally valid) rectangle and diverge from the
+// straight-through run.
+snap_struct!(GpuRects {
+    width, height, free, placed, restructure_threshold, restructures,
+} check |g| {
+    if g.width == 0 || g.height == 0 {
+        return Err(SnapError::new("gpu rects geometry"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let width = r.u32()?;
-        let height = r.u32()?;
-        if width == 0 || height == 0 {
-            return Err(SnapError::new("gpu rects geometry"));
-        }
-        let free: Vec<Rect> = Vec::unsnap(r)?;
-        let placed: BTreeMap<PodId, Rect> = BTreeMap::unsnap(r)?;
-        let bounds = Rect::new(0, 0, width, height);
-        if free
-            .iter()
-            .any(|f| !bounds.contains(f) || placed.values().any(|p| p.intersects(f)))
-        {
-            return Err(SnapError::new("gpu rects free list"));
-        }
-        let plc: Vec<&Rect> = placed.values().collect();
-        if plc
-            .iter()
-            .enumerate()
-            .any(|(i, a)| plc.iter().skip(i + 1).any(|b| a.intersects(b)))
-        {
-            return Err(SnapError::new("gpu rects placements overlap"));
-        }
-        Ok(GpuRects {
-            width,
-            height,
-            free,
-            placed,
-            restructure_threshold: r.len_prefix()?.max(1),
-            restructures: r.u64()?,
-            fit_rule: FitRule::unsnap(r)?,
-        })
+    let bounds = Rect::new(0, 0, g.width, g.height);
+    if g.free
+        .iter()
+        .any(|f| !bounds.contains(f) || g.placed.values().any(|p| p.intersects(f)))
+    {
+        return Err(SnapError::new("gpu rects free list"));
     }
-}
+    let plc: Vec<&Rect> = g.placed.values().collect();
+    if plc
+        .iter()
+        .enumerate()
+        .any(|(i, a)| plc.iter().skip(i + 1).any(|b| a.intersects(b)))
+    {
+        return Err(SnapError::new("gpu rects placements overlap"));
+    }
+    // The constructor clamps a zero threshold to one, so the encoder
+    // never writes zero.
+    if g.restructure_threshold == 0 {
+        return Err(SnapError::new("gpu rects restructure threshold"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -626,48 +559,35 @@ mod tests {
     }
 
     #[test]
-    fn fit_rules_choose_differently() {
-        // Free rects after one placement: right (40,0,60,100) and top
-        // (0,12,100,88). For a 50×80 pod:
-        //  - area slack: right = 6000−4000, top = 8800−4000 → right
-        //  - short side: right min(10, 20)=10, top min(50, 8)=8 → top
-        let build = |rule| {
-            let mut g = GpuRects::with_rule(100, 100, 24, rule);
-            g.place(PodId(0), 40, 12).unwrap();
-            g
-        };
-        let (r_area, _) = build(FitRule::BestAreaFit).best_fit(50, 80).unwrap();
-        assert_eq!(r_area, Rect::new(40, 0, 60, 100));
-        let (r_bssf, _) = build(FitRule::BestShortSideFit).best_fit(50, 80).unwrap();
-        assert_eq!(r_bssf, Rect::new(0, 12, 100, 88));
-        // Bottom-left prefers the lowest-y rectangle regardless of waste.
-        let (r_bl, _) = build(FitRule::BottomLeft).best_fit(50, 80).unwrap();
-        assert_eq!(r_bl, Rect::new(40, 0, 60, 100));
-    }
-
-    #[test]
     fn all_rules_pack_the_fig11_set() {
-        for rule in [
-            FitRule::BestAreaFit,
-            FitRule::BestShortSideFit,
-            FitRule::BottomLeft,
-        ] {
-            let mut g = GpuRects::with_rule(100, 100, 24, rule);
-            let mut id = 0u64;
-            for &(w, h, n) in &[(60u32, 50u32, 2u32), (40, 24, 2), (40, 12, 4)] {
-                for _ in 0..n {
-                    assert!(
-                        g.place(PodId(id), w, h).is_some(),
-                        "{rule:?} failed at pod {id}"
-                    );
-                    id += 1;
-                }
+        // Best-area-fit is the only rule.
+        let mut g = GpuRects::standard();
+        let mut id = 0u64;
+        for &(w, h, n) in &[(60u32, 50u32, 2u32), (40, 24, 2), (40, 12, 4)] {
+            for _ in 0..n {
+                assert!(g.place(PodId(id), w, h).is_some(), "failed at pod {id}");
+                id += 1;
             }
         }
     }
 
     #[test]
+    fn decode_rejects_zero_restructure_threshold() {
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        let mut g = GpuRects::standard();
+        g.place(PodId(0), 40, 12).unwrap();
+        // Zero the threshold, which is encoded as a length prefix.
+        g.restructure_threshold = 0;
+        let mut w = SnapWriter::new();
+        g.snap(&mut w);
+        let bytes = w.finish();
+        let err = GpuRects::unsnap(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::new("gpu rects restructure threshold"));
+    }
+
+    #[test]
     fn decode_rejects_edges_past_u32() {
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
         for rect in [Rect::new(u32::MAX, 0, 1, 1), Rect::new(0, 1, 1, u32::MAX)] {
             let mut w = SnapWriter::new();
             rect.snap(&mut w);

@@ -243,14 +243,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// moves a byte must bump the version and re-pin these figures.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 6, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 7, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
     fleet.run_for(SimTime::from_secs(3));
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 21_444, 0xa851_e65d_6d92_1bf4),
-        ("fleet", fleet, 23_528, 0x2708_c96a_75b7_8e54),
+        ("flash crowd", flash, 21_314, 0xe047_efad_d1b0_c301),
+        ("fleet", fleet, 23_386, 0x30e0_4c60_f7d7_65e4),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();

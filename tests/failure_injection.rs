@@ -630,3 +630,31 @@ fn idle_pod_kill_is_immediate() {
     assert!(!p.kill_pod(pods[0]));
     assert_eq!(p.killed_pods(), 1);
 }
+
+/// A node crash counts only the pods it kills: a pod already killed,
+/// whose resident kernels are still draining on the GPU, is not counted
+/// a second time.
+#[test]
+fn node_crash_does_not_recount_a_draining_pod() {
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(1)
+            .policy(SharingPolicy::FaST)
+            .seed(3),
+    );
+    let f = p
+        .deploy(
+            FunctionConfig::new("f", "resnet50")
+                .replicas(2)
+                .resources(50.0, 0.5, 1.0)
+                .saturating(),
+        )
+        .unwrap();
+    // Mid-burst: the killed pod's kernels are still resident.
+    p.run_for(SimTime::from_millis(137));
+    let pods = p.pods_of(f);
+    assert!(p.kill_pod(pods[0]));
+    assert_eq!(p.killed_pods(), 1);
+    assert!(p.crash_node(0));
+    assert_eq!(p.killed_pods(), 2, "two pods died, each counted once");
+}

@@ -162,12 +162,14 @@ proptest! {
         }
     }
 
-    /// Backend safety under random request/sync/reset sequences: the SM
-    /// adapter never exceeds the global limit, and Q_used never exceeds
-    /// Q_limit by more than one burst.
+    /// Backend safety under the protocol the platform runs: random
+    /// request / dispatch-pass / sync / idle / reset sequences. A pod
+    /// holds a token only from a dispatch-pass grant or a still-held
+    /// lease; the SM adapter never exceeds the global limit, and Q_used
+    /// never exceeds Q_limit by more than one burst.
     #[test]
     fn backend_adapter_and_quota_safety(
-        ops in prop::collection::vec((0u8..4, 0u64..6, 1u64..5_000), 10..250)
+        ops in prop::collection::vec((0u8..5, 0u64..6, 1u64..5_000), 10..250)
     ) {
         let window = SimTime::from_millis(100);
         let mut b = FastBackend::new(BackendConfig {
@@ -182,6 +184,8 @@ proptest! {
             b.register(PodId(i as u64), ResourceSpec::new(s, 0.3, 0.7, 0));
         }
         let mut in_burst = [false; 6];
+        // The model's view of who holds a token, credited only by a
+        // dispatch-pass grant and kept only while the lease survives.
         let mut has_token = [false; 6];
         let mut now = SimTime::ZERO;
         for &(op, pod_idx, us) in &ops {
@@ -190,39 +194,49 @@ proptest! {
             let pod = PodId(idx as u64);
             match op {
                 0 if !in_burst[idx] => {
-                    let (outcome, _side) = b.request(now, pod).unwrap();
+                    let (outcome, side) = b.request(now, pod).unwrap();
+                    prop_assert!(side.is_empty(), "a request granted {side:?}");
                     if let RequestOutcome::Granted(_) = outcome {
+                        prop_assert!(has_token[idx], "pod {idx} granted without a lease");
                         b.begin_burst(pod).unwrap();
                         in_burst[idx] = true;
-                        has_token[idx] = true;
+                    } else {
+                        // A stale lease is dropped before queueing.
+                        has_token[idx] = false;
                     }
                 }
                 1 if in_burst[idx] => {
                     let burst = SimTime::from_micros(us);
-                    let out = b.sync_point(now, pod, burst).unwrap();
+                    has_token[idx] = b.sync_point(now, pod, burst).unwrap();
                     in_burst[idx] = false;
-                    has_token[idx] = out.lease_valid;
-                    for g in &out.granted {
-                        has_token[g.pod.0 as usize] = true;
-                    }
                 }
                 2 if !in_burst[idx] => {
-                    for g in b.release_idle(now, pod) {
-                        has_token[g.pod.0 as usize] = true;
-                    }
+                    b.release_idle(pod);
                     has_token[idx] = false;
                 }
                 3 => {
-                    for g in b.on_window_reset(now) {
-                        has_token[g.pod.0 as usize] = true;
-                    }
+                    b.on_window_reset(now);
                     // Quotas reset.
                     for i in 0..6 {
                         let qs = b.quota_state(PodId(i as u64)).unwrap();
                         prop_assert_eq!(qs.q_used, SimTime::ZERO);
                     }
                 }
+                4 => {
+                    // The engine launches each granted pod's pending burst.
+                    for g in b.dispatch_pass(now) {
+                        let i = g.pod.0 as usize;
+                        prop_assert!(!in_burst[i] && !has_token[i], "pod {i} granted twice");
+                        has_token[i] = true;
+                        b.begin_burst(g.pod).unwrap();
+                        in_burst[i] = true;
+                    }
+                }
                 _ => {}
+            }
+            for i in 0..6u64 {
+                let holds = b.quota_state(PodId(i)).unwrap().holds_token;
+                prop_assert_eq!(holds, has_token[i as usize], "token of pod {}", i);
             }
             prop_assert!(
                 b.sm_running() <= 100.0 + 1e-6,
