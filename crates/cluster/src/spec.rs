@@ -1,6 +1,7 @@
 //! CRD-style specifications: functions and their spatio-temporal resource
 //! annotations.
 
+use fastg_des::snap::SnapError;
 use fastg_des::{snap_struct, ArenaKey, SimTime};
 
 /// Identifies a deployed FaaS function.
@@ -107,11 +108,24 @@ impl ResourceSpec {
 
 snap_struct!(FuncId(raw));
 
+// Decoding holds a spec to the ranges `new` clamps into, so the window
+// times derived from it stay in range.
 snap_struct!(ResourceSpec {
     sm_partition,
     quota_limit,
     quota_request,
     gpu_mem,
+} check |s| {
+    let in_range = s.sm_partition > 0.0
+        && s.sm_partition <= 100.0
+        && s.quota_limit > 0.0
+        && s.quota_limit <= 1.0
+        && s.quota_request >= 0.0
+        && s.quota_request <= s.quota_limit;
+    if !in_range {
+        return Err(SnapError::new("resource spec range"));
+    }
+    Ok(())
 });
 
 snap_struct!(FaSTFuncSpec { name, model, slo });

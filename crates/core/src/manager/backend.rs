@@ -112,6 +112,11 @@ struct PodEntry {
     lease: Option<Lease>,
     waiting: bool,
     in_burst: bool,
+    /// `quota_request × window`, derived from `spec` whenever it is set,
+    /// so the token path compares integers only.
+    q_request: SimTime,
+    /// `quota_limit × window`, derived like `q_request`.
+    q_limit: SimTime,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -182,18 +187,18 @@ impl PodTable {
 }
 
 impl PodEntry {
-    fn q_limit_time(&self, window: SimTime) -> SimTime {
-        window.scale(self.spec.quota_limit)
-    }
-    fn q_request_time(&self, window: SimTime) -> SimTime {
-        window.scale(self.spec.quota_request)
+    /// Installs `spec` and derives the window's quota times from it.
+    fn set_spec(&mut self, spec: ResourceSpec, window: SimTime) {
+        self.spec = spec;
+        self.q_request = window.scale(spec.quota_request);
+        self.q_limit = window.scale(spec.quota_limit);
     }
     /// `Q_miss = Q_request − Q_used`, in signed microseconds.
-    fn q_miss(&self, window: SimTime) -> i128 {
-        i128::from(self.q_request_time(window).as_micros()) - i128::from(self.q_used.as_micros())
+    fn q_miss(&self) -> i128 {
+        i128::from(self.q_request.as_micros()) - i128::from(self.q_used.as_micros())
     }
-    fn quota_exhausted(&self, window: SimTime) -> bool {
-        self.q_used >= self.q_limit_time(window)
+    fn quota_exhausted(&self) -> bool {
+        self.q_used >= self.q_limit
     }
 }
 
@@ -238,6 +243,8 @@ pub struct FastBackend {
     /// The dispatch pass's ready list, reused across passes: a recycling
     /// buffer with no content between passes, so it is not snapshotted.
     ready: Vec<(i128, PodId)>,
+    /// The last dispatch pass's grants, reused across passes like `ready`.
+    grants: Vec<Grant>,
 }
 
 impl FastBackend {
@@ -256,6 +263,7 @@ impl FastBackend {
             sm_running: 0.0,
             tokens_dispatched: 0,
             ready: Vec::new(),
+            grants: Vec::new(),
         }
     }
 
@@ -268,16 +276,17 @@ impl FastBackend {
     /// FaSTPod controller does this when the pod starts).
     pub fn register(&mut self, pod: PodId, spec: ResourceSpec) {
         spec.validate();
-        let fresh = self.pods.insert(
-            pod,
-            PodEntry {
-                spec,
-                q_used: SimTime::ZERO,
-                lease: None,
-                waiting: false,
-                in_burst: false,
-            },
-        );
+        let mut entry = PodEntry {
+            spec,
+            q_used: SimTime::ZERO,
+            lease: None,
+            waiting: false,
+            in_burst: false,
+            q_request: SimTime::ZERO,
+            q_limit: SimTime::ZERO,
+        };
+        entry.set_spec(spec, self.cfg.window);
+        let fresh = self.pods.insert(pod, entry);
         debug_assert!(fresh, "pod {pod:?} registered twice");
     }
 
@@ -286,12 +295,13 @@ impl FastBackend {
     /// until released.
     pub fn update_spec(&mut self, pod: PodId, spec: ResourceSpec) {
         spec.validate();
+        let window = self.cfg.window;
         if let Some(e) = self.pods.get_mut(pod) {
             // Safe even while the pod holds a token: the lease carries
             // the share it reserved, so accounting stays exact; the new
             // partition/quota apply from the next grant and the current
             // window's Q_used carries over.
-            e.spec = spec;
+            e.set_spec(spec, window);
         }
     }
 
@@ -333,7 +343,6 @@ impl FastBackend {
         now: SimTime,
         pod: PodId,
     ) -> Result<(RequestOutcome, Vec<Grant>), BackendError> {
-        let window = self.cfg.window;
         let uses_tokens = self.cfg.policy.uses_tokens();
         let e = self.entry_mut(pod)?;
         if !uses_tokens {
@@ -345,7 +354,7 @@ impl FastBackend {
             return Ok((RequestOutcome::Granted(grant), Vec::new()));
         }
         if let Some(lease) = e.lease {
-            if now < lease.expires && !e.quota_exhausted(window) {
+            if now < lease.expires && !e.quota_exhausted() {
                 let grant = Grant {
                     pod,
                     expires: lease.expires,
@@ -354,7 +363,7 @@ impl FastBackend {
             }
         }
         e.waiting = true;
-        let outcome = if e.quota_exhausted(window) {
+        let outcome = if e.quota_exhausted() {
             RequestOutcome::BlockedUntilReset
         } else {
             RequestOutcome::Queued
@@ -392,7 +401,6 @@ impl FastBackend {
         pod: PodId,
         gpu_time: SimTime,
     ) -> Result<bool, BackendError> {
-        let window = self.cfg.window;
         let uses_tokens = self.cfg.policy.uses_tokens();
         let e = self.entry_mut(pod)?;
         debug_assert!(e.in_burst, "sync without burst for {pod:?}");
@@ -401,7 +409,7 @@ impl FastBackend {
         if !uses_tokens {
             return Ok(true);
         }
-        let valid = e.lease.is_some_and(|l| now < l.expires) && !e.quota_exhausted(window);
+        let valid = e.lease.is_some_and(|l| now < l.expires) && !e.quota_exhausted();
         if !valid {
             if let Some(lease) = e.lease.take() {
                 self.release_share(lease);
@@ -436,26 +444,26 @@ impl FastBackend {
     /// granted: filtering → priority queue → SM Allocation Adapter. The
     /// platform runs one pass per node at the end of each simulated
     /// instant, so grants depend only on the set of same-instant requests,
-    /// never on the order they were delivered in.
-    pub fn dispatch_pass(&mut self, now: SimTime) -> Vec<Grant> {
+    /// never on the order they were delivered in. Returns the pass's
+    /// grants.
+    pub fn dispatch_pass(&mut self, now: SimTime) -> &[Grant] {
+        self.grants.clear();
         if !self.cfg.policy.uses_tokens() {
-            return Vec::new();
+            return &self.grants;
         }
-        let window = self.cfg.window;
         // Filtering: waiting pods that still have quota this window.
         let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
         ready.extend(
             self.pods
                 .iter()
-                .filter(|(_, e)| e.waiting && e.lease.is_none() && !e.quota_exhausted(window))
-                .map(|(id, e)| (e.q_miss(window), id)),
+                .filter(|(_, e)| e.waiting && e.lease.is_none() && !e.quota_exhausted())
+                .map(|(id, e)| (e.q_miss(), id)),
         );
         // Priority: descending Q_miss (largest timing gap first, the
         // paper's rule); PodId breaks remaining ties deterministically.
         ready.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        let mut grants = Vec::new();
         for &(_miss, pod) in &ready {
             // The ready list was snapshotted from the table above, so the
             // row exists — but stay panic-free and skip if it is gone.
@@ -473,19 +481,19 @@ impl FastBackend {
             e.lease = Some(Lease { expires, share });
             self.sm_running += share;
             self.tokens_dispatched += 1;
-            grants.push(Grant { pod, expires });
+            self.grants.push(Grant { pod, expires });
         }
         self.ready = ready;
         debug_assert!(self.sm_running <= self.cfg.sm_global_limit + 1e-6);
-        grants
+        &self.grants
     }
 
     /// Snapshot of one pod's quota row.
     pub fn quota_state(&self, pod: PodId) -> Option<PodQuotaState> {
         self.pods.get(pod).map(|e| PodQuotaState {
             q_used: e.q_used,
-            q_request: e.q_request_time(self.cfg.window),
-            q_limit: e.q_limit_time(self.cfg.window),
+            q_request: e.q_request,
+            q_limit: e.q_limit,
             sm_partition: e.spec.sm_partition,
             holds_token: e.lease.is_some(),
         })
@@ -542,13 +550,15 @@ snap_struct!(BackendConfig {
 
 snap_struct!(Lease { expires, share });
 
+// The quota times are derived from the spec and the backend's window,
+// which the backend's own decode supplies.
 snap_struct!(PodEntry {
     spec,
     q_used,
     lease,
     waiting,
     in_burst
-});
+} skip { q_request, q_limit });
 
 snap_struct!(PodTable { rows } check |t| {
     if t.rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
@@ -557,8 +567,16 @@ snap_struct!(PodTable { rows } check |t| {
     Ok(())
 });
 
-// The ready list is dispatch scratch space, empty between events.
-snap_struct!(FastBackend { cfg, pods, sm_running, tokens_dispatched } skip { ready } check |b| {
+// The ready and grant lists are dispatch scratch space.
+snap_struct!(FastBackend {
+    cfg, pods, sm_running, tokens_dispatched,
+} skip { ready, grants } rebuild |b| {
+    let window = b.cfg.window;
+    for e in b.pods.values_mut() {
+        e.set_spec(e.spec, window);
+    }
+    Ok(())
+} check |b| {
     if !(b.sm_running.is_finite() && b.sm_running >= 0.0) {
         return Err(SnapError::new("backend sm accounting"));
     }
@@ -882,6 +900,28 @@ mod tests {
         // Going idle leaves the queue.
         b.release_idle(PodId(0));
         assert!(!b.has_waiter());
+    }
+
+    #[test]
+    fn quota_times_follow_the_spec_and_are_rederived_on_decode() {
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        let mut b = fast_backend(5);
+        b.register(PodId(0), spec(12.0, 0.3, 0.8));
+        b.update_spec(PodId(0), spec(12.0, 0.25, 0.5));
+        let qs = b.quota_state(PodId(0)).unwrap();
+        assert_eq!((qs.q_request, qs.q_limit), (t(250), t(500)));
+        let mut w = SnapWriter::new();
+        b.snap(&mut w);
+        let bytes = w.finish();
+        let mut back = FastBackend::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.quota_state(PodId(0)), Some(qs));
+        // The decoded row enforces the updated limit.
+        assert!(matches!(
+            req(&mut back, SimTime::ZERO, PodId(0)),
+            RequestOutcome::Granted(_)
+        ));
+        back.begin_burst(PodId(0)).unwrap();
+        assert!(!back.sync_point(t(4), PodId(0), t(500)).unwrap());
     }
 
     #[test]

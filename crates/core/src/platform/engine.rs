@@ -21,7 +21,7 @@ use fastg_cluster::{
 };
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{
-    sanitizer, snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, IdSet, SimTime,
+    sanitizer, snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, SimTime,
     Simulation, TimeSeries, World,
 };
 use fastg_gpu::{ClientId, KernelDesc, KernelId, MpsMode};
@@ -64,12 +64,6 @@ pub enum Event {
     /// close, brownout enter/exit). Scheduled only when overload control
     /// is configured, so legacy runs see an identical event stream.
     BreakerTick,
-    /// A node's batched token-dispatch pass: grants are decided once per
-    /// node per instant, after every same-instant request/release has
-    /// landed, so who wins a token never depends on same-instant event
-    /// delivery order. Scheduled (deduplicated) by any operation that
-    /// frees capacity or queues a waiter.
-    Dispatch(NodeId),
 }
 
 impl Event {
@@ -86,7 +80,9 @@ impl Event {
     /// materialized-finish semantics exactly), and the tie-break
     /// perturbation policies shuffle only within this class — which is
     /// precisely the orderings the race detector asserts are
-    /// digest-neutral.
+    /// digest-neutral. Token dispatch passes are not events: they run
+    /// after every class, once the instant holds no event (see
+    /// [`Engine::end_of_instant`](World::end_of_instant)).
     fn class(&self) -> u8 {
         match self {
             Event::Fault(_) => 0,
@@ -100,7 +96,6 @@ impl Event {
             | Event::KernelFinish(_, _)
             | Event::BurstFastForward(_, _)
             | Event::RequestTimeout(_, _) => 6,
-            Event::Dispatch(_) => 7,
         }
     }
 }
@@ -204,10 +199,13 @@ pub struct Engine {
     /// Reusable buffer for kernels admitted when a completion frees SMs
     /// (the hottest event in the simulation).
     started_scratch: Vec<fastg_gpu::KernelStart>,
-    /// Nodes with a batched [`Event::Dispatch`] pass already scheduled
-    /// for the current instant (deduplication set; see
-    /// [`Engine::poke_dispatch`]).
-    dispatch_pending: IdSet<NodeId>,
+    /// Reusable buffer for the pods one dispatch pass grants.
+    granted_scratch: Vec<PodId>,
+    /// Nodes owed a batched dispatch pass at the current instant, at most
+    /// once each, in ascending order of the tie key their first poke
+    /// claimed from the queue (see [`Engine::poke_dispatch`]). The driver
+    /// drains it at the end of the instant.
+    dispatch_pending: Vec<(u64, NodeId)>,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     trace: Vec<String>,
@@ -296,7 +294,8 @@ impl Engine {
             ff_coalesced_kernels: 0,
             burst_scratch: Vec::new(),
             started_scratch: Vec::new(),
-            dispatch_pending: IdSet::new(),
+            granted_scratch: Vec::new(),
+            dispatch_pending: Vec::new(),
             trace: Vec::new(),
             profiles: Vec::new(),
         }
@@ -487,7 +486,7 @@ impl Engine {
     }
 
     /// Starts draining a pod; deletes it immediately when idle.
-    fn drain_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
+    fn drain_pod(&mut self, pod: PodId, queue: &mut EventQueue<Event>) {
         let Some(rt) = self.pods.get(pod) else {
             return;
         };
@@ -498,11 +497,11 @@ impl Engine {
         self.gateway.deregister_pod(func, pod);
         let _ = self.cluster.begin_terminate(pod);
         if self.pods[pod].active.is_none() {
-            self.delete_pod(now, pod, queue);
+            self.delete_pod(pod, queue);
         }
     }
 
-    fn delete_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
+    fn delete_pod(&mut self, pod: PodId, queue: &mut EventQueue<Event>) {
         let Some(mut rt) = self.pods.remove(pod) else {
             return;
         };
@@ -525,7 +524,7 @@ impl Engine {
         }
         let deleted = self.cluster.delete_pod(pod);
         debug_assert!(deleted.is_ok(), "pod exists in cluster");
-        self.poke_dispatch(now, node, queue);
+        self.poke_dispatch(node, queue);
     }
 
     /// Live FaSTPod spec sync (§3.2: resource configurations are filled
@@ -652,7 +651,7 @@ impl Engine {
             self.retry_or_shed(now, req, queue);
         }
         self.mark_outage(now, func);
-        self.poke_dispatch(now, node, queue);
+        self.poke_dispatch(node, queue);
         true
     }
 
@@ -1116,7 +1115,7 @@ impl Engine {
                 } else {
                     debug_assert!(false, "burst belongs to a request");
                 }
-                self.poke_dispatch(now, node, queue);
+                self.poke_dispatch(node, queue);
             }
         }
     }
@@ -1295,7 +1294,7 @@ impl Engine {
         // A dropped lease freed SM budget: re-decide token holders at the
         // end of this instant.
         if let Some(Ok(false)) = sync {
-            self.poke_dispatch(now, node, queue);
+            self.poke_dispatch(node, queue);
         }
         self.step_pod(now, pod, queue);
     }
@@ -1461,8 +1460,8 @@ impl Engine {
 
         // Terminating pods are deleted as soon as their request finishes.
         if self.cluster.pod(pod).map(|p| p.state) == Ok(PodState::Terminating) {
-            self.release_idle(now, node, pod, queue);
-            self.delete_pod(now, pod, queue);
+            self.release_idle(node, pod, queue);
+            self.delete_pod(pod, queue);
             return;
         }
         // Pull the next request, or park idle.
@@ -1472,67 +1471,69 @@ impl Engine {
                 let req = self.synth_request(now, func);
                 self.assign_request(now, pod, req, queue);
             }
-            None => self.release_idle(now, node, pod, queue),
+            None => self.release_idle(node, pod, queue),
         }
     }
 
     /// The pod has no request to serve: its lease goes back to the node's
     /// next dispatch pass.
-    fn release_idle(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        pod: PodId,
-        queue: &mut EventQueue<Event>,
-    ) {
+    fn release_idle(&mut self, node: NodeId, pod: PodId, queue: &mut EventQueue<Event>) {
         match self.backends.get_mut(node) {
             Some(b) => b.release_idle(pod),
             None => debug_assert!(false, "backend per node"),
         }
-        self.poke_dispatch(now, node, queue);
+        self.poke_dispatch(node, queue);
     }
 
-    /// Schedules (at most once per node per instant) the batched
-    /// end-of-instant dispatch pass. Called by every operation that may
-    /// change who should hold a token: queueing a waiter, releasing a
-    /// lease, resetting a window, tearing down a pod. Grant decisions
-    /// are thereby a function of the instant's final backend state, not
-    /// of same-instant event delivery order. A pass grants only waiting
-    /// pods, so none is scheduled while the node has no waiter; a pod
-    /// starts waiting only in `request`, and `try_start_burst` pokes right
-    /// after.
-    fn poke_dispatch(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
+    /// Owes the node (at most once per instant) the batched end-of-instant
+    /// dispatch pass. Called by every operation that may change who
+    /// should hold a token: queueing a waiter, releasing a lease,
+    /// resetting a window, tearing down a pod. Grant decisions are
+    /// thereby a function of the instant's final backend state, not of
+    /// same-instant event delivery order. A pass grants only waiting
+    /// pods, so none is owed while the node has no waiter; a pod starts
+    /// waiting only in `request`, and `try_start_burst` pokes right after.
+    ///
+    /// The first poke claims a tie key from the queue, so the
+    /// [`TieBreak`](fastg_des::TieBreak) policy orders a node's pass
+    /// against the instant's other passes exactly as it would a queue
+    /// entry.
+    fn poke_dispatch(&mut self, node: NodeId, queue: &mut EventQueue<Event>) {
         if !self.cfg.policy.uses_tokens() {
             return;
         }
         if !self.backends.get(node).is_some_and(|b| b.has_waiter()) {
             return;
         }
-        if self.dispatch_pending.insert(node) {
-            queue.schedule(now, Event::Dispatch(node));
+        if self.dispatch_pending.iter().any(|&(_, n)| n == node) {
+            return;
         }
+        let key = queue.claim_tie_key();
+        let at = self.dispatch_pending.partition_point(|&(k, _)| k < key);
+        self.dispatch_pending.insert(at, (key, node));
     }
 
-    /// Delivers a node's batched dispatch pass: one canonical-order walk
-    /// of the ready queue, granting tokens until the SM budget stops it,
+    /// Runs a node's batched dispatch pass: one canonical-order walk of
+    /// the ready queue, granting tokens until the SM budget stops it,
     /// then launching each granted pod's pending burst. This is the only
     /// place a pod waiting for a token starts.
     fn on_dispatch(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        self.dispatch_pending.remove(node);
-        let grants = match self.backends.get_mut(node) {
-            Some(b) => b.dispatch_pass(now),
-            None => Vec::new(),
-        };
-        for g in grants {
+        let mut granted = std::mem::take(&mut self.granted_scratch);
+        if let Some(b) = self.backends.get_mut(node) {
+            granted.extend(b.dispatch_pass(now).iter().map(|g| g.pod));
+        }
+        for &pod in &granted {
             let has_burst = self
                 .pods
-                .get(g.pod)
+                .get(pod)
                 .and_then(|rt| rt.active.as_ref())
                 .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
             if has_burst {
-                self.launch_burst(now, g.pod, queue);
+                self.launch_burst(now, pod, queue);
             }
         }
+        granted.clear();
+        self.granted_scratch = granted;
     }
 
     fn on_window_reset(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
@@ -1544,7 +1545,7 @@ impl Engine {
             Some(b) => b.on_window_reset(now),
             None => debug_assert!(false, "backend per node"),
         }
-        self.poke_dispatch(now, node, queue);
+        self.poke_dispatch(node, queue);
         queue.schedule(now + self.cfg.window, Event::WindowReset(node));
     }
 
@@ -1633,7 +1634,7 @@ impl Engine {
                 }
                 ScaleAction::Down(pod) => {
                     if remaining > self.cfg.min_replicas {
-                        self.drain_pod(now, pod, queue);
+                        self.drain_pod(pod, queue);
                         remaining -= 1;
                         let min = self.cfg.min_replicas;
                         if let Some(rt) = self.funcs.get_mut(func) {
@@ -1832,8 +1833,23 @@ impl World for Engine {
             Event::HealthTick => self.on_health_tick(now, queue),
             Event::RequestTimeout(func, id) => self.on_request_timeout(func, id),
             Event::BreakerTick => self.on_breaker_tick(now, queue),
-            Event::Dispatch(node) => self.on_dispatch(now, node, queue),
         }
+    }
+
+    /// Runs the pending dispatch pass with the lowest tie key, once the
+    /// instant holds no event. A pass may schedule events at `now` and
+    /// poke further passes; the driver delivers those events before the
+    /// next call.
+    fn end_of_instant(&mut self, now: SimTime, queue: &mut EventQueue<Event>) -> bool {
+        if self.dispatch_pending.is_empty() {
+            return false;
+        }
+        let (_, node) = self.dispatch_pending.remove(0);
+        if self.cfg.trace_events {
+            self.trace.push(format!("{now:?} dispatch pass {node:?}"));
+        }
+        self.on_dispatch(now, node, queue);
+        true
     }
 }
 
@@ -1944,7 +1960,7 @@ impl Platform {
             }
             ReconcileAction::Drain(pods) => {
                 for p in pods {
-                    world.drain_pod(now, p, queue);
+                    world.drain_pod(p, queue);
                 }
             }
             ReconcileAction::Steady => {}
@@ -2201,7 +2217,6 @@ snap_enum!(Event, "event tag" {
     HealthTick = 8,
     RequestTimeout(func, id) = 9,
     BreakerTick = 10,
-    Dispatch(node) = 11,
 });
 
 snap_struct!(FuncRt {
@@ -2337,9 +2352,10 @@ impl PodRt {
 
 impl Engine {
     /// Serializes the complete engine state. Scratch buffers
-    /// (`burst_scratch`, `started_scratch`) are recycling caches with no
-    /// semantic content between events; they restore empty. The profile
-    /// table is rebuilt from the functions on restore.
+    /// (`burst_scratch`, `started_scratch`, `granted_scratch`) are
+    /// recycling caches with no semantic content between events; they
+    /// restore empty. The profile table is rebuilt from the functions on
+    /// restore.
     fn snap_state(&self, w: &mut SnapWriter) {
         let Self {
             cfg,
@@ -2360,6 +2376,7 @@ impl Engine {
             ff_coalesced_kernels,
             burst_scratch: _,
             started_scratch: _,
+            granted_scratch: _,
             dispatch_pending,
             trace,
             profiles: _,
@@ -2411,11 +2428,21 @@ impl Engine {
         let faults_injected = r.u64()?;
         let ff_bursts = r.u64()?;
         let ff_coalesced_kernels = r.u64()?;
-        let dispatch_pending = IdSet::unsnap(r)?;
+        let dispatch_pending: Vec<(u64, NodeId)> = Vec::unsnap(r)?;
         let trace = Vec::unsnap(r)?;
         let nodes = cluster.node_ids().len();
         if backends.len() != nodes || stores.len() != nodes {
             return Err(SnapError::new("engine per-node services"));
+        }
+        let keys_ascend = dispatch_pending.windows(2).all(|p| p[0].0 < p[1].0);
+        let mut owed: Vec<NodeId> = dispatch_pending.iter().map(|&(_, n)| n).collect();
+        owed.sort_unstable();
+        owed.dedup();
+        if !keys_ascend
+            || owed.len() != dispatch_pending.len()
+            || owed.iter().any(|&n| backends.get(n).is_none())
+        {
+            return Err(SnapError::new("engine dispatch passes"));
         }
         Ok(Engine {
             cfg,
@@ -2436,6 +2463,7 @@ impl Engine {
             ff_coalesced_kernels,
             burst_scratch: Vec::new(),
             started_scratch: Vec::new(),
+            granted_scratch: Vec::new(),
             dispatch_pending,
             trace,
             profiles,

@@ -14,6 +14,7 @@
 
 use fastg_des::snap::SnapError;
 use fastg_des::{snap_enum, snap_struct, SimTime};
+use fastg_gpu::{clamp_clock_scale, MAX_CLOCK_SCALE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,7 +41,10 @@ pub enum FaultKind {
     NodeDegrade {
         /// Index into the node list, taken modulo the number of nodes.
         node_index: usize,
-        /// Kernel-duration multiplier, > 1.0 for a slowdown.
+        /// Kernel-duration multiplier, > 1.0 for a slowdown. A plan
+        /// clamps it as the device does ([`clamp_clock_scale`]), and a
+        /// snapshot holding a value outside `(0, MAX_CLOCK_SCALE]` does
+        /// not decode.
         factor: f64,
     },
     /// Restore a degraded node to full clock speed.
@@ -82,8 +86,17 @@ impl FaultPlan {
     }
 
     /// Adds a fault at `at` (builder style). Entries may be added in any
-    /// order; the event queue delivers them in time order.
+    /// order; the event queue delivers them in time order. A degrade
+    /// factor is stored as the device will apply it
+    /// ([`clamp_clock_scale`]), so every plan survives a snapshot.
     pub fn at(mut self, at: SimTime, kind: FaultKind) -> Self {
+        let kind = match kind {
+            FaultKind::NodeDegrade { node_index, factor } => FaultKind::NodeDegrade {
+                node_index,
+                factor: clamp_clock_scale(factor),
+            },
+            other => other,
+        };
         self.events.push(FaultEvent { at, kind });
         self
     }
@@ -143,7 +156,9 @@ snap_enum!(FaultKind, "fault kind tag" {
     NodeRecover { node_index } = 3,
 } check |k| {
     match k {
-        FaultKind::NodeDegrade { node_index: _, factor } if !factor.is_finite() => {
+        FaultKind::NodeDegrade { node_index: _, factor }
+            if !(*factor > 0.0 && *factor <= MAX_CLOCK_SCALE) =>
+        {
             Err(SnapError::new("fault degrade factor"))
         }
         _ => Ok(()),
@@ -172,6 +187,44 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert!(!plan.is_empty());
         assert_eq!(plan.events()[0].at, SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn degrade_factors_are_clamped_in_plans_and_bounded_on_decode() {
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        let degrade = |factor| FaultKind::NodeDegrade {
+            node_index: 0,
+            factor,
+        };
+        let decode = |kind: FaultKind| {
+            let mut w = SnapWriter::new();
+            kind.snap(&mut w);
+            let bytes = w.finish();
+            FaultKind::unsnap(&mut SnapReader::new(&bytes))
+        };
+        for factor in [0.5, 2.0, MAX_CLOCK_SCALE] {
+            assert_eq!(decode(degrade(factor)), Ok(degrade(factor)));
+        }
+        let outside = [
+            MAX_CLOCK_SCALE * 2.0,
+            1e30,
+            f64::INFINITY,
+            0.0,
+            -1.0,
+            f64::NAN,
+        ];
+        for factor in outside {
+            assert_eq!(
+                decode(degrade(factor)),
+                Err(SnapError::new("fault degrade factor")),
+                "factor {factor}"
+            );
+        }
+        let plan = FaultPlan::new()
+            .at(SimTime::from_secs(1), degrade(1e30))
+            .at(SimTime::from_secs(2), degrade(-3.0));
+        let factors: Vec<_> = plan.events().iter().map(|e| e.kind).collect();
+        assert_eq!(factors, [degrade(MAX_CLOCK_SCALE), degrade(1.0)]);
     }
 
     #[test]

@@ -297,14 +297,32 @@ impl<E> EventQueue<E> {
     /// `schedule_cancellable`) funnel through here so the tie-break policy
     /// lives in exactly one place.
     fn push_entry(&mut self, at: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        debug_assert!(seq <= TIE_MASK, "sequence space exhausted");
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let order = u64::from((self.classify)(&event)) << TIE_BITS | self.tiebreak.key(seq);
         let pos = self.ranks.len();
         self.ranks.push(0);
         self.events.push(event);
         self.sift_up(pos, pack(at, order));
+        seq
+    }
+
+    /// Claims the next insertion sequence number without scheduling
+    /// anything and returns its tie key under the active policy. Work a
+    /// world keeps outside the queue (see
+    /// [`World::end_of_instant`](crate::World::end_of_instant)) orders by
+    /// such keys, so the [`TieBreak`] policy permutes it exactly as it
+    /// would a same-instant, same-class entry pushed now, and later
+    /// entries keep the sequence numbers they would have had.
+    pub fn claim_tie_key(&mut self) -> u64 {
+        let seq = self.take_seq();
+        self.tiebreak.key(seq)
+    }
+
+    /// Assigns the next insertion sequence number.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        debug_assert!(seq <= TIE_MASK, "sequence space exhausted");
+        self.next_seq += 1;
         seq
     }
 

@@ -16,14 +16,26 @@ pub trait World {
 
     /// Handles one event at simulated time `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
+
+    /// Runs one unit of end-of-instant work at `now` and returns whether
+    /// there was any. The driver calls this only once no live event
+    /// remains at `now`. Whatever the work schedules at `now` is
+    /// delivered before the next call, and the clock moves on only after
+    /// a call returns `false`. Work of this kind decides on the instant's
+    /// final state, whatever order its events were delivered in, without
+    /// a queue entry of its own. The default has none.
+    fn end_of_instant(&mut self, _now: SimTime, _queue: &mut EventQueue<Self::Event>) -> bool {
+        false
+    }
 }
 
 /// The outcome of a single [`Simulation::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// An event was delivered.
+    /// An event was delivered, or a unit of end-of-instant work ran.
     Handled,
-    /// The queue was empty; nothing happened.
+    /// The queue was empty and no end-of-instant work remained; nothing
+    /// happened.
     Idle,
 }
 
@@ -52,7 +64,8 @@ impl<W: World> Simulation<W> {
         self.now
     }
 
-    /// Total number of events delivered so far.
+    /// Total number of events delivered so far ([`World::end_of_instant`]
+    /// work is not an event and does not count).
     pub fn events_handled(&self) -> u64 {
         self.handled
     }
@@ -96,18 +109,36 @@ impl<W: World> Simulation<W> {
         self.handled = handled;
     }
 
-    /// Delivers the next event, if any.
+    /// Delivers the next event, or runs one unit of end-of-instant work
+    /// when no event remains at the current instant (see
+    /// [`World::end_of_instant`]).
     ///
     /// An event stamped earlier than the current time means something
     /// scheduled into the past; time never moves backwards (the event is
     /// delivered at the current time instead), and debug builds assert.
     pub fn step(&mut self) -> StepOutcome {
-        match self.queue.pop() {
+        if self.advance(SimTime::MAX) {
+            StepOutcome::Handled
+        } else {
+            StepOutcome::Idle
+        }
+    }
+
+    /// The one drive step every loop shares: the next live event at the
+    /// current instant; else one unit of the world's end-of-instant work;
+    /// else the next event at or before `deadline`. Returns `false` when
+    /// none of the three remains.
+    fn advance(&mut self, deadline: SimTime) -> bool {
+        let instant_open = self.queue.peek_time().is_some_and(|t| t <= self.now);
+        if !instant_open && self.world.end_of_instant(self.now, &mut self.queue) {
+            return true;
+        }
+        match self.queue.pop_before(deadline) {
             Some((t, ev)) => {
                 self.deliver(t, ev);
-                StepOutcome::Handled
+                true
             }
-            None => StepOutcome::Idle,
+            None => false,
         }
     }
 
@@ -126,26 +157,29 @@ impl<W: World> Simulation<W> {
         self.world.handle(now, ev, &mut self.queue);
     }
 
-    /// Runs until the queue is empty. The clock stops at the last event.
+    /// Runs until the queue is empty and no end-of-instant work remains.
+    /// The clock stops at the last event.
     pub fn run_until_idle(&mut self) {
-        while self.step() == StepOutcome::Handled {}
+        while self.advance(SimTime::MAX) {}
     }
 
     /// Runs until the next pending event would be strictly after `deadline`
     /// (events at exactly `deadline` are delivered), or the queue empties.
-    /// Finally advances the clock to `deadline` if it is ahead of the last
-    /// event, so interval statistics can be closed at a known instant.
+    /// Every instant it reaches is closed: its end-of-instant work has
+    /// run, the current one's included, also when `deadline` is the
+    /// current instant. Finally advances the clock to `deadline` if it is
+    /// ahead of the last event, so interval statistics can be closed at a
+    /// known instant.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some((t, ev)) = self.queue.pop_before(deadline) {
-            self.deliver(t, ev);
-        }
+        while self.advance(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }
     }
 
-    /// Runs until `predicate(world)` returns true (checked after each event)
-    /// or the queue empties. Returns whether the predicate was satisfied.
+    /// Runs until `predicate(world)` returns true (checked after each event
+    /// and each unit of end-of-instant work) or the queue empties. Returns
+    /// whether the predicate was satisfied.
     pub fn run_while<F: FnMut(&W) -> bool>(&mut self, mut keep_going: F) -> bool {
         loop {
             if !keep_going(&self.world) {
@@ -215,6 +249,116 @@ mod tests {
         let hit = sim.run_while(|w| w.count < 10);
         assert!(!hit);
         assert_eq!(sim.world().count, 3);
+    }
+
+    /// Logs deliveries and end-of-instant passes. Every delivered event
+    /// owes one pass at its instant (deduplicated); the pass at `echo_at`
+    /// schedules one more event at the same instant, which owes another.
+    #[derive(Default)]
+    struct Closer {
+        log: Vec<String>,
+        owed: bool,
+        echo_at: Option<SimTime>,
+        /// Set if a pass ever ran while an event remained at its instant.
+        early: bool,
+    }
+
+    impl World for Closer {
+        type Event = &'static str;
+        fn handle(
+            &mut self,
+            now: SimTime,
+            ev: &'static str,
+            _queue: &mut EventQueue<&'static str>,
+        ) {
+            self.log.push(format!("{} {ev}", now.as_micros()));
+            self.owed = true;
+        }
+        fn end_of_instant(&mut self, now: SimTime, queue: &mut EventQueue<&'static str>) -> bool {
+            self.early |= queue.peek_time() == Some(now);
+            if !std::mem::take(&mut self.owed) {
+                return false;
+            }
+            self.log.push(format!("{} pass", now.as_micros()));
+            if self.echo_at == Some(now) {
+                self.echo_at = None;
+                queue.schedule(now, "echo");
+            }
+            true
+        }
+    }
+
+    fn closer(events: &[(u64, &'static str)]) -> Simulation<Closer> {
+        let mut sim = Simulation::new(Closer::default());
+        for &(t, ev) in events {
+            sim.queue_mut().schedule(SimTime::from_micros(t), ev);
+        }
+        sim
+    }
+
+    #[test]
+    fn end_of_instant_runs_once_the_instant_holds_no_event() {
+        let mut sim = closer(&[(10, "a"), (10, "b"), (20, "c"), (10, "d")]);
+        sim.run_until_idle();
+        assert_eq!(
+            sim.world().log,
+            ["10 a", "10 b", "10 d", "10 pass", "20 c", "20 pass"]
+        );
+        assert!(!sim.world().early);
+        assert_eq!(sim.events_handled(), 4, "passes are not events");
+    }
+
+    #[test]
+    fn an_event_a_pass_schedules_now_lands_before_the_next_pass_and_later_events() {
+        let mut sim = closer(&[(10, "a"), (20, "b")]);
+        sim.world_mut().echo_at = Some(SimTime::from_micros(10));
+        sim.run_until(SimTime::from_micros(30));
+        assert_eq!(
+            sim.world().log,
+            ["10 a", "10 pass", "10 echo", "10 pass", "20 b", "20 pass"]
+        );
+        assert!(!sim.world().early);
+    }
+
+    #[test]
+    fn run_until_closes_the_instant_it_stops_at() {
+        // The last event sits exactly at the deadline: its pass still runs.
+        let mut sim = closer(&[(10, "a"), (30, "b")]);
+        sim.run_until(SimTime::from_micros(10));
+        assert_eq!(sim.world().log, ["10 a", "10 pass"]);
+        assert!(!sim.world().owed);
+        // Work owed between runs (as an API call leaves it) runs even
+        // when the deadline is the current instant.
+        sim.world_mut().owed = true;
+        sim.run_until(sim.now());
+        assert_eq!(sim.world().log, ["10 a", "10 pass", "10 pass"]);
+        assert!(!sim.world().owed);
+        assert_eq!(sim.now(), SimTime::from_micros(10));
+        // Stepping runs it too, one unit per step, before the next event.
+        sim.world_mut().owed = true;
+        assert_eq!(sim.step(), StepOutcome::Handled);
+        assert_eq!(sim.world().log.last().map(String::as_str), Some("10 pass"));
+        assert_eq!(sim.step(), StepOutcome::Handled);
+        assert_eq!(sim.world().log.last().map(String::as_str), Some("30 b"));
+        assert_eq!(sim.step(), StepOutcome::Handled);
+        assert_eq!(sim.step(), StepOutcome::Idle);
+    }
+
+    #[test]
+    fn a_world_without_end_of_instant_work_steps_event_by_event() {
+        let mut sim = Simulation::new(Ping { count: 0, limit: 4 });
+        sim.queue_mut().schedule(SimTime::ZERO, 1);
+        sim.queue_mut().schedule(SimTime::ZERO, 1);
+        let mut steps = 0;
+        while sim.step() == StepOutcome::Handled {
+            steps += 1;
+            assert_eq!(u64::from(sim.world().count), sim.events_handled());
+        }
+        // Two chains of 10 µs pings: each step delivered one event.
+        assert_eq!(steps, 5);
+        assert_eq!(sim.events_handled(), 5);
+        assert_eq!(sim.now(), SimTime::from_micros(20));
+        assert!(sim.queue().is_empty());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! * [`snap_struct!`](crate::snap_struct) — a struct (or tuple struct)
 //!   encoded as its fields in list order, with optional `skip`ped cache
-//!   fields and a `check` run on the decoded value;
+//!   fields, a `rebuild` that derives them on decode, and a `check` run
+//!   on the decoded value;
 //! * [`snap_enum!`](crate::snap_enum) — an enum encoded as a one-byte tag
 //!   followed by the variant's fields.
 //!
@@ -319,14 +320,18 @@ pub trait Snap: Sized {
 /// silently drops. The decoder reads a struct literal, which Rust
 /// evaluates in the order written, so bytes are read in list order.
 /// `skip` fields are caches and scratch space: they are not written and
-/// decode as `Default::default()`. `check |v| { … }` validates the
-/// decoded value (`v: &Self`) and returns `Result<(), SnapError>`; it
-/// runs after the whole struct has been read.
+/// decode as `Default::default()`. `rebuild |v| { … }` derives them
+/// again from the decoded fields (`v: &mut Self`) and returns
+/// `Result<(), SnapError>`, failing when the fields cannot support them.
+/// `check |v| { … }` validates the decoded value (`v: &Self`) and
+/// returns `Result<(), SnapError>`; it runs after the whole struct has
+/// been read and rebuilt.
 #[macro_export]
 macro_rules! snap_struct {
     (
         $ty:ident { $($field:ident),* $(,)? }
         $(skip { $($skip:ident),* $(,)? })?
+        $(rebuild |$rv:ident| $rebuild:block)?
         $(check |$v:ident| $check:block)?
     ) => {
         impl $crate::snap::Snap for $ty {
@@ -341,6 +346,13 @@ macro_rules! snap_struct {
                     $($field: $crate::snap::Snap::unsnap(r)?,)*
                     $($($skip: ::core::default::Default::default(),)*)?
                 };
+                $(let value = {
+                    let mut value = value;
+                    let $rv: &mut $ty = &mut value;
+                    let rebuilt: ::core::result::Result<(), $crate::snap::SnapError> = $rebuild;
+                    rebuilt?;
+                    value
+                };)?
                 $({
                     let $v: &$ty = &value;
                     let checked: ::core::result::Result<(), $crate::snap::SnapError> = $check;
@@ -811,6 +823,23 @@ mod tests {
         Ok(())
     });
 
+    /// A struct whose skipped field is rebuilt on decode, then checked.
+    #[derive(Debug, Default, PartialEq)]
+    struct Scaled {
+        base: u32,
+        doubled: u64,
+    }
+
+    snap_struct!(Scaled { base } skip { doubled } rebuild |v| {
+        v.doubled = u64::from(v.base) * 2;
+        Ok(())
+    } check |v| {
+        if v.doubled > 100 {
+            return Err(SnapError::new("scaled bound"));
+        }
+        Ok(())
+    });
+
     #[derive(Debug, PartialEq)]
     struct Pair(u64, String);
 
@@ -868,6 +897,20 @@ mod tests {
         assert_eq!(
             decode::<Window>(&encode(&v)),
             Err(SnapError::new("window count"))
+        );
+    }
+
+    #[test]
+    fn snap_struct_rebuild_derives_skipped_fields_before_the_check() {
+        let scaled = |base| Scaled { base, doubled: 0 };
+        let bytes = encode(&scaled(21));
+        assert_eq!(bytes, 21u32.to_le_bytes());
+        let back = decode::<Scaled>(&bytes).expect("decode");
+        assert_eq!((back.base, back.doubled), (21, 42));
+        assert_eq!(
+            decode::<Scaled>(&encode(&scaled(51))),
+            Err(SnapError::new("scaled bound")),
+            "the check sees the rebuilt field"
         );
     }
 

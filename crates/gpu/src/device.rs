@@ -35,6 +35,25 @@ use std::collections::VecDeque;
 
 pub use crate::mps::ClientId;
 
+/// The largest kernel-duration multiplier a device accepts (see
+/// [`GpuDevice::set_clock_scale`]): a millionfold slowdown, under which a
+/// 1 µs kernel takes a second. A device that slow has stopped serving
+/// within any simulated horizon, and the bound keeps every scaled kernel
+/// duration, and every burst end summed from them, far inside the
+/// microsecond clock.
+pub const MAX_CLOCK_SCALE: f64 = 1e6;
+
+/// The multiplier [`GpuDevice::set_clock_scale`] installs for `factor`:
+/// values ≤ 0 (and NaN) become 1.0, values above [`MAX_CLOCK_SCALE`] the
+/// bound.
+pub fn clamp_clock_scale(factor: f64) -> f64 {
+    if factor > 0.0 {
+        factor.min(MAX_CLOCK_SCALE)
+    } else {
+        1.0
+    }
+}
+
 /// Identifies one kernel launch on one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelId(pub u64);
@@ -134,6 +153,11 @@ impl FfRun {
 #[derive(Debug)]
 struct FfTimeline {
     client: ClientId,
+    /// The client's SM cap (derived: the MPS table's value, which a
+    /// repartition keeps in step). Partitions do not change under a live
+    /// timeline in practice: the platform breaks a node's timelines
+    /// before it repartitions.
+    cap: u32,
     /// The burst's runs in stream order, back to back (gapless).
     runs: Vec<FfRun>,
     /// When the burst's first kernel started.
@@ -157,7 +181,8 @@ impl FfTimeline {
     /// Rebuilds a timeline from its encoded parts, deriving the run start,
     /// the burst end and the completion count. A live timeline has a
     /// resident kernel whose interval holds the credited point, and its
-    /// whole burst fits the clock.
+    /// whole burst fits the clock. The cap is left 0 for the device's
+    /// decode to derive.
     fn from_parts(
         client: ClientId,
         runs: Vec<FfRun>,
@@ -193,6 +218,7 @@ impl FfTimeline {
         }
         Ok(FfTimeline {
             client,
+            cap: 0,
             runs,
             start,
             run,
@@ -461,13 +487,13 @@ impl GpuDevice {
     /// Sets the kernel-duration multiplier. Values above 1.0 model a
     /// degraded device (clock throttling): every *subsequently started*
     /// kernel takes `factor ×` its nominal duration. Resident kernels are
-    /// unaffected. Values ≤ 0 are clamped to 1.0.
+    /// unaffected. The factor is clamped by [`clamp_clock_scale`].
     pub fn set_clock_scale(&mut self, factor: f64) {
         debug_assert!(
             self.ff.is_empty(),
             "clock change invalidates fast-forward (caller must ff_break first)"
         );
-        self.clock_scale = if factor > 0.0 { factor } else { 1.0 };
+        self.clock_scale = clamp_clock_scale(factor);
     }
 
     fn stream_mut(&mut self, client: ClientId) -> Option<&mut ClientStream> {
@@ -539,7 +565,12 @@ impl GpuDevice {
             self.ff.is_empty(),
             "repartition invalidates fast-forward (caller must ff_break first)"
         );
-        self.mps.set_percentage(client, percentage)
+        self.mps.set_percentage(client, percentage)?;
+        let cap = self.mps.sm_cap(client)?;
+        for t in self.ff.iter_mut().filter(|t| t.client == client) {
+            t.cap = cap;
+        }
+        Ok(())
     }
 
     /// Unregisters a client.
@@ -769,27 +800,36 @@ impl GpuDevice {
     /// [`Self::fast_forward_burst`]; while timelines are live, a caller
     /// about to activate `client` per kernel must break them first when
     /// this is false.
+    ///
+    /// One pass over the timelines, which carry their clients' caps, then
+    /// one over the streams beside the MPS table, which lists the same
+    /// clients in the same order. A client with a timeline has an idle
+    /// stream, so no client counts twice.
     pub fn ff_admits(&self, client: ClientId) -> bool {
         if !self.wait_queue.is_empty() {
             return false;
         }
-        let grants_capped = self
-            .running
-            .iter()
-            .all(|(_, r)| self.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap));
-        if !grants_capped {
-            return false;
+        let mut caps = 0u64;
+        let mut counted = false;
+        for t in &self.ff {
+            caps += u64::from(t.cap);
+            counted |= t.client == client;
         }
         // Waiting clients are active too, but any waiter refused above.
-        let mut caps = 0u64;
-        for (id, s) in &self.streams {
-            let active = s.running.is_some() || !s.queued.is_empty() || self.ff_active(*id);
-            if active || *id == client {
-                let Ok(cap) = self.mps.sm_cap(*id) else {
+        for ((id, s), (mps_id, cap)) in self.streams.iter().zip(self.mps.caps()) {
+            debug_assert_eq!(*id, mps_id, "stream table out of step with MPS");
+            if let Some(kernel) = s.running {
+                let capped = self
+                    .running
+                    .iter()
+                    .any(|(k, r)| *k == kernel && r.granted <= cap);
+                if !capped {
                     return false;
-                };
-                caps += u64::from(cap);
+                }
+            } else if s.queued.is_empty() && (*id != client || counted) {
+                continue;
             }
+            caps += u64::from(cap);
         }
         caps <= u64::from(self.spec.sm_count)
     }
@@ -882,6 +922,7 @@ impl GpuDevice {
         self.metrics.ff_begin(now);
         self.ff.push(FfTimeline {
             client,
+            cap,
             runs,
             start: now,
             run: 0,
@@ -1071,10 +1112,12 @@ snap_struct!(FfRun {
 
 impl Snap for FfTimeline {
     /// Encodes the runs and the cursor; the run start, the burst end and
-    /// the completion count are derived again on decode.
+    /// the completion count are derived again on decode, and the cap by
+    /// the device's decode.
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
             client,
+            cap: _,
             runs,
             start,
             run,
@@ -1109,13 +1152,43 @@ snap_struct!(ClientStream {
 });
 
 // The recycled timeline buffers (`ff_pool`) are a pure allocation cache
-// and restore empty.
+// and restore empty. Each timeline's cap comes from the MPS table.
 snap_struct!(GpuDevice {
     spec, mps, memory, metrics, free_sms, streams, running, wait_queue, next_kernel,
     clock_scale, ff,
-} skip { ff_pool } check |d| {
+} skip { ff_pool } rebuild |d| {
+    for t in &mut d.ff {
+        t.cap = d.mps.sm_cap(t.client).map_err(|_| SnapError::new("gpu ff client"))?;
+    }
+    Ok(())
+} check |d| {
     if d.free_sms > d.spec.sm_count {
         return Err(SnapError::new("gpu free sms"));
+    }
+    if !(d.clock_scale > 0.0 && d.clock_scale <= MAX_CLOCK_SCALE) {
+        return Err(SnapError::new("gpu clock scale"));
+    }
+    if !d.streams.iter().map(|(id, _)| *id).eq(d.mps.caps().map(|(id, _)| id)) {
+        return Err(SnapError::new("gpu stream table"));
+    }
+    // Each resident kernel is its client's stream head, and each
+    // timeline's client has an idle stream and no other timeline.
+    let heads = d.streams.iter().filter_map(|(id, s)| s.running.map(|k| (k, *id)));
+    let resident = |(k, id): (KernelId, ClientId)| {
+        d.running.iter().any(|(rk, r)| *rk == k && r.client == id)
+    };
+    if heads.clone().count() != d.running.len() || !heads.clone().all(resident) {
+        return Err(SnapError::new("gpu resident table"));
+    }
+    let idle = |c: ClientId| {
+        d.streams
+            .iter()
+            .any(|(id, s)| *id == c && s.running.is_none() && s.queued.is_empty())
+    };
+    for (i, t) in d.ff.iter().enumerate() {
+        if !idle(t.client) || d.ff[..i].iter().any(|u| u.client == t.client) {
+            return Err(SnapError::new("gpu ff stream"));
+        }
     }
     if d.running.iter().any(|(id, _)| id.0 >= d.next_kernel) {
         return Err(SnapError::new("gpu kernel id space"));
@@ -1882,5 +1955,213 @@ mod tests {
         assert_eq!(gpu.unregister_client(c).unwrap_err(), GpuError::WorkInFlight(c));
         gpu.ff_complete(end, c).unwrap();
         gpu.unregister_client(c).unwrap();
+    }
+
+    fn round_trip(gpu: &GpuDevice) -> Result<GpuDevice, SnapError> {
+        let mut w = SnapWriter::new();
+        gpu.snap(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        GpuDevice::unsnap(&mut r)
+    }
+
+    #[test]
+    fn clock_scale_clamps_to_its_bound() {
+        let mut gpu = v100();
+        gpu.set_clock_scale(1e30);
+        assert_eq!(gpu.clock_scale(), MAX_CLOCK_SCALE);
+        gpu.set_clock_scale(f64::INFINITY);
+        assert_eq!(gpu.clock_scale(), MAX_CLOCK_SCALE);
+        for below in [0.0, -2.0, f64::NAN] {
+            gpu.set_clock_scale(below);
+            assert_eq!(gpu.clock_scale(), 1.0);
+        }
+        // The slowest kernel a bounded clock allows still fits the clock,
+        // and so does a burst of them.
+        let c = gpu.register_client(100.0).unwrap();
+        gpu.set_clock_scale(MAX_CLOCK_SCALE);
+        let slow = kernel(1, 1_000_000);
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, [slow; 50].iter().copied());
+        assert_eq!(end, Some(SimTime::from_secs(50_000_000)));
+    }
+
+    #[test]
+    fn snapshot_rejects_a_clock_scale_outside_its_bound() {
+        let mut gpu = v100();
+        gpu.set_clock_scale(MAX_CLOCK_SCALE);
+        assert!(round_trip(&gpu).is_ok());
+        for bad in [MAX_CLOCK_SCALE * 2.0, 1e30, 0.0, -1.0, f64::NAN] {
+            gpu.clock_scale = bad;
+            assert_eq!(
+                round_trip(&gpu).err(),
+                Some(SnapError::new("gpu clock scale")),
+                "clock scale {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_tables_out_of_step() {
+        let mut gpu = v100();
+        let a = gpu.register_client(25.0).unwrap();
+        let b = gpu.register_client(25.0).unwrap();
+        gpu.launch(SimTime::ZERO, a, kernel(40, 10)).unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(1, 10)].iter().copied())
+            .unwrap();
+        assert!(round_trip(&gpu).is_ok());
+        let reject = |gpu: &GpuDevice, what| {
+            assert_eq!(round_trip(gpu).err(), Some(SnapError::new(what)));
+        };
+        // A stream without an MPS client.
+        let mut bad = round_trip(&gpu).unwrap();
+        bad.streams.push((ClientId(9), ClientStream::default()));
+        reject(&bad, "gpu stream table");
+        // A resident kernel that is no stream's head.
+        let mut bad = round_trip(&gpu).unwrap();
+        bad.streams[0].1.running = None;
+        reject(&bad, "gpu resident table");
+        // A timeline whose stream is busy.
+        let mut bad = round_trip(&gpu).unwrap();
+        bad.streams[1].1.queued.push_back(kernel(1, 10));
+        reject(&bad, "gpu ff stream");
+    }
+
+    #[test]
+    fn snapshot_derives_timeline_caps_from_the_mps_table() {
+        let mut gpu = v100();
+        let a = gpu.register_client(25.0).unwrap();
+        let b = gpu.register_client(50.0).unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, a, [kernel(40, 10)].iter().copied())
+            .unwrap();
+        let back = round_trip(&gpu).unwrap();
+        assert_eq!(back.ff[0].cap, gpu.mps.sm_cap(a).unwrap());
+        // 20 + 40 SMs fit the device; a third 50 % client would not.
+        assert!(back.ff_admits(b));
+        let c = gpu.register_client(50.0).unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(40, 10)].iter().copied())
+            .unwrap();
+        assert!(!round_trip(&gpu).unwrap().ff_admits(c));
+    }
+
+    /// The admission rule as the MPS table states it, written before
+    /// timelines carried their caps: nobody waits for SMs, every resident
+    /// grant is within its owner's cap, and the caps of the clients with a
+    /// resident kernel, queued kernels or a timeline, plus `client`'s own,
+    /// fit the device.
+    fn admits_by_mps_table(d: &GpuDevice, client: ClientId) -> bool {
+        if !d.wait_queue.is_empty() {
+            return false;
+        }
+        let grants_capped = d
+            .running
+            .iter()
+            .all(|(_, r)| d.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap));
+        if !grants_capped {
+            return false;
+        }
+        let mut caps = 0u64;
+        for (id, s) in &d.streams {
+            let active = s.running.is_some() || !s.queued.is_empty() || d.ff_active(*id);
+            if active || *id == client {
+                let Ok(cap) = d.mps.sm_cap(*id) else {
+                    return false;
+                };
+                caps += u64::from(cap);
+            }
+        }
+        caps <= u64::from(d.spec.sm_count)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `ff_admits` equals the MPS-table rule in every state a device
+        /// reaches: over-committed partitions, SM waiters, repartitions
+        /// under resident kernels, breaks, re-registrations and snapshot
+        /// round trips, checked for every client after every operation.
+        #[test]
+        fn ff_admits_matches_the_mps_table_rule(
+            pcts in prop::collection::vec(1u32..=100, 2..5),
+            ops in prop::collection::vec((0u64..80, 0u8..7, 0usize..5, 1u32..=100), 1..60),
+        ) {
+            let mut gpu = v100();
+            let mut clients: Vec<ClientId> = pcts
+                .iter()
+                .map(|&p| gpu.register_client(f64::from(p)).unwrap())
+                .collect();
+            let mut resident: Vec<KernelStart> = Vec::new();
+            let mut macros: Vec<(SimTime, ClientId)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for &(dt, op, i, arg) in &ops {
+                now += SimTime::from_micros(dt);
+                // Deliver every finish due by `now`, in time order.
+                loop {
+                    let k = resident.iter().enumerate().min_by_key(|(_, s)| (s.finish_at, s.kernel));
+                    let m = macros.iter().enumerate().min_by_key(|(_, &(t, c))| (t, c));
+                    match (k, m) {
+                        (Some((ki, s)), m) if s.finish_at <= now && m.map_or(true, |(_, &(t, _))| s.finish_at <= t) => {
+                            let s = resident.swap_remove(ki);
+                            let (_, started) = gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+                            resident.extend(started);
+                        }
+                        (_, Some((mi, &(t, c)))) if t <= now => {
+                            macros.swap_remove(mi);
+                            gpu.ff_complete(t, c).unwrap();
+                        }
+                        _ => break,
+                    }
+                }
+                let c = clients[i % clients.len()];
+                let desc = kernel(arg, u64::from(arg % 7));
+                match op {
+                    // Launch per kernel; timelines that no longer fit the
+                    // device are broken first, as the platform does.
+                    0 if !gpu.ff_active(c) => {
+                        if gpu.has_ff() && !gpu.ff_admits(c) {
+                            for &(_, m) in &macros {
+                                resident.extend(gpu.ff_break(now, m).map(|b| b.resumed));
+                            }
+                            macros.clear();
+                        }
+                        resident.extend(gpu.launch(now, c, desc).unwrap());
+                    }
+                    1 => {
+                        let burst = [desc, desc, kernel(arg / 2 + 1, 3)];
+                        if let Some(end) = gpu.fast_forward_burst(now, c, burst.iter().copied()) {
+                            macros.push((end, c));
+                        }
+                    }
+                    2 => {
+                        if let Some(b) = gpu.ff_break(now, c) {
+                            macros.retain(|&(_, m)| m != c);
+                            resident.push(b.resumed);
+                        }
+                    }
+                    // Repartition (after breaking every timeline, as the
+                    // platform does): resident kernels keep their grants.
+                    3 => {
+                        for &(_, m) in &macros {
+                            resident.extend(gpu.ff_break(now, m).map(|b| b.resumed));
+                        }
+                        macros.clear();
+                        gpu.set_partition(c, f64::from(arg)).unwrap();
+                    }
+                    4 => gpu = round_trip(&gpu).unwrap(),
+                    // Replace an idle client with a fresh registration.
+                    5 => {
+                        if gpu.unregister_client(c).is_ok() {
+                            clients.retain(|&x| x != c);
+                            clients.push(gpu.register_client(f64::from(arg)).unwrap());
+                        }
+                    }
+                    _ => gpu.ff_sync(now),
+                }
+                for &c in &clients {
+                    prop_assert_eq!(gpu.ff_admits(c), admits_by_mps_table(&gpu, c), "{:?} after op {}", c, op);
+                }
+            }
+        }
     }
 }

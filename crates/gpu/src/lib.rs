@@ -42,6 +42,7 @@ pub mod spec;
 
 pub use device::{
     ClientId, FfBreak, FfDone, GpuDevice, KernelDesc, KernelDone, KernelId, KernelStart,
+    clamp_clock_scale, MAX_CLOCK_SCALE,
 };
 pub use error::GpuError;
 pub use memory::{DevicePtr, GpuMemory, IpcHandle, MemError};

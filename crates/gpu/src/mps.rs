@@ -174,6 +174,11 @@ impl MpsServer {
         self.entry(id).map(|e| e.sm_cap)
     }
 
+    /// Every client's SM cap, in ascending client order.
+    pub(crate) fn caps(&self) -> impl Iterator<Item = (ClientId, u32)> + '_ {
+        self.clients.iter().map(|(id, e)| (*id, e.sm_cap))
+    }
+
     /// The active-thread percentage of a client.
     pub fn percentage(&self, id: ClientId) -> Result<f64, MpsError> {
         self.entry(id).map(|e| e.percentage)

@@ -105,6 +105,30 @@ impl Twin {
         }
     }
 
+    /// `ff`'s admission rule as the MPS table states it, as written
+    /// before timelines carried their caps: nobody waits for SMs, every
+    /// resident grant is within its owner's cap, and the caps of the
+    /// active clients plus `client`'s own fit the device. `ff`'s residents
+    /// come from the twin's own record. In this capped regime nobody
+    /// waits, and a broken burst's stream always has its head resident,
+    /// so a client is active exactly when it has a resident kernel or a
+    /// timeline.
+    fn admits_by_mps_table(&self, client: ClientId) -> bool {
+        let mps = self.ff.mps();
+        let grants_capped = self
+            .ff_pending
+            .iter()
+            .all(|s| mps.sm_cap(s.client).is_ok_and(|cap| s.granted_sms <= cap));
+        let mut caps = 0u64;
+        for c in mps.client_ids() {
+            let resident = self.ff_pending.iter().any(|s| s.client == c);
+            if resident || self.ff.ff_active(c) || c == client {
+                caps += u64::from(mps.sm_cap(c).unwrap_or(u32::MAX));
+            }
+        }
+        grants_capped && caps <= u64::from(self.ff.spec().sm_count)
+    }
+
     /// Compares copies of both devices at `at` (the fast-forwarded one
     /// synced first, as every read site does): free SMs, completions,
     /// per-client busy time and a metric sample's bits.
@@ -284,7 +308,8 @@ proptest! {
     /// run lengths, single-kernel runs and zero-duration kernels. Syncs,
     /// inclusive syncs, breaks, completions, samples and snapshot round
     /// trips interleave, and after every operation free SMs, completions,
-    /// busy times and sample bits must equal per-kernel stepping's.
+    /// busy times and sample bits must equal per-kernel stepping's, and
+    /// every client's `ff_admits` the rule recomputed from the MPS table.
     #[test]
     fn run_length_timelines_match_per_kernel_stepping(
         clients in prop::collection::vec(
@@ -376,6 +401,9 @@ proptest! {
             }
             twin.last = twin.last.max(now);
             twin.check(now);
+            for &client in &twin.clients {
+                prop_assert_eq!(twin.ff.ff_admits(client), twin.admits_by_mps_table(client));
+            }
         }
         twin.advance(SimTime::MAX, true);
         twin.check(twin.last);

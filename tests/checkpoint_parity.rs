@@ -240,17 +240,20 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The wire format is pinned: the length and hash of two mid-run
 /// snapshots are fixed for this `SNAPSHOT_VERSION`. Any codec change that
-/// moves a byte must bump the version and re-pin these figures.
+/// moves a byte must bump the version and re-pin these figures. Version 8
+/// carries the owed dispatch passes as a `(tie key, node)` list instead
+/// of a node set beside queued dispatch events; between runs the list is
+/// empty, 16 bytes shorter than the set it replaced.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 7, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 8, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
     fleet.run_for(SimTime::from_secs(3));
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 21_314, 0xe047_efad_d1b0_c301),
-        ("fleet", fleet, 23_386, 0x30e0_4c60_f7d7_65e4),
+        ("flash crowd", flash, 21_298, 0x5e29_136a_54b1_d425),
+        ("fleet", fleet, 23_370, 0x4570_11df_42f0_d589),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
@@ -260,6 +263,72 @@ fn snapshot_bytes_are_pinned() {
             "{name} snapshot bytes moved: bump SNAPSHOT_VERSION and re-pin"
         );
     }
+}
+
+/// A dispatch pass owed across a checkpoint. Killing a token holder
+/// between `run_for` calls releases its SM share while another pod on its
+/// node waits for a token, so the node owes a pass at the split instant
+/// that has not run yet. The snapshot must carry it: the resumed run
+/// matches the straight-through one.
+#[test]
+fn checkpoint_with_a_dispatch_pass_pending_is_exact() {
+    let build = || {
+        let mut p = Platform::new(
+            PlatformConfig::default()
+                .nodes(1)
+                .policy(SharingPolicy::FaST)
+                .seed(31)
+                .trace_events(true),
+        );
+        // Three always-busy 40 % pods: at most two hold tokens at once.
+        let f = p
+            .deploy(
+                FunctionConfig::new("f", "resnet50")
+                    .replicas(3)
+                    .resources(40.0, 0.3, 1.0)
+                    .saturating(),
+            )
+            .unwrap();
+        (p, f)
+    };
+    // The kill owes a pass when the pass is the first thing the next run
+    // does at the kill instant.
+    let kill_owes_pass = |p: &mut Platform, victim: usize| {
+        let pod = p.pods_of(fastg_cluster::FuncId(0))[victim];
+        assert!(p.kill_pod(pod));
+        let traced = p.event_trace().len();
+        p.run_for(SimTime::ZERO);
+        let pass = format!("{:?} dispatch pass", p.now());
+        p.event_trace()
+            .get(traced)
+            .is_some_and(|line| line.starts_with(&pass))
+    };
+    // Find the first millisecond at which killing some pod owes a pass.
+    let (mut probe, _) = build();
+    let (split, victim) = loop {
+        probe.run_for(SimTime::from_millis(1));
+        assert!(probe.now() < SimTime::from_secs(1), "no kill owed a pass");
+        if let Some(v) = (0..3).find(|&v| kill_owes_pass(&mut probe.fork().unwrap(), v)) {
+            break (probe.now(), v);
+        }
+    };
+    let rest = SimTime::from_secs(2);
+    let (mut straight, f) = build();
+    straight.run_for(split);
+    let pod = straight.pods_of(f)[victim];
+    assert!(straight.kill_pod(pod));
+    let (mut twin, _) = build();
+    twin.run_for(split);
+    assert!(twin.kill_pod(pod));
+    let snapshot = twin.checkpoint();
+    drop(twin);
+    let mut resumed = Platform::from_snapshot(&snapshot).unwrap();
+    let s = straight.run_for(rest).canonical_text();
+    let r = resumed.run_for(rest).canonical_text();
+    assert_eq!(
+        r, s,
+        "killing pod {victim} at {split:?}: the resumed run diverged"
+    );
 }
 
 /// Byte-level fuzz of the restore path: snapshot bytes are untrusted

@@ -658,3 +658,41 @@ fn node_crash_does_not_recount_a_draining_pod() {
     assert!(p.crash_node(0));
     assert_eq!(p.killed_pods(), 2, "two pods died, each counted once");
 }
+
+/// A degrade factor beyond the clock bound is clamped to it. A factor of
+/// 1e30 used to overflow the burst-end sum of the fast-forward layer:
+/// debug builds panicked, and release builds wrapped the kernel clock
+/// and reported more completions than a millionfold slowdown allows.
+#[test]
+fn huge_degrade_factor_clamps_to_the_clock_bound() {
+    let completed = |factor: f64| {
+        let plan = FaultPlan::new().at(
+            SimTime::from_millis(500),
+            FaultKind::NodeDegrade {
+                node_index: 0,
+                factor,
+            },
+        );
+        let mut p = Platform::new(
+            PlatformConfig::default()
+                .nodes(1)
+                .policy(SharingPolicy::FaST)
+                .fault_plan(plan)
+                .seed(7),
+        );
+        let f = p
+            .deploy(
+                FunctionConfig::new("f", "resnet50")
+                    .replicas(1)
+                    .resources(12.0, 0.5, 1.0),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::poisson(40.0, 7));
+        p.run_for(SimTime::from_secs(2)).functions[&f].completed
+    };
+    let bounded = completed(fastg_gpu::MAX_CLOCK_SCALE);
+    for factor in [1e30, f64::INFINITY, 1e12] {
+        assert_eq!(completed(factor), bounded, "factor {factor}");
+    }
+    assert!(bounded < completed(1.0), "a stalled node serves less");
+}

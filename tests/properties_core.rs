@@ -224,7 +224,7 @@ proptest! {
                 }
                 4 => {
                     // The engine launches each granted pod's pending burst.
-                    for g in b.dispatch_pass(now) {
+                    for g in b.dispatch_pass(now).to_vec() {
                         let i = g.pod.0 as usize;
                         prop_assert!(!in_burst[i] && !has_token[i], "pod {i} granted twice");
                         has_token[i] = true;
