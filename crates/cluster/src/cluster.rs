@@ -64,7 +64,7 @@ pub enum NodeState {
 }
 
 /// A worker node: one simulated GPU plus the MPS DaemonSet container.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Node id.
     pub id: NodeId,
@@ -139,7 +139,7 @@ impl std::error::Error for ClusterError {}
 /// pod ids are handed out sequentially and never reused), so per-request
 /// node/pod lookups are O(1) array accesses and iteration order stays the
 /// ascending-id order the former `BTreeMap`s provided.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Cluster {
     nodes: IdArena<NodeId, Node>,
     pods: IdArena<PodId, Pod>,

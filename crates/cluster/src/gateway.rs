@@ -46,7 +46,7 @@ pub enum Admission {
 /// replaced), the arrival log is run-length encoded so steady load costs
 /// O(1) memory per rate change instead of O(arrivals), and retry counts
 /// live in a tiny sorted vec that is cleared on every terminal state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct FuncState {
     queue: VecDeque<Request>,
     /// Idle replicas, sorted ascending; dispatch always takes the first.
@@ -105,7 +105,7 @@ impl FuncState {
 /// Function state is arena-indexed by the dense `FuncId` (ascending-id
 /// iteration, same order the former `BTreeMap` gave) so the per-request
 /// lookup is one bounds-checked array access.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Gateway {
     funcs: IdArena<FuncId, FuncState>,
     next_request: u64,

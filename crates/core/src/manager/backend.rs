@@ -133,7 +133,7 @@ struct Lease {
 /// beats pointer-chasing a tree on the token hot path, and ascending-id
 /// iteration keeps the dispatch snapshot order identical to the old
 /// `BTreeMap`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PodTable {
     rows: Vec<(PodId, PodEntry)>,
 }
@@ -233,7 +233,7 @@ impl PodEntry {
 ///     SimTime::from_millis(2)
 /// );
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FastBackend {
     cfg: BackendConfig,
     pods: PodTable,

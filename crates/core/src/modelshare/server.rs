@@ -46,21 +46,21 @@ pub struct TensorHandle {
     pub ptr: DevicePtr,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StoredTensor {
     ptr: DevicePtr,
     ipc: IpcHandle,
     refs: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ModelEntry {
     ctx: DevicePtr,
     tensors: BTreeMap<String, StoredTensor>,
 }
 
 /// The per-node model storage server (Plasma analogue).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ModelStorageServer {
     ctx_overhead: u64,
     models: BTreeMap<String, ModelEntry>,
@@ -261,7 +261,7 @@ snap_struct!(StoreLib { attached });
 
 /// The client-side store library: what the PyTorch C++ extension exposes
 /// to a function instance.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreLib {
     attached: Vec<(String, String)>,
 }

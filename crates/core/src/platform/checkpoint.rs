@@ -1,14 +1,15 @@
 //! Versioned engine snapshots: the container format behind
 //! [`Platform::checkpoint`](crate::platform::Platform::checkpoint),
 //! [`Platform::restore`](crate::platform::Platform::restore) and
-//! [`Platform::fork`](crate::platform::Platform::fork).
+//! [`Platform::from_snapshot`](crate::platform::Platform::from_snapshot).
+//! In-process forks do not go through bytes: they `Clone` the platform.
 //!
 //! A [`Snapshot`] is a self-describing byte buffer: an 8-byte header
 //! (magic + format version, both little-endian `u32`s) followed by the
 //! [`Snap`](fastg_des::snap::Snap)-encoded engine payload. The header
-//! exists so snapshots persisted to disk (or shipped between worker
-//! threads of a prefix-shared sweep) fail loudly — with a decode-site
-//! error, not garbage state — when fed to an incompatible build.
+//! exists so snapshots persisted to disk (or held by a suspended
+//! successive-halving trial) fail loudly — with a decode-site error, not
+//! garbage state — when fed to an incompatible build.
 //!
 //! What the payload captures, in encode order:
 //!
@@ -47,9 +48,9 @@ const HEADER_LEN: usize = 8;
 
 /// A sealed, versioned engine snapshot.
 ///
-/// Immutable by construction: workers of a prefix-shared sweep share one
-/// snapshot (behind an `Arc` or a plain reference) and each restores its
-/// own private platform from it. Obtain one from
+/// Immutable by construction: any number of platforms may be restored
+/// from one snapshot (behind an `Arc` or a plain reference), each its
+/// own private copy. Obtain one from
 /// [`Platform::checkpoint`](crate::platform::Platform::checkpoint) or
 /// [`Snapshot::from_bytes`]; the raw bytes round-trip through
 /// [`Snapshot::as_bytes`].

@@ -100,6 +100,7 @@ impl Event {
     }
 }
 
+#[derive(Clone)]
 struct FuncRt {
     spec: FaSTFuncSpec,
     model: Arc<ModelProfile>,
@@ -137,6 +138,7 @@ struct FuncRt {
     normal_resources: ResourceSpec,
 }
 
+#[derive(Clone)]
 struct ActiveReq {
     req: Request,
     /// When service began (wasted-work accounting excludes queue wait).
@@ -154,6 +156,7 @@ struct ActiveReq {
     ff: Option<CancelToken>,
 }
 
+#[derive(Clone)]
 struct PodRt {
     func: FuncId,
     node: NodeId,
@@ -170,6 +173,7 @@ struct PodRt {
 
 /// The [`World`] implementation composing cluster, GPUs, manager,
 /// scheduler, model sharing and workloads.
+#[derive(Clone)]
 pub struct Engine {
     cfg: PlatformConfig,
     cluster: Cluster,
@@ -219,7 +223,10 @@ pub struct Engine {
 /// loads kernel specs that the model's other functions keep hot. Keyed by
 /// full equality, not the name. The table is per platform rather than
 /// process-wide: every request clones the `Arc`, and a global profile
-/// would bounce its refcount between sweep worker threads.
+/// would bounce its refcount between sweep worker threads. A
+/// [`Platform`] clone shares its source's table (the same `Arc`s), so
+/// the cells of a prefix-shared sweep do share profiles across threads;
+/// giving each clone its own copies measured no faster on `sweep-fork`.
 fn intern_profile(
     profiles: &mut Vec<Arc<ModelProfile>>,
     profile: Arc<ModelProfile>,
@@ -1876,13 +1883,6 @@ impl Platform {
         // Shuffle permutations are drawn from the scenario seed so two
         // seeds never share an adversarial ordering.
         let tiebreak = cfg.tiebreak.derive(cfg.seed);
-        if sanitizer::active() {
-            sanitizer::set_run_context(sanitizer::RunContext {
-                seed: cfg.seed,
-                tiebreak,
-                fastforward: cfg.fastforward,
-            });
-        }
         let engine = Engine::new(cfg);
         let mut sim = Simulation::new(engine);
         {
@@ -1907,7 +1907,22 @@ impl Platform {
                 queue.schedule(o.breaker_window, Event::BreakerTick);
             }
         }
-        Platform { sim }
+        let platform = Platform { sim };
+        platform.register_run_context();
+        platform
+    }
+
+    /// Registers this platform's replay recipe as the sanitizer's run
+    /// context on the current thread. A no-op unless the sanitizer is on.
+    fn register_run_context(&self) {
+        if sanitizer::active() {
+            let world = self.sim.world();
+            sanitizer::set_run_context(sanitizer::RunContext {
+                seed: world.cfg.seed,
+                tiebreak: self.sim.queue().tiebreak(),
+                fastforward: world.cfg.fastforward,
+            });
+        }
     }
 
     /// Deploys a function (FaSTFunc CRD): creates its initial replicas via
@@ -1969,16 +1984,9 @@ impl Platform {
 
     /// Runs for `duration` of simulated time and reports.
     pub fn run_for(&mut self, duration: SimTime) -> PlatformReport {
-        if sanitizer::active() {
-            // Re-register this platform's replay recipe: another platform
-            // built later on this thread may have overwritten it.
-            let (world, queue, _) = self.sim.parts_mut();
-            sanitizer::set_run_context(sanitizer::RunContext {
-                seed: world.cfg.seed,
-                tiebreak: queue.tiebreak(),
-                fastforward: world.cfg.fastforward,
-            });
-        }
+        // Another platform built later on this thread may have
+        // overwritten the sanitizer's recipe.
+        self.register_run_context();
         let deadline = self.sim.now() + duration;
         self.sim.run_until(deadline);
         let now = self.sim.now();
@@ -2489,9 +2497,10 @@ impl Platform {
         Snapshot::seal(w.finish())
     }
 
-    /// Builds a platform from a [`Snapshot`], the warm-resume entry point
-    /// of prefix-shared sweeps: simulate common warmup once, checkpoint,
-    /// then fan every treatment cell out from the shared snapshot.
+    /// Builds a platform from a [`Snapshot`]: the warm-resume entry point
+    /// for state that left the platform as bytes (persisted runs,
+    /// suspended successive-halving trials). An in-process fork is a
+    /// `clone()` instead, and replays the same future.
     ///
     /// The snapshot carries the resolved [`PlatformConfig`], so restore
     /// is environment-independent: `FASTG_*` variables set at restore
@@ -2512,15 +2521,9 @@ impl Platform {
         }
         r.expect_done()?;
         sim.restore_clock(now, handled);
-        if sanitizer::active() {
-            let (world, queue, _) = sim.parts_mut();
-            sanitizer::set_run_context(sanitizer::RunContext {
-                seed: world.cfg.seed,
-                tiebreak: queue.tiebreak(),
-                fastforward: world.cfg.fastforward,
-            });
-        }
-        Ok(Platform { sim })
+        let platform = Platform { sim };
+        platform.register_run_context();
+        Ok(platform)
     }
 
     /// Replaces this platform's entire state with the snapshot's
@@ -2529,13 +2532,21 @@ impl Platform {
         *self = Self::from_snapshot(snapshot)?;
         Ok(())
     }
+}
 
-    /// A deep, independent copy of this platform, cloned through the
-    /// snapshot path: the fork shares nothing with the original, so
-    /// dropping either frees its arenas outright — eliminated sweep
-    /// branches actually return their memory.
-    pub fn fork(&self) -> Result<Self, SnapError> {
-        Self::from_snapshot(&self.checkpoint())
+/// An in-process fork: a deep copy of the driver clock, engine and event
+/// queue that runs on independently of its source and replays the same
+/// future byte for byte, exactly as a [`Platform::from_snapshot`] of a
+/// [`Platform::checkpoint`] would. Only the immutable model profiles
+/// are shared, by `Arc`. The clone registers its sanitizer context on
+/// the thread that makes it, like [`Platform::new`] does.
+impl Clone for Platform {
+    fn clone(&self) -> Self {
+        let platform = Platform {
+            sim: self.sim.clone(),
+        };
+        platform.register_run_context();
+        platform
     }
 }
 
@@ -2599,7 +2610,7 @@ mod tests {
             .unwrap();
         p.set_load(f, ArrivalProcess::poisson(25.0, 9));
         p.run_for(SimTime::from_secs(1));
-        let mut fork = p.fork().unwrap();
+        let mut fork = p.clone();
         // Diverge the fork; the original must not notice.
         fork.scale_to(f, 3);
         fork.run_for(SimTime::from_secs(1));
@@ -2761,7 +2772,7 @@ mod tests {
 
         let mut restored = Platform::from_snapshot(&snap).unwrap();
         assert_one_profile_per_model(&restored, &fs);
-        let mut forked = restored.fork().unwrap();
+        let mut forked = restored.clone();
         assert_one_profile_per_model(&forked, &fs);
         assert_eq!(restored.run_for(SimTime::from_secs(1)).canonical_text(), tail);
         assert_eq!(forked.run_for(SimTime::from_secs(1)).canonical_text(), tail);

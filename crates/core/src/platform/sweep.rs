@@ -15,16 +15,17 @@
 //! cell when run naively. [`run_sweep`] factors the grid into a
 //! shared-prefix tree instead: scenarios whose `(config, functions,
 //! loads, shared_warmup)` encode to the same bytes form one group, the
-//! group's warmup is simulated **once**, checkpointed via
-//! [`Platform::checkpoint`], and every cell restores from the immutable,
-//! shared [`Snapshot`] before applying its [`TreatmentAction`]s and
-//! running its measured window. Because restore-then-run is
-//! byte-identical to running straight through (see
-//! [`checkpoint`](crate::platform::checkpoint)), factoring changes
+//! group's warmup is simulated **once** into a platform that every cell
+//! shares behind an `Arc`, and each cell `Clone`s its own fork of it
+//! before applying its [`TreatmentAction`]s and running its measured
+//! window. No snapshot bytes are involved: the cells live in the same
+//! process as their prefix. A clone replays exactly what a
+//! [`Platform::from_snapshot`] of a [`Platform::checkpoint`] would, and
+//! that is byte-identical to running straight through (see
+//! [`checkpoint`](crate::platform::checkpoint)), so factoring changes
 //! wall-clock time only, never results — [`run_sweep_unshared`] is the
 //! reference path the benches diff digests against.
 
-use crate::platform::checkpoint::Snapshot;
 use crate::platform::config::{FunctionConfig, PlatformConfig};
 use crate::platform::engine::Platform;
 use crate::platform::error::PlatformError;
@@ -185,12 +186,11 @@ impl Scenario {
         Ok((report, platform.event_trace().to_vec()))
     }
 
-    /// Resumes this scenario's cell from a shared warmup snapshot:
-    /// restore, apply the treatment, run the measured window.
-    fn run_from_snapshot(self, snap: &Snapshot) -> Result<PlatformReport, PlatformError> {
-        let mut platform = Platform::from_snapshot(snap)?;
+    /// Runs this scenario's cell on `platform`, a fork of its shared
+    /// warmup prefix: apply the treatment, run the measured window.
+    fn resume(self, mut platform: Platform) -> Result<PlatformReport, PlatformError> {
         // Functions deploy in order onto a fresh platform, so ids are
-        // dense from zero; the snapshot preserves that numbering.
+        // dense from zero; a fork preserves that numbering.
         let ids: Vec<FuncId> = (0..self.functions.len())
             .map(FuncId::from_index)
             .collect();
@@ -265,7 +265,7 @@ fn apply_treatment(
 pub struct SweepStats {
     /// Distinct warmup prefixes simulated once and shared.
     pub prefixes_shared: usize,
-    /// Cells that resumed from a shared snapshot instead of replaying
+    /// Cells that resumed from a shared prefix instead of replaying
     /// their own warmup.
     pub cells_resumed: usize,
     /// Total simulated warmup time the sharing avoided (the sum of
@@ -278,8 +278,8 @@ enum Cell {
     /// Run the whole scenario in one worker (unique prefix, or sharing
     /// disabled).
     Straight(Scenario),
-    /// Restore the shared warmup snapshot, then treat + measure.
-    Resume(Scenario, Arc<Snapshot>),
+    /// Fork the shared warmup prefix, then treat + measure.
+    Resume(Scenario, Arc<Platform>),
 }
 
 /// Runs every scenario, `threads` at a time, returning `(name, report)`
@@ -324,7 +324,7 @@ pub fn run_sweep_stats(
     groups.retain(|_, members| members.len() >= 2);
 
     // Simulate each shared prefix once (groups fan out over the same
-    // worker pool) and seal the result into an immutable snapshot.
+    // worker pool); the cells fork the resulting platforms.
     let prefix_jobs: Vec<(Vec<usize>, Scenario)> = groups
         .into_values()
         .map(|members| {
@@ -333,33 +333,33 @@ pub fn run_sweep_stats(
         })
         .collect();
     let mut stats = SweepStats::default();
-    let snapshots = fastg_par::try_par_map(
+    let prefixes = fastg_par::try_par_map(
         prefix_jobs.iter().map(|(_, t)| t.clone()).collect(),
         threads,
         |_, template| {
             let (mut platform, _) =
                 build_prefix(&template.config, &template.functions, &template.loads)?;
             platform.run_for(template.shared_warmup);
-            Ok::<_, PlatformError>(Arc::new(platform.checkpoint()))
+            Ok::<_, PlatformError>(Arc::new(platform))
         },
     )?;
 
     // Assemble the cell list in input order.
-    let mut shared_for: Vec<Option<Arc<Snapshot>>> = vec![None; scenarios.len()];
-    for ((members, template), snap) in prefix_jobs.iter().zip(&snapshots) {
+    let mut shared_for: Vec<Option<Arc<Platform>>> = vec![None; scenarios.len()];
+    for ((members, template), prefix) in prefix_jobs.iter().zip(&prefixes) {
         stats.prefixes_shared += 1;
         stats.cells_resumed += members.len();
         let resumed_extra = u64::try_from(members.len() - 1).unwrap_or(u64::MAX);
         stats.warmup_avoided += template.shared_warmup * resumed_extra;
         for &i in members {
-            shared_for[i] = Some(Arc::clone(snap));
+            shared_for[i] = Some(Arc::clone(prefix));
         }
     }
     let cells: Vec<Cell> = scenarios
         .into_iter()
         .zip(shared_for)
-        .map(|(scenario, snap)| match snap {
-            Some(snap) => Cell::Resume(scenario, snap),
+        .map(|(scenario, prefix)| match prefix {
+            Some(prefix) => Cell::Resume(scenario, prefix),
             None => Cell::Straight(scenario),
         })
         .collect();
@@ -369,9 +369,10 @@ pub fn run_sweep_stats(
             let name = scenario.name.clone();
             Ok::<_, PlatformError>((name, scenario.run()?))
         }
-        Cell::Resume(scenario, snap) => {
+        Cell::Resume(scenario, prefix) => {
             let name = scenario.name.clone();
-            Ok((name, scenario.run_from_snapshot(&snap)?))
+            // Clone the platform behind the `Arc`, not the `Arc`.
+            Ok((name, scenario.resume(Platform::clone(&prefix))?))
         }
     })?;
     Ok((results, stats))
@@ -473,8 +474,8 @@ mod tests {
         assert_eq!(stats.cells_resumed, 3);
     }
 
-    #[test]
-    fn chaos_treatment_round_trips() {
+    /// Two identical chaos cells: a shared prefix, then a pod kill.
+    fn chaos_grid() -> Vec<Scenario> {
         let base = || {
             Scenario::new("kill", PlatformConfig::default().nodes(1).seed(5))
                 .function(
@@ -490,12 +491,58 @@ mod tests {
                 })
                 .duration(SimTime::from_millis(500))
         };
-        let (shared, stats) =
-            run_sweep_stats(vec![base(), base()], 2).expect("chaos sweep");
+        vec![base(), base()]
+    }
+
+    #[test]
+    fn chaos_treatment_round_trips() {
+        let (shared, stats) = run_sweep_stats(chaos_grid(), 2).expect("chaos sweep");
         assert_eq!(stats.cells_resumed, 2);
-        let straight = run_sweep_unshared(vec![base(), base()], 1).expect("straight");
+        let straight = run_sweep_unshared(chaos_grid(), 1).expect("straight");
         assert_eq!(shared[0].1.digest(), straight[0].1.digest());
         assert_eq!(shared[1].1.digest(), straight[1].1.digest());
+    }
+
+    /// Runs every cell of `grid`, whose cells share one prefix, on two
+    /// forks of that prefix: one by `Clone`, one through snapshot bytes.
+    /// The two must agree on each cell's canonical text.
+    fn assert_clone_fork_matches_bytes_fork(grid: Vec<Scenario>) {
+        let key = grid[0].prefix_key();
+        let t = &grid[0];
+        let (mut prefix, _) = build_prefix(&t.config, &t.functions, &t.loads).expect("prefix");
+        prefix.run_for(t.shared_warmup);
+        let snapshot = prefix.checkpoint();
+        for cell in grid {
+            assert_eq!(
+                cell.prefix_key(),
+                key,
+                "cell {} has its own prefix",
+                cell.name
+            );
+            let name = cell.name.clone();
+            let by_clone = cell.clone().resume(prefix.clone()).expect("clone fork");
+            let decoded = Platform::from_snapshot(&snapshot).expect("decode");
+            let by_bytes = cell.resume(decoded).expect("bytes fork");
+            assert_eq!(
+                by_clone.canonical_text(),
+                by_bytes.canonical_text(),
+                "cell {name}: the clone fork diverged from the bytes fork"
+            );
+        }
+    }
+
+    #[test]
+    fn clone_forks_match_bytes_forks() {
+        assert_clone_fork_matches_bytes_fork(treatment_grid());
+        assert_clone_fork_matches_bytes_fork(chaos_grid());
+    }
+
+    /// Prefix sharing hands one platform to every worker thread and
+    /// clones it there; an `Rc` or `Cell` anywhere inside would break it.
+    #[test]
+    fn platform_is_clone_send_sync() {
+        fn fork_safe<T: Clone + Send + Sync>() {}
+        fork_safe::<Platform>();
     }
 
     #[test]

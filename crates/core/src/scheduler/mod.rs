@@ -19,11 +19,11 @@
 //! [`node_select::NodeSelector`] lifts Algorithm 2 across all GPUs of the
 //! cluster (plus a memory-capacity filter) and is the platform's only
 //! placement engine. Placement is split-phase ([`Scheduler`]):
-//! `select_node` picks a GPU without mutating state, then `bind` reserves
-//! the rectangle once the engine has created the pod. The selector also
-//! provides the KubeShare-style time-sharing placement used in the
-//! evaluation (every pod needs 100 % of the SMs, so packing is
-//! quota-only).
+//! `select_node` picks a GPU without touching rectangle state (it only
+//! counts probes and rejects), then `bind` reserves the rectangle once
+//! the engine has created the pod. The selector also provides the
+//! KubeShare-style time-sharing placement used in the evaluation (every
+//! pod needs 100 % of the SMs, so packing is quota-only).
 
 pub mod node_select;
 pub mod rects;

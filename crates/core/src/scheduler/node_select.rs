@@ -4,7 +4,6 @@ use super::rects::{GpuRects, Rect};
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::IdArena;
-use std::cell::Cell;
 
 /// Placement counters, reported per run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,19 +21,20 @@ pub struct SchedStats {
     pub exact_fallbacks: u64,
 }
 
-/// The placement contract, split-phase by design: `select_node` is
-/// read-only so the engine can create the pod and learn its id before
-/// `bind` mutates rectangle state, and `mem_fits` keeps device-memory
+/// The placement contract, split-phase by design: `select_node` leaves
+/// rectangle state untouched so the engine can create the pod and learn
+/// its id before `bind` mutates it, and `mem_fits` keeps device-memory
 /// feasibility the engine's knowledge, not the scheduler's. Identical
 /// call sequences yield identical decisions.
 pub trait Scheduler: std::fmt::Debug + Send {
     /// Registers a node's GPU (one per node).
     fn add_gpu(&mut self, node: NodeId);
 
-    /// Picks the target node for a demand without mutating state, or
-    /// `None` when every GPU is too full ("a new GPU required").
+    /// Picks the target node for a demand without touching rectangle
+    /// state (only the probe and reject counters move), or `None` when
+    /// every GPU is too full ("a new GPU required").
     fn select_node(
-        &self,
+        &mut self,
         spec: &ResourceSpec,
         mem_fits: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<NodeId>;
@@ -61,7 +61,7 @@ pub enum PlacementPolicy {
 }
 
 /// The multi-GPU placement engine: FaST-Scheduler's node selection.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NodeSelector {
     policy: PlacementPolicy,
     /// Per-node GPU state in a dense slab; iteration ascends node ids,
@@ -69,9 +69,9 @@ pub struct NodeSelector {
     gpus: IdArena<NodeId, GpuRects>,
     placements: u64,
     releases: u64,
-    /// Fit probes during selection (`Cell`: selection is read-only).
-    probes: Cell<u64>,
-    rejects: Cell<u64>,
+    /// Fit probes during selection.
+    probes: u64,
+    rejects: u64,
 }
 
 impl NodeSelector {
@@ -82,8 +82,8 @@ impl NodeSelector {
             gpus: IdArena::new(),
             placements: 0,
             releases: 0,
-            probes: Cell::new(0),
-            rejects: Cell::new(0),
+            probes: 0,
+            rejects: 0,
         }
     }
 
@@ -167,8 +167,8 @@ impl NodeSelector {
         SchedStats {
             placements: self.placements,
             releases: self.releases,
-            rejects: self.rejects.get(),
-            probes: self.probes.get(),
+            rejects: self.rejects,
+            probes: self.probes,
             exact_fallbacks: 0,
         }
     }
@@ -179,8 +179,8 @@ impl NodeSelector {
         self.gpus.snap(w);
         w.u64(self.placements);
         w.u64(self.releases);
-        w.u64(self.probes.get());
-        w.u64(self.rejects.get());
+        w.u64(self.probes);
+        w.u64(self.rejects);
     }
 
     /// Restores state written by [`Self::snap_state`].
@@ -188,8 +188,8 @@ impl NodeSelector {
         self.gpus = IdArena::unsnap(r)?;
         self.placements = r.u64()?;
         self.releases = r.u64()?;
-        self.probes = Cell::new(r.u64()?);
-        self.rejects = Cell::new(r.u64()?);
+        self.probes = r.u64()?;
+        self.rejects = r.u64()?;
         Ok(())
     }
 }
@@ -200,7 +200,7 @@ impl Scheduler for NodeSelector {
     }
 
     fn select_node(
-        &self,
+        &mut self,
         spec: &ResourceSpec,
         mem_fits: &mut dyn FnMut(NodeId) -> bool,
     ) -> Option<NodeId> {
@@ -214,14 +214,14 @@ impl Scheduler for NodeSelector {
             .iter()
             .filter(|&(n, _)| mem_fits(n))
             .filter_map(|(n, g)| {
-                self.probes.set(self.probes.get() + 1);
+                self.probes += 1;
                 g.best_fit(w, h)
                     .map(|(_, slack)| (slack, std::cmp::Reverse(g.pod_count()), n))
             })
             .min()
             .map(|(_, _, n)| n);
         if chosen.is_none() {
-            self.rejects.set(self.rejects.get() + 1);
+            self.rejects += 1;
         }
         chosen
     }

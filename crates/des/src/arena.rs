@@ -14,7 +14,7 @@
 //! stale instead of silently aliasing the new occupant (the guillotiere
 //! `AllocIndex` idiom).
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{reservation, Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -278,7 +278,7 @@ impl<K: ArenaKey, V> IdArena<K, V> {
     ) -> Result<Self, SnapError> {
         let len = r.len_prefix()?;
         let n = r.len_prefix()?;
-        let mut slots = Vec::with_capacity(n.min(r.remaining()));
+        let mut slots = Vec::with_capacity(reservation::<Slot<V>>(n, r.remaining()));
         let mut live = 0usize;
         for i in 0..n {
             let generation = r.u32()?;
@@ -324,7 +324,7 @@ impl<K: ArenaKey, V: Snap> Snap for IdArena<K, V> {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.len_prefix()?;
         let n = r.len_prefix()?;
-        let mut slots = Vec::with_capacity(n.min(r.remaining()));
+        let mut slots = Vec::with_capacity(reservation::<Slot<V>>(n, r.remaining()));
         let mut live = 0usize;
         for _ in 0..n {
             let generation = r.u32()?;

@@ -204,6 +204,7 @@ snap_struct!(CancelToken(seq));
 /// revoked with [`Self::cancel`]; dead entries are skipped by [`Self::pop`]
 /// and never surface through [`Self::peek_time`] (the queue eagerly purges
 /// a cancelled head so the reported horizon is always a live event).
+#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Packed ranks of every entry still in the heap (live or cancelled),
     /// as a 4-ary min-heap: the children of slot `i` are `4i+1 ..= 4i+4`.

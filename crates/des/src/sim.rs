@@ -40,6 +40,7 @@ pub enum StepOutcome {
 }
 
 /// Drives a [`World`] by delivering events in timestamp order.
+#[derive(Clone)]
 pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,

@@ -574,7 +574,7 @@ impl<T: Snap> Snap for Option<T> {
 /// never more bytes of elements than the input holds, so a forged length
 /// cannot make a short input allocate much. A container whose elements
 /// encode smaller than they sit in memory grows past that as it decodes.
-fn reservation<T>(n: usize, remaining: usize) -> usize {
+pub(crate) fn reservation<T>(n: usize, remaining: usize) -> usize {
     n.min(remaining / std::mem::size_of::<T>().max(1))
 }
 

@@ -150,7 +150,7 @@ impl FfRun {
 /// tallies. The occupied area of `[start, credited]` has been credited to
 /// the occupancy integral; `credited` always lies inside the resident
 /// kernel's interval.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FfTimeline {
     client: ClientId,
     /// The client's SM cap (derived: the MPS table's value, which a
@@ -391,7 +391,7 @@ struct ClientStream {
 /// let (done, _) = gpu.on_kernel_finish(start.finish_at, start.kernel).unwrap();
 /// assert_eq!(done.gpu_time, SimTime::from_micros(400));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GpuDevice {
     spec: GpuSpec,
     mps: MpsServer,

@@ -308,7 +308,7 @@ fn checkpoint_with_a_dispatch_pass_pending_is_exact() {
     let (split, victim) = loop {
         probe.run_for(SimTime::from_millis(1));
         assert!(probe.now() < SimTime::from_secs(1), "no kill owed a pass");
-        if let Some(v) = (0..3).find(|&v| kill_owes_pass(&mut probe.fork().unwrap(), v)) {
+        if let Some(v) = (0..3).find(|&v| kill_owes_pass(&mut probe.clone(), v)) {
             break (probe.now(), v);
         }
     };
