@@ -43,9 +43,10 @@ pub enum Admission {
 /// Hot-path per-function state. Pod sets are small sorted vectors (a
 /// function has a handful of replicas; ascending order keeps "pick the
 /// lowest idle pod" deterministic and identical to the `BTreeSet` min it
-/// replaced), the arrival log is run-length encoded so steady load costs
-/// O(1) memory per rate change instead of O(arrivals), and retry counts
-/// live in a tiny sorted vec that is cleared on every terminal state.
+/// replaced), the arrival log is a [`RateMeter`] (one run per rate change
+/// under constant-rate load, but about one per arrival under Poisson
+/// load), and retry counts live in a tiny sorted vec that is cleared on
+/// every terminal state.
 #[derive(Debug, Clone, Default)]
 struct FuncState {
     queue: VecDeque<Request>,

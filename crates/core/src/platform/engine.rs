@@ -26,7 +26,7 @@ use fastg_des::{
 };
 use fastg_gpu::{ClientId, KernelDesc, KernelId, MpsMode};
 use fastg_models::{zoo, InferenceRun, ModelProfile, StageOp};
-use fastg_workload::{ArrivalProcess, RateMeter, SloTracker};
+use fastg_workload::{ArrivalProcess, SloTracker, WarmupCounter};
 // Report assembly is the one cold path still keyed by ordered maps (the
 // report type is part of the public API). fastg-lint: allow(no-btreemap-hot-path)
 use std::collections::BTreeMap;
@@ -106,7 +106,8 @@ struct FuncRt {
     model: Arc<ModelProfile>,
     resources: ResourceSpec,
     slo: SloTracker,
-    completions: RateMeter,
+    /// Completions, counted against `cfg.warmup`.
+    completions: WarmupCounter,
     load: Option<ArrivalProcess>,
     saturate: bool,
     replica_series: TimeSeries,
@@ -121,8 +122,8 @@ struct FuncRt {
     recoveries: Vec<SimTime>,
     /// EWMA service-time estimate feeding deadline-aware shedding.
     service_est: BurstEstimator,
-    /// SLO-met completions (goodput).
-    goodput: RateMeter,
+    /// SLO-met completions (goodput), counted against `cfg.warmup`.
+    goodput: WarmupCounter,
     /// Service time burned on completions that missed their SLO.
     wasted_service: SimTime,
     /// Requests admitted while serving browned-out.
@@ -334,7 +335,7 @@ impl Engine {
                 model,
                 resources,
                 slo: SloTracker::new(fc.slo),
-                completions: RateMeter::new(),
+                completions: WarmupCounter::new(),
                 load: None,
                 saturate: fc.saturate,
                 replica_series: TimeSeries::new(),
@@ -344,7 +345,7 @@ impl Engine {
                 backoff_until: SimTime::ZERO,
                 recoveries: Vec::new(),
                 service_est: BurstEstimator::new(BurstEstimator::default_alpha()),
-                goodput: RateMeter::new(),
+                goodput: WarmupCounter::new(),
                 wasted_service: SimTime::ZERO,
                 browned_out: 0,
                 breaker: CircuitBreaker::new(),
@@ -1449,12 +1450,12 @@ impl Engine {
             return;
         };
         frt.slo.record(latency);
-        frt.completions.record(now);
+        frt.completions.record(now, self.cfg.warmup);
         let met = latency <= frt.slo.slo();
         let service = now.saturating_sub(active.started);
         frt.service_est.observe(service);
         if met {
-            frt.goodput.record(now);
+            frt.goodput.record(now, self.cfg.warmup);
         } else {
             // Capacity burned on a request that was already over its SLO:
             // the wasted work overload control exists to avoid.
@@ -1689,7 +1690,7 @@ impl Engine {
         let mut functions = BTreeMap::new();
         for (id, rt) in self.funcs.iter() {
             let hist = rt.slo.histogram();
-            let steady_rps = rt.completions.rate_between(warmup, now);
+            let steady_rps = rt.completions.rate_since(warmup, now);
             functions.insert(
                 id,
                 FunctionReport {
@@ -1714,7 +1715,7 @@ impl Engine {
                     browned_out: rt.browned_out,
                     breaker_trips: rt.breaker.trips(),
                     good_completions: rt.goodput.count(),
-                    goodput_rps: rt.goodput.rate_between(warmup, now),
+                    goodput_rps: rt.goodput.rate_since(warmup, now),
                     wasted_service: rt.wasted_service,
                     time_to_recovery: rt.recoveries.clone(),
                 },
@@ -2426,6 +2427,9 @@ impl Engine {
         let mut profiles = Vec::new();
         for f in funcs.values_mut() {
             f.model = intern_profile(&mut profiles, Arc::clone(&f.model));
+            if !f.completions.fits_warmup(cfg.warmup) || !f.goodput.fits_warmup(cfg.warmup) {
+                return Err(SnapError::new("function warm-up counters"));
+            }
         }
         let pods = IdArena::unsnap_with(r, |_, r| PodRt::unsnap_state(r, &funcs))?;
         let autoscale_db = Option::unsnap(r)?;

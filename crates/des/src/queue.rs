@@ -15,7 +15,7 @@
 //! vector and move along the same paths.
 
 use crate::sanitizer;
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{reservation, Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use crate::{snap_enum, snap_struct};
 use std::collections::BTreeSet;
@@ -520,9 +520,15 @@ impl<E> EventQueue<E> {
         }
         self.clear();
         let n = r.len_prefix()?;
-        let bound = n.min(r.remaining() / MIN_ENTRY_BYTES);
-        self.ranks.reserve_exact(bound);
-        self.events.reserve_exact(bound);
+        // At most one entry per `MIN_ENTRY_BYTES` of input, and neither
+        // vector more bytes than the input holds: an in-memory event may
+        // be far wider than its encoding.
+        let remaining = r.remaining();
+        let bound = n.min(remaining / MIN_ENTRY_BYTES);
+        self.ranks
+            .reserve_exact(reservation::<u128>(bound, remaining));
+        self.events
+            .reserve_exact(reservation::<E>(bound, remaining));
         for _ in 0..n {
             let time = SimTime::unsnap(r)?;
             let order = r.u64()?;

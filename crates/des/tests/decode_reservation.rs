@@ -1,6 +1,7 @@
-//! Decoding an [`IdArena`] from untrusted bytes reserves no more memory up
-//! front than the input could fill: a forged slot count on a short input
-//! must not turn into a large allocation.
+//! Decoding an [`IdArena`] or an [`EventQueue`] from untrusted bytes
+//! reserves no more memory up front than the input could fill: a forged
+//! slot or entry count on a short input must not turn into a large
+//! allocation.
 //!
 //! Measured with a pass-through global allocator local to this test
 //! binary that records the largest single allocation of each thread. Per
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fastg_des::{IdArena, Snap, SnapReader, SnapWriter};
+use fastg_des::{EventQueue, IdArena, Snap, SnapError, SnapReader, SnapWriter, TieBreak};
 
 /// A pass-through allocator that tracks the calling thread's largest
 /// single allocation.
@@ -94,6 +95,46 @@ fn forged_slot_count_reserves_at_most_the_input() {
     assert!(
         largest <= bytes.len(),
         "unsnap_with reserved {largest} bytes from {} input bytes",
+        bytes.len()
+    );
+}
+
+/// An event 64 bytes wide in memory and on the wire: every queue entry
+/// sits in memory at more than three times its 17-byte minimum encoding.
+struct Wide([u64; 8]);
+
+impl Snap for Wide {
+    fn snap(&self, w: &mut SnapWriter) {
+        for &v in &self.0 {
+            w.u64(v);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut v = [0; 8];
+        for x in &mut v {
+            *x = r.u64()?;
+        }
+        Ok(Wide(v))
+    }
+}
+
+#[test]
+fn forged_entry_count_reserves_at_most_the_input() {
+    let mut w = SnapWriter::new();
+    TieBreak::Fifo.snap(&mut w);
+    w.u64(1); // next_seq
+    w.len_prefix(1 << 40);
+    let mut bytes = w.finish();
+    // The first entry decodes with an all-ones order word, whose sequence
+    // number is past `next_seq`: restore fails before it pushes an entry.
+    bytes.resize(bytes.len() + 65_536, 0xff);
+    let (restored, largest) = largest_allocation(|| {
+        EventQueue::<Wide>::new().restore_state(&mut SnapReader::new(&bytes))
+    });
+    assert!(restored.is_err());
+    assert!(
+        largest <= bytes.len(),
+        "restore_state reserved {largest} bytes from {} input bytes",
         bytes.len()
     );
 }

@@ -15,8 +15,16 @@ const BUCKETS: usize = 512;
 /// Records `SimTime` latencies and answers percentile queries with ≈5 %
 /// relative error — the precision at which the paper reports tail
 /// latencies.
+///
+/// Only the occupied bucket range is stored: a 10× latency spread spans
+/// about 48 buckets, so a function's histogram stays a few hundred bytes
+/// however many requests it serves, and never exceeds the full 512.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// Index of the first stored bucket.
+    base: usize,
+    /// Counts of buckets `base .. base + counts.len()`; every bucket
+    /// outside that range is empty.
     counts: Vec<u64>,
     count: u64,
     sum_us: u128,
@@ -34,7 +42,8 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS],
+            base: 0,
+            counts: Vec::new(),
             count: 0,
             sum_us: 0,
             min: None,
@@ -61,7 +70,20 @@ impl LatencyHistogram {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: SimTime) {
-        self.counts[Self::bucket_of(latency)] += 1;
+        let b = Self::bucket_of(latency);
+        // Widen the stored range to reach bucket `b`, in either direction.
+        if self.counts.is_empty() {
+            self.base = b;
+            self.counts.push(0);
+        } else if b < self.base {
+            let gap = self.base - b;
+            self.counts.resize(self.counts.len() + gap, 0);
+            self.counts.rotate_right(gap);
+            self.base = b;
+        } else if b - self.base >= self.counts.len() {
+            self.counts.resize(b - self.base + 1, 0);
+        }
+        self.counts[b - self.base] += 1;
         self.count += 1;
         self.sum_us += u128::from(latency.as_micros());
         self.max = self.max.max(latency);
@@ -109,7 +131,7 @@ impl LatencyHistogram {
         // fastg-lint: allow(no-lossy-cast)
         let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in (self.base..).zip(&self.counts) {
             seen += c;
             if seen >= target {
                 if i == BUCKETS - 1 {
@@ -129,29 +151,17 @@ impl LatencyHistogram {
         if self.count == 0 {
             return 1.0;
         }
-        let cutoff = Self::bucket_of(threshold);
-        let within: u64 = self.counts[..=cutoff].iter().sum();
+        let stored = (Self::bucket_of(threshold) + 1).saturating_sub(self.base);
+        let within: u64 = self.counts.iter().take(stored).sum();
         within as f64 / self.count as f64
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max = self.max.max(other.max);
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
-snap_struct!(LatencyHistogram { counts, count, sum_us, min, max } check |h| {
-    if h.counts.len() != BUCKETS {
-        return Err(SnapError::new("histogram bucket count"));
+snap_struct!(LatencyHistogram { base, counts, count, sum_us, min, max } check |h| {
+    // Checked: a decoded `base` may sit anywhere up to `u64::MAX`.
+    match h.base.checked_add(h.counts.len()) {
+        Some(end) if end <= BUCKETS => {}
+        _ => return Err(SnapError::new("histogram bucket range")),
     }
     // Checked: decoded bucket counts may sum past `u64::MAX`.
     if h.counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(h.count) {
@@ -210,18 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(SimTime::from_micros(10));
-        b.record(SimTime::from_micros(1_000_000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimTime::from_micros(1_000_000));
-        assert_eq!(a.min(), SimTime::from_micros(10));
-    }
-
-    #[test]
     fn max_clamps_quantile() {
         let mut h = LatencyHistogram::new();
         h.record(SimTime::from_micros(777));
@@ -244,14 +242,58 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_overflowing_bucket_sum() {
-        let mut counts = vec![0u64; BUCKETS];
-        counts[0] = u64::MAX;
-        counts[1] = 1;
+    fn range_widens_both_ways() {
+        let mut h = LatencyHistogram::new();
+        h.record(SimTime::from_millis(10));
+        assert_eq!(h.counts.len(), 1);
+        h.record(SimTime::from_millis(100)); // upward
+        h.record(SimTime::ZERO); // downward, to bucket 0
+        assert_eq!(h.base, 0);
+        assert_eq!(
+            h.counts.len(),
+            LatencyHistogram::bucket_of(SimTime::from_millis(100)) + 1
+        );
+        assert_eq!(h.counts.iter().sum::<u64>(), 3);
+        assert_eq!(h.fraction_within(SimTime::from_millis(10)), 2.0 / 3.0);
+    }
+
+    /// A histogram encoding with the given stored range and total.
+    fn encode(base: u64, counts: &[u64], count: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        counts.snap(&mut w);
-        w.u64(0); // the wrapped sum
-        let bytes = w.finish();
-        assert!(LatencyHistogram::unsnap(&mut SnapReader::new(&bytes)).is_err());
+        w.u64(base);
+        counts.to_vec().snap(&mut w);
+        w.u64(count);
+        0u128.snap(&mut w);
+        None::<SimTime>.snap(&mut w);
+        SimTime::ZERO.snap(&mut w);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<LatencyHistogram, SnapError> {
+        LatencyHistogram::unsnap(&mut SnapReader::new(bytes))
+    }
+
+    #[test]
+    fn decode_accepts_a_full_range() {
+        let h =
+            decode(&encode(BUCKETS as u64 - 2, &[1, 1], 2)).expect("range ends at the last bucket");
+        assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn decode_rejects_a_range_past_the_last_bucket() {
+        let err = decode(&encode(BUCKETS as u64 - 1, &[1, 1], 2)).unwrap_err();
+        assert_eq!(err.what, "histogram bucket range");
+        // `base + len` would wrap without the checked add.
+        let err = decode(&encode(u64::MAX, &[1], 1)).unwrap_err();
+        assert_eq!(err.what, "histogram bucket range");
+        let err = decode(&encode(u64::MAX - 1, &[1, 1, 1], 3)).unwrap_err();
+        assert_eq!(err.what, "histogram bucket range");
+    }
+
+    #[test]
+    fn decode_rejects_overflowing_bucket_sum() {
+        let err = decode(&encode(0, &[u64::MAX, 1], 0)).unwrap_err(); // the wrapped sum
+        assert_eq!(err.what, "histogram total");
     }
 }

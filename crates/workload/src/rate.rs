@@ -1,8 +1,8 @@
-//! Throughput measurement and arrival-rate prediction.
+//! Throughput measurement: windowed event counts and warm-up-relative
+//! rates.
 
 use fastg_des::snap::SnapError;
 use fastg_des::{snap_struct, SimTime};
-use std::collections::VecDeque;
 
 /// One run-length-encoded stretch of evenly spaced timestamps:
 /// `start, start+gap, …, start+(count−1)×gap` (all in microseconds).
@@ -31,13 +31,15 @@ impl Run {
 }
 
 /// Measures achieved throughput by recording event timestamps and counting
-/// them over windows.
+/// them over arbitrary windows.
 ///
 /// Timestamps are stored run-length encoded: evenly spaced stretches (the
-/// shape every constant-rate load produces) collapse to one
-/// `(start, gap, count)` triple, so memory stays O(rate changes) instead of
-/// O(events) — the difference between 10⁸ arrivals fitting in RAM or not.
-/// Counting queries stay exact.
+/// shape a constant-rate load produces) collapse to one
+/// `(start, gap, count)` triple. Irregular spacing does not: under Poisson
+/// load nearly every event starts a run of its own, so memory grows with
+/// the events recorded. Counting queries stay exact. The gateway's
+/// per-function arrival history is the last user; a reader that only needs
+/// a total and one fixed window start should use a [`WarmupCounter`].
 #[derive(Debug, Clone, Default)]
 pub struct RateMeter {
     runs: Vec<Run>,
@@ -126,78 +128,92 @@ snap_struct!(RateMeter { runs, total } check |m| {
     Ok(())
 });
 
-snap_struct!(RateEstimator {
-    window,
-    alpha,
-    recent,
-    smoothed,
-    last_update,
-});
-
-/// Predicts the near-future request rate from recent arrivals — the
-/// gateway-side signal `R_j` the Heuristic Scaling Algorithm consumes.
+/// Counts events and answers [`RateMeter::rate_between`]`(warmup, now)`
+/// for one fixed `warmup` instant in constant space.
 ///
-/// Maintains a sliding window of arrival timestamps and exponentially
-/// smooths per-interval counts: robust to Poisson noise while still
-/// tracking ramps within a few control intervals.
-#[derive(Debug, Clone)]
-pub struct RateEstimator {
-    window: SimTime,
-    alpha: f64,
-    recent: VecDeque<SimTime>,
-    smoothed: Option<f64>,
-    last_update: SimTime,
+/// It keeps the total, the events strictly before `warmup`, and the latest
+/// record instant with the events recorded at it: enough to exclude
+/// events at exactly `now` (the window's strict upper bound) for any
+/// `now` at or after the last record. The warm-up instant is not stored;
+/// every call passes the same one in.
+#[derive(Debug, Clone, Default)]
+pub struct WarmupCounter {
+    total: u64,
+    /// Events recorded strictly before the warm-up instant.
+    before_warmup: u64,
+    /// The latest record instant.
+    last: SimTime,
+    /// Events recorded at `last`; zero only while the counter is empty.
+    at_last: u64,
 }
 
-impl RateEstimator {
-    /// Creates an estimator with a sliding `window` and EWMA factor
-    /// `alpha` (0 < alpha ≤ 1; higher reacts faster).
-    pub fn new(window: SimTime, alpha: f64) -> Self {
-        debug_assert!(window > SimTime::ZERO, "zero estimator window");
-        debug_assert!((0.0..=1.0).contains(&alpha) && alpha > 0.0, "bad alpha {alpha}");
-        let window = window.max(SimTime::from_micros(1));
-        let alpha = if alpha.is_finite() && alpha > 0.0 { alpha.min(1.0) } else { 1.0 };
-        RateEstimator {
-            window,
-            alpha,
-            recent: VecDeque::new(),
-            smoothed: None,
-            last_update: SimTime::ZERO,
+impl WarmupCounter {
+    /// Creates an empty counter.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one event at `now`. Events must be recorded in
+    /// non-decreasing time order.
+    pub fn record(&mut self, now: SimTime, warmup: SimTime) {
+        debug_assert!(
+            self.at_last == 0 || self.last <= now,
+            "counter records out of order"
+        );
+        self.total += 1;
+        if now < warmup {
+            self.before_warmup += 1;
+        }
+        if self.at_last > 0 && now == self.last {
+            self.at_last += 1;
+        } else {
+            self.last = now;
+            self.at_last = 1;
         }
     }
 
-    /// Records one request arrival.
-    pub fn on_arrival(&mut self, now: SimTime) {
-        self.recent.push_back(now);
-        self.evict(now);
+    /// Total events recorded.
+    pub fn count(&self) -> u64 {
+        self.total
     }
 
-    /// Updates the smoothed estimate; call once per control interval.
-    /// Returns the current prediction (requests/second).
-    pub fn tick(&mut self, now: SimTime) -> f64 {
-        self.evict(now);
-        let instantaneous = self.recent.len() as f64 / self.window.as_secs_f64();
-        let s = match self.smoothed {
-            Some(prev) => prev + self.alpha * (instantaneous - prev),
-            None => instantaneous,
+    /// Mean rate (events/second) over `[warmup, now)`; zero for an empty
+    /// window. Bit-identical to a [`RateMeter`] fed the same events, for
+    /// any `now` at or after the last record.
+    pub fn rate_since(&self, warmup: SimTime, now: SimTime) -> f64 {
+        debug_assert!(
+            self.at_last == 0 || self.last <= now,
+            "rate read before the last record"
+        );
+        let span = now.saturating_sub(warmup).as_secs_f64();
+        if span <= 0.0 {
+            return 0.0;
+        }
+        let before_now = if now > self.last {
+            self.total
+        } else {
+            self.total - self.at_last
         };
-        self.smoothed = Some(s);
-        self.last_update = now;
-        s
+        before_now.saturating_sub(self.before_warmup) as f64 / span
     }
 
-    /// The most recent prediction without updating (zero before any tick).
-    pub fn predicted(&self) -> f64 {
-        self.smoothed.unwrap_or(0.0)
-    }
-
-    fn evict(&mut self, now: SimTime) {
-        let cutoff = now.saturating_sub(self.window);
-        while self.recent.front().is_some_and(|&t| t < cutoff) {
-            self.recent.pop_front();
+    /// Whether the counts are consistent with records made against
+    /// `warmup`: none at or after it is counted as before it.
+    pub fn fits_warmup(&self, warmup: SimTime) -> bool {
+        if self.last < warmup {
+            self.before_warmup == self.total
+        } else {
+            self.before_warmup <= self.total - self.at_last
         }
     }
 }
+
+snap_struct!(WarmupCounter { total, before_warmup, last, at_last } check |c| {
+    if c.before_warmup > c.total || c.at_last > c.total || (c.at_last == 0) != (c.total == 0) {
+        return Err(SnapError::new("warm-up counter"));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {
@@ -240,49 +256,23 @@ mod tests {
     }
 
     #[test]
-    fn estimator_converges_to_steady_rate() {
-        let mut e = RateEstimator::new(SimTime::from_secs(2), 0.5);
-        // 50 rps for 10 seconds, tick each second.
-        let mut predicted = 0.0;
-        for s in 0..10u64 {
-            for i in 0..50u64 {
-                e.on_arrival(SimTime::from_secs(s) + SimTime::from_millis(i * 20));
-            }
-            predicted = e.tick(SimTime::from_secs(s + 1));
+    fn warmup_counter_decode_checks_its_counts() {
+        let encode = |total: u64, before_warmup: u64, at_last: u64| {
+            let mut w = SnapWriter::new();
+            w.u64(total);
+            w.u64(before_warmup);
+            SimTime::from_secs(1).snap(&mut w);
+            w.u64(at_last);
+            w.finish()
+        };
+        let decode = |bytes: &[u8]| WarmupCounter::unsnap(&mut SnapReader::new(bytes));
+        let c = decode(&encode(3, 1, 2)).expect("consistent counts");
+        assert!(c.fits_warmup(SimTime::from_millis(500)));
+        // Against a warm-up at 2 s all three events precede it, not one.
+        assert!(!c.fits_warmup(SimTime::from_secs(2)));
+        for (total, before_warmup, at_last) in [(3, 4, 1), (3, 1, 4), (3, 1, 0), (0, 0, 1)] {
+            assert!(decode(&encode(total, before_warmup, at_last)).is_err());
         }
-        assert!((predicted - 50.0).abs() < 5.0, "predicted {predicted}");
-    }
-
-    #[test]
-    fn estimator_tracks_rate_drop() {
-        let mut e = RateEstimator::new(SimTime::from_secs(1), 0.7);
-        for i in 0..100u64 {
-            e.on_arrival(SimTime::from_millis(i * 10));
-        }
-        e.tick(SimTime::from_secs(1));
-        assert!(e.predicted() > 50.0);
-        // Silence for several intervals.
-        for s in 2..8u64 {
-            e.tick(SimTime::from_secs(s));
-        }
-        assert!(e.predicted() < 2.0, "predicted {}", e.predicted());
-    }
-
-    #[test]
-    fn estimator_starts_at_observed_rate() {
-        let mut e = RateEstimator::new(SimTime::from_secs(1), 0.1);
-        for i in 0..30u64 {
-            e.on_arrival(SimTime::from_millis(500 + i));
-        }
-        // First tick snaps straight to the instantaneous value.
-        let p = e.tick(SimTime::from_secs(1));
-        assert!((p - 30.0).abs() < 1e-9, "p = {p}");
-    }
-
-    #[test]
-    #[should_panic(expected = "zero estimator window")]
-    fn zero_window_rejected() {
-        RateEstimator::new(SimTime::ZERO, 0.5);
     }
 
     #[test]

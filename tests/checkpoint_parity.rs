@@ -240,20 +240,21 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The wire format is pinned: the length and hash of two mid-run
 /// snapshots are fixed for this `SNAPSHOT_VERSION`. Any codec change that
-/// moves a byte must bump the version and re-pin these figures. Version 8
-/// carries the owed dispatch passes as a `(tie key, node)` list instead
-/// of a node set beside queued dispatch events; between runs the list is
-/// empty, 16 bytes shorter than the set it replaced.
+/// moves a byte must bump the version and re-pin these figures. Version 9
+/// stores each latency histogram's occupied bucket range instead of all
+/// 512 buckets, and each function's completion and goodput meters as
+/// fixed-size warm-up counters instead of timestamp runs: both snapshots
+/// shrink, the fleet one by half.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 8, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 9, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
     fleet.run_for(SimTime::from_secs(3));
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 21_298, 0x5e29_136a_54b1_d425),
-        ("fleet", fleet, 23_370, 0x4570_11df_42f0_d589),
+        ("flash crowd", flash, 13_514, 0x5124_2374_dffa_4109),
+        ("fleet", fleet, 11_906, 0x15b4_eae4_5657_5b89),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
