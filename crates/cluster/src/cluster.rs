@@ -1,9 +1,9 @@
 //! Nodes, pods and their lifecycle.
 
 use crate::spec::{FuncId, ResourceSpec};
-use fastg_des::snap::SnapError;
+use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{snap_enum, snap_struct, ArenaKey, IdArena, SimTime};
-use fastg_gpu::{ClientId, DevicePtr, GpuDevice, GpuSpec, MpsMode};
+use fastg_gpu::{ClientId, DevicePtr, GpuDevice};
 
 /// Identifies a worker node (one GPU per node, as in the paper's testbed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,14 +64,17 @@ pub enum NodeState {
 }
 
 /// A worker node: one simulated GPU plus the MPS DaemonSet container.
+///
+/// The cluster keeps the node's identity and health; the node's
+/// [`GpuDevice`] belongs to the caller (the platform keeps it with the
+/// node's other runtime state), which hands it to every operation here
+/// that touches the GPU.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// Node id.
     pub id: NodeId,
     /// Node name, e.g. `gpu-worker-0`.
     pub name: String,
-    /// The node's GPU (device + MPS server + memory + metrics).
-    pub gpu: GpuDevice,
     /// Health state.
     pub state: NodeState,
 }
@@ -133,7 +136,8 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// The cluster: worker nodes and the pods scheduled onto them.
+/// The cluster: worker nodes and the pods scheduled onto them. Each
+/// node's device lives with the caller (see [`Node`]).
 ///
 /// Both tables are arena-indexed by their dense monotone ids (node ids and
 /// pod ids are handed out sequentially and never reused), so per-request
@@ -153,9 +157,10 @@ impl Cluster {
         Self::default()
     }
 
-    /// Adds a worker node with one GPU of the given spec, running the MPS
-    /// DaemonSet (shared mode) or the plain device plugin (exclusive mode).
-    pub fn add_node(&mut self, spec: GpuSpec, mode: MpsMode) -> NodeId {
+    /// Adds a worker node. Its GPU device (built by the caller, with the
+    /// MPS DaemonSet in shared mode or the plain device plugin in
+    /// exclusive mode) stays with the caller.
+    pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.next_node);
         self.next_node += 1;
         let name = format!("gpu-worker-{}", id.0);
@@ -164,16 +169,15 @@ impl Cluster {
             Node {
                 id,
                 name,
-                gpu: GpuDevice::new(spec, mode),
                 state: NodeState::Up,
             },
         );
         id
     }
 
-    /// Adds `n` identical nodes; returns their ids.
-    pub fn add_nodes(&mut self, n: usize, spec: GpuSpec, mode: MpsMode) -> Vec<NodeId> {
-        (0..n).map(|_| self.add_node(spec.clone(), mode)).collect()
+    /// Adds `n` nodes; returns their ids.
+    pub fn add_nodes(&mut self, n: usize) -> Vec<NodeId> {
+        (0..n).map(|_| self.add_node()).collect()
     }
 
     /// Node ids, in order.
@@ -186,14 +190,15 @@ impl Cluster {
         self.nodes.get(id).ok_or(ClusterError::UnknownNode(id))
     }
 
-    /// Mutable node access (the platform drives the GPU through this).
+    /// Mutable node access.
     pub fn node_mut(&mut self, id: NodeId) -> Result<&mut Node, ClusterError> {
         self.nodes.get_mut(id).ok_or(ClusterError::UnknownNode(id))
     }
 
     /// Creates a pod for `func` on `node`: registers an MPS client with the
-    /// spec's SM partition and reserves `reserve_bytes` of device memory
-    /// (which the caller computes — it differs under model sharing).
+    /// spec's SM partition on `gpu`, the node's device, and reserves
+    /// `reserve_bytes` of its memory (which the caller computes — it
+    /// differs under model sharing).
     pub fn create_pod(
         &mut self,
         now: SimTime,
@@ -201,6 +206,7 @@ impl Cluster {
         func: FuncId,
         resources: ResourceSpec,
         reserve_bytes: u64,
+        gpu: &mut GpuDevice,
     ) -> Result<PodId, ClusterError> {
         resources.validate();
         let n = self
@@ -210,24 +216,23 @@ impl Cluster {
         if n.state == NodeState::Down {
             return Err(ClusterError::NodeDown(node));
         }
-        if n.gpu.memory().free_bytes() < reserve_bytes {
+        if gpu.memory().free_bytes() < reserve_bytes {
             return Err(ClusterError::OutOfMemory {
                 requested: reserve_bytes,
-                free: n.gpu.memory().free_bytes(),
+                free: gpu.memory().free_bytes(),
             });
         }
-        let client = n
-            .gpu
+        let client = gpu
             .register_client(resources.sm_partition)
             .map_err(|e| ClusterError::Gpu(e.to_string()))?;
         let memory = if reserve_bytes > 0 {
-            match n.gpu.memory_mut().alloc(reserve_bytes) {
+            match gpu.memory_mut().alloc(reserve_bytes) {
                 Ok(ptr) => Some(ptr),
                 Err(e) => {
                     // A freshly registered client has no work in flight, so
                     // this unregister cannot fail; if it somehow does the
                     // client leaks but pod creation still reports the OOM.
-                    let unregistered = n.gpu.unregister_client(client);
+                    let unregistered = gpu.unregister_client(client);
                     debug_assert!(unregistered.is_ok(), "fresh client unregisters");
                     return Err(ClusterError::Gpu(e.to_string()));
                 }
@@ -260,33 +265,36 @@ impl Cluster {
         Ok(())
     }
 
-    /// Removes a drained pod: frees its device memory and MPS client. The
-    /// caller must ensure no kernels are in flight.
-    pub fn delete_pod(&mut self, pod: PodId) -> Result<Pod, ClusterError> {
+    /// Removes a drained pod: frees its device memory and MPS client on
+    /// `gpu`, the device of the pod's node. The caller must ensure no
+    /// kernels are in flight.
+    pub fn delete_pod(&mut self, pod: PodId, gpu: &mut GpuDevice) -> Result<Pod, ClusterError> {
         let p = self.pods.remove(pod).ok_or(ClusterError::UnknownPod(pod))?;
-        let n = self
-            .nodes
-            .get_mut(p.node)
-            .ok_or(ClusterError::UnknownNode(p.node))?;
+        if !self.nodes.contains(p.node) {
+            return Err(ClusterError::UnknownNode(p.node));
+        }
         if let Some(ptr) = p.memory {
-            n.gpu
-                .memory_mut()
+            gpu.memory_mut()
                 .free(ptr)
                 .map_err(|e| ClusterError::Gpu(e.to_string()))?;
         }
-        n.gpu
-            .unregister_client(p.client)
+        gpu.unregister_client(p.client)
             .map_err(|e| ClusterError::Gpu(e.to_string()))?;
         Ok(p)
     }
 
     /// A node fails outright: it is marked [`NodeState::Down`], every pod
     /// on it is removed (and returned, so the platform can unwind gateway
-    /// routing, backend rows and rectangle bindings), and its GPU is
-    /// hard-reset — resident and queued kernels are aborted, MPS clients
-    /// deleted, and all device memory returned. Idempotent on a node that
-    /// is already down (returns an empty list).
-    pub fn crash_node(&mut self, now: SimTime, node: NodeId) -> Result<Vec<Pod>, ClusterError> {
+    /// routing, backend rows and rectangle bindings), and `gpu`, its
+    /// device, is hard-reset — resident and queued kernels are aborted,
+    /// MPS clients deleted, and all device memory returned. Idempotent on
+    /// a node that is already down (returns an empty list).
+    pub fn crash_node(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        gpu: &mut GpuDevice,
+    ) -> Result<Vec<Pod>, ClusterError> {
         let n = self
             .nodes
             .get_mut(node)
@@ -295,7 +303,7 @@ impl Cluster {
             return Ok(Vec::new());
         }
         n.state = NodeState::Down;
-        n.gpu.hard_reset(now);
+        gpu.hard_reset(now);
         let victims: Vec<PodId> = self
             .pods
             .values()
@@ -308,10 +316,15 @@ impl Cluster {
             .collect())
     }
 
-    /// Degrades a node: its GPU clock slows by `factor` (≥ 1; 2.0 means
-    /// kernels take twice as long). Applies to kernels started from now
-    /// on; resident kernels keep their finish times.
-    pub fn degrade_node(&mut self, node: NodeId, factor: f64) -> Result<(), ClusterError> {
+    /// Degrades a node: `gpu`, its device, slows its clock by `factor`
+    /// (≥ 1; 2.0 means kernels take twice as long). Applies to kernels
+    /// started from now on; resident kernels keep their finish times.
+    pub fn degrade_node(
+        &mut self,
+        node: NodeId,
+        factor: f64,
+        gpu: &mut GpuDevice,
+    ) -> Result<(), ClusterError> {
         let n = self
             .nodes
             .get_mut(node)
@@ -320,13 +333,13 @@ impl Cluster {
             return Err(ClusterError::NodeDown(node));
         }
         n.state = NodeState::Degraded;
-        n.gpu.set_clock_scale(factor);
+        gpu.set_clock_scale(factor);
         Ok(())
     }
 
-    /// Clears a node's degradation (clock back to full speed). A crashed
-    /// node stays down.
-    pub fn recover_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
+    /// Clears a node's degradation (`gpu`, its device, back to full clock
+    /// speed). A crashed node stays down.
+    pub fn recover_node(&mut self, node: NodeId, gpu: &mut GpuDevice) -> Result<(), ClusterError> {
         let n = self
             .nodes
             .get_mut(node)
@@ -335,7 +348,7 @@ impl Cluster {
             return Err(ClusterError::NodeDown(node));
         }
         n.state = NodeState::Up;
-        n.gpu.set_clock_scale(1.0);
+        gpu.set_clock_scale(1.0);
         Ok(())
     }
 
@@ -443,12 +456,6 @@ snap_enum!(PodState, "pod state tag" { Running = 0, Terminating = 1 });
 
 snap_enum!(NodeState, "node state tag" { Up = 0, Degraded = 1, Down = 2 });
 
-snap_struct!(Node {
-    id,
-    name,
-    gpu,
-    state,
-});
 
 snap_struct!(Pod {
     id,
@@ -461,12 +468,59 @@ snap_struct!(Pod {
     created_at,
 });
 
-snap_struct!(Cluster { nodes, pods, next_node, next_pod } check |c| {
-    if c.nodes.keys().any(|n| n.0 >= c.next_node) || c.pods.keys().any(|p| p.0 >= c.next_pod) {
-        return Err(SnapError::new("cluster id space"));
+impl Cluster {
+    /// Encodes the cluster with each node's device, which `gpu` writes,
+    /// between the node's name and its state: a node's fields in the
+    /// order `id, name, device, state`, so the bytes are those of a node
+    /// that owns its device.
+    pub fn snap_with(&self, w: &mut SnapWriter, mut gpu: impl FnMut(NodeId, &mut SnapWriter)) {
+        let Cluster {
+            nodes,
+            pods,
+            next_node,
+            next_pod,
+        } = self;
+        nodes.snap_with(w, |node, w| {
+            let Node { id, name, state } = node;
+            id.snap(w);
+            name.snap(w);
+            gpu(*id, w);
+            state.snap(w);
+        });
+        pods.snap(w);
+        next_node.snap(w);
+        next_pod.snap(w);
     }
-    Ok(())
-});
+
+    /// Decodes [`Self::snap_with`]'s output; `gpu` reads each node's
+    /// device in turn. Rejects ids outside the counters' space and a node
+    /// stored under another node's key.
+    pub fn unsnap_with(
+        r: &mut SnapReader<'_>,
+        mut gpu: impl FnMut(NodeId, &mut SnapReader<'_>) -> Result<(), SnapError>,
+    ) -> Result<Self, SnapError> {
+        let nodes = IdArena::unsnap_with(r, |key: NodeId, r| {
+            let id = NodeId::unsnap(r)?;
+            let name = String::unsnap(r)?;
+            if id != key {
+                return Err(SnapError::new("cluster node id"));
+            }
+            gpu(id, r)?;
+            let state = NodeState::unsnap(r)?;
+            Ok(Node { id, name, state })
+        })?;
+        let c = Cluster {
+            nodes,
+            pods: IdArena::unsnap(r)?,
+            next_node: u32::unsnap(r)?,
+            next_pod: u64::unsnap(r)?,
+        };
+        if c.nodes.keys().any(|n| n.0 >= c.next_node) || c.pods.keys().any(|p| p.0 >= c.next_pod) {
+            return Err(SnapError::new("cluster id space"));
+        }
+        Ok(c)
+    }
+}
 
 /// Pod tallies from [`Cluster::pod_counts`], indexed densely by id.
 #[derive(Debug, Default)]
@@ -508,48 +562,50 @@ pub enum ReconcileAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_gpu::{GpuSpec, MpsMode};
 
     fn spec() -> ResourceSpec {
         ResourceSpec::new(12.0, 0.3, 0.8, 0)
     }
 
-    fn cluster_with_node() -> (Cluster, NodeId) {
+    fn cluster_with_node() -> (Cluster, NodeId, GpuDevice) {
         let mut c = Cluster::new();
-        let n = c.add_node(GpuSpec::v100(), MpsMode::Shared);
-        (c, n)
+        let n = c.add_node();
+        (c, n, GpuDevice::new(GpuSpec::v100(), MpsMode::Shared))
     }
 
     #[test]
     fn create_and_delete_pod_round_trip() {
-        let (mut c, n) = cluster_with_node();
+        let (mut c, n, mut gpu) = cluster_with_node();
         let pod = c
-            .create_pod(SimTime::ZERO, n, FuncId(0), spec(), 1024)
+            .create_pod(SimTime::ZERO, n, FuncId(0), spec(), 1024, &mut gpu)
             .unwrap();
         assert_eq!(c.pod_count(), 1);
-        assert_eq!(c.node(n).unwrap().gpu.memory().used(), 1024);
-        assert_eq!(c.node(n).unwrap().gpu.mps().client_count(), 1);
-        c.delete_pod(pod).unwrap();
+        assert_eq!(gpu.memory().used(), 1024);
+        assert_eq!(gpu.mps().client_count(), 1);
+        c.delete_pod(pod, &mut gpu).unwrap();
         assert_eq!(c.pod_count(), 0);
-        assert_eq!(c.node(n).unwrap().gpu.memory().used(), 0);
-        assert_eq!(c.node(n).unwrap().gpu.mps().client_count(), 0);
+        assert_eq!(gpu.memory().used(), 0);
+        assert_eq!(gpu.mps().client_count(), 0);
     }
 
     #[test]
     fn memory_capacity_enforced() {
         let mut c = Cluster::new();
-        let n = c.add_node(GpuSpec::custom("small", 8, 1000), MpsMode::Shared);
-        let err = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 2000);
+        let n = c.add_node();
+        let mut gpu = GpuDevice::new(GpuSpec::custom("small", 8, 1000), MpsMode::Shared);
+        let err = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 2000, &mut gpu);
         assert!(matches!(err, Err(ClusterError::OutOfMemory { .. })));
         // Failure leaves no stray MPS client.
-        assert_eq!(c.node(n).unwrap().gpu.mps().client_count(), 0);
+        assert_eq!(gpu.mps().client_count(), 0);
     }
 
     #[test]
     fn pods_of_filters_by_function_and_state() {
-        let (mut c, n) = cluster_with_node();
-        let a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).unwrap();
-        let b = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).unwrap();
-        let _x = c.create_pod(SimTime::ZERO, n, FuncId(1), spec(), 0).unwrap();
+        let (mut c, n, mut gpu) = cluster_with_node();
+        let a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0, &mut gpu).unwrap();
+        let b = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0, &mut gpu).unwrap();
+        let _x = c.create_pod(SimTime::ZERO, n, FuncId(1), spec(), 0, &mut gpu).unwrap();
         assert_eq!(c.pods_of(FuncId(0)), vec![a, b]);
         c.begin_terminate(b).unwrap();
         assert_eq!(c.running_pods_of(FuncId(0)), vec![a]);
@@ -564,11 +620,11 @@ mod tests {
 
     #[test]
     fn reconcile_scales_up_and_down() {
-        let (mut c, n) = cluster_with_node();
+        let (mut c, n, mut gpu) = cluster_with_node();
         assert_eq!(c.reconcile(FuncId(0), 2), ReconcileAction::Create(2));
-        let a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).unwrap();
+        let a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0, &mut gpu).unwrap();
         let b = c
-            .create_pod(SimTime::from_secs(1), n, FuncId(0), spec(), 0)
+            .create_pod(SimTime::from_secs(1), n, FuncId(0), spec(), 0, &mut gpu)
             .unwrap();
         assert_eq!(c.reconcile(FuncId(0), 2), ReconcileAction::Steady);
         // Scale to one: the newest pod (b) drains.
@@ -579,18 +635,22 @@ mod tests {
     #[test]
     fn unknown_ids_error() {
         let mut c = Cluster::new();
+        let mut gpu = GpuDevice::new(GpuSpec::v100(), MpsMode::Shared);
         assert!(matches!(
-            c.create_pod(SimTime::ZERO, NodeId(5), FuncId(0), spec(), 0),
+            c.create_pod(SimTime::ZERO, NodeId(5), FuncId(0), spec(), 0, &mut gpu),
             Err(ClusterError::UnknownNode(_))
         ));
-        assert!(matches!(c.delete_pod(PodId(9)), Err(ClusterError::UnknownPod(_))));
+        assert!(matches!(
+            c.delete_pod(PodId(9), &mut gpu),
+            Err(ClusterError::UnknownPod(_))
+        ));
         assert!(c.pod(PodId(9)).is_err());
     }
 
     #[test]
     fn multiple_nodes_get_distinct_names() {
         let mut c = Cluster::new();
-        let ids = c.add_nodes(4, GpuSpec::v100(), MpsMode::Shared);
+        let ids = c.add_nodes(4);
         assert_eq!(ids.len(), 4);
         let names: Vec<_> = ids
             .iter()
@@ -602,52 +662,91 @@ mod tests {
 
     #[test]
     fn crash_node_removes_pods_and_resets_gpu() {
-        let (mut c, n) = cluster_with_node();
-        let a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 1024).unwrap();
-        let _b = c.create_pod(SimTime::ZERO, n, FuncId(1), spec(), 2048).unwrap();
+        let (mut c, n, mut gpu) = cluster_with_node();
+        let a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 1024, &mut gpu).unwrap();
+        let _b = c.create_pod(SimTime::ZERO, n, FuncId(1), spec(), 2048, &mut gpu).unwrap();
         assert_eq!(c.node_state(n).unwrap(), NodeState::Up);
-        let lost = c.crash_node(SimTime::from_secs(1), n).unwrap();
+        let lost = c.crash_node(SimTime::from_secs(1), n, &mut gpu).unwrap();
         assert_eq!(lost.len(), 2);
         assert_eq!(c.pod_count(), 0);
         assert_eq!(c.node_state(n).unwrap(), NodeState::Down);
         // GPU fully reclaimed: no clients, no memory, all SMs free.
-        let node = c.node(n).unwrap();
-        assert_eq!(node.gpu.mps().client_count(), 0);
-        assert_eq!(node.gpu.memory().used(), 0);
-        assert_eq!(node.gpu.free_sms(), node.gpu.spec().sm_count);
+        assert_eq!(gpu.mps().client_count(), 0);
+        assert_eq!(gpu.memory().used(), 0);
+        assert_eq!(gpu.free_sms(), gpu.spec().sm_count);
         // Down nodes refuse new pods; a second crash is a no-op.
         assert!(matches!(
-            c.create_pod(SimTime::from_secs(1), n, FuncId(0), spec(), 0),
+            c.create_pod(SimTime::from_secs(1), n, FuncId(0), spec(), 0, &mut gpu),
             Err(ClusterError::NodeDown(_))
         ));
-        assert!(c.crash_node(SimTime::from_secs(2), n).unwrap().is_empty());
+        assert!(c.crash_node(SimTime::from_secs(2), n, &mut gpu).unwrap().is_empty());
         assert_eq!(c.live_node_ids(), Vec::<NodeId>::new());
         let _ = a;
     }
 
     #[test]
     fn degrade_and_recover_node() {
-        let (mut c, n) = cluster_with_node();
-        c.degrade_node(n, 2.0).unwrap();
+        let (mut c, n, mut gpu) = cluster_with_node();
+        c.degrade_node(n, 2.0, &mut gpu).unwrap();
         assert_eq!(c.node_state(n).unwrap(), NodeState::Degraded);
-        assert_eq!(c.node(n).unwrap().gpu.clock_scale(), 2.0);
+        assert_eq!(gpu.clock_scale(), 2.0);
         // Degraded nodes still take pods.
-        assert!(c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).is_ok());
-        c.recover_node(n).unwrap();
+        assert!(c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0, &mut gpu).is_ok());
+        c.recover_node(n, &mut gpu).unwrap();
         assert_eq!(c.node_state(n).unwrap(), NodeState::Up);
-        assert_eq!(c.node(n).unwrap().gpu.clock_scale(), 1.0);
+        assert_eq!(gpu.clock_scale(), 1.0);
         // A crashed node can be neither degraded nor recovered.
-        c.crash_node(SimTime::ZERO, n).unwrap();
-        assert!(matches!(c.degrade_node(n, 2.0), Err(ClusterError::NodeDown(_))));
-        assert!(matches!(c.recover_node(n), Err(ClusterError::NodeDown(_))));
+        c.crash_node(SimTime::ZERO, n, &mut gpu).unwrap();
+        assert!(matches!(c.degrade_node(n, 2.0, &mut gpu), Err(ClusterError::NodeDown(_))));
+        assert!(matches!(c.recover_node(n, &mut gpu), Err(ClusterError::NodeDown(_))));
     }
 
     #[test]
     fn exclusive_node_admits_single_pod() {
         let mut c = Cluster::new();
-        let n = c.add_node(GpuSpec::v100(), MpsMode::Exclusive);
-        let _a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).unwrap();
-        let err = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0);
+        let n = c.add_node();
+        let mut gpu = GpuDevice::new(GpuSpec::v100(), MpsMode::Exclusive);
+        let _a = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0, &mut gpu).unwrap();
+        let err = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0, &mut gpu);
         assert!(matches!(err, Err(ClusterError::Gpu(_))));
+    }
+
+    /// A node's device goes on the wire between its name and its state,
+    /// and every node decodes back under its own key.
+    #[test]
+    fn snapshot_carries_the_callers_devices() {
+        let (mut c, n, mut gpu) = cluster_with_node();
+        c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 1024, &mut gpu).unwrap();
+        let mut w = SnapWriter::new();
+        c.snap_with(&mut w, |_, w| gpu.snap(w));
+        let bytes = w.finish();
+        let mut devices = Vec::new();
+        let back = Cluster::unsnap_with(&mut SnapReader::new(&bytes), |id, r| {
+            devices.push((id, GpuDevice::unsnap(r)?));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(back.pod_count(), 1);
+        assert_eq!(devices.len(), 1);
+        assert_eq!(devices[0].0, n);
+        assert_eq!(devices[0].1.memory().used(), 1024);
+        // A node stored under another node's key is refused: slot 1
+        // holds node 0 (the devices are left out of these bytes).
+        let mut w = SnapWriter::new();
+        w.len_prefix(1);
+        w.len_prefix(2);
+        w.u32(0);
+        w.u8(0);
+        w.u32(1);
+        w.u8(1);
+        NodeId(0).snap(&mut w);
+        "gpu-worker-0".to_string().snap(&mut w);
+        NodeState::Up.snap(&mut w);
+        IdArena::<PodId, Pod>::new().snap(&mut w);
+        2u32.snap(&mut w);
+        0u64.snap(&mut w);
+        let bytes = w.finish();
+        let moved = Cluster::unsnap_with(&mut SnapReader::new(&bytes), |_, _| Ok(()));
+        assert!(moved.is_err());
     }
 }

@@ -3,7 +3,7 @@
 
 use super::policy::SharingPolicy;
 use fastg_cluster::{PodId, ResourceSpec};
-use fastg_des::snap::SnapError;
+use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{snap_struct, SimTime};
 
 /// Backend configuration.
@@ -128,61 +128,83 @@ struct Lease {
     share: f64,
 }
 
-/// The backend pod table: a Vec of rows sorted by `PodId`. Per-node tables
-/// hold at most a handful of pods, so binary search over contiguous rows
-/// beats pointer-chasing a tree on the token hot path, and ascending-id
-/// iteration keeps the dispatch snapshot order identical to the old
-/// `BTreeMap`.
+/// One row of the backend table: the pod and its quota accounting.
+#[derive(Debug, Clone)]
+struct Row {
+    pod: PodId,
+    entry: PodEntry,
+}
+
+/// The backend pod table, addressed by *slot*. The platform registers each
+/// pod at the slot it holds in its node's pod slab, so the token path
+/// indexes a row instead of searching for it. Callers that know only the
+/// `PodId` (the public API) find its slot with a linear probe: a node
+/// hosts a handful of pods. Freed slots are reused; vacant trailing slots
+/// are trimmed, so the table stays proportional to the node's pods.
 #[derive(Debug, Clone, Default)]
 struct PodTable {
-    rows: Vec<(PodId, PodEntry)>,
+    rows: Vec<Option<Row>>,
 }
 
 impl PodTable {
-    fn idx(&self, pod: PodId) -> Result<usize, usize> {
-        self.rows.binary_search_by_key(&pod, |(id, _)| *id)
+    /// The slot of `pod`'s row.
+    fn slot_of(&self, pod: PodId) -> Option<usize> {
+        self.rows
+            .iter()
+            .position(|r| r.as_ref().is_some_and(|r| r.pod == pod))
     }
 
-    fn get(&self, pod: PodId) -> Option<&PodEntry> {
-        self.idx(pod).ok().map(|i| &self.rows[i].1)
+    /// The lowest vacant slot.
+    fn free_slot(&self) -> usize {
+        self.rows
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or(self.rows.len())
     }
 
-    fn get_mut(&mut self, pod: PodId) -> Option<&mut PodEntry> {
-        match self.idx(pod) {
-            Ok(i) => Some(&mut self.rows[i].1),
-            Err(_) => None,
+    fn get(&self, slot: usize) -> Option<&PodEntry> {
+        self.rows.get(slot)?.as_ref().map(|r| &r.entry)
+    }
+
+    fn get_mut(&mut self, slot: usize) -> Option<&mut PodEntry> {
+        self.rows.get_mut(slot)?.as_mut().map(|r| &mut r.entry)
+    }
+
+    /// Fills a vacant slot; returns `false` (keeping the table as it was)
+    /// if the slot is taken or the pod already has a row.
+    fn insert(&mut self, slot: usize, pod: PodId, entry: PodEntry) -> bool {
+        if self.get(slot).is_some() || self.slot_of(pod).is_some() {
+            return false;
         }
-    }
-
-    /// Inserts a fresh row; returns `false` if the pod already had one (the
-    /// existing row is kept).
-    fn insert(&mut self, pod: PodId, entry: PodEntry) -> bool {
-        match self.idx(pod) {
-            Ok(_) => false,
-            Err(i) => {
-                self.rows.insert(i, (pod, entry));
-                true
-            }
+        if slot >= self.rows.len() {
+            self.rows.resize_with(slot + 1, || None);
         }
+        self.rows[slot] = Some(Row { pod, entry });
+        true
     }
 
-    fn remove(&mut self, pod: PodId) -> Option<PodEntry> {
-        match self.idx(pod) {
-            Ok(i) => Some(self.rows.remove(i).1),
-            Err(_) => None,
+    fn remove(&mut self, slot: usize) -> Option<PodEntry> {
+        let row = self.rows.get_mut(slot)?.take()?;
+        while self.rows.last().is_some_and(Option::is_none) {
+            self.rows.pop();
         }
+        Some(row.entry)
     }
 
-    fn iter(&self) -> impl Iterator<Item = (PodId, &PodEntry)> {
-        self.rows.iter().map(|(id, e)| (*id, e))
+    /// Occupied rows as `(slot, pod, entry)`, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (usize, PodId, &PodEntry)> {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, r)| r.as_ref().map(|r| (slot, r.pod, &r.entry)))
     }
 
     fn values(&self) -> impl Iterator<Item = &PodEntry> {
-        self.rows.iter().map(|(_, e)| e)
+        self.rows.iter().flatten().map(|r| &r.entry)
     }
 
     fn values_mut(&mut self) -> impl Iterator<Item = &mut PodEntry> {
-        self.rows.iter_mut().map(|(_, e)| e)
+        self.rows.iter_mut().flatten().map(|r| &mut r.entry)
     }
 }
 
@@ -199,6 +221,11 @@ impl PodEntry {
     }
     fn quota_exhausted(&self) -> bool {
         self.q_used >= self.q_limit
+    }
+    /// Whether a dispatch pass may grant this row: it waits, holds no
+    /// lease and has quota left.
+    fn grantable(&self) -> bool {
+        self.waiting && self.lease.is_none() && !self.quota_exhausted()
     }
 }
 
@@ -240,12 +267,16 @@ pub struct FastBackend {
     /// Sum of adapter shares of current lease holders.
     sm_running: f64,
     tokens_dispatched: u64,
-    /// The dispatch pass's ready list, reused across passes: a recycling
-    /// buffer with no content between passes, so it is not snapshotted.
-    ready: Vec<(i128, PodId)>,
+    /// [`Self::dispatch_pass`]'s ready list, reused across passes: a
+    /// recycling buffer with no content between passes, so it is not
+    /// snapshotted.
+    ready: Vec<Ready>,
     /// The last dispatch pass's grants, reused across passes like `ready`.
     grants: Vec<Grant>,
 }
+
+/// A dispatch pass's ready-list entry: `(Q_miss, pod, slot)`.
+pub(crate) type Ready = (i128, PodId, usize);
 
 impl FastBackend {
     /// Creates a backend.
@@ -275,6 +306,14 @@ impl FastBackend {
     /// Registers a pod's resource configuration in the backend table (the
     /// FaSTPod controller does this when the pod starts).
     pub fn register(&mut self, pod: PodId, spec: ResourceSpec) {
+        let slot = self.pods.free_slot();
+        self.register_at(slot, pod, spec);
+    }
+
+    /// [`Self::register`] at a chosen vacant slot: the platform uses the
+    /// slot the pod holds in its node's pod slab, so every slot-addressed
+    /// call below names the same pod there and here.
+    pub(crate) fn register_at(&mut self, slot: usize, pod: PodId, spec: ResourceSpec) {
         spec.validate();
         let mut entry = PodEntry {
             spec,
@@ -286,7 +325,7 @@ impl FastBackend {
             q_limit: SimTime::ZERO,
         };
         entry.set_spec(spec, self.cfg.window);
-        let fresh = self.pods.insert(pod, entry);
+        let fresh = self.pods.insert(slot, pod, entry);
         debug_assert!(fresh, "pod {pod:?} registered twice");
     }
 
@@ -296,7 +335,7 @@ impl FastBackend {
     pub fn update_spec(&mut self, pod: PodId, spec: ResourceSpec) {
         spec.validate();
         let window = self.cfg.window;
-        if let Some(e) = self.pods.get_mut(pod) {
+        if let Some(e) = self.pods.slot_of(pod).and_then(|s| self.pods.get_mut(s)) {
             // Safe even while the pod holds a token: the lease carries
             // the share it reserved, so accounting stays exact; the new
             // partition/quota apply from the next grant and the current
@@ -312,7 +351,7 @@ impl FastBackend {
     /// first); debug builds assert, release builds fall through to the
     /// forced path, which reconciles the accounting either way.
     pub fn deregister(&mut self, pod: PodId) {
-        if let Some(e) = self.pods.get(pod) {
+        if let Some(e) = self.pods.slot_of(pod).and_then(|s| self.pods.get(s)) {
             debug_assert!(!e.in_burst, "deregistering {pod:?} mid-burst");
         }
         self.force_deregister(pod);
@@ -322,7 +361,8 @@ impl FastBackend {
     /// crashed pod's kernels may still be draining on the GPU, but its
     /// table row, queue slot and SM reservation go away immediately.
     pub fn force_deregister(&mut self, pod: PodId) {
-        if let Some(lease) = self.pods.remove(pod).and_then(|e| e.lease) {
+        let row = self.pods.slot_of(pod).and_then(|s| self.pods.remove(s));
+        if let Some(lease) = row.and_then(|e| e.lease) {
             self.release_share(lease);
         }
     }
@@ -343,15 +383,24 @@ impl FastBackend {
         now: SimTime,
         pod: PodId,
     ) -> Result<(RequestOutcome, Vec<Grant>), BackendError> {
+        let slot = self.slot(pod)?;
+        let outcome = self.request_at(now, slot).ok_or(BackendError::UnknownPod(pod))?;
+        Ok((outcome, Vec::new()))
+    }
+
+    /// [`Self::request`] for the pod at `slot`; `None` if the slot is
+    /// vacant.
+    pub(crate) fn request_at(&mut self, now: SimTime, slot: usize) -> Option<RequestOutcome> {
         let uses_tokens = self.cfg.policy.uses_tokens();
-        let e = self.entry_mut(pod)?;
+        let row = self.pods.rows.get_mut(slot)?.as_mut()?;
+        let (pod, e) = (row.pod, &mut row.entry);
         if !uses_tokens {
             // Racing / exclusive: permission is unconditional.
             let grant = Grant {
                 pod,
                 expires: SimTime::MAX,
             };
-            return Ok((RequestOutcome::Granted(grant), Vec::new()));
+            return Some(RequestOutcome::Granted(grant));
         }
         if let Some(lease) = e.lease {
             if now < lease.expires && !e.quota_exhausted() {
@@ -359,7 +408,7 @@ impl FastBackend {
                     pod,
                     expires: lease.expires,
                 };
-                return Ok((RequestOutcome::Granted(grant), Vec::new()));
+                return Some(RequestOutcome::Granted(grant));
             }
         }
         e.waiting = true;
@@ -372,7 +421,7 @@ impl FastBackend {
         if let Some(lease) = e.lease.take() {
             self.release_share(lease);
         }
-        Ok((outcome, Vec::new()))
+        Some(outcome)
     }
 
     /// Marks the pod as executing a burst (launched kernels, sync pending).
@@ -381,10 +430,17 @@ impl FastBackend {
     /// # Errors
     /// [`BackendError::UnknownPod`] if the pod is not registered.
     pub fn begin_burst(&mut self, pod: PodId) -> Result<(), BackendError> {
-        let e = self.entry_mut(pod)?;
-        debug_assert!(!e.in_burst, "nested burst for {pod:?}");
+        let slot = self.slot(pod)?;
+        self.begin_burst_at(slot).ok_or(BackendError::UnknownPod(pod))
+    }
+
+    /// [`Self::begin_burst`] for the pod at `slot`; `None` if the slot is
+    /// vacant.
+    pub(crate) fn begin_burst_at(&mut self, slot: usize) -> Option<()> {
+        let e = self.pods.get_mut(slot)?;
+        debug_assert!(!e.in_burst, "nested burst at slot {slot}");
         e.in_burst = true;
-        Ok(())
+        Some(())
     }
 
     /// The pod's burst synchronized: charge `gpu_time` against its quota
@@ -401,13 +457,26 @@ impl FastBackend {
         pod: PodId,
         gpu_time: SimTime,
     ) -> Result<bool, BackendError> {
+        let slot = self.slot(pod)?;
+        self.sync_point_at(now, slot, gpu_time)
+            .ok_or(BackendError::UnknownPod(pod))
+    }
+
+    /// [`Self::sync_point`] for the pod at `slot`; `None` if the slot is
+    /// vacant.
+    pub(crate) fn sync_point_at(
+        &mut self,
+        now: SimTime,
+        slot: usize,
+        gpu_time: SimTime,
+    ) -> Option<bool> {
         let uses_tokens = self.cfg.policy.uses_tokens();
-        let e = self.entry_mut(pod)?;
-        debug_assert!(e.in_burst, "sync without burst for {pod:?}");
+        let e = self.pods.get_mut(slot)?;
+        debug_assert!(e.in_burst, "sync without burst at slot {slot}");
         e.in_burst = false;
         e.q_used += gpu_time;
         if !uses_tokens {
-            return Ok(true);
+            return Some(true);
         }
         let valid = e.lease.is_some_and(|l| now < l.expires) && !e.quota_exhausted();
         if !valid {
@@ -415,13 +484,21 @@ impl FastBackend {
                 self.release_share(lease);
             }
         }
-        Ok(valid)
+        Some(valid)
     }
 
     /// The pod went idle (no queued request): release its lease so other
     /// pods can use the capacity.
     pub fn release_idle(&mut self, pod: PodId) {
-        let Some(e) = self.pods.get_mut(pod) else {
+        if let Some(slot) = self.pods.slot_of(pod) {
+            self.release_idle_at(slot);
+        }
+    }
+
+    /// [`Self::release_idle`] for the pod at `slot` (a vacant slot is a
+    /// no-op).
+    pub(crate) fn release_idle_at(&mut self, slot: usize) {
+        let Some(e) = self.pods.get_mut(slot) else {
             return;
         };
         e.waiting = false;
@@ -442,32 +519,60 @@ impl FastBackend {
 
     /// The multi-token dispatch pass, and the only place tokens are
     /// granted: filtering → priority queue → SM Allocation Adapter. The
-    /// platform runs one pass per node at the end of each simulated
-    /// instant, so grants depend only on the set of same-instant requests,
-    /// never on the order they were delivered in. Returns the pass's
-    /// grants.
+    /// platform owes a node a pass at an instant where something may have
+    /// changed who should hold a token while the node has a waiter, and
+    /// runs it at the end of that instant only if some waiter is
+    /// grantable ([`Self::has_grantable`]). Grants thereby depend only on
+    /// the set of same-instant requests, never on the order they were
+    /// delivered in. Returns the pass's grants.
     pub fn dispatch_pass(&mut self, now: SimTime) -> &[Grant] {
-        self.grants.clear();
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut grants = std::mem::take(&mut self.grants);
+        grants.clear();
+        self.dispatch_into(now, &mut ready, |pod, _, expires| grants.push(Grant { pod, expires }));
+        self.ready = ready;
+        self.grants = grants;
+        &self.grants
+    }
+
+    /// [`Self::dispatch_pass`], appending the slots of the granted pods
+    /// (in grant order) to `granted`. The caller lends the ready list, so
+    /// a platform's passes over many nodes share one warm buffer.
+    pub(crate) fn dispatch_slots(
+        &mut self,
+        now: SimTime,
+        ready: &mut Vec<Ready>,
+        granted: &mut Vec<usize>,
+    ) {
+        self.dispatch_into(now, ready, |_, slot, _| granted.push(slot));
+    }
+
+    /// The pass itself: reports each grant as `(pod, slot, expires)`.
+    fn dispatch_into(
+        &mut self,
+        now: SimTime,
+        ready: &mut Vec<Ready>,
+        mut grant: impl FnMut(PodId, usize, SimTime),
+    ) {
         if !self.cfg.policy.uses_tokens() {
-            return &self.grants;
+            return;
         }
         // Filtering: waiting pods that still have quota this window.
-        let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
         ready.extend(
             self.pods
                 .iter()
-                .filter(|(_, e)| e.waiting && e.lease.is_none() && !e.quota_exhausted())
-                .map(|(id, e)| (e.q_miss(), id)),
+                .filter(|(_, _, e)| e.grantable())
+                .map(|(slot, pod, e)| (e.q_miss(), pod, slot)),
         );
         // Priority: descending Q_miss (largest timing gap first, the
         // paper's rule); PodId breaks remaining ties deterministically.
         ready.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        for &(_miss, pod) in &ready {
-            // The ready list was snapshotted from the table above, so the
-            // row exists — but stay panic-free and skip if it is gone.
-            let Some(e) = self.pods.get_mut(pod) else {
+        for &(_miss, pod, slot) in ready.iter() {
+            // The ready list was read from the table above, so the row
+            // exists — but stay panic-free and skip if it is gone.
+            let Some(e) = self.pods.get_mut(slot) else {
                 continue;
             };
             let share = self.cfg.policy.adapter_share(e.spec.sm_partition);
@@ -481,16 +586,15 @@ impl FastBackend {
             e.lease = Some(Lease { expires, share });
             self.sm_running += share;
             self.tokens_dispatched += 1;
-            self.grants.push(Grant { pod, expires });
+            grant(pod, slot, expires);
         }
-        self.ready = ready;
         debug_assert!(self.sm_running <= self.cfg.sm_global_limit + 1e-6);
-        &self.grants
     }
 
     /// Snapshot of one pod's quota row.
     pub fn quota_state(&self, pod: PodId) -> Option<PodQuotaState> {
-        self.pods.get(pod).map(|e| PodQuotaState {
+        let e = self.pods.get(self.pods.slot_of(pod)?)?;
+        Some(PodQuotaState {
             q_used: e.q_used,
             q_request: e.q_request,
             q_limit: e.q_limit,
@@ -520,6 +624,14 @@ impl FastBackend {
         self.pods.values().any(|e| e.waiting)
     }
 
+    /// Whether a dispatch pass could grant anyone: some pod waits without
+    /// a lease and with quota left this window. A waiter blocked by its
+    /// quota becomes grantable only at a window reset, so a pass while
+    /// every waiter is quota-blocked grants nothing.
+    pub fn has_grantable(&self) -> bool {
+        self.pods.values().any(PodEntry::grantable)
+    }
+
     /// Total tokens dispatched since creation.
     pub fn tokens_dispatched(&self) -> u64 {
         self.tokens_dispatched
@@ -530,8 +642,29 @@ impl FastBackend {
         self.sm_running = (self.sm_running - lease.share).max(0.0);
     }
 
-    fn entry_mut(&mut self, pod: PodId) -> Result<&mut PodEntry, BackendError> {
-        self.pods.get_mut(pod).ok_or(BackendError::UnknownPod(pod))
+    /// The slot of a registered pod's row.
+    fn slot(&self, pod: PodId) -> Result<usize, BackendError> {
+        self.pods.slot_of(pod).ok_or(BackendError::UnknownPod(pod))
+    }
+
+    /// Moves every row to the slot `slot_of` names for its pod: the
+    /// platform's decode places each restored row at the slot its pod
+    /// holds in the node's pod slab.
+    ///
+    /// # Errors
+    /// A [`SnapError`] if a row's pod has no slot, or two rows claim one.
+    pub(crate) fn place_rows(
+        &mut self,
+        mut slot_of: impl FnMut(PodId) -> Option<usize>,
+    ) -> Result<(), SnapError> {
+        let rows = std::mem::take(&mut self.pods.rows);
+        for row in rows.into_iter().flatten() {
+            let slot = slot_of(row.pod).ok_or(SnapError::new("backend row without a pod"))?;
+            if !self.pods.insert(slot, row.pod, row.entry) {
+                return Err(SnapError::new("backend row slot"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -560,12 +693,34 @@ snap_struct!(PodEntry {
     in_burst
 } skip { q_request, q_limit });
 
-snap_struct!(PodTable { rows } check |t| {
-    if t.rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-        return Err(SnapError::new("backend row order"));
+/// The table goes on the wire as its rows sorted by `PodId`, whatever
+/// their slots; decode lays them out in that order, and the platform then
+/// moves them to its own slots ([`FastBackend::place_rows`]).
+impl Snap for PodTable {
+    fn snap(&self, w: &mut SnapWriter) {
+        let Self { rows } = self;
+        let mut sorted: Vec<(PodId, &PodEntry)> =
+            rows.iter().flatten().map(|r| (r.pod, &r.entry)).collect();
+        sorted.sort_unstable_by_key(|&(pod, _)| pod);
+        w.len_prefix(sorted.len());
+        for (pod, entry) in sorted {
+            pod.snap(w);
+            entry.snap(w);
+        }
     }
-    Ok(())
-});
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let rows: Vec<(PodId, PodEntry)> = Vec::unsnap(r)?;
+        if rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(SnapError::new("backend row order"));
+        }
+        Ok(PodTable {
+            rows: rows
+                .into_iter()
+                .map(|(pod, entry)| Some(Row { pod, entry }))
+                .collect(),
+        })
+    }
+}
 
 // The ready and grant lists are dispatch scratch space.
 snap_struct!(FastBackend {

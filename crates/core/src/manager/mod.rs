@@ -18,7 +18,8 @@
 //!   or below `SM_GLOBAL_LIMIT` (100 %). A request only queues the pod
 //!   (or confirms a held lease); tokens are granted by one batched
 //!   [`FastBackend::dispatch_pass`], which the platform runs per node at
-//!   the end of each simulated instant.
+//!   the end of an instant that may have changed who should hold a
+//!   token, when some waiter has no lease and quota left.
 //!
 //! Tokens are *leases*: a granted pod may launch kernel bursts until the
 //! lease expires or its quota runs out, whichever comes first. Lease
@@ -34,5 +35,6 @@ mod estimator;
 mod policy;
 
 pub use backend::{BackendConfig, BackendError, FastBackend, Grant, PodQuotaState, RequestOutcome};
+pub(crate) use backend::Ready;
 pub use estimator::BurstEstimator;
 pub use policy::{SchedPolicy, SharingPolicy};

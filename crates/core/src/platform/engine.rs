@@ -1,11 +1,12 @@
 //! The platform engine: the event loop wiring every component together.
 
-use crate::manager::{BackendConfig, BurstEstimator, FastBackend, RequestOutcome, SharingPolicy};
+use crate::manager::{BackendConfig, BurstEstimator, FastBackend, Ready, SharingPolicy};
 use crate::modelshare::{footprint, ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
 use crate::platform::checkpoint::Snapshot;
 use crate::platform::config::{FunctionConfig, PlatformConfig};
 use crate::platform::error::PlatformError;
 use crate::platform::faults::FaultKind;
+use crate::platform::node::{NodeRt, PodAt, PodLoc, PodRt};
 use crate::platform::overload::{
     AdmitDecision, BreakerAction, BreakerState, CircuitBreaker, OverloadConfig,
 };
@@ -24,8 +25,8 @@ use fastg_des::{
     sanitizer, snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, SimTime,
     Simulation, TimeSeries, World,
 };
-use fastg_gpu::{ClientId, KernelDesc, KernelId, MpsMode};
-use fastg_models::{zoo, InferenceRun, ModelProfile, StageOp};
+use fastg_gpu::{GpuDevice, KernelId, MpsMode};
+use fastg_models::{zoo, ModelProfile};
 use fastg_workload::{ArrivalProcess, SloTracker, WarmupCounter};
 // Report assembly is the one cold path still keyed by ordered maps (the
 // report type is part of the public API). fastg-lint: allow(no-btreemap-hot-path)
@@ -101,9 +102,9 @@ impl Event {
 }
 
 #[derive(Clone)]
-struct FuncRt {
+pub(super) struct FuncRt {
     spec: FaSTFuncSpec,
-    model: Arc<ModelProfile>,
+    pub(super) model: Arc<ModelProfile>,
     resources: ResourceSpec,
     slo: SloTracker,
     /// Completions, counted against `cfg.warmup`.
@@ -139,52 +140,105 @@ struct FuncRt {
     normal_resources: ResourceSpec,
 }
 
-#[derive(Clone)]
-struct ActiveReq {
-    req: Request,
-    /// When service began (wasted-work accounting excludes queue wait).
-    started: SimTime,
-    run: InferenceRun,
-    /// Stage index (into the run's profile) of a burst waiting for a
-    /// token grant. Kept as an index so the hot path never clones the
-    /// kernel vector (see [`StageOp`]).
-    pending_stage: Option<usize>,
-    outstanding: usize,
-    burst_gpu_time: SimTime,
-    waiting_token: bool,
-    /// Cancellation token of the burst's pending macro-event, when the
-    /// burst was coalesced by the fast-forward layer.
-    ff: Option<CancelToken>,
+/// How many events of each kind the engine has handled, and how many
+/// dispatch passes it has run. Plain counters outside the report digest
+/// and the snapshot: a clone carries them, a platform restored from a
+/// snapshot starts them at zero. Passes are not events; an owed pass
+/// skipped because no waiter was grantable is not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HandlerCounts {
+    /// `Arrival` events.
+    pub arrival: u64,
+    /// `HostDone` events.
+    pub host_done: u64,
+    /// `KernelFinish` events.
+    pub kernel_finish: u64,
+    /// `BurstFastForward` events.
+    pub burst_fast_forward: u64,
+    /// `WindowReset` events.
+    pub window_reset: u64,
+    /// `ScaleTick` events.
+    pub scale_tick: u64,
+    /// `MetricsSample` events.
+    pub metrics_sample: u64,
+    /// `Fault` events.
+    pub fault: u64,
+    /// `HealthTick` events.
+    pub health_tick: u64,
+    /// `RequestTimeout` events.
+    pub request_timeout: u64,
+    /// `BreakerTick` events.
+    pub breaker_tick: u64,
+    /// End-of-instant token dispatch passes run (not events).
+    pub dispatch_passes: u64,
 }
 
-#[derive(Clone)]
-struct PodRt {
-    func: FuncId,
-    node: NodeId,
-    /// The pod's MPS client id, resolved once at creation so the
-    /// per-burst launch path skips the cluster pod-table lookup.
-    client: ClientId,
-    active: Option<ActiveReq>,
-    storelib: Option<StoreLib>,
-    bound_rect: bool,
-    /// A crashed pod whose kernels are still draining on the GPU: the
-    /// number of outstanding kernel completions before final teardown.
-    zombie: Option<usize>,
+impl HandlerCounts {
+    /// Events of every kind (passes excluded).
+    pub fn events(&self) -> u64 {
+        let Self {
+            arrival,
+            host_done,
+            kernel_finish,
+            burst_fast_forward,
+            window_reset,
+            scale_tick,
+            metrics_sample,
+            fault,
+            health_tick,
+            request_timeout,
+            breaker_tick,
+            dispatch_passes: _,
+        } = *self;
+        arrival
+            + host_done
+            + kernel_finish
+            + burst_fast_forward
+            + window_reset
+            + scale_tick
+            + metrics_sample
+            + fault
+            + health_tick
+            + request_timeout
+            + breaker_tick
+    }
+
+    fn count(&mut self, event: &Event) {
+        let counter = match event {
+            Event::Arrival(_) => &mut self.arrival,
+            Event::HostDone(_) => &mut self.host_done,
+            Event::KernelFinish(_, _) => &mut self.kernel_finish,
+            Event::BurstFastForward(_, _) => &mut self.burst_fast_forward,
+            Event::WindowReset(_) => &mut self.window_reset,
+            Event::ScaleTick => &mut self.scale_tick,
+            Event::MetricsSample => &mut self.metrics_sample,
+            Event::Fault(_) => &mut self.fault,
+            Event::HealthTick => &mut self.health_tick,
+            Event::RequestTimeout(_, _) => &mut self.request_timeout,
+            Event::BreakerTick => &mut self.breaker_tick,
+        };
+        *counter += 1;
+    }
 }
 
 /// The [`World`] implementation composing cluster, GPUs, manager,
-/// scheduler, model sharing and workloads.
+/// scheduler, model sharing and workloads. The per-node data plane (each
+/// node's GPU device, backend and pods' runtime) is in [`NodeRt`], and
+/// its hot paths in the `node` module.
 #[derive(Clone)]
 pub struct Engine {
-    cfg: PlatformConfig,
-    cluster: Cluster,
+    pub(super) cfg: PlatformConfig,
+    pub(super) cluster: Cluster,
     gateway: Gateway,
-    backends: IdArena<NodeId, FastBackend>,
+    /// Each node's data plane: its GPU device, FaST Backend and pods'
+    /// runtime.
+    pub(super) nodes: IdArena<NodeId, NodeRt>,
     stores: IdArena<NodeId, ModelStorageServer>,
     /// The paper's Algorithm 2 placement engine.
     selector: NodeSelector,
-    funcs: IdArena<FuncId, FuncRt>,
-    pods: IdArena<PodId, PodRt>,
+    pub(super) funcs: IdArena<FuncId, FuncRt>,
+    /// Where each pod's runtime lives: `PodId → (node, slot)`.
+    pub(super) pod_loc: IdArena<PodId, PodLoc>,
     autoscale_db: Option<ProfileDb>,
     next_func: u32,
     next_synth: u64,
@@ -192,25 +246,29 @@ pub struct Engine {
     killed: u64,
     faults_injected: u64,
     /// Bursts coalesced into a single macro-event so far.
-    ff_bursts: u64,
+    pub(super) ff_bursts: u64,
     /// Kernel completions applied analytically, counted when a macro-event
     /// is delivered or broken (the per-kernel events the fast-forward
     /// layer never had to schedule).
-    ff_coalesced_kernels: u64,
+    pub(super) ff_coalesced_kernels: u64,
     /// Reusable buffer of `(finish_at, KernelFinish)` pairs built while
     /// launching a burst, so a multi-kernel burst costs zero steady-state
     /// allocations before its batched heap push.
-    burst_scratch: Vec<(SimTime, Event)>,
+    pub(super) burst_scratch: Vec<(SimTime, Event)>,
     /// Reusable buffer for kernels admitted when a completion frees SMs
     /// (the hottest event in the simulation).
-    started_scratch: Vec<fastg_gpu::KernelStart>,
-    /// Reusable buffer for the pods one dispatch pass grants.
-    granted_scratch: Vec<PodId>,
+    pub(super) started_scratch: Vec<fastg_gpu::KernelStart>,
+    /// Reusable buffer for the slots one dispatch pass grants.
+    pub(super) granted_scratch: Vec<usize>,
+    /// The ready list every node's dispatch pass borrows.
+    pub(super) ready_scratch: Vec<Ready>,
     /// Nodes owed a batched dispatch pass at the current instant, at most
     /// once each, in ascending order of the tie key their first poke
     /// claimed from the queue (see [`Engine::poke_dispatch`]). The driver
     /// drains it at the end of the instant.
-    dispatch_pending: Vec<(u64, NodeId)>,
+    pub(super) dispatch_pending: Vec<(u64, NodeId)>,
+    /// Per-kind handled events and dispatch passes.
+    pub(super) counts: HandlerCounts,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     trace: Vec<String>,
@@ -270,28 +328,24 @@ impl Engine {
             SharingPolicy::Exclusive => MpsMode::Exclusive,
             _ => MpsMode::Shared,
         };
-        let nodes: Vec<NodeId> = cfg
-            .effective_gpus()
-            .into_iter()
-            .map(|spec| cluster.add_node(spec, mode))
-            .collect();
         let mut selector = make_selector(&cfg);
-        let mut backends = IdArena::new();
+        let mut node_rts = IdArena::new();
         let mut stores = IdArena::new();
-        for &n in &nodes {
+        for spec in cfg.effective_gpus() {
+            let n = cluster.add_node();
             selector.add_gpu(n);
-            backends.insert(n, make_backend(&cfg));
+            node_rts.insert(n, NodeRt::new(make_backend(&cfg), GpuDevice::new(spec, mode)));
             stores.insert(n, ModelStorageServer::new(DEFAULT_CTX_OVERHEAD));
         }
         Engine {
             cfg,
             cluster,
             gateway: Gateway::new(),
-            backends,
+            nodes: node_rts,
             stores,
             selector,
             funcs: IdArena::new(),
-            pods: IdArena::new(),
+            pod_loc: IdArena::new(),
             autoscale_db: None,
             next_func: 0,
             next_synth: 1 << 60,
@@ -303,7 +357,9 @@ impl Engine {
             burst_scratch: Vec::new(),
             started_scratch: Vec::new(),
             granted_scratch: Vec::new(),
+            ready_scratch: Vec::new(),
             dispatch_pending: Vec::new(),
+            counts: HandlerCounts::default(),
             trace: Vec::new(),
             profiles: Vec::new(),
         }
@@ -388,10 +444,10 @@ impl Engine {
                     footprint::server_reservation(mem, DEFAULT_CTX_OVERHEAD);
             }
         }
-        let cluster_ref = &self.cluster;
+        let nodes_ref = &self.nodes;
         let mut mem_fits = |n: NodeId| {
-            cluster_ref
-                .node(n)
+            nodes_ref
+                .get(n)
                 .map(|node| {
                     node.gpu.memory().free_bytes()
                         >= pod_bytes + extra_per_node.get(n.index()).copied().unwrap_or(0)
@@ -423,7 +479,13 @@ impl Engine {
             100.0
         };
         let eff = ResourceSpec::new(eff_sm, resources.quota_request, resources.quota_limit, resources.gpu_mem);
-        let pod = self.cluster.create_pod(now, node, func, eff, pod_bytes)?;
+        let nrt = self
+            .nodes
+            .get_mut(node)
+            .ok_or(PlatformError::Internal("runtime missing for node"))?;
+        let pod = self
+            .cluster
+            .create_pod(now, node, func, eff, pod_bytes, &mut nrt.gpu)?;
         let client = self.cluster.pod(pod)?.client;
 
         // Model sharing: attach the weights through the store library.
@@ -433,8 +495,7 @@ impl Engine {
                 .stores
                 .get_mut(node)
                 .ok_or(PlatformError::Internal("store missing for node"))?;
-            let gpu_mem = self.cluster.node_mut(node)?.gpu.memory_mut();
-            lib.attach(store, gpu_mem, &model_name, &[("weights", weights)])?;
+            lib.attach(store, nrt.gpu.memory_mut(), &model_name, &[("weights", weights)])?;
             Some(lib)
         } else {
             None
@@ -450,15 +511,14 @@ impl Engine {
                 .unwrap_or(false)
         };
 
-        // Backend table row (the FaSTPod controller's spec sync).
-        if let Some(backend) = self.backends.get_mut(node) {
-            backend.register(pod, resources);
-        } else {
-            debug_assert!(false, "backend per node");
-        }
-
-        self.gateway.register_pod(func, pod);
-        self.pods.insert(
+        // The pod's runtime takes a slot in its node's slab, and its
+        // backend table row (the FaSTPod controller's spec sync) the same
+        // slot.
+        let nrt = self
+            .nodes
+            .get_mut(node)
+            .ok_or(PlatformError::Internal("runtime missing for node"))?;
+        let slot = nrt.insert(
             pod,
             PodRt {
                 func,
@@ -470,14 +530,19 @@ impl Engine {
                 zombie: None,
             },
         );
+        nrt.backend.register_at(slot, pod, resources);
+        let at = PodAt { pod, node, slot };
+        let slot = u32::try_from(slot).map_err(|_| PlatformError::Internal("pod slot space"))?;
+        self.pod_loc.insert(pod, PodLoc { node, slot });
+        self.gateway.register_pod(func, pod);
         if saturate {
             let req = self.synth_request(now, func);
-            self.assign_request(now, pod, req, queue);
+            self.assign_request(now, at, req, queue);
         } else if let Some(req) = self.pull_next(now, func, pod) {
             // Backlog may have accumulated while no pod was routable
             // (e.g. every replica crashed); a new pod picks it up
             // immediately instead of waiting for an arrival.
-            self.assign_request(now, pod, req, queue);
+            self.assign_request(now, at, req, queue);
         }
         Ok(pod)
     }
@@ -495,44 +560,64 @@ impl Engine {
 
     /// Starts draining a pod; deletes it immediately when idle.
     fn drain_pod(&mut self, pod: PodId, queue: &mut EventQueue<Event>) {
-        let Some(rt) = self.pods.get(pod) else {
+        let Some(at) = self.locate(pod) else {
+            return;
+        };
+        let Some(rt) = self.pod_rt(at) else {
             return;
         };
         if rt.zombie.is_some() {
             return; // already being torn down by the crash path
         }
         let func = rt.func;
+        let idle = rt.active.is_none();
         self.gateway.deregister_pod(func, pod);
         let _ = self.cluster.begin_terminate(pod);
-        if self.pods[pod].active.is_none() {
-            self.delete_pod(pod, queue);
+        if idle {
+            self.delete_pod(at, queue);
         }
     }
 
-    fn delete_pod(&mut self, pod: PodId, queue: &mut EventQueue<Event>) {
-        let Some(mut rt) = self.pods.remove(pod) else {
+    fn delete_pod(&mut self, at: PodAt, queue: &mut EventQueue<Event>) {
+        let pod = at.pod;
+        let Some(mut rt) = self.take_pod(at) else {
             return;
         };
         debug_assert!(rt.active.is_none(), "deleting pod with a request in flight");
         let node = rt.node;
-        match self.backends.get_mut(node) {
-            Some(b) => b.deregister(pod),
-            None => debug_assert!(false, "backend per node"),
+        match self.nodes.get_mut(node) {
+            Some(n) => n.backend.deregister(pod),
+            None => debug_assert!(false, "runtime per node"),
         }
-        if let Some(lib) = rt.storelib.as_mut() {
-            if let (Some(store), Ok(n)) = (self.stores.get_mut(node), self.cluster.node_mut(node))
-            {
-                lib.detach(store, n.gpu.memory_mut());
-            } else {
-                debug_assert!(false, "store and node outlive their pods");
-            }
-        }
+        self.release_pod_gpu(pod, &mut rt);
         if rt.bound_rect {
             self.selector.release(node, pod);
         }
-        let deleted = self.cluster.delete_pod(pod);
-        debug_assert!(deleted.is_ok(), "pod exists in cluster");
         self.poke_dispatch(node, queue);
+    }
+
+    /// Returns a removed pod's device share: detaches its model weights
+    /// and deletes it from the cluster, freeing its memory and MPS client
+    /// on the node's device.
+    fn release_pod_gpu(&mut self, pod: PodId, rt: &mut PodRt) {
+        let Some(n) = self.nodes.get_mut(rt.node) else {
+            debug_assert!(false, "node outlives its pods");
+            return;
+        };
+        if let Some(lib) = rt.storelib.as_mut() {
+            match self.stores.get_mut(rt.node) {
+                Some(store) => lib.detach(store, n.gpu.memory_mut()),
+                None => debug_assert!(false, "store outlives its pods"),
+            }
+        }
+        let deleted = self.cluster.delete_pod(pod, &mut n.gpu);
+        debug_assert!(deleted.is_ok(), "pod exists in cluster");
+    }
+
+    /// Removes a pod's runtime from its node's slab and the location map.
+    fn take_pod(&mut self, at: PodAt) -> Option<PodRt> {
+        self.pod_loc.remove(at.pod)?;
+        self.nodes.get_mut(at.node)?.remove(at.slot)
     }
 
     /// Live FaSTPod spec sync (§3.2: resource configurations are filled
@@ -562,7 +647,10 @@ impl Engine {
         // back to per-kernel stepping before MPS caps move.
         let mut touched: Vec<NodeId> = Vec::new();
         for pod in self.cluster.running_pods_of(func) {
-            let node = self.pods[pod].node;
+            let node = self
+                .locate(pod)
+                .ok_or(PlatformError::Internal("runtime missing for pod"))?
+                .node;
             if !touched.contains(&node) {
                 touched.push(node);
             }
@@ -571,21 +659,26 @@ impl Engine {
             self.ff_break_node(now, node, queue);
         }
         for pod in self.cluster.running_pods_of(func) {
-            let node = self.pods[pod].node;
+            let at = self.locate(pod).ok_or(PlatformError::Internal("runtime missing for pod"))?;
+            let node = at.node;
             let (client, old) = self.cluster.pod(pod).map(|p| (p.client, p.resources))?;
             // MPS partition: applies from the pod's next kernel launch.
-            let gpu = &mut self.cluster.node_mut(node)?.gpu;
-            gpu.set_partition(client, eff_sm)?;
+            self.nodes
+                .get_mut(node)
+                .ok_or(PlatformError::Internal("runtime missing for node"))?
+                .gpu
+                .set_partition(client, eff_sm)?;
             self.cluster.pod_mut(pod)?.resources =
                 ResourceSpec::new(eff_sm, resources.quota_request, resources.quota_limit, resources.gpu_mem);
             // Backend table row (quotas take effect within this window).
-            self.backends
+            self.nodes
                 .get_mut(node)
-                .ok_or(PlatformError::Internal("backend missing for node"))?
+                .ok_or(PlatformError::Internal("runtime missing for node"))?
+                .backend
                 .update_spec(pod, resources);
             // Rectangle binding: swap to the new shape if it fits; keep
             // the old reservation otherwise (conservative).
-            if self.pods[pod].bound_rect {
+            if self.pod_rt(at).is_some_and(|rt| rt.bound_rect) {
                 self.selector.release(node, pod);
                 if self.selector.bind(node, pod, &resources).is_none() {
                     let restored = self
@@ -605,7 +698,10 @@ impl Engine {
     /// on the GPU drain as a "zombie" before final teardown, exactly as a
     /// dead process's launched work completes on real hardware.
     fn kill_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) -> bool {
-        let Some(rt) = self.pods.get_mut(pod) else {
+        let Some(at) = self.locate(pod) else {
+            return false;
+        };
+        let Some(rt) = self.pod_rt(at) else {
             return false;
         };
         if rt.zombie.is_some() {
@@ -618,19 +714,19 @@ impl Engine {
         // per-kernel state before the corpse is inspected: the
         // materialized mid-flight kernel (and the requeued remainder)
         // drain as the zombie, and `outstanding` is reconciled first.
-        self.ff_break_pod(now, pod, queue);
+        self.ff_break_pod(now, at, queue);
         self.gateway.deregister_pod(func, pod);
         // The cluster must stop counting the pod as Running right away —
         // otherwise reconciliation would refuse to create replacements
         // while the corpse's kernels drain.
         let _ = self.cluster.begin_terminate(pod);
-        match self.backends.get_mut(node) {
-            Some(b) => b.force_deregister(pod),
-            None => debug_assert!(false, "backend per node"),
+        match self.nodes.get_mut(node) {
+            Some(n) => n.backend.force_deregister(pod),
+            None => debug_assert!(false, "runtime per node"),
         }
         // Salvage the request, remember how many kernels must drain.
         let mut release_rect = false;
-        let (lost_req, outstanding) = match self.pods.get_mut(pod) {
+        let (lost_req, outstanding) = match self.pod_rt_mut(at) {
             Some(rt) => {
                 if rt.bound_rect {
                     rt.bound_rect = false;
@@ -651,7 +747,7 @@ impl Engine {
             self.selector.release(node, pod);
         }
         if outstanding == 0 {
-            self.teardown_dead_pod(pod);
+            self.teardown_dead_pod(at);
         }
         // Retry the lost request (synthetic saturating requests are just
         // dropped; a fresh one spawns on whichever pod serves next).
@@ -682,8 +778,8 @@ impl Engine {
                 return;
             }
         }
-        if let Some(next_pod) = self.gateway.requeue(req) {
-            self.assign_request(now, next_pod, req, queue);
+        if let Some(at) = self.gateway.requeue(req).and_then(|p| self.locate(p)) {
+            self.assign_request(now, at, req, queue);
         }
     }
 
@@ -702,21 +798,12 @@ impl Engine {
     }
 
     /// Final teardown of a crashed pod once no kernels remain resident.
-    fn teardown_dead_pod(&mut self, pod: PodId) {
-        let Some(mut rt) = self.pods.remove(pod) else {
+    pub(super) fn teardown_dead_pod(&mut self, at: PodAt) {
+        let pod = at.pod;
+        let Some(mut rt) = self.take_pod(at) else {
             return;
         };
-        let node = rt.node;
-        if let Some(lib) = rt.storelib.as_mut() {
-            if let (Some(store), Ok(n)) = (self.stores.get_mut(node), self.cluster.node_mut(node))
-            {
-                lib.detach(store, n.gpu.memory_mut());
-            } else {
-                debug_assert!(false, "store and node outlive their pods");
-            }
-        }
-        let deleted = self.cluster.delete_pod(pod);
-        debug_assert!(deleted.is_ok(), "pod exists in cluster");
+        self.release_pod_gpu(pod, &mut rt);
     }
 
     // ----- fault injection & recovery ---------------------------------
@@ -733,7 +820,11 @@ impl Engine {
         }
         // Hardware teardown: marks the node Down, hard-resets its GPU and
         // removes all its pods from the cluster.
-        let Ok(dead) = self.cluster.crash_node(now, node) else {
+        let Some(nrt) = self.nodes.get_mut(node) else {
+            debug_assert!(false, "runtime per node");
+            return false;
+        };
+        let Ok(dead) = self.cluster.crash_node(now, node, &mut nrt.gpu) else {
             debug_assert!(false, "node is up (state checked above)");
             return false;
         };
@@ -741,7 +832,8 @@ impl Engine {
         let mut affected = Vec::new();
         for pod in &dead {
             self.gateway.deregister_pod(pod.func, pod.id);
-            if let Some(mut rt) = self.pods.remove(pod.id) {
+            let rt = self.locate(pod.id).and_then(|at| self.take_pod(at));
+            if let Some(mut rt) = rt {
                 // A zombie (a crashed pod whose kernels were still
                 // draining) was already counted when it was killed.
                 if rt.zombie.is_none() {
@@ -762,9 +854,14 @@ impl Engine {
             }
         }
         // Control-plane teardown: rectangle bindings, backend table and
-        // model store die with the node.
+        // model store die with the node (its pod slab is empty by now);
+        // the reset device stays.
         self.selector.remove_gpu(node);
-        self.backends.insert(node, make_backend(&self.cfg));
+        if let Some(old) = self.nodes.remove(node) {
+            debug_assert!(old.pods().next().is_none(), "a crashed node keeps no pod");
+            self.nodes
+                .insert(node, NodeRt::new(make_backend(&self.cfg), old.gpu));
+        }
         self.stores
             .insert(node, ModelStorageServer::new(DEFAULT_CTX_OVERHEAD));
         for req in lost_reqs {
@@ -814,7 +911,9 @@ impl Engine {
                 // A clock change redraws every future kernel duration;
                 // analytic schedules on the node are no longer exact.
                 self.ff_break_node(now, node, queue);
-                let _ = self.cluster.degrade_node(node, factor);
+                if let Some(n) = self.nodes.get_mut(node) {
+                    let _ = self.cluster.degrade_node(node, factor, &mut n.gpu);
+                }
             }
             FaultKind::NodeRecover { node_index } => {
                 let ids = self.cluster.node_ids();
@@ -823,7 +922,9 @@ impl Engine {
                 }
                 let node = ids[node_index % ids.len()];
                 self.ff_break_node(now, node, queue);
-                let _ = self.cluster.recover_node(node);
+                if let Some(n) = self.nodes.get_mut(node) {
+                    let _ = self.cluster.recover_node(node, &mut n.gpu);
+                }
             }
         }
     }
@@ -1019,7 +1120,10 @@ impl Engine {
                     }
                 }
                 self.schedule_request_timeout(now, func, req.id, queue);
-                self.assign_request(now, pod, req, queue);
+                match self.locate(pod) {
+                    Some(at) => self.assign_request(now, at, req, queue),
+                    None => debug_assert!(false, "the gateway routes to live pods"),
+                }
             }
             fastg_cluster::Admission::Queue(req) => {
                 if browned {
@@ -1044,358 +1148,6 @@ impl Engine {
                 let deadline = now + frt.slo.slo().scale(factor);
                 queue.schedule(deadline, Event::RequestTimeout(func, id));
             }
-        }
-    }
-
-    fn assign_request(
-        &mut self,
-        now: SimTime,
-        pod: PodId,
-        req: Request,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let Some(rt) = self.pods.get_mut(pod) else {
-            debug_assert!(false, "assigning to a live pod");
-            return;
-        };
-        debug_assert!(rt.active.is_none(), "pod {pod:?} already busy");
-        let model = Arc::clone(&self.funcs[rt.func].model);
-        rt.active = Some(ActiveReq {
-            req,
-            started: now,
-            run: InferenceRun::new(model),
-            pending_stage: None,
-            outstanding: 0,
-            burst_gpu_time: SimTime::ZERO,
-            waiting_token: false,
-            ff: None,
-        });
-        self.step_pod(now, pod, queue);
-    }
-
-    /// Advances a pod's inference cursor to its next blocking operation
-    /// (the cursor itself skips empty phases).
-    fn step_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
-        let Some(rt) = self.pods.get_mut(pod) else {
-            debug_assert!(false, "stepping a live pod");
-            return;
-        };
-        let Some(active) = rt.active.as_mut() else {
-            debug_assert!(false, "stepping requires a request");
-            return;
-        };
-        match active.run.advance_indexed() {
-            StageOp::Host(d) => {
-                queue.schedule(now + d, Event::HostDone(pod));
-            }
-            StageOp::Burst(stage) => {
-                active.pending_stage = Some(stage);
-                self.try_start_burst(now, pod, queue);
-            }
-            StageOp::Done => {
-                self.complete_request(now, pod, queue);
-            }
-        }
-    }
-
-    fn try_start_burst(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
-        let node = self.pods[pod].node;
-        let Some(backend) = self.backends.get_mut(node) else {
-            debug_assert!(false, "backend per node");
-            return;
-        };
-        let Ok((outcome, _)) = backend.request(now, pod) else {
-            // The pod's backend row is gone (crash teardown raced this
-            // burst); the pod itself is being destroyed, so do nothing.
-            return;
-        };
-        match outcome {
-            // Lease expiry is enforced lazily, at the pod's own sync
-            // points and re-requests: a real time-slice holder is not
-            // preempted during sub-millisecond host gaps, which is
-            // precisely why time sharing wastes the GPU on them.
-            RequestOutcome::Granted(_) => {
-                self.launch_burst(now, pod, queue);
-            }
-            RequestOutcome::Queued | RequestOutcome::BlockedUntilReset => {
-                if let Some(active) = self.pods.get_mut(pod).and_then(|rt| rt.active.as_mut()) {
-                    active.waiting_token = true;
-                } else {
-                    debug_assert!(false, "burst belongs to a request");
-                }
-                self.poke_dispatch(node, queue);
-            }
-        }
-    }
-
-    fn launch_burst(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
-        let node = self.pods[pod].node;
-        let Some(backend) = self.backends.get_mut(node) else {
-            debug_assert!(false, "backend per node");
-            return;
-        };
-        if backend.begin_burst(pod).is_err() {
-            // Crash teardown raced the grant; the pod is being destroyed.
-            return;
-        }
-        let Some(rt) = self.pods.get_mut(pod) else {
-            debug_assert!(false, "pod exists");
-            return;
-        };
-        let Some(active) = rt.active.as_mut() else {
-            debug_assert!(false, "burst belongs to a request");
-            return;
-        };
-        active.waiting_token = false;
-        let Some(stage) = active.pending_stage.take() else {
-            debug_assert!(false, "launching an empty burst");
-            return;
-        };
-        // The profile Arc keeps the kernel specs alive without cloning
-        // the spec vector; the cursor guarantees the stage is non-empty.
-        let profile = Arc::clone(active.run.profile());
-        let kernels = &profile.stages[stage].kernels;
-        active.outstanding = kernels.len();
-        active.burst_gpu_time = SimTime::ZERO;
-        let client = rt.client;
-        let Ok(node_rt) = self.cluster.node_mut(node) else {
-            debug_assert!(false, "node exists");
-            return;
-        };
-        let gpu = &mut node_rt.gpu;
-
-        // Fast-forward: an uncontended burst in the capped regime is
-        // coalesced into one macro-event at its analytic end instead of
-        // one KernelFinish per kernel. Any contention change cancels the
-        // macro-event and reconstructs per-kernel state (`ff_break_pod`).
-        if self.cfg.fastforward {
-            let descs = kernels.iter().map(|k| KernelDesc {
-                blocks: k.blocks,
-                work_per_block: k.work_per_block,
-                tag: pod.0,
-            });
-            if let Some(end) = gpu.fast_forward_burst(now, client, descs) {
-                let token = queue.schedule_cancellable(end, Event::BurstFastForward(node, pod));
-                if let Some(active) = self.pods.get_mut(pod).and_then(|rt| rt.active.as_mut()) {
-                    active.ff = Some(token);
-                } else {
-                    debug_assert!(false, "burst belongs to a request");
-                }
-                self.ff_bursts += 1;
-                return;
-            }
-        }
-
-        // The per-kernel fallback is the one place a client activates
-        // while timelines may be live: if it pushes the active SM caps
-        // past the device, the node's timelines fall back first.
-        if gpu.has_ff() && !gpu.ff_admits(client) {
-            self.ff_break_node(now, node, queue);
-        }
-        let Ok(node_rt) = self.cluster.node_mut(node) else {
-            debug_assert!(false, "node exists");
-            return;
-        };
-        let gpu = &mut node_rt.gpu;
-
-        let mut starts = std::mem::take(&mut self.burst_scratch);
-        debug_assert!(starts.is_empty(), "scratch drained after each burst");
-        for k in kernels {
-            let desc = KernelDesc {
-                blocks: k.blocks,
-                work_per_block: k.work_per_block,
-                tag: pod.0,
-            };
-            match gpu.launch(now, client, desc) {
-                Ok(Some(start)) => {
-                    starts.push((start.finish_at, Event::KernelFinish(node, start.kernel)));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // An unlaunchable kernel (client torn down mid-grant)
-                    // is dropped instead of crashing the whole run.
-                    debug_assert!(false, "kernel launch failed: {e}");
-                }
-            }
-        }
-        queue.schedule_batch(starts.drain(..));
-        self.burst_scratch = starts;
-    }
-
-    fn on_kernel_finish(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        kernel: KernelId,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let Ok(node_rt) = self.cluster.node_mut(node) else {
-            debug_assert!(false, "node exists");
-            return;
-        };
-        // A finish scheduled before the node crashed: the kernel died with
-        // the hardware and was already accounted as aborted.
-        if node_rt.state == NodeState::Down {
-            return;
-        }
-        let gpu = &mut node_rt.gpu;
-        // A kernel the device no longer knows (double finish, or a stale
-        // event surviving a hard reset) is dropped: the typed error says
-        // there is nothing left to account for.
-        let mut started = std::mem::take(&mut self.started_scratch);
-        debug_assert!(started.is_empty(), "scratch drained after each finish");
-        let finish = gpu.on_kernel_finish_into(now, kernel, &mut started);
-        queue.schedule_batch(
-            started
-                .drain(..)
-                .map(|s| (s.finish_at, Event::KernelFinish(node, s.kernel))),
-        );
-        self.started_scratch = started;
-        let Ok(done) = finish else {
-            return;
-        };
-        let pod = PodId(done.tag);
-        let Some(rt) = self.pods.get_mut(pod) else {
-            // The pod was deleted while its last kernels drained — cannot
-            // happen by construction (deletion requires an idle pod and
-            // crashed pods linger as zombies), so surface it loudly in
-            // debug builds.
-            debug_assert!(false, "kernel completion for unknown pod {pod:?}");
-            return;
-        };
-        // A crashed pod's kernels drain without any request accounting.
-        if let Some(outstanding) = rt.zombie.as_mut() {
-            *outstanding -= 1;
-            if *outstanding == 0 {
-                self.teardown_dead_pod(pod);
-            }
-            return;
-        }
-        let Some(active) = rt.active.as_mut() else {
-            debug_assert!(false, "kernel belongs to a request");
-            return;
-        };
-        active.burst_gpu_time += done.gpu_time;
-        active.outstanding -= 1;
-        if active.outstanding == 0 {
-            let gpu_time = active.burst_gpu_time;
-            self.burst_sync_point(now, node, pod, gpu_time, queue);
-        }
-    }
-
-    /// Synchronization point after a burst's last kernel: report usage to
-    /// the backend (maybe losing the lease, whose capacity the next
-    /// dispatch pass hands on), and advance the pod's inference cursor.
-    fn burst_sync_point(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        pod: PodId,
-        gpu_time: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let sync = self
-            .backends
-            .get_mut(node)
-            .map(|b| b.sync_point(now, pod, gpu_time));
-        debug_assert!(sync.is_some(), "backend per node");
-        // A dropped lease freed SM budget: re-decide token holders at the
-        // end of this instant.
-        if let Some(Ok(false)) = sync {
-            self.poke_dispatch(node, queue);
-        }
-        self.step_pod(now, pod, queue);
-    }
-
-    /// Delivers a burst's coalesced macro-event: the analytic end of a
-    /// fast-forwarded burst. Every invalidation path cancels the token
-    /// first, so a delivered macro-event always finds its timeline.
-    fn on_burst_ff(&mut self, now: SimTime, node: NodeId, pod: PodId, queue: &mut EventQueue<Event>) {
-        let Some(rt) = self.pods.get_mut(pod) else {
-            debug_assert!(false, "macro-event for a dead pod (token not cancelled)");
-            return;
-        };
-        let Some(active) = rt.active.as_mut() else {
-            debug_assert!(false, "macro-event without a request");
-            return;
-        };
-        active.ff = None;
-        let client = rt.client;
-        let Ok(node_rt) = self.cluster.node_mut(node) else {
-            debug_assert!(false, "node exists");
-            return;
-        };
-        let Some(done) = node_rt.gpu.ff_complete(now, client) else {
-            debug_assert!(false, "macro-event without a timeline (token not cancelled)");
-            return;
-        };
-        self.ff_coalesced_kernels += done.completed;
-        let Some(active) = self.pods.get_mut(pod).and_then(|rt| rt.active.as_mut()) else {
-            return;
-        };
-        debug_assert_eq!(
-            usize::try_from(done.completed).ok(),
-            Some(active.outstanding),
-            "macro-event accounts the whole burst"
-        );
-        active.outstanding = 0;
-        active.burst_gpu_time += done.gpu_time;
-        let gpu_time = active.burst_gpu_time;
-        self.burst_sync_point(now, node, pod, gpu_time, queue);
-    }
-
-    /// Invalidates a pod's fast-forwarded burst (if any): cancels its
-    /// macro-event, has the device reconstruct exact per-kernel state, and
-    /// resumes normal stepping from the materialized mid-flight kernel.
-    fn ff_break_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
-        let Some(rt) = self.pods.get_mut(pod) else {
-            return;
-        };
-        let Some(active) = rt.active.as_mut() else {
-            return;
-        };
-        let Some(token) = active.ff.take() else {
-            return;
-        };
-        let cancelled = queue.cancel(token);
-        debug_assert!(cancelled, "macro token is live until broken or delivered");
-        let client = rt.client;
-        let node = rt.node;
-        let Ok(node_rt) = self.cluster.node_mut(node) else {
-            debug_assert!(false, "node exists");
-            return;
-        };
-        let Some(brk) = node_rt.gpu.ff_break(now, client) else {
-            debug_assert!(false, "live token implies a timeline");
-            return;
-        };
-        self.ff_coalesced_kernels += brk.completed;
-        queue.schedule(
-            brk.resumed.finish_at,
-            Event::KernelFinish(node, brk.resumed.kernel),
-        );
-        if let Some(active) = self.pods.get_mut(pod).and_then(|rt| rt.active.as_mut()) {
-            active.outstanding = active
-                .outstanding
-                .saturating_sub(usize::try_from(brk.completed).unwrap_or(usize::MAX));
-            active.burst_gpu_time += brk.gpu_time;
-        }
-    }
-
-    /// Invalidates every fast-forwarded burst on a node; called before any
-    /// contention change (a client activating past the SM budget,
-    /// repartition, clock change).
-    fn ff_break_node(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        let pods: Vec<PodId> = self
-            .pods
-            .iter()
-            .filter(|(_, rt)| {
-                rt.node == node && rt.active.as_ref().is_some_and(|a| a.ff.is_some())
-            })
-            .map(|(p, _)| p)
-            .collect();
-        for p in pods {
-            self.ff_break_pod(now, p, queue);
         }
     }
 
@@ -1428,8 +1180,14 @@ impl Engine {
         }
     }
 
-    fn complete_request(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
-        let Some(rt) = self.pods.get_mut(pod) else {
+    pub(super) fn complete_request(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let pod = at.pod;
+        let Some(rt) = self.pod_rt_mut(at) else {
             debug_assert!(false, "completing on a live pod");
             return;
         };
@@ -1438,7 +1196,6 @@ impl Engine {
             return;
         };
         let func = rt.func;
-        let node = rt.node;
         let arrived = active.req.arrived;
         let latency = now - arrived;
         // Terminal state: the gateway drops its retry bookkeeping for
@@ -1468,104 +1225,28 @@ impl Engine {
 
         // Terminating pods are deleted as soon as their request finishes.
         if self.cluster.pod(pod).map(|p| p.state) == Ok(PodState::Terminating) {
-            self.release_idle(node, pod, queue);
-            self.delete_pod(pod, queue);
+            self.release_idle(at, queue);
+            self.delete_pod(at, queue);
             return;
         }
         // Pull the next request, or park idle.
         match self.pull_next(now, func, pod) {
-            Some(req) => self.assign_request(now, pod, req, queue),
+            Some(req) => self.assign_request(now, at, req, queue),
             None if saturate => {
                 let req = self.synth_request(now, func);
-                self.assign_request(now, pod, req, queue);
+                self.assign_request(now, at, req, queue);
             }
-            None => self.release_idle(node, pod, queue),
+            None => self.release_idle(at, queue),
         }
-    }
-
-    /// The pod has no request to serve: its lease goes back to the node's
-    /// next dispatch pass.
-    fn release_idle(&mut self, node: NodeId, pod: PodId, queue: &mut EventQueue<Event>) {
-        match self.backends.get_mut(node) {
-            Some(b) => b.release_idle(pod),
-            None => debug_assert!(false, "backend per node"),
-        }
-        self.poke_dispatch(node, queue);
-    }
-
-    /// Owes the node (at most once per instant) the batched end-of-instant
-    /// dispatch pass. Called by every operation that may change who
-    /// should hold a token: queueing a waiter, releasing a lease,
-    /// resetting a window, tearing down a pod. Grant decisions are
-    /// thereby a function of the instant's final backend state, not of
-    /// same-instant event delivery order. A pass grants only waiting
-    /// pods, so none is owed while the node has no waiter; a pod starts
-    /// waiting only in `request`, and `try_start_burst` pokes right after.
-    ///
-    /// The first poke claims a tie key from the queue, so the
-    /// [`TieBreak`](fastg_des::TieBreak) policy orders a node's pass
-    /// against the instant's other passes exactly as it would a queue
-    /// entry.
-    fn poke_dispatch(&mut self, node: NodeId, queue: &mut EventQueue<Event>) {
-        if !self.cfg.policy.uses_tokens() {
-            return;
-        }
-        if !self.backends.get(node).is_some_and(|b| b.has_waiter()) {
-            return;
-        }
-        if self.dispatch_pending.iter().any(|&(_, n)| n == node) {
-            return;
-        }
-        let key = queue.claim_tie_key();
-        let at = self.dispatch_pending.partition_point(|&(k, _)| k < key);
-        self.dispatch_pending.insert(at, (key, node));
-    }
-
-    /// Runs a node's batched dispatch pass: one canonical-order walk of
-    /// the ready queue, granting tokens until the SM budget stops it,
-    /// then launching each granted pod's pending burst. This is the only
-    /// place a pod waiting for a token starts.
-    fn on_dispatch(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        let mut granted = std::mem::take(&mut self.granted_scratch);
-        if let Some(b) = self.backends.get_mut(node) {
-            granted.extend(b.dispatch_pass(now).iter().map(|g| g.pod));
-        }
-        for &pod in &granted {
-            let has_burst = self
-                .pods
-                .get(pod)
-                .and_then(|rt| rt.active.as_ref())
-                .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
-            if has_burst {
-                self.launch_burst(now, pod, queue);
-            }
-        }
-        granted.clear();
-        self.granted_scratch = granted;
-    }
-
-    fn on_window_reset(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        // Quota windows die with the node (and stop rescheduling).
-        if matches!(self.cluster.node_state(node), Ok(NodeState::Down)) {
-            return;
-        }
-        match self.backends.get_mut(node) {
-            Some(b) => b.on_window_reset(now),
-            None => debug_assert!(false, "backend per node"),
-        }
-        self.poke_dispatch(node, queue);
-        queue.schedule(now + self.cfg.window, Event::WindowReset(node));
     }
 
     fn on_metrics_sample(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        for node in self.cluster.node_ids() {
-            if let Ok(n) = self.cluster.node_mut(node) {
-                // Land deferred fast-forward boundaries (strictly before
-                // `now`; same-instant finishes order after the sample,
-                // exactly as their per-kernel events would).
-                n.gpu.ff_sync(now);
-                n.gpu.metrics_mut().sample(now);
-            }
+        for n in self.nodes.values_mut() {
+            // Land deferred fast-forward boundaries (strictly before
+            // `now`; same-instant finishes order after the sample,
+            // exactly as their per-kernel events would).
+            n.gpu.ff_sync(now);
+            n.gpu.metrics_mut().sample(now);
         }
         let counts = self.cluster.pod_counts();
         for (f, rt) in self.funcs.iter_mut() {
@@ -1666,7 +1347,7 @@ impl Engine {
                 .map(|f| u64::try_from(self.gateway.queue_len(f)).unwrap_or(u64::MAX))
                 .sum();
             let in_flight =
-                u64::try_from(self.pods.values().filter(|p| p.active.is_some()).count())
+                u64::try_from(self.all_pods().filter(|p| p.active.is_some()).count())
                     .unwrap_or(u64::MAX);
             debug_assert!(
                 self.gateway.retries_total() <= queued + in_flight,
@@ -1678,11 +1359,9 @@ impl Engine {
         // boundary is inclusive: a per-kernel run would have delivered
         // finish events at exactly `now` before the caller could report,
         // so deferred fast-forward boundaries at `now` land first too.
-        for node in self.cluster.node_ids() {
-            if let Ok(n) = self.cluster.node_mut(node) {
-                n.gpu.ff_sync_inclusive(now);
-                n.gpu.metrics_mut().sample(now);
-            }
+        for n in self.nodes.values_mut() {
+            n.gpu.ff_sync_inclusive(now);
+            n.gpu.metrics_mut().sample(now);
         }
         let warmup = self.cfg.warmup;
         let counts = self.cluster.pod_counts();
@@ -1723,10 +1402,11 @@ impl Engine {
         }
         let mut nodes = Vec::new();
         for id in self.cluster.node_ids() {
-            let Ok(node) = self.cluster.node(id) else {
+            let (Ok(node), Some(nrt)) = (self.cluster.node(id), self.nodes.get(id)) else {
                 continue;
             };
-            let m = node.gpu.metrics();
+            let gpu = &nrt.gpu;
+            let m = gpu.metrics();
             let series_mean = |s: &TimeSeries| {
                 let vals: Vec<f64> = s
                     .points()
@@ -1742,13 +1422,13 @@ impl Engine {
             };
             nodes.push(NodeReport {
                 name: node.name.clone(),
-                gpu: node.gpu.spec().name.clone(),
+                gpu: gpu.spec().name.clone(),
                 utilization: series_mean(m.utilization_series()),
                 sm_occupancy: series_mean(m.occupancy_series()),
                 kernels: m.total_kernels(),
                 pods: counts.on_node(id),
                 up: !matches!(self.cluster.node_state(id), Ok(NodeState::Down)),
-                memory_used: node.gpu.memory().used(),
+                memory_used: gpu.memory().used(),
                 utilization_series: m.utilization_series().clone(),
                 occupancy_series: m.occupancy_series().clone(),
             });
@@ -1779,8 +1459,7 @@ impl Engine {
             }
             let queued = u64::try_from(self.gateway.queue_len(id)).unwrap_or(u64::MAX);
             let in_flight = u64::try_from(
-                self.pods
-                    .values()
+                self.all_pods()
                     .filter(|p| p.func == id)
                     .filter_map(|p| p.active.as_ref())
                     .filter(|a| a.req.id.0 < 1 << 60)
@@ -1820,18 +1499,11 @@ impl World for Engine {
         if self.cfg.trace_events {
             self.trace.push(format!("{now:?} {event:?}"));
         }
+        self.counts.count(&event);
         match event {
             Event::Arrival(func) => self.on_arrival(now, func, queue),
             // A host phase may complete for a pod that crashed meanwhile.
-            Event::HostDone(pod) => {
-                let alive = self
-                    .pods
-                    .get(pod)
-                    .is_some_and(|rt| rt.zombie.is_none() && rt.active.is_some());
-                if alive {
-                    self.step_pod(now, pod, queue);
-                }
-            }
+            Event::HostDone(pod) => self.on_host_done(now, pod, queue),
             Event::KernelFinish(node, kernel) => self.on_kernel_finish(now, node, kernel, queue),
             Event::BurstFastForward(node, pod) => self.on_burst_ff(now, node, pod, queue),
             Event::WindowReset(node) => self.on_window_reset(now, node, queue),
@@ -1845,7 +1517,8 @@ impl World for Engine {
     }
 
     /// Runs the pending dispatch pass with the lowest tie key, once the
-    /// instant holds no event. A pass may schedule events at `now` and
+    /// instant holds no event (a pass no waiter could use is skipped, see
+    /// [`Engine::on_dispatch`]). A pass may schedule events at `now` and
     /// poke further passes; the driver delivers those events before the
     /// next call.
     fn end_of_instant(&mut self, now: SimTime, queue: &mut EventQueue<Event>) -> bool {
@@ -2004,6 +1677,13 @@ impl Platform {
         self.sim.events_handled()
     }
 
+    /// Events handled per kind, and dispatch passes run. Outside the
+    /// report digest; a clone carries them, a platform restored from a
+    /// snapshot counts from zero (see [`HandlerCounts`]).
+    pub fn handler_counts(&self) -> HandlerCounts {
+        self.sim.world().counts
+    }
+
     /// Pods that could not be placed.
     pub fn unschedulable_pods(&self) -> u64 {
         self.sim.world().unschedulable
@@ -2074,7 +1754,7 @@ impl Platform {
     pub fn node_free_sms(&self, node_index: usize) -> u32 {
         let ids = self.sim.world().cluster.node_ids();
         ids.get(node_index)
-            .and_then(|&n| self.sim.world().cluster.node(n).ok())
+            .and_then(|&n| self.sim.world().nodes.get(n))
             .map(|n| n.gpu.free_sms())
             .unwrap_or(0)
     }
@@ -2156,8 +1836,7 @@ impl Platform {
     pub fn in_flight_requests(&self) -> usize {
         self.sim
             .world()
-            .pods
-            .values()
+            .all_pods()
             .filter_map(|rt| rt.active.as_ref())
             .filter(|a| a.req.id.0 < 1 << 60)
             .count()
@@ -2200,7 +1879,7 @@ impl Platform {
     pub fn node_memory_used(&self, node_index: usize) -> u64 {
         let ids = self.sim.world().cluster.node_ids();
         ids.get(node_index)
-            .and_then(|&n| self.sim.world().cluster.node(n).ok())
+            .and_then(|&n| self.sim.world().nodes.get(n))
             .map(|n| n.gpu.memory().used())
             .unwrap_or(0)
     }
@@ -2251,130 +1930,28 @@ snap_struct!(FuncRt {
     normal_resources,
 });
 
-impl ActiveReq {
-    /// Encodes the request plus its inference cursor. The model profile
-    /// itself is *not* written — checkpoints of a fleet hold one profile
-    /// copy per function, not one per in-flight request — so decode takes
-    /// the owning function's profile as context.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let Self {
-            req,
-            started,
-            run,
-            pending_stage,
-            outstanding,
-            burst_gpu_time,
-            waiting_token,
-            ff,
-        } = self;
-        req.snap(w);
-        started.snap(w);
-        run.snap_cursor(w);
-        pending_stage.snap(w);
-        w.len_prefix(*outstanding);
-        burst_gpu_time.snap(w);
-        w.bool(*waiting_token);
-        ff.snap(w);
-    }
-
-    fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        profile: &Arc<ModelProfile>,
-    ) -> Result<Self, SnapError> {
-        let req = Request::unsnap(r)?;
-        let started = SimTime::unsnap(r)?;
-        let run = InferenceRun::unsnap_cursor(r, Arc::clone(profile))?;
-        let pending_stage = Option::unsnap(r)?;
-        if pending_stage.is_some_and(|s: usize| s >= profile.stages.len()) {
-            return Err(SnapError::new("active request pending stage"));
-        }
-        Ok(ActiveReq {
-            req,
-            started,
-            run,
-            pending_stage,
-            outstanding: r.len_prefix()?,
-            burst_gpu_time: SimTime::unsnap(r)?,
-            waiting_token: r.bool()?,
-            ff: Option::unsnap(r)?,
-        })
-    }
-}
-
-impl PodRt {
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let Self {
-            func,
-            node,
-            client,
-            active,
-            storelib,
-            bound_rect,
-            zombie,
-        } = self;
-        func.snap(w);
-        node.snap(w);
-        client.snap(w);
-        match active {
-            Some(a) => {
-                w.u8(1);
-                a.snap_state(w);
-            }
-            None => w.u8(0),
-        }
-        storelib.snap(w);
-        w.bool(*bound_rect);
-        zombie.snap(w);
-    }
-
-    /// Decodes one pod, resolving its active request's model profile
-    /// through the (already decoded) function table.
-    fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        funcs: &IdArena<FuncId, FuncRt>,
-    ) -> Result<Self, SnapError> {
-        let func = FuncId::unsnap(r)?;
-        let node = NodeId::unsnap(r)?;
-        let client = ClientId::unsnap(r)?;
-        let active = match r.u8()? {
-            0 => None,
-            1 => {
-                let profile = funcs
-                    .get(func)
-                    .map(|f| Arc::clone(&f.model))
-                    .ok_or(SnapError::new("pod function binding"))?;
-                Some(ActiveReq::unsnap_state(r, &profile)?)
-            }
-            _ => return Err(SnapError::new("pod active tag")),
-        };
-        Ok(PodRt {
-            func,
-            node,
-            client,
-            active,
-            storelib: Option::unsnap(r)?,
-            bound_rect: r.bool()?,
-            zombie: Option::unsnap(r)?,
-        })
-    }
-}
-
 impl Engine {
     /// Serializes the complete engine state. Scratch buffers
-    /// (`burst_scratch`, `started_scratch`, `granted_scratch`) are
+    /// (`burst_scratch`, `started_scratch`, `granted_scratch`,
+    /// `ready_scratch`) are
     /// recycling caches with no semantic content between events; they
-    /// restore empty. The profile table is rebuilt from the functions on
-    /// restore.
+    /// restore empty, and so do the handler counts. The profile table is
+    /// rebuilt from the functions on restore.
+    ///
+    /// The node runtimes go on the wire as the per-node backend table
+    /// (a `NodeId`-keyed arena of backends) and the pods as one
+    /// `PodId`-keyed arena, the location map's, with each pod's runtime
+    /// read from its slot; slots themselves are not encoded.
     fn snap_state(&self, w: &mut SnapWriter) {
         let Self {
             cfg,
             cluster,
             gateway,
-            backends,
+            nodes,
             stores,
             selector,
             funcs,
-            pods,
+            pod_loc,
             autoscale_db,
             next_func,
             next_synth,
@@ -2386,18 +1963,29 @@ impl Engine {
             burst_scratch: _,
             started_scratch: _,
             granted_scratch: _,
+            ready_scratch: _,
             dispatch_pending,
+            counts: _,
             trace,
             profiles: _,
         } = self;
         cfg.snap(w);
-        cluster.snap(w);
+        cluster.snap_with(w, |id, w| match nodes.get(id) {
+            Some(n) => n.gpu.snap(w),
+            None => debug_assert!(false, "runtime per node"),
+        });
         gateway.snap(w);
-        backends.snap(w);
+        nodes.snap_with(w, |n, w| n.backend.snap(w));
         stores.snap(w);
         selector.snap_state(w);
         funcs.snap(w);
-        pods.snap_with(w, |pod, w| pod.snap_state(w));
+        pod_loc.snap_with(w, |loc, w| {
+            let rt = nodes.get(loc.node).and_then(|n| n.get(loc.slot()));
+            match rt {
+                Some(rt) => rt.snap_state(w),
+                None => debug_assert!(false, "located pod has a runtime"),
+            }
+        });
         autoscale_db.snap(w);
         w.u32(*next_func);
         w.u64(*next_synth);
@@ -2415,9 +2003,26 @@ impl Engine {
     /// not part of the payload) and then handed its captured planes.
     fn unsnap_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
-        let cluster = Cluster::unsnap(r)?;
+        // Each node's device is on the wire inside the cluster's node
+        // table; it joins the node's backend in its runtime.
+        let mut gpus = Vec::new();
+        let cluster = Cluster::unsnap_with(r, |id, r| {
+            gpus.push((id, GpuDevice::unsnap(r)?));
+            Ok(())
+        })?;
         let gateway = Gateway::unsnap(r)?;
-        let backends: IdArena<NodeId, FastBackend> = IdArena::unsnap(r)?;
+        let mut gpus = gpus.into_iter().peekable();
+        let mut nodes: IdArena<NodeId, NodeRt> = IdArena::unsnap_with(r, |id, r| {
+            let backend = FastBackend::unsnap(r)?;
+            let gpu = gpus
+                .next_if(|&(g, _)| g == id)
+                .ok_or(SnapError::new("engine per-node services"))?
+                .1;
+            Ok(NodeRt::new(backend, gpu))
+        })?;
+        if gpus.next().is_some() {
+            return Err(SnapError::new("engine per-node services"));
+        }
         let stores: IdArena<NodeId, ModelStorageServer> = IdArena::unsnap(r)?;
         let mut selector = make_selector(&cfg);
         selector.restore_state(r)?;
@@ -2431,7 +2036,21 @@ impl Engine {
                 return Err(SnapError::new("function warm-up counters"));
             }
         }
-        let pods = IdArena::unsnap_with(r, |_, r| PodRt::unsnap_state(r, &funcs))?;
+        // Each pod takes a slot in its node's slab, then the backend rows
+        // move to their pods' slots.
+        let pod_loc = IdArena::unsnap_with(r, |pod, r| {
+            let rt = PodRt::unsnap_state(r, |f| funcs.get(f).map(|f| Arc::clone(&f.model)))?;
+            let node = rt.node;
+            let slot = nodes
+                .get_mut(node)
+                .ok_or(SnapError::new("pod node"))?
+                .insert(pod, rt);
+            let slot = u32::try_from(slot).map_err(|_| SnapError::new("pod slot"))?;
+            Ok(PodLoc { node, slot })
+        })?;
+        for n in nodes.values_mut() {
+            n.place_backend_rows()?;
+        }
         let autoscale_db = Option::unsnap(r)?;
         let next_func = r.u32()?;
         let next_synth = r.u64()?;
@@ -2442,8 +2061,8 @@ impl Engine {
         let ff_coalesced_kernels = r.u64()?;
         let dispatch_pending: Vec<(u64, NodeId)> = Vec::unsnap(r)?;
         let trace = Vec::unsnap(r)?;
-        let nodes = cluster.node_ids().len();
-        if backends.len() != nodes || stores.len() != nodes {
+        let node_count = cluster.node_ids().len();
+        if nodes.len() != node_count || stores.len() != node_count {
             return Err(SnapError::new("engine per-node services"));
         }
         let keys_ascend = dispatch_pending.windows(2).all(|p| p[0].0 < p[1].0);
@@ -2452,7 +2071,7 @@ impl Engine {
         owed.dedup();
         if !keys_ascend
             || owed.len() != dispatch_pending.len()
-            || owed.iter().any(|&n| backends.get(n).is_none())
+            || owed.iter().any(|&n| nodes.get(n).is_none())
         {
             return Err(SnapError::new("engine dispatch passes"));
         }
@@ -2460,11 +2079,11 @@ impl Engine {
             cfg,
             cluster,
             gateway,
-            backends,
+            nodes,
             stores,
             selector,
             funcs,
-            pods,
+            pod_loc,
             autoscale_db,
             next_func,
             next_synth,
@@ -2476,7 +2095,9 @@ impl Engine {
             burst_scratch: Vec::new(),
             started_scratch: Vec::new(),
             granted_scratch: Vec::new(),
+            ready_scratch: Vec::new(),
             dispatch_pending,
+            counts: HandlerCounts::default(),
             trace,
             profiles,
         })
@@ -2746,7 +2367,7 @@ mod tests {
         assert!(Arc::ptr_eq(m[0], m[1]) && Arc::ptr_eq(m[1], m[2]));
         assert!(!Arc::ptr_eq(m[0], m[3]));
         let mut active = 0;
-        for pod in world.pods.values() {
+        for pod in world.all_pods() {
             if let Some(a) = &pod.active {
                 assert!(Arc::ptr_eq(a.run.profile(), &world.funcs[pod.func].model));
                 active += 1;
@@ -2780,6 +2401,50 @@ mod tests {
         assert_one_profile_per_model(&forked, &fs);
         assert_eq!(restored.run_for(SimTime::from_secs(1)).canonical_text(), tail);
         assert_eq!(forked.run_for(SimTime::from_secs(1)).canonical_text(), tail);
+    }
+
+    /// The per-kind handled counts sum to the driver's event count, on a
+    /// run that fires every kind but the per-kernel one (fast-forward on)
+    /// and on one stepping kernel by kernel. A clone carries the counts;
+    /// a platform restored from a snapshot counts from zero.
+    #[test]
+    fn handler_counts_sum_to_events_handled() {
+        use crate::platform::{FaultPlan, OverloadConfig};
+        for fastforward in [true, false] {
+            let horizon = SimTime::from_secs(3);
+            let mut p = Platform::new(
+                PlatformConfig::default()
+                    .nodes(2)
+                    .seed(5)
+                    .fastforward(fastforward)
+                    .recovery(true)
+                    .overload(OverloadConfig::default())
+                    .request_timeout_factor(10.0)
+                    .fault_plan(FaultPlan::random(5, 4, horizon)),
+            );
+            let f = p
+                .deploy(
+                    FunctionConfig::new("counted", "resnet50")
+                        .replicas(2)
+                        .resources(24.0, 0.5, 0.5),
+                )
+                .unwrap();
+            p.set_load(f, ArrivalProcess::poisson(120.0, 5));
+            p.run_for(horizon);
+            let c = p.handler_counts();
+            assert_eq!(c.events(), p.events_handled(), "fast-forward {fastforward}");
+            assert!(c.arrival > 0 && c.host_done > 0 && c.window_reset > 0);
+            assert!(c.metrics_sample > 0 && c.fault == 4 && c.health_tick > 0);
+            assert!(c.breaker_tick > 0 && c.dispatch_passes > 0);
+            if fastforward {
+                assert!(c.burst_fast_forward > 0);
+            } else {
+                assert!(c.kernel_finish > 0 && c.burst_fast_forward == 0);
+            }
+            assert_eq!(p.clone().handler_counts(), c);
+            let restored = Platform::from_snapshot(&p.checkpoint()).unwrap();
+            assert_eq!(restored.handler_counts(), HandlerCounts::default());
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub mod csv;
 pub mod engine;
 pub mod error;
 pub mod faults;
+mod node;
 pub mod overload;
 pub mod report;
 pub mod sweep;
@@ -29,7 +30,7 @@ pub mod sweep;
 pub use checkpoint::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use config::{FunctionConfig, PlatformConfig};
 pub use fastg_des::TieBreak;
-pub use engine::Platform;
+pub use engine::{HandlerCounts, Platform};
 pub use error::PlatformError;
 pub use overload::{BreakerState, CircuitBreaker, OverloadConfig};
 pub use sweep::{

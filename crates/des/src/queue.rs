@@ -204,6 +204,20 @@ snap_struct!(CancelToken(seq));
 /// revoked with [`Self::cancel`]; dead entries are skipped by [`Self::pop`]
 /// and never surface through [`Self::peek_time`] (the queue eagerly purges
 /// a cancelled head so the reported horizon is always a live event).
+///
+/// ## The held root
+///
+/// The [`Simulation`](crate::Simulation) driver takes the head without
+/// removing it: the entry is delivered and the root slot stays *held*, a
+/// hole above two valid sub-heaps. The next entry scheduled fills the
+/// hole and sinks with one `sift_down`, instead of the removal's
+/// `sift_down` plus the push's `sift_up`. If nothing is scheduled before
+/// the next removal, the hole is settled by the normal removal then. A
+/// root is held only while no cancelled entry is queued, and
+/// [`Self::cancel`] settles it first, so every read stays exact while the
+/// root is held: [`Self::peek_time`] reads the least child,
+/// [`Self::len`] and [`Self::snap_state`] skip the hole. Entries keep the
+/// ranks they would have had, so pop order is unchanged.
 #[derive(Clone)]
 pub struct EventQueue<E> {
     /// Packed ranks of every entry still in the heap (live or cancelled),
@@ -214,6 +228,10 @@ pub struct EventQueue<E> {
     next_seq: u64,
     /// Tie keys of cancelled entries still in the heap.
     cancelled: BTreeSet<u64>,
+    /// Whether slot 0 is a hole: its entry was taken by the driver and
+    /// awaits the next push or removal (see the type docs). Implies that
+    /// `cancelled` is empty.
+    held: bool,
     tiebreak: TieBreak,
     classify: fn(&E) -> u8,
 }
@@ -233,6 +251,7 @@ impl<E> EventQueue<E> {
             events: Vec::new(),
             next_seq: 0,
             cancelled: BTreeSet::new(),
+            held: false,
             tiebreak: TieBreak::Fifo,
             classify: |_| 0,
         }
@@ -300,6 +319,12 @@ impl<E> EventQueue<E> {
     fn push_entry(&mut self, at: SimTime, event: E) -> u64 {
         let seq = self.take_seq();
         let order = u64::from((self.classify)(&event)) << TIE_BITS | self.tiebreak.key(seq);
+        if std::mem::take(&mut self.held) {
+            // Fill the held root: the entry sinks from the top.
+            self.events[0] = event;
+            self.sift_down(pack(at, order));
+            return seq;
+        }
         let pos = self.ranks.len();
         self.ranks.push(0);
         self.events.push(event);
@@ -348,6 +373,7 @@ impl<E> EventQueue<E> {
     /// drops its token when the event fires or when it cancels. The
     /// sanitizer's `cancel-token-generation` rule catches violations.
     pub fn cancel(&mut self, token: CancelToken) -> bool {
+        self.settle();
         if sanitizer::active() {
             self.sanitize_cancel(token);
         }
@@ -417,6 +443,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.settle();
         let (rank, event) = self.pop_head()?;
         // The head is always live (see `purge_dead_head`), but an entry
         // cancelled while buried may have risen to the head just now.
@@ -439,9 +466,47 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Takes the earliest live event if its timestamp is at or before
+    /// `deadline`, leaving the root held (see the type docs) when no
+    /// cancelled entry is queued and removing it otherwise. Only the
+    /// driver takes, and it delivers the event at once.
+    pub(crate) fn take_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)>
+    where
+        E: Copy,
+    {
+        self.settle();
+        let &rank = self.ranks.first()?;
+        if time_of(rank) > deadline {
+            return None;
+        }
+        if !self.cancelled.is_empty() {
+            return self.pop();
+        }
+        self.held = true;
+        Some((time_of(rank), self.events[0]))
+    }
+
+    /// Removes a held root's hole the normal way: the last entry takes the
+    /// slot and sinks.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.held) {
+            self.pop_head();
+        }
+    }
+
+    /// The rank of the earliest pending entry: the root, or while the root
+    /// is held, its least child.
+    fn head_rank(&self) -> Option<u128> {
+        if !self.held {
+            return self.ranks.first().copied();
+        }
+        let end = self.ranks.len().min(ARITY + 1);
+        self.ranks.get(1..end)?.iter().copied().min()
+    }
+
     /// The timestamp of the earliest live pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let head = self.ranks.first().copied();
+        let head = self.head_rank();
         debug_assert!(
             head.map_or(true, |rank| !self.cancelled.contains(&tie_of(rank))),
             "queue head must never be a cancelled entry"
@@ -451,7 +516,7 @@ impl<E> EventQueue<E> {
 
     /// Number of live pending events.
     pub fn len(&self) -> usize {
-        self.ranks.len() - self.cancelled.len()
+        self.ranks.len() - self.cancelled.len() - usize::from(self.held)
     }
 
     /// Whether no live events are pending.
@@ -464,6 +529,7 @@ impl<E> EventQueue<E> {
         self.ranks.clear();
         self.events.clear();
         self.cancelled.clear();
+        self.held = false;
     }
 
     /// Serializes the queue's full ordering state: tie-break policy, the
@@ -486,6 +552,7 @@ impl<E> EventQueue<E> {
             .iter()
             .copied()
             .zip(&self.events)
+            .skip(usize::from(self.held))
             .filter(|&(rank, _)| !self.cancelled.contains(&tie_of(rank)))
             .collect();
         // Ranks are unique, so the unstable sort is deterministic.

@@ -11,8 +11,10 @@ use crate::time::SimTime;
 /// event in timestamp order. Handlers may schedule further events through
 /// the queue they are handed.
 pub trait World {
-    /// The event type delivered by the queue.
-    type Event;
+    /// The event type delivered by the queue. Events are `Copy`: the
+    /// driver delivers a copy of the queue head and leaves its slot held
+    /// for the handler's first push (see [`EventQueue`]'s held root).
+    type Event: Copy;
 
     /// Handles one event at simulated time `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
@@ -134,7 +136,7 @@ impl<W: World> Simulation<W> {
         if !instant_open && self.world.end_of_instant(self.now, &mut self.queue) {
             return true;
         }
-        match self.queue.pop_before(deadline) {
+        match self.queue.take_before(deadline) {
             Some((t, ev)) => {
                 self.deliver(t, ev);
                 true

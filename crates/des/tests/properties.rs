@@ -1,7 +1,8 @@
 //! Property tests for the event engine.
 
 use fastg_des::{
-    BusyTracker, CancelToken, EventQueue, SimTime, SnapReader, SnapWriter, TieBreak, TimeWeighted,
+    BusyTracker, CancelToken, EventQueue, SimTime, Simulation, SnapReader, SnapWriter, TieBreak,
+    TimeWeighted, World,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -134,6 +135,193 @@ fn restored_copy(q: &EventQueue<u64>) -> EventQueue<u64> {
     copy.restore_state(&mut r).unwrap();
     r.expect_done().unwrap();
     copy
+}
+
+/// What a scripted world does on one delivery.
+#[derive(Debug, Clone)]
+struct Step {
+    /// Entries to schedule: `(delay µs, class, cancellable)`. A zero delay
+    /// schedules at the delivery instant.
+    pushes: Vec<(u64, u64, bool)>,
+    /// Cancel the live token at this index (modulo their count).
+    cancel: Option<usize>,
+    /// Cancel the live token due earliest: often the next head.
+    cancel_earliest: bool,
+    /// Claim a tie key before scheduling.
+    claim: bool,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (
+        prop::collection::vec((0u64..4, 0u64..3, 0u8..3), 0..4),
+        prop_oneof![Just(None), (0usize..16).prop_map(Some)],
+        0u8..4,
+        0u8..3,
+    )
+        .prop_map(|(pushes, cancel, earliest, claim)| Step {
+            pushes: pushes.into_iter().map(|(d, c, k)| (d, c, k > 0)).collect(),
+            cancel,
+            cancel_earliest: earliest == 0,
+            claim: claim == 0,
+        })
+}
+
+/// A world that follows a script, one step per delivery, and logs every
+/// delivery together with the queue reads it makes inside the handler.
+/// Events are ids (`id % 3` is the class); the world remembers the
+/// tokens of its live cancellable entries and when they are due.
+struct Scripted {
+    script: Vec<Step>,
+    delivered: usize,
+    /// Deliveries after which the world stops scheduling.
+    budget: usize,
+    next_id: u64,
+    live: Vec<(u64, CancelToken, u64)>,
+    log: Vec<String>,
+}
+
+impl Scripted {
+    fn new(script: Vec<Step>, budget: usize) -> Self {
+        Scripted { script, delivered: 0, budget, next_id: 0, live: Vec::new(), log: Vec::new() }
+    }
+
+    fn schedule(&mut self, at: u64, class: u64, cancellable: bool, queue: &mut EventQueue<u64>) {
+        let id = self.next_id * 3 + class;
+        self.next_id += 1;
+        let t = SimTime::from_micros(at);
+        if cancellable {
+            self.live.push((id, queue.schedule_cancellable(t, id), at));
+        } else {
+            queue.schedule(t, id);
+        }
+    }
+
+    fn cancel_at(&mut self, i: usize, queue: &mut EventQueue<u64>) {
+        let (id, token, _) = self.live.remove(i);
+        let cancelled = queue.cancel(token);
+        self.log.push(format!("cancel {id} {cancelled} len {}", queue.len()));
+    }
+}
+
+impl World for Scripted {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, id: u64, queue: &mut EventQueue<u64>) {
+        self.live.retain(|&(live, _, _)| live != id);
+        self.log.push(format!(
+            "{} {id} peek {:?} len {}",
+            now.as_micros(),
+            queue.peek_time(),
+            queue.len()
+        ));
+        self.delivered += 1;
+        if self.delivered > self.budget || self.script.is_empty() {
+            return;
+        }
+        let step = self.script[self.delivered % self.script.len()].clone();
+        if step.claim {
+            let key = queue.claim_tie_key();
+            self.log.push(format!("claim {key}"));
+        }
+        if step.cancel_earliest {
+            if let Some(i) = (0..self.live.len()).min_by_key(|&i| (self.live[i].2, i)) {
+                self.cancel_at(i, queue);
+            }
+        }
+        for &(delay, class, cancellable) in &step.pushes {
+            self.schedule(now.as_micros() + delay, class, cancellable, queue);
+            self.log.push(format!("push peek {:?} len {}", queue.peek_time(), queue.len()));
+        }
+        if let Some(i) = step.cancel {
+            if !self.live.is_empty() {
+                let i = i % self.live.len();
+                self.cancel_at(i, queue);
+            }
+        }
+        self.log.push(format!("end peek {:?} len {}", queue.peek_time(), queue.len()));
+    }
+
+    /// Every fifth instant, one unit of end-of-instant work schedules an
+    /// entry at the same instant.
+    fn end_of_instant(&mut self, now: SimTime, queue: &mut EventQueue<u64>) -> bool {
+        let at = now.as_micros();
+        let passed = self.log.last().is_some_and(|l| l == "pass");
+        if self.delivered > self.budget || at % 5 != 0 || passed {
+            return false;
+        }
+        self.log.push("pass".into());
+        self.schedule(at, 1, true, queue);
+        true
+    }
+}
+
+fn queue_bytes(q: &EventQueue<u64>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    q.snap_state(&mut w);
+    w.finish()
+}
+
+/// Seeds a scripted world's queue: a few entries at and after zero.
+fn seed_queue(world: &mut Scripted, queue: &mut EventQueue<u64>, tiebreak: TieBreak) {
+    queue.set_tiebreak(tiebreak);
+    queue.set_classifier(class_of);
+    for (at, class) in [(0, 0), (0, 2), (1, 1), (3, 0), (3, 1)] {
+        world.schedule(at, class, true, queue);
+    }
+}
+
+proptest! {
+    /// The driver's held queue root is invisible: a scripted world that
+    /// schedules 0–3 entries per delivery (at the current instant too),
+    /// cancels live tokens (the next head among them), claims tie keys and
+    /// reads `peek_time`/`len` inside its handler sees exactly what it
+    /// sees under a reference driver of plain `pop`/`schedule`, and the
+    /// queue left at the deadline encodes to the same bytes.
+    #[test]
+    fn held_root_driver_matches_plain_pop_and_schedule(
+        policy in 0u8..3,
+        seed in any::<u64>(),
+        script in prop::collection::vec(step(), 1..24),
+        budget in 1usize..200,
+        deadline in 0u64..60,
+    ) {
+        let tiebreak = match policy {
+            0 => TieBreak::Fifo,
+            1 => TieBreak::Lifo,
+            _ => TieBreak::SeededShuffle(seed),
+        };
+        let deadline = SimTime::from_micros(deadline);
+
+        let mut sim = Simulation::new(Scripted::new(script.clone(), budget));
+        {
+            let (world, queue, _) = sim.parts_mut();
+            seed_queue(world, queue, tiebreak);
+        }
+        sim.run_until(deadline);
+
+        // The reference: `Simulation::advance` spelled out with `pop`.
+        let mut world = Scripted::new(script, budget);
+        let mut queue = EventQueue::new();
+        seed_queue(&mut world, &mut queue, tiebreak);
+        let mut now = SimTime::ZERO;
+        loop {
+            let open = queue.peek_time().is_some_and(|t| t <= now);
+            if !open && world.end_of_instant(now, &mut queue) {
+                continue;
+            }
+            match queue.pop_before(deadline) {
+                Some((t, id)) => {
+                    now = now.max(t);
+                    world.handle(now, id, &mut queue);
+                }
+                None => break,
+            }
+        }
+
+        prop_assert_eq!(&sim.world().log, &world.log);
+        prop_assert_eq!(sim.queue().len(), queue.len());
+        prop_assert_eq!(sim.queue().peek_time(), queue.peek_time());
+        prop_assert_eq!(queue_bytes(sim.queue()), queue_bytes(&queue));
+    }
 }
 
 proptest! {

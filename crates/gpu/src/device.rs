@@ -143,6 +143,82 @@ impl FfRun {
     }
 }
 
+/// A timeline's runs. A burst of one run (every zoo stage) keeps it
+/// inline, so its timeline owns no buffer; a longer burst uses a buffer
+/// recycled through the device's pool. Reads go through the slice.
+#[derive(Debug, Clone)]
+enum FfRuns {
+    One([FfRun; 1]),
+    Many(Vec<FfRun>),
+}
+
+impl std::ops::Deref for FfRuns {
+    type Target = [FfRun];
+    fn deref(&self) -> &[FfRun] {
+        match self {
+            FfRuns::One(run) => run,
+            FfRuns::Many(runs) => runs,
+        }
+    }
+}
+
+impl std::ops::DerefMut for FfRuns {
+    fn deref_mut(&mut self) -> &mut [FfRun] {
+        match self {
+            FfRuns::One(run) => run,
+            FfRuns::Many(runs) => runs,
+        }
+    }
+}
+
+impl FfRuns {
+    fn from_vec(runs: Vec<FfRun>) -> Self {
+        match runs[..] {
+            [run] => FfRuns::One([run]),
+            _ => FfRuns::Many(runs),
+        }
+    }
+
+    /// Appends a run, taking a buffer from `pool` once a second run
+    /// arrives.
+    fn push(runs: Option<Self>, run: FfRun, pool: &mut Vec<Vec<FfRun>>) -> Self {
+        match runs {
+            None => FfRuns::One([run]),
+            Some(FfRuns::One([first])) => {
+                let mut buffer = pool.pop().unwrap_or_default();
+                buffer.push(first);
+                buffer.push(run);
+                FfRuns::Many(buffer)
+            }
+            Some(FfRuns::Many(mut buffer)) => {
+                buffer.push(run);
+                FfRuns::Many(buffer)
+            }
+        }
+    }
+
+    /// Returns the buffer, if any, to `pool`.
+    fn recycle(self, pool: &mut Vec<Vec<FfRun>>) {
+        if let FfRuns::Many(mut buffer) = self {
+            buffer.clear();
+            pool.push(buffer);
+        }
+    }
+}
+
+/// On the wire exactly as a `Vec<FfRun>`.
+impl Snap for FfRuns {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.len_prefix(self.len());
+        for run in self.iter() {
+            run.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Vec::unsnap(r).map(FfRuns::from_vec)
+    }
+}
+
 /// The analytic schedule of one client's uncontended burst, settled up to
 /// some instant, as runs of identical kernels. Kernel `done` of
 /// `runs[run]` is the resident kernel: its grant is out of `free_sms`, and
@@ -159,7 +235,7 @@ struct FfTimeline {
     /// before it repartitions.
     cap: u32,
     /// The burst's runs in stream order, back to back (gapless).
-    runs: Vec<FfRun>,
+    runs: FfRuns,
     /// When the burst's first kernel started.
     start: SimTime,
     /// Index of the resident kernel's run; `runs.len()` once the burst
@@ -185,7 +261,7 @@ impl FfTimeline {
     /// decode to derive.
     fn from_parts(
         client: ClientId,
-        runs: Vec<FfRun>,
+        runs: FfRuns,
         start: SimTime,
         run: usize,
         done: u32,
@@ -417,7 +493,7 @@ pub struct GpuDevice {
     /// Each settles on its own, only where device state is read (see
     /// [`Self::ff_sync`]).
     ff: Vec<FfTimeline>,
-    /// Recycled timeline buffers (a burst per request makes this hot).
+    /// Recycled buffers of multi-run timelines (see [`FfRuns`]).
     ff_pool: Vec<Vec<FfRun>>,
 }
 
@@ -520,10 +596,9 @@ impl GpuDevice {
         // time accounted, no completion).
         self.ff_sync(now);
         let ff = std::mem::take(&mut self.ff);
-        for mut tl in ff {
+        for tl in ff {
             self.metrics.ff_end(now);
-            tl.runs.clear();
-            self.ff_pool.push(tl.runs);
+            tl.runs.recycle(&mut self.ff_pool);
         }
         let running = std::mem::take(&mut self.running);
         for (_, run) in running {
@@ -806,8 +881,16 @@ impl GpuDevice {
     /// clients in the same order. A client with a timeline has an idle
     /// stream, so no client counts twice.
     pub fn ff_admits(&self, client: ClientId) -> bool {
+        self.admission(client).is_some()
+    }
+
+    /// [`Self::ff_admits`]'s passes: `None` when the capped regime refuses
+    /// `client`, else `client`'s SM cap if it can start a timeline now
+    /// (its stream is idle and it has none), which is what
+    /// [`Self::fast_forward_burst`] needs.
+    fn admission(&self, client: ClientId) -> Option<Option<u32>> {
         if !self.wait_queue.is_empty() {
-            return false;
+            return None;
         }
         let mut caps = 0u64;
         let mut counted = false;
@@ -816,6 +899,7 @@ impl GpuDevice {
             counted |= t.client == client;
         }
         // Waiting clients are active too, but any waiter refused above.
+        let mut idle_cap = None;
         for ((id, s), (mps_id, cap)) in self.streams.iter().zip(self.mps.caps()) {
             debug_assert_eq!(*id, mps_id, "stream table out of step with MPS");
             if let Some(kernel) = s.running {
@@ -824,14 +908,16 @@ impl GpuDevice {
                     .iter()
                     .any(|(k, r)| *k == kernel && r.granted <= cap);
                 if !capped {
-                    return false;
+                    return None;
                 }
             } else if s.queued.is_empty() && (*id != client || counted) {
                 continue;
+            } else if *id == client && s.queued.is_empty() && !s.waiting {
+                idle_cap = Some(cap);
             }
             caps += u64::from(cap);
         }
-        caps <= u64::from(self.spec.sm_count)
+        (caps <= u64::from(self.spec.sm_count)).then_some(idle_cap)
     }
 
     /// Whether `client` has an active fast-forward timeline.
@@ -852,8 +938,10 @@ impl GpuDevice {
     /// (leaving the device untouched) when the burst is not provably
     /// uncontended: the caller must fall back to per-kernel launches.
     ///
-    /// Consecutive equal descriptions collapse into one run, so the wave
-    /// arithmetic runs once per run of identical kernels.
+    /// The burst arrives as runs `(desc, count)` of `count` back-to-back
+    /// launches of `desc` (a stage's burst plan), and the wave arithmetic
+    /// runs once per run; adjacent equal runs merge. Runs of zero
+    /// launches are skipped.
     ///
     /// Other timelines are not settled: admission reads only the streams,
     /// the wait queue and the timeline list, which pending boundaries
@@ -863,26 +951,23 @@ impl GpuDevice {
         &mut self,
         now: SimTime,
         client: ClientId,
-        descs: I,
+        burst: I,
     ) -> Option<SimTime>
     where
-        I: IntoIterator<Item = KernelDesc>,
+        I: IntoIterator<Item = (KernelDesc, u32)>,
     {
-        let idle = self
-            .streams
-            .iter()
-            .find(|(id, _)| *id == client)
-            .is_some_and(|(_, s)| s.running.is_none() && s.queued.is_empty() && !s.waiting);
-        if !idle || self.ff_active(client) || !self.ff_admits(client) {
-            return None;
-        }
-        let cap = self.mps.sm_cap(client).ok()?;
-        let mut runs = self.ff_pool.pop().unwrap_or_default();
-        for desc in descs {
-            if let Some(run) = runs.last_mut() {
-                if run.desc == desc && run.count < u32::MAX {
-                    run.count += 1;
-                    continue;
+        let cap = self.admission(client).flatten()?;
+        let mut runs: Option<FfRuns> = None;
+        for (desc, count) in burst {
+            if count == 0 {
+                continue;
+            }
+            if let Some(run) = runs.as_deref_mut().and_then(<[FfRun]>::last_mut) {
+                if run.desc == desc {
+                    if let Some(merged) = run.count.checked_add(count) {
+                        run.count = merged;
+                        continue;
+                    }
                 }
             }
             // Same wave arithmetic as `start_head`; in the capped regime
@@ -895,17 +980,16 @@ impl GpuDevice {
             } else {
                 nominal.scale(self.clock_scale)
             };
-            runs.push(FfRun {
+            let run = FfRun {
                 desc,
-                count: 1,
+                count,
                 granted,
                 duration,
-            });
+            };
+            runs = Some(FfRuns::push(runs.take(), run, &mut self.ff_pool));
         }
-        let Some(granted) = runs.first().map(|r| r.granted) else {
-            self.ff_pool.push(runs);
-            return None;
-        };
+        let runs = runs?;
+        let granted = runs[0].granted;
         let end = runs
             .iter()
             .fold(now, |t, r| t + r.duration * u64::from(r.count));
@@ -1019,8 +1103,7 @@ impl GpuDevice {
             completed: tl.completed,
             gpu_time: tl.served(),
         };
-        tl.runs.clear();
-        self.ff_pool.push(tl.runs);
+        tl.runs.recycle(&mut self.ff_pool);
         Some(done)
     }
 
@@ -1034,7 +1117,7 @@ impl GpuDevice {
     pub fn ff_break(&mut self, now: SimTime, client: ClientId) -> Option<FfBreak> {
         self.ff_sync(now);
         let i = self.ff.iter().position(|t| t.client == client)?;
-        let mut tl = self.ff.swap_remove(i);
+        let tl = self.ff.swap_remove(i);
         let k = tl.resident();
         let started = tl.resident_start();
         let finish = started + k.duration;
@@ -1082,8 +1165,7 @@ impl GpuDevice {
                 finish_at: finish,
             },
         };
-        tl.runs.clear();
-        self.ff_pool.push(tl.runs);
+        tl.runs.recycle(&mut self.ff_pool);
         Some(brk)
     }
 }
@@ -1136,7 +1218,7 @@ impl Snap for FfTimeline {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let client = ClientId::unsnap(r)?;
-        let runs = Vec::unsnap(r)?;
+        let runs = FfRuns::unsnap(r)?;
         let start = SimTime::unsnap(r)?;
         let run = usize::unsnap(r)?;
         let done = r.u32()?;
@@ -1455,7 +1537,7 @@ mod tests {
         let mut ffwd = v100();
         let cf = ffwd.register_client(12.0).unwrap();
         let end_ff = ffwd
-            .fast_forward_burst(SimTime::ZERO, cf, descs.iter().copied())
+            .fast_forward_burst(SimTime::ZERO, cf, descs.iter().map(|&d| (d, 1)))
             .expect("idle capped-regime burst coalesces");
         assert_eq!(end_ff, end_stepped);
         let done = ffwd.ff_complete(end_ff, cf).unwrap();
@@ -1480,8 +1562,8 @@ mod tests {
         let b = gpu.register_client(50.0).unwrap(); // 40 SMs
         let ba = [kernel(20, 100), kernel(20, 100)];
         let bb = [kernel(40, 70), kernel(40, 70), kernel(40, 70)];
-        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.iter().copied()).unwrap();
-        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.iter().copied()).unwrap();
+        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.iter().map(|&d| (d, 1))).unwrap();
+        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.iter().map(|&d| (d, 1))).unwrap();
         assert_eq!(end_a, SimTime::from_micros(200));
         assert_eq!(end_b, SimTime::from_micros(210));
         gpu.ff_complete(end_a, a).unwrap();
@@ -1563,8 +1645,8 @@ mod tests {
     fn fast_forwarded() -> (GpuDevice, ClientId, ClientId, ClientId) {
         let (mut gpu, a, b, c) = three_clients();
         let (ba, bb) = lazy_bursts();
-        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba).unwrap();
-        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb).unwrap();
+        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.map(|d| (d, 1))).unwrap();
+        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.map(|d| (d, 1))).unwrap();
         assert_eq!(end_a, SimTime::from_micros(200));
         assert_eq!(end_b, SimTime::from_micros(280));
         (gpu, a, b, c)
@@ -1743,6 +1825,7 @@ mod tests {
     fn timeline_round_trip_derives_the_cursor_state() {
         let runs = vec![ff_run(kernel(10, 100), 3, 10, 100), ff_run(kernel(40, 20), 2, 20, 40)];
         let at = |us| SimTime::from_micros(us);
+        let runs = FfRuns::from_vec(runs);
         let tl = FfTimeline::from_parts(ClientId(3), runs, at(1000), 1, 1, at(1350)).unwrap();
         assert_eq!((tl.run_start, tl.end, tl.completed), (at(1300), at(1380), 4));
         assert_eq!(tl.resident_start(), at(1340));
@@ -1751,7 +1834,7 @@ mod tests {
         tl.snap(&mut w);
         let bytes = w.finish();
         let back = FfTimeline::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back.runs, tl.runs);
+        assert_eq!(*back.runs, *tl.runs);
         assert_eq!(
             (back.run, back.done, back.credited, back.run_start, back.end, back.completed),
             (tl.run, tl.done, tl.credited, tl.run_start, tl.end, tl.completed)
@@ -1764,7 +1847,7 @@ mod tests {
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap();
         let end = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [kernel(20, 20); 10])
+            .fast_forward_burst(SimTime::ZERO, c, [(kernel(20, 20), 10)])
             .unwrap();
         assert_eq!(end, SimTime::from_micros(400));
         assert_eq!(gpu.ff[0].runs.len(), 1);
@@ -1783,13 +1866,36 @@ mod tests {
         assert_eq!(gpu.free_sms(), 80);
     }
 
+    /// A burst handed over as runs lands on the same timeline as the
+    /// same kernels handed over one by one: adjacent equal runs merge and
+    /// empty runs vanish.
+    #[test]
+    fn runs_and_single_kernels_build_one_timeline() {
+        let (a, b) = (kernel(20, 20), kernel(4, 30));
+        let mut singles = v100();
+        let c = singles.register_client(12.0).unwrap();
+        let one_by_one = [a, a, a, b, a].map(|d| (d, 1));
+        let end = singles.fast_forward_burst(SimTime::ZERO, c, one_by_one).unwrap();
+        let mut runs = v100();
+        let c2 = runs.register_client(12.0).unwrap();
+        let planned = [(a, 2), (a, 1), (b, 0), (b, 1), (a, 1)];
+        assert_eq!(runs.fast_forward_burst(SimTime::ZERO, c2, planned), Some(end));
+        assert_eq!(*runs.ff[0].runs, *singles.ff[0].runs);
+        assert_eq!(runs.ff[0].runs.len(), 3);
+        // A burst of nothing but empty runs is refused, device untouched.
+        let mut empty = v100();
+        let c3 = empty.register_client(12.0).unwrap();
+        assert_eq!(empty.fast_forward_burst(SimTime::ZERO, c3, [(a, 0)]), None);
+        assert!(!empty.has_ff());
+    }
+
     #[test]
     fn zero_duration_runs_finish_at_their_start() {
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap();
         let burst = [kernel(10, 0), kernel(10, 0), kernel(10, 50), kernel(4, 0)];
         let t0 = SimTime::from_micros(10);
-        let end = gpu.fast_forward_burst(t0, c, burst).unwrap();
+        let end = gpu.fast_forward_burst(t0, c, burst.map(|d| (d, 1))).unwrap();
         assert_eq!(end, SimTime::from_micros(60));
         assert_eq!(gpu.ff[0].runs.len(), 3);
         // At the start instant the zero-duration kernels are pending
@@ -1821,7 +1927,7 @@ mod tests {
 
         // An idle registered client holds no SMs: it does not refuse.
         let end = gpu
-            .fast_forward_burst(SimTime::ZERO, a, burst.iter().copied())
+            .fast_forward_burst(SimTime::ZERO, a, burst.iter().map(|&d| (d, 1)))
             .expect("idle neighbour leaves the capped regime intact");
         // While the timeline runs, activating b would over-commit the SMs.
         assert!(!gpu.ff_admits(b));
@@ -1830,12 +1936,12 @@ mod tests {
         // Once b has a resident kernel, coalescing is refused.
         let sb = gpu.launch(end, b, kernel(80, 100)).unwrap().unwrap();
         assert!(!gpu.ff_admits(a));
-        assert!(gpu.fast_forward_burst(end, a, burst.iter().copied()).is_none());
+        assert!(gpu.fast_forward_burst(end, a, burst.iter().map(|&d| (d, 1))).is_none());
 
         // After it finishes, the regime holds again.
         gpu.on_kernel_finish(sb.finish_at, sb.kernel).unwrap();
         assert!(gpu
-            .fast_forward_burst(sb.finish_at, a, burst.iter().copied())
+            .fast_forward_burst(sb.finish_at, a, burst.iter().map(|&d| (d, 1)))
             .is_some());
     }
 
@@ -1844,7 +1950,7 @@ mod tests {
         let descs = [kernel(10, 100), kernel(10, 100), kernel(10, 100)];
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap(); // 10 SMs, 1 wave each
-        let end = gpu.fast_forward_burst(SimTime::ZERO, c, descs.iter().copied()).unwrap();
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, descs.iter().map(|&d| (d, 1))).unwrap();
         assert_eq!(end, SimTime::from_micros(300));
 
         // Break mid-flight of kernel #2 (t = 150): kernel #1's boundary is
@@ -1877,7 +1983,7 @@ mod tests {
     fn hard_reset_aborts_ff_timeline() {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, c, [kernel(40, 1000); 2].iter().copied())
+        gpu.fast_forward_burst(SimTime::ZERO, c, [kernel(40, 1000); 2].iter().map(|&d| (d, 1)))
             .unwrap();
         gpu.hard_reset(SimTime::from_micros(500));
         assert!(!gpu.has_ff());
@@ -1900,7 +2006,7 @@ mod tests {
         assert!(gpu.launch(SimTime::ZERO, a, kernel(20, 50)).unwrap().is_none());
         let _sb = gpu.launch(SimTime::ZERO, b, kernel(40, 70)).unwrap().unwrap();
         let end_c = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [kernel(10, 30), kernel(10, 30)].iter().copied())
+            .fast_forward_burst(SimTime::ZERO, c, [(kernel(10, 30), 2)])
             .unwrap();
 
         let mut w = SnapWriter::new();
@@ -1950,7 +2056,7 @@ mod tests {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
         let end = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [kernel(1, 10)].iter().copied())
+            .fast_forward_burst(SimTime::ZERO, c, [kernel(1, 10)].iter().map(|&d| (d, 1)))
             .unwrap();
         assert_eq!(gpu.unregister_client(c).unwrap_err(), GpuError::WorkInFlight(c));
         gpu.ff_complete(end, c).unwrap();
@@ -1981,7 +2087,7 @@ mod tests {
         let c = gpu.register_client(100.0).unwrap();
         gpu.set_clock_scale(MAX_CLOCK_SCALE);
         let slow = kernel(1, 1_000_000);
-        let end = gpu.fast_forward_burst(SimTime::ZERO, c, [slow; 50].iter().copied());
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, [slow; 50].iter().map(|&d| (d, 1)));
         assert_eq!(end, Some(SimTime::from_secs(50_000_000)));
     }
 
@@ -2006,7 +2112,7 @@ mod tests {
         let a = gpu.register_client(25.0).unwrap();
         let b = gpu.register_client(25.0).unwrap();
         gpu.launch(SimTime::ZERO, a, kernel(40, 10)).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(1, 10)].iter().copied())
+        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(1, 10)].iter().map(|&d| (d, 1)))
             .unwrap();
         assert!(round_trip(&gpu).is_ok());
         let reject = |gpu: &GpuDevice, what| {
@@ -2031,14 +2137,14 @@ mod tests {
         let mut gpu = v100();
         let a = gpu.register_client(25.0).unwrap();
         let b = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, a, [kernel(40, 10)].iter().copied())
+        gpu.fast_forward_burst(SimTime::ZERO, a, [kernel(40, 10)].iter().map(|&d| (d, 1)))
             .unwrap();
         let back = round_trip(&gpu).unwrap();
         assert_eq!(back.ff[0].cap, gpu.mps.sm_cap(a).unwrap());
         // 20 + 40 SMs fit the device; a third 50 % client would not.
         assert!(back.ff_admits(b));
         let c = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(40, 10)].iter().copied())
+        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(40, 10)].iter().map(|&d| (d, 1)))
             .unwrap();
         assert!(!round_trip(&gpu).unwrap().ff_admits(c));
     }
@@ -2129,7 +2235,8 @@ mod tests {
                     }
                     1 => {
                         let burst = [desc, desc, kernel(arg / 2 + 1, 3)];
-                        if let Some(end) = gpu.fast_forward_burst(now, c, burst.iter().copied()) {
+                        let runs = burst.iter().map(|&d| (d, 1));
+                        if let Some(end) = gpu.fast_forward_burst(now, c, runs) {
                             macros.push((end, c));
                         }
                     }

@@ -97,7 +97,7 @@ impl Twin {
         }
         let end = self
             .ff
-            .fast_forward_burst(t, client, bursts[b].iter().copied())
+            .fast_forward_burst(t, client, bursts[b].iter().map(|&d| (d, 1)))
             .expect("an idle client in the capped regime coalesces");
         self.macros.push((end, c));
         if b + 1 < bursts.len() {

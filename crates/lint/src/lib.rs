@@ -46,10 +46,10 @@
 //!   over the platform `Event` enum, so a new event variant cannot
 //!   silently bypass the class ranking or sanitizer hooks.
 //! * **`no-btreemap-hot-path`** — `BTreeMap`/`BTreeSet` are denied in
-//!   the per-event hot-path files (the platform engine, gateway and
-//!   backend): entity state there lives in dense arena storage behind
-//!   generation-stamped handles (`IdArena`), where a lookup is an index,
-//!   not a pointer-chasing tree walk. Cold report-assembly code keeps
+//!   the per-event hot-path files (the platform engine and node data
+//!   plane, gateway and backend): entity state there lives in dense
+//!   arena storage behind generation-stamped handles (`IdArena`), where
+//!   a lookup is an index, not a pointer-chasing tree walk. Cold report-assembly code keeps
 //!   ordered maps behind a per-line allow escape.
 //! * **`exhaustive-snapshot-fields`** — `..` rest patterns are denied
 //!   inside snapshot encode/decode bodies (`snap`, `unsnap`,
@@ -168,8 +168,9 @@ const DETERMINISTIC_CRATES: [&str; 4] = [
 
 /// Files on the per-event hot path, where entity lookups must be arena
 /// indexing rather than ordered-tree walks (`no-btreemap-hot-path`).
-const HOT_PATH_FILES: [&str; 4] = [
+const HOT_PATH_FILES: [&str; 5] = [
     "crates/core/src/platform/engine.rs",
+    "crates/core/src/platform/node.rs",
     "crates/core/src/manager/backend.rs",
     "crates/core/src/scheduler/node_select.rs",
     "crates/cluster/src/gateway.rs",
@@ -1401,6 +1402,7 @@ mod tests {
         assert_eq!(classify("crates/par/src/lib.rs"), Some(FileScope { lib_code: true, deterministic: false, threads_banned: false, hot_path: false }));
         assert_eq!(classify("crates/core/src/bin/fastgshare.rs"), Some(FileScope { lib_code: false, deterministic: true, threads_banned: false, hot_path: false }));
         assert_eq!(classify("crates/core/src/scheduler/node_select.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true }));
+        assert_eq!(classify("crates/core/src/platform/node.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true }));
         assert_eq!(classify("crates/core/src/scheduler/rects.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: false }));
         assert_eq!(classify("crates/lint/src/main.rs"), Some(FileScope { lib_code: false, deterministic: false, threads_banned: false, hot_path: false }));
         assert_eq!(classify("crates/gpu/tests/scenarios.rs"), None);

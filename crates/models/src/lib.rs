@@ -31,5 +31,5 @@ pub mod profile;
 pub mod run;
 pub mod zoo;
 
-pub use profile::{KernelSpec, MemoryFootprint, ModelProfile, Stage};
+pub use profile::{KernelRun, KernelSpec, MemoryFootprint, ModelProfile, Stage};
 pub use run::{InferenceRun, Op, StageOp};

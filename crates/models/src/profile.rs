@@ -24,8 +24,24 @@ impl KernelSpec {
     }
 }
 
+/// A run of `count` identical back-to-back kernels inside a stage's burst.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelRun {
+    /// The kernel every launch of the run repeats.
+    pub spec: KernelSpec,
+    /// Launches in the run (at least 1).
+    pub count: u32,
+}
+
 /// A host phase followed by an asynchronous kernel burst ending at a
 /// synchronization point.
+///
+/// A stage also carries its *burst plan*: the run-length encoding of its
+/// kernels, computed once when the stage is built, so a fast-forwarded
+/// launch walks runs instead of kernels (every zoo stage is one run).
+/// Build stages through [`Stage::new`] or [`Stage::uniform`]; `kernels`
+/// stays readable but is not to be edited afterwards, or the plan goes
+/// stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     /// Host-side time before any kernel of the burst launches
@@ -34,21 +50,30 @@ pub struct Stage {
     /// The kernels launched back-to-back after the host phase. The stage
     /// ends with a `cuCtxSynchronize`-style sync once all complete.
     pub kernels: Vec<KernelSpec>,
+    /// `kernels` as maximal runs of equal consecutive kernels (derived).
+    runs: Vec<KernelRun>,
 }
 
 impl Stage {
+    /// Builds a stage and its burst plan.
+    pub fn new(host: SimTime, kernels: Vec<KernelSpec>) -> Self {
+        let runs = plan(&kernels);
+        Stage { host, kernels, runs }
+    }
+
     /// Builds a stage of `n` identical kernels.
     pub fn uniform(host_us: u64, n: usize, blocks: u32, work_us: u64) -> Self {
-        Stage {
-            host: SimTime::from_micros(host_us),
-            kernels: vec![
-                KernelSpec {
-                    blocks,
-                    work_per_block: SimTime::from_micros(work_us),
-                };
-                n
-            ],
-        }
+        let spec = KernelSpec {
+            blocks,
+            work_per_block: SimTime::from_micros(work_us),
+        };
+        Stage::new(SimTime::from_micros(host_us), vec![spec; n])
+    }
+
+    /// The burst plan: the kernels as maximal runs of equal consecutive
+    /// kernels, in launch order. Empty for an empty burst.
+    pub fn runs(&self) -> &[KernelRun] {
+        &self.runs
     }
 
     /// Device residency time of the burst when every kernel is granted
@@ -59,6 +84,19 @@ impl Stage {
             .iter()
             .fold(SimTime::ZERO, |acc, k| acc + k.duration_at(sms))
     }
+}
+
+/// Run-length encodes a kernel list into maximal runs (a run longer than
+/// `u32::MAX` launches splits).
+fn plan(kernels: &[KernelSpec]) -> Vec<KernelRun> {
+    let mut runs: Vec<KernelRun> = Vec::new();
+    for &spec in kernels {
+        match runs.last_mut() {
+            Some(run) if run.spec == spec && run.count < u32::MAX => run.count += 1,
+            _ => runs.push(KernelRun { spec, count: 1 }),
+        }
+    }
+    runs
 }
 
 /// GPU memory footprint of one function instance, split the way the
@@ -172,7 +210,11 @@ snap_struct!(KernelSpec {
     work_per_block,
 });
 
-snap_struct!(Stage { host, kernels });
+// The burst plan is derived from the kernels on decode.
+snap_struct!(Stage { host, kernels } skip { runs } rebuild |s| {
+    s.runs = plan(&s.kernels);
+    Ok(())
+});
 
 snap_struct!(MemoryFootprint {
     runtime_bytes,
@@ -211,6 +253,35 @@ mod tests {
         assert_eq!(k.duration_at(10), SimTime::from_micros(200));
         assert_eq!(k.duration_at(7), SimTime::from_micros(300));
         assert_eq!(k.total_work(), SimTime::from_micros(2_000));
+    }
+
+    #[test]
+    fn burst_plan_is_the_run_length_encoding_of_the_kernels() {
+        let k = |blocks, work| KernelSpec {
+            blocks,
+            work_per_block: SimTime::from_micros(work),
+        };
+        let s = Stage::new(
+            SimTime::ZERO,
+            vec![k(4, 10), k(4, 10), k(8, 10), k(4, 10), k(4, 10), k(4, 10)],
+        );
+        let runs: Vec<(KernelSpec, u32)> = s.runs().iter().map(|r| (r.spec, r.count)).collect();
+        assert_eq!(runs, [(k(4, 10), 2), (k(8, 10), 1), (k(4, 10), 3)]);
+        assert_eq!(Stage::uniform(100, 50, 19, 200).runs().len(), 1);
+        assert_eq!(Stage::uniform(100, 50, 19, 200).runs()[0].count, 50);
+        assert!(Stage::uniform(100, 0, 0, 0).runs().is_empty());
+    }
+
+    #[test]
+    fn burst_plan_is_rebuilt_on_decode() {
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        let m = toy();
+        let mut w = SnapWriter::new();
+        m.snap(&mut w);
+        let bytes = w.finish();
+        let back = ModelProfile::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.stages[0].runs(), m.stages[0].runs());
     }
 
     #[test]

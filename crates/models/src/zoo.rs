@@ -111,9 +111,18 @@ pub fn all() -> Vec<ModelProfile> {
     ]
 }
 
-/// Looks a model up by name.
+/// Looks a model up by name, building only that model's profile.
 pub fn by_name(name: &str) -> Option<ModelProfile> {
-    all().into_iter().find(|m| m.name == name)
+    let build: fn() -> ModelProfile = match name {
+        "resnet50" => resnet50,
+        "bert_base" => bert_base,
+        "rnnt" => rnnt,
+        "gnmt" => gnmt,
+        "resnext101" => resnext101,
+        "vit_huge" => vit_huge,
+        _ => return None,
+    };
+    Some(build())
 }
 
 #[cfg(test)]
@@ -192,6 +201,18 @@ mod tests {
         assert_eq!(by_name("gnmt").unwrap().name, "gnmt");
         assert!(by_name("nope").is_none());
         assert_eq!(all().len(), 6);
+    }
+
+    /// Every model `by_name` builds equals its `all()` entry, and the
+    /// lookup misses on anything else.
+    #[test]
+    fn by_name_builds_exactly_the_named_model() {
+        for m in all() {
+            assert_eq!(by_name(&m.name).as_ref(), Some(&m), "{}", m.name);
+        }
+        for unknown in ["", "ResNet50", "resnet", "resnet50 ", "vit"] {
+            assert!(by_name(unknown).is_none(), "{unknown:?}");
+        }
     }
 
     /// Temporal proportionality (Figure 8): throughput under quota q is
