@@ -4,7 +4,7 @@
 use super::policy::SharingPolicy;
 use fastg_cluster::{PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{snap_struct, SimTime};
+use fastg_des::{sanitizer, snap_struct, SimTime};
 
 /// Backend configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,6 +103,8 @@ pub struct PodQuotaState {
     pub sm_partition: f64,
     /// Whether the pod currently holds a token lease.
     pub holds_token: bool,
+    /// Whether the pod waits in the ready queue for a token.
+    pub waiting: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -141,9 +143,20 @@ struct Row {
 /// `PodId` (the public API) find its slot with a linear probe: a node
 /// hosts a handful of pods. Freed slots are reused; vacant trailing slots
 /// are trimmed, so the table stays proportional to the node's pods.
+///
+/// Three slot bitsets summarize the rows for the token path: bit `s` of
+/// `waiting`, `grantable` and `holders` is set exactly when slot `s` holds
+/// a row that waits, that [`PodEntry::grantable`] accepts, and that holds
+/// a lease. Rows change only through [`Self::insert`], [`Self::remove`]
+/// and [`Self::update`], and each of them refreshes the slot's bits, so
+/// the invariant holds after every mutation. The bits are derived: they
+/// are not encoded, and decode rebuilds them as it inserts the rows.
 #[derive(Debug, Clone, Default)]
 struct PodTable {
     rows: Vec<Option<Row>>,
+    waiting: SlotBits,
+    grantable: SlotBits,
+    holders: SlotBits,
 }
 
 impl PodTable {
@@ -162,12 +175,12 @@ impl PodTable {
             .unwrap_or(self.rows.len())
     }
 
-    fn get(&self, slot: usize) -> Option<&PodEntry> {
-        self.rows.get(slot)?.as_ref().map(|r| &r.entry)
+    fn row(&self, slot: usize) -> Option<&Row> {
+        self.rows.get(slot)?.as_ref()
     }
 
-    fn get_mut(&mut self, slot: usize) -> Option<&mut PodEntry> {
-        self.rows.get_mut(slot)?.as_mut().map(|r| &mut r.entry)
+    fn get(&self, slot: usize) -> Option<&PodEntry> {
+        self.row(slot).map(|r| &r.entry)
     }
 
     /// Fills a vacant slot; returns `false` (keeping the table as it was)
@@ -180,6 +193,7 @@ impl PodTable {
             self.rows.resize_with(slot + 1, || None);
         }
         self.rows[slot] = Some(Row { pod, entry });
+        self.refresh(slot);
         true
     }
 
@@ -188,23 +202,128 @@ impl PodTable {
         while self.rows.last().is_some_and(Option::is_none) {
             self.rows.pop();
         }
+        self.refresh(slot);
         Some(row.entry)
     }
 
-    /// Occupied rows as `(slot, pod, entry)`, in slot order.
-    fn iter(&self) -> impl Iterator<Item = (usize, PodId, &PodEntry)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, r)| r.as_ref().map(|r| (slot, r.pod, &r.entry)))
+    /// Applies `f` to the row at `slot` and refreshes the slot's bits;
+    /// `None` if the slot is vacant.
+    fn update<R>(&mut self, slot: usize, f: impl FnOnce(&mut PodEntry) -> R) -> Option<R> {
+        let e = &mut self.rows.get_mut(slot)?.as_mut()?.entry;
+        let out = f(e);
+        let bits = e.bits();
+        self.set_bits(slot, bits);
+        Some(out)
     }
 
+    /// [`Self::update`] on every row.
+    fn update_all(&mut self, mut f: impl FnMut(&mut PodEntry)) {
+        for slot in 0..self.rows.len() {
+            self.update(slot, &mut f);
+        }
+    }
+
+    /// Sets the slot's bits from its row (all clear if it is vacant).
+    fn refresh(&mut self, slot: usize) {
+        let bits = self.get(slot).map_or((false, false, false), PodEntry::bits);
+        self.set_bits(slot, bits);
+    }
+
+    /// Sets the slot's `(waiting, grantable, holders)` bits.
+    fn set_bits(&mut self, slot: usize, (waiting, grantable, holds): (bool, bool, bool)) {
+        self.waiting.assign(slot, waiting);
+        self.grantable.assign(slot, grantable);
+        self.holders.assign(slot, holds);
+    }
+
+    /// Occupied rows' entries, in slot order: the sanitizer's oracle.
+    #[cfg(debug_assertions)]
     fn values(&self) -> impl Iterator<Item = &PodEntry> {
         self.rows.iter().flatten().map(|r| &r.entry)
     }
+}
 
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut PodEntry> {
-        self.rows.iter_mut().flatten().map(|r| &mut r.entry)
+/// A set of table slots, one bit per slot. Slots 0–63 live in the inline
+/// word `first`, so a table of up to 64 slots never touches the heap;
+/// later slots spill into `rest`, 64 per word, under the same operations.
+/// `rest` never ends in a zero word, so emptiness is a test of `first`
+/// and of `rest`'s length.
+#[derive(Debug, Clone, Default)]
+struct SlotBits {
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl SlotBits {
+    /// Sets (`on`) or clears slot `slot`.
+    #[inline]
+    fn assign(&mut self, slot: usize, on: bool) {
+        if slot < 64 {
+            self.first = self.first & !(1 << slot) | u64::from(on) << slot;
+        } else {
+            self.assign_spilled(slot, on);
+        }
+    }
+
+    #[cold]
+    fn assign_spilled(&mut self, slot: usize, on: bool) {
+        let (w, bit) = (slot / 64 - 1, 1u64 << (slot % 64));
+        if on {
+            if self.rest.len() <= w {
+                self.rest.resize(w + 1, 0);
+            }
+            self.rest[w] |= bit;
+        } else if let Some(word) = self.rest.get_mut(w) {
+            *word &= !bit;
+            while self.rest.last() == Some(&0) {
+                self.rest.pop();
+            }
+        }
+    }
+
+    /// Whether any slot is set.
+    fn any(&self) -> bool {
+        self.first != 0 || !self.rest.is_empty()
+    }
+
+    /// How many slots are set.
+    fn count(&self) -> usize {
+        let set: u32 = std::iter::once(&self.first)
+            .chain(&self.rest)
+            .map(|w| w.count_ones())
+            .sum();
+        usize::try_from(set).unwrap_or(usize::MAX)
+    }
+
+    /// The set slots, ascending.
+    fn iter(&self) -> SetSlots<'_> {
+        SetSlots {
+            word: self.first,
+            base: 0,
+            rest: self.rest.iter(),
+        }
+    }
+}
+
+/// [`SlotBits::iter`]: the current word's remaining bits, then the later
+/// words'.
+struct SetSlots<'a> {
+    word: u64,
+    base: usize,
+    rest: std::slice::Iter<'a, u64>,
+}
+
+impl Iterator for SetSlots<'_> {
+    type Item = usize;
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.word = *self.rest.next()?;
+            self.base += 64;
+        }
+        // A nonzero word's lowest set bit is below 64.
+        let bit = usize::try_from(self.word.trailing_zeros()).unwrap_or(63);
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -226,6 +345,10 @@ impl PodEntry {
     /// lease and has quota left.
     fn grantable(&self) -> bool {
         self.waiting && self.lease.is_none() && !self.quota_exhausted()
+    }
+    /// The row's `(waiting, grantable, holders)` slot bits.
+    fn bits(&self) -> (bool, bool, bool) {
+        (self.waiting, self.grantable(), self.lease.is_some())
     }
 }
 
@@ -335,12 +458,12 @@ impl FastBackend {
     pub fn update_spec(&mut self, pod: PodId, spec: ResourceSpec) {
         spec.validate();
         let window = self.cfg.window;
-        if let Some(e) = self.pods.slot_of(pod).and_then(|s| self.pods.get_mut(s)) {
+        if let Some(slot) = self.pods.slot_of(pod) {
             // Safe even while the pod holds a token: the lease carries
             // the share it reserved, so accounting stays exact; the new
             // partition/quota apply from the next grant and the current
             // window's Q_used carries over.
-            e.set_spec(spec, window);
+            self.pods.update(slot, |e| e.set_spec(spec, window));
         }
     }
 
@@ -391,10 +514,9 @@ impl FastBackend {
     /// [`Self::request`] for the pod at `slot`; `None` if the slot is
     /// vacant.
     pub(crate) fn request_at(&mut self, now: SimTime, slot: usize) -> Option<RequestOutcome> {
-        let uses_tokens = self.cfg.policy.uses_tokens();
-        let row = self.pods.rows.get_mut(slot)?.as_mut()?;
-        let (pod, e) = (row.pod, &mut row.entry);
-        if !uses_tokens {
+        let row = self.pods.row(slot)?;
+        let (pod, e) = (row.pod, &row.entry);
+        if !self.cfg.policy.uses_tokens() {
             // Racing / exclusive: permission is unconditional.
             let grant = Grant {
                 pod,
@@ -411,14 +533,17 @@ impl FastBackend {
                 return Some(RequestOutcome::Granted(grant));
             }
         }
-        e.waiting = true;
-        let outcome = if e.quota_exhausted() {
-            RequestOutcome::BlockedUntilReset
-        } else {
-            RequestOutcome::Queued
-        };
+        let (outcome, stale) = self.pods.update(slot, |e| {
+            e.waiting = true;
+            let outcome = if e.quota_exhausted() {
+                RequestOutcome::BlockedUntilReset
+            } else {
+                RequestOutcome::Queued
+            };
+            (outcome, e.lease.take())
+        })?;
         // Any stale lease is released before queueing.
-        if let Some(lease) = e.lease.take() {
+        if let Some(lease) = stale {
             self.release_share(lease);
         }
         Some(outcome)
@@ -437,10 +562,10 @@ impl FastBackend {
     /// [`Self::begin_burst`] for the pod at `slot`; `None` if the slot is
     /// vacant.
     pub(crate) fn begin_burst_at(&mut self, slot: usize) -> Option<()> {
-        let e = self.pods.get_mut(slot)?;
-        debug_assert!(!e.in_burst, "nested burst at slot {slot}");
-        e.in_burst = true;
-        Some(())
+        self.pods.update(slot, |e| {
+            debug_assert!(!e.in_burst, "nested burst at slot {slot}");
+            e.in_burst = true;
+        })
     }
 
     /// The pod's burst synchronized: charge `gpu_time` against its quota
@@ -471,18 +596,18 @@ impl FastBackend {
         gpu_time: SimTime,
     ) -> Option<bool> {
         let uses_tokens = self.cfg.policy.uses_tokens();
-        let e = self.pods.get_mut(slot)?;
-        debug_assert!(e.in_burst, "sync without burst at slot {slot}");
-        e.in_burst = false;
-        e.q_used += gpu_time;
-        if !uses_tokens {
-            return Some(true);
-        }
-        let valid = e.lease.is_some_and(|l| now < l.expires) && !e.quota_exhausted();
-        if !valid {
-            if let Some(lease) = e.lease.take() {
-                self.release_share(lease);
+        let (valid, stale) = self.pods.update(slot, |e| {
+            debug_assert!(e.in_burst, "sync without burst at slot {slot}");
+            e.in_burst = false;
+            e.q_used += gpu_time;
+            if !uses_tokens {
+                return (true, None);
             }
+            let valid = e.lease.is_some_and(|l| now < l.expires) && !e.quota_exhausted();
+            (valid, if valid { None } else { e.lease.take() })
+        })?;
+        if let Some(lease) = stale {
+            self.release_share(lease);
         }
         Some(valid)
     }
@@ -498,11 +623,11 @@ impl FastBackend {
     /// [`Self::release_idle`] for the pod at `slot` (a vacant slot is a
     /// no-op).
     pub(crate) fn release_idle_at(&mut self, slot: usize) {
-        let Some(e) = self.pods.get_mut(slot) else {
-            return;
-        };
-        e.waiting = false;
-        if let Some(lease) = e.lease.take() {
+        let stale = self.pods.update(slot, |e| {
+            e.waiting = false;
+            e.lease.take()
+        });
+        if let Some(lease) = stale.flatten() {
             self.release_share(lease);
         }
     }
@@ -512,9 +637,7 @@ impl FastBackend {
     /// queue) at the next dispatch pass. `_now` is unused; the benchmark
     /// suite still passes it.
     pub fn on_window_reset(&mut self, _now: SimTime) {
-        for e in self.pods.values_mut() {
-            e.q_used = SimTime::ZERO;
-        }
+        self.pods.update_all(|e| e.q_used = SimTime::ZERO);
     }
 
     /// The multi-token dispatch pass, and the only place tokens are
@@ -557,14 +680,14 @@ impl FastBackend {
         if !self.cfg.policy.uses_tokens() {
             return;
         }
-        // Filtering: waiting pods that still have quota this window.
+        // Filtering: waiting pods that still have quota this window, read
+        // off the grantable bits.
         ready.clear();
-        ready.extend(
-            self.pods
-                .iter()
-                .filter(|(_, _, e)| e.grantable())
-                .map(|(slot, pod, e)| (e.q_miss(), pod, slot)),
-        );
+        let pods = &self.pods;
+        ready.extend(pods.grantable.iter().filter_map(|slot| {
+            let row = pods.row(slot)?;
+            Some((row.entry.q_miss(), row.pod, slot))
+        }));
         // Priority: descending Q_miss (largest timing gap first, the
         // paper's rule); PodId breaks remaining ties deterministically.
         ready.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -572,7 +695,7 @@ impl FastBackend {
         for &(_miss, pod, slot) in ready.iter() {
             // The ready list was read from the table above, so the row
             // exists — but stay panic-free and skip if it is gone.
-            let Some(e) = self.pods.get_mut(slot) else {
+            let Some(e) = self.pods.get(slot) else {
                 continue;
             };
             let share = self.cfg.policy.adapter_share(e.spec.sm_partition);
@@ -581,9 +704,11 @@ impl FastBackend {
             if self.sm_running + share > self.cfg.sm_global_limit + 1e-9 {
                 break;
             }
-            e.waiting = false;
             let expires = now + self.cfg.token_lease;
-            e.lease = Some(Lease { expires, share });
+            self.pods.update(slot, |e| {
+                e.waiting = false;
+                e.lease = Some(Lease { expires, share });
+            });
             self.sm_running += share;
             self.tokens_dispatched += 1;
             grant(pod, slot, expires);
@@ -600,6 +725,7 @@ impl FastBackend {
             q_limit: e.q_limit,
             sm_partition: e.spec.sm_partition,
             holds_token: e.lease.is_some(),
+            waiting: e.waiting,
         })
     }
 
@@ -610,18 +736,22 @@ impl FastBackend {
 
     /// Number of pods currently holding a lease.
     pub fn holders(&self) -> usize {
-        self.pods.values().filter(|e| e.lease.is_some()).count()
+        self.pods.holders.count()
     }
 
     /// Number of pods waiting in the ready queue.
     pub fn waiting(&self) -> usize {
-        self.pods.values().filter(|e| e.waiting).count()
+        self.pods.waiting.count()
     }
 
     /// Whether any pod waits in the ready queue. A dispatch pass grants
     /// only waiting pods, so without one it is a no-op.
     pub fn has_waiter(&self) -> bool {
-        self.pods.values().any(|e| e.waiting)
+        let any = self.pods.waiting.any();
+        if sanitizer::active() {
+            self.sanitize_summary("has_waiter", any, |e| e.waiting);
+        }
+        any
     }
 
     /// Whether a dispatch pass could grant anyone: some pod waits without
@@ -629,8 +759,27 @@ impl FastBackend {
     /// quota becomes grantable only at a window reset, so a pass while
     /// every waiter is quota-blocked grants nothing.
     pub fn has_grantable(&self) -> bool {
-        self.pods.values().any(PodEntry::grantable)
+        let any = self.pods.grantable.any();
+        if sanitizer::active() {
+            self.sanitize_summary("has_grantable", any, PodEntry::grantable);
+        }
+        any
     }
+
+    /// Shadow-check (`FASTG_SANITIZE=1`, rule `admission-summary`): a
+    /// summary's answer equals the row scan it replaces.
+    #[cfg(debug_assertions)]
+    fn sanitize_summary(&self, call: &str, answer: bool, by_row: fn(&PodEntry) -> bool) {
+        let scan = self.pods.values().any(by_row);
+        sanitizer::check(answer == scan, "admission-summary", || {
+            format!("backend {call} answered {answer}, the row scan {scan}")
+        });
+    }
+
+    /// Release builds compile the summary shadow-check out.
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn sanitize_summary(&self, _call: &str, _answer: bool, _by_row: fn(&PodEntry) -> bool) {}
 
     /// Total tokens dispatched since creation.
     pub fn tokens_dispatched(&self) -> u64 {
@@ -657,8 +806,8 @@ impl FastBackend {
         &mut self,
         mut slot_of: impl FnMut(PodId) -> Option<usize>,
     ) -> Result<(), SnapError> {
-        let rows = std::mem::take(&mut self.pods.rows);
-        for row in rows.into_iter().flatten() {
+        let table = std::mem::take(&mut self.pods);
+        for row in table.rows.into_iter().flatten() {
             let slot = slot_of(row.pod).ok_or(SnapError::new("backend row without a pod"))?;
             if !self.pods.insert(slot, row.pod, row.entry) {
                 return Err(SnapError::new("backend row slot"));
@@ -698,7 +847,13 @@ snap_struct!(PodEntry {
 /// moves them to its own slots ([`FastBackend::place_rows`]).
 impl Snap for PodTable {
     fn snap(&self, w: &mut SnapWriter) {
-        let Self { rows } = self;
+        // The slot bits are derived from the rows.
+        let Self {
+            rows,
+            waiting: _,
+            grantable: _,
+            holders: _,
+        } = self;
         let mut sorted: Vec<(PodId, &PodEntry)> =
             rows.iter().flatten().map(|r| (r.pod, &r.entry)).collect();
         sorted.sort_unstable_by_key(|&(pod, _)| pod);
@@ -713,12 +868,11 @@ impl Snap for PodTable {
         if rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
             return Err(SnapError::new("backend row order"));
         }
-        Ok(PodTable {
-            rows: rows
-                .into_iter()
-                .map(|(pod, entry)| Some(Row { pod, entry }))
-                .collect(),
-        })
+        let mut table = PodTable::default();
+        for (slot, (pod, entry)) in rows.into_iter().enumerate() {
+            table.insert(slot, pod, entry);
+        }
+        Ok(table)
     }
 }
 
@@ -727,9 +881,7 @@ snap_struct!(FastBackend {
     cfg, pods, sm_running, tokens_dispatched,
 } skip { ready, grants } rebuild |b| {
     let window = b.cfg.window;
-    for e in b.pods.values_mut() {
-        e.set_spec(e.spec, window);
-    }
+    b.pods.update_all(|e| e.set_spec(e.spec, window));
     Ok(())
 } check |b| {
     if !(b.sm_running.is_finite() && b.sm_running >= 0.0) {
@@ -1077,6 +1229,30 @@ mod tests {
         ));
         back.begin_burst(PodId(0)).unwrap();
         assert!(!back.sync_point(t(4), PodId(0), t(500)).unwrap());
+    }
+
+    #[test]
+    fn slot_bits_stay_inline_to_64_slots_and_spill_past_them() {
+        let mut bits = SlotBits::default();
+        for slot in [0, 5, 63] {
+            bits.assign(slot, true);
+        }
+        bits.assign(200, false);
+        assert_eq!(bits.rest.capacity(), 0, "64 slots or fewer never allocate");
+        assert_eq!(bits.iter().collect::<Vec<_>>(), [0, 5, 63]);
+        bits.assign(64, true);
+        bits.assign(130, true);
+        assert_eq!(bits.iter().collect::<Vec<_>>(), [0, 5, 63, 64, 130]);
+        assert_eq!(bits.count(), 5);
+        // Clearing trims trailing zero words, so emptiness stays a word test.
+        bits.assign(130, false);
+        assert_eq!(bits.rest.len(), 1);
+        bits.assign(64, false);
+        assert!(bits.rest.is_empty() && bits.any());
+        for slot in [0, 5, 63] {
+            bits.assign(slot, false);
+        }
+        assert!(!bits.any());
     }
 
     #[test]

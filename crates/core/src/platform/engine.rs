@@ -144,7 +144,7 @@ pub(super) struct FuncRt {
 /// dispatch passes it has run. Plain counters outside the report digest
 /// and the snapshot: a clone carries them, a platform restored from a
 /// snapshot starts them at zero. Passes are not events; an owed pass
-/// skipped because no waiter was grantable is not counted.
+/// skipped because no waiter was grantable counts as skipped, not run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HandlerCounts {
     /// `Arrival` events.
@@ -171,6 +171,9 @@ pub struct HandlerCounts {
     pub breaker_tick: u64,
     /// End-of-instant token dispatch passes run (not events).
     pub dispatch_passes: u64,
+    /// Owed dispatch passes skipped because no waiter was grantable
+    /// (every waiter quota-blocked until its window resets).
+    pub dispatch_passes_skipped: u64,
 }
 
 impl HandlerCounts {
@@ -189,6 +192,7 @@ impl HandlerCounts {
             request_timeout,
             breaker_tick,
             dispatch_passes: _,
+            dispatch_passes_skipped: _,
         } = *self;
         arrival
             + host_done
@@ -2445,6 +2449,26 @@ mod tests {
             let restored = Platform::from_snapshot(&p.checkpoint()).unwrap();
             assert_eq!(restored.handler_counts(), HandlerCounts::default());
         }
+    }
+
+    /// An owed pass with every waiter quota-blocked is skipped and counted
+    /// as such: two pods on one GPU exhaust a 10 % quota under load. A
+    /// clone carries the count.
+    #[test]
+    fn quota_blocked_waiters_skip_owed_passes() {
+        let mut p = Platform::new(PlatformConfig::default().nodes(1).seed(3));
+        let f = p
+            .deploy(
+                FunctionConfig::new("blocked", "resnet50")
+                    .replicas(2)
+                    .resources(24.0, 0.1, 0.1),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::poisson(200.0, 3));
+        p.run_for(SimTime::from_secs(2));
+        let c = p.handler_counts();
+        assert!(c.dispatch_passes > 0 && c.dispatch_passes_skipped > 0, "{c:?}");
+        assert_eq!(p.clone().handler_counts(), c);
     }
 
     #[test]

@@ -662,9 +662,9 @@ impl Engine {
     /// Runs a node's owed dispatch pass: one canonical-order walk of the
     /// ready queue, granting tokens until the SM budget stops it, then
     /// launching each granted pod's pending burst. This is the only place
-    /// a pod waiting for a token starts. A pass is skipped when no waiter
-    /// is grantable (every waiter is quota-blocked until its window
-    /// resets), as it would grant nothing.
+    /// a pod waiting for a token starts. A pass is skipped, and counted
+    /// as skipped, when no waiter is grantable (every waiter is
+    /// quota-blocked until its window resets), as it would grant nothing.
     pub(super) fn on_dispatch(
         &mut self,
         now: SimTime,
@@ -675,6 +675,7 @@ impl Engine {
             return;
         };
         if !n.backend.has_grantable() {
+            self.counts.dispatch_passes_skipped += 1;
             return;
         }
         self.counts.dispatch_passes += 1;

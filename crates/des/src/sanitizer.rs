@@ -10,8 +10,8 @@
 //! (seed, tie-break policy, fast-forward mode) so the exact failing
 //! trace can be reproduced from the command line.
 //!
-//! Checked invariants (hooked from `sim.rs`, `queue.rs`, the GPU device
-//! and the platform engine):
+//! Checked invariants (hooked from `sim.rs`, `queue.rs`, the GPU device,
+//! the FaST Backend and the platform engine):
 //!
 //! * `monotone-dispatch` — event dispatch time never decreases,
 //! * `cancel-token-generation` — a [`crate::CancelToken`] always names a
@@ -23,7 +23,10 @@
 //!   the device-wide SM budget,
 //! * `overload-conservation` — every admitted request is accounted for
 //!   exactly once in the report identity
-//!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`.
+//!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`,
+//! * `admission-summary` — the FaST Backend's slot bitsets and the GPU
+//!   device's running cap counts answer their admission tests as the row
+//!   and stream scans they replace do.
 
 use crate::queue::TieBreak;
 use crate::time::SimTime;

@@ -229,10 +229,12 @@ impl Snap for FfRuns {
 #[derive(Debug, Clone)]
 struct FfTimeline {
     client: ClientId,
-    /// The client's SM cap (derived: the MPS table's value, which a
-    /// repartition keeps in step). Partitions do not change under a live
-    /// timeline in practice: the platform breaks a node's timelines
-    /// before it repartitions.
+    /// The SM cap the client had when the burst was admitted, which its
+    /// runs' grants are computed from and which the timeline adds to the
+    /// device's cap sum while it lives (derived from the MPS table on
+    /// decode). The platform breaks a node's timelines before it
+    /// repartitions, so in practice it is always the client's current
+    /// cap.
     cap: u32,
     /// The burst's runs in stream order, back to back (gapless).
     runs: FfRuns,
@@ -495,6 +497,15 @@ pub struct GpuDevice {
     ff: Vec<FfTimeline>,
     /// Recycled buffers of multi-run timelines (see [`FfRuns`]).
     ff_pool: Vec<Vec<FfRun>>,
+    /// The capped regime's running cap sum: each live timeline's cap, plus
+    /// the MPS cap of each client whose stream has a resident or queued
+    /// kernel. Derived; every change of one client's state adds that
+    /// client's delta (see [`Self::footprint`]).
+    active_caps: u64,
+    /// Resident kernels granted more SMs than their owner's current cap
+    /// (only a repartition under a resident kernel makes one). Derived
+    /// like `active_caps`.
+    over_cap: u32,
 }
 
 impl GpuDevice {
@@ -517,6 +528,8 @@ impl GpuDevice {
             clock_scale: 1.0,
             ff: Vec::new(),
             ff_pool: Vec::new(),
+            active_caps: 0,
+            over_cap: 0,
         }
     }
 
@@ -606,6 +619,8 @@ impl GpuDevice {
         }
         self.streams.clear();
         self.wait_queue.clear();
+        self.active_caps = 0;
+        self.over_cap = 0;
         self.free_sms = self.spec.sm_count;
         self.memory = GpuMemory::new(self.spec.memory_bytes);
         for client in self.mps.client_ids() {
@@ -634,18 +649,42 @@ impl GpuDevice {
     }
 
     /// Changes a client's spatial partition. Takes effect for subsequent
-    /// kernel starts; resident kernels keep their grant.
+    /// kernel starts; resident kernels keep their grant, and a live
+    /// timeline keeps the cap its grants were computed from, so the cap
+    /// sum moves by the client's stream share alone.
     pub fn set_partition(&mut self, client: ClientId, percentage: f64) -> Result<(), MpsError> {
         debug_assert!(
             self.ff.is_empty(),
             "repartition invalidates fast-forward (caller must ff_break first)"
         );
+        let (caps, over) = self.footprint(client);
         self.mps.set_percentage(client, percentage)?;
-        let cap = self.mps.sm_cap(client)?;
-        for t in self.ff.iter_mut().filter(|t| t.client == client) {
-            t.cap = cap;
-        }
+        let (new_caps, new_over) = self.footprint(client);
+        self.active_caps = self.active_caps + new_caps - caps;
+        self.over_cap = self.over_cap + new_over - over;
         Ok(())
+    }
+
+    /// `client`'s share of the running counts: each live timeline's cap,
+    /// its MPS cap if its stream has a resident or queued kernel, and 1 if
+    /// its resident kernel is granted more than that cap.
+    fn footprint(&self, client: ClientId) -> (u64, u32) {
+        let Ok(cap) = self.mps.sm_cap(client) else {
+            return (0, 0);
+        };
+        let timelines: u64 = self
+            .ff
+            .iter()
+            .filter(|t| t.client == client)
+            .map(|t| u64::from(t.cap))
+            .sum();
+        let stream = self.streams.iter().find(|(id, _)| *id == client).map(|(_, s)| s);
+        let busy = stream.is_some_and(|s| s.running.is_some() || !s.queued.is_empty());
+        let over = stream.and_then(|s| s.running).is_some_and(|k| {
+            self.running.iter().any(|(rk, r)| *rk == k && r.granted > cap)
+        });
+        let stream_cap = if busy { u64::from(cap) } else { 0 };
+        (timelines + stream_cap, u32::from(over))
     }
 
     /// Unregisters a client.
@@ -685,20 +724,25 @@ impl GpuDevice {
             !self.ff.iter().any(|t| t.client == client),
             "launch into a fast-forwarded stream (caller must ff_break first)"
         );
-        if !self.mps.is_registered(client) {
-            return Err(GpuError::Mps(MpsError::UnknownClient(client)));
-        }
+        let cap = self.mps.sm_cap(client)?;
         let has_free_sms = self.free_sms > 0;
         let Some(stream) = self.stream_mut(client) else {
             debug_assert!(false, "registered client {client:?} has no stream");
             return Err(GpuError::MissingStream(client));
         };
+        let was_idle = stream.running.is_none() && stream.queued.is_empty();
         stream.queued.push_back(desc);
-        if stream.running.is_none() && !stream.waiting {
+        let head = stream.running.is_none() && !stream.waiting;
+        if head && !has_free_sms {
+            stream.waiting = true;
+        }
+        if was_idle {
+            self.active_caps += u64::from(cap);
+        }
+        if head {
             if has_free_sms {
                 return self.start_head(now, client).map(Some);
             }
-            stream.waiting = true;
             self.wait_queue.push_back(client);
         }
         Ok(None)
@@ -753,14 +797,24 @@ impl GpuDevice {
 
         // The owner's stream is now idle; if it has queued work it joins the
         // back of the wait queue (round-robin fairness across clients).
+        let mut went_idle = false;
         if let Some(stream) = self.stream_mut(run.client) {
             stream.running = None;
-            if !stream.queued.is_empty() && !stream.waiting {
+            went_idle = stream.queued.is_empty();
+            if !went_idle && !stream.waiting {
                 stream.waiting = true;
                 self.wait_queue.push_back(run.client);
             }
         } else {
             debug_assert!(false, "resident kernel's client {:?} has no stream", run.client);
+        }
+        // The resident leaves the running counts, and so does its owner's
+        // cap if the stream went idle.
+        if let Ok(cap) = self.mps.sm_cap(run.client) {
+            self.over_cap -= u32::from(run.granted > cap);
+            if went_idle {
+                self.active_caps -= u64::from(cap);
+            }
         }
 
         // Admit waiting clients while SMs remain.
@@ -876,19 +930,69 @@ impl GpuDevice {
     /// about to activate `client` per kernel must break them first when
     /// this is false.
     ///
-    /// One pass over the timelines, which carry their clients' caps, then
-    /// one over the streams beside the MPS table, which lists the same
-    /// clients in the same order. A client with a timeline has an idle
-    /// stream, so no client counts twice.
+    /// The device keeps the active clients' cap sum and the count of
+    /// over-cap residents as it goes, so the test costs one lookup of
+    /// `client`. A client with a timeline has an idle stream, so no client
+    /// counts twice.
     pub fn ff_admits(&self, client: ClientId) -> bool {
         self.admission(client).is_some()
     }
 
-    /// [`Self::ff_admits`]'s passes: `None` when the capped regime refuses
+    /// [`Self::ff_admits`]'s test: `None` when the capped regime refuses
     /// `client`, else `client`'s SM cap if it can start a timeline now
     /// (its stream is idle and it has none), which is what
     /// [`Self::fast_forward_burst`] needs.
     fn admission(&self, client: ClientId) -> Option<Option<u32>> {
+        let admitted = self.admission_by_summary(client);
+        if sanitizer::active() {
+            self.sanitize_admission(client, admitted);
+        }
+        admitted
+    }
+
+    /// [`Self::admission`] from the running counts.
+    fn admission_by_summary(&self, client: ClientId) -> Option<Option<u32>> {
+        if !self.wait_queue.is_empty() || self.over_cap > 0 {
+            return None;
+        }
+        // An idle `client` adds its own cap; an active one is counted. The
+        // MPS table lists the streams' clients in the same order.
+        let i = self.streams.iter().position(|(id, _)| *id == client);
+        let (own, idle_cap) = match i.map(|i| (&self.streams[i].1, self.mps.cap_at(i))) {
+            Some((s, Some((id, cap))))
+                if s.running.is_none() && s.queued.is_empty() && !self.ff_active(client) =>
+            {
+                debug_assert_eq!(id, client, "stream table out of step with MPS");
+                (u64::from(cap), (!s.waiting).then_some(cap))
+            }
+            _ => (0, None),
+        };
+        (self.active_caps + own <= u64::from(self.spec.sm_count)).then_some(idle_cap)
+    }
+
+    /// Shadow-check (`FASTG_SANITIZE=1`, rule `admission-summary`): the
+    /// summary's answer equals [`Self::admission_by_scan`].
+    #[cfg(debug_assertions)]
+    fn sanitize_admission(&self, client: ClientId, admitted: Option<Option<u32>>) {
+        let scan = self.admission_by_scan(client);
+        sanitizer::check(admitted == scan, "admission-summary", || {
+            format!(
+                "admission of {client:?} answered {admitted:?}, the scan {scan:?} (cap sum {}, over-cap residents {})",
+                self.active_caps, self.over_cap
+            )
+        });
+    }
+
+    /// Release builds compile the admission shadow-check out.
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn sanitize_admission(&self, _client: ClientId, _admitted: Option<Option<u32>>) {}
+
+    /// The admission test by scan, the sanitizer's oracle: one pass over
+    /// the timelines, then one over the streams beside the MPS table,
+    /// which lists the same clients in the same order.
+    #[cfg(debug_assertions)]
+    fn admission_by_scan(&self, client: ClientId) -> Option<Option<u32>> {
         if !self.wait_queue.is_empty() {
             return None;
         }
@@ -944,9 +1048,9 @@ impl GpuDevice {
     /// launches are skipped.
     ///
     /// Other timelines are not settled: admission reads only the streams,
-    /// the wait queue and the timeline list, which pending boundaries
-    /// never change, and in the capped regime the stale `free_sms` still
-    /// covers this client's whole cap.
+    /// the wait queue, the timeline list and the running counts, which
+    /// pending boundaries never change, and in the capped regime the stale
+    /// `free_sms` still covers this client's whole cap.
     pub fn fast_forward_burst<I>(
         &mut self,
         now: SimTime,
@@ -1004,6 +1108,7 @@ impl GpuDevice {
             });
         }
         self.metrics.ff_begin(now);
+        self.active_caps += u64::from(cap);
         self.ff.push(FfTimeline {
             client,
             cap,
@@ -1087,6 +1192,7 @@ impl GpuDevice {
     pub fn ff_complete(&mut self, now: SimTime, client: ClientId) -> Option<FfDone> {
         let i = self.ff.iter().position(|t| t.client == client)?;
         let mut tl = self.ff.swap_remove(i);
+        self.active_caps -= u64::from(tl.cap);
         let end = tl.end;
         debug_assert_eq!(end, now, "burst end mismatch");
         if sanitizer::active() {
@@ -1141,7 +1247,9 @@ impl GpuDevice {
                 started,
             },
         ));
+        let mut was_idle = false;
         if let Some(stream) = self.stream_mut(client) {
+            was_idle = stream.running.is_none() && stream.queued.is_empty();
             stream.running = Some(id);
             // The rest of the resident kernel's run, then the later runs.
             let rest = (k.desc, k.count - tl.done - 1);
@@ -1152,6 +1260,16 @@ impl GpuDevice {
             }
         } else {
             debug_assert!(false, "fast-forwarded client {client:?} has no stream");
+        }
+        // The timeline's share of the running counts passes to the stream
+        // (an idle one, unless a launch broke the contract), and the
+        // materialized kernel may exceed a cap repartitioned since.
+        self.active_caps -= u64::from(tl.cap);
+        if let Ok(cap) = self.mps.sm_cap(client) {
+            if was_idle {
+                self.active_caps += u64::from(cap);
+            }
+            self.over_cap += u32::from(k.granted > cap);
         }
         let brk = FfBreak {
             completed: tl.completed,
@@ -1234,14 +1352,22 @@ snap_struct!(ClientStream {
 });
 
 // The recycled timeline buffers (`ff_pool`) are a pure allocation cache
-// and restore empty. Each timeline's cap comes from the MPS table.
+// and restore empty. Each timeline's cap comes from the MPS table, and the
+// running counts are the sum of every client's footprint.
 snap_struct!(GpuDevice {
     spec, mps, memory, metrics, free_sms, streams, running, wait_queue, next_kernel,
     clock_scale, ff,
-} skip { ff_pool } rebuild |d| {
+} skip { ff_pool, active_caps, over_cap } rebuild |d| {
     for t in &mut d.ff {
         t.cap = d.mps.sm_cap(t.client).map_err(|_| SnapError::new("gpu ff client"))?;
     }
+    let (caps, over) = d
+        .mps
+        .caps()
+        .map(|(id, _)| d.footprint(id))
+        .fold((0, 0), |(c, o), (dc, dov)| (c + dc, o + dov));
+    d.active_caps = caps;
+    d.over_cap = over;
     Ok(())
 } check |d| {
     if d.free_sms > d.spec.sm_count {
@@ -2141,6 +2267,7 @@ mod tests {
             .unwrap();
         let back = round_trip(&gpu).unwrap();
         assert_eq!(back.ff[0].cap, gpu.mps.sm_cap(a).unwrap());
+        assert_eq!(back.active_caps, u64::from(back.ff[0].cap));
         // 20 + 40 SMs fit the device; a third 50 % client would not.
         assert!(back.ff_admits(b));
         let c = gpu.register_client(50.0).unwrap();
@@ -2185,12 +2312,13 @@ mod tests {
 
         /// `ff_admits` equals the MPS-table rule in every state a device
         /// reaches: over-committed partitions, SM waiters, repartitions
-        /// under resident kernels, breaks, re-registrations and snapshot
-        /// round trips, checked for every client after every operation.
+        /// under resident kernels, breaks, re-registrations, hard resets
+        /// and snapshot round trips, checked for every client after every
+        /// operation.
         #[test]
         fn ff_admits_matches_the_mps_table_rule(
             pcts in prop::collection::vec(1u32..=100, 2..5),
-            ops in prop::collection::vec((0u64..80, 0u8..7, 0usize..5, 1u32..=100), 1..60),
+            ops in prop::collection::vec((0u64..80, 0u8..8, 0usize..5, 1u32..=100), 1..60),
         ) {
             let mut gpu = v100();
             let mut clients: Vec<ClientId> = pcts
@@ -2262,6 +2390,18 @@ mod tests {
                             clients.retain(|&x| x != c);
                             clients.push(gpu.register_client(f64::from(arg)).unwrap());
                         }
+                    }
+                    // The node loses power: every kernel and timeline is
+                    // aborted and every client unregistered; the pods come
+                    // back as fresh registrations.
+                    6 => {
+                        gpu.hard_reset(now);
+                        resident.clear();
+                        macros.clear();
+                        let n = clients.len();
+                        clients = (0..n)
+                            .map(|j| gpu.register_client(f64::from(pcts[j % pcts.len()])).unwrap())
+                            .collect();
                     }
                     _ => gpu.ff_sync(now),
                 }

@@ -174,6 +174,12 @@ impl MpsServer {
         self.entry(id).map(|e| e.sm_cap)
     }
 
+    /// The client at `index` of the ascending client order and its SM
+    /// cap.
+    pub(crate) fn cap_at(&self, index: usize) -> Option<(ClientId, u32)> {
+        self.clients.get(index).map(|(id, e)| (*id, e.sm_cap))
+    }
+
     /// Every client's SM cap, in ascending client order.
     pub(crate) fn caps(&self) -> impl Iterator<Item = (ClientId, u32)> + '_ {
         self.clients.iter().map(|(id, e)| (*id, e.sm_cap))

@@ -3,9 +3,10 @@
 //! Backend and the model store.
 
 use fastg_cluster::{PodId, ResourceSpec};
+use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 use fastg_des::SimTime;
 use fastg_gpu::GpuMemory;
-use fastgshare::manager::{BackendConfig, FastBackend, RequestOutcome, SharingPolicy};
+use fastgshare::manager::{BackendConfig, FastBackend, PodQuotaState, RequestOutcome, SharingPolicy};
 use fastgshare::modelshare::ModelStorageServer;
 use fastgshare::scheduler::{heuristic_scale, ConfigPoint, GpuRects, Rect, RunningPod, ScaleAction};
 use proptest::prelude::*;
@@ -33,6 +34,35 @@ fn check_mra_invariants(g: &GpuRects, placements: &[(PodId, Rect)]) -> Result<()
         }
     }
     Ok(())
+}
+
+/// The backend's state as a scan of `quota_state` over `pods` states it:
+/// how many pods wait, are grantable (waiting, no lease, quota left) and
+/// hold a lease, and the pods the next dispatch pass grants (descending
+/// `Q_miss`, then `PodId`, until the first that overruns the SM adapter).
+fn backend_by_scan(b: &FastBackend, pods: &[PodId]) -> (usize, usize, usize, Vec<PodId>) {
+    let rows: Vec<(PodId, PodQuotaState)> =
+        pods.iter().map(|&p| (p, b.quota_state(p).unwrap())).collect();
+    let waiting = rows.iter().filter(|(_, q)| q.waiting).count();
+    let holders = rows.iter().filter(|(_, q)| q.holds_token).count();
+    let mut ready: Vec<&(PodId, PodQuotaState)> = rows
+        .iter()
+        .filter(|(_, q)| q.waiting && !q.holds_token && q.q_used < q.q_limit)
+        .collect();
+    ready.sort_by_key(|(p, q)| {
+        let miss = i128::from(q.q_request.as_micros()) - i128::from(q.q_used.as_micros());
+        (std::cmp::Reverse(miss), *p)
+    });
+    let mut sm = b.sm_running();
+    let mut grants = Vec::new();
+    for (p, q) in &ready {
+        if sm + q.sm_partition > 100.0 + 1e-9 {
+            break;
+        }
+        sm += q.sm_partition;
+        grants.push(*p);
+    }
+    (waiting, ready.len(), holders, grants)
 }
 
 proptest! {
@@ -253,6 +283,96 @@ proptest! {
                     qs.q_limit
                 );
             }
+        }
+    }
+
+    /// The backend's slot summaries answer as a scan of its rows does, on
+    /// tables that cross the 64-slot word boundary: `has_waiter`,
+    /// `has_grantable`, `waiting()`, `holders()` and the next pass's
+    /// grants, after every register, deregister and re-register, request,
+    /// burst, idle release, spec update, window reset, pass and snapshot
+    /// round trip.
+    #[test]
+    fn backend_summaries_match_a_scan(
+        n in 48usize..=70,
+        ops in prop::collection::vec((0u8..9, 0usize..72, 1u64..3_000), 1..200)
+    ) {
+        let mut b = FastBackend::new(BackendConfig {
+            policy: SharingPolicy::FaST,
+            window: SimTime::from_millis(10),
+            token_lease: SimTime::from_millis(2),
+            sm_global_limit: 100.0,
+            ..BackendConfig::default()
+        });
+        let spec = |i: u64, limit: f64| {
+            let sm = [6.0, 12.0, 24.0, 50.0][i as usize % 4];
+            ResourceSpec::new(sm, limit * [0.0, 0.5, 1.0][i as usize % 3], limit, 0)
+        };
+        let mut pods: Vec<PodId> = (0..n as u64).map(PodId).collect();
+        for &p in &pods {
+            b.register(p, spec(p.0, 0.5));
+        }
+        let mut next = n as u64;
+        let mut in_burst = std::collections::BTreeSet::new();
+        let mut now = SimTime::ZERO;
+        for &(op, idx, us) in &ops {
+            now += SimTime::from_micros(us);
+            let pod = pods.get(idx % pods.len().max(1)).copied();
+            let idle = pod.filter(|p| !in_burst.contains(p));
+            match op {
+                0 if pods.len() < 72 => {
+                    b.register(PodId(next), spec(next, 0.5));
+                    pods.push(PodId(next));
+                    next += 1;
+                }
+                // The fresh pod takes the lowest vacant slot: the freed one
+                // unless a lower slot is vacant too.
+                1 => if let Some(p) = idle {
+                    b.deregister(p);
+                    pods.retain(|&q| q != p);
+                    b.register(PodId(next), spec(next, 0.5));
+                    pods.push(PodId(next));
+                    next += 1;
+                },
+                2 => if let Some(p) = idle {
+                    if let (RequestOutcome::Granted(_), _) = b.request(now, p).unwrap() {
+                        b.begin_burst(p).unwrap();
+                        in_burst.insert(p);
+                    }
+                },
+                3 => if let Some(p) = pod.filter(|p| in_burst.remove(p)) {
+                    b.sync_point(now, p, SimTime::from_micros(us)).unwrap();
+                },
+                4 => if let Some(p) = idle {
+                    b.release_idle(p);
+                },
+                // Flip the pod's quota exhaustion: a limit below its usage,
+                // or the whole window.
+                5 => if let Some(p) = pod {
+                    let qs = b.quota_state(p).unwrap();
+                    let limit = if qs.q_used >= qs.q_limit { 1.0 } else { 0.01 };
+                    b.update_spec(p, spec(p.0, limit));
+                },
+                6 => b.on_window_reset(now),
+                7 => for g in b.dispatch_pass(now).to_vec() {
+                    prop_assert!(in_burst.insert(g.pod), "{:?} granted mid-burst", g.pod);
+                    b.begin_burst(g.pod).unwrap();
+                },
+                8 => {
+                    let mut w = SnapWriter::new();
+                    b.snap(&mut w);
+                    let bytes = w.finish();
+                    b = FastBackend::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+                }
+                _ => {}
+            }
+            let (waiting, grantable, holders, grants) = backend_by_scan(&b, &pods);
+            prop_assert_eq!(b.has_waiter(), waiting > 0, "op {}", op);
+            prop_assert_eq!(b.has_grantable(), grantable > 0, "op {}", op);
+            prop_assert_eq!(b.waiting(), waiting, "op {}", op);
+            prop_assert_eq!(b.holders(), holders, "op {}", op);
+            let pass: Vec<PodId> = b.clone().dispatch_pass(now).iter().map(|g| g.pod).collect();
+            prop_assert_eq!(pass, grants, "op {}", op);
         }
     }
 
