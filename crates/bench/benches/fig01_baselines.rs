@@ -6,11 +6,10 @@
 //! (b) time sharing — utilization looks high (>90 % in the paper's mix)
 //! while SM occupancy stays below ~10 %.
 
-use criterion::Criterion;
 use fastg_bench::run_sharing;
 use fastgshare::manager::SharingPolicy;
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 1: device plugin vs time sharing under extreme workload ===\n");
     println!(
         "{:<10} {:<28} {:>10} {:>8} {:>8}",
@@ -38,13 +37,4 @@ fn print_figure() {
         "\npaper shape: time sharing keeps the GPU 'busy' while SMs idle \
          (util >> SM occupancy); the device plugin under-utilizes outright."
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("fig01/time_sharing_8pods_resnet", |b| {
-        b.iter(|| run_sharing(SharingPolicy::SingleToken, "resnet50", 8, 100.0, 2, 101))
-    });
-    c.final_summary();
 }

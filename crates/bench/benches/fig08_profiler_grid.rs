@@ -7,14 +7,13 @@
 //! a model-dependent partition (effective spatial isolation); larger
 //! models saturate later.
 
-use criterion::Criterion;
 use fastg_des::SimTime;
-use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey, SamplePlan};
+use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey};
 
 const SPATIAL: [f64; 7] = [6.0, 12.0, 24.0, 50.0, 60.0, 80.0, 100.0];
 const TEMPORAL: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 8: profiled throughput (req/s) per (SM %, quota %) ===");
     for model in ["resnet50", "bert_base", "rnnt", "gnmt"] {
         let mut db = ProfileDb::new();
@@ -45,21 +44,4 @@ fn print_figure() {
          each model's saturation partition (ResNet ~24 %, BERT ~50 %, \
          GNMT ~75 %)."
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    let exp = Experiment::new(
-        "resnet50",
-        ConfigServer::new(SamplePlan::Grid {
-            spatial: vec![12.0],
-            temporal: vec![0.4],
-        }),
-    )
-    .trial_duration(SimTime::from_secs(2));
-    c.bench_function("fig08/single_trial_resnet_12pct_q40", |b| {
-        b.iter(|| exp.run_trial(12.0, 0.4).unwrap())
-    });
-    c.final_summary();
 }

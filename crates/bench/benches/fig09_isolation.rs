@@ -3,7 +3,6 @@
 //! (50 %–80 % elastic quota) because 80 + 50 > 100 %; with spatial
 //! partitions (both at 24 % SMs) the two do not influence each other.
 
-use criterion::Criterion;
 use fastg_des::SimTime;
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
@@ -37,7 +36,7 @@ fn resnet_rps(policy: SharingPolicy, sm: f64, with_rnnt: bool, seed: u64) -> f64
     p.run_for(SimTime::from_secs(5)).functions[&resnet].throughput_rps
 }
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 9: elastic-quota interference, time sharing vs spatio-temporal ===\n");
     let ts_alone = resnet_rps(SharingPolicy::SingleToken, 100.0, false, 31);
     let ts_both = resnet_rps(SharingPolicy::SingleToken, 100.0, true, 31);
@@ -63,13 +62,4 @@ fn print_figure() {
          steal ResNet's elastic quota under time sharing; disjoint SM \
          partitions remove the interference entirely."
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("fig09/contended_pair_fast", |b| {
-        b.iter(|| resnet_rps(SharingPolicy::FaST, 24.0, true, 31))
-    });
-    c.final_summary();
 }

@@ -8,8 +8,7 @@
 //! e.g. 8 RNNT pods at 12 % ≈ 40 req/s and p99 < 500 ms vs a racing pod's
 //! 12.5 req/s.
 
-use criterion::Criterion;
-use fastg_bench::{ms, run_sharing, sharing_outcome, sharing_scenario};
+use fastg_bench::{ms, sharing_outcome, sharing_scenario};
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::run_sweep;
 
@@ -22,7 +21,7 @@ fn config_of(label: &str) -> (SharingPolicy, f64) {
     }
 }
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 10: spatial sharing vs racing, growing pod counts ===");
     // The whole grid (3 models × 3 configs × 4 pod counts) fans out over
     // fastg-par worker threads; reports come back in input order, so the
@@ -70,13 +69,4 @@ fn print_figure() {
         "\npaper shape: partitioned curves rise ~linearly in pod count until \
          the SM budget binds; racing saturates early with exploding tails."
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("fig10/resnet_8pods_12pct", |b| {
-        b.iter(|| run_sharing(SharingPolicy::FaST, "resnet50", 8, 12.0, 2, 1001))
-    });
-    c.final_summary();
 }

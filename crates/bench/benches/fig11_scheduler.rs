@@ -6,11 +6,10 @@
 //! Paper: time sharing needs all 4 GPUs; FaST packs everything onto 1 and
 //! improves utilization ×1.34 and SM occupancy ×3.13.
 
-use criterion::Criterion;
 use fastg_bench::run_fig11;
 use fastgshare::manager::SharingPolicy;
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 11: scheduling the paper's pod set on 4 GPUs ===\n");
     let (fast_gpus, fast) = run_fig11(SharingPolicy::FaST, 6, 111).expect("runs");
     let (ts_gpus, ts) = run_fig11(SharingPolicy::SingleToken, 6, 111).expect("runs");
@@ -42,13 +41,4 @@ fn print_figure() {
         fast_gpus,
         ts_gpus
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("fig11/fast_pod_set_on_4_gpus", |b| {
-        b.iter(|| run_fig11(SharingPolicy::FaST, 2, 111))
-    });
-    c.final_summary();
 }

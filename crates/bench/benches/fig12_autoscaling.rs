@@ -2,10 +2,9 @@
 //! offered RPS curve and ResNet's 69 ms SLO is violated on < 1 % of
 //! requests in steady state.
 
-use criterion::Criterion;
 use fastg_bench::{ms, run_autoscaling};
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 12: auto-scaling to meet the 69ms ResNet SLO ===\n");
     let (samples, report) = run_autoscaling(121, 12, 5).expect("runs");
     println!("{:>6} {:>7} {:>12} {:>12}", "t", "pods", "served", "p99 (cum)");
@@ -24,13 +23,4 @@ fn print_figure() {
         "paper shape: the replica curve tracks the RPS curve with a couple of \
          control intervals of lag; violations stay rare."
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("fig12/autoscaling_60s_scenario", |b| {
-        b.iter(|| run_autoscaling(121, 6, 5))
-    });
-    c.final_summary();
 }

@@ -6,7 +6,6 @@
 //! 9282 vs 14205 MB; a 16 GB V100 fits 7 shared vs 4 unshared ResNeXt
 //! pods.
 
-use criterion::Criterion;
 use fastg_models::zoo;
 use fastgshare::modelshare::footprint;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
@@ -31,7 +30,7 @@ fn live_footprint(model: &str, pods: usize, sharing: bool) -> u64 {
     p.node_memory_used(0)
 }
 
-fn print_figure() {
+fn main() {
     println!("\n=== Figure 13: model-sharing memory footprints ===\n");
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",
@@ -66,13 +65,4 @@ fn print_figure() {
         "paper shape: savings grow with model size; single-pod deployments \
          pay the 300 MB context."
     );
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("fig13/deploy_3_vit_pods_shared", |b| {
-        b.iter(|| live_footprint("vit_huge", 3, true))
-    });
-    c.final_summary();
 }

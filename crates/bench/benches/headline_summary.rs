@@ -2,11 +2,10 @@
 //! sharing mechanism, FaST-GShare improves throughput by 3.15x, GPU
 //! utilization by 1.34x, and SM occupancy by 3.13x on average."
 
-use criterion::Criterion;
 use fastg_bench::{run_fig11, run_sharing};
 use fastgshare::manager::SharingPolicy;
 
-fn print_figure() {
+fn main() {
     println!("\n=== Headline summary: FaST-GShare vs time sharing ===\n");
 
     // Throughput: §5.3 full-GPU comparison per model (time-sharing ceiling
@@ -35,13 +34,4 @@ fn print_figure() {
     println!("{:<22} {:>10} {:>9.2}x", "throughput", "3.15x", mean_speedup);
     println!("{:<22} {:>10} {:>9.2}x", "GPU utilization", "1.34x", util_ratio);
     println!("{:<22} {:>10} {:>9.2}x", "SM occupancy", "3.13x", occ_ratio);
-}
-
-fn main() {
-    print_figure();
-    let mut c = Criterion::default().configure_from_args().sample_size(10);
-    c.bench_function("headline/fast_8pods_resnet", |b| {
-        b.iter(|| run_sharing(SharingPolicy::FaST, "resnet50", 8, 12.0, 2, 7))
-    });
-    c.final_summary();
 }

@@ -1,8 +1,9 @@
-//! Shared scenario runners for the figure-regeneration benches.
+//! Shared scenario runners for the figure-regeneration benches and the
+//! race detector.
 //!
-//! Each `benches/figNN_*.rs` harness prints the paper table/series it
-//! regenerates (deterministically) and then lets Criterion time one
-//! representative configuration. The scenario builders live here so the
+//! Each `benches/figNN_*.rs` program prints the paper table or series it
+//! regenerates, deterministically; none of them times anything (the
+//! `fastg-bench` suite does). The scenario builders live here so the
 //! benches stay declarative.
 
 use fastg_des::SimTime;
@@ -14,7 +15,6 @@ use fastgshare::platform::{
 };
 use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
 
-pub mod harness;
 pub mod race;
 
 /// Outcome of one saturated sharing run (one function, one node).
@@ -273,30 +273,3 @@ pub fn ms(t: SimTime) -> String {
     format!("{:.1}ms", t.as_millis_f64())
 }
 
-// ----- fleet-scale scenarios ----------------------------------------
-
-/// The fleet model menu: `(zoo name, min rps, max rps)`. The rate caps
-/// keep a single full-GPU replica below saturation (constant arrival gap
-/// strictly above the model's service latency), so the queue never
-/// grows.
-pub const FLEET_MODELS: [(&str, f64, f64); 4] = [
-    ("resnet50", 6.0, 60.0),
-    ("bert_base", 6.0, 35.0),
-    ("resnext101", 5.0, 22.0),
-    ("gnmt", 5.0, 25.0),
-];
-
-/// Per-function `(model, constant rps)` assignments for a fleet of
-/// `funcs` single-replica functions: Zipf-popularity rates (exponent 1.1)
-/// clamped into each model's [`FLEET_MODELS`] band, models assigned
-/// round-robin by rank. Deterministic.
-pub fn fleet_rates(funcs: usize) -> Vec<(&'static str, f64)> {
-    fastg_workload::fleet::zipf_rates(funcs, funcs as f64 * 30.0, 1.1)
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| {
-            let (model, lo, hi) = FLEET_MODELS[i % FLEET_MODELS.len()];
-            (model, r.clamp(lo, hi))
-        })
-        .collect()
-}

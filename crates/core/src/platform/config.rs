@@ -339,6 +339,15 @@ snap_struct!(PlatformConfig {
     if !(c.autoscale_headroom.is_finite() && c.autoscale_headroom >= 1.0) {
         return Err(SnapError::new("config headroom"));
     }
+    // A crashed node's backend is rebuilt from this lease, and
+    // `FastBackend::new` requires it to be positive.
+    if c.token_lease == Some(SimTime::ZERO) {
+        return Err(SnapError::new("config token lease"));
+    }
+    // The setter stores only positive factors.
+    if c.request_timeout_factor.is_some_and(|f| f.is_nan() || f <= 0.0) {
+        return Err(SnapError::new("config timeout factor"));
+    }
     // Each periodic handler reschedules itself one period on: a zero
     // period would re-fire at the same instant forever.
     for (period, what) in [
@@ -568,11 +577,14 @@ mod tests {
         .is_err());
     }
 
-    /// A zero period makes its periodic handler re-fire at the same
-    /// instant forever, so a snapshot carrying one must not restore. Each
-    /// case re-encodes a live snapshot's config with one period zeroed.
+    /// A config a live platform could not run must not restore. A zero
+    /// period makes its periodic handler re-fire at the same instant
+    /// forever; a zero lease trips the backend rebuilt after a node crash;
+    /// a timeout factor that is NaN or not positive scales the SLO into a
+    /// negative or undefined deadline. Each case re-encodes a live
+    /// snapshot's config with one field corrupted.
     #[test]
-    fn zero_period_snapshots_are_rejected() {
+    fn invalid_config_snapshots_are_rejected() {
         use crate::platform::{Platform, Snapshot};
         use fastg_des::snap::{Snap, SnapReader, SnapWriter};
         let live = Platform::new(PlatformConfig::default().recovery(true)).checkpoint();
@@ -582,8 +594,8 @@ mod tests {
         let handled = u64::unsnap(&mut r).unwrap();
         let cfg = PlatformConfig::unsnap(&mut r).unwrap();
         let rest = &payload[payload.len() - r.remaining()..];
-        type Zero = fn(&mut PlatformConfig);
-        let cases: [(&str, Zero); 4] = [
+        type Corrupt = fn(&mut PlatformConfig);
+        let cases: [(&str, Corrupt); 8] = [
             ("config window", |c| c.window = SimTime::ZERO),
             ("config sample interval", |c| {
                 c.sample_interval = SimTime::ZERO
@@ -593,6 +605,16 @@ mod tests {
             }),
             ("config health interval", |c| {
                 c.health_interval = SimTime::ZERO
+            }),
+            ("config token lease", |c| c.token_lease = Some(SimTime::ZERO)),
+            ("config timeout factor", |c| {
+                c.request_timeout_factor = Some(f64::NAN)
+            }),
+            ("config timeout factor", |c| {
+                c.request_timeout_factor = Some(0.0)
+            }),
+            ("config timeout factor", |c| {
+                c.request_timeout_factor = Some(-1.0)
             }),
         ];
         let restore = |cfg: &PlatformConfig| {
@@ -605,10 +627,39 @@ mod tests {
             Platform::from_snapshot(&Snapshot::seal(bytes)).map(|_| ())
         };
         assert_eq!(restore(&cfg), Ok(()));
-        for (what, zero) in cases {
+        for (what, corrupt) in cases {
             let mut bad = cfg.clone();
-            zero(&mut bad);
+            corrupt(&mut bad);
             assert_eq!(restore(&bad), Err(SnapError::new(what)), "{what}");
+        }
+    }
+
+    /// A timeout factor so large that the deadline overflows the clock
+    /// puts the deadline at the end of time: the timeout never fires, and
+    /// the run matches one without timeouts.
+    #[test]
+    fn huge_timeout_factor_never_fires() {
+        use crate::platform::Platform;
+        use fastg_workload::ArrivalProcess;
+        let run = |factor: Option<f64>| {
+            let mut cfg = PlatformConfig::default().nodes(1).seed(3);
+            if let Some(factor) = factor {
+                cfg = cfg.request_timeout_factor(factor);
+            }
+            let mut p = Platform::new(cfg);
+            let f = p
+                .deploy(
+                    FunctionConfig::new("f", "resnet50")
+                        .replicas(1)
+                        .resources(12.0, 0.5, 1.0),
+                )
+                .unwrap();
+            p.set_load(f, ArrivalProcess::poisson(40.0, 7));
+            p.run_for(SimTime::from_secs(1)).canonical_text()
+        };
+        let untimed = run(None);
+        for factor in [1e300, f64::INFINITY] {
+            assert_eq!(run(Some(factor)), untimed, "factor {factor}");
         }
     }
 }

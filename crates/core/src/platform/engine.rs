@@ -1149,7 +1149,11 @@ impl Engine {
     ) {
         if let Some(factor) = self.cfg.request_timeout_factor {
             if let Some(frt) = self.funcs.get(func) {
-                let deadline = now + frt.slo.slo().scale(factor);
+                // A huge factor scales the SLO to the end of time; the
+                // timeout then never fires.
+                let deadline = now
+                    .checked_add(frt.slo.slo().scale(factor))
+                    .unwrap_or(SimTime::MAX);
                 queue.schedule(deadline, Event::RequestTimeout(func, id));
             }
         }

@@ -24,7 +24,7 @@
 //! that is byte-identical to running straight through (see
 //! [`checkpoint`](crate::platform::checkpoint)), so factoring changes
 //! wall-clock time only, never results — [`run_sweep_unshared`] is the
-//! reference path the benches diff digests against.
+//! reference path the tests diff canonical reports against.
 
 use crate::platform::config::{FunctionConfig, PlatformConfig};
 use crate::platform::engine::Platform;
@@ -297,7 +297,7 @@ pub fn run_sweep(
 
 /// [`run_sweep`] without prefix factoring: every scenario replays its
 /// own warmup. Same results, more wall-clock — this is the reference
-/// path the benches diff digests against to prove factoring is exact.
+/// path the tests diff reports against to prove factoring is exact.
 pub fn run_sweep_unshared(
     scenarios: Vec<Scenario>,
     threads: usize,
@@ -313,6 +313,27 @@ pub fn run_sweep_stats(
     scenarios: Vec<Scenario>,
     threads: usize,
 ) -> Result<(Vec<(String, PlatformReport)>, SweepStats), PlatformError> {
+    let (cells, stats) = factor_cells(scenarios, threads)?;
+    let results = fastg_par::try_par_map(cells, threads, |_, cell| match cell {
+        Cell::Straight(scenario) => {
+            let name = scenario.name.clone();
+            Ok::<_, PlatformError>((name, scenario.run()?))
+        }
+        Cell::Resume(scenario, prefix) => {
+            let name = scenario.name.clone();
+            // Clone the platform behind the `Arc`, not the `Arc`.
+            Ok((name, scenario.resume(Platform::clone(&prefix))?))
+        }
+    })?;
+    Ok((results, stats))
+}
+
+/// Factors `scenarios` into cells, in input order: simulates each shared
+/// warmup prefix once and hands every member of its group that prefix.
+fn factor_cells(
+    scenarios: Vec<Scenario>,
+    threads: usize,
+) -> Result<(Vec<Cell>, SweepStats), PlatformError> {
     // Group scenarios by prefix identity. Only scenarios that opted into
     // a warmup can share; groups of one gain nothing and run straight.
     let mut groups: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
@@ -363,24 +384,13 @@ pub fn run_sweep_stats(
             None => Cell::Straight(scenario),
         })
         .collect();
-
-    let results = fastg_par::try_par_map(cells, threads, |_, cell| match cell {
-        Cell::Straight(scenario) => {
-            let name = scenario.name.clone();
-            Ok::<_, PlatformError>((name, scenario.run()?))
-        }
-        Cell::Resume(scenario, prefix) => {
-            let name = scenario.name.clone();
-            // Clone the platform behind the `Arc`, not the `Arc`.
-            Ok((name, scenario.resume(Platform::clone(&prefix))?))
-        }
-    })?;
-    Ok((results, stats))
+    Ok((cells, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::{FaultKind, FaultPlan, TieBreak};
 
     fn grid() -> Vec<Scenario> {
         [12.0, 24.0]
@@ -501,6 +511,133 @@ mod tests {
         let straight = run_sweep_unshared(chaos_grid(), 1).expect("straight");
         assert_eq!(shared[0].1.digest(), straight[0].1.digest());
         assert_eq!(shared[1].1.digest(), straight[1].1.digest());
+    }
+
+    /// Prefix sharing simulates each warmup once. Every cell of a group
+    /// holds the same prefix platform, and its fork enters the treatment
+    /// at the end of the warmup with the warmup's events already handled,
+    /// so the cell never simulates the warmup again.
+    #[test]
+    fn resumed_cells_start_at_the_end_of_the_shared_warmup() {
+        let grid = treatment_grid();
+        let t = &grid[0];
+        let (mut straight, _) = build_prefix(&t.config, &t.functions, &t.loads).expect("prefix");
+        straight.run_for(t.shared_warmup);
+        assert!(straight.events_handled() > 0, "the warmup simulates nothing");
+        let cells = grid.len();
+        let (factored, stats) = factor_cells(grid, 2).expect("factor");
+        assert_eq!(stats.cells_resumed, cells);
+        let mut first: Option<&Arc<Platform>> = None;
+        for cell in &factored {
+            let Cell::Resume(scenario, prefix) = cell else {
+                panic!("a treatment cell ran straight");
+            };
+            let first = *first.get_or_insert(prefix);
+            assert!(Arc::ptr_eq(first, prefix), "{}: a second prefix", scenario.name);
+            let fork = Platform::clone(prefix);
+            assert_eq!(fork.now(), scenario.shared_warmup, "{}", scenario.name);
+            assert_eq!(
+                fork.events_handled(),
+                straight.events_handled(),
+                "{}: the fork does not carry the warmup's events",
+                scenario.name
+            );
+        }
+    }
+
+    /// A two-cell grid sharing one prefix: a reconfigure cell and a pod
+    /// kill cell, under the given chaos, overload and tie-break knobs.
+    /// The chaos plan puts a pod crash and a clock degrade inside the
+    /// warmup, so their effects ride the fork, and the recovery inside
+    /// the measured window, so a pending fault must survive the fork.
+    fn resume_parity_grid(chaos: bool, overload: bool, tiebreak: TieBreak) -> Vec<Scenario> {
+        let mut config = PlatformConfig::default()
+            .nodes(2)
+            .seed(43)
+            .oversubscribe(true)
+            .recovery(true)
+            .overload_control(overload)
+            .fastforward(true)
+            .tiebreak(tiebreak);
+        if chaos {
+            config = config.fault_plan(
+                FaultPlan::new()
+                    .at(SimTime::from_millis(300), FaultKind::PodCrash { func_index: 0 })
+                    .at(
+                        SimTime::from_millis(600),
+                        FaultKind::NodeDegrade {
+                            node_index: 1,
+                            factor: 1.5,
+                        },
+                    )
+                    .at(
+                        SimTime::from_millis(1_200),
+                        FaultKind::NodeRecover { node_index: 1 },
+                    ),
+            );
+        }
+        let base = |name: &str| {
+            Scenario::new(name, config.clone())
+                .function(
+                    FunctionConfig::new("f0", "resnet50")
+                        .replicas(2)
+                        .resources(50.0, 0.5, 0.5)
+                        .slo_ms(200),
+                )
+                .function(
+                    FunctionConfig::new("f1", "rnnt")
+                        .replicas(1)
+                        .resources(25.0, 0.25, 0.25),
+                )
+                .load(0, ArrivalProcess::poisson(60.0, 5))
+                .load(1, ArrivalProcess::poisson(10.0, 9))
+                .warmup(SimTime::from_millis(800))
+                .duration(SimTime::from_millis(700))
+        };
+        vec![
+            base("cell/reconfigure").then(TreatmentAction::Reconfigure {
+                func_index: 0,
+                sm_partition: 25.0,
+                quota_request: 0.25,
+                quota_limit: 0.5,
+            }),
+            base("cell/kill").then(TreatmentAction::KillPods {
+                func_index: 0,
+                count: 1,
+            }),
+        ]
+    }
+
+    /// Shared and unshared runs agree on every cell's canonical report
+    /// over {clean, chaos} × {overload on, off} × the four same-instant
+    /// tie-break orders, and sharing engages in every combination.
+    #[test]
+    fn resume_parity_across_chaos_overload_and_tiebreaks() {
+        for chaos in [false, true] {
+            for overload in [false, true] {
+                for tiebreak in [
+                    TieBreak::Fifo,
+                    TieBreak::Lifo,
+                    TieBreak::SeededShuffle(1),
+                    TieBreak::SeededShuffle(2),
+                ] {
+                    let combo = format!("chaos={chaos} overload={overload} {tiebreak:?}");
+                    let grid = || resume_parity_grid(chaos, overload, tiebreak);
+                    let (shared, stats) = run_sweep_stats(grid(), 2).expect("shared sweep");
+                    let unshared = run_sweep_unshared(grid(), 2).expect("unshared sweep");
+                    assert_eq!(stats.cells_resumed, 2, "{combo}: sharing never engaged");
+                    assert_eq!(shared.len(), unshared.len());
+                    for ((n1, r1), (n2, r2)) in shared.iter().zip(&unshared) {
+                        assert_eq!(n1, n2);
+                        assert_eq!(
+                            r1.canonical_text(),
+                            r2.canonical_text(),
+                            "{combo}: cell {n1} diverged from its unshared run"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Runs every cell of `grid`, whose cells share one prefix, on two
