@@ -475,6 +475,9 @@ impl FunctionConfig {
         let q_lim = ann("quota_limit", q_req.max(1.0))?;
         let replicas = usize::try_from(v["spec"]["replicas"].as_u64().unwrap_or(1)).unwrap_or(usize::MAX);
         let slo_ms = v["spec"]["slo_ms"].as_u64().unwrap_or(1_000);
+        if slo_ms.checked_mul(1_000).is_none() {
+            return Err(format!("spec.slo_ms: {slo_ms} ms does not fit in µs"));
+        }
         Ok(FunctionConfig::new(name, model)
             .replicas(replicas)
             .resources(sm, q_req, q_lim)
@@ -483,7 +486,7 @@ impl FunctionConfig {
 }
 
 snap_struct!(FunctionConfig { name, model, slo, replicas, resources, saturate } check |f| {
-    let (sm, limit, request) = f.resources;
+    let (sm, request, limit) = f.resources;
     if !(sm.is_finite() && limit.is_finite() && request.is_finite()) {
         return Err(SnapError::new("function resources"));
     }
@@ -573,6 +576,12 @@ mod tests {
         assert!(FunctionConfig::from_manifest("not json").is_err());
         assert!(FunctionConfig::from_manifest(
             r#"{"kind":"FaSTFunc","metadata":{},"spec":{"model":"x"}}"#
+        )
+        .is_err());
+        // An SLO that does not fit in µs.
+        assert!(FunctionConfig::from_manifest(
+            r#"{"kind":"FaSTFunc","metadata":{"name":"f"},
+                "spec":{"model":"resnet50","slo_ms":18446744073709552}}"#
         )
         .is_err());
     }

@@ -1,12 +1,14 @@
 //! The node-owned data plane.
 //!
 //! Each worker node's runtime is one [`NodeRt`]: the node's GPU device,
-//! its FaST Backend and a node-local slab of its pods' runtime. A pod is
-//! addressed by a small *slot*, its index in that slab, and the backend
-//! keeps the pod's quota row at the same slot, so the hot paths index
-//! instead of search. Events keep naming pods by [`PodId`]; the engine's
-//! `PodId → (node, slot)` map resolves one in O(1) ([`PodAt`]). The
-//! cluster keeps only the node's identity and health.
+//! its FaST Backend, its model storage server and a node-local slab of
+//! its pods' runtime. It is the only code that touches the device, the
+//! backend or the store. A pod is addressed by a small *slot*, its index
+//! in that slab, and the backend keeps the pod's quota row at the same
+//! slot, so the hot paths index instead of search. Events keep naming
+//! pods by [`PodId`]; the engine's `PodId → (node, slot)` map resolves one
+//! in O(1) ([`PodAt`]). The cluster keeps only the node's identity and
+//! health.
 //!
 //! Three hot paths run here, each against one node:
 //! - `HostDone` → token request → burst launch ([`Engine::step_pod`]);
@@ -17,96 +19,40 @@
 //! Per-kernel stepping, fast-forward breaks and zombie drains, the paths
 //! fast-forward falls back to, run here too.
 
-use super::engine::{Engine, Event};
+use super::engine::{schedule_next, Engine, Event};
+use super::error::PlatformError;
+use super::pod::{ActiveReq, PodAt, PodRt};
+use super::report::NodeReport;
 use crate::manager::{FastBackend, RequestOutcome};
-use crate::modelshare::StoreLib;
-use fastg_cluster::{FuncId, NodeId, NodeState, PodId, Request};
+use crate::modelshare::{ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
+use fastg_cluster::{Cluster, ClusterError, FuncId, NodeId, NodeState, Pod, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{CancelToken, EventQueue, SimTime};
-use fastg_gpu::{ClientId, GpuDevice, KernelDesc, KernelId};
-use fastg_models::{InferenceRun, ModelProfile, StageOp};
+use fastg_des::{EventQueue, IdArena, SimTime, TimeSeries};
+use fastg_gpu::{GpuDevice, KernelDesc, KernelId};
+use fastg_models::{InferenceRun, StageOp};
 use std::sync::Arc;
 
-/// Where a pod's runtime lives: its node and its slot in the node's slab,
-/// with the id it is known by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct PodAt {
-    pub(super) pod: PodId,
-    pub(super) node: NodeId,
-    pub(super) slot: usize,
-}
-
-/// The engine's `PodId → (node, slot)` map entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct PodLoc {
-    pub(super) node: NodeId,
-    pub(super) slot: u32,
-}
-
-impl PodLoc {
-    pub(super) fn slot(self) -> usize {
-        // Lossless on every supported target; the fallback is unreachable.
-        usize::try_from(self.slot).unwrap_or(usize::MAX)
-    }
-
-    pub(super) fn at(self, pod: PodId) -> PodAt {
-        PodAt {
-            pod,
-            node: self.node,
-            slot: self.slot(),
-        }
-    }
-}
-
-#[derive(Clone)]
-pub(super) struct ActiveReq {
-    pub(super) req: Request,
-    /// When service began (wasted-work accounting excludes queue wait).
-    pub(super) started: SimTime,
-    pub(super) run: InferenceRun,
-    /// Stage index (into the run's profile) of a burst waiting for a
-    /// token grant. Kept as an index so the hot path never clones the
-    /// kernel vector (see [`StageOp`]).
-    pub(super) pending_stage: Option<usize>,
-    pub(super) outstanding: usize,
-    pub(super) burst_gpu_time: SimTime,
-    pub(super) waiting_token: bool,
-    /// Cancellation token of the burst's pending macro-event, when the
-    /// burst was coalesced by the fast-forward layer.
-    pub(super) ff: Option<CancelToken>,
-}
-
-#[derive(Clone)]
-pub(super) struct PodRt {
-    pub(super) func: FuncId,
-    pub(super) node: NodeId,
-    /// The pod's MPS client id, resolved once at creation so the
-    /// per-burst launch path skips the cluster pod-table lookup.
-    pub(super) client: ClientId,
-    pub(super) active: Option<ActiveReq>,
-    pub(super) storelib: Option<StoreLib>,
-    pub(super) bound_rect: bool,
-    /// A crashed pod whose kernels are still draining on the GPU: the
-    /// number of outstanding kernel completions before final teardown.
-    pub(super) zombie: Option<usize>,
-}
-
-/// One node's data plane: its GPU device, its FaST Backend and the
-/// runtime of its pods, in a slab addressed by slot. Slots are reused
-/// lowest-first and vacant trailing slots are trimmed, so storage stays
-/// proportional to the pods on the node.
+/// One node's data plane: its GPU device, its FaST Backend, its model
+/// store and the runtime of its pods, in a slab addressed by slot. Slots
+/// are reused lowest-first and vacant trailing slots are trimmed, so
+/// storage stays proportional to the pods on the node.
 #[derive(Clone)]
 pub(super) struct NodeRt {
-    pub(super) gpu: GpuDevice,
-    pub(super) backend: FastBackend,
+    id: NodeId,
+    gpu: GpuDevice,
+    backend: FastBackend,
+    store: ModelStorageServer,
     pods: Vec<Option<(PodId, PodRt)>>,
 }
 
 impl NodeRt {
-    pub(super) fn new(backend: FastBackend, gpu: GpuDevice) -> Self {
+    /// Node `id` with an empty model store and no pods.
+    pub(super) fn new(id: NodeId, backend: FastBackend, gpu: GpuDevice) -> Self {
         NodeRt {
+            id,
             gpu,
             backend,
+            store: ModelStorageServer::new(DEFAULT_CTX_OVERHEAD),
             pods: Vec::new(),
         }
     }
@@ -148,13 +94,9 @@ impl NodeRt {
     }
 
     /// The pod at `slot`, with its id.
-    fn at(&self, node: NodeId, slot: usize) -> Option<PodAt> {
+    fn at(&self, slot: usize) -> Option<PodAt> {
         let (pod, _) = self.pods.get(slot)?.as_ref()?;
-        Some(PodAt {
-            pod: *pod,
-            node,
-            slot,
-        })
+        Some(PodAt { pod: *pod, node: self.id, slot })
     }
 
     /// The node's pods, in slot order.
@@ -164,7 +106,7 @@ impl NodeRt {
 
     /// The pods whose burst is fast-forwarded, in ascending `PodId` order
     /// (the order breaks are applied in, whatever the slots).
-    fn fast_forwarded(&self, node: NodeId) -> Vec<PodAt> {
+    fn fast_forwarded(&self) -> Vec<PodAt> {
         let mut ff: Vec<PodAt> = self
             .pods
             .iter()
@@ -172,15 +114,232 @@ impl NodeRt {
             .filter_map(|(slot, p)| {
                 let (pod, rt) = p.as_ref()?;
                 rt.active.as_ref()?.ff?;
-                Some(PodAt {
-                    pod: *pod,
-                    node,
-                    slot,
-                })
+                Some(PodAt { pod: *pod, node: self.id, slot })
             })
             .collect();
         ff.sort_unstable_by_key(|at| at.pod);
         ff
+    }
+
+    // ----- pod lifecycle ----------------------------------------------
+
+    /// Whether the device has memory for a pod reserving `pod_bytes`,
+    /// plus, under model sharing, the store's reservation for the model
+    /// (`shared`: its name and those bytes) unless the store holds it.
+    pub(super) fn fits(&self, pod_bytes: u64, shared: Option<(&str, u64)>) -> bool {
+        let store_bytes = match shared {
+            Some((model, bytes)) if self.store.model_bytes(model) == 0 => bytes,
+            _ => 0,
+        };
+        self.gpu.memory().free_bytes() >= pod_bytes + store_bytes
+    }
+
+    /// Creates a pod on this node: the cluster's pod, its MPS client
+    /// registered at `spec` with `pod_bytes` of device memory, and the
+    /// model's weights (`attach`: its name and bytes) attached through
+    /// the node's store. The runtime it returns joins the node through
+    /// [`Self::admit`].
+    pub(super) fn create_pod(
+        &mut self,
+        cluster: &mut Cluster,
+        now: SimTime,
+        func: FuncId,
+        spec: ResourceSpec,
+        pod_bytes: u64,
+        attach: Option<(&str, u64)>,
+    ) -> Result<(PodId, PodRt), PlatformError> {
+        let pod = cluster.create_pod(now, self.id, func, spec, pod_bytes, &mut self.gpu)?;
+        let client = cluster.pod(pod)?.client;
+        let storelib = match attach {
+            Some((model, weights)) => {
+                let mut lib = StoreLib::new();
+                lib.attach(&mut self.store, self.gpu.memory_mut(), model, &[("weights", weights)])?;
+                Some(lib)
+            }
+            None => None,
+        };
+        let rt = PodRt {
+            func,
+            node: self.id,
+            client,
+            active: None,
+            storelib,
+            bound_rect: false,
+            zombie: None,
+        };
+        Ok((pod, rt))
+    }
+
+    /// Puts a created pod's runtime in the slab, and its backend table
+    /// row (the FaSTPod controller's spec sync) at the same slot.
+    pub(super) fn admit(&mut self, pod: PodId, rt: PodRt, resources: ResourceSpec) -> PodAt {
+        let slot = self.insert(pod, rt);
+        self.backend.register_at(slot, pod, resources);
+        PodAt { pod, node: self.id, slot }
+    }
+
+    /// Re-applies a pod's resources: its MPS partition from its next
+    /// kernel launch, its backend row's quotas within this window.
+    pub(super) fn respec_pod(
+        &mut self,
+        slot: usize,
+        pod: PodId,
+        sm_partition: f64,
+        resources: ResourceSpec,
+    ) -> Result<(), PlatformError> {
+        let client = self.get(slot).ok_or(PlatformError::Internal("runtime missing for pod"))?.client;
+        self.gpu.set_partition(client, sm_partition)?;
+        self.backend.update_spec(pod, resources);
+        Ok(())
+    }
+
+    /// A pod crash: its backend row goes at once, and its runtime gives
+    /// up its in-flight request and its rectangle binding. Kernels left
+    /// on the device drain as a zombie. Returns the request, the kernels
+    /// left and whether the pod held a binding.
+    pub(super) fn kill_pod(&mut self, slot: usize, pod: PodId) -> Option<(Option<Request>, usize, bool)> {
+        self.backend.force_deregister(pod);
+        let rt = self.get_mut(slot)?;
+        let bound = std::mem::take(&mut rt.bound_rect);
+        let (req, outstanding) = rt.active.take().map_or((None, 0), |a| (Some(a.req), a.outstanding));
+        if outstanding > 0 {
+            rt.zombie = Some(outstanding);
+        }
+        Some((req, outstanding, bound))
+    }
+
+    /// Tears down the pod at `slot`: its runtime leaves the slab, its
+    /// backend row goes (a crashed pod's went when it was killed), its
+    /// weights detach from the store and the cluster deletes it, freeing
+    /// its memory and MPS client. Returns its runtime.
+    pub(super) fn delete_pod(&mut self, cluster: &mut Cluster, pod: PodId, slot: usize) -> Option<PodRt> {
+        let mut rt = self.remove(slot)?;
+        self.backend.deregister(pod);
+        if let Some(lib) = rt.storelib.as_mut() {
+            lib.detach(&mut self.store, self.gpu.memory_mut());
+        }
+        let deleted = cluster.delete_pod(pod, &mut self.gpu);
+        debug_assert!(deleted.is_ok(), "pod exists in cluster");
+        Some(rt)
+    }
+
+    // ----- node health ------------------------------------------------
+
+    /// Powers the node off: the cluster marks it down, hard-resets its
+    /// device and returns the pods it lost (their runtimes stay in the
+    /// slab for the caller to take).
+    pub(super) fn crash(&mut self, cluster: &mut Cluster, now: SimTime) -> Result<Vec<Pod>, ClusterError> {
+        cluster.crash_node(now, self.id, &mut self.gpu)
+    }
+
+    /// The node after a crash: the hard-reset device stays, the backend
+    /// table and model store start afresh, and the slab is empty.
+    pub(super) fn reboot(self, backend: FastBackend) -> Self {
+        debug_assert!(self.pods().next().is_none(), "a crashed node keeps no pod");
+        NodeRt::new(self.id, backend, self.gpu)
+    }
+
+    /// A clock fault: degrades the node's clock by `factor`, or restores
+    /// full clock when `factor` is `None`.
+    pub(super) fn reclock(&mut self, cluster: &mut Cluster, factor: Option<f64>) {
+        let _ = match factor {
+            Some(factor) => cluster.degrade_node(self.id, factor, &mut self.gpu),
+            None => cluster.recover_node(self.id, &mut self.gpu),
+        };
+    }
+
+    // ----- metrics ----------------------------------------------------
+
+    /// Samples the device's metrics window at `now`. Deferred
+    /// fast-forward boundaries land first: strictly before `now` for the
+    /// periodic sample (same-instant finishes order after it, exactly as
+    /// their per-kernel events would), and at `now` too for a report's
+    /// closing sample (`inclusive`), since a per-kernel run would have
+    /// delivered those finishes before the caller could report.
+    pub(super) fn sample_metrics(&mut self, now: SimTime, inclusive: bool) {
+        if inclusive {
+            self.gpu.ff_sync_inclusive(now);
+        } else {
+            self.gpu.ff_sync(now);
+        }
+        self.gpu.metrics_mut().sample(now);
+    }
+
+    /// Device memory in use (bytes).
+    pub(super) fn memory_used(&self) -> u64 {
+        self.gpu.memory().used()
+    }
+
+    /// The node's report row; series means count only samples after
+    /// `warmup` (all of them if none is).
+    pub(super) fn report(&self, name: String, pods: usize, up: bool, warmup: SimTime) -> NodeReport {
+        let m = self.gpu.metrics();
+        let series_mean = |s: &TimeSeries| {
+            let vals: Vec<f64> = s
+                .points()
+                .iter()
+                .filter(|&&(t, _)| t > warmup)
+                .map(|&(_, v)| v)
+                .collect();
+            if vals.is_empty() {
+                s.mean()
+            } else {
+                vals.iter().sum::<f64>() / vals.len() as f64
+            }
+        };
+        NodeReport {
+            name,
+            gpu: self.gpu.spec().name.clone(),
+            utilization: series_mean(m.utilization_series()),
+            sm_occupancy: series_mean(m.occupancy_series()),
+            kernels: m.total_kernels(),
+            pods,
+            up,
+            memory_used: self.memory_used(),
+            utilization_series: m.utilization_series().clone(),
+            occupancy_series: m.occupancy_series().clone(),
+        }
+    }
+
+    // ----- checkpoint -------------------------------------------------
+
+    /// Encodes the device; the cluster writes it inside its node table.
+    pub(super) fn snap_device(&self, w: &mut SnapWriter) {
+        self.gpu.snap(w);
+    }
+
+    /// Encodes the node table: every node's backend table, then every
+    /// node's model store, each as one `NodeId`-keyed arena.
+    pub(super) fn snap_table(nodes: &IdArena<NodeId, NodeRt>, w: &mut SnapWriter) {
+        nodes.snap_with(w, |n, w| n.backend.snap(w));
+        nodes.snap_with(w, |n, w| n.store.snap(w));
+    }
+
+    /// Decodes [`Self::snap_table`] output, joining each node with its
+    /// device from `gpus` (in node order). A backend or store table whose
+    /// keys differ from the devices' is an error.
+    pub(super) fn unsnap_table(
+        r: &mut SnapReader<'_>,
+        gpus: Vec<(NodeId, GpuDevice)>,
+    ) -> Result<IdArena<NodeId, NodeRt>, SnapError> {
+        let mismatch = || SnapError::new("engine per-node services");
+        let mut gpus = gpus.into_iter().peekable();
+        let mut nodes = IdArena::unsnap_with(r, |id, r| {
+            let backend = FastBackend::unsnap(r)?;
+            let gpu = gpus.next_if(|&(g, _)| g == id).ok_or_else(mismatch)?.1;
+            Ok(NodeRt::new(id, backend, gpu))
+        })?;
+        if gpus.next().is_some() {
+            return Err(mismatch());
+        }
+        let mut stores: IdArena<NodeId, ModelStorageServer> = IdArena::unsnap(r)?;
+        if stores.len() != nodes.len() {
+            return Err(mismatch());
+        }
+        for (id, n) in nodes.iter_mut() {
+            n.store = stores.remove(id).ok_or_else(mismatch)?;
+        }
+        Ok(nodes)
     }
 
     /// After decode: moves every backend row to the slot its pod holds in
@@ -197,7 +356,7 @@ impl NodeRt {
 impl Engine {
     /// Where `pod`'s runtime lives, if the pod exists.
     pub(super) fn locate(&self, pod: PodId) -> Option<PodAt> {
-        self.pod_loc.get(pod).map(|l| l.at(pod))
+        self.pod_loc.get(pod).copied()
     }
 
     pub(super) fn pod_rt(&self, at: PodAt) -> Option<&PodRt> {
@@ -471,7 +630,7 @@ impl Engine {
         if let Some(outstanding) = rt.zombie.as_mut() {
             *outstanding -= 1;
             if *outstanding == 0 {
-                self.teardown_dead_pod(at);
+                self.teardown_pod(at);
             }
             return;
         }
@@ -607,7 +766,7 @@ impl Engine {
         let pods = self
             .nodes
             .get(node)
-            .map(|n| n.fast_forwarded(node))
+            .map(NodeRt::fast_forwarded)
             .unwrap_or_default();
         for at in pods {
             self.ff_break_pod(now, at, queue);
@@ -690,7 +849,7 @@ impl Engine {
                 .get(slot)
                 .and_then(|rt| rt.active.as_ref())
                 .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
-            if let Some(at) = n.at(node, slot).filter(|_| has_burst) {
+            if let Some(at) = n.at(slot).filter(|_| has_burst) {
                 self.launch_burst(now, at, queue);
             }
         }
@@ -713,114 +872,7 @@ impl Engine {
             None => debug_assert!(false, "runtime per node"),
         }
         self.poke_dispatch(node, queue);
-        queue.schedule(now + self.cfg.window, Event::WindowReset(node));
-    }
-}
-
-// ----- checkpoint -------------------------------------------------------
-
-impl ActiveReq {
-    /// Encodes the request plus its inference cursor. The model profile
-    /// itself is *not* written — checkpoints of a fleet hold one profile
-    /// copy per function, not one per in-flight request — so decode takes
-    /// the owning function's profile as context.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let Self {
-            req,
-            started,
-            run,
-            pending_stage,
-            outstanding,
-            burst_gpu_time,
-            waiting_token,
-            ff,
-        } = self;
-        req.snap(w);
-        started.snap(w);
-        run.snap_cursor(w);
-        pending_stage.snap(w);
-        w.len_prefix(*outstanding);
-        burst_gpu_time.snap(w);
-        w.bool(*waiting_token);
-        ff.snap(w);
-    }
-
-    fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        profile: &Arc<ModelProfile>,
-    ) -> Result<Self, SnapError> {
-        let req = Request::unsnap(r)?;
-        let started = SimTime::unsnap(r)?;
-        let run = InferenceRun::unsnap_cursor(r, Arc::clone(profile))?;
-        let pending_stage = Option::unsnap(r)?;
-        if pending_stage.is_some_and(|s: usize| s >= profile.stages.len()) {
-            return Err(SnapError::new("active request pending stage"));
-        }
-        Ok(ActiveReq {
-            req,
-            started,
-            run,
-            pending_stage,
-            outstanding: r.len_prefix()?,
-            burst_gpu_time: SimTime::unsnap(r)?,
-            waiting_token: r.bool()?,
-            ff: Option::unsnap(r)?,
-        })
-    }
-}
-
-impl PodRt {
-    pub(super) fn snap_state(&self, w: &mut SnapWriter) {
-        let Self {
-            func,
-            node,
-            client,
-            active,
-            storelib,
-            bound_rect,
-            zombie,
-        } = self;
-        func.snap(w);
-        node.snap(w);
-        client.snap(w);
-        match active {
-            Some(a) => {
-                w.u8(1);
-                a.snap_state(w);
-            }
-            None => w.u8(0),
-        }
-        storelib.snap(w);
-        w.bool(*bound_rect);
-        zombie.snap(w);
-    }
-
-    /// Decodes one pod, resolving its active request's model profile
-    /// through `profile_of` (the already decoded function table).
-    pub(super) fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        profile_of: impl Fn(FuncId) -> Option<Arc<ModelProfile>>,
-    ) -> Result<Self, SnapError> {
-        let func = FuncId::unsnap(r)?;
-        let node = NodeId::unsnap(r)?;
-        let client = ClientId::unsnap(r)?;
-        let active = match r.u8()? {
-            0 => None,
-            1 => {
-                let profile = profile_of(func).ok_or(SnapError::new("pod function binding"))?;
-                Some(ActiveReq::unsnap_state(r, &profile)?)
-            }
-            _ => return Err(SnapError::new("pod active tag")),
-        };
-        Ok(PodRt {
-            func,
-            node,
-            client,
-            active,
-            storelib: Option::unsnap(r)?,
-            bound_rect: r.bool()?,
-            zombie: Option::unsnap(r)?,
-        })
+        schedule_next(queue, now, self.cfg.window, Event::WindowReset(node));
     }
 }
 
@@ -828,11 +880,11 @@ impl PodRt {
 mod tests {
     use super::*;
     use crate::manager::BackendConfig;
-    use fastg_cluster::ResourceSpec;
-    use fastg_gpu::{GpuSpec, MpsMode};
+    use fastg_gpu::{ClientId, GpuSpec, MpsMode};
 
     fn node() -> NodeRt {
         NodeRt::new(
+            NodeId(0),
             FastBackend::new(BackendConfig::default()),
             GpuDevice::new(GpuSpec::v100(), MpsMode::Shared),
         )
@@ -858,7 +910,7 @@ mod tests {
         assert!(n.remove(0).is_some());
         assert!(n.remove(0).is_none(), "a vacant slot removes nothing");
         assert_eq!(n.insert(PodId(7), pod_rt()), 0);
-        assert_eq!(n.at(NodeId(0), 0).map(|at| at.pod), Some(PodId(7)));
+        assert_eq!(n.at(0).map(|at| at.pod), Some(PodId(7)));
         assert!(n.remove(2).is_some());
         assert!(n.remove(1).is_some());
         assert_eq!(n.pods.len(), 1, "vacant trailing slots are trimmed");

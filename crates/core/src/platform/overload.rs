@@ -5,9 +5,9 @@
 //! auto-scaler can keep up. During a flash crowd — or while a node from
 //! the fault plan is down — the platform needs to *refuse, shed or
 //! degrade* work instead of queueing it without limit. This module holds
-//! the pure state machines; the engine drives them from DES events so the
-//! whole plane replays digest-identically at any thread count, with
-//! fast-forward on or off, clean or under chaos.
+//! the pure state machines and the engine's breaker tick, which drives
+//! them from DES events so the whole plane replays digest-identically at
+//! any thread count, with fast-forward on or off, clean or under chaos.
 //!
 //! Control loop, per function:
 //!
@@ -29,8 +29,10 @@
 //!   recovery-hysteresis streak of healthy windows; a failure-rate trip
 //!   (node crash) fast-fails new arrivals until probes succeed.
 
+use super::engine::{schedule_next, Engine, Event};
+use fastg_cluster::{FuncId, ResourceSpec};
 use fastg_des::snap::SnapError;
-use fastg_des::{snap_enum, snap_struct, SimTime};
+use fastg_des::{snap_enum, snap_struct, EventQueue, SimTime};
 use std::collections::BTreeSet;
 
 /// Tuning for the overload control plane. Attached to
@@ -456,6 +458,69 @@ snap_struct!(CircuitBreaker {
     }
     Ok(())
 });
+
+impl Engine {
+    /// One breaker evaluation window: shed stale queue prefixes, advance
+    /// every function's breaker, and apply brownout transitions through
+    /// the regular `reconfigure` path (which breaks fast-forward state on
+    /// touched nodes, so replay stays digest-exact).
+    pub(super) fn on_breaker_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        let Some(o) = self.cfg.overload else {
+            return; // overload control disabled after scheduling: disarm
+        };
+        schedule_next(queue, now, o.breaker_window, Event::BreakerTick);
+        let func_ids: Vec<FuncId> = self.funcs.keys().collect();
+        for func in func_ids {
+            // Requests can outlive their deadline between dispatch
+            // opportunities; sweep them each window so the shed counters
+            // see overload even when no pod goes idle.
+            self.shed_dead_prefix(now, func);
+            let Some(frt) = self.funcs.get_mut(func) else {
+                continue;
+            };
+            match frt.breaker.tick(now, &o) {
+                BreakerAction::None => {}
+                BreakerAction::EnterBrownout => self.enter_brownout(now, func, &o, queue),
+                BreakerAction::ExitBrownout => self.exit_brownout(now, func, queue),
+            }
+        }
+    }
+
+    /// Brownout entry: snapshot full-quota resources and reconfigure
+    /// every replica to a reduced quota request (elastic limit kept), so
+    /// the function keeps serving degraded instead of hard-failing.
+    fn enter_brownout(
+        &mut self,
+        now: SimTime,
+        func: FuncId,
+        o: &OverloadConfig,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let Some(frt) = self.funcs.get_mut(func) else {
+            return;
+        };
+        let full = frt.resources;
+        frt.normal_resources = full;
+        let reduced = ResourceSpec::new(
+            full.sm_partition,
+            (full.quota_request * o.brownout_quota_factor).max(0.01),
+            full.quota_limit,
+            full.gpu_mem,
+        );
+        let applied = self.reconfigure(now, func, reduced, queue);
+        debug_assert!(applied.is_ok(), "browning out a deployed function");
+    }
+
+    /// Brownout exit: restore the snapshot taken at entry.
+    fn exit_brownout(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
+        let Some(frt) = self.funcs.get(func) else {
+            return;
+        };
+        let full = frt.normal_resources;
+        let applied = self.reconfigure(now, func, full, queue);
+        debug_assert!(applied.is_ok(), "restoring a deployed function");
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,10 @@
-//! Run reports: the numbers the paper's figures plot.
+//! Run reports: the numbers the paper's figures plot, the engine's
+//! metric sampling, and the report flush with its conservation check.
 
-use fastg_cluster::FuncId;
-use fastg_des::{SimTime, TimeSeries};
+use super::engine::{schedule_next, Engine, Event};
+use super::lifecycle::is_synthetic;
+use fastg_cluster::{FuncId, NodeState};
+use fastg_des::{sanitizer, EventQueue, SimTime, TimeSeries};
 use std::collections::BTreeMap;
 
 /// Per-function results over a run.
@@ -291,6 +294,133 @@ impl PlatformReport {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
+    }
+}
+
+impl Engine {
+    pub(super) fn on_metrics_sample(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        for n in self.nodes.values_mut() {
+            n.sample_metrics(now, false);
+        }
+        let counts = self.cluster.pod_counts();
+        for (f, rt) in self.funcs.iter_mut() {
+            rt.replica_series.push(now, counts.running_of(f) as f64);
+        }
+        schedule_next(queue, now, self.cfg.sample_interval, Event::MetricsSample);
+    }
+
+    pub(super) fn build_report(&mut self, now: SimTime) -> PlatformReport {
+        // Retry-table leak check: every terminal state clears its entry,
+        // so the table can never exceed the live request population.
+        if cfg!(debug_assertions) {
+            let queued: u64 = self
+                .funcs
+                .keys()
+                .map(|f| u64::try_from(self.gateway.queue_len(f)).unwrap_or(u64::MAX))
+                .sum();
+            let in_flight =
+                u64::try_from(self.all_pods().filter(|p| p.active.is_some()).count())
+                    .unwrap_or(u64::MAX);
+            debug_assert!(
+                self.gateway.retries_total() <= queued + in_flight,
+                "gateway retry table leaked: {} entries, {queued} queued, {in_flight} in flight",
+                self.gateway.retries_total(),
+            );
+        }
+        // Flush a final metric sample so short runs have data.
+        for n in self.nodes.values_mut() {
+            n.sample_metrics(now, true);
+        }
+        let warmup = self.cfg.warmup;
+        let counts = self.cluster.pod_counts();
+        let mut functions = BTreeMap::new();
+        for (id, rt) in self.funcs.iter() {
+            let hist = rt.slo.histogram();
+            let steady_rps = rt.completions.rate_since(warmup, now);
+            functions.insert(
+                id,
+                FunctionReport {
+                    name: rt.spec.name.clone(),
+                    model: rt.spec.model.clone(),
+                    arrivals: self.gateway.total_arrivals(id),
+                    completed: rt.completions.count(),
+                    throughput_rps: steady_rps,
+                    p50: hist.quantile(0.5),
+                    p95: hist.quantile(0.95),
+                    p99: hist.quantile(0.99),
+                    max_latency: hist.max(),
+                    mean_latency: hist.mean(),
+                    slo: rt.slo.slo(),
+                    slo_violations: rt.slo.violations(),
+                    violation_ratio: rt.slo.violation_ratio(),
+                    replicas: counts.running_of(id),
+                    replica_series: rt.replica_series.clone(),
+                    dropped: self.gateway.dropped(id),
+                    rejected: self.gateway.rejected(id),
+                    shed_deadline: self.gateway.shed_deadline(id),
+                    browned_out: rt.browned_out,
+                    breaker_trips: rt.breaker.trips(),
+                    good_completions: rt.goodput.count(),
+                    goodput_rps: rt.goodput.rate_since(warmup, now),
+                    wasted_service: rt.wasted_service,
+                    time_to_recovery: rt.recoveries.clone(),
+                },
+            );
+        }
+        let mut nodes = Vec::new();
+        for id in self.cluster.node_ids() {
+            let (Ok(node), Some(nrt)) = (self.cluster.node(id), self.nodes.get(id)) else {
+                continue;
+            };
+            let up = !matches!(self.cluster.node_state(id), Ok(NodeState::Down));
+            nodes.push(nrt.report(node.name.clone(), counts.on_node(id), up, warmup));
+        }
+        if sanitizer::active() {
+            self.sanitize_conservation(&functions);
+        }
+        PlatformReport {
+            duration: now,
+            warmup,
+            functions,
+            nodes,
+            unschedulable_pods: self.unschedulable,
+            faults_injected: self.faults_injected,
+        }
+    }
+
+    /// Shadow-check (`FASTG_SANITIZE=1`): the overload conservation
+    /// identity at every report flush — every real arrival is accounted
+    /// for exactly once across terminal and pending states. Saturating
+    /// functions are excluded (their synthetic requests bypass the
+    /// gateway's arrival accounting).
+    fn sanitize_conservation(&self, functions: &BTreeMap<FuncId, FunctionReport>) {
+        for (&id, fr) in functions {
+            if self.funcs.get(id).map_or(true, |rt| rt.saturate) {
+                continue;
+            }
+            let queued = u64::try_from(self.gateway.queue_len(id)).unwrap_or(u64::MAX);
+            let in_flight = u64::try_from(
+                self.all_pods()
+                    .filter(|p| p.func == id)
+                    .filter_map(|p| p.active.as_ref())
+                    .filter(|a| !is_synthetic(&a.req))
+                    .count(),
+            )
+            .unwrap_or(u64::MAX);
+            let accounted = fr.completed
+                + fr.rejected
+                + fr.shed_deadline
+                + fr.dropped
+                + queued
+                + in_flight;
+            sanitizer::check(fr.arrivals == accounted, "overload-conservation", || {
+                format!(
+                    "function {id:?} ({}): arrivals {} != completed {} + rejected {} + shed {} \
+                     + dropped {} + queued {queued} + in_flight {in_flight} = {accounted}",
+                    fr.name, fr.arrivals, fr.completed, fr.rejected, fr.shed_deadline, fr.dropped,
+                )
+            });
+        }
     }
 }
 

@@ -27,7 +27,7 @@
 //! reference path the tests diff canonical reports against.
 
 use crate::platform::config::{FunctionConfig, PlatformConfig};
-use crate::platform::engine::Platform;
+use crate::platform::Platform;
 use crate::platform::error::PlatformError;
 use crate::platform::report::PlatformReport;
 use fastg_cluster::FuncId;

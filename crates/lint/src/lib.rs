@@ -46,8 +46,9 @@
 //!   over the platform `Event` enum, so a new event variant cannot
 //!   silently bypass the class ranking or sanitizer hooks.
 //! * **`no-btreemap-hot-path`** — `BTreeMap`/`BTreeSet` are denied in
-//!   the per-event hot-path files (the platform engine and node data
-//!   plane, gateway and backend): entity state there lives in dense
+//!   the per-event hot-path files (the platform engine, request
+//!   lifecycle, pod records and node data plane, gateway and backend,
+//!   node selection): entity state there lives in dense
 //!   arena storage behind generation-stamped handles (`IdArena`), where
 //!   a lookup is an index, not a pointer-chasing tree walk. Cold report-assembly code keeps
 //!   ordered maps behind a per-line allow escape.
@@ -168,9 +169,11 @@ const DETERMINISTIC_CRATES: [&str; 4] = [
 
 /// Files on the per-event hot path, where entity lookups must be arena
 /// indexing rather than ordered-tree walks (`no-btreemap-hot-path`).
-const HOT_PATH_FILES: [&str; 5] = [
+const HOT_PATH_FILES: [&str; 7] = [
     "crates/core/src/platform/engine.rs",
+    "crates/core/src/platform/lifecycle.rs",
     "crates/core/src/platform/node.rs",
+    "crates/core/src/platform/pod.rs",
     "crates/core/src/manager/backend.rs",
     "crates/core/src/scheduler/node_select.rs",
     "crates/cluster/src/gateway.rs",

@@ -244,7 +244,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// stores each latency histogram's occupied bucket range instead of all
 /// 512 buckets, and each function's completion and goodput meters as
 /// fixed-size warm-up counters instead of timestamp runs: both snapshots
-/// shrink, the fleet one by half.
+/// shrink, the fleet one by half. Two rows follow the chaos plan's node
+/// crash at 3 s (a run delivers the events at its deadline), so the
+/// crashed node's rebuilt backend and model store are pinned too.
 #[test]
 fn snapshot_bytes_are_pinned() {
     assert_eq!(SNAPSHOT_VERSION, 9, "bump SNAPSHOT_VERSION and re-pin");
@@ -252,9 +254,13 @@ fn snapshot_bytes_are_pinned() {
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
     fleet.run_for(SimTime::from_secs(3));
+    let mut crashed = flash_crowd_chaos_platform(TieBreak::Fifo);
+    crashed.run_for(SimTime::from_millis(4500));
+    assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
         ("flash crowd", flash, 13_514, 0x5124_2374_dffa_4109),
         ("fleet", fleet, 11_906, 0x15b4_eae4_5657_5b89),
+        ("flash crowd after the node crash", crashed, 21_163, 0xca48_9eb4_b92c_9dc1),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();

@@ -67,10 +67,10 @@ fn assert_conserved(p: &mut Platform, f: FuncId) {
 #[test]
 fn bounded_queue_rejects_under_flash_crowd() {
     let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 41);
-    p.run_for(SimTime::from_secs(12));
+    let r = p.run_for(SimTime::from_secs(12));
     let cap = OverloadConfig::default().queue_capacity;
     assert!(p.queued_requests(f) <= cap, "queue {} over cap {cap}", p.queued_requests(f));
-    assert!(p.rejected_requests(f) > 0, "flash crowd never hit the bound");
+    assert!(r.functions[&f].rejected > 0, "flash crowd never hit the bound");
     assert_conserved(&mut p, f);
 }
 
@@ -94,9 +94,9 @@ fn without_overload_control_the_queue_grows_unbounded() {
 #[test]
 fn deadline_shedding_drops_provably_dead_requests() {
     let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 43);
-    p.run_for(SimTime::from_secs(15));
+    let r = p.run_for(SimTime::from_secs(15));
     assert!(
-        p.shed_requests(f) > 0,
+        r.functions[&f].shed_deadline > 0,
         "a 200 ms deadline cannot survive a 400 rps crowd over ~70 rps capacity"
     );
     assert_conserved(&mut p, f);
@@ -106,10 +106,9 @@ fn deadline_shedding_drops_provably_dead_requests() {
 fn breaker_trips_and_brownout_serves_degraded() {
     let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 47);
     // Run to mid-crowd: breaker must have tripped on shed rate.
-    p.run_for(SimTime::from_secs(9));
-    assert!(p.breaker_trips(f) >= 1, "no trip during the crowd");
+    let r = p.run_for(SimTime::from_secs(9));
+    assert!(r.functions[&f].breaker_trips >= 1, "no trip during the crowd");
     assert!(p.brownout_active(f), "shed-rate trip should engage brownout");
-    let r = p.report();
     assert!(
         r.functions[&f].browned_out > 0,
         "brownout mode admitted no requests"
@@ -154,11 +153,11 @@ fn node_crash_trips_the_breaker_to_fast_fail() {
     // Crash-lost requests are breaker failures; with every replica gone,
     // new arrivals queue until the next tick trips the breaker, after
     // which they are refused outright.
-    p.run_for(SimTime::from_secs(3));
+    let r = p.run_for(SimTime::from_secs(3));
     assert_eq!(p.breaker_state(f), Some(BreakerState::Open));
-    assert!(p.breaker_trips(f) >= 1);
+    assert!(r.functions[&f].breaker_trips >= 1);
     assert!(
-        p.rejected_requests(f) > 0,
+        r.functions[&f].rejected > 0,
         "an Open breaker without brownout must fast-fail arrivals"
     );
     assert_conserved(&mut p, f);
