@@ -189,9 +189,12 @@ impl Engine {
     /// The recovery controller: one health check pass over every function.
     pub(super) fn on_health_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         schedule_next(queue, now, self.cfg.health_interval, Event::HealthTick);
+        // One pod-table pass per tick: creating pods for one function
+        // never changes another's running count.
+        let counts = self.cluster.pod_counts();
         let func_ids: Vec<FuncId> = self.funcs.keys().collect();
         for func in func_ids {
-            self.heal_function(now, func, queue);
+            self.heal_function(now, func, counts.running_of(func), queue);
         }
     }
 
@@ -201,8 +204,15 @@ impl Engine {
     /// failures back off exponentially; a backoff past the end of time
     /// never retries. A fully restored function records its
     /// time-to-recovery, also when it healed outside the controller (e.g.
-    /// the auto-scaler re-created capacity first).
-    fn heal_function(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
+    /// the auto-scaler re-created capacity first). `running` is the
+    /// function's running pod count.
+    fn heal_function(
+        &mut self,
+        now: SimTime,
+        func: FuncId,
+        running: usize,
+        queue: &mut EventQueue<Event>,
+    ) {
         let Some(rt) = self.funcs.get(func) else {
             debug_assert!(false, "function exists");
             return;
@@ -210,7 +220,6 @@ impl Engine {
         let desired = rt.desired_replicas;
         let resources = rt.resources;
         let backoff_until = rt.backoff_until;
-        let running = self.cluster.running_pods_of(func).len();
         let mut failed = false;
         if running < desired {
             let Some(rt) = self.funcs.get_mut(func) else {

@@ -342,6 +342,8 @@ mod tests {
         assert!((b.utilization_at(SimTime::from_secs(4)) - 0.5).abs() < 1e-9);
     }
 
+    // The panic is a `debug_assert!`: release builds skip the check.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "no active work")]
     fn busy_tracker_unbalanced_end_panics() {

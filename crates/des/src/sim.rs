@@ -364,6 +364,8 @@ mod tests {
         assert!(sim.queue().is_empty());
     }
 
+    // The panic is a `debug_assert!`: release builds skip the check.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn past_event_panics() {

@@ -138,3 +138,30 @@ fn forged_entry_count_reserves_at_most_the_input() {
         bytes.len()
     );
 }
+
+/// The same length bomb behind three valid entries, the last two past
+/// the horizon (two seconds after the first): entries that decode onto
+/// the far level share the heap's byte-bounded reservation.
+#[test]
+fn forged_entry_count_past_the_horizon_reserves_at_most_the_input() {
+    let mut w = SnapWriter::new();
+    TieBreak::Fifo.snap(&mut w);
+    w.u64(3); // next_seq
+    w.len_prefix(1 << 40);
+    for (seq, time) in [(0, 0), (1, 5_000_000), (2, 60_000_000)] {
+        w.u64(time);
+        w.u64(TieBreak::Fifo.key(seq));
+        Wide([seq; 8]).snap(&mut w);
+    }
+    let mut bytes = w.finish();
+    bytes.resize(bytes.len() + 65_536, 0xff);
+    let (restored, largest) = largest_allocation(|| {
+        EventQueue::<Wide>::new().restore_state(&mut SnapReader::new(&bytes))
+    });
+    assert!(restored.is_err());
+    assert!(
+        largest <= bytes.len(),
+        "restore_state reserved {largest} bytes from {} input bytes",
+        bytes.len()
+    );
+}

@@ -22,23 +22,47 @@ enum QueueOp {
     CancelForeign,
     Pop,
     PopBefore(u64),
+    /// Take the head the way the simulation driver does, leaving the
+    /// root held for the next push.
+    Take,
     /// Replace the queue by a `snap_state` → `restore_state` copy.
     RoundTrip,
 }
 
-fn queue_op() -> impl Strategy<Value = QueueOp> {
-    // Repeated arms weight the draw toward scheduling, cancels and pops.
+/// The queue's horizon width (1 s): the horizon sits two widths past the
+/// head whenever it moves.
+const WIDTH: u64 = 1_000_000;
+
+/// Entry times that reach both levels: colliding instants, times inside
+/// the first heap, times a few µs either side of whole widths (where the
+/// horizon falls while the head sits at an early instant), times far
+/// beyond it, and the end of time (a saturated timeout deadline).
+fn queue_time() -> impl Strategy<Value = u64> {
     prop_oneof![
-        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::Schedule(t, c)),
-        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::Schedule(t, c)),
-        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::ScheduleCancellable(t, c)),
-        (0u64..12, 0u64..3).prop_map(|(t, c)| QueueOp::ScheduleCancellable(t, c)),
+        0u64..4,
+        0u64..4,
+        0u64..2 * WIDTH,
+        (1u64..6, 0u64..8).prop_map(|(k, d)| k * WIDTH - 4 + d),
+        2 * WIDTH..40 * WIDTH,
+        (0u64..3).prop_map(|d| u64::MAX - d),
+    ]
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    // Repeated arms weight the draw toward scheduling, cancels and
+    // removals.
+    prop_oneof![
+        (queue_time(), 0u64..3).prop_map(|(t, c)| QueueOp::Schedule(t, c)),
+        (queue_time(), 0u64..3).prop_map(|(t, c)| QueueOp::Schedule(t, c)),
+        (queue_time(), 0u64..3).prop_map(|(t, c)| QueueOp::ScheduleCancellable(t, c)),
+        (queue_time(), 0u64..3).prop_map(|(t, c)| QueueOp::ScheduleCancellable(t, c)),
         (0usize..64).prop_map(QueueOp::Cancel),
         (0usize..64).prop_map(QueueOp::Cancel),
         Just(QueueOp::CancelForeign),
         Just(QueueOp::Pop),
-        Just(QueueOp::Pop),
-        (0u64..12).prop_map(QueueOp::PopBefore),
+        Just(QueueOp::Take),
+        Just(QueueOp::Take),
+        queue_time().prop_map(QueueOp::PopBefore),
         Just(QueueOp::RoundTrip),
     ]
 }
@@ -151,9 +175,22 @@ struct Step {
     claim: bool,
 }
 
+/// Push delays: mostly at or just after the delivery instant, sometimes
+/// about a horizon width or several widths ahead, so pushes reach the far
+/// level and the driver takes while far entries wait.
+fn delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..4,
+        0u64..4,
+        0u64..4,
+        WIDTH - 2..WIDTH + 2,
+        2 * WIDTH..20 * WIDTH,
+    ]
+}
+
 fn step() -> impl Strategy<Value = Step> {
     (
-        prop::collection::vec((0u64..4, 0u64..3, 0u8..3), 0..4),
+        prop::collection::vec((delay(), 0u64..3, 0u8..3), 0..4),
         prop_oneof![Just(None), (0usize..16).prop_map(Some)],
         0u8..4,
         0u8..3,
@@ -282,13 +319,9 @@ proptest! {
         seed in any::<u64>(),
         script in prop::collection::vec(step(), 1..24),
         budget in 1usize..200,
-        deadline in 0u64..60,
+        deadline in prop_oneof![0u64..60, 0u64..30 * WIDTH],
     ) {
-        let tiebreak = match policy {
-            0 => TieBreak::Fifo,
-            1 => TieBreak::Lifo,
-            _ => TieBreak::SeededShuffle(seed),
-        };
+        let tiebreak = tiebreak_of(policy, seed);
         let deadline = SimTime::from_micros(deadline);
 
         let mut sim = Simulation::new(Scripted::new(script.clone(), budget));
@@ -324,86 +357,236 @@ proptest! {
     }
 }
 
+/// A world that only records what the driver delivers, so a
+/// differential test can take the queue head through
+/// [`Simulation::step`], the only caller of the driver's take.
+#[derive(Default)]
+struct Taker {
+    taken: Option<(SimTime, u64)>,
+}
+
+impl World for Taker {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, event: u64, _queue: &mut EventQueue<u64>) {
+        self.taken = Some((now, event));
+    }
+}
+
+fn tiebreak_of(policy: u8, seed: u64) -> TieBreak {
+    match policy {
+        0 => TieBreak::Fifo,
+        1 => TieBreak::Lifo,
+        _ => TieBreak::SeededShuffle(seed),
+    }
+}
+
+/// Runs `ops` on a queue and on the sorted-`Vec` model, checking after
+/// every step that they agree: same removals, same `len()`, same
+/// `peek_time()`, same cancel verdicts. Then drains both.
+fn check_against_model(tiebreak: TieBreak, ops: &[QueueOp]) -> Result<(), TestCaseError> {
+    // The queue lives in a driver so that `Take` can reach the held root.
+    let mut sim = Simulation::new(Taker::default());
+    sim.queue_mut().set_tiebreak(tiebreak);
+    sim.queue_mut().set_classifier(class_of);
+    let mut model = QueueModel {
+        tiebreak,
+        entries: Vec::new(),
+        next_seq: 0,
+    };
+    // A token from a queue that has issued more sequence numbers than
+    // this one ever will.
+    let mut donor: EventQueue<u64> = EventQueue::new();
+    let mut foreign = None;
+    for _ in 0..=ops.len() {
+        foreign = Some(donor.schedule_cancellable(SimTime::ZERO, 0));
+    }
+    let foreign = foreign.unwrap();
+    let mut tokens: Vec<(CancelToken, u64)> = Vec::new();
+    for op in ops {
+        let q = sim.queue_mut();
+        match *op {
+            QueueOp::Schedule(t, c) => {
+                let seq = model.schedule(t, c);
+                q.schedule(SimTime::from_micros(t), seq * 3 + c);
+            }
+            QueueOp::ScheduleCancellable(t, c) => {
+                let seq = model.schedule(t, c);
+                tokens.push((
+                    q.schedule_cancellable(SimTime::from_micros(t), seq * 3 + c),
+                    seq,
+                ));
+            }
+            QueueOp::Cancel(i) => {
+                if tokens.is_empty() {
+                    continue;
+                }
+                let (token, seq) = tokens[i % tokens.len()];
+                let Some(entry) = model.entries.iter_mut().find(|e| e.seq == seq) else {
+                    continue;
+                };
+                let expected = !entry.dead;
+                entry.dead = true;
+                model.purge_dead_head();
+                prop_assert_eq!(q.cancel(token), expected, "cancel of seq {}", seq);
+            }
+            QueueOp::CancelForeign => {
+                // The armed sanitizer aborts on a foreign token by design.
+                if !fastg_des::sanitizer::active() {
+                    prop_assert!(!q.cancel(foreign), "foreign token cancelled an entry");
+                }
+            }
+            QueueOp::Pop => prop_assert_eq!(q.pop(), model.pop()),
+            QueueOp::PopBefore(d) => {
+                let deadline = SimTime::from_micros(d);
+                let expected = match model.peek_time() {
+                    Some(t) if t <= deadline => model.pop(),
+                    _ => None,
+                };
+                prop_assert_eq!(q.pop_before(deadline), expected);
+            }
+            QueueOp::Take => {
+                // The model has no clock: rewind the driver's, so that an
+                // entry scheduled before the last take is no past event.
+                sim.restore_clock(SimTime::ZERO, 0);
+                sim.step();
+                prop_assert_eq!(sim.world_mut().taken.take(), model.pop());
+            }
+            QueueOp::RoundTrip => {
+                *q = restored_copy(q);
+                // Cancelled entries are not encoded.
+                model.entries.retain(|e| !e.dead);
+            }
+        }
+        let q = sim.queue();
+        prop_assert_eq!(q.len(), model.len(), "len after {:?}", op);
+        prop_assert_eq!(q.peek_time(), model.peek_time(), "peek_time after {:?}", op);
+    }
+    let q = sim.queue_mut();
+    while let Some(expected) = model.pop() {
+        prop_assert_eq!(q.pop(), Some(expected));
+    }
+    prop_assert_eq!(q.pop(), None);
+    Ok(())
+}
+
+/// Sequences the random draw rarely lines up, run under every tie-break
+/// policy: out-of-order pushes on both levels before the first take, a
+/// round trip while far entries wait, a take while the heap holds one
+/// entry and the far buffer is not empty, and a horizon move, with and
+/// without a round trip first, that must leave an entry exactly at the
+/// new horizon in the far buffer.
+#[test]
+fn queue_matches_sorted_model_on_horizon_sequences() {
+    use QueueOp::*;
+    let w = WIDTH;
+    let end = u64::MAX;
+    let setup = [
+        // The horizon starts two widths past the first push.
+        Schedule(0, 0),
+        Schedule(w, 0),
+        Schedule(w + 5, 1),
+        Schedule(2 * w + 10, 2),
+        Schedule(3 * w, 2),
+    ];
+    let moves = [
+        Take,
+        // The head is within one width: the horizon moves to 3 W.
+        Take,
+        Schedule(2 * w + 20, 0),
+        Schedule(3 * w, 0),
+        Take,
+        Take,
+        Take,
+        Take,
+        Take,
+    ];
+    let horizon_move = [&setup[..], &moves[..]].concat();
+    let restored_move = [&setup[..], &[RoundTrip], &moves[..]].concat();
+    let out_of_order = vec![
+        Schedule(5 * w, 0),
+        ScheduleCancellable(3, 1),
+        Schedule(end, 2),
+        Schedule(2 * w + 3, 0),
+        ScheduleCancellable(2 * w + 2, 2),
+        Schedule(0, 1),
+        Schedule(3, 1),
+        Schedule(end, 0),
+        Cancel(0),
+        Take,
+        Schedule(1, 0),
+        Take,
+        Take,
+        Pop,
+        Take,
+    ];
+    let round_trip = vec![
+        Schedule(0, 0),
+        ScheduleCancellable(12 * w, 1),
+        ScheduleCancellable(w, 2),
+        Schedule(end - 1, 0),
+        Take,
+        Schedule(w + 1, 1),
+        Cancel(0),
+        RoundTrip,
+        Schedule(w, 0),
+        Take,
+        Cancel(1),
+        Take,
+        RoundTrip,
+        Take,
+    ];
+    let lone_heap_entry = vec![
+        Schedule(7, 0),
+        ScheduleCancellable(3 * w, 1),
+        Schedule(4 * w, 2),
+        Take,
+        Schedule(3 * w, 0),
+        Take,
+        Cancel(0),
+        Take,
+        Take,
+        Schedule(end, 1),
+        Schedule(w, 1),
+        Take,
+        Take,
+    ];
+    for tiebreak in [
+        TieBreak::Fifo,
+        TieBreak::Lifo,
+        TieBreak::SeededShuffle(7),
+        TieBreak::SeededShuffle(u64::MAX),
+    ] {
+        for ops in [
+            &out_of_order,
+            &round_trip,
+            &lone_heap_entry,
+            &horizon_move,
+            &restored_move,
+        ] {
+            if let Err(e) = check_against_model(tiebreak, ops) {
+                panic!("{tiebreak:?} {ops:?}: {e}");
+            }
+        }
+    }
+}
+
 proptest! {
     /// Random interleavings of every queue operation, under all three
     /// tie-break policies and three classes, agree with a sorted-`Vec`
-    /// model after every step: same pops, same `len()`, same
-    /// `peek_time()`, same cancel verdicts.
+    /// model after every step. The run starts with out-of-order pushes
+    /// and round-trips the queue mid-stream.
     #[test]
     fn queue_matches_sorted_model(
         policy in 0u8..3,
         seed in any::<u64>(),
-        ops in prop::collection::vec(queue_op(), 1..160),
+        setup in prop::collection::vec((queue_time(), 0u64..3), 0..24),
+        mut ops in prop::collection::vec(queue_op(), 1..160),
     ) {
-        let tiebreak = match policy {
-            0 => TieBreak::Fifo,
-            1 => TieBreak::Lifo,
-            _ => TieBreak::SeededShuffle(seed),
-        };
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.set_tiebreak(tiebreak);
-        q.set_classifier(class_of);
-        let mut model = QueueModel { tiebreak, entries: Vec::new(), next_seq: 0 };
-        // A token from a queue that has issued more sequence numbers than
-        // this one ever will.
-        let mut donor: EventQueue<u64> = EventQueue::new();
-        let mut foreign = None;
-        for _ in 0..=ops.len() {
-            foreign = Some(donor.schedule_cancellable(SimTime::ZERO, 0));
-        }
-        let foreign = foreign.unwrap();
-        let mut tokens: Vec<(CancelToken, u64)> = Vec::new();
-        for op in &ops {
-            match *op {
-                QueueOp::Schedule(t, c) => {
-                    let seq = model.schedule(t, c);
-                    q.schedule(SimTime::from_micros(t), seq * 3 + c);
-                }
-                QueueOp::ScheduleCancellable(t, c) => {
-                    let seq = model.schedule(t, c);
-                    tokens.push((q.schedule_cancellable(SimTime::from_micros(t), seq * 3 + c), seq));
-                }
-                QueueOp::Cancel(i) => {
-                    if tokens.is_empty() {
-                        continue;
-                    }
-                    let (token, seq) = tokens[i % tokens.len()];
-                    let Some(entry) = model.entries.iter_mut().find(|e| e.seq == seq) else {
-                        continue;
-                    };
-                    let expected = !entry.dead;
-                    entry.dead = true;
-                    model.purge_dead_head();
-                    prop_assert_eq!(q.cancel(token), expected, "cancel of seq {}", seq);
-                }
-                QueueOp::CancelForeign => {
-                    // The armed sanitizer aborts on a foreign token by design.
-                    if !fastg_des::sanitizer::active() {
-                        prop_assert!(!q.cancel(foreign), "foreign token cancelled an entry");
-                    }
-                }
-                QueueOp::Pop => prop_assert_eq!(q.pop(), model.pop()),
-                QueueOp::PopBefore(d) => {
-                    let deadline = SimTime::from_micros(d);
-                    let expected = match model.peek_time() {
-                        Some(t) if t <= deadline => model.pop(),
-                        _ => None,
-                    };
-                    prop_assert_eq!(q.pop_before(deadline), expected);
-                }
-                QueueOp::RoundTrip => {
-                    q = restored_copy(&q);
-                    // Cancelled entries are not encoded.
-                    model.entries.retain(|e| !e.dead);
-                }
-            }
-            prop_assert_eq!(q.len(), model.len(), "len after {:?}", op);
-            prop_assert_eq!(q.peek_time(), model.peek_time(), "peek_time after {:?}", op);
-        }
-        while let Some(expected) = model.pop() {
-            prop_assert_eq!(q.pop(), Some(expected));
-        }
-        prop_assert_eq!(q.pop(), None);
+        let mut all: Vec<QueueOp> =
+            setup.into_iter().map(|(t, c)| QueueOp::Schedule(t, c)).collect();
+        ops.insert(ops.len() / 2, QueueOp::RoundTrip);
+        all.extend(ops);
+        check_against_model(tiebreak_of(policy, seed), &all)?;
     }
 
     /// Events pop globally sorted by time, with FIFO order inside equal
