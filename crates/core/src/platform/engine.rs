@@ -139,6 +139,8 @@ pub(super) struct FuncRt {
 /// and the snapshot: a clone carries them, a platform restored from a
 /// snapshot starts them at zero. Passes are not events; an owed pass
 /// skipped because no waiter was grantable counts as skipped, not run.
+/// Events a solo pod delivered to itself inline count under their kind,
+/// like every other delivery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HandlerCounts {
     /// `Arrival` events.
@@ -168,6 +170,9 @@ pub struct HandlerCounts {
     /// Owed dispatch passes skipped because no waiter was grantable
     /// (every waiter quota-blocked until its window resets).
     pub dispatch_passes_skipped: u64,
+    /// Bursts a solo pod ran whole, their `BurstFastForward` delivered
+    /// inline (not events of their own; see the `node` module).
+    pub solo_steps: u64,
 }
 
 impl HandlerCounts {
@@ -187,6 +192,7 @@ impl HandlerCounts {
             breaker_tick,
             dispatch_passes: _,
             dispatch_passes_skipped: _,
+            solo_steps: _,
         } = *self;
         arrival
             + host_done
@@ -266,6 +272,17 @@ pub struct Engine {
     pub(super) dispatch_pending: Vec<(u64, NodeId)>,
     /// Per-kind handled events and dispatch passes.
     pub(super) counts: HandlerCounts,
+    /// Whether solo pods may run ahead (see the `node` module) when
+    /// fast-forward is on: true, except where a test turns it off to
+    /// compare against the queue-stepped run. Not snapshotted; a restored
+    /// platform has it on.
+    pub(super) run_ahead: bool,
+    /// Handlers in a row that could have run a pod ahead but took no step
+    /// inline (see [`Engine::step_pod`]). Past a few, only some try, so a
+    /// platform where other pods' events fill every gap, such as a fleet,
+    /// stops paying for the checks. It decides only whether to try, never
+    /// what happens, so it is not snapshotted.
+    pub(super) ahead_misses: u32,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     pub(super) trace: Vec<String>,
@@ -320,6 +337,14 @@ pub(super) fn make_backend(cfg: &PlatformConfig) -> FastBackend {
 }
 
 impl Engine {
+    /// Traces and counts an event delivered at `now`.
+    pub(super) fn note(&mut self, now: SimTime, event: &Event) {
+        if self.cfg.trace_events {
+            self.trace.push(format!("{now:?} {event:?}"));
+        }
+        self.counts.count(event);
+    }
+
     pub(super) fn new(cfg: PlatformConfig) -> Self {
         let mut cluster = Cluster::new();
         let mode = match cfg.policy {
@@ -355,6 +380,8 @@ impl Engine {
             ready_scratch: Vec::new(),
             dispatch_pending: Vec::new(),
             counts: HandlerCounts::default(),
+            run_ahead: true,
+            ahead_misses: 0,
             trace: Vec::new(),
             profiles: Vec::new(),
         }
@@ -370,10 +397,7 @@ impl World for Engine {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
-        if self.cfg.trace_events {
-            self.trace.push(format!("{now:?} {event:?}"));
-        }
-        self.counts.count(&event);
+        self.note(now, &event);
         match event {
             Event::Arrival(func) => self.on_arrival(now, func, queue),
             // A host phase may complete for a pod that crashed meanwhile.
@@ -392,7 +416,7 @@ impl World for Engine {
 
     /// Runs the pending dispatch pass with the lowest tie key, once the
     /// instant holds no event (a pass no waiter could use is skipped, see
-    /// [`Engine::on_dispatch`]). A pass may schedule events at `now` and
+    /// [`Engine::run_pass`]). A pass may schedule events at `now` and
     /// poke further passes; the driver delivers those events before the
     /// next call.
     fn end_of_instant(&mut self, now: SimTime, queue: &mut EventQueue<Event>) -> bool {
@@ -400,10 +424,11 @@ impl World for Engine {
             return false;
         }
         let (_, node) = self.dispatch_pending.remove(0);
-        if self.cfg.trace_events {
-            self.trace.push(format!("{now:?} dispatch pass {node:?}"));
+        // The pass is the instant's last work: a pod it grants alone may
+        // run ahead.
+        if let Some((at, stopped)) = self.run_pass(now, node, true, queue) {
+            self.step_pod(stopped, at, true, queue);
         }
-        self.on_dispatch(now, node, queue);
         true
     }
 }
@@ -441,6 +466,8 @@ impl Engine {
     /// (`burst_scratch`, `started_scratch`, `granted_scratch`,
     /// `ready_scratch`) are recycling caches with no semantic content
     /// between events; they restore empty, and so do the handler counts.
+    /// The run-ahead switches are not state: run-ahead is on after a
+    /// restore, and nothing runs ahead between events.
     /// The profile table is rebuilt from the functions on restore.
     ///
     /// The node runtimes go on the wire as their devices inside the
@@ -453,7 +480,8 @@ impl Engine {
             cfg, cluster, gateway, nodes, selector, funcs, pod_loc, autoscale_db, next_func,
             next_synth, unschedulable, killed, faults_injected, ff_bursts, ff_coalesced_kernels,
             burst_scratch: _, started_scratch: _, granted_scratch: _, ready_scratch: _,
-            dispatch_pending, counts: _, trace, profiles: _,
+            dispatch_pending, counts: _, run_ahead: _, ahead_misses: _, trace,
+            profiles: _,
         } = self;
         cfg.snap(w);
         cluster.snap_with(w, |id, w| match nodes.get(id) {
@@ -544,6 +572,8 @@ impl Engine {
             ready_scratch: Vec::new(),
             dispatch_pending: Vec::unsnap(r)?,
             counts: HandlerCounts::default(),
+            run_ahead: true,
+            ahead_misses: 0,
             trace: Vec::unsnap(r)?,
             profiles,
         };

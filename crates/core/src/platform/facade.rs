@@ -145,6 +145,14 @@ impl Platform {
         self.report()
     }
 
+    /// Switches solo-pod run-ahead on (the default) or off; off, every
+    /// step of every pod goes through the event queue. The parity tests
+    /// compare the two.
+    #[cfg(test)]
+    pub(crate) fn set_run_ahead(&mut self, on: bool) {
+        self.sim.world_mut().run_ahead = on;
+    }
+
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()

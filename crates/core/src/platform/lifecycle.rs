@@ -67,7 +67,11 @@ impl Engine {
         self.schedule_request_timeout(now, func, req.id, queue);
         if let Some(pod) = pod {
             match self.locate(pod) {
-                Some(at) => self.assign_request(now, at, req, queue),
+                // The handler's last action: the pod may run ahead.
+                Some(at) => {
+                    self.start_request(now, at, req);
+                    self.step_pod(now, at, true, queue);
+                }
                 None => debug_assert!(false, "the gateway routes to live pods"),
             }
         }
@@ -146,15 +150,24 @@ impl Engine {
         }
     }
 
-    pub(super) fn complete_request(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+    /// Accounts the pod's finished request, then gives the pod its next
+    /// one, or parks it idle, or deletes it if it is terminating. Returns
+    /// whether the pod took a next request, which the caller steps from
+    /// `now`.
+    pub(super) fn complete_request(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        queue: &mut EventQueue<Event>,
+    ) -> bool {
         let pod = at.pod;
         let Some(rt) = self.pod_rt_mut(at) else {
             debug_assert!(false, "completing on a live pod");
-            return;
+            return false;
         };
         let Some(active) = rt.active.take() else {
             debug_assert!(false, "completing a request");
-            return;
+            return false;
         };
         let func = rt.func;
         let arrived = active.req.arrived;
@@ -165,7 +178,7 @@ impl Engine {
         self.gateway.complete_request(&active.req);
         let Some(frt) = self.funcs.get_mut(func) else {
             debug_assert!(false, "function exists");
-            return;
+            return false;
         };
         frt.slo.record(latency);
         frt.completions.record(now, self.cfg.warmup);
@@ -188,17 +201,19 @@ impl Engine {
         if self.cluster.pod(pod).map(|p| p.state) == Ok(PodState::Terminating) {
             self.release_idle(at, queue);
             self.delete_pod(at, queue);
-            return;
+            return false;
         }
         // Pull the next request, or park idle.
-        match self.pull_next(now, func, pod) {
-            Some(req) => self.assign_request(now, at, req, queue),
-            None if saturate => {
-                let req = self.synth_request(now, func);
-                self.assign_request(now, at, req, queue);
+        let next = match self.pull_next(now, func, pod) {
+            Some(req) => req,
+            None if saturate => self.synth_request(now, func),
+            None => {
+                self.release_idle(at, queue);
+                return false;
             }
-            None => self.release_idle(at, queue),
-        }
+        };
+        self.start_request(now, at, next);
+        true
     }
 
     /// Requeues a request lost to a crash, unless it is synthetic or its

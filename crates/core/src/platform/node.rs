@@ -10,11 +10,47 @@
 //! in O(1) ([`PodAt`]). The cluster keeps only the node's identity and
 //! health.
 //!
-//! Three hot paths run here, each against one node:
+//! Four hot paths run here, each against one node:
 //! - `HostDone` → token request → burst launch ([`Engine::step_pod`]);
 //! - `BurstFastForward` → sync point → next phase
 //!   ([`Engine::on_burst_ff`]);
-//! - the end-of-instant dispatch pass ([`Engine::on_dispatch`]).
+//! - the end-of-instant dispatch pass ([`Engine::run_pass`]);
+//! - solo-pod run-ahead, the loop in [`Engine::step_pod`] that the other
+//!   three enter.
+//!
+//! **Run-ahead.** A pod alone on its node (the profiler's trials, the
+//! one-pod sharing cells) would push its next step, a `HostDone` or a
+//! `BurstFastForward`, only for the driver to pop it straight back. So
+//! while the step would be the driver's next delivery, the pod takes it
+//! inline and goes on: host phase, token request and the node's pass,
+//! a burst run whole from its extent ([`GpuDevice::ff_run_whole`]: no
+//! timeline, no macro-event), sync point, next phase, completion and the
+//! next request. A step is taken inline when
+//! - fast-forward is on and the handler or pass running now steps this
+//!   pod as its last action (`step_pod`'s `tail`: the data-plane events
+//!   and the dispatch pass; never a control-plane tick, a fault or an API
+//!   call);
+//! - no dispatch pass is owed at the current instant, except, for a token
+//!   wait of a pod already running ahead, the pod's own node's, which
+//!   then runs here;
+//! - the step is strictly before the queue head and the deadline of the
+//!   run in progress ([`EventQueue::is_next`]); a burst is first bounded
+//!   below by one wave per kernel, so most never get further;
+//! - the pod is solo ([`NodeRt::is_solo`]).
+//!
+//! The queue's limit and solo are asked once per handler: nothing else
+//! moves while the pod runs ahead, and nothing is pushed before it stops.
+//! After a few handlers in a row took no step inline, only one in
+//! sixteen tries (`Engine::ahead_misses`), so a fleet, where other nodes'
+//! events fill every gap, does not pay for the checks.
+//!
+//! The loop stops at the first step that fails them and pushes it as
+//! usual; quota exhaustion, a grant the SM adapter refuses, an idle or a
+//! terminating pod end it through the normal path. Each inline delivery
+//! takes the sequence number its push would have taken and counts as a
+//! delivered event ([`EventQueue::deliver_inline`]), and is traced and
+//! counted per kind like the driver's, so everything observable is what
+//! the queue-stepped run leaves: `run_ahead_tests` below compares the two.
 //!
 //! Per-kernel stepping, fast-forward breaks and zombie drains, the paths
 //! fast-forward falls back to, run here too.
@@ -29,7 +65,7 @@ use fastg_cluster::{Cluster, ClusterError, FuncId, NodeId, NodeState, Pod, PodId
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{EventQueue, IdArena, SimTime, TimeSeries};
 use fastg_gpu::{GpuDevice, KernelDesc, KernelId};
-use fastg_models::{InferenceRun, StageOp};
+use fastg_models::{InferenceRun, Stage, StageOp};
 use std::sync::Arc;
 
 /// One node's data plane: its GPU device, its FaST Backend, its model
@@ -119,6 +155,21 @@ impl NodeRt {
             .collect();
         ff.sort_unstable_by_key(|at| at.pod);
         ff
+    }
+
+    /// Whether the pod at `slot` runs alone on the node: no other pod
+    /// has a timeline or kernels on the device, holds a lease or a place
+    /// in the ready queue, or holds a request (a crashed pod's draining
+    /// kernels included). Asked only between the pod's own bursts, when
+    /// it has nothing on the device either, so the device must be idle:
+    /// its running cap sum tells a shared node apart in one load.
+    fn is_solo(&self, slot: usize) -> bool {
+        self.gpu.is_idle()
+            && self.backend.alone_at(slot)
+            && self.pods.iter().enumerate().all(|(s, p)| {
+                let idle = |(_, o): &(PodId, PodRt)| o.active.is_none() && o.zombie.is_none();
+                s == slot || p.as_ref().map_or(true, idle)
+            })
     }
 
     // ----- pod lifecycle ----------------------------------------------
@@ -353,6 +404,76 @@ impl NodeRt {
     }
 }
 
+/// Whether a stepping pod may run ahead: its caller steps it as its last
+/// action (`tail`), the step would be the driver's next delivery, and the
+/// pod is solo. The queue's limit and solo are asked the first time a
+/// step could go inline, and kept: while the pod runs ahead nothing else
+/// moves, and nothing is pushed before it stops.
+struct Ahead {
+    tail: bool,
+    limit: Option<SimTime>,
+    solo: Option<bool>,
+    /// Whether the pod has taken a step inline already.
+    ran: bool,
+}
+
+impl Ahead {
+    fn new(tail: bool) -> Self {
+        Ahead {
+            tail,
+            limit: None,
+            solo: None,
+            ran: false,
+        }
+    }
+
+    /// Whether a step due at `t` would be the driver's next delivery
+    /// ([`EventQueue::is_next`]).
+    fn is_next(&mut self, t: SimTime, queue: &EventQueue<Event>) -> bool {
+        self.tail
+            && t < *self
+                .limit
+                .get_or_insert_with(|| queue.next_limit().unwrap_or(SimTime::ZERO))
+    }
+
+    /// Whether the pod at `slot` of `node` is solo (asked once).
+    fn solo(&mut self, node: Option<&NodeRt>, slot: usize) -> bool {
+        *self
+            .solo
+            .get_or_insert_with(|| node.is_some_and(|n| n.is_solo(slot)))
+    }
+}
+
+/// A stage's burst plan as `(kernel, launches)` runs, tagged with `pod`.
+fn burst_of(stage: &Stage, pod: PodId) -> impl Iterator<Item = (KernelDesc, u32)> + '_ {
+    stage.runs().iter().map(move |r| {
+        let desc = KernelDesc {
+            blocks: r.spec.blocks,
+            work_per_block: r.spec.work_per_block,
+            tag: pod.0,
+        };
+        (desc, r.count)
+    })
+}
+
+/// Handlers in a row that may try to run a pod ahead in vain before they
+/// back off, and how often one tries then. A lone pod's attempts fail
+/// only where its queue holds a periodic tick (every 100 ms or 250 ms of
+/// several-ms stages), so it never backs off; on a fleet, where other
+/// nodes' events fill every gap, fifteen in sixteen handlers skip the
+/// checks.
+const AHEAD_PATIENCE: u32 = 8;
+const AHEAD_PROBE: u32 = 16;
+
+/// A lower bound on a stage's burst span: every kernel runs at least one
+/// wave of its blocks' work, at a clock scale of at least one.
+fn burst_floor(stage: &Stage) -> SimTime {
+    stage
+        .runs()
+        .iter()
+        .fold(SimTime::ZERO, |t, r| t + r.spec.work_per_block * u64::from(r.count))
+}
+
 impl Engine {
     /// Where `pod`'s runtime lives, if the pod exists.
     pub(super) fn locate(&self, pod: PodId) -> Option<PodAt> {
@@ -381,10 +502,12 @@ impl Engine {
             .pod_rt(at)
             .is_some_and(|rt| rt.zombie.is_none() && rt.active.is_some());
         if alive {
-            self.step_pod(now, at, queue);
+            self.step_pod(now, at, true, queue);
         }
     }
 
+    /// Gives the idle pod at `at` the request `req` and steps it, without
+    /// running ahead: the caller may have more to do at `now`.
     pub(super) fn assign_request(
         &mut self,
         now: SimTime,
@@ -392,6 +515,13 @@ impl Engine {
         req: Request,
         queue: &mut EventQueue<Event>,
     ) {
+        self.start_request(now, at, req);
+        self.step_pod(now, at, false, queue);
+    }
+
+    /// Gives the idle pod at `at` the request `req`, its cursor at the
+    /// first stage; the caller steps it.
+    pub(super) fn start_request(&mut self, now: SimTime, at: PodAt, req: Request) {
         let Engine { nodes, funcs, .. } = self;
         let Some(rt) = nodes.get_mut(at.node).and_then(|n| n.get_mut(at.slot)) else {
             debug_assert!(false, "assigning to a live pod");
@@ -412,48 +542,114 @@ impl Engine {
             waiting_token: false,
             ff: None,
         });
-        self.step_pod(now, at, queue);
     }
 
     /// Advances a pod's inference cursor to its next blocking operation
     /// (the cursor itself skips empty phases).
-    pub(super) fn step_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
-        let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
-            debug_assert!(false, "stepping requires a live pod with a request");
-            return;
-        };
-        match active.run.advance_indexed() {
-            StageOp::Host(d) => {
-                queue.schedule(now + d, Event::HostDone(at.pod));
-            }
-            StageOp::Burst(stage) => {
-                active.pending_stage = Some(stage);
-                self.try_start_burst(now, at, queue);
-            }
-            StageOp::Done => {
-                self.complete_request(now, at, queue);
+    ///
+    /// `tail` says the caller steps this pod as its last action (the
+    /// data-plane handlers and the dispatch pass): then a solo pod runs
+    /// ahead (see the module docs), taking inline each step that would
+    /// be the driver's next delivery and going on from it.
+    pub(super) fn step_pod(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        tail: bool,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let eligible = tail && self.run_ahead && self.cfg.fastforward;
+        let mut ahead = Ahead::new(eligible && self.ahead_worth_trying());
+        self.step_pod_with(now, at, &mut ahead, queue);
+        if eligible {
+            self.ahead_misses = if ahead.ran {
+                0
+            } else {
+                self.ahead_misses.wrapping_add(1)
+            };
+        }
+    }
+
+    /// Whether a handler that could run its pod ahead should try: while
+    /// the last few tried in vain, only one in [`AHEAD_PROBE`] does.
+    fn ahead_worth_trying(&self) -> bool {
+        self.ahead_misses < AHEAD_PATIENCE || self.ahead_misses % AHEAD_PROBE == 0
+    }
+
+    /// [`Self::step_pod`]'s loop.
+    fn step_pod_with(
+        &mut self,
+        mut now: SimTime,
+        at: PodAt,
+        ahead: &mut Ahead,
+        queue: &mut EventQueue<Event>,
+    ) {
+        loop {
+            let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
+                debug_assert!(false, "stepping requires a live pod with a request");
+                return;
+            };
+            match active.run.advance_indexed() {
+                StageOp::Host(d) => {
+                    let done = now + d;
+                    let event = Event::HostDone(at.pod);
+                    let inline = self.dispatch_pending.is_empty()
+                        && ahead.is_next(done, queue)
+                        && ahead.solo(self.nodes.get(at.node), at.slot);
+                    if !inline {
+                        queue.schedule(done, event);
+                        return;
+                    }
+                    self.deliver_inline(done, &event, queue);
+                    ahead.ran = true;
+                    now = done;
+                }
+                StageOp::Burst(stage) => {
+                    active.pending_stage = Some(stage);
+                    match self.try_start_burst(now, at, ahead, queue) {
+                        Some(synced) => now = synced,
+                        None => return,
+                    }
+                }
+                StageOp::Done => {
+                    if !self.complete_request(now, at, queue) {
+                        return;
+                    }
+                }
             }
         }
     }
 
-    fn try_start_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+    /// Delivers `event` at `at` inline, traced and counted as the
+    /// driver's delivery would be.
+    fn deliver_inline(&mut self, at: SimTime, event: &Event, queue: &mut EventQueue<Event>) {
+        queue.deliver_inline(at);
+        self.note(at, event);
+    }
+
+    /// Requests the token for the pod's pending burst and launches the
+    /// burst if it is granted. Returns the instant of the burst's sync
+    /// point if the pod ran ahead through it (see [`Self::launch_burst`]).
+    fn try_start_burst(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        ahead: &mut Ahead,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<SimTime> {
         let Some(node) = self.nodes.get_mut(at.node) else {
             debug_assert!(false, "runtime per node");
-            return;
+            return None;
         };
-        let Some(outcome) = node.backend.request_at(now, at.slot) else {
-            // The pod's backend row is gone (crash teardown raced this
-            // burst); the pod itself is being destroyed, so do nothing.
-            return;
-        };
-        match outcome {
+        // A `None` outcome: the pod's backend row is gone (crash teardown
+        // raced this burst); the pod itself is being destroyed, so do
+        // nothing.
+        match node.backend.request_at(now, at.slot)? {
             // Lease expiry is enforced lazily, at the pod's own sync
             // points and re-requests: a real time-slice holder is not
             // preempted during sub-millisecond host gaps, which is
             // precisely why time sharing wastes the GPU on them.
-            RequestOutcome::Granted(_) => {
-                self.launch_burst(now, at, queue);
-            }
+            RequestOutcome::Granted(_) => self.launch_burst(now, at, ahead, queue),
             RequestOutcome::Queued | RequestOutcome::BlockedUntilReset => {
                 if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
                     active.waiting_token = true;
@@ -462,40 +658,78 @@ impl Engine {
                 }
                 // The pod waits now (only a token policy queues it).
                 self.owe_pass(at.node, queue);
+                self.pass_inline(now, at, ahead, queue)
             }
         }
     }
 
+    /// A solo pod running ahead waits for a token: when its node's pass
+    /// is the only one owed and nothing in the queue comes first, the
+    /// driver would run that pass next, so it runs here. Returns what the
+    /// pass's launch returns for the pod. Only a pod that has already
+    /// taken a step inline does so: on a busy fleet every token wait would
+    /// otherwise pay for the solo check, to gain nothing.
+    fn pass_inline(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        ahead: &mut Ahead,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<SimTime> {
+        let only_ours = matches!(self.dispatch_pending[..], [(_, n)] if n == at.node);
+        let inline = ahead.ran
+            && only_ours
+            && ahead.is_next(now, queue)
+            && ahead.solo(self.nodes.get(at.node), at.slot);
+        if !inline {
+            return None;
+        }
+        self.dispatch_pending.clear();
+        let (ran, synced) = self.run_pass(now, at.node, true, queue)?;
+        debug_assert_eq!(ran, at, "a solo pod's pass launches only that pod");
+        Some(synced)
+    }
+
     /// Launches the pod's pending burst: as one fast-forwarded timeline
     /// and macro-event when the device admits it, else kernel by kernel.
-    fn launch_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+    ///
+    /// A solo pod running ahead whose admitted burst would end before the
+    /// driver's next delivery runs it whole instead ([`Self::run_whole`]);
+    /// the burst's end is returned then, from which the caller steps the
+    /// pod on.
+    fn launch_burst(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        ahead: &mut Ahead,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<SimTime> {
         let Engine {
             cfg,
             nodes,
             ff_bursts,
+            dispatch_pending,
             ..
         } = self;
         let Some(node) = nodes.get_mut(at.node) else {
             debug_assert!(false, "runtime per node");
-            return;
+            return None;
         };
-        if node.backend.begin_burst_at(at.slot).is_none() {
-            // Crash teardown raced the grant; the pod is being destroyed.
-            return;
-        }
+        // Crash teardown raced the grant; the pod is being destroyed.
+        node.backend.begin_burst_at(at.slot)?;
         let Some((rt, gpu)) = node.pod_and_gpu(at.slot) else {
             debug_assert!(false, "pod exists");
-            return;
+            return None;
         };
         let client = rt.client;
         let Some(active) = rt.active.as_mut() else {
             debug_assert!(false, "burst belongs to a request");
-            return;
+            return None;
         };
         active.waiting_token = false;
         let Some(stage_index) = active.pending_stage.take() else {
             debug_assert!(false, "launching an empty burst");
-            return;
+            return None;
         };
         // The cursor guarantees the stage is non-empty.
         let stage = &active.run.profile().stages[stage_index];
@@ -508,26 +742,123 @@ impl Engine {
         // Any contention change cancels the macro-event and reconstructs
         // per-kernel state (`ff_break_pod`).
         if cfg.fastforward {
-            let burst = stage.runs().iter().map(|r| {
-                let desc = KernelDesc {
-                    blocks: r.spec.blocks,
-                    work_per_block: r.spec.work_per_block,
-                    tag: at.pod.0,
-                };
-                (desc, r.count)
-            });
+            // The burst lasts at least one wave of each kernel: unless even
+            // that ends before the driver's next delivery, it cannot run
+            // whole, and solo need not be asked.
+            let may_run_whole = ahead.tail
+                && dispatch_pending.is_empty()
+                && ahead.is_next(now + burst_floor(stage), queue);
+            if may_run_whole {
+                if let Some(end) = self.run_whole(now, at, stage_index, ahead, queue) {
+                    return Some(end);
+                }
+                return self.launch_timeline(now, at, stage_index, queue);
+            }
+            let burst = burst_of(stage, at.pod);
             if let Some(end) = gpu.fast_forward_burst(now, client, burst) {
-                active.ff =
-                    Some(queue.schedule_cancellable(end, Event::BurstFastForward(at.node, at.pod)));
+                let event = Event::BurstFastForward(at.node, at.pod);
+                active.ff = Some(queue.schedule_cancellable(end, event));
                 *ff_bursts += 1;
-                return;
+                return None;
             }
         }
+        self.launch_per_kernel(now, at, stage_index, queue);
+        None
+    }
 
-        // The per-kernel fallback is the one place a client activates
-        // while timelines may be live: if it pushes the active SM caps
-        // past the device, the node's timelines fall back first.
-        if gpu.has_ff() && !gpu.ff_admits(client) {
+    /// Runs the pod's launched burst whole if the pod is solo and the
+    /// device admits the burst, and it ends before the driver's next
+    /// delivery: what `on_burst_ff` would do at its end, with its delivery
+    /// inline, and its sync point. Returns the end then; else the burst
+    /// is left to launch as usual. Out of line: most bursts never get
+    /// here.
+    #[inline(never)]
+    fn run_whole(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        stage_index: usize,
+        ahead: &mut Ahead,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<SimTime> {
+        if !ahead.solo(self.nodes.get(at.node), at.slot) {
+            return None;
+        }
+        let Engine {
+            nodes,
+            ff_bursts,
+            ff_coalesced_kernels,
+            counts,
+            ..
+        } = self;
+        let (rt, gpu) = nodes.get_mut(at.node)?.pod_and_gpu(at.slot)?;
+        let client = rt.client;
+        let active = rt.active.as_mut()?;
+        let stage = active.run.profile().stages.get(stage_index)?;
+        let extent = gpu.ff_extent(now, client, burst_of(stage, at.pod))?;
+        if !ahead.is_next(extent.end, queue) {
+            return None;
+        }
+        ahead.ran = true;
+        let done = gpu.ff_run_whole(client, extent);
+        debug_assert_eq!(
+            usize::try_from(done.completed).ok(),
+            Some(active.outstanding),
+            "the whole burst ran"
+        );
+        *ff_bursts += 1;
+        *ff_coalesced_kernels += done.completed;
+        counts.solo_steps += 1;
+        active.outstanding = 0;
+        active.burst_gpu_time += done.gpu_time;
+        let gpu_time = active.burst_gpu_time;
+        self.deliver_inline(extent.end, &Event::BurstFastForward(at.node, at.pod), queue);
+        self.sync_burst(extent.end, at, gpu_time, queue);
+        Some(extent.end)
+    }
+
+    /// The rest of [`Self::launch_burst`] after [`Self::run_whole`]
+    /// declined: the burst as a timeline if the device admits it, else
+    /// kernel by kernel.
+    fn launch_timeline(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        stage_index: usize,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<SimTime> {
+        let Engine {
+            nodes, ff_bursts, ..
+        } = self;
+        let (rt, gpu) = nodes.get_mut(at.node)?.pod_and_gpu(at.slot)?;
+        let client = rt.client;
+        let active = rt.active.as_mut()?;
+        let stage = active.run.profile().stages.get(stage_index)?;
+        if let Some(end) = gpu.fast_forward_burst(now, client, burst_of(stage, at.pod)) {
+            let event = Event::BurstFastForward(at.node, at.pod);
+            active.ff = Some(queue.schedule_cancellable(end, event));
+            *ff_bursts += 1;
+            return None;
+        }
+        self.launch_per_kernel(now, at, stage_index, queue);
+        None
+    }
+
+    /// The per-kernel fallback is the one place a client activates while
+    /// timelines may be live: if it pushes the active SM caps past the
+    /// device, the node's timelines fall back first.
+    fn launch_per_kernel(
+        &mut self,
+        now: SimTime,
+        at: PodAt,
+        stage_index: usize,
+        queue: &mut EventQueue<Event>,
+    ) {
+        let contended = self.nodes.get(at.node).is_some_and(|n| {
+            let client = n.get(at.slot).map(|rt| rt.client);
+            n.gpu.has_ff() && client.is_some_and(|c| !n.gpu.ff_admits(c))
+        });
+        if contended {
             self.ff_break_node(now, at.node, queue);
         }
         self.launch_kernels(now, at, stage_index, queue);
@@ -642,14 +973,15 @@ impl Engine {
         active.outstanding -= 1;
         if active.outstanding == 0 {
             let gpu_time = active.burst_gpu_time;
-            self.burst_sync_point(now, at, gpu_time, queue);
+            self.sync_burst(now, at, gpu_time, queue);
+            self.step_pod(now, at, true, queue);
         }
     }
 
     /// Synchronization point after a burst's last kernel: report usage to
     /// the backend (maybe losing the lease, whose capacity the next
-    /// dispatch pass hands on), and advance the pod's inference cursor.
-    fn burst_sync_point(
+    /// dispatch pass hands on). The caller steps the pod on.
+    fn sync_burst(
         &mut self,
         now: SimTime,
         at: PodAt,
@@ -666,7 +998,6 @@ impl Engine {
         if let Some(Some(false)) = sync {
             self.poke_dispatch(at.node, queue);
         }
-        self.step_pod(now, at, queue);
     }
 
     /// Delivers a burst's coalesced macro-event: the analytic end of a
@@ -715,7 +1046,8 @@ impl Engine {
         active.outstanding = 0;
         active.burst_gpu_time += done.gpu_time;
         let gpu_time = active.burst_gpu_time;
-        self.burst_sync_point(now, at, gpu_time, queue);
+        self.sync_burst(now, at, gpu_time, queue);
+        self.step_pod(now, at, true, queue);
     }
 
     /// Invalidates a pod's fast-forwarded burst (if any): cancels its
@@ -792,7 +1124,7 @@ impl Engine {
     /// node has a waiter (a pod starts waiting only in `request`, and
     /// `try_start_burst` owes its node the pass right after), and it runs
     /// only if some waiter is grantable by then (see
-    /// [`Engine::on_dispatch`]).
+    /// [`Engine::run_pass`]).
     ///
     /// The first poke claims a tie key from the queue, so the
     /// [`TieBreak`](fastg_des::TieBreak) policy orders a node's pass
@@ -818,29 +1150,43 @@ impl Engine {
         self.dispatch_pending.insert(at, (key, node));
     }
 
-    /// Runs a node's owed dispatch pass: one canonical-order walk of the
-    /// ready queue, granting tokens until the SM budget stops it, then
-    /// launching each granted pod's pending burst. This is the only place
-    /// a pod waiting for a token starts. A pass is skipped, and counted
-    /// as skipped, when no waiter is grantable (every waiter is
+    /// Runs a node's owed dispatch pass, traced: one canonical-order walk
+    /// of the ready queue, granting tokens until the SM budget stops it,
+    /// then launching each granted pod's pending burst. This is the only
+    /// place a pod waiting for a token starts. A pass is skipped, and
+    /// counted as skipped, when no waiter is grantable (every waiter is
     /// quota-blocked until its window resets), as it would grant nothing.
-    pub(super) fn on_dispatch(
+    ///
+    /// `tail` says the pass is its caller's last action. Then a pod the
+    /// pass granted alone, and which is solo, may run its burst whole;
+    /// the pass returns that pod, with the instant it stopped at, and the
+    /// caller steps it on from there.
+    pub(super) fn run_pass(
         &mut self,
         now: SimTime,
         node: NodeId,
+        tail: bool,
         queue: &mut EventQueue<Event>,
-    ) {
-        let Some(n) = self.nodes.get_mut(node) else {
-            return;
-        };
+    ) -> Option<(PodAt, SimTime)> {
+        if self.cfg.trace_events {
+            self.trace.push(format!("{now:?} dispatch pass {node:?}"));
+        }
+        let n = self.nodes.get_mut(node)?;
         if !n.backend.has_grantable() {
             self.counts.dispatch_passes_skipped += 1;
-            return;
+            return None;
         }
         self.counts.dispatch_passes += 1;
         let mut granted = std::mem::take(&mut self.granted_scratch);
         n.backend
             .dispatch_slots(now, &mut self.ready_scratch, &mut granted);
+        // Two pods granted at once are not solo.
+        let alone = tail
+            && self.run_ahead
+            && self.cfg.fastforward
+            && granted.len() == 1
+            && self.ahead_worth_trying();
+        let mut ran = None;
         for &slot in &granted {
             let Some(n) = self.nodes.get(node) else {
                 break;
@@ -850,11 +1196,13 @@ impl Engine {
                 .and_then(|rt| rt.active.as_ref())
                 .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
             if let Some(at) = n.at(slot).filter(|_| has_burst) {
-                self.launch_burst(now, at, queue);
+                let mut ahead = Ahead::new(alone);
+                ran = self.launch_burst(now, at, &mut ahead, queue).map(|synced| (at, synced));
             }
         }
         granted.clear();
         self.granted_scratch = granted;
+        ran
     }
 
     pub(super) fn on_window_reset(
@@ -950,5 +1298,320 @@ mod tests {
             stray.place_backend_rows().is_err(),
             "pod 3 is not on the node"
         );
+    }
+}
+
+/// Run-ahead parity and engagement.
+///
+/// A solo pod's inline steps (see the `node` module) must leave exactly
+/// what the queue-stepped run leaves: the checkpoint bytes, the event
+/// count, the per-kind handler counts, the event trace and every report
+/// digest, wherever a run stops. Run-ahead rides on fast-forward, so the
+/// lone-pod workloads also check fast-forward against per-kernel
+/// stepping. And run-ahead must engage where it was built for (the
+/// profiler's lone pods) and nowhere else.
+#[cfg(test)]
+mod run_ahead_tests {
+    use crate::platform::{FunctionConfig, HandlerCounts, Platform, PlatformConfig, TieBreak};
+    use crate::manager::SharingPolicy;
+    use crate::profiler::{ConfigServer, Experiment, TrialResult};
+    use fastg_des::SimTime;
+    use fastg_workload::ArrivalProcess;
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    /// Everything a run leaves that run-ahead must not change. The inline
+    /// burst count is the one counter that differs, so it is left out.
+    fn assert_same_state(on: &Platform, off: &Platform, at: &str) {
+        assert_eq!(on.now(), off.now(), "{at}: clock");
+        assert_eq!(on.events_handled(), off.events_handled(), "{at}: events handled");
+        let mut counts = on.handler_counts();
+        counts.solo_steps = 0;
+        assert_eq!(counts, off.handler_counts(), "{at}: handler counts");
+        let (a, b) = (on.event_trace(), off.event_trace());
+        if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+            panic!("{at}: traces diverge at line {i}: {:?} vs {:?}", a.get(i), b.get(i));
+        }
+        assert!(
+            on.checkpoint().as_bytes() == off.checkpoint().as_bytes(),
+            "{at}: checkpoint bytes differ"
+        );
+    }
+
+    /// Drives `on` and `off` (run-ahead switched off) through the same
+    /// `slices` of `run_for`, comparing reports and state after each, and
+    /// returns the bursts `on` ran inline.
+    fn drive(mut on: Platform, mut off: Platform, slices: &[SimTime], what: &str) -> u64 {
+        off.set_run_ahead(false);
+        for (i, &d) in slices.iter().enumerate() {
+            let at = format!("{what}, slice {i}");
+            assert_eq!(on.run_for(d).digest(), off.run_for(d).digest(), "{at}: report digest");
+            assert_same_state(&on, &off, &at);
+        }
+        assert_eq!(off.handler_counts().solo_steps, 0, "{what}: switched off");
+        on.handler_counts().solo_steps
+    }
+
+    /// A profiler-style trial platform: one saturating pod alone on one GPU.
+    fn lone(model: &str, policy: SharingPolicy, sm: f64, q: f64, cfg: PlatformConfig) -> Platform {
+        let mut p = Platform::new(cfg.nodes(1).policy(policy));
+        let f = FunctionConfig::new("lone", model).resources(sm, q, q);
+        p.deploy(f.saturating()).unwrap();
+        p
+    }
+
+    /// A traced configuration with fast-forward on, whatever the
+    /// environment says: the event trace is compared too.
+    fn traced(seed: u64) -> PlatformConfig {
+        PlatformConfig::default().seed(seed).fastforward(true).trace_events(true)
+    }
+
+    /// Slices whose deadlines fall mid-run-ahead: off every period of the
+    /// model's stages, the quota window and the metrics sample.
+    fn odd_slices() -> Vec<SimTime> {
+        [333, 1_700, 41_000, 250_000, 777_777, 1_000_003]
+            .into_iter()
+            .map(SimTime::from_micros)
+            .collect()
+    }
+
+    #[test]
+    fn a_deadline_mid_run_ahead_leaves_the_stepped_state() {
+        for policy in [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken] {
+            for model in ["rnnt", "gnmt", "resnet50"] {
+                let build = || lone(model, policy, 12.0, 1.0, traced(3));
+                let mut on = build();
+                let what = format!("{model} {policy:?}");
+                let inline = drive(on.clone(), build(), &odd_slices(), &what);
+                assert!(inline > 50, "{model} {policy:?}: {inline} bursts inline");
+                // Inline deliveries count under their kinds like the rest.
+                on.run_for(SimTime::from_secs(1));
+                assert_eq!(on.handler_counts().events(), on.events_handled());
+            }
+        }
+    }
+
+    #[test]
+    fn quota_blocked_pod_runs_ahead_between_window_resets() {
+        let build = || lone("rnnt", SharingPolicy::FaST, 24.0, 0.2, traced(4));
+        let p = build();
+        let inline = drive(p, build(), &odd_slices(), "quota 0.2");
+        assert!(inline > 50, "{inline} bursts inline");
+        // The blocked waits did happen: every window's owed pass is skipped.
+        let mut p = build();
+        p.run_for(SimTime::from_secs(1));
+        assert!(p.handler_counts().dispatch_passes_skipped >= 9, "{:?}", p.handler_counts());
+    }
+
+    #[test]
+    fn leases_expiring_mid_request_are_regranted_inline() {
+        // A 2 ms lease expires inside every RNNT request (≈ 190 ms at 12 %),
+        // and SingleToken's 100 ms lease inside some.
+        let leases = [(SharingPolicy::FaST, Some(ms(2))), (SharingPolicy::SingleToken, None)];
+        for (policy, lease) in leases {
+            let cfg = traced(5);
+            let cfg = match lease {
+                Some(lease) => cfg.token_lease(lease),
+                None => cfg,
+            };
+            let build = || lone("rnnt", policy, 12.0, 1.0, cfg.clone());
+            let inline = drive(build(), build(), &odd_slices(), &format!("{policy:?} lease"));
+            assert!(inline > 50, "{policy:?}: {inline} bursts inline");
+            let mut p = build();
+            p.run_for(SimTime::from_secs(1));
+            assert!(p.handler_counts().dispatch_passes > 5, "{policy:?}: {:?}", p.handler_counts());
+        }
+    }
+
+    #[test]
+    fn a_restore_from_a_mid_trial_checkpoint_runs_ahead_alike() {
+        let mut straight = lone("gnmt", SharingPolicy::FaST, 80.0, 1.0, traced(6));
+        straight.run_for(SimTime::from_micros(1_234_567));
+        let snap = straight.checkpoint();
+        let tail = straight.run_for(SimTime::from_secs(1)).digest();
+        let restore = || Platform::from_snapshot(&snap).unwrap();
+        let inline = drive(restore(), restore(), &odd_slices(), "restored");
+        assert!(inline > 50, "{inline} bursts inline");
+        assert_eq!(restore().run_for(SimTime::from_secs(1)).digest(), tail);
+    }
+
+    /// `{time}` of every `HostDone` and `BurstFastForward` line in a trace.
+    fn step_times(trace: &[String]) -> Vec<SimTime> {
+        trace
+            .iter()
+            .filter(|l| l.contains("HostDone") || l.contains("BurstFastForward"))
+            .filter_map(|l| l.split_once("us ")?.0.parse().ok())
+            .map(SimTime::from_micros)
+            .collect()
+    }
+
+    /// An arrival at the very instant the pod's next step is due: the step
+    /// is not strictly before the queue head, so it goes through the queue,
+    /// and the tie-break policy orders the two exactly as with run-ahead off.
+    #[test]
+    fn an_arrival_at_the_instant_of_the_next_step_is_ordered_by_the_tie_break() {
+        // ResNet at 100 % serves a request in 14 ms; a backlog of 30 keeps
+        // the pod busy past 400 ms, so added arrivals only queue and never
+        // move a step.
+        let backlog: Vec<SimTime> = (0..30).map(|i| SimTime::from_micros(1_000 + i)).collect();
+        let build = |tb: TieBreak, arrivals: &[SimTime]| {
+            let mut p = Platform::new(
+                traced(7).nodes(1).tiebreak(tb),
+            );
+            let f = p
+                .deploy(FunctionConfig::new("busy", "resnet50").resources(100.0, 1.0, 1.0))
+                .unwrap();
+            p.set_load(f, ArrivalProcess::trace(arrivals.to_vec()));
+            p
+        };
+        let mut reference = build(TieBreak::Fifo, &backlog);
+        reference.set_run_ahead(false);
+        reference.run_for(ms(400));
+        let steps: Vec<SimTime> = step_times(reference.event_trace())
+            .into_iter()
+            .filter(|&t| t > ms(20) && t < ms(400))
+            .step_by(5)
+            .collect();
+        assert!(steps.len() > 10, "{} steps", steps.len());
+        let mut arrivals = backlog.clone();
+        arrivals.extend(&steps);
+        arrivals.sort_unstable();
+        arrivals.dedup();
+        let shuffles = [TieBreak::SeededShuffle(1), TieBreak::SeededShuffle(2)];
+        for tb in [TieBreak::Fifo, TieBreak::Lifo].into_iter().chain(shuffles) {
+            let slices = [ms(120), ms(95), ms(185)];
+            let on = build(tb, &arrivals);
+            let inline = drive(on, build(tb, &arrivals), &slices, &format!("{tb:?}"));
+            assert!(inline > 5, "{tb:?}: {inline} bursts inline");
+            // The coincidences are there: an arrival shares its instant with
+            // a step of the pod.
+            let mut p = build(tb, &arrivals);
+            p.run_for(ms(400));
+            let trace = p.event_trace();
+            let step = step_times(trace);
+            let shared = trace
+                .iter()
+                .filter(|l| l.contains("Arrival"))
+                .filter_map(|l| l.split_once("us ")?.0.parse().ok())
+                .filter(|&t| step.contains(&SimTime::from_micros(t)))
+                .count();
+            assert!(shared > 5, "{tb:?}: {shared} shared instants");
+        }
+    }
+
+    /// One profiler trial at `(sm, quota)`: its result and its report digest.
+    fn trial(e: &Experiment, cfg: PlatformConfig, sm: f64, quota: f64) -> (TrialResult, u64) {
+        let mut run = e.start_trial_in(cfg, sm, quota).unwrap();
+        let result = run.extend_to(e.trial_duration);
+        (result, run.platform.report().digest())
+    }
+
+    fn bits(t: &TrialResult) -> [u64; 5] {
+        let r = &t.record;
+        [
+            r.rps.to_bits(),
+            r.p50.as_micros(),
+            r.p99.as_micros(),
+            r.utilization.to_bits(),
+            r.sm_occupancy.to_bits(),
+        ]
+    }
+
+    /// Fast-forward, with the run-ahead it carries, against per-kernel
+    /// stepping: every paper-grid trial of the four profiled models gives the
+    /// same result bits and report digest.
+    #[test]
+    fn every_profiler_trial_matches_per_kernel_stepping() {
+        for model in ["resnet50", "rnnt", "bert_base", "gnmt"] {
+            let e = Experiment::new(model, ConfigServer::paper_grid());
+            for (sm, quota) in ConfigServer::paper_grid().sample() {
+                let (ff, ff_digest) = trial(&e, e.trial_config().fastforward(true), sm, quota);
+                let (stepped, digest) = trial(&e, e.trial_config().fastforward(false), sm, quota);
+                assert_eq!(bits(&ff), bits(&stepped), "{model} {sm}/{quota}");
+                assert_eq!(ff_digest, digest, "{model} {sm}/{quota}");
+            }
+        }
+    }
+
+    /// The same for the sharing sweep's nine one-pod cells.
+    #[test]
+    fn one_pod_sharing_cells_match_per_kernel_stepping() {
+        for model in ["resnet50", "rnnt", "gnmt"] {
+            for policy in [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken] {
+                let run = |ff: bool| {
+                    let cfg = PlatformConfig::default()
+                        .oversubscribe(true)
+                        .warmup(SimTime::from_secs(1))
+                        .fastforward(ff);
+                    let mut p = lone(model, policy, 12.0, 1.0, cfg);
+                    p.run_for(SimTime::from_secs(3)).digest()
+                };
+                assert_eq!(run(true), run(false), "{model} {policy:?}");
+            }
+        }
+    }
+
+    /// `solo_steps` over every fast-forwarded burst.
+    fn inline_share(counts: &HandlerCounts, ff_bursts: u64) -> f64 {
+        counts.solo_steps as f64 / ff_bursts.max(1) as f64
+    }
+
+    #[test]
+    fn most_profiler_bursts_run_inline() {
+        let (mut inline, mut bursts) = (0, 0);
+        for model in ["rnnt", "gnmt"] {
+            let e = Experiment::new(model, ConfigServer::paper_grid());
+            for (sm, quota) in ConfigServer::paper_grid().sample() {
+                let cfg = e.trial_config().fastforward(true);
+                let mut run = e.start_trial_in(cfg, sm, quota).unwrap();
+                run.extend_to(e.trial_duration);
+                inline += run.platform.handler_counts().solo_steps;
+                bursts += run.platform.ff_bursts();
+            }
+        }
+        let share = inline as f64 / bursts as f64;
+        assert!(share >= 0.8, "{inline} of {bursts} bursts inline");
+    }
+
+    #[test]
+    fn no_burst_runs_inline_on_a_two_pod_node() {
+        for policy in [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken] {
+            let cfg = traced(8).nodes(1).policy(policy).oversubscribe(true).trace_events(false);
+            let mut p = Platform::new(cfg);
+            let f = FunctionConfig::new("two", "rnnt").replicas(2).resources(12.0, 1.0, 1.0);
+            p.deploy(f.saturating()).unwrap();
+            p.run_for(SimTime::from_secs(2));
+            assert!(p.ff_bursts() > 100, "{policy:?}");
+            assert_eq!(p.handler_counts().solo_steps, 0, "{policy:?}");
+        }
+    }
+
+    /// A short `fleet-poisson`-shaped run: 256 nodes, 768 Zipf-popular
+    /// Poisson functions in the Figure 11 shapes. Other nodes' events fill
+    /// the gaps between any one pod's steps, so run-ahead barely engages.
+    #[test]
+    fn few_bursts_run_inline_on_a_fleet() {
+        const SHAPES: [(&str, f64, f64); 4] = [
+            ("bert_base", 50.0, 0.6),
+            ("rnnt", 24.0, 0.4),
+            ("resnet50", 12.0, 0.4),
+            ("resnet50", 12.0, 0.4),
+        ];
+        let funcs = 768;
+        let mut p = Platform::new(PlatformConfig::default().nodes(256).seed(9).fastforward(true));
+        let rates = fastg_workload::fleet::zipf_rates(funcs, 20.0 * funcs as f64, 0.8);
+        for (i, &rate) in rates.iter().enumerate() {
+            let (model, sm, quota) = SHAPES[i % SHAPES.len()];
+            let fc = FunctionConfig::new(&format!("fleet-{i:04}"), model);
+            let f = p.deploy(fc.resources(sm, quota, quota)).unwrap();
+            let cap = fastg_models::zoo::by_name(model).unwrap().ideal_rps(10, quota);
+            p.set_load(f, ArrivalProcess::poisson(rate.min(0.7 * cap), 9 + i as u64));
+        }
+        p.run_for(ms(700));
+        let share = inline_share(&p.handler_counts(), p.ff_bursts());
+        assert!(p.ff_bursts() > 1_000, "{} bursts", p.ff_bursts());
+        assert!(share < 0.01, "{:.4} of {} bursts inline", share, p.ff_bursts());
     }
 }

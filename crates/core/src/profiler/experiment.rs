@@ -63,13 +63,26 @@ impl Experiment {
     /// time: builds the dedicated one-GPU platform and deploys the
     /// saturating pod. Drive it with [`TrialRun::extend_to`].
     pub fn start_trial(&self, sm: f64, quota: f64) -> Result<TrialRun, PlatformError> {
-        let mut platform = Platform::new(
-            PlatformConfig::default()
-                .nodes(1)
-                .policy(SharingPolicy::FaST)
-                .warmup(self.warmup)
-                .seed(self.seed),
-        );
+        self.start_trial_in(self.trial_config(), sm, quota)
+    }
+
+    /// The dedicated one-GPU platform's configuration.
+    pub(crate) fn trial_config(&self) -> PlatformConfig {
+        PlatformConfig::default()
+            .nodes(1)
+            .policy(SharingPolicy::FaST)
+            .warmup(self.warmup)
+            .seed(self.seed)
+    }
+
+    /// [`Self::start_trial`] on a platform built from `cfg`.
+    pub(crate) fn start_trial_in(
+        &self,
+        cfg: PlatformConfig,
+        sm: f64,
+        quota: f64,
+    ) -> Result<TrialRun, PlatformError> {
+        let mut platform = Platform::new(cfg);
         let func = platform.deploy(
             FunctionConfig::new(&format!("profile-{}-p{sm}-q{quota}", self.model), &self.model)
                 .resources(sm, quota, quota)
@@ -130,7 +143,7 @@ impl Experiment {
 /// duration only pays the *incremental* simulated time instead of
 /// re-running the survivor's configuration from scratch.
 pub struct TrialRun {
-    platform: Platform,
+    pub(crate) platform: Platform,
     func: FuncId,
     key: ProfileKey,
     warmup: SimTime,

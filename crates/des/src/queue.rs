@@ -300,6 +300,25 @@ pub struct EventQueue<E> {
     held: bool,
     tiebreak: TieBreak,
     classify: fn(&E) -> u8,
+    /// The driver's delivery clock (see [`Clock`]).
+    clock: Clock,
+}
+
+/// The [`Simulation`](crate::Simulation) driver's clock, kept in the
+/// queue so that a world can deliver an event to itself inline (see
+/// [`EventQueue::deliver_inline`]) and the driver sees the delivery.
+/// Not part of [`EventQueue::snap_state`]: a checkpoint encodes the
+/// clock on its own, and [`EventQueue::clear`] leaves it alone.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    /// The instant of the last delivery, or of the last deadline a run
+    /// reached.
+    now: SimTime,
+    /// Events delivered so far, inline deliveries included.
+    handled: u64,
+    /// The deadline of the [`Simulation::run_until`](crate::Simulation::run_until)
+    /// in progress, and `None` outside one.
+    deadline: Option<SimTime>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -324,6 +343,11 @@ impl<E> EventQueue<E> {
             held: false,
             tiebreak: TieBreak::Fifo,
             classify: |_| 0,
+            clock: Clock {
+                now: SimTime::ZERO,
+                handled: 0,
+                deadline: None,
+            },
         }
     }
 
@@ -440,6 +464,78 @@ impl<E> EventQueue<E> {
     pub fn claim_tie_key(&mut self) -> u64 {
         let seq = self.take_seq();
         self.tiebreak.key(seq)
+    }
+
+    /// The deadline of the [`Simulation::run_until`](crate::Simulation::run_until)
+    /// in progress, as the driver was given it; `None` outside a run
+    /// (stepping, API calls between runs).
+    pub fn deadline(&self) -> Option<SimTime> {
+        self.clock.deadline
+    }
+
+    /// Whether an entry pushed now at `at` would be the next thing the
+    /// driver delivers: a run is in progress, and `at` is strictly before
+    /// its deadline and strictly before every pending entry, whatever
+    /// their class or tie key. Work the world keeps outside the queue
+    /// (see [`World::end_of_instant`](crate::World::end_of_instant)) is
+    /// the world's to rule out.
+    pub fn is_next(&self, at: SimTime) -> bool {
+        self.next_limit().is_some_and(|limit| at < limit)
+    }
+
+    /// The instant [`Self::is_next`] compares with: the earlier of the
+    /// run's deadline and the queue head, or `None` outside a run. Until
+    /// the queue changes, an entry pushed now at any time strictly
+    /// before it would be the next delivery, so a world taking several
+    /// steps inline can read it once.
+    pub fn next_limit(&self) -> Option<SimTime> {
+        let deadline = self.clock.deadline?;
+        Some(self.peek_time().map_or(deadline, |head| head.min(deadline)))
+    }
+
+    /// Delivers an event inline: the world handles, at `at`, an event it
+    /// would otherwise push and have the driver pop straight back, which
+    /// [`Self::is_next`] must have confirmed. The delivery takes the
+    /// sequence number the push would have taken, moves the driver clock
+    /// to `at` and counts as a delivered event, so every later tie key,
+    /// [`Simulation::events_handled`](crate::Simulation::events_handled)
+    /// and a checkpoint's bytes are what the pushed event would have left.
+    pub fn deliver_inline(&mut self, at: SimTime) {
+        debug_assert!(self.is_next(at), "inline delivery at {at:?} is not the next one");
+        self.take_seq();
+        self.record_delivery(at);
+    }
+
+    /// Moves the driver clock to `at`, a delivery, and counts it. Time
+    /// never moves backwards: an event stamped before the current time is
+    /// delivered at the current time, and debug builds assert.
+    pub(crate) fn record_delivery(&mut self, at: SimTime) {
+        let clock = &mut self.clock;
+        if sanitizer::active() {
+            sanitizer::on_event(clock.handled, at);
+            sanitizer::check(at >= clock.now, "monotone-dispatch", || {
+                format!("event scheduled in the past: {at:?} < {:?}", clock.now)
+            });
+        }
+        debug_assert!(at >= clock.now, "event scheduled in the past: {at:?} < {:?}", clock.now);
+        clock.now = clock.now.max(at);
+        clock.handled += 1;
+    }
+
+    /// The driver clock: the current instant and the events delivered.
+    pub(crate) fn clock(&self) -> (SimTime, u64) {
+        (self.clock.now, self.clock.handled)
+    }
+
+    /// Sets the driver clock (a run reaching its deadline, or a restore).
+    pub(crate) fn set_clock(&mut self, now: SimTime, handled: u64) {
+        self.clock.now = now;
+        self.clock.handled = handled;
+    }
+
+    /// Opens (`Some`) or closes (`None`) a run's deadline.
+    pub(crate) fn set_deadline(&mut self, deadline: Option<SimTime>) {
+        self.clock.deadline = deadline;
     }
 
     /// Assigns the next insertion sequence number.

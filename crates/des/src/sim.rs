@@ -1,7 +1,6 @@
 //! The simulation driver.
 
 use crate::queue::EventQueue;
-use crate::sanitizer;
 use crate::time::SimTime;
 
 /// The state and event handler of a simulated system.
@@ -42,12 +41,18 @@ pub enum StepOutcome {
 }
 
 /// Drives a [`World`] by delivering events in timestamp order.
+///
+/// The clock (the current instant and the count of delivered events)
+/// lives in the queue, so that a world may deliver to itself an event
+/// that would be the next one delivered anyway, without the push and the
+/// pop (see [`EventQueue::is_next`] and [`EventQueue::deliver_inline`]):
+/// such a delivery moves the clock and counts exactly as the driver's
+/// would. A world may do so only inside [`Self::run_until`], whose
+/// deadline it reads from [`EventQueue::deadline`].
 #[derive(Clone)]
 pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
-    now: SimTime,
-    handled: u64,
 }
 
 impl<W: World> Simulation<W> {
@@ -56,21 +61,20 @@ impl<W: World> Simulation<W> {
         Simulation {
             world,
             queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            handled: 0,
         }
     }
 
     /// The current simulated time (the timestamp of the last delivered
     /// event, or zero before the first).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.clock().0
     }
 
-    /// Total number of events delivered so far ([`World::end_of_instant`]
-    /// work is not an event and does not count).
+    /// Total number of events delivered so far, inline deliveries
+    /// included ([`World::end_of_instant`] work is not an event and does
+    /// not count).
     pub fn events_handled(&self) -> u64 {
-        self.handled
+        self.queue.clock().1
     }
 
     /// Immutable access to the world.
@@ -96,7 +100,8 @@ impl<W: World> Simulation<W> {
     /// Simultaneous mutable access to world and queue, for drivers that
     /// invoke world methods which schedule events outside of `handle`.
     pub fn parts_mut(&mut self) -> (&mut W, &mut EventQueue<W::Event>, SimTime) {
-        (&mut self.world, &mut self.queue, self.now)
+        let now = self.now();
+        (&mut self.world, &mut self.queue, now)
     }
 
     /// Consumes the simulation, returning the world.
@@ -108,8 +113,7 @@ impl<W: World> Simulation<W> {
     /// time and the delivered-event counter. Event-queue state is restored
     /// separately through [`EventQueue::restore_state`].
     pub fn restore_clock(&mut self, now: SimTime, handled: u64) {
-        self.now = now;
-        self.handled = handled;
+        self.queue.set_clock(now, handled);
     }
 
     /// Delivers the next event, or runs one unit of end-of-instant work
@@ -132,8 +136,9 @@ impl<W: World> Simulation<W> {
     /// else the next event at or before `deadline`. Returns `false` when
     /// none of the three remains.
     fn advance(&mut self, deadline: SimTime) -> bool {
-        let instant_open = self.queue.peek_time().is_some_and(|t| t <= self.now);
-        if !instant_open && self.world.end_of_instant(self.now, &mut self.queue) {
+        let now = self.now();
+        let instant_open = self.queue.peek_time().is_some_and(|t| t <= now);
+        if !instant_open && self.world.end_of_instant(now, &mut self.queue) {
             return true;
         }
         match self.queue.take_before(deadline) {
@@ -147,16 +152,8 @@ impl<W: World> Simulation<W> {
 
     /// Advances the clock to `t` and hands `ev` to the world.
     fn deliver(&mut self, t: SimTime, ev: W::Event) {
-        if sanitizer::active() {
-            sanitizer::on_event(self.handled, t);
-            sanitizer::check(t >= self.now, "monotone-dispatch", || {
-                format!("event scheduled in the past: {t:?} < {:?}", self.now)
-            });
-        }
-        debug_assert!(t >= self.now, "event scheduled in the past: {t:?} < {:?}", self.now);
-        self.now = self.now.max(t);
-        self.handled += 1;
-        let now = self.now;
+        self.queue.record_delivery(t);
+        let now = self.now();
         self.world.handle(now, ev, &mut self.queue);
     }
 
@@ -173,10 +170,16 @@ impl<W: World> Simulation<W> {
     /// current instant. Finally advances the clock to `deadline` if it is
     /// ahead of the last event, so interval statistics can be closed at a
     /// known instant.
+    ///
+    /// While it runs, the world reads `deadline` from
+    /// [`EventQueue::deadline`] and may deliver events to itself inline.
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.queue.set_deadline(Some(deadline));
         while self.advance(deadline) {}
-        if self.now < deadline {
-            self.now = deadline;
+        self.queue.set_deadline(None);
+        let (now, handled) = self.queue.clock();
+        if now < deadline {
+            self.queue.set_clock(deadline, handled);
         }
     }
 
@@ -362,6 +365,118 @@ mod tests {
         assert_eq!(sim.events_handled(), 5);
         assert_eq!(sim.now(), SimTime::from_micros(20));
         assert!(sim.queue().is_empty());
+    }
+
+    /// Pings (event `1`) every 10 µs, recording the deadline each ping
+    /// reads, and delivers every `inline_every`-th ping to itself inline
+    /// instead of scheduling it when the queue confirms that ping would
+    /// be delivered next. Other events do nothing.
+    struct Ahead {
+        deadlines: Vec<Option<SimTime>>,
+        inline_every: u32,
+        count: u32,
+        limit: u32,
+        inlined: u64,
+    }
+
+    impl Ahead {
+        fn new(inline_every: u32, limit: u32) -> Self {
+            Ahead { deadlines: Vec::new(), inline_every, count: 0, limit, inlined: 0 }
+        }
+    }
+
+    impl World for Ahead {
+        type Event = u32;
+        fn handle(&mut self, mut now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
+            if ev != 1 {
+                return;
+            }
+            loop {
+                self.deadlines.push(queue.deadline());
+                self.count += 1;
+                if self.count >= self.limit {
+                    return;
+                }
+                let next = now + SimTime::from_micros(10);
+                let inline = self.inline_every > 0 && self.count % self.inline_every == 0;
+                if !(inline && queue.is_next(next)) {
+                    queue.schedule(next, 1);
+                    return;
+                }
+                queue.deliver_inline(next);
+                self.inlined += 1;
+                now = next;
+            }
+        }
+    }
+
+    #[test]
+    fn the_world_reads_the_deadline_run_until_was_given() {
+        let mut sim = Simulation::new(Ahead::new(0, 100));
+        assert_eq!(sim.queue().deadline(), None, "no run before the first");
+        sim.queue_mut().schedule(SimTime::ZERO, 1);
+        sim.run_until(SimTime::from_micros(45));
+        let deadline = Some(SimTime::from_micros(45));
+        assert_eq!(sim.world().deadlines, [deadline; 5]);
+        assert_eq!(sim.queue().deadline(), None, "closed after the run");
+        sim.step();
+        assert_eq!(sim.world().deadlines.last(), Some(&None), "stepping has none");
+        sim.run_until(SimTime::from_micros(75));
+        assert_eq!(sim.world().deadlines.last(), Some(&Some(SimTime::from_micros(75))));
+    }
+
+    /// Inline deliveries count as delivered events and take the sequence
+    /// numbers their pushes would have: the clock, the event count and
+    /// the rank of every later push (here: a same-instant race resolved
+    /// by tie keys under every policy) match the run that pushes every
+    /// ping, and the deadline bounds what runs inline.
+    #[test]
+    fn inline_deliveries_count_and_keep_every_later_rank() {
+        use crate::TieBreak;
+        let shuffles = [TieBreak::SeededShuffle(7), TieBreak::SeededShuffle(8)];
+        for tb in [TieBreak::Fifo, TieBreak::Lifo].into_iter().chain(shuffles) {
+            let run = |inline_every| {
+                let mut sim = Simulation::new(Ahead::new(inline_every, 1_000));
+                sim.queue_mut().set_tiebreak(tb);
+                sim.queue_mut().schedule(SimTime::ZERO, 1);
+                // An entry the pings run up to: none passes it inline.
+                sim.queue_mut().schedule(SimTime::from_micros(95), 7);
+                sim.run_until(SimTime::from_micros(300));
+                let now = sim.now();
+                let handled = sim.events_handled();
+                // Two entries pushed now race at one instant; their order
+                // is decided by the tie keys the inline deliveries left.
+                let q = sim.queue_mut();
+                q.schedule(SimTime::from_micros(400), 1);
+                q.schedule(SimTime::from_micros(400), 2);
+                let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+                (now, handled, order, sim.world().inlined)
+            };
+            let pushed = run(0);
+            let inlined = run(2);
+            assert_eq!(pushed.3, 0);
+            assert!(inlined.3 > 5, "{tb:?}: {} inline", inlined.3);
+            assert_eq!(inlined.0, pushed.0, "{tb:?}");
+            assert_eq!(inlined.1, pushed.1, "{tb:?}: every inline delivery counts");
+            assert_eq!(inlined.2, pushed.2, "{tb:?}: later ranks unchanged");
+        }
+    }
+
+    #[test]
+    fn an_entry_is_next_only_strictly_before_the_head_and_the_deadline() {
+        let mut sim = Simulation::new(Ahead::new(0, 1));
+        let (_, queue, _) = sim.parts_mut();
+        assert!(!queue.is_next(SimTime::ZERO), "outside a run nothing is");
+        queue.set_deadline(Some(SimTime::from_micros(50)));
+        queue.schedule(SimTime::from_micros(20), 1);
+        assert!(queue.is_next(SimTime::from_micros(19)));
+        assert!(!queue.is_next(SimTime::from_micros(20)), "ties go to the queue");
+        queue.pop();
+        assert!(queue.is_next(SimTime::from_micros(49)));
+        assert!(!queue.is_next(SimTime::from_micros(50)), "the deadline bounds it");
+        let before = queue.clock();
+        queue.deliver_inline(SimTime::from_micros(30));
+        assert_eq!(queue.clock(), (SimTime::from_micros(30), before.1 + 1));
     }
 
     // The panic is a `debug_assert!`: release builds skip the check.

@@ -441,6 +441,20 @@ pub struct FfBreak {
     pub resumed: KernelStart,
 }
 
+/// What a burst run whole leaves ([`GpuDevice::ff_extent`]): its span
+/// and its totals, computed without touching the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FfExtent {
+    /// When the burst's first kernel starts.
+    pub start: SimTime,
+    /// When its final kernel finishes.
+    pub end: SimTime,
+    /// Its kernels.
+    pub kernels: u64,
+    /// The exact area its kernels occupy, in SM × µs.
+    area: u64,
+}
+
 #[derive(Debug, Clone, Default)]
 struct ClientStream {
     queued: VecDeque<KernelDesc>,
@@ -942,6 +956,7 @@ impl GpuDevice {
     /// `client`, else `client`'s SM cap if it can start a timeline now
     /// (its stream is idle and it has none), which is what
     /// [`Self::fast_forward_burst`] needs.
+    #[inline]
     fn admission(&self, client: ClientId) -> Option<Option<u32>> {
         let admitted = self.admission_by_summary(client);
         if sanitizer::active() {
@@ -1074,16 +1089,7 @@ impl GpuDevice {
                     }
                 }
             }
-            // Same wave arithmetic as `start_head`; in the capped regime
-            // `free_sms` never binds below `min(cap, blocks)`.
-            let granted = cap.min(desc.blocks.max(1));
-            let waves = u64::from(desc.blocks.max(1).div_ceil(granted));
-            let nominal = desc.work_per_block * waves;
-            let duration = if (self.clock_scale - 1.0).abs() < f64::EPSILON {
-                nominal
-            } else {
-                nominal.scale(self.clock_scale)
-            };
+            let (granted, duration) = self.wave(cap, &desc);
             let run = FfRun {
                 desc,
                 count,
@@ -1122,6 +1128,80 @@ impl GpuDevice {
             completed: 0,
         });
         Some(end)
+    }
+
+    /// A kernel's SM grant and duration at SM cap `cap`: the wave
+    /// arithmetic of `start_head`, which in the capped regime `free_sms`
+    /// never binds below `min(cap, blocks)`.
+    #[inline]
+    fn wave(&self, cap: u32, desc: &KernelDesc) -> (u32, SimTime) {
+        let granted = cap.min(desc.blocks.max(1));
+        let waves = u64::from(desc.blocks.max(1).div_ceil(granted));
+        let nominal = desc.work_per_block * waves;
+        let duration = if (self.clock_scale - 1.0).abs() < f64::EPSILON {
+            nominal
+        } else {
+            nominal.scale(self.clock_scale)
+        };
+        (granted, duration)
+    }
+
+    /// The extent of `client`'s burst starting at `now`, if the capped
+    /// regime admits it ([`Self::fast_forward_burst`]'s test): its end
+    /// and totals, by the same wave arithmetic, without touching the
+    /// device. For a caller deciding whether to run the burst whole
+    /// ([`Self::ff_run_whole`]) or as a timeline.
+    pub fn ff_extent<I>(&self, now: SimTime, client: ClientId, burst: I) -> Option<FfExtent>
+    where
+        I: IntoIterator<Item = (KernelDesc, u32)>,
+    {
+        let cap = self.admission(client).flatten()?;
+        let (mut end, mut kernels, mut area) = (now, 0, 0);
+        for (desc, count) in burst {
+            let (granted, duration) = self.wave(cap, &desc);
+            let span = duration * u64::from(count);
+            end += span;
+            kernels += u64::from(count);
+            area += u64::from(granted) * span.as_micros();
+        }
+        (kernels > 0).then_some(FfExtent {
+            start: now,
+            end,
+            kernels,
+            area,
+        })
+    }
+
+    /// Runs a burst of `client` whole, from the extent [`Self::ff_extent`]
+    /// just gave: exactly what [`Self::fast_forward_burst`] followed by
+    /// [`Self::ff_complete`] at its end leave, for a caller that knows
+    /// nothing reads or changes the device in between, but without a
+    /// timeline. The busy interval opens and closes, and the exact area,
+    /// the completions and the client's busy time land in the metrics
+    /// (sums of integers, so one piece gives the same bits as the
+    /// timeline's settles). Returns the burst's totals for the caller's
+    /// synchronization point.
+    pub fn ff_run_whole(&mut self, client: ClientId, extent: FfExtent) -> FfDone {
+        let gpu_time = extent.end - extent.start;
+        self.metrics.ff_begin(extent.start);
+        self.metrics
+            .ff_settled(client, extent.area, extent.kernels, gpu_time);
+        self.metrics.ff_end(extent.end);
+        FfDone {
+            completed: extent.kernels,
+            gpu_time,
+        }
+    }
+
+    /// Whether no client is active: none has a timeline, a resident or
+    /// queued kernel, or a place in the wait queue. The running cap sum
+    /// answers first, so a busy device is told apart in one load.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.active_caps == 0
+            && self.ff.is_empty()
+            && self.running.is_empty()
+            && self.wait_queue.is_empty()
     }
 
     /// Settles every timeline up to `now`, each on its own, applying
@@ -1677,6 +1757,55 @@ mod tests {
         let b = stepped.metrics_mut().sample(w);
         assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
         assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
+    }
+
+    /// A burst run whole from its extent leaves the device exactly as a
+    /// timeline completed at its end does: metrics, pool, running counts
+    /// and encoded bytes, over runs of several lengths, after earlier
+    /// windows and on a slowed clock. A contended burst has no extent.
+    #[test]
+    fn a_burst_run_whole_matches_its_timeline() {
+        let bytes = |gpu: &GpuDevice| {
+            let mut w = SnapWriter::new();
+            gpu.snap(&mut w);
+            w.finish()
+        };
+        let runs = [
+            (kernel(19, 200), 3),
+            (kernel(19, 200), 2),
+            (kernel(40, 100), 1),
+            (kernel(5, 0), 4),
+        ];
+        for scale in [1.0, 1.5] {
+            let (mut timeline, mut whole) = (v100(), v100());
+            let c = timeline.register_client(12.0).unwrap();
+            assert_eq!(whole.register_client(12.0).unwrap(), c);
+            let mut at = SimTime::from_micros(70);
+            for gpu in [&mut timeline, &mut whole] {
+                gpu.set_clock_scale(scale);
+                gpu.metrics_mut().sample(SimTime::from_micros(50));
+            }
+            for _ in 0..3 {
+                let end = timeline.fast_forward_burst(at, c, runs).unwrap();
+                let by_timeline = timeline.ff_complete(end, c).unwrap();
+                let extent = whole.ff_extent(at, c, runs).unwrap();
+                assert_eq!((extent.start, extent.end, extent.kernels), (at, end, 10));
+                assert_eq!(whole.ff_run_whole(c, extent), by_timeline);
+                assert!(whole.is_idle() && timeline.is_idle());
+                assert_eq!(bytes(&whole), bytes(&timeline));
+                at = end + SimTime::from_micros(333);
+            }
+            let (a, b) = (whole.metrics_mut().sample(at), timeline.metrics_mut().sample(at));
+            assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
+            assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
+            assert_eq!(whole.metrics().client_busy(c), timeline.metrics().client_busy(c));
+            // Another client's resident kernel refuses the capped regime
+            // to a burst that would not fit beside it.
+            let other = whole.register_client(100.0).unwrap();
+            whole.launch(at, other, kernel(200, 500)).unwrap();
+            assert!(!whole.is_idle());
+            assert_eq!(whole.ff_extent(at, c, runs), None);
+        }
     }
 
     #[test]

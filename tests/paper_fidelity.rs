@@ -1,0 +1,92 @@
+//! Paper fidelity, pinned as tolerance bands.
+//!
+//! §5.3's throughput comparison: eight FaST pods at 12 % SM partitions
+//! against time sharing (one token over eight full-GPU pods), per model,
+//! and the abstract's headline average of the three speedups. The
+//! figures come from EXPERIMENTS.md ("Headline summary": measured 4.49 /
+//! 3.35 / 1.49× per model and 3.11× on average over 5 s windows; the
+//! paper's ≈ 4.2 / 3.5 / 1.5× and 3.15×).
+//!
+//! The windows here are 2 s after the 1 s warm-up, to keep tier-1 fast.
+//! Re-derived for them, the same scenarios measure 4.486 / 3.333 /
+//! 1.517× and 3.112× on average; the workloads are saturating and
+//! deterministic, so every seed gives these figures. Each value must lie
+//! within 4 % of its re-derived figure, which catches a drifted model
+//! calibration, and within 8 % of the paper's, which is the reproduction
+//! claim itself.
+
+use fastg_des::SimTime;
+use fastgshare::manager::SharingPolicy;
+use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
+
+/// Measured seconds after the 1 s warm-up.
+const WINDOW_S: u64 = 2;
+/// Allowed distance from the figure re-derived for `WINDOW_S`.
+const MEASURED_TOL: f64 = 0.04;
+/// Allowed distance from the paper's figure.
+const PAPER_TOL: f64 = 0.08;
+
+/// `(model, paper speedup, re-derived 2 s speedup)`.
+const PER_MODEL: [(&str, f64, f64); 3] = [
+    ("resnet50", 4.2, 4.486),
+    ("rnnt", 3.5, 3.333),
+    ("gnmt", 1.5, 1.517),
+];
+/// The abstract's headline throughput ratio, and its re-derived 2 s value.
+const HEADLINE: (f64, f64) = (3.15, 3.112);
+
+/// Throughput of eight saturating `model` pods on one V100 under
+/// `policy`, each with `sm` % of the SMs and its full quota.
+fn rps(model: &str, policy: SharingPolicy, sm: f64) -> f64 {
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(1)
+            .policy(policy)
+            .oversubscribe(true)
+            .warmup(SimTime::from_secs(1))
+            .seed(7),
+    );
+    p.deploy(
+        FunctionConfig::new("bench", model)
+            .replicas(8)
+            .resources(sm, 1.0, 1.0)
+            .saturating(),
+    )
+    .unwrap();
+    let report = p.run_for(SimTime::from_secs(1 + WINDOW_S));
+    report.functions.values().next().unwrap().throughput_rps
+}
+
+/// FaST 8 × 12 % over time sharing's 8 × 100 % for `model`.
+fn speedup(model: &str) -> f64 {
+    rps(model, SharingPolicy::FaST, 12.0) / rps(model, SharingPolicy::SingleToken, 100.0)
+}
+
+fn assert_band(what: &str, got: f64, paper: f64, rederived: f64) {
+    let off = |want: f64| (got / want - 1.0).abs();
+    assert!(
+        off(rederived) <= MEASURED_TOL,
+        "{what}: {got:.3}× is {:.1} % off its re-derived {rederived}×",
+        100.0 * off(rederived)
+    );
+    assert!(
+        off(paper) <= PAPER_TOL,
+        "{what}: {got:.3}× is {:.1} % off the paper's {paper}×",
+        100.0 * off(paper)
+    );
+}
+
+/// EXPERIMENTS.md, "Headline summary": per-model speedups (and the
+/// Figure 10 text's ResNet 8 × 12 % vs time-sharing ratio), then the
+/// summary table's "throughput vs time sharing" row.
+#[test]
+fn fast_beats_time_sharing_by_the_papers_factors() {
+    let mut sum = 0.0;
+    for (model, paper, rederived) in PER_MODEL {
+        let s = speedup(model);
+        assert_band(model, s, paper, rederived);
+        sum += s;
+    }
+    let (paper, rederived) = HEADLINE;
+    assert_band("headline throughput", sum / PER_MODEL.len() as f64, paper, rederived);
+}
