@@ -1135,8 +1135,14 @@ impl GpuDevice {
     /// never binds below `min(cap, blocks)`.
     #[inline]
     fn wave(&self, cap: u32, desc: &KernelDesc) -> (u32, SimTime) {
-        let granted = cap.min(desc.blocks.max(1));
-        let waves = u64::from(desc.blocks.max(1).div_ceil(granted));
+        let blocks = desc.blocks.max(1);
+        let granted = cap.min(blocks);
+        // A kernel that fits its cap runs one wave, without a division.
+        let waves = if granted == blocks {
+            1
+        } else {
+            u64::from(blocks.div_ceil(granted))
+        };
         let nominal = desc.work_per_block * waves;
         let duration = if (self.clock_scale - 1.0).abs() < f64::EPSILON {
             nominal
