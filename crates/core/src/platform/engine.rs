@@ -170,7 +170,7 @@ pub struct HandlerCounts {
     /// Owed dispatch passes skipped because no waiter was grantable
     /// (every waiter quota-blocked until its window resets).
     pub dispatch_passes_skipped: u64,
-    /// Bursts a solo pod ran whole, their `BurstFastForward` delivered
+    /// Bursts whose `BurstFastForward` a solo pod delivered to itself
     /// inline (not events of their own; see the `node` module).
     pub solo_steps: u64,
 }
@@ -277,12 +277,6 @@ pub struct Engine {
     /// compare against the queue-stepped run. Not snapshotted; a restored
     /// platform has it on.
     pub(super) run_ahead: bool,
-    /// Handlers in a row that could have run a pod ahead but took no step
-    /// inline (see [`Engine::step_pod`]). Past a few, only some try, so a
-    /// platform where other pods' events fill every gap, such as a fleet,
-    /// stops paying for the checks. It decides only whether to try, never
-    /// what happens, so it is not snapshotted.
-    pub(super) ahead_misses: u32,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     pub(super) trace: Vec<String>,
@@ -381,7 +375,6 @@ impl Engine {
             dispatch_pending: Vec::new(),
             counts: HandlerCounts::default(),
             run_ahead: true,
-            ahead_misses: 0,
             trace: Vec::new(),
             profiles: Vec::new(),
         }
@@ -466,7 +459,7 @@ impl Engine {
     /// (`burst_scratch`, `started_scratch`, `granted_scratch`,
     /// `ready_scratch`) are recycling caches with no semantic content
     /// between events; they restore empty, and so do the handler counts.
-    /// The run-ahead switches are not state: run-ahead is on after a
+    /// The run-ahead switch is not state: run-ahead is on after a
     /// restore, and nothing runs ahead between events.
     /// The profile table is rebuilt from the functions on restore.
     ///
@@ -480,8 +473,7 @@ impl Engine {
             cfg, cluster, gateway, nodes, selector, funcs, pod_loc, autoscale_db, next_func,
             next_synth, unschedulable, killed, faults_injected, ff_bursts, ff_coalesced_kernels,
             burst_scratch: _, started_scratch: _, granted_scratch: _, ready_scratch: _,
-            dispatch_pending, counts: _, run_ahead: _, ahead_misses: _, trace,
-            profiles: _,
+            dispatch_pending, counts: _, run_ahead: _, trace, profiles: _,
         } = self;
         cfg.snap(w);
         cluster.snap_with(w, |id, w| match nodes.get(id) {
@@ -573,7 +565,6 @@ impl Engine {
             dispatch_pending: Vec::unsnap(r)?,
             counts: HandlerCounts::default(),
             run_ahead: true,
-            ahead_misses: 0,
             trace: Vec::unsnap(r)?,
             profiles,
         };

@@ -23,26 +23,22 @@
 //! `BurstFastForward`, only for the driver to pop it straight back. So
 //! while the step would be the driver's next delivery, the pod takes it
 //! inline and goes on: host phase, token request and the node's pass,
-//! a burst run whole from its extent ([`GpuDevice::ff_run_whole`]: no
-//! timeline, no macro-event), sync point, next phase, completion and the
-//! next request. A step is taken inline when
+//! burst launch and, when its timeline ends in time, the macro-event's
+//! completion ([`GpuDevice::ff_complete`]) and sync point, next phase,
+//! completion and the next request. A step is taken inline when
 //! - fast-forward is on and the handler or pass running now steps this
 //!   pod as its last action (`step_pod`'s `tail`: the data-plane events
 //!   and the dispatch pass; never a control-plane tick, a fault or an API
 //!   call);
 //! - no dispatch pass is owed at the current instant, except, for a token
-//!   wait of a pod already running ahead, the pod's own node's, which
-//!   then runs here;
+//!   wait, the pod's own node's, which then runs here;
+//! - the pod is solo ([`NodeRt::is_solo`]: it holds the node's only slot
+//!   and the device is idle), asked first;
 //! - the step is strictly before the queue head and the deadline of the
-//!   run in progress ([`EventQueue::is_next`]); a burst is first bounded
-//!   below by one wave per kernel, so most never get further;
-//! - the pod is solo ([`NodeRt::is_solo`]).
+//!   run in progress ([`EventQueue::is_next`]).
 //!
-//! The queue's limit and solo are asked once per handler: nothing else
+//! Solo and the queue's limit are asked once per handler: nothing else
 //! moves while the pod runs ahead, and nothing is pushed before it stops.
-//! After a few handlers in a row took no step inline, only one in
-//! sixteen tries (`Engine::ahead_misses`), so a fleet, where other nodes'
-//! events fill every gap, does not pay for the checks.
 //!
 //! The loop stops at the first step that fails them and pushes it as
 //! usual; quota exhaustion, a grant the SM adapter refuses, an idle or a
@@ -65,7 +61,7 @@ use fastg_cluster::{Cluster, ClusterError, FuncId, NodeId, NodeState, Pod, PodId
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{EventQueue, IdArena, SimTime, TimeSeries};
 use fastg_gpu::{GpuDevice, KernelDesc, KernelId};
-use fastg_models::{InferenceRun, Stage, StageOp};
+use fastg_models::{InferenceRun, StageOp};
 use std::sync::Arc;
 
 /// One node's data plane: its GPU device, its FaST Backend, its model
@@ -157,19 +153,16 @@ impl NodeRt {
         ff
     }
 
-    /// Whether the pod at `slot` runs alone on the node: no other pod
-    /// has a timeline or kernels on the device, holds a lease or a place
-    /// in the ready queue, or holds a request (a crashed pod's draining
-    /// kernels included). Asked only between the pod's own bursts, when
-    /// it has nothing on the device either, so the device must be idle:
-    /// its running cap sum tells a shared node apart in one load.
+    /// Whether the pod at `slot` runs alone on the node: it holds the
+    /// only slot in use (vacant trailing slots are trimmed, so one load
+    /// tells), and nothing is left on the device. A crashed pod keeps
+    /// its slot while its kernels drain, so no other pod holds a lease,
+    /// a place in the ready queue, a request or kernels. Asked between
+    /// the pod's own bursts, when it has nothing on the device either.
     fn is_solo(&self, slot: usize) -> bool {
-        self.gpu.is_idle()
-            && self.backend.alone_at(slot)
-            && self.pods.iter().enumerate().all(|(s, p)| {
-                let idle = |(_, o): &(PodId, PodRt)| o.active.is_none() && o.zombie.is_none();
-                s == slot || p.as_ref().map_or(true, idle)
-            })
+        let solo = slot == 0 && self.pods.len() == 1 && self.gpu.is_idle();
+        debug_assert!(!solo || self.backend.alone_at(slot), "a lone pod's backend is its own");
+        solo
     }
 
     // ----- pod lifecycle ----------------------------------------------
@@ -405,26 +398,31 @@ impl NodeRt {
 }
 
 /// Whether a stepping pod may run ahead: its caller steps it as its last
-/// action (`tail`), the step would be the driver's next delivery, and the
-/// pod is solo. The queue's limit and solo are asked the first time a
+/// action (`tail`), the pod is solo, and the step would be the driver's
+/// next delivery. Solo and the queue's limit are asked the first time a
 /// step could go inline, and kept: while the pod runs ahead nothing else
 /// moves, and nothing is pushed before it stops.
 struct Ahead {
     tail: bool,
-    limit: Option<SimTime>,
     solo: Option<bool>,
-    /// Whether the pod has taken a step inline already.
-    ran: bool,
+    limit: Option<SimTime>,
 }
 
 impl Ahead {
     fn new(tail: bool) -> Self {
         Ahead {
             tail,
-            limit: None,
             solo: None,
-            ran: false,
+            limit: None,
         }
+    }
+
+    /// Whether the pod at `slot` of `node` is solo (asked once).
+    fn solo(&mut self, node: Option<&NodeRt>, slot: usize) -> bool {
+        self.tail
+            && *self
+                .solo
+                .get_or_insert_with(|| node.is_some_and(|n| n.is_solo(slot)))
     }
 
     /// Whether a step due at `t` would be the driver's next delivery
@@ -435,43 +433,6 @@ impl Ahead {
                 .limit
                 .get_or_insert_with(|| queue.next_limit().unwrap_or(SimTime::ZERO))
     }
-
-    /// Whether the pod at `slot` of `node` is solo (asked once).
-    fn solo(&mut self, node: Option<&NodeRt>, slot: usize) -> bool {
-        *self
-            .solo
-            .get_or_insert_with(|| node.is_some_and(|n| n.is_solo(slot)))
-    }
-}
-
-/// A stage's burst plan as `(kernel, launches)` runs, tagged with `pod`.
-fn burst_of(stage: &Stage, pod: PodId) -> impl Iterator<Item = (KernelDesc, u32)> + '_ {
-    stage.runs().iter().map(move |r| {
-        let desc = KernelDesc {
-            blocks: r.spec.blocks,
-            work_per_block: r.spec.work_per_block,
-            tag: pod.0,
-        };
-        (desc, r.count)
-    })
-}
-
-/// Handlers in a row that may try to run a pod ahead in vain before they
-/// back off, and how often one tries then. A lone pod's attempts fail
-/// only where its queue holds a periodic tick (every 100 ms or 250 ms of
-/// several-ms stages), so it never backs off; on a fleet, where other
-/// nodes' events fill every gap, fifteen in sixteen handlers skip the
-/// checks.
-const AHEAD_PATIENCE: u32 = 8;
-const AHEAD_PROBE: u32 = 16;
-
-/// A lower bound on a stage's burst span: every kernel runs at least one
-/// wave of its blocks' work, at a clock scale of at least one.
-fn burst_floor(stage: &Stage) -> SimTime {
-    stage
-        .runs()
-        .iter()
-        .fold(SimTime::ZERO, |t, r| t + r.spec.work_per_block * u64::from(r.count))
 }
 
 impl Engine {
@@ -553,37 +514,12 @@ impl Engine {
     /// be the driver's next delivery and going on from it.
     pub(super) fn step_pod(
         &mut self,
-        now: SimTime,
+        mut now: SimTime,
         at: PodAt,
         tail: bool,
         queue: &mut EventQueue<Event>,
     ) {
-        let eligible = tail && self.run_ahead && self.cfg.fastforward;
-        let mut ahead = Ahead::new(eligible && self.ahead_worth_trying());
-        self.step_pod_with(now, at, &mut ahead, queue);
-        if eligible {
-            self.ahead_misses = if ahead.ran {
-                0
-            } else {
-                self.ahead_misses.wrapping_add(1)
-            };
-        }
-    }
-
-    /// Whether a handler that could run its pod ahead should try: while
-    /// the last few tried in vain, only one in [`AHEAD_PROBE`] does.
-    fn ahead_worth_trying(&self) -> bool {
-        self.ahead_misses < AHEAD_PATIENCE || self.ahead_misses % AHEAD_PROBE == 0
-    }
-
-    /// [`Self::step_pod`]'s loop.
-    fn step_pod_with(
-        &mut self,
-        mut now: SimTime,
-        at: PodAt,
-        ahead: &mut Ahead,
-        queue: &mut EventQueue<Event>,
-    ) {
+        let mut ahead = Ahead::new(tail && self.run_ahead && self.cfg.fastforward);
         loop {
             let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
                 debug_assert!(false, "stepping requires a live pod with a request");
@@ -594,19 +530,18 @@ impl Engine {
                     let done = now + d;
                     let event = Event::HostDone(at.pod);
                     let inline = self.dispatch_pending.is_empty()
-                        && ahead.is_next(done, queue)
-                        && ahead.solo(self.nodes.get(at.node), at.slot);
+                        && ahead.solo(self.nodes.get(at.node), at.slot)
+                        && ahead.is_next(done, queue);
                     if !inline {
                         queue.schedule(done, event);
                         return;
                     }
                     self.deliver_inline(done, &event, queue);
-                    ahead.ran = true;
                     now = done;
                 }
                 StageOp::Burst(stage) => {
                     active.pending_stage = Some(stage);
-                    match self.try_start_burst(now, at, ahead, queue) {
+                    match self.try_start_burst(now, at, &mut ahead, queue) {
                         Some(synced) => now = synced,
                         None => return,
                     }
@@ -663,12 +598,10 @@ impl Engine {
         }
     }
 
-    /// A solo pod running ahead waits for a token: when its node's pass
-    /// is the only one owed and nothing in the queue comes first, the
-    /// driver would run that pass next, so it runs here. Returns what the
-    /// pass's launch returns for the pod. Only a pod that has already
-    /// taken a step inline does so: on a busy fleet every token wait would
-    /// otherwise pay for the solo check, to gain nothing.
+    /// A solo pod waits for a token: when its node's pass is the only one
+    /// owed and nothing in the queue comes first, the driver would run
+    /// that pass next, so it runs here. Returns what the pass's launch
+    /// returns for the pod.
     fn pass_inline(
         &mut self,
         now: SimTime,
@@ -676,11 +609,9 @@ impl Engine {
         ahead: &mut Ahead,
         queue: &mut EventQueue<Event>,
     ) -> Option<SimTime> {
-        let only_ours = matches!(self.dispatch_pending[..], [(_, n)] if n == at.node);
-        let inline = ahead.ran
-            && only_ours
-            && ahead.is_next(now, queue)
-            && ahead.solo(self.nodes.get(at.node), at.slot);
+        let inline = matches!(self.dispatch_pending[..], [(_, n)] if n == at.node)
+            && ahead.solo(self.nodes.get(at.node), at.slot)
+            && ahead.is_next(now, queue);
         if !inline {
             return None;
         }
@@ -693,10 +624,10 @@ impl Engine {
     /// Launches the pod's pending burst: as one fast-forwarded timeline
     /// and macro-event when the device admits it, else kernel by kernel.
     ///
-    /// A solo pod running ahead whose admitted burst would end before the
-    /// driver's next delivery runs it whole instead ([`Self::run_whole`]);
-    /// the burst's end is returned then, from which the caller steps the
-    /// pod on.
+    /// A solo pod whose timeline ends before the driver's next delivery
+    /// takes that macro-event inline instead of pushing it, and its sync
+    /// point; the burst's end is returned then, from which the caller
+    /// steps the pod on.
     fn launch_burst(
         &mut self,
         now: SimTime,
@@ -704,11 +635,12 @@ impl Engine {
         ahead: &mut Ahead,
         queue: &mut EventQueue<Event>,
     ) -> Option<SimTime> {
+        // Asked before the launch, whose timeline makes the device busy.
+        let solo = self.dispatch_pending.is_empty() && ahead.solo(self.nodes.get(at.node), at.slot);
         let Engine {
             cfg,
             nodes,
             ff_bursts,
-            dispatch_pending,
             ..
         } = self;
         let Some(node) = nodes.get_mut(at.node) else {
@@ -742,126 +674,35 @@ impl Engine {
         // Any contention change cancels the macro-event and reconstructs
         // per-kernel state (`ff_break_pod`).
         if cfg.fastforward {
-            // The burst lasts at least one wave of each kernel: unless even
-            // that ends before the driver's next delivery, it cannot run
-            // whole, and solo need not be asked.
-            let may_run_whole = ahead.tail
-                && dispatch_pending.is_empty()
-                && ahead.is_next(now + burst_floor(stage), queue);
-            if may_run_whole {
-                if let Some(end) = self.run_whole(now, at, stage_index, ahead, queue) {
-                    return Some(end);
-                }
-                return self.launch_timeline(now, at, stage_index, queue);
-            }
-            let burst = burst_of(stage, at.pod);
+            let burst = stage.runs().iter().map(|r| {
+                let desc = KernelDesc {
+                    blocks: r.spec.blocks,
+                    work_per_block: r.spec.work_per_block,
+                    tag: at.pod.0,
+                };
+                (desc, r.count)
+            });
             if let Some(end) = gpu.fast_forward_burst(now, client, burst) {
-                let event = Event::BurstFastForward(at.node, at.pod);
-                active.ff = Some(queue.schedule_cancellable(end, event));
                 *ff_bursts += 1;
+                let event = Event::BurstFastForward(at.node, at.pod);
+                if solo && ahead.is_next(end, queue) {
+                    self.counts.solo_steps += 1;
+                    self.deliver_inline(end, &event, queue);
+                    return self.complete_ff_burst(end, at, queue).then_some(end);
+                }
+                active.ff = Some(queue.schedule_cancellable(end, event));
                 return None;
             }
         }
-        self.launch_per_kernel(now, at, stage_index, queue);
-        None
-    }
 
-    /// Runs the pod's launched burst whole if the pod is solo and the
-    /// device admits the burst, and it ends before the driver's next
-    /// delivery: what `on_burst_ff` would do at its end, with its delivery
-    /// inline, and its sync point. Returns the end then; else the burst
-    /// is left to launch as usual. Out of line: most bursts never get
-    /// here.
-    #[inline(never)]
-    fn run_whole(
-        &mut self,
-        now: SimTime,
-        at: PodAt,
-        stage_index: usize,
-        ahead: &mut Ahead,
-        queue: &mut EventQueue<Event>,
-    ) -> Option<SimTime> {
-        if !ahead.solo(self.nodes.get(at.node), at.slot) {
-            return None;
-        }
-        let Engine {
-            nodes,
-            ff_bursts,
-            ff_coalesced_kernels,
-            counts,
-            ..
-        } = self;
-        let (rt, gpu) = nodes.get_mut(at.node)?.pod_and_gpu(at.slot)?;
-        let client = rt.client;
-        let active = rt.active.as_mut()?;
-        let stage = active.run.profile().stages.get(stage_index)?;
-        let extent = gpu.ff_extent(now, client, burst_of(stage, at.pod))?;
-        if !ahead.is_next(extent.end, queue) {
-            return None;
-        }
-        ahead.ran = true;
-        let done = gpu.ff_run_whole(client, extent);
-        debug_assert_eq!(
-            usize::try_from(done.completed).ok(),
-            Some(active.outstanding),
-            "the whole burst ran"
-        );
-        *ff_bursts += 1;
-        *ff_coalesced_kernels += done.completed;
-        counts.solo_steps += 1;
-        active.outstanding = 0;
-        active.burst_gpu_time += done.gpu_time;
-        let gpu_time = active.burst_gpu_time;
-        self.deliver_inline(extent.end, &Event::BurstFastForward(at.node, at.pod), queue);
-        self.sync_burst(extent.end, at, gpu_time, queue);
-        Some(extent.end)
-    }
-
-    /// The rest of [`Self::launch_burst`] after [`Self::run_whole`]
-    /// declined: the burst as a timeline if the device admits it, else
-    /// kernel by kernel.
-    fn launch_timeline(
-        &mut self,
-        now: SimTime,
-        at: PodAt,
-        stage_index: usize,
-        queue: &mut EventQueue<Event>,
-    ) -> Option<SimTime> {
-        let Engine {
-            nodes, ff_bursts, ..
-        } = self;
-        let (rt, gpu) = nodes.get_mut(at.node)?.pod_and_gpu(at.slot)?;
-        let client = rt.client;
-        let active = rt.active.as_mut()?;
-        let stage = active.run.profile().stages.get(stage_index)?;
-        if let Some(end) = gpu.fast_forward_burst(now, client, burst_of(stage, at.pod)) {
-            let event = Event::BurstFastForward(at.node, at.pod);
-            active.ff = Some(queue.schedule_cancellable(end, event));
-            *ff_bursts += 1;
-            return None;
-        }
-        self.launch_per_kernel(now, at, stage_index, queue);
-        None
-    }
-
-    /// The per-kernel fallback is the one place a client activates while
-    /// timelines may be live: if it pushes the active SM caps past the
-    /// device, the node's timelines fall back first.
-    fn launch_per_kernel(
-        &mut self,
-        now: SimTime,
-        at: PodAt,
-        stage_index: usize,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let contended = self.nodes.get(at.node).is_some_and(|n| {
-            let client = n.get(at.slot).map(|rt| rt.client);
-            n.gpu.has_ff() && client.is_some_and(|c| !n.gpu.ff_admits(c))
-        });
-        if contended {
+        // The per-kernel fallback is the one place a client activates
+        // while timelines may be live: if it pushes the active SM caps
+        // past the device, the node's timelines fall back first.
+        if gpu.has_ff() && !gpu.ff_admits(client) {
             self.ff_break_node(now, at.node, queue);
         }
         self.launch_kernels(now, at, stage_index, queue);
+        None
     }
 
     /// The per-kernel fallback: launches every kernel of the stage into
@@ -1015,6 +856,15 @@ impl Engine {
             return;
         };
         debug_assert_eq!(at.node, node, "macro-event names the pod's node");
+        if self.complete_ff_burst(now, at, queue) {
+            self.step_pod(now, at, true, queue);
+        }
+    }
+
+    /// Completes the pod's fast-forwarded burst at its end `now`: drops
+    /// its timeline, accounts its kernels and runs its sync point. The
+    /// caller steps the pod on if this returns true.
+    fn complete_ff_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) -> bool {
         let Engine {
             nodes,
             ff_coalesced_kernels,
@@ -1022,12 +872,12 @@ impl Engine {
         } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             debug_assert!(false, "located pod has a runtime");
-            return;
+            return false;
         };
         let client = rt.client;
         let Some(active) = rt.active.as_mut() else {
             debug_assert!(false, "macro-event without a request");
-            return;
+            return false;
         };
         active.ff = None;
         let Some(done) = gpu.ff_complete(now, client) else {
@@ -1035,7 +885,7 @@ impl Engine {
                 false,
                 "macro-event without a timeline (token not cancelled)"
             );
-            return;
+            return false;
         };
         *ff_coalesced_kernels += done.completed;
         debug_assert_eq!(
@@ -1047,7 +897,7 @@ impl Engine {
         active.burst_gpu_time += done.gpu_time;
         let gpu_time = active.burst_gpu_time;
         self.sync_burst(now, at, gpu_time, queue);
-        self.step_pod(now, at, true, queue);
+        true
     }
 
     /// Invalidates a pod's fast-forwarded burst (if any): cancels its
@@ -1181,11 +1031,7 @@ impl Engine {
         n.backend
             .dispatch_slots(now, &mut self.ready_scratch, &mut granted);
         // Two pods granted at once are not solo.
-        let alone = tail
-            && self.run_ahead
-            && self.cfg.fastforward
-            && granted.len() == 1
-            && self.ahead_worth_trying();
+        let alone = tail && self.run_ahead && self.cfg.fastforward && granted.len() == 1;
         let mut ran = None;
         for &slot in &granted {
             let Some(n) = self.nodes.get(node) else {

@@ -134,6 +134,32 @@ struct FfRun {
 }
 
 impl FfRun {
+    /// `count` launches of `desc` at SM cap `cap`, on a clock scaled by
+    /// `clock_scale`. Same wave arithmetic as `start_head`; in the capped
+    /// regime `free_sms` never binds below `min(cap, blocks)`. A kernel
+    /// that fits its cap runs one wave, without a division.
+    fn capped(desc: KernelDesc, count: u32, cap: u32, clock_scale: f64) -> Self {
+        let blocks = desc.blocks.max(1);
+        let granted = cap.min(blocks);
+        let waves = if granted == blocks {
+            1
+        } else {
+            u64::from(blocks.div_ceil(granted))
+        };
+        let nominal = desc.work_per_block * waves;
+        let duration = if (clock_scale - 1.0).abs() < f64::EPSILON {
+            nominal
+        } else {
+            nominal.scale(clock_scale)
+        };
+        FfRun {
+            desc,
+            count,
+            granted,
+            duration,
+        }
+    }
+
     /// The whole run's span, or `None` if it overflows the clock.
     fn span(&self) -> Option<SimTime> {
         self.duration
@@ -181,19 +207,15 @@ impl FfRuns {
 
     /// Appends a run, taking a buffer from `pool` once a second run
     /// arrives.
-    fn push(runs: Option<Self>, run: FfRun, pool: &mut Vec<Vec<FfRun>>) -> Self {
-        match runs {
-            None => FfRuns::One([run]),
-            Some(FfRuns::One([first])) => {
+    fn push(&mut self, run: FfRun, pool: &mut Vec<Vec<FfRun>>) {
+        match self {
+            FfRuns::One([first]) => {
                 let mut buffer = pool.pop().unwrap_or_default();
-                buffer.push(first);
+                buffer.push(*first);
                 buffer.push(run);
-                FfRuns::Many(buffer)
+                *self = FfRuns::Many(buffer);
             }
-            Some(FfRuns::Many(mut buffer)) => {
-                buffer.push(run);
-                FfRuns::Many(buffer)
-            }
+            FfRuns::Many(buffer) => buffer.push(run),
         }
     }
 
@@ -439,20 +461,6 @@ pub struct FfBreak {
     /// [`KernelStart::finish_at`]. Remaining kernels were requeued into
     /// the client's stream and start through the normal per-kernel path.
     pub resumed: KernelStart,
-}
-
-/// What a burst run whole leaves ([`GpuDevice::ff_extent`]): its span
-/// and its totals, computed without touching the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FfExtent {
-    /// When the burst's first kernel starts.
-    pub start: SimTime,
-    /// When its final kernel finishes.
-    pub end: SimTime,
-    /// Its kernels.
-    pub kernels: u64,
-    /// The exact area its kernels occupy, in SM × µs.
-    area: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -956,7 +964,6 @@ impl GpuDevice {
     /// `client`, else `client`'s SM cap if it can start a timeline now
     /// (its stream is idle and it has none), which is what
     /// [`Self::fast_forward_burst`] needs.
-    #[inline]
     fn admission(&self, client: ClientId) -> Option<Option<u32>> {
         let admitted = self.admission_by_summary(client);
         if sanitizer::active() {
@@ -1076,29 +1083,20 @@ impl GpuDevice {
         I: IntoIterator<Item = (KernelDesc, u32)>,
     {
         let cap = self.admission(client).flatten()?;
-        let mut runs: Option<FfRuns> = None;
+        let clock_scale = self.clock_scale;
+        let mut burst = burst.into_iter().filter(|&(_, count)| count > 0);
+        let (desc, count) = burst.next()?;
+        let mut runs = FfRuns::One([FfRun::capped(desc, count, cap, clock_scale)]);
         for (desc, count) in burst {
-            if count == 0 {
-                continue;
-            }
-            if let Some(run) = runs.as_deref_mut().and_then(<[FfRun]>::last_mut) {
-                if run.desc == desc {
-                    if let Some(merged) = run.count.checked_add(count) {
-                        run.count = merged;
-                        continue;
-                    }
+            if let Some(run) = runs.last_mut().filter(|run| run.desc == desc) {
+                if let Some(merged) = run.count.checked_add(count) {
+                    run.count = merged;
+                    continue;
                 }
             }
-            let (granted, duration) = self.wave(cap, &desc);
-            let run = FfRun {
-                desc,
-                count,
-                granted,
-                duration,
-            };
-            runs = Some(FfRuns::push(runs.take(), run, &mut self.ff_pool));
+            let run = FfRun::capped(desc, count, cap, clock_scale);
+            runs.push(run, &mut self.ff_pool);
         }
-        let runs = runs?;
         let granted = runs[0].granted;
         let end = runs
             .iter()
@@ -1128,75 +1126,6 @@ impl GpuDevice {
             completed: 0,
         });
         Some(end)
-    }
-
-    /// A kernel's SM grant and duration at SM cap `cap`: the wave
-    /// arithmetic of `start_head`, which in the capped regime `free_sms`
-    /// never binds below `min(cap, blocks)`.
-    #[inline]
-    fn wave(&self, cap: u32, desc: &KernelDesc) -> (u32, SimTime) {
-        let blocks = desc.blocks.max(1);
-        let granted = cap.min(blocks);
-        // A kernel that fits its cap runs one wave, without a division.
-        let waves = if granted == blocks {
-            1
-        } else {
-            u64::from(blocks.div_ceil(granted))
-        };
-        let nominal = desc.work_per_block * waves;
-        let duration = if (self.clock_scale - 1.0).abs() < f64::EPSILON {
-            nominal
-        } else {
-            nominal.scale(self.clock_scale)
-        };
-        (granted, duration)
-    }
-
-    /// The extent of `client`'s burst starting at `now`, if the capped
-    /// regime admits it ([`Self::fast_forward_burst`]'s test): its end
-    /// and totals, by the same wave arithmetic, without touching the
-    /// device. For a caller deciding whether to run the burst whole
-    /// ([`Self::ff_run_whole`]) or as a timeline.
-    pub fn ff_extent<I>(&self, now: SimTime, client: ClientId, burst: I) -> Option<FfExtent>
-    where
-        I: IntoIterator<Item = (KernelDesc, u32)>,
-    {
-        let cap = self.admission(client).flatten()?;
-        let (mut end, mut kernels, mut area) = (now, 0, 0);
-        for (desc, count) in burst {
-            let (granted, duration) = self.wave(cap, &desc);
-            let span = duration * u64::from(count);
-            end += span;
-            kernels += u64::from(count);
-            area += u64::from(granted) * span.as_micros();
-        }
-        (kernels > 0).then_some(FfExtent {
-            start: now,
-            end,
-            kernels,
-            area,
-        })
-    }
-
-    /// Runs a burst of `client` whole, from the extent [`Self::ff_extent`]
-    /// just gave: exactly what [`Self::fast_forward_burst`] followed by
-    /// [`Self::ff_complete`] at its end leave, for a caller that knows
-    /// nothing reads or changes the device in between, but without a
-    /// timeline. The busy interval opens and closes, and the exact area,
-    /// the completions and the client's busy time land in the metrics
-    /// (sums of integers, so one piece gives the same bits as the
-    /// timeline's settles). Returns the burst's totals for the caller's
-    /// synchronization point.
-    pub fn ff_run_whole(&mut self, client: ClientId, extent: FfExtent) -> FfDone {
-        let gpu_time = extent.end - extent.start;
-        self.metrics.ff_begin(extent.start);
-        self.metrics
-            .ff_settled(client, extent.area, extent.kernels, gpu_time);
-        self.metrics.ff_end(extent.end);
-        FfDone {
-            completed: extent.kernels,
-            gpu_time,
-        }
     }
 
     /// Whether no client is active: none has a timeline, a resident or
@@ -1286,15 +1215,33 @@ impl GpuDevice {
                 format!("macro-event for {client:?} fired at {now:?} but its burst ends at {end:?}")
             });
         }
-        tl.settle(now, true, true, &mut self.free_sms, &mut self.metrics);
+        let done = if tl.run == 0 && tl.done == 0 && tl.credited == tl.start {
+            // Nothing settled yet: the whole burst settles in one piece,
+            // each run's grant times its span, as `settle` would credit
+            // it run by run.
+            let (mut area, mut completed) = (0, 0);
+            for r in tl.runs.iter() {
+                area += u64::from(r.granted) * (r.duration * u64::from(r.count)).as_micros();
+                completed += u64::from(r.count);
+            }
+            let gpu_time = end - tl.start;
+            self.free_sms += tl.runs[0].granted;
+            self.metrics.ff_settled(client, area, completed, gpu_time);
+            FfDone {
+                completed,
+                gpu_time,
+            }
+        } else {
+            tl.settle(now, true, true, &mut self.free_sms, &mut self.metrics);
+            FfDone {
+                completed: tl.completed,
+                gpu_time: tl.served(),
+            }
+        };
         self.metrics.ff_end(now);
         if sanitizer::active() {
             self.sanitize_sm_conservation("ff_complete");
         }
-        let done = FfDone {
-            completed: tl.completed,
-            gpu_time: tl.served(),
-        };
         tl.runs.recycle(&mut self.ff_pool);
         Some(done)
     }
@@ -1765,52 +1712,43 @@ mod tests {
         assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
     }
 
-    /// A burst run whole from its extent leaves the device exactly as a
-    /// timeline completed at its end does: metrics, pool, running counts
-    /// and encoded bytes, over runs of several lengths, after earlier
-    /// windows and on a slowed clock. A contended burst has no extent.
+    /// A timeline completed with nothing settled takes the one-piece
+    /// path; one synced on the way settles run by run. Both leave the
+    /// same device, bytes and metric bits, for one run and several, on a
+    /// slowed clock too, whether the sync falls on a finish or mid-kernel.
     #[test]
-    fn a_burst_run_whole_matches_its_timeline() {
+    fn a_fresh_burst_completes_as_a_settled_one_does() {
         let bytes = |gpu: &GpuDevice| {
             let mut w = SnapWriter::new();
             gpu.snap(&mut w);
             w.finish()
         };
-        let runs = [
-            (kernel(19, 200), 3),
-            (kernel(19, 200), 2),
-            (kernel(40, 100), 1),
-            (kernel(5, 0), 4),
-        ];
-        for scale in [1.0, 1.5] {
-            let (mut timeline, mut whole) = (v100(), v100());
-            let c = timeline.register_client(12.0).unwrap();
-            assert_eq!(whole.register_client(12.0).unwrap(), c);
-            let mut at = SimTime::from_micros(70);
-            for gpu in [&mut timeline, &mut whole] {
+        let one = [(kernel(19, 200), 4)];
+        let many = [(kernel(19, 200), 3), (kernel(40, 100), 1), (kernel(5, 0), 2)];
+        for (burst, scale, sync_at) in [
+            (&one[..], 1.0, 200),
+            (&one[..], 1.5, 333),
+            (&many[..], 1.0, 650),
+            (&many[..], 1.5, 1),
+        ] {
+            let (mut fresh, mut synced) = (v100(), v100());
+            let c = fresh.register_client(12.0).unwrap();
+            assert_eq!(synced.register_client(12.0).unwrap(), c);
+            let start = SimTime::from_micros(70);
+            let mut ends = Vec::new();
+            for gpu in [&mut fresh, &mut synced] {
                 gpu.set_clock_scale(scale);
-                gpu.metrics_mut().sample(SimTime::from_micros(50));
+                ends.push(gpu.fast_forward_burst(start, c, burst.iter().copied()).unwrap());
             }
-            for _ in 0..3 {
-                let end = timeline.fast_forward_burst(at, c, runs).unwrap();
-                let by_timeline = timeline.ff_complete(end, c).unwrap();
-                let extent = whole.ff_extent(at, c, runs).unwrap();
-                assert_eq!((extent.start, extent.end, extent.kernels), (at, end, 10));
-                assert_eq!(whole.ff_run_whole(c, extent), by_timeline);
-                assert!(whole.is_idle() && timeline.is_idle());
-                assert_eq!(bytes(&whole), bytes(&timeline));
-                at = end + SimTime::from_micros(333);
-            }
-            let (a, b) = (whole.metrics_mut().sample(at), timeline.metrics_mut().sample(at));
+            synced.ff_sync(start + SimTime::from_micros(sync_at));
+            let end = ends[0];
+            assert_eq!(fresh.ff_complete(end, c), synced.ff_complete(end, c));
+            assert_eq!(bytes(&fresh), bytes(&synced));
+            assert_eq!(fresh.metrics().client_busy(c), synced.metrics().client_busy(c));
+            let later = end + SimTime::from_micros(10);
+            let (a, b) = (fresh.metrics_mut().sample(later), synced.metrics_mut().sample(later));
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
-            assert_eq!(whole.metrics().client_busy(c), timeline.metrics().client_busy(c));
-            // Another client's resident kernel refuses the capped regime
-            // to a burst that would not fit beside it.
-            let other = whole.register_client(100.0).unwrap();
-            whole.launch(at, other, kernel(200, 500)).unwrap();
-            assert!(!whole.is_idle());
-            assert_eq!(whole.ff_extent(at, c, runs), None);
         }
     }
 

@@ -41,7 +41,7 @@ pub mod mps;
 pub mod spec;
 
 pub use device::{
-    ClientId, FfBreak, FfDone, FfExtent, GpuDevice, KernelDesc, KernelDone, KernelId, KernelStart,
+    ClientId, FfBreak, FfDone, GpuDevice, KernelDesc, KernelDone, KernelId, KernelStart,
     clamp_clock_scale, MAX_CLOCK_SCALE,
 };
 pub use error::GpuError;
