@@ -670,19 +670,16 @@ impl Engine {
 
         // Fast-forward: an uncontended burst in the capped regime is
         // coalesced into one macro-event at its analytic end instead of
-        // one KernelFinish per kernel, built from the stage's burst plan.
-        // Any contention change cancels the macro-event and reconstructs
+        // one KernelFinish per kernel, as the stage's one run. Any
+        // contention change cancels the macro-event and reconstructs
         // per-kernel state (`ff_break_pod`).
-        if cfg.fastforward {
-            let burst = stage.runs().iter().map(|r| {
-                let desc = KernelDesc {
-                    blocks: r.spec.blocks,
-                    work_per_block: r.spec.work_per_block,
-                    tag: at.pod.0,
-                };
-                (desc, r.count)
-            });
-            if let Some(end) = gpu.fast_forward_burst(now, client, burst) {
+        if let Some((spec, count)) = stage.burst().filter(|_| cfg.fastforward) {
+            let desc = KernelDesc {
+                blocks: spec.blocks,
+                work_per_block: spec.work_per_block,
+                tag: at.pod.0,
+            };
+            if let Some(end) = gpu.fast_forward_burst(now, client, desc, count) {
                 *ff_bursts += 1;
                 let event = Event::BurstFastForward(at.node, at.pod);
                 if solo && ahead.is_next(end, queue) {

@@ -122,9 +122,9 @@ struct Running {
     started: SimTime,
 }
 
-/// A run of identical kernels inside a fast-forwarded burst: `count`
-/// back-to-back launches of `desc`, each granted `granted` SMs for
-/// `duration` (the wave arithmetic is paid once per run).
+/// A fast-forwarded burst: `count` back-to-back launches of `desc`, each
+/// granted `granted` SMs for `duration` (the wave arithmetic is paid once
+/// per burst).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FfRun {
     desc: KernelDesc,
@@ -159,208 +159,91 @@ impl FfRun {
             duration,
         }
     }
-
-    /// The whole run's span, or `None` if it overflows the clock.
-    fn span(&self) -> Option<SimTime> {
-        self.duration
-            .as_micros()
-            .checked_mul(u64::from(self.count))
-            .map(SimTime::from_micros)
-    }
-}
-
-/// A timeline's runs. A burst of one run (every zoo stage) keeps it
-/// inline, so its timeline owns no buffer; a longer burst uses a buffer
-/// recycled through the device's pool. Reads go through the slice.
-#[derive(Debug, Clone)]
-enum FfRuns {
-    One([FfRun; 1]),
-    Many(Vec<FfRun>),
-}
-
-impl std::ops::Deref for FfRuns {
-    type Target = [FfRun];
-    fn deref(&self) -> &[FfRun] {
-        match self {
-            FfRuns::One(run) => run,
-            FfRuns::Many(runs) => runs,
-        }
-    }
-}
-
-impl std::ops::DerefMut for FfRuns {
-    fn deref_mut(&mut self) -> &mut [FfRun] {
-        match self {
-            FfRuns::One(run) => run,
-            FfRuns::Many(runs) => runs,
-        }
-    }
-}
-
-impl FfRuns {
-    fn from_vec(runs: Vec<FfRun>) -> Self {
-        match runs[..] {
-            [run] => FfRuns::One([run]),
-            _ => FfRuns::Many(runs),
-        }
-    }
-
-    /// Appends a run, taking a buffer from `pool` once a second run
-    /// arrives.
-    fn push(&mut self, run: FfRun, pool: &mut Vec<Vec<FfRun>>) {
-        match self {
-            FfRuns::One([first]) => {
-                let mut buffer = pool.pop().unwrap_or_default();
-                buffer.push(*first);
-                buffer.push(run);
-                *self = FfRuns::Many(buffer);
-            }
-            FfRuns::Many(buffer) => buffer.push(run),
-        }
-    }
-
-    /// Returns the buffer, if any, to `pool`.
-    fn recycle(self, pool: &mut Vec<Vec<FfRun>>) {
-        if let FfRuns::Many(mut buffer) = self {
-            buffer.clear();
-            pool.push(buffer);
-        }
-    }
-}
-
-/// On the wire exactly as a `Vec<FfRun>`.
-impl Snap for FfRuns {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.len_prefix(self.len());
-        for run in self.iter() {
-            run.snap(w);
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Vec::unsnap(r).map(FfRuns::from_vec)
-    }
 }
 
 /// The analytic schedule of one client's uncontended burst, settled up to
-/// some instant, as runs of identical kernels. Kernel `done` of
-/// `runs[run]` is the resident kernel: its grant is out of `free_sms`, and
-/// every earlier kernel's finish is in `free_sms` and the completion
-/// tallies. The occupied area of `[start, credited]` has been credited to
-/// the occupancy integral; `credited` always lies inside the resident
-/// kernel's interval.
+/// some instant. Kernel `done` is the resident kernel: its grant is out of
+/// `free_sms`, and every earlier kernel's finish is in the completion
+/// tallies (each finish hands its SMs straight to its successor). The
+/// occupied area of `[start, credited]` has been credited to the occupancy
+/// integral; `credited` always lies inside the resident kernel's interval.
 #[derive(Debug, Clone)]
 struct FfTimeline {
     client: ClientId,
-    /// The SM cap the client had when the burst was admitted, which its
-    /// runs' grants are computed from and which the timeline adds to the
+    /// The SM cap the client had when the burst was admitted, which the
+    /// run's grant is computed from and which the timeline adds to the
     /// device's cap sum while it lives (derived from the MPS table on
     /// decode). The platform breaks a node's timelines before it
     /// repartitions, so in practice it is always the client's current
     /// cap.
     cap: u32,
-    /// The burst's runs in stream order, back to back (gapless).
-    runs: FfRuns,
+    /// The burst, back to back (gapless).
+    run: FfRun,
     /// When the burst's first kernel started.
     start: SimTime,
-    /// Index of the resident kernel's run; `runs.len()` once the burst
-    /// ended.
-    run: usize,
-    /// Finished kernels of `runs[run]`.
+    /// Finished kernels; `run.count` once the burst ended.
     done: u32,
     /// Instant up to which the occupied area has been credited.
     credited: SimTime,
-    /// When `runs[run]`'s first kernel started (derived).
-    run_start: SimTime,
     /// When the burst's final kernel finishes (derived).
     end: SimTime,
-    /// Kernels whose finish has been settled (derived).
-    completed: u64,
 }
 
 impl FfTimeline {
-    /// Rebuilds a timeline from its encoded parts, deriving the run start,
-    /// the burst end and the completion count. A live timeline has a
-    /// resident kernel whose interval holds the credited point, and its
-    /// whole burst fits the clock. The cap is left 0 for the device's
-    /// decode to derive.
+    /// Rebuilds a timeline from its encoded parts, deriving the burst end.
+    /// A live timeline has a resident kernel whose interval holds the
+    /// credited point, and its whole burst fits the clock. The cap is left
+    /// 0 for the device's decode to derive.
     fn from_parts(
         client: ClientId,
-        runs: FfRuns,
+        run: FfRun,
         start: SimTime,
-        run: usize,
         done: u32,
         credited: SimTime,
     ) -> Result<Self, SnapError> {
-        if runs.is_empty() || runs.iter().any(|r| r.count == 0) {
-            return Err(SnapError::new("ff timeline runs"));
-        }
-        let Some(resident) = runs.get(run).copied() else {
-            return Err(SnapError::new("ff timeline cursor"));
-        };
-        if done >= resident.count {
+        if done >= run.count {
             return Err(SnapError::new("ff timeline cursor"));
         }
-        let (mut end, mut run_start, mut completed) = (start, start, u64::from(done));
-        for (i, r) in runs.iter().enumerate() {
-            if i == run {
-                run_start = end;
-            } else if i < run {
-                completed += u64::from(r.count);
-            }
-            end = r
-                .span()
-                .and_then(|span| end.checked_add(span))
-                .ok_or(SnapError::new("ff timeline span"))?;
-        }
-        let kernel_start = run_start + resident.duration * u64::from(done);
-        if credited < kernel_start || credited > kernel_start + resident.duration {
+        let end = run
+            .duration
+            .as_micros()
+            .checked_mul(u64::from(run.count))
+            .and_then(|span| start.checked_add(SimTime::from_micros(span)))
+            .ok_or(SnapError::new("ff timeline span"))?;
+        let kernel_start = start + run.duration * u64::from(done);
+        if credited < kernel_start || credited > kernel_start + run.duration {
             return Err(SnapError::new("ff credited point"));
         }
         Ok(FfTimeline {
             client,
             cap: 0,
-            runs,
-            start,
             run,
+            start,
             done,
             credited,
-            run_start,
             end,
-            completed,
         })
     }
 
-    /// The resident kernel's run. A live timeline always has one: only
-    /// [`GpuDevice::ff_complete`] moves the cursor past the last run, and
-    /// it drops the timeline.
-    fn resident(&self) -> FfRun {
-        self.runs[self.run]
-    }
-
-    /// When the resident kernel started.
+    /// When the resident kernel started (the burst end once it ended).
     fn resident_start(&self) -> SimTime {
-        self.run_start + self.resident().duration * u64::from(self.done)
+        self.start + self.served()
     }
 
     /// GPU time of the settled finishes (the burst is gapless, so it is
     /// the span from the burst start to the resident kernel's start).
     fn served(&self) -> SimTime {
-        if self.run < self.runs.len() {
-            self.resident_start() - self.start
-        } else {
-            self.end - self.start
-        }
+        self.run.duration * u64::from(self.done)
     }
 
-    /// Brings this timeline alone up to `now`. The cursor advances over
-    /// every finish strictly before `now` (or at `now` too, when
-    /// `inclusive`), stopping at the last kernel unless `end_burst`; each
-    /// finish hands its SMs to the successor through `free_sms` and joins
-    /// the completion tallies. A run's finished kernels come from one
-    /// division of the time elapsed since the run started. The occupied
-    /// area since the credited point goes to the occupancy integral as
-    /// one exact integer (SM × µs), so the order in which timelines
-    /// settle cannot change any metric bit.
+    /// Brings this timeline alone up to `now`. The finishes strictly
+    /// before `now` (or at `now` too, when `inclusive`) are settled, up to
+    /// the last kernel only when `end_burst`, and counted with one
+    /// division of the time elapsed since the burst started; the burst's
+    /// end hands its grant back to `free_sms`. The occupied area since the
+    /// credited point goes to the occupancy integral as one exact integer
+    /// (SM × µs), so the order in which timelines settle cannot change any
+    /// metric bit.
     fn settle(
         &mut self,
         now: SimTime,
@@ -369,56 +252,34 @@ impl FfTimeline {
         free_sms: &mut u32,
         metrics: &mut GpuMetrics,
     ) {
-        let from_granted = self.resident().granted;
-        let from_start = self.resident_start();
-        let before = self.completed;
-        let mut area = 0u64;
-        while let Some(&r) = self.runs.get(self.run) {
-            let stop = if self.run + 1 == self.runs.len() && !end_burst {
-                r.count - 1
-            } else {
-                r.count
-            };
-            // Kernel `i` of the run finishes at `run_start + (i + 1) ×
-            // duration`; count those at or (strictly) before `now`. A
-            // zero-duration run finishes whole at its start, so it takes
-            // one of the first two arms and never reaches the division.
-            let run_end = self.run_start + r.duration * u64::from(r.count);
-            let run_done = if now > run_end || (now == run_end && inclusive) {
-                r.count
-            } else if now <= self.run_start {
-                0
-            } else {
-                let elapsed = (now - self.run_start).as_micros() - u64::from(!inclusive);
-                u32::try_from(elapsed / r.duration.as_micros()).unwrap_or(u32::MAX)
-            }
-            .min(stop);
-            if run_done <= self.done {
-                break;
-            }
-            let to = self.run_start + r.duration * u64::from(run_done);
-            area += u64::from(r.granted) * to.saturating_sub(self.credited).as_micros();
+        let r = self.run;
+        let stop = if end_burst { r.count } else { r.count - 1 };
+        // Kernel `i` finishes at `start + (i + 1) × duration`; count those
+        // at or (strictly) before `now`. A zero-duration burst finishes
+        // whole at its start, so it takes one of the first two arms and
+        // never reaches the division.
+        let done = if now > self.end || (now == self.end && inclusive) {
+            r.count
+        } else if now <= self.start {
+            0
+        } else {
+            let elapsed = (now - self.start).as_micros() - u64::from(!inclusive);
+            u32::try_from(elapsed / r.duration.as_micros()).unwrap_or(u32::MAX)
+        }
+        .min(stop);
+        let (mut area, mut finished, mut busy) = (0u64, 0u32, SimTime::ZERO);
+        if done > self.done {
+            let (from, to) = (self.resident_start(), self.start + r.duration * u64::from(done));
+            area = u64::from(r.granted) * to.saturating_sub(self.credited).as_micros();
+            finished = done - self.done;
+            busy = to - from;
             self.credited = to;
-            self.completed += u64::from(run_done - self.done);
-            if run_done < r.count {
-                self.done = run_done;
-                break;
+            self.done = done;
+            if done == r.count {
+                *free_sms += r.granted;
             }
-            self.run += 1;
-            self.done = 0;
-            self.run_start = to;
         }
-        let finished = self.completed - before;
-        let mut busy = SimTime::ZERO;
-        if finished > 0 {
-            // Each finish hands its SMs to its successor, so the pool
-            // deltas telescope; the burst is gapless, so its GPU time is
-            // one span.
-            let next = self.runs.get(self.run).map_or(0, |r| r.granted);
-            *free_sms = *free_sms + from_granted - next;
-            busy = self.credited - from_start;
-        }
-        if let Some(r) = self.runs.get(self.run) {
+        if self.done < r.count {
             let upto = now.min(self.end);
             if sanitizer::active() {
                 let credited = self.credited;
@@ -432,7 +293,7 @@ impl FfTimeline {
             area += u64::from(r.granted) * upto.saturating_sub(self.credited).as_micros();
             self.credited = self.credited.max(upto);
         }
-        metrics.ff_settled(self.client, area, finished, busy);
+        metrics.ff_settled(self.client, area, u64::from(finished), busy);
     }
 }
 
@@ -517,8 +378,6 @@ pub struct GpuDevice {
     /// Each settles on its own, only where device state is read (see
     /// [`Self::ff_sync`]).
     ff: Vec<FfTimeline>,
-    /// Recycled buffers of multi-run timelines (see [`FfRuns`]).
-    ff_pool: Vec<Vec<FfRun>>,
     /// The capped regime's running cap sum: each live timeline's cap, plus
     /// the MPS cap of each client whose stream has a resident or queued
     /// kernel. Derived; every change of one client's state adds that
@@ -549,7 +408,6 @@ impl GpuDevice {
             next_kernel: 0,
             clock_scale: 1.0,
             ff: Vec::new(),
-            ff_pool: Vec::new(),
             active_caps: 0,
             over_cap: 0,
         }
@@ -630,10 +488,8 @@ impl GpuDevice {
         // the live occupancy value, so only the busy interval ends (busy
         // time accounted, no completion).
         self.ff_sync(now);
-        let ff = std::mem::take(&mut self.ff);
-        for tl in ff {
+        for _ in self.ff.drain(..) {
             self.metrics.ff_end(now);
-            tl.runs.recycle(&mut self.ff_pool);
         }
         let running = std::mem::take(&mut self.running);
         for (_, run) in running {
@@ -1056,58 +912,39 @@ impl GpuDevice {
         !self.ff.is_empty()
     }
 
-    /// Attempts to coalesce an entire burst for `client` into one analytic
-    /// timeline. On success the first kernel becomes (virtually) resident
-    /// immediately — exactly as [`Self::launch`] would start it — and the
-    /// completion time of the burst's final kernel is returned so the
-    /// caller can schedule a single macro-event for it. Returns `None`
-    /// (leaving the device untouched) when the burst is not provably
-    /// uncontended: the caller must fall back to per-kernel launches.
-    ///
-    /// The burst arrives as runs `(desc, count)` of `count` back-to-back
-    /// launches of `desc` (a stage's burst plan), and the wave arithmetic
-    /// runs once per run; adjacent equal runs merge. Runs of zero
-    /// launches are skipped.
+    /// Attempts to coalesce a burst of `count` back-to-back launches of
+    /// `desc` for `client` into one analytic timeline. On success the first
+    /// kernel becomes (virtually) resident immediately — exactly as
+    /// [`Self::launch`] would start it — and the completion time of the
+    /// burst's final kernel is returned so the caller can schedule a single
+    /// macro-event for it. Returns `None` (leaving the device untouched)
+    /// when the burst is empty or not provably uncontended: the caller must
+    /// fall back to per-kernel launches.
     ///
     /// Other timelines are not settled: admission reads only the streams,
     /// the wait queue, the timeline list and the running counts, which
     /// pending boundaries never change, and in the capped regime the stale
     /// `free_sms` still covers this client's whole cap.
-    pub fn fast_forward_burst<I>(
+    pub fn fast_forward_burst(
         &mut self,
         now: SimTime,
         client: ClientId,
-        burst: I,
-    ) -> Option<SimTime>
-    where
-        I: IntoIterator<Item = (KernelDesc, u32)>,
-    {
-        let cap = self.admission(client).flatten()?;
-        let clock_scale = self.clock_scale;
-        let mut burst = burst.into_iter().filter(|&(_, count)| count > 0);
-        let (desc, count) = burst.next()?;
-        let mut runs = FfRuns::One([FfRun::capped(desc, count, cap, clock_scale)]);
-        for (desc, count) in burst {
-            if let Some(run) = runs.last_mut().filter(|run| run.desc == desc) {
-                if let Some(merged) = run.count.checked_add(count) {
-                    run.count = merged;
-                    continue;
-                }
-            }
-            let run = FfRun::capped(desc, count, cap, clock_scale);
-            runs.push(run, &mut self.ff_pool);
+        desc: KernelDesc,
+        count: u32,
+    ) -> Option<SimTime> {
+        if count == 0 {
+            return None;
         }
-        let granted = runs[0].granted;
-        let end = runs
-            .iter()
-            .fold(now, |t, r| t + r.duration * u64::from(r.count));
-        debug_assert!(self.free_sms >= granted, "capped regime violated");
-        self.free_sms -= granted;
+        let cap = self.admission(client).flatten()?;
+        let run = FfRun::capped(desc, count, cap, self.clock_scale);
+        let end = now + run.duration * u64::from(count);
+        debug_assert!(self.free_sms >= run.granted, "capped regime violated");
+        self.free_sms -= run.granted;
         if sanitizer::active() {
-            sanitizer::check(granted <= self.spec.sm_count, "sm-conservation", || {
+            sanitizer::check(run.granted <= self.spec.sm_count, "sm-conservation", || {
                 format!(
-                    "fast-forward grant {granted} exceeds device {}",
-                    self.spec.sm_count
+                    "fast-forward grant {} exceeds device {}",
+                    run.granted, self.spec.sm_count
                 )
             });
         }
@@ -1116,14 +953,11 @@ impl GpuDevice {
         self.ff.push(FfTimeline {
             client,
             cap,
-            runs,
+            run,
             start: now,
-            run: 0,
             done: 0,
             credited: now,
-            run_start: now,
             end,
-            completed: 0,
         });
         Some(end)
     }
@@ -1180,7 +1014,7 @@ impl GpuDevice {
             .running
             .iter()
             .map(|(_, r)| r.granted)
-            .chain(self.ff.iter().map(|t| t.resident().granted))
+            .chain(self.ff.iter().map(|t| t.run.granted))
             .sum();
         sanitizer::check(
             granted + self.free_sms == self.spec.sm_count,
@@ -1215,35 +1049,15 @@ impl GpuDevice {
                 format!("macro-event for {client:?} fired at {now:?} but its burst ends at {end:?}")
             });
         }
-        let done = if tl.run == 0 && tl.done == 0 && tl.credited == tl.start {
-            // Nothing settled yet: the whole burst settles in one piece,
-            // each run's grant times its span, as `settle` would credit
-            // it run by run.
-            let (mut area, mut completed) = (0, 0);
-            for r in tl.runs.iter() {
-                area += u64::from(r.granted) * (r.duration * u64::from(r.count)).as_micros();
-                completed += u64::from(r.count);
-            }
-            let gpu_time = end - tl.start;
-            self.free_sms += tl.runs[0].granted;
-            self.metrics.ff_settled(client, area, completed, gpu_time);
-            FfDone {
-                completed,
-                gpu_time,
-            }
-        } else {
-            tl.settle(now, true, true, &mut self.free_sms, &mut self.metrics);
-            FfDone {
-                completed: tl.completed,
-                gpu_time: tl.served(),
-            }
-        };
+        tl.settle(end, true, true, &mut self.free_sms, &mut self.metrics);
         self.metrics.ff_end(now);
         if sanitizer::active() {
             self.sanitize_sm_conservation("ff_complete");
         }
-        tl.runs.recycle(&mut self.ff_pool);
-        Some(done)
+        Some(FfDone {
+            completed: u64::from(tl.done),
+            gpu_time: tl.served(),
+        })
     }
 
     /// Invalidates `client`'s fast-forwarded burst at `now`, analytically
@@ -1257,7 +1071,7 @@ impl GpuDevice {
         self.ff_sync(now);
         let i = self.ff.iter().position(|t| t.client == client)?;
         let tl = self.ff.swap_remove(i);
-        let k = tl.resident();
+        let k = tl.run;
         let started = tl.resident_start();
         let finish = started + k.duration;
         if sanitizer::active() {
@@ -1284,13 +1098,8 @@ impl GpuDevice {
         if let Some(stream) = self.stream_mut(client) {
             was_idle = stream.running.is_none() && stream.queued.is_empty();
             stream.running = Some(id);
-            // The rest of the resident kernel's run, then the later runs.
-            let rest = (k.desc, k.count - tl.done - 1);
-            let later = tl.runs[tl.run + 1..].iter().map(|r| (r.desc, r.count));
-            for (desc, count) in std::iter::once(rest).chain(later) {
-                let count = usize::try_from(count).unwrap_or(usize::MAX);
-                stream.queued.extend(std::iter::repeat(desc).take(count));
-            }
+            let rest = usize::try_from(k.count - tl.done - 1).unwrap_or(usize::MAX);
+            stream.queued.extend(std::iter::repeat(k.desc).take(rest));
         } else {
             debug_assert!(false, "fast-forwarded client {client:?} has no stream");
         }
@@ -1304,8 +1113,8 @@ impl GpuDevice {
             }
             self.over_cap += u32::from(k.granted > cap);
         }
-        let brk = FfBreak {
-            completed: tl.completed,
+        Some(FfBreak {
+            completed: u64::from(tl.done),
             gpu_time: tl.served(),
             resumed: KernelStart {
                 kernel: id,
@@ -1315,9 +1124,7 @@ impl GpuDevice {
                 started,
                 finish_at: finish,
             },
-        };
-        tl.runs.recycle(&mut self.ff_pool);
-        Some(brk)
+        })
     }
 }
 
@@ -1343,38 +1150,42 @@ snap_struct!(FfRun {
     duration,
 });
 
+/// On the wire as a one-element run list with its cursor on run 0, the
+/// snapshot version 9 layout; decode rejects any other length or cursor.
+/// The burst end is derived again on decode, and the cap by the device's
+/// decode.
 impl Snap for FfTimeline {
-    /// Encodes the runs and the cursor; the run start, the burst end and
-    /// the completion count are derived again on decode, and the cap by
-    /// the device's decode.
     fn snap(&self, w: &mut SnapWriter) {
         let Self {
             client,
             cap: _,
-            runs,
-            start,
             run,
+            start,
             done,
             credited,
-            run_start: _,
             end: _,
-            completed: _,
         } = self;
         client.snap(w);
-        runs.snap(w);
-        start.snap(w);
+        w.len_prefix(1);
         run.snap(w);
+        start.snap(w);
+        0usize.snap(w);
         w.u32(*done);
         credited.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let client = ClientId::unsnap(r)?;
-        let runs = FfRuns::unsnap(r)?;
+        if r.len_prefix()? != 1 {
+            return Err(SnapError::new("ff timeline runs"));
+        }
+        let run = FfRun::unsnap(r)?;
         let start = SimTime::unsnap(r)?;
-        let run = usize::unsnap(r)?;
+        if usize::unsnap(r)? != 0 {
+            return Err(SnapError::new("ff timeline cursor"));
+        }
         let done = r.u32()?;
         let credited = SimTime::unsnap(r)?;
-        FfTimeline::from_parts(client, runs, start, run, done, credited)
+        FfTimeline::from_parts(client, run, start, done, credited)
     }
 }
 
@@ -1384,13 +1195,12 @@ snap_struct!(ClientStream {
     waiting,
 });
 
-// The recycled timeline buffers (`ff_pool`) are a pure allocation cache
-// and restore empty. Each timeline's cap comes from the MPS table, and the
-// running counts are the sum of every client's footprint.
+// Each timeline's cap comes from the MPS table, and the running counts are
+// the sum of every client's footprint.
 snap_struct!(GpuDevice {
     spec, mps, memory, metrics, free_sms, streams, running, wait_queue, next_kernel,
     clock_scale, ff,
-} skip { ff_pool, active_caps, over_cap } rebuild |d| {
+} skip { active_caps, over_cap } rebuild |d| {
     for t in &mut d.ff {
         t.cap = d.mps.sm_cap(t.client).map_err(|_| SnapError::new("gpu ff client"))?;
     }
@@ -1405,6 +1215,17 @@ snap_struct!(GpuDevice {
 } check |d| {
     if d.free_sms > d.spec.sm_count {
         return Err(SnapError::new("gpu free sms"));
+    }
+    // Every SM is free or granted to exactly one resident kernel, real or
+    // fast-forwarded (summed wide, so no forged grant can wrap it).
+    let granted: u64 = d
+        .running
+        .iter()
+        .map(|(_, r)| u64::from(r.granted))
+        .chain(d.ff.iter().map(|t| u64::from(t.run.granted)))
+        .sum();
+    if u64::from(d.free_sms) + granted != u64::from(d.spec.sm_count) {
+        return Err(SnapError::new("gpu sm conservation"));
     }
     if !(d.clock_scale > 0.0 && d.clock_scale <= MAX_CLOCK_SCALE) {
         return Err(SnapError::new("gpu clock scale"));
@@ -1688,19 +1509,19 @@ mod tests {
 
     #[test]
     fn fast_forward_matches_per_kernel_metrics() {
-        let descs = [kernel(19, 200), kernel(40, 100), kernel(5, 50)];
+        let (desc, count) = (kernel(19, 200), 3);
         let mut stepped = v100();
         let cs = stepped.register_client(12.0).unwrap();
-        let end_stepped = run_per_kernel(&mut stepped, cs, &descs);
+        let end_stepped = run_per_kernel(&mut stepped, cs, &[desc; 3]);
 
         let mut ffwd = v100();
         let cf = ffwd.register_client(12.0).unwrap();
         let end_ff = ffwd
-            .fast_forward_burst(SimTime::ZERO, cf, descs.iter().map(|&d| (d, 1)))
+            .fast_forward_burst(SimTime::ZERO, cf, desc, count)
             .expect("idle capped-regime burst coalesces");
         assert_eq!(end_ff, end_stepped);
         let done = ffwd.ff_complete(end_ff, cf).unwrap();
-        assert_eq!(done.completed, descs.len() as u64);
+        assert_eq!(done.completed, u64::from(count));
 
         assert_eq!(ffwd.free_sms(), stepped.free_sms());
         assert_eq!(ffwd.metrics().total_kernels(), stepped.metrics().total_kernels());
@@ -1712,10 +1533,10 @@ mod tests {
         assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
     }
 
-    /// A timeline completed with nothing settled takes the one-piece
-    /// path; one synced on the way settles run by run. Both leave the
-    /// same device, bytes and metric bits, for one run and several, on a
-    /// slowed clock too, whether the sync falls on a finish or mid-kernel.
+    /// A timeline completed with nothing settled and one synced on the way
+    /// leave the same device, bytes and metric bits, on a slowed clock
+    /// too, whether the sync falls on a finish or mid-kernel, and for a
+    /// zero-duration burst.
     #[test]
     fn a_fresh_burst_completes_as_a_settled_one_does() {
         let bytes = |gpu: &GpuDevice| {
@@ -1723,13 +1544,12 @@ mod tests {
             gpu.snap(&mut w);
             w.finish()
         };
-        let one = [(kernel(19, 200), 4)];
-        let many = [(kernel(19, 200), 3), (kernel(40, 100), 1), (kernel(5, 0), 2)];
-        for (burst, scale, sync_at) in [
-            (&one[..], 1.0, 200),
-            (&one[..], 1.5, 333),
-            (&many[..], 1.0, 650),
-            (&many[..], 1.5, 1),
+        for (desc, count, scale, sync_at) in [
+            (kernel(19, 200), 4, 1.0, 200),
+            (kernel(19, 200), 4, 1.5, 333),
+            (kernel(40, 100), 3, 1.0, 650),
+            (kernel(40, 100), 3, 1.5, 1),
+            (kernel(5, 0), 2, 1.0, 0),
         ] {
             let (mut fresh, mut synced) = (v100(), v100());
             let c = fresh.register_client(12.0).unwrap();
@@ -1738,7 +1558,7 @@ mod tests {
             let mut ends = Vec::new();
             for gpu in [&mut fresh, &mut synced] {
                 gpu.set_clock_scale(scale);
-                ends.push(gpu.fast_forward_burst(start, c, burst.iter().copied()).unwrap());
+                ends.push(gpu.fast_forward_burst(start, c, desc, count).unwrap());
             }
             synced.ff_sync(start + SimTime::from_micros(sync_at));
             let end = ends[0];
@@ -1759,10 +1579,8 @@ mod tests {
         let mut gpu = v100();
         let a = gpu.register_client(25.0).unwrap(); // 20 SMs
         let b = gpu.register_client(50.0).unwrap(); // 40 SMs
-        let ba = [kernel(20, 100), kernel(20, 100)];
-        let bb = [kernel(40, 70), kernel(40, 70), kernel(40, 70)];
-        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.iter().map(|&d| (d, 1))).unwrap();
-        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.iter().map(|&d| (d, 1))).unwrap();
+        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, kernel(20, 100), 2).unwrap();
+        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, kernel(40, 70), 3).unwrap();
         assert_eq!(end_a, SimTime::from_micros(200));
         assert_eq!(end_b, SimTime::from_micros(210));
         gpu.ff_complete(end_a, a).unwrap();
@@ -1773,14 +1591,11 @@ mod tests {
         assert_eq!(gpu.metrics().client_busy(b), SimTime::from_micros(210));
     }
 
-    /// Two overlapping bursts whose grants differ between clients and
-    /// from kernel to kernel: `a` (20-SM cap) finishes at 100, 150 and
-    /// 200 µs; `b` (40-SM cap) at 70, 140 and 280 µs.
-    fn lazy_bursts() -> ([KernelDesc; 3], [KernelDesc; 3]) {
-        (
-            [kernel(20, 100), kernel(5, 50), kernel(20, 50)],
-            [kernel(40, 70), kernel(30, 70), kernel(80, 70)],
-        )
+    /// Two overlapping bursts with a different kernel and grant per
+    /// client: `a` (20-SM cap, one wave) finishes at 50, 100, 150 and
+    /// 200 µs; `b` (40-SM cap, two waves) at 70, 140, 210 and 280 µs.
+    fn lazy_bursts() -> [(KernelDesc, u32); 2] {
+        [(kernel(20, 50), 4), (kernel(80, 35), 4)]
     }
 
     /// A V100 with the lazy-settle clients registered in a fixed order
@@ -1797,11 +1612,10 @@ mod tests {
     /// time zero, finishes pending.
     fn stepped_reference() -> (GpuDevice, Vec<KernelStart>) {
         let (mut gpu, a, b, _) = three_clients();
-        let (ba, bb) = lazy_bursts();
         let mut pending = Vec::new();
-        for (client, burst) in [(a, ba), (b, bb)] {
-            for d in burst {
-                pending.extend(gpu.launch(SimTime::ZERO, client, d).unwrap());
+        for (client, (desc, count)) in [a, b].into_iter().zip(lazy_bursts()) {
+            for _ in 0..count {
+                pending.extend(gpu.launch(SimTime::ZERO, client, desc).unwrap());
             }
         }
         (gpu, pending)
@@ -1843,9 +1657,9 @@ mod tests {
     /// Starts both lazy bursts at time zero on a fresh device.
     fn fast_forwarded() -> (GpuDevice, ClientId, ClientId, ClientId) {
         let (mut gpu, a, b, c) = three_clients();
-        let (ba, bb) = lazy_bursts();
-        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.map(|d| (d, 1))).unwrap();
-        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.map(|d| (d, 1))).unwrap();
+        let [(da, na), (db, nb)] = lazy_bursts();
+        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, da, na).unwrap();
+        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, db, nb).unwrap();
         assert_eq!(end_a, SimTime::from_micros(200));
         assert_eq!(end_b, SimTime::from_micros(280));
         (gpu, a, b, c)
@@ -1858,7 +1672,7 @@ mod tests {
         // `a` completes while `b` is mid-burst, with no sync in between:
         // only `a` settles.
         let done = ff.ff_complete(SimTime::from_micros(200), a).unwrap();
-        assert_eq!(done.completed, 3);
+        assert_eq!(done.completed, 4);
         assert_eq!(done.gpu_time, SimTime::from_micros(200));
         assert_eq!(ff.metrics().client_busy(b), SimTime::ZERO, "b not settled yet");
         // A mid-burst sample settles `b` and matches per-kernel stepping.
@@ -1883,9 +1697,9 @@ mod tests {
         let sc = ff.launch(t, c, kernel(10, 30)).unwrap().unwrap();
         step_until(&mut stepped, &mut pending, t);
         pending.extend(stepped.launch(t, c, kernel(10, 30)).unwrap());
-        assert_eq!(ff.free_sms(), 80 - 5 - 30 - 10);
+        assert_eq!(ff.free_sms(), 80 - 20 - 40 - 10);
         assert_eq!(ff.free_sms(), stepped.free_sms());
-        // Its finish at 150 ties `a`'s second boundary, which stays pending.
+        // Its finish at 150 ties `a`'s third boundary, which stays pending.
         ff.on_kernel_finish(sc.finish_at, sc.kernel).unwrap();
         ff.ff_complete(SimTime::from_micros(200), a).unwrap();
         let t = SimTime::from_micros(250);
@@ -1901,11 +1715,11 @@ mod tests {
     fn break_mid_burst_matches_per_kernel_stepping() {
         let (mut ff, a, b, _) = fast_forwarded();
         let (mut stepped, mut pending) = stepped_reference();
-        // `a` falls back to per-kernel stepping mid-flight of its second
+        // `a` falls back to per-kernel stepping mid-flight of its third
         // kernel; `b` stays coalesced.
         let brk = ff.ff_break(SimTime::from_micros(120), a).unwrap();
-        assert_eq!(brk.completed, 1);
-        assert_eq!(brk.resumed.granted_sms, 5);
+        assert_eq!(brk.completed, 2);
+        assert_eq!(brk.resumed.granted_sms, 20);
         let mut resumed = vec![brk.resumed];
         for t in [250, 300].map(SimTime::from_micros) {
             if t > SimTime::from_micros(280) {
@@ -1959,16 +1773,22 @@ mod tests {
         }
     }
 
-    /// Whether a timeline encoded from these raw parts decodes.
-    fn timeline_decodes(runs: &[FfRun], start: u64, run: usize, done: u32, credited: u64) -> bool {
+    /// A timeline's wire bytes from raw parts: its run list, the start,
+    /// the run cursor, the finished count and the credited point.
+    fn timeline_bytes(runs: &[FfRun], start: u64, cursor: usize, done: u32, credited: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
         ClientId(0).snap(&mut w);
         runs.to_vec().snap(&mut w);
         SimTime::from_micros(start).snap(&mut w);
-        run.snap(&mut w);
+        cursor.snap(&mut w);
         w.u32(done);
         SimTime::from_micros(credited).snap(&mut w);
-        let bytes = w.finish();
+        w.finish()
+    }
+
+    /// Whether a timeline encoded from these raw parts decodes.
+    fn timeline_decodes(runs: &[FfRun], start: u64, cursor: usize, done: u32, credited: u64) -> bool {
+        let bytes = timeline_bytes(runs, start, cursor, done, credited);
         let mut r = SnapReader::new(&bytes);
         FfTimeline::unsnap(&mut r).is_ok_and(|_| r.expect_done().is_ok())
     }
@@ -1980,63 +1800,47 @@ mod tests {
         assert!(!timeline_decodes(&single, 0, 0, 0, 101));
         assert!(timeline_decodes(&single, 0, 0, 0, 50));
 
-        // Two runs starting at 1000 µs: 3 × 100 µs, then 2 × 40 µs. With
-        // the cursor on the first run's second kernel, the resident kernel
-        // spans [1100, 1200].
+        // Three 100 µs kernels starting at 1000 µs. With one finished, the
+        // resident kernel spans [1100, 1200].
         let max = SimTime::MAX.as_micros();
-        let runs = [ff_run(kernel(10, 100), 3, 10, 100), ff_run(kernel(40, 20), 2, 20, 40)];
+        let run = ff_run(kernel(10, 100), 3, 10, 100);
         let cases = [
-            ("resident start", runs.to_vec(), 1000, 0, 1, 1100, true),
-            ("resident finish", runs.to_vec(), 1000, 0, 1, 1200, true),
-            ("second run", runs.to_vec(), 1000, 1, 1, 1340, true),
-            ("credited before the resident kernel", runs.to_vec(), 1000, 0, 1, 1099, false),
-            ("credited after the resident kernel", runs.to_vec(), 1000, 0, 1, 1201, false),
-            ("empty runs", Vec::new(), 1000, 0, 0, 1000, false),
-            (
-                "zero-count run",
-                vec![runs[0], ff_run(kernel(40, 20), 0, 20, 40)],
-                1000,
-                0,
-                0,
-                1000,
-                false,
-            ),
-            ("cursor past the runs", runs.to_vec(), 1000, 2, 0, 1380, false),
-            ("done = count", runs.to_vec(), 1000, 0, 3, 1300, false),
-            ("done > count", runs.to_vec(), 1000, 1, 7, 1340, false),
-            (
-                "run span overflows",
-                vec![ff_run(kernel(1, max / 2), 3, 1, max / 2)],
-                0,
-                0,
-                0,
-                0,
-                false,
-            ),
-            ("burst end overflows", runs.to_vec(), max - 300, 0, 0, max - 300, false),
+            ("resident start", vec![run], 1000, 0, 1, 1100, true),
+            ("resident finish", vec![run], 1000, 0, 1, 1200, true),
+            ("last kernel", vec![run], 1000, 0, 2, 1250, true),
+            ("credited before the resident kernel", vec![run], 1000, 0, 1, 1099, false),
+            ("credited after the resident kernel", vec![run], 1000, 0, 1, 1201, false),
+            ("empty run list", Vec::new(), 1000, 0, 0, 1000, false),
+            ("two runs", vec![run, run], 1000, 0, 0, 1000, false),
+            ("cursor past run 0", vec![run], 1000, 1, 0, 1000, false),
+            ("zero-count run", vec![ff_run(kernel(10, 100), 0, 10, 100)], 1000, 0, 0, 1000, false),
+            ("done = count", vec![run], 1000, 0, 3, 1300, false),
+            ("done > count", vec![run], 1000, 0, 7, 1300, false),
+            ("run span overflows", vec![ff_run(kernel(1, max / 2), 3, 1, max / 2)], 0, 0, 0, 0, false),
+            ("burst end overflows", vec![run], max - 299, 0, 0, max - 299, false),
         ];
-        for (name, runs, start, run, done, credited, ok) in cases {
-            assert_eq!(timeline_decodes(&runs, start, run, done, credited), ok, "{name}");
+        for (name, runs, start, cursor, done, credited, ok) in cases {
+            assert_eq!(timeline_decodes(&runs, start, cursor, done, credited), ok, "{name}");
         }
     }
 
     #[test]
     fn timeline_round_trip_derives_the_cursor_state() {
-        let runs = vec![ff_run(kernel(10, 100), 3, 10, 100), ff_run(kernel(40, 20), 2, 20, 40)];
+        let run = ff_run(kernel(10, 100), 3, 10, 100);
         let at = |us| SimTime::from_micros(us);
-        let runs = FfRuns::from_vec(runs);
-        let tl = FfTimeline::from_parts(ClientId(3), runs, at(1000), 1, 1, at(1350)).unwrap();
-        assert_eq!((tl.run_start, tl.end, tl.completed), (at(1300), at(1380), 4));
-        assert_eq!(tl.resident_start(), at(1340));
-        assert_eq!(tl.served(), at(340));
+        let tl = FfTimeline::from_parts(ClientId(0), run, at(1000), 1, at(1150)).unwrap();
+        assert_eq!(tl.end, at(1300));
+        assert_eq!(tl.resident_start(), at(1100));
+        assert_eq!(tl.served(), at(100));
         let mut w = SnapWriter::new();
         tl.snap(&mut w);
         let bytes = w.finish();
+        // The wire layout is a one-element run list with the cursor on 0.
+        assert_eq!(bytes, timeline_bytes(&[run], 1000, 0, 1, 1150));
         let back = FfTimeline::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(*back.runs, *tl.runs);
         assert_eq!(
-            (back.run, back.done, back.credited, back.run_start, back.end, back.completed),
-            (tl.run, tl.done, tl.credited, tl.run_start, tl.end, tl.completed)
+            (back.client, back.run, back.done, back.credited, back.end),
+            (tl.client, tl.run, tl.done, tl.credited, tl.end)
         );
     }
 
@@ -2045,11 +1849,11 @@ mod tests {
         // Ten 2-wave kernels on a 10-SM client: one run of 40 µs kernels.
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap();
-        let end = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [(kernel(20, 20), 10)])
-            .unwrap();
+        // An empty burst is refused and leaves the device untouched.
+        assert_eq!(gpu.fast_forward_burst(SimTime::ZERO, c, kernel(20, 20), 0), None);
+        assert!(!gpu.has_ff());
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, kernel(20, 20), 10).unwrap();
         assert_eq!(end, SimTime::from_micros(400));
-        assert_eq!(gpu.ff[0].runs.len(), 1);
         // Finishes at 40, 80, 120: strictly before 120 are two.
         gpu.ff_sync(SimTime::from_micros(120));
         assert_eq!(gpu.metrics().total_kernels(), 2);
@@ -2065,55 +1869,28 @@ mod tests {
         assert_eq!(gpu.free_sms(), 80);
     }
 
-    /// A burst handed over as runs lands on the same timeline as the
-    /// same kernels handed over one by one: adjacent equal runs merge and
-    /// empty runs vanish.
-    #[test]
-    fn runs_and_single_kernels_build_one_timeline() {
-        let (a, b) = (kernel(20, 20), kernel(4, 30));
-        let mut singles = v100();
-        let c = singles.register_client(12.0).unwrap();
-        let one_by_one = [a, a, a, b, a].map(|d| (d, 1));
-        let end = singles.fast_forward_burst(SimTime::ZERO, c, one_by_one).unwrap();
-        let mut runs = v100();
-        let c2 = runs.register_client(12.0).unwrap();
-        let planned = [(a, 2), (a, 1), (b, 0), (b, 1), (a, 1)];
-        assert_eq!(runs.fast_forward_burst(SimTime::ZERO, c2, planned), Some(end));
-        assert_eq!(*runs.ff[0].runs, *singles.ff[0].runs);
-        assert_eq!(runs.ff[0].runs.len(), 3);
-        // A burst of nothing but empty runs is refused, device untouched.
-        let mut empty = v100();
-        let c3 = empty.register_client(12.0).unwrap();
-        assert_eq!(empty.fast_forward_burst(SimTime::ZERO, c3, [(a, 0)]), None);
-        assert!(!empty.has_ff());
-    }
-
     #[test]
     fn zero_duration_runs_finish_at_their_start() {
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap();
-        let burst = [kernel(10, 0), kernel(10, 0), kernel(10, 50), kernel(4, 0)];
         let t0 = SimTime::from_micros(10);
-        let end = gpu.fast_forward_burst(t0, c, burst.map(|d| (d, 1))).unwrap();
-        assert_eq!(end, SimTime::from_micros(60));
-        assert_eq!(gpu.ff[0].runs.len(), 3);
-        // At the start instant the zero-duration kernels are pending
-        // under a strict sync and finished under an inclusive one.
+        let end = gpu.fast_forward_burst(t0, c, kernel(10, 0), 3).unwrap();
+        assert_eq!(end, t0);
+        // At the start instant the kernels are pending under a strict
+        // sync; an inclusive one finishes all but the last.
         gpu.ff_sync(t0);
         assert_eq!(gpu.metrics().total_kernels(), 0);
         gpu.ff_sync_inclusive(t0);
         assert_eq!(gpu.metrics().total_kernels(), 2);
-        // The break lands in the 50 µs kernel; the trailing zero-duration
-        // kernel requeues.
-        let brk = gpu.ff_break(SimTime::from_micros(30), c).unwrap();
+        // A break at the same instant materializes the last kernel, with
+        // nothing left to requeue.
+        let brk = gpu.ff_break(t0, c).unwrap();
         assert_eq!(brk.completed, 2);
         assert_eq!(brk.gpu_time, SimTime::ZERO);
-        assert_eq!((brk.resumed.started, brk.resumed.finish_at), (t0, end));
-        let (_, started) = gpu.on_kernel_finish(end, brk.resumed.kernel).unwrap();
-        assert_eq!(started.len(), 1);
-        assert_eq!(started[0].finish_at, end);
-        gpu.on_kernel_finish(end, started[0].kernel).unwrap();
-        assert_eq!(gpu.metrics().total_kernels(), 4);
+        assert_eq!((brk.resumed.started, brk.resumed.finish_at), (t0, t0));
+        let (_, started) = gpu.on_kernel_finish(t0, brk.resumed.kernel).unwrap();
+        assert!(started.is_empty());
+        assert_eq!(gpu.metrics().total_kernels(), 3);
         assert_eq!(gpu.free_sms(), 80);
     }
 
@@ -2122,11 +1899,11 @@ mod tests {
         let mut gpu = v100();
         let a = gpu.register_client(25.0).unwrap(); // 20 SMs
         let b = gpu.register_client(100.0).unwrap(); // 80 SMs: 125 % registered
-        let burst = [kernel(20, 10), kernel(20, 10)];
+        let burst = kernel(20, 10);
 
         // An idle registered client holds no SMs: it does not refuse.
         let end = gpu
-            .fast_forward_burst(SimTime::ZERO, a, burst.iter().map(|&d| (d, 1)))
+            .fast_forward_burst(SimTime::ZERO, a, burst, 2)
             .expect("idle neighbour leaves the capped regime intact");
         // While the timeline runs, activating b would over-commit the SMs.
         assert!(!gpu.ff_admits(b));
@@ -2135,21 +1912,18 @@ mod tests {
         // Once b has a resident kernel, coalescing is refused.
         let sb = gpu.launch(end, b, kernel(80, 100)).unwrap().unwrap();
         assert!(!gpu.ff_admits(a));
-        assert!(gpu.fast_forward_burst(end, a, burst.iter().map(|&d| (d, 1))).is_none());
+        assert!(gpu.fast_forward_burst(end, a, burst, 2).is_none());
 
         // After it finishes, the regime holds again.
         gpu.on_kernel_finish(sb.finish_at, sb.kernel).unwrap();
-        assert!(gpu
-            .fast_forward_burst(sb.finish_at, a, burst.iter().map(|&d| (d, 1)))
-            .is_some());
+        assert!(gpu.fast_forward_burst(sb.finish_at, a, burst, 2).is_some());
     }
 
     #[test]
     fn ff_break_reconstructs_exact_per_kernel_state() {
-        let descs = [kernel(10, 100), kernel(10, 100), kernel(10, 100)];
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap(); // 10 SMs, 1 wave each
-        let end = gpu.fast_forward_burst(SimTime::ZERO, c, descs.iter().map(|&d| (d, 1))).unwrap();
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, kernel(10, 100), 3).unwrap();
         assert_eq!(end, SimTime::from_micros(300));
 
         // Break mid-flight of kernel #2 (t = 150): kernel #1's boundary is
@@ -2182,8 +1956,7 @@ mod tests {
     fn hard_reset_aborts_ff_timeline() {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, c, [kernel(40, 1000); 2].iter().map(|&d| (d, 1)))
-            .unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, c, kernel(40, 1000), 2).unwrap();
         gpu.hard_reset(SimTime::from_micros(500));
         assert!(!gpu.has_ff());
         assert_eq!(gpu.free_sms(), gpu.spec().sm_count);
@@ -2204,9 +1977,7 @@ mod tests {
         let sa = gpu.launch(SimTime::ZERO, a, kernel(20, 100)).unwrap().unwrap();
         assert!(gpu.launch(SimTime::ZERO, a, kernel(20, 50)).unwrap().is_none());
         let _sb = gpu.launch(SimTime::ZERO, b, kernel(40, 70)).unwrap().unwrap();
-        let end_c = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [(kernel(10, 30), 2)])
-            .unwrap();
+        let end_c = gpu.fast_forward_burst(SimTime::ZERO, c, kernel(10, 30), 2).unwrap();
 
         let mut w = SnapWriter::new();
         gpu.snap(&mut w);
@@ -2254,9 +2025,7 @@ mod tests {
     fn unregister_with_ff_timeline_is_a_typed_error() {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
-        let end = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [kernel(1, 10)].iter().map(|&d| (d, 1)))
-            .unwrap();
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, kernel(1, 10), 1).unwrap();
         assert_eq!(gpu.unregister_client(c).unwrap_err(), GpuError::WorkInFlight(c));
         gpu.ff_complete(end, c).unwrap();
         gpu.unregister_client(c).unwrap();
@@ -2286,7 +2055,7 @@ mod tests {
         let c = gpu.register_client(100.0).unwrap();
         gpu.set_clock_scale(MAX_CLOCK_SCALE);
         let slow = kernel(1, 1_000_000);
-        let end = gpu.fast_forward_burst(SimTime::ZERO, c, [slow; 50].iter().map(|&d| (d, 1)));
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, slow, 50);
         assert_eq!(end, Some(SimTime::from_secs(50_000_000)));
     }
 
@@ -2311,8 +2080,7 @@ mod tests {
         let a = gpu.register_client(25.0).unwrap();
         let b = gpu.register_client(25.0).unwrap();
         gpu.launch(SimTime::ZERO, a, kernel(40, 10)).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(1, 10)].iter().map(|&d| (d, 1)))
-            .unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, b, kernel(1, 10), 1).unwrap();
         assert!(round_trip(&gpu).is_ok());
         let reject = |gpu: &GpuDevice, what| {
             assert_eq!(round_trip(gpu).err(), Some(SnapError::new(what)));
@@ -2331,21 +2099,57 @@ mod tests {
         reject(&bad, "gpu ff stream");
     }
 
+    /// A device with a resident kernel on `a` (20 SMs) and a timeline on
+    /// `b` (10 SMs): 50 SMs free.
+    fn resident_and_timeline() -> GpuDevice {
+        let mut gpu = v100();
+        let a = gpu.register_client(25.0).unwrap();
+        let b = gpu.register_client(12.0).unwrap();
+        gpu.launch(SimTime::ZERO, a, kernel(20, 100)).unwrap().unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, b, kernel(10, 30), 4).unwrap();
+        assert_eq!(gpu.free_sms(), 50);
+        assert!(round_trip(&gpu).is_ok());
+        gpu
+    }
+
+    #[test]
+    fn snapshot_rejects_a_forged_resident_grant() {
+        // Decoded, it would overflow `free_sms` at the kernel's finish.
+        let mut bad = resident_and_timeline();
+        bad.running[0].1.granted = u32::MAX;
+        assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
+    }
+
+    #[test]
+    fn snapshot_rejects_a_forged_timeline_grant() {
+        // Decoded, it would overflow `free_sms` at the burst's end.
+        let mut bad = resident_and_timeline();
+        bad.ff[0].run.granted = u32::MAX;
+        assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
+    }
+
+    #[test]
+    fn snapshot_rejects_a_timeline_grant_beyond_the_pool() {
+        // 70 SMs on a 10-SM client: decoded, the burst's end would leave
+        // 110 of 80 SMs free.
+        let mut bad = resident_and_timeline();
+        bad.ff[0].run.granted = 70;
+        assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
+    }
+
     #[test]
     fn snapshot_derives_timeline_caps_from_the_mps_table() {
         let mut gpu = v100();
         let a = gpu.register_client(25.0).unwrap();
         let b = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, a, [kernel(40, 10)].iter().map(|&d| (d, 1)))
-            .unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, a, kernel(40, 10), 1).unwrap();
         let back = round_trip(&gpu).unwrap();
         assert_eq!(back.ff[0].cap, gpu.mps.sm_cap(a).unwrap());
         assert_eq!(back.active_caps, u64::from(back.ff[0].cap));
         // 20 + 40 SMs fit the device; a third 50 % client would not.
         assert!(back.ff_admits(b));
         let c = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, b, [kernel(40, 10)].iter().map(|&d| (d, 1)))
-            .unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, b, kernel(40, 10), 1).unwrap();
         assert!(!round_trip(&gpu).unwrap().ff_admits(c));
     }
 
@@ -2435,9 +2239,7 @@ mod tests {
                         resident.extend(gpu.launch(now, c, desc).unwrap());
                     }
                     1 => {
-                        let burst = [desc, desc, kernel(arg / 2 + 1, 3)];
-                        let runs = burst.iter().map(|&d| (d, 1));
-                        if let Some(end) = gpu.fast_forward_burst(now, c, runs) {
+                        if let Some(end) = gpu.fast_forward_burst(now, c, desc, arg % 4) {
                             macros.push((end, c));
                         }
                     }

@@ -111,15 +111,25 @@ mod tests {
         assert_eq!(v.sms_for_percentage(0.0), 1); // floor of one SM
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "percentage out of range")]
     fn percentage_validated() {
         GpuSpec::v100().sms_for_percentage(120.0);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "at least one SM")]
     fn zero_sms_rejected() {
         GpuSpec::custom("bad", 0, GIB);
+    }
+
+    /// Without debug assertions the same inputs clamp, as documented.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn out_of_range_inputs_clamp_in_release() {
+        assert_eq!(GpuSpec::v100().sms_for_percentage(120.0), 80);
+        assert_eq!(GpuSpec::custom("bad", 0, GIB).sm_count, 1);
     }
 }

@@ -27,9 +27,9 @@ struct Twin {
     ff: GpuDevice,
     stepped: GpuDevice,
     clients: Vec<ClientId>,
-    /// Per client: its bursts, each as kernels in stream order, and the
-    /// idle gap between them.
-    bursts: Vec<(Vec<Vec<KernelDesc>>, SimTime)>,
+    /// Per client: its bursts, each `count` launches of one kernel, and
+    /// the idle gap between them.
+    bursts: Vec<(Vec<(KernelDesc, u32)>, SimTime)>,
     /// Pending burst starts: `(at, client, burst)`.
     starts: Vec<(SimTime, usize, usize)>,
     /// Pending macro-events of `ff`'s timelines: `(burst end, client)`.
@@ -92,12 +92,13 @@ impl Twin {
         let (t, c, b) = self.starts.swap_remove(i);
         let client = self.clients[c];
         let (bursts, gap) = &self.bursts[c];
-        for &d in &bursts[b] {
-            self.stepped_pending.extend(self.stepped.launch(t, client, d).unwrap());
+        let (desc, count) = bursts[b];
+        for _ in 0..count {
+            self.stepped_pending.extend(self.stepped.launch(t, client, desc).unwrap());
         }
         let end = self
             .ff
-            .fast_forward_burst(t, client, bursts[b].iter().map(|&d| (d, 1)))
+            .fast_forward_burst(t, client, desc, count)
             .expect("an idle client in the capped regime coalesces");
         self.macros.push((end, c));
         if b + 1 < bursts.len() {
@@ -302,10 +303,11 @@ proptest! {
     // cases stay cheap; boundary ties need them to show up.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Run-length timelines against per-kernel stepping. Two or three
+    /// Fast-forward timelines against per-kernel stepping. Two or three
     /// clients in the capped regime (caps of at most 24 SMs each on an
-    /// 80-SM V100) each run one or two bursts of 1–4 runs, with random
-    /// run lengths, single-kernel runs and zero-duration kernels. Syncs,
+    /// 80-SM V100) each run one or two bursts, each of a random kernel
+    /// and launch count, with single-kernel bursts and zero-duration
+    /// kernels. Syncs,
     /// inclusive syncs, breaks, completions, samples and snapshot round
     /// trips interleave, and after every operation free SMs, completions,
     /// busy times and sample bits must equal per-kernel stepping's, and
@@ -317,10 +319,7 @@ proptest! {
                 1u32..=30,
                 0u64..150,
                 0u64..60,
-                prop::collection::vec(
-                    prop::collection::vec((0u32..64, 0u64..40, 1u32..6), 1..5),
-                    1..3,
-                ),
+                prop::collection::vec((0u32..64, 0u64..40, 1u32..12), 1..3),
             ),
             2..4,
         ),
@@ -332,24 +331,19 @@ proptest! {
         let mut twin_clients = Vec::new();
         let mut bursts = Vec::new();
         let mut starts = Vec::new();
-        for (i, (pct, start, gap, runs)) in clients.iter().enumerate() {
+        for (i, (pct, start, gap, client_bursts)) in clients.iter().enumerate() {
             let c = ff.register_client(f64::from(*pct)).unwrap();
             prop_assert_eq!(stepped.register_client(f64::from(*pct)).unwrap(), c);
             twin_clients.push(c);
-            let expand = |burst: &Vec<(u32, u64, u32)>| -> Vec<KernelDesc> {
-                burst
-                    .iter()
-                    .flat_map(|&(blocks, work, count)| {
-                        let desc = KernelDesc {
-                            blocks,
-                            work_per_block: SimTime::from_micros(work),
-                            tag: i as u64,
-                        };
-                        std::iter::repeat(desc).take(count as usize)
-                    })
-                    .collect()
+            let burst = |&(blocks, work, count): &(u32, u64, u32)| {
+                let desc = KernelDesc {
+                    blocks,
+                    work_per_block: SimTime::from_micros(work),
+                    tag: i as u64,
+                };
+                (desc, count)
             };
-            bursts.push((runs.iter().map(expand).collect(), SimTime::from_micros(*gap)));
+            bursts.push((client_bursts.iter().map(burst).collect(), SimTime::from_micros(*gap)));
             starts.push((SimTime::from_micros(*start), i, 0));
         }
         let mut twin = Twin {

@@ -9,8 +9,8 @@
 //!
 //! * [`ModelProfile`] — a model as a sequence of [`Stage`]s, each a
 //!   host-side phase (pre/post-processing, Python/framework overhead,
-//!   RNN time-step loops) followed by an asynchronous burst of kernels and
-//!   a synchronization point. This is where the CUDA hook library
+//!   RNN time-step loops) followed by an asynchronous burst of `n`
+//!   launches of one kernel and a synchronization point. This is where the CUDA hook library
 //!   intercepts (`cuLaunchKernel` … `cuCtxSynchronize`).
 //! * [`zoo`] — profiles for the paper's benchmark models (ResNet-50,
 //!   BERT-base, RNNT, GNMT from MLPerf, plus ResNeXt-101 and ViT-Huge for
@@ -18,7 +18,7 @@
 //!   single-pod racing throughput, SM-saturation points (Figure 8), and
 //!   memory footprints (Figure 13).
 //! * [`InferenceRun`] — a resumable cursor that walks a profile and yields
-//!   the next operation (host compute, kernel burst, completion); the
+//!   the next [`StageOp`] (host compute, kernel burst, completion); the
 //!   platform event loop interprets these against a simulated GPU.
 //!
 //! Analytic throughput/latency estimates ([`ModelProfile::latency_at`],
@@ -31,5 +31,5 @@ pub mod profile;
 pub mod run;
 pub mod zoo;
 
-pub use profile::{KernelRun, KernelSpec, MemoryFootprint, ModelProfile, Stage};
-pub use run::{InferenceRun, Op, StageOp};
+pub use profile::{KernelSpec, MemoryFootprint, ModelProfile, Stage};
+pub use run::{InferenceRun, StageOp};

@@ -1,5 +1,6 @@
 //! Model profiles: kernel traces and memory footprints.
 
+use fastg_des::snap::SnapError;
 use fastg_des::{snap_struct, SimTime};
 
 /// One kernel launch within a stage burst.
@@ -24,56 +25,43 @@ impl KernelSpec {
     }
 }
 
-/// A run of `count` identical back-to-back kernels inside a stage's burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelRun {
-    /// The kernel every launch of the run repeats.
-    pub spec: KernelSpec,
-    /// Launches in the run (at least 1).
-    pub count: u32,
-}
-
-/// A host phase followed by an asynchronous kernel burst ending at a
-/// synchronization point.
+/// A host phase followed by an asynchronous burst of `n` launches of one
+/// kernel, ending at a synchronization point.
 ///
-/// A stage also carries its *burst plan*: the run-length encoding of its
-/// kernels, computed once when the stage is built, so a fast-forwarded
-/// launch walks runs instead of kernels (every zoo stage is one run).
-/// Build stages through [`Stage::new`] or [`Stage::uniform`]; `kernels`
-/// stays readable but is not to be edited afterwards, or the plan goes
-/// stale.
+/// The burst is uniform by construction: [`Stage::uniform`] is the only
+/// constructor, and decode rejects a stage whose kernels differ, so a
+/// fast-forwarded launch is one run of [`Stage::burst`]. `kernels` stays
+/// readable but is not to be edited.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct Stage {
     /// Host-side time before any kernel of the burst launches
     /// (pre-processing, framework overhead, RNN step control flow).
     pub host: SimTime,
-    /// The kernels launched back-to-back after the host phase. The stage
-    /// ends with a `cuCtxSynchronize`-style sync once all complete.
+    /// The kernels launched back-to-back after the host phase, all equal.
+    /// The stage ends with a `cuCtxSynchronize`-style sync once all
+    /// complete.
     pub kernels: Vec<KernelSpec>,
-    /// `kernels` as maximal runs of equal consecutive kernels (derived).
-    runs: Vec<KernelRun>,
 }
 
 impl Stage {
-    /// Builds a stage and its burst plan.
-    pub fn new(host: SimTime, kernels: Vec<KernelSpec>) -> Self {
-        let runs = plan(&kernels);
-        Stage { host, kernels, runs }
-    }
-
     /// Builds a stage of `n` identical kernels.
     pub fn uniform(host_us: u64, n: usize, blocks: u32, work_us: u64) -> Self {
         let spec = KernelSpec {
             blocks,
             work_per_block: SimTime::from_micros(work_us),
         };
-        Stage::new(SimTime::from_micros(host_us), vec![spec; n])
+        Stage {
+            host: SimTime::from_micros(host_us),
+            kernels: vec![spec; n],
+        }
     }
 
-    /// The burst plan: the kernels as maximal runs of equal consecutive
-    /// kernels, in launch order. Empty for an empty burst.
-    pub fn runs(&self) -> &[KernelRun] {
-        &self.runs
+    /// The burst as one run: its kernel and its launch count. `None` for
+    /// an empty burst (or one beyond `u32::MAX` launches).
+    pub fn burst(&self) -> Option<(KernelSpec, u32)> {
+        let spec = *self.kernels.first()?;
+        Some((spec, u32::try_from(self.kernels.len()).ok()?))
     }
 
     /// Device residency time of the burst when every kernel is granted
@@ -84,19 +72,6 @@ impl Stage {
             .iter()
             .fold(SimTime::ZERO, |acc, k| acc + k.duration_at(sms))
     }
-}
-
-/// Run-length encodes a kernel list into maximal runs (a run longer than
-/// `u32::MAX` launches splits).
-fn plan(kernels: &[KernelSpec]) -> Vec<KernelRun> {
-    let mut runs: Vec<KernelRun> = Vec::new();
-    for &spec in kernels {
-        match runs.last_mut() {
-            Some(run) if run.spec == spec && run.count < u32::MAX => run.count += 1,
-            _ => runs.push(KernelRun { spec, count: 1 }),
-        }
-    }
-    runs
 }
 
 /// GPU memory footprint of one function instance, split the way the
@@ -210,9 +185,10 @@ snap_struct!(KernelSpec {
     work_per_block,
 });
 
-// The burst plan is derived from the kernels on decode.
-snap_struct!(Stage { host, kernels } skip { runs } rebuild |s| {
-    s.runs = plan(&s.kernels);
+snap_struct!(Stage { host, kernels } check |s| {
+    if s.kernels.windows(2).any(|w| w[0] != w[1]) {
+        return Err(SnapError::new("stage kernels differ"));
+    }
     Ok(())
 });
 
@@ -256,32 +232,30 @@ mod tests {
     }
 
     #[test]
-    fn burst_plan_is_the_run_length_encoding_of_the_kernels() {
-        let k = |blocks, work| KernelSpec {
-            blocks,
-            work_per_block: SimTime::from_micros(work),
+    fn stage_burst_is_one_kernel_and_its_count() {
+        let s = Stage::uniform(100, 50, 19, 200);
+        let spec = KernelSpec {
+            blocks: 19,
+            work_per_block: SimTime::from_micros(200),
         };
-        let s = Stage::new(
-            SimTime::ZERO,
-            vec![k(4, 10), k(4, 10), k(8, 10), k(4, 10), k(4, 10), k(4, 10)],
-        );
-        let runs: Vec<(KernelSpec, u32)> = s.runs().iter().map(|r| (r.spec, r.count)).collect();
-        assert_eq!(runs, [(k(4, 10), 2), (k(8, 10), 1), (k(4, 10), 3)]);
-        assert_eq!(Stage::uniform(100, 50, 19, 200).runs().len(), 1);
-        assert_eq!(Stage::uniform(100, 50, 19, 200).runs()[0].count, 50);
-        assert!(Stage::uniform(100, 0, 0, 0).runs().is_empty());
+        assert_eq!(s.burst(), Some((spec, 50)));
+        assert_eq!(Stage::uniform(100, 0, 0, 0).burst(), None);
     }
 
     #[test]
-    fn burst_plan_is_rebuilt_on_decode() {
+    fn decode_rejects_a_stage_whose_kernels_differ() {
         use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        let decode = |m: &ModelProfile| {
+            let mut w = SnapWriter::new();
+            m.snap(&mut w);
+            let bytes = w.finish();
+            ModelProfile::unsnap(&mut SnapReader::new(&bytes))
+        };
         let m = toy();
-        let mut w = SnapWriter::new();
-        m.snap(&mut w);
-        let bytes = w.finish();
-        let back = ModelProfile::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.stages[0].runs(), m.stages[0].runs());
+        assert_eq!(decode(&m).unwrap(), m);
+        let mut forged = m.clone();
+        forged.stages[0].kernels[1].blocks += 1;
+        assert_eq!(decode(&forged), Err(SnapError::new("stage kernels differ")));
     }
 
     #[test]

@@ -1,29 +1,14 @@
 //! The inference cursor: walks a [`ModelProfile`] one operation at a time.
 
-use crate::profile::{KernelSpec, ModelProfile};
+use crate::profile::ModelProfile;
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{snap_enum, SimTime};
 use std::sync::Arc;
 
-/// The next thing an in-flight inference needs to do.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// Spend host-side time (GPU idle for this request).
-    Host(SimTime),
-    /// Launch this kernel burst asynchronously, then synchronize. The
-    /// platform routes each launch through the CUDA hook (token checks) and
-    /// calls [`InferenceRun::advance`] again after the sync completes.
-    Burst(Vec<KernelSpec>),
-    /// The request is complete.
-    Done,
-}
-
-/// The next operation, with the burst identified *by stage index* instead
-/// of a cloned kernel vector. [`InferenceRun::advance_indexed`] returns
-/// this so per-request hot paths can iterate
-/// `profile.stages[i].kernels` through their own `Arc<ModelProfile>`
-/// handle — the per-stage `Vec<KernelSpec>` clone in [`Op::Burst`] is the
-/// single largest allocation source in a saturated simulation.
+/// The next thing an in-flight inference needs to do, with the burst
+/// identified *by stage index*: [`InferenceRun::advance_indexed`] returns
+/// this so per-request hot paths read `profile.stages[i]` through their
+/// own `Arc<ModelProfile>` handle instead of a cloned kernel vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageOp {
     /// Spend host-side time (GPU idle for this request).
@@ -44,9 +29,10 @@ snap_enum!(Phase, "inference cursor phase" { Host = 0, Burst = 1 });
 
 /// A resumable cursor over one request's stage sequence.
 ///
-/// The platform event loop drives it: call [`advance`](Self::advance) to get
-/// the next [`Op`], perform it (schedule a host-delay event, or launch the
-/// burst and wait for the sync), then call `advance` again.
+/// The platform event loop drives it: call
+/// [`advance_indexed`](Self::advance_indexed) to get the next [`StageOp`],
+/// perform it (schedule a host-delay event, or launch the burst and wait
+/// for the sync), then call it again.
 #[derive(Debug, Clone)]
 pub struct InferenceRun {
     profile: Arc<ModelProfile>,
@@ -70,20 +56,10 @@ impl InferenceRun {
     }
 
     /// Yields the next operation and moves the cursor past it. Host phases
-    /// of zero length and empty bursts are skipped. After `Done` is
-    /// returned, subsequent calls keep returning `Done`.
-    pub fn advance(&mut self) -> Op {
-        match self.advance_indexed() {
-            StageOp::Host(t) => Op::Host(t),
-            StageOp::Burst(i) => Op::Burst(self.profile.stages[i].kernels.clone()),
-            StageOp::Done => Op::Done,
-        }
-    }
-
-    /// Allocation-free variant of [`advance`](Self::advance): bursts are
-    /// returned as a stage index into [`profile`](Self::profile) rather
-    /// than a cloned kernel vector. The indexed stage is guaranteed to
-    /// have a non-empty kernel list.
+    /// of zero length and empty bursts are skipped; a burst is returned as
+    /// a stage index into [`profile`](Self::profile), and the indexed
+    /// stage is guaranteed to have a non-empty kernel list. After `Done`
+    /// is returned, subsequent calls keep returning `Done`.
     pub fn advance_indexed(&mut self) -> StageOp {
         loop {
             let Some(stage) = self.profile.stages.get(self.stage) else {
@@ -106,32 +82,6 @@ impl InferenceRun {
                 }
             }
         }
-    }
-
-    /// Device work (single-grant residency time at `sms` SMs) of the burst
-    /// the cursor would yield next, if any. The hook library uses this as
-    /// the Gemini-style kernel-burst estimate when sizing token requests.
-    pub fn upcoming_burst_estimate(&self, sms: u32) -> Option<SimTime> {
-        self.profile
-            .stages
-            .get(self.stage)
-            .filter(|s| !s.kernels.is_empty())
-            .map(|s| s.device_time_at(sms))
-    }
-
-    /// Fraction of stages completed (for progress displays).
-    pub fn progress(&self) -> f64 {
-        if self.profile.stages.is_empty() {
-            1.0
-        } else {
-            self.stage as f64 / self.profile.stages.len() as f64
-        }
-    }
-
-    /// Restarts the cursor (used when a pod re-runs the same request shape).
-    pub fn reset(&mut self) {
-        self.stage = 0;
-        self.phase = Phase::Host;
     }
 
     /// Encodes the cursor position only — stage index and phase — leaving
@@ -187,18 +137,12 @@ mod tests {
             Stage::uniform(50, 1, 4, 10),
         ]);
         let mut run = InferenceRun::new(p);
-        assert_eq!(run.advance(), Op::Host(SimTime::from_micros(100)));
-        match run.advance() {
-            Op::Burst(ks) => assert_eq!(ks.len(), 2),
-            other => panic!("expected burst, got {other:?}"),
-        }
-        assert_eq!(run.advance(), Op::Host(SimTime::from_micros(50)));
-        match run.advance() {
-            Op::Burst(ks) => assert_eq!(ks.len(), 1),
-            other => panic!("expected burst, got {other:?}"),
-        }
-        assert_eq!(run.advance(), Op::Done);
-        assert_eq!(run.advance(), Op::Done); // idempotent
+        assert_eq!(run.advance_indexed(), StageOp::Host(SimTime::from_micros(100)));
+        assert_eq!(run.advance_indexed(), StageOp::Burst(0));
+        assert_eq!(run.advance_indexed(), StageOp::Host(SimTime::from_micros(50)));
+        assert_eq!(run.advance_indexed(), StageOp::Burst(1));
+        assert_eq!(run.advance_indexed(), StageOp::Done);
+        assert_eq!(run.advance_indexed(), StageOp::Done); // idempotent
     }
 
     #[test]
@@ -208,41 +152,14 @@ mod tests {
             Stage::uniform(25, 0, 0, 0), // empty burst
         ]);
         let mut run = InferenceRun::new(p);
-        assert!(matches!(run.advance(), Op::Burst(_)));
-        assert_eq!(run.advance(), Op::Host(SimTime::from_micros(25)));
-        assert_eq!(run.advance(), Op::Done);
+        assert_eq!(run.advance_indexed(), StageOp::Burst(0));
+        assert_eq!(run.advance_indexed(), StageOp::Host(SimTime::from_micros(25)));
+        assert_eq!(run.advance_indexed(), StageOp::Done);
     }
 
     #[test]
     fn empty_profile_is_done_immediately() {
         let mut run = InferenceRun::new(profile(vec![]));
-        assert_eq!(run.advance(), Op::Done);
-        assert_eq!(run.progress(), 1.0);
-    }
-
-    #[test]
-    fn burst_estimate_tracks_cursor() {
-        let p = profile(vec![Stage::uniform(100, 2, 20, 10)]);
-        let mut run = InferenceRun::new(p);
-        // Two 20-block 10us kernels at 10 SMs: 2 waves each = 40us.
-        assert_eq!(
-            run.upcoming_burst_estimate(10),
-            Some(SimTime::from_micros(40))
-        );
-        run.advance(); // host
-        run.advance(); // burst
-        assert_eq!(run.upcoming_burst_estimate(10), None);
-    }
-
-    #[test]
-    fn reset_restarts() {
-        let p = profile(vec![Stage::uniform(100, 1, 4, 10)]);
-        let mut run = InferenceRun::new(p);
-        run.advance();
-        run.advance();
-        assert_eq!(run.advance(), Op::Done);
-        run.reset();
-        assert_eq!(run.advance(), Op::Host(SimTime::from_micros(100)));
-        assert!(run.progress() < 1.0);
+        assert_eq!(run.advance_indexed(), StageOp::Done);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for model profiles and the inference cursor.
 
 use fastg_des::SimTime;
-use fastg_models::{zoo, InferenceRun, KernelSpec, MemoryFootprint, ModelProfile, Op, Stage};
+use fastg_models::{zoo, InferenceRun, KernelSpec, MemoryFootprint, ModelProfile, Stage, StageOp};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -59,25 +59,27 @@ proptest! {
     fn cursor_accounts_for_everything(profile in arb_profile()) {
         let expected_host = profile.host_time();
         let expected_kernels = profile.kernels_per_request();
-        let mut run = InferenceRun::new(Arc::new(profile));
+        let profile = Arc::new(profile);
+        let mut run = InferenceRun::new(profile.clone());
         let mut host = SimTime::ZERO;
         let mut kernels = 0usize;
         loop {
-            match run.advance() {
-                Op::Host(d) => {
+            match run.advance_indexed() {
+                StageOp::Host(d) => {
                     prop_assert!(d > SimTime::ZERO, "zero host phases must be skipped");
                     host += d;
                 }
-                Op::Burst(ks) => {
-                    prop_assert!(!ks.is_empty(), "empty bursts must be skipped");
-                    kernels += ks.len();
+                StageOp::Burst(i) => {
+                    let burst = profile.stages[i].burst();
+                    prop_assert!(burst.is_some(), "empty bursts must be skipped");
+                    kernels += burst.map_or(0, |(_, n)| n as usize);
                 }
-                Op::Done => break,
+                StageOp::Done => break,
             }
         }
         prop_assert_eq!(host, expected_host);
         prop_assert_eq!(kernels, expected_kernels);
-        prop_assert_eq!(run.advance(), Op::Done);
+        prop_assert_eq!(run.advance_indexed(), StageOp::Done);
     }
 
     /// Saturation point: past it, granting every SM changes nothing; just

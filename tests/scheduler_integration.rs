@@ -54,7 +54,16 @@ fn fig11_gpu_count_fast_vs_time_sharing() {
 }
 
 /// Figure 11's metric claim: FaST's consolidated GPU shows higher
-/// utilization and much higher SM occupancy than time sharing's four.
+/// utilization and much higher SM occupancy than time sharing's four,
+/// pinned as tolerance bands. The paper reports 1.34× utilization and
+/// 3.13× SM occupancy; EXPERIMENTS.md ("Figure 11" and "Headline
+/// summary") measures 1.45× and 3.68×. Re-derived on this test's own
+/// 6 s run (1 s warm-up), the ratios are 1.4528× and 3.6836× on every
+/// seed: the pods saturate and the run is deterministic. Each ratio must
+/// lie within 4 % of its re-derived figure, which catches a drifted model
+/// calibration, and within its paper tolerance (10 % for utilization,
+/// 20 % for occupancy, whose measured excess is 17.7 %), which is the
+/// reproduction claim itself.
 #[test]
 fn fig11_utilization_and_occupancy_ratios() {
     let run = |policy: SharingPolicy| {
@@ -101,17 +110,23 @@ fn fig11_utilization_and_occupancy_ratios() {
     let (ts_gpus, ts_util, ts_occ) = run(SharingPolicy::SingleToken);
     assert_eq!(fast_gpus, 1);
     assert_eq!(ts_gpus, 4);
-    let util_ratio = fast_util / ts_util;
-    let occ_ratio = fast_occ / ts_occ;
-    // Paper: 1.34× utilization, 3.13× SM occupancy.
-    assert!(
-        util_ratio > 1.1,
-        "utilization ratio {util_ratio:.2} (fast {fast_util:.2}, ts {ts_util:.2})"
-    );
-    assert!(
-        occ_ratio > 2.0,
-        "occupancy ratio {occ_ratio:.2} (fast {fast_occ:.3}, ts {ts_occ:.3})"
-    );
+    // (name, measured, re-derived, paper, paper tolerance)
+    let bands = [
+        ("utilization", fast_util / ts_util, 1.4528, 1.34, 0.10),
+        ("SM occupancy", fast_occ / ts_occ, 3.6836, 3.13, 0.20),
+    ];
+    for (name, ratio, derived, paper, paper_tol) in bands {
+        let off = |reference: f64| (ratio / reference - 1.0).abs();
+        assert!(
+            off(derived) <= 0.04,
+            "{name} ratio {ratio:.4} drifted from its re-derived {derived} \
+             (fast {fast_util:.4}/{fast_occ:.4}, ts {ts_util:.4}/{ts_occ:.4})"
+        );
+        assert!(
+            off(paper) <= paper_tol,
+            "{name} ratio {ratio:.4} is outside {paper_tol} of the paper's {paper}"
+        );
+    }
 }
 
 /// A hand-built ResNet profile for auto-scaling tests (shaped like the
