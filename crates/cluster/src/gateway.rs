@@ -370,6 +370,12 @@ impl Gateway {
         self.funcs.get(func).map_or(0, |st| st.members.len())
     }
 
+    /// A function's registered pods, ascending: its running replicas
+    /// (a pod leaves the list when it starts draining or crashes).
+    pub fn members(&self, func: FuncId) -> &[PodId] {
+        self.funcs.get(func).map_or(&[], |st| &st.members)
+    }
+
     /// Observed arrival rate (requests/second) over the trailing `window`
     /// ending at `now` — the predicted load `R_j` fed to the auto-scaler.
     pub fn arrival_rate(&self, func: FuncId, now: SimTime, window: SimTime) -> f64 {
@@ -435,6 +441,9 @@ snap_struct!(FuncState {
 } check |f| {
     if f.idle_pods.windows(2).any(|w| w[0] >= w[1]) || f.members.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapError::new("gateway pod set order"));
+    }
+    if f.idle_pods.iter().any(|p| f.members.binary_search(p).is_err()) {
+        return Err(SnapError::new("gateway idle pod not a member"));
     }
     Ok(())
 });

@@ -7,18 +7,22 @@
 //!   function definition wrapping a model image) and
 //!   [`spec::ResourceSpec`] (the FaSTPod annotations
 //!   `sm_partition` / `quota_limit` / `quota_request` / `gpu_mem`).
-//! * [`cluster`] — nodes (each with one simulated V100, as in the paper's
-//!   testbed), pod lifecycle (create = MPS client registration + device
-//!   memory allocation; delete = teardown), and the
-//!   [`cluster::FaSTPodController`]-style reconciliation helper.
+//! * [`cluster`] — node and pod identities ([`NodeId`], [`PodId`]), node
+//!   health ([`NodeState`]) and pod-creation errors ([`ClusterError`]).
+//!   The node and pod records are the platform's, one of each: a node's
+//!   record holds its health, its GPU (one simulated V100, as in the
+//!   paper's testbed), its FaST Backend and model store, and its pods'
+//!   records; a pod's record holds its function, MPS client, spec,
+//!   memory reservation and request state.
 //! * [`gateway`] — the OpenFaaS gateway analogue: per-function request
 //!   queues, idle-pod dispatch (least-outstanding routing falls out of
-//!   pods pulling work when idle), and per-function arrival-rate
-//!   prediction for the auto-scaler.
+//!   pods pulling work when idle), per-function arrival-rate prediction
+//!   for the auto-scaler, and each function's member list, which is the
+//!   one list of its running pods.
 //!
-//! Scheduling *policy* (which node, how many replicas, what partition) is
-//! deliberately absent here — that is the `fastgshare` core crate. This
-//! crate is mechanism only.
+//! Scheduling *policy* (which node, how many replicas, what partition) and
+//! the pod lifecycle are deliberately absent here — they are the
+//! `fastgshare` core crate's. This crate is mechanism only.
 
 #![warn(missing_docs)]
 
@@ -26,8 +30,6 @@ pub mod cluster;
 pub mod gateway;
 pub mod spec;
 
-pub use cluster::{
-    Cluster, ClusterError, Node, NodeId, NodeState, Pod, PodCounts, PodId, PodState,
-};
+pub use cluster::{ClusterError, NodeId, NodeState, PodId};
 pub use gateway::{Admission, Gateway, Request, RequestId};
 pub use spec::{FaSTFuncSpec, FuncId, ResourceSpec};

@@ -1,39 +1,10 @@
 //! Property tests for the cluster substrate.
 
-use fastg_cluster::{Cluster, FuncId, Gateway, PodId, ResourceSpec};
+use fastg_cluster::{FuncId, Gateway, PodId, ResourceSpec};
 use fastg_des::SimTime;
-use fastg_gpu::{GpuDevice, GpuSpec, MpsMode};
 use proptest::prelude::*;
 
 proptest! {
-    /// Pod create/delete interleavings conserve GPU memory and MPS client
-    /// counts exactly.
-    #[test]
-    fn pod_lifecycle_conserves_resources(
-        ops in prop::collection::vec((0u8..2, 1u64..512), 1..120)
-    ) {
-        let mut c = Cluster::new();
-        let node = c.add_node();
-        let mut gpu = GpuDevice::new(GpuSpec::v100(), MpsMode::Shared);
-        let spec = ResourceSpec::new(10.0, 0.2, 0.5, 0);
-        let mut live: Vec<(PodId, u64)> = Vec::new();
-        for &(op, mib) in &ops {
-            let bytes = mib * 1024 * 1024;
-            if op == 0 || live.is_empty() {
-                if let Ok(p) = c.create_pod(SimTime::ZERO, node, FuncId(0), spec, bytes, &mut gpu) {
-                    live.push((p, bytes));
-                }
-            } else {
-                let (p, _) = live.swap_remove((mib as usize) % live.len());
-                c.delete_pod(p, &mut gpu).unwrap();
-            }
-            let expected: u64 = live.iter().map(|&(_, b)| b).sum();
-            prop_assert_eq!(gpu.memory().used(), expected);
-            prop_assert_eq!(gpu.mps().client_count(), live.len());
-            prop_assert_eq!(c.pod_count(), live.len());
-        }
-    }
-
     /// The gateway conserves requests: arrivals == dispatched + queued,
     /// and never dispatches to a busy or deregistered pod.
     #[test]
@@ -96,34 +67,6 @@ proptest! {
                 "requests lost or duplicated"
             );
             let _ = completed;
-        }
-    }
-
-    /// Reconcile always converges: applying its action yields the desired
-    /// replica count (when capacity allows).
-    #[test]
-    fn reconcile_converges(initial in 0usize..10, desired in 0usize..10) {
-        use fastg_cluster::cluster::ReconcileAction;
-        let mut c = Cluster::new();
-        let node = c.add_node();
-        let mut gpu = GpuDevice::new(GpuSpec::v100(), MpsMode::Shared);
-        let spec = ResourceSpec::new(5.0, 0.1, 0.1, 0);
-        for i in 0..initial {
-            c.create_pod(SimTime::from_micros(i as u64), node, FuncId(0), spec, 0, &mut gpu)
-                .unwrap();
-        }
-        match c.reconcile(FuncId(0), desired) {
-            ReconcileAction::Create(n) => {
-                prop_assert_eq!(initial + n, desired);
-            }
-            ReconcileAction::Drain(pods) => {
-                prop_assert_eq!(initial - pods.len(), desired);
-                for p in pods {
-                    c.begin_terminate(p).unwrap();
-                }
-                prop_assert_eq!(c.running_pods_of(FuncId(0)).len(), desired);
-            }
-            ReconcileAction::Steady => prop_assert_eq!(initial, desired),
         }
     }
 

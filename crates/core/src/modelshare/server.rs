@@ -254,6 +254,15 @@ snap_struct!(ModelStorageServer { ctx_overhead, models } check |s| {
     if s.models.values().any(|e| e.tensors.is_empty()) {
         return Err(SnapError::new("model store empty model"));
     }
+    // Checked: decoded sizes may sum past `u64::MAX`, which
+    // `total_bytes` adds up unchecked.
+    let mut lens = s
+        .models
+        .values()
+        .flat_map(|e| std::iter::once(e.ctx.len).chain(e.tensors.values().map(|t| t.ptr.len)));
+    if lens.try_fold(0u64, u64::checked_add).is_none() {
+        return Err(SnapError::new("model store bytes"));
+    }
     Ok(())
 });
 

@@ -37,15 +37,15 @@ impl Engine {
             .predicted_rate(func, now, self.cfg.predict_window)
             * self.cfg.autoscale_headroom;
         let running: Vec<RunningPod> = self
-            .cluster
-            .running_pods_of(func)
-            .into_iter()
-            .filter_map(|p| {
-                let pod = self.cluster.pod(p).ok()?;
-                let sm = pod.resources.sm_partition;
+            .gateway
+            .members(func)
+            .iter()
+            .filter_map(|&p| {
+                let spec = self.pod_rt(self.locate(p)?)?.spec;
+                let sm = spec.sm_partition;
                 // Capacity accounting uses the guaranteed share; elastic
                 // headroom above the request is a bonus, not a promise.
-                let quota = pod.resources.quota_request;
+                let quota = spec.quota_request;
                 let rps = db.throughput_of(model_name, sm, quota)?;
                 Some(RunningPod {
                     pod: p,

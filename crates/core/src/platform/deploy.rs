@@ -77,7 +77,7 @@ impl Engine {
     }
 
     /// Creates one pod: node selection, the node's share of the pod
-    /// (cluster/MPS/memory setup, model sharing attach, backend
+    /// (MPS/memory setup, model sharing attach, backend
     /// registration), rectangle binding, gateway routing, and (for
     /// saturating functions) the first request.
     pub(super) fn create_pod(
@@ -106,11 +106,11 @@ impl Engine {
         // Node selection: Algorithm 2 best fit, or least-loaded when
         // over-subscription is allowed.
         let node = if self.cfg.oversubscribe {
-            self.cluster
-                .node_ids()
-                .into_iter()
-                .filter(|&n| mem_fits(n))
-                .min_by_key(|&n| (self.cluster.pods_on(n).len(), n))
+            self.nodes
+                .iter()
+                .filter(|&(n, _)| mem_fits(n))
+                .min_by_key(|&(n, node)| (node.pod_count(), n))
+                .map(|(n, _)| n)
         } else {
             self.selector.select_node(&resources, &mut mem_fits)
         };
@@ -125,7 +125,9 @@ impl Engine {
             .get_mut(node)
             .ok_or(PlatformError::Internal("runtime missing for node"))?;
         let attach = (sharing && weights > 0).then_some((model_name.as_str(), weights));
-        let (pod, mut rt) = nrt.create_pod(&mut self.cluster, now, func, spec, pod_bytes, attach)?;
+        let mut rt = nrt.create_pod(func, spec, pod_bytes, attach)?;
+        let pod = PodId(self.next_pod);
+        self.next_pod += 1;
         // Spatio-temporal rectangle binding (admission already checked).
         rt.bound_rect = !self.cfg.oversubscribe && self.selector.bind(node, pod, &resources).is_some();
         let at = nrt.admit(pod, rt, resources);
@@ -155,9 +157,10 @@ impl Engine {
         let func = rt.func;
         let idle = rt.active.is_none();
         self.gateway.deregister_pod(func, pod);
-        let _ = self.cluster.begin_terminate(pod);
         if idle {
             self.delete_pod(at, queue);
+        } else if let Some(rt) = self.pod_rt_mut(at) {
+            rt.draining = true;
         }
     }
 
@@ -173,10 +176,10 @@ impl Engine {
     }
 
     /// Removes a pod from the location map and tears down its node's
-    /// share (see [`NodeRt::delete_pod`]). Returns its runtime.
+    /// share (see [`NodeRt::delete_pod`]). Returns its record.
     pub(super) fn teardown_pod(&mut self, at: PodAt) -> Option<PodRt> {
         self.pod_loc.remove(at.pod)?;
-        self.nodes.get_mut(at.node)?.delete_pod(&mut self.cluster, at.pod, at.slot)
+        self.nodes.get_mut(at.node)?.delete_pod(at.pod, at.slot)
     }
 
     /// Live FaSTPod spec sync (§3.2: resource configurations are filled
@@ -194,10 +197,10 @@ impl Engine {
         self.funcs.get_mut(func).ok_or(PlatformError::UnknownFunction)?.resources = resources;
         let spec = self.mps_spec(resources);
         let pods = self
-            .cluster
-            .running_pods_of(func)
-            .into_iter()
-            .map(|pod| self.locate(pod).ok_or(PlatformError::Internal("runtime missing for pod")))
+            .gateway
+            .members(func)
+            .iter()
+            .map(|&pod| self.locate(pod).ok_or(PlatformError::Internal("runtime missing for pod")))
             .collect::<Result<Vec<PodAt>, _>>()?;
         // Repartitioning changes contention: every fast-forwarded burst
         // on an affected node (this function's or a neighbour's) falls
@@ -210,24 +213,154 @@ impl Engine {
             }
         }
         for at in pods {
-            let old = self.cluster.pod(at.pod)?.resources;
             // MPS partition from the pod's next kernel launch; quotas
             // within this window.
             self.nodes
                 .get_mut(at.node)
                 .ok_or(PlatformError::Internal("runtime missing for node"))?
-                .respec_pod(at.slot, at.pod, spec.sm_partition, resources)?;
-            self.cluster.pod_mut(at.pod)?.resources = spec;
+                .respec_pod(at.slot, at.pod, spec, resources)?;
             // Rectangle binding: swap to the new shape if it fits; keep
-            // the old reservation otherwise (conservative).
+            // the old reservation otherwise (conservative). The old one
+            // is the rectangle the pod held, which an earlier reconfigure
+            // that did not fit left at an older shape than its spec.
             if self.pod_rt(at).is_some_and(|rt| rt.bound_rect) {
-                self.selector.release(at.node, at.pod);
+                let old = self.selector.release(at.node, at.pod);
                 if self.selector.bind(at.node, at.pod, &resources).is_none() {
-                    let restored = self.selector.bind(at.node, at.pod, &old).is_some();
+                    let restored = old.is_some_and(|rect| self.selector.rebind(at.node, at.pod, rect));
                     debug_assert!(restored, "freed rectangle must re-bind");
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// The FaSTPod controller's lifecycle against the one record per pod and
+/// per node: random scale, kill, crash and reconfigure sequences on a
+/// loaded four-node platform, with and without model sharing.
+#[cfg(test)]
+mod tests {
+    use super::Engine;
+    use crate::platform::{FunctionConfig, Platform, PlatformConfig};
+    use fastg_cluster::{FuncId, PodId};
+    use fastg_des::SimTime;
+    use fastg_workload::ArrivalProcess;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Run(u16),
+        Scale(u8, u8),
+        Kill(u8, u8),
+        Crash(u8),
+        Reconfigure(u8, u8),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (1u16..500).prop_map(Op::Run),
+            (1u16..500).prop_map(Op::Run),
+            (0u8..2, 0u8..7).prop_map(|(f, n)| Op::Scale(f, n)),
+            (0u8..2, 0u8..7).prop_map(|(f, n)| Op::Scale(f, n)),
+            (0u8..2, any::<u8>()).prop_map(|(f, i)| Op::Kill(f, i)),
+            (0u8..4).prop_map(Op::Crash),
+            (0u8..2, 0u8..3).prop_map(|(f, sm)| Op::Reconfigure(f, sm)),
+        ]
+    }
+
+    /// Every record agrees with every other: a node's memory in use is
+    /// its pods' reservations plus its store's, its MPS clients are its
+    /// pods', and each function's running pods (`pods_of`) are its
+    /// gateway members, which are its pods that neither drain nor died,
+    /// ascending.
+    fn assert_one_record(p: &Platform, funcs: &[FuncId]) {
+        let w: &Engine = p.sim.world();
+        for (id, node) in w.nodes.iter() {
+            let (gpu, store) = node.device_and_store();
+            let reserved: u64 = node.pods().filter_map(|rt| rt.memory).map(|ptr| ptr.len).sum();
+            assert_eq!(gpu.memory().used(), reserved + store.total_bytes(), "{id:?} memory");
+            assert_eq!(gpu.mps().client_count(), node.pod_count(), "{id:?} clients");
+            let located = w.pod_loc.values().filter(|at| at.node == id).count();
+            assert_eq!(node.pod_count(), located, "{id:?} pods");
+        }
+        let mut serving: Vec<(FuncId, PodId)> = Vec::new();
+        for (pod, &at) in w.pod_loc.iter() {
+            let rt = w.pod_rt(at).expect("a located pod has a record");
+            assert_eq!(at.pod, pod);
+            if !rt.draining && rt.zombie.is_none() {
+                serving.push((rt.func, pod));
+            }
+        }
+        for &f in funcs {
+            let live: Vec<PodId> =
+                serving.iter().filter(|&&(g, _)| g == f).map(|&(_, pod)| pod).collect();
+            assert_eq!(w.gateway.members(f), live.as_slice(), "{f:?} members");
+            assert_eq!(p.pods_of(f), live, "{f:?} pods_of");
+            assert_eq!(p.replicas(f), live.len(), "{f:?} replicas");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn pod_lifecycle_keeps_one_record(
+            sharing in any::<bool>(),
+            seed in 0u64..1000,
+            ops in prop::collection::vec(arb_op(), 1..40),
+        ) {
+            let cfg = PlatformConfig::default().nodes(4).model_sharing(sharing).seed(seed);
+            let mut p = Platform::new(cfg);
+            let funcs: Vec<FuncId> = [("resnet50", 120.0), ("bert_base", 30.0)]
+                .into_iter()
+                .map(|(model, rate)| {
+                    let fc = FunctionConfig::new(model, model).replicas(2).resources(24.0, 0.4, 1.0);
+                    let f = p.deploy(fc).unwrap();
+                    p.set_load(f, ArrivalProcess::poisson(rate, seed));
+                    f
+                })
+                .collect();
+            assert_one_record(&p, &funcs);
+            for op in ops {
+                match op {
+                    Op::Run(ms) => {
+                        p.run_for(SimTime::from_millis(u64::from(ms)));
+                    }
+                    Op::Scale(f, n) => {
+                        let f = funcs[usize::from(f)];
+                        let (before, n) = (p.pods_of(f), usize::from(n));
+                        p.scale_to(f, n);
+                        // Drains take the highest ids: the lowest stay. A
+                        // scale-up keeps every pod and adds up to the rest.
+                        let after = p.pods_of(f);
+                        if n <= before.len() {
+                            prop_assert_eq!(after, before[..n].to_vec());
+                        } else {
+                            prop_assert!(after.len() <= n && after.starts_with(&before));
+                        }
+                    }
+                    Op::Kill(f, i) => {
+                        let pods = p.pods_of(funcs[usize::from(f)]);
+                        if let Some(&pod) = pods.get(usize::from(i) % pods.len().max(1)) {
+                            prop_assert!(p.kill_pod(pod));
+                        }
+                    }
+                    Op::Crash(node) => {
+                        p.crash_node(usize::from(node));
+                    }
+                    Op::Reconfigure(f, sm) => {
+                        let sm = [12.0, 24.0, 50.0][usize::from(sm)];
+                        p.reconfigure(funcs[usize::from(f)], sm, 0.4, 1.0).unwrap();
+                    }
+                }
+                assert_one_record(&p, &funcs);
+            }
+            let report = p.report();
+            for (i, n) in report.nodes.iter().enumerate() {
+                prop_assert_eq!(&n.name, &format!("gpu-worker-{i}"));
+                prop_assert_eq!(n.up, p.node_up(i));
+                prop_assert!(n.up || (n.pods == 0 && n.memory_used == 0));
+            }
+        }
     }
 }

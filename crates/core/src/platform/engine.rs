@@ -11,9 +11,9 @@ use crate::platform::overload::CircuitBreaker;
 use crate::platform::pod::{PodAt, PodRt};
 use crate::profiler::ProfileDb;
 use crate::scheduler::{NodeSelector, PlacementPolicy, Scheduler};
-use fastg_cluster::{Cluster, FuncId, FaSTFuncSpec, Gateway, NodeId, PodId, RequestId, ResourceSpec};
+use fastg_cluster::{FuncId, FaSTFuncSpec, Gateway, NodeId, PodId, RequestId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{snap_enum, snap_struct, CancelToken, EventQueue, IdArena, SimTime, TimeSeries, World};
+use fastg_des::{snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, SimTime, TimeSeries, World};
 use fastg_gpu::{GpuDevice, KernelId, MpsMode};
 use fastg_models::ModelProfile;
 use fastg_workload::{ArrivalProcess, SloTracker, WarmupCounter};
@@ -225,23 +225,25 @@ impl HandlerCounts {
     }
 }
 
-/// The [`World`] implementation composing cluster, GPUs, manager,
-/// scheduler, model sharing and workloads. The per-node data plane (each
-/// node's GPU device, backend, model store and pods' runtime) is in
-/// [`NodeRt`], and its hot paths in the `node` module.
+/// The [`World`] implementation composing nodes, GPUs, manager,
+/// scheduler, model sharing and workloads. Each node has one record, a
+/// [`NodeRt`] (its health, GPU device, backend, model store and pods'
+/// records); its hot paths are in the `node` module. A function's
+/// running pods are its gateway members.
 #[derive(Clone)]
 pub struct Engine {
     pub(super) cfg: PlatformConfig,
-    pub(super) cluster: Cluster,
     pub(super) gateway: Gateway,
-    /// Each node's data plane: its GPU device, FaST Backend, model store
-    /// and pods' runtime.
+    /// Each node's record: its health, GPU device, FaST Backend, model
+    /// store and pods' records.
     pub(super) nodes: IdArena<NodeId, NodeRt>,
     /// The paper's Algorithm 2 placement engine.
     pub(super) selector: NodeSelector,
     pub(super) funcs: IdArena<FuncId, FuncRt>,
-    /// Where each pod's runtime lives: `PodId → (node, slot)`.
+    /// Where each pod's record lives: `PodId → (node, slot)`.
     pub(super) pod_loc: IdArena<PodId, PodAt>,
+    /// The next pod's id: ids follow creation order.
+    pub(super) next_pod: u64,
     pub(super) autoscale_db: Option<ProfileDb>,
     pub(super) next_func: u32,
     pub(super) next_synth: u64,
@@ -340,26 +342,25 @@ impl Engine {
     }
 
     pub(super) fn new(cfg: PlatformConfig) -> Self {
-        let mut cluster = Cluster::new();
         let mode = match cfg.policy {
             SharingPolicy::Exclusive => MpsMode::Exclusive,
             _ => MpsMode::Shared,
         };
         let mut selector = make_selector(&cfg);
-        let mut node_rts = IdArena::new();
-        for spec in cfg.effective_gpus() {
-            let n = cluster.add_node();
+        let mut nodes = IdArena::new();
+        for (i, spec) in cfg.effective_gpus().into_iter().enumerate() {
+            let n = NodeId::from_index(i);
             selector.add_gpu(n);
-            node_rts.insert(n, NodeRt::new(n, make_backend(&cfg), GpuDevice::new(spec, mode)));
+            nodes.insert(n, NodeRt::new(n, make_backend(&cfg), GpuDevice::new(spec, mode)));
         }
         Engine {
             cfg,
-            cluster,
             gateway: Gateway::new(),
-            nodes: node_rts,
+            nodes,
             selector,
             funcs: IdArena::new(),
             pod_loc: IdArena::new(),
+            next_pod: 0,
             autoscale_db: None,
             next_func: 0,
             next_synth: FIRST_SYNTHETIC,
@@ -382,7 +383,7 @@ impl Engine {
 
     /// The node at `index` in node order.
     pub(super) fn node_at(&self, index: usize) -> Option<NodeId> {
-        self.cluster.node_ids().get(index).copied()
+        self.nodes.keys().nth(index)
     }
 }
 
@@ -463,34 +464,30 @@ impl Engine {
     /// restore, and nothing runs ahead between events.
     /// The profile table is rebuilt from the functions on restore.
     ///
-    /// The node runtimes go on the wire as their devices inside the
-    /// cluster's node table, then as the node table of
-    /// [`NodeRt::snap_table`], and the pods as one `PodId`-keyed arena,
-    /// the location map's, with each pod's runtime read from its slot;
-    /// slots themselves are not encoded.
+    /// Each node goes on the wire as one record
+    /// ([`NodeRt::snap_state`]), and each pod as one, its node then its
+    /// own record, in one `PodId`-keyed arena, the location map's; slots
+    /// themselves are not encoded.
     pub(super) fn snap_state(&self, w: &mut SnapWriter) {
         let Self {
-            cfg, cluster, gateway, nodes, selector, funcs, pod_loc, autoscale_db, next_func,
+            cfg, gateway, nodes, selector, funcs, pod_loc, next_pod, autoscale_db, next_func,
             next_synth, unschedulable, killed, faults_injected, ff_bursts, ff_coalesced_kernels,
             burst_scratch: _, started_scratch: _, granted_scratch: _, ready_scratch: _,
             dispatch_pending, counts: _, run_ahead: _, trace, profiles: _,
         } = self;
         cfg.snap(w);
-        cluster.snap_with(w, |id, w| match nodes.get(id) {
-            Some(n) => n.snap_device(w),
-            None => debug_assert!(false, "runtime per node"),
-        });
+        nodes.snap_with(w, NodeRt::snap_state);
         gateway.snap(w);
-        NodeRt::snap_table(nodes, w);
         selector.snap_state(w);
         funcs.snap(w);
         pod_loc.snap_with(w, |at, w| {
-            let rt = nodes.get(at.node).and_then(|n| n.get(at.slot));
-            match rt {
+            at.node.snap(w);
+            match nodes.get(at.node).and_then(|n| n.get(at.slot)) {
                 Some(rt) => rt.snap_state(w),
-                None => debug_assert!(false, "located pod has a runtime"),
+                None => debug_assert!(false, "located pod has a record"),
             }
         });
+        w.u64(*next_pod);
         autoscale_db.snap(w);
         w.u32(*next_func);
         w.u64(*next_synth);
@@ -503,20 +500,17 @@ impl Engine {
         trace.snap(w);
     }
 
-    /// Rebuilds an engine from [`Self::snap_state`] output. The scheduler
-    /// is reconstructed from the decoded config (its placement policy is
-    /// not part of the payload) and then handed its captured planes.
-    pub(super) fn unsnap_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// Rebuilds an engine from [`Self::snap_state`] output, taken at
+    /// `now`. The scheduler is reconstructed from the decoded config (its
+    /// placement policy is not part of the payload) and then handed its
+    /// captured planes. The records must agree: see
+    /// [`NodeRt::check_decoded`] for a node and its pods, and a
+    /// function's gateway members are exactly its pods that neither drain
+    /// nor died.
+    pub(super) fn unsnap_state(r: &mut SnapReader<'_>, now: SimTime) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
-        // Each node's device is on the wire inside the cluster's node
-        // table; it joins the rest of the node in its runtime.
-        let mut gpus = Vec::new();
-        let cluster = Cluster::unsnap_with(r, |id, r| {
-            gpus.push((id, GpuDevice::unsnap(r)?));
-            Ok(())
-        })?;
+        let mut nodes = IdArena::unsnap_with(r, NodeRt::unsnap_state)?;
         let gateway = Gateway::unsnap(r)?;
-        let mut nodes = NodeRt::unsnap_table(r, gpus)?;
         let mut selector = make_selector(&cfg);
         selector.restore_state(r)?;
         // Functions share their model's profile exactly as after deploy,
@@ -531,25 +525,43 @@ impl Engine {
         }
         // Each pod takes a slot in its node's slab, then the backend rows
         // move to their pods' slots.
+        let mut serving = Vec::new();
         let pod_loc = IdArena::unsnap_with(r, |pod, r| {
+            let node = NodeId::unsnap(r)?;
             let rt = PodRt::unsnap_state(r, |f| funcs.get(f).map(|f| Arc::clone(&f.model)))?;
-            let node = rt.node;
+            if !rt.draining && rt.zombie.is_none() {
+                serving.push((rt.func, pod));
+            }
             let slot = nodes.get_mut(node).ok_or(SnapError::new("pod node"))?.insert(pod, rt);
             Ok(PodAt { pod, node, slot })
         })?;
+        let next_pod = r.u64()?;
+        if pod_loc.keys().any(|p| p.0 >= next_pod) {
+            return Err(SnapError::new("pod id space"));
+        }
         for n in nodes.values_mut() {
+            n.check_decoded(now)?;
             n.place_backend_rows()?;
+        }
+        // Each function's member list (sorted, checked by the gateway's
+        // decode) holds exactly its serving pods: each serving pod is a
+        // member, and no other pod is.
+        let members: usize = gateway.funcs().into_iter().map(|f| gateway.member_count(f)).sum();
+        if members != serving.len()
+            || serving.iter().any(|&(f, pod)| gateway.members(f).binary_search(&pod).is_err())
+        {
+            return Err(SnapError::new("gateway members"));
         }
         // The remaining fields decode in wire order, which is the order
         // a struct expression evaluates its fields in.
         let engine = Engine {
             cfg,
-            cluster,
             gateway,
             nodes,
             selector,
             funcs,
             pod_loc,
+            next_pod,
             autoscale_db: Option::unsnap(r)?,
             next_func: r.u32()?,
             next_synth: r.u64()?,

@@ -21,7 +21,7 @@ pub enum PlatformError {
     /// Pod admission failed: no node can host the requested resources
     /// (the paper's "a new GPU is required" outcome).
     NoNodeFits,
-    /// A cluster-level operation failed.
+    /// A node could not take a pod.
     Cluster(ClusterError),
     /// An MPS partition update was rejected.
     Mps(MpsError),
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn converts_from_component_errors() {
-        let e: PlatformError = ClusterError::UnknownPod(fastg_cluster::PodId(7)).into();
+        let e: PlatformError = ClusterError::NodeDown(fastg_cluster::NodeId(7)).into();
         assert!(matches!(e, PlatformError::Cluster(_)));
     }
 }

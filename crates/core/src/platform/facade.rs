@@ -12,7 +12,7 @@ use super::overload::BreakerState;
 use super::report::PlatformReport;
 use crate::profiler::ProfileDb;
 use crate::scheduler::SchedStats;
-use fastg_cluster::{FuncId, NodeState, ResourceSpec};
+use fastg_cluster::{FuncId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{sanitizer, SimTime, Simulation};
 use fastg_workload::ArrivalProcess;
@@ -44,7 +44,7 @@ impl Platform {
             queue.set_tiebreak(tiebreak);
             queue.set_classifier(|e: &Event| e.class());
             if world.cfg.policy.uses_tokens() {
-                for node in world.cluster.node_ids() {
+                for node in world.nodes.keys() {
                     queue.schedule(world.cfg.window, Event::WindowReset(node));
                 }
             }
@@ -112,26 +112,23 @@ impl Platform {
     }
 
     /// Manually reconciles a function to `replicas` pods (scale up with
-    /// the function's deploy-time resources, drain newest-first).
+    /// the function's deploy-time resources, drain newest-first: the
+    /// highest pod ids).
     pub fn scale_to(&mut self, func: FuncId, replicas: usize) {
-        use fastg_cluster::cluster::ReconcileAction;
         let (world, queue, now) = self.sim.parts_mut();
         if let Some(rt) = world.funcs.get_mut(func) {
             rt.desired_replicas = replicas;
         }
-        match world.cluster.reconcile(func, replicas) {
-            ReconcileAction::Create(n) => {
-                let resources = world.funcs[func].resources;
-                for _ in 0..n {
-                    let _ = world.create_pod(now, func, resources, queue);
-                }
+        let running = world.gateway.members(func);
+        if let Some(extra) = running.get(replicas..) {
+            for pod in extra.iter().rev().copied().collect::<Vec<_>>() {
+                world.drain_pod(pod, queue);
             }
-            ReconcileAction::Drain(pods) => {
-                for p in pods {
-                    world.drain_pod(p, queue);
-                }
+        } else {
+            let resources = world.funcs[func].resources;
+            for _ in running.len()..replicas {
+                let _ = world.create_pod(now, func, resources, queue);
             }
-            ReconcileAction::Steady => {}
         }
     }
 
@@ -203,7 +200,7 @@ impl Platform {
 
     /// Running pod ids of a function (targets for [`Self::kill_pod`]).
     pub fn pods_of(&self, func: FuncId) -> Vec<fastg_cluster::PodId> {
-        self.sim.world().cluster.running_pods_of(func)
+        self.sim.world().gateway.members(func).to_vec()
     }
 
     /// Pods crashed via failure injection so far.
@@ -223,7 +220,8 @@ impl Platform {
         let world = self.sim.world();
         world
             .node_at(node_index)
-            .is_some_and(|n| !matches!(world.cluster.node_state(n), Ok(NodeState::Down)))
+            .and_then(|n| world.nodes.get(n))
+            .is_some_and(|n| !n.is_down())
     }
 
     /// Faults fired from the configured plan so far.
@@ -286,7 +284,7 @@ impl Platform {
 
     /// Running replica count of a function.
     pub fn replicas(&self, func: FuncId) -> usize {
-        self.sim.world().cluster.running_pods_of(func).len()
+        self.sim.world().gateway.member_count(func)
     }
 
     /// Number of GPUs with at least one pod bound.
@@ -354,7 +352,7 @@ impl Platform {
         let mut r = SnapReader::new(snapshot.payload()?);
         let now = SimTime::unsnap(&mut r)?;
         let handled = r.u64()?;
-        let engine = Engine::unsnap_state(&mut r)?;
+        let engine = Engine::unsnap_state(&mut r, now)?;
         let mut sim = Simulation::new(engine);
         {
             let (_, queue, _) = sim.parts_mut();

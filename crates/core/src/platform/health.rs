@@ -5,7 +5,7 @@
 use super::engine::{make_backend, schedule_next, Engine, Event};
 use super::faults::FaultKind;
 use crate::scheduler::Scheduler;
-use fastg_cluster::{FuncId, NodeId, NodeState, PodId};
+use fastg_cluster::{FuncId, NodeId, PodId};
 use fastg_des::{EventQueue, SimTime};
 
 impl Engine {
@@ -29,11 +29,10 @@ impl Engine {
         // materialized mid-flight kernel (and the requeued remainder)
         // drain as the zombie, and `outstanding` is reconciled first.
         self.ff_break_pod(now, at, queue);
+        // Out of the member list right away: otherwise reconciliation
+        // would refuse to create replacements while the corpse's kernels
+        // drain.
         self.gateway.deregister_pod(func, pod);
-        // The cluster must stop counting the pod as Running right away —
-        // otherwise reconciliation would refuse to create replacements
-        // while the corpse's kernels drain.
-        let _ = self.cluster.begin_terminate(pod);
         // Salvage the request, remember how many kernels must drain.
         let (lost_req, outstanding, bound) = self
             .nodes
@@ -62,7 +61,7 @@ impl Engine {
         if !self.cfg.recovery {
             return;
         }
-        let running = self.cluster.running_pods_of(func).len();
+        let running = self.gateway.member_count(func);
         if let Some(rt) = self.funcs.get_mut(func) {
             if running < rt.desired_replicas && rt.outage_since.is_none() {
                 rt.outage_since = Some(now);
@@ -77,51 +76,37 @@ impl Engine {
     /// placement pool, and each lost in-flight request retries on a
     /// surviving replica (or is shed once over its retry budget).
     pub(super) fn crash_node(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) -> bool {
-        if !matches!(self.cluster.node_state(node), Ok(s) if s != NodeState::Down) {
-            return false;
-        }
-        // Hardware teardown: marks the node Down, hard-resets its GPU and
-        // removes all its pods from the cluster.
-        let Some(Ok(dead)) = self.nodes.get_mut(node).map(|n| n.crash(&mut self.cluster, now)) else {
-            debug_assert!(false, "an up node has a runtime");
+        let Some(n) = self.nodes.get_mut(node).filter(|n| !n.is_down()) else {
             return false;
         };
+        // Hardware teardown: the node goes down with its GPU hard-reset,
+        // and its backend table, model store and pods die with it.
+        let dead = n.crash(now, make_backend(&self.cfg));
         let mut lost_reqs = Vec::new();
         let mut affected = Vec::new();
-        for pod in &dead {
-            self.gateway.deregister_pod(pod.func, pod.id);
-            let at = self.locate(pod.id);
-            let rt = at.and_then(|at| {
-                self.pod_loc.remove(at.pod)?;
-                self.nodes.get_mut(at.node)?.remove(at.slot)
-            });
-            if let Some(mut rt) = rt {
-                // A zombie (a crashed pod whose kernels were still
-                // draining) was already counted when it was killed.
-                if rt.zombie.is_none() {
-                    self.killed += 1;
+        for (pod, mut rt) in dead {
+            self.gateway.deregister_pod(rt.func, pod);
+            self.pod_loc.remove(pod);
+            // A zombie (a crashed pod whose kernels were still draining)
+            // was already counted when it was killed.
+            if rt.zombie.is_none() {
+                self.killed += 1;
+            }
+            if !affected.contains(&rt.func) {
+                affected.push(rt.func);
+            }
+            if let Some(a) = rt.active.take() {
+                // The device's hard reset already aborted any fast-forward
+                // timeline; only the macro-event in the queue is left to
+                // revoke.
+                if let Some(token) = a.ff {
+                    queue.cancel(token);
                 }
-                if !affected.contains(&rt.func) {
-                    affected.push(rt.func);
-                }
-                if let Some(a) = rt.active.take() {
-                    // The device's hard reset already aborted any
-                    // fast-forward timeline; only the macro-event in the
-                    // queue is left to revoke.
-                    if let Some(token) = a.ff {
-                        queue.cancel(token);
-                    }
-                    lost_reqs.push(a.req);
-                }
+                lost_reqs.push(a.req);
             }
         }
-        // Control-plane teardown: rectangle bindings, backend table and
-        // model store die with the node (its pod slab is empty by now);
-        // the reset device stays.
+        // Its rectangle bindings go too; the reset device stays.
         self.selector.remove_gpu(node);
-        if let Some(old) = self.nodes.remove(node) {
-            self.nodes.insert(node, old.reboot(make_backend(&self.cfg)));
-        }
         for req in lost_reqs {
             self.retry_or_shed(now, req, queue);
         }
@@ -145,7 +130,7 @@ impl Engine {
     fn reclock(&mut self, now: SimTime, node: NodeId, factor: Option<f64>, queue: &mut EventQueue<Event>) {
         self.ff_break_node(now, node, queue);
         if let Some(n) = self.nodes.get_mut(node) {
-            n.reclock(&mut self.cluster, factor);
+            n.reclock(factor);
         }
     }
 
@@ -164,7 +149,7 @@ impl Engine {
             FaultKind::PodCrash { func_index } => {
                 // Plan indices wrap around the deployed functions too.
                 let func = func_index.checked_rem(self.funcs.len()).and_then(|i| self.funcs.keys().nth(i));
-                if let Some(victim) = func.and_then(|f| self.cluster.running_pods_of(f).first().copied()) {
+                if let Some(victim) = func.and_then(|f| self.gateway.members(f).first().copied()) {
                     self.kill_pod(now, victim, queue);
                 }
             }
@@ -189,12 +174,9 @@ impl Engine {
     /// The recovery controller: one health check pass over every function.
     pub(super) fn on_health_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         schedule_next(queue, now, self.cfg.health_interval, Event::HealthTick);
-        // One pod-table pass per tick: creating pods for one function
-        // never changes another's running count.
-        let counts = self.cluster.pod_counts();
         let func_ids: Vec<FuncId> = self.funcs.keys().collect();
         for func in func_ids {
-            self.heal_function(now, func, counts.running_of(func), queue);
+            self.heal_function(now, func, queue);
         }
     }
 
@@ -204,15 +186,9 @@ impl Engine {
     /// failures back off exponentially; a backoff past the end of time
     /// never retries. A fully restored function records its
     /// time-to-recovery, also when it healed outside the controller (e.g.
-    /// the auto-scaler re-created capacity first). `running` is the
-    /// function's running pod count.
-    fn heal_function(
-        &mut self,
-        now: SimTime,
-        func: FuncId,
-        running: usize,
-        queue: &mut EventQueue<Event>,
-    ) {
+    /// the auto-scaler re-created capacity first).
+    fn heal_function(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
+        let running = self.gateway.member_count(func);
         let Some(rt) = self.funcs.get(func) else {
             debug_assert!(false, "function exists");
             return;

@@ -5,7 +5,7 @@
 use super::engine::{Engine, Event};
 use super::overload::AdmitDecision;
 use super::pod::PodAt;
-use fastg_cluster::{Admission, FuncId, PodId, PodState, Request, RequestId};
+use fastg_cluster::{Admission, FuncId, PodId, Request, RequestId};
 use fastg_des::{EventQueue, SimTime};
 
 /// The first id of the synthetic requests that keep saturating
@@ -151,7 +151,7 @@ impl Engine {
     }
 
     /// Accounts the pod's finished request, then gives the pod its next
-    /// one, or parks it idle, or deletes it if it is terminating. Returns
+    /// one, or parks it idle, or deletes it if it is draining. Returns
     /// whether the pod took a next request, which the caller steps from
     /// `now`.
     pub(super) fn complete_request(
@@ -170,6 +170,7 @@ impl Engine {
             return false;
         };
         let func = rt.func;
+        let draining = rt.draining;
         let arrived = active.req.arrived;
         let latency = now - arrived;
         // Terminal state: the gateway drops its retry bookkeeping for
@@ -197,8 +198,8 @@ impl Engine {
         }
         let saturate = frt.saturate;
 
-        // Terminating pods are deleted as soon as their request finishes.
-        if self.cluster.pod(pod).map(|p| p.state) == Ok(PodState::Terminating) {
+        // Draining pods are deleted as soon as their request finishes.
+        if draining {
             self.release_idle(at, queue);
             self.delete_pod(at, queue);
             return false;

@@ -6,14 +6,15 @@
 //! drives an [`engine::Engine`], the [`fastg_des::World`] implementation,
 //! whose state and handlers are split by level, as in the paper:
 //!
-//! * per node (the paper's DaemonSets), one `NodeRt` holds the node's
-//!   simulated GPU with its MPS server, its
+//! * per node (the paper's DaemonSets), one `NodeRt` record holds the
+//!   node's health, its simulated GPU with its MPS server, its
 //!   [FaST Backend](crate::manager::FastBackend) (token protocol, quota
 //!   windows, SM Allocation Adapter), its
 //!   [model storage server](crate::modelshare::ModelStorageServer) and
-//!   its pods' runtime; it is the only code that touches them;
-//! * cluster-wide, the control plane: the cluster substrate (nodes, pods,
-//!   gateway), deployment, the request lifecycle, health checks and fault
+//!   its pods' records, one per pod; it is the only code that touches
+//!   them;
+//! * cluster-wide, the control plane: the gateway (whose member lists
+//!   are the running pods), deployment, the request lifecycle, health checks and fault
 //!   injection, the [FaST-Scheduler](crate::scheduler) (node selection
 //!   at deploy time, Heuristic Scaling in the auto-scaler), overload
 //!   control, and per-function load generators, SLO trackers and

@@ -7,8 +7,9 @@
 //! in that slab, and the backend keeps the pod's quota row at the same
 //! slot, so the hot paths index instead of search. Events keep naming
 //! pods by [`PodId`]; the engine's `PodId → (node, slot)` map resolves one
-//! in O(1) ([`PodAt`]). The cluster keeps only the node's identity and
-//! health.
+//! in O(1) ([`PodAt`]). A node has this one record, which holds its health
+//! too, and a pod the one in its node's slab: the node creates, deletes,
+//! crashes and reclocks them itself.
 //!
 //! Four hot paths run here, each against one node:
 //! - `HostDone` → token request → burst launch ([`Engine::step_pod`]);
@@ -57,20 +58,21 @@ use super::pod::{ActiveReq, PodAt, PodRt};
 use super::report::NodeReport;
 use crate::manager::{FastBackend, RequestOutcome};
 use crate::modelshare::{ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
-use fastg_cluster::{Cluster, ClusterError, FuncId, NodeId, NodeState, Pod, PodId, Request, ResourceSpec};
+use fastg_cluster::{ClusterError, FuncId, NodeId, NodeState, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{EventQueue, IdArena, SimTime, TimeSeries};
-use fastg_gpu::{GpuDevice, KernelDesc, KernelId};
+use fastg_des::{EventQueue, SimTime, TimeSeries};
+use fastg_gpu::{ClientId, GpuDevice, KernelDesc, KernelId};
 use fastg_models::{InferenceRun, StageOp};
 use std::sync::Arc;
 
-/// One node's data plane: its GPU device, its FaST Backend, its model
-/// store and the runtime of its pods, in a slab addressed by slot. Slots
+/// One node's record: its health, its GPU device, its FaST Backend, its
+/// model store and its pods' records, in a slab addressed by slot. Slots
 /// are reused lowest-first and vacant trailing slots are trimmed, so
 /// storage stays proportional to the pods on the node.
 #[derive(Clone)]
 pub(super) struct NodeRt {
     id: NodeId,
+    state: NodeState,
     gpu: GpuDevice,
     backend: FastBackend,
     store: ModelStorageServer,
@@ -78,10 +80,11 @@ pub(super) struct NodeRt {
 }
 
 impl NodeRt {
-    /// Node `id` with an empty model store and no pods.
+    /// Node `id`, up, with an empty model store and no pods.
     pub(super) fn new(id: NodeId, backend: FastBackend, gpu: GpuDevice) -> Self {
         NodeRt {
             id,
+            state: NodeState::Up,
             gpu,
             backend,
             store: ModelStorageServer::new(DEFAULT_CTX_OVERHEAD),
@@ -136,6 +139,22 @@ impl NodeRt {
         self.pods.iter().flatten().map(|(_, rt)| rt)
     }
 
+    /// Pods on the node, draining and crashed ones included.
+    pub(super) fn pod_count(&self) -> usize {
+        self.pods().count()
+    }
+
+    /// Whether the node crashed.
+    pub(super) fn is_down(&self) -> bool {
+        self.state == NodeState::Down
+    }
+
+    /// The node's device and model store, for tests of their accounting.
+    #[cfg(test)]
+    pub(super) fn device_and_store(&self) -> (&GpuDevice, &ModelStorageServer) {
+        (&self.gpu, &self.store)
+    }
+
     /// The pods whose burst is fast-forwarded, in ascending `PodId` order
     /// (the order breaks are applied in, whatever the slots).
     fn fast_forwarded(&self) -> Vec<PodAt> {
@@ -178,40 +197,67 @@ impl NodeRt {
         self.gpu.memory().free_bytes() >= pod_bytes + store_bytes
     }
 
-    /// Creates a pod on this node: the cluster's pod, its MPS client
-    /// registered at `spec` with `pod_bytes` of device memory, and the
-    /// model's weights (`attach`: its name and bytes) attached through
-    /// the node's store. The runtime it returns joins the node through
+    /// Creates a pod's record on this node: on an up node with
+    /// `pod_bytes` of device memory free, its MPS client registered at
+    /// `spec`, those bytes reserved and the model's weights (`attach`: its
+    /// name and bytes) attached through the node's store. A step that
+    /// fails undoes the ones before it. The record joins the node through
     /// [`Self::admit`].
     pub(super) fn create_pod(
         &mut self,
-        cluster: &mut Cluster,
-        now: SimTime,
         func: FuncId,
         spec: ResourceSpec,
         pod_bytes: u64,
         attach: Option<(&str, u64)>,
-    ) -> Result<(PodId, PodRt), PlatformError> {
-        let pod = cluster.create_pod(now, self.id, func, spec, pod_bytes, &mut self.gpu)?;
-        let client = cluster.pod(pod)?.client;
-        let storelib = match attach {
-            Some((model, weights)) => {
-                let mut lib = StoreLib::new();
-                lib.attach(&mut self.store, self.gpu.memory_mut(), model, &[("weights", weights)])?;
-                Some(lib)
-            }
-            None => None,
-        };
-        let rt = PodRt {
+    ) -> Result<PodRt, PlatformError> {
+        spec.validate();
+        if self.is_down() {
+            return Err(ClusterError::NodeDown(self.id).into());
+        }
+        let free = self.gpu.memory().free_bytes();
+        if free < pod_bytes {
+            return Err(ClusterError::OutOfMemory { requested: pod_bytes, free }.into());
+        }
+        let gpu_error = |e: &dyn std::fmt::Display| ClusterError::Gpu(e.to_string());
+        let client = self.gpu.register_client(spec.sm_partition).map_err(|e| gpu_error(&e))?;
+        let mut rt = PodRt {
             func,
-            node: self.id,
             client,
+            spec,
+            memory: None,
+            draining: false,
             active: None,
-            storelib,
+            storelib: None,
             bound_rect: false,
             zombie: None,
         };
-        Ok((pod, rt))
+        if pod_bytes > 0 {
+            match self.gpu.memory_mut().alloc(pod_bytes) {
+                Ok(ptr) => rt.memory = Some(ptr),
+                Err(e) => {
+                    self.release(&rt);
+                    return Err(gpu_error(&e).into());
+                }
+            }
+        }
+        if let Some((model, weights)) = attach {
+            let mut lib = StoreLib::new();
+            let attached = lib.attach(&mut self.store, self.gpu.memory_mut(), model, &[("weights", weights)]);
+            if let Err(e) = attached {
+                self.release(&rt);
+                return Err(e.into());
+            }
+            rt.storelib = Some(lib);
+        }
+        Ok(rt)
+    }
+
+    /// Frees a pod's memory reservation and unregisters its MPS client. A
+    /// pod with no work in flight releases both cleanly.
+    fn release(&mut self, rt: &PodRt) {
+        let freed = rt.memory.map_or(Ok(()), |ptr| self.gpu.memory_mut().free(ptr));
+        let unregistered = self.gpu.unregister_client(rt.client);
+        debug_assert!(freed.is_ok() && unregistered.is_ok(), "a pod's reservation and client are live");
     }
 
     /// Puts a created pod's runtime in the slab, and its backend table
@@ -222,17 +268,19 @@ impl NodeRt {
         PodAt { pod, node: self.id, slot }
     }
 
-    /// Re-applies a pod's resources: its MPS partition from its next
-    /// kernel launch, its backend row's quotas within this window.
+    /// Re-applies a pod's resources: `spec`, as registered with MPS, is
+    /// its partition from its next kernel launch, and `resources` its
+    /// backend row's quotas within this window.
     pub(super) fn respec_pod(
         &mut self,
         slot: usize,
         pod: PodId,
-        sm_partition: f64,
+        spec: ResourceSpec,
         resources: ResourceSpec,
     ) -> Result<(), PlatformError> {
-        let client = self.get(slot).ok_or(PlatformError::Internal("runtime missing for pod"))?.client;
-        self.gpu.set_partition(client, sm_partition)?;
+        let (rt, gpu) = self.pod_and_gpu(slot).ok_or(PlatformError::Internal("runtime missing for pod"))?;
+        gpu.set_partition(rt.client, spec.sm_partition)?;
+        rt.spec = spec;
         self.backend.update_spec(pod, resources);
         Ok(())
     }
@@ -252,44 +300,52 @@ impl NodeRt {
         Some((req, outstanding, bound))
     }
 
-    /// Tears down the pod at `slot`: its runtime leaves the slab, its
+    /// Tears down the pod at `slot`: its record leaves the slab, its
     /// backend row goes (a crashed pod's went when it was killed), its
-    /// weights detach from the store and the cluster deletes it, freeing
-    /// its memory and MPS client. Returns its runtime.
-    pub(super) fn delete_pod(&mut self, cluster: &mut Cluster, pod: PodId, slot: usize) -> Option<PodRt> {
+    /// weights detach from the store, and its memory and MPS client are
+    /// freed. Returns its record.
+    pub(super) fn delete_pod(&mut self, pod: PodId, slot: usize) -> Option<PodRt> {
         let mut rt = self.remove(slot)?;
         self.backend.deregister(pod);
         if let Some(lib) = rt.storelib.as_mut() {
             lib.detach(&mut self.store, self.gpu.memory_mut());
         }
-        let deleted = cluster.delete_pod(pod, &mut self.gpu);
-        debug_assert!(deleted.is_ok(), "pod exists in cluster");
+        self.release(&rt);
         Some(rt)
     }
 
     // ----- node health ------------------------------------------------
 
-    /// Powers the node off: the cluster marks it down, hard-resets its
-    /// device and returns the pods it lost (their runtimes stay in the
-    /// slab for the caller to take).
-    pub(super) fn crash(&mut self, cluster: &mut Cluster, now: SimTime) -> Result<Vec<Pod>, ClusterError> {
-        cluster.crash_node(now, self.id, &mut self.gpu)
-    }
-
-    /// The node after a crash: the hard-reset device stays, the backend
-    /// table and model store start afresh, and the slab is empty.
-    pub(super) fn reboot(self, backend: FastBackend) -> Self {
-        debug_assert!(self.pods().next().is_none(), "a crashed node keeps no pod");
-        NodeRt::new(self.id, backend, self.gpu)
+    /// Powers the node off: it goes down for good, its device is
+    /// hard-reset (resident kernels abort, MPS clients and all device
+    /// memory go), `backend` and an empty model store replace its own,
+    /// and its pods leave the slab. Returns them in ascending `PodId`
+    /// order; a node already down has none.
+    pub(super) fn crash(&mut self, now: SimTime, backend: FastBackend) -> Vec<(PodId, PodRt)> {
+        if self.is_down() {
+            return Vec::new();
+        }
+        self.state = NodeState::Down;
+        self.gpu.hard_reset(now);
+        self.backend = backend;
+        self.store = ModelStorageServer::new(DEFAULT_CTX_OVERHEAD);
+        let mut lost: Vec<(PodId, PodRt)> = self.pods.drain(..).flatten().collect();
+        lost.sort_unstable_by_key(|&(pod, _)| pod);
+        lost
     }
 
     /// A clock fault: degrades the node's clock by `factor`, or restores
-    /// full clock when `factor` is `None`.
-    pub(super) fn reclock(&mut self, cluster: &mut Cluster, factor: Option<f64>) {
-        let _ = match factor {
-            Some(factor) => cluster.degrade_node(self.id, factor, &mut self.gpu),
-            None => cluster.recover_node(self.id, &mut self.gpu),
+    /// full clock when `factor` is `None`. A node that is down stays so.
+    pub(super) fn reclock(&mut self, factor: Option<f64>) {
+        if self.is_down() {
+            return;
+        }
+        let (state, scale) = match factor {
+            Some(factor) => (NodeState::Degraded, factor),
+            None => (NodeState::Up, 1.0),
         };
+        self.state = state;
+        self.gpu.set_clock_scale(scale);
     }
 
     // ----- metrics ----------------------------------------------------
@@ -314,9 +370,9 @@ impl NodeRt {
         self.gpu.memory().used()
     }
 
-    /// The node's report row; series means count only samples after
-    /// `warmup` (all of them if none is).
-    pub(super) fn report(&self, name: String, pods: usize, up: bool, warmup: SimTime) -> NodeReport {
+    /// The node's report row, under its name `gpu-worker-{id}`; series
+    /// means count only samples after `warmup` (all of them if none is).
+    pub(super) fn report(&self, warmup: SimTime) -> NodeReport {
         let m = self.gpu.metrics();
         let series_mean = |s: &TimeSeries| {
             let vals: Vec<f64> = s
@@ -332,13 +388,13 @@ impl NodeRt {
             }
         };
         NodeReport {
-            name,
+            name: format!("gpu-worker-{}", self.id.0),
             gpu: self.gpu.spec().name.clone(),
             utilization: series_mean(m.utilization_series()),
             sm_occupancy: series_mean(m.occupancy_series()),
             kernels: m.total_kernels(),
-            pods,
-            up,
+            pods: self.pod_count(),
+            up: !self.is_down(),
             memory_used: self.memory_used(),
             utilization_series: m.utilization_series().clone(),
             occupancy_series: m.occupancy_series().clone(),
@@ -347,43 +403,73 @@ impl NodeRt {
 
     // ----- checkpoint -------------------------------------------------
 
-    /// Encodes the device; the cluster writes it inside its node table.
-    pub(super) fn snap_device(&self, w: &mut SnapWriter) {
-        self.gpu.snap(w);
+    /// Encodes the node's record: its health, device, backend table and
+    /// model store. Its pods go with the engine's pod records.
+    pub(super) fn snap_state(&self, w: &mut SnapWriter) {
+        let NodeRt {
+            id: _,
+            state,
+            gpu,
+            backend,
+            store,
+            pods: _,
+        } = self;
+        state.snap(w);
+        gpu.snap(w);
+        backend.snap(w);
+        store.snap(w);
     }
 
-    /// Encodes the node table: every node's backend table, then every
-    /// node's model store, each as one `NodeId`-keyed arena.
-    pub(super) fn snap_table(nodes: &IdArena<NodeId, NodeRt>, w: &mut SnapWriter) {
-        nodes.snap_with(w, |n, w| n.backend.snap(w));
-        nodes.snap_with(w, |n, w| n.store.snap(w));
+    /// Decodes node `id`'s record ([`Self::snap_state`]), with no pods
+    /// yet.
+    pub(super) fn unsnap_state(id: NodeId, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(NodeRt {
+            id,
+            state: NodeState::unsnap(r)?,
+            gpu: GpuDevice::unsnap(r)?,
+            backend: FastBackend::unsnap(r)?,
+            store: ModelStorageServer::unsnap(r)?,
+            pods: Vec::new(),
+        })
     }
 
-    /// Decodes [`Self::snap_table`] output, joining each node with its
-    /// device from `gpus` (in node order). A backend or store table whose
-    /// keys differ from the devices' is an error.
-    pub(super) fn unsnap_table(
-        r: &mut SnapReader<'_>,
-        gpus: Vec<(NodeId, GpuDevice)>,
-    ) -> Result<IdArena<NodeId, NodeRt>, SnapError> {
-        let mismatch = || SnapError::new("engine per-node services");
-        let mut gpus = gpus.into_iter().peekable();
-        let mut nodes = IdArena::unsnap_with(r, |id, r| {
-            let backend = FastBackend::unsnap(r)?;
-            let gpu = gpus.next_if(|&(g, _)| g == id).ok_or_else(mismatch)?.1;
-            Ok(NodeRt::new(id, backend, gpu))
-        })?;
-        if gpus.next().is_some() {
-            return Err(mismatch());
+    /// After decode, with every pod in its slab: a down node holds no pod,
+    /// and each pod's MPS client and memory reservation are live on this
+    /// node's device and its own, with no client or byte left over (the
+    /// device's memory in use is the pods' reservations plus the store's).
+    /// Resident kernels and bursts started no later than `now`, the
+    /// snapshot's clock.
+    pub(super) fn check_decoded(&self, now: SimTime) -> Result<(), SnapError> {
+        if self.is_down() && self.pod_count() > 0 {
+            return Err(SnapError::new("pod on a down node"));
         }
-        let mut stores: IdArena<NodeId, ModelStorageServer> = IdArena::unsnap(r)?;
-        if stores.len() != nodes.len() {
-            return Err(mismatch());
+        let mut clients: Vec<ClientId> = self.pods().map(|rt| rt.client).collect();
+        clients.sort_unstable();
+        clients.dedup();
+        let mps = self.gpu.mps();
+        if clients.len() != self.pod_count()
+            || clients.len() != mps.client_count()
+            || !clients.iter().all(|&c| mps.is_registered(c))
+        {
+            return Err(SnapError::new("pod mps client"));
         }
-        for (id, n) in nodes.iter_mut() {
-            n.store = stores.remove(id).ok_or_else(mismatch)?;
+        let mut reserved: Vec<_> = self.pods().filter_map(|rt| rt.memory).collect();
+        let held = reserved.len();
+        reserved.sort_unstable();
+        reserved.dedup_by_key(|ptr| ptr.offset);
+        let memory = self.gpu.memory();
+        let accounted = reserved.iter().map(|ptr| u128::from(ptr.len)).sum::<u128>()
+            + u128::from(self.store.total_bytes());
+        if reserved.len() != held
+            || !reserved.iter().all(|&ptr| memory.is_live(ptr))
+            || accounted != u128::from(memory.used())
+        {
+            return Err(SnapError::new("pod memory reservation"));
         }
-        Ok(nodes)
+        if self.gpu.latest_start().is_some_and(|t| t > now) {
+            return Err(SnapError::new("device start after the snapshot clock"));
+        }
+        Ok(())
     }
 
     /// After decode: moves every backend row to the slot its pod holds in
@@ -758,15 +844,16 @@ impl Engine {
         kernel: KernelId,
         queue: &mut EventQueue<Event>,
     ) {
-        // A finish scheduled before the node crashed: the kernel died with
-        // the hardware and was already accounted as aborted.
-        if matches!(self.cluster.node_state(node), Ok(NodeState::Down)) {
-            return;
-        }
-        let Some(gpu) = self.nodes.get_mut(node).map(|n| &mut n.gpu) else {
+        let Some(n) = self.nodes.get_mut(node) else {
             debug_assert!(false, "runtime per node");
             return;
         };
+        // A finish scheduled before the node crashed: the kernel died with
+        // the hardware and was already accounted as aborted.
+        if n.is_down() {
+            return;
+        }
+        let gpu = &mut n.gpu;
         // A kernel the device no longer knows (double finish, or a stale
         // event surviving a hard reset) is dropped: the typed error says
         // there is nothing left to account for.
@@ -1054,11 +1141,9 @@ impl Engine {
         node: NodeId,
         queue: &mut EventQueue<Event>,
     ) {
-        // Quota windows die with the node (and stop rescheduling).
-        if matches!(self.cluster.node_state(node), Ok(NodeState::Down)) {
-            return;
-        }
         match self.nodes.get_mut(node) {
+            // Quota windows die with the node (and stop rescheduling).
+            Some(n) if n.is_down() => return,
             Some(n) => n.backend.on_window_reset(now),
             None => debug_assert!(false, "runtime per node"),
         }
@@ -1071,7 +1156,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::manager::BackendConfig;
-    use fastg_gpu::{ClientId, GpuSpec, MpsMode};
+    use fastg_gpu::{GpuSpec, MpsMode};
 
     fn node() -> NodeRt {
         NodeRt::new(
@@ -1084,8 +1169,10 @@ mod tests {
     fn pod_rt() -> PodRt {
         PodRt {
             func: FuncId(0),
-            node: NodeId(0),
             client: ClientId(0),
+            spec: ResourceSpec::new(24.0, 0.5, 0.5, 0),
+            memory: None,
+            draining: false,
             active: None,
             storelib: None,
             bound_rect: false,
@@ -1141,6 +1228,101 @@ mod tests {
             stray.place_backend_rows().is_err(),
             "pod 3 is not on the node"
         );
+    }
+}
+
+/// Snapshot decode cross-checks each pod's record against its node's
+/// device and the gateway. Each forged record below would otherwise
+/// decode, and then panic the pod's drain or leave its MPS client and
+/// reservation behind when a node crashes.
+#[cfg(test)]
+mod decode_tests {
+    use super::NodeRt;
+    use crate::platform::engine::Engine;
+    use crate::platform::{FunctionConfig, Platform, PlatformConfig};
+    use fastg_cluster::NodeState;
+    use fastg_des::SimTime;
+    use fastg_workload::ArrivalProcess;
+
+    /// Two GPUs serving three half-GPU pods of one function: two pods on
+    /// one node and one on the other.
+    fn platform() -> Platform {
+        let mut p = Platform::new(PlatformConfig::default().nodes(2).seed(13));
+        let f = p
+            .deploy(FunctionConfig::new("f", "resnet50").replicas(3).resources(50.0, 1.0, 1.0))
+            .unwrap();
+        p.set_load(f, ArrivalProcess::constant(60.0));
+        p.run_for(SimTime::from_millis(100));
+        p
+    }
+
+    /// The node holding `n` pods.
+    fn holding(w: &mut Engine, n: usize) -> &mut NodeRt {
+        w.nodes.values_mut().find(|node| node.pod_count() == n).expect("placement")
+    }
+
+    /// The error decoding `platform()`'s checkpoint gives once `forge`
+    /// has edited the records it encodes.
+    fn refused(forge: impl FnOnce(&mut Engine)) -> &'static str {
+        let mut p = platform();
+        forge(p.sim.world_mut());
+        match Platform::from_snapshot(&p.checkpoint()) {
+            Ok(_) => panic!("forged records decoded"),
+            Err(e) => e.what,
+        }
+    }
+
+    #[test]
+    fn forged_pod_records_are_refused() {
+        assert!(Platform::from_snapshot(&platform().checkpoint()).is_ok());
+        // A reservation that is not live on the pod's node: one of the
+        // other node's.
+        let reservation = refused(|w| {
+            let crowded = holding(w, 2);
+            let foreign: Vec<_> = crowded.pods().filter_map(|rt| rt.memory).collect();
+            let lone = holding(w, 1);
+            let ptr = foreign.into_iter().find(|&p| !lone.gpu.memory().is_live(p)).expect("foreign");
+            lone.pods.iter_mut().flatten().for_each(|(_, rt)| rt.memory = Some(ptr));
+        });
+        assert_eq!(reservation, "pod memory reservation");
+        // A client registered on the other node and not on the pod's.
+        let client = refused(|w| {
+            let foreign = holding(w, 2).gpu.mps().client_ids();
+            let lone = holding(w, 1);
+            let c = foreign.into_iter().find(|&c| !lone.gpu.mps().is_registered(c)).expect("foreign");
+            lone.pods.iter_mut().flatten().for_each(|(_, rt)| rt.client = c);
+        });
+        assert_eq!(client, "pod mps client");
+        // Two pods holding one client.
+        let shared = refused(|w| {
+            let crowded = holding(w, 2);
+            let c = crowded.pods().next().expect("pod").client;
+            crowded.pods.iter_mut().flatten().for_each(|(_, rt)| rt.client = c);
+        });
+        assert_eq!(shared, "pod mps client");
+        // A pod record naming the other node: it is encoded from there.
+        let moved = refused(|w| {
+            let (pod, rt) = holding(w, 1).pods.iter().flatten().next().cloned().expect("pod");
+            let resources = w.funcs.values().next().expect("func").resources;
+            let at = holding(w, 2).admit(pod, rt, resources);
+            w.pod_loc.insert(pod, at);
+        });
+        assert_eq!(moved, "pod mps client");
+        // A pod on a node that is down.
+        let down = refused(|w| holding(w, 1).state = NodeState::Down);
+        assert_eq!(down, "pod on a down node");
+        // Gateway members that are not the serving pods: a member drains,
+        // or a serving pod is not a member.
+        let draining = refused(|w| {
+            let lone = holding(w, 1);
+            lone.pods.iter_mut().flatten().for_each(|(_, rt)| rt.draining = true);
+        });
+        assert_eq!(draining, "gateway members");
+        let unrouted = refused(|w| {
+            let (pod, rt) = holding(w, 1).pods.iter().flatten().next().cloned().expect("pod");
+            w.gateway.deregister_pod(rt.func, pod);
+        });
+        assert_eq!(unrouted, "gateway members");
     }
 }
 

@@ -1,14 +1,16 @@
-//! A pod's runtime record and where it lives.
+//! A pod's record and where it lives.
 //!
-//! A pod's runtime ([`PodRt`]) sits in its node's slab (see
+//! A pod's one record ([`PodRt`]) sits in its node's slab (see
 //! [`NodeRt`](super::node::NodeRt)) at a small *slot*; the engine's
 //! `PodId → (node, slot)` map of [`PodAt`]s resolves a pod to it in O(1).
+//! Pod ids are handed out in creation order, so the newest pods have the
+//! highest ids.
 
 use crate::modelshare::StoreLib;
-use fastg_cluster::{FuncId, NodeId, PodId, Request};
+use fastg_cluster::{FuncId, NodeId, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{CancelToken, SimTime};
-use fastg_gpu::ClientId;
+use fastg_gpu::{ClientId, DevicePtr};
 use fastg_models::{InferenceRun, ModelProfile};
 use std::sync::Arc;
 
@@ -42,10 +44,16 @@ pub(super) struct ActiveReq {
 #[derive(Clone)]
 pub(super) struct PodRt {
     pub(super) func: FuncId,
-    pub(super) node: NodeId,
-    /// The pod's MPS client id, resolved once at creation so the
-    /// per-burst launch path skips the cluster pod-table lookup.
+    /// The pod's MPS client on its node's GPU.
     pub(super) client: ClientId,
+    /// The pod's resources as registered with MPS: its function's, at a
+    /// 100 % SM partition under policies without spatial partitions. The
+    /// auto-scaler reads it; a reconfigure rewrites it.
+    pub(super) spec: ResourceSpec,
+    /// Device memory reserved at creation.
+    pub(super) memory: Option<DevicePtr>,
+    /// Out of routing: the pod is deleted once its request completes.
+    pub(super) draining: bool,
     pub(super) active: Option<ActiveReq>,
     pub(super) storelib: Option<StoreLib>,
     pub(super) bound_rect: bool,
@@ -110,16 +118,20 @@ impl PodRt {
     pub(super) fn snap_state(&self, w: &mut SnapWriter) {
         let Self {
             func,
-            node,
             client,
+            spec,
+            memory,
+            draining,
             active,
             storelib,
             bound_rect,
             zombie,
         } = self;
         func.snap(w);
-        node.snap(w);
         client.snap(w);
+        spec.snap(w);
+        memory.snap(w);
+        w.bool(*draining);
         match active {
             Some(a) => {
                 w.u8(1);
@@ -132,27 +144,30 @@ impl PodRt {
         zombie.snap(w);
     }
 
-    /// Decodes one pod, resolving its active request's model profile
-    /// through `profile_of` (the already decoded function table).
+    /// Decodes one pod, resolving its function's model profile through
+    /// `profile_of` (the already decoded function table): a pod of no
+    /// function is an error.
     pub(super) fn unsnap_state(
         r: &mut SnapReader<'_>,
         profile_of: impl Fn(FuncId) -> Option<Arc<ModelProfile>>,
     ) -> Result<Self, SnapError> {
         let func = FuncId::unsnap(r)?;
-        let node = NodeId::unsnap(r)?;
+        let profile = profile_of(func).ok_or(SnapError::new("pod function binding"))?;
         let client = ClientId::unsnap(r)?;
+        let spec = ResourceSpec::unsnap(r)?;
+        let memory = Option::unsnap(r)?;
+        let draining = r.bool()?;
         let active = match r.u8()? {
             0 => None,
-            1 => {
-                let profile = profile_of(func).ok_or(SnapError::new("pod function binding"))?;
-                Some(ActiveReq::unsnap_state(r, &profile)?)
-            }
+            1 => Some(ActiveReq::unsnap_state(r, &profile)?),
             _ => return Err(SnapError::new("pod active tag")),
         };
         Ok(PodRt {
             func,
-            node,
             client,
+            spec,
+            memory,
+            draining,
             active,
             storelib: Option::unsnap(r)?,
             bound_rect: r.bool()?,

@@ -3,7 +3,7 @@
 
 use super::engine::{schedule_next, Engine, Event};
 use super::lifecycle::is_synthetic;
-use fastg_cluster::{FuncId, NodeState};
+use fastg_cluster::FuncId;
 use fastg_des::{sanitizer, EventQueue, SimTime, TimeSeries};
 use std::collections::BTreeMap;
 
@@ -302,9 +302,8 @@ impl Engine {
         for n in self.nodes.values_mut() {
             n.sample_metrics(now, false);
         }
-        let counts = self.cluster.pod_counts();
         for (f, rt) in self.funcs.iter_mut() {
-            rt.replica_series.push(now, counts.running_of(f) as f64);
+            rt.replica_series.push(now, self.gateway.member_count(f) as f64);
         }
         schedule_next(queue, now, self.cfg.sample_interval, Event::MetricsSample);
     }
@@ -332,7 +331,6 @@ impl Engine {
             n.sample_metrics(now, true);
         }
         let warmup = self.cfg.warmup;
-        let counts = self.cluster.pod_counts();
         let mut functions = BTreeMap::new();
         for (id, rt) in self.funcs.iter() {
             let hist = rt.slo.histogram();
@@ -353,7 +351,7 @@ impl Engine {
                     slo: rt.slo.slo(),
                     slo_violations: rt.slo.violations(),
                     violation_ratio: rt.slo.violation_ratio(),
-                    replicas: counts.running_of(id),
+                    replicas: self.gateway.member_count(id),
                     replica_series: rt.replica_series.clone(),
                     dropped: self.gateway.dropped(id),
                     rejected: self.gateway.rejected(id),
@@ -367,14 +365,7 @@ impl Engine {
                 },
             );
         }
-        let mut nodes = Vec::new();
-        for id in self.cluster.node_ids() {
-            let (Ok(node), Some(nrt)) = (self.cluster.node(id), self.nodes.get(id)) else {
-                continue;
-            };
-            let up = !matches!(self.cluster.node_state(id), Ok(NodeState::Down));
-            nodes.push(nrt.report(node.name.clone(), counts.on_node(id), up, warmup));
-        }
+        let nodes = self.nodes.values().map(|n| n.report(warmup)).collect();
         if sanitizer::active() {
             self.sanitize_conservation(&functions);
         }

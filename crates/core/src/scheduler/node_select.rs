@@ -132,6 +132,16 @@ impl NodeSelector {
         Some((node, rect))
     }
 
+    /// Binds `pod` on `node` to a rectangle of `rect`'s size, such as the
+    /// one it just released. Returns whether it fit.
+    pub fn rebind(&mut self, node: NodeId, pod: PodId, rect: Rect) -> bool {
+        let placed = self.gpus.get_mut(node).and_then(|g| g.place(pod, rect.w, rect.h));
+        if placed.is_some() {
+            self.placements += 1;
+        }
+        placed.is_some()
+    }
+
     /// Per-GPU state, for reports and tests.
     pub fn gpu(&self, node: NodeId) -> Option<&GpuRects> {
         self.gpus.get(node)

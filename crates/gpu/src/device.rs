@@ -519,6 +519,14 @@ impl GpuDevice {
         self.running.len()
     }
 
+    /// The latest start among the resident kernels and the fast-forward
+    /// timelines' bursts, if any is on the device. A snapshot's device
+    /// can have started nothing after the snapshot's clock.
+    pub fn latest_start(&self) -> Option<SimTime> {
+        let resident = self.running.iter().map(|(_, r)| r.started);
+        resident.chain(self.ff.iter().map(|t| t.start)).max()
+    }
+
     /// Registers an MPS client with an active-thread percentage.
     pub fn register_client(&mut self, percentage: f64) -> Result<ClientId, MpsError> {
         let id = self.mps.register(percentage)?;

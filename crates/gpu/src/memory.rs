@@ -109,6 +109,11 @@ impl GpuMemory {
         self.free.values().copied().max().unwrap_or(0)
     }
 
+    /// Whether `ptr` is a live allocation, exactly (offset and length).
+    pub fn is_live(&self, ptr: DevicePtr) -> bool {
+        self.live.get(&ptr.offset) == Some(&ptr.len)
+    }
+
     /// Allocates `len` bytes (`cuMemAlloc`). First-fit.
     pub fn alloc(&mut self, len: u64) -> Result<DevicePtr, MemError> {
         if len == 0 {
@@ -138,9 +143,8 @@ impl GpuMemory {
     /// Frees an allocation (`cuMemFree`). Any IPC handles exported for it
     /// are invalidated.
     pub fn free(&mut self, ptr: DevicePtr) -> Result<(), MemError> {
-        match self.live.get(&ptr.offset) {
-            Some(&len) if len == ptr.len => {}
-            _ => return Err(MemError::InvalidPointer(ptr)),
+        if !self.is_live(ptr) {
+            return Err(MemError::InvalidPointer(ptr));
         }
         self.live.remove(&ptr.offset);
         self.handles.retain(|_, p| *p != ptr);
@@ -150,9 +154,8 @@ impl GpuMemory {
 
     /// Exports an IPC handle for a live allocation (`cuIpcGetMemHandle`).
     pub fn ipc_get_handle(&mut self, ptr: DevicePtr) -> Result<IpcHandle, MemError> {
-        match self.live.get(&ptr.offset) {
-            Some(&len) if len == ptr.len => {}
-            _ => return Err(MemError::InvalidPointer(ptr)),
+        if !self.is_live(ptr) {
+            return Err(MemError::InvalidPointer(ptr));
         }
         let h = IpcHandle(self.next_handle);
         self.next_handle += 1;

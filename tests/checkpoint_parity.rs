@@ -249,7 +249,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// crashed node's rebuilt backend and model store are pinned too.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 9, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 10, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -258,9 +258,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 13_514, 0x5124_2374_dffa_4109),
-        ("fleet", fleet, 11_906, 0x15b4_eae4_5657_5b89),
-        ("flash crowd after the node crash", crashed, 21_163, 0xca48_9eb4_b92c_9dc1),
+        ("flash crowd", flash, 13_323, 0x4657_9de7_c991_f2af),
+        ("fleet", fleet, 11_676, 0x9d7e_b368_a778_4838),
+        ("flash crowd after the node crash", crashed, 20_962, 0xbbd7_95d8_a74e_b804),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
@@ -384,6 +384,38 @@ fn from_snapshot_never_panics_on_corrupt_bytes() {
             restore(case, "overwrite", at);
         }
         restore(bytes[..at].to_vec(), "truncation", at);
+    }
+}
+
+/// `snapshot` with its clock set to `at` and everything else as it was
+/// (the payload opens with the clock, after the 8-byte header).
+fn with_clock(snapshot: &Snapshot, at: SimTime) -> Snapshot {
+    let mut bytes = snapshot.as_bytes().to_vec();
+    bytes[8..16].copy_from_slice(&at.as_micros().to_le_bytes());
+    Snapshot::from_bytes(bytes).unwrap()
+}
+
+/// A device cannot have started work after the snapshot's clock. One
+/// pod keeps a GPU busy (kernel by kernel, then as fast-forwarded
+/// bursts); its snapshot at 1,003 ms, with the clock set back to 500 ms,
+/// before the resident kernel or burst started, is refused with a typed
+/// error. Decoded, the kernel's finish would take `now - started` below
+/// zero: "SimTime subtraction underflow" in a debug build, a wrapped GPU
+/// time in a release one.
+#[test]
+fn device_starts_after_the_snapshot_clock_are_refused() {
+    for fastforward in [false, true] {
+        let cfg = PlatformConfig::default().nodes(1).seed(41).fastforward(fastforward);
+        let mut p = Platform::new(cfg);
+        p.deploy(FunctionConfig::new("f", "resnet50").resources(100.0, 1.0, 1.0).saturating())
+            .unwrap();
+        p.run_for(SimTime::from_millis(1003));
+        let snapshot = p.checkpoint();
+        assert!(Platform::from_snapshot(&with_clock(&snapshot, p.now())).is_ok());
+        let err = Platform::from_snapshot(&with_clock(&snapshot, SimTime::from_millis(500)))
+            .err()
+            .unwrap_or_else(|| panic!("a start past the clock decoded (fast-forward {fastforward})"));
+        assert_eq!(err.what, "device start after the snapshot clock", "fast-forward {fastforward}");
     }
 }
 

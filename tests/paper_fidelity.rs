@@ -90,3 +90,79 @@ fn fast_beats_time_sharing_by_the_papers_factors() {
     let (paper, rederived) = HEADLINE;
     assert_band("headline throughput", sum / PER_MODEL.len() as f64, paper, rederived);
 }
+
+/// Figure 12's own scenario: ResNet-50 under a 69 ms SLO, offered 10 →
+/// 130 → 40 req/s over 12 × 5 s with seed 121, four nodes, and the
+/// auto-scaler on an analytic Figure 8 profile (as `cargo bench -p
+/// fastg-bench --bench fig12_autoscaling` runs it). Returns the SLO
+/// violation ratio and the peak replica count over the interval ends.
+fn fig12_autoscaling() -> (f64, usize) {
+    use fastg_workload::ArrivalProcess;
+    use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
+
+    let model = fastg_models::zoo::resnet50();
+    let mut db = ProfileDb::new();
+    for (sm_pct, sms) in [(6.0, 5u32), (12.0, 10), (24.0, 19), (50.0, 40)] {
+        for q in [0.2, 0.4, 0.6, 0.8, 1.0] {
+            let record = ProfileRecord {
+                rps: model.ideal_rps(sms, q),
+                p50: model.latency_at(sms),
+                p99: model.latency_at(sms) * 2,
+                utilization: 0.0,
+                sm_occupancy: 0.0,
+            };
+            db.insert("resnet50", ProfileKey::new(sm_pct, q), record);
+        }
+    }
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(4)
+            .warmup(SimTime::from_secs(2))
+            .seed(121),
+    );
+    let f = p
+        .deploy(
+            FunctionConfig::new("resnet", "resnet50")
+                .slo_ms(69)
+                .replicas(1)
+                .resources(12.0, 0.4, 1.0),
+        )
+        .unwrap();
+    p.enable_autoscaler(db);
+    let at = SimTime::from_secs;
+    let load = vec![
+        (at(0), 10.0),
+        (at(10), 10.0),
+        (at(30), 130.0),
+        (at(40), 130.0),
+        (at(45), 40.0),
+        (at(60), 40.0),
+    ];
+    p.set_load(f, ArrivalProcess::profile(load, 121));
+    let mut peak = 0;
+    let mut violations = 0.0;
+    for _ in 0..12 {
+        let report = p.run_for(SimTime::from_secs(5));
+        let fr = &report.functions[&f];
+        peak = peak.max(fr.replicas);
+        violations = fr.violation_ratio;
+    }
+    (violations, peak)
+}
+
+/// EXPERIMENTS.md, "Figure 12": the paper keeps SLO violations below 1 %
+/// and this reproduction does not. The scenario measures 3.07 % (3,805
+/// requests) with replicas 1 → 9 → 1 → 3, and one pod serves 37.6 of the
+/// 40 req/s offered at 50 s. The bands pin that, ±0.5 points and ±1
+/// replica, so a change to the auto-scaler, the replica list or the drain
+/// order shows here; one that meets the paper must move the bands.
+#[test]
+fn fig12_autoscaling_violations_and_peak_replicas() {
+    let (violations, peak) = fig12_autoscaling();
+    assert!(
+        (0.0257..=0.0357).contains(&violations),
+        "SLO violations {:.2} %, re-derived 3.07 % (paper: < 1 %)",
+        100.0 * violations
+    );
+    assert!((8..=10).contains(&peak), "peak replicas {peak}, re-derived 9");
+}
