@@ -35,6 +35,6 @@ mod estimator;
 mod policy;
 
 pub use backend::{BackendConfig, BackendError, FastBackend, Grant, PodQuotaState, RequestOutcome};
-pub(crate) use backend::Ready;
+pub(crate) use backend::{Ready, SoloRow, SoloToken};
 pub use estimator::BurstEstimator;
 pub use policy::{SchedPolicy, SharingPolicy};

@@ -171,7 +171,7 @@ pub struct HandlerCounts {
     /// (every waiter quota-blocked until its window resets).
     pub dispatch_passes_skipped: u64,
     /// Bursts whose `BurstFastForward` a solo pod delivered to itself
-    /// inline (not events of their own; see the `node` module).
+    /// inline (not events of their own; see the `ahead` module).
     pub solo_steps: u64,
 }
 
@@ -274,7 +274,7 @@ pub struct Engine {
     pub(super) dispatch_pending: Vec<(u64, NodeId)>,
     /// Per-kind handled events and dispatch passes.
     pub(super) counts: HandlerCounts,
-    /// Whether solo pods may run ahead (see the `node` module) when
+    /// Whether solo pods may run ahead (see the `ahead` module) when
     /// fast-forward is on: true, except where a test turns it off to
     /// compare against the queue-stepped run. Not snapshotted; a restored
     /// platform has it on.
@@ -418,11 +418,7 @@ impl World for Engine {
             return false;
         }
         let (_, node) = self.dispatch_pending.remove(0);
-        // The pass is the instant's last work: a pod it grants alone may
-        // run ahead.
-        if let Some((at, stopped)) = self.run_pass(now, node, true, queue) {
-            self.step_pod(stopped, at, true, queue);
-        }
+        self.run_pass(now, node, queue);
         true
     }
 }

@@ -7,6 +7,7 @@
 //! when a caller actually displays it.
 
 use crate::modelshare::ShareError;
+use crate::profiler::SamplePlanError;
 use fastg_cluster::ClusterError;
 use fastg_des::snap::SnapError;
 use fastg_gpu::MpsError;
@@ -34,6 +35,14 @@ pub enum PlatformError {
     /// A checkpoint could not be decoded (truncated, version-mismatched
     /// or corrupt snapshot bytes).
     Snapshot(SnapError),
+    /// A profiling plan or trial point lies outside the profiled domain.
+    SamplePlan(SamplePlanError),
+}
+
+impl From<SamplePlanError> for PlatformError {
+    fn from(e: SamplePlanError) -> Self {
+        PlatformError::SamplePlan(e)
+    }
 }
 
 impl From<SnapError> for PlatformError {
@@ -78,6 +87,7 @@ impl std::fmt::Display for PlatformError {
             PlatformError::Internal(what) => write!(f, "internal: {what}"),
             PlatformError::Worker(e) => write!(f, "sweep worker: {e}"),
             PlatformError::Snapshot(e) => write!(f, "snapshot: {e}"),
+            PlatformError::SamplePlan(e) => write!(f, "profiling plan: {e}"),
         }
     }
 }

@@ -70,7 +70,7 @@ impl Engine {
                 // The handler's last action: the pod may run ahead.
                 Some(at) => {
                     self.start_request(now, at, req);
-                    self.step_pod(now, at, true, queue);
+                    self.run_ahead(now, at, queue);
                 }
                 None => debug_assert!(false, "the gateway routes to live pods"),
             }

@@ -20,6 +20,7 @@
 //!   control, and per-function load generators, SLO trackers and
 //!   throughput meters feeding the reports.
 
+mod ahead;
 mod autoscale;
 mod deploy;
 pub mod checkpoint;

@@ -11,43 +11,18 @@
 //! too, and a pod the one in its node's slab: the node creates, deletes,
 //! crashes and reclocks them itself.
 //!
-//! Four hot paths run here, each against one node:
+//! Three hot paths run here, each against one node:
 //! - `HostDone` → token request → burst launch ([`Engine::step_pod`]);
 //! - `BurstFastForward` → sync point → next phase
 //!   ([`Engine::on_burst_ff`]);
-//! - the end-of-instant dispatch pass ([`Engine::run_pass`]);
-//! - solo-pod run-ahead, the loop in [`Engine::step_pod`] that the other
-//!   three enter.
+//! - the end-of-instant dispatch pass ([`Engine::run_pass`]).
 //!
-//! **Run-ahead.** A pod alone on its node (the profiler's trials, the
-//! one-pod sharing cells) would push its next step, a `HostDone` or a
-//! `BurstFastForward`, only for the driver to pop it straight back. So
-//! while the step would be the driver's next delivery, the pod takes it
-//! inline and goes on: host phase, token request and the node's pass,
-//! burst launch and, when its timeline ends in time, the macro-event's
-//! completion ([`GpuDevice::ff_complete`]) and sync point, next phase,
-//! completion and the next request. A step is taken inline when
-//! - fast-forward is on and the handler or pass running now steps this
-//!   pod as its last action (`step_pod`'s `tail`: the data-plane events
-//!   and the dispatch pass; never a control-plane tick, a fault or an API
-//!   call);
-//! - no dispatch pass is owed at the current instant, except, for a token
-//!   wait, the pod's own node's, which then runs here;
-//! - the pod is solo ([`NodeRt::is_solo`]: it holds the node's only slot
-//!   and the device is idle), asked first;
-//! - the step is strictly before the queue head and the deadline of the
-//!   run in progress ([`EventQueue::is_next`]).
-//!
-//! Solo and the queue's limit are asked once per handler: nothing else
-//! moves while the pod runs ahead, and nothing is pushed before it stops.
-//!
-//! The loop stops at the first step that fails them and pushes it as
-//! usual; quota exhaustion, a grant the SM adapter refuses, an idle or a
-//! terminating pod end it through the normal path. Each inline delivery
-//! takes the sequence number its push would have taken and counts as a
-//! delivered event ([`EventQueue::deliver_inline`]), and is traced and
-//! counted per kind like the driver's, so everything observable is what
-//! the queue-stepped run leaves: `run_ahead_tests` below compares the two.
+//! A solo pod, one alone on its node ([`NodeRt::is_solo`]), leaves them
+//! from the first two: it runs ahead a stretch of stages at a time (the
+//! `ahead` module), on its backend row and device lane lifted out here
+//! ([`NodeRt::solo_parts`]) and written back once per stretch
+//! ([`NodeRt::put_solo_parts`]). `run_ahead_tests` below compare it with
+//! the queue-stepped run.
 //!
 //! Per-kernel stepping, fast-forward breaks and zombie drains, the paths
 //! fast-forward falls back to, run here too.
@@ -56,12 +31,12 @@ use super::engine::{schedule_next, Engine, Event};
 use super::error::PlatformError;
 use super::pod::{ActiveReq, PodAt, PodRt};
 use super::report::NodeReport;
-use crate::manager::{FastBackend, RequestOutcome};
+use crate::manager::{FastBackend, RequestOutcome, SoloRow};
 use crate::modelshare::{ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
 use fastg_cluster::{ClusterError, FuncId, NodeId, NodeState, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{EventQueue, SimTime, TimeSeries};
-use fastg_gpu::{ClientId, GpuDevice, KernelDesc, KernelId};
+use fastg_gpu::{BurstTally, ClientId, GpuDevice, KernelDesc, KernelId, SoloLane};
 use fastg_models::{InferenceRun, StageOp};
 use std::sync::Arc;
 
@@ -178,10 +153,25 @@ impl NodeRt {
     /// its slot while its kernels drain, so no other pod holds a lease,
     /// a place in the ready queue, a request or kernels. Asked between
     /// the pod's own bursts, when it has nothing on the device either.
-    fn is_solo(&self, slot: usize) -> bool {
+    pub(super) fn is_solo(&self, slot: usize) -> bool {
         let solo = slot == 0 && self.pods.len() == 1 && self.gpu.is_idle();
         debug_assert!(!solo || self.backend.alone_at(slot), "a lone pod's backend is its own");
         solo
+    }
+
+    /// The solo pod at `slot`'s backend row and device lane, lifted out
+    /// for a stretch of run-ahead; `None` if the device would not
+    /// fast-forward its bursts.
+    pub(super) fn solo_parts(&self, slot: usize) -> Option<(SoloRow, SoloLane)> {
+        let client = self.get(slot)?.client;
+        Some((self.backend.solo_row(slot)?, self.gpu.solo_lane(client)?))
+    }
+
+    /// Writes a stretch back: the pod's backend row, and the bursts its
+    /// lane ran.
+    pub(super) fn put_solo_parts(&mut self, slot: usize, row: SoloRow, lane: &SoloLane, bursts: &BurstTally) {
+        self.backend.put_solo_row(slot, row);
+        self.gpu.credit_solo(lane, bursts);
     }
 
     // ----- pod lifecycle ----------------------------------------------
@@ -483,44 +473,6 @@ impl NodeRt {
     }
 }
 
-/// Whether a stepping pod may run ahead: its caller steps it as its last
-/// action (`tail`), the pod is solo, and the step would be the driver's
-/// next delivery. Solo and the queue's limit are asked the first time a
-/// step could go inline, and kept: while the pod runs ahead nothing else
-/// moves, and nothing is pushed before it stops.
-struct Ahead {
-    tail: bool,
-    solo: Option<bool>,
-    limit: Option<SimTime>,
-}
-
-impl Ahead {
-    fn new(tail: bool) -> Self {
-        Ahead {
-            tail,
-            solo: None,
-            limit: None,
-        }
-    }
-
-    /// Whether the pod at `slot` of `node` is solo (asked once).
-    fn solo(&mut self, node: Option<&NodeRt>, slot: usize) -> bool {
-        self.tail
-            && *self
-                .solo
-                .get_or_insert_with(|| node.is_some_and(|n| n.is_solo(slot)))
-    }
-
-    /// Whether a step due at `t` would be the driver's next delivery
-    /// ([`EventQueue::is_next`]).
-    fn is_next(&mut self, t: SimTime, queue: &EventQueue<Event>) -> bool {
-        self.tail
-            && t < *self
-                .limit
-                .get_or_insert_with(|| queue.next_limit().unwrap_or(SimTime::ZERO))
-    }
-}
-
 impl Engine {
     /// Where `pod`'s runtime lives, if the pod exists.
     pub(super) fn locate(&self, pod: PodId) -> Option<PodAt> {
@@ -549,7 +501,7 @@ impl Engine {
             .pod_rt(at)
             .is_some_and(|rt| rt.zombie.is_none() && rt.active.is_some());
         if alive {
-            self.step_pod(now, at, true, queue);
+            self.run_ahead(now, at, queue);
         }
     }
 
@@ -563,7 +515,7 @@ impl Engine {
         queue: &mut EventQueue<Event>,
     ) {
         self.start_request(now, at, req);
-        self.step_pod(now, at, false, queue);
+        self.step_pod(now, at, queue);
     }
 
     /// Gives the idle pod at `at` the request `req`, its cursor at the
@@ -592,45 +544,23 @@ impl Engine {
     }
 
     /// Advances a pod's inference cursor to its next blocking operation
-    /// (the cursor itself skips empty phases).
-    ///
-    /// `tail` says the caller steps this pod as its last action (the
-    /// data-plane handlers and the dispatch pass): then a solo pod runs
-    /// ahead (see the module docs), taking inline each step that would
-    /// be the driver's next delivery and going on from it.
-    pub(super) fn step_pod(
-        &mut self,
-        mut now: SimTime,
-        at: PodAt,
-        tail: bool,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let mut ahead = Ahead::new(tail && self.run_ahead && self.cfg.fastforward);
+    /// (the cursor itself skips empty phases) through the queue: the
+    /// pod's next host phase or burst is pushed, or its burst waits for a
+    /// token; a completed request takes the next one from the same
+    /// instant. A data-plane handler that steps the pod as its last
+    /// action calls [`Self::run_ahead`] instead, which lets a solo pod run
+    /// ahead.
+    pub(super) fn step_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
         loop {
             let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
                 debug_assert!(false, "stepping requires a live pod with a request");
                 return;
             };
             match active.run.advance_indexed() {
-                StageOp::Host(d) => {
-                    let done = now + d;
-                    let event = Event::HostDone(at.pod);
-                    let inline = self.dispatch_pending.is_empty()
-                        && ahead.solo(self.nodes.get(at.node), at.slot)
-                        && ahead.is_next(done, queue);
-                    if !inline {
-                        queue.schedule(done, event);
-                        return;
-                    }
-                    self.deliver_inline(done, &event, queue);
-                    now = done;
-                }
+                StageOp::Host(d) => return queue.schedule(now + d, Event::HostDone(at.pod)),
                 StageOp::Burst(stage) => {
                     active.pending_stage = Some(stage);
-                    match self.try_start_burst(now, at, &mut ahead, queue) {
-                        Some(synced) => now = synced,
-                        None => return,
-                    }
+                    return self.try_start_burst(now, at, queue);
                 }
                 StageOp::Done => {
                     if !self.complete_request(now, at, queue) {
@@ -641,37 +571,20 @@ impl Engine {
         }
     }
 
-    /// Delivers `event` at `at` inline, traced and counted as the
-    /// driver's delivery would be.
-    fn deliver_inline(&mut self, at: SimTime, event: &Event, queue: &mut EventQueue<Event>) {
-        queue.deliver_inline(at);
-        self.note(at, event);
-    }
-
     /// Requests the token for the pod's pending burst and launches the
-    /// burst if it is granted. Returns the instant of the burst's sync
-    /// point if the pod ran ahead through it (see [`Self::launch_burst`]).
-    fn try_start_burst(
-        &mut self,
-        now: SimTime,
-        at: PodAt,
-        ahead: &mut Ahead,
-        queue: &mut EventQueue<Event>,
-    ) -> Option<SimTime> {
+    /// burst if it is granted; else the pod waits for its node's pass.
+    pub(super) fn try_start_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
         let Some(node) = self.nodes.get_mut(at.node) else {
             debug_assert!(false, "runtime per node");
-            return None;
+            return;
         };
         // A `None` outcome: the pod's backend row is gone (crash teardown
         // raced this burst); the pod itself is being destroyed, so do
         // nothing.
-        match node.backend.request_at(now, at.slot)? {
-            // Lease expiry is enforced lazily, at the pod's own sync
-            // points and re-requests: a real time-slice holder is not
-            // preempted during sub-millisecond host gaps, which is
-            // precisely why time sharing wastes the GPU on them.
-            RequestOutcome::Granted(_) => self.launch_burst(now, at, ahead, queue),
-            RequestOutcome::Queued | RequestOutcome::BlockedUntilReset => {
+        match node.backend.request_at(now, at.slot) {
+            None => {}
+            Some(RequestOutcome::Granted(_)) => self.launch_burst(now, at, queue),
+            Some(RequestOutcome::Queued | RequestOutcome::BlockedUntilReset) => {
                 if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
                     active.waiting_token = true;
                 } else {
@@ -679,75 +592,35 @@ impl Engine {
                 }
                 // The pod waits now (only a token policy queues it).
                 self.owe_pass(at.node, queue);
-                self.pass_inline(now, at, ahead, queue)
             }
         }
     }
 
-    /// A solo pod waits for a token: when its node's pass is the only one
-    /// owed and nothing in the queue comes first, the driver would run
-    /// that pass next, so it runs here. Returns what the pass's launch
-    /// returns for the pod.
-    fn pass_inline(
-        &mut self,
-        now: SimTime,
-        at: PodAt,
-        ahead: &mut Ahead,
-        queue: &mut EventQueue<Event>,
-    ) -> Option<SimTime> {
-        let inline = matches!(self.dispatch_pending[..], [(_, n)] if n == at.node)
-            && ahead.solo(self.nodes.get(at.node), at.slot)
-            && ahead.is_next(now, queue);
-        if !inline {
-            return None;
-        }
-        self.dispatch_pending.clear();
-        let (ran, synced) = self.run_pass(now, at.node, true, queue)?;
-        debug_assert_eq!(ran, at, "a solo pod's pass launches only that pod");
-        Some(synced)
-    }
-
     /// Launches the pod's pending burst: as one fast-forwarded timeline
     /// and macro-event when the device admits it, else kernel by kernel.
-    ///
-    /// A solo pod whose timeline ends before the driver's next delivery
-    /// takes that macro-event inline instead of pushing it, and its sync
-    /// point; the burst's end is returned then, from which the caller
-    /// steps the pod on.
-    fn launch_burst(
-        &mut self,
-        now: SimTime,
-        at: PodAt,
-        ahead: &mut Ahead,
-        queue: &mut EventQueue<Event>,
-    ) -> Option<SimTime> {
-        // Asked before the launch, whose timeline makes the device busy.
-        let solo = self.dispatch_pending.is_empty() && ahead.solo(self.nodes.get(at.node), at.slot);
-        let Engine {
-            cfg,
-            nodes,
-            ff_bursts,
-            ..
-        } = self;
+    pub(super) fn launch_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+        let Engine { cfg, nodes, ff_bursts, .. } = self;
         let Some(node) = nodes.get_mut(at.node) else {
             debug_assert!(false, "runtime per node");
-            return None;
+            return;
         };
         // Crash teardown raced the grant; the pod is being destroyed.
-        node.backend.begin_burst_at(at.slot)?;
+        if node.backend.begin_burst_at(at.slot).is_none() {
+            return;
+        }
         let Some((rt, gpu)) = node.pod_and_gpu(at.slot) else {
             debug_assert!(false, "pod exists");
-            return None;
+            return;
         };
         let client = rt.client;
         let Some(active) = rt.active.as_mut() else {
             debug_assert!(false, "burst belongs to a request");
-            return None;
+            return;
         };
         active.waiting_token = false;
         let Some(stage_index) = active.pending_stage.take() else {
             debug_assert!(false, "launching an empty burst");
-            return None;
+            return;
         };
         // The cursor guarantees the stage is non-empty.
         let stage = &active.run.profile().stages[stage_index];
@@ -767,14 +640,8 @@ impl Engine {
             };
             if let Some(end) = gpu.fast_forward_burst(now, client, desc, count) {
                 *ff_bursts += 1;
-                let event = Event::BurstFastForward(at.node, at.pod);
-                if solo && ahead.is_next(end, queue) {
-                    self.counts.solo_steps += 1;
-                    self.deliver_inline(end, &event, queue);
-                    return self.complete_ff_burst(end, at, queue).then_some(end);
-                }
-                active.ff = Some(queue.schedule_cancellable(end, event));
-                return None;
+                active.ff = Some(queue.schedule_cancellable(end, Event::BurstFastForward(at.node, at.pod)));
+                return;
             }
         }
 
@@ -785,7 +652,6 @@ impl Engine {
             self.ff_break_node(now, at.node, queue);
         }
         self.launch_kernels(now, at, stage_index, queue);
-        None
     }
 
     /// The per-kernel fallback: launches every kernel of the stage into
@@ -797,11 +663,7 @@ impl Engine {
         stage_index: usize,
         queue: &mut EventQueue<Event>,
     ) {
-        let Engine {
-            nodes,
-            burst_scratch,
-            ..
-        } = self;
+        let Engine { nodes, burst_scratch, .. } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             debug_assert!(false, "pod exists");
             return;
@@ -899,7 +761,7 @@ impl Engine {
         if active.outstanding == 0 {
             let gpu_time = active.burst_gpu_time;
             self.sync_burst(now, at, gpu_time, queue);
-            self.step_pod(now, at, true, queue);
+            self.run_ahead(now, at, queue);
         }
     }
 
@@ -925,9 +787,11 @@ impl Engine {
         }
     }
 
-    /// Delivers a burst's coalesced macro-event: the analytic end of a
-    /// fast-forwarded burst. Every invalidation path cancels the token
-    /// first, so a delivered macro-event always finds its timeline.
+    /// Delivers a burst's coalesced macro-event, the analytic end of a
+    /// fast-forwarded burst: drops its timeline, accounts its kernels,
+    /// runs its sync point and steps the pod on. Every invalidation path
+    /// cancels the token first, so a delivered macro-event always finds
+    /// its timeline.
     pub(super) fn on_burst_ff(
         &mut self,
         now: SimTime,
@@ -940,28 +804,15 @@ impl Engine {
             return;
         };
         debug_assert_eq!(at.node, node, "macro-event names the pod's node");
-        if self.complete_ff_burst(now, at, queue) {
-            self.step_pod(now, at, true, queue);
-        }
-    }
-
-    /// Completes the pod's fast-forwarded burst at its end `now`: drops
-    /// its timeline, accounts its kernels and runs its sync point. The
-    /// caller steps the pod on if this returns true.
-    fn complete_ff_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) -> bool {
-        let Engine {
-            nodes,
-            ff_coalesced_kernels,
-            ..
-        } = self;
+        let Engine { nodes, ff_coalesced_kernels, .. } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             debug_assert!(false, "located pod has a runtime");
-            return false;
+            return;
         };
         let client = rt.client;
         let Some(active) = rt.active.as_mut() else {
             debug_assert!(false, "macro-event without a request");
-            return false;
+            return;
         };
         active.ff = None;
         let Some(done) = gpu.ff_complete(now, client) else {
@@ -969,7 +820,7 @@ impl Engine {
                 false,
                 "macro-event without a timeline (token not cancelled)"
             );
-            return false;
+            return;
         };
         *ff_coalesced_kernels += done.completed;
         debug_assert_eq!(
@@ -981,18 +832,14 @@ impl Engine {
         active.burst_gpu_time += done.gpu_time;
         let gpu_time = active.burst_gpu_time;
         self.sync_burst(now, at, gpu_time, queue);
-        true
+        self.run_ahead(now, at, queue);
     }
 
     /// Invalidates a pod's fast-forwarded burst (if any): cancels its
     /// macro-event, has the device reconstruct exact per-kernel state, and
     /// resumes normal stepping from the materialized mid-flight kernel.
     pub(super) fn ff_break_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
-        let Engine {
-            nodes,
-            ff_coalesced_kernels,
-            ..
-        } = self;
+        let Engine { nodes, ff_coalesced_kernels, .. } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             return;
         };
@@ -1023,17 +870,8 @@ impl Engine {
     /// Invalidates every fast-forwarded burst on a node; called before any
     /// contention change (a client activating past the SM budget,
     /// repartition, clock change). Only the node's own pods are read.
-    pub(super) fn ff_break_node(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let pods = self
-            .nodes
-            .get(node)
-            .map(NodeRt::fast_forwarded)
-            .unwrap_or_default();
+    pub(super) fn ff_break_node(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
+        let pods = self.nodes.get(node).map(NodeRt::fast_forwarded).unwrap_or_default();
         for at in pods {
             self.ff_break_pod(now, at, queue);
         }
@@ -1087,36 +925,23 @@ impl Engine {
     /// Runs a node's owed dispatch pass, traced: one canonical-order walk
     /// of the ready queue, granting tokens until the SM budget stops it,
     /// then launching each granted pod's pending burst. This is the only
-    /// place a pod waiting for a token starts. A pass is skipped, and
+    /// place a pod waiting for a token starts, except that a solo pod runs
+    /// its own pass ahead (see the `ahead` module). A pass is skipped, and
     /// counted as skipped, when no waiter is grantable (every waiter is
     /// quota-blocked until its window resets), as it would grant nothing.
-    ///
-    /// `tail` says the pass is its caller's last action. Then a pod the
-    /// pass granted alone, and which is solo, may run its burst whole;
-    /// the pass returns that pod, with the instant it stopped at, and the
-    /// caller steps it on from there.
-    pub(super) fn run_pass(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        tail: bool,
-        queue: &mut EventQueue<Event>,
-    ) -> Option<(PodAt, SimTime)> {
-        if self.cfg.trace_events {
-            self.trace.push(format!("{now:?} dispatch pass {node:?}"));
-        }
-        let n = self.nodes.get_mut(node)?;
+    pub(super) fn run_pass(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
+        self.trace_pass(now, node);
+        let Some(n) = self.nodes.get_mut(node) else {
+            return;
+        };
         if !n.backend.has_grantable() {
             self.counts.dispatch_passes_skipped += 1;
-            return None;
+            return;
         }
         self.counts.dispatch_passes += 1;
         let mut granted = std::mem::take(&mut self.granted_scratch);
         n.backend
             .dispatch_slots(now, &mut self.ready_scratch, &mut granted);
-        // Two pods granted at once are not solo.
-        let alone = tail && self.run_ahead && self.cfg.fastforward && granted.len() == 1;
-        let mut ran = None;
         for &slot in &granted {
             let Some(n) = self.nodes.get(node) else {
                 break;
@@ -1126,21 +951,21 @@ impl Engine {
                 .and_then(|rt| rt.active.as_ref())
                 .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
             if let Some(at) = n.at(slot).filter(|_| has_burst) {
-                let mut ahead = Ahead::new(alone);
-                ran = self.launch_burst(now, at, &mut ahead, queue).map(|synced| (at, synced));
+                self.launch_burst(now, at, queue);
             }
         }
         granted.clear();
         self.granted_scratch = granted;
-        ran
     }
 
-    pub(super) fn on_window_reset(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        queue: &mut EventQueue<Event>,
-    ) {
+    /// Traces a dispatch pass of `node` run at `now`.
+    pub(super) fn trace_pass(&mut self, now: SimTime, node: NodeId) {
+        if self.cfg.trace_events {
+            self.trace.push(format!("{now:?} dispatch pass {node:?}"));
+        }
+    }
+
+    pub(super) fn on_window_reset(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
         match self.nodes.get_mut(node) {
             // Quota windows die with the node (and stop rescheduling).
             Some(n) if n.is_down() => return,
@@ -1328,7 +1153,7 @@ mod decode_tests {
 
 /// Run-ahead parity and engagement.
 ///
-/// A solo pod's inline steps (see the `node` module) must leave exactly
+/// A solo pod's inline steps (see the `ahead` module) must leave exactly
 /// what the queue-stepped run leaves: the checkpoint bytes, the event
 /// count, the per-kind handler counts, the event trace and every report
 /// digest, wherever a run stops. Run-ahead rides on fast-forward, so the
@@ -1342,6 +1167,7 @@ mod run_ahead_tests {
     use crate::profiler::{ConfigServer, Experiment, TrialResult};
     use fastg_des::SimTime;
     use fastg_workload::ArrivalProcess;
+    use proptest::prelude::*;
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_millis(n)
@@ -1551,7 +1377,7 @@ mod run_ahead_tests {
     fn every_profiler_trial_matches_per_kernel_stepping() {
         for model in ["resnet50", "rnnt", "bert_base", "gnmt"] {
             let e = Experiment::new(model, ConfigServer::paper_grid());
-            for (sm, quota) in ConfigServer::paper_grid().sample() {
+            for (sm, quota) in ConfigServer::paper_grid().sample().unwrap() {
                 let (ff, ff_digest) = trial(&e, e.trial_config().fastforward(true), sm, quota);
                 let (stepped, digest) = trial(&e, e.trial_config().fastforward(false), sm, quota);
                 assert_eq!(bits(&ff), bits(&stepped), "{model} {sm}/{quota}");
@@ -1588,7 +1414,7 @@ mod run_ahead_tests {
         let (mut inline, mut bursts) = (0, 0);
         for model in ["rnnt", "gnmt"] {
             let e = Experiment::new(model, ConfigServer::paper_grid());
-            for (sm, quota) in ConfigServer::paper_grid().sample() {
+            for (sm, quota) in ConfigServer::paper_grid().sample().unwrap() {
                 let cfg = e.trial_config().fastforward(true);
                 let mut run = e.start_trial_in(cfg, sm, quota).unwrap();
                 run.extend_to(e.trial_duration);
@@ -1638,5 +1464,65 @@ mod run_ahead_tests {
         let share = inline_share(&p.handler_counts(), p.ff_bursts());
         assert!(p.ff_bursts() > 1_000, "{} bursts", p.ff_bursts());
         assert!(share < 0.01, "{:.4} of {} bursts inline", share, p.ff_bursts());
+    }
+
+    const MODELS: [&str; 6] = ["resnet50", "bert_base", "rnnt", "gnmt", "resnext101", "vit_huge"];
+    const POLICIES: [SharingPolicy; 3] = [SharingPolicy::FaST, SharingPolicy::SingleToken, SharingPolicy::Racing];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 160 } else { 1024 }))]
+
+        /// Run-ahead on and off, over a random lone pod (model, SM %,
+        /// quota, policy, seed, and a saturating or Poisson load), through
+        /// 1–4 random `run_for` slices with a checkpoint → restore at one
+        /// slice boundary: the digests, the event counts, every handler
+        /// count but `solo_steps`, the traces and the checkpoint bytes
+        /// match after every slice.
+        #[test]
+        fn run_ahead_leaves_the_stepped_state_on_random_lone_pods(
+            model in 0usize..MODELS.len(),
+            sm_pct in 1u32..=100,
+            quota_pct in 5u32..=100,
+            policy in 0usize..POLICIES.len(),
+            seed in any::<u64>(),
+            load_pct in 0u32..150,
+            slices in prop::collection::vec(1u64..1_500_000, 1..5),
+            restore_at in 0usize..4,
+        ) {
+            let (model, policy) = (MODELS[model], POLICIES[policy]);
+            let (sm, quota) = (f64::from(sm_pct), f64::from(quota_pct) / 100.0);
+            let build = || {
+                let mut p = Platform::new(traced(seed).nodes(1).policy(policy));
+                let f = FunctionConfig::new("lone", model).resources(sm, quota, quota);
+                // Under a third of the load range, the pod saturates;
+                // above it, Poisson arrivals come at that share of the
+                // pod's ideal rate.
+                if load_pct < 50 {
+                    p.deploy(f.saturating()).unwrap();
+                } else {
+                    let f = p.deploy(f).unwrap();
+                    let sms = (80 * sm_pct / 100).max(1);
+                    let ideal = fastg_models::zoo::by_name(model).unwrap().ideal_rps(sms, quota);
+                    let rate = (ideal * f64::from(load_pct - 50) / 100.0).max(0.5);
+                    p.set_load(f, ArrivalProcess::poisson(rate, seed));
+                }
+                p
+            };
+            let (mut on, mut off) = (build(), build());
+            off.set_run_ahead(false);
+            let restore_at = restore_at % slices.len();
+            for (i, &us) in slices.iter().enumerate() {
+                let at = format!("{model} {sm}/{quota} {policy:?} seed {seed} load {load_pct}, slice {i}");
+                if i == restore_at {
+                    on = Platform::from_snapshot(&on.checkpoint()).unwrap();
+                    off = Platform::from_snapshot(&off.checkpoint()).unwrap();
+                    off.set_run_ahead(false);
+                }
+                let d = SimTime::from_micros(us);
+                prop_assert_eq!(on.run_for(d).digest(), off.run_for(d).digest(), "{}: report digest", at);
+                assert_same_state(&on, &off, &at);
+            }
+            prop_assert_eq!(off.handler_counts().solo_steps, 0);
+        }
     }
 }

@@ -27,6 +27,62 @@ pub enum SamplePlan {
     },
 }
 
+/// A sampling plan reaching outside the profiled domain, (0, 100] % SMs
+/// × (0, 1] quota. A trial there would run at a clamped configuration
+/// and be filed under one that never ran, so such a plan is refused
+/// before any trial runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SamplePlanError {
+    /// An SM percentage outside (0, 100]: a grid point, or a random
+    /// plan's `min_sm`.
+    Spatial(f64),
+    /// A quota outside (0, 1].
+    Temporal(f64),
+}
+
+impl std::fmt::Display for SamplePlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SamplePlanError::Spatial(sm) => write!(f, "SM partition {sm} % outside (0, 100]"),
+            SamplePlanError::Temporal(q) => write!(f, "quota {q} outside (0, 1]"),
+        }
+    }
+}
+
+impl std::error::Error for SamplePlanError {}
+
+/// Whether `(sm %, quota)` lies in the profiled domain.
+pub(crate) fn check_point(sm: f64, quota: f64) -> Result<(), SamplePlanError> {
+    check_sm(sm)?;
+    check_quota(quota)
+}
+
+fn check_sm(sm: f64) -> Result<(), SamplePlanError> {
+    let valid = sm > 0.0 && sm <= 100.0;
+    valid.then_some(()).ok_or(SamplePlanError::Spatial(sm))
+}
+
+fn check_quota(quota: f64) -> Result<(), SamplePlanError> {
+    let valid = quota > 0.0 && quota <= 1.0;
+    valid.then_some(()).ok_or(SamplePlanError::Temporal(quota))
+}
+
+impl SamplePlan {
+    /// Whether every point the plan can sample lies in the profiled
+    /// domain (NaN never does). A random plan draws SM percentages from
+    /// `[min_sm, 100]`, rounded to at least 1 %, and quotas from
+    /// `[0.05, 1]`, so only its `min_sm` can reach outside.
+    pub fn validate(&self) -> Result<(), SamplePlanError> {
+        match self {
+            SamplePlan::Grid { spatial, temporal } => {
+                spatial.iter().try_for_each(|&sm| check_sm(sm))?;
+                temporal.iter().try_for_each(|&q| check_quota(q))
+            }
+            SamplePlan::Random { min_sm, .. } => check_sm(*min_sm),
+        }
+    }
+}
+
 /// The configuration server: yields the `(sm_partition, quota)` pairs an
 /// experiment profiles.
 #[derive(Debug, Clone)]
@@ -58,18 +114,17 @@ impl ConfigServer {
     }
 
     /// Materializes the sample list, deterministic for a given plan.
-    pub fn sample(&self) -> Vec<(f64, f64)> {
-        match &self.plan {
+    ///
+    /// # Errors
+    /// A [`SamplePlanError`] if the plan reaches outside the profiled
+    /// domain ([`SamplePlan::validate`]).
+    pub fn sample(&self) -> Result<Vec<(f64, f64)>, SamplePlanError> {
+        self.plan.validate()?;
+        Ok(match &self.plan {
             SamplePlan::Grid { spatial, temporal } => {
                 let mut out = Vec::with_capacity(spatial.len() * temporal.len());
                 for &s in spatial {
-                    for &q in temporal {
-                        debug_assert!(s > 0.0 && s <= 100.0, "spatial point {s} out of range");
-                        debug_assert!(q > 0.0 && q <= 1.0, "temporal point {q} out of range");
-                        let s = s.clamp(f64::MIN_POSITIVE, 100.0);
-                        let q = q.clamp(f64::MIN_POSITIVE, 1.0);
-                        out.push((s, q));
-                    }
+                    out.extend(temporal.iter().map(|&q| (s, q)));
                 }
                 out
             }
@@ -85,7 +140,7 @@ impl ConfigServer {
                     })
                     .collect()
             }
-        }
+        })
     }
 }
 
@@ -95,7 +150,7 @@ mod tests {
 
     #[test]
     fn paper_grid_has_35_points() {
-        let pts = ConfigServer::paper_grid().sample();
+        let pts = ConfigServer::paper_grid().sample().unwrap();
         assert_eq!(pts.len(), 35);
         assert!(pts.contains(&(6.0, 0.2)));
         assert!(pts.contains(&(100.0, 1.0)));
@@ -103,30 +158,41 @@ mod tests {
 
     #[test]
     fn random_plan_is_seeded() {
-        let a = ConfigServer::new(SamplePlan::Random {
+        let plan = SamplePlan::Random {
             n: 10,
             min_sm: 5.0,
             seed: 3,
-        })
-        .sample();
-        let b = ConfigServer::new(SamplePlan::Random {
-            n: 10,
-            min_sm: 5.0,
-            seed: 3,
-        })
-        .sample();
+        };
+        let a = ConfigServer::new(plan.clone()).sample().unwrap();
+        let b = ConfigServer::new(plan).sample().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
         assert!(a.iter().all(|&(s, q)| (5.0..=100.0).contains(&s) && q > 0.0 && q <= 1.0));
     }
 
     #[test]
-    #[should_panic(expected = "temporal point")]
-    fn invalid_grid_point_panics() {
-        ConfigServer::new(SamplePlan::Grid {
-            spatial: vec![10.0],
-            temporal: vec![1.5],
-        })
-        .sample();
+    fn grid_points_outside_the_domain_are_refused() {
+        let grid = |spatial: Vec<f64>, temporal: Vec<f64>| {
+            ConfigServer::new(SamplePlan::Grid { spatial, temporal }).sample()
+        };
+        assert_eq!(grid(vec![10.0], vec![1.5]), Err(SamplePlanError::Temporal(1.5)));
+        assert_eq!(grid(vec![10.0], vec![0.0]), Err(SamplePlanError::Temporal(0.0)));
+        assert_eq!(grid(vec![150.0], vec![0.5]), Err(SamplePlanError::Spatial(150.0)));
+        assert_eq!(grid(vec![-1.0], vec![0.5]), Err(SamplePlanError::Spatial(-1.0)));
+        assert!(matches!(grid(vec![f64::NAN, 50.0], vec![0.5]), Err(SamplePlanError::Spatial(s)) if s.is_nan()));
+        assert!(matches!(grid(vec![50.0], vec![f64::NAN]), Err(SamplePlanError::Temporal(q)) if q.is_nan()));
+        // The domain's closed ends are in it.
+        assert_eq!(grid(vec![100.0], vec![1.0]), Ok(vec![(100.0, 1.0)]));
+        assert_eq!(grid(vec![], vec![]), Ok(vec![]));
+    }
+
+    #[test]
+    fn random_plan_min_sm_outside_the_domain_is_refused() {
+        let random = |min_sm: f64| ConfigServer::new(SamplePlan::Random { n: 4, min_sm, seed: 1 }).sample();
+        assert_eq!(random(150.0), Err(SamplePlanError::Spatial(150.0)));
+        assert_eq!(random(0.0), Err(SamplePlanError::Spatial(0.0)));
+        assert!(random(f64::NAN).is_err());
+        let edge = random(100.0).unwrap();
+        assert!(edge.iter().all(|&(s, _)| s == 100.0), "{edge:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! The Experiment→Trial workflow: one trial per sampled configuration.
 
-use super::config::ConfigServer;
+use super::config::{check_point, ConfigServer};
 use super::db::{ProfileDb, ProfileKey, ProfileRecord};
 use crate::manager::SharingPolicy;
 use crate::platform::{FunctionConfig, Platform, PlatformConfig, PlatformError, Snapshot};
@@ -75,13 +75,16 @@ impl Experiment {
             .seed(self.seed)
     }
 
-    /// [`Self::start_trial`] on a platform built from `cfg`.
+    /// [`Self::start_trial`] on a platform built from `cfg`. A point
+    /// outside the profiled domain is refused ([`check_point`]): its
+    /// trial would run clamped and be filed under a key that never ran.
     pub(crate) fn start_trial_in(
         &self,
         cfg: PlatformConfig,
         sm: f64,
         quota: f64,
     ) -> Result<TrialRun, PlatformError> {
+        check_point(sm, quota)?;
         let mut platform = Platform::new(cfg);
         let func = platform.deploy(
             FunctionConfig::new(&format!("profile-{}-p{sm}-q{quota}", self.model), &self.model)
@@ -103,10 +106,12 @@ impl Experiment {
     }
 
     /// Runs the whole experiment, inserting every trial into `db` under
-    /// the model's name. Returns the trials in sampling order.
+    /// the model's name. Returns the trials in sampling order. A plan
+    /// reaching outside the profiled domain is refused before any trial
+    /// runs.
     pub fn run(&self, db: &mut ProfileDb) -> Result<Vec<TrialResult>, PlatformError> {
         let mut out = Vec::new();
-        for (sm, quota) in self.server.sample() {
+        for (sm, quota) in self.server.sample()? {
             let trial = self.run_trial(sm, quota)?;
             db.insert(&self.model, trial.key, trial.record);
             out.push(trial);
@@ -121,13 +126,15 @@ impl Experiment {
     /// seed), so this is embarrassingly parallel; results are returned in
     /// sampling order and the database content is identical to
     /// [`Self::run`] — parallelism changes wall-clock time only, never
-    /// results. A panicking trial surfaces as [`PlatformError::Worker`].
+    /// results. A panicking trial surfaces as [`PlatformError::Worker`],
+    /// and a plan reaching outside the profiled domain is refused before
+    /// any trial runs.
     pub fn run_parallel(
         &self,
         db: &mut ProfileDb,
         threads: usize,
     ) -> Result<Vec<TrialResult>, PlatformError> {
-        let points = self.server.sample();
+        let points = self.server.sample()?;
         let out = fastg_par::try_par_map(points, threads, |_, (sm, quota)| {
             self.run_trial(sm, quota)
         })?;
@@ -237,7 +244,7 @@ impl TrialSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::config::SamplePlan;
+    use crate::profiler::config::{SamplePlan, SamplePlanError};
 
     fn quick_experiment(spatial: Vec<f64>, temporal: Vec<f64>) -> Experiment {
         Experiment::new(
@@ -299,6 +306,33 @@ mod tests {
         let measured = resumed.extend_to(SimTime::from_secs(2));
         assert_eq!(measured.key, reference.key);
         assert_eq!(measured.record, reference.record);
+    }
+
+    /// A plan reaching outside (0, 100] % × (0, 1] is refused with a
+    /// typed error before any trial runs, serial or parallel, whatever
+    /// the valid points beside it; so is a lone trial there.
+    #[test]
+    fn plans_outside_the_profiled_domain_run_no_trial() {
+        let plans = [
+            (SamplePlan::Grid { spatial: vec![f64::NAN, 150.0], temporal: vec![0.5] }, SamplePlanError::Spatial(f64::NAN)),
+            (SamplePlan::Grid { spatial: vec![50.0], temporal: vec![0.5, 1.5] }, SamplePlanError::Temporal(1.5)),
+            (SamplePlan::Random { n: 2, min_sm: 150.0, seed: 1 }, SamplePlanError::Spatial(150.0)),
+        ];
+        for (plan, refused) in plans {
+            let e = Experiment::new("resnet50", ConfigServer::new(plan.clone()));
+            let mut db = ProfileDb::new();
+            for result in [e.run(&mut db), e.run_parallel(&mut db, 2)] {
+                let Err(PlatformError::SamplePlan(err)) = result else {
+                    panic!("{plan:?} ran");
+                };
+                assert_eq!(format!("{err:?}"), format!("{refused:?}"), "{plan:?}");
+            }
+            assert!(db.records_of("resnet50").is_empty(), "{plan:?}: a trial ran");
+        }
+        assert!(matches!(
+            Experiment::new("resnet50", ConfigServer::coarse_grid()).start_trial(24.0, 0.0),
+            Err(PlatformError::SamplePlan(SamplePlanError::Temporal(_)))
+        ));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod db;
 pub mod experiment;
 pub mod search;
 
-pub use config::{ConfigServer, SamplePlan};
+pub use config::{ConfigServer, SamplePlan, SamplePlanError};
 pub use db::{ProfileDb, ProfileKey, ProfileRecord};
 pub use experiment::{Experiment, TrialResult, TrialRun, TrialSnapshot};
 pub use search::{predict_rps, SearchResult, SuccessiveHalving};

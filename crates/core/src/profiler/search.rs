@@ -17,7 +17,7 @@
 use super::db::{ProfileDb, ProfileKey};
 use super::experiment::{Experiment, TrialSnapshot};
 use crate::platform::PlatformError;
-use crate::profiler::config::{ConfigServer, SamplePlan};
+use crate::profiler::config::{check_point, ConfigServer, SamplePlan};
 use crate::scheduler::ConfigPoint;
 use fastg_des::SimTime;
 
@@ -50,7 +50,8 @@ impl SuccessiveHalving {
     pub fn over_paper_grid(model: &str) -> Self {
         SuccessiveHalving {
             model: model.to_string(),
-            candidates: ConfigServer::paper_grid().sample(),
+            // The paper grid lies in the profiled domain.
+            candidates: ConfigServer::paper_grid().sample().unwrap_or_default(),
             eta: 3,
             base_trial: SimTime::from_millis(500),
             seed: 1,
@@ -82,7 +83,8 @@ impl SuccessiveHalving {
 
     /// Runs the search. Every trial's measurement is inserted into `db`
     /// (later rounds overwrite earlier, cheaper measurements of the same
-    /// key), and the winner is returned.
+    /// key), and the winner is returned. A candidate outside the
+    /// profiled domain is refused before any trial runs.
     ///
     /// All candidates of a round run concurrently over `threads` worker
     /// threads. Between rounds every survivor is *suspended into a
@@ -102,6 +104,10 @@ impl SuccessiveHalving {
         threads: usize,
     ) -> Result<SearchResult, PlatformError> {
         debug_assert!(self.eta >= 2, "eta must halve at least");
+        // Every candidate lies in the profiled domain, or no trial runs.
+        for &(sm, q) in &self.candidates {
+            check_point(sm, q)?;
+        }
         let eta = self.eta.max(2);
         let mut experiment = Experiment::new(
             &self.model,
@@ -227,6 +233,7 @@ pub fn predict_rps(db: &ProfileDb, func: &str, sm: f64, quota: f64) -> Option<f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::config::SamplePlanError;
     use crate::profiler::db::ProfileRecord;
 
     fn rec(rps: f64) -> ProfileRecord {
@@ -282,6 +289,17 @@ mod tests {
         // And the winner is a genuinely efficient configuration.
         let rpr = result.best.rps / (result.best.sm / 100.0 * result.best.quota);
         assert!(rpr > 500.0, "winner RPR {rpr}");
+    }
+
+    #[test]
+    fn candidates_outside_the_profiled_domain_run_no_trial() {
+        let mut db = ProfileDb::new();
+        let sh = SuccessiveHalving::over("resnet50", vec![(24.0, 0.4), (150.0, 0.4)]);
+        assert!(matches!(
+            sh.run_with_threads(&mut db, 2),
+            Err(PlatformError::SamplePlan(SamplePlanError::Spatial(_)))
+        ));
+        assert!(db.records_of("resnet50").is_empty(), "a trial ran");
     }
 
     #[test]

@@ -159,6 +159,13 @@ impl FfRun {
             duration,
         }
     }
+
+    /// The whole burst's span, `count` kernels back to back; `None` if it
+    /// does not fit the microsecond clock.
+    fn span(&self) -> Option<SimTime> {
+        let span = self.duration.as_micros().checked_mul(u64::from(self.count))?;
+        Some(SimTime::from_micros(span))
+    }
 }
 
 /// The analytic schedule of one client's uncontended burst, settled up to
@@ -205,10 +212,8 @@ impl FfTimeline {
             return Err(SnapError::new("ff timeline cursor"));
         }
         let end = run
-            .duration
-            .as_micros()
-            .checked_mul(u64::from(run.count))
-            .and_then(|span| start.checked_add(SimTime::from_micros(span)))
+            .span()
+            .and_then(|span| start.checked_add(span))
             .ok_or(SnapError::new("ff timeline span"))?;
         let kernel_start = start + run.duration * u64::from(done);
         if credited < kernel_start || credited > kernel_start + run.duration {
@@ -322,6 +327,88 @@ pub struct FfBreak {
     /// [`KernelStart::finish_at`]. Remaining kernels were requeued into
     /// the client's stream and start through the normal per-kernel path.
     pub resumed: KernelStart,
+}
+
+/// A client alone on an idle device, inside the capped regime: every
+/// burst it launches would run as [`GpuDevice::fast_forward_burst`] runs
+/// it, with its full grant and nothing settling it before its end. The
+/// lane computes such a burst's shape without building a timeline
+/// ([`Self::burst`]), and [`GpuDevice::credit_solo`] credits whole
+/// bursts in one update. Valid while nothing else touches the device.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SoloLane {
+    client: ClientId,
+    cap: u32,
+    clock_scale: f64,
+}
+
+/// One burst on a [`SoloLane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SoloBurst {
+    /// Kernels in the burst.
+    pub kernels: u32,
+    /// SMs each kernel holds.
+    pub granted: u32,
+    /// The burst's span, its kernels back to back: the GPU time its sync
+    /// point charges.
+    pub span: SimTime,
+}
+
+impl SoloLane {
+    /// `count` back-to-back launches of `desc`, shaped by the arithmetic
+    /// [`GpuDevice::fast_forward_burst`] uses; `None` when that call would
+    /// refuse the burst (empty, or its span past the end of the clock).
+    pub fn burst(&self, desc: KernelDesc, count: u32) -> Option<SoloBurst> {
+        if count == 0 {
+            return None;
+        }
+        let run = FfRun::capped(desc, count, self.cap, self.clock_scale);
+        Some(SoloBurst {
+            kernels: count,
+            granted: run.granted,
+            span: run.span()?,
+        })
+    }
+}
+
+/// Whole bursts run on a [`SoloLane`], summed for
+/// [`GpuDevice::credit_solo`]. Every sum is checked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BurstTally {
+    /// Bursts.
+    pub bursts: u64,
+    /// Kernels of those bursts.
+    pub kernels: u64,
+    /// Their spans: the device's busy time and the client's GPU time.
+    pub busy: SimTime,
+    /// Their occupied area, grant × span (SM × µs).
+    pub occupied_sm_us: u64,
+}
+
+impl BurstTally {
+    /// Adds `burst`. Returns false, leaving the tally as it was, when a
+    /// sum would overflow.
+    pub fn add(&mut self, burst: &SoloBurst) -> bool {
+        match self.plus(burst) {
+            Some(sums) => {
+                *self = sums;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn plus(&self, burst: &SoloBurst) -> Option<BurstTally> {
+        let span = burst.span.as_micros();
+        Some(BurstTally {
+            bursts: self.bursts.checked_add(1)?,
+            kernels: self.kernels.checked_add(u64::from(burst.kernels))?,
+            busy: SimTime::from_micros(self.busy.as_micros().checked_add(span)?),
+            occupied_sm_us: u64::from(burst.granted)
+                .checked_mul(span)
+                .and_then(|area| self.occupied_sm_us.checked_add(area))?,
+        })
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -926,8 +1013,9 @@ impl GpuDevice {
     /// [`Self::launch`] would start it — and the completion time of the
     /// burst's final kernel is returned so the caller can schedule a single
     /// macro-event for it. Returns `None` (leaving the device untouched)
-    /// when the burst is empty or not provably uncontended: the caller must
-    /// fall back to per-kernel launches.
+    /// when the burst is empty, ends past the end of the clock or is not
+    /// provably uncontended: the caller must fall back to per-kernel
+    /// launches.
     ///
     /// Other timelines are not settled: admission reads only the streams,
     /// the wait queue, the timeline list and the running counts, which
@@ -945,7 +1033,7 @@ impl GpuDevice {
         }
         let cap = self.admission(client).flatten()?;
         let run = FfRun::capped(desc, count, cap, self.clock_scale);
-        let end = now + run.duration * u64::from(count);
+        let end = run.span().and_then(|span| now.checked_add(span))?;
         debug_assert!(self.free_sms >= run.granted, "capped regime violated");
         self.free_sms -= run.granted;
         if sanitizer::active() {
@@ -968,6 +1056,35 @@ impl GpuDevice {
             end,
         });
         Some(end)
+    }
+
+    /// `client`'s [`SoloLane`] when it could fast-forward a burst on a
+    /// device where nothing is active; `None` otherwise.
+    pub fn solo_lane(&self, client: ClientId) -> Option<SoloLane> {
+        if !self.is_idle() {
+            return None;
+        }
+        let cap = self.admission(client).flatten()?;
+        Some(SoloLane {
+            client,
+            cap,
+            clock_scale: self.clock_scale,
+        })
+    }
+
+    /// Credits whole bursts `lane` ran while the device stayed idle, as
+    /// if each had been fast-forwarded and completed in turn: the busy
+    /// time, occupied area, completions and the client's GPU time that
+    /// [`Self::fast_forward_burst`] and [`Self::ff_complete`] leave, as
+    /// one exact integer sum each. Nothing else changes: each such pair
+    /// hands its grant and its cap back.
+    pub fn credit_solo(&mut self, lane: &SoloLane, tally: &BurstTally) {
+        debug_assert!(self.is_idle(), "solo bursts credited on a busy device");
+        if tally.bursts == 0 {
+            return;
+        }
+        self.metrics
+            .ff_bursts_credited(lane.client, tally.busy, tally.occupied_sm_us, tally.kernels);
     }
 
     /// Whether no client is active: none has a timeline, a resident or
@@ -1578,6 +1695,59 @@ mod tests {
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
         }
+    }
+
+    /// A solo lane's bursts, credited in one update, leave the device
+    /// bytes, metric bits and client GPU time that fast-forwarding and
+    /// completing each of them in turn leaves, at full and at a scaled
+    /// clock; each burst's span is its timeline's.
+    #[test]
+    fn solo_bursts_credit_what_fast_forwarded_ones_leave() {
+        let bytes = |gpu: &GpuDevice| {
+            let mut w = SnapWriter::new();
+            gpu.snap(&mut w);
+            w.finish()
+        };
+        let bursts = [(kernel(19, 200), 4), (kernel(40, 100), 3), (kernel(5, 0), 2), (kernel(90, 7), 11)];
+        for scale in [1.0, 1.5] {
+            let (mut stepped, mut credited) = (v100(), v100());
+            let c = stepped.register_client(12.0).unwrap();
+            assert_eq!(credited.register_client(12.0).unwrap(), c);
+            stepped.set_clock_scale(scale);
+            credited.set_clock_scale(scale);
+            let lane = credited.solo_lane(c).unwrap();
+            let mut tally = BurstTally::default();
+            let mut now = SimTime::from_micros(70);
+            for (desc, count) in bursts {
+                let end = stepped.fast_forward_burst(now, c, desc, count).unwrap();
+                let done = stepped.ff_complete(end, c).unwrap();
+                let burst = lane.burst(desc, count).unwrap();
+                assert_eq!(now + burst.span, end, "span at scale {scale}");
+                assert_eq!(burst.span, done.gpu_time);
+                assert_eq!(u64::from(burst.kernels), done.completed);
+                assert!(tally.add(&burst));
+                // A host gap before the next burst.
+                now = end + SimTime::from_micros(1_300);
+            }
+            assert_eq!(lane.burst(kernel(19, 200), 0), None, "an empty burst");
+            credited.credit_solo(&lane, &tally);
+            assert_eq!(bytes(&stepped), bytes(&credited));
+            assert_eq!(stepped.metrics().client_busy(c), credited.metrics().client_busy(c));
+            let (a, b) = (stepped.metrics_mut().sample(now), credited.metrics_mut().sample(now));
+            assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
+            assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
+            assert_eq!(a.kernels_completed, b.kernels_completed);
+        }
+        // A busy device has no solo lane, and a tally refuses a sum that
+        // would overflow.
+        let mut gpu = v100();
+        let c = gpu.register_client(12.0).unwrap();
+        gpu.fast_forward_burst(SimTime::ZERO, c, kernel(19, 200), 2).unwrap();
+        assert!(gpu.solo_lane(c).is_none());
+        let huge = SoloBurst { kernels: 1, granted: 80, span: SimTime::from_micros(u64::MAX / 64) };
+        let mut tally = BurstTally::default();
+        assert!(!tally.add(&huge));
+        assert_eq!(tally, BurstTally::default());
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod mps;
 pub mod spec;
 
 pub use device::{
-    ClientId, FfBreak, FfDone, GpuDevice, KernelDesc, KernelDone, KernelId, KernelStart,
-    clamp_clock_scale, MAX_CLOCK_SCALE,
+    BurstTally, ClientId, FfBreak, FfDone, GpuDevice, KernelDesc, KernelDone, KernelId,
+    KernelStart, SoloBurst, SoloLane, clamp_clock_scale, MAX_CLOCK_SCALE,
 };
 pub use error::GpuError;
 pub use memory::{DevicePtr, GpuMemory, IpcHandle, MemError};

@@ -114,6 +114,22 @@ impl GpuMetrics {
             .or_insert(SimTime::ZERO) += busy;
     }
 
+    /// Whole fast-forwarded bursts of `client` that began and ended while
+    /// the device was otherwise idle, with nothing settling them in
+    /// between: their busy intervals total `busy`, and [`Self::ff_settled`]
+    /// takes the rest. The same integers [`Self::ff_begin`],
+    /// [`Self::ff_settled`] and [`Self::ff_end`] add burst by burst.
+    pub fn ff_bursts_credited(
+        &mut self,
+        client: ClientId,
+        busy: SimTime,
+        occupied_sm_us: u64,
+        kernels: u64,
+    ) {
+        self.util.credit(busy);
+        self.ff_settled(client, occupied_sm_us, kernels, busy);
+    }
+
     /// A fast-forwarded burst's busy interval ends at `now`: its last
     /// kernel finished, or the device was reset under it.
     pub fn ff_end(&mut self, now: SimTime) {

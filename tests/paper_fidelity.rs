@@ -1,4 +1,5 @@
-//! Paper fidelity, pinned as tolerance bands.
+//! Paper fidelity, pinned as tolerance bands, and Figure 8's ResNet
+//! excerpt pinned cell for cell.
 //!
 //! §5.3's throughput comparison: eight FaST pods at 12 % SM partitions
 //! against time sharing (one token over eight full-GPU pods), per model,
@@ -18,6 +19,7 @@
 use fastg_des::SimTime;
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
+use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey};
 
 /// Measured seconds after the 1 s warm-up.
 const WINDOW_S: u64 = 2;
@@ -165,4 +167,40 @@ fn fig12_autoscaling_violations_and_peak_replicas() {
         100.0 * violations
     );
     assert!((8..=10).contains(&peak), "peak replicas {peak}, re-derived 9");
+}
+
+/// The quota columns of Figure 8's grid.
+const FIG8_QUOTAS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
+
+/// EXPERIMENTS.md, "Figure 8": ResNet-50's profiled throughput (req/s)
+/// per SM partition, one cell per quota column, as `cargo bench -p
+/// fastg-bench --bench fig08_profiler_grid` prints it (the paper grid,
+/// 3 s trials after the 0.5 s warm-up, seed 1). The table writes the
+/// 50–100 % rows once.
+const FIG8_RESNET: [(f64, [f64; 5]); 7] = [
+    (6.0, [10.0, 10.0, 20.0, 20.0, 22.3]),
+    (12.0, [10.0, 20.0, 30.0, 40.0, 41.7]),
+    (24.0, [20.0, 40.0, 60.0, 71.3, 71.3]),
+    (50.0, [20.0, 40.0, 60.0, 71.3, 71.3]),
+    (60.0, [20.0, 40.0, 60.0, 71.3, 71.3]),
+    (80.0, [20.0, 40.0, 60.0, 71.3, 71.3]),
+    (100.0, [20.0, 40.0, 60.0, 71.3, 71.3]),
+];
+
+/// Figure 8's ResNet excerpt, to 0.1 req/s: proportional in quota up to
+/// the latency bound, flat in SMs past the 24 % saturation partition.
+/// The trials are deterministic, so every cell must print as recorded.
+#[test]
+fn fig08_resnet_excerpt_cell_for_cell() {
+    let mut db = ProfileDb::new();
+    Experiment::new("resnet50", ConfigServer::paper_grid())
+        .trial_duration(SimTime::from_secs(3))
+        .run_parallel(&mut db, 2)
+        .unwrap();
+    for (sm, row) in FIG8_RESNET {
+        for (q, want) in FIG8_QUOTAS.into_iter().zip(row) {
+            let got = db.get("resnet50", ProfileKey::new(sm, q)).unwrap().rps;
+            assert_eq!(format!("{got:.1}"), format!("{want:.1}"), "{sm} % SMs, quota {q}");
+        }
+    }
 }
