@@ -12,7 +12,7 @@ use crate::modelshare::{footprint, DEFAULT_CTX_OVERHEAD};
 use crate::scheduler::Scheduler;
 use fastg_cluster::{FaSTFuncSpec, FuncId, NodeId, PodId, ResourceSpec};
 use fastg_des::{EventQueue, SimTime, TimeSeries};
-use fastg_models::zoo;
+use fastg_models::{zoo, ModelProfile};
 use fastg_workload::{SloTracker, WarmupCounter};
 use std::sync::Arc;
 
@@ -23,11 +23,9 @@ impl Engine {
         fc: &FunctionConfig,
         queue: &mut EventQueue<Event>,
     ) -> Result<FuncId, PlatformError> {
-        let model = zoo::by_name(&fc.model)
-            .ok_or_else(|| PlatformError::UnknownModel(fc.model.clone()))?;
+        let model = self.zoo_profile(&fc.model)?;
         let (sm, q_req, q_lim) = fc.resources;
         let resources = ResourceSpec::new(sm, q_req, q_lim, model.memory.total());
-        let model = intern_profile(&mut self.profiles, Arc::new(model));
         let id = FuncId(self.next_func);
         self.next_func += 1;
         self.gateway.register_func(id);
@@ -63,6 +61,19 @@ impl Engine {
             self.create_pod(now, id, resources, queue)?;
         }
         Ok(id)
+    }
+
+    /// The zoo's profile for `model`, interned: built and compared
+    /// against the interned profiles on the model's first deploy, read
+    /// from `zoo_profiles` after that.
+    fn zoo_profile(&mut self, model: &str) -> Result<Arc<ModelProfile>, PlatformError> {
+        if let Some(p) = self.zoo_profiles.iter().find(|p| p.name == model) {
+            return Ok(Arc::clone(p));
+        }
+        let built = zoo::by_name(model).ok_or_else(|| PlatformError::UnknownModel(model.to_string()))?;
+        let p = intern_profile(&mut self.profiles, Arc::new(built));
+        self.zoo_profiles.push(Arc::clone(&p));
+        Ok(p)
     }
 
     /// The spec a pod registers with MPS: policies without spatial
@@ -241,11 +252,16 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::Engine;
+    use crate::modelshare::{footprint, DEFAULT_CTX_OVERHEAD};
     use crate::platform::{FunctionConfig, Platform, PlatformConfig};
-    use fastg_cluster::{FuncId, PodId};
+    use crate::scheduler::Scheduler;
+    use fastg_cluster::{FuncId, NodeId, PodId, ResourceSpec};
     use fastg_des::SimTime;
+    use fastg_gpu::GpuSpec;
+    use fastg_models::zoo;
     use fastg_workload::ArrivalProcess;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     #[derive(Debug, Clone, Copy)]
     enum Op {
@@ -297,6 +313,174 @@ mod tests {
             assert_eq!(w.gateway.members(f), live.as_slice(), "{f:?} members");
             assert_eq!(p.pods_of(f), live, "{f:?} pods_of");
             assert_eq!(p.replicas(f), live.len(), "{f:?} replicas");
+        }
+    }
+
+    /// The Figure 11 pod shapes `(model, SM %, quota)`.
+    const FIG11: [(&str, f64, f64); 3] =
+        [("bert_base", 50.0, 0.6), ("rnnt", 24.0, 0.4), ("resnet50", 12.0, 0.4)];
+
+    #[derive(Debug, Clone, Copy)]
+    enum Churn {
+        Run(u16),
+        Deploy(u8),
+        Grow(u8),
+        Shrink(u8, u8),
+        Kill(u8, u8),
+        Crash(u8),
+        Reconfigure(u8, u8),
+    }
+
+    fn arb_churn() -> impl Strategy<Value = Churn> {
+        prop_oneof![
+            (1u16..300).prop_map(Churn::Run),
+            (0u8..3).prop_map(Churn::Deploy),
+            any::<u8>().prop_map(Churn::Grow),
+            any::<u8>().prop_map(Churn::Grow),
+            (any::<u8>(), 0u8..3).prop_map(|(f, n)| Churn::Shrink(f, n)),
+            (any::<u8>(), 0u8..3).prop_map(|(f, n)| Churn::Shrink(f, n)),
+            (any::<u8>(), any::<u8>()).prop_map(|(f, i)| Churn::Kill(f, i)),
+            any::<u8>().prop_map(Churn::Crash),
+            (any::<u8>(), 0u8..3).prop_map(|(f, s)| Churn::Reconfigure(f, s)),
+        ]
+    }
+
+    /// Algorithm 2 by brute force: the minimum `(slack, Reverse(pod
+    /// count), id)` over every GPU with memory for a pod reserving
+    /// `pod_bytes`, plus `store_bytes` unless its store keeps bytes for
+    /// `model`. Free memory is the capacity less the node's pods' and
+    /// store's reservations.
+    fn brute_force_node(
+        w: &Engine,
+        spec: &ResourceSpec,
+        pod_bytes: u64,
+        (model, store_bytes): (&str, u64),
+    ) -> Option<NodeId> {
+        let (dw, dh) = w.selector.demand_of(spec);
+        w.nodes
+            .iter()
+            .filter_map(|(id, node)| {
+                let g = w.selector.gpu(id)?;
+                let (gpu, store) = node.device_and_store();
+                let reserved: u64 = node.pods().filter_map(|rt| rt.memory).map(|p| p.len).sum();
+                let free = gpu.memory().capacity() - reserved - store.total_bytes();
+                let held = store.model_bytes(model) != 0;
+                if free < pod_bytes + if held { 0 } else { store_bytes } {
+                    return None;
+                }
+                g.best_fit(dw, dh).map(|(_, slack)| (slack, Reverse(g.pod_count()), id))
+            })
+            .min()
+            .map(|(_, _, id)| id)
+    }
+
+    /// Runs one operation that places at most one pod of `model` at
+    /// `spec`. Just before it, the selector (on a copy) must pick the
+    /// node [`brute_force_node`] picks. After it, a new pod must sit on
+    /// that node; or no pod is new, and the platform counted an
+    /// unschedulable pod exactly when there was no node to pick.
+    fn place_checked<T>(
+        p: &mut Platform,
+        model: &str,
+        spec: ResourceSpec,
+        place: impl FnOnce(&mut Platform) -> T,
+    ) -> Result<T, TestCaseError> {
+        let w: &Engine = p.sim.world();
+        let mem = zoo::by_name(model).expect("a zoo model").memory;
+        let sharing = w.cfg.model_sharing;
+        let pod_bytes = footprint::pod_reservation(&mem, sharing);
+        let store_bytes = footprint::server_reservation(&mem, DEFAULT_CTX_OVERHEAD);
+        let expected =
+            brute_force_node(w, &spec, pod_bytes, (model, if sharing { store_bytes } else { 0 }));
+        let shared = sharing.then_some((model, store_bytes));
+        let chosen = w.selector.clone().select_node(&spec, &mut |n| {
+            w.nodes.get(n).is_some_and(|node| node.fits(pod_bytes, shared))
+        });
+        prop_assert_eq!(chosen, expected, "{:?}", model);
+        let (pods_before, unschedulable) = (w.pod_loc.len(), w.unschedulable);
+        let out = place(p);
+        let w: &Engine = p.sim.world();
+        if w.pod_loc.len() > pods_before {
+            let (_, at) = w.pod_loc.iter().last().expect("the new pod");
+            prop_assert_eq!(Some(at.node), expected, "{:?}", model);
+        }
+        prop_assert!(w.pod_loc.len() <= pods_before + 1);
+        prop_assert_eq!(w.unschedulable, unschedulable + u64::from(expected.is_none()));
+        Ok(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 48 } else { 512 }))]
+
+        /// Every placement picks the node a brute-force Algorithm 2 over
+        /// every memory-feasible GPU picks, through deploys, scale-ups,
+        /// drains, kills with zombie drains, node crashes and
+        /// reconfigures on 1 to 12 nodes whose memories differ, with and
+        /// without model sharing.
+        #[test]
+        fn node_choice_is_the_brute_force_best_fit(
+            sharing in any::<bool>(),
+            seed in 0u64..1000,
+            gibs in prop::collection::vec(0usize..4, 1..13),
+            ops in prop::collection::vec(arb_churn(), 1..80),
+        ) {
+            let gpus = gibs
+                .iter()
+                .map(|&i| GpuSpec { memory_bytes: [2, 4, 8, 16][i] << 30, ..GpuSpec::v100() })
+                .collect();
+            let cfg = PlatformConfig::default().gpus(gpus).model_sharing(sharing).seed(seed);
+            let mut p = Platform::new(cfg);
+            let mut funcs: Vec<(FuncId, &str)> = Vec::new();
+            let func = |funcs: &[(FuncId, &'static str)], f: u8| {
+                funcs.get(usize::from(f) % funcs.len().max(1)).copied()
+            };
+            for op in ops {
+                match op {
+                    Churn::Run(ms) => {
+                        p.run_for(SimTime::from_millis(u64::from(ms)));
+                    }
+                    Churn::Deploy(shape) => {
+                        let (model, sm, quota) = FIG11[usize::from(shape)];
+                        let name = format!("f{}", funcs.len());
+                        let fc = FunctionConfig::new(&name, model).resources(sm, quota, quota);
+                        let spec = ResourceSpec::new(sm, quota, quota, 0);
+                        let deployed = place_checked(&mut p, model, spec, |p| p.deploy(fc))?;
+                        if let Ok(f) = deployed {
+                            p.set_load(f, ArrivalProcess::poisson(40.0, seed));
+                            funcs.push((f, model));
+                        }
+                    }
+                    Churn::Grow(f) => {
+                        if let Some((f, model)) = func(&funcs, f) {
+                            let spec = p.sim.world().funcs[f].resources;
+                            let n = p.pods_of(f).len() + 1;
+                            place_checked(&mut p, model, spec, |p| p.scale_to(f, n))?;
+                        }
+                    }
+                    Churn::Shrink(f, n) => {
+                        if let Some((f, _)) = func(&funcs, f) {
+                            p.scale_to(f, usize::from(n));
+                        }
+                    }
+                    Churn::Kill(f, i) => {
+                        if let Some((f, _)) = func(&funcs, f) {
+                            let pods = p.pods_of(f);
+                            if let Some(&pod) = pods.get(usize::from(i) % pods.len().max(1)) {
+                                prop_assert!(p.kill_pod(pod));
+                            }
+                        }
+                    }
+                    Churn::Crash(node) => {
+                        p.crash_node(usize::from(node) % gibs.len());
+                    }
+                    Churn::Reconfigure(f, shape) => {
+                        if let Some((f, _)) = func(&funcs, f) {
+                            let (_, sm, quota) = FIG11[usize::from(shape)];
+                            p.reconfigure(f, sm, quota, quota).unwrap();
+                        }
+                    }
+                }
+            }
         }
     }
 

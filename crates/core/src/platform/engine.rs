@@ -285,6 +285,11 @@ pub struct Engine {
     /// One shared profile per distinct model (see [`intern_profile`]).
     /// A cache: not snapshotted, rebuilt while decoding the functions.
     pub(super) profiles: Vec<Arc<ModelProfile>>,
+    /// The zoo profiles deploy has built and interned, at most one per
+    /// name: a later deploy of the model takes its entry instead of
+    /// building and comparing the profile again. A cache: not
+    /// snapshotted, empty after a restore.
+    pub(super) zoo_profiles: Vec<Arc<ModelProfile>>,
 }
 
 /// The table's copy of `profile`, adding it if no equal profile is there
@@ -378,6 +383,7 @@ impl Engine {
             run_ahead: true,
             trace: Vec::new(),
             profiles: Vec::new(),
+            zoo_profiles: Vec::new(),
         }
     }
 
@@ -470,6 +476,7 @@ impl Engine {
             next_synth, unschedulable, killed, faults_injected, ff_bursts, ff_coalesced_kernels,
             burst_scratch: _, started_scratch: _, granted_scratch: _, ready_scratch: _,
             dispatch_pending, counts: _, run_ahead: _, trace, profiles: _,
+            zoo_profiles: _,
         } = self;
         cfg.snap(w);
         nodes.snap_with(w, NodeRt::snap_state);
@@ -575,6 +582,7 @@ impl Engine {
             run_ahead: true,
             trace: Vec::unsnap(r)?,
             profiles,
+            zoo_profiles: Vec::new(),
         };
         let pending = &engine.dispatch_pending;
         let keys_ascend = pending.windows(2).all(|p| p[0].0 < p[1].0);

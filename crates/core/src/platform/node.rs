@@ -179,12 +179,18 @@ impl NodeRt {
     /// Whether the device has memory for a pod reserving `pod_bytes`,
     /// plus, under model sharing, the store's reservation for the model
     /// (`shared`: its name and those bytes) unless the store holds it.
+    /// O(1) unless the answer turns on whether the store holds the
+    /// model: free bytes are a running total, and the store is looked up
+    /// only when they cover the pod but not the pod and the store's share.
     pub(super) fn fits(&self, pod_bytes: u64, shared: Option<(&str, u64)>) -> bool {
-        let store_bytes = match shared {
-            Some((model, bytes)) if self.store.model_bytes(model) == 0 => bytes,
-            _ => 0,
-        };
-        self.gpu.memory().free_bytes() >= pod_bytes + store_bytes
+        let free = self.gpu.memory().free_bytes();
+        match shared {
+            Some((model, bytes)) => {
+                free >= pod_bytes.saturating_add(bytes)
+                    || (free >= pod_bytes && self.store.model_bytes(model) != 0)
+            }
+            None => free >= pod_bytes,
+        }
     }
 
     /// Creates a pod's record on this node: on an up node with

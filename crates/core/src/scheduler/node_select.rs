@@ -14,7 +14,10 @@ pub struct SchedStats {
     pub releases: u64,
     /// Selections that found no feasible node ("a new GPU required").
     pub rejects: u64,
-    /// Per-node fit probes performed during selection.
+    /// Memory-feasible GPUs considered during selection: one per GPU
+    /// that passed `mem_fits`, whether or not `select_node` searched its
+    /// rectangles (it skips a pristine GPU that a pristine GPU before it
+    /// beats).
     pub probes: u64,
     /// Placements that needed an exact-feasibility fallback. Maximal
     /// rectangles are exact by construction, so this is always zero.
@@ -69,7 +72,7 @@ pub struct NodeSelector {
     gpus: IdArena<NodeId, GpuRects>,
     placements: u64,
     releases: u64,
-    /// Fit probes during selection.
+    /// Memory-feasible GPUs considered during selection.
     probes: u64,
     rejects: u64,
 }
@@ -218,13 +221,20 @@ impl Scheduler for NodeSelector {
         // Global best fit: minimum secondCores slack across every free
         // rectangle of every (memory-feasible) GPU; ties go to the busier
         // GPU, then the lower node id, which keeps pods consolidating
-        // instead of spreading.
+        // instead of spreading. Pristine GPUs of one geometry share their
+        // slack and their pod count (zero), so a pristine GPU loses to the
+        // pristine GPU before it when the two share a geometry: it counts
+        // as a probe but is not searched.
+        let mut last_pristine = None;
         let chosen = self
             .gpus
             .iter()
             .filter(|&(n, _)| mem_fits(n))
-            .filter_map(|(n, g)| {
+            .filter(|&(_, g)| {
                 self.probes += 1;
+                !g.is_pristine() || last_pristine.replace(g.geometry()) != Some(g.geometry())
+            })
+            .filter_map(|(n, g)| {
                 g.best_fit(w, h)
                     .map(|(_, slack)| (slack, std::cmp::Reverse(g.pod_count()), n))
             })
@@ -350,6 +360,68 @@ mod tests {
         assert_eq!(s.demand_of(&ResourceSpec::new(0.5, 0.004, 0.004, 0)), (1, 1));
         let ts = selector(PlacementPolicy::TimeSharingOnly, 0);
         assert_eq!(ts.demand_of(&ResourceSpec::new(12.0, 0.4, 0.4, 0)), (40, 100));
+    }
+
+    /// Algorithm 2 by brute force: the minimum `(slack, Reverse(pod
+    /// count), id)` over every GPU that passes `mem_fits`, each searched.
+    fn brute_force_node(
+        s: &NodeSelector,
+        spec: &ResourceSpec,
+        mem_fits: impl Fn(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        let (w, h) = s.demand_of(spec);
+        s.gpus
+            .iter()
+            .filter(|&(n, _)| mem_fits(n))
+            .filter_map(|(n, g)| {
+                g.best_fit(w, h).map(|(_, slack)| (slack, std::cmp::Reverse(g.pod_count()), n))
+            })
+            .min()
+            .map(|(_, _, n)| n)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 2048 }))]
+
+        /// `select_node` picks the brute-force node and counts one probe
+        /// per memory-feasible GPU, through random placements and
+        /// releases of the Figure 11 shapes on GPUs of two geometries
+        /// whose low restructure thresholds make emptied GPUs pristine
+        /// again, under a random memory filter per selection.
+        #[test]
+        fn selection_is_the_brute_force_best_fit(
+            gpus in prop::collection::vec((0u8..3, 1usize..6), 1..13),
+            ops in prop::collection::vec((0u8..3, 0usize..3, any::<u64>(), any::<u8>()), 1..120),
+        ) {
+            let mut s = NodeSelector::new(PlacementPolicy::MaximalRectangles);
+            for (i, &(geometry, threshold)) in (0u32..).zip(&gpus) {
+                let (w, h) = [(100, 100), (100, 100), (50, 100)][usize::from(geometry)];
+                s.gpus.insert(NodeId(i), GpuRects::new(w, h, threshold));
+            }
+            let shapes = [spec(50.0, 0.6), spec(24.0, 0.4), spec(12.0, 0.4)];
+            let mut placed: Vec<(NodeId, PodId)> = Vec::new();
+            for (pod, (op, shape, mask, pick)) in (0u64..).zip(ops) {
+                if op == 0 && !placed.is_empty() {
+                    let (node, pod) = placed.swap_remove(usize::from(pick) % placed.len());
+                    prop_assert!(s.release(node, pod).is_some());
+                    continue;
+                }
+                // Mostly feasible: a node fails the filter one time in four.
+                let mem_fits = |n: NodeId| (mask >> (2 * (n.0 % 32))) & 3 != 0;
+                let expected = brute_force_node(&s, &shapes[shape], mem_fits);
+                let feasible = s.gpus.iter().filter(|&(n, _)| mem_fits(n)).count();
+                let probes = s.stats().probes;
+                let chosen = s.select_node(&shapes[shape], &mut |n| mem_fits(n));
+                prop_assert_eq!(chosen, expected);
+                prop_assert_eq!(s.stats().probes - probes, feasible as u64);
+                if let Some(node) = chosen {
+                    prop_assert!(s.bind(node, PodId(pod), &shapes[shape]).is_some());
+                    placed.push((node, PodId(pod)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`,
 //! * `admission-summary` — the FaST Backend's slot bitsets and the GPU
 //!   device's running cap counts answer their admission tests as the row
-//!   and stream scans they replace do.
+//!   and stream scans they replace do,
+//! * `memory-total` — a GPU's running device-memory total equals the sum
+//!   of its live allocations after every `alloc` and `free`.
 
 use crate::queue::TieBreak;
 use crate::time::SimTime;

@@ -5,10 +5,11 @@
 //! one copy of the weights to many function instances. Allocation is
 //! first-fit over a sorted free list with coalescing on free — enough to
 //! study fragmentation and capacity questions (e.g. "how many ResNeXt pods
-//! fit in 16 GB?").
+//! fit in 16 GB?"). The bytes in use are a running total, so the
+//! scheduler's per-GPU memory-fit test is O(1).
 
 use fastg_des::snap::SnapError;
-use fastg_des::snap_struct;
+use fastg_des::{sanitizer, snap_struct};
 use std::collections::BTreeMap;
 
 /// A device pointer: base offset and length of a live allocation.
@@ -68,6 +69,9 @@ pub struct GpuMemory {
     free: BTreeMap<u64, u64>,
     /// Live allocations keyed by offset; values are lengths.
     live: BTreeMap<u64, u64>,
+    /// The sum of `live`'s lengths, kept by `alloc` and `free`. Not on
+    /// the wire: decode rebuilds it from `live`.
+    used: u64,
     /// Exported IPC handles: handle -> pointer.
     handles: BTreeMap<u64, DevicePtr>,
     next_handle: u64,
@@ -84,6 +88,7 @@ impl GpuMemory {
             capacity,
             free,
             live: BTreeMap::new(),
+            used: 0,
             handles: BTreeMap::new(),
             next_handle: 1,
         }
@@ -96,7 +101,7 @@ impl GpuMemory {
 
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
-        self.live.values().sum()
+        self.used
     }
 
     /// Bytes currently free (possibly fragmented).
@@ -131,6 +136,8 @@ impl GpuMemory {
                     self.free.insert(off + len, flen - len);
                 }
                 self.live.insert(off, len);
+                self.used += len;
+                self.sanitize_total();
                 Ok(DevicePtr { offset: off, len })
             }
             None => Err(MemError::OutOfMemory {
@@ -147,9 +154,22 @@ impl GpuMemory {
             return Err(MemError::InvalidPointer(ptr));
         }
         self.live.remove(&ptr.offset);
+        self.used -= ptr.len;
+        self.sanitize_total();
         self.handles.retain(|_, p| *p != ptr);
         self.insert_free(ptr.offset, ptr.len);
         Ok(())
+    }
+
+    /// Shadow-check (`FASTG_SANITIZE=1`, rule `memory-total`): the running
+    /// total equals the sum of the live allocations.
+    fn sanitize_total(&self) {
+        if sanitizer::active() {
+            let sum: u64 = self.live.values().sum();
+            sanitizer::check(self.used == sum, "memory-total", || {
+                format!("running total {} B, live allocations sum to {sum} B", self.used)
+            });
+        }
     }
 
     /// Exports an IPC handle for a live allocation (`cuIpcGetMemHandle`).
@@ -198,12 +218,19 @@ snap_struct!(DevicePtr { offset, len });
 
 snap_struct!(IpcHandle(raw));
 
-snap_struct!(GpuMemory { capacity, free, live, handles, next_handle } check |m| {
-    // Checked: decoded sizes may sum past `u64::MAX`.
-    let sum = |m: &BTreeMap<u64, u64>| m.values().try_fold(0u64, |a, &b| a.checked_add(b));
-    let total = sum(&m.live)
-        .zip(sum(&m.free))
-        .and_then(|(used, unused)| used.checked_add(unused));
+// Checked: decoded sizes may sum past `u64::MAX`.
+fn checked_sum(m: &BTreeMap<u64, u64>) -> Option<u64> {
+    m.values().try_fold(0u64, |a, &b| a.checked_add(b))
+}
+
+snap_struct!(GpuMemory { capacity, free, live, handles, next_handle }
+skip { used }
+rebuild |m| {
+    m.used = checked_sum(&m.live).ok_or(SnapError::new("gpu memory accounting"))?;
+    Ok(())
+}
+check |m| {
+    let total = checked_sum(&m.free).and_then(|unused| m.used.checked_add(unused));
     if total != Some(m.capacity) {
         return Err(SnapError::new("gpu memory accounting"));
     }
@@ -312,5 +339,79 @@ mod tests {
         w.u64(0);
         let bytes = w.finish();
         assert!(GpuMemory::unsnap(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    /// A snapshot whose live and free extents do not add up to the
+    /// capacity is refused, though the running total is rebuilt from
+    /// `live` alone.
+    #[test]
+    fn decode_refuses_forged_accounting() {
+        for (live, free) in [
+            (BTreeMap::from([(0u64, 100u64)]), BTreeMap::from([(100u64, 800u64)])),
+            (BTreeMap::from([(0, 600)]), BTreeMap::from([(100, 900)])),
+            (BTreeMap::new(), BTreeMap::new()),
+        ] {
+            let mut w = SnapWriter::new();
+            w.u64(1024); // capacity
+            free.snap(&mut w);
+            live.snap(&mut w);
+            BTreeMap::<u64, DevicePtr>::new().snap(&mut w);
+            w.u64(1);
+            let bytes = w.finish();
+            let err = GpuMemory::unsnap(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert_eq!(err, SnapError::new("gpu memory accounting"));
+        }
+    }
+
+    fn encode(m: &GpuMemory) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        m.snap(&mut w);
+        w.finish()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The running total equals the live allocations' sum after every
+        /// alloc, free and IPC export, failed ones included, and after a
+        /// snapshot round trip, whose bytes re-encode unchanged.
+        #[test]
+        fn running_total_is_the_live_sum(
+            capacity in 1u64..4096,
+            ops in prop::collection::vec((0u8..4, 0u64..1500, any::<u8>()), 1..80),
+        ) {
+            let mut m = GpuMemory::new(capacity);
+            let mut ptrs: Vec<DevicePtr> = Vec::new();
+            for (op, len, pick) in ops {
+                let i = usize::from(pick);
+                match op {
+                    0 | 1 => {
+                        if let Ok(p) = m.alloc(len) {
+                            ptrs.push(p);
+                        }
+                    }
+                    2 if !ptrs.is_empty() => {
+                        let p = ptrs.swap_remove(i % ptrs.len());
+                        m.free(p).unwrap();
+                        prop_assert!(m.free(p).is_err(), "a pointer frees once");
+                    }
+                    _ => {
+                        if let Some(&p) = ptrs.get(i % ptrs.len().max(1)) {
+                            let h = m.ipc_get_handle(p).unwrap();
+                            prop_assert_eq!(m.ipc_open_handle(h), Ok(p));
+                        }
+                    }
+                }
+                let sum: u64 = m.live.values().sum();
+                prop_assert_eq!(m.used(), sum);
+                prop_assert_eq!(m.used() + m.free_bytes(), capacity);
+                let bytes = encode(&m);
+                let back = GpuMemory::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+                prop_assert_eq!(back.used(), sum);
+                prop_assert_eq!(encode(&back), bytes);
+            }
+        }
     }
 }
