@@ -56,7 +56,7 @@ fn slo_with_interval(interval: SimTime) -> f64 {
                 .resources(12.0, 0.4, 1.0),
         )
         .expect("deploys");
-    p.enable_autoscaler(fastg_bench::resnet_profile_db());
+    p.enable_autoscaler(fastgshare::paper::fig12_profile());
     p.set_load(f, ArrivalProcess::ramp(10.0, 90.0, SimTime::from_secs(15), 73));
     let r = p.run_for(SimTime::from_secs(25));
     r.functions[&f].violation_ratio

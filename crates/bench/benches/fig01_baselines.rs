@@ -6,8 +6,8 @@
 //! (b) time sharing — utilization looks high (>90 % in the paper's mix)
 //! while SM occupancy stays below ~10 %.
 
-use fastg_bench::run_sharing;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::run_sharing;
 
 fn main() {
     println!("\n=== Figure 1: device plugin vs time sharing under extreme workload ===\n");

@@ -7,29 +7,23 @@
 //! a model-dependent partition (effective spatial isolation); larger
 //! models saturate later.
 
-use fastg_des::SimTime;
-use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey};
-
-const SPATIAL: [f64; 7] = [6.0, 12.0, 24.0, 50.0, 60.0, 80.0, 100.0];
-const TEMPORAL: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
+use fastgshare::paper::{fig8, FIG8_SPATIAL, FIG8_TEMPORAL};
+use fastgshare::profiler::{ProfileDb, ProfileKey};
 
 fn main() {
     println!("\n=== Figure 8: profiled throughput (req/s) per (SM %, quota %) ===");
     for model in ["resnet50", "bert_base", "rnnt", "gnmt"] {
         let mut db = ProfileDb::new();
-        Experiment::new(model, ConfigServer::paper_grid())
-            .trial_duration(SimTime::from_secs(3))
-            .run_parallel(&mut db, 8)
-            .expect("zoo model");
+        fig8(model).run_parallel(&mut db, 8).expect("zoo model");
         println!("\n-- {model} --");
         print!("{:>8} |", "SM \\ Q");
-        for q in TEMPORAL {
+        for q in FIG8_TEMPORAL {
             print!(" {:>6.0}% |", q * 100.0);
         }
         println!();
-        for sm in SPATIAL {
+        for sm in FIG8_SPATIAL {
             print!("{sm:>7.0}% |");
-            for q in TEMPORAL {
+            for q in FIG8_TEMPORAL {
                 let rps = db
                     .get(model, ProfileKey::new(sm, q))
                     .map(|r| r.rps)

@@ -8,51 +8,25 @@
 //! e.g. 8 RNNT pods at 12 % ≈ 40 req/s and p99 < 500 ms vs a racing pod's
 //! 12.5 req/s.
 
-use fastg_bench::{ms, sharing_outcome, sharing_scenario};
-use fastgshare::manager::SharingPolicy;
+use fastg_bench::ms;
+use fastgshare::paper::{fig10, sharing_outcome, FIG10_MODELS, FIG10_PODS, FIG10_SETUPS};
 use fastgshare::platform::run_sweep;
-
-fn config_of(label: &str) -> (SharingPolicy, f64) {
-    match label {
-        "racing" => (SharingPolicy::Racing, 100.0),
-        "12% part" => (SharingPolicy::FaST, 12.0),
-        "24% part" => (SharingPolicy::FaST, 24.0),
-        _ => unreachable!(),
-    }
-}
 
 fn main() {
     println!("\n=== Figure 10: spatial sharing vs racing, growing pod counts ===");
     // The whole grid (3 models × 3 configs × 4 pod counts) fans out over
     // fastg-par worker threads; reports come back in input order, so the
     // table is identical at any thread count.
-    let mut grid = Vec::new();
-    for model in ["resnet50", "rnnt", "gnmt"] {
-        for label in ["racing", "12% part", "24% part"] {
-            let (policy, sm) = config_of(label);
-            for pods in [1usize, 2, 4, 8] {
-                grid.push(sharing_scenario(
-                    format!("{model}/{label}/{pods}"),
-                    policy,
-                    model,
-                    pods,
-                    sm,
-                    5,
-                    1001,
-                ));
-            }
-        }
-    }
-    let results = run_sweep(grid, fastg_par::resolve_threads(None)).expect("sweep runs");
+    let results = run_sweep(fig10(5, 1001), fastg_par::resolve_threads(None)).expect("sweep runs");
     let mut rows = results.iter();
-    for model in ["resnet50", "rnnt", "gnmt"] {
+    for model in FIG10_MODELS {
         println!("\n-- {model} --");
         println!(
             "{:<10} {:>5} {:>10} {:>10} {:>8} {:>8}",
             "config", "pods", "req/s", "p99", "util", "SM occ"
         );
-        for label in ["racing", "12% part", "24% part"] {
-            for pods in [1usize, 2, 4, 8] {
+        for (label, _, _) in FIG10_SETUPS {
+            for pods in FIG10_PODS {
                 let (_, report) = rows.next().expect("grid row");
                 let o = sharing_outcome(report).expect("grid row shape");
                 println!(

@@ -6,8 +6,8 @@
 //! Paper: time sharing needs all 4 GPUs; FaST packs everything onto 1 and
 //! improves utilization ×1.34 and SM occupancy ×3.13.
 
-use fastg_bench::run_fig11;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::run_fig11;
 
 fn main() {
     println!("\n=== Figure 11: scheduling the paper's pod set on 4 GPUs ===\n");

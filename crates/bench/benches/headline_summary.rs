@@ -2,8 +2,8 @@
 //! sharing mechanism, FaST-GShare improves throughput by 3.15x, GPU
 //! utilization by 1.34x, and SM occupancy by 3.13x on average."
 
-use fastg_bench::{run_fig11, run_sharing};
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::{run_fig11, run_sharing};
 
 fn main() {
     println!("\n=== Headline summary: FaST-GShare vs time sharing ===\n");

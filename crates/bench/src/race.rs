@@ -12,13 +12,12 @@
 //! [`PlatformReport::digest`]: fastgshare::platform::PlatformReport::digest
 
 use fastg_des::SimTime;
-use fastg_workload::ArrivalProcess;
+use fastg_workload::{patterns, ArrivalProcess};
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{
-    FaultKind, FaultPlan, FunctionConfig, PlatformConfig, PlatformError, Scenario, TieBreak,
+    FaultKind, FaultPlan, FunctionConfig, OverloadConfig, PlatformConfig, PlatformError,
+    Scenario, TieBreak,
 };
-
-use crate::flash_crowd_scenario;
 
 /// The default perturbation set: FIFO (baseline) plus three adversarial
 /// orders. Shuffle seeds are arbitrary fixed constants; each scenario
@@ -197,6 +196,56 @@ fn fleet_scenarios() -> Vec<Scenario> {
     out
 }
 
+/// The flash-crowd overload scenario: two replicas at half quota
+/// (~70 rps capacity) on two nodes, hit by a crowd that ramps from
+/// 30 req/s at 5 s to 400 req/s at 6 s and holds to the end of the 8 s
+/// run, far beyond anything the scaler could absorb. With `control` the overload plane (bounded
+/// admission, deadline shedding, circuit breaker, brownout) is armed;
+/// without it the platform queues silently without limit. An optional
+/// `FaultPlan` layers node chaos on top of the crowd.
+fn flash_crowd_scenario(
+    name: String,
+    control: bool,
+    fastforward: bool,
+    plan: Option<FaultPlan>,
+) -> Scenario {
+    const SECONDS: u64 = 8;
+    const SEED: u64 = 17;
+    let mut cfg = PlatformConfig::default()
+        .nodes(2)
+        .policy(SharingPolicy::FaST)
+        .warmup(SimTime::from_secs(1))
+        .fastforward(fastforward)
+        .seed(SEED);
+    if control {
+        cfg = cfg.overload(OverloadConfig::default());
+    }
+    if let Some(plan) = plan {
+        cfg = cfg.fault_plan(plan);
+    }
+    Scenario::new(name, cfg)
+        .function(
+            FunctionConfig::new("flash", "resnet50")
+                .slo_ms(200)
+                .replicas(2)
+                .resources(50.0, 0.5, 0.8),
+        )
+        .load(
+            0,
+            patterns::flash_crowd(
+                30.0,
+                400.0,
+                SimTime::from_secs(5),
+                SimTime::from_secs(1),
+                SimTime::from_secs(5),
+                SimTime::from_secs(SECONDS),
+                1,
+                SEED + 1,
+            ),
+        )
+        .duration(SimTime::from_secs(SECONDS))
+}
+
 /// The flash-crowd overload matrix: control {off, on} × fast-forward
 /// {on, off} × {clean, chaos}.
 fn overload_scenarios() -> Vec<Scenario> {
@@ -214,10 +263,6 @@ fn overload_scenarios() -> Vec<Scenario> {
                     control,
                     fastforward,
                     chaos.then(chaos_plan),
-                    30.0,
-                    400.0,
-                    8,
-                    17,
                 ));
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fastgshare serve   [model] [rps] [seconds]      one function under FaST
-//! fastgshare compare [model] [pods]               the four sharing policies
+//! fastgshare compare [model] [pods]               the five sharing setups
 //! fastgshare profile [model]                      Figure-8 grid for a model
 //! fastgshare autoscale                            Figure-12 scenario
 //! fastgshare csv     [model] [rps] [seconds]      run + CSV report to stdout
@@ -16,8 +16,9 @@
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper;
 use fastgshare::platform::{csv, FunctionConfig, Platform, PlatformConfig};
-use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey, ProfileRecord};
+use fastgshare::profiler::ProfileDb;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,7 +96,7 @@ fn help() {
         "fastgshare — FaST-GShare (ICPP 2023) simulation platform\n\n\
          USAGE:\n  \
          fastgshare serve   [model] [rps] [seconds]   serve Poisson traffic under FaST\n  \
-         fastgshare compare [model] [pods]            compare the four sharing policies\n  \
+         fastgshare compare [model] [pods]            compare the five sharing setups\n  \
          fastgshare profile [model]                   FaST-Profiler grid (Figure 8)\n  \
          fastgshare autoscale                         auto-scaling scenario (Figure 12)\n  \
          fastgshare csv     [model] [rps] [seconds]   emit a CSV report\n  \
@@ -152,48 +153,21 @@ fn compare(model: &str, pods: usize) {
         "{:<28} {:>10} {:>12} {:>8} {:>8}",
         "policy", "req/s", "p99", "util", "SM occ"
     );
-    let cases = [
-        ("device plugin (exclusive)", SharingPolicy::Exclusive, 100.0),
-        ("time sharing (KubeShare)", SharingPolicy::SingleToken, 100.0),
-        ("racing (MPS, no control)", SharingPolicy::Racing, 100.0),
-        ("FaST-GShare (12% parts)", SharingPolicy::FaST, 12.0),
-        ("FaST-GShare (24% parts)", SharingPolicy::FaST, 24.0),
-    ];
-    for (name, policy, sm) in cases {
-        let mut p = Platform::new(
-            PlatformConfig::default()
-                .nodes(1)
-                .policy(policy)
-                .oversubscribe(true)
-                .warmup(SimTime::from_secs(1))
-                .seed(17),
-        );
-        let n = if policy == SharingPolicy::Exclusive { 1 } else { pods };
-        let f = p
-            .deploy(
-                FunctionConfig::new("cmp", model)
-                    .replicas(n)
-                    .resources(sm, 1.0, 1.0)
-                    .saturating(),
-            )
-            .expect("deploys");
-        let r = p.run_for(SimTime::from_secs(5));
-        let fr = &r.functions[&f];
+    for (name, policy, sm) in paper::SHARING_SETUPS {
+        let o = paper::run_sharing(policy, model, pods, sm, 4, 17).expect("deploys");
         println!(
             "{name:<28} {:>10.1} {:>12} {:>7.1}% {:>7.1}%",
-            fr.throughput_rps,
-            format!("{}", fr.p99),
-            r.nodes[0].utilization * 100.0,
-            r.nodes[0].sm_occupancy * 100.0,
+            o.rps,
+            format!("{}", o.p99),
+            o.utilization * 100.0,
+            o.sm_occupancy * 100.0,
         );
     }
 }
 
 fn profile(model: &str) {
     let mut db = ProfileDb::new();
-    let exp = Experiment::new(model, ConfigServer::paper_grid())
-        .trial_duration(SimTime::from_secs(3));
-    if let Err(e) = exp.run(&mut db) {
+    if let Err(e) = paper::fig8(model).run(&mut db) {
         eprintln!("profiling failed: {e}");
         std::process::exit(1);
     }
@@ -201,66 +175,12 @@ fn profile(model: &str) {
 }
 
 fn autoscale() {
-    let zoo = fastg_models::zoo::resnet50();
-    let mut db = ProfileDb::new();
-    for &(sm_pct, sms) in &[(6.0, 5u32), (12.0, 10), (24.0, 19), (50.0, 40)] {
-        for &q in &[0.2, 0.4, 0.6, 0.8, 1.0] {
-            db.insert(
-                "resnet50",
-                ProfileKey::new(sm_pct, q),
-                ProfileRecord {
-                    rps: zoo.ideal_rps(sms, q),
-                    p50: zoo.latency_at(sms),
-                    p99: zoo.latency_at(sms) * 2,
-                    utilization: 0.0,
-                    sm_occupancy: 0.0,
-                },
-            );
-        }
-    }
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(4)
-            .warmup(SimTime::from_secs(2))
-            .seed(23),
-    );
-    let f = p
-        .deploy(
-            FunctionConfig::new("fastsvc-resnet", "resnet50")
-                .slo_ms(69)
-                .replicas(1)
-                .resources(12.0, 0.4, 1.0),
-        )
-        .expect("deploys");
-    p.enable_autoscaler(db);
-    p.set_load(
-        f,
-        ArrivalProcess::profile(
-            vec![
-                (SimTime::ZERO, 10.0),
-                (SimTime::from_secs(10), 10.0),
-                (SimTime::from_secs(30), 130.0),
-                (SimTime::from_secs(40), 130.0),
-                (SimTime::from_secs(45), 40.0),
-                (SimTime::from_secs(60), 40.0),
-            ],
-            99,
-        ),
-    );
+    let (intervals, report) = paper::run_fig12(121).expect("deploys");
     println!("{:>6} {:>7} {:>12}", "t", "pods", "served");
-    let mut prev = 0u64;
-    for step in 1..=12u64 {
-        let r = p.run_for(SimTime::from_secs(5));
-        let fr = &r.functions[&f];
-        println!(
-            "{:>5}s {:>7} {:>10.1}/s",
-            step * 5,
-            fr.replicas,
-            (fr.completed - prev) as f64 / 5.0
-        );
-        prev = fr.completed;
+    for i in &intervals {
+        println!("{:>5}s {:>7} {:>10.1}/s", i.end_s, i.replicas, i.served_rps);
     }
-    let fr = &p.report().functions[&f];
+    let fr = report.functions.values().next().expect("one function");
     println!(
         "SLO violations {:.2}% over {} requests",
         fr.violation_ratio * 100.0,

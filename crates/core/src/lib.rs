@@ -7,7 +7,8 @@
 //! SLOs through profiling-driven auto-scaling and fragmentation-aware GPU
 //! packing.
 //!
-//! The four components of the paper map to the four policy modules here:
+//! The four components of the paper map to the four policy modules here,
+//! and its evaluation to a fifth:
 //!
 //! | paper | module | what it does |
 //! |---|---|---|
@@ -15,6 +16,7 @@
 //! | FaST-Profiler (§3.2) | [`profiler`] | Experiment→Trial sweeps of (SM partition × time quota), profile database |
 //! | FaST-Scheduler (§3.4) | [`scheduler`] | Algorithm 1 (Heuristic Scaling) and Algorithm 2 (Maximal Rectangles) with node selection |
 //! | Model Sharing (§3.5) | [`modelshare`] | IPC-based single-copy weight store (STORE/GET protocol) |
+//! | Evaluation (§5) | [`paper`] | each figure's scenario defined once, for the figure benches, the CLI, the examples and the tests |
 //!
 //! [`platform`] composes them with the simulation substrates
 //! (`fastg-des`, `fastg-gpu`, `fastg-models`, `fastg-cluster`,
@@ -51,6 +53,7 @@
 
 pub mod manager;
 pub mod modelshare;
+pub mod paper;
 pub mod platform;
 pub mod profiler;
 pub mod scheduler;

@@ -96,12 +96,13 @@ impl ConfigServer {
         ConfigServer { plan }
     }
 
-    /// The paper's §5.2 profiling grid:
-    /// temporal 20/40/60/80/100 %, spatial 6/12/24/50/60/80/100 %.
+    /// The paper's §5.2 profiling grid,
+    /// [`FIG8_SPATIAL`](crate::paper::FIG8_SPATIAL) ×
+    /// [`FIG8_TEMPORAL`](crate::paper::FIG8_TEMPORAL).
     pub fn paper_grid() -> Self {
         Self::new(SamplePlan::Grid {
-            spatial: vec![6.0, 12.0, 24.0, 50.0, 60.0, 80.0, 100.0],
-            temporal: vec![0.2, 0.4, 0.6, 0.8, 1.0],
+            spatial: crate::paper::FIG8_SPATIAL.to_vec(),
+            temporal: crate::paper::FIG8_TEMPORAL.to_vec(),
         })
     }
 

@@ -1,96 +1,31 @@
 //! Auto-scaling under a traffic ramp (paper Figure 12): the
-//! FaST-Scheduler follows the predicted RPS with Algorithm 1 and keeps
-//! the ResNet 69 ms SLO.
+//! FaST-Scheduler follows the predicted RPS with Algorithm 1. The paper
+//! keeps ResNet's 69 ms SLO on > 99 % of requests; this reproduction
+//! measures 3.07 % violations (EXPERIMENTS.md, deviation 5).
 //!
 //! ```sh
 //! cargo run --release --example autoscaling_slo
 //! ```
 
-use fastg_des::SimTime;
-use fastg_models::zoo;
-use fastg_workload::ArrivalProcess;
-use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
-use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
-
-/// Build the ResNet profile the scheduler scales from (analytic curves;
-/// see `examples/profiler_sweep.rs` for the measured version).
-fn resnet_profile() -> ProfileDb {
-    let model = zoo::resnet50();
-    let mut db = ProfileDb::new();
-    for &(sm_pct, sms) in &[(6.0, 5u32), (12.0, 10), (24.0, 19), (50.0, 40)] {
-        for &q in &[0.2, 0.4, 0.6, 0.8, 1.0] {
-            db.insert(
-                "resnet50",
-                ProfileKey::new(sm_pct, q),
-                ProfileRecord {
-                    rps: model.ideal_rps(sms, q),
-                    p50: model.latency_at(sms),
-                    p99: model.latency_at(sms) * 2,
-                    utilization: 0.0,
-                    sm_occupancy: 0.0,
-                },
-            );
-        }
-    }
-    db
-}
+use fastgshare::paper::run_fig12;
 
 fn main() {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(4)
-            .warmup(SimTime::from_secs(2))
-            .seed(121),
-    );
-    let f = p
-        .deploy(
-            FunctionConfig::new("fastsvc-resnet", "resnet50")
-                .slo_ms(69)
-                .replicas(1)
-                .resources(12.0, 0.4, 1.0),
-        )
-        .expect("deploys");
-    p.enable_autoscaler(resnet_profile());
-
-    // Traffic profile: quiet start, ramp to 130 rps, hold, drop.
-    p.set_load(
-        f,
-        ArrivalProcess::profile(
-            vec![
-                (SimTime::ZERO, 10.0),
-                (SimTime::from_secs(10), 10.0),
-                (SimTime::from_secs(30), 130.0),
-                (SimTime::from_secs(40), 130.0),
-                (SimTime::from_secs(45), 40.0),
-                (SimTime::from_secs(60), 40.0),
-            ],
-            121,
-        ),
-    );
+    let (intervals, report) = run_fig12(121).expect("deploys");
 
     println!("== Auto-scaling to meet the 69ms ResNet SLO (Figure 12) ==\n");
     println!("{:>6} {:>10} {:>8} {:>10} {:>12}", "t", "offered", "pods", "served", "p99");
-    let mut served_before = 0u64;
-    for step in 1..=12 {
-        let report = p.run_for(SimTime::from_secs(5));
-        let fr = &report.functions[&f];
-        let t = SimTime::from_secs(step * 5);
-        let window_served = fr.completed - served_before;
-        served_before = fr.completed;
+    for i in &intervals {
         println!(
             "{:>5}s {:>8.1}/s {:>8} {:>8.1}/s {:>12}",
-            step * 5,
-            // offered rate ~ completions once the scaler keeps up
-            window_served as f64 / 5.0,
-            fr.replicas,
-            window_served as f64 / 5.0,
-            fr.p99.to_string(),
+            i.end_s,
+            i.offered_rps,
+            i.replicas,
+            i.served_rps,
+            i.p99.to_string(),
         );
-        let _ = t;
     }
 
-    let report = p.report();
-    let fr = &report.functions[&f];
+    let fr = report.functions.values().next().expect("one function");
     println!(
         "\nfinal: {} requests served, SLO violations {:.2}% (paper: < 1%), \
          final replica count {}",

@@ -6,32 +6,11 @@
 //! cargo run --release --example baseline_sharing [model] [pods]
 //! ```
 
-use fastg_des::SimTime;
 use fastgshare::manager::SharingPolicy;
-use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
+use fastgshare::paper::{run_sharing, SharingOutcome, SHARING_SETUPS};
 
-fn run(policy: SharingPolicy, model: &str, pods: usize, sm: f64) -> (f64, SimTime, f64, f64) {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .policy(policy)
-            .oversubscribe(true)
-            .warmup(SimTime::from_secs(1))
-            .seed(17),
-    );
-    let pods = if policy == SharingPolicy::Exclusive { 1 } else { pods };
-    let f = p
-        .deploy(
-            FunctionConfig::new("bench", model)
-                .replicas(pods)
-                .resources(sm, 1.0, 1.0)
-                .saturating(),
-        )
-        .expect("deploys");
-    let r = p.run_for(SimTime::from_secs(6));
-    let fr = &r.functions[&f];
-    let n = &r.nodes[0];
-    (fr.throughput_rps, fr.p99, n.utilization, n.sm_occupancy)
+fn run(policy: SharingPolicy, model: &str, pods: usize, sm: f64) -> SharingOutcome {
+    run_sharing(policy, model, pods, sm, 5, 17).expect("deploys")
 }
 
 fn main() {
@@ -47,28 +26,22 @@ fn main() {
         "policy", "req/s", "p99", "util", "SM occ"
     );
 
-    let cases = [
-        ("device plugin (exclusive)", SharingPolicy::Exclusive, 100.0),
-        ("time sharing (KubeShare)", SharingPolicy::SingleToken, 100.0),
-        ("racing (MPS, no control)", SharingPolicy::Racing, 100.0),
-        ("FaST-GShare (12% parts)", SharingPolicy::FaST, 12.0),
-        ("FaST-GShare (24% parts)", SharingPolicy::FaST, 24.0),
-    ];
     let mut baseline = None;
-    for (name, policy, sm) in cases {
-        let (rps, p99, util, occ) = run(policy, &model, pods, sm);
+    for (name, policy, sm) in SHARING_SETUPS {
+        let o = run(policy, &model, pods, sm);
         if policy == SharingPolicy::SingleToken {
-            baseline = Some(rps);
+            baseline = Some(o.rps);
         }
         println!(
-            "{name:<28} {rps:>10.1} {:>12} {:>7.1}% {:>7.1}%",
-            p99.to_string(),
-            util * 100.0,
-            occ * 100.0
+            "{name:<28} {:>10.1} {:>12} {:>7.1}% {:>7.1}%",
+            o.rps,
+            o.p99.to_string(),
+            o.utilization * 100.0,
+            o.sm_occupancy * 100.0
         );
     }
     if let Some(ts) = baseline {
-        let (fast, _, _, _) = run(SharingPolicy::FaST, &model, pods, 12.0);
+        let fast = run(SharingPolicy::FaST, &model, pods, 12.0).rps;
         println!(
             "\nFaST-GShare vs time sharing: {:.2}x throughput \
              (paper reports 3.15x on average across models)",

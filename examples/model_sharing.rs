@@ -8,26 +8,13 @@
 
 use fastg_models::zoo;
 use fastgshare::modelshare::footprint;
-use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
+use fastgshare::paper::fig13;
 
 const MIB: u64 = 1024 * 1024;
 const CTX: u64 = 300 * MIB;
 
 fn live_footprint(model: &str, pods: usize, sharing: bool) -> u64 {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .model_sharing(sharing)
-            .oversubscribe(true)
-            .seed(3),
-    );
-    p.deploy(
-        FunctionConfig::new("f", model)
-            .replicas(pods)
-            .resources(12.0, 0.5, 0.5),
-    )
-    .expect("fits");
-    p.node_memory_used(0)
+    fig13(model, pods, sharing).expect("fits").node_memory_used(0)
 }
 
 fn main() {

@@ -8,31 +8,26 @@
 //! `model` defaults to `resnet50`; any `fastg-models` zoo name works
 //! (resnet50, bert_base, rnnt, gnmt, resnext101, vit_huge).
 
-use fastg_des::SimTime;
-use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey};
+use fastgshare::paper::{fig8, FIG8_SPATIAL, FIG8_TEMPORAL};
+use fastgshare::profiler::{ProfileDb, ProfileKey};
 
 fn main() {
     let model = std::env::args().nth(1).unwrap_or_else(|| "resnet50".into());
-    let spatial = [6.0, 12.0, 24.0, 50.0, 60.0, 80.0, 100.0];
-    let temporal = [0.2, 0.4, 0.6, 0.8, 1.0];
-
     println!("== FaST-Profiler: {model} ==");
     println!("(each cell: requests/second from one single-pod trial)\n");
 
-    let experiment = Experiment::new(&model, ConfigServer::paper_grid())
-        .trial_duration(SimTime::from_secs(3));
     let mut db = ProfileDb::new();
-    experiment.run_parallel(&mut db, 8).expect("known model");
+    fig8(&model).run_parallel(&mut db, 8).expect("known model");
 
     print!("{:>8} |", "SM \\ Q");
-    for q in temporal {
+    for q in FIG8_TEMPORAL {
         print!(" {:>7.0}% |", q * 100.0);
     }
     println!();
-    println!("{}", "-".repeat(10 + temporal.len() * 11));
-    for sm in spatial {
+    println!("{}", "-".repeat(10 + FIG8_TEMPORAL.len() * 11));
+    for sm in FIG8_SPATIAL {
         print!("{sm:>7.0}% |");
-        for q in temporal {
+        for q in FIG8_TEMPORAL {
             let rps = db
                 .get(&model, ProfileKey::new(sm, q))
                 .map(|r| r.rps)

@@ -7,16 +7,8 @@
 //! ```
 
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
+use fastgshare::paper::fig11_functions;
 use fastgshare::scheduler::{NodeSelector, PlacementPolicy, Scheduler};
-
-fn pod_set() -> Vec<(&'static str, ResourceSpec, usize)> {
-    vec![
-        // Descending area order, as the FaST-Scheduler submits them.
-        ("bert (50%,60%)", ResourceSpec::new(50.0, 0.6, 0.6, 0), 2),
-        ("rnnt (24%,40%)", ResourceSpec::new(24.0, 0.4, 0.4, 0), 2),
-        ("resnet (12%,40%)", ResourceSpec::new(12.0, 0.4, 0.4, 0), 4),
-    ]
-}
 
 fn pack(policy: PlacementPolicy) -> NodeSelector {
     let mut s = NodeSelector::new(policy);
@@ -24,8 +16,11 @@ fn pack(policy: PlacementPolicy) -> NodeSelector {
         s.add_gpu(NodeId(i));
     }
     let mut id = 0u64;
-    for (name, spec, n) in pod_set() {
-        for _ in 0..n {
+    for fc in fig11_functions() {
+        let (sm, request, limit) = fc.resources;
+        let name = format!("{} ({sm}%,{:.0}%)", fc.name, request * 100.0);
+        let spec = ResourceSpec::new(sm, request, limit, 0);
+        for _ in 0..fc.replicas {
             match s.place(PodId(id), &spec, |_| true) {
                 Some((node, rect)) => println!(
                     "  {name:<18} -> GPU{} at quota[{}..{}] x SM[{}..{}]",

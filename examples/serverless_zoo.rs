@@ -14,32 +14,8 @@ use fastg_des::SimTime;
 use fastg_models::zoo;
 use fastg_workload::patterns;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::analytic_profile;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
-use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
-
-/// Analytic profiles for every model (the real profiler would measure
-/// these; see `profiler_sweep.rs`).
-fn zoo_profiles() -> ProfileDb {
-    let mut db = ProfileDb::new();
-    for m in zoo::all() {
-        for &(sm_pct, sms) in &[(12.0, 10u32), (24.0, 19), (50.0, 40), (80.0, 64)] {
-            for &q in &[0.2, 0.4, 0.6, 1.0] {
-                db.insert(
-                    &m.name,
-                    ProfileKey::new(sm_pct, q),
-                    ProfileRecord {
-                        rps: m.ideal_rps(sms, q),
-                        p50: m.latency_at(sms),
-                        p99: m.latency_at(sms) * 2,
-                        utilization: 0.0,
-                        sm_occupancy: 0.0,
-                    },
-                );
-            }
-        }
-    }
-    db
-}
 
 fn main() {
     let mut p = Platform::new(
@@ -72,7 +48,13 @@ fn main() {
             .expect("deploys");
         funcs.push((f, model));
     }
-    p.enable_autoscaler(zoo_profiles());
+    // Analytic profiles for every model (the real profiler would measure
+    // these; see `profiler_sweep.rs`).
+    p.enable_autoscaler(analytic_profile(
+        &zoo::all(),
+        &[12.0, 24.0, 50.0, 80.0],
+        &[0.2, 0.4, 0.6, 1.0],
+    ));
 
     // Traffic: ResNet sees a diurnal swing, BERT gets bursts, the rest
     // hold steady Poisson rates.

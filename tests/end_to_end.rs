@@ -3,42 +3,19 @@
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::run_sharing;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
 
-/// A one-node platform with `n` saturating pods of `model` at the given
-/// partition, returning total steady-state throughput and mean tail
-/// latency.
+/// The sharing cell over a 5 s window: `(throughput, p99, utilization,
+/// SM occupancy)`.
 fn saturated_run(
     policy: SharingPolicy,
     model: &str,
     pods: usize,
     sm: f64,
 ) -> (f64, SimTime, f64, f64) {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .policy(policy)
-            .oversubscribe(true)
-            .warmup(SimTime::from_secs(1))
-            .seed(11),
-    );
-    let f = p
-        .deploy(
-            FunctionConfig::new("f", model)
-                .replicas(pods)
-                .resources(sm, 1.0, 1.0)
-                .saturating(),
-        )
-        .unwrap();
-    let report = p.run_for(SimTime::from_secs(6));
-    let fr = &report.functions[&f];
-    let node = &report.nodes[0];
-    (
-        fr.throughput_rps,
-        fr.p99,
-        node.utilization,
-        node.sm_occupancy,
-    )
+    let o = run_sharing(policy, model, pods, sm, 5, 11).unwrap();
+    (o.rps, o.p99, o.utilization, o.sm_occupancy)
 }
 
 /// §5.3: eight ResNet pods at 12 % SM partitions vs the time-sharing

@@ -3,20 +3,8 @@
 
 use fastg_des::SimTime;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::{run_fig9, run_sharing};
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
-
-fn platform(policy: SharingPolicy, seed: u64) -> Platform {
-    // Figure 9 deliberately over-subscribes the temporal axis
-    // (0.8 + 0.5 > 1.0), so placement admission is off throughout.
-    Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .policy(policy)
-            .oversubscribe(true)
-            .warmup(SimTime::from_secs(1))
-            .seed(seed),
-    )
-}
 
 /// Temporal isolation: throughput under a quota is proportional to the
 /// quota (Figure 8's temporal axis), so a pod cannot exceed its share.
@@ -24,7 +12,14 @@ fn platform(policy: SharingPolicy, seed: u64) -> Platform {
 fn quota_bounds_throughput_proportionally() {
     let mut rates = Vec::new();
     for quota in [0.2, 0.4, 0.8] {
-        let mut p = platform(SharingPolicy::FaST, 3);
+        let mut p = Platform::new(
+            PlatformConfig::default()
+                .nodes(1)
+                .policy(SharingPolicy::FaST)
+                .oversubscribe(true)
+                .warmup(SimTime::from_secs(1))
+                .seed(3),
+        );
         let f = p
             .deploy(
                 FunctionConfig::new("f", "resnet50")
@@ -47,16 +42,7 @@ fn quota_bounds_throughput_proportionally() {
 fn partition_bounds_and_saturates_throughput() {
     let mut rates = Vec::new();
     for sm in [6.0, 12.0, 24.0, 50.0] {
-        let mut p = platform(SharingPolicy::FaST, 4);
-        let f = p
-            .deploy(
-                FunctionConfig::new("f", "resnet50")
-                    .resources(sm, 1.0, 1.0)
-                    .saturating(),
-            )
-            .unwrap();
-        let report = p.run_for(SimTime::from_secs(5));
-        rates.push(report.functions[&f].throughput_rps);
+        rates.push(run_sharing(SharingPolicy::FaST, "resnet50", 1, sm, 4, 4).unwrap().rps);
     }
     let (r6, r12, r24, r50) = (rates[0], rates[1], rates[2], rates[3]);
     // Strong growth up to the saturation point, negligible beyond.
@@ -73,34 +59,9 @@ fn partition_bounds_and_saturates_throughput() {
 /// RNNT mid-run steals ResNet's elastic share — visible interference.
 #[test]
 fn time_sharing_elastic_quota_interference() {
-    // Phase 1: ResNet alone, free to use its 80 % limit.
-    let mut p = platform(SharingPolicy::SingleToken, 7);
-    let resnet = p
-        .deploy(
-            FunctionConfig::new("resnet", "resnet50")
-                .resources(100.0, 0.5, 0.8)
-                .saturating(),
-        )
-        .unwrap();
-    let alone = p.run_for(SimTime::from_secs(4)).functions[&resnet].throughput_rps;
-
-    // Phase 2: same deployment plus a saturating RNNT competitor.
-    let mut p = platform(SharingPolicy::SingleToken, 7);
-    let resnet = p
-        .deploy(
-            FunctionConfig::new("resnet", "resnet50")
-                .resources(100.0, 0.5, 0.8)
-                .saturating(),
-        )
-        .unwrap();
-    let _rnnt = p
-        .deploy(
-            FunctionConfig::new("rnnt", "rnnt")
-                .resources(100.0, 0.5, 0.5)
-                .saturating(),
-        )
-        .unwrap();
-    let contended = p.run_for(SimTime::from_secs(4)).functions[&resnet].throughput_rps;
+    // ResNet alone is free to use its 80 % limit.
+    let alone = run_fig9(SharingPolicy::SingleToken, false, 3, 7).unwrap();
+    let contended = run_fig9(SharingPolicy::SingleToken, true, 3, 7).unwrap();
 
     assert!(
         contended < alone * 0.92,
@@ -112,32 +73,8 @@ fn time_sharing_elastic_quota_interference() {
 /// partitions — no mutual influence.
 #[test]
 fn spatial_partitions_eliminate_interference() {
-    let mut p = platform(SharingPolicy::FaST, 8);
-    let resnet = p
-        .deploy(
-            FunctionConfig::new("resnet", "resnet50")
-                .resources(24.0, 0.5, 0.8)
-                .saturating(),
-        )
-        .unwrap();
-    let alone = p.run_for(SimTime::from_secs(4)).functions[&resnet].throughput_rps;
-
-    let mut p = platform(SharingPolicy::FaST, 8);
-    let resnet = p
-        .deploy(
-            FunctionConfig::new("resnet", "resnet50")
-                .resources(24.0, 0.5, 0.8)
-                .saturating(),
-        )
-        .unwrap();
-    let _rnnt = p
-        .deploy(
-            FunctionConfig::new("rnnt", "rnnt")
-                .resources(24.0, 0.5, 0.5)
-                .saturating(),
-        )
-        .unwrap();
-    let contended = p.run_for(SimTime::from_secs(4)).functions[&resnet].throughput_rps;
+    let alone = run_fig9(SharingPolicy::FaST, false, 3, 8).unwrap();
+    let contended = run_fig9(SharingPolicy::FaST, true, 3, 8).unwrap();
 
     let drop = (alone - contended) / alone;
     assert!(
@@ -152,31 +89,10 @@ fn spatial_partitions_eliminate_interference() {
 /// with 8 × 24 % pods, concurrency is throttled but correctness holds.
 #[test]
 fn sm_adapter_over_subscription_still_serves() {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .policy(SharingPolicy::FaST)
-            .oversubscribe(true)
-            .warmup(SimTime::from_secs(1))
-            .seed(12),
-    );
-    let f = p
-        .deploy(
-            FunctionConfig::new("f", "resnet50")
-                .replicas(8)
-                .resources(24.0, 1.0, 1.0)
-                .saturating(),
-        )
-        .unwrap();
-    let report = p.run_for(SimTime::from_secs(5));
-    let fr = &report.functions[&f];
+    let rps = run_sharing(SharingPolicy::FaST, "resnet50", 8, 24.0, 4, 12).unwrap().rps;
     // 4 × 24 % run concurrently; the other four rotate in. Throughput
     // lands near 4 concurrent pods' worth, not 8.
     let four_pods = 4.0 / (0.004 + fastg_models::zoo::resnet50().latency_at(19).as_secs_f64() - 0.004);
-    assert!(fr.throughput_rps > 100.0, "rps {}", fr.throughput_rps);
-    assert!(
-        fr.throughput_rps < four_pods * 1.45,
-        "rps {} vs 4-pod bound {four_pods}",
-        fr.throughput_rps
-    );
+    assert!(rps > 100.0, "rps {rps}");
+    assert!(rps < four_pods * 1.45, "rps {rps} vs 4-pod bound {four_pods}");
 }

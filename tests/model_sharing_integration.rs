@@ -4,23 +4,13 @@
 
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
+use fastgshare::paper::fig13;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig, PlatformError};
 
 const MIB: u64 = 1024 * 1024;
 
 fn deploy_n(model: &str, n: usize, sharing: bool) -> Result<(Platform, u64), PlatformError> {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .model_sharing(sharing)
-            .oversubscribe(true)
-            .seed(1),
-    );
-    p.deploy(
-        FunctionConfig::new("f", model)
-            .replicas(n)
-            .resources(12.0, 0.5, 0.5),
-    )?;
+    let p = fig13(model, n, sharing)?;
     let used = p.node_memory_used(0);
     Ok((p, used))
 }

@@ -8,7 +8,9 @@
 //! 3.35 / 1.49× per model and 3.11× on average over 5 s windows; the
 //! paper's ≈ 4.2 / 3.5 / 1.5× and 3.15×).
 //!
-//! The windows here are 2 s after the 1 s warm-up, to keep tier-1 fast.
+//! Every scenario is the one `fastgshare::paper` defines for its figure.
+//! The speedup windows here are 2 s after the 1 s warm-up, to keep tier-1
+//! fast.
 //! Re-derived for them, the same scenarios measure 4.486 / 3.333 /
 //! 1.517× and 3.112× on average; the workloads are saturating and
 //! deterministic, so every seed gives these figures. Each value must lie
@@ -16,10 +18,9 @@
 //! calibration, and within 8 % of the paper's, which is the reproduction
 //! claim itself.
 
-use fastg_des::SimTime;
 use fastgshare::manager::SharingPolicy;
-use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
-use fastgshare::profiler::{ConfigServer, Experiment, ProfileDb, ProfileKey};
+use fastgshare::paper::{self, FIG8_TEMPORAL};
+use fastgshare::profiler::{ProfileDb, ProfileKey};
 
 /// Measured seconds after the 1 s warm-up.
 const WINDOW_S: u64 = 2;
@@ -40,23 +41,7 @@ const HEADLINE: (f64, f64) = (3.15, 3.112);
 /// Throughput of eight saturating `model` pods on one V100 under
 /// `policy`, each with `sm` % of the SMs and its full quota.
 fn rps(model: &str, policy: SharingPolicy, sm: f64) -> f64 {
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(1)
-            .policy(policy)
-            .oversubscribe(true)
-            .warmup(SimTime::from_secs(1))
-            .seed(7),
-    );
-    p.deploy(
-        FunctionConfig::new("bench", model)
-            .replicas(8)
-            .resources(sm, 1.0, 1.0)
-            .saturating(),
-    )
-    .unwrap();
-    let report = p.run_for(SimTime::from_secs(1 + WINDOW_S));
-    report.functions.values().next().unwrap().throughput_rps
+    paper::run_sharing(policy, model, 8, sm, WINDOW_S, 7).unwrap().rps
 }
 
 /// FaST 8 × 12 % over time sharing's 8 × 100 % for `model`.
@@ -68,12 +53,12 @@ fn assert_band(what: &str, got: f64, paper: f64, rederived: f64) {
     let off = |want: f64| (got / want - 1.0).abs();
     assert!(
         off(rederived) <= MEASURED_TOL,
-        "{what}: {got:.3}× is {:.1} % off its re-derived {rederived}×",
+        "{what}: {got:.3} is {:.1} % off its re-derived {rederived}",
         100.0 * off(rederived)
     );
     assert!(
         off(paper) <= PAPER_TOL,
-        "{what}: {got:.3}× is {:.1} % off the paper's {paper}×",
+        "{what}: {got:.3} is {:.1} % off the paper's {paper}",
         100.0 * off(paper)
     );
 }
@@ -93,74 +78,36 @@ fn fast_beats_time_sharing_by_the_papers_factors() {
     assert_band("headline throughput", sum / PER_MODEL.len() as f64, paper, rederived);
 }
 
-/// Figure 12's own scenario: ResNet-50 under a 69 ms SLO, offered 10 →
-/// 130 → 40 req/s over 12 × 5 s with seed 121, four nodes, and the
-/// auto-scaler on an analytic Figure 8 profile (as `cargo bench -p
-/// fastg-bench --bench fig12_autoscaling` runs it). Returns the SLO
-/// violation ratio and the peak replica count over the interval ends.
-fn fig12_autoscaling() -> (f64, usize) {
-    use fastg_workload::ArrivalProcess;
-    use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
-
-    let model = fastg_models::zoo::resnet50();
-    let mut db = ProfileDb::new();
-    for (sm_pct, sms) in [(6.0, 5u32), (12.0, 10), (24.0, 19), (50.0, 40)] {
-        for q in [0.2, 0.4, 0.6, 0.8, 1.0] {
-            let record = ProfileRecord {
-                rps: model.ideal_rps(sms, q),
-                p50: model.latency_at(sms),
-                p99: model.latency_at(sms) * 2,
-                utilization: 0.0,
-                sm_occupancy: 0.0,
-            };
-            db.insert("resnet50", ProfileKey::new(sm_pct, q), record);
-        }
-    }
-    let mut p = Platform::new(
-        PlatformConfig::default()
-            .nodes(4)
-            .warmup(SimTime::from_secs(2))
-            .seed(121),
-    );
-    let f = p
-        .deploy(
-            FunctionConfig::new("resnet", "resnet50")
-                .slo_ms(69)
-                .replicas(1)
-                .resources(12.0, 0.4, 1.0),
-        )
-        .unwrap();
-    p.enable_autoscaler(db);
-    let at = SimTime::from_secs;
-    let load = vec![
-        (at(0), 10.0),
-        (at(10), 10.0),
-        (at(30), 130.0),
-        (at(40), 130.0),
-        (at(45), 40.0),
-        (at(60), 40.0),
-    ];
-    p.set_load(f, ArrivalProcess::profile(load, 121));
-    let mut peak = 0;
-    let mut violations = 0.0;
-    for _ in 0..12 {
-        let report = p.run_for(SimTime::from_secs(5));
-        let fr = &report.functions[&f];
-        peak = peak.max(fr.replicas);
-        violations = fr.violation_ratio;
-    }
-    (violations, peak)
+/// EXPERIMENTS.md, "Figure 10" (RNNT excerpt): eight RNNT pods at 12 %
+/// SM partitions serve 41.6 req/s and one racing RNNT pod 12.4 req/s
+/// (paper: 40 vs 12.51). The test runs the figure's own 5 s window and
+/// seed 1001, as `cargo bench -p fastg-bench --bench fig10_spatial_sharing`
+/// does, not `WINDOW_S`: over 2 s one racing completion is 4 % of the
+/// figure, as wide as the band. Both cells together take well under a
+/// second in debug, and they are deterministic, so every seed gives these
+/// figures.
+#[test]
+fn fig10_rnnt_partitions_against_one_racing_pod() {
+    let rnnt = |policy, pods, sm| paper::run_sharing(policy, "rnnt", pods, sm, 5, 1001).unwrap().rps;
+    let partitioned = rnnt(SharingPolicy::FaST, 8, 12.0);
+    let racing = rnnt(SharingPolicy::Racing, 1, 100.0);
+    assert_band("8 × 12 % RNNT req/s", partitioned, 40.0, 41.6);
+    assert_band("1 racing RNNT req/s", racing, 12.51, 12.4);
 }
 
 /// EXPERIMENTS.md, "Figure 12": the paper keeps SLO violations below 1 %
-/// and this reproduction does not. The scenario measures 3.07 % (3,805
-/// requests) with replicas 1 → 9 → 1 → 3, and one pod serves 37.6 of the
-/// 40 req/s offered at 50 s. The bands pin that, ±0.5 points and ±1
-/// replica, so a change to the auto-scaler, the replica list or the drain
-/// order shows here; one that meets the paper must move the bands.
+/// and this reproduction does not. The figure's own scenario
+/// (`paper::run_fig12` with seed 121, as `cargo bench -p fastg-bench
+/// --bench fig12_autoscaling` runs it) measures 3.07 % (3,805 requests)
+/// with replicas 1 → 9 → 1 → 3, and one pod serves 37.6 of the 40 req/s
+/// offered at 50 s. The bands pin that, ±0.5 points and ±1 replica, so a
+/// change to the auto-scaler, the replica list or the drain order shows
+/// here; one that meets the paper must move the bands.
 #[test]
 fn fig12_autoscaling_violations_and_peak_replicas() {
-    let (violations, peak) = fig12_autoscaling();
+    let (intervals, report) = paper::run_fig12(121).unwrap();
+    let violations = report.functions.values().next().unwrap().violation_ratio;
+    let peak = intervals.iter().map(|i| i.replicas).max().unwrap();
     assert!(
         (0.0257..=0.0357).contains(&violations),
         "SLO violations {:.2} %, re-derived 3.07 % (paper: < 1 %)",
@@ -168,9 +115,6 @@ fn fig12_autoscaling_violations_and_peak_replicas() {
     );
     assert!((8..=10).contains(&peak), "peak replicas {peak}, re-derived 9");
 }
-
-/// The quota columns of Figure 8's grid.
-const FIG8_QUOTAS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 
 /// EXPERIMENTS.md, "Figure 8": ResNet-50's profiled throughput (req/s)
 /// per SM partition, one cell per quota column, as `cargo bench -p
@@ -193,14 +137,12 @@ const FIG8_RESNET: [(f64, [f64; 5]); 7] = [
 #[test]
 fn fig08_resnet_excerpt_cell_for_cell() {
     let mut db = ProfileDb::new();
-    Experiment::new("resnet50", ConfigServer::paper_grid())
-        .trial_duration(SimTime::from_secs(3))
-        .run_parallel(&mut db, 2)
-        .unwrap();
+    paper::fig8("resnet50").run_parallel(&mut db, 2).unwrap();
     for (sm, row) in FIG8_RESNET {
-        for (q, want) in FIG8_QUOTAS.into_iter().zip(row) {
+        for (q, want) in FIG8_TEMPORAL.into_iter().zip(row) {
             let got = db.get("resnet50", ProfileKey::new(sm, q)).unwrap().rps;
             assert_eq!(format!("{got:.1}"), format!("{want:.1}"), "{sm} % SMs, quota {q}");
         }
     }
 }
+

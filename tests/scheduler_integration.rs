@@ -4,52 +4,19 @@
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper::{self, FIG8_TEMPORAL};
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
-use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
+use fastgshare::profiler::ProfileDb;
 
 /// Figure 11: the 8-pod set (4 ResNet + 2 RNNT + 2 BERT) needs one GPU
 /// under FaST but four under time sharing.
 #[test]
 fn fig11_gpu_count_fast_vs_time_sharing() {
-    let deploy_all = |p: &mut Platform| {
-        // Descending area order, as the scheduler submits configurations.
-        p.deploy(
-            FunctionConfig::new("bert", "bert_base")
-                .replicas(2)
-                .resources(50.0, 0.6, 0.6),
-        )
-        .unwrap();
-        p.deploy(
-            FunctionConfig::new("rnnt", "rnnt")
-                .replicas(2)
-                .resources(24.0, 0.4, 0.4),
-        )
-        .unwrap();
-        p.deploy(
-            FunctionConfig::new("resnet", "resnet50")
-                .replicas(4)
-                .resources(12.0, 0.4, 0.4),
-        )
-        .unwrap();
-    };
-
-    let mut fast = Platform::new(
-        PlatformConfig::default()
-            .nodes(4)
-            .policy(SharingPolicy::FaST)
-            .seed(1),
-    );
-    deploy_all(&mut fast);
+    let fast = paper::fig11(SharingPolicy::FaST, 1).unwrap();
     assert_eq!(fast.gpus_in_use(), 1, "FaST packs everything on one GPU");
     assert_eq!(fast.scheduler_stats().placements, 8);
 
-    let mut ts = Platform::new(
-        PlatformConfig::default()
-            .nodes(4)
-            .policy(SharingPolicy::SingleToken)
-            .seed(1),
-    );
-    deploy_all(&mut ts);
+    let ts = paper::fig11(SharingPolicy::SingleToken, 1).unwrap();
     assert_eq!(ts.gpus_in_use(), 4, "time sharing spreads over four GPUs");
 }
 
@@ -67,39 +34,7 @@ fn fig11_gpu_count_fast_vs_time_sharing() {
 #[test]
 fn fig11_utilization_and_occupancy_ratios() {
     let run = |policy: SharingPolicy| {
-        let mut p = Platform::new(
-            PlatformConfig::default()
-                .nodes(4)
-                .policy(policy)
-                .warmup(SimTime::from_secs(1))
-                .seed(2),
-        );
-        let bert = p
-            .deploy(
-                FunctionConfig::new("bert", "bert_base")
-                    .replicas(2)
-                    .resources(50.0, 0.6, 0.6)
-                    .saturating(),
-            )
-            .unwrap();
-        let rnnt = p
-            .deploy(
-                FunctionConfig::new("rnnt", "rnnt")
-                    .replicas(2)
-                    .resources(24.0, 0.4, 0.4)
-                    .saturating(),
-            )
-            .unwrap();
-        let resnet = p
-            .deploy(
-                FunctionConfig::new("resnet", "resnet50")
-                    .replicas(4)
-                    .resources(12.0, 0.4, 0.4)
-                    .saturating(),
-            )
-            .unwrap();
-        let _ = (bert, rnnt, resnet);
-        let report = p.run_for(SimTime::from_secs(6));
+        let (_, report) = paper::run_fig11(policy, 5, 2).unwrap();
         (
             report.gpus_used(),
             report.mean_utilization_active(),
@@ -129,29 +64,15 @@ fn fig11_utilization_and_occupancy_ratios() {
     }
 }
 
-/// A hand-built ResNet profile for auto-scaling tests (shaped like the
+/// An analytic ResNet profile for auto-scaling tests (shaped like the
 /// measured Figure 8 curves; exact values are refreshed by the real
 /// profiler in `profiler_integration.rs`).
 fn resnet_profile() -> ProfileDb {
-    let mut db = ProfileDb::new();
-    let zoo = fastg_models::zoo::resnet50();
-    for &(sm_pct, sms) in &[(12.0, 10u32), (24.0, 19), (50.0, 40)] {
-        for &q in &[0.2, 0.4, 0.6, 0.8, 1.0] {
-            let rps = zoo.ideal_rps(sms, q);
-            db.insert(
-                "resnet50",
-                ProfileKey::new(sm_pct, q),
-                ProfileRecord {
-                    rps,
-                    p50: zoo.latency_at(sms),
-                    p99: zoo.latency_at(sms) * 2,
-                    utilization: 0.5,
-                    sm_occupancy: 0.1,
-                },
-            );
-        }
-    }
-    db
+    paper::analytic_profile(
+        &[fastg_models::zoo::resnet50()],
+        &[12.0, 24.0, 50.0],
+        &FIG8_TEMPORAL,
+    )
 }
 
 /// Figure 12: the auto-scaler follows a rising load and keeps ResNet's
