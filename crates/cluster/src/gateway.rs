@@ -1,11 +1,10 @@
 //! The OpenFaaS gateway analogue: request queues, idle-pod dispatch and
-//! arrival-rate prediction.
+//! admission accounting.
 
 use crate::cluster::PodId;
 use crate::spec::FuncId;
 use fastg_des::snap::SnapError;
 use fastg_des::{snap_struct, IdArena, SimTime};
-use fastg_workload::RateMeter;
 use std::collections::VecDeque;
 
 /// Identifies one end-user request.
@@ -43,10 +42,8 @@ pub enum Admission {
 /// Hot-path per-function state. Pod sets are small sorted vectors (a
 /// function has a handful of replicas; ascending order keeps "pick the
 /// lowest idle pod" deterministic and identical to the `BTreeSet` min it
-/// replaced), the arrival log is a [`RateMeter`] (one run per rate change
-/// under constant-rate load, but about one per arrival under Poisson
-/// load), and retry counts live in a tiny sorted vec that is cleared on
-/// every terminal state.
+/// replaced), and retry counts live in a tiny sorted vec that is cleared
+/// on every terminal state.
 #[derive(Debug, Clone, Default)]
 struct FuncState {
     queue: VecDeque<Request>,
@@ -54,7 +51,8 @@ struct FuncState {
     idle_pods: Vec<PodId>,
     /// Registered replicas, sorted ascending.
     members: Vec<PodId>,
-    arrivals: RateMeter,
+    /// Requests offered, admitted or refused.
+    arrivals: u64,
     /// Requests shed at the gateway (queue timeout or retry budget).
     dropped: u64,
     /// Bound on `queue` depth; `None` = unbounded (legacy behaviour).
@@ -167,7 +165,7 @@ impl Gateway {
             deadline,
         };
         let st = self.func_mut(func);
-        st.arrivals.record(now);
+        st.arrivals += 1;
         if !st.idle_pods.is_empty() {
             let pod = st.idle_pods.remove(0);
             Admission::Dispatch(req, pod)
@@ -194,7 +192,7 @@ impl Gateway {
         let id = RequestId(self.next_request);
         self.next_request += 1;
         let st = self.func_mut(func);
-        st.arrivals.record(now);
+        st.arrivals += 1;
         st.rejected += 1;
         Request {
             id,
@@ -376,49 +374,9 @@ impl Gateway {
         self.funcs.get(func).map_or(&[], |st| &st.members)
     }
 
-    /// Observed arrival rate (requests/second) over the trailing `window`
-    /// ending at `now` — the predicted load `R_j` fed to the auto-scaler.
-    pub fn arrival_rate(&self, func: FuncId, now: SimTime, window: SimTime) -> f64 {
-        let Some(st) = self.funcs.get(func) else {
-            return 0.0;
-        };
-        let from = now.saturating_sub(window);
-        let n = st.arrivals.count() - st.arrivals.count_between(SimTime::ZERO, from);
-        let span = window.as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            n as f64 / span
-        }
-    }
-
-    /// Predicted near-future arrival rate: the trailing rate plus a linear
-    /// trend extrapolated one half-window ahead. During ramps a plain
-    /// trailing mean lags the true rate by ~half the window, which is
-    /// exactly the under-provisioning that blows SLOs during scale-up;
-    /// the trend term cancels that lag. Never negative.
-    pub fn predicted_rate(&self, func: FuncId, now: SimTime, window: SimTime) -> f64 {
-        let half = window / 2;
-        let mid = now.saturating_sub(half);
-        let r_old = self.rate_in(func, now.saturating_sub(window), mid);
-        let r_new = self.rate_in(func, mid, now);
-        (r_new + (r_new - r_old)).max(0.0)
-    }
-
-    fn rate_in(&self, func: FuncId, from: SimTime, to: SimTime) -> f64 {
-        let Some(st) = self.funcs.get(func) else {
-            return 0.0;
-        };
-        let span = to.saturating_sub(from).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        st.arrivals.count_between(from, to) as f64 / span
-    }
-
-    /// Total requests ever accepted for a function.
+    /// Total requests ever offered to a function, refused ones included.
     pub fn total_arrivals(&self, func: FuncId) -> u64 {
-        self.funcs.get(func).map_or(0, |st| st.arrivals.count())
+        self.funcs.get(func).map_or(0, |st| st.arrivals)
     }
 
     /// Functions with registered state.
@@ -612,58 +570,11 @@ mod tests {
     }
 
     #[test]
-    fn arrival_rate_windows() {
-        let mut g = Gateway::new();
-        g.register_func(F);
-        for i in 0..100 {
-            g.on_arrival(SimTime::from_millis(i * 10), F, SimTime::MAX); // 100 rps
-        }
-        let r = g.arrival_rate(F, SimTime::from_secs(1), SimTime::from_secs(1));
-        assert!((r - 100.0).abs() < 2.0, "r = {r}");
-        // Older-than-window arrivals excluded.
-        let r2 = g.arrival_rate(F, SimTime::from_secs(10), SimTime::from_secs(1));
-        assert_eq!(r2, 0.0);
-        assert_eq!(g.total_arrivals(F), 100);
-    }
-
-    #[test]
-    fn predicted_rate_anticipates_ramps() {
-        let mut g = Gateway::new();
-        g.register_func(F);
-        // First 2 s at 50 rps, next 2 s at 150 rps.
-        for i in 0..100u64 {
-            g.on_arrival(SimTime::from_millis(i * 20), F, SimTime::MAX);
-        }
-        for i in 0..300u64 {
-            g.on_arrival(SimTime::from_secs(2) + SimTime::from_micros(i * 6_667), F, SimTime::MAX);
-        }
-        let now = SimTime::from_secs(4);
-        let window = SimTime::from_secs(4);
-        let trailing = g.arrival_rate(F, now, window);
-        let predicted = g.predicted_rate(F, now, window);
-        // Trailing mean ~100, prediction extrapolates towards ~250.
-        assert!((trailing - 100.0).abs() < 10.0, "trailing {trailing}");
-        assert!(predicted > 200.0, "predicted {predicted}");
-    }
-
-    #[test]
-    fn predicted_rate_never_negative() {
-        let mut g = Gateway::new();
-        g.register_func(F);
-        // A burst followed by silence: the raw trend would be negative.
-        for i in 0..200u64 {
-            g.on_arrival(SimTime::from_millis(i), F, SimTime::MAX);
-        }
-        let p = g.predicted_rate(F, SimTime::from_secs(10), SimTime::from_secs(4));
-        assert_eq!(p, 0.0);
-    }
-
-    #[test]
     fn unknown_function_is_harmless() {
         let mut g = Gateway::new();
         assert_eq!(g.queue_len(FuncId(7)), 0);
         assert_eq!(g.on_pod_idle(FuncId(7), PodId(1)), None);
-        assert_eq!(g.arrival_rate(FuncId(7), SimTime::ZERO, SimTime::from_secs(1)), 0.0);
+        assert_eq!(g.total_arrivals(FuncId(7)), 0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"FGSN");
 
 /// Current snapshot format version. Bumped whenever any `snap`/`unsnap`
 /// encoding changes shape; old snapshots are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 10;
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Length of the `magic ‖ version` header preceding the payload.
 const HEADER_LEN: usize = 8;

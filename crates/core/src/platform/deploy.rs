@@ -2,7 +2,7 @@
 //! functions and their pods, node selection (Algorithm 2) and rectangle
 //! binding, draining and teardown, and live spec sync.
 
-use super::engine::{intern_profile, Engine, Event, FuncRt};
+use super::engine::{zoo_profile, Engine, Event, FuncRt};
 use super::config::FunctionConfig;
 use super::error::PlatformError;
 use super::overload::CircuitBreaker;
@@ -12,9 +12,8 @@ use crate::modelshare::{footprint, DEFAULT_CTX_OVERHEAD};
 use crate::scheduler::Scheduler;
 use fastg_cluster::{FaSTFuncSpec, FuncId, NodeId, PodId, ResourceSpec};
 use fastg_des::{EventQueue, SimTime, TimeSeries};
-use fastg_models::{zoo, ModelProfile};
 use fastg_workload::{SloTracker, WarmupCounter};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
 impl Engine {
     pub(super) fn deploy(
@@ -23,7 +22,8 @@ impl Engine {
         fc: &FunctionConfig,
         queue: &mut EventQueue<Event>,
     ) -> Result<FuncId, PlatformError> {
-        let model = self.zoo_profile(&fc.model)?;
+        let model = zoo_profile(&mut self.zoo_profiles, &fc.model)
+            .ok_or_else(|| PlatformError::UnknownModel(fc.model.clone()))?;
         let (sm, q_req, q_lim) = fc.resources;
         let resources = ResourceSpec::new(sm, q_req, q_lim, model.memory.total());
         let id = FuncId(self.next_func);
@@ -55,25 +55,13 @@ impl Engine {
                 breaker: CircuitBreaker::new(),
                 arrival_token: None,
                 normal_resources: resources,
+                arrival_window: VecDeque::new(),
             },
         );
         for _ in 0..fc.replicas {
             self.create_pod(now, id, resources, queue)?;
         }
         Ok(id)
-    }
-
-    /// The zoo's profile for `model`, interned: built and compared
-    /// against the interned profiles on the model's first deploy, read
-    /// from `zoo_profiles` after that.
-    fn zoo_profile(&mut self, model: &str) -> Result<Arc<ModelProfile>, PlatformError> {
-        if let Some(p) = self.zoo_profiles.iter().find(|p| p.name == model) {
-            return Ok(Arc::clone(p));
-        }
-        let built = zoo::by_name(model).ok_or_else(|| PlatformError::UnknownModel(model.to_string()))?;
-        let p = intern_profile(&mut self.profiles, Arc::new(built));
-        self.zoo_profiles.push(Arc::clone(&p));
-        Ok(p)
     }
 
     /// The spec a pod registers with MPS: policies without spatial

@@ -4,6 +4,7 @@
 //! `autoscale`, `overload` and `report`.
 
 use crate::manager::{BackendConfig, BurstEstimator, FastBackend, Ready, SharingPolicy};
+use crate::platform::autoscale::arrival_window_fits;
 use crate::platform::config::PlatformConfig;
 use crate::platform::lifecycle::FIRST_SYNTHETIC;
 use crate::platform::node::NodeRt;
@@ -15,8 +16,9 @@ use fastg_cluster::{FuncId, FaSTFuncSpec, Gateway, NodeId, PodId, RequestId, Res
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, SimTime, TimeSeries, World};
 use fastg_gpu::{GpuDevice, KernelId, MpsMode};
-use fastg_models::ModelProfile;
+use fastg_models::{zoo, ModelProfile};
 use fastg_workload::{ArrivalProcess, SloTracker, WarmupCounter};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Events driving the platform.
@@ -132,6 +134,10 @@ pub(super) struct FuncRt {
     /// is taken at brownout entry; an external reconfigure during
     /// brownout is superseded by the restore.
     pub(super) normal_resources: ResourceSpec,
+    /// The arrivals the auto-scaler's predictor can still read: those in
+    /// `[last − cfg.predict_window, last]`, oldest first, `last` being
+    /// the latest (see the `autoscale` module).
+    pub(super) arrival_window: VecDeque<SimTime>,
 }
 
 /// How many events of each kind the engine has handled, and how many
@@ -227,7 +233,7 @@ impl HandlerCounts {
 
 /// The [`World`] implementation composing nodes, GPUs, manager,
 /// scheduler, model sharing and workloads. Each node has one record, a
-/// [`NodeRt`] (its health, GPU device, backend, model store and pods'
+/// `NodeRt` (its health, GPU device, backend, model store and pods'
 /// records); its hot paths are in the `node` module. A function's
 /// running pods are its gateway members.
 #[derive(Clone)]
@@ -282,35 +288,29 @@ pub struct Engine {
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     pub(super) trace: Vec<String>,
-    /// One shared profile per distinct model (see [`intern_profile`]).
-    /// A cache: not snapshotted, rebuilt while decoding the functions.
-    pub(super) profiles: Vec<Arc<ModelProfile>>,
-    /// The zoo profiles deploy has built and interned, at most one per
-    /// name: a later deploy of the model takes its entry instead of
-    /// building and comparing the profile again. A cache: not
-    /// snapshotted, empty after a restore.
+    /// The zoo profiles built so far, one per model name (see
+    /// [`zoo_profile`]). A cache: not snapshotted, refilled by decoding
+    /// the functions.
     pub(super) zoo_profiles: Vec<Arc<ModelProfile>>,
 }
 
-/// The table's copy of `profile`, adding it if no equal profile is there
-/// yet. Every function of one model then reads one `Arc`, so a burst
-/// loads kernel specs that the model's other functions keep hot. Keyed by
-/// full equality, not the name. The table is per platform rather than
-/// process-wide: every request clones the `Arc`, and a global profile
-/// would bounce its refcount between sweep worker threads. A
-/// [`Platform`](super::Platform) clone shares its source's table (the
-/// same `Arc`s), so the cells of a prefix-shared sweep do share profiles
-/// across threads; giving each clone its own copies measured no faster
-/// on `sweep-fork`.
-pub(super) fn intern_profile(
-    profiles: &mut Vec<Arc<ModelProfile>>,
-    profile: Arc<ModelProfile>,
-) -> Arc<ModelProfile> {
-    if let Some(shared) = profiles.iter().find(|p| **p == profile) {
-        return Arc::clone(shared);
+/// The zoo's profile of the model `name`, built on its first lookup and
+/// shared from `cache` after that; `None` if the zoo has no such model.
+/// Every function of one model then reads one `Arc`, so a burst loads
+/// kernel specs that the model's other functions keep hot. The cache is
+/// per platform rather than process-wide: every request clones the `Arc`,
+/// and a global profile would bounce its refcount between sweep worker
+/// threads. A [`Platform`](super::Platform) clone shares its source's
+/// cache (the same `Arc`s), so the cells of a prefix-shared sweep do
+/// share profiles across threads; giving each clone its own copies
+/// measured no faster on `sweep-fork`.
+pub(super) fn zoo_profile(cache: &mut Vec<Arc<ModelProfile>>, name: &str) -> Option<Arc<ModelProfile>> {
+    if let Some(p) = cache.iter().find(|p| p.name == name) {
+        return Some(Arc::clone(p));
     }
-    profiles.push(Arc::clone(&profile));
-    profile
+    let p = Arc::new(zoo::by_name(name)?);
+    cache.push(Arc::clone(&p));
+    Some(p)
 }
 
 /// Builds the placement engine for a config: time sharing widens every
@@ -382,7 +382,6 @@ impl Engine {
             counts: HandlerCounts::default(),
             run_ahead: true,
             trace: Vec::new(),
-            profiles: Vec::new(),
             zoo_profiles: Vec::new(),
         }
     }
@@ -416,7 +415,7 @@ impl World for Engine {
 
     /// Runs the pending dispatch pass with the lowest tie key, once the
     /// instant holds no event (a pass no waiter could use is skipped, see
-    /// [`Engine::run_pass`]). A pass may schedule events at `now` and
+    /// `Engine::run_pass`). A pass may schedule events at `now` and
     /// poke further passes; the driver delivers those events before the
     /// next call.
     fn end_of_instant(&mut self, now: SimTime, queue: &mut EventQueue<Event>) -> bool {
@@ -451,11 +450,13 @@ snap_enum!(Event, "event tag" {
     BreakerTick = 10,
 });
 
+// The model profile is not on the wire: `spec.model` names it, and the
+// engine's decode resolves the name through `zoo_profile`.
 snap_struct!(FuncRt {
-    spec, model, resources, slo, completions, load, saturate, replica_series, desired_replicas,
+    spec, resources, slo, completions, load, saturate, replica_series, desired_replicas,
     outage_since, backoff_exp, backoff_until, recoveries, service_est, goodput, wasted_service,
-    browned_out, breaker, arrival_token, normal_resources,
-});
+    browned_out, breaker, arrival_token, normal_resources, arrival_window,
+} skip { model });
 
 impl Engine {
     /// Serializes the complete engine state. Scratch buffers
@@ -464,7 +465,9 @@ impl Engine {
     /// between events; they restore empty, and so do the handler counts.
     /// The run-ahead switch is not state: run-ahead is on after a
     /// restore, and nothing runs ahead between events.
-    /// The profile table is rebuilt from the functions on restore.
+    /// Functions carry their model's name, not its profile, so a
+    /// snapshot restores only against a zoo that still has the models it
+    /// names.
     ///
     /// Each node goes on the wire as one record
     /// ([`NodeRt::snap_state`]), and each pod as one, its node then its
@@ -475,8 +478,7 @@ impl Engine {
             cfg, gateway, nodes, selector, funcs, pod_loc, next_pod, autoscale_db, next_func,
             next_synth, unschedulable, killed, faults_injected, ff_bursts, ff_coalesced_kernels,
             burst_scratch: _, started_scratch: _, granted_scratch: _, ready_scratch: _,
-            dispatch_pending, counts: _, run_ahead: _, trace, profiles: _,
-            zoo_profiles: _,
+            dispatch_pending, counts: _, run_ahead: _, trace, zoo_profiles: _,
         } = self;
         cfg.snap(w);
         nodes.snap_with(w, NodeRt::snap_state);
@@ -519,11 +521,14 @@ impl Engine {
         // Functions share their model's profile exactly as after deploy,
         // and the pods' runs below clone the shared `Arc`.
         let mut funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
-        let mut profiles = Vec::new();
+        let mut zoo_profiles = Vec::new();
         for f in funcs.values_mut() {
-            f.model = intern_profile(&mut profiles, Arc::clone(&f.model));
+            f.model = zoo_profile(&mut zoo_profiles, &f.spec.model).ok_or(SnapError::new("function model"))?;
             if !f.completions.fits_warmup(cfg.warmup) || !f.goodput.fits_warmup(cfg.warmup) {
                 return Err(SnapError::new("function warm-up counters"));
+            }
+            if !arrival_window_fits(&f.arrival_window, now, cfg.predict_window) {
+                return Err(SnapError::new("function arrival window"));
             }
         }
         // Each pod takes a slot in its node's slab, then the backend rows
@@ -581,8 +586,7 @@ impl Engine {
             counts: HandlerCounts::default(),
             run_ahead: true,
             trace: Vec::unsnap(r)?,
-            profiles,
-            zoo_profiles: Vec::new(),
+            zoo_profiles,
         };
         let pending = &engine.dispatch_pending;
         let keys_ascend = pending.windows(2).all(|p| p[0].0 < p[1].0);
@@ -923,6 +927,37 @@ mod tests {
         p.run_for(half);
         assert_eq!(p.handler_counts().health_tick, 1);
         assert_eq!(p.replicas(f), 0);
+    }
+
+    /// Decode refuses a function naming a model the zoo lacks, and an
+    /// arrival window `record_arrival` cannot leave: unsorted, later than
+    /// the snapshot clock, or holding an arrival the prediction window no
+    /// longer reaches. Each forged window below breaks exactly one of the
+    /// three, so each row fails if its check is removed.
+    #[test]
+    fn forged_function_records_are_refused() {
+        let (mut p, f) = resnet_platform(SharingPolicy::FaST);
+        p.set_load(f, ArrivalProcess::constant(100.0));
+        p.run_for(SimTime::from_secs(5));
+        let now = p.now();
+        let window = p.sim.world().cfg.predict_window;
+        let us = SimTime::from_micros;
+        let decode = |forge: &dyn Fn(&mut FuncRt)| {
+            let mut forged = p.clone();
+            forge(&mut forged.sim.world_mut().funcs[f]);
+            Platform::from_snapshot(&forged.checkpoint()).map(|_| ()).map_err(|e| e.what)
+        };
+        let with_window = |times: &[SimTime]| decode(&|rt| rt.arrival_window = times.iter().copied().collect());
+        assert_eq!(decode(&|_| ()), Ok(()));
+        assert_eq!(with_window(&[now - window, now, now]), Ok(()));
+        assert_eq!(decode(&|rt| rt.spec.model = "not-a-model".into()), Err("function model"));
+        for (what, times) in [
+            ("unsorted", vec![now, now - us(1)]),
+            ("after the clock", vec![now + us(1)]),
+            ("older than the window", vec![now - window - us(1), now]),
+        ] {
+            assert_eq!(with_window(&times), Err("function arrival window"), "{what}");
+        }
     }
 
     #[test]

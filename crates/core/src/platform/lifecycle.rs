@@ -2,6 +2,7 @@
 //! arrival, queueing deadlines, pulling the next request for an idle
 //! pod, completion accounting, and the retry of a request a crash lost.
 
+use super::autoscale::record_arrival;
 use super::engine::{Engine, Event};
 use super::overload::AdmitDecision;
 use super::pod::PodAt;
@@ -22,7 +23,9 @@ impl Engine {
     pub(super) fn on_arrival(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
         // Schedule the next arrival first (the process is self-timed). The
         // chain event is cancellable so `set_load` can replace the chain.
+        // Every arrival feeds the scaler's prediction, refused or not.
         if let Some(frt) = self.funcs.get_mut(func) {
+            record_arrival(&mut frt.arrival_window, now, self.cfg.predict_window);
             frt.arrival_token = frt
                 .load
                 .as_mut()

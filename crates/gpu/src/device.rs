@@ -29,7 +29,7 @@ use crate::memory::GpuMemory;
 use crate::metrics::GpuMetrics;
 use crate::mps::{MpsError, MpsMode, MpsServer};
 use crate::spec::GpuSpec;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::SnapError;
 use fastg_des::{sanitizer, snap_struct, SimTime};
 use std::collections::VecDeque;
 
@@ -209,7 +209,7 @@ impl FfTimeline {
         credited: SimTime,
     ) -> Result<Self, SnapError> {
         if done >= run.count {
-            return Err(SnapError::new("ff timeline cursor"));
+            return Err(SnapError::new("ff resident kernel"));
         }
         let end = run
             .span()
@@ -1275,44 +1275,12 @@ snap_struct!(FfRun {
     duration,
 });
 
-/// On the wire as a one-element run list with its cursor on run 0, the
-/// snapshot version 9 layout; decode rejects any other length or cursor.
-/// The burst end is derived again on decode, and the cap by the device's
-/// decode.
-impl Snap for FfTimeline {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            client,
-            cap: _,
-            run,
-            start,
-            done,
-            credited,
-            end: _,
-        } = self;
-        client.snap(w);
-        w.len_prefix(1);
-        run.snap(w);
-        start.snap(w);
-        0usize.snap(w);
-        w.u32(*done);
-        credited.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let client = ClientId::unsnap(r)?;
-        if r.len_prefix()? != 1 {
-            return Err(SnapError::new("ff timeline runs"));
-        }
-        let run = FfRun::unsnap(r)?;
-        let start = SimTime::unsnap(r)?;
-        if usize::unsnap(r)? != 0 {
-            return Err(SnapError::new("ff timeline cursor"));
-        }
-        let done = r.u32()?;
-        let credited = SimTime::unsnap(r)?;
-        FfTimeline::from_parts(client, run, start, done, credited)
-    }
-}
+// The burst end is derived again on decode, and the cap by the device's
+// decode.
+snap_struct!(FfTimeline { client, run, start, done, credited } skip { cap, end } rebuild |t| {
+    *t = FfTimeline::from_parts(t.client, t.run, t.start, t.done, t.credited)?;
+    Ok(())
+});
 
 snap_struct!(ClientStream {
     queued,
@@ -1386,6 +1354,7 @@ snap_struct!(GpuDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     fn v100() -> GpuDevice {
         GpuDevice::new(GpuSpec::v100(), MpsMode::Shared)
@@ -1951,22 +1920,21 @@ mod tests {
         }
     }
 
-    /// A timeline's wire bytes from raw parts: its run list, the start,
-    /// the run cursor, the finished count and the credited point.
-    fn timeline_bytes(runs: &[FfRun], start: u64, cursor: usize, done: u32, credited: u64) -> Vec<u8> {
+    /// A timeline's wire bytes from raw parts: its run, the start, the
+    /// finished count and the credited point.
+    fn timeline_bytes(run: FfRun, start: u64, done: u32, credited: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
         ClientId(0).snap(&mut w);
-        runs.to_vec().snap(&mut w);
+        run.snap(&mut w);
         SimTime::from_micros(start).snap(&mut w);
-        cursor.snap(&mut w);
         w.u32(done);
         SimTime::from_micros(credited).snap(&mut w);
         w.finish()
     }
 
     /// Whether a timeline encoded from these raw parts decodes.
-    fn timeline_decodes(runs: &[FfRun], start: u64, cursor: usize, done: u32, credited: u64) -> bool {
-        let bytes = timeline_bytes(runs, start, cursor, done, credited);
+    fn timeline_decodes(run: FfRun, start: u64, done: u32, credited: u64) -> bool {
+        let bytes = timeline_bytes(run, start, done, credited);
         let mut r = SnapReader::new(&bytes);
         FfTimeline::unsnap(&mut r).is_ok_and(|_| r.expect_done().is_ok())
     }
@@ -1974,31 +1942,28 @@ mod tests {
     #[test]
     fn snapshot_rejects_a_credited_point_outside_the_resident_kernel() {
         // One 100 µs kernel: the credited point must lie in [0, 100].
-        let single = [ff_run(kernel(10, 100), 1, 10, 100)];
-        assert!(!timeline_decodes(&single, 0, 0, 0, 101));
-        assert!(timeline_decodes(&single, 0, 0, 0, 50));
+        let single = ff_run(kernel(10, 100), 1, 10, 100);
+        assert!(!timeline_decodes(single, 0, 0, 101));
+        assert!(timeline_decodes(single, 0, 0, 50));
 
         // Three 100 µs kernels starting at 1000 µs. With one finished, the
         // resident kernel spans [1100, 1200].
         let max = SimTime::MAX.as_micros();
         let run = ff_run(kernel(10, 100), 3, 10, 100);
         let cases = [
-            ("resident start", vec![run], 1000, 0, 1, 1100, true),
-            ("resident finish", vec![run], 1000, 0, 1, 1200, true),
-            ("last kernel", vec![run], 1000, 0, 2, 1250, true),
-            ("credited before the resident kernel", vec![run], 1000, 0, 1, 1099, false),
-            ("credited after the resident kernel", vec![run], 1000, 0, 1, 1201, false),
-            ("empty run list", Vec::new(), 1000, 0, 0, 1000, false),
-            ("two runs", vec![run, run], 1000, 0, 0, 1000, false),
-            ("cursor past run 0", vec![run], 1000, 1, 0, 1000, false),
-            ("zero-count run", vec![ff_run(kernel(10, 100), 0, 10, 100)], 1000, 0, 0, 1000, false),
-            ("done = count", vec![run], 1000, 0, 3, 1300, false),
-            ("done > count", vec![run], 1000, 0, 7, 1300, false),
-            ("run span overflows", vec![ff_run(kernel(1, max / 2), 3, 1, max / 2)], 0, 0, 0, 0, false),
-            ("burst end overflows", vec![run], max - 299, 0, 0, max - 299, false),
+            ("resident start", run, 1000, 1, 1100, true),
+            ("resident finish", run, 1000, 1, 1200, true),
+            ("last kernel", run, 1000, 2, 1250, true),
+            ("credited before the resident kernel", run, 1000, 1, 1099, false),
+            ("credited after the resident kernel", run, 1000, 1, 1201, false),
+            ("zero-count run", ff_run(kernel(10, 100), 0, 10, 100), 1000, 0, 1000, false),
+            ("done = count", run, 1000, 3, 1300, false),
+            ("done > count", run, 1000, 7, 1300, false),
+            ("run span overflows", ff_run(kernel(1, max / 2), 3, 1, max / 2), 0, 0, 0, false),
+            ("burst end overflows", run, max - 299, 0, max - 299, false),
         ];
-        for (name, runs, start, cursor, done, credited, ok) in cases {
-            assert_eq!(timeline_decodes(&runs, start, cursor, done, credited), ok, "{name}");
+        for (name, run, start, done, credited, ok) in cases {
+            assert_eq!(timeline_decodes(run, start, done, credited), ok, "{name}");
         }
     }
 
@@ -2013,8 +1978,8 @@ mod tests {
         let mut w = SnapWriter::new();
         tl.snap(&mut w);
         let bytes = w.finish();
-        // The wire layout is a one-element run list with the cursor on 0.
-        assert_eq!(bytes, timeline_bytes(&[run], 1000, 0, 1, 1150));
+        // The wire layout is the encoded parts; the end is derived.
+        assert_eq!(bytes, timeline_bytes(run, 1000, 1, 1150));
         let back = FfTimeline::unsnap(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(
             (back.client, back.run, back.done, back.credited, back.end),

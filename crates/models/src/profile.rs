@@ -1,7 +1,6 @@
 //! Model profiles: kernel traces and memory footprints.
 
-use fastg_des::snap::SnapError;
-use fastg_des::{snap_struct, SimTime};
+use fastg_des::SimTime;
 
 /// One kernel launch within a stage burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +75,7 @@ impl Stage {
 
 /// GPU memory footprint of one function instance, split the way the
 /// model-sharing mechanism cares about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// Framework/runtime + activations + CUDA context: the part every
     /// instance needs privately, in bytes.
@@ -109,7 +108,7 @@ impl MemoryFootprint {
 pub const MIB: u64 = 1024 * 1024;
 
 /// A deep-learning model as the GPU-sharing stack observes it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelProfile {
     /// Model name (e.g. "resnet50").
     pub name: String,
@@ -180,29 +179,6 @@ impl ModelProfile {
     }
 }
 
-snap_struct!(KernelSpec {
-    blocks,
-    work_per_block,
-});
-
-snap_struct!(Stage { host, kernels } check |s| {
-    if s.kernels.windows(2).any(|w| w[0] != w[1]) {
-        return Err(SnapError::new("stage kernels differ"));
-    }
-    Ok(())
-});
-
-snap_struct!(MemoryFootprint {
-    runtime_bytes,
-    weights_bytes,
-});
-
-snap_struct!(ModelProfile {
-    name,
-    stages,
-    memory,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,22 +216,6 @@ mod tests {
         };
         assert_eq!(s.burst(), Some((spec, 50)));
         assert_eq!(Stage::uniform(100, 0, 0, 0).burst(), None);
-    }
-
-    #[test]
-    fn decode_rejects_a_stage_whose_kernels_differ() {
-        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
-        let decode = |m: &ModelProfile| {
-            let mut w = SnapWriter::new();
-            m.snap(&mut w);
-            let bytes = w.finish();
-            ModelProfile::unsnap(&mut SnapReader::new(&bytes))
-        };
-        let m = toy();
-        assert_eq!(decode(&m).unwrap(), m);
-        let mut forged = m.clone();
-        forged.stages[0].kernels[1].blocks += 1;
-        assert_eq!(decode(&forged), Err(SnapError::new("stage kernels differ")));
     }
 
     #[test]

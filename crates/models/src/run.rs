@@ -86,8 +86,8 @@ impl InferenceRun {
 
     /// Encodes the cursor position only — stage index and phase — leaving
     /// the (immutable, shared) profile to be re-attached on restore via
-    /// [`Self::unsnap_cursor`]. Checkpoints of a fleet hold one profile
-    /// copy per function, not one per in-flight request.
+    /// [`Self::unsnap_cursor`]. Profiles have no encoding of their own:
+    /// a platform checkpoint names each function's zoo model instead.
     pub fn snap_cursor(&self, w: &mut SnapWriter) {
         let Self {
             profile: _,

@@ -3,7 +3,7 @@
 //! The Locust / Grafana-k6 analogue: open-loop arrival processes that drive
 //! the simulated FaaS gateway, plus the measurement plumbing the paper's
 //! evaluation reports — latency percentiles (log-bucket histogram),
-//! SLO-violation accounting, and throughput counting.
+//! SLO-violation accounting, and warm-up-relative throughput counting.
 //!
 //! All randomness is seeded (`rand::rngs::SmallRng`), so a workload replays
 //! identically for a given seed.
@@ -19,5 +19,5 @@ pub mod slo;
 
 pub use arrival::ArrivalProcess;
 pub use hist::LatencyHistogram;
-pub use rate::{RateMeter, WarmupCounter};
+pub use rate::WarmupCounter;
 pub use slo::SloTracker;

@@ -1,7 +1,7 @@
 //! Property tests for arrival processes and metrics.
 
 use fastg_des::{SimTime, Snap, SnapWriter};
-use fastg_workload::{ArrivalProcess, LatencyHistogram, RateMeter, SloTracker, WarmupCounter};
+use fastg_workload::{ArrivalProcess, LatencyHistogram, SloTracker, WarmupCounter};
 use proptest::prelude::*;
 
 proptest! {
@@ -104,19 +104,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&t.violation_ratio()));
     }
 
-    /// RateMeter window counts partition the total.
-    #[test]
-    fn rate_meter_partitions(times in prop::collection::vec(0u64..1_000_000, 1..200), split in 1u64..1_000_000) {
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        let mut m = RateMeter::new();
-        for &t in &sorted {
-            m.record(SimTime::from_micros(t));
-        }
-        let a = m.count_between(SimTime::ZERO, SimTime::from_micros(split));
-        let b = m.count_between(SimTime::from_micros(split), SimTime::from_micros(1_000_001));
-        prop_assert_eq!(a + b, m.count());
-    }
 }
 
 /// The dense layout `LatencyHistogram` stored before it kept only its
@@ -257,10 +244,11 @@ proptest! {
         }
     }
 
-    /// The warm-up counter's rate is `RateMeter::rate_between(warmup,
-    /// now)` bit for bit, for `now` at the last record and past it.
+    /// The warm-up counter's rate is the brute-force count of the records
+    /// in `[warmup, now)` over the span, bit for bit, for `now` at the last
+    /// record and past it.
     #[test]
-    fn warmup_counter_matches_rate_meter(
+    fn warmup_counter_matches_a_brute_force_count(
         times in record_times(),
         pick in 0u8..4,
         idx in 0usize..1_000,
@@ -275,23 +263,26 @@ proptest! {
             _ => offset,
         });
         let mut counter = WarmupCounter::new();
-        let mut meter = RateMeter::new();
-        let check = |counter: &WarmupCounter, meter: &RateMeter, now: SimTime| {
-            prop_assert_eq!(counter.count(), meter.count());
+        let check = |counter: &WarmupCounter, recorded: &[SimTime], now: SimTime| {
+            prop_assert_eq!(counter.count(), recorded.len() as u64);
+            let span = now.saturating_sub(warmup).as_secs_f64();
+            let in_window = recorded.iter().filter(|&&t| warmup <= t && t < now).count();
+            let rate = if span <= 0.0 { 0.0 } else { in_window as f64 / span };
             prop_assert_eq!(
                 counter.rate_since(warmup, now).to_bits(),
-                meter.rate_between(warmup, now).to_bits(),
+                rate.to_bits(),
                 "warmup {:?}, now {:?}", warmup, now
             );
             Ok(())
         };
-        check(&counter, &meter, SimTime::from_micros(past))?;
+        let mut recorded = Vec::new();
+        check(&counter, &recorded, SimTime::from_micros(past))?;
         for &t in &times {
             let t = SimTime::from_micros(t);
             counter.record(t, warmup);
-            meter.record(t);
-            check(&counter, &meter, t)?;
-            check(&counter, &meter, t + SimTime::from_micros(past))?;
+            recorded.push(t);
+            check(&counter, &recorded, t)?;
+            check(&counter, &recorded, t + SimTime::from_micros(past))?;
         }
         prop_assert!(counter.fits_warmup(warmup));
     }

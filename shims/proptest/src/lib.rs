@@ -2,8 +2,8 @@
 //! workspace.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors the slice of proptest it uses: the [`Strategy`]
-//! trait over primitive ranges / tuples / collections, `any::<T>()`,
+//! workspace vendors the slice of proptest it uses: the
+//! [`Strategy`](strategy::Strategy) trait over primitive ranges / tuples / collections, `any::<T>()`,
 //! `prop_map`, `prop_oneof!`, and the `proptest!` test macro with
 //! `ProptestConfig::with_cases`.
 //!

@@ -10,6 +10,7 @@
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
 use fastgshare::manager::SharingPolicy;
+use fastgshare::paper;
 use fastgshare::platform::{
     FaultKind, FaultPlan, FunctionConfig, Platform, PlatformConfig, Snapshot, TieBreak,
     SNAPSHOT_VERSION,
@@ -212,6 +213,46 @@ fn flash_crowd_checkpoint_parity_across_tiebreak_orders() {
     }
 }
 
+/// Runs Figure 12 (`paper::fig12`, seed 121) in its twelve 5 s intervals,
+/// splitting the one that ends at 45 s at 42.5 s and handing the platform
+/// to `resume` there. Returns each interval's replica count and the final
+/// report digest. A report flushes a metric sample, so the split itself
+/// is part of the digest.
+fn fig12_split_at_42_5s(resume: fn(Platform) -> Platform) -> (Vec<usize>, u64) {
+    let (mut p, f) = paper::fig12(121).unwrap();
+    let mut replicas = Vec::new();
+    for end_s in (5..=60).step_by(5) {
+        let mut rest = SimTime::from_secs(5);
+        if end_s == 45 {
+            p.run_for(SimTime::from_millis(2_500));
+            rest = SimTime::from_millis(2_500);
+            p = resume(p);
+        }
+        replicas.push(p.run_for(rest).functions[&f].replicas);
+    }
+    (replicas, p.report().digest())
+}
+
+/// Figure 12's autoscaled run checkpointed at 42.5 s, while the scaler's
+/// 4 s prediction window straddles the 130 → 40 req/s step, and resumed
+/// through bytes and by `Clone`. Every interval's replica count and the
+/// final report digest equal the straight run's, whose digest is pinned
+/// and whose replicas are the figure's.
+#[test]
+fn autoscaled_checkpoint_inside_the_fig12_step_is_exact() {
+    let straight = fig12_split_at_42_5s(|p| p);
+    assert_eq!(straight.1, 0x545c_6635_d5ef_2402, "Figure 12's straight run moved");
+    let (intervals, _) = paper::run_fig12(121).unwrap();
+    assert_eq!(straight.0, intervals.iter().map(|i| i.replicas).collect::<Vec<_>>());
+    let by_bytes = fig12_split_at_42_5s(|p| {
+        let shipped = Snapshot::from_bytes(p.checkpoint().as_bytes().to_vec()).unwrap();
+        Platform::from_snapshot(&shipped).unwrap()
+    });
+    assert_eq!(by_bytes, straight, "resumed by bytes");
+    let by_clone = fig12_split_at_42_5s(|p| p.clone());
+    assert_eq!(by_clone, straight, "resumed by Clone");
+}
+
 /// Snapshots survive serialization: shipping the bytes through
 /// `as_bytes` → `Snapshot::from_bytes` (the cross-process path) restores
 /// the same run as the in-memory snapshot.
@@ -249,7 +290,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// crashed node's rebuilt backend and model store are pinned too.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 10, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 11, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -258,9 +299,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 13_323, 0x4657_9de7_c991_f2af),
-        ("fleet", fleet, 11_676, 0x9d7e_b368_a778_4838),
-        ("flash crowd after the node crash", crashed, 20_962, 0xbbd7_95d8_a74e_b804),
+        ("flash crowd", flash, 10_475, 0xe701_2d11_33b2_6f19),
+        ("fleet", fleet, 9_031, 0x09fc_b88a_828f_80f6),
+        ("flash crowd after the node crash", crashed, 15_530, 0x6378_4480_e29a_6c3a),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
