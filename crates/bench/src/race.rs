@@ -15,8 +15,7 @@ use fastg_des::SimTime;
 use fastg_workload::{patterns, ArrivalProcess};
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{
-    FaultKind, FaultPlan, FunctionConfig, OverloadConfig, PlatformConfig, PlatformError,
-    Scenario, TieBreak,
+    FaultKind, FaultPlan, FunctionConfig, PlatformConfig, PlatformError, Scenario, TieBreak,
 };
 
 /// The default perturbation set: FIFO (baseline) plus three adversarial
@@ -216,10 +215,8 @@ fn flash_crowd_scenario(
         .policy(SharingPolicy::FaST)
         .warmup(SimTime::from_secs(1))
         .fastforward(fastforward)
+        .overload_control(control)
         .seed(SEED);
-    if control {
-        cfg = cfg.overload(OverloadConfig::default());
-    }
     if let Some(plan) = plan {
         cfg = cfg.fault_plan(plan);
     }

@@ -6,6 +6,11 @@ use fastg_cluster::{PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{sanitizer, snap_struct, SimTime};
 
+/// The SM Allocation Adapter's global limit (percent): lease holders'
+/// shares never sum past it. The paper pins it at 100 %, because
+/// over-allocating SMs causes interference.
+pub const SM_GLOBAL_LIMIT: f64 = 100.0;
+
 /// Backend configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendConfig {
@@ -19,9 +24,6 @@ pub struct BackendConfig {
     /// but waste GPU during the holder's host gaps (the fundamental
     /// time-sharing inefficiency); shorter leases rotate access faster.
     pub token_lease: SimTime,
-    /// The SM Allocation Adapter's global limit (percent). The paper pins
-    /// this at 100 %: over-allocating SMs causes interference.
-    pub sm_global_limit: f64,
     /// Inert. Tokens are granted only by [`FastBackend::dispatch_pass`],
     /// whatever this holds; the field remains because the benchmark suite
     /// still sets it, and it is not snapshotted.
@@ -34,7 +36,6 @@ impl Default for BackendConfig {
             policy: SharingPolicy::FaST,
             window: SimTime::from_secs(1),
             token_lease: SimTime::from_millis(5),
-            sm_global_limit: 100.0,
             deferred_dispatch: false,
         }
     }
@@ -420,11 +421,9 @@ impl FastBackend {
     pub fn new(cfg: BackendConfig) -> Self {
         debug_assert!(cfg.window > SimTime::ZERO, "zero scheduling window");
         debug_assert!(cfg.token_lease > SimTime::ZERO, "zero token lease");
-        debug_assert!(cfg.sm_global_limit > 0.0, "zero SM global limit");
         let mut cfg = cfg;
         cfg.window = cfg.window.max(SimTime::from_micros(1));
         cfg.token_lease = cfg.token_lease.max(SimTime::from_micros(1));
-        cfg.sm_global_limit = cfg.sm_global_limit.max(f64::EPSILON);
         FastBackend {
             cfg,
             pods: PodTable::default(),
@@ -713,7 +712,7 @@ impl FastBackend {
             let share = self.cfg.policy.adapter_share(e.spec.sm_partition);
             // SM Allocation Adapter: stop at the first head pod that does
             // not fit (head-of-line, as in the paper).
-            if !adapter_fits(&self.cfg, self.sm_running, share) {
+            if !adapter_fits(self.sm_running, share) {
                 break;
             }
             let expires = now + self.cfg.token_lease;
@@ -722,7 +721,7 @@ impl FastBackend {
             self.tokens_dispatched += 1;
             grant(pod, slot, expires);
         }
-        debug_assert!(self.sm_running <= self.cfg.sm_global_limit + 1e-6);
+        debug_assert!(self.sm_running <= SM_GLOBAL_LIMIT + 1e-6);
     }
 
     /// Snapshot of one pod's quota row.
@@ -738,7 +737,7 @@ impl FastBackend {
         })
     }
 
-    /// Sum of lease holders' adapter shares (≤ `sm_global_limit`).
+    /// Sum of lease holders' adapter shares (≤ [`SM_GLOBAL_LIMIT`]).
     pub fn sm_running(&self) -> f64 {
         self.sm_running
     }
@@ -861,8 +860,8 @@ impl FastBackend {
 
 /// The SM Allocation Adapter's test: whether a lease reserving `share`
 /// fits beside the holders' `sm_running`.
-fn adapter_fits(cfg: &BackendConfig, sm_running: f64, share: f64) -> bool {
-    sm_running + share <= cfg.sm_global_limit + 1e-9
+fn adapter_fits(sm_running: f64, share: f64) -> bool {
+    sm_running + share <= SM_GLOBAL_LIMIT + 1e-9
 }
 
 /// The holders' share once `lease` is released.
@@ -917,7 +916,7 @@ impl SoloRow {
         let Some(expires) = now.checked_add(self.cfg.token_lease) else {
             return SoloToken::Refused;
         };
-        if !adapter_fits(&self.cfg, running, share) {
+        if !adapter_fits(running, share) {
             return SoloToken::Refused;
         }
         e.take_lease(expires, share);
@@ -946,12 +945,9 @@ impl SoloRow {
 
 // `deferred_dispatch` is inert, so it is not on the wire.
 snap_struct!(BackendConfig {
-    policy, window, token_lease, sm_global_limit,
+    policy, window, token_lease,
 } skip { deferred_dispatch } check |cfg| {
-    if cfg.window == SimTime::ZERO
-        || cfg.token_lease == SimTime::ZERO
-        || !(cfg.sm_global_limit.is_finite() && cfg.sm_global_limit > 0.0)
-    {
+    if cfg.window == SimTime::ZERO || cfg.token_lease == SimTime::ZERO {
         return Err(SnapError::new("backend config bounds"));
     }
     Ok(())
@@ -1028,7 +1024,6 @@ mod tests {
             policy: SharingPolicy::FaST,
             window: SimTime::from_secs(1),
             token_lease: SimTime::from_millis(lease_ms),
-            sm_global_limit: 100.0,
             ..BackendConfig::default()
         })
     }

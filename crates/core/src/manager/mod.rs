@@ -15,7 +15,7 @@
 //!   the next window), the Ready-function Priority Queue ordered by
 //!   `Q_miss = Q_request − Q_used` descending, and the **SM Allocation
 //!   Adapter** that keeps the sum of token-holding pods' SM partitions at
-//!   or below `SM_GLOBAL_LIMIT` (100 %). A request only queues the pod
+//!   or below [`SM_GLOBAL_LIMIT`] (100 %). A request only queues the pod
 //!   (or confirms a held lease); tokens are granted by one batched
 //!   [`FastBackend::dispatch_pass`], which the platform runs per node at
 //!   the end of an instant that may have changed who should hold a
@@ -34,7 +34,9 @@ mod backend;
 mod estimator;
 mod policy;
 
-pub use backend::{BackendConfig, BackendError, FastBackend, Grant, PodQuotaState, RequestOutcome};
+pub use backend::{
+    BackendConfig, BackendError, FastBackend, Grant, PodQuotaState, RequestOutcome, SM_GLOBAL_LIMIT,
+};
 pub(crate) use backend::{Ready, SoloRow, SoloToken};
 pub use estimator::BurstEstimator;
 pub use policy::{SchedPolicy, SharingPolicy};

@@ -2,7 +2,7 @@
 //! Scaling) → pod creation through Algorithm 2 placement, or draining.
 //!
 //! The prediction reads only the arrivals in the trailing
-//! `cfg.predict_window`, so each function keeps just those (its
+//! [`PREDICT_WINDOW`], so each function keeps just those (its
 //! `arrival_window`): recorded once per arrival, refused or not, and
 //! pruned as each is recorded.
 
@@ -12,6 +12,16 @@ use crate::scheduler::{heuristic_scale, ConfigPoint, RunningPod, ScaleAction};
 use fastg_cluster::{FuncId, ResourceSpec};
 use fastg_des::{EventQueue, SimTime};
 use std::collections::VecDeque;
+
+/// Trailing window of arrivals the rate prediction reads.
+pub(super) const PREDICT_WINDOW: SimTime = SimTime::from_secs(4);
+
+/// Capacity headroom the scaler plans for: 1.15 provisions 15 % above
+/// the predicted rate, absorbing Poisson bursts within a window.
+const HEADROOM: f64 = 1.15;
+
+/// The scaler never drains a function below this replica count.
+const MIN_REPLICAS: usize = 1;
 
 /// Records an arrival at `now` (no earlier than the last one) and drops
 /// the arrivals before `now − window`, which no later prediction reads.
@@ -86,8 +96,7 @@ impl Engine {
         if profile.is_empty() {
             return;
         }
-        let predicted = predicted_rps(&rt.arrival_window, now, self.cfg.predict_window)
-            * self.cfg.autoscale_headroom;
+        let predicted = predicted_rps(&rt.arrival_window, now, PREDICT_WINDOW) * HEADROOM;
         let running: Vec<RunningPod> = self
             .gateway
             .members(func)
@@ -125,12 +134,12 @@ impl Engine {
                     }
                 }
                 ScaleAction::Down(pod) => {
-                    if remaining > self.cfg.min_replicas {
+                    if remaining > MIN_REPLICAS {
                         self.drain_pod(pod, queue);
                         remaining -= 1;
-                        let min = self.cfg.min_replicas;
                         if let Some(rt) = self.funcs.get_mut(func) {
-                            rt.desired_replicas = rt.desired_replicas.saturating_sub(1).max(min);
+                            rt.desired_replicas =
+                                rt.desired_replicas.saturating_sub(1).max(MIN_REPLICAS);
                         }
                     }
                 }

@@ -10,12 +10,10 @@ use fastg_gpu::GpuSpec;
 /// Cluster-wide configuration. Builder-style setters return `self`.
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
-    /// GPU model per node (default: V100).
-    pub gpu: GpuSpec,
-    /// Number of worker nodes (one GPU each).
+    /// Number of worker nodes (one V100 each).
     pub node_count: usize,
     /// Heterogeneous cluster: explicit per-node GPU specs (e.g. the
-    /// instances of a MIG-sliced A100). When set, `gpu`/`node_count` are
+    /// instances of a MIG-sliced A100). When set, `node_count` is
     /// ignored.
     pub node_gpus: Option<Vec<GpuSpec>>,
     /// GPU sharing policy.
@@ -31,8 +29,6 @@ pub struct PlatformConfig {
     /// (KubeShare-scale slices — the holder keeps the GPU across its
     /// host gaps, which is exactly the inefficiency §5.3 measures).
     pub token_lease: Option<SimTime>,
-    /// SM Allocation Adapter global limit (percent).
-    pub sm_global_limit: f64,
     /// Whether the model-sharing storage server is used.
     pub model_sharing: bool,
     /// DCGM-style metric sampling period.
@@ -41,14 +37,6 @@ pub struct PlatformConfig {
     pub warmup: SimTime,
     /// Auto-scaler control-loop period.
     pub autoscale_interval: SimTime,
-    /// Capacity headroom the auto-scaler plans for (1.15 = provision 15 %
-    /// above the predicted rate, absorbing Poisson bursts within a
-    /// window).
-    pub autoscale_headroom: f64,
-    /// Trailing window for gateway arrival-rate prediction.
-    pub predict_window: SimTime,
-    /// The auto-scaler never drains a function below this replica count.
-    pub min_replicas: usize,
     /// Disables rectangle-based admission control: pods land on the
     /// least-loaded node even when the GPU is spatio-temporally
     /// over-subscribed. §5.3's racing/over-subscription experiments and
@@ -75,9 +63,10 @@ pub struct PlatformConfig {
     /// crash before the gateway sheds it. `None` retries forever.
     pub retry_budget: Option<u32>,
     /// Overload control plane: bounded admission queues, deadline-aware
-    /// shedding, per-function circuit breakers and brownout serving.
-    /// `None` (the default) keeps the legacy unbounded-queue behaviour.
-    pub overload: Option<OverloadConfig>,
+    /// shedding, per-function circuit breakers and brownout serving, tuned
+    /// by the [`overload`](super::overload) module's constants. Off (the
+    /// default) keeps the legacy unbounded-queue behaviour.
+    pub overload: bool,
     /// Event-coalescing fast-forward: uncontended bursts are advanced
     /// analytically as one macro-event instead of one event per kernel,
     /// with byte-identical reports. On by default; the
@@ -103,20 +92,15 @@ pub struct PlatformConfig {
 impl Default for PlatformConfig {
     fn default() -> Self {
         PlatformConfig {
-            gpu: GpuSpec::v100(),
             node_count: 1,
             node_gpus: None,
             policy: SharingPolicy::FaST,
             window: SimTime::from_millis(100),
             token_lease: None,
-            sm_global_limit: 100.0,
             model_sharing: true,
             sample_interval: SimTime::from_millis(250),
             warmup: SimTime::ZERO,
             autoscale_interval: SimTime::from_secs(2),
-            autoscale_headroom: 1.15,
-            predict_window: SimTime::from_secs(4),
-            min_replicas: 1,
             oversubscribe: false,
             seed: 42,
             fault_plan: None,
@@ -124,7 +108,7 @@ impl Default for PlatformConfig {
             health_interval: SimTime::from_millis(500),
             request_timeout_factor: None,
             retry_budget: None,
-            overload: None,
+            overload: false,
             fastforward: std::env::var("FASTG_FASTFORWARD").map_or(true, |v| v != "0"),
             tiebreak: std::env::var("FASTG_TIEBREAK")
                 .ok()
@@ -149,12 +133,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the GPU spec for every node.
-    pub fn gpu(mut self, g: GpuSpec) -> Self {
-        self.gpu = g;
-        self
-    }
-
     /// Builds a heterogeneous cluster from explicit per-node GPU specs
     /// (e.g. [`fastg_gpu::MigConfig::instances`]).
     pub fn gpus(mut self, specs: Vec<GpuSpec>) -> Self {
@@ -171,7 +149,7 @@ impl PlatformConfig {
     pub fn effective_gpus(&self) -> Vec<GpuSpec> {
         match &self.node_gpus {
             Some(list) => list.clone(),
-            None => vec![self.gpu.clone(); self.node_count],
+            None => vec![GpuSpec::v100(); self.node_count],
         }
     }
 
@@ -231,13 +209,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the auto-scaler headroom factor.
-    pub fn autoscale_headroom(mut self, h: f64) -> Self {
-        debug_assert!(h >= 1.0, "headroom below 1 under-provisions by design");
-        self.autoscale_headroom = if h.is_finite() { h.max(1.0) } else { 1.0 };
-        self
-    }
-
     /// Attaches a fault-injection plan.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -273,20 +244,15 @@ impl PlatformConfig {
     }
 
     /// Attaches the overload control plane (bounded admission, deadline
-    /// shedding, circuit breaking, brownout).
-    pub fn overload(mut self, cfg: OverloadConfig) -> Self {
-        self.overload = Some(cfg);
-        self
+    /// shedding, circuit breaking, brownout); the same as
+    /// `overload_control(true)`.
+    pub fn overload(self, _cfg: OverloadConfig) -> Self {
+        self.overload_control(true)
     }
 
-    /// Enables the overload control plane with default tuning, or
-    /// disables it entirely.
+    /// Enables or disables the overload control plane.
     pub fn overload_control(mut self, on: bool) -> Self {
-        self.overload = if on {
-            Some(OverloadConfig::default())
-        } else {
-            None
-        };
+        self.overload = on;
         self
     }
 
@@ -328,17 +294,10 @@ impl PlatformConfig {
 }
 
 snap_struct!(PlatformConfig {
-    gpu, node_count, node_gpus, policy, window, token_lease, sm_global_limit, model_sharing,
-    sample_interval, warmup, autoscale_interval, autoscale_headroom, predict_window,
-    min_replicas, oversubscribe, seed, fault_plan, recovery, health_interval,
+    node_count, node_gpus, policy, window, token_lease, model_sharing, sample_interval, warmup,
+    autoscale_interval, oversubscribe, seed, fault_plan, recovery, health_interval,
     request_timeout_factor, retry_budget, overload, fastforward, tiebreak, trace_events,
 } check |c| {
-    if !(c.sm_global_limit.is_finite() && c.sm_global_limit > 0.0) {
-        return Err(SnapError::new("config sm limit"));
-    }
-    if !(c.autoscale_headroom.is_finite() && c.autoscale_headroom >= 1.0) {
-        return Err(SnapError::new("config headroom"));
-    }
     // A crashed node's backend is rebuilt from this lease, and
     // `FastBackend::new` requires it to be positive.
     if c.token_lease == Some(SimTime::ZERO) {
@@ -503,7 +462,8 @@ mod tests {
         assert_eq!(c.node_count, 1);
         assert_eq!(c.policy, SharingPolicy::FaST);
         assert!(c.window > SimTime::ZERO);
-        assert!(c.autoscale_headroom >= 1.0);
+        assert!(!c.overload);
+        assert_eq!(c.effective_gpus(), vec![GpuSpec::v100()]);
     }
 
     #[test]
@@ -532,12 +492,6 @@ mod tests {
         assert_eq!(f.replicas, 3);
         assert_eq!(f.resources, (24.0, 0.3, 0.8));
         assert!(f.saturate);
-    }
-
-    #[test]
-    #[should_panic(expected = "headroom")]
-    fn headroom_below_one_rejected() {
-        PlatformConfig::default().autoscale_headroom(0.5);
     }
 
     #[test]

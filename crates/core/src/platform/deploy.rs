@@ -5,7 +5,7 @@
 use super::engine::{zoo_profile, Engine, Event, FuncRt};
 use super::config::FunctionConfig;
 use super::error::PlatformError;
-use super::overload::CircuitBreaker;
+use super::overload::{CircuitBreaker, QUEUE_CAPACITY};
 use super::pod::{PodAt, PodRt};
 use crate::manager::BurstEstimator;
 use crate::modelshare::{footprint, DEFAULT_CTX_OVERHEAD};
@@ -22,21 +22,22 @@ impl Engine {
         fc: &FunctionConfig,
         queue: &mut EventQueue<Event>,
     ) -> Result<FuncId, PlatformError> {
-        let model = zoo_profile(&mut self.zoo_profiles, &fc.model)
+        let (model, model_fingerprint) = zoo_profile(&mut self.zoo_profiles, &fc.model)
             .ok_or_else(|| PlatformError::UnknownModel(fc.model.clone()))?;
         let (sm, q_req, q_lim) = fc.resources;
         let resources = ResourceSpec::new(sm, q_req, q_lim, model.memory.total());
         let id = FuncId(self.next_func);
         self.next_func += 1;
         self.gateway.register_func(id);
-        if let Some(o) = &self.cfg.overload {
-            self.gateway.set_queue_capacity(id, Some(o.queue_capacity));
+        if self.cfg.overload {
+            self.gateway.set_queue_capacity(id, Some(QUEUE_CAPACITY));
         }
         self.funcs.insert(
             id,
             FuncRt {
                 spec: FaSTFuncSpec::new(&fc.name, &fc.model, fc.slo),
                 model,
+                model_fingerprint,
                 resources,
                 slo: SloTracker::new(fc.slo),
                 completions: WarmupCounter::new(),

@@ -4,7 +4,7 @@
 //! `autoscale`, `overload` and `report`.
 
 use crate::manager::{BackendConfig, BurstEstimator, FastBackend, Ready, SharingPolicy};
-use crate::platform::autoscale::arrival_window_fits;
+use crate::platform::autoscale::{arrival_window_fits, PREDICT_WINDOW};
 use crate::platform::config::PlatformConfig;
 use crate::platform::lifecycle::FIRST_SYNTHETIC;
 use crate::platform::node::NodeRt;
@@ -101,6 +101,8 @@ pub(super) fn schedule_next(queue: &mut EventQueue<Event>, now: SimTime, period:
 pub(super) struct FuncRt {
     pub(super) spec: FaSTFuncSpec,
     pub(super) model: Arc<ModelProfile>,
+    /// The [`fingerprint`] of `model`, as the zoo built it at deploy.
+    pub(super) model_fingerprint: u64,
     pub(super) resources: ResourceSpec,
     pub(super) slo: SloTracker,
     /// Completions, counted against `cfg.warmup`.
@@ -135,7 +137,7 @@ pub(super) struct FuncRt {
     /// brownout is superseded by the restore.
     pub(super) normal_resources: ResourceSpec,
     /// The arrivals the auto-scaler's predictor can still read: those in
-    /// `[last − cfg.predict_window, last]`, oldest first, `last` being
+    /// `[last − PREDICT_WINDOW, last]`, oldest first, `last` being
     /// the latest (see the `autoscale` module).
     pub(super) arrival_window: VecDeque<SimTime>,
 }
@@ -288,14 +290,15 @@ pub struct Engine {
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     pub(super) trace: Vec<String>,
-    /// The zoo profiles built so far, one per model name (see
-    /// [`zoo_profile`]). A cache: not snapshotted, refilled by decoding
-    /// the functions.
-    pub(super) zoo_profiles: Vec<Arc<ModelProfile>>,
+    /// The zoo profiles built so far, one per model name, each with its
+    /// [`fingerprint`] (see [`zoo_profile`]). A cache: not snapshotted,
+    /// refilled by decoding the functions.
+    pub(super) zoo_profiles: Vec<(Arc<ModelProfile>, u64)>,
 }
 
-/// The zoo's profile of the model `name`, built on its first lookup and
-/// shared from `cache` after that; `None` if the zoo has no such model.
+/// The zoo's profile of the model `name` and its [`fingerprint`], both
+/// built on the first lookup and shared from `cache` after that; `None`
+/// if the zoo has no such model.
 /// Every function of one model then reads one `Arc`, so a burst loads
 /// kernel specs that the model's other functions keep hot. The cache is
 /// per platform rather than process-wide: every request clones the `Arc`,
@@ -304,13 +307,38 @@ pub struct Engine {
 /// cache (the same `Arc`s), so the cells of a prefix-shared sweep do
 /// share profiles across threads; giving each clone its own copies
 /// measured no faster on `sweep-fork`.
-pub(super) fn zoo_profile(cache: &mut Vec<Arc<ModelProfile>>, name: &str) -> Option<Arc<ModelProfile>> {
-    if let Some(p) = cache.iter().find(|p| p.name == name) {
-        return Some(Arc::clone(p));
+pub(super) fn zoo_profile(
+    cache: &mut Vec<(Arc<ModelProfile>, u64)>,
+    name: &str,
+) -> Option<(Arc<ModelProfile>, u64)> {
+    if let Some((p, print)) = cache.iter().find(|(p, _)| p.name == name) {
+        return Some((Arc::clone(p), *print));
     }
     let p = Arc::new(zoo::by_name(name)?);
-    cache.push(Arc::clone(&p));
-    Some(p)
+    let print = fingerprint(&p);
+    cache.push((Arc::clone(&p), print));
+    Some((p, print))
+}
+
+/// FNV-1a, one 64-bit word at a time, over what a run reads from a
+/// profile: the name, each stage's host time, kernel count and (uniform)
+/// kernel, and the memory footprint. Each step is a bijection of the
+/// running hash, so editing any one of these words moves the print. A
+/// function's snapshot record carries it, so restoring against a zoo
+/// whose profile of that model has since changed fails instead of
+/// resuming with other kernels.
+fn fingerprint(p: &ModelProfile) -> u64 {
+    let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+    let stages = p.stages.iter().flat_map(|s| {
+        let (blocks, work) = s.kernels.first().map_or((0, 0), |k| (k.blocks, k.work_per_block.as_micros()));
+        [s.host.as_micros(), count(s.kernels.len()), u64::from(blocks), work]
+    });
+    std::iter::once(count(p.name.len()))
+        .chain(p.name.bytes().map(u64::from))
+        .chain([count(p.stages.len())])
+        .chain(stages)
+        .chain([p.memory.runtime_bytes, p.memory.weights_bytes])
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Builds the placement engine for a config: time sharing widens every
@@ -332,7 +360,6 @@ pub(super) fn make_backend(cfg: &PlatformConfig) -> FastBackend {
         policy: cfg.policy,
         window: cfg.window,
         token_lease: cfg.effective_token_lease(),
-        sm_global_limit: cfg.sm_global_limit,
         ..BackendConfig::default()
     })
 }
@@ -451,11 +478,12 @@ snap_enum!(Event, "event tag" {
 });
 
 // The model profile is not on the wire: `spec.model` names it, and the
-// engine's decode resolves the name through `zoo_profile`.
+// engine's decode resolves the name through `zoo_profile` and checks the
+// resolved profile against `model_fingerprint`.
 snap_struct!(FuncRt {
-    spec, resources, slo, completions, load, saturate, replica_series, desired_replicas,
-    outage_since, backoff_exp, backoff_until, recoveries, service_est, goodput, wasted_service,
-    browned_out, breaker, arrival_token, normal_resources, arrival_window,
+    spec, model_fingerprint, resources, slo, completions, load, saturate, replica_series,
+    desired_replicas, outage_since, backoff_exp, backoff_until, recoveries, service_est, goodput,
+    wasted_service, browned_out, breaker, arrival_token, normal_resources, arrival_window,
 } skip { model });
 
 impl Engine {
@@ -465,9 +493,9 @@ impl Engine {
     /// between events; they restore empty, and so do the handler counts.
     /// The run-ahead switch is not state: run-ahead is on after a
     /// restore, and nothing runs ahead between events.
-    /// Functions carry their model's name, not its profile, so a
-    /// snapshot restores only against a zoo that still has the models it
-    /// names.
+    /// Functions carry their model's name and profile fingerprint, not
+    /// the profile, so a snapshot restores only against a zoo that still
+    /// has the models it names, profiled as they were.
     ///
     /// Each node goes on the wire as one record
     /// ([`NodeRt::snap_state`]), and each pod as one, its node then its
@@ -523,11 +551,16 @@ impl Engine {
         let mut funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
         let mut zoo_profiles = Vec::new();
         for f in funcs.values_mut() {
-            f.model = zoo_profile(&mut zoo_profiles, &f.spec.model).ok_or(SnapError::new("function model"))?;
+            let (model, print) =
+                zoo_profile(&mut zoo_profiles, &f.spec.model).ok_or(SnapError::new("function model"))?;
+            if print != f.model_fingerprint {
+                return Err(SnapError::new("function model fingerprint"));
+            }
+            f.model = model;
             if !f.completions.fits_warmup(cfg.warmup) || !f.goodput.fits_warmup(cfg.warmup) {
                 return Err(SnapError::new("function warm-up counters"));
             }
-            if !arrival_window_fits(&f.arrival_window, now, cfg.predict_window) {
+            if !arrival_window_fits(&f.arrival_window, now, PREDICT_WINDOW) {
                 return Err(SnapError::new("function arrival window"));
             }
         }
@@ -838,7 +871,7 @@ mod tests {
     /// a platform restored from a snapshot counts from zero.
     #[test]
     fn handler_counts_sum_to_events_handled() {
-        use crate::platform::{FaultPlan, OverloadConfig};
+        use crate::platform::FaultPlan;
         for fastforward in [true, false] {
             let horizon = SimTime::from_secs(3);
             let mut p = Platform::new(
@@ -847,7 +880,7 @@ mod tests {
                     .seed(5)
                     .fastforward(fastforward)
                     .recovery(true)
-                    .overload(OverloadConfig::default())
+                    .overload_control(true)
                     .request_timeout_factor(10.0)
                     .fault_plan(FaultPlan::random(5, 4, horizon)),
             );
@@ -929,18 +962,19 @@ mod tests {
         assert_eq!(p.replicas(f), 0);
     }
 
-    /// Decode refuses a function naming a model the zoo lacks, and an
-    /// arrival window `record_arrival` cannot leave: unsorted, later than
-    /// the snapshot clock, or holding an arrival the prediction window no
-    /// longer reaches. Each forged window below breaks exactly one of the
-    /// three, so each row fails if its check is removed.
+    /// Decode refuses a function naming a model the zoo lacks, one
+    /// whose fingerprint differs from the zoo's profile of its model, and
+    /// an arrival window `record_arrival` cannot leave: unsorted, later
+    /// than the snapshot clock, or holding an arrival the prediction
+    /// window no longer reaches. Each forged window below breaks exactly
+    /// one of the three, so each row fails if its check is removed.
     #[test]
     fn forged_function_records_are_refused() {
         let (mut p, f) = resnet_platform(SharingPolicy::FaST);
         p.set_load(f, ArrivalProcess::constant(100.0));
         p.run_for(SimTime::from_secs(5));
         let now = p.now();
-        let window = p.sim.world().cfg.predict_window;
+        let window = PREDICT_WINDOW;
         let us = SimTime::from_micros;
         let decode = |forge: &dyn Fn(&mut FuncRt)| {
             let mut forged = p.clone();
@@ -951,12 +985,41 @@ mod tests {
         assert_eq!(decode(&|_| ()), Ok(()));
         assert_eq!(with_window(&[now - window, now, now]), Ok(()));
         assert_eq!(decode(&|rt| rt.spec.model = "not-a-model".into()), Err("function model"));
+        // A record written against another profile of the model.
+        assert_eq!(decode(&|rt| rt.model_fingerprint ^= 1), Err("function model fingerprint"));
         for (what, times) in [
             ("unsorted", vec![now, now - us(1)]),
             ("after the clock", vec![now + us(1)]),
             ("older than the window", vec![now - window - us(1), now]),
         ] {
             assert_eq!(with_window(&times), Err("function arrival window"), "{what}");
+        }
+    }
+
+    /// Editing any field the fingerprint names moves it.
+    #[test]
+    fn fingerprint_covers_every_profiled_field() {
+        let base = zoo::by_name("resnet50").unwrap();
+        let edits: [fn(&mut ModelProfile); 7] = [
+            |p| p.name.push('x'),
+            |p| p.stages[0].host += SimTime::from_micros(1),
+            |p| {
+                let k = p.stages[0].kernels[0];
+                p.stages[0].kernels.push(k);
+            },
+            |p| p.stages[0].kernels.iter_mut().for_each(|k| k.blocks += 1),
+            |p| {
+                for k in &mut p.stages[0].kernels {
+                    k.work_per_block += SimTime::from_micros(1);
+                }
+            },
+            |p| p.memory.runtime_bytes += 1,
+            |p| p.memory.weights_bytes += 1,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(fingerprint(&edited), fingerprint(&base), "edit {i}");
         }
     }
 

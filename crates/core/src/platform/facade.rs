@@ -8,7 +8,7 @@ use super::engine::{schedule_next, Engine, Event, HandlerCounts};
 use super::error::PlatformError;
 use super::lifecycle::is_synthetic;
 use super::node::NodeRt;
-use super::overload::BreakerState;
+use super::overload::{BreakerState, BREAKER_WINDOW};
 use super::report::PlatformReport;
 use crate::profiler::ProfileDb;
 use crate::scheduler::SchedStats;
@@ -57,8 +57,8 @@ impl Platform {
             if world.cfg.recovery {
                 queue.schedule(world.cfg.health_interval, Event::HealthTick);
             }
-            if let Some(o) = &world.cfg.overload {
-                queue.schedule(o.breaker_window, Event::BreakerTick);
+            if world.cfg.overload {
+                queue.schedule(BREAKER_WINDOW, Event::BreakerTick);
             }
         }
         let platform = Platform { sim };

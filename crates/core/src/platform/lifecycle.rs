@@ -2,9 +2,9 @@
 //! arrival, queueing deadlines, pulling the next request for an idle
 //! pod, completion accounting, and the retry of a request a crash lost.
 
-use super::autoscale::record_arrival;
+use super::autoscale::{record_arrival, PREDICT_WINDOW};
 use super::engine::{Engine, Event};
-use super::overload::AdmitDecision;
+use super::overload::{AdmitDecision, DEADLINE_FACTOR};
 use super::pod::PodAt;
 use fastg_cluster::{Admission, FuncId, PodId, Request, RequestId};
 use fastg_des::{EventQueue, SimTime};
@@ -25,7 +25,7 @@ impl Engine {
         // chain event is cancellable so `set_load` can replace the chain.
         // Every arrival feeds the scaler's prediction, refused or not.
         if let Some(frt) = self.funcs.get_mut(func) {
-            record_arrival(&mut frt.arrival_window, now, self.cfg.predict_window);
+            record_arrival(&mut frt.arrival_window, now, PREDICT_WINDOW);
             frt.arrival_token = frt
                 .load
                 .as_mut()
@@ -38,17 +38,17 @@ impl Engine {
         // Open breaker fast-fails (or serves browned-out) without burning
         // queue capacity. The probe id is the id the gateway will assign.
         let mut browned = false;
-        if let (Some(o), Some(frt)) = (overload.as_ref(), self.funcs.get_mut(func)) {
+        if let (true, Some(frt)) = (overload, self.funcs.get_mut(func)) {
             let next_id = self.gateway.next_request_id();
-            if frt.breaker.admit(o, next_id) == AdmitDecision::Refuse {
+            if frt.breaker.admit(next_id) == AdmitDecision::Refuse {
                 self.gateway.reject_arrival(now, func);
                 return;
             }
             browned = frt.breaker.browned();
         }
-        let deadline = match (overload.as_ref(), slo) {
-            (Some(o), Some(slo)) => now
-                .checked_add(slo.scale(o.deadline_factor))
+        let deadline = match (overload, slo) {
+            (true, Some(slo)) => now
+                .checked_add(slo.scale(DEADLINE_FACTOR))
                 .unwrap_or(SimTime::MAX),
             _ => SimTime::MAX,
         };
@@ -104,7 +104,7 @@ impl Engine {
     pub(super) fn on_request_timeout(&mut self, func: FuncId, id: RequestId) {
         if let Some(req) = self.gateway.cancel_queued(func, id) {
             self.gateway.drop_request(&req);
-            if self.cfg.overload.is_some() {
+            if self.cfg.overload {
                 if let Some(frt) = self.funcs.get_mut(func) {
                     frt.breaker.on_shed(req.id.0);
                 }
@@ -124,7 +124,7 @@ impl Engine {
     /// is unmeetable even if service started right now, per the EWMA
     /// service-time estimate. Each shed feeds the breaker.
     pub(super) fn shed_dead_prefix(&mut self, now: SimTime, func: FuncId) {
-        if self.cfg.overload.is_none() {
+        if !self.cfg.overload {
             return;
         }
         let Some(est) = self.funcs.get(func).and_then(|f| f.service_est.mean()) else {
@@ -196,7 +196,7 @@ impl Engine {
             // the wasted work overload control exists to avoid.
             frt.wasted_service += service;
         }
-        if self.cfg.overload.is_some() && !is_synthetic(&active.req) {
+        if self.cfg.overload && !is_synthetic(&active.req) {
             frt.breaker.on_completion(active.req.id.0, met);
         }
         let saturate = frt.saturate;
@@ -228,7 +228,7 @@ impl Engine {
         }
         // Every call here is a crash-lost request: feed the breaker's
         // failure counter so a dying node fast-fails instead of queueing.
-        if self.cfg.overload.is_some() {
+        if self.cfg.overload {
             if let Some(frt) = self.funcs.get_mut(req.func) {
                 frt.breaker.on_failure(req.id.0);
             }

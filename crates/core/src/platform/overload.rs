@@ -11,14 +11,13 @@
 //!
 //! Control loop, per function:
 //!
-//! * the gateway bounds the admission queue
-//!   ([`queue_capacity`](OverloadConfig::queue_capacity)) and refuses the
-//!   excess (`Admission::Overloaded`);
+//! * the gateway bounds the admission queue ([`QUEUE_CAPACITY`]) and
+//!   refuses the excess (`Admission::Overloaded`);
 //! * every admitted request carries an absolute deadline
-//!   (`arrival + deadline_factor × SLO`); at each dispatch opportunity the
-//!   queue prefix whose deadlines are provably unmeetable — queue wait
-//!   plus the smoothed service-time estimate exceeds the deadline — is
-//!   shed before any capacity is burned on it;
+//!   (`arrival + DEADLINE_FACTOR × SLO`); at each dispatch opportunity
+//!   the queue prefix whose deadlines are provably unmeetable — queue
+//!   wait plus the smoothed service-time estimate exceeds the deadline —
+//!   is shed before any capacity is burned on it;
 //! * a [`CircuitBreaker`] watches per-window shed and failure ratios and
 //!   trips Closed → Open; Open transitions to HalfOpen on a deterministic
 //!   timer and lets a bounded number of probe requests through; probes
@@ -28,6 +27,8 @@
 //!   instead of hard-failing) and restores full quota only after a
 //!   recovery-hysteresis streak of healthy windows; a failure-rate trip
 //!   (node crash) fast-fails new arrivals until probes succeed.
+//!
+//! The plane's tuning is the constants below, one value each.
 
 use super::engine::{schedule_next, Engine, Event};
 use fastg_cluster::{FuncId, ResourceSpec};
@@ -35,111 +36,43 @@ use fastg_des::snap::SnapError;
 use fastg_des::{snap_enum, snap_struct, EventQueue, SimTime};
 use std::collections::BTreeSet;
 
-/// Tuning for the overload control plane. Attached to
-/// [`PlatformConfig`](super::PlatformConfig) via
-/// [`overload`](super::PlatformConfig::overload); `None` disables the
-/// whole plane (legacy unbounded queueing).
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadConfig {
-    /// Bound on each function's admission queue; arrivals beyond it are
-    /// rejected with `Admission::Overloaded`.
-    pub queue_capacity: usize,
-    /// Absolute deadline as a multiple of the function's SLO
-    /// (deadline = arrival + factor × SLO). 1.0 sheds everything that
-    /// cannot meet the SLO itself.
-    pub deadline_factor: f64,
-    /// Breaker evaluation period (one `BreakerTick` per window).
-    pub breaker_window: SimTime,
-    /// Closed → Open when `(shed + rejected) / arrivals` in a window
-    /// reaches this ratio (with at least `min_window_arrivals` arrivals).
-    pub trip_shed_ratio: f64,
-    /// Closed → Open when `failures / (failures + successes)` in a window
-    /// reaches this ratio (with at least `min_failures` failures).
-    /// Failures are crash-lost requests — this is the fast-fail path for
-    /// node crashes.
-    pub trip_failure_ratio: f64,
-    /// Minimum arrivals in a window before the shed ratio can trip.
-    pub min_window_arrivals: u64,
-    /// Minimum failures in a window before the failure ratio can trip.
-    pub min_failures: u64,
-    /// How long the breaker stays Open before probing (Open → HalfOpen).
-    pub open_duration: SimTime,
-    /// Probe admissions allowed per window while HalfOpen.
-    pub half_open_probes: u64,
-    /// Consecutive all-healthy HalfOpen windows required to close.
-    pub close_healthy_windows: u32,
-    /// Serve degraded instead of hard-failing on shed-rate trips.
-    pub brownout: bool,
-    /// Quota-request multiplier applied to replicas while browned out.
-    pub brownout_quota_factor: f64,
-    /// Consecutive healthy Closed windows before full quota is restored.
-    pub recover_healthy_windows: u32,
-}
+/// Bound on each function's admission queue; arrivals beyond it are
+/// rejected with `Admission::Overloaded`.
+pub const QUEUE_CAPACITY: usize = 64;
+/// Absolute deadline as a multiple of the function's SLO
+/// (deadline = arrival + factor × SLO): 1.0 sheds everything that cannot
+/// meet the SLO itself.
+pub const DEADLINE_FACTOR: f64 = 1.0;
+/// Breaker evaluation period (one `BreakerTick` per window).
+pub const BREAKER_WINDOW: SimTime = SimTime::from_millis(250);
+/// Closed → Open when `(shed + rejected) / arrivals` in a window reaches
+/// this ratio (with at least [`MIN_WINDOW_ARRIVALS`] arrivals).
+pub const TRIP_SHED_RATIO: f64 = 0.5;
+/// Closed → Open when `failures / (failures + successes)` in a window
+/// reaches this ratio (with at least [`MIN_FAILURES`] failures).
+/// Failures are crash-lost requests: this is the fast-fail path for node
+/// crashes.
+pub const TRIP_FAILURE_RATIO: f64 = 0.5;
+/// Minimum arrivals in a window before the shed ratio can trip.
+pub const MIN_WINDOW_ARRIVALS: u64 = 10;
+/// Minimum failures in a window before the failure ratio can trip.
+pub const MIN_FAILURES: u64 = 2;
+/// How long the breaker stays Open before probing (Open → HalfOpen).
+pub const OPEN_DURATION: SimTime = SimTime::from_millis(500);
+/// Probe admissions allowed per window while HalfOpen.
+pub const HALF_OPEN_PROBES: u64 = 4;
+/// Consecutive all-healthy HalfOpen windows required to close.
+pub const CLOSE_HEALTHY_WINDOWS: u32 = 2;
+/// Quota-request multiplier applied to replicas while browned out.
+pub const BROWNOUT_QUOTA_FACTOR: f64 = 0.5;
+/// Consecutive healthy Closed windows before full quota is restored.
+pub const RECOVER_HEALTHY_WINDOWS: u32 = 3;
 
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        OverloadConfig {
-            queue_capacity: 64,
-            deadline_factor: 1.0,
-            breaker_window: SimTime::from_millis(250),
-            trip_shed_ratio: 0.5,
-            trip_failure_ratio: 0.5,
-            min_window_arrivals: 10,
-            min_failures: 2,
-            open_duration: SimTime::from_millis(500),
-            half_open_probes: 4,
-            close_healthy_windows: 2,
-            brownout: true,
-            brownout_quota_factor: 0.5,
-            recover_healthy_windows: 3,
-        }
-    }
-}
-
-impl OverloadConfig {
-    /// Sets the admission-queue bound.
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap.max(1);
-        self
-    }
-
-    /// Sets the deadline as a multiple of the SLO.
-    pub fn deadline_factor(mut self, f: f64) -> Self {
-        debug_assert!(f > 0.0, "non-positive deadline factor");
-        if f.is_finite() && f > 0.0 {
-            self.deadline_factor = f;
-        }
-        self
-    }
-
-    /// Sets the breaker evaluation window.
-    pub fn breaker_window(mut self, w: SimTime) -> Self {
-        debug_assert!(w > SimTime::ZERO, "zero breaker window");
-        self.breaker_window = w.max(SimTime::from_micros(1));
-        self
-    }
-
-    /// Sets the Open dwell time before probing.
-    pub fn open_duration(mut self, d: SimTime) -> Self {
-        self.open_duration = d;
-        self
-    }
-
-    /// Enables/disables brownout serving on shed-rate trips.
-    pub fn brownout(mut self, on: bool) -> Self {
-        self.brownout = on;
-        self
-    }
-
-    /// Sets the browned-out quota-request multiplier, clamped to (0, 1].
-    pub fn brownout_quota_factor(mut self, f: f64) -> Self {
-        debug_assert!(f > 0.0 && f <= 1.0, "brownout factor out of (0, 1]");
-        if f.is_finite() {
-            self.brownout_quota_factor = f.clamp(0.05, 1.0);
-        }
-        self
-    }
-}
+/// Turns the overload control plane on through
+/// [`PlatformConfig::overload`](super::PlatformConfig::overload). It
+/// carries no tuning: the plane's values are this module's constants.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OverloadConfig;
 
 /// Circuit-breaker states (the classic three-state machine, driven by
 /// deterministic DES timers instead of wall clocks).
@@ -148,7 +81,7 @@ pub enum BreakerState {
     /// Normal admission; window ratios are watched for trips.
     Closed,
     /// Tripped: arrivals fast-fail (or serve browned-out after a
-    /// shed-rate trip) until `open_duration` elapses.
+    /// shed-rate trip) until [`OPEN_DURATION`] elapses.
     Open,
     /// Probing: a bounded number of requests per window are admitted and
     /// their outcomes decide between re-opening and closing.
@@ -181,8 +114,8 @@ pub enum TripCause {
 pub enum BreakerAction {
     /// Nothing beyond internal state bookkeeping.
     None,
-    /// The breaker tripped on shed rate with brownout enabled: degrade
-    /// the function's replicas to the brownout quota.
+    /// The breaker tripped on shed rate: degrade the function's replicas
+    /// to the brownout quota.
     EnterBrownout,
     /// Recovery hysteresis satisfied: restore full quota.
     ExitBrownout,
@@ -272,27 +205,27 @@ impl CircuitBreaker {
 
     /// Decides admission for one arrival. Counts the arrival; a refusal
     /// also counts as a shed in the current window.
-    pub fn admit(&mut self, cfg: &OverloadConfig, id: u64) -> AdmitDecision {
+    pub fn admit(&mut self, id: u64) -> AdmitDecision {
         self.arrivals += 1;
         match self.state {
             BreakerState::Closed => AdmitDecision::Admit,
-            BreakerState::Open => self.degraded_admit(cfg),
+            BreakerState::Open => self.degraded_admit(),
             BreakerState::HalfOpen => {
-                if self.probes_admitted < cfg.half_open_probes {
+                if self.probes_admitted < HALF_OPEN_PROBES {
                     self.probes_admitted += 1;
                     self.probe_ids.insert(id);
                     AdmitDecision::Probe
                 } else {
-                    self.degraded_admit(cfg)
+                    self.degraded_admit()
                 }
             }
         }
     }
 
-    /// Open-state policy: brownout serving after a shed trip (if
-    /// enabled), otherwise fast-fail.
-    fn degraded_admit(&mut self, cfg: &OverloadConfig) -> AdmitDecision {
-        if cfg.brownout && self.cause == TripCause::Shed {
+    /// Open-state policy: brownout serving after a shed trip, fast-fail
+    /// after a failure trip.
+    fn degraded_admit(&mut self) -> AdmitDecision {
+        if self.cause == TripCause::Shed {
             AdmitDecision::Admit
         } else {
             self.sheds += 1;
@@ -332,11 +265,11 @@ impl CircuitBreaker {
     /// One deterministic evaluation tick at `now`. Advances the state
     /// machine, resets window counters and tells the engine what (if
     /// anything) to reconfigure.
-    pub fn tick(&mut self, now: SimTime, cfg: &OverloadConfig) -> BreakerAction {
+    pub fn tick(&mut self, now: SimTime) -> BreakerAction {
         let action = match self.state {
-            BreakerState::Closed => self.tick_closed(now, cfg),
+            BreakerState::Closed => self.tick_closed(now),
             BreakerState::Open => {
-                if now.saturating_sub(self.opened_at) >= cfg.open_duration {
+                if now.saturating_sub(self.opened_at) >= OPEN_DURATION {
                     self.state = BreakerState::HalfOpen;
                     self.reset_probes();
                     self.healthy_windows = 0;
@@ -346,11 +279,11 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => {
                 if self.probe_failures > 0 {
                     // A probe died: re-open and wait another full dwell.
-                    self.trip(now, self.cause, cfg)
+                    self.trip(now, self.cause)
                 } else if self.probe_successes > 0 {
                     // Every resolved probe this window was healthy.
                     self.healthy_windows += 1;
-                    if self.healthy_windows >= cfg.close_healthy_windows {
+                    if self.healthy_windows >= CLOSE_HEALTHY_WINDOWS {
                         self.state = BreakerState::Closed;
                         self.healthy_windows = 0;
                         self.probe_ids.clear();
@@ -372,13 +305,13 @@ impl CircuitBreaker {
         action
     }
 
-    fn tick_closed(&mut self, now: SimTime, cfg: &OverloadConfig) -> BreakerAction {
-        let shed_trip = self.arrivals >= cfg.min_window_arrivals
-            && self.sheds as f64 >= cfg.trip_shed_ratio * self.arrivals as f64;
+    fn tick_closed(&mut self, now: SimTime) -> BreakerAction {
+        let shed_trip = self.arrivals >= MIN_WINDOW_ARRIVALS
+            && self.sheds as f64 >= TRIP_SHED_RATIO * self.arrivals as f64;
         let outcomes = self.failures + self.successes;
-        let failure_trip = self.failures >= cfg.min_failures
+        let failure_trip = self.failures >= MIN_FAILURES
             && outcomes > 0
-            && self.failures as f64 >= cfg.trip_failure_ratio * outcomes as f64;
+            && self.failures as f64 >= TRIP_FAILURE_RATIO * outcomes as f64;
         if failure_trip || shed_trip {
             // Failure trips dominate: a crashed node must fast-fail even
             // if the dead capacity also inflates the shed ratio.
@@ -387,7 +320,7 @@ impl CircuitBreaker {
             } else {
                 TripCause::Shed
             };
-            return self.trip(now, cause, cfg);
+            return self.trip(now, cause);
         }
         // Healthy Closed window: advance brownout-recovery hysteresis.
         if self.browned {
@@ -396,7 +329,7 @@ impl CircuitBreaker {
                 self.healthy_windows = 0;
             } else {
                 self.healthy_windows += 1;
-                if self.healthy_windows >= cfg.recover_healthy_windows {
+                if self.healthy_windows >= RECOVER_HEALTHY_WINDOWS {
                     self.browned = false;
                     self.healthy_windows = 0;
                     return BreakerAction::ExitBrownout;
@@ -406,14 +339,14 @@ impl CircuitBreaker {
         BreakerAction::None
     }
 
-    fn trip(&mut self, now: SimTime, cause: TripCause, cfg: &OverloadConfig) -> BreakerAction {
+    fn trip(&mut self, now: SimTime, cause: TripCause) -> BreakerAction {
         self.state = BreakerState::Open;
         self.cause = cause;
         self.opened_at = now;
         self.trips += 1;
         self.healthy_windows = 0;
         self.probe_ids.clear();
-        if cause == TripCause::Shed && cfg.brownout && !self.browned {
+        if cause == TripCause::Shed && !self.browned {
             self.browned = true;
             BreakerAction::EnterBrownout
         } else {
@@ -428,20 +361,6 @@ impl CircuitBreaker {
         self.probe_ids.clear();
     }
 }
-
-snap_struct!(OverloadConfig {
-    queue_capacity, deadline_factor, breaker_window, trip_shed_ratio, trip_failure_ratio,
-    min_window_arrivals, min_failures, open_duration, half_open_probes, close_healthy_windows,
-    brownout, brownout_quota_factor, recover_healthy_windows,
-} check |cfg| {
-    if cfg.queue_capacity == 0
-        || cfg.breaker_window == SimTime::ZERO
-        || !(cfg.deadline_factor.is_finite() && cfg.deadline_factor > 0.0)
-    {
-        return Err(SnapError::new("overload config bounds"));
-    }
-    Ok(())
-});
 
 snap_enum!(BreakerState, "breaker state tag" { Closed = 0, Open = 1, HalfOpen = 2 });
 
@@ -465,10 +384,10 @@ impl Engine {
     /// the regular `reconfigure` path (which breaks fast-forward state on
     /// touched nodes, so replay stays digest-exact).
     pub(super) fn on_breaker_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let Some(o) = self.cfg.overload else {
+        if !self.cfg.overload {
             return; // overload control disabled after scheduling: disarm
-        };
-        schedule_next(queue, now, o.breaker_window, Event::BreakerTick);
+        }
+        schedule_next(queue, now, BREAKER_WINDOW, Event::BreakerTick);
         let func_ids: Vec<FuncId> = self.funcs.keys().collect();
         for func in func_ids {
             // Requests can outlive their deadline between dispatch
@@ -478,9 +397,9 @@ impl Engine {
             let Some(frt) = self.funcs.get_mut(func) else {
                 continue;
             };
-            match frt.breaker.tick(now, &o) {
+            match frt.breaker.tick(now) {
                 BreakerAction::None => {}
-                BreakerAction::EnterBrownout => self.enter_brownout(now, func, &o, queue),
+                BreakerAction::EnterBrownout => self.enter_brownout(now, func, queue),
                 BreakerAction::ExitBrownout => self.exit_brownout(now, func, queue),
             }
         }
@@ -489,13 +408,7 @@ impl Engine {
     /// Brownout entry: snapshot full-quota resources and reconfigure
     /// every replica to a reduced quota request (elastic limit kept), so
     /// the function keeps serving degraded instead of hard-failing.
-    fn enter_brownout(
-        &mut self,
-        now: SimTime,
-        func: FuncId,
-        o: &OverloadConfig,
-        queue: &mut EventQueue<Event>,
-    ) {
+    fn enter_brownout(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
         let Some(frt) = self.funcs.get_mut(func) else {
             return;
         };
@@ -503,7 +416,7 @@ impl Engine {
         frt.normal_resources = full;
         let reduced = ResourceSpec::new(
             full.sm_partition,
-            (full.quota_request * o.brownout_quota_factor).max(0.01),
+            (full.quota_request * BROWNOUT_QUOTA_FACTOR).max(0.01),
             full.quota_limit,
             full.gpu_mem,
         );
@@ -526,16 +439,14 @@ impl Engine {
 mod tests {
     use super::*;
 
-    fn cfg() -> OverloadConfig {
-        OverloadConfig::default()
-            .breaker_window(SimTime::from_millis(100))
-            .open_duration(SimTime::from_millis(200))
+    fn ms(t: u64) -> SimTime {
+        SimTime::from_millis(t)
     }
 
     /// Drives `n` arrivals, shedding `shed` of them.
-    fn window(b: &mut CircuitBreaker, cfg: &OverloadConfig, n: u64, shed: u64) {
+    fn window(b: &mut CircuitBreaker, n: u64, shed: u64) {
         for i in 0..n {
-            b.admit(cfg, 1000 + i);
+            b.admit(1000 + i);
             if i < shed {
                 b.on_shed(1000 + i);
             } else {
@@ -544,139 +455,120 @@ mod tests {
         }
     }
 
+    /// A breaker tripped on failures by its tick at 100 ms.
+    fn failure_tripped() -> CircuitBreaker {
+        let mut b = CircuitBreaker::new();
+        for id in 0..6u64 {
+            b.admit(id);
+            b.on_failure(id);
+        }
+        assert_eq!(b.tick(ms(100)), BreakerAction::None);
+        b
+    }
+
     #[test]
     fn shed_ratio_trips_into_brownout() {
-        let c = cfg();
         let mut b = CircuitBreaker::new();
-        window(&mut b, &c, 20, 4); // 20 % shed: below threshold
-        assert_eq!(b.tick(SimTime::from_millis(100), &c), BreakerAction::None);
+        window(&mut b, 20, 4); // 20 % shed: below threshold
+        assert_eq!(b.tick(ms(100)), BreakerAction::None);
         assert_eq!(b.state(), BreakerState::Closed);
-        window(&mut b, &c, 20, 15); // 75 % shed: trip
-        let act = b.tick(SimTime::from_millis(200), &c);
+        window(&mut b, 20, 15); // 75 % shed: trip
+        let act = b.tick(ms(200));
         assert_eq!(act, BreakerAction::EnterBrownout);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.cause(), TripCause::Shed);
         assert_eq!(b.trips(), 1);
         assert!(b.browned());
         // Brownout serving: Open still admits.
-        assert_eq!(b.admit(&c, 1), AdmitDecision::Admit);
+        assert_eq!(b.admit(1), AdmitDecision::Admit);
     }
 
     #[test]
     fn failure_trip_fast_fails() {
-        let c = cfg();
-        let mut b = CircuitBreaker::new();
-        for id in 0..6u64 {
-            b.admit(&c, id);
-            b.on_failure(id);
-        }
-        assert_eq!(b.tick(SimTime::from_millis(100), &c), BreakerAction::None);
+        let mut b = failure_tripped();
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.cause(), TripCause::Failure);
         assert!(!b.browned(), "failure trips never brown out");
         // Fast-fail, not brownout serving.
-        assert_eq!(b.admit(&c, 99), AdmitDecision::Refuse);
+        assert_eq!(b.admit(99), AdmitDecision::Refuse);
     }
 
     #[test]
     fn open_probes_then_closes_with_hysteresis() {
-        let c = cfg();
-        let mut b = CircuitBreaker::new();
-        for id in 0..6u64 {
-            b.admit(&c, id);
-            b.on_failure(id);
-        }
-        b.tick(SimTime::from_millis(100), &c);
+        let mut b = failure_tripped();
         assert_eq!(b.state(), BreakerState::Open);
-        // Dwell not yet over.
-        b.tick(SimTime::from_millis(200), &c);
+        // Dwell not yet over, even one tick short of `OPEN_DURATION`.
+        b.tick(ms(200));
+        assert_eq!(b.state(), BreakerState::Open);
+        b.tick(ms(599));
         assert_eq!(b.state(), BreakerState::Open);
         // Dwell over: HalfOpen, probes admitted.
-        b.tick(SimTime::from_millis(300), &c);
+        b.tick(ms(600));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert_eq!(b.admit(&c, 50), AdmitDecision::Probe);
+        assert_eq!(b.admit(50), AdmitDecision::Probe);
         b.on_completion(50, true);
-        b.tick(SimTime::from_millis(400), &c);
+        b.tick(ms(700));
         assert_eq!(b.state(), BreakerState::HalfOpen, "needs 2 healthy windows");
-        assert_eq!(b.admit(&c, 51), AdmitDecision::Probe);
+        assert_eq!(b.admit(51), AdmitDecision::Probe);
         b.on_completion(51, true);
-        b.tick(SimTime::from_millis(500), &c);
+        b.tick(ms(800));
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn failed_probe_reopens() {
-        let c = cfg();
-        let mut b = CircuitBreaker::new();
-        for id in 0..6u64 {
-            b.admit(&c, id);
-            b.on_failure(id);
-        }
-        b.tick(SimTime::from_millis(100), &c);
-        b.tick(SimTime::from_millis(300), &c);
+        let mut b = failure_tripped();
+        b.tick(ms(600));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert_eq!(b.admit(&c, 50), AdmitDecision::Probe);
+        assert_eq!(b.admit(50), AdmitDecision::Probe);
         b.on_failure(50);
-        b.tick(SimTime::from_millis(400), &c);
+        b.tick(ms(700));
         assert_eq!(b.state(), BreakerState::Open, "dead probe must re-open");
         assert_eq!(b.trips(), 2);
     }
 
     #[test]
     fn probe_budget_is_bounded() {
-        let c = cfg();
-        let mut b = CircuitBreaker::new();
-        for id in 0..6u64 {
-            b.admit(&c, id);
-            b.on_failure(id);
-        }
-        b.tick(SimTime::from_millis(100), &c);
-        b.tick(SimTime::from_millis(300), &c);
+        let mut b = failure_tripped();
+        b.tick(ms(600));
         let mut probes = 0;
         let mut refused = 0;
         for id in 100..120u64 {
-            match b.admit(&c, id) {
+            match b.admit(id) {
                 AdmitDecision::Probe => probes += 1,
                 AdmitDecision::Refuse => refused += 1,
                 AdmitDecision::Admit => panic!("failure-cause HalfOpen must not admit freely"),
             }
         }
-        assert_eq!(probes, c.half_open_probes);
-        assert_eq!(refused, 20 - c.half_open_probes);
+        assert_eq!(probes, HALF_OPEN_PROBES);
+        assert_eq!(refused, 20 - HALF_OPEN_PROBES);
     }
 
     #[test]
     fn brownout_recovery_needs_consecutive_healthy_windows() {
-        let c = cfg();
         let mut b = CircuitBreaker::new();
-        window(&mut b, &c, 20, 15);
-        assert_eq!(
-            b.tick(SimTime::from_millis(100), &c),
-            BreakerAction::EnterBrownout
-        );
+        window(&mut b, 20, 15);
+        assert_eq!(b.tick(ms(100)), BreakerAction::EnterBrownout);
         // Probe back to Closed.
-        b.tick(SimTime::from_millis(300), &c); // HalfOpen
-        for t in [400u64, 500] {
+        b.tick(ms(600)); // HalfOpen
+        for t in [700u64, 800] {
             let id = t;
-            assert_eq!(b.admit(&c, id), AdmitDecision::Probe);
+            assert_eq!(b.admit(id), AdmitDecision::Probe);
             b.on_completion(id, true);
-            b.tick(SimTime::from_millis(t), &c);
+            b.tick(ms(t));
         }
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.browned(), "quota stays degraded until hysteresis clears");
         // One unhealthy window resets the streak.
-        window(&mut b, &c, 10, 1);
-        assert_eq!(b.tick(SimTime::from_millis(600), &c), BreakerAction::None);
+        window(&mut b, 10, 1);
+        assert_eq!(b.tick(ms(900)), BreakerAction::None);
         // Three clean windows restore full quota.
-        for t in [700u64, 800] {
-            window(&mut b, &c, 10, 0);
-            assert_eq!(b.tick(SimTime::from_millis(t), &c), BreakerAction::None);
+        for t in [1000u64, 1100] {
+            window(&mut b, 10, 0);
+            assert_eq!(b.tick(ms(t)), BreakerAction::None);
         }
-        window(&mut b, &c, 10, 0);
-        assert_eq!(
-            b.tick(SimTime::from_millis(900), &c),
-            BreakerAction::ExitBrownout
-        );
+        window(&mut b, 10, 0);
+        assert_eq!(b.tick(ms(1200)), BreakerAction::ExitBrownout);
         assert!(!b.browned());
     }
 }

@@ -1,9 +1,6 @@
 //! The configuration server: sampling plans over the (spatial × temporal)
 //! resource space.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 /// How the configuration space is sampled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SamplePlan {
@@ -15,16 +12,6 @@ pub enum SamplePlan {
         /// Quota fractions.
         temporal: Vec<f64>,
     },
-    /// `n` uniform random points (spatial in `[min_sm, 100]`, temporal in
-    /// `[0.05, 1.0]`), seeded for reproducibility.
-    Random {
-        /// Number of samples.
-        n: usize,
-        /// Smallest SM percentage to consider.
-        min_sm: f64,
-        /// RNG seed.
-        seed: u64,
-    },
 }
 
 /// A sampling plan reaching outside the profiled domain, (0, 100] % SMs
@@ -33,8 +20,7 @@ pub enum SamplePlan {
 /// before any trial runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SamplePlanError {
-    /// An SM percentage outside (0, 100]: a grid point, or a random
-    /// plan's `min_sm`.
+    /// A grid's SM percentage outside (0, 100].
     Spatial(f64),
     /// A quota outside (0, 1].
     Temporal(f64),
@@ -68,18 +54,12 @@ fn check_quota(quota: f64) -> Result<(), SamplePlanError> {
 }
 
 impl SamplePlan {
-    /// Whether every point the plan can sample lies in the profiled
-    /// domain (NaN never does). A random plan draws SM percentages from
-    /// `[min_sm, 100]`, rounded to at least 1 %, and quotas from
-    /// `[0.05, 1]`, so only its `min_sm` can reach outside.
+    /// Whether every point the plan samples lies in the profiled domain
+    /// (NaN never does).
     pub fn validate(&self) -> Result<(), SamplePlanError> {
-        match self {
-            SamplePlan::Grid { spatial, temporal } => {
-                spatial.iter().try_for_each(|&sm| check_sm(sm))?;
-                temporal.iter().try_for_each(|&q| check_quota(q))
-            }
-            SamplePlan::Random { min_sm, .. } => check_sm(*min_sm),
-        }
+        let SamplePlan::Grid { spatial, temporal } = self;
+        spatial.iter().try_for_each(|&sm| check_sm(sm))?;
+        temporal.iter().try_for_each(|&q| check_quota(q))
     }
 }
 
@@ -121,27 +101,12 @@ impl ConfigServer {
     /// domain ([`SamplePlan::validate`]).
     pub fn sample(&self) -> Result<Vec<(f64, f64)>, SamplePlanError> {
         self.plan.validate()?;
-        Ok(match &self.plan {
-            SamplePlan::Grid { spatial, temporal } => {
-                let mut out = Vec::with_capacity(spatial.len() * temporal.len());
-                for &s in spatial {
-                    out.extend(temporal.iter().map(|&q| (s, q)));
-                }
-                out
-            }
-            SamplePlan::Random { n, min_sm, seed } => {
-                let mut rng = SmallRng::seed_from_u64(*seed);
-                (0..*n)
-                    .map(|_| {
-                        let s: f64 = rng.gen_range(*min_sm..=100.0);
-                        let q: f64 = rng.gen_range(0.05..=1.0);
-                        // Quantize to the rectangle units the scheduler
-                        // uses (1 % / 1 %).
-                        ((s.round()).max(1.0), (q * 100.0).round() / 100.0)
-                    })
-                    .collect()
-            }
-        })
+        let SamplePlan::Grid { spatial, temporal } = &self.plan;
+        let mut out = Vec::with_capacity(spatial.len() * temporal.len());
+        for &s in spatial {
+            out.extend(temporal.iter().map(|&q| (s, q)));
+        }
+        Ok(out)
     }
 }
 
@@ -158,20 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn random_plan_is_seeded() {
-        let plan = SamplePlan::Random {
-            n: 10,
-            min_sm: 5.0,
-            seed: 3,
-        };
-        let a = ConfigServer::new(plan.clone()).sample().unwrap();
-        let b = ConfigServer::new(plan).sample().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 10);
-        assert!(a.iter().all(|&(s, q)| (5.0..=100.0).contains(&s) && q > 0.0 && q <= 1.0));
-    }
-
-    #[test]
     fn grid_points_outside_the_domain_are_refused() {
         let grid = |spatial: Vec<f64>, temporal: Vec<f64>| {
             ConfigServer::new(SamplePlan::Grid { spatial, temporal }).sample()
@@ -185,15 +136,5 @@ mod tests {
         // The domain's closed ends are in it.
         assert_eq!(grid(vec![100.0], vec![1.0]), Ok(vec![(100.0, 1.0)]));
         assert_eq!(grid(vec![], vec![]), Ok(vec![]));
-    }
-
-    #[test]
-    fn random_plan_min_sm_outside_the_domain_is_refused() {
-        let random = |min_sm: f64| ConfigServer::new(SamplePlan::Random { n: 4, min_sm, seed: 1 }).sample();
-        assert_eq!(random(150.0), Err(SamplePlanError::Spatial(150.0)));
-        assert_eq!(random(0.0), Err(SamplePlanError::Spatial(0.0)));
-        assert!(random(f64::NAN).is_err());
-        let edge = random(100.0).unwrap();
-        assert!(edge.iter().all(|&(s, _)| s == 100.0), "{edge:?}");
     }
 }

@@ -316,7 +316,6 @@ mod tests {
         let plans = [
             (SamplePlan::Grid { spatial: vec![f64::NAN, 150.0], temporal: vec![0.5] }, SamplePlanError::Spatial(f64::NAN)),
             (SamplePlan::Grid { spatial: vec![50.0], temporal: vec![0.5, 1.5] }, SamplePlanError::Temporal(1.5)),
-            (SamplePlan::Random { n: 2, min_sm: 150.0, seed: 1 }, SamplePlanError::Spatial(150.0)),
         ];
         for (plan, refused) in plans {
             let e = Experiment::new("resnet50", ConfigServer::new(plan.clone()));

@@ -1,16 +1,10 @@
 //! Fleet-scale workload synthesis.
 //!
 //! Production FaaS fleets are wide and skewed: hundreds of functions whose
-//! popularity follows a Zipf law, with three dominant temporal layers on
-//! top — slow diurnal swings, sharp flash crowds on the head functions,
-//! and regional-failover steps where a zone's traffic lands on the
-//! survivors. These builders synthesize that shape deterministically per
-//! seed, per function rank, so a 1k-node scenario is described by a few
-//! scalars instead of a recorded trace.
-
-use crate::arrival::ArrivalProcess;
-use crate::patterns::{diurnal, flash_crowd};
-use fastg_des::SimTime;
+//! popularity follows a Zipf law. [`zipf_rates`] splits a fleet's total
+//! request rate over its functions by popularity rank, so a fleet of any
+//! width is described by three scalars instead of a recorded trace; the
+//! temporal shapes to put on top are in [`patterns`](crate::patterns).
 
 /// Zipf-distributed per-function request rates: rank `i` (0-based) gets a
 /// share proportional to `1 / (i+1)^exponent` of `total_rps`, so the head
@@ -28,87 +22,6 @@ pub fn zipf_rates(funcs: usize, total_rps: f64, exponent: f64) -> Vec<f64> {
     weights.iter().map(|w| total_rps * w / norm).collect()
 }
 
-/// A regional-failover step: `base_rps` until `fail_at`, then the traffic
-/// of a failed zone lands here — a vertical step to `base_rps × boost`
-/// held until `recover_at`, then a step back down until `duration`.
-pub fn regional_failover(
-    base_rps: f64,
-    boost: f64,
-    fail_at: SimTime,
-    recover_at: SimTime,
-    duration: SimTime,
-    seed: u64,
-) -> ArrivalProcess {
-    debug_assert!(boost >= 1.0, "failover must not shrink load");
-    debug_assert!(fail_at < recover_at && recover_at <= duration);
-    let base_rps = base_rps.max(0.0);
-    let boost = boost.max(1.0);
-    let fail_at = fail_at.min(duration);
-    let recover_at = recover_at.clamp(fail_at, duration);
-    let peak = base_rps * boost;
-    // Duplicate-time knots encode the vertical steps.
-    let knots = vec![
-        (SimTime::ZERO, base_rps),
-        (fail_at, base_rps),
-        (fail_at, peak),
-        (recover_at, peak),
-        (recover_at, base_rps),
-        (duration, base_rps),
-    ];
-    ArrivalProcess::profile(knots, seed)
-}
-
-/// The layered fleet arrival process for one function of `funcs`, ranked
-/// by popularity (`rank` 0 = most popular). Every function's base rate is
-/// its [`zipf_rates`] share of `total_rps`; on top of that, the head
-/// function (rank 0) takes the flash crowd, the next ~10 % of ranks take
-/// the regional-failover step mid-run, and the long tail breathes
-/// diurnally. Deterministic per `(rank, seed)`.
-pub fn fleet_function(
-    rank: usize,
-    funcs: usize,
-    total_rps: f64,
-    exponent: f64,
-    duration: SimTime,
-    seed: u64,
-) -> ArrivalProcess {
-    debug_assert!(rank < funcs, "rank out of range");
-    let rates = zipf_rates(funcs, total_rps, exponent);
-    let base = rates[rank.min(rates.len() - 1)];
-    let func_seed = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(u64::try_from(rank).unwrap_or(u64::MAX));
-    let failover_band = (funcs / 10).max(1);
-    if rank == 0 {
-        // Head function: flash crowd at one third of the run, 4× peak,
-        // with aftershocks in the tail.
-        flash_crowd(
-            base,
-            base * 4.0,
-            duration.scale(1.0 / 3.0),
-            duration.scale(0.02).max(SimTime::from_micros(1)),
-            duration.scale(0.05),
-            duration,
-            2,
-            func_seed,
-        )
-    } else if rank <= failover_band {
-        // Near-head band: a failed region's traffic lands here for the
-        // middle fifth of the run.
-        regional_failover(
-            base,
-            1.8,
-            duration.scale(0.4),
-            duration.scale(0.6),
-            duration,
-            func_seed,
-        )
-    } else {
-        // Long tail: diurnal breathing around the Zipf base.
-        diurnal(base * 0.6, base * 1.4, duration.scale(0.5), 2, func_seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,48 +33,5 @@ mod tests {
         assert!((sum - 1000.0).abs() < 1e-6, "sum {sum}");
         assert!(r[0] > r[1] && r[1] > r[50], "must be rank-decreasing");
         assert!(r[0] / r[99] > 50.0, "head/tail skew too flat: {}", r[0] / r[99]);
-    }
-
-    #[test]
-    fn failover_steps_up_and_recovers() {
-        let p = regional_failover(
-            10.0,
-            2.0,
-            SimTime::from_secs(10),
-            SimTime::from_secs(20),
-            SimTime::from_secs(30),
-            1,
-        );
-        assert!((p.rate_at(SimTime::from_secs(5)) - 10.0).abs() < 1e-9);
-        assert!((p.rate_at(SimTime::from_secs(15)) - 20.0).abs() < 1e-9);
-        assert!((p.rate_at(SimTime::from_secs(25)) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fleet_layers_cover_head_band_and_tail() {
-        let d = SimTime::from_secs(300);
-        // Head rank flash-crowds above its base at one third in.
-        let head = fleet_function(0, 100, 1000.0, 1.1, d, 7);
-        let head_base = head.rate_at(SimTime::ZERO);
-        let head_peak = head.rate_at(d.scale(1.0 / 3.0) + d.scale(0.03));
-        assert!(head_peak > head_base * 2.0, "{head_base} → {head_peak}");
-        // Band rank steps up mid-run.
-        let band = fleet_function(3, 100, 1000.0, 1.1, d, 7);
-        let mid = band.rate_at(d.scale(0.5));
-        let early = band.rate_at(d.scale(0.1));
-        assert!((mid / early - 1.8).abs() < 1e-6, "{early} → {mid}");
-        // Tail rank swings diurnally around its (small) base.
-        let tail = fleet_function(90, 100, 1000.0, 1.1, d, 7);
-        let trough = tail.rate_at(SimTime::ZERO);
-        let crest = tail.rate_at(d.scale(0.25));
-        assert!(crest > trough * 1.5, "{trough} → {crest}");
-    }
-
-    #[test]
-    fn fleet_function_is_deterministic() {
-        let d = SimTime::from_secs(60);
-        let a = fleet_function(0, 10, 100.0, 1.0, d, 3).collect_until(d);
-        let b = fleet_function(0, 10, 100.0, 1.0, d, 3).collect_until(d);
-        assert_eq!(a, b);
     }
 }

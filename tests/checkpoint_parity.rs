@@ -290,7 +290,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// crashed node's rebuilt backend and model store are pinned too.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 11, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 12, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -299,9 +299,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 10_475, 0xe701_2d11_33b2_6f19),
-        ("fleet", fleet, 9_031, 0x09fc_b88a_828f_80f6),
-        ("flash crowd after the node crash", crashed, 15_530, 0x6378_4480_e29a_6c3a),
+        ("flash crowd", flash, 10_316, 0x26ba_7e31_7c47_eb37),
+        ("fleet", fleet, 8_880, 0x1685_777e_fe8d_6318),
+        ("flash crowd after the node crash", crashed, 15_371, 0xbf27_3c78_7733_3062),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();

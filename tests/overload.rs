@@ -5,21 +5,19 @@ use fastg_cluster::FuncId;
 use fastg_des::SimTime;
 use fastg_workload::patterns;
 use fastgshare::manager::SharingPolicy;
-use fastgshare::platform::{
-    BreakerState, FunctionConfig, OverloadConfig, Platform, PlatformConfig,
-};
+use fastgshare::platform::overload::QUEUE_CAPACITY;
+use fastgshare::platform::{BreakerState, FunctionConfig, Platform, PlatformConfig};
 
 /// Two replicas at half quota (~70 rps capacity) hit by a 400 rps flash
 /// crowd: the canonical overload scenario.
-fn flash_platform(overload: Option<OverloadConfig>, seed: u64) -> (Platform, FuncId) {
-    let mut cfg = PlatformConfig::default()
-        .nodes(2)
-        .policy(SharingPolicy::FaST)
-        .seed(seed);
-    if let Some(o) = overload {
-        cfg = cfg.overload(o);
-    }
-    let mut p = Platform::new(cfg);
+fn flash_platform(overload: bool, seed: u64) -> (Platform, FuncId) {
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(2)
+            .policy(SharingPolicy::FaST)
+            .seed(seed)
+            .overload_control(overload),
+    );
     let f = p
         .deploy(
             FunctionConfig::new("flash", "resnet50")
@@ -66,17 +64,17 @@ fn assert_conserved(p: &mut Platform, f: FuncId) {
 
 #[test]
 fn bounded_queue_rejects_under_flash_crowd() {
-    let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 41);
+    let (mut p, f) = flash_platform(true, 41);
     let r = p.run_for(SimTime::from_secs(12));
-    let cap = OverloadConfig::default().queue_capacity;
-    assert!(p.queued_requests(f) <= cap, "queue {} over cap {cap}", p.queued_requests(f));
+    let queued = p.queued_requests(f);
+    assert!(queued <= QUEUE_CAPACITY, "queue {queued} over cap {QUEUE_CAPACITY}");
     assert!(r.functions[&f].rejected > 0, "flash crowd never hit the bound");
     assert_conserved(&mut p, f);
 }
 
 #[test]
 fn without_overload_control_the_queue_grows_unbounded() {
-    let (mut p, f) = flash_platform(None, 41);
+    let (mut p, f) = flash_platform(false, 41);
     p.run_for(SimTime::from_secs(11));
     let r = p.report();
     let fr = &r.functions[&f];
@@ -84,7 +82,7 @@ fn without_overload_control_the_queue_grows_unbounded() {
     assert_eq!(fr.shed_deadline, 0);
     assert_eq!(fr.breaker_trips, 0);
     assert!(
-        p.queued_requests(f) > OverloadConfig::default().queue_capacity,
+        p.queued_requests(f) > QUEUE_CAPACITY,
         "silent unbounded queueing should exceed the bounded cap (got {})",
         p.queued_requests(f)
     );
@@ -93,7 +91,7 @@ fn without_overload_control_the_queue_grows_unbounded() {
 
 #[test]
 fn deadline_shedding_drops_provably_dead_requests() {
-    let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 43);
+    let (mut p, f) = flash_platform(true, 43);
     let r = p.run_for(SimTime::from_secs(15));
     assert!(
         r.functions[&f].shed_deadline > 0,
@@ -104,7 +102,7 @@ fn deadline_shedding_drops_provably_dead_requests() {
 
 #[test]
 fn breaker_trips_and_brownout_serves_degraded() {
-    let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 47);
+    let (mut p, f) = flash_platform(true, 47);
     // Run to mid-crowd: breaker must have tripped on shed rate.
     let r = p.run_for(SimTime::from_secs(9));
     assert!(r.functions[&f].breaker_trips >= 1, "no trip during the crowd");
@@ -118,7 +116,7 @@ fn breaker_trips_and_brownout_serves_degraded() {
 
 #[test]
 fn brownout_recovers_to_full_quota_after_the_crowd() {
-    let (mut p, f) = flash_platform(Some(OverloadConfig::default()), 53);
+    let (mut p, f) = flash_platform(true, 53);
     p.run_for(SimTime::from_secs(9));
     assert!(p.brownout_active(f), "crowd should brown the function out");
     // Long quiet tail: hysteresis must close the breaker and restore quota.
@@ -128,16 +126,23 @@ fn brownout_recovers_to_full_quota_after_the_crowd() {
     assert_conserved(&mut p, f);
 }
 
+/// A node crash loses in-flight requests; the breaker counts them as
+/// failures, trips with cause `Failure` and fast-fails new arrivals, even
+/// though a shed-cause trip would serve them browned-out. At 150 rps the
+/// crash at 2 s loses two requests, enough for a failure trip at the
+/// 2.25 s tick. The run is stepped 5 ms at a time: a step that refuses
+/// arrivals while its queue could not have reached [`QUEUE_CAPACITY`]
+/// (the queue before the step plus the step's arrivals stays below it)
+/// refused them at the breaker, and only a failure-cause trip refuses
+/// there.
 #[test]
 fn node_crash_trips_the_breaker_to_fast_fail() {
-    // Brownout off: a failure-cause trip must hard fast-fail arrivals.
-    let o = OverloadConfig::default().brownout(false);
     let mut p = Platform::new(
         PlatformConfig::default()
             .nodes(1)
             .policy(SharingPolicy::FaST)
             .seed(59)
-            .overload(o),
+            .overload_control(true),
     );
     let f = p
         .deploy(
@@ -147,25 +152,32 @@ fn node_crash_trips_the_breaker_to_fast_fail() {
                 .resources(50.0, 0.5, 0.8),
         )
         .unwrap();
-    p.set_load(f, fastg_workload::ArrivalProcess::poisson(60.0, 59));
-    p.run_for(SimTime::from_secs(2));
+    p.set_load(f, fastg_workload::ArrivalProcess::poisson(150.0, 59));
+    let before = p.run_for(SimTime::from_secs(2));
+    assert_eq!(before.functions[&f].breaker_trips, 0, "tripped before the crash");
     assert!(p.crash_node(0));
-    // Crash-lost requests are breaker failures; with every replica gone,
-    // new arrivals queue until the next tick trips the breaker, after
-    // which they are refused outright.
-    let r = p.run_for(SimTime::from_secs(3));
-    assert_eq!(p.breaker_state(f), Some(BreakerState::Open));
-    assert!(r.functions[&f].breaker_trips >= 1);
+    let (mut arrivals, mut rejected) = (before.functions[&f].arrivals, before.functions[&f].rejected);
+    let mut breaker_refusals = 0;
+    for _ in 0..600 {
+        let queued = p.queued_requests(f) as u64;
+        let r = p.run_for(SimTime::from_millis(5));
+        let fr = &r.functions[&f];
+        if fr.rejected > rejected && queued + (fr.arrivals - arrivals) < QUEUE_CAPACITY as u64 {
+            breaker_refusals += fr.rejected - rejected;
+        }
+        (arrivals, rejected) = (fr.arrivals, fr.rejected);
+    }
+    assert!(p.report().functions[&f].breaker_trips >= 1);
     assert!(
-        r.functions[&f].rejected > 0,
-        "an Open breaker without brownout must fast-fail arrivals"
+        breaker_refusals > 0,
+        "a failure-cause trip must fast-fail arrivals below the queue bound"
     );
     assert_conserved(&mut p, f);
 }
 
 #[test]
 fn overload_control_improves_goodput_and_cuts_waste() {
-    let run = |overload: Option<OverloadConfig>| {
+    let run = |overload: bool| {
         let (mut p, f) = flash_platform(overload, 61);
         let r = p.run_for(SimTime::from_secs(30));
         (
@@ -173,8 +185,8 @@ fn overload_control_improves_goodput_and_cuts_waste() {
             r.functions[&f].wasted_service,
         )
     };
-    let (good_on, waste_on) = run(Some(OverloadConfig::default()));
-    let (good_off, waste_off) = run(None);
+    let (good_on, waste_on) = run(true);
+    let (good_off, waste_off) = run(false);
     assert!(
         good_on > good_off,
         "goodput with control on ({good_on:.2} rps) must beat off ({good_off:.2} rps)"
@@ -188,7 +200,7 @@ fn overload_control_improves_goodput_and_cuts_waste() {
 #[test]
 fn overload_runs_replay_digest_identically() {
     let digest = || {
-        let (mut p, _) = flash_platform(Some(OverloadConfig::default()), 67);
+        let (mut p, _) = flash_platform(true, 67);
         let r = p.run_for(SimTime::from_secs(20));
         (r.digest(), p.events_handled())
     };

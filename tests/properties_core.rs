@@ -206,7 +206,6 @@ proptest! {
             policy: SharingPolicy::FaST,
             window,
             token_lease: SimTime::from_millis(5),
-            sm_global_limit: 100.0,
             ..BackendConfig::default()
         });
         let shares = [12.0, 24.0, 50.0, 60.0, 6.0, 80.0];
@@ -301,7 +300,6 @@ proptest! {
             policy: SharingPolicy::FaST,
             window: SimTime::from_millis(10),
             token_lease: SimTime::from_millis(2),
-            sm_global_limit: 100.0,
             ..BackendConfig::default()
         });
         let spec = |i: u64, limit: f64| {

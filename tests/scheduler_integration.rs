@@ -122,7 +122,7 @@ fn autoscaler_tracks_ramp_and_meets_slo() {
 }
 
 /// Scale-down: when load drops, the auto-scaler drains pods but never
-/// below `min_replicas`, and never below current demand.
+/// below one replica, and never below current demand.
 #[test]
 fn autoscaler_scales_down_after_load_drop() {
     let mut p = Platform::new(
@@ -149,7 +149,7 @@ fn autoscaler_scales_down_after_load_drop() {
         "should have drained over-provisioned pods: {}",
         fr.replicas
     );
-    assert!(fr.replicas >= 1, "never below min_replicas");
+    assert!(fr.replicas >= 1, "never below one replica");
     assert!(fr.violation_ratio < 0.05, "drop must not hurt the SLO");
 }
 
