@@ -187,22 +187,30 @@ mod tests {
         assert_eq!(s.quota_request, s.quota_limit);
     }
 
+    // Debug builds reject an out-of-range spec; release builds clamp it
+    // into range instead, and these tests check the clamp there.
+
     #[test]
-    #[should_panic(expected = "sm_partition")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "sm_partition"))]
     fn zero_partition_rejected() {
-        ResourceSpec::new(0.0, 0.1, 0.5, 0);
+        let s = ResourceSpec::new(0.0, 0.1, 0.5, 0);
+        // No partition is the whole GPU, as under MPS without one.
+        assert_eq!(s.sm_partition, 100.0);
+        assert_eq!((s.quota_request, s.quota_limit), (0.1, 0.5));
     }
 
     #[test]
-    #[should_panic(expected = "quota_request")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "quota_request"))]
     fn request_above_limit_rejected() {
-        ResourceSpec::new(10.0, 0.9, 0.5, 0);
+        let s = ResourceSpec::new(10.0, 0.9, 0.5, 0);
+        assert_eq!((s.quota_request, s.quota_limit), (0.5, 0.5));
     }
 
     #[test]
-    #[should_panic(expected = "quota_limit")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "quota_limit"))]
     fn limit_above_one_rejected() {
-        ResourceSpec::new(10.0, 0.5, 1.5, 0);
+        let s = ResourceSpec::new(10.0, 0.5, 1.5, 0);
+        assert_eq!((s.quota_request, s.quota_limit), (0.5, 1.0));
     }
 
     #[test]

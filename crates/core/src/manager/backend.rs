@@ -1320,11 +1320,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered twice")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "registered twice"))]
     fn double_registration_panics() {
         let mut b = fast_backend(5);
         b.register(PodId(0), spec(10.0, 0.5, 0.5));
-        b.register(PodId(0), spec(10.0, 0.5, 0.5));
+        b.register(PodId(0), spec(24.0, 1.0, 1.0));
+        // Release builds ignore the second registration instead.
+        assert_eq!(b.pods.rows.len(), 1);
+        assert_eq!(b.quota_state(PodId(0)).map(|q| q.sm_partition), Some(10.0));
     }
 
     #[test]

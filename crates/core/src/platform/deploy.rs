@@ -318,6 +318,7 @@ mod tests {
         Kill(u8, u8),
         Crash(u8),
         Reconfigure(u8, u8),
+        Restore,
     }
 
     fn arb_churn() -> impl Strategy<Value = Churn> {
@@ -331,6 +332,7 @@ mod tests {
             (any::<u8>(), any::<u8>()).prop_map(|(f, i)| Churn::Kill(f, i)),
             any::<u8>().prop_map(Churn::Crash),
             (any::<u8>(), 0u8..3).prop_map(|(f, s)| Churn::Reconfigure(f, s)),
+            Just(Churn::Restore),
         ]
     }
 
@@ -403,9 +405,11 @@ mod tests {
 
         /// Every placement picks the node a brute-force Algorithm 2 over
         /// every memory-feasible GPU picks, through deploys, scale-ups,
-        /// drains, kills with zombie drains, node crashes and
-        /// reconfigures on 1 to 12 nodes whose memories differ, with and
-        /// without model sharing.
+        /// drains, kills with zombie drains, node crashes, reconfigures
+        /// and checkpoint restores on 1 to 12 nodes whose memories
+        /// differ, with and without model sharing. A restore rebuilds the
+        /// selector's rectangle index from the decoded GPUs, so the
+        /// placements after it check that rebuild too.
         #[test]
         fn node_choice_is_the_brute_force_best_fit(
             sharing in any::<bool>(),
@@ -467,6 +471,9 @@ mod tests {
                             let (_, sm, quota) = FIG11[usize::from(shape)];
                             p.reconfigure(f, sm, quota, quota).unwrap();
                         }
+                    }
+                    Churn::Restore => {
+                        p = Platform::from_snapshot(&p.checkpoint()).unwrap();
                     }
                 }
             }

@@ -3,7 +3,31 @@
 use super::rects::{GpuRects, Rect};
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::IdArena;
+use fastg_des::{IdArena, IdSet};
+
+/// One free maximal rectangle of one GPU, keyed `(area, u32::MAX − pod
+/// count, node, y, x, w, h)`: for a fixed demand, ascending keys are
+/// ascending slack, then the busier GPU, then the lower node id, which is
+/// Algorithm 2's global order. The last four fields keep keys unique.
+type RectKey = (u64, u32, NodeId, u32, u32, u32, u32);
+
+/// Every free rectangle of every GPU, in [`RectKey`] order. Placement
+/// walks it once per pod; GPUs change only at deploy, drain and crash
+/// time. fastg-lint: allow(no-btreemap-hot-path)
+type RectIndex = std::collections::BTreeSet<RectKey>;
+
+/// The index keys of `gpu`'s free rectangles.
+fn rect_keys(node: NodeId, gpu: &GpuRects) -> impl Iterator<Item = RectKey> + '_ {
+    let busy = u32::MAX - u32::try_from(gpu.pod_count()).unwrap_or(u32::MAX);
+    gpu.free_rects()
+        .iter()
+        .map(move |r| (r.area(), busy, node, r.y, r.x, r.w, r.h))
+}
+
+/// The index of every GPU's free rectangles, built from scratch.
+fn index_of(gpus: &IdArena<NodeId, GpuRects>) -> RectIndex {
+    gpus.iter().flat_map(|(n, g)| rect_keys(n, g)).collect()
+}
 
 /// Placement counters, reported per run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -14,10 +38,9 @@ pub struct SchedStats {
     pub releases: u64,
     /// Selections that found no feasible node ("a new GPU required").
     pub rejects: u64,
-    /// Memory-feasible GPUs considered during selection: one per GPU
-    /// that passed `mem_fits`, whether or not `select_node` searched its
-    /// rectangles (it skips a pristine GPU that a pristine GPU before it
-    /// beats).
+    /// GPUs whose memory a selection checked: each GPU whose free
+    /// rectangle the selection reached before it found its node, asked
+    /// once. Every GPU asked but the chosen one failed `mem_fits`.
     pub probes: u64,
     /// Placements that needed an exact-feasibility fallback. Maximal
     /// rectangles are exact by construction, so this is always zero.
@@ -70,9 +93,12 @@ pub struct NodeSelector {
     /// Per-node GPU state in a dense slab; iteration ascends node ids,
     /// matching the ordered-map behaviour the digests were pinned under.
     gpus: IdArena<NodeId, GpuRects>,
+    /// Derived from `gpus`: every change to a GPU goes through
+    /// [`Self::change_gpu`], and a restore rebuilds it. Never encoded.
+    index: RectIndex,
     placements: u64,
     releases: u64,
-    /// Memory-feasible GPUs considered during selection.
+    /// GPUs whose memory a selection checked.
     probes: u64,
     rejects: u64,
 }
@@ -83,6 +109,7 @@ impl NodeSelector {
         NodeSelector {
             policy,
             gpus: IdArena::new(),
+            index: RectIndex::new(),
             placements: 0,
             releases: 0,
             probes: 0,
@@ -94,7 +121,36 @@ impl NodeSelector {
     /// rectangle bindings are discarded and no future placement considers
     /// it. No-op if the node was never registered.
     pub fn remove_gpu(&mut self, node: NodeId) {
-        self.gpus.remove(node);
+        if let Some(gpu) = self.gpus.remove(node) {
+            for key in rect_keys(node, &gpu) {
+                self.index.remove(&key);
+            }
+        }
+    }
+
+    /// Registers `gpu` as `node`'s GPU, replacing any earlier one.
+    fn insert_gpu(&mut self, node: NodeId, gpu: GpuRects) {
+        self.remove_gpu(node);
+        self.index.extend(rect_keys(node, &gpu));
+        self.gpus.insert(node, gpu);
+    }
+
+    /// Applies `change` to `node`'s GPU, keeping the index current: the
+    /// GPU's keys leave before the change and return after it, since the
+    /// change may move its free rectangles and its pod count alike.
+    /// `None` if the node has no GPU.
+    fn change_gpu<T>(
+        &mut self,
+        node: NodeId,
+        change: impl FnOnce(&mut GpuRects) -> T,
+    ) -> Option<T> {
+        let gpu = self.gpus.get_mut(node)?;
+        for key in rect_keys(node, gpu) {
+            self.index.remove(&key);
+        }
+        let out = change(gpu);
+        self.index.extend(rect_keys(node, gpu));
+        Some(out)
     }
 
     /// The placement policy.
@@ -138,7 +194,7 @@ impl NodeSelector {
     /// Binds `pod` on `node` to a rectangle of `rect`'s size, such as the
     /// one it just released. Returns whether it fit.
     pub fn rebind(&mut self, node: NodeId, pod: PodId, rect: Rect) -> bool {
-        let placed = self.gpus.get_mut(node).and_then(|g| g.place(pod, rect.w, rect.h));
+        let placed = self.change_gpu(node, |g| g.place(pod, rect.w, rect.h)).flatten();
         if placed.is_some() {
             self.placements += 1;
         }
@@ -196,9 +252,11 @@ impl NodeSelector {
         w.u64(self.rejects);
     }
 
-    /// Restores state written by [`Self::snap_state`].
+    /// Restores state written by [`Self::snap_state`], rebuilding the
+    /// rectangle index from the decoded GPUs.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.gpus = IdArena::unsnap(r)?;
+        self.index = index_of(&self.gpus);
         self.placements = r.u64()?;
         self.releases = r.u64()?;
         self.probes = r.u64()?;
@@ -209,7 +267,7 @@ impl NodeSelector {
 
 impl Scheduler for NodeSelector {
     fn add_gpu(&mut self, node: NodeId) {
-        self.gpus.insert(node, GpuRects::standard());
+        self.insert_gpu(node, GpuRects::standard());
     }
 
     fn select_node(
@@ -221,25 +279,23 @@ impl Scheduler for NodeSelector {
         // Global best fit: minimum secondCores slack across every free
         // rectangle of every (memory-feasible) GPU; ties go to the busier
         // GPU, then the lower node id, which keeps pods consolidating
-        // instead of spreading. Pristine GPUs of one geometry share their
-        // slack and their pod count (zero), so a pristine GPU loses to the
-        // pristine GPU before it when the two share a geometry: it counts
-        // as a probe but is not searched.
-        let mut last_pristine = None;
-        let chosen = self
-            .gpus
-            .iter()
-            .filter(|&(n, _)| mem_fits(n))
-            .filter(|&(_, g)| {
-                self.probes += 1;
-                !g.is_pristine() || last_pristine.replace(g.geometry()) != Some(g.geometry())
-            })
-            .filter_map(|(n, g)| {
-                g.best_fit(w, h)
-                    .map(|(_, slack)| (slack, std::cmp::Reverse(g.pod_count()), n))
-            })
-            .min()
-            .map(|(_, _, n)| n);
+        // instead of spreading. The index holds exactly that order from
+        // the demand's area up, so the first fitting rectangle on a GPU
+        // with memory names the node. Each GPU is asked at most once.
+        let mut refused = IdSet::new();
+        let mut chosen = None;
+        let from = (u64::from(w) * u64::from(h), 0, NodeId(0), 0, 0, 0, 0);
+        for &(.., node, _, _, rw, rh) in self.index.range(from..) {
+            if rw < w || rh < h || refused.contains(node) {
+                continue;
+            }
+            self.probes += 1;
+            if mem_fits(node) {
+                chosen = Some(node);
+                break;
+            }
+            refused.insert(node);
+        }
         if chosen.is_none() {
             self.rejects += 1;
         }
@@ -248,7 +304,7 @@ impl Scheduler for NodeSelector {
 
     fn bind(&mut self, node: NodeId, pod: PodId, spec: &ResourceSpec) -> Option<Rect> {
         let (w, h) = self.demand_of(spec);
-        let rect = self.gpus.get_mut(node)?.place(pod, w, h);
+        let rect = self.change_gpu(node, |g| g.place(pod, w, h)).flatten();
         if rect.is_some() {
             self.placements += 1;
         }
@@ -256,7 +312,7 @@ impl Scheduler for NodeSelector {
     }
 
     fn release(&mut self, node: NodeId, pod: PodId) -> Option<Rect> {
-        let rect = self.gpus.get_mut(node)?.release(pod);
+        let rect = self.change_gpu(node, |g| g.release(pod)).flatten();
         if rect.is_some() {
             self.releases += 1;
         }
@@ -385,11 +441,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 128 } else { 2048 }))]
 
-        /// `select_node` picks the brute-force node and counts one probe
-        /// per memory-feasible GPU, through random placements and
-        /// releases of the Figure 11 shapes on GPUs of two geometries
-        /// whose low restructure thresholds make emptied GPUs pristine
-        /// again, under a random memory filter per selection.
+        /// `select_node` picks the brute-force node, asking `mem_fits`
+        /// about no GPU twice and about no GPU with memory but the one it
+        /// picks, through random placements and releases of the Figure 11
+        /// shapes on GPUs of two geometries whose low restructure
+        /// thresholds rebuild free lists often, under a random memory
+        /// filter per selection.
         #[test]
         fn selection_is_the_brute_force_best_fit(
             gpus in prop::collection::vec((0u8..3, 1usize..6), 1..13),
@@ -398,7 +455,7 @@ mod tests {
             let mut s = NodeSelector::new(PlacementPolicy::MaximalRectangles);
             for (i, &(geometry, threshold)) in (0u32..).zip(&gpus) {
                 let (w, h) = [(100, 100), (100, 100), (50, 100)][usize::from(geometry)];
-                s.gpus.insert(NodeId(i), GpuRects::new(w, h, threshold));
+                s.insert_gpu(NodeId(i), GpuRects::new(w, h, threshold));
             }
             let shapes = [spec(50.0, 0.6), spec(24.0, 0.4), spec(12.0, 0.4)];
             let mut placed: Vec<(NodeId, PodId)> = Vec::new();
@@ -411,15 +468,24 @@ mod tests {
                 // Mostly feasible: a node fails the filter one time in four.
                 let mem_fits = |n: NodeId| (mask >> (2 * (n.0 % 32))) & 3 != 0;
                 let expected = brute_force_node(&s, &shapes[shape], mem_fits);
-                let feasible = s.gpus.iter().filter(|&(n, _)| mem_fits(n)).count();
                 let probes = s.stats().probes;
-                let chosen = s.select_node(&shapes[shape], &mut |n| mem_fits(n));
+                let mut asked: Vec<NodeId> = Vec::new();
+                let chosen = s.select_node(&shapes[shape], &mut |n| {
+                    asked.push(n);
+                    mem_fits(n)
+                });
                 prop_assert_eq!(chosen, expected);
-                prop_assert_eq!(s.stats().probes - probes, feasible as u64);
+                prop_assert_eq!(s.stats().probes - probes, asked.len() as u64);
+                prop_assert!(asked.iter().all(|&n| Some(n) == chosen || !mem_fits(n)), "{:?}", asked);
+                let once = asked.len();
+                asked.sort();
+                asked.dedup();
+                prop_assert_eq!(asked.len(), once, "a GPU asked twice");
                 if let Some(node) = chosen {
                     prop_assert!(s.bind(node, PodId(pod), &shapes[shape]).is_some());
                     placed.push((node, PodId(pod)));
                 }
+                prop_assert_eq!(&s.index, &index_of(&s.gpus));
             }
         }
     }
@@ -435,6 +501,8 @@ mod tests {
         assert_eq!(stats.placements, 2);
         assert_eq!(stats.releases, 1);
         assert_eq!(stats.rejects, 1);
-        assert!(stats.probes >= 3, "each selection probes candidate GPUs");
+        // Each placement asks about the first GPU it reaches, which has
+        // memory; the third finds no rectangle that fits and asks nobody.
+        assert_eq!(stats.probes, 2);
     }
 }

@@ -242,21 +242,6 @@ impl GpuRects {
         self.placed.len()
     }
 
-    /// The GPU rectangle's `(width, height)`.
-    pub fn geometry(&self) -> (u32, u32) {
-        (self.width, self.height)
-    }
-
-    /// Whether the GPU is as built: no placements, and the free list is
-    /// the whole-GPU rectangle alone. A release leaves the freed rectangle
-    /// beside the free list's others, so an emptied GPU is pristine again
-    /// only once a restructure rebuilds the list. Every pristine GPU of
-    /// one geometry answers [`Self::best_fit`] alike.
-    pub fn is_pristine(&self) -> bool {
-        self.placed.is_empty()
-            && matches!(self.free.as_slice(), [r] if *r == Rect::new(0, 0, self.width, self.height))
-    }
-
     /// Times the keep-restructure policy rebuilt the free list.
     pub fn restructure_count(&self) -> u64 {
         self.restructures
@@ -560,11 +545,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already placed")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "already placed"))]
     fn double_place_panics() {
         let mut g = GpuRects::standard();
-        g.place(PodId(1), 10, 10).unwrap();
-        g.place(PodId(1), 10, 10).unwrap();
+        let first = g.place(PodId(1), 10, 10).unwrap();
+        // Release builds refuse the second binding and keep the first.
+        assert_eq!(g.place(PodId(1), 10, 10), None);
+        assert_eq!(g.placements().collect::<Vec<_>>(), vec![(PodId(1), first)]);
     }
 
     #[test]

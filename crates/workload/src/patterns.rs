@@ -210,9 +210,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "peak below base")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "peak below base"))]
     fn diurnal_validates_range() {
-        diurnal(100.0, 10.0, SimTime::from_secs(1), 1, 0);
+        let p = diurnal(100.0, 10.0, SimTime::from_secs(1), 1, 0);
+        // Release builds raise the peak to the base instead: a flat load.
+        for ms in [0, 250, 500, 750, 1000] {
+            assert_eq!(p.rate_at(SimTime::from_millis(ms)), 100.0, "at {ms} ms");
+        }
     }
 
     #[test]

@@ -171,3 +171,33 @@ fn unschedulable_when_cluster_full() {
     assert!(err.is_err());
     assert_eq!(p.unschedulable_pods(), 1);
 }
+
+/// Placement cost does not grow with the cluster: deploying the fleet's
+/// Figure 11 shapes (BERT 50 %/0.6, RNNT 24 %/0.4 and ResNet 12 %/0.4
+/// twice, round-robin, three functions per node) on 256 and on 1,024
+/// nodes, every placement asks `mem_fits` about at most two GPUs. The
+/// selection walks the cluster's free rectangles in best-fit order, so
+/// it asks only the GPUs whose rectangles it reaches. Counted, not timed,
+/// so the bound is deterministic.
+#[test]
+fn fleet_placement_asks_about_at_most_two_gpus() {
+    const SHAPES: [(&str, f64, f64); 4] = [
+        ("bert_base", 50.0, 0.6),
+        ("rnnt", 24.0, 0.4),
+        ("resnet50", 12.0, 0.4),
+        ("resnet50", 12.0, 0.4),
+    ];
+    for nodes in [256, 1024] {
+        let mut p = Platform::new(PlatformConfig::default().nodes(nodes).seed(1));
+        for i in 0..3 * nodes {
+            let (model, sm, quota) = SHAPES[i % SHAPES.len()];
+            let before = p.scheduler_stats();
+            p.deploy(FunctionConfig::new(&format!("fleet-{i:04}"), model).resources(sm, quota, quota))
+                .unwrap();
+            let after = p.scheduler_stats();
+            assert_eq!(after.placements, before.placements + 1);
+            let asked = after.probes - before.probes;
+            assert!((1..=2).contains(&asked), "{nodes} nodes, function {i}: asked {asked} GPUs");
+        }
+    }
+}
