@@ -5,7 +5,7 @@
 use fastg_des::{snap_enum, snap_struct, ArenaKey};
 
 /// Identifies a worker node (one GPU per node, as in the paper's testbed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl ArenaKey for NodeId {

@@ -163,10 +163,12 @@ impl Engine {
         queue: &mut EventQueue<Event>,
     ) -> Stop {
         loop {
-            let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
+            let Engine { nodes, funcs, .. } = self;
+            let pod = nodes.get_mut(at.node).and_then(|n| n.get_mut(at.slot));
+            let Some((active, profile)) = pod.and_then(|rt| rt.request_and_profile(funcs)) else {
                 return Stop::Idle;
             };
-            let stage = match active.run.advance_indexed() {
+            let stage = match active.run.advance_indexed(profile) {
                 StageOp::Host(d) => {
                     let done = now + d;
                     if done >= s.limit {
@@ -179,9 +181,7 @@ impl Engine {
                 StageOp::Done => return Stop::Done(now),
                 StageOp::Burst(stage) => stage,
             };
-            let burst = active
-                .run
-                .profile()
+            let burst = profile
                 .stages
                 .get(stage)
                 .and_then(|st| st.burst())

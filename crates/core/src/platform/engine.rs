@@ -300,10 +300,10 @@ pub struct Engine {
 /// built on the first lookup and shared from `cache` after that; `None`
 /// if the zoo has no such model.
 /// Every function of one model then reads one `Arc`, so a burst loads
-/// kernel specs that the model's other functions keep hot. The cache is
-/// per platform rather than process-wide: every request clones the `Arc`,
-/// and a global profile would bounce its refcount between sweep worker
-/// threads. A [`Platform`](super::Platform) clone shares its source's
+/// kernel specs that the model's other functions keep hot; a request
+/// holds no handle of its own, since its cursor is a stage index. The
+/// cache is per platform rather than process-wide. A
+/// [`Platform`](super::Platform) clone shares its source's
 /// cache (the same `Arc`s), so the cells of a prefix-shared sweep do
 /// share profiles across threads; giving each clone its own copies
 /// measured no faster on `sweep-fork`.
@@ -497,10 +497,10 @@ impl Engine {
     /// the profile, so a snapshot restores only against a zoo that still
     /// has the models it names, profiled as they were.
     ///
-    /// Each node goes on the wire as one record
-    /// ([`NodeRt::snap_state`]), and each pod as one, its node then its
-    /// own record, in one `PodId`-keyed arena, the location map's; slots
-    /// themselves are not encoded.
+    /// Each node goes on the wire as one record (see [`NodeRt`]), and
+    /// each pod as one, its node then its own record, in one
+    /// `PodId`-keyed arena, the location map's; slots themselves are not
+    /// encoded.
     pub(super) fn snap_state(&self, w: &mut SnapWriter) {
         let Self {
             cfg, gateway, nodes, selector, funcs, pod_loc, next_pod, autoscale_db, next_func,
@@ -509,14 +509,14 @@ impl Engine {
             dispatch_pending, counts: _, run_ahead: _, trace, zoo_profiles: _,
         } = self;
         cfg.snap(w);
-        nodes.snap_with(w, NodeRt::snap_state);
+        nodes.snap(w);
         gateway.snap(w);
-        selector.snap_state(w);
+        selector.snap(w);
         funcs.snap(w);
         pod_loc.snap_with(w, |at, w| {
             at.node.snap(w);
             match nodes.get(at.node).and_then(|n| n.get(at.slot)) {
-                Some(rt) => rt.snap_state(w),
+                Some(rt) => rt.snap(w),
                 None => debug_assert!(false, "located pod has a record"),
             }
         });
@@ -536,18 +536,19 @@ impl Engine {
     /// Rebuilds an engine from [`Self::snap_state`] output, taken at
     /// `now`. The scheduler is reconstructed from the decoded config (its
     /// placement policy is not part of the payload) and then handed its
-    /// captured planes. The records must agree: see
-    /// [`NodeRt::check_decoded`] for a node and its pods, and a
-    /// function's gateway members are exactly its pods that neither drain
-    /// nor died.
+    /// captured planes. The records must agree: each pod's function
+    /// exists, and its request's cursor and pending burst lie within that
+    /// function's profile; see [`NodeRt::check_decoded`] for a node and
+    /// its pods; and a function's gateway members are exactly its pods
+    /// that neither drain nor died.
     pub(super) fn unsnap_state(r: &mut SnapReader<'_>, now: SimTime) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
-        let mut nodes = IdArena::unsnap_with(r, NodeRt::unsnap_state)?;
+        let mut nodes = IdArena::unsnap_with(r, NodeRt::unsnap_at)?;
         let gateway = Gateway::unsnap(r)?;
         let mut selector = make_selector(&cfg);
         selector.restore_state(r)?;
-        // Functions share their model's profile exactly as after deploy,
-        // and the pods' runs below clone the shared `Arc`.
+        // Functions share their model's profile exactly as after deploy;
+        // the pods' cursors below walk it.
         let mut funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
         let mut zoo_profiles = Vec::new();
         for f in funcs.values_mut() {
@@ -569,7 +570,16 @@ impl Engine {
         let mut serving = Vec::new();
         let pod_loc = IdArena::unsnap_with(r, |pod, r| {
             let node = NodeId::unsnap(r)?;
-            let rt = PodRt::unsnap_state(r, |f| funcs.get(f).map(|f| Arc::clone(&f.model)))?;
+            let rt = PodRt::unsnap(r)?;
+            let profile = &funcs.get(rt.func).ok_or(SnapError::new("pod function binding"))?.model;
+            if let Some(active) = &rt.active {
+                if !active.run.fits(profile) {
+                    return Err(SnapError::new("inference cursor stage"));
+                }
+                if active.pending_stage.is_some_and(|s| s >= profile.stages.len()) {
+                    return Err(SnapError::new("active request pending stage"));
+                }
+            }
             if !rt.draining && rt.zombie.is_none() {
                 serving.push((rt.func, pod));
             }
@@ -639,7 +649,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::pod::ActiveReq;
     use crate::platform::{FunctionConfig, Platform, Snapshot};
+    use fastg_models::{InferenceRun, StageOp};
 
     fn resnet_platform(policy: SharingPolicy) -> (Platform, FuncId) {
         let mut p = Platform::new(
@@ -821,21 +833,12 @@ mod tests {
     }
 
     /// Requires one profile `Arc` per model: functions 0–2 run
-    /// `resnet50` and function 3 `rnnt`, and every in-flight request runs
-    /// its function's `Arc`.
+    /// `resnet50` and function 3 `rnnt`.
     fn assert_one_profile_per_model(p: &Platform, fs: &[FuncId]) {
         let world = p.sim.world();
         let m: Vec<&Arc<ModelProfile>> = fs.iter().map(|&f| &world.funcs[f].model).collect();
         assert!(Arc::ptr_eq(m[0], m[1]) && Arc::ptr_eq(m[1], m[2]));
         assert!(!Arc::ptr_eq(m[0], m[3]));
-        let mut active = 0;
-        for pod in world.all_pods() {
-            if let Some(a) = &pod.active {
-                assert!(Arc::ptr_eq(a.run.profile(), &world.funcs[pod.func].model));
-                active += 1;
-            }
-        }
-        assert!(active > 0, "no request in flight to check");
     }
 
     #[test]
@@ -994,6 +997,45 @@ mod tests {
         ] {
             assert_eq!(with_window(&times), Err("function arrival window"), "{what}");
         }
+    }
+
+    /// Decode refuses a pod bound to no function, and an in-flight
+    /// request whose cursor or pending burst is past its model's stages;
+    /// a cursor at the end and a pending burst at the last stage decode.
+    /// Each row fails if its check is removed.
+    #[test]
+    fn forged_pod_records_are_refused() {
+        let (mut p, f) = resnet_platform(SharingPolicy::FaST);
+        p.set_load(f, ArrivalProcess::constant(100.0));
+        p.run_for(SimTime::from_millis(503));
+        let stages = p.sim.world().funcs[f].model.stages.len();
+        let decode = |forge: &dyn Fn(&mut PodRt)| {
+            let mut forged = p.clone();
+            let world = forged.sim.world_mut();
+            let at = *world.pod_loc.values().next().expect("one pod");
+            forge(world.pod_rt_mut(at).expect("its record"));
+            Platform::from_snapshot(&forged.checkpoint()).map(|_| ()).map_err(|e| e.what)
+        };
+        fn active(rt: &mut PodRt) -> &mut ActiveReq {
+            rt.active.as_mut().expect("a request in flight")
+        }
+        assert_eq!(decode(&|rt| assert!(rt.active.is_some())), Ok(()));
+        assert_eq!(decode(&|rt| rt.func = FuncId(7)), Err("pod function binding"));
+        assert_eq!(decode(&|rt| active(rt).pending_stage = Some(stages - 1)), Ok(()));
+        assert_eq!(
+            decode(&|rt| active(rt).pending_stage = Some(stages)),
+            Err("active request pending stage")
+        );
+        // A cursor walked to the end of `model`'s profile.
+        let walked = |model: &str| {
+            let profile = zoo::by_name(model).expect("a zoo model");
+            let mut run = InferenceRun::default();
+            while run.advance_indexed(&profile) != StageOp::Done {}
+            run
+        };
+        let (at_end, past_end) = (walked("resnet50"), walked("rnnt"));
+        assert_eq!(decode(&|rt| active(rt).run = at_end), Ok(()));
+        assert_eq!(decode(&|rt| active(rt).run = past_end), Err("inference cursor stage"));
     }
 
     /// Editing any field the fingerprint names moves it.

@@ -34,11 +34,10 @@ use super::report::NodeReport;
 use crate::manager::{FastBackend, RequestOutcome, SoloRow};
 use crate::modelshare::{ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
 use fastg_cluster::{ClusterError, FuncId, NodeId, NodeState, PodId, Request, ResourceSpec};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{EventQueue, SimTime, TimeSeries};
+use fastg_des::snap::{Snap, SnapError, SnapReader};
+use fastg_des::{snap_struct, EventQueue, SimTime, TimeSeries};
 use fastg_gpu::{BurstTally, ClientId, GpuDevice, KernelDesc, KernelId, SoloLane};
 use fastg_models::{InferenceRun, StageOp};
-use std::sync::Arc;
 
 /// One node's record: its health, its GPU device, its FaST Backend, its
 /// model store and its pods' records, in a slab addressed by slot. Slots
@@ -53,6 +52,10 @@ pub(super) struct NodeRt {
     store: ModelStorageServer,
     pods: Vec<Option<(PodId, PodRt)>>,
 }
+
+// A node's record is its health, device, backend table and model store.
+// Its id is its arena key, and its pods go with the engine's pod records.
+snap_struct!(NodeRt { state, gpu, backend, store } skip { id, pods });
 
 impl NodeRt {
     /// Node `id`, up, with an empty model store and no pods.
@@ -399,34 +402,9 @@ impl NodeRt {
 
     // ----- checkpoint -------------------------------------------------
 
-    /// Encodes the node's record: its health, device, backend table and
-    /// model store. Its pods go with the engine's pod records.
-    pub(super) fn snap_state(&self, w: &mut SnapWriter) {
-        let NodeRt {
-            id: _,
-            state,
-            gpu,
-            backend,
-            store,
-            pods: _,
-        } = self;
-        state.snap(w);
-        gpu.snap(w);
-        backend.snap(w);
-        store.snap(w);
-    }
-
-    /// Decodes node `id`'s record ([`Self::snap_state`]), with no pods
-    /// yet.
-    pub(super) fn unsnap_state(id: NodeId, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeRt {
-            id,
-            state: NodeState::unsnap(r)?,
-            gpu: GpuDevice::unsnap(r)?,
-            backend: FastBackend::unsnap(r)?,
-            store: ModelStorageServer::unsnap(r)?,
-            pods: Vec::new(),
-        })
+    /// Decodes node `id`'s record, with no pods yet.
+    pub(super) fn unsnap_at(id: NodeId, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(NodeRt { id, ..NodeRt::unsnap(r)? })
     }
 
     /// After decode, with every pod in its slab: a down node holds no pod,
@@ -527,20 +505,15 @@ impl Engine {
     /// Gives the idle pod at `at` the request `req`, its cursor at the
     /// first stage; the caller steps it.
     pub(super) fn start_request(&mut self, now: SimTime, at: PodAt, req: Request) {
-        let Engine { nodes, funcs, .. } = self;
-        let Some(rt) = nodes.get_mut(at.node).and_then(|n| n.get_mut(at.slot)) else {
+        let Some(rt) = self.pod_rt_mut(at) else {
             debug_assert!(false, "assigning to a live pod");
             return;
         };
         debug_assert!(rt.active.is_none(), "pod {:?} already busy", at.pod);
-        let Some(f) = funcs.get(rt.func) else {
-            debug_assert!(false, "function exists");
-            return;
-        };
         rt.active = Some(ActiveReq {
             req,
             started: now,
-            run: InferenceRun::new(Arc::clone(&f.model)),
+            run: InferenceRun::default(),
             pending_stage: None,
             outstanding: 0,
             burst_gpu_time: SimTime::ZERO,
@@ -558,11 +531,13 @@ impl Engine {
     /// ahead.
     pub(super) fn step_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
         loop {
-            let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
+            let Engine { nodes, funcs, .. } = self;
+            let pod = nodes.get_mut(at.node).and_then(|n| n.get_mut(at.slot));
+            let Some((active, profile)) = pod.and_then(|rt| rt.request_and_profile(funcs)) else {
                 debug_assert!(false, "stepping requires a live pod with a request");
                 return;
             };
-            match active.run.advance_indexed() {
+            match active.run.advance_indexed(profile) {
                 StageOp::Host(d) => return queue.schedule(now + d, Event::HostDone(at.pod)),
                 StageOp::Burst(stage) => {
                     active.pending_stage = Some(stage);
@@ -605,7 +580,7 @@ impl Engine {
     /// Launches the pod's pending burst: as one fast-forwarded timeline
     /// and macro-event when the device admits it, else kernel by kernel.
     pub(super) fn launch_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
-        let Engine { cfg, nodes, ff_bursts, .. } = self;
+        let Engine { cfg, nodes, funcs, ff_bursts, .. } = self;
         let Some(node) = nodes.get_mut(at.node) else {
             debug_assert!(false, "runtime per node");
             return;
@@ -619,7 +594,7 @@ impl Engine {
             return;
         };
         let client = rt.client;
-        let Some(active) = rt.active.as_mut() else {
+        let Some((active, profile)) = rt.request_and_profile(funcs) else {
             debug_assert!(false, "burst belongs to a request");
             return;
         };
@@ -629,7 +604,7 @@ impl Engine {
             return;
         };
         // The cursor guarantees the stage is non-empty.
-        let stage = &active.run.profile().stages[stage_index];
+        let stage = &profile.stages[stage_index];
         active.outstanding = stage.kernels.len();
         active.burst_gpu_time = SimTime::ZERO;
 
@@ -669,15 +644,14 @@ impl Engine {
         stage_index: usize,
         queue: &mut EventQueue<Event>,
     ) {
-        let Engine { nodes, burst_scratch, .. } = self;
+        let Engine { nodes, funcs, burst_scratch, .. } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             debug_assert!(false, "pod exists");
             return;
         };
         let Some(stage) = rt
-            .active
-            .as_ref()
-            .and_then(|a| a.run.profile().stages.get(stage_index))
+            .request_and_profile(funcs)
+            .and_then(|(_, profile)| profile.stages.get(stage_index))
         else {
             debug_assert!(false, "burst belongs to a request");
             return;
@@ -987,6 +961,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::manager::BackendConfig;
+    use fastg_des::snap::SnapWriter;
     use fastg_gpu::{GpuSpec, MpsMode};
 
     fn node() -> NodeRt {

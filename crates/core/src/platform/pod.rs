@@ -6,13 +6,12 @@
 //! Pod ids are handed out in creation order, so the newest pods have the
 //! highest ids.
 
+use super::engine::FuncRt;
 use crate::modelshare::StoreLib;
 use fastg_cluster::{FuncId, NodeId, PodId, Request, ResourceSpec};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{CancelToken, SimTime};
+use fastg_des::{snap_struct, CancelToken, IdArena, SimTime};
 use fastg_gpu::{ClientId, DevicePtr};
 use fastg_models::{InferenceRun, ModelProfile};
-use std::sync::Arc;
 
 /// Where a pod's runtime lives: its node and its slot in the node's slab,
 /// with the id it is known by.
@@ -28,9 +27,10 @@ pub(super) struct ActiveReq {
     pub(super) req: Request,
     /// When service began (wasted-work accounting excludes queue wait).
     pub(super) started: SimTime,
+    /// The request's position in its function's model profile.
     pub(super) run: InferenceRun,
-    /// Stage index (into the run's profile) of a burst waiting for a
-    /// token grant. Kept as an index so the hot path never clones the
+    /// Stage index (into the function's profile) of a burst waiting for
+    /// a token grant. Kept as an index so the hot path never clones the
     /// kernel vector (see [`StageOp`]).
     pub(super) pending_stage: Option<usize>,
     pub(super) outstanding: usize,
@@ -62,116 +62,26 @@ pub(super) struct PodRt {
     pub(super) zombie: Option<usize>,
 }
 
+impl PodRt {
+    /// The pod's in-flight request and the model profile its cursor
+    /// walks, its function's in `funcs`, borrowed together.
+    pub(super) fn request_and_profile<'f>(
+        &mut self,
+        funcs: &'f IdArena<FuncId, FuncRt>,
+    ) -> Option<(&mut ActiveReq, &'f ModelProfile)> {
+        let profile = &funcs.get(self.func)?.model;
+        Some((self.active.as_mut()?, profile))
+    }
+}
+
 // ----- checkpoint -------------------------------------------------------
 
-impl ActiveReq {
-    /// Encodes the request plus its inference cursor. The model profile
-    /// itself is *not* written — checkpoints of a fleet hold one profile
-    /// copy per function, not one per in-flight request — so decode takes
-    /// the owning function's profile as context.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let Self {
-            req,
-            started,
-            run,
-            pending_stage,
-            outstanding,
-            burst_gpu_time,
-            waiting_token,
-            ff,
-        } = self;
-        req.snap(w);
-        started.snap(w);
-        run.snap_cursor(w);
-        pending_stage.snap(w);
-        w.len_prefix(*outstanding);
-        burst_gpu_time.snap(w);
-        w.bool(*waiting_token);
-        ff.snap(w);
-    }
+// A request's cursor is a position in its function's profile, which the
+// engine's decode checks it against: a pod record decodes on its own.
+snap_struct!(ActiveReq {
+    req, started, run, pending_stage, outstanding, burst_gpu_time, waiting_token, ff,
+});
 
-    fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        profile: &Arc<ModelProfile>,
-    ) -> Result<Self, SnapError> {
-        let req = Request::unsnap(r)?;
-        let started = SimTime::unsnap(r)?;
-        let run = InferenceRun::unsnap_cursor(r, Arc::clone(profile))?;
-        let pending_stage = Option::unsnap(r)?;
-        if pending_stage.is_some_and(|s: usize| s >= profile.stages.len()) {
-            return Err(SnapError::new("active request pending stage"));
-        }
-        Ok(ActiveReq {
-            req,
-            started,
-            run,
-            pending_stage,
-            outstanding: r.len_prefix()?,
-            burst_gpu_time: SimTime::unsnap(r)?,
-            waiting_token: r.bool()?,
-            ff: Option::unsnap(r)?,
-        })
-    }
-}
-
-impl PodRt {
-    pub(super) fn snap_state(&self, w: &mut SnapWriter) {
-        let Self {
-            func,
-            client,
-            spec,
-            memory,
-            draining,
-            active,
-            storelib,
-            bound_rect,
-            zombie,
-        } = self;
-        func.snap(w);
-        client.snap(w);
-        spec.snap(w);
-        memory.snap(w);
-        w.bool(*draining);
-        match active {
-            Some(a) => {
-                w.u8(1);
-                a.snap_state(w);
-            }
-            None => w.u8(0),
-        }
-        storelib.snap(w);
-        w.bool(*bound_rect);
-        zombie.snap(w);
-    }
-
-    /// Decodes one pod, resolving its function's model profile through
-    /// `profile_of` (the already decoded function table): a pod of no
-    /// function is an error.
-    pub(super) fn unsnap_state(
-        r: &mut SnapReader<'_>,
-        profile_of: impl Fn(FuncId) -> Option<Arc<ModelProfile>>,
-    ) -> Result<Self, SnapError> {
-        let func = FuncId::unsnap(r)?;
-        let profile = profile_of(func).ok_or(SnapError::new("pod function binding"))?;
-        let client = ClientId::unsnap(r)?;
-        let spec = ResourceSpec::unsnap(r)?;
-        let memory = Option::unsnap(r)?;
-        let draining = r.bool()?;
-        let active = match r.u8()? {
-            0 => None,
-            1 => Some(ActiveReq::unsnap_state(r, &profile)?),
-            _ => return Err(SnapError::new("pod active tag")),
-        };
-        Ok(PodRt {
-            func,
-            client,
-            spec,
-            memory,
-            draining,
-            active,
-            storelib: Option::unsnap(r)?,
-            bound_rect: r.bool()?,
-            zombie: Option::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(PodRt {
+    func, client, spec, memory, draining, active, storelib, bound_rect, zombie,
+});

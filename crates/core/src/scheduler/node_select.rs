@@ -2,8 +2,8 @@
 
 use super::rects::{GpuRects, Rect};
 use fastg_cluster::{NodeId, PodId, ResourceSpec};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use fastg_des::{IdArena, IdSet};
+use fastg_des::snap::{Snap, SnapError, SnapReader};
+use fastg_des::{snap_struct, IdArena, IdSet};
 
 /// One free maximal rectangle of one GPU, keyed `(area, u32::MAX − pod
 /// count, node, y, x, w, h)`: for a fixed demand, ascending keys are
@@ -75,11 +75,12 @@ pub trait Scheduler: std::fmt::Debug + Send {
 }
 
 /// How pods are bound to GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// FaST-Scheduler: global best-area-fit over the maximal-rectangle
     /// lists of all GPUs (Algorithm 2), preferring GPUs that already host
     /// rectangles so shared GPUs fill up before new ones are opened.
+    #[default]
     MaximalRectangles,
     /// KubeShare-style time sharing: every pod is widened to the full SM
     /// axis (no spatial sharing), so packing degenerates to quota-only.
@@ -242,28 +243,26 @@ impl NodeSelector {
         }
     }
 
-    /// Encodes the per-GPU rectangle state and counters (the policy is
-    /// reconstructed from platform config on restore).
-    pub fn snap_state(&self, w: &mut SnapWriter) {
-        self.gpus.snap(w);
-        w.u64(self.placements);
-        w.u64(self.releases);
-        w.u64(self.probes);
-        w.u64(self.rejects);
-    }
-
-    /// Restores state written by [`Self::snap_state`], rebuilding the
-    /// rectangle index from the decoded GPUs.
+    /// Restores the per-GPU rectangle state and counters the selector's
+    /// [`Snap`] encoding wrote, keeping its own policy: a platform
+    /// reconstructs that from its config.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.gpus = IdArena::unsnap(r)?;
-        self.index = index_of(&self.gpus);
-        self.placements = r.u64()?;
-        self.releases = r.u64()?;
-        self.probes = r.u64()?;
-        self.rejects = r.u64()?;
+        *self = NodeSelector {
+            policy: self.policy,
+            ..NodeSelector::unsnap(r)?
+        };
         Ok(())
     }
 }
+
+// The policy comes from platform config, and the index is rebuilt from
+// the decoded GPUs.
+snap_struct!(NodeSelector { gpus, placements, releases, probes, rejects }
+skip { policy, index }
+rebuild |s| {
+    s.index = index_of(&s.gpus);
+    Ok(())
+});
 
 impl Scheduler for NodeSelector {
     fn add_gpu(&mut self, node: NodeId) {

@@ -244,10 +244,9 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 
 impl<K: ArenaKey, V> IdArena<K, V> {
     /// Encodes the full slab with a caller-supplied value encoder, in the
-    /// exact wire format of the blanket [`Snap`] impl. For value types
-    /// whose encoding needs out-of-band context (e.g. a shared profile
-    /// looked up elsewhere) and therefore cannot implement [`Snap`]
-    /// directly.
+    /// exact wire format of the blanket [`Snap`] impl. For values whose
+    /// record lives outside the slab, such as a platform's pods, each
+    /// written inside the location map from its node's slab.
     pub fn snap_with(&self, w: &mut SnapWriter, mut encode: impl FnMut(&V, &mut SnapWriter)) {
         let Self {
             slots,

@@ -122,6 +122,26 @@ struct Running {
     started: SimTime,
 }
 
+/// How long a kernel of `desc` holds `granted` SMs on a clock scaled by
+/// `clock_scale`: `ceil(blocks / granted)` waves of `work_per_block`. A
+/// kernel its grant covers runs one wave, without a division.
+/// `clock_scale` is only ever assigned exact values (1.0 or a
+/// caller-provided factor), so a tight epsilon test is safe here.
+fn kernel_duration(desc: KernelDesc, granted: u32, clock_scale: f64) -> SimTime {
+    let blocks = desc.blocks.max(1);
+    let waves = if granted >= blocks {
+        1
+    } else {
+        u64::from(blocks.div_ceil(granted))
+    };
+    let nominal = desc.work_per_block * waves;
+    if (clock_scale - 1.0).abs() < f64::EPSILON {
+        nominal
+    } else {
+        nominal.scale(clock_scale)
+    }
+}
+
 /// A fast-forwarded burst: `count` back-to-back launches of `desc`, each
 /// granted `granted` SMs for `duration` (the wave arithmetic is paid once
 /// per burst).
@@ -135,28 +155,15 @@ struct FfRun {
 
 impl FfRun {
     /// `count` launches of `desc` at SM cap `cap`, on a clock scaled by
-    /// `clock_scale`. Same wave arithmetic as `start_head`; in the capped
-    /// regime `free_sms` never binds below `min(cap, blocks)`. A kernel
-    /// that fits its cap runs one wave, without a division.
+    /// `clock_scale`. The grant is `start_head`'s: in the capped regime
+    /// `free_sms` never binds below `min(cap, blocks)`.
     fn capped(desc: KernelDesc, count: u32, cap: u32, clock_scale: f64) -> Self {
-        let blocks = desc.blocks.max(1);
-        let granted = cap.min(blocks);
-        let waves = if granted == blocks {
-            1
-        } else {
-            u64::from(blocks.div_ceil(granted))
-        };
-        let nominal = desc.work_per_block * waves;
-        let duration = if (clock_scale - 1.0).abs() < f64::EPSILON {
-            nominal
-        } else {
-            nominal.scale(clock_scale)
-        };
+        let granted = cap.min(desc.blocks.max(1));
         FfRun {
             desc,
             count,
             granted,
-            duration,
+            duration: kernel_duration(desc, granted, clock_scale),
         }
     }
 
@@ -837,15 +844,7 @@ impl GpuDevice {
                 },
             );
         }
-        let waves = u64::from(desc.blocks.max(1).div_ceil(granted));
-        let nominal = desc.work_per_block * waves;
-        // `clock_scale` is only ever assigned exact values (1.0 or a
-        // caller-provided factor), so a tight epsilon test is safe here.
-        let duration = if (self.clock_scale - 1.0).abs() < f64::EPSILON {
-            nominal
-        } else {
-            nominal.scale(self.clock_scale)
-        };
+        let duration = kernel_duration(desc, granted, self.clock_scale);
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
         self.free_sms -= granted;

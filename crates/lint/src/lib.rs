@@ -54,7 +54,7 @@
 //!   ordered maps behind a per-line allow escape.
 //! * **`exhaustive-snapshot-fields`** — `..` rest patterns are denied
 //!   inside snapshot encode/decode bodies (`snap`, `unsnap`,
-//!   `snap_state`, `unsnap_state`, and their `_with`/`_cursor`
+//!   `snap_state`, `unsnap_state`, and their `_with`/`_at`
 //!   variants): a rest pattern is exactly how a newly added state field
 //!   silently skips serialization, so the codec destructures every
 //!   struct exhaustively and a new field becomes a compile error, not a
@@ -672,7 +672,7 @@ pub fn scan_file(rel_path: &str, source: &str, scope: FileScope) -> Vec<Diagnost
 
 /// Whether a function name marks a snapshot encode/decode body: `snap`,
 /// `unsnap`, or any `snap_*`/`unsnap_*` variant (`snap_state`,
-/// `unsnap_with`, `snap_cursor`, ...).
+/// `unsnap_with`, `unsnap_at`, ...).
 fn is_snapshot_fn(name: &[u8]) -> bool {
     name == b"snap"
         || name == b"unsnap"

@@ -3,7 +3,6 @@
 use fastg_des::SimTime;
 use fastg_models::{zoo, InferenceRun, KernelSpec, MemoryFootprint, ModelProfile, Stage, StageOp};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn arb_profile() -> impl Strategy<Value = ModelProfile> {
     prop::collection::vec(
@@ -59,12 +58,11 @@ proptest! {
     fn cursor_accounts_for_everything(profile in arb_profile()) {
         let expected_host = profile.host_time();
         let expected_kernels = profile.kernels_per_request();
-        let profile = Arc::new(profile);
-        let mut run = InferenceRun::new(profile.clone());
+        let mut run = InferenceRun::default();
         let mut host = SimTime::ZERO;
         let mut kernels = 0usize;
         loop {
-            match run.advance_indexed() {
+            match run.advance_indexed(&profile) {
                 StageOp::Host(d) => {
                     prop_assert!(d > SimTime::ZERO, "zero host phases must be skipped");
                     host += d;
@@ -79,7 +77,7 @@ proptest! {
         }
         prop_assert_eq!(host, expected_host);
         prop_assert_eq!(kernels, expected_kernels);
-        prop_assert_eq!(run.advance_indexed(), StageOp::Done);
+        prop_assert_eq!(run.advance_indexed(&profile), StageOp::Done);
     }
 
     /// Saturation point: past it, granting every SM changes nothing; just
