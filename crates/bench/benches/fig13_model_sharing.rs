@@ -1,5 +1,6 @@
 //! Figure 13: GPU memory footprint of the benchmark models with and
-//! without model sharing, measured on the live device-memory allocator.
+//! without model sharing, measured as the live node's device memory in
+//! use (pod reservations plus the model store's weights and context).
 //!
 //! Paper numbers: ResNet 1525 → 1427 MB (−6.4 %), ViT-Huge 4735 → 2101 MB
 //! (−55.6 %); 300 MB storage-context overhead per model; 3 ViT pods need

@@ -1,8 +1,8 @@
-//! The model storage server and its client library.
+//! The model storage server: one refcounted copy of each model.
 
 use fastg_des::snap::SnapError;
 use fastg_des::snap_struct;
-use fastg_gpu::{DevicePtr, GpuMemory, IpcHandle};
+use fastg_gpu::{GpuMemory, MemError};
 use std::collections::BTreeMap;
 
 /// Storage-process context overhead per model: 300 MB on a V100 (paper
@@ -12,58 +12,30 @@ pub const DEFAULT_CTX_OVERHEAD: u64 = 300 * 1024 * 1024;
 /// Errors from the model-sharing protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShareError {
-    /// Device memory exhausted while storing.
-    OutOfMemory(String),
-    /// Releasing a tensor that is not stored (or already fully released).
-    UnknownTensor {
-        /// Model name.
-        model: String,
-        /// Tensor id.
-        tensor: String,
-    },
+    /// Device memory refused the store's reservation or release.
+    Memory(MemError),
+    /// Releasing a model the store does not hold.
+    UnknownModel(String),
 }
 
 impl std::fmt::Display for ShareError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShareError::OutOfMemory(e) => write!(f, "model store out of memory: {e}"),
-            ShareError::UnknownTensor { model, tensor } => {
-                write!(f, "unknown tensor {model}/{tensor}")
-            }
+            ShareError::Memory(e) => write!(f, "model store: {e}"),
+            ShareError::UnknownModel(model) => write!(f, "model store holds no {model}"),
         }
     }
 }
 
 impl std::error::Error for ShareError {}
 
-/// A handle to a shared tensor: the IPC handle plus the opened pointer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TensorHandle {
-    /// The exported IPC handle.
-    pub ipc: IpcHandle,
-    /// The device pointer it resolves to (the same bytes in every
-    /// process — zero copies).
-    pub ptr: DevicePtr,
-}
-
-#[derive(Debug, Clone)]
-struct StoredTensor {
-    ptr: DevicePtr,
-    ipc: IpcHandle,
-    refs: u32,
-}
-
-#[derive(Debug, Clone)]
-struct ModelEntry {
-    ctx: DevicePtr,
-    tensors: BTreeMap<String, StoredTensor>,
-}
-
-/// The per-node model storage server (Plasma analogue).
+/// The per-node model storage server (Plasma analogue): per model, the
+/// device bytes it holds (weights plus the storage context) and the
+/// number of pods sharing them.
 #[derive(Debug, Clone)]
 pub struct ModelStorageServer {
     ctx_overhead: u64,
-    models: BTreeMap<String, ModelEntry>,
+    models: BTreeMap<String, (u64, u32)>,
 }
 
 impl Default for ModelStorageServer {
@@ -81,154 +53,55 @@ impl ModelStorageServer {
         }
     }
 
-    /// The GET/STORE entry point: returns the tensor's handle, storing it
-    /// first (allocating `size` bytes plus, for a model's first tensor,
-    /// the storage context) when absent. The caller's reference is
-    /// counted; pair with [`Self::release`].
-    pub fn get_or_store(
-        &mut self,
-        mem: &mut GpuMemory,
-        model: &str,
-        tensor: &str,
-        size: u64,
-    ) -> Result<(TensorHandle, bool), ShareError> {
-        // Ensure the model's storage-process context exists.
-        if !self.models.contains_key(model) {
-            let ctx = if self.ctx_overhead > 0 {
-                mem.alloc(self.ctx_overhead)
-                    .map_err(|e| ShareError::OutOfMemory(e.to_string()))?
-            } else {
-                DevicePtr { offset: 0, len: 0 }
-            };
-            self.models.insert(
-                model.to_string(),
-                ModelEntry {
-                    ctx,
-                    tensors: BTreeMap::new(),
-                },
-            );
+    /// The GET/STORE entry point for a pod of `model`, whose weights take
+    /// `weights` bytes: the model's first pod reserves the weights and the
+    /// storage context in one step, and later pods share that copy. The
+    /// pod's reference is counted; pair with [`Self::release`]. Returns
+    /// whether the model was stored already. A refusal changes nothing.
+    pub fn acquire(&mut self, mem: &mut GpuMemory, model: &str, weights: u64) -> Result<bool, ShareError> {
+        if let Some((_, refs)) = self.models.get_mut(model) {
+            *refs += 1;
+            return Ok(true);
         }
-        let had = self
-            .models
-            .get(model)
-            .is_some_and(|e| e.tensors.contains_key(tensor));
-        if !had {
-            // STORE: cuMemAlloc + cuIpcGetMemHandle.
-            let ptr = match mem.alloc(size) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.gc_model(mem, model);
-                    return Err(ShareError::OutOfMemory(e.to_string()));
-                }
-            };
-            let Ok(ipc) = mem.ipc_get_handle(ptr) else {
-                debug_assert!(false, "fresh allocation exports a handle");
-                let _ = mem.free(ptr);
-                self.gc_model(mem, model);
-                return Err(ShareError::OutOfMemory("ipc handle export failed".into()));
-            };
-            if let Some(e) = self.models.get_mut(model) {
-                e.tensors
-                    .insert(tensor.to_string(), StoredTensor { ptr, ipc, refs: 0 });
-            } else {
-                debug_assert!(false, "model entry created above");
-            }
-        }
-        let Some(entry) = self
-            .models
-            .get_mut(model)
-            .and_then(|e| e.tensors.get_mut(tensor))
-        else {
-            debug_assert!(false, "tensor stored above");
-            return Err(ShareError::UnknownTensor {
-                model: model.to_string(),
-                tensor: tensor.to_string(),
-            });
-        };
-        entry.refs += 1;
-        Ok((
-            TensorHandle {
-                ipc: entry.ipc,
-                ptr: entry.ptr,
-            },
-            had,
-        ))
+        let bytes = weights.saturating_add(self.ctx_overhead);
+        mem.reserve(bytes).map_err(ShareError::Memory)?;
+        self.models.insert(model.to_string(), (bytes, 1));
+        Ok(false)
     }
 
-    /// Drops one reference to a tensor; the last release frees the device
-    /// memory, and freeing a model's last tensor also frees its context.
-    pub fn release(
-        &mut self,
-        mem: &mut GpuMemory,
-        model: &str,
-        tensor: &str,
-    ) -> Result<(), ShareError> {
-        let entry = self
-            .models
-            .get_mut(model)
-            .ok_or_else(|| ShareError::UnknownTensor {
-                model: model.to_string(),
-                tensor: tensor.to_string(),
-            })?;
-        let t = entry
-            .tensors
-            .get_mut(tensor)
-            .ok_or_else(|| ShareError::UnknownTensor {
-                model: model.to_string(),
-                tensor: tensor.to_string(),
-            })?;
-        debug_assert!(t.refs > 0, "release without matching get ({model}/{tensor})");
-        t.refs = t.refs.saturating_sub(1);
-        if t.refs == 0 {
-            let ptr = t.ptr;
-            entry.tensors.remove(tensor);
-            let freed = mem.free(ptr);
-            debug_assert!(freed.is_ok(), "stored tensor pointer is live");
+    /// Drops one reference to `model`; the last frees its weights and
+    /// context.
+    pub fn release(&mut self, mem: &mut GpuMemory, model: &str) -> Result<(), ShareError> {
+        let Some((bytes, refs)) = self.models.get_mut(model) else {
+            return Err(ShareError::UnknownModel(model.to_string()));
+        };
+        *refs -= 1;
+        if *refs == 0 {
+            let bytes = *bytes;
+            self.models.remove(model);
+            mem.release(bytes).map_err(ShareError::Memory)?;
         }
-        self.gc_model(mem, model);
         Ok(())
     }
 
-    /// Frees a model's context when it stores no tensors.
-    fn gc_model(&mut self, mem: &mut GpuMemory, model: &str) {
-        let empty = self
-            .models
-            .get(model)
-            .is_some_and(|e| e.tensors.is_empty());
-        if empty {
-            let Some(e) = self.models.remove(model) else {
-                return; // unreachable: presence checked above
-            };
-            if e.ctx.len > 0 {
-                let freed = mem.free(e.ctx);
-                debug_assert!(freed.is_ok(), "context pointer is live");
-            }
-        }
-    }
-
-    /// Device bytes the server holds for `model` (context + stored
-    /// tensors).
+    /// Device bytes the server holds for `model` (context + weights).
     pub fn model_bytes(&self, model: &str) -> u64 {
-        self.models.get(model).map_or(0, |e| {
-            let ctx = if e.ctx.len > 0 { e.ctx.len } else { 0 };
-            ctx + e.tensors.values().map(|t| t.ptr.len).sum::<u64>()
-        })
+        self.models.get(model).map_or(0, |&(bytes, _)| bytes)
     }
 
     /// Total device bytes held by the server.
     pub fn total_bytes(&self) -> u64 {
-        self.models
-            .keys()
-            .map(|m| self.model_bytes(m))
-            .sum()
+        self.models.values().map(|&(bytes, _)| bytes).sum()
     }
 
-    /// Reference count of a tensor (0 when absent).
-    pub fn refs(&self, model: &str, tensor: &str) -> u32 {
-        self.models
-            .get(model)
-            .and_then(|e| e.tensors.get(tensor))
-            .map_or(0, |t| t.refs)
+    /// Pods sharing `model` (0 when absent).
+    pub fn refs(&self, model: &str) -> u32 {
+        self.models.get(model).map_or(0, |&(_, refs)| refs)
+    }
+
+    /// Each stored model with the pods sharing it, by name.
+    pub fn refcounts(&self) -> impl Iterator<Item = (&str, u32)> {
+        self.models.iter().map(|(model, &(_, refs))| (model.as_str(), refs))
     }
 
     /// Number of models with live storage.
@@ -237,81 +110,18 @@ impl ModelStorageServer {
     }
 }
 
-snap_struct!(StoredTensor { ptr, ipc, refs } check |t| {
-    if t.refs == 0 {
-        // A zero-ref tensor is freed eagerly by `release`; it can
-        // never appear in a live server.
-        return Err(SnapError::new("model store zero-ref tensor"));
-    }
-    Ok(())
-});
-
-snap_struct!(ModelEntry { ctx, tensors });
-
 snap_struct!(ModelStorageServer { ctx_overhead, models } check |s| {
-    // `gc_model` removes a model the moment its last tensor is
-    // released, so every entry holds at least one tensor.
-    if s.models.values().any(|e| e.tensors.is_empty()) {
-        return Err(SnapError::new("model store empty model"));
+    // `release` removes a model with its last reference.
+    if s.models.values().any(|&(_, refs)| refs == 0) {
+        return Err(SnapError::new("model store zero-ref model"));
     }
     // Checked: decoded sizes may sum past `u64::MAX`, which
     // `total_bytes` adds up unchecked.
-    let mut lens = s
-        .models
-        .values()
-        .flat_map(|e| std::iter::once(e.ctx.len).chain(e.tensors.values().map(|t| t.ptr.len)));
-    if lens.try_fold(0u64, u64::checked_add).is_none() {
+    if s.models.values().try_fold(0u64, |sum, &(bytes, _)| sum.checked_add(bytes)).is_none() {
         return Err(SnapError::new("model store bytes"));
     }
     Ok(())
 });
-
-snap_struct!(StoreLib { attached });
-
-/// The client-side store library: what the PyTorch C++ extension exposes
-/// to a function instance.
-#[derive(Debug, Clone, Default)]
-pub struct StoreLib {
-    attached: Vec<(String, String)>,
-}
-
-impl StoreLib {
-    /// Creates an unattached client.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches the instance's weights: a GET/STORE for each tensor,
-    /// returning zero-copy handles in order.
-    pub fn attach(
-        &mut self,
-        server: &mut ModelStorageServer,
-        mem: &mut GpuMemory,
-        model: &str,
-        tensors: &[(&str, u64)],
-    ) -> Result<Vec<TensorHandle>, ShareError> {
-        let mut out = Vec::with_capacity(tensors.len());
-        for &(name, size) in tensors {
-            let (h, _) = server.get_or_store(mem, model, name, size)?;
-            self.attached.push((model.to_string(), name.to_string()));
-            out.push(h);
-        }
-        Ok(out)
-    }
-
-    /// Releases every attached tensor (instance teardown).
-    pub fn detach(&mut self, server: &mut ModelStorageServer, mem: &mut GpuMemory) {
-        for (model, tensor) in self.attached.drain(..) {
-            let released = server.release(mem, &model, &tensor);
-            debug_assert!(released.is_ok(), "attached tensor releases cleanly");
-        }
-    }
-
-    /// Number of attached tensors.
-    pub fn attached_count(&self) -> usize {
-        self.attached.len()
-    }
-}
 
 /// Memory-footprint accounting used by node selection (Figure 13 math).
 pub mod footprint {
@@ -374,12 +184,9 @@ mod tests {
     fn store_then_get_shares_one_copy() {
         let mut m = mem();
         let mut s = ModelStorageServer::new(300 * MB);
-        let (h1, present) = s.get_or_store(&mut m, "resnet50", "weights", 98 * MB).unwrap();
-        assert!(!present);
-        let (h2, present) = s.get_or_store(&mut m, "resnet50", "weights", 98 * MB).unwrap();
-        assert!(present);
-        assert_eq!(h1.ptr, h2.ptr, "zero-copy: same device pointer");
-        assert_eq!(s.refs("resnet50", "weights"), 2);
+        assert!(!s.acquire(&mut m, "resnet50", 98 * MB).unwrap());
+        assert!(s.acquire(&mut m, "resnet50", 98 * MB).unwrap());
+        assert_eq!(s.refs("resnet50"), 2);
         // One context + one weight copy.
         assert_eq!(s.model_bytes("resnet50"), 398 * MB);
         assert_eq!(m.used(), 398 * MB);
@@ -389,13 +196,13 @@ mod tests {
     fn release_frees_on_last_reference() {
         let mut m = mem();
         let mut s = ModelStorageServer::new(300 * MB);
-        s.get_or_store(&mut m, "m", "w", 10 * MB).unwrap();
-        s.get_or_store(&mut m, "m", "w", 10 * MB).unwrap();
-        s.release(&mut m, "m", "w").unwrap();
-        assert_eq!(s.refs("m", "w"), 1);
+        s.acquire(&mut m, "m", 10 * MB).unwrap();
+        s.acquire(&mut m, "m", 10 * MB).unwrap();
+        s.release(&mut m, "m").unwrap();
+        assert_eq!(s.refs("m"), 1);
         assert_eq!(m.used(), 310 * MB);
-        s.release(&mut m, "m", "w").unwrap();
-        // Tensor and context both freed.
+        s.release(&mut m, "m").unwrap();
+        // Weights and context both freed.
         assert_eq!(m.used(), 0);
         assert_eq!(s.model_count(), 0);
     }
@@ -404,22 +211,26 @@ mod tests {
     fn context_charged_once_per_model() {
         let mut m = mem();
         let mut s = ModelStorageServer::new(300 * MB);
-        s.get_or_store(&mut m, "m", "w1", 10 * MB).unwrap();
-        s.get_or_store(&mut m, "m", "w2", 20 * MB).unwrap();
-        s.get_or_store(&mut m, "other", "w1", 5 * MB).unwrap();
+        s.acquire(&mut m, "m", 30 * MB).unwrap();
+        s.acquire(&mut m, "m", 30 * MB).unwrap();
+        s.acquire(&mut m, "other", 5 * MB).unwrap();
         assert_eq!(s.model_bytes("m"), 330 * MB);
         assert_eq!(s.model_bytes("other"), 305 * MB);
         assert_eq!(s.total_bytes(), 635 * MB);
         assert_eq!(s.model_count(), 2);
+        assert_eq!(s.refcounts().collect::<Vec<_>>(), [("m", 2), ("other", 1)]);
     }
 
     #[test]
     fn oom_during_store_leaves_no_leak() {
         let mut m = GpuMemory::new(350 * MB);
         let mut s = ModelStorageServer::new(300 * MB);
-        let err = s.get_or_store(&mut m, "big", "w", 100 * MB);
-        assert!(matches!(err, Err(ShareError::OutOfMemory(_))));
-        // The speculative context allocation was rolled back.
+        let err = s.acquire(&mut m, "big", 100 * MB);
+        assert_eq!(
+            err,
+            Err(ShareError::Memory(MemError::OutOfMemory { requested: 400 * MB, free: 350 * MB }))
+        );
+        // The context is never reserved without the weights.
         assert_eq!(m.used(), 0);
         assert_eq!(s.model_count(), 0);
     }
@@ -428,31 +239,45 @@ mod tests {
     fn release_unknown_errors() {
         let mut m = mem();
         let mut s = ModelStorageServer::default();
-        assert!(matches!(
-            s.release(&mut m, "x", "y"),
-            Err(ShareError::UnknownTensor { .. })
-        ));
+        assert_eq!(s.release(&mut m, "x"), Err(ShareError::UnknownModel("x".into())));
     }
 
+    /// Two ViT-Huge pods share one copy of the weights; it outlives the
+    /// first pod's release and goes with the second's.
     #[test]
-    fn store_lib_attach_detach() {
+    fn pods_share_one_copy_until_the_last_releases() {
         let mut m = mem();
         let mut s = ModelStorageServer::new(300 * MB);
-        let mut lib_a = StoreLib::new();
-        let mut lib_b = StoreLib::new();
-        let h_a = lib_a
-            .attach(&mut s, &mut m, "vit", &[("w", 2634 * MB)])
-            .unwrap();
-        let h_b = lib_b
-            .attach(&mut s, &mut m, "vit", &[("w", 2634 * MB)])
-            .unwrap();
-        assert_eq!(h_a[0].ptr, h_b[0].ptr);
+        s.acquire(&mut m, "vit", 2634 * MB).unwrap();
+        s.acquire(&mut m, "vit", 2634 * MB).unwrap();
         assert_eq!(m.used(), (2634 + 300) * MB);
-        lib_a.detach(&mut s, &mut m);
-        assert_eq!(m.used(), (2634 + 300) * MB, "b still holds it");
-        lib_b.detach(&mut s, &mut m);
+        s.release(&mut m, "vit").unwrap();
+        assert_eq!(m.used(), (2634 + 300) * MB, "the second pod still holds it");
+        s.release(&mut m, "vit").unwrap();
         assert_eq!(m.used(), 0);
-        assert_eq!(lib_b.attached_count(), 0);
+        assert_eq!(s.release(&mut m, "vit"), Err(ShareError::UnknownModel("vit".into())));
+    }
+
+    /// A snapshot holding a model no pod references, or bytes that sum
+    /// past `u64::MAX`, is refused.
+    #[test]
+    fn decode_refuses_forged_entries() {
+        use fastg_des::snap::{Snap, SnapReader, SnapWriter};
+        for (models, what) in [
+            (vec![("a", (10u64, 0u32))], "model store zero-ref model"),
+            (vec![("a", (u64::MAX, 1)), ("b", (1, 1))], "model store bytes"),
+        ] {
+            let mut w = SnapWriter::new();
+            w.u64(300 * MB);
+            models
+                .into_iter()
+                .map(|(model, entry)| (model.to_string(), entry))
+                .collect::<BTreeMap<_, _>>()
+                .snap(&mut w);
+            let bytes = w.finish();
+            let err = ModelStorageServer::unsnap(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert_eq!(err, SnapError::new(what));
+        }
     }
 
     /// Figure 13: 3 ViT-Huge pods = 2934 (server) + 3 × 2101 with sharing

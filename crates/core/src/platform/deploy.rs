@@ -88,10 +88,9 @@ impl Engine {
         queue: &mut EventQueue<Event>,
     ) -> Result<PodId, PlatformError> {
         let rt = self.funcs.get(func).ok_or(PlatformError::UnknownFunction)?;
-        let sharing = self.cfg.model_sharing;
         let mem = &rt.model.memory;
-        let model_name = rt.spec.model.clone();
-        let pod_bytes = footprint::pod_reservation(mem, sharing);
+        let shared_model = rt.shared_model(self.cfg.model_sharing).map(str::to_owned);
+        let pod_bytes = footprint::pod_reservation(mem, shared_model.is_some());
         let weights = mem.weights_bytes;
         let store_bytes = footprint::server_reservation(mem, DEFAULT_CTX_OVERHEAD);
         let saturate = rt.saturate;
@@ -99,7 +98,7 @@ impl Engine {
         // Memory feasibility per node: the pod's private reservation plus,
         // if this node's store does not yet hold the model, the shared
         // weights + storage context.
-        let shared = sharing.then_some((model_name.as_str(), store_bytes));
+        let shared = shared_model.as_deref().map(|model| (model, store_bytes));
         let mut mem_fits =
             |n: NodeId| self.nodes.get(n).is_some_and(|node| node.fits(pod_bytes, shared));
 
@@ -124,7 +123,7 @@ impl Engine {
             .nodes
             .get_mut(node)
             .ok_or(PlatformError::Internal("runtime missing for node"))?;
-        let attach = (sharing && weights > 0).then_some((model_name.as_str(), weights));
+        let attach = shared_model.as_deref().map(|model| (model, weights));
         let mut rt = nrt.create_pod(func, spec, pod_bytes, attach)?;
         let pod = PodId(self.next_pod);
         self.next_pod += 1;
@@ -179,7 +178,10 @@ impl Engine {
     /// share (see [`NodeRt::delete_pod`]). Returns its record.
     pub(super) fn teardown_pod(&mut self, at: PodAt) -> Option<PodRt> {
         self.pod_loc.remove(at.pod)?;
-        self.nodes.get_mut(at.node)?.delete_pod(at.pod, at.slot)
+        let Engine { cfg, funcs, nodes, .. } = self;
+        let node = nodes.get_mut(at.node)?;
+        let func = funcs.get(node.get(at.slot)?.func);
+        node.delete_pod(at.pod, at.slot, func.and_then(|f| f.shared_model(cfg.model_sharing)))
     }
 
     /// Live FaSTPod spec sync (§3.2: resource configurations are filled
@@ -282,7 +284,7 @@ mod tests {
         let w: &Engine = p.sim.world();
         for (id, node) in w.nodes.iter() {
             let (gpu, store) = node.device_and_store();
-            let reserved: u64 = node.pods().filter_map(|rt| rt.memory).map(|ptr| ptr.len).sum();
+            let reserved: u64 = node.pods().map(|rt| rt.memory).sum();
             assert_eq!(gpu.memory().used(), reserved + store.total_bytes(), "{id:?} memory");
             assert_eq!(gpu.mps().client_count(), node.pod_count(), "{id:?} clients");
             let located = w.pod_loc.values().filter(|at| at.node == id).count();
@@ -353,7 +355,7 @@ mod tests {
             .filter_map(|(id, node)| {
                 let g = w.selector.gpu(id)?;
                 let (gpu, store) = node.device_and_store();
-                let reserved: u64 = node.pods().filter_map(|rt| rt.memory).map(|p| p.len).sum();
+                let reserved: u64 = node.pods().map(|rt| rt.memory).sum();
                 let free = gpu.memory().capacity() - reserved - store.total_bytes();
                 let held = store.model_bytes(model) != 0;
                 if free < pod_bytes + if held { 0 } else { store_bytes } {
@@ -367,9 +369,9 @@ mod tests {
 
     /// Runs one operation that places at most one pod of `model` at
     /// `spec`. Just before it, the selector (on a copy) must pick the
-    /// node [`brute_force_node`] picks. After it, a new pod must sit on
-    /// that node; or no pod is new, and the platform counted an
-    /// unschedulable pod exactly when there was no node to pick.
+    /// node [`brute_force_node`] picks. After it, a new pod sits on that
+    /// node whenever there is one; when there is none, no pod is new and
+    /// the platform counted an unschedulable pod.
     fn place_checked<T>(
         p: &mut Platform,
         model: &str,
@@ -391,11 +393,9 @@ mod tests {
         let (pods_before, unschedulable) = (w.pod_loc.len(), w.unschedulable);
         let out = place(p);
         let w: &Engine = p.sim.world();
-        if w.pod_loc.len() > pods_before {
-            let (_, at) = w.pod_loc.iter().last().expect("the new pod");
-            prop_assert_eq!(Some(at.node), expected, "{:?}", model);
-        }
         prop_assert!(w.pod_loc.len() <= pods_before + 1);
+        let placed = w.pod_loc.iter().last().filter(|_| w.pod_loc.len() > pods_before);
+        prop_assert_eq!(placed.map(|(_, at)| at.node), expected, "{:?}", model);
         prop_assert_eq!(w.unschedulable, unschedulable + u64::from(expected.is_none()));
         Ok(out)
     }

@@ -142,6 +142,14 @@ pub(super) struct FuncRt {
     pub(super) arrival_window: VecDeque<SimTime>,
 }
 
+impl FuncRt {
+    /// The model whose weights the function's pods share through their
+    /// node's store: its own under model sharing (`sharing`), else none.
+    pub(super) fn shared_model(&self, sharing: bool) -> Option<&str> {
+        sharing.then_some(self.spec.model.as_str())
+    }
+}
+
 /// How many events of each kind the engine has handled, and how many
 /// dispatch passes it has run. Plain counters outside the report digest
 /// and the snapshot: a clone carries them, a platform restored from a
@@ -591,7 +599,7 @@ impl Engine {
             return Err(SnapError::new("pod id space"));
         }
         for n in nodes.values_mut() {
-            n.check_decoded(now)?;
+            n.check_decoded(now, |f| funcs.get(f).and_then(|f| f.shared_model(cfg.model_sharing)))?;
             n.place_backend_rows()?;
         }
         // Each function's member list (sorted, checked by the gateway's

@@ -32,10 +32,10 @@ use super::error::PlatformError;
 use super::pod::{ActiveReq, PodAt, PodRt};
 use super::report::NodeReport;
 use crate::manager::{FastBackend, RequestOutcome, SoloRow};
-use crate::modelshare::{ModelStorageServer, StoreLib, DEFAULT_CTX_OVERHEAD};
+use crate::modelshare::{ModelStorageServer, DEFAULT_CTX_OVERHEAD};
 use fastg_cluster::{ClusterError, FuncId, NodeId, NodeState, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader};
-use fastg_des::{snap_struct, EventQueue, SimTime, TimeSeries};
+use fastg_des::{sanitizer, snap_struct, EventQueue, SimTime, TimeSeries};
 use fastg_gpu::{BurstTally, ClientId, GpuDevice, KernelDesc, KernelId, SoloLane};
 use fastg_models::{InferenceRun, StageOp};
 
@@ -196,57 +196,50 @@ impl NodeRt {
         }
     }
 
-    /// Creates a pod's record on this node: on an up node with
-    /// `pod_bytes` of device memory free, its MPS client registered at
-    /// `spec`, those bytes reserved and the model's weights (`attach`: its
-    /// name and bytes) attached through the node's store. A step that
-    /// fails undoes the ones before it. The record joins the node through
-    /// [`Self::admit`].
+    /// Creates a pod's record on this node: on an up node, `pod_bytes` of
+    /// device memory reserved, its MPS client registered at `spec` and,
+    /// under model sharing, a reference to its model's weights (`shared`:
+    /// the model's name and weight bytes) counted by the node's store. A
+    /// step that fails undoes the ones before it. The record joins the
+    /// node through [`Self::admit`].
     pub(super) fn create_pod(
         &mut self,
         func: FuncId,
         spec: ResourceSpec,
         pod_bytes: u64,
-        attach: Option<(&str, u64)>,
+        shared: Option<(&str, u64)>,
     ) -> Result<PodRt, PlatformError> {
         spec.validate();
         if self.is_down() {
             return Err(ClusterError::NodeDown(self.id).into());
         }
         let free = self.gpu.memory().free_bytes();
-        if free < pod_bytes {
+        if pod_bytes > 0 && self.gpu.memory_mut().reserve(pod_bytes).is_err() {
             return Err(ClusterError::OutOfMemory { requested: pod_bytes, free }.into());
         }
-        let gpu_error = |e: &dyn std::fmt::Display| ClusterError::Gpu(e.to_string());
-        let client = self.gpu.register_client(spec.sm_partition).map_err(|e| gpu_error(&e))?;
-        let mut rt = PodRt {
+        let client = match self.gpu.register_client(spec.sm_partition) {
+            Ok(client) => client,
+            Err(e) => {
+                let released = self.gpu.memory_mut().release(pod_bytes);
+                debug_assert!(released.is_ok(), "the pod's bytes were reserved");
+                return Err(ClusterError::Gpu(e.to_string()).into());
+            }
+        };
+        let rt = PodRt {
             func,
             client,
             spec,
-            memory: None,
+            memory: pod_bytes,
             draining: false,
             active: None,
-            storelib: None,
             bound_rect: false,
             zombie: None,
         };
-        if pod_bytes > 0 {
-            match self.gpu.memory_mut().alloc(pod_bytes) {
-                Ok(ptr) => rt.memory = Some(ptr),
-                Err(e) => {
-                    self.release(&rt);
-                    return Err(gpu_error(&e).into());
-                }
-            }
-        }
-        if let Some((model, weights)) = attach {
-            let mut lib = StoreLib::new();
-            let attached = lib.attach(&mut self.store, self.gpu.memory_mut(), model, &[("weights", weights)]);
-            if let Err(e) = attached {
+        if let Some((model, weights)) = shared {
+            if let Err(e) = self.store.acquire(self.gpu.memory_mut(), model, weights) {
                 self.release(&rt);
                 return Err(e.into());
             }
-            rt.storelib = Some(lib);
         }
         Ok(rt)
     }
@@ -254,9 +247,31 @@ impl NodeRt {
     /// Frees a pod's memory reservation and unregisters its MPS client. A
     /// pod with no work in flight releases both cleanly.
     fn release(&mut self, rt: &PodRt) {
-        let freed = rt.memory.map_or(Ok(()), |ptr| self.gpu.memory_mut().free(ptr));
+        let freed = self.gpu.memory_mut().release(rt.memory);
         let unregistered = self.gpu.unregister_client(rt.client);
         debug_assert!(freed.is_ok() && unregistered.is_ok(), "a pod's reservation and client are live");
+    }
+
+    /// The pods' reservations plus the store's bytes; `None` past
+    /// `u64::MAX`, which only forged records reach.
+    fn accounted_bytes(&self) -> Option<u64> {
+        self.pods().try_fold(self.store.total_bytes(), |sum, rt| sum.checked_add(rt.memory))
+    }
+
+    /// Shadow-check (`FASTG_SANITIZE=1`, rule `memory-total`), after every
+    /// pod create, teardown and node crash: the device's bytes in use are
+    /// the pods' reservations plus the store's.
+    fn sanitize_memory(&self) {
+        if sanitizer::active() {
+            let used = self.memory_used();
+            sanitizer::check(self.accounted_bytes() == Some(used), "memory-total", || {
+                format!(
+                    "{:?}: {used} B in use, pods and store account for {:?} B",
+                    self.id,
+                    self.accounted_bytes()
+                )
+            });
+        }
     }
 
     /// Puts a created pod's runtime in the slab, and its backend table
@@ -264,6 +279,7 @@ impl NodeRt {
     pub(super) fn admit(&mut self, pod: PodId, rt: PodRt, resources: ResourceSpec) -> PodAt {
         let slot = self.insert(pod, rt);
         self.backend.register_at(slot, pod, resources);
+        self.sanitize_memory();
         PodAt { pod, node: self.id, slot }
     }
 
@@ -301,15 +317,17 @@ impl NodeRt {
 
     /// Tears down the pod at `slot`: its record leaves the slab, its
     /// backend row goes (a crashed pod's went when it was killed), its
-    /// weights detach from the store, and its memory and MPS client are
-    /// freed. Returns its record.
-    pub(super) fn delete_pod(&mut self, pod: PodId, slot: usize) -> Option<PodRt> {
-        let mut rt = self.remove(slot)?;
+    /// reference to the model it shares (`shared`) is dropped from the
+    /// store, and its memory and MPS client are freed. Returns its record.
+    pub(super) fn delete_pod(&mut self, pod: PodId, slot: usize, shared: Option<&str>) -> Option<PodRt> {
+        let rt = self.remove(slot)?;
         self.backend.deregister(pod);
-        if let Some(lib) = rt.storelib.as_mut() {
-            lib.detach(&mut self.store, self.gpu.memory_mut());
+        if let Some(model) = shared {
+            let released = self.store.release(self.gpu.memory_mut(), model);
+            debug_assert!(released.is_ok(), "a sharing pod holds a store reference");
         }
         self.release(&rt);
+        self.sanitize_memory();
         Some(rt)
     }
 
@@ -330,6 +348,7 @@ impl NodeRt {
         self.store = ModelStorageServer::new(DEFAULT_CTX_OVERHEAD);
         let mut lost: Vec<(PodId, PodRt)> = self.pods.drain(..).flatten().collect();
         lost.sort_unstable_by_key(|&(pod, _)| pod);
+        self.sanitize_memory();
         lost
     }
 
@@ -407,13 +426,18 @@ impl NodeRt {
         Ok(NodeRt { id, ..NodeRt::unsnap(r)? })
     }
 
-    /// After decode, with every pod in its slab: a down node holds no pod,
-    /// and each pod's MPS client and memory reservation are live on this
-    /// node's device and its own, with no client or byte left over (the
-    /// device's memory in use is the pods' reservations plus the store's).
+    /// After decode, with every pod in its slab: a down node holds no pod;
+    /// each pod's MPS client is live on this node's device and its own,
+    /// with no client left over; the device's memory in use is the pods'
+    /// reservations plus the store's; and the store counts, per model, the
+    /// pods sharing it (`shared` names the model a function's pods share).
     /// Resident kernels and bursts started no later than `now`, the
     /// snapshot's clock.
-    pub(super) fn check_decoded(&self, now: SimTime) -> Result<(), SnapError> {
+    pub(super) fn check_decoded<'f>(
+        &self,
+        now: SimTime,
+        shared: impl Fn(FuncId) -> Option<&'f str>,
+    ) -> Result<(), SnapError> {
         if self.is_down() && self.pod_count() > 0 {
             return Err(SnapError::new("pod on a down node"));
         }
@@ -427,18 +451,18 @@ impl NodeRt {
         {
             return Err(SnapError::new("pod mps client"));
         }
-        let mut reserved: Vec<_> = self.pods().filter_map(|rt| rt.memory).collect();
-        let held = reserved.len();
-        reserved.sort_unstable();
-        reserved.dedup_by_key(|ptr| ptr.offset);
-        let memory = self.gpu.memory();
-        let accounted = reserved.iter().map(|ptr| u128::from(ptr.len)).sum::<u128>()
-            + u128::from(self.store.total_bytes());
-        if reserved.len() != held
-            || !reserved.iter().all(|&ptr| memory.is_live(ptr))
-            || accounted != u128::from(memory.used())
-        {
+        if self.accounted_bytes() != Some(self.memory_used()) {
             return Err(SnapError::new("pod memory reservation"));
+        }
+        let mut sharing: Vec<&str> = self.pods().filter_map(|rt| shared(rt.func)).collect();
+        sharing.sort_unstable();
+        // One name per reference, in the store's order; a mismatch stops
+        // the walk, so a forged count costs no more than the pods.
+        let counted = self.store.refcounts().flat_map(|(model, refs)| {
+            std::iter::repeat(model).take(usize::try_from(refs).unwrap_or(usize::MAX))
+        });
+        if !sharing.into_iter().eq(counted) {
+            return Err(SnapError::new("model store refcount"));
         }
         if self.gpu.latest_start().is_some_and(|t| t > now) {
             return Err(SnapError::new("device start after the snapshot clock"));
@@ -977,10 +1001,9 @@ mod tests {
             func: FuncId(0),
             client: ClientId(0),
             spec: ResourceSpec::new(24.0, 0.5, 0.5, 0),
-            memory: None,
+            memory: 0,
             draining: false,
             active: None,
-            storelib: None,
             bound_rect: false,
             zombie: None,
         }
@@ -1081,16 +1104,18 @@ mod decode_tests {
     #[test]
     fn forged_pod_records_are_refused() {
         assert!(Platform::from_snapshot(&platform().checkpoint()).is_ok());
-        // A reservation that is not live on the pod's node: one of the
-        // other node's.
+        // Reservations that do not sum to the device's bytes in use.
         let reservation = refused(|w| {
-            let crowded = holding(w, 2);
-            let foreign: Vec<_> = crowded.pods().filter_map(|rt| rt.memory).collect();
-            let lone = holding(w, 1);
-            let ptr = foreign.into_iter().find(|&p| !lone.gpu.memory().is_live(p)).expect("foreign");
-            lone.pods.iter_mut().flatten().for_each(|(_, rt)| rt.memory = Some(ptr));
+            holding(w, 1).pods.iter_mut().flatten().for_each(|(_, rt)| rt.memory += 1);
         });
         assert_eq!(reservation, "pod memory reservation");
+        // A store counting one more pod of the model than share it.
+        let refcount = refused(|w| {
+            let crowded = holding(w, 2);
+            assert_eq!(crowded.store.refs("resnet50"), 2);
+            crowded.store.acquire(crowded.gpu.memory_mut(), "resnet50", 1).expect("stored already");
+        });
+        assert_eq!(refcount, "model store refcount");
         // A client registered on the other node and not on the pod's.
         let client = refused(|w| {
             let foreign = holding(w, 2).gpu.mps().client_ids();
@@ -1110,7 +1135,12 @@ mod decode_tests {
         let moved = refused(|w| {
             let (pod, rt) = holding(w, 1).pods.iter().flatten().next().cloned().expect("pod");
             let resources = w.funcs.values().next().expect("func").resources;
-            let at = holding(w, 2).admit(pod, rt, resources);
+            // Into the slab without `admit`, whose sanitizer check would
+            // catch the forged record's memory before the decode does.
+            let crowded = holding(w, 2);
+            let slot = crowded.insert(pod, rt);
+            crowded.backend.register_at(slot, pod, resources);
+            let at = crowded.at(slot).expect("inserted");
             w.pod_loc.insert(pod, at);
         });
         assert_eq!(moved, "pod mps client");

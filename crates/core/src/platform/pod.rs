@@ -7,10 +7,9 @@
 //! highest ids.
 
 use super::engine::FuncRt;
-use crate::modelshare::StoreLib;
 use fastg_cluster::{FuncId, NodeId, PodId, Request, ResourceSpec};
 use fastg_des::{snap_struct, CancelToken, IdArena, SimTime};
-use fastg_gpu::{ClientId, DevicePtr};
+use fastg_gpu::ClientId;
 use fastg_models::{InferenceRun, ModelProfile};
 
 /// Where a pod's runtime lives: its node and its slot in the node's slab,
@@ -50,12 +49,13 @@ pub(super) struct PodRt {
     /// 100 % SM partition under policies without spatial partitions. The
     /// auto-scaler reads it; a reconfigure rewrites it.
     pub(super) spec: ResourceSpec,
-    /// Device memory reserved at creation.
-    pub(super) memory: Option<DevicePtr>,
+    /// Device bytes the pod reserved privately at creation. Under model
+    /// sharing its function's weights are its node's store's, counted
+    /// there once per model.
+    pub(super) memory: u64,
     /// Out of routing: the pod is deleted once its request completes.
     pub(super) draining: bool,
     pub(super) active: Option<ActiveReq>,
-    pub(super) storelib: Option<StoreLib>,
     pub(super) bound_rect: bool,
     /// A crashed pod whose kernels are still draining on the GPU: the
     /// number of outstanding kernel completions before final teardown.
@@ -83,5 +83,5 @@ snap_struct!(ActiveReq {
 });
 
 snap_struct!(PodRt {
-    func, client, spec, memory, draining, active, storelib, bound_rect, zombie,
+    func, client, spec, memory, draining, active, bound_rect, zombie,
 });

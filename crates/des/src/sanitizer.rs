@@ -27,8 +27,9 @@
 //! * `admission-summary` — the FaST Backend's slot bitsets and the GPU
 //!   device's running cap counts answer their admission tests as the row
 //!   and stream scans they replace do,
-//! * `memory-total` — a GPU's running device-memory total equals the sum
-//!   of its live allocations after every `alloc` and `free`.
+//! * `memory-total` — after every pod create, teardown and node crash, a
+//!   node's device memory in use equals its pods' reservations plus its
+//!   model store's bytes.
 
 use crate::queue::TieBreak;
 use crate::time::SimTime;

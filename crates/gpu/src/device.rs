@@ -1549,7 +1549,7 @@ mod tests {
         let mut gpu = v100();
         let a = gpu.register_client(50.0).unwrap();
         let b = gpu.register_client(100.0).unwrap();
-        gpu.memory_mut().alloc(1 << 20).unwrap();
+        gpu.memory_mut().reserve(1 << 20).unwrap();
         let sa = gpu.launch(SimTime::ZERO, a, kernel(40, 1000)).unwrap().unwrap();
         // b's kernel queues behind a full pool? No — 40 SMs remain, it runs.
         let _sb = gpu.launch(SimTime::ZERO, b, kernel(40, 1000)).unwrap().unwrap();

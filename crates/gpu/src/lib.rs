@@ -15,9 +15,9 @@
 //!   `CUDA_MPS_ACTIVE_THREAD_PERCENTAGE` analogue caps how many SMs one
 //!   client's kernels may occupy concurrently; exclusive mode models the
 //!   Kubernetes device plugin (whole-GPU assignment).
-//! * **Device memory** ([`GpuMemory`]): a first-fit allocator with
-//!   `cuMemAlloc`/`cuMemFree` and CUDA-IPC handle analogues, used by the
-//!   model-sharing storage server.
+//! * **Device memory** ([`GpuMemory`]): a byte budget, capacity and bytes
+//!   reserved, that pods and the model-sharing storage server reserve
+//!   against (`cuMemAlloc`/`cuMemFree` without addresses).
 //! * **DCGM-style metrics** ([`metrics::GpuMetrics`]): *utilization* is the
 //!   fraction of time at least one kernel is resident (nvidia-smi
 //!   semantics); *SM occupancy* is the time-weighted mean fraction of SMs
@@ -45,7 +45,7 @@ pub use device::{
     KernelStart, SoloBurst, SoloLane, clamp_clock_scale, MAX_CLOCK_SCALE,
 };
 pub use error::GpuError;
-pub use memory::{DevicePtr, GpuMemory, IpcHandle, MemError};
+pub use memory::{GpuMemory, MemError};
 pub use mig::{MigConfig, MigError, MigProfile};
 pub use mps::{MpsError, MpsMode, MpsServer};
 pub use spec::GpuSpec;

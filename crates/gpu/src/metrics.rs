@@ -36,7 +36,6 @@ pub struct GpuMetrics {
     per_client_busy: BTreeMap<ClientId, SimTime>,
     util_series: TimeSeries,
     occ_series: TimeSeries,
-    window_start: SimTime,
 }
 
 impl GpuMetrics {
@@ -52,7 +51,6 @@ impl GpuMetrics {
             per_client_busy: BTreeMap::new(),
             util_series: TimeSeries::new(),
             occ_series: TimeSeries::new(),
-            window_start: SimTime::ZERO,
         }
     }
 
@@ -162,7 +160,6 @@ impl GpuMetrics {
         self.occ_series.push(now, stats.sm_occupancy);
         self.util.reset(now);
         self.occupied_sms.reset(now);
-        self.window_start = now;
         self.window_kernels = 0;
         stats
     }
@@ -221,7 +218,6 @@ snap_struct!(GpuMetrics {
     per_client_busy,
     util_series,
     occ_series,
-    window_start,
 });
 
 #[cfg(test)]

@@ -155,49 +155,33 @@ fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, clients: &[ClientId]
 }
 
 proptest! {
-    /// Allocator invariants under arbitrary alloc/free interleavings:
-    /// used+free == capacity, no failed frees of live pointers, full
-    /// coalescing at the end.
+    /// Byte-budget invariants under arbitrary reserve/release
+    /// interleavings: used + free == capacity, a reservation is refused
+    /// exactly when it does not fit, and releasing everything frees the
+    /// whole device.
     #[test]
     fn memory_alloc_free_invariants(ops in prop::collection::vec((0u8..2, 1u64..4_096), 1..200)) {
         let mut m = GpuMemory::new(64 * 1024);
         let mut live = Vec::new();
         for &(op, size) in &ops {
             if op == 0 || live.is_empty() {
-                if let Ok(ptr) = m.alloc(size) {
-                    live.push(ptr);
+                let fits = size <= m.free_bytes();
+                prop_assert_eq!(m.reserve(size).is_ok(), fits);
+                if fits {
+                    live.push(size);
                 }
             } else {
-                let ptr = live.swap_remove(size as usize % live.len());
-                prop_assert!(m.free(ptr).is_ok());
+                let size = live.swap_remove(size as usize % live.len());
+                prop_assert!(m.release(size).is_ok());
             }
-            let used: u64 = live.iter().map(|p| p.len).sum();
+            let used: u64 = live.iter().sum();
             prop_assert_eq!(m.used(), used);
             prop_assert_eq!(m.free_bytes(), m.capacity() - used);
-            prop_assert!(m.largest_free_extent() <= m.free_bytes());
         }
-        for ptr in live {
-            m.free(ptr).unwrap();
+        for size in live {
+            m.release(size).unwrap();
         }
-        prop_assert_eq!(m.largest_free_extent(), m.capacity());
-    }
-
-    /// Live allocations never overlap.
-    #[test]
-    fn memory_allocations_disjoint(sizes in prop::collection::vec(1u64..2_000, 1..50)) {
-        let mut m = GpuMemory::new(1 << 20);
-        let mut live = Vec::new();
-        for &s in &sizes {
-            if let Ok(p) = m.alloc(s) {
-                live.push(p);
-            }
-        }
-        for (i, a) in live.iter().enumerate() {
-            for b in live.iter().skip(i + 1) {
-                let disjoint = a.offset + a.len <= b.offset || b.offset + b.len <= a.offset;
-                prop_assert!(disjoint, "{a:?} overlaps {b:?}");
-            }
-        }
+        prop_assert_eq!(m.free_bytes(), m.capacity());
     }
 
     /// Device conservation: free SMs plus granted SMs always equals the

@@ -131,26 +131,6 @@ fn oversubscription_serializes() {
     assert_eq!(eight, SimTime::from_micros(4_000), "strict serialization");
 }
 
-/// IPC memory handles behave like a two-process model store: process A
-/// allocates and exports, process B opens and reads the same extent,
-/// and the allocation survives until explicitly freed.
-#[test]
-fn ipc_share_across_processes() {
-    let mut gpu = GpuDevice::new(GpuSpec::v100(), MpsMode::Shared);
-    let mem = gpu.memory_mut();
-    let weights = mem.alloc(2_634 * 1024 * 1024).unwrap();
-    let handle = mem.ipc_get_handle(weights).unwrap();
-    // "Process B".
-    let opened = mem.ipc_open_handle(handle).unwrap();
-    assert_eq!(opened, weights);
-    // A second consumer opens the same handle.
-    assert_eq!(mem.ipc_open_handle(handle).unwrap(), weights);
-    let used_before = mem.used();
-    mem.free(weights).unwrap();
-    assert_eq!(mem.used(), used_before - weights.len);
-    assert!(mem.ipc_open_handle(handle).is_err(), "handle dies with the memory");
-}
-
 /// Repartitioning a live client applies to subsequent launches only.
 #[test]
 fn repartition_applies_to_next_launch() {

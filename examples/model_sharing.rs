@@ -1,6 +1,6 @@
 //! Model-sharing memory study (paper Figure 13): per-model footprints
-//! with and without the IPC store, on the real allocator of a simulated
-//! 16 GB V100.
+//! with and without the model store, as the device memory in use on a
+//! simulated 16 GB V100.
 //!
 //! ```sh
 //! cargo run --release --example model_sharing

@@ -290,9 +290,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// crashed node's rebuilt backend and model store are pinned too. The
 /// scheduler's probe counter is state on the wire, so a change to what a
 /// selection asks moves the hashes but not the lengths or the version.
+/// Version 13 writes each GPU's memory as its capacity and bytes in use,
+/// each pod's reservation as a byte count and each model store entry as
+/// its bytes and refcount, and drops the metrics window's start.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 12, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 13, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -301,9 +304,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 10_316, 0xd62a_97fc_d313_5242),
-        ("fleet", fleet, 8_880, 0x1685_777e_fe8d_6318),
-        ("flash crowd after the node crash", crashed, 15_371, 0x2fa8_df23_f594_13b9),
+        ("flash crowd", flash, 9_979, 0x66e0_576e_727f_dc5a),
+        ("fleet", fleet, 8_387, 0x3426_d3ca_68f6_3e7c),
+        ("flash crowd after the node crash", crashed, 15_034, 0x7dcc_d85d_b6d5_fb0b),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();

@@ -37,7 +37,7 @@ fn single_pod_pays_context_overhead() {
 }
 
 /// Figure 13 capacity: 7 shared vs 4 unshared ResNeXt pods fit a 16 GB
-/// V100, enforced by the real allocator.
+/// V100, enforced by the device's memory budget at placement.
 #[test]
 fn resnext_capacity_on_16gb() {
     let deploy_max = |sharing: bool| {

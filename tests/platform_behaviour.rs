@@ -119,6 +119,34 @@ fn cross_function_weight_sharing() {
     assert_eq!((two - one) / MIB, 2101);
 }
 
+/// Device memory is a byte budget: a pod that fits the node's free bytes
+/// is placed however pod teardowns have split them. On one V100 without
+/// model sharing, ResNet-50 pods (1525 MiB) alternate with RNN-T pods
+/// (2000 MiB) until 1809 MiB stay free; the ResNet-50 pods' teardown then
+/// frees 4575 MiB between the RNN-T pods'. A ViT-Huge pod (4735 MiB) fits
+/// the 6384 MiB free, though in no gap between the pods' reservations.
+#[test]
+fn a_pod_that_fits_split_free_memory_is_placed() {
+    const MIB: u64 = 1024 * 1024;
+    let mut p = Platform::new(PlatformConfig::default().nodes(1).model_sharing(false).seed(5));
+    let small = |name: &str, model: &str| FunctionConfig::new(name, model).resources(12.0, 0.1, 0.1);
+    let a = p.deploy(small("a", "resnet50")).unwrap();
+    let b = p.deploy(small("b", "rnnt")).unwrap();
+    for n in 2..=3 {
+        p.scale_to(a, n);
+        p.scale_to(b, n);
+    }
+    p.scale_to(b, 5);
+    assert_eq!((p.pods_of(a).len(), p.pods_of(b).len()), (3, 5));
+    assert_eq!(p.node_memory_used(0) / MIB, 3 * 1525 + 5 * 2000);
+    p.scale_to(a, 0);
+    assert_eq!(p.node_memory_used(0) / MIB, 5 * 2000, "16384 - 10000 = 6384 MiB free");
+    let vit = p.deploy(small("vit", "vit_huge"));
+    assert!(vit.is_ok(), "4735 MiB fit 6384 MiB free: {vit:?}");
+    assert_eq!(p.node_memory_used(0) / MIB, 5 * 2000 + 4735);
+    assert_eq!(p.unschedulable_pods(), 0);
+}
+
 /// An exclusive (device-plugin) cluster runs one pod per node and scales
 /// across nodes.
 #[test]

@@ -5,9 +5,9 @@
 use fastg_cluster::{PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 use fastg_des::SimTime;
-use fastg_gpu::GpuMemory;
+use fastg_gpu::{GpuMemory, MemError};
 use fastgshare::manager::{BackendConfig, FastBackend, PodQuotaState, RequestOutcome, SharingPolicy};
-use fastgshare::modelshare::ModelStorageServer;
+use fastgshare::modelshare::{ModelStorageServer, ShareError};
 use fastgshare::scheduler::{heuristic_scale, ConfigPoint, GpuRects, Rect, RunningPod, ScaleAction};
 use proptest::prelude::*;
 
@@ -374,32 +374,57 @@ proptest! {
         }
     }
 
-    /// Model store refcount safety: memory usage matches exactly
-    /// `ctx × live models + Σ live tensor sizes` under random attach /
-    /// release interleavings.
+    /// Model store refcount safety: memory usage is exactly
+    /// `Σ (ctx + weights)` over the models with a reference, plus a pod's
+    /// private bytes, under random acquire / release interleavings on a
+    /// device too small for every model at once. A refused acquire leaves
+    /// the bytes in use and every refcount unchanged.
     #[test]
-    fn model_store_accounting(ops in prop::collection::vec((0u8..2, 0u8..3), 1..150)) {
+    fn model_store_accounting(ops in prop::collection::vec((0u8..3, 0u8..3), 1..150)) {
         const MB: u64 = 1024 * 1024;
-        let mut mem = GpuMemory::new(64 * 1024 * MB);
+        const PRIVATE: u64 = 1024 * MB;
+        let mut mem = GpuMemory::new(3 * 1024 * MB);
         let mut server = ModelStorageServer::new(300 * MB);
         let models = ["a", "b", "c"];
         let sizes = [100 * MB, 500 * MB, 2_000 * MB];
         let mut refs = [0u32; 3];
+        let mut private = false;
         for &(op, mi) in &ops {
             let i = mi as usize;
-            if op == 0 {
-                server.get_or_store(&mut mem, models[i], "w", sizes[i]).unwrap();
-                refs[i] += 1;
-            } else if refs[i] > 0 {
-                server.release(&mut mem, models[i], "w").unwrap();
-                refs[i] -= 1;
+            let before = mem.used();
+            match op {
+                0 => match server.acquire(&mut mem, models[i], sizes[i]) {
+                    Ok(stored) => {
+                        prop_assert_eq!(stored, refs[i] > 0);
+                        refs[i] += 1;
+                    }
+                    Err(ShareError::Memory(MemError::OutOfMemory { requested, free })) => {
+                        prop_assert_eq!(refs[i], 0, "a stored model is shared, not re-reserved");
+                        prop_assert_eq!((requested, free), (300 * MB + sizes[i], mem.free_bytes()));
+                        prop_assert!(requested > free);
+                        prop_assert_eq!(mem.used(), before);
+                    }
+                    Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
+                },
+                1 if refs[i] > 0 => {
+                    server.release(&mut mem, models[i]).unwrap();
+                    refs[i] -= 1;
+                }
+                1 => prop_assert!(server.release(&mut mem, models[i]).is_err()),
+                _ if private => {
+                    mem.release(PRIVATE).unwrap();
+                    private = false;
+                }
+                _ => private = mem.reserve(PRIVATE).is_ok(),
             }
             let expected: u64 = (0..3)
                 .map(|j| if refs[j] > 0 { 300 * MB + sizes[j] } else { 0 })
-                .sum();
+                .sum::<u64>()
+                + if private { PRIVATE } else { 0 };
             prop_assert_eq!(mem.used(), expected);
+            prop_assert_eq!(server.total_bytes() + if private { PRIVATE } else { 0 }, expected);
             for j in 0..3 {
-                prop_assert_eq!(server.refs(models[j], "w"), refs[j]);
+                prop_assert_eq!(server.refs(models[j]), refs[j]);
             }
         }
     }
