@@ -267,15 +267,50 @@ fn overload_scenarios() -> Vec<Scenario> {
     out
 }
 
+/// Queue timeouts under faults, overload control {off, on}: two
+/// half-quota replicas (~70 rps) take 90 req/s, so the queue grows and
+/// requests time out 2 SLOs (200 ms) after arrival, while the chaos plan
+/// crashes pods with requests on them, which retry once. Timer sheds,
+/// superseded timers, crash retries and budget drops all ride the
+/// perturbed instants.
+fn timeout_scenarios() -> Vec<Scenario> {
+    [false, true]
+        .into_iter()
+        .map(|control| {
+            Scenario::new(
+                format!("timeouts-c{}", u8::from(control)),
+                PlatformConfig::default()
+                    .nodes(2)
+                    .policy(SharingPolicy::FaST)
+                    .recovery(true)
+                    .overload_control(control)
+                    .request_timeout_factor(2.0)
+                    .retry_budget(1)
+                    .seed(29)
+                    .fault_plan(chaos_plan()),
+            )
+            .function(
+                FunctionConfig::new("timed", "resnet50")
+                    .slo_ms(100)
+                    .replicas(2)
+                    .resources(50.0, 0.5, 0.8),
+            )
+            .load(0, ArrivalProcess::poisson(90.0, 30))
+            .duration(SimTime::from_secs(6))
+        })
+        .collect()
+}
+
 /// Every scenario the detector perturbs: the determinism fingerprint
 /// workloads, the chaos/FF-parity runs, the seeded sweep grid, the
-/// overload matrix and the fleet matrix.
+/// overload matrix, the fleet matrix and the queue-timeout pair.
 pub fn race_matrix() -> Vec<Scenario> {
     let mut all = policy_scenarios();
     all.extend(chaos_scenarios());
     all.extend(sweep_scenarios());
     all.extend(overload_scenarios());
     all.extend(fleet_scenarios());
+    all.extend(timeout_scenarios());
     all
 }
 
@@ -418,4 +453,21 @@ pub fn detect_races(orders: &[TieBreak]) -> Result<Vec<RaceOutcome>, PlatformErr
         .iter()
         .map(|sc| detect_races_in(sc, orders))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The timeout pair exercises what it is there for: the timers shed
+    /// queued requests, with overload control off and on.
+    #[test]
+    fn timeout_scenarios_shed_queued_requests() {
+        for sc in timeout_scenarios() {
+            let name = sc.name.clone();
+            let report = sc.run().expect("runs");
+            let dropped: u64 = report.functions.values().map(|f| f.dropped).sum();
+            assert!(dropped > 0, "{name}: no queue timeout shed a request");
+        }
+    }
 }

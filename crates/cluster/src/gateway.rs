@@ -27,6 +27,14 @@ pub struct Request {
     pub deadline: SimTime,
 }
 
+impl Request {
+    /// When the request times out in its function's queue if it may wait
+    /// `wait` there, or `None` if that is past the end of time.
+    pub fn timeout(&self, wait: SimTime) -> Option<SimTime> {
+        self.arrived.checked_add(wait)
+    }
+}
+
 /// Outcome of offering a request to the gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
@@ -299,13 +307,30 @@ impl Gateway {
             .sum()
     }
 
-    /// Removes a still-queued request (gateway timeout). Returns the
-    /// removed request — a dispatched or completed request is left alone
-    /// and `None` is returned.
-    pub fn cancel_queued(&mut self, func: FuncId, id: RequestId) -> Option<Request> {
-        let st = self.funcs.get_mut(func)?;
-        let at = st.queue.iter().position(|r| r.id == id)?;
-        st.queue.remove(at)
+    /// Sheds every queued request whose [`Request::timeout`] after `wait`
+    /// is at or before `now`. The queue is ordered by `(arrived, id)`, so
+    /// these form a prefix. Each counts as dropped. Returns the shed
+    /// requests in queue order.
+    pub fn time_out(&mut self, now: SimTime, func: FuncId, wait: SimTime) -> Vec<Request> {
+        let Some(st) = self.funcs.get_mut(func) else {
+            return Vec::new();
+        };
+        let mut shed = Vec::new();
+        while let Some(head) = st.queue.front().copied() {
+            if head.timeout(wait).map_or(true, |at| at > now) {
+                break;
+            }
+            st.queue.pop_front();
+            st.dropped += 1;
+            st.clear_retries(head.id);
+            shed.push(head);
+        }
+        shed
+    }
+
+    /// The request at the head of a function's queue: its oldest.
+    pub fn oldest_queued(&self, func: FuncId) -> Option<&Request> {
+        self.funcs.get(func)?.queue.front()
     }
 
     /// Counts a request as shed (timed out in queue or over its retry
@@ -399,6 +424,9 @@ snap_struct!(FuncState {
 } check |f| {
     if f.idle_pods.windows(2).any(|w| w[0] >= w[1]) || f.members.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapError::new("gateway pod set order"));
+    }
+    if f.queue.iter().zip(f.queue.iter().skip(1)).any(|(a, b)| (a.arrived, a.id) >= (b.arrived, b.id)) {
+        return Err(SnapError::new("gateway queue order"));
     }
     if f.idle_pods.iter().any(|p| f.members.binary_search(p).is_err()) {
         return Err(SnapError::new("gateway idle pod not a member"));
@@ -630,19 +658,26 @@ mod tests {
     }
 
     #[test]
-    fn cancel_queued_sheds_only_waiting_requests() {
+    fn time_out_sheds_only_the_waiting_prefix() {
         let mut g = Gateway::new();
         g.register_pod(F, PodId(1));
+        let ms = SimTime::from_millis;
         let (r0, _) = arrive(&mut g, SimTime::ZERO, F); // dispatched
-        let (r1, _) = arrive(&mut g, SimTime::from_millis(1), F); // queued
-        assert_eq!(g.cancel_queued(F, r0.id), None, "in-flight is untouchable");
-        let got = g.cancel_queued(F, r1.id).unwrap();
-        assert_eq!(got.id, r1.id);
-        assert_eq!(g.queue_len(F), 0);
-        assert_eq!(g.cancel_queued(F, r1.id), None, "already cancelled");
-        g.drop_request(&r1);
-        assert_eq!(g.dropped(F), 1);
+        let (r1, _) = arrive(&mut g, ms(1), F); // queued
+        let (r2, _) = arrive(&mut g, ms(2), F); // queued
+        // At 11 ms with a 10 ms wait, r1 has waited long enough, r2 not;
+        // the in-flight r0 is untouchable.
+        let shed = g.time_out(ms(11), F, ms(10));
+        assert_eq!(shed.iter().map(|r| r.id).collect::<Vec<_>>(), [r1.id]);
+        assert_eq!((g.queue_len(F), g.dropped(F)), (1, 1));
+        assert_eq!(g.oldest_queued(F).map(|r| r.id), Some(r2.id));
+        assert!(g.time_out(ms(11), F, ms(10)).is_empty(), "already shed");
+        // A wait past the end of time never times out.
+        assert!(g.time_out(SimTime::MAX, F, SimTime::MAX).is_empty());
+        g.drop_request(&r0);
+        assert_eq!(g.dropped(F), 2);
         assert_eq!(g.dropped(FuncId(9)), 0);
+        assert!(g.time_out(ms(11), FuncId(9), ms(10)).is_empty());
     }
 
     #[test]

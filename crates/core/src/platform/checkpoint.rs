@@ -17,10 +17,9 @@
 //! 2. the full engine state: resolved [`PlatformConfig`]
 //!    (env-independent), one record per node (health, GPU with its MPS
 //!    server, FaST Backend, model storage server), gateway queues,
-//!    scheduler planes, the function table and one record per pod (arena
-//!    generations included, so stale handles stay stale), overload
-//!    control plane, device fast-forward timelines, and metrics
-//!    accumulators,
+//!    scheduler planes, the function table (queue timers included) and
+//!    one record per pod, overload control plane, device fast-forward
+//!    timelines, and metrics accumulators,
 //! 3. the event queue: live entries with their tie-break keys and the
 //!    sequence counter, so outstanding [`CancelToken`]s stay valid and
 //!    the restored run pops events in exactly the original order.
@@ -42,7 +41,7 @@ pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"FGSN");
 
 /// Current snapshot format version. Bumped whenever any `snap`/`unsnap`
 /// encoding changes shape; old snapshots are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 13;
+pub const SNAPSHOT_VERSION: u32 = 14;
 
 /// Length of the `magic ‖ version` header preceding the payload.
 const HEADER_LEN: usize = 8;

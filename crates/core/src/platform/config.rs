@@ -55,9 +55,11 @@ pub struct PlatformConfig {
     pub recovery: bool,
     /// Recovery-controller health-check period.
     pub health_interval: SimTime,
-    /// Per-function request timeout as a multiple of the function's SLO
-    /// (e.g. `Some(3.0)` sheds a request still *queued* 3 SLOs after
-    /// arrival). `None` disables timeouts.
+    /// Per-function request timeout as a multiple of the function's SLO:
+    /// `Some(3.0)` sheds a request still *queued* 3 SLOs after arrival,
+    /// at exactly that instant, and a request a crash lost after that
+    /// instant is shed at its retry instead of queueing again. A request
+    /// on a pod is never shed. `None` disables timeouts.
     pub request_timeout_factor: Option<f64>,
     /// Maximum times a request may be requeued after losing its pod to a
     /// crash before the gateway sheds it. `None` retries forever.

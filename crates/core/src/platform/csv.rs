@@ -4,17 +4,6 @@ use crate::platform::report::PlatformReport;
 use fastg_des::TimeSeries;
 use std::fmt::Write;
 
-/// Renders a [`TimeSeries`] as `t_seconds,value` rows with a header.
-pub fn series_csv(name: &str, series: &TimeSeries) -> String {
-    let mut out = String::from("t_seconds,");
-    out.push_str(name);
-    out.push('\n');
-    for &(t, v) in series.points() {
-        let _ = writeln!(out, "{:.3},{v:.6}", t.as_secs_f64());
-    }
-    out
-}
-
 /// Per-function summary rows: one line per function.
 pub fn functions_csv(report: &PlatformReport) -> String {
     let mut out = String::from(
@@ -137,13 +126,5 @@ mod tests {
         assert!(csv.contains("utilization,gpu-worker-0,"));
         assert!(csv.contains("sm_occupancy,gpu-worker-0,"));
         assert!(csv.contains("replicas,csv-func,"));
-    }
-
-    #[test]
-    fn series_csv_round_numbers() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_millis(1500), 0.5);
-        let csv = series_csv("util", &ts);
-        assert_eq!(csv, "t_seconds,util\n1.500,0.500000\n");
     }
 }

@@ -57,6 +57,7 @@ impl Engine {
                 arrival_token: None,
                 normal_resources: resources,
                 arrival_window: VecDeque::new(),
+                queue_timer: None,
             },
         );
         for _ in 0..fc.replicas {

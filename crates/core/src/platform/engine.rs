@@ -6,13 +6,13 @@
 use crate::manager::{BackendConfig, BurstEstimator, FastBackend, Ready, SharingPolicy};
 use crate::platform::autoscale::{arrival_window_fits, PREDICT_WINDOW};
 use crate::platform::config::PlatformConfig;
-use crate::platform::lifecycle::FIRST_SYNTHETIC;
+use crate::platform::lifecycle::{queue_timer_fits, FIRST_SYNTHETIC};
 use crate::platform::node::NodeRt;
 use crate::platform::overload::CircuitBreaker;
 use crate::platform::pod::{PodAt, PodRt};
 use crate::profiler::ProfileDb;
 use crate::scheduler::{NodeSelector, PlacementPolicy, Scheduler};
-use fastg_cluster::{FuncId, FaSTFuncSpec, Gateway, NodeId, PodId, RequestId, ResourceSpec};
+use fastg_cluster::{FuncId, FaSTFuncSpec, Gateway, NodeId, PodId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{snap_enum, snap_struct, ArenaKey, CancelToken, EventQueue, IdArena, SimTime, TimeSeries, World};
 use fastg_gpu::{GpuDevice, KernelId, MpsMode};
@@ -46,8 +46,9 @@ pub enum Event {
     Fault(usize),
     /// The recovery controller's periodic health check runs.
     HealthTick,
-    /// A request's queueing deadline passed; shed it if still queued.
-    RequestTimeout(FuncId, RequestId),
+    /// A function's queue timer fires: queued requests whose timeout
+    /// has come are shed, unless a newer timer superseded this one.
+    QueueTimeout(FuncId),
     /// The overload control plane's periodic breaker evaluation: every
     /// function's circuit breaker advances one window (trip, probe,
     /// close, brownout enter/exit). Scheduled only when overload control
@@ -63,12 +64,15 @@ impl Event {
     /// order: faults preempt everything, then the control-plane ticks in
     /// a fixed cadence (scaler, health, metrics, breaker, quota window —
     /// matching the order their periodic reschedules produce under FIFO
-    /// with the default intervals), and finally the data-plane "work"
-    /// events. All work events share one class: their relative order
-    /// stays insertion-seq under FIFO (preserving fast-forward's
-    /// materialized-finish semantics exactly), and the tie-break
-    /// perturbation policies shuffle only within this class — which is
-    /// precisely the orderings the race detector asserts are
+    /// with the default intervals), then queue timeouts, and finally the
+    /// data-plane "work" events. A timeout follows the breaker tick, so
+    /// its sheds count in the breaker's next window, and precedes the
+    /// work events, so a request queued at its timeout instant is shed
+    /// before that instant's pulls. All work events share one class:
+    /// their relative order stays insertion-seq under FIFO (preserving
+    /// fast-forward's materialized-finish semantics exactly), and the
+    /// tie-break perturbation policies shuffle only within this class —
+    /// which is precisely the orderings the race detector asserts are
     /// digest-neutral. Token dispatch passes are not events: they run
     /// after every class, once the instant holds no event (see
     /// [`Engine::end_of_instant`](World::end_of_instant)).
@@ -80,11 +84,11 @@ impl Event {
             Event::MetricsSample => 3,
             Event::BreakerTick => 4,
             Event::WindowReset(_) => 5,
+            Event::QueueTimeout(_) => 6,
             Event::Arrival(_)
             | Event::HostDone(_)
             | Event::KernelFinish(_, _)
-            | Event::BurstFastForward(_, _)
-            | Event::RequestTimeout(_, _) => 6,
+            | Event::BurstFastForward(_, _) => 7,
         }
     }
 }
@@ -140,6 +144,12 @@ pub(super) struct FuncRt {
     /// `[last − PREDICT_WINDOW, last]`, oldest first, `last` being
     /// the latest (see the `autoscale` module).
     pub(super) arrival_window: VecDeque<SimTime>,
+    /// The instant of the function's one live queue timer: set while a
+    /// `QueueTimeout` is pending there, at or before the timeout of the
+    /// request at the head of the queue. A delivered `QueueTimeout` at
+    /// any other instant was superseded by an earlier one and does
+    /// nothing (see the `lifecycle` module).
+    pub(super) queue_timer: Option<SimTime>,
 }
 
 impl FuncRt {
@@ -177,8 +187,8 @@ pub struct HandlerCounts {
     pub fault: u64,
     /// `HealthTick` events.
     pub health_tick: u64,
-    /// `RequestTimeout` events.
-    pub request_timeout: u64,
+    /// `QueueTimeout` events, superseded ones included.
+    pub queue_timeout: u64,
     /// `BreakerTick` events.
     pub breaker_tick: u64,
     /// End-of-instant token dispatch passes run (not events).
@@ -204,7 +214,7 @@ impl HandlerCounts {
             metrics_sample,
             fault,
             health_tick,
-            request_timeout,
+            queue_timeout,
             breaker_tick,
             dispatch_passes: _,
             dispatch_passes_skipped: _,
@@ -219,7 +229,7 @@ impl HandlerCounts {
             + metrics_sample
             + fault
             + health_tick
-            + request_timeout
+            + queue_timeout
             + breaker_tick
     }
 
@@ -234,7 +244,7 @@ impl HandlerCounts {
             Event::MetricsSample => &mut self.metrics_sample,
             Event::Fault(_) => &mut self.fault,
             Event::HealthTick => &mut self.health_tick,
-            Event::RequestTimeout(_, _) => &mut self.request_timeout,
+            Event::QueueTimeout(_) => &mut self.queue_timeout,
             Event::BreakerTick => &mut self.breaker_tick,
         };
         *counter += 1;
@@ -443,7 +453,7 @@ impl World for Engine {
             Event::MetricsSample => self.on_metrics_sample(now, queue),
             Event::Fault(index) => self.on_fault(now, index, queue),
             Event::HealthTick => self.on_health_tick(now, queue),
-            Event::RequestTimeout(func, id) => self.on_request_timeout(func, id),
+            Event::QueueTimeout(func) => self.on_queue_timeout(now, func, queue),
             Event::BreakerTick => self.on_breaker_tick(now, queue),
         }
     }
@@ -481,7 +491,7 @@ snap_enum!(Event, "event tag" {
     MetricsSample = 6,
     Fault(index) = 7,
     HealthTick = 8,
-    RequestTimeout(func, id) = 9,
+    QueueTimeout(func) = 9,
     BreakerTick = 10,
 });
 
@@ -492,6 +502,7 @@ snap_struct!(FuncRt {
     spec, model_fingerprint, resources, slo, completions, load, saturate, replica_series,
     desired_replicas, outage_since, backoff_exp, backoff_until, recoveries, service_est, goodput,
     wasted_service, browned_out, breaker, arrival_token, normal_resources, arrival_window,
+    queue_timer,
 } skip { model });
 
 impl Engine {
@@ -559,7 +570,7 @@ impl Engine {
         // the pods' cursors below walk it.
         let mut funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
         let mut zoo_profiles = Vec::new();
-        for f in funcs.values_mut() {
+        for (id, f) in funcs.iter_mut() {
             let (model, print) =
                 zoo_profile(&mut zoo_profiles, &f.spec.model).ok_or(SnapError::new("function model"))?;
             if print != f.model_fingerprint {
@@ -572,6 +583,7 @@ impl Engine {
             if !arrival_window_fits(&f.arrival_window, now, PREDICT_WINDOW) {
                 return Err(SnapError::new("function arrival window"));
             }
+            queue_timer_fits(&cfg, f, gateway.oldest_queued(id), now)?;
         }
         // Each pod takes a slot in its node's slab, then the backend rows
         // move to their pods' slots.
@@ -1004,6 +1016,49 @@ mod tests {
             ("older than the window", vec![now - window - us(1), now]),
         ] {
             assert_eq!(with_window(&times), Err("function arrival window"), "{what}");
+        }
+    }
+
+    /// Decode refuses a queue timer the lifecycle cannot leave: before
+    /// the snapshot clock, armed with timeouts off, and missing or later
+    /// than the timeout of the request at the head of a non-empty queue.
+    /// A timer anywhere from the clock to the head's timeout decodes.
+    /// Each refused row breaks exactly one check, so it fails if that
+    /// check is removed.
+    #[test]
+    fn forged_queue_timers_are_refused() {
+        let mut p = Platform::new(PlatformConfig::default().nodes(1).seed(6).request_timeout_factor(10.0));
+        let f = p
+            .deploy(
+                FunctionConfig::new("timed", "resnet50")
+                    .slo_ms(200)
+                    .replicas(1)
+                    .resources(100.0, 1.0, 1.0),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::constant(150.0));
+        p.run_for(SimTime::from_secs(1));
+        let now = p.now();
+        let world = p.sim.world();
+        let head = world.gateway.oldest_queued(f).expect("a backlog").arrived + SimTime::from_secs(2);
+        assert!(world.funcs[f].queue_timer.is_some_and(|at| now <= at && at <= head));
+        let us = SimTime::from_micros;
+        let decode = |forge: &dyn Fn(&mut Engine)| {
+            let mut forged = p.clone();
+            forge(forged.sim.world_mut());
+            Platform::from_snapshot(&forged.checkpoint()).map(|_| ()).map_err(|e| e.what)
+        };
+        let with_timer = |timer: Option<SimTime>| decode(&|e| e.funcs[f].queue_timer = timer);
+        assert_eq!(decode(&|_| ()), Ok(()));
+        assert_eq!(with_timer(Some(head)), Ok(()));
+        assert_eq!(with_timer(Some(now)), Ok(()));
+        assert_eq!(with_timer(Some(now - us(1))), Err("queue timer before the snapshot clock"));
+        assert_eq!(
+            decode(&|e| e.cfg.request_timeout_factor = None),
+            Err("queue timer without timeouts")
+        );
+        for timer in [None, Some(head + us(1))] {
+            assert_eq!(with_timer(timer), Err("queue timer missing or after the head's timeout"), "{timer:?}");
         }
     }
 

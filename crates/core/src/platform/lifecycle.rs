@@ -1,12 +1,29 @@
 //! The request lifecycle, from the gateway's side: admission at
-//! arrival, queueing deadlines, pulling the next request for an idle
-//! pod, completion accounting, and the retry of a request a crash lost.
+//! arrival, queue timeouts, pulling the next request for an idle pod,
+//! completion accounting, and the retry of a request a crash lost.
+//!
+//! ## Queue timeouts
+//!
+//! With `request_timeout_factor` k set, a request times out k SLOs after
+//! it arrived ([`Engine::queue_timeout`]). Each function keeps one timer,
+//! at the instant in [`FuncRt::queue_timer`]. Queueing a request, at
+//! arrival or by a crash retry, arms the timer at the request's timeout
+//! when that is earlier than the live timer. When the timer fires, every
+//! queued request whose timeout has come is shed, and the timer re-arms
+//! at the new head's timeout. The queue is ordered by `(arrived, id)`
+//! and every request of a function waits the same k SLOs, so the timed
+//! out requests form a prefix and the head's timeout is the earliest.
+//! A timer superseded by an earlier one stays queued, and does nothing
+//! when it fires. A crash-lost request whose timeout has passed is
+//! dropped at the retry instead of queueing.
 
 use super::autoscale::{record_arrival, PREDICT_WINDOW};
-use super::engine::{Engine, Event};
+use super::config::PlatformConfig;
+use super::engine::{Engine, Event, FuncRt};
 use super::overload::{AdmitDecision, DEADLINE_FACTOR};
 use super::pod::PodAt;
 use fastg_cluster::{Admission, FuncId, PodId, Request, RequestId};
+use fastg_des::snap::SnapError;
 use fastg_des::{EventQueue, SimTime};
 
 /// The first id of the synthetic requests that keep saturating
@@ -67,48 +84,66 @@ impl Engine {
         if let Some(frt) = self.funcs.get_mut(func) {
             frt.browned_out += u64::from(browned);
         }
-        self.schedule_request_timeout(now, func, req.id, queue);
-        if let Some(pod) = pod {
-            match self.locate(pod) {
-                // The handler's last action: the pod may run ahead.
-                Some(at) => {
-                    self.start_request(now, at, req);
-                    self.run_ahead(now, at, queue);
-                }
-                None => debug_assert!(false, "the gateway routes to live pods"),
+        let Some(pod) = pod else {
+            self.arm_queue_timer(&req, queue);
+            return;
+        };
+        match self.locate(pod) {
+            // The handler's last action: the pod may run ahead.
+            Some(at) => {
+                self.start_request(now, at, req);
+                self.run_ahead(now, at, queue);
             }
+            None => debug_assert!(false, "the gateway routes to live pods"),
         }
     }
 
-    fn schedule_request_timeout(
-        &self,
-        now: SimTime,
-        func: FuncId,
-        id: RequestId,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if let Some(factor) = self.cfg.request_timeout_factor {
-            if let Some(frt) = self.funcs.get(func) {
-                // A huge factor scales the SLO to the end of time; the
-                // timeout then never fires.
-                let deadline = now
-                    .checked_add(frt.slo.slo().scale(factor))
-                    .unwrap_or(SimTime::MAX);
-                queue.schedule(deadline, Event::RequestTimeout(func, id));
-            }
-        }
+    /// When `req` times out in its function's queue, or `None` if it
+    /// never does: timeouts are off, or the instant is past the end of
+    /// time.
+    pub(super) fn queue_timeout(&self, req: &Request) -> Option<SimTime> {
+        req.timeout(timeout_wait(&self.cfg, self.funcs.get(req.func)?)?)
     }
 
-    /// A request's queueing deadline passed: shed it if it is still in
-    /// the gateway queue (in-flight requests are left to finish).
-    pub(super) fn on_request_timeout(&mut self, func: FuncId, id: RequestId) {
-        if let Some(req) = self.gateway.cancel_queued(func, id) {
-            self.gateway.drop_request(&req);
-            if self.cfg.overload {
-                if let Some(frt) = self.funcs.get_mut(func) {
-                    frt.breaker.on_shed(req.id.0);
-                }
+    /// Arms the queue timer of `req`'s function, which `req` just joined,
+    /// at `req`'s timeout if that is earlier than the live timer.
+    fn arm_queue_timer(&mut self, req: &Request, queue: &mut EventQueue<Event>) {
+        let Some(at) = self.queue_timeout(req) else {
+            return;
+        };
+        let Some(frt) = self.funcs.get_mut(req.func) else {
+            return;
+        };
+        if frt.queue_timer.is_some_and(|live| live <= at) {
+            return;
+        }
+        frt.queue_timer = Some(at);
+        queue.schedule(at, Event::QueueTimeout(req.func));
+    }
+
+    /// A function's queue timer fired at `now`. Unless it was superseded,
+    /// sheds every queued request whose timeout has come, each a drop and,
+    /// under overload control, a shed for the breaker, then re-arms at the
+    /// new head's timeout (in-flight requests are left to finish).
+    pub(super) fn on_queue_timeout(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
+        let Some(frt) = self.funcs.get_mut(func) else {
+            return;
+        };
+        if frt.queue_timer != Some(now) {
+            return;
+        }
+        frt.queue_timer = None;
+        let Some(wait) = timeout_wait(&self.cfg, frt) else {
+            return;
+        };
+        let shed = self.gateway.time_out(now, func, wait);
+        if self.cfg.overload {
+            for req in &shed {
+                frt.breaker.on_shed(req.id.0);
             }
+        }
+        if let Some(&head) = self.gateway.oldest_queued(func) {
+            self.arm_queue_timer(&head, queue);
         }
     }
 
@@ -220,8 +255,9 @@ impl Engine {
         true
     }
 
-    /// Requeues a request lost to a crash, unless it is synthetic or its
-    /// retry budget is spent (then the gateway sheds it).
+    /// Requeues a request lost to a crash, unless it is synthetic, or its
+    /// retry budget is spent or its queue timeout has passed (then the
+    /// gateway sheds it; a timed-out one is also a shed for the breaker).
     pub(super) fn retry_or_shed(&mut self, now: SimTime, req: Request, queue: &mut EventQueue<Event>) {
         if is_synthetic(&req) {
             return; // synthetic saturating request: just dropped
@@ -239,8 +275,50 @@ impl Engine {
                 return;
             }
         }
-        if let Some(at) = self.gateway.requeue(req).and_then(|p| self.locate(p)) {
-            self.assign_request(now, at, req, queue);
+        if self.queue_timeout(&req).is_some_and(|at| at <= now) {
+            self.gateway.drop_request(&req);
+            if let (true, Some(frt)) = (self.cfg.overload, self.funcs.get_mut(req.func)) {
+                frt.breaker.on_shed(req.id.0);
+            }
+            return;
+        }
+        match self.gateway.requeue(req) {
+            Some(pod) => {
+                if let Some(at) = self.locate(pod) {
+                    self.assign_request(now, at, req, queue);
+                }
+            }
+            None => self.arm_queue_timer(&req, queue),
         }
     }
+}
+
+/// How long a request of function `f` may wait before it times out:
+/// `request_timeout_factor` SLOs, or `None` with timeouts off.
+fn timeout_wait(cfg: &PlatformConfig, f: &FuncRt) -> Option<SimTime> {
+    Some(f.slo.slo().scale(cfg.request_timeout_factor?))
+}
+
+/// Decode's check of a function's queue timer against the snapshot clock
+/// `now` and its queue's `head`: a timer is never before the clock, is
+/// armed only with timeouts on, and is armed at or before the head's
+/// timeout whenever the head has one.
+pub(super) fn queue_timer_fits(
+    cfg: &PlatformConfig,
+    f: &FuncRt,
+    head: Option<&Request>,
+    now: SimTime,
+) -> Result<(), SnapError> {
+    let wait = timeout_wait(cfg, f);
+    if f.queue_timer.is_some_and(|at| at < now) {
+        return Err(SnapError::new("queue timer before the snapshot clock"));
+    }
+    if f.queue_timer.is_some() && wait.is_none() {
+        return Err(SnapError::new("queue timer without timeouts"));
+    }
+    let head_timeout = head.zip(wait).and_then(|(r, wait)| r.timeout(wait));
+    if head_timeout.is_some_and(|due| f.queue_timer.map_or(true, |at| at > due)) {
+        return Err(SnapError::new("queue timer missing or after the head's timeout"));
+    }
+    Ok(())
 }

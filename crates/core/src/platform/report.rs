@@ -127,23 +127,6 @@ impl PlatformReport {
         self.functions.values().map(|f| f.goodput_rps).sum()
     }
 
-    /// Total service time burned on SLO-missing completions.
-    pub fn total_wasted_service(&self) -> SimTime {
-        self.functions
-            .values()
-            .fold(SimTime::ZERO, |acc, f| acc + f.wasted_service)
-    }
-
-    /// Total admission rejections (queue full + breaker fast-fails).
-    pub fn total_rejected(&self) -> u64 {
-        self.functions.values().map(|f| f.rejected).sum()
-    }
-
-    /// Total deadline-driven sheds.
-    pub fn total_shed(&self) -> u64 {
-        self.functions.values().map(|f| f.shed_deadline).sum()
-    }
-
     /// Mean utilization across nodes that ran at least one kernel (the
     /// aggregation Figure 11 reports).
     pub fn mean_utilization_active(&self) -> f64 {

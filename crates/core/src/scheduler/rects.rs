@@ -227,11 +227,6 @@ impl GpuRects {
         &self.free
     }
 
-    /// The rectangle bound to `pod`, if any.
-    pub fn placement_of(&self, pod: PodId) -> Option<Rect> {
-        self.placed.get(&pod).copied()
-    }
-
     /// Every `(pod, rectangle)` binding, in ascending pod order.
     pub fn placements(&self) -> impl Iterator<Item = (PodId, Rect)> + '_ {
         self.placed.iter().map(|(&p, &r)| (p, r))

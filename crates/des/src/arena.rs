@@ -1,4 +1,4 @@
-//! Dense, generation-stamped arenas for hot-path entity state.
+//! Dense arenas for hot-path entity state.
 //!
 //! The platform's entities (nodes, pods, functions) carry small dense
 //! integer ids handed out by monotone counters. Storing their runtime
@@ -8,11 +8,6 @@
 //! the id itself: O(1) access, cache-linear iteration, and an explicit
 //! deterministic iteration order (ascending id — exactly the order the
 //! `BTreeMap`s iterated in, so report digests are unchanged).
-//!
-//! Slots are generation-stamped: each insert bumps the slot's generation,
-//! so a [`Handle`] taken before a remove/reinsert cycle can be detected as
-//! stale instead of silently aliasing the new occupant (the guillotiere
-//! `AllocIndex` idiom).
 
 use crate::snap::{reservation, Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
@@ -61,28 +56,13 @@ impl ArenaKey for u64 {
     }
 }
 
-/// A generation-stamped handle to an arena slot, for callers that must
-/// detect remove/reinsert races on the same key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Handle<K> {
-    key_index: usize,
-    generation: u32,
-    _marker: PhantomData<K>,
-}
-
-#[derive(Debug, Clone)]
-struct Slot<V> {
-    generation: u32,
-    value: Option<V>,
-}
-
 /// A dense arena keyed by small integer ids.
 ///
 /// Iteration order is ascending key index — explicit and deterministic,
 /// matching the `BTreeMap` ordering it replaces.
 #[derive(Clone)]
 pub struct IdArena<K, V> {
-    slots: Vec<Slot<V>>,
+    slots: Vec<Option<V>>,
     len: usize,
     _marker: PhantomData<K>,
 }
@@ -94,7 +74,7 @@ impl<K, V: fmt::Debug> fmt::Debug for IdArena<K, V> {
                 self.slots
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, s)| s.value.as_ref().map(|v| (i, v))),
+                    .filter_map(|(i, s)| s.as_ref().map(|v| (i, v))),
             )
             .finish()
     }
@@ -137,21 +117,15 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 
     fn ensure(&mut self, index: usize) {
         if index >= self.slots.len() {
-            self.slots.resize_with(index + 1, || Slot {
-                generation: 0,
-                value: None,
-            });
+            self.slots.resize_with(index + 1, || None);
         }
     }
 
     /// Inserts `value` at `key`, returning the previous occupant if any.
-    /// Bumps the slot generation, invalidating outstanding [`Handle`]s.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let i = key.index();
         self.ensure(i);
-        let slot = &mut self.slots[i];
-        slot.generation = slot.generation.wrapping_add(1);
-        let prev = slot.value.replace(value);
+        let prev = self.slots[i].replace(value);
         if prev.is_none() {
             self.len += 1;
         }
@@ -160,8 +134,7 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 
     /// Removes and returns the entry at `key`.
     pub fn remove(&mut self, key: K) -> Option<V> {
-        let slot = self.slots.get_mut(key.index())?;
-        let prev = slot.value.take();
+        let prev = self.slots.get_mut(key.index())?.take();
         if prev.is_some() {
             self.len -= 1;
         }
@@ -170,14 +143,12 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 
     /// Immutable access.
     pub fn get(&self, key: K) -> Option<&V> {
-        self.slots.get(key.index()).and_then(|s| s.value.as_ref())
+        self.slots.get(key.index())?.as_ref()
     }
 
     /// Mutable access.
     pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        self.slots
-            .get_mut(key.index())
-            .and_then(|s| s.value.as_mut())
+        self.slots.get_mut(key.index())?.as_mut()
     }
 
     /// Whether `key` is occupied.
@@ -185,34 +156,12 @@ impl<K: ArenaKey, V> IdArena<K, V> {
         self.get(key).is_some()
     }
 
-    /// A generation-stamped handle to the current occupant of `key`.
-    pub fn handle(&self, key: K) -> Option<Handle<K>> {
-        let i = key.index();
-        let slot = self.slots.get(i)?;
-        slot.value.as_ref()?;
-        Some(Handle {
-            key_index: i,
-            generation: slot.generation,
-            _marker: PhantomData,
-        })
-    }
-
-    /// Access through a handle: `None` if the slot was vacated or
-    /// re-occupied since the handle was taken (stale generation).
-    pub fn get_by_handle(&self, h: Handle<K>) -> Option<&V> {
-        let slot = self.slots.get(h.key_index)?;
-        if slot.generation != h.generation {
-            return None;
-        }
-        slot.value.as_ref()
-    }
-
     /// Live `(key, &value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.value.as_ref().map(|v| (K::from_index(i), v)))
+            .filter_map(|(i, s)| s.as_ref().map(|v| (K::from_index(i), v)))
     }
 
     /// Live `(key, &mut value)` pairs in ascending key order.
@@ -220,7 +169,7 @@ impl<K: ArenaKey, V> IdArena<K, V> {
         self.slots
             .iter_mut()
             .enumerate()
-            .filter_map(|(i, s)| s.value.as_mut().map(|v| (K::from_index(i), v)))
+            .filter_map(|(i, s)| s.as_mut().map(|v| (K::from_index(i), v)))
     }
 
     /// Live keys in ascending order.
@@ -228,25 +177,26 @@ impl<K: ArenaKey, V> IdArena<K, V> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.value.as_ref().map(|_| K::from_index(i)))
+            .filter_map(|(i, s)| s.as_ref().map(|_| K::from_index(i)))
     }
 
     /// Live values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().filter_map(|s| s.value.as_ref())
+        self.slots.iter().filter_map(Option::as_ref)
     }
 
     /// Live values, mutably, in ascending key order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(|s| s.value.as_mut())
+        self.slots.iter_mut().filter_map(Option::as_mut)
     }
 }
 
 impl<K: ArenaKey, V> IdArena<K, V> {
-    /// Encodes the full slab with a caller-supplied value encoder, in the
-    /// exact wire format of the blanket [`Snap`] impl. For values whose
-    /// record lives outside the slab, such as a platform's pods, each
-    /// written inside the location map from its node's slab.
+    /// Encodes the full slab, vacant slots included, with a
+    /// caller-supplied value encoder, in the exact wire format of the
+    /// blanket [`Snap`] impl. For values whose record lives outside the
+    /// slab, such as a platform's pods, each written inside the location
+    /// map from its node's slab.
     pub fn snap_with(&self, w: &mut SnapWriter, mut encode: impl FnMut(&V, &mut SnapWriter)) {
         let Self {
             slots,
@@ -256,9 +206,7 @@ impl<K: ArenaKey, V> IdArena<K, V> {
         w.len_prefix(*len);
         w.len_prefix(slots.len());
         for slot in slots {
-            let Slot { generation, value } = slot;
-            w.u32(*generation);
-            match value {
+            match slot {
                 Some(v) => {
                     w.u8(1);
                     encode(v, w);
@@ -277,10 +225,9 @@ impl<K: ArenaKey, V> IdArena<K, V> {
     ) -> Result<Self, SnapError> {
         let len = r.len_prefix()?;
         let n = r.len_prefix()?;
-        let mut slots = Vec::with_capacity(reservation::<Slot<V>>(n, r.remaining()));
+        let mut slots = Vec::with_capacity(reservation::<Option<V>>(n, r.remaining()));
         let mut live = 0usize;
         for i in 0..n {
-            let generation = r.u32()?;
             let value = match r.u8()? {
                 0 => None,
                 1 => {
@@ -289,7 +236,7 @@ impl<K: ArenaKey, V> IdArena<K, V> {
                 }
                 _ => return Err(SnapError::new("IdArena slot tag")),
             };
-            slots.push(Slot { generation, value });
+            slots.push(value);
         }
         if live != len {
             return Err(SnapError::new("IdArena len"));
@@ -303,44 +250,11 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 }
 
 impl<K: ArenaKey, V: Snap> Snap for IdArena<K, V> {
-    /// Encodes the *full* slab — vacant slots included — because slot
-    /// generations are behavioural state: a stale [`Handle`] must still
-    /// read as stale after a checkpoint/restore round trip.
     fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            slots,
-            len,
-            _marker,
-        } = self;
-        w.len_prefix(*len);
-        w.len_prefix(slots.len());
-        for slot in slots {
-            let Slot { generation, value } = slot;
-            w.u32(*generation);
-            value.snap(w);
-        }
+        self.snap_with(w, V::snap);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.len_prefix()?;
-        let n = r.len_prefix()?;
-        let mut slots = Vec::with_capacity(reservation::<Slot<V>>(n, r.remaining()));
-        let mut live = 0usize;
-        for _ in 0..n {
-            let generation = r.u32()?;
-            let value = Option::<V>::unsnap(r)?;
-            if value.is_some() {
-                live += 1;
-            }
-            slots.push(Slot { generation, value });
-        }
-        if live != len {
-            return Err(SnapError::new("IdArena len"));
-        }
-        Ok(IdArena {
-            slots,
-            len,
-            _marker: PhantomData,
-        })
+        Self::unsnap_with(r, |_, r| V::unsnap(r))
     }
 }
 
@@ -479,12 +393,6 @@ impl<K: ArenaKey> IdSet<K> {
         })
     }
 
-    /// Drains the members in ascending order into a fresh `Vec`.
-    pub fn drain_sorted(&mut self) -> Vec<K> {
-        let out: Vec<K> = self.iter().collect();
-        self.clear();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -525,20 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn handles_detect_reinsertion() {
-        let mut a: IdArena<u64, &str> = IdArena::new();
-        a.insert(5, "first");
-        let h = a.handle(5).unwrap();
-        assert_eq!(a.get_by_handle(h), Some(&"first"));
-        a.remove(5);
-        assert_eq!(a.get_by_handle(h), None, "vacated slot");
-        a.insert(5, "second");
-        assert_eq!(a.get_by_handle(h), None, "stale generation must not alias");
-        let h2 = a.handle(5).unwrap();
-        assert_eq!(a.get_by_handle(h2), Some(&"second"));
-    }
-
-    #[test]
     fn id_set_orders_and_dedups() {
         let mut s: IdSet<u32> = IdSet::new();
         assert!(s.insert(70));
@@ -548,8 +442,7 @@ mod tests {
         assert!(!s.contains(4));
         assert_eq!(s.len(), 2);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70]);
-        let drained = s.drain_sorted();
-        assert_eq!(drained, vec![3, 70]);
+        s.clear();
         assert!(s.is_empty());
         assert!(!s.remove(3));
         assert!(s.insert(3));

@@ -48,7 +48,7 @@ mod sim;
 pub mod snap;
 mod time;
 
-pub use arena::{ArenaKey, Handle, IdArena, IdSet};
+pub use arena::{ArenaKey, IdArena, IdSet};
 pub use queue::{CancelToken, EventQueue, TieBreak};
 pub use series::{BusyTracker, TimeSeries, TimeWeighted};
 pub use sim::{Simulation, StepOutcome, World};

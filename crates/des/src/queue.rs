@@ -12,22 +12,9 @@
 //! number. The tie key is a bijection of the 56-bit sequence space, so
 //! ranks are unique and a single integer compare orders two entries.
 //!
-//! Entries live on two levels, split by a moving time *horizon*:
-//!
-//! * the **near level** holds every entry before the horizon, as a 4-ary
-//!   implicit min-heap of ranks; the payloads sit in a parallel vector
-//!   and move along the same paths;
-//! * the **far level** holds every entry at or past the horizon, appended
-//!   to an unordered buffer that tracks its least rank.
-//!
-//! Every near rank is below every far rank, so the heap's root is the
-//! queue's head. When the head comes within one `HORIZON_WIDTH` of the
-//! horizon, or the heap runs out, the horizon moves two widths past the
-//! head, and one pass over the buffer moves every entry that is now due
-//! into the heap. An entry scheduled seconds ahead, such as a request
-//! timeout, waits in the buffer instead of deepening every sift of the
-//! events that fire before it. Which level holds an entry never changes
-//! its rank, so pop order is that of one heap over all entries.
+//! Every entry lives in one 4-ary implicit min-heap of ranks, whose root
+//! is the queue's head; the payloads sit in a parallel vector and move
+//! along the same paths.
 
 use crate::sanitizer;
 use crate::snap::{reservation, Snap, SnapError, SnapReader, SnapWriter};
@@ -49,25 +36,6 @@ const ARITY: usize = 4;
 /// The smallest encoded queue entry: 8-byte time, 8-byte order word and
 /// at least one byte of event. Bounds the restore reservation.
 const MIN_ENTRY_BYTES: usize = 17;
-
-/// The horizon's width in microseconds (1 s). While an entry is being
-/// handled, the horizon lies more than one and at most two widths past
-/// it, so a push less than one width ahead always goes into the heap and
-/// only one further ahead can wait in the far buffer. Measured share of
-/// pushes more than 0.5 s ahead of the entry being handled (`fastg-bench`
-/// seed 1, one repetition):
-///
-/// * `fleet-poisson`: 0.27 % of 603,784;
-/// * `fleet-chaos`: 9.0 % of 658,718, almost all of them request timeouts
-///   at arrival + 10 × SLO, 8.4–16.8 s ahead, which the 8 s run never
-///   reaches;
-/// * `paper-pipeline`: 0.005 % of 5.0 M;
-/// * `sweep-fork`: 0.24 % of 1.25 M.
-///
-/// So a width this size keeps the timeouts out of the heap and almost
-/// everything else in it, and the horizon, with its one pass over the
-/// buffer, moves about once per simulated second.
-const HORIZON_WIDTH: u128 = 1_000_000;
 
 /// How the queue orders entries scheduled for the same instant *within one
 /// semantic class* (see [`EventQueue::set_classifier`]). Cross-class order
@@ -237,23 +205,7 @@ snap_struct!(CancelToken(seq));
 /// Entries scheduled through [`Self::schedule_cancellable`] can later be
 /// revoked with [`Self::cancel`]; dead entries are skipped by [`Self::pop`]
 /// and never surface through [`Self::peek_time`] (the queue eagerly purges
-/// a cancelled head so the reported horizon is always a live event).
-///
-/// ## The two levels
-///
-/// Entries before the horizon sit in the heap, the rest in the far buffer
-/// (see the module docs). The queue keeps these invariants:
-///
-/// * The horizon only moves forward, and only by the rule in the module
-///   docs: two widths past the head, when the head comes within one
-///   width of it or the heap runs out. [`Self::clear`] and
-///   [`Self::restore_state`] empty the queue and reset it. A horizon
-///   taken from anything but the head, such as the first push of an
-///   out-of-order setup, would pull most of the queue into the heap.
-/// * After every public call, an empty heap implies an empty far buffer,
-///   so [`Self::peek_time`] reads the heap alone, in O(1).
-/// * Neither level allocates per event in steady state: the buffer
-///   appends and swap-removes within its capacity, like the heap.
+/// a cancelled head so the reported head is always a live event).
 ///
 /// ## The held root
 ///
@@ -266,37 +218,21 @@ snap_struct!(CancelToken(seq));
 /// removal then. A root is held only while no cancelled entry is queued,
 /// and [`Self::cancel`] settles it first, so every read stays exact while
 /// the root is held: [`Self::peek_time`] reads the least child,
-/// [`Self::len`] and [`Self::snap_state`] skip the hole. It is also held
-/// only while the heap has a second entry or the far buffer is empty:
-/// holding the last heap entry while far entries wait would leave
-/// `peek_time` nothing to read. Entries keep the ranks they would have
-/// had, so pop order is unchanged.
+/// [`Self::len`] and [`Self::snap_state`] skip the hole. Entries keep the
+/// ranks they would have had, so pop order is unchanged.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// Packed ranks of every entry before the horizon (live or
-    /// cancelled), as a 4-ary min-heap: the children of slot `i` are
-    /// `4i+1 ..= 4i+4`.
+    /// Packed ranks of every entry (live or cancelled), as a 4-ary
+    /// min-heap: the children of slot `i` are `4i+1 ..= 4i+4`.
     ranks: Vec<u128>,
     /// Payloads, parallel to `ranks`.
     events: Vec<E>,
-    /// Ranks of every entry at or past the horizon (live or cancelled),
-    /// in no order.
-    far_ranks: Vec<u128>,
-    /// Payloads, parallel to `far_ranks`.
-    far_events: Vec<E>,
-    /// The least rank in `far_ranks`, or `u128::MAX` when it is empty.
-    far_min: u128,
-    /// The time, in microseconds, that splits the levels. Wider than a
-    /// [`SimTime`], so two widths past `SimTime::MAX` neither wraps nor
-    /// saturates onto an entry's time.
-    horizon: u128,
     next_seq: u64,
-    /// Tie keys of cancelled entries still queued, on either level.
+    /// Tie keys of cancelled entries still queued.
     cancelled: BTreeSet<u64>,
     /// Whether slot 0 is a hole: its entry was taken by the driver and
     /// awaits the next push or removal (see the type docs). Implies that
-    /// `cancelled` is empty, and that the heap has a second entry or the
-    /// far buffer is empty.
+    /// `cancelled` is empty.
     held: bool,
     tiebreak: TieBreak,
     classify: fn(&E) -> u8,
@@ -334,10 +270,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             ranks: Vec::new(),
             events: Vec::new(),
-            far_ranks: Vec::new(),
-            far_events: Vec::new(),
-            far_min: u128::MAX,
-            horizon: 0,
             next_seq: 0,
             cancelled: BTreeSet::new(),
             held: false,
@@ -369,10 +301,9 @@ impl<E> EventQueue<E> {
         self.events.reserve(additional);
     }
 
-    /// The current allocated capacity of both levels (pending + free
-    /// slots).
+    /// The current allocated capacity (pending + free slots).
     pub fn capacity(&self) -> usize {
-        self.ranks.capacity() + self.far_ranks.capacity()
+        self.ranks.capacity()
     }
 
     /// Sets the same-instant, same-class ordering policy. Must be called
@@ -407,7 +338,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The single insertion point: assigns the next sequence number, packs
-    /// the rank, pushes the entry onto its level, and returns the
+    /// the rank, pushes the entry onto the heap, and returns the
     /// sequence. All scheduling paths (`schedule`, `schedule_batch`,
     /// `schedule_cancellable`) funnel through here so the tie-break policy
     /// lives in exactly one place.
@@ -415,43 +346,17 @@ impl<E> EventQueue<E> {
         let seq = self.take_seq();
         let order = u64::from((self.classify)(&event)) << TIE_BITS | self.tiebreak.key(seq);
         let rank = pack(at, order);
-        if rank >> 64 >= self.horizon {
-            if self.ranks.len() > usize::from(self.held) {
-                self.push_far(rank, event);
-                return seq;
-            }
-            // The queue is empty (an empty heap implies an empty buffer):
-            // the heap ran out, so the horizon moves past the new head.
-            self.move_horizon(rank >> 64);
-        }
         if std::mem::take(&mut self.held) {
             // Fill the held root: the entry sinks from the top.
             self.events[0] = event;
             self.sift_down(rank);
             return seq;
         }
-        self.heap_push(rank, event);
-        seq
-    }
-
-    /// Appends an entry at or past the horizon to the far buffer. Kept
-    /// out of line so that the heap path, which nearly every push takes,
-    /// stays small.
-    #[inline(never)]
-    fn push_far(&mut self, rank: u128, event: E) {
-        self.far_ranks.push(rank);
-        self.far_events.push(event);
-        self.far_min = self.far_min.min(rank);
-    }
-
-    /// Pushes an entry before the horizon onto the heap. It and
-    /// [`Self::sift_up`] are inlined: nearly every push takes this path.
-    #[inline(always)]
-    fn heap_push(&mut self, rank: u128, event: E) {
         let pos = self.ranks.len();
         self.ranks.push(0);
         self.events.push(event);
         self.sift_up(pos, rank);
+        seq
     }
 
     /// Claims the next insertion sequence number without scheduling
@@ -582,8 +487,8 @@ impl<E> EventQueue<E> {
 
     /// Shadow-check for [`Self::cancel`]: a token must come from this
     /// queue's own sequence space (generation validity) and, if it is not
-    /// a detected double-cancel, its tie key must still be queued, on
-    /// either level. O(n) scan — only ever runs under `FASTG_SANITIZE=1`.
+    /// a detected double-cancel, its tie key must still be queued. O(n)
+    /// scan — only ever runs under `FASTG_SANITIZE=1`.
     #[cfg(debug_assertions)]
     fn sanitize_cancel(&self, token: CancelToken) {
         sanitizer::check(token.0 < self.next_seq, "cancel-token-generation", || {
@@ -595,10 +500,7 @@ impl<E> EventQueue<E> {
         let key = self.tiebreak.key(token.0);
         if token.0 < self.next_seq && !self.cancelled.contains(&key) {
             sanitizer::check(
-                self.ranks
-                    .iter()
-                    .chain(&self.far_ranks)
-                    .any(|&rank| tie_of(rank) == key),
+                self.ranks.iter().any(|&rank| tie_of(rank) == key),
                 "cancel-token-generation",
                 || {
                     format!(
@@ -641,7 +543,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest live event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
-        self.advance_horizon(*self.ranks.first()?);
         let (rank, event) = self.pop_head()?;
         // The head is always live (see `purge_dead_head`), but an entry
         // cancelled while buried may have risen to the head just now.
@@ -666,9 +567,8 @@ impl<E> EventQueue<E> {
 
     /// Takes the earliest live event if its timestamp is at or before
     /// `deadline`, leaving the root held (see the type docs) when no
-    /// cancelled entry is queued and the heap keeps an entry or the far
-    /// buffer is empty, and removing it otherwise. Only the driver takes,
-    /// and it delivers the event at once.
+    /// cancelled entry is queued, and removing it otherwise. Only the
+    /// driver takes, and it delivers the event at once.
     pub(crate) fn take_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)>
     where
         E: Copy,
@@ -678,8 +578,7 @@ impl<E> EventQueue<E> {
         if time_of(rank) > deadline {
             return None;
         }
-        self.advance_horizon(rank);
-        if !self.cancelled.is_empty() || (self.ranks.len() == 1 && !self.far_ranks.is_empty()) {
+        if !self.cancelled.is_empty() {
             return self.pop();
         }
         self.held = true;
@@ -694,53 +593,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves the horizon once `head`, the head's rank, comes within one
-    /// width of it. The root must not be held.
-    fn advance_horizon(&mut self, head: u128) {
-        if (head >> 64) + HORIZON_WIDTH >= self.horizon {
-            self.move_horizon(head >> 64);
-        }
-    }
-
-    /// Refills an empty heap from the far buffer, whose least entry is
-    /// the new head.
-    fn refill(&mut self) {
-        if !self.far_ranks.is_empty() {
-            self.move_horizon(self.far_min >> 64);
-        }
-    }
-
-    /// Moves the horizon two widths past `head`, the head's time, then
-    /// makes one pass over the far buffer: every entry now before the
-    /// horizon moves into the heap, ranked after the head, and the
-    /// buffer's least rank is recomputed from the rest. The pass is
-    /// skipped when the least rank is not yet due. Cold: the horizon
-    /// moves about once per simulated second.
-    #[cold]
-    #[inline(never)]
-    fn move_horizon(&mut self, head: u128) {
-        self.horizon = head + 2 * HORIZON_WIDTH;
-        if self.far_min >> 64 >= self.horizon {
-            return;
-        }
-        let mut least = u128::MAX;
-        let mut i = 0;
-        while let Some(&rank) = self.far_ranks.get(i) {
-            if rank >> 64 >= self.horizon {
-                least = least.min(rank);
-                i += 1;
-                continue;
-            }
-            self.far_ranks.swap_remove(i);
-            let event = self.far_events.swap_remove(i);
-            self.heap_push(rank, event);
-        }
-        self.far_min = least;
-    }
-
     /// The rank of the earliest pending entry: the root, or while the root
-    /// is held, its least child. The far buffer holds nothing earlier, and
-    /// nothing at all while the heap is empty.
+    /// is held, its least child.
     fn head_rank(&self) -> Option<u128> {
         if !self.held {
             return self.ranks.first().copied();
@@ -756,16 +610,12 @@ impl<E> EventQueue<E> {
             head.map_or(true, |rank| !self.cancelled.contains(&tie_of(rank))),
             "queue head must never be a cancelled entry"
         );
-        debug_assert!(
-            head.is_some() || self.far_ranks.is_empty(),
-            "an empty heap implies an empty far buffer"
-        );
         head.map(time_of)
     }
 
     /// Number of live pending events.
     pub fn len(&self) -> usize {
-        self.ranks.len() + self.far_ranks.len() - self.cancelled.len() - usize::from(self.held)
+        self.ranks.len() - self.cancelled.len() - usize::from(self.held)
     }
 
     /// Whether no live events are pending.
@@ -777,10 +627,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.ranks.clear();
         self.events.clear();
-        self.far_ranks.clear();
-        self.far_events.clear();
-        self.far_min = u128::MAX;
-        self.horizon = 0;
         self.cancelled.clear();
         self.held = false;
     }
@@ -791,7 +637,7 @@ impl<E> EventQueue<E> {
     /// stored verbatim (cancelled entries are dropped — their tokens are
     /// dead and nothing restores them). Entries are written in ascending
     /// rank order, i.e. pop order, so the encoding is independent of the
-    /// heap's internal layout and of which level holds an entry. The
+    /// heap's internal layout. The
     /// classifier is a function pointer and is not encoded;
     /// [`Self::restore_state`] keeps whichever classifier the restored
     /// queue was constructed with.
@@ -801,11 +647,12 @@ impl<E> EventQueue<E> {
     {
         self.tiebreak.snap(w);
         w.u64(self.next_seq);
-        let near = self.ranks.iter().copied().zip(&self.events);
-        let far = self.far_ranks.iter().copied().zip(&self.far_events);
-        let mut live: Vec<(u128, &E)> = near
+        let mut live: Vec<(u128, &E)> = self
+            .ranks
+            .iter()
+            .copied()
+            .zip(&self.events)
             .skip(usize::from(self.held))
-            .chain(far)
             .filter(|&(rank, _)| !self.cancelled.contains(&tie_of(rank)))
             .collect();
         // Ranks are unique, so the unstable sort is deterministic.
@@ -823,8 +670,7 @@ impl<E> EventQueue<E> {
     /// recomputed), so the restored queue pops in exactly the order the
     /// original would have; the sequence counter resumes where it left
     /// off, so future scheduling continues the same sequence space and
-    /// outstanding [`CancelToken`]s stay valid. The horizon restarts two
-    /// widths past the first entry, as for pushes into an empty queue.
+    /// outstanding [`CancelToken`]s stay valid.
     ///
     /// Rejects, with a [`SnapError`], a sequence counter beyond the 56-bit
     /// space, ranks that are not strictly ascending, an entry whose
@@ -856,8 +702,7 @@ impl<E> EventQueue<E> {
         let n = r.len_prefix()?;
         // At most one entry per `MIN_ENTRY_BYTES` of input, and neither
         // vector more bytes than the input holds: an in-memory event may
-        // be far wider than its encoding. Every entry decodes into the
-        // heap's reservation, whichever level it lands on.
+        // be far wider than its encoding.
         let remaining = r.remaining();
         let bound = n.min(remaining / MIN_ENTRY_BYTES);
         self.ranks
@@ -882,18 +727,6 @@ impl<E> EventQueue<E> {
             self.ranks.push(rank);
             self.events.push(event);
         }
-        // The ascending suffix at or past the horizon is the far buffer;
-        // its first entry is its least.
-        let Some(&head) = self.ranks.first() else {
-            return Ok(());
-        };
-        self.horizon = (head >> 64) + 2 * HORIZON_WIDTH;
-        let split = self
-            .ranks
-            .partition_point(|&rank| rank >> 64 < self.horizon);
-        self.far_ranks.extend(self.ranks.drain(split..));
-        self.far_events.extend(self.events.drain(split..));
-        self.far_min = self.far_ranks.first().copied().unwrap_or(u128::MAX);
         Ok(())
     }
 
@@ -910,13 +743,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes the minimum-rank entry, live or dead, and refills the heap
-    /// from the far buffer when that empties it.
+    /// Removes the minimum-rank entry, live or dead.
     fn pop_head(&mut self) -> Option<(u128, E)> {
         let last = self.ranks.pop()?;
         let mut event = self.events.pop()?;
         let Some(&head) = self.ranks.first() else {
-            self.refill();
             return Some((last, event));
         };
         // The last entry takes the head's slot and sinks from there.
@@ -1075,7 +906,7 @@ mod tests {
         q.schedule(SimTime::from_micros(40), "next");
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(10)));
         assert!(q.cancel(tok));
-        // The dead head must not pin the horizon at t=10.
+        // The dead head must not pin the head time at t=10.
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(40)));
         assert_eq!(q.len(), 1);
     }
@@ -1326,8 +1157,8 @@ mod tests {
 
     #[test]
     fn restore_reserves_no_more_than_the_input_can_hold() {
-        // The second bomb's entries decode before it fails: one in the
-        // heap, two past the horizon (2 s after the first).
+        // The second bomb's entries decode before it fails, seconds
+        // apart.
         let far = [(0, 0, 3), (5_000_000, 1, 3), (60_000_000, 2, 3)];
         for entries in [&[][..], &far[..]] {
             let mut bytes = encode_queue(TieBreak::Fifo, 3, entries);
@@ -1349,145 +1180,33 @@ mod tests {
     }
 
     #[test]
-    fn restore_puts_entries_past_the_horizon_in_the_far_buffer() {
-        let order = |seq| TieBreak::Fifo.key(seq);
-        let entries = [
-            (7, order(2), 1),
-            (1_000_000, order(0), 2),
-            (2_000_007, order(1), 3),
-        ];
-        let bytes = encode_queue(TieBreak::Fifo, 3, &entries);
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.restore_state(&mut SnapReader::new(&bytes))
-            .expect("restore");
-        assert_eq!((q.ranks.len(), q.far_ranks.len()), (2, 1));
-        assert_eq!(queue_bytes(&q), bytes, "the encoding ignores the levels");
-        for (time, _, event) in entries {
-            assert_eq!(q.pop(), Some((SimTime::from_micros(time), event)));
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    fn queue_bytes(q: &EventQueue<u64>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        q.snap_state(&mut w);
-        w.finish()
-    }
-
-    #[test]
-    fn far_entries_wait_past_the_horizon_and_pop_in_rank_order() {
-        let mut q = EventQueue::new();
-        let secs = |s| SimTime::from_secs(s);
-        // The first push sets the horizon two widths past itself: 2.5 s.
-        for (t, e) in [
-            (500_000, 0),
-            (9_000_000, 1),
-            (2_500_000, 2),
-            (2_499_999, 3),
-            (0, 4),
-        ] {
-            q.schedule(SimTime::from_micros(t), e);
-        }
-        q.schedule(SimTime::MAX, 5);
-        assert_eq!((q.ranks.len(), q.far_ranks.len()), (3, 3));
-        assert_eq!(q.len(), 6);
-        let mut popped = Vec::new();
-        while let Some((t, e)) = q.pop() {
-            // Every heap entry stays before the horizon, every far one at
-            // or past it, and the heap never empties while far ones wait.
-            assert!(q.ranks.iter().all(|&r| r >> 64 < q.horizon));
-            assert!(q.far_ranks.iter().all(|&r| r >> 64 >= q.horizon));
-            assert!(!q.ranks.is_empty() || q.far_ranks.is_empty());
-            popped.push((t, e));
-        }
-        let expected = [
-            (SimTime::ZERO, 4),
-            (SimTime::from_micros(500_000), 0),
-            (SimTime::from_micros(2_499_999), 3),
-            (SimTime::from_micros(2_500_000), 2),
-            (secs(9), 1),
-            (SimTime::MAX, 5),
-        ];
-        assert_eq!(popped, expected);
-    }
-
-    #[test]
-    fn horizon_moves_forward_one_width_from_the_head() {
-        let mut q = EventQueue::new();
-        let at = SimTime::from_micros;
-        q.schedule(at(0), 0);
-        assert_eq!(q.horizon, 2 * HORIZON_WIDTH);
-        q.schedule(at(1_000_000), 1);
-        q.schedule(at(2_600_000), 2);
-        q.schedule(at(3_000_000), 3);
-        assert_eq!(q.far_ranks.len(), 2);
-        // A head short of one width below the horizon leaves it alone.
-        assert_eq!(q.pop(), Some((at(0), 0)));
-        assert_eq!(q.horizon, 2 * HORIZON_WIDTH);
-        // A head within one width of it moves it two widths past the
-        // head, and the entries now due move into the heap; one exactly
-        // at the new horizon stays.
-        assert_eq!(q.pop(), Some((at(1_000_000), 1)));
-        assert_eq!(q.horizon, 3 * HORIZON_WIDTH);
-        assert_eq!(q.far_ranks, [pack(at(3_000_000), 3)]);
-        assert_eq!(q.far_min, q.far_ranks[0]);
-        q.clear();
-        assert_eq!(q.horizon, 0, "clear resets the horizon");
-    }
-
-    #[test]
-    fn take_with_one_heap_entry_and_far_entries_removes_the_root() {
-        let mut q = EventQueue::new();
-        let at = SimTime::from_micros;
-        q.schedule(at(0), "near");
-        q.schedule(at(10_000_000), "far");
-        assert_eq!((q.ranks.len(), q.far_ranks.len()), (1, 1));
-        assert_eq!(q.take_before(SimTime::MAX), Some((at(0), "near")));
-        // Holding the only heap entry would leave `peek_time` nothing to
-        // read: the root is removed and the heap refilled instead.
-        assert!(!q.held);
-        assert_eq!(q.peek_time(), Some(at(10_000_000)));
-        assert_eq!(q.len(), 1);
-        // With a second heap entry, the root is held.
-        q.schedule(at(10_000_001), "next");
-        assert_eq!(q.take_before(SimTime::MAX), Some((at(10_000_000), "far")));
-        assert!(q.held);
-        assert_eq!(q.peek_time(), Some(at(10_000_001)));
-        assert_eq!(q.pop(), Some((at(10_000_001), "next")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn a_far_bound_push_into_a_held_empty_heap_fills_the_hole() {
         let mut q = EventQueue::new();
         let at = SimTime::from_micros;
         q.schedule(at(0), 0);
         assert_eq!(q.take_before(SimTime::MAX), Some((at(0), 0)));
         assert!(q.held);
-        // Past the horizon, but the queue is empty: the horizon moves
-        // past the new head and the entry fills the held root.
+        assert_eq!((q.peek_time(), q.len()), (None, 0));
+        // An entry far ahead fills the held root.
         q.schedule(at(30_000_000), 1);
         assert!(!q.held);
-        assert!(q.far_ranks.is_empty());
-        assert_eq!(q.horizon, 30_000_000 + 2 * HORIZON_WIDTH);
         assert_eq!(q.pop(), Some((at(30_000_000), 1)));
     }
 
     /// Under `FASTG_SANITIZE=1` the `cancel-token-generation` shadow check
-    /// runs on every cancel: a live token whose entry waits in the far
-    /// buffer must not read as stale.
+    /// runs on every cancel: a live token whose entry is due far ahead
+    /// must not read as stale.
     #[test]
     fn cancelling_a_far_entry_passes_the_token_check() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, 0);
         let far = q.schedule_cancellable(SimTime::from_secs(60), 1);
         let end = q.schedule_cancellable(SimTime::MAX, 2);
-        assert_eq!(q.far_ranks.len(), 2);
         assert!(q.cancel(far));
         assert!(!q.cancel(far), "a repeat cancel of a queued entry");
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((SimTime::ZERO, 0)));
-        // The far entries moved into the heap; the dead one was purged.
+        // The dead entry was purged on its way to the head.
         assert_eq!(q.peek_time(), Some(SimTime::MAX));
         assert!(q.cancel(end));
         assert!(q.is_empty());

@@ -259,20 +259,6 @@ impl TimeSeries {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
     }
 
-    /// Mean of the samples falling in `[from, to)`.
-    pub fn mean_between(&self, from: SimTime, to: SimTime) -> f64 {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
 }
 
 snap_struct!(TimeSeries { points });
@@ -368,7 +354,5 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!((s.mean() - 3.0).abs() < 1e-9);
         assert_eq!(s.max(), 5.0);
-        assert!((s.mean_between(SimTime::from_secs(1), SimTime::from_secs(3)) - 4.0).abs() < 1e-9);
-        assert_eq!(s.mean_between(SimTime::from_secs(10), SimTime::from_secs(20)), 0.0);
     }
 }

@@ -104,11 +104,6 @@ impl<W: World> Simulation<W> {
         (&mut self.world, &mut self.queue, now)
     }
 
-    /// Consumes the simulation, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// Restores the driver clock from a checkpoint: the current simulated
     /// time and the delivered-event counter. Event-queue state is restored
     /// separately through [`EventQueue::restore_state`].

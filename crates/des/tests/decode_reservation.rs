@@ -139,9 +139,9 @@ fn forged_entry_count_reserves_at_most_the_input() {
     );
 }
 
-/// The same length bomb behind three valid entries, the last two past
-/// the horizon (two seconds after the first): entries that decode onto
-/// the far level share the heap's byte-bounded reservation.
+/// The same length bomb behind three valid entries, the last two seconds
+/// after the first: every entry decodes into the heap's byte-bounded
+/// reservation.
 #[test]
 fn forged_entry_count_past_the_horizon_reserves_at_most_the_input() {
     let mut w = SnapWriter::new();

@@ -29,14 +29,12 @@ enum QueueOp {
     RoundTrip,
 }
 
-/// The queue's horizon width (1 s): the horizon sits two widths past the
-/// head whenever it moves.
+/// One second, the unit the drawn entry times are spread over.
 const WIDTH: u64 = 1_000_000;
 
-/// Entry times that reach both levels: colliding instants, times inside
-/// the first heap, times a few µs either side of whole widths (where the
-/// horizon falls while the head sits at an early instant), times far
-/// beyond it, and the end of time (a saturated timeout deadline).
+/// Entry times: colliding instants, times within the first two seconds,
+/// times a few µs either side of whole seconds, times tens of seconds
+/// ahead, and the end of time (a saturated deadline).
 fn queue_time() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..4,
@@ -176,8 +174,8 @@ struct Step {
 }
 
 /// Push delays: mostly at or just after the delivery instant, sometimes
-/// about a horizon width or several widths ahead, so pushes reach the far
-/// level and the driver takes while far entries wait.
+/// about a second or several seconds ahead, so the driver takes while
+/// entries due much later wait.
 fn delay() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..4,
@@ -470,18 +468,16 @@ fn check_against_model(tiebreak: TieBreak, ops: &[QueueOp]) -> Result<(), TestCa
 }
 
 /// Sequences the random draw rarely lines up, run under every tie-break
-/// policy: out-of-order pushes on both levels before the first take, a
-/// round trip while far entries wait, a take while the heap holds one
-/// entry and the far buffer is not empty, and a horizon move, with and
-/// without a round trip first, that must leave an entry exactly at the
-/// new horizon in the far buffer.
+/// policy: out-of-order pushes seconds apart before the first take, a
+/// round trip while entries seconds ahead wait, takes of the last entry
+/// the heap holds, and one run of pushes and takes with and without a
+/// round trip first.
 #[test]
 fn queue_matches_sorted_model_on_horizon_sequences() {
     use QueueOp::*;
     let w = WIDTH;
     let end = u64::MAX;
     let setup = [
-        // The horizon starts two widths past the first push.
         Schedule(0, 0),
         Schedule(w, 0),
         Schedule(w + 5, 1),
@@ -490,7 +486,6 @@ fn queue_matches_sorted_model_on_horizon_sequences() {
     ];
     let moves = [
         Take,
-        // The head is within one width: the horizon moves to 3 W.
         Take,
         Schedule(2 * w + 20, 0),
         Schedule(3 * w, 0),
@@ -500,8 +495,8 @@ fn queue_matches_sorted_model_on_horizon_sequences() {
         Take,
         Take,
     ];
-    let horizon_move = [&setup[..], &moves[..]].concat();
-    let restored_move = [&setup[..], &[RoundTrip], &moves[..]].concat();
+    let spread = [&setup[..], &moves[..]].concat();
+    let spread_restored = [&setup[..], &[RoundTrip], &moves[..]].concat();
     let out_of_order = vec![
         Schedule(5 * w, 0),
         ScheduleCancellable(3, 1),
@@ -560,8 +555,8 @@ fn queue_matches_sorted_model_on_horizon_sequences() {
             &out_of_order,
             &round_trip,
             &lone_heap_entry,
-            &horizon_move,
-            &restored_move,
+            &spread,
+            &spread_restored,
         ] {
             if let Err(e) = check_against_model(tiebreak, ops) {
                 panic!("{tiebreak:?} {ops:?}: {e}");

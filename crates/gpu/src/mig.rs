@@ -85,21 +85,6 @@ impl MigProfile {
     ];
 }
 
-/// Snaps an SM-percent demand *up* to the smallest MIG compute-slice
-/// share that covers it — the quantization a ParvaGPU-style demand
-/// matcher applies to the spatial axis before packing, so every reserved
-/// height corresponds to a realizable instance shape
-/// (15/29/43/58/100 %). Demands above a whole part clamp to 100 %.
-pub fn snap_to_slice_percent(sm_percent: u32) -> u32 {
-    for profile in MigProfile::ALL {
-        let pct = profile.compute_percent();
-        if sm_percent <= pct {
-            return pct.max(1);
-        }
-    }
-    100
-}
-
 /// Errors from MIG configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MigError {
@@ -199,14 +184,6 @@ mod tests {
         assert_eq!(MigProfile::P3g.compute_percent(), 43);
         assert_eq!(MigProfile::P4g.compute_percent(), 58);
         assert_eq!(MigProfile::P7g.compute_percent(), 100);
-        // Snapping rounds up to the smallest covering shape and clamps.
-        assert_eq!(snap_to_slice_percent(1), 15);
-        assert_eq!(snap_to_slice_percent(15), 15);
-        assert_eq!(snap_to_slice_percent(16), 29);
-        assert_eq!(snap_to_slice_percent(43), 43);
-        assert_eq!(snap_to_slice_percent(44), 58);
-        assert_eq!(snap_to_slice_percent(59), 100);
-        assert_eq!(snap_to_slice_percent(250), 100);
     }
 
     #[test]

@@ -54,21 +54,6 @@ impl std::fmt::Display for MpsError {
 
 impl std::error::Error for MpsError {}
 
-/// Granularity of the quota axis under segment-quantized demand
-/// matching: temporal quotas are reserved in 5 % steps, mirroring how
-/// operators hand out `CUDA_MPS_ACTIVE_THREAD_PERCENTAGE` in coarse
-/// increments rather than arbitrary reals.
-pub const QUOTA_SEGMENT_PERCENT: u32 = 5;
-
-/// Rounds a quota-percent demand *up* to the next
-/// [`QUOTA_SEGMENT_PERCENT`] boundary, clamped to `1..=100` — the
-/// quota-axis counterpart of MIG slice snapping for ParvaGPU-style
-/// demand matching.
-pub fn quantize_quota_percent(quota_percent: u32) -> u32 {
-    let q = quota_percent.max(1);
-    (q.div_ceil(QUOTA_SEGMENT_PERCENT) * QUOTA_SEGMENT_PERCENT).min(100)
-}
-
 #[derive(Debug, Clone)]
 struct ClientEntry {
     /// Active-thread percentage in `(0, 100]`.
@@ -244,17 +229,6 @@ mod tests {
 
     fn server(mode: MpsMode) -> MpsServer {
         MpsServer::new(&GpuSpec::v100(), mode)
-    }
-
-    #[test]
-    fn quota_segment_quantization_rounds_up_and_clamps() {
-        assert_eq!(quantize_quota_percent(0), 5);
-        assert_eq!(quantize_quota_percent(1), 5);
-        assert_eq!(quantize_quota_percent(5), 5);
-        assert_eq!(quantize_quota_percent(6), 10);
-        assert_eq!(quantize_quota_percent(42), 45);
-        assert_eq!(quantize_quota_percent(100), 100);
-        assert_eq!(quantize_quota_percent(250), 100);
     }
 
     #[test]

@@ -48,9 +48,9 @@
 //! * **`no-btreemap-hot-path`** — `BTreeMap`/`BTreeSet` are denied in
 //!   the per-event hot-path files (the platform engine, request
 //!   lifecycle, pod records and node data plane, gateway and backend,
-//!   node selection): entity state there lives in dense
-//!   arena storage behind generation-stamped handles (`IdArena`), where
-//!   a lookup is an index, not a pointer-chasing tree walk. Cold report-assembly code keeps
+//!   node selection): entity state there lives in dense arena storage
+//!   indexed by entity id (`IdArena`), where a lookup is an index, not
+//!   a pointer-chasing tree walk. Cold report-assembly code keeps
 //!   ordered maps behind a per-line allow escape.
 //! * **`exhaustive-snapshot-fields`** — `..` rest patterns are denied
 //!   inside snapshot encode/decode bodies (`snap`, `unsnap`,

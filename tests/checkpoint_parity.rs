@@ -293,9 +293,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Version 13 writes each GPU's memory as its capacity and bytes in use,
 /// each pod's reservation as a byte count and each model store entry as
 /// its bytes and refcount, and drops the metrics window's start.
+/// Version 14 drops each arena slot's 4-byte generation stamp, adds each
+/// function's queue timer and moves the data-plane events' class byte
+/// from 6 to 7.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 13, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 14, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -304,9 +307,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 9_979, 0x66e0_576e_727f_dc5a),
-        ("fleet", fleet, 8_387, 0x3426_d3ca_68f6_3e7c),
-        ("flash crowd after the node crash", crashed, 15_034, 0x7dcc_d85d_b6d5_fb0b),
+        ("flash crowd", flash, 9_944, 0xdd43_6217_80fa_875d),
+        ("fleet", fleet, 8_326, 0x07ca_7be9_9d3e_a58c),
+        ("flash crowd after the node crash", crashed, 14_991, 0xd401_49d8_6f3e_5248),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
@@ -589,5 +592,70 @@ proptest! {
         let (resumed, r_events) = ckpt_grid_run(g, true);
         prop_assert_eq!(s_events, r_events, "event counts diverged on {:?}", g);
         prop_assert_eq!(straight, resumed, "checkpoint parity broke on {:?}", g);
+    }
+}
+
+/// A checkpoint while a function's queue timer is superseded. On the
+/// only pod, `a` (arrived at 1 ms) times out at 51 ms; `b` (5 ms) queues
+/// and arms the timer at 55 ms. The pod dies at 6 ms: `a`'s retry queues
+/// ahead of `b` and re-arms the timer at 51 ms, leaving the 55 ms one
+/// pending but superseded. The snapshot, taken there, carries both.
+/// Without a pod, the 51 ms timer sheds `a` and re-arms at 55 ms for `b`;
+/// with one rescaled, the backlog is served and the timers find nothing
+/// due. Either way the resumed run matches the straight one's report and
+/// event count under every tie-break order.
+#[test]
+fn checkpoint_with_a_superseded_queue_timer_is_exact() {
+    let ms = SimTime::from_millis;
+    let build = |tb: TieBreak| {
+        let mut p = Platform::new(
+            PlatformConfig::default()
+                .nodes(1)
+                .policy(SharingPolicy::FaST)
+                .request_timeout_factor(1.0)
+                .retry_budget(3)
+                .seed(37)
+                .tiebreak(tb),
+        );
+        let f = p
+            .deploy(
+                FunctionConfig::new("f", "resnet50")
+                    .slo_ms(50)
+                    .replicas(1)
+                    .resources(100.0, 1.0, 1.0),
+            )
+            .unwrap();
+        p.set_load(f, ArrivalProcess::trace(vec![ms(1), ms(5)]));
+        p.run_for(ms(6));
+        assert!(p.kill_pod(p.pods_of(f)[0]));
+        assert_eq!(p.queued_requests(f), 2, "a queues again, ahead of b");
+        (p, f)
+    };
+    for rescale in [false, true] {
+        for tb in TIEBREAKS {
+            let (mut straight, f) = build(tb);
+            let (twin, _) = build(tb);
+            let snapshot = twin.checkpoint();
+            drop(twin);
+            let mut resumed = Platform::from_snapshot(&snapshot).unwrap();
+            for p in [&mut straight, &mut resumed] {
+                if rescale {
+                    p.scale_to(f, 1);
+                }
+            }
+            let s = straight.run_for(SimTime::from_secs(1));
+            let r = resumed.run_for(SimTime::from_secs(1));
+            let case = format!("rescale {rescale}, {tb:?}");
+            assert_eq!(r.canonical_text(), s.canonical_text(), "{case}");
+            assert_eq!(resumed.events_handled(), straight.events_handled(), "{case}");
+            let fr = &s.functions[&f];
+            if rescale {
+                assert_eq!((fr.completed, fr.dropped), (2, 0), "{case}");
+            } else {
+                assert_eq!((fr.completed, fr.dropped), (0, 2), "{case}");
+                // The 51 ms timer, the superseded 55 ms one and its re-arm.
+                assert_eq!(straight.handler_counts().queue_timeout, 3, "{case}");
+            }
+        }
     }
 }

@@ -494,8 +494,8 @@ fn zero_retry_budget_drops_at_the_crash_instant() {
 }
 
 /// A crash-requeued request racing its own gateway timeout: with capacity
-/// gone, the retried request sits queued until the timeout fires and
-/// sheds it. The drop must land exactly once whichever event wins.
+/// gone, the retried request sits queued until its function's queue
+/// timer fires and sheds it. The drop must land exactly once.
 #[test]
 fn retry_races_gateway_timeout_without_losing_requests() {
     let mut p = Platform::new(
@@ -515,8 +515,9 @@ fn retry_races_gateway_timeout_without_losing_requests() {
         .unwrap();
     p.set_load(f, ArrivalProcess::poisson(40.0, 72));
     p.run_for(SimTime::from_secs(1));
-    // Kill all capacity: in-flight requests requeue (budget allows) and
-    // then race their pending RequestTimeout events in the empty queue.
+    // Kill all capacity: in-flight requests requeue (budget allows), each
+    // arming the queue timer if its timeout is the earliest, and wait in
+    // a queue no pod drains.
     for pod in p.pods_of(f) {
         p.kill_pod(pod);
     }
@@ -561,8 +562,8 @@ fn retry_races_gateway_timeout_without_losing_requests() {
 }
 
 /// A request can be *both* over its retry budget (dropped at a crash) and
-/// past its queueing deadline (a timeout already scheduled): the later
-/// timeout must find nothing to cancel and `dropped` counts it once.
+/// due to time out later: the queue timer must not find it, and
+/// `dropped` counts it once.
 #[test]
 fn over_budget_and_timed_out_requests_count_once() {
     let mut p = Platform::new(
@@ -590,8 +591,8 @@ fn over_budget_and_timed_out_requests_count_once() {
         )
         .unwrap();
     p.set_load(f, ArrivalProcess::poisson(60.0, 74));
-    // Run long past every pending timeout: requests dropped over budget at
-    // the crashes still have RequestTimeout events scheduled, and queued
+    // Run long past every timeout: requests dropped over budget at the
+    // crashes have left the queue the timer sheds from, and queued
     // survivors time out normally. Any double-count would break the
     // conservation identity below.
     let report = p.run_for(SimTime::from_secs(6));
@@ -695,4 +696,54 @@ fn huge_degrade_factor_clamps_to_the_clock_bound() {
         assert_eq!(completed(factor), bounded, "factor {factor}");
     }
     assert!(bounded < completed(1.0), "a stalled node serves less");
+}
+
+/// A request that waited in the queue, reached a pod before its timeout
+/// and lost the pod after it is dropped at the retry, not requeued: it
+/// was past its timeout when it would have queued again. The single
+/// replica serves `a` (arriving at 1 ms) for about 14 ms; `b` arrives at
+/// 5 ms, queues behind it, times out at 25 ms (factor 1 on a 20 ms SLO)
+/// and reaches the pod when `a` completes, before that. The pod dies at
+/// 26 ms with `b` on it.
+#[test]
+fn a_retry_past_its_timeout_is_dropped_once() {
+    let ms = SimTime::from_millis;
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(1)
+            .policy(SharingPolicy::FaST)
+            .request_timeout_factor(1.0)
+            .retry_budget(3)
+            .seed(75),
+    );
+    let f = p
+        .deploy(
+            FunctionConfig::new("f", "resnet50")
+                .slo_ms(20)
+                .replicas(1)
+                .resources(100.0, 1.0, 1.0),
+        )
+        .unwrap();
+    p.set_load(f, ArrivalProcess::trace(vec![ms(1), ms(5)]));
+    let report = p.run_for(ms(26));
+    // `a` is done and `b`, having queued behind it, is on the pod past
+    // its timeout.
+    let fr = &report.functions[&f];
+    assert_eq!((fr.arrivals, fr.completed, fr.dropped), (2, 1, 0));
+    assert_eq!(
+        (p.queued_requests(f), p.in_flight_requests()),
+        (0, 1),
+        "b must reach the pod before its timeout"
+    );
+    assert!(p.kill_pod(p.pods_of(f)[0]));
+    assert_eq!(p.dropped_requests(f), 1, "b is dropped at the retry");
+    assert_eq!(p.queued_requests(f), 0, "b is not requeued");
+    // A new pod finds nothing to serve, and nothing drops b again.
+    p.scale_to(f, 1);
+    let report = p.run_for(SimTime::from_secs(1));
+    let fr = &report.functions[&f];
+    assert_eq!((fr.arrivals, fr.completed, fr.dropped), (2, 1, 1));
+    let accounted =
+        fr.completed + fr.dropped + p.queued_requests(f) as u64 + p.in_flight_requests() as u64;
+    assert_eq!(fr.arrivals, accounted, "conservation violated");
 }
