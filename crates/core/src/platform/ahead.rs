@@ -55,7 +55,7 @@
 //! each what its stages did: the row (usage, lease, flags, with the
 //! adapter's running share and the tokens dispatched) through the
 //! table's update, so its slot bits follow; the device's busy time,
-//! occupied area, completions and the client's GPU time
+//! occupied area and completions
 //! ([`GpuDevice::credit_solo`](fastg_gpu::GpuDevice::credit_solo)); and
 //! the engine's fast-forward counters. Each is an exact integer or
 //! `SimTime` sum, or the same floating-point operations in the same
@@ -223,7 +223,7 @@ impl Engine {
         let Stretch {
             limit: _,
             row,
-            lane,
+            lane: _,
             bursts,
             last_burst,
         } = s;
@@ -231,7 +231,7 @@ impl Engine {
             debug_assert!(false, "runtime per node");
             return;
         };
-        node.put_solo_parts(at.slot, row, &lane, &bursts);
+        node.put_solo_parts(at.slot, row, &bursts);
         if let Some(span) = last_burst {
             if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
                 active.burst_gpu_time = span;

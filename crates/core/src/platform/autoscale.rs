@@ -4,7 +4,11 @@
 //! The prediction reads only the arrivals in the trailing
 //! [`PREDICT_WINDOW`], so each function keeps just those (its
 //! `arrival_window`): recorded once per arrival, refused or not, and
-//! pruned as each is recorded.
+//! pruned as each is recorded. The scaler is the window's only reader,
+//! so arrivals are recorded only while one is enabled. A scaler enabled
+//! mid-run therefore predicts from the arrivals since it was enabled:
+//! its first ticks see a window that covers only part of
+//! [`PREDICT_WINDOW`].
 
 use super::engine::{schedule_next, Engine, Event};
 use crate::profiler::ProfileDb;

@@ -123,7 +123,8 @@ pub(super) struct FuncRt {
     pub(super) backoff_until: SimTime,
     /// Time-to-recovery of every healed outage.
     pub(super) recoveries: Vec<SimTime>,
-    /// EWMA service-time estimate feeding deadline-aware shedding.
+    /// EWMA service-time estimate feeding deadline-aware shedding; it
+    /// observes completions only under overload control, its one reader.
     pub(super) service_est: BurstEstimator,
     /// SLO-met completions (goodput), counted against `cfg.warmup`.
     pub(super) goodput: WarmupCounter,
@@ -142,7 +143,8 @@ pub(super) struct FuncRt {
     pub(super) normal_resources: ResourceSpec,
     /// The arrivals the auto-scaler's predictor can still read: those in
     /// `[last − PREDICT_WINDOW, last]`, oldest first, `last` being
-    /// the latest (see the `autoscale` module).
+    /// the latest. Recorded only while a scaler is enabled, so empty
+    /// without one (see the `autoscale` module).
     pub(super) arrival_window: VecDeque<SimTime>,
     /// The instant of the function's one live queue timer: set while a
     /// `QueueTimeout` is pending there, at or before the timeout of the
@@ -558,8 +560,9 @@ impl Engine {
     /// captured planes. The records must agree: each pod's function
     /// exists, and its request's cursor and pending burst lie within that
     /// function's profile; see [`NodeRt::check_decoded`] for a node and
-    /// its pods; and a function's gateway members are exactly its pods
-    /// that neither drain nor died.
+    /// its pods; a function's gateway members are exactly its pods that
+    /// neither drain nor died; and a function holds arrivals only while
+    /// a scaler is enabled.
     pub(super) fn unsnap_state(r: &mut SnapReader<'_>, now: SimTime) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
         let mut nodes = IdArena::unsnap_with(r, NodeRt::unsnap_at)?;
@@ -651,6 +654,9 @@ impl Engine {
             trace: Vec::unsnap(r)?,
             zoo_profiles,
         };
+        if engine.autoscale_db.is_none() && engine.funcs.values().any(|f| !f.arrival_window.is_empty()) {
+            return Err(SnapError::new("function arrival window without a scaler"));
+        }
         let pending = &engine.dispatch_pending;
         let keys_ascend = pending.windows(2).all(|p| p[0].0 < p[1].0);
         let mut owed: Vec<NodeId> = pending.iter().map(|&(_, n)| n).collect();
@@ -985,31 +991,58 @@ mod tests {
         assert_eq!(p.replicas(f), 0);
     }
 
+    /// Arrivals are recorded only while a scaler is enabled: a function
+    /// under load keeps an empty window without one, and after a mid-run
+    /// `enable_autoscaler` its window holds exactly the arrivals since.
+    #[test]
+    fn arrivals_are_recorded_only_while_a_scaler_runs() {
+        let (mut p, f) = resnet_platform(SharingPolicy::FaST);
+        p.set_load(f, ArrivalProcess::constant(100.0));
+        p.run_for(SimTime::from_secs(2));
+        let arrivals = |p: &Platform| p.sim.world().gateway.total_arrivals(f);
+        let before = arrivals(&p);
+        assert!(before > 0);
+        assert!(p.sim.world().funcs[f].arrival_window.is_empty());
+        let enabled = p.now();
+        // An empty profile: the scaler ticks but never acts.
+        p.enable_autoscaler(ProfileDb::new());
+        p.run_for(SimTime::from_secs(1));
+        let window = &p.sim.world().funcs[f].arrival_window;
+        assert_eq!(window.len() as u64, arrivals(&p) - before);
+        assert!(window.front().is_some_and(|&t| t > enabled), "{:?}", window.front());
+        assert!(window.back().is_some_and(|&t| t <= p.now()));
+    }
+
     /// Decode refuses a function naming a model the zoo lacks, one
-    /// whose fingerprint differs from the zoo's profile of its model, and
-    /// an arrival window `record_arrival` cannot leave: unsorted, later
+    /// whose fingerprint differs from the zoo's profile of its model, an
+    /// arrival window `record_arrival` cannot leave (unsorted, later
     /// than the snapshot clock, or holding an arrival the prediction
-    /// window no longer reaches. Each forged window below breaks exactly
-    /// one of the three, so each row fails if its check is removed.
+    /// window no longer reaches), and any arrival on a platform without a
+    /// scaler. Each forged window below breaks exactly one of the four,
+    /// so each row fails if its check is removed.
     #[test]
     fn forged_function_records_are_refused() {
         let (mut p, f) = resnet_platform(SharingPolicy::FaST);
+        // An empty profile: the scaler records arrivals but never acts.
+        p.enable_autoscaler(ProfileDb::new());
         p.set_load(f, ArrivalProcess::constant(100.0));
         p.run_for(SimTime::from_secs(5));
+        assert!(!p.sim.world().funcs[f].arrival_window.is_empty());
         let now = p.now();
         let window = PREDICT_WINDOW;
         let us = SimTime::from_micros;
-        let decode = |forge: &dyn Fn(&mut FuncRt)| {
+        let decode = |forge: &dyn Fn(&mut Engine)| {
             let mut forged = p.clone();
-            forge(&mut forged.sim.world_mut().funcs[f]);
+            forge(forged.sim.world_mut());
             Platform::from_snapshot(&forged.checkpoint()).map(|_| ()).map_err(|e| e.what)
         };
-        let with_window = |times: &[SimTime]| decode(&|rt| rt.arrival_window = times.iter().copied().collect());
+        let with_func = |forge: &dyn Fn(&mut FuncRt)| decode(&|e| forge(&mut e.funcs[f]));
+        let with_window = |times: &[SimTime]| with_func(&|rt| rt.arrival_window = times.iter().copied().collect());
         assert_eq!(decode(&|_| ()), Ok(()));
         assert_eq!(with_window(&[now - window, now, now]), Ok(()));
-        assert_eq!(decode(&|rt| rt.spec.model = "not-a-model".into()), Err("function model"));
+        assert_eq!(with_func(&|rt| rt.spec.model = "not-a-model".into()), Err("function model"));
         // A record written against another profile of the model.
-        assert_eq!(decode(&|rt| rt.model_fingerprint ^= 1), Err("function model fingerprint"));
+        assert_eq!(with_func(&|rt| rt.model_fingerprint ^= 1), Err("function model fingerprint"));
         for (what, times) in [
             ("unsorted", vec![now, now - us(1)]),
             ("after the clock", vec![now + us(1)]),
@@ -1017,6 +1050,17 @@ mod tests {
         ] {
             assert_eq!(with_window(&times), Err("function arrival window"), "{what}");
         }
+        // Without a scaler, an empty window decodes and a recorded one
+        // does not.
+        let unscaled = |e: &mut Engine| e.autoscale_db = None;
+        assert_eq!(
+            decode(&|e| {
+                unscaled(e);
+                e.funcs[f].arrival_window.clear();
+            }),
+            Ok(())
+        );
+        assert_eq!(decode(&unscaled), Err("function arrival window without a scaler"));
     }
 
     /// Decode refuses a queue timer the lifecycle cannot leave: before

@@ -40,35 +40,36 @@ impl Engine {
     pub(super) fn on_arrival(&mut self, now: SimTime, func: FuncId, queue: &mut EventQueue<Event>) {
         // Schedule the next arrival first (the process is self-timed). The
         // chain event is cancellable so `set_load` can replace the chain.
-        // Every arrival feeds the scaler's prediction, refused or not.
+        // While a scaler runs, every arrival feeds its prediction, refused
+        // or not; nothing else reads the window.
         if let Some(frt) = self.funcs.get_mut(func) {
-            record_arrival(&mut frt.arrival_window, now, PREDICT_WINDOW);
+            if self.autoscale_db.is_some() {
+                record_arrival(&mut frt.arrival_window, now, PREDICT_WINDOW);
+            }
             frt.arrival_token = frt
                 .load
                 .as_mut()
                 .and_then(|l| l.next_after(now))
                 .map(|t| queue.schedule_cancellable(t, Event::Arrival(func)));
         }
-        let overload = self.cfg.overload;
-        let slo = self.funcs.get(func).map(|f| f.slo.slo());
         // Breaker admission runs before the request touches the queue: an
         // Open breaker fast-fails (or serves browned-out) without burning
         // queue capacity. The probe id is the id the gateway will assign.
+        // The deadline that shedding reads is set only under overload
+        // control.
         let mut browned = false;
-        if let (true, Some(frt)) = (overload, self.funcs.get_mut(func)) {
+        let mut deadline = SimTime::MAX;
+        if let (true, Some(frt)) = (self.cfg.overload, self.funcs.get_mut(func)) {
             let next_id = self.gateway.next_request_id();
             if frt.breaker.admit(next_id) == AdmitDecision::Refuse {
                 self.gateway.reject_arrival(now, func);
                 return;
             }
             browned = frt.breaker.browned();
+            deadline = now
+                .checked_add(frt.slo.slo().scale(DEADLINE_FACTOR))
+                .unwrap_or(SimTime::MAX);
         }
-        let deadline = match (overload, slo) {
-            (true, Some(slo)) => now
-                .checked_add(slo.scale(DEADLINE_FACTOR))
-                .unwrap_or(SimTime::MAX),
-            _ => SimTime::MAX,
-        };
         let (req, pod) = match self.gateway.on_arrival(now, func, deadline) {
             Admission::Overloaded(req) => {
                 // Bounded queue full: counted as rejected by the gateway,
@@ -223,7 +224,6 @@ impl Engine {
         frt.completions.record(now, self.cfg.warmup);
         let met = latency <= frt.slo.slo();
         let service = now.saturating_sub(active.started);
-        frt.service_est.observe(service);
         if met {
             frt.goodput.record(now, self.cfg.warmup);
         } else {
@@ -231,8 +231,12 @@ impl Engine {
             // the wasted work overload control exists to avoid.
             frt.wasted_service += service;
         }
-        if self.cfg.overload && !is_synthetic(&active.req) {
-            frt.breaker.on_completion(active.req.id.0, met);
+        // Only deadline shedding reads the service estimate.
+        if self.cfg.overload {
+            frt.service_est.observe(service);
+            if !is_synthetic(&active.req) {
+                frt.breaker.on_completion(active.req.id.0, met);
+            }
         }
         let saturate = frt.saturate;
 

@@ -172,9 +172,9 @@ impl NodeRt {
 
     /// Writes a stretch back: the pod's backend row, and the bursts its
     /// lane ran.
-    pub(super) fn put_solo_parts(&mut self, slot: usize, row: SoloRow, lane: &SoloLane, bursts: &BurstTally) {
+    pub(super) fn put_solo_parts(&mut self, slot: usize, row: SoloRow, bursts: &BurstTally) {
         self.backend.put_solo_row(slot, row);
-        self.gpu.credit_solo(lane, bursts);
+        self.gpu.credit_solo(bursts);
     }
 
     // ----- pod lifecycle ----------------------------------------------

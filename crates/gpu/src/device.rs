@@ -279,12 +279,11 @@ impl FfTimeline {
             u32::try_from(elapsed / r.duration.as_micros()).unwrap_or(u32::MAX)
         }
         .min(stop);
-        let (mut area, mut finished, mut busy) = (0u64, 0u32, SimTime::ZERO);
+        let (mut area, mut finished) = (0u64, 0u32);
         if done > self.done {
-            let (from, to) = (self.resident_start(), self.start + r.duration * u64::from(done));
+            let to = self.start + r.duration * u64::from(done);
             area = u64::from(r.granted) * to.saturating_sub(self.credited).as_micros();
             finished = done - self.done;
-            busy = to - from;
             self.credited = to;
             self.done = done;
             if done == r.count {
@@ -305,7 +304,7 @@ impl FfTimeline {
             area += u64::from(r.granted) * upto.saturating_sub(self.credited).as_micros();
             self.credited = self.credited.max(upto);
         }
-        metrics.ff_settled(self.client, area, u64::from(finished), busy);
+        metrics.ff_settled(area, u64::from(finished));
     }
 }
 
@@ -344,7 +343,6 @@ pub struct FfBreak {
 /// bursts in one update. Valid while nothing else touches the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoloLane {
-    client: ClientId,
     cap: u32,
     clock_scale: f64,
 }
@@ -386,7 +384,8 @@ pub struct BurstTally {
     pub bursts: u64,
     /// Kernels of those bursts.
     pub kernels: u64,
-    /// Their spans: the device's busy time and the client's GPU time.
+    /// Their spans: the device's busy time, which the client's sync
+    /// points charge as GPU time.
     pub busy: SimTime,
     /// Their occupied area, grant × span (SM × µs).
     pub occupied_sm_us: u64,
@@ -764,14 +763,12 @@ impl GpuDevice {
         let (_, run) = self.running.swap_remove(i);
         self.free_sms += run.granted;
         debug_assert!(self.free_sms <= self.spec.sm_count);
-        let gpu_time = now - run.started;
-        self.metrics
-            .kernel_finished(now, run.client, run.granted, gpu_time);
+        self.metrics.kernel_finished(now, run.granted);
         let done = KernelDone {
             kernel,
             client: run.client,
             tag: run.tag,
-            gpu_time,
+            gpu_time: now - run.started,
             granted_sms: run.granted,
         };
 
@@ -891,8 +888,8 @@ impl GpuDevice {
     // elapsed occupied area as one integer (SM × µs). Per-kernel stepping
     // sums integer SMs × integer µs too, so every partial sum is an exact
     // integer below 2^53 and any grouping lands on the same bits:
-    // utilization, occupancy, per-client busy time and completion counters
-    // stay byte-identical to per-kernel stepping.
+    // utilization, occupancy and completion counters stay byte-identical
+    // to per-kernel stepping, and so does the GPU time each burst returns.
 
     /// Whether `client` may run inside the capped regime (see the comment
     /// above): nobody waits for SMs, every resident grant is within its
@@ -1065,25 +1062,23 @@ impl GpuDevice {
         }
         let cap = self.admission(client).flatten()?;
         Some(SoloLane {
-            client,
             cap,
             clock_scale: self.clock_scale,
         })
     }
 
-    /// Credits whole bursts `lane` ran while the device stayed idle, as
-    /// if each had been fast-forwarded and completed in turn: the busy
-    /// time, occupied area, completions and the client's GPU time that
+    /// Credits whole bursts a [`SoloLane`] ran while the device stayed
+    /// idle, as if each had been fast-forwarded and completed in turn:
+    /// the busy time, occupied area and completions that
     /// [`Self::fast_forward_burst`] and [`Self::ff_complete`] leave, as
     /// one exact integer sum each. Nothing else changes: each such pair
     /// hands its grant and its cap back.
-    pub fn credit_solo(&mut self, lane: &SoloLane, tally: &BurstTally) {
+    pub fn credit_solo(&mut self, tally: &BurstTally) {
         debug_assert!(self.is_idle(), "solo bursts credited on a busy device");
         if tally.bursts == 0 {
             return;
         }
-        self.metrics
-            .ff_bursts_credited(lane.client, tally.busy, tally.occupied_sm_us, tally.kernels);
+        self.metrics.ff_bursts_credited(tally.busy, tally.occupied_sm_us, tally.kernels);
     }
 
     /// Whether no client is active: none has a timeline, a resident or
@@ -1157,8 +1152,8 @@ impl GpuDevice {
 
     /// Completes a fast-forwarded burst at its macro-event time `now` (the
     /// analytic finish of its final kernel): settles this timeline alone
-    /// to its end — its remaining area, completions and GPU time, its
-    /// grant back into `free_sms`, and its busy interval's end — and
+    /// to its end — its remaining area and completions, its grant back
+    /// into `free_sms`, and its busy interval's end — and
     /// returns the burst's totals for the caller's synchronization point.
     /// Returns `None` if `client` has no timeline (e.g. a stale
     /// macro-event after an invalidation the caller missed).
@@ -1474,12 +1469,12 @@ mod tests {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
         let s = gpu.launch(SimTime::ZERO, c, kernel(40, 1000)).unwrap().unwrap();
-        gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+        let (done, _) = gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
         let stats = gpu.metrics().window_stats(SimTime::from_micros(2000));
         // 40 SMs busy for 1000us of a 2000us window = 25 % occupancy.
         assert!((stats.sm_occupancy - 0.25).abs() < 1e-9);
         assert!((stats.utilization - 0.5).abs() < 1e-9);
-        assert_eq!(gpu.metrics().client_busy(c), SimTime::from_micros(1000));
+        assert_eq!((done.client, done.gpu_time), (c, SimTime::from_micros(1000)));
     }
 
     #[test]
@@ -1583,21 +1578,23 @@ mod tests {
     }
 
     /// Steps a burst through the per-kernel path: launch everything, then
-    /// drive each finish at its scheduled time. Returns the last finish.
-    fn run_per_kernel(gpu: &mut GpuDevice, client: ClientId, descs: &[KernelDesc]) -> SimTime {
+    /// drive each finish at its scheduled time. Returns the last finish
+    /// and the GPU time the finishes returned, which the backend charges.
+    fn run_per_kernel(gpu: &mut GpuDevice, client: ClientId, descs: &[KernelDesc]) -> (SimTime, SimTime) {
         let mut pending: VecDeque<KernelStart> = VecDeque::new();
         for &d in descs {
             if let Some(s) = gpu.launch(SimTime::ZERO, client, d).unwrap() {
                 pending.push_back(s);
             }
         }
-        let mut last = SimTime::ZERO;
+        let (mut last, mut charged) = (SimTime::ZERO, SimTime::ZERO);
         while let Some(s) = pending.pop_front() {
             last = s.finish_at;
-            let (_, started) = gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+            let (done, started) = gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+            charged += done.gpu_time;
             pending.extend(started);
         }
-        last
+        (last, charged)
     }
 
     #[test]
@@ -1605,7 +1602,7 @@ mod tests {
         let (desc, count) = (kernel(19, 200), 3);
         let mut stepped = v100();
         let cs = stepped.register_client(12.0).unwrap();
-        let end_stepped = run_per_kernel(&mut stepped, cs, &[desc; 3]);
+        let (end_stepped, charged) = run_per_kernel(&mut stepped, cs, &[desc; 3]);
 
         let mut ffwd = v100();
         let cf = ffwd.register_client(12.0).unwrap();
@@ -1615,10 +1612,10 @@ mod tests {
         assert_eq!(end_ff, end_stepped);
         let done = ffwd.ff_complete(end_ff, cf).unwrap();
         assert_eq!(done.completed, u64::from(count));
+        assert_eq!(done.gpu_time, charged);
 
         assert_eq!(ffwd.free_sms(), stepped.free_sms());
         assert_eq!(ffwd.metrics().total_kernels(), stepped.metrics().total_kernels());
-        assert_eq!(ffwd.metrics().client_busy(cf), stepped.metrics().client_busy(cs));
         let w = end_ff + SimTime::from_micros(1);
         let a = ffwd.metrics_mut().sample(w);
         let b = stepped.metrics_mut().sample(w);
@@ -1657,7 +1654,6 @@ mod tests {
             let end = ends[0];
             assert_eq!(fresh.ff_complete(end, c), synced.ff_complete(end, c));
             assert_eq!(bytes(&fresh), bytes(&synced));
-            assert_eq!(fresh.metrics().client_busy(c), synced.metrics().client_busy(c));
             let later = end + SimTime::from_micros(10);
             let (a, b) = (fresh.metrics_mut().sample(later), synced.metrics_mut().sample(later));
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
@@ -1685,10 +1681,12 @@ mod tests {
             credited.set_clock_scale(scale);
             let lane = credited.solo_lane(c).unwrap();
             let mut tally = BurstTally::default();
+            let mut charged = SimTime::ZERO;
             let mut now = SimTime::from_micros(70);
             for (desc, count) in bursts {
                 let end = stepped.fast_forward_burst(now, c, desc, count).unwrap();
                 let done = stepped.ff_complete(end, c).unwrap();
+                charged += done.gpu_time;
                 let burst = lane.burst(desc, count).unwrap();
                 assert_eq!(now + burst.span, end, "span at scale {scale}");
                 assert_eq!(burst.span, done.gpu_time);
@@ -1698,9 +1696,9 @@ mod tests {
                 now = end + SimTime::from_micros(1_300);
             }
             assert_eq!(lane.burst(kernel(19, 200), 0), None, "an empty burst");
-            credited.credit_solo(&lane, &tally);
+            credited.credit_solo(&tally);
             assert_eq!(bytes(&stepped), bytes(&credited));
-            assert_eq!(stepped.metrics().client_busy(c), credited.metrics().client_busy(c));
+            assert_eq!(tally.busy, charged);
             let (a, b) = (stepped.metrics_mut().sample(now), credited.metrics_mut().sample(now));
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
@@ -1729,12 +1727,12 @@ mod tests {
         let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, kernel(40, 70), 3).unwrap();
         assert_eq!(end_a, SimTime::from_micros(200));
         assert_eq!(end_b, SimTime::from_micros(210));
-        gpu.ff_complete(end_a, a).unwrap();
-        gpu.ff_complete(end_b, b).unwrap();
+        let done_a = gpu.ff_complete(end_a, a).unwrap();
+        let done_b = gpu.ff_complete(end_b, b).unwrap();
         assert_eq!(gpu.metrics().total_kernels(), 5);
         assert_eq!(gpu.free_sms(), 80);
-        assert_eq!(gpu.metrics().client_busy(a), SimTime::from_micros(200));
-        assert_eq!(gpu.metrics().client_busy(b), SimTime::from_micros(210));
+        assert_eq!(done_a.gpu_time, SimTime::from_micros(200));
+        assert_eq!(done_b.gpu_time, SimTime::from_micros(210));
     }
 
     /// Two overlapping bursts with a different kernel and grant per
@@ -1784,15 +1782,13 @@ mod tests {
     }
 
     /// Samples both devices at `at` (the fast-forwarded one after the
-    /// sync the engine's sample path does) and requires every counter and
-    /// the window's utilization/occupancy bits to agree.
+    /// sync the engine's sample path does) and requires free SMs, the
+    /// completion counters and the window's utilization/occupancy bits to
+    /// agree.
     fn assert_same_sample(ff: &mut GpuDevice, stepped: &mut GpuDevice, at: SimTime) {
         ff.ff_sync(at);
         assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
         assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels());
-        for c in ff.mps().client_ids() {
-            assert_eq!(ff.metrics().client_busy(c), stepped.metrics().client_busy(c));
-        }
         let x = ff.metrics_mut().sample(at);
         let y = stepped.metrics_mut().sample(at);
         assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "util at {at:?}");
@@ -1820,7 +1816,7 @@ mod tests {
         let done = ff.ff_complete(SimTime::from_micros(200), a).unwrap();
         assert_eq!(done.completed, 4);
         assert_eq!(done.gpu_time, SimTime::from_micros(200));
-        assert_eq!(ff.metrics().client_busy(b), SimTime::ZERO, "b not settled yet");
+        assert_eq!(ff.metrics().total_kernels(), 4, "b not settled yet");
         // A mid-burst sample settles `b` and matches per-kernel stepping.
         let t = SimTime::from_micros(250);
         step_until(&mut stepped, &mut pending, t);
@@ -2001,7 +1997,6 @@ mod tests {
         assert_eq!(gpu.metrics().total_kernels(), 2);
         gpu.ff_sync_inclusive(SimTime::from_micros(120));
         assert_eq!(gpu.metrics().total_kernels(), 3);
-        assert_eq!(gpu.metrics().client_busy(c), SimTime::from_micros(120));
         // A strict sync past the end stops at the last kernel.
         gpu.ff_sync(SimTime::from_micros(1000));
         assert_eq!(gpu.metrics().total_kernels(), 9);
@@ -2088,9 +2083,10 @@ mod tests {
         assert_eq!(done.gpu_time, SimTime::from_micros(100));
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].finish_at, SimTime::from_micros(300));
-        gpu.on_kernel_finish(started[0].finish_at, started[0].kernel).unwrap();
+        let (last, _) = gpu.on_kernel_finish(started[0].finish_at, started[0].kernel).unwrap();
         assert_eq!(gpu.metrics().total_kernels(), 3);
-        assert_eq!(gpu.metrics().client_busy(c), SimTime::from_micros(300));
+        // The burst's sync points charge its whole span between them.
+        assert_eq!(brk.gpu_time + done.gpu_time + last.gpu_time, SimTime::from_micros(300));
         assert_eq!(gpu.free_sms(), 80);
     }
 
@@ -2128,20 +2124,23 @@ mod tests {
         let mut restored = GpuDevice::unsnap(&mut r).unwrap();
         r.expect_done().unwrap();
 
-        // Drive both devices through the same tail and compare.
+        // Drive both devices through the same tail and compare, with the
+        // GPU time each sync point returns.
+        let mut charged = Vec::new();
         for dev in [&mut gpu, &mut restored] {
-            dev.ff_complete(end_c, c).unwrap();
+            let mut times = vec![(c, dev.ff_complete(end_c, c).unwrap().gpu_time)];
             let (done, started) = dev.on_kernel_finish(sa.finish_at, sa.kernel).unwrap();
             assert_eq!(done.gpu_time, SimTime::from_micros(100));
+            times.push((done.client, done.gpu_time));
             for s in started {
-                dev.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+                let (done, _) = dev.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+                times.push((done.client, done.gpu_time));
             }
+            charged.push(times);
         }
+        assert_eq!(charged[0], charged[1]);
         assert_eq!(gpu.free_sms(), restored.free_sms());
         assert_eq!(gpu.metrics().total_kernels(), restored.metrics().total_kernels());
-        for cl in [a, b, c] {
-            assert_eq!(gpu.metrics().client_busy(cl), restored.metrics().client_busy(cl));
-        }
         let t = SimTime::from_micros(500);
         let x = gpu.metrics_mut().sample(t);
         let y = restored.metrics_mut().sample(t);

@@ -9,10 +9,12 @@
 //!   > 95 % utilization with < 10 % SM occupancy.
 //! * **SM occupancy**: the time-weighted mean fraction of SMs occupied by
 //!   resident kernels.
+//!
+//! The counters are device-wide. A client's GPU time is not kept here:
+//! the device returns it at each synchronization point (`KernelDone`,
+//! `FfDone`, `FfBreak`), and the FaST Backend charges quota from those.
 
-use crate::device::ClientId;
 use fastg_des::{snap_struct, BusyTracker, SimTime, TimeSeries, TimeWeighted};
-use std::collections::BTreeMap;
 
 /// A snapshot of the GPU's aggregate counters over a window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +27,8 @@ pub struct GpuWindowStats {
     pub kernels_completed: u64,
 }
 
-/// Live metric accounting for one GPU.
+/// Live metric accounting for one GPU: utilization, SM occupancy and
+/// completions, with their exported series.
 #[derive(Debug, Clone)]
 pub struct GpuMetrics {
     sm_count: u32,
@@ -33,7 +36,6 @@ pub struct GpuMetrics {
     occupied_sms: TimeWeighted,
     kernels_completed: u64,
     window_kernels: u64,
-    per_client_busy: BTreeMap<ClientId, SimTime>,
     util_series: TimeSeries,
     occ_series: TimeSeries,
 }
@@ -48,7 +50,6 @@ impl GpuMetrics {
             occupied_sms: TimeWeighted::new(SimTime::ZERO, 0.0),
             kernels_completed: 0,
             window_kernels: 0,
-            per_client_busy: BTreeMap::new(),
             util_series: TimeSeries::new(),
             occ_series: TimeSeries::new(),
         }
@@ -60,23 +61,12 @@ impl GpuMetrics {
         self.occupied_sms.add(now, granted_sms as f64);
     }
 
-    /// Records a kernel finishing; `gpu_time` is its residency duration and
-    /// `client` the MPS client it belonged to.
-    pub fn kernel_finished(
-        &mut self,
-        now: SimTime,
-        client: ClientId,
-        granted_sms: u32,
-        gpu_time: SimTime,
-    ) {
+    /// Records a kernel that held `granted_sms` SMs finishing at `now`.
+    pub fn kernel_finished(&mut self, now: SimTime, granted_sms: u32) {
         self.util.end(now);
         self.occupied_sms.add(now, -(granted_sms as f64));
         self.kernels_completed += 1;
         self.window_kernels += 1;
-        *self
-            .per_client_busy
-            .entry(client)
-            .or_insert(SimTime::ZERO) += gpu_time;
     }
 
     /// A fast-forwarded burst becomes resident at `now`. Only its busy
@@ -89,43 +79,23 @@ impl GpuMetrics {
 
     /// Settles part of a fast-forwarded burst: `occupied_sm_us` is the
     /// exact SM × µs area its kernels occupied since the last settle, and
-    /// `kernels` completions of `client` totalling `busy` GPU time
-    /// finished. Per-kernel stepping adds the same integers one kernel at
-    /// a time; as every partial sum is an exact integer, batching them is
-    /// bit-identical.
-    pub fn ff_settled(
-        &mut self,
-        client: ClientId,
-        occupied_sm_us: u64,
-        kernels: u64,
-        busy: SimTime,
-    ) {
+    /// `kernels` of them finished. Per-kernel stepping adds the same
+    /// integers one kernel at a time; as every partial sum is an exact
+    /// integer, batching them is bit-identical.
+    pub fn ff_settled(&mut self, occupied_sm_us: u64, kernels: u64) {
         self.occupied_sms.credit_us(occupied_sm_us);
-        if kernels == 0 {
-            return;
-        }
         self.kernels_completed += kernels;
         self.window_kernels += kernels;
-        *self
-            .per_client_busy
-            .entry(client)
-            .or_insert(SimTime::ZERO) += busy;
     }
 
-    /// Whole fast-forwarded bursts of `client` that began and ended while
-    /// the device was otherwise idle, with nothing settling them in
-    /// between: their busy intervals total `busy`, and [`Self::ff_settled`]
-    /// takes the rest. The same integers [`Self::ff_begin`],
-    /// [`Self::ff_settled`] and [`Self::ff_end`] add burst by burst.
-    pub fn ff_bursts_credited(
-        &mut self,
-        client: ClientId,
-        busy: SimTime,
-        occupied_sm_us: u64,
-        kernels: u64,
-    ) {
+    /// Whole fast-forwarded bursts that began and ended while the device
+    /// was otherwise idle, with nothing settling them in between: their
+    /// busy intervals total `busy`, and [`Self::ff_settled`] takes the
+    /// rest. The same integers [`Self::ff_begin`], [`Self::ff_settled`]
+    /// and [`Self::ff_end`] add burst by burst.
+    pub fn ff_bursts_credited(&mut self, busy: SimTime, occupied_sm_us: u64, kernels: u64) {
         self.util.credit(busy);
-        self.ff_settled(client, occupied_sm_us, kernels, busy);
+        self.ff_settled(occupied_sm_us, kernels);
     }
 
     /// A fast-forwarded burst's busy interval ends at `now`: its last
@@ -143,9 +113,8 @@ impl GpuMetrics {
     }
 
     /// Records a resident kernel being aborted (node crash / hard reset):
-    /// its busy interval and SM occupancy end at `now`, but it counts
-    /// neither as a completion nor toward any client's busy time — the work
-    /// was lost, not served.
+    /// its busy interval and SM occupancy end at `now`, but it does not
+    /// count as a completion — the work was lost, not served.
     pub fn kernel_aborted(&mut self, now: SimTime, granted_sms: u32) {
         self.util.end(now);
         self.occupied_sms.add(now, -(granted_sms as f64));
@@ -179,15 +148,6 @@ impl GpuMetrics {
         self.kernels_completed
     }
 
-    /// Cumulative GPU busy time attributed to `client` (the Gemini-style
-    /// usage monitor the FaST Backend charges quotas from).
-    pub fn client_busy(&self, client: ClientId) -> SimTime {
-        self.per_client_busy
-            .get(&client)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// The exported utilization series (one point per sample call).
     pub fn utilization_series(&self) -> &TimeSeries {
         &self.util_series
@@ -215,7 +175,6 @@ snap_struct!(GpuMetrics {
     occupied_sms,
     kernels_completed,
     window_kernels,
-    per_client_busy,
     util_series,
     occ_series,
 });
@@ -239,7 +198,7 @@ mod tests {
     fn idle_gaps_lower_utilization() {
         let mut m = GpuMetrics::new(80);
         m.kernel_started(SimTime::ZERO, 80);
-        m.kernel_finished(SimTime::from_millis(250), ClientId(0), 80, SimTime::from_millis(250));
+        m.kernel_finished(SimTime::from_millis(250), 80);
         let stats = m.window_stats(SimTime::from_secs(1));
         assert!((stats.utilization - 0.25).abs() < 1e-9);
         assert!((stats.sm_occupancy - 0.25).abs() < 1e-9);
@@ -250,7 +209,7 @@ mod tests {
     fn sampling_resets_window() {
         let mut m = GpuMetrics::new(10);
         m.kernel_started(SimTime::ZERO, 10);
-        m.kernel_finished(SimTime::from_millis(500), ClientId(1), 10, SimTime::from_millis(500));
+        m.kernel_finished(SimTime::from_millis(500), 10);
         let w1 = m.sample(SimTime::from_secs(1));
         assert!((w1.utilization - 0.5).abs() < 1e-9);
         assert_eq!(w1.kernels_completed, 1);
@@ -260,18 +219,6 @@ mod tests {
         assert_eq!(w2.kernels_completed, 0);
         assert_eq!(m.utilization_series().len(), 2);
         assert_eq!(m.total_kernels(), 1);
-    }
-
-    #[test]
-    fn per_client_busy_accumulates() {
-        let mut m = GpuMetrics::new(80);
-        let c = ClientId(3);
-        m.kernel_started(SimTime::ZERO, 4);
-        m.kernel_finished(SimTime::from_millis(10), c, 4, SimTime::from_millis(10));
-        m.kernel_started(SimTime::from_millis(20), 4);
-        m.kernel_finished(SimTime::from_millis(35), c, 4, SimTime::from_millis(15));
-        assert_eq!(m.client_busy(c), SimTime::from_millis(25));
-        assert_eq!(m.client_busy(ClientId(9)), SimTime::ZERO);
     }
 
     #[test]

@@ -36,11 +36,21 @@ struct Twin {
     macros: Vec<(SimTime, usize)>,
     ff_pending: Vec<KernelStart>,
     stepped_pending: Vec<KernelStart>,
+    /// Per client: the GPU time the sync points of `ff` and of `stepped`
+    /// returned, which is what the backend charges.
+    charged: [Vec<SimTime>; 2],
     /// The latest instant delivered.
     last: SimTime,
 }
 
 impl Twin {
+    /// Adds `gpu_time`, returned by a sync point of `client` on device
+    /// `dev` (0 `ff`, 1 `stepped`), to its charge.
+    fn charge(&mut self, dev: usize, client: ClientId, gpu_time: SimTime) {
+        let i = self.clients.iter().position(|&c| c == client).expect("a twin client");
+        self.charged[dev][i] += gpu_time;
+    }
+
     /// Delivers every event before `until` (or at it too, when
     /// `inclusive`) to both devices in time order, finishes before burst
     /// starts at equal instants.
@@ -69,16 +79,19 @@ impl Twin {
             match kind {
                 0 => {
                     let (t, c) = self.macros.swap_remove(i);
-                    self.ff.ff_complete(t, self.clients[c]).expect("live timeline");
+                    let done = self.ff.ff_complete(t, self.clients[c]).expect("live timeline");
+                    self.charged[0][c] += done.gpu_time;
                 }
                 1 => {
                     let s = self.ff_pending.swap_remove(i);
-                    let (_, started) = self.ff.on_kernel_finish(t, s.kernel).unwrap();
+                    let (done, started) = self.ff.on_kernel_finish(t, s.kernel).unwrap();
+                    self.charge(0, done.client, done.gpu_time);
                     self.ff_pending.extend(started);
                 }
                 2 => {
                     let s = self.stepped_pending.swap_remove(i);
-                    let (_, started) = self.stepped.on_kernel_finish(t, s.kernel).unwrap();
+                    let (done, started) = self.stepped.on_kernel_finish(t, s.kernel).unwrap();
+                    self.charge(1, done.client, done.gpu_time);
                     self.stepped_pending.extend(started);
                 }
                 _ => self.start_burst(i),
@@ -131,22 +144,19 @@ impl Twin {
     }
 
     /// Compares copies of both devices at `at` (the fast-forwarded one
-    /// synced first, as every read site does): free SMs, completions,
-    /// per-client busy time and a metric sample's bits.
+    /// synced first, as every read site does): free SMs, completions and
+    /// a metric sample's bits.
     fn check(&self, at: SimTime) {
         let (mut ff, mut stepped) = (copy(&self.ff), copy(&self.stepped));
         ff.ff_sync(at);
-        assert_same(&mut ff, &mut stepped, &self.clients, at);
+        assert_same(&mut ff, &mut stepped, at);
     }
 }
 
-/// Requires equal free SMs, completions, busy times and sample bits.
-fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, clients: &[ClientId], at: SimTime) {
+/// Requires equal free SMs, completions and sample bits.
+fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, at: SimTime) {
     assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
     assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels(), "completions at {at:?}");
-    for &c in clients {
-        assert_eq!(ff.metrics().client_busy(c), stepped.metrics().client_busy(c), "{c:?} busy at {at:?}");
-    }
     let x = ff.metrics_mut().sample(at);
     let y = stepped.metrics_mut().sample(at);
     assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "utilization at {at:?}");
@@ -293,9 +303,11 @@ proptest! {
     /// and launch count, with single-kernel bursts and zero-duration
     /// kernels. Syncs,
     /// inclusive syncs, breaks, completions, samples and snapshot round
-    /// trips interleave, and after every operation free SMs, completions,
-    /// busy times and sample bits must equal per-kernel stepping's, and
-    /// every client's `ff_admits` the rule recomputed from the MPS table.
+    /// trips interleave, and after every operation free SMs, completions
+    /// and sample bits must equal per-kernel stepping's, and every
+    /// client's `ff_admits` the rule recomputed from the MPS table. Once
+    /// every burst has ended, each client's GPU time, summed over the sync
+    /// points, must equal per-kernel stepping's too.
     #[test]
     fn run_length_timelines_match_per_kernel_stepping(
         clients in prop::collection::vec(
@@ -339,6 +351,7 @@ proptest! {
             macros: Vec::new(),
             ff_pending: Vec::new(),
             stepped_pending: Vec::new(),
+            charged: [vec![SimTime::ZERO; clients.len()], vec![SimTime::ZERO; clients.len()]],
             last: SimTime::ZERO,
         };
         let mut now = SimTime::ZERO;
@@ -363,6 +376,7 @@ proptest! {
                     if twin.ff.ff_active(client) {
                         let brk = twin.ff.ff_break(now, client).unwrap();
                         prop_assert!(brk.resumed.started <= now && now <= brk.resumed.finish_at);
+                        twin.charged[0][c] += brk.gpu_time;
                         twin.macros.retain(|&(_, m)| m != c);
                         twin.ff_pending.push(brk.resumed);
                     }
@@ -370,7 +384,7 @@ proptest! {
                 4 => {
                     twin.advance(now, false);
                     twin.ff.ff_sync(now);
-                    assert_same(&mut twin.ff, &mut twin.stepped, &twin.clients, now);
+                    assert_same(&mut twin.ff, &mut twin.stepped, now);
                 }
                 _ => {
                     twin.advance(now, false);
@@ -385,6 +399,9 @@ proptest! {
         }
         twin.advance(SimTime::MAX, true);
         twin.check(twin.last);
+        // Every burst has ended, so each client was charged its whole GPU
+        // time on both devices.
+        prop_assert_eq!(&twin.charged[0], &twin.charged[1]);
         prop_assert!(!twin.ff.has_ff());
         prop_assert_eq!(twin.ff.free_sms(), 80);
         prop_assert_eq!(twin.ff.resident_kernels(), 0);

@@ -169,7 +169,8 @@ const DETERMINISTIC_CRATES: [&str; 4] = [
 
 /// Files on the per-event hot path, where entity lookups must be arena
 /// indexing rather than ordered-tree walks (`no-btreemap-hot-path`).
-const HOT_PATH_FILES: [&str; 7] = [
+const HOT_PATH_FILES: [&str; 10] = [
+    "crates/core/src/platform/ahead.rs",
     "crates/core/src/platform/engine.rs",
     "crates/core/src/platform/lifecycle.rs",
     "crates/core/src/platform/node.rs",
@@ -177,6 +178,8 @@ const HOT_PATH_FILES: [&str; 7] = [
     "crates/core/src/manager/backend.rs",
     "crates/core/src/scheduler/node_select.rs",
     "crates/cluster/src/gateway.rs",
+    "crates/gpu/src/device.rs",
+    "crates/gpu/src/metrics.rs",
 ];
 
 /// Classifies a workspace-relative path. `None` means the file is out of
@@ -1400,7 +1403,7 @@ mod tests {
 
     #[test]
     fn classify_paths() {
-        assert_eq!(classify("crates/gpu/src/device.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: false }));
+        assert_eq!(classify("crates/gpu/src/device.rs"), Some(FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true }));
         assert_eq!(classify("crates/workload/src/rate.rs"), Some(FileScope { lib_code: true, deterministic: false, threads_banned: true, hot_path: false }));
         assert_eq!(classify("crates/par/src/lib.rs"), Some(FileScope { lib_code: true, deterministic: false, threads_banned: false, hot_path: false }));
         assert_eq!(classify("crates/core/src/bin/fastgshare.rs"), Some(FileScope { lib_code: false, deterministic: true, threads_banned: false, hot_path: false }));

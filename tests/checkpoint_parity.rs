@@ -295,10 +295,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// its bytes and refcount, and drops the metrics window's start.
 /// Version 14 drops each arena slot's 4-byte generation stamp, adds each
 /// function's queue timer and moves the data-plane events' class byte
-/// from 6 to 7.
+/// from 6 to 7. Version 15 drops each GPU's per-client busy-time map,
+/// and, as the platforms here run no scaler, their arrival windows are
+/// now empty.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 14, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 15, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -307,9 +309,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 9_944, 0xdd43_6217_80fa_875d),
-        ("fleet", fleet, 8_326, 0x07ca_7be9_9d3e_a58c),
-        ("flash crowd after the node crash", crashed, 14_991, 0xd401_49d8_6f3e_5248),
+        ("flash crowd", flash, 5_628, 0x8fba_769e_500b_c420),
+        ("fleet", fleet, 6_894, 0xd040_acae_d3f0_b273),
+        ("flash crowd after the node crash", crashed, 5_755, 0xc5a5_3e96_ee62_bf74),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
