@@ -368,19 +368,11 @@ impl NodeRt {
 
     // ----- metrics ----------------------------------------------------
 
-    /// Samples the device's metrics window at `now`. Deferred
-    /// fast-forward boundaries land first: strictly before `now` for the
-    /// periodic sample (same-instant finishes order after it, exactly as
-    /// their per-kernel events would), and at `now` too for a report's
-    /// closing sample (`inclusive`), since a per-kernel run would have
-    /// delivered those finishes before the caller could report.
+    /// Samples the device's metrics window at `now`, inclusive of the
+    /// finishes at exactly `now` for a report's closing sample (see
+    /// `GpuDevice::sample`).
     pub(super) fn sample_metrics(&mut self, now: SimTime, inclusive: bool) {
-        if inclusive {
-            self.gpu.ff_sync_inclusive(now);
-        } else {
-            self.gpu.ff_sync(now);
-        }
-        self.gpu.metrics_mut().sample(now);
+        self.gpu.sample(now, inclusive);
     }
 
     /// Device memory in use (bytes).

@@ -7,9 +7,9 @@
 //!   tie-breaking, so that two events scheduled for the same instant are
 //!   always delivered in the order they were scheduled,
 //! * [`Simulation`] / [`World`] — the event loop driver,
-//! * [`TimeWeighted`], [`BusyTracker`] and [`TimeSeries`] — integrators and
-//!   recorders used to compute GPU utilization, SM occupancy and other
-//!   interval statistics.
+//! * [`BusyTracker`] and [`TimeSeries`] — the busy-interval tracker and
+//!   sample recorder behind GPU utilization and the exported metric
+//!   series.
 //!
 //! Everything is deterministic: given the same initial state and the same
 //! sequence of `schedule` calls, a simulation replays event-for-event.
@@ -50,7 +50,7 @@ mod time;
 
 pub use arena::{ArenaKey, IdArena, IdSet};
 pub use queue::{CancelToken, EventQueue, TieBreak};
-pub use series::{BusyTracker, TimeSeries, TimeWeighted};
+pub use series::{BusyTracker, TimeSeries};
 pub use sim::{Simulation, StepOutcome, World};
 pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use time::SimTime;

@@ -16,11 +16,14 @@
 //! * `monotone-dispatch` — event dispatch time never decreases,
 //! * `cancel-token-generation` — a [`crate::CancelToken`] always names a
 //!   live entry from its own queue's sequence space,
-//! * `ff-credit-order` — a fast-forward timeline's credited point never
-//!   moves backwards and never passes the settling instant or the burst's
+//! * `ff-credit-order` — a GPU resident record's credited point never
+//!   moves backwards and never passes the settling instant or the run's
 //!   end,
 //! * `sm-conservation` — per-kernel SM grants stay within client caps and
 //!   the device-wide SM budget,
+//! * `window-area` — at every GPU metrics sample, the window's occupied
+//!   area is at most the SM count × its busy µs (occupancy ≤
+//!   utilization, in integers),
 //! * `overload-conservation` — every admitted request is accounted for
 //!   exactly once in the report identity
 //!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`,

@@ -1,113 +1,7 @@
-//! Interval statistics: time-weighted integrators and sampled series.
+//! Interval statistics: busy-interval tracking and sampled series.
 
 use crate::snap_struct;
 use crate::time::SimTime;
-
-/// Integrates a piecewise-constant signal over simulated time.
-///
-/// Used for SM occupancy: the number of busy SMs is piecewise constant
-/// between events; `TimeWeighted` accumulates `value × dt` so the mean over
-/// any window is `integral / elapsed`.
-///
-/// The running integral is kept in `value × microseconds` units and only
-/// converted to seconds at read time. For integer-valued signals (SM
-/// counts) every accumulated term is then an exact integer in `f64`
-/// (products stay far below 2⁵³), which makes the sum associative — the
-/// property device fast-forward relies on when it credits a whole burst's
-/// area through [`TimeWeighted::credit_us`] and still lands bit-identical
-/// to per-kernel accumulation.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    /// Σ value × dt, with dt in microseconds.
-    integral_us: f64,
-    started: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts integrating `initial` at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            value: initial,
-            last_change: start,
-            integral_us: 0.0,
-            started: start,
-        }
-    }
-
-    /// Updates the signal to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        self.accumulate(now);
-        self.value = value;
-    }
-
-    /// Adds `delta` to the signal at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        self.accumulate(now);
-        self.value += delta;
-    }
-
-    /// Adds `value_us` (value × microseconds) straight to the integral:
-    /// the area of a stretch of signal the caller integrated itself and
-    /// kept out of the live value. An integer area keeps the integral an
-    /// exact sum, so crediting it in one piece equals integrating it step
-    /// by step.
-    pub fn credit_us(&mut self, value_us: u64) {
-        // u64→f64: areas stay far below 2^53 (see the type docs).
-        // fastg-lint: allow(no-lossy-cast)
-        self.integral_us += value_us as f64;
-    }
-
-    /// The current instantaneous value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// The integral of the signal from the start through `now`, in
-    /// `value × seconds` units.
-    pub fn integral_at(&self, now: SimTime) -> f64 {
-        // u64→f64: dt is far below 2^53 µs (≈ 285 simulated years).
-        // fastg-lint: allow(no-lossy-cast)
-        let dt = now.saturating_sub(self.last_change).as_micros() as f64;
-        (self.integral_us + self.value * dt) / 1e6
-    }
-
-    /// The time-weighted mean of the signal from the start through `now`.
-    /// Returns zero for an empty interval.
-    pub fn mean_at(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_sub(self.started).as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.integral_at(now) / elapsed
-        }
-    }
-
-    /// Resets the integration window to start at `now`, keeping the current
-    /// instantaneous value.
-    pub fn reset(&mut self, now: SimTime) {
-        self.accumulate(now);
-        self.integral_us = 0.0;
-        self.started = now;
-        self.last_change = now;
-    }
-
-    fn accumulate(&mut self, now: SimTime) {
-        // u64→f64: dt is far below 2^53 µs (≈ 285 simulated years).
-        // fastg-lint: allow(no-lossy-cast)
-        let dt = now.saturating_sub(self.last_change).as_micros() as f64;
-        self.integral_us += self.value * dt;
-        self.last_change = self.last_change.max(now);
-    }
-}
-
-snap_struct!(TimeWeighted {
-    value,
-    last_change,
-    integral_us,
-    started,
-});
 
 /// Tracks intervals during which a resource is busy (value > 0).
 ///
@@ -180,9 +74,14 @@ impl BusyTracker {
         }
     }
 
+    /// Length of the window from the start through `now`.
+    pub fn elapsed_at(&self, now: SimTime) -> SimTime {
+        now.saturating_sub(self.started)
+    }
+
     /// Busy fraction (0..=1) of the window from the start through `now`.
     pub fn utilization_at(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_sub(self.started).as_secs_f64();
+        let elapsed = self.elapsed_at(now).as_secs_f64();
         if elapsed <= 0.0 {
             0.0
         } else {
@@ -266,45 +165,6 @@ snap_struct!(TimeSeries { points });
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(1), 10.0); // 0 for 1s
-        tw.set(SimTime::from_secs(3), 0.0); // 10 for 2s
-        let mean = tw.mean_at(SimTime::from_secs(4)); // 0 for 1s more
-        assert!((mean - 5.0).abs() < 1e-9, "mean = {mean}");
-        assert!((tw.integral_at(SimTime::from_secs(4)) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_add_and_reset() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(2), 3.0); // value 1 for 2s -> integral 2
-        assert_eq!(tw.current(), 4.0);
-        tw.reset(SimTime::from_secs(2));
-        assert_eq!(tw.integral_at(SimTime::from_secs(2)), 0.0);
-        // After reset, value 4 for 1s.
-        assert!((tw.mean_at(SimTime::from_secs(3)) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn credited_area_equals_stepped_integration() {
-        // 7 for 3 µs then 5 for 4 µs on top of a constant 2, stepped...
-        let mut stepped = TimeWeighted::new(SimTime::ZERO, 2.0);
-        stepped.add(SimTime::ZERO, 7.0);
-        stepped.add(SimTime::from_micros(3), -2.0);
-        stepped.add(SimTime::from_micros(7), -5.0);
-        // ...or credited in one piece while only the 2 stays live.
-        let mut credited = TimeWeighted::new(SimTime::ZERO, 2.0);
-        credited.credit_us(7 * 3 + 5 * 4);
-        let t = SimTime::from_micros(10);
-        assert_eq!(
-            stepped.integral_at(t).to_bits(),
-            credited.integral_at(t).to_bits()
-        );
-        assert_eq!(stepped.mean_at(t).to_bits(), credited.mean_at(t).to_bits());
-    }
 
     #[test]
     fn busy_tracker_overlapping_intervals() {

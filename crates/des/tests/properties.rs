@@ -2,7 +2,7 @@
 
 use fastg_des::{
     BusyTracker, CancelToken, EventQueue, SimTime, Simulation, SnapReader, SnapWriter, TieBreak,
-    TimeWeighted, World,
+    World,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -617,27 +617,6 @@ proptest! {
             prop_assert_eq!(peeked, t);
         }
         prop_assert!(q.is_empty());
-    }
-
-    /// The time-weighted integral over a piecewise-constant signal equals
-    /// the sum of value × segment-length, for any change sequence.
-    #[test]
-    fn time_weighted_integral_exact(
-        segs in prop::collection::vec((1u64..1_000, -50i32..50), 1..50)
-    ) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        let mut now = SimTime::ZERO;
-        let mut expected = 0.0;
-        let mut value = 0.0f64;
-        for &(len, v) in &segs {
-            // Current value persists for `len` microseconds.
-            expected += value * len as f64 / 1e6;
-            now += SimTime::from_micros(len);
-            value = v as f64;
-            tw.set(now, value);
-        }
-        let got = tw.integral_at(now);
-        prop_assert!((got - expected).abs() < 1e-9, "got {got}, expected {expected}");
     }
 
     /// Busy fraction is always within [0, 1] and equals total marked busy

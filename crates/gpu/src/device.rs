@@ -26,7 +26,7 @@
 
 use crate::error::GpuError;
 use crate::memory::GpuMemory;
-use crate::metrics::GpuMetrics;
+use crate::metrics::{GpuMetrics, GpuWindowStats};
 use crate::mps::{MpsError, MpsMode, MpsServer};
 use crate::spec::GpuSpec;
 use fastg_des::snap::SnapError;
@@ -114,14 +114,6 @@ pub struct KernelDone {
     pub granted_sms: u32,
 }
 
-#[derive(Debug, Clone)]
-struct Running {
-    client: ClientId,
-    tag: u64,
-    granted: u32,
-    started: SimTime,
-}
-
 /// How long a kernel of `desc` holds `granted` SMs on a clock scaled by
 /// `clock_scale`: `ceil(blocks / granted)` waves of `work_per_block`. A
 /// kernel its grant covers runs one wave, without a division.
@@ -142,9 +134,9 @@ fn kernel_duration(desc: KernelDesc, granted: u32, clock_scale: f64) -> SimTime 
     }
 }
 
-/// A fast-forwarded burst: `count` back-to-back launches of `desc`, each
-/// granted `granted` SMs for `duration` (the wave arithmetic is paid once
-/// per burst).
+/// `count` back-to-back launches of `desc`, each granted `granted` SMs for
+/// `duration` (the wave arithmetic is paid once per run): a stepped
+/// kernel is a run of one, a fast-forwarded burst a run of its launches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FfRun {
     desc: KernelDesc,
@@ -167,107 +159,116 @@ impl FfRun {
         }
     }
 
-    /// The whole burst's span, `count` kernels back to back; `None` if it
+    /// The whole run's span, `count` kernels back to back; `None` if it
     /// does not fit the microsecond clock.
     fn span(&self) -> Option<SimTime> {
         let span = self.duration.as_micros().checked_mul(u64::from(self.count))?;
         Some(SimTime::from_micros(span))
     }
+
+    /// When the run ends if it starts at `start`; `None` past the end of
+    /// the clock.
+    fn end_from(&self, start: SimTime) -> Option<SimTime> {
+        start.checked_add(self.span()?)
+    }
 }
 
-/// The analytic schedule of one client's uncontended burst, settled up to
-/// some instant. Kernel `done` is the resident kernel: its grant is out of
-/// `free_sms`, and every earlier kernel's finish is in the completion
-/// tallies (each finish hands its SMs straight to its successor). The
-/// occupied area of `[start, credited]` has been credited to the occupancy
-/// integral; `credited` always lies inside the resident kernel's interval.
+/// One client's resident work, settled lazily: a stepped kernel is a run
+/// of one that carries its [`KernelId`], a fast-forwarded burst the run of
+/// its uncontended launches, which carries none. Kernel `done` of the run
+/// is resident: its grant is out of `free_sms`, and every earlier kernel's
+/// finish is in the completion tallies (each finish hands its SMs straight
+/// to its successor). The occupied area of `[start, credited]` has been
+/// credited to the metrics; `credited` always lies inside the resident
+/// kernel's interval.
 #[derive(Debug, Clone)]
-struct FfTimeline {
+struct Resident {
     client: ClientId,
-    /// The SM cap the client had when the burst was admitted, which the
-    /// run's grant is computed from and which the timeline adds to the
-    /// device's cap sum while it lives (derived from the MPS table on
-    /// decode). The platform breaks a node's timelines before it
-    /// repartitions, so in practice it is always the client's current
-    /// cap.
+    /// The stepped kernel's id; `None` for a fast-forwarded burst.
+    kernel: Option<KernelId>,
+    /// What the record adds to the device's cap sum (derived from the MPS
+    /// table on decode). A burst adds the SM cap its client had when it
+    /// was admitted, which the run's grant is computed from; the platform
+    /// breaks a node's bursts before it repartitions, so in practice it
+    /// is the client's current cap. A stepped kernel adds 0: its stream
+    /// counts its client's cap.
     cap: u32,
-    /// The burst, back to back (gapless).
+    /// The work, back to back (gapless).
     run: FfRun,
-    /// When the burst's first kernel started.
+    /// When the run's first kernel started.
     start: SimTime,
-    /// Finished kernels; `run.count` once the burst ended.
+    /// Finished kernels; `run.count` once the run ended.
     done: u32,
     /// Instant up to which the occupied area has been credited.
     credited: SimTime,
-    /// When the burst's final kernel finishes (derived).
+    /// When the run's final kernel finishes (derived).
     end: SimTime,
 }
 
-impl FfTimeline {
-    /// Rebuilds a timeline from its encoded parts, deriving the burst end.
-    /// A live timeline has a resident kernel whose interval holds the
-    /// credited point, and its whole burst fits the clock. The cap is left
-    /// 0 for the device's decode to derive.
+impl Resident {
+    /// A record of `run` for `client` from `start` to `end`, with nothing
+    /// finished or credited.
+    fn new(client: ClientId, kernel: Option<KernelId>, cap: u32, run: FfRun, start: SimTime, end: SimTime) -> Self {
+        Resident { client, kernel, cap, run, start, done: 0, credited: start, end }
+    }
+
+    /// Rebuilds a record from its encoded parts, deriving the run's end.
+    /// A stepped record is a run of one, a live record has a resident
+    /// kernel whose interval holds the credited point, and its whole run
+    /// fits the clock. The cap is left 0 for the device's decode to
+    /// derive.
     fn from_parts(
         client: ClientId,
+        kernel: Option<KernelId>,
         run: FfRun,
         start: SimTime,
         done: u32,
         credited: SimTime,
     ) -> Result<Self, SnapError> {
-        if done >= run.count {
-            return Err(SnapError::new("ff resident kernel"));
+        if kernel.is_some() && run.count != 1 {
+            return Err(SnapError::new("gpu stepped run"));
         }
-        let end = run
-            .span()
-            .and_then(|span| start.checked_add(span))
-            .ok_or(SnapError::new("ff timeline span"))?;
+        if done >= run.count {
+            return Err(SnapError::new("gpu resident kernel"));
+        }
+        let end = run.end_from(start).ok_or(SnapError::new("gpu run span"))?;
         let kernel_start = start + run.duration * u64::from(done);
         if credited < kernel_start || credited > kernel_start + run.duration {
-            return Err(SnapError::new("ff credited point"));
+            return Err(SnapError::new("gpu credited point"));
         }
-        Ok(FfTimeline {
-            client,
-            cap: 0,
-            run,
-            start,
-            done,
-            credited,
-            end,
-        })
+        Ok(Resident { done, credited, ..Resident::new(client, kernel, 0, run, start, end) })
     }
 
-    /// When the resident kernel started (the burst end once it ended).
+    /// When the resident kernel started (the run's end once it ended).
     fn resident_start(&self) -> SimTime {
         self.start + self.served()
     }
 
-    /// GPU time of the settled finishes (the burst is gapless, so it is
-    /// the span from the burst start to the resident kernel's start).
+    /// GPU time of the settled finishes (the run is gapless, so it is
+    /// the span from its start to the resident kernel's start).
     fn served(&self) -> SimTime {
         self.run.duration * u64::from(self.done)
     }
 
-    /// Brings this timeline alone up to `now`. The finishes strictly
-    /// before `now` (or at `now` too, when `inclusive`) are settled, up to
-    /// the last kernel only when `end_burst`, and counted with one
-    /// division of the time elapsed since the burst started; the burst's
-    /// end hands its grant back to `free_sms`. The occupied area since the
-    /// credited point goes to the occupancy integral as one exact integer
-    /// (SM × µs), so the order in which timelines settle cannot change any
-    /// metric bit.
+    /// Brings this record alone up to `now`. The finishes strictly before
+    /// `now` (or at `now` too, when `inclusive`) are settled, up to the
+    /// last kernel only when `end_run`, and counted with one division of
+    /// the time elapsed since the run started; the run's end hands its
+    /// grant back to `free_sms`. The occupied area since the credited
+    /// point goes to the metrics as one exact integer (SM × µs), so the
+    /// order in which records settle cannot change any metric bit.
     fn settle(
         &mut self,
         now: SimTime,
         inclusive: bool,
-        end_burst: bool,
+        end_run: bool,
         free_sms: &mut u32,
         metrics: &mut GpuMetrics,
     ) {
         let r = self.run;
-        let stop = if end_burst { r.count } else { r.count - 1 };
+        let stop = if end_run { r.count } else { r.count - 1 };
         // Kernel `i` finishes at `start + (i + 1) × duration`; count those
-        // at or (strictly) before `now`. A zero-duration burst finishes
+        // at or (strictly) before `now`. A zero-duration run finishes
         // whole at its start, so it takes one of the first two arms and
         // never reaches the division.
         let done = if now > self.end || (now == self.end && inclusive) {
@@ -296,7 +297,7 @@ impl FfTimeline {
                 let credited = self.credited;
                 sanitizer::check(upto >= credited, "ff-credit-order", || {
                     format!(
-                        "{:?}: credited point {credited:?} would move back to {upto:?} (now {now:?}, burst end {:?})",
+                        "{:?}: credited point {credited:?} would move back to {upto:?} (now {now:?}, run end {:?})",
                         self.client, self.end
                     )
                 });
@@ -304,7 +305,7 @@ impl FfTimeline {
             area += u64::from(r.granted) * upto.saturating_sub(self.credited).as_micros();
             self.credited = self.credited.max(upto);
         }
-        metrics.ff_settled(area, u64::from(finished));
+        metrics.settled(area, u64::from(finished));
     }
 }
 
@@ -320,8 +321,8 @@ pub struct FfDone {
 }
 
 /// Result of invalidating a fast-forwarded burst mid-flight
-/// ([`GpuDevice::ff_break`]): the analytically reconstructed per-kernel
-/// state the caller resumes stepping from.
+/// ([`GpuDevice::ff_break`]): the per-kernel state the caller resumes
+/// stepping from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FfBreak {
     /// Kernels whose completion had already been accounted.
@@ -338,7 +339,7 @@ pub struct FfBreak {
 /// A client alone on an idle device, inside the capped regime: every
 /// burst it launches would run as [`GpuDevice::fast_forward_burst`] runs
 /// it, with its full grant and nothing settling it before its end. The
-/// lane computes such a burst's shape without building a timeline
+/// lane computes such a burst's shape without building a record
 /// ([`Self::burst`]), and [`GpuDevice::credit_solo`] credits whole
 /// bursts in one update. Valid while nothing else touches the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -456,9 +457,11 @@ pub struct GpuDevice {
     /// of clients, and the kernel-completion path runs hot enough that a
     /// short Vec probe beats tree traversal.
     streams: Vec<(ClientId, ClientStream)>,
-    /// Resident kernels (same linear-scan rationale; at most one kernel
-    /// per client stream is resident at a time).
-    running: Vec<(KernelId, Running)>,
+    /// Resident work, one record per stepped kernel or fast-forwarded
+    /// burst (same linear-scan rationale; a client has at most one).
+    /// Bursts settle on their own, only where device state is read (see
+    /// [`Self::ff_sync`]); every record settles at a sample.
+    resident: Vec<Resident>,
     /// Clients whose stream head is ready but could not be granted SMs,
     /// in arrival order.
     wait_queue: VecDeque<ClientId>,
@@ -467,11 +470,7 @@ pub struct GpuDevice {
     /// device (thermal throttling analogue) stretches every kernel started
     /// while the scale is raised. Resident kernels keep their durations.
     clock_scale: f64,
-    /// Active fast-forward timelines, one per coalesced client burst.
-    /// Each settles on its own, only where device state is read (see
-    /// [`Self::ff_sync`]).
-    ff: Vec<FfTimeline>,
-    /// The capped regime's running cap sum: each live timeline's cap, plus
+    /// The capped regime's running cap sum: each live burst's cap, plus
     /// the MPS cap of each client whose stream has a resident or queued
     /// kernel. Derived; every change of one client's state adds that
     /// client's delta (see [`Self::footprint`]).
@@ -496,11 +495,10 @@ impl GpuDevice {
             metrics,
             free_sms,
             streams: Vec::new(),
-            running: Vec::new(),
+            resident: Vec::new(),
             wait_queue: VecDeque::new(),
             next_kernel: 0,
             clock_scale: 1.0,
-            ff: Vec::new(),
             active_caps: 0,
             over_cap: 0,
         }
@@ -526,14 +524,25 @@ impl GpuDevice {
         &mut self.memory
     }
 
-    /// Metric accounting.
+    /// Metric accounting, as far as settled: [`Self::sample`] settles
+    /// every resident run before it closes a window.
     pub fn metrics(&self) -> &GpuMetrics {
         &self.metrics
     }
 
-    /// Mutable metric accounting (for window sampling).
-    pub fn metrics_mut(&mut self) -> &mut GpuMetrics {
-        &mut self.metrics
+    /// Samples the metrics window at `now` (the DCGM-exporter scrape):
+    /// settles every resident run to `now`, with the finishes at exactly
+    /// `now` too when `inclusive`, then closes the window and appends its
+    /// samples to the exported series. A periodic sample is strict
+    /// (same-instant finishes order after it, as their per-kernel events
+    /// would); a report's closing sample is inclusive, since a per-kernel
+    /// run would have delivered those finishes before the caller could
+    /// report.
+    pub fn sample(&mut self, now: SimTime, inclusive: bool) -> GpuWindowStats {
+        for r in &mut self.resident {
+            r.settle(now, inclusive, false, &mut self.free_sms, &mut self.metrics);
+        }
+        self.metrics.sample(now)
     }
 
     /// SMs not currently granted to any resident kernel.
@@ -552,7 +561,7 @@ impl GpuDevice {
     /// unaffected. The factor is clamped by [`clamp_clock_scale`].
     pub fn set_clock_scale(&mut self, factor: f64) {
         debug_assert!(
-            self.ff.is_empty(),
+            !self.has_ff(),
             "clock change invalidates fast-forward (caller must ff_break first)"
         );
         self.clock_scale = clamp_clock_scale(factor);
@@ -566,7 +575,8 @@ impl GpuDevice {
     }
 
     /// Hard-resets the device, as when its node loses power: every resident
-    /// kernel is aborted (accounted as busy time but not as a completion),
+    /// kernel is aborted (its occupied area and busy time are accounted up
+    /// to `now`, but it does not count as a completion),
     /// all queued work is discarded, every MPS client is unregistered, all
     /// device memory is reclaimed and the full SM pool is freed. The clock
     /// scale returns to 1.0.
@@ -576,17 +586,11 @@ impl GpuDevice {
     /// caller ([`Self::on_kernel_finish`] returns
     /// [`GpuError::KernelNotResident`] for them).
     pub fn hard_reset(&mut self, now: SimTime) {
-        // Settle every timeline up to the crash instant, then abort its
-        // in-flight kernel: its area is credited and its SMs never entered
-        // the live occupancy value, so only the busy interval ends (busy
-        // time accounted, no completion).
-        self.ff_sync(now);
-        for _ in self.ff.drain(..) {
-            self.metrics.ff_end(now);
-        }
-        let running = std::mem::take(&mut self.running);
-        for (_, run) in running {
-            self.metrics.kernel_aborted(now, run.granted);
+        // Settle every run up to the crash instant, then abort its
+        // resident kernel: only the busy interval ends.
+        for mut r in std::mem::take(&mut self.resident) {
+            r.settle(now, false, false, &mut self.free_sms, &mut self.metrics);
+            self.metrics.end(now);
         }
         self.streams.clear();
         self.wait_queue.clear();
@@ -600,24 +604,16 @@ impl GpuDevice {
         self.clock_scale = 1.0;
     }
 
-    /// Whether a kernel id refers to a currently resident kernel. After a
-    /// [`Self::hard_reset`] all previously resident kernels report `false`;
-    /// callers use this to discard stale finish events.
-    pub fn is_resident(&self, kernel: KernelId) -> bool {
-        self.running.iter().any(|(id, _)| *id == kernel)
-    }
-
-    /// Number of kernels currently resident.
+    /// Number of stepped kernels currently resident.
     pub fn resident_kernels(&self) -> usize {
-        self.running.len()
+        self.resident.iter().filter(|r| r.kernel.is_some()).count()
     }
 
-    /// The latest start among the resident kernels and the fast-forward
-    /// timelines' bursts, if any is on the device. A snapshot's device
-    /// can have started nothing after the snapshot's clock.
+    /// The latest start among the resident kernels and the fast-forwarded
+    /// bursts, if any is on the device. A snapshot's device can have
+    /// started nothing after the snapshot's clock.
     pub fn latest_start(&self) -> Option<SimTime> {
-        let resident = self.running.iter().map(|(_, r)| r.started);
-        resident.chain(self.ff.iter().map(|t| t.start)).max()
+        self.resident.iter().map(|r| r.start).max()
     }
 
     /// Registers an MPS client with an active-thread percentage.
@@ -629,11 +625,11 @@ impl GpuDevice {
 
     /// Changes a client's spatial partition. Takes effect for subsequent
     /// kernel starts; resident kernels keep their grant, and a live
-    /// timeline keeps the cap its grants were computed from, so the cap
-    /// sum moves by the client's stream share alone.
+    /// burst keeps the cap its grants were computed from, so the cap sum
+    /// moves by the client's stream share alone.
     pub fn set_partition(&mut self, client: ClientId, percentage: f64) -> Result<(), MpsError> {
         debug_assert!(
-            self.ff.is_empty(),
+            !self.has_ff(),
             "repartition invalidates fast-forward (caller must ff_break first)"
         );
         let (caps, over) = self.footprint(client);
@@ -644,26 +640,20 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// `client`'s share of the running counts: each live timeline's cap,
+    /// `client`'s share of the running counts: each live burst's cap,
     /// its MPS cap if its stream has a resident or queued kernel, and 1 if
     /// its resident kernel is granted more than that cap.
     fn footprint(&self, client: ClientId) -> (u64, u32) {
         let Ok(cap) = self.mps.sm_cap(client) else {
             return (0, 0);
         };
-        let timelines: u64 = self
-            .ff
-            .iter()
-            .filter(|t| t.client == client)
-            .map(|t| u64::from(t.cap))
-            .sum();
+        let record = self.resident.iter().find(|r| r.client == client);
+        let burst_cap = record.map_or(0, |r| u64::from(r.cap));
+        let over = record.is_some_and(|r| r.kernel.is_some() && r.run.granted > cap);
         let stream = self.streams.iter().find(|(id, _)| *id == client).map(|(_, s)| s);
         let busy = stream.is_some_and(|s| s.running.is_some() || !s.queued.is_empty());
-        let over = stream.and_then(|s| s.running).is_some_and(|k| {
-            self.running.iter().any(|(rk, r)| *rk == k && r.granted > cap)
-        });
         let stream_cap = if busy { u64::from(cap) } else { 0 };
-        (timelines + stream_cap, u32::from(over))
+        (burst_cap + stream_cap, u32::from(over))
     }
 
     /// Unregisters a client.
@@ -679,8 +669,8 @@ impl GpuDevice {
             }
         }
         // A fast-forwarded burst is in-flight work even though the stream
-        // looks idle (its kernels live in the timeline, not the queue).
-        if self.ff.iter().any(|t| t.client == client) {
+        // looks idle (its kernels live in its record, not the queue).
+        if self.ff_active(client) {
             return Err(GpuError::WorkInFlight(client));
         }
         self.streams.retain(|(id, _)| *id != client);
@@ -700,7 +690,7 @@ impl GpuDevice {
     ) -> Result<Option<KernelStart>, GpuError> {
         self.ff_sync(now);
         debug_assert!(
-            !self.ff.iter().any(|t| t.client == client),
+            !self.ff_active(client),
             "launch into a fast-forwarded stream (caller must ff_break first)"
         );
         let cap = self.mps.sm_cap(client)?;
@@ -756,39 +746,39 @@ impl GpuDevice {
     ) -> Result<KernelDone, GpuError> {
         self.ff_sync(now);
         let i = self
-            .running
+            .resident
             .iter()
-            .position(|(id, _)| *id == kernel)
+            .position(|r| r.kernel == Some(kernel))
             .ok_or(GpuError::KernelNotResident(kernel))?;
-        let (_, run) = self.running.swap_remove(i);
-        self.free_sms += run.granted;
+        let mut head = self.resident.swap_remove(i);
+        head.settle(head.end, true, true, &mut self.free_sms, &mut self.metrics);
         debug_assert!(self.free_sms <= self.spec.sm_count);
-        self.metrics.kernel_finished(now, run.granted);
+        self.metrics.end(now);
         let done = KernelDone {
             kernel,
-            client: run.client,
-            tag: run.tag,
-            gpu_time: now - run.started,
-            granted_sms: run.granted,
+            client: head.client,
+            tag: head.run.desc.tag,
+            gpu_time: head.served(),
+            granted_sms: head.run.granted,
         };
 
         // The owner's stream is now idle; if it has queued work it joins the
         // back of the wait queue (round-robin fairness across clients).
         let mut went_idle = false;
-        if let Some(stream) = self.stream_mut(run.client) {
+        if let Some(stream) = self.stream_mut(head.client) {
             stream.running = None;
             went_idle = stream.queued.is_empty();
             if !went_idle && !stream.waiting {
                 stream.waiting = true;
-                self.wait_queue.push_back(run.client);
+                self.wait_queue.push_back(head.client);
             }
         } else {
-            debug_assert!(false, "resident kernel's client {:?} has no stream", run.client);
+            debug_assert!(false, "resident kernel's client {:?} has no stream", head.client);
         }
         // The resident leaves the running counts, and so does its owner's
         // cap if the stream went idle.
-        if let Ok(cap) = self.mps.sm_cap(run.client) {
-            self.over_cap -= u32::from(run.granted > cap);
+        if let Ok(cap) = self.mps.sm_cap(head.client) {
+            self.over_cap -= u32::from(head.run.granted > cap);
             if went_idle {
                 self.active_caps -= u64::from(cap);
             }
@@ -841,30 +831,28 @@ impl GpuDevice {
                 },
             );
         }
-        let duration = kernel_duration(desc, granted, self.clock_scale);
+        let run = FfRun {
+            desc,
+            count: 1,
+            granted,
+            duration: kernel_duration(desc, granted, self.clock_scale),
+        };
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
         self.free_sms -= granted;
         if let Some(stream) = self.stream_mut(client) {
             stream.running = Some(id);
         }
-        self.running.push((
-            id,
-            Running {
-                client,
-                tag: desc.tag,
-                granted,
-                started: now,
-            },
-        ));
-        self.metrics.kernel_started(now, granted);
+        let finish_at = now + run.duration;
+        self.resident.push(Resident::new(client, Some(id), 0, run, now, finish_at));
+        self.metrics.begin(now);
         Ok(KernelStart {
             kernel: id,
             client,
             tag: desc.tag,
             granted_sms: granted,
             started: now,
-            finish_at: now + duration,
+            finish_at,
         })
     }
 
@@ -872,22 +860,21 @@ impl GpuDevice {
     //
     // When a burst runs in the *capped regime* — the SM caps of the
     // *active* clients (a resident kernel, queued kernels, a wait-queue
-    // slot or a fast-forward timeline) fit in the device, nobody is
+    // slot or a fast-forwarded burst) fit in the device, nobody is
     // waiting for SMs, and no resident grant exceeds its owner's cap —
     // each kernel start is guaranteed its full `min(cap, blocks)` grant no
     // matter what other clients do, so a client's whole burst schedule can
     // be computed up front with wave arithmetic. Idle registered clients
     // hold no SMs and do not count: under token-based time sharing their
     // partitions may over-commit the device. The caller keeps the regime
-    // while timelines live by breaking them before a client activates past
+    // while bursts live by breaking them before a client activates past
     // the budget (see [`GpuDevice::ff_admits`]). The device holds each
-    // schedule as a timeline and settles it lazily, each timeline on its
-    // own and only where device state is read (`ff_sync`). A timeline's
-    // busy interval opens at burst start and closes at burst end; its SMs
-    // stay out of the live occupancy value, and each settle credits the
-    // elapsed occupied area as one integer (SM × µs). Per-kernel stepping
-    // sums integer SMs × integer µs too, so every partial sum is an exact
-    // integer below 2^53 and any grouping lands on the same bits:
+    // schedule as a run in the same record a stepped kernel has, a run of
+    // one, and settles it lazily, each record on its own and only where
+    // device state is read (`ff_sync`). A record's busy interval opens at
+    // its start and closes at its end, and each settle credits the elapsed
+    // occupied area as one integer (SM × µs). Every partial sum is then an
+    // exact integer below 2^53 and any grouping lands on the same bits:
     // utilization, occupancy and completion counters stay byte-identical
     // to per-kernel stepping, and so does the GPU time each burst returns.
 
@@ -895,21 +882,21 @@ impl GpuDevice {
     /// above): nobody waits for SMs, every resident grant is within its
     /// owner's cap, and the caps of the active clients plus `client`'s own
     /// (if it is idle) sum to at most the device's SM count. This gates
-    /// [`Self::fast_forward_burst`]; while timelines are live, a caller
+    /// [`Self::fast_forward_burst`]; while bursts are live, a caller
     /// about to activate `client` per kernel must break them first when
     /// this is false.
     ///
     /// The device keeps the active clients' cap sum and the count of
     /// over-cap residents as it goes, so the test costs one lookup of
-    /// `client`. A client with a timeline has an idle stream, so no client
+    /// `client`. A client with a burst has an idle stream, so no client
     /// counts twice.
     pub fn ff_admits(&self, client: ClientId) -> bool {
         self.admission(client).is_some()
     }
 
     /// [`Self::ff_admits`]'s test: `None` when the capped regime refuses
-    /// `client`, else `client`'s SM cap if it can start a timeline now
-    /// (its stream is idle and it has none), which is what
+    /// `client`, else `client`'s SM cap if it can start a burst now
+    /// (its stream is idle and it has no burst), which is what
     /// [`Self::fast_forward_burst`] needs.
     fn admission(&self, client: ClientId) -> Option<Option<u32>> {
         let admitted = self.admission_by_summary(client);
@@ -958,8 +945,8 @@ impl GpuDevice {
     fn sanitize_admission(&self, _client: ClientId, _admitted: Option<Option<u32>>) {}
 
     /// The admission test by scan, the sanitizer's oracle: one pass over
-    /// the timelines, then one over the streams beside the MPS table,
-    /// which lists the same clients in the same order.
+    /// the bursts, then one over the streams beside the MPS table, which
+    /// lists the same clients in the same order.
     #[cfg(debug_assertions)]
     fn admission_by_scan(&self, client: ClientId) -> Option<Option<u32>> {
         if !self.wait_queue.is_empty() {
@@ -967,7 +954,7 @@ impl GpuDevice {
         }
         let mut caps = 0u64;
         let mut counted = false;
-        for t in &self.ff {
+        for t in self.resident.iter().filter(|r| r.kernel.is_none()) {
             caps += u64::from(t.cap);
             counted |= t.client == client;
         }
@@ -977,9 +964,9 @@ impl GpuDevice {
             debug_assert_eq!(*id, mps_id, "stream table out of step with MPS");
             if let Some(kernel) = s.running {
                 let capped = self
-                    .running
+                    .resident
                     .iter()
-                    .any(|(k, r)| *k == kernel && r.granted <= cap);
+                    .any(|r| r.kernel == Some(kernel) && r.run.granted <= cap);
                 if !capped {
                     return None;
                 }
@@ -993,18 +980,24 @@ impl GpuDevice {
         (caps <= u64::from(self.spec.sm_count)).then_some(idle_cap)
     }
 
-    /// Whether `client` has an active fast-forward timeline.
+    /// Whether `client` has a fast-forwarded burst resident.
     pub fn ff_active(&self, client: ClientId) -> bool {
-        self.ff.iter().any(|t| t.client == client)
+        self.burst_of(client).is_some()
     }
 
-    /// Whether any fast-forward timeline is active on this device.
+    /// The index of `client`'s fast-forwarded burst among the resident
+    /// records, if it has one.
+    fn burst_of(&self, client: ClientId) -> Option<usize> {
+        self.resident.iter().position(|r| r.client == client && r.kernel.is_none())
+    }
+
+    /// Whether any fast-forwarded burst is resident on this device.
     pub fn has_ff(&self) -> bool {
-        !self.ff.is_empty()
+        self.resident.iter().any(|r| r.kernel.is_none())
     }
 
     /// Attempts to coalesce a burst of `count` back-to-back launches of
-    /// `desc` for `client` into one analytic timeline. On success the first
+    /// `desc` for `client` into one analytic run. On success the first
     /// kernel becomes (virtually) resident immediately — exactly as
     /// [`Self::launch`] would start it — and the completion time of the
     /// burst's final kernel is returned so the caller can schedule a single
@@ -1013,8 +1006,8 @@ impl GpuDevice {
     /// provably uncontended: the caller must fall back to per-kernel
     /// launches.
     ///
-    /// Other timelines are not settled: admission reads only the streams,
-    /// the wait queue, the timeline list and the running counts, which
+    /// Other bursts are not settled: admission reads only the streams, the
+    /// wait queue, the resident records and the running counts, which
     /// pending boundaries never change, and in the capped regime the stale
     /// `free_sms` still covers this client's whole cap.
     pub fn fast_forward_burst(
@@ -1029,7 +1022,7 @@ impl GpuDevice {
         }
         let cap = self.admission(client).flatten()?;
         let run = FfRun::capped(desc, count, cap, self.clock_scale);
-        let end = run.span().and_then(|span| now.checked_add(span))?;
+        let end = run.end_from(now)?;
         debug_assert!(self.free_sms >= run.granted, "capped regime violated");
         self.free_sms -= run.granted;
         if sanitizer::active() {
@@ -1040,17 +1033,9 @@ impl GpuDevice {
                 )
             });
         }
-        self.metrics.ff_begin(now);
+        self.metrics.begin(now);
         self.active_caps += u64::from(cap);
-        self.ff.push(FfTimeline {
-            client,
-            cap,
-            run,
-            start: now,
-            done: 0,
-            credited: now,
-            end,
-        });
+        self.resident.push(Resident::new(client, None, cap, run, now, end));
         Some(end)
     }
 
@@ -1078,45 +1063,28 @@ impl GpuDevice {
         if tally.bursts == 0 {
             return;
         }
-        self.metrics.ff_bursts_credited(tally.busy, tally.occupied_sm_us, tally.kernels);
+        self.metrics.credit(tally.busy, tally.occupied_sm_us, tally.kernels);
     }
 
-    /// Whether no client is active: none has a timeline, a resident or
-    /// queued kernel, or a place in the wait queue. The running cap sum
-    /// answers first, so a busy device is told apart in one load.
+    /// Whether no client is active: none has a resident run, a queued
+    /// kernel, or a place in the wait queue. The running cap sum answers
+    /// first, so a busy device is told apart in one load.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.active_caps == 0
-            && self.ff.is_empty()
-            && self.running.is_empty()
-            && self.wait_queue.is_empty()
+        self.active_caps == 0 && self.resident.is_empty() && self.wait_queue.is_empty()
     }
 
-    /// Settles every timeline up to `now`, each on its own, applying
-    /// finishes *strictly before* `now`. Called where device state is
-    /// read: per-kernel launches and finishes (they need the true
-    /// `free_sms`), breaks, resets, and the caller's metric samples.
-    /// Finishes at exactly `now` stay pending, matching the event-queue
-    /// order in which per-kernel stepping would deliver them (a finish
-    /// scheduled in the past always outranks one scheduled at the current
-    /// instant).
+    /// Settles every fast-forwarded burst up to `now`, each on its own,
+    /// applying finishes *strictly before* `now`. Called where device
+    /// state is read: per-kernel launches and finishes (they need the true
+    /// `free_sms`) and breaks. Finishes at exactly `now` stay pending,
+    /// matching the event-queue order in which per-kernel stepping would
+    /// deliver them (a finish scheduled in the past always outranks one
+    /// scheduled at the current instant). A stepped kernel has no finish
+    /// to settle before its own event, so its area waits for a sample.
     pub fn ff_sync(&mut self, now: SimTime) {
-        self.ff_sync_to(now, false);
-    }
-
-    /// Like [`Self::ff_sync`] but inclusive of finishes at exactly `now`:
-    /// the report/sampling flush at the end of a run, where per-kernel
-    /// stepping would already have delivered same-instant finish events.
-    pub fn ff_sync_inclusive(&mut self, now: SimTime) {
-        self.ff_sync_to(now, true);
-    }
-
-    fn ff_sync_to(&mut self, now: SimTime, inclusive: bool) {
-        if self.ff.is_empty() {
-            return;
-        }
-        for tl in &mut self.ff {
-            tl.settle(now, inclusive, false, &mut self.free_sms, &mut self.metrics);
+        for r in self.resident.iter_mut().filter(|r| r.kernel.is_none()) {
+            r.settle(now, false, false, &mut self.free_sms, &mut self.metrics);
         }
         if sanitizer::active() {
             self.sanitize_sm_conservation("ff_sync");
@@ -1124,108 +1092,95 @@ impl GpuDevice {
     }
 
     /// Shadow-check (`FASTG_SANITIZE=1`): every SM is either free or
-    /// granted to exactly one resident kernel — real or fast-forwarded —
-    /// at all times. Timelines settled to different instants each hold
-    /// their resident kernel's grant, so the identity holds between
-    /// settles too. O(residents); only ever runs with the sanitizer armed.
+    /// granted to exactly one resident kernel, stepped or fast-forwarded,
+    /// at all times. Records settled to different instants each hold their
+    /// resident kernel's grant, so the identity holds between settles too.
+    /// O(residents); only ever runs with the sanitizer armed.
     fn sanitize_sm_conservation(&self, site: &'static str) {
-        let granted: u32 = self
-            .running
-            .iter()
-            .map(|(_, r)| r.granted)
-            .chain(self.ff.iter().map(|t| t.run.granted))
-            .sum();
+        let granted: u32 = self.resident.iter().map(|r| r.run.granted).sum();
         sanitizer::check(
             granted + self.free_sms == self.spec.sm_count,
             "sm-conservation",
             || {
                 format!(
-                    "{site}: granted {granted} + free {} != device {} ({} running, {} ff timelines)",
+                    "{site}: granted {granted} + free {} != device {} ({} resident runs)",
                     self.free_sms,
                     self.spec.sm_count,
-                    self.running.len(),
-                    self.ff.len()
+                    self.resident.len()
                 )
             },
         );
     }
 
     /// Completes a fast-forwarded burst at its macro-event time `now` (the
-    /// analytic finish of its final kernel): settles this timeline alone
-    /// to its end — its remaining area and completions, its grant back
-    /// into `free_sms`, and its busy interval's end — and
-    /// returns the burst's totals for the caller's synchronization point.
-    /// Returns `None` if `client` has no timeline (e.g. a stale
-    /// macro-event after an invalidation the caller missed).
+    /// analytic finish of its final kernel): settles this burst alone to
+    /// its end — its remaining area and completions, its grant back into
+    /// `free_sms`, and its busy interval's end — and returns the burst's
+    /// totals for the caller's synchronization point. Returns `None` if
+    /// `client` has no burst (e.g. a stale macro-event after an
+    /// invalidation the caller missed).
     pub fn ff_complete(&mut self, now: SimTime, client: ClientId) -> Option<FfDone> {
-        let i = self.ff.iter().position(|t| t.client == client)?;
-        let mut tl = self.ff.swap_remove(i);
-        self.active_caps -= u64::from(tl.cap);
-        let end = tl.end;
+        let i = self.burst_of(client)?;
+        let mut burst = self.resident.swap_remove(i);
+        self.active_caps -= u64::from(burst.cap);
+        let end = burst.end;
         debug_assert_eq!(end, now, "burst end mismatch");
         if sanitizer::active() {
             sanitizer::check(end == now, "ff-credit-order", || {
                 format!("macro-event for {client:?} fired at {now:?} but its burst ends at {end:?}")
             });
         }
-        tl.settle(end, true, true, &mut self.free_sms, &mut self.metrics);
-        self.metrics.ff_end(now);
+        burst.settle(end, true, true, &mut self.free_sms, &mut self.metrics);
+        self.metrics.end(now);
         if sanitizer::active() {
             self.sanitize_sm_conservation("ff_complete");
         }
         Some(FfDone {
-            completed: u64::from(tl.done),
-            gpu_time: tl.served(),
+            completed: u64::from(burst.done),
+            gpu_time: burst.served(),
         })
     }
 
-    /// Invalidates `client`'s fast-forwarded burst at `now`, analytically
-    /// reconstructing exact per-kernel state: finishes strictly before
-    /// `now` are settled, the mid-flight kernel is materialized as a real
-    /// resident (its SMs rejoin the live occupancy value; the caller
-    /// schedules its finish), and the untouched remainder is requeued into
-    /// the client's stream for normal stepping under whatever contention
-    /// change triggered the break.
+    /// Invalidates `client`'s fast-forwarded burst at `now`: finishes
+    /// strictly before `now` are settled, the burst's record is cut down
+    /// to its mid-flight kernel, which stays resident as a stepped kernel
+    /// (the caller schedules its finish), and the untouched remainder is
+    /// requeued into the client's stream for normal stepping under
+    /// whatever contention change triggered the break.
     pub fn ff_break(&mut self, now: SimTime, client: ClientId) -> Option<FfBreak> {
         self.ff_sync(now);
-        let i = self.ff.iter().position(|t| t.client == client)?;
-        let tl = self.ff.swap_remove(i);
-        let k = tl.run;
-        let started = tl.resident_start();
-        let finish = started + k.duration;
-        if sanitizer::active() {
-            // Strict-< sync left the mid-flight kernel resident: it must
-            // span the break instant, or the reconstruction re-runs (or
-            // drops) GPU time.
-            sanitizer::check(started <= now && finish >= now, "ff-credit-order", || {
-                format!("materialized kernel [{started:?}, {finish:?}] does not span break at {now:?}")
-            });
-        }
-        self.metrics.ff_materialize(now, k.granted);
+        let i = self.burst_of(client)?;
         let id = KernelId(self.next_kernel);
         self.next_kernel += 1;
-        self.running.push((
-            id,
-            Running {
-                client,
-                tag: k.desc.tag,
-                granted: k.granted,
-                started,
-            },
-        ));
+        let r = &mut self.resident[i];
+        let (completed, gpu_time, cap) = (u64::from(r.done), r.served(), r.cap);
+        let rest = r.run.count - r.done - 1;
+        // The credited point already lies inside the resident kernel.
+        r.start = r.resident_start();
+        r.end = r.start + r.run.duration;
+        (r.kernel, r.cap, r.run.count, r.done) = (Some(id), 0, 1, 0);
+        let (k, started, finish) = (r.run, r.start, r.end);
+        if sanitizer::active() {
+            // Strict-< sync left the mid-flight kernel resident: it must
+            // span the break instant, or the cut re-runs (or drops) GPU
+            // time.
+            sanitizer::check(started <= now && finish >= now, "ff-credit-order", || {
+                format!("resident kernel [{started:?}, {finish:?}] does not span break at {now:?}")
+            });
+        }
         let mut was_idle = false;
         if let Some(stream) = self.stream_mut(client) {
             was_idle = stream.running.is_none() && stream.queued.is_empty();
             stream.running = Some(id);
-            let rest = usize::try_from(k.count - tl.done - 1).unwrap_or(usize::MAX);
+            let rest = usize::try_from(rest).unwrap_or(usize::MAX);
             stream.queued.extend(std::iter::repeat(k.desc).take(rest));
         } else {
             debug_assert!(false, "fast-forwarded client {client:?} has no stream");
         }
-        // The timeline's share of the running counts passes to the stream
-        // (an idle one, unless a launch broke the contract), and the
-        // materialized kernel may exceed a cap repartitioned since.
-        self.active_caps -= u64::from(tl.cap);
+        // The burst's share of the running counts passes to the stream (an
+        // idle one, unless a launch broke the contract), and the resident
+        // kernel may exceed a cap repartitioned since.
+        self.active_caps -= u64::from(cap);
         if let Ok(cap) = self.mps.sm_cap(client) {
             if was_idle {
                 self.active_caps += u64::from(cap);
@@ -1233,8 +1188,8 @@ impl GpuDevice {
             self.over_cap += u32::from(k.granted > cap);
         }
         Some(FfBreak {
-            completed: u64::from(tl.done),
-            gpu_time: tl.served(),
+            completed,
+            gpu_time,
             resumed: KernelStart {
                 kernel: id,
                 client,
@@ -1255,13 +1210,6 @@ snap_struct!(KernelDesc {
     tag,
 });
 
-snap_struct!(Running {
-    client,
-    tag,
-    granted,
-    started,
-});
-
 snap_struct!(FfRun {
     desc,
     count,
@@ -1269,10 +1217,10 @@ snap_struct!(FfRun {
     duration,
 });
 
-// The burst end is derived again on decode, and the cap by the device's
+// The run's end is derived again on decode, and the cap by the device's
 // decode.
-snap_struct!(FfTimeline { client, run, start, done, credited } skip { cap, end } rebuild |t| {
-    *t = FfTimeline::from_parts(t.client, t.run, t.start, t.done, t.credited)?;
+snap_struct!(Resident { client, kernel, run, start, done, credited } skip { cap, end } rebuild |r| {
+    *r = Resident::from_parts(r.client, r.kernel, r.run, r.start, r.done, r.credited)?;
     Ok(())
 });
 
@@ -1282,14 +1230,14 @@ snap_struct!(ClientStream {
     waiting,
 });
 
-// Each timeline's cap comes from the MPS table, and the running counts are
+// Each burst's cap comes from the MPS table, and the running counts are
 // the sum of every client's footprint.
 snap_struct!(GpuDevice {
-    spec, mps, memory, metrics, free_sms, streams, running, wait_queue, next_kernel,
-    clock_scale, ff,
+    spec, mps, memory, metrics, free_sms, streams, resident, wait_queue, next_kernel,
+    clock_scale,
 } skip { active_caps, over_cap } rebuild |d| {
-    for t in &mut d.ff {
-        t.cap = d.mps.sm_cap(t.client).map_err(|_| SnapError::new("gpu ff client"))?;
+    for r in d.resident.iter_mut().filter(|r| r.kernel.is_none()) {
+        r.cap = d.mps.sm_cap(r.client).map_err(|_| SnapError::new("gpu ff client"))?;
     }
     let (caps, over) = d
         .mps
@@ -1303,14 +1251,9 @@ snap_struct!(GpuDevice {
     if d.free_sms > d.spec.sm_count {
         return Err(SnapError::new("gpu free sms"));
     }
-    // Every SM is free or granted to exactly one resident kernel, real or
-    // fast-forwarded (summed wide, so no forged grant can wrap it).
-    let granted: u64 = d
-        .running
-        .iter()
-        .map(|(_, r)| u64::from(r.granted))
-        .chain(d.ff.iter().map(|t| u64::from(t.run.granted)))
-        .sum();
+    // Every SM is free or granted to exactly one resident kernel, stepped
+    // or fast-forwarded (summed wide, so no forged grant can wrap it).
+    let granted: u64 = d.resident.iter().map(|r| u64::from(r.run.granted)).sum();
     if u64::from(d.free_sms) + granted != u64::from(d.spec.sm_count) {
         return Err(SnapError::new("gpu sm conservation"));
     }
@@ -1320,13 +1263,13 @@ snap_struct!(GpuDevice {
     if !d.streams.iter().map(|(id, _)| *id).eq(d.mps.caps().map(|(id, _)| id)) {
         return Err(SnapError::new("gpu stream table"));
     }
-    // Each resident kernel is its client's stream head, and each
-    // timeline's client has an idle stream and no other timeline.
-    let heads = d.streams.iter().filter_map(|(id, s)| s.running.map(|k| (k, *id)));
-    let resident = |(k, id): (KernelId, ClientId)| {
-        d.running.iter().any(|(rk, r)| *rk == k && r.client == id)
+    // Each stepped kernel is its client's stream head, and each burst's
+    // client has an idle stream and no other burst.
+    let heads = d.streams.iter().filter_map(|(id, s)| s.running.map(|k| (Some(k), *id)));
+    let resident = |(k, id): (Option<KernelId>, ClientId)| {
+        d.resident.iter().any(|r| r.kernel == k && r.client == id)
     };
-    if heads.clone().count() != d.running.len() || !heads.clone().all(resident) {
+    if heads.clone().count() != d.resident_kernels() || !heads.clone().all(resident) {
         return Err(SnapError::new("gpu resident table"));
     }
     let idle = |c: ClientId| {
@@ -1334,12 +1277,13 @@ snap_struct!(GpuDevice {
             .iter()
             .any(|(id, s)| *id == c && s.running.is_none() && s.queued.is_empty())
     };
-    for (i, t) in d.ff.iter().enumerate() {
-        if !idle(t.client) || d.ff[..i].iter().any(|u| u.client == t.client) {
+    let bursts = || d.resident.iter().filter(|r| r.kernel.is_none());
+    for (i, t) in bursts().enumerate() {
+        if !idle(t.client) || bursts().take(i).any(|u| u.client == t.client) {
             return Err(SnapError::new("gpu ff stream"));
         }
     }
-    if d.running.iter().any(|(id, _)| id.0 >= d.next_kernel) {
+    if d.resident.iter().any(|r| r.kernel.is_some_and(|id| id.0 >= d.next_kernel)) {
         return Err(SnapError::new("gpu kernel id space"));
     }
     Ok(())
@@ -1557,7 +1501,9 @@ mod tests {
         assert_eq!(gpu.free_sms(), gpu.spec().sm_count);
         assert_eq!(gpu.mps().client_count(), 0);
         assert_eq!(gpu.memory().used(), 0);
-        assert!(!gpu.is_resident(sa.kernel));
+        // Its finish event is stale now.
+        let stale = gpu.on_kernel_finish(sa.finish_at, sa.kernel);
+        assert_eq!(stale.unwrap_err(), GpuError::KernelNotResident(sa.kernel));
         // Aborted kernels count busy time but no completions.
         assert_eq!(gpu.metrics().total_kernels(), 0);
         let stats = gpu.metrics().window_stats(SimTime::from_micros(1000));
@@ -1617,8 +1563,8 @@ mod tests {
         assert_eq!(ffwd.free_sms(), stepped.free_sms());
         assert_eq!(ffwd.metrics().total_kernels(), stepped.metrics().total_kernels());
         let w = end_ff + SimTime::from_micros(1);
-        let a = ffwd.metrics_mut().sample(w);
-        let b = stepped.metrics_mut().sample(w);
+        let a = ffwd.sample(w, false);
+        let b = stepped.sample(w, false);
         assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
         assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
     }
@@ -1655,7 +1601,7 @@ mod tests {
             assert_eq!(fresh.ff_complete(end, c), synced.ff_complete(end, c));
             assert_eq!(bytes(&fresh), bytes(&synced));
             let later = end + SimTime::from_micros(10);
-            let (a, b) = (fresh.metrics_mut().sample(later), synced.metrics_mut().sample(later));
+            let (a, b) = (fresh.sample(later, false), synced.sample(later, false));
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
         }
@@ -1699,7 +1645,7 @@ mod tests {
             credited.credit_solo(&tally);
             assert_eq!(bytes(&stepped), bytes(&credited));
             assert_eq!(tally.busy, charged);
-            let (a, b) = (stepped.metrics_mut().sample(now), credited.metrics_mut().sample(now));
+            let (a, b) = (stepped.sample(now, false), credited.sample(now, false));
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
             assert_eq!(a.kernels_completed, b.kernels_completed);
@@ -1789,8 +1735,8 @@ mod tests {
         ff.ff_sync(at);
         assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
         assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels());
-        let x = ff.metrics_mut().sample(at);
-        let y = stepped.metrics_mut().sample(at);
+        let x = ff.sample(at, false);
+        let y = stepped.sample(at, false);
         assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "util at {at:?}");
         assert_eq!(x.sm_occupancy.to_bits(), y.sm_occupancy.to_bits(), "occ at {at:?}");
         assert_eq!(x.kernels_completed, y.kernels_completed);
@@ -1894,7 +1840,7 @@ mod tests {
         for mut dev in [gpu, restored] {
             let (mut stepped, mut pending) = stepped_reference();
             step_until(&mut stepped, &mut pending, t);
-            stepped.metrics_mut().sample(t);
+            stepped.sample(t, false);
             dev.ff_complete(SimTime::from_micros(200), a).unwrap();
             let t = SimTime::from_micros(250);
             step_until(&mut stepped, &mut pending, t);
@@ -1915,11 +1861,12 @@ mod tests {
         }
     }
 
-    /// A timeline's wire bytes from raw parts: its run, the start, the
+    /// A burst record's wire bytes from raw parts: its run, the start, the
     /// finished count and the credited point.
     fn timeline_bytes(run: FfRun, start: u64, done: u32, credited: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
         ClientId(0).snap(&mut w);
+        None::<KernelId>.snap(&mut w);
         run.snap(&mut w);
         SimTime::from_micros(start).snap(&mut w);
         w.u32(done);
@@ -1927,11 +1874,11 @@ mod tests {
         w.finish()
     }
 
-    /// Whether a timeline encoded from these raw parts decodes.
+    /// Whether a burst record encoded from these raw parts decodes.
     fn timeline_decodes(run: FfRun, start: u64, done: u32, credited: u64) -> bool {
         let bytes = timeline_bytes(run, start, done, credited);
         let mut r = SnapReader::new(&bytes);
-        FfTimeline::unsnap(&mut r).is_ok_and(|_| r.expect_done().is_ok())
+        Resident::unsnap(&mut r).is_ok_and(|_| r.expect_done().is_ok())
     }
 
     #[test]
@@ -1966,7 +1913,7 @@ mod tests {
     fn timeline_round_trip_derives_the_cursor_state() {
         let run = ff_run(kernel(10, 100), 3, 10, 100);
         let at = |us| SimTime::from_micros(us);
-        let tl = FfTimeline::from_parts(ClientId(0), run, at(1000), 1, at(1150)).unwrap();
+        let tl = Resident::from_parts(ClientId(0), None, run, at(1000), 1, at(1150)).unwrap();
         assert_eq!(tl.end, at(1300));
         assert_eq!(tl.resident_start(), at(1100));
         assert_eq!(tl.served(), at(100));
@@ -1975,7 +1922,7 @@ mod tests {
         let bytes = w.finish();
         // The wire layout is the encoded parts; the end is derived.
         assert_eq!(bytes, timeline_bytes(run, 1000, 1, 1150));
-        let back = FfTimeline::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        let back = Resident::unsnap(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(
             (back.client, back.run, back.done, back.credited, back.end),
             (tl.client, tl.run, tl.done, tl.credited, tl.end)
@@ -1995,7 +1942,7 @@ mod tests {
         // Finishes at 40, 80, 120: strictly before 120 are two.
         gpu.ff_sync(SimTime::from_micros(120));
         assert_eq!(gpu.metrics().total_kernels(), 2);
-        gpu.ff_sync_inclusive(SimTime::from_micros(120));
+        gpu.sample(SimTime::from_micros(120), true);
         assert_eq!(gpu.metrics().total_kernels(), 3);
         // A strict sync past the end stops at the last kernel.
         gpu.ff_sync(SimTime::from_micros(1000));
@@ -2017,9 +1964,9 @@ mod tests {
         // sync; an inclusive one finishes all but the last.
         gpu.ff_sync(t0);
         assert_eq!(gpu.metrics().total_kernels(), 0);
-        gpu.ff_sync_inclusive(t0);
+        gpu.sample(t0, true);
         assert_eq!(gpu.metrics().total_kernels(), 2);
-        // A break at the same instant materializes the last kernel, with
+        // A break at the same instant leaves the last kernel resident, with
         // nothing left to requeue.
         let brk = gpu.ff_break(t0, c).unwrap();
         assert_eq!(brk.completed, 2);
@@ -2064,14 +2011,14 @@ mod tests {
         assert_eq!(end, SimTime::from_micros(300));
 
         // Break mid-flight of kernel #2 (t = 150): kernel #1's boundary is
-        // applied, #2 is materialized as a real resident, #3 requeues.
+        // applied, #2 stays resident as a stepped kernel, #3 requeues.
         let brk = gpu.ff_break(SimTime::from_micros(150), c).unwrap();
         assert_eq!(brk.completed, 1);
         assert_eq!(brk.gpu_time, SimTime::from_micros(100));
         assert_eq!(brk.resumed.started, SimTime::from_micros(100));
         assert_eq!(brk.resumed.finish_at, SimTime::from_micros(200));
         assert_eq!(brk.resumed.granted_sms, 10);
-        assert!(gpu.is_resident(brk.resumed.kernel));
+        assert_eq!(gpu.resident_kernels(), 1);
         assert!(!gpu.has_ff());
         assert_eq!(gpu.free_sms(), 70);
         assert_eq!(gpu.metrics().total_kernels(), 1);
@@ -2142,8 +2089,8 @@ mod tests {
         assert_eq!(gpu.free_sms(), restored.free_sms());
         assert_eq!(gpu.metrics().total_kernels(), restored.metrics().total_kernels());
         let t = SimTime::from_micros(500);
-        let x = gpu.metrics_mut().sample(t);
-        let y = restored.metrics_mut().sample(t);
+        let x = gpu.sample(t, false);
+        let y = restored.sample(t, false);
         assert_eq!(x.utilization.to_bits(), y.utilization.to_bits());
         assert_eq!(x.sm_occupancy.to_bits(), y.sm_occupancy.to_bits());
     }
@@ -2240,8 +2187,8 @@ mod tests {
         reject(&bad, "gpu ff stream");
     }
 
-    /// A device with a resident kernel on `a` (20 SMs) and a timeline on
-    /// `b` (10 SMs): 50 SMs free.
+    /// A device with a resident kernel on `a` (20 SMs) and a burst on `b`
+    /// (10 SMs), in that order: 50 SMs free.
     fn resident_and_timeline() -> GpuDevice {
         let mut gpu = v100();
         let a = gpu.register_client(25.0).unwrap();
@@ -2257,15 +2204,26 @@ mod tests {
     fn snapshot_rejects_a_forged_resident_grant() {
         // Decoded, it would overflow `free_sms` at the kernel's finish.
         let mut bad = resident_and_timeline();
-        bad.running[0].1.granted = u32::MAX;
+        bad.resident[0].run.granted = u32::MAX;
         assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
+    }
+
+    #[test]
+    fn snapshot_rejects_a_forged_stepped_run() {
+        // A stepped kernel is a run of exactly one: decoded, a longer one
+        // would finish at its first kernel's end with the rest unserved.
+        let mut bad = resident_and_timeline();
+        bad.resident[0].run.count = 2;
+        assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu stepped run")));
+        bad.resident[0].run.count = 0;
+        assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu stepped run")));
     }
 
     #[test]
     fn snapshot_rejects_a_forged_timeline_grant() {
         // Decoded, it would overflow `free_sms` at the burst's end.
         let mut bad = resident_and_timeline();
-        bad.ff[0].run.granted = u32::MAX;
+        bad.resident[1].run.granted = u32::MAX;
         assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
     }
 
@@ -2274,7 +2232,7 @@ mod tests {
         // 70 SMs on a 10-SM client: decoded, the burst's end would leave
         // 110 of 80 SMs free.
         let mut bad = resident_and_timeline();
-        bad.ff[0].run.granted = 70;
+        bad.resident[1].run.granted = 70;
         assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
     }
 
@@ -2285,8 +2243,8 @@ mod tests {
         let b = gpu.register_client(50.0).unwrap();
         gpu.fast_forward_burst(SimTime::ZERO, a, kernel(40, 10), 1).unwrap();
         let back = round_trip(&gpu).unwrap();
-        assert_eq!(back.ff[0].cap, gpu.mps.sm_cap(a).unwrap());
-        assert_eq!(back.active_caps, u64::from(back.ff[0].cap));
+        assert_eq!(back.resident[0].cap, gpu.mps.sm_cap(a).unwrap());
+        assert_eq!(back.active_caps, u64::from(back.resident[0].cap));
         // 20 + 40 SMs fit the device; a third 50 % client would not.
         assert!(back.ff_admits(b));
         let c = gpu.register_client(50.0).unwrap();
@@ -2304,9 +2262,10 @@ mod tests {
             return false;
         }
         let grants_capped = d
-            .running
+            .resident
             .iter()
-            .all(|(_, r)| d.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap));
+            .filter(|r| r.kernel.is_some())
+            .all(|r| d.mps.sm_cap(r.client).is_ok_and(|cap| r.run.granted <= cap));
         if !grants_capped {
             return false;
         }

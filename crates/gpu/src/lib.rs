@@ -23,6 +23,13 @@
 //!   semantics); *SM occupancy* is the time-weighted mean fraction of SMs
 //!   occupied. The paper's Figure 1 contrast (>95 % utilization, <10 %
 //!   occupancy under time sharing) falls directly out of these definitions.
+//!   A window is sampled through [`GpuDevice::sample`], which settles
+//!   every resident run first.
+//! * **One resident record**: a stepped kernel is a run of one that
+//!   carries its [`KernelId`]; an uncontended burst is fast-forwarded as
+//!   one run of its launches ([`GpuDevice::fast_forward_burst`]). Both
+//!   settle lazily through the same arithmetic, which credits the
+//!   occupied area as an exact integer (SM × µs).
 //!
 //! The device is a pure state machine: `launch`/`on_kernel_finish` return
 //! [`KernelStart`] effects carrying absolute finish times, and the caller

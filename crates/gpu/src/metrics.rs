@@ -14,7 +14,7 @@
 //! the device returns it at each synchronization point (`KernelDone`,
 //! `FfDone`, `FfBreak`), and the FaST Backend charges quota from those.
 
-use fastg_des::{snap_struct, BusyTracker, SimTime, TimeSeries, TimeWeighted};
+use fastg_des::{sanitizer, snap_struct, BusyTracker, SimTime, TimeSeries};
 
 /// A snapshot of the GPU's aggregate counters over a window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,11 +29,19 @@ pub struct GpuWindowStats {
 
 /// Live metric accounting for one GPU: utilization, SM occupancy and
 /// completions, with their exported series.
+///
+/// The device feeds it through four entry points: `begin` and `end`
+/// around each resident run's busy interval, `settled` for the occupied
+/// area and completions a settle credits, and `credit` for whole bursts
+/// run ahead. The occupied area is an integer (SM × µs), so the order in
+/// which runs settle cannot change a bit of the occupancy; it is
+/// converted to a fraction once, when a window is read.
 #[derive(Debug, Clone)]
 pub struct GpuMetrics {
     sm_count: u32,
     util: BusyTracker,
-    occupied_sms: TimeWeighted,
+    /// SM × µs occupied in the open window, as far as settled.
+    area: u64,
     kernels_completed: u64,
     window_kernels: u64,
     util_series: TimeSeries,
@@ -47,7 +55,7 @@ impl GpuMetrics {
         GpuMetrics {
             sm_count,
             util: BusyTracker::new(SimTime::ZERO),
-            occupied_sms: TimeWeighted::new(SimTime::ZERO, 0.0),
+            area: 0,
             kernels_completed: 0,
             window_kernels: 0,
             util_series: TimeSeries::new(),
@@ -55,90 +63,74 @@ impl GpuMetrics {
         }
     }
 
-    /// Records a kernel starting with `granted_sms` SMs.
-    pub fn kernel_started(&mut self, now: SimTime, granted_sms: u32) {
-        self.util.begin(now);
-        self.occupied_sms.add(now, granted_sms as f64);
-    }
-
-    /// Records a kernel that held `granted_sms` SMs finishing at `now`.
-    pub fn kernel_finished(&mut self, now: SimTime, granted_sms: u32) {
-        self.util.end(now);
-        self.occupied_sms.add(now, -(granted_sms as f64));
-        self.kernels_completed += 1;
-        self.window_kernels += 1;
-    }
-
-    /// A fast-forwarded burst becomes resident at `now`. Only its busy
-    /// interval opens: a gapless burst keeps the device busy until
-    /// [`Self::ff_end`], and its SMs never enter the live occupancy value
-    /// (the device credits their area through [`Self::ff_settled`]).
-    pub fn ff_begin(&mut self, now: SimTime) {
+    /// A resident run (one kernel or a gapless burst) opens its busy
+    /// interval at `now`.
+    pub(crate) fn begin(&mut self, now: SimTime) {
         self.util.begin(now);
     }
 
-    /// Settles part of a fast-forwarded burst: `occupied_sm_us` is the
-    /// exact SM × µs area its kernels occupied since the last settle, and
-    /// `kernels` of them finished. Per-kernel stepping adds the same
-    /// integers one kernel at a time; as every partial sum is an exact
-    /// integer, batching them is bit-identical.
-    pub fn ff_settled(&mut self, occupied_sm_us: u64, kernels: u64) {
-        self.occupied_sms.credit_us(occupied_sm_us);
+    /// A settle credits `area` (SM × µs) of occupied SMs, and `kernels`
+    /// finished.
+    pub(crate) fn settled(&mut self, area: u64, kernels: u64) {
+        self.area += area;
         self.kernels_completed += kernels;
         self.window_kernels += kernels;
     }
 
-    /// Whole fast-forwarded bursts that began and ended while the device
-    /// was otherwise idle, with nothing settling them in between: their
-    /// busy intervals total `busy`, and [`Self::ff_settled`] takes the
-    /// rest. The same integers [`Self::ff_begin`], [`Self::ff_settled`]
-    /// and [`Self::ff_end`] add burst by burst.
-    pub fn ff_bursts_credited(&mut self, busy: SimTime, occupied_sm_us: u64, kernels: u64) {
+    /// A resident run's busy interval ends at `now`: its last kernel
+    /// finished, or the device was reset under it.
+    pub(crate) fn end(&mut self, now: SimTime) {
+        self.util.end(now);
+    }
+
+    /// Whole bursts that began and ended while the device was otherwise
+    /// idle, with nothing settling them in between: their busy intervals
+    /// total `busy`, their occupied area is `area` and `kernels` finished.
+    /// The same integers [`Self::begin`], [`Self::settled`] and
+    /// [`Self::end`] add burst by burst.
+    pub(crate) fn credit(&mut self, busy: SimTime, area: u64, kernels: u64) {
         self.util.credit(busy);
-        self.ff_settled(occupied_sm_us, kernels);
-    }
-
-    /// A fast-forwarded burst's busy interval ends at `now`: its last
-    /// kernel finished, or the device was reset under it.
-    pub fn ff_end(&mut self, now: SimTime) {
-        self.util.end(now);
-    }
-
-    /// A fast-forwarded kernel becomes a real resident at `now` (its burst
-    /// was broken): its `granted_sms` rejoin the live occupancy value,
-    /// which [`Self::kernel_finished`] later releases. Its busy interval
-    /// opened with the burst.
-    pub fn ff_materialize(&mut self, now: SimTime, granted_sms: u32) {
-        self.occupied_sms.add(now, f64::from(granted_sms));
-    }
-
-    /// Records a resident kernel being aborted (node crash / hard reset):
-    /// its busy interval and SM occupancy end at `now`, but it does not
-    /// count as a completion — the work was lost, not served.
-    pub fn kernel_aborted(&mut self, now: SimTime, granted_sms: u32) {
-        self.util.end(now);
-        self.occupied_sms.add(now, -(granted_sms as f64));
+        self.settled(area, kernels);
     }
 
     /// Closes the current sampling window at `now`, appends the samples to
     /// the exported series, and opens a new window. Returns the window's
-    /// stats (the DCGM-exporter scrape analogue).
-    pub fn sample(&mut self, now: SimTime) -> GpuWindowStats {
+    /// stats (the DCGM-exporter scrape analogue). The device settles every
+    /// resident run to `now` first.
+    pub(crate) fn sample(&mut self, now: SimTime) -> GpuWindowStats {
+        if sanitizer::active() {
+            let busy = self.util.busy_at(now).as_micros();
+            let (area, sms) = (self.area, self.sm_count);
+            sanitizer::check(
+                u128::from(area) <= u128::from(sms) * u128::from(busy),
+                "window-area",
+                || format!("window area {area} SM·µs exceeds {sms} SMs × {busy} busy µs at {now:?}"),
+            );
+        }
         let stats = self.window_stats(now);
         self.util_series.push(now, stats.utilization);
         self.occ_series.push(now, stats.sm_occupancy);
         self.util.reset(now);
-        self.occupied_sms.reset(now);
+        self.area = 0;
         self.window_kernels = 0;
         stats
     }
 
-    /// Stats for the window open since the last [`Self::sample`] (or start),
-    /// without closing it.
+    /// Stats for the window open since the last sample (or start), without
+    /// closing it, as far as the device has settled it.
     pub fn window_stats(&self, now: SimTime) -> GpuWindowStats {
+        let elapsed = self.util.elapsed_at(now).as_secs_f64();
+        let sm_occupancy = if elapsed <= 0.0 {
+            0.0
+        } else {
+            // u64→f64: the area is an integer far below 2^53, so it
+            // converts exactly.
+            // fastg-lint: allow(no-lossy-cast)
+            (self.area as f64 / 1e6) / elapsed / f64::from(self.sm_count)
+        };
         GpuWindowStats {
             utilization: self.util.utilization_at(now),
-            sm_occupancy: self.occupied_sms.mean_at(now) / self.sm_count as f64,
+            sm_occupancy,
             kernels_completed: self.window_kernels,
         }
     }
@@ -158,12 +150,7 @@ impl GpuMetrics {
         &self.occ_series
     }
 
-    /// Number of SMs this accounting was created for.
-    pub fn sm_count(&self) -> u32 {
-        self.sm_count
-    }
-
-    /// Number of kernels currently resident.
+    /// Number of resident runs.
     pub fn resident_kernels(&self) -> u32 {
         self.util.active()
     }
@@ -172,7 +159,7 @@ impl GpuMetrics {
 snap_struct!(GpuMetrics {
     sm_count,
     util,
-    occupied_sms,
+    area,
     kernels_completed,
     window_kernels,
     util_series,
@@ -188,7 +175,8 @@ mod tests {
         // One 8-SM kernel resident the whole time on an 80-SM GPU:
         // utilization 100 %, occupancy 10 %. This is the Figure 1 effect.
         let mut m = GpuMetrics::new(80);
-        m.kernel_started(SimTime::ZERO, 8);
+        m.begin(SimTime::ZERO);
+        m.settled(8 * 1_000_000, 0);
         let stats = m.window_stats(SimTime::from_secs(1));
         assert!((stats.utilization - 1.0).abs() < 1e-9);
         assert!((stats.sm_occupancy - 0.1).abs() < 1e-9);
@@ -197,8 +185,9 @@ mod tests {
     #[test]
     fn idle_gaps_lower_utilization() {
         let mut m = GpuMetrics::new(80);
-        m.kernel_started(SimTime::ZERO, 80);
-        m.kernel_finished(SimTime::from_millis(250), 80);
+        m.begin(SimTime::ZERO);
+        m.settled(80 * 250_000, 1);
+        m.end(SimTime::from_millis(250));
         let stats = m.window_stats(SimTime::from_secs(1));
         assert!((stats.utilization - 0.25).abs() < 1e-9);
         assert!((stats.sm_occupancy - 0.25).abs() < 1e-9);
@@ -208,14 +197,17 @@ mod tests {
     #[test]
     fn sampling_resets_window() {
         let mut m = GpuMetrics::new(10);
-        m.kernel_started(SimTime::ZERO, 10);
-        m.kernel_finished(SimTime::from_millis(500), 10);
+        m.begin(SimTime::ZERO);
+        m.settled(10 * 500_000, 1);
+        m.end(SimTime::from_millis(500));
         let w1 = m.sample(SimTime::from_secs(1));
         assert!((w1.utilization - 0.5).abs() < 1e-9);
+        assert!((w1.sm_occupancy - 0.5).abs() < 1e-9);
         assert_eq!(w1.kernels_completed, 1);
         // Second window: idle.
         let w2 = m.sample(SimTime::from_secs(2));
         assert_eq!(w2.utilization, 0.0);
+        assert_eq!(w2.sm_occupancy, 0.0);
         assert_eq!(w2.kernels_completed, 0);
         assert_eq!(m.utilization_series().len(), 2);
         assert_eq!(m.total_kernels(), 1);
@@ -224,9 +216,11 @@ mod tests {
     #[test]
     fn overlapping_kernels_sum_occupancy() {
         let mut m = GpuMetrics::new(80);
-        m.kernel_started(SimTime::ZERO, 20);
-        m.kernel_started(SimTime::ZERO, 20);
+        m.begin(SimTime::ZERO);
+        m.begin(SimTime::ZERO);
         assert_eq!(m.resident_kernels(), 2);
+        m.settled(20 * 1_000_000, 0);
+        m.settled(20 * 1_000_000, 0);
         let stats = m.window_stats(SimTime::from_secs(1));
         assert!((stats.sm_occupancy - 0.5).abs() < 1e-9);
         assert!((stats.utilization - 1.0).abs() < 1e-9);

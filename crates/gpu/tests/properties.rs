@@ -157,8 +157,8 @@ impl Twin {
 fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, at: SimTime) {
     assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
     assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels(), "completions at {at:?}");
-    let x = ff.metrics_mut().sample(at);
-    let y = stepped.metrics_mut().sample(at);
+    let x = ff.sample(at, false);
+    let y = stepped.sample(at, false);
     assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "utilization at {at:?}");
     assert_eq!(x.sm_occupancy.to_bits(), y.sm_occupancy.to_bits(), "occupancy at {at:?}");
     assert_eq!(x.kernels_completed, y.kernels_completed, "window completions at {at:?}");
@@ -271,6 +271,59 @@ proptest! {
         prop_assert!(stats.sm_occupancy <= stats.utilization + 1e-9);
     }
 
+    /// SM occupancy against an oracle that knows nothing of the device's
+    /// accounting: per-kernel stepping of random launches from clients
+    /// with random caps (so with waits and partial grants), sampled at
+    /// random instants. Each window's occupied area is summed from the
+    /// `KernelStart` effects alone, granted SMs × the overlap of
+    /// `[started, finish_at]` with the window, and the sample's occupancy
+    /// must be that area as a fraction, bit for bit, kernels straddling a
+    /// sample boundary included.
+    #[test]
+    fn occupancy_matches_the_kernel_start_oracle(
+        pcts in prop::collection::vec(1u32..=100, 1..4),
+        ops in prop::collection::vec((0u64..150, 0usize..3, 1u32..120, 0u64..60, 0u8..4), 1..80),
+    ) {
+        let mut gpu = GpuDevice::new(GpuSpec::v100(), MpsMode::Shared);
+        let clients: Vec<ClientId> = pcts.iter().map(|&p| gpu.register_client(f64::from(p)).unwrap()).collect();
+        let (mut starts, mut pending) = (Vec::<KernelStart>::new(), Vec::<KernelStart>::new());
+        let (mut now, mut window) = (SimTime::ZERO, SimTime::ZERO);
+        for &(dt, i, blocks, work, op) in &ops {
+            now += SimTime::from_micros(dt);
+            // Deliver every finish due by `now`, in time order.
+            while let Some((j, _)) = earliest(&pending, |s| (s.finish_at, s.kernel.0)).filter(|&(_, (t, _))| t <= now) {
+                let s = pending.swap_remove(j);
+                let (_, started) = gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
+                starts.extend(&started);
+                pending.extend(started);
+            }
+            if op == 0 {
+                let area: u64 = starts
+                    .iter()
+                    .map(|s| {
+                        let overlap = s.finish_at.min(now).saturating_sub(s.started.max(window));
+                        u64::from(s.granted_sms) * overlap.as_micros()
+                    })
+                    .sum();
+                let elapsed = (now - window).as_secs_f64();
+                let expected = if elapsed > 0.0 { (area as f64 / 1e6) / elapsed / 80.0 } else { 0.0 };
+                let got = gpu.sample(now, false).sm_occupancy;
+                prop_assert_eq!(got.to_bits(), expected.to_bits(), "window [{:?}, {:?}]: {} vs {}", window, now, got, expected);
+                window = now;
+            } else {
+                let desc = KernelDesc {
+                    blocks,
+                    work_per_block: SimTime::from_micros(work),
+                    tag: 0,
+                };
+                if let Some(s) = gpu.launch(now, clients[i % clients.len()], desc).unwrap() {
+                    starts.push(s);
+                    pending.push(s);
+                }
+            }
+        }
+    }
+
     /// Wave math: duration × granted SMs ≥ total work, and duration is
     /// minimal (removing one wave would not cover the blocks).
     #[test]
@@ -368,7 +421,8 @@ proptest! {
                 }
                 2 => {
                     twin.advance(now, true);
-                    twin.ff.ff_sync_inclusive(now);
+                    twin.ff.sample(now, true);
+                    twin.stepped.sample(now, true);
                 }
                 3 => {
                     twin.advance(now, false);

@@ -90,7 +90,7 @@ fn metric_series_tracks_bursts() {
             .expect("idle stream starts");
         gpu.on_kernel_finish(s.finish_at, s.kernel).unwrap();
         now = s.finish_at + SimTime::from_micros(2_000);
-        gpu.metrics_mut().sample(now);
+        gpu.sample(now, false);
     }
     let util = gpu.metrics().utilization_series();
     assert_eq!(util.len(), 5);

@@ -297,10 +297,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// function's queue timer and moves the data-plane events' class byte
 /// from 6 to 7. Version 15 drops each GPU's per-client busy-time map,
 /// and, as the platforms here run no scaler, their arrival windows are
-/// now empty.
+/// now empty. Version 16 keeps each GPU's resident kernels and
+/// fast-forwarded bursts in one list of run records (a stepped kernel is
+/// a run of one that carries its kernel id), and its metrics window keeps
+/// the occupied area as one integer instead of a time-weighted value.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 15, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 16, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -309,9 +312,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 5_628, 0x8fba_769e_500b_c420),
-        ("fleet", fleet, 6_894, 0xd040_acae_d3f0_b273),
-        ("flash crowd after the node crash", crashed, 5_755, 0xc5a5_3e96_ee62_bf74),
+        ("flash crowd", flash, 5_566, 0x1236_a95c_3aaa_fcd3),
+        ("fleet", fleet, 6_799, 0xd00c_a5a2_f500_7fb0),
+        ("flash crowd after the node crash", crashed, 5_691, 0xa0bd_0b19_fe6d_c755),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();
