@@ -18,7 +18,7 @@
 //!   live entry from its own queue's sequence space,
 //! * `ff-credit-order` — a GPU resident record's credited point never
 //!   moves backwards and never passes the settling instant or the run's
-//!   end,
+//!   end, and a record's closing event arrives at its end,
 //! * `sm-conservation` — per-kernel SM grants stay within client caps and
 //!   the device-wide SM budget,
 //! * `window-area` — at every GPU metrics sample, the window's occupied

@@ -751,7 +751,14 @@ impl GpuDevice {
             .position(|r| r.kernel == Some(kernel))
             .ok_or(GpuError::KernelNotResident(kernel))?;
         let mut head = self.resident.swap_remove(i);
-        head.settle(head.end, true, true, &mut self.free_sms, &mut self.metrics);
+        let end = head.end;
+        debug_assert_eq!(end, now, "kernel finish mismatch");
+        if sanitizer::active() {
+            sanitizer::check(end == now, "ff-credit-order", || {
+                format!("finish of {kernel:?} delivered at {now:?} but the kernel ends at {end:?}")
+            });
+        }
+        head.settle(end, true, true, &mut self.free_sms, &mut self.metrics);
         debug_assert!(self.free_sms <= self.spec.sm_count);
         self.metrics.end(now);
         let done = KernelDone {

@@ -118,7 +118,7 @@ impl GpuMetrics {
 
     /// Stats for the window open since the last sample (or start), without
     /// closing it, as far as the device has settled it.
-    pub fn window_stats(&self, now: SimTime) -> GpuWindowStats {
+    pub(crate) fn window_stats(&self, now: SimTime) -> GpuWindowStats {
         let elapsed = self.util.elapsed_at(now).as_secs_f64();
         let sm_occupancy = if elapsed <= 0.0 {
             0.0

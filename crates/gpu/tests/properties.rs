@@ -149,16 +149,17 @@ impl Twin {
     fn check(&self, at: SimTime) {
         let (mut ff, mut stepped) = (copy(&self.ff), copy(&self.stepped));
         ff.ff_sync(at);
-        assert_same(&mut ff, &mut stepped, at);
+        assert_same(&mut ff, &mut stepped, at, false);
     }
 }
 
-/// Requires equal free SMs, completions and sample bits.
-fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, at: SimTime) {
+/// Requires equal free SMs, completions and sample bits (a sample
+/// `inclusive` of the finishes at `at`, or strict).
+fn assert_same(ff: &mut GpuDevice, stepped: &mut GpuDevice, at: SimTime, inclusive: bool) {
+    let x = ff.sample(at, inclusive);
+    let y = stepped.sample(at, inclusive);
     assert_eq!(ff.free_sms(), stepped.free_sms(), "free SMs at {at:?}");
     assert_eq!(ff.metrics().total_kernels(), stepped.metrics().total_kernels(), "completions at {at:?}");
-    let x = ff.sample(at, false);
-    let y = stepped.sample(at, false);
     assert_eq!(x.utilization.to_bits(), y.utilization.to_bits(), "utilization at {at:?}");
     assert_eq!(x.sm_occupancy.to_bits(), y.sm_occupancy.to_bits(), "occupancy at {at:?}");
     assert_eq!(x.kernels_completed, y.kernels_completed, "window completions at {at:?}");
@@ -265,7 +266,7 @@ proptest! {
             now = start.finish_at + SimTime::from_micros(work);
             gpu.on_kernel_finish(start.finish_at, start.kernel).unwrap();
         }
-        let stats = gpu.metrics().window_stats(now);
+        let stats = gpu.sample(now, false);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&stats.utilization));
         prop_assert!((0.0..=1.0 + 1e-9).contains(&stats.sm_occupancy));
         prop_assert!(stats.sm_occupancy <= stats.utilization + 1e-9);
@@ -421,8 +422,7 @@ proptest! {
                 }
                 2 => {
                     twin.advance(now, true);
-                    twin.ff.sample(now, true);
-                    twin.stepped.sample(now, true);
+                    assert_same(&mut twin.ff, &mut twin.stepped, now, true);
                 }
                 3 => {
                     twin.advance(now, false);
@@ -438,7 +438,7 @@ proptest! {
                 4 => {
                     twin.advance(now, false);
                     twin.ff.ff_sync(now);
-                    assert_same(&mut twin.ff, &mut twin.stepped, now);
+                    assert_same(&mut twin.ff, &mut twin.stepped, now, false);
                 }
                 _ => {
                     twin.advance(now, false);
