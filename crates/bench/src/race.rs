@@ -301,9 +301,33 @@ fn timeout_scenarios() -> Vec<Scenario> {
         .collect()
 }
 
+/// One RNNT replica alone on one node under Poisson load, under FaST and
+/// under time sharing: the pod runs ahead, taking its steps, its token
+/// passes and its sync points inline between arrivals, so the matrix
+/// perturbs the instants a stretch stops at.
+fn solo_scenarios() -> Vec<Scenario> {
+    [SharingPolicy::FaST, SharingPolicy::SingleToken]
+        .into_iter()
+        .map(|policy| {
+            Scenario::new(
+                format!("solo-{policy:?}"),
+                PlatformConfig::default()
+                    .nodes(1)
+                    .policy(policy)
+                    .fastforward(true)
+                    .seed(37),
+            )
+            .function(FunctionConfig::new("solo", "rnnt").resources(24.0, 0.4, 0.4))
+            .load(0, ArrivalProcess::poisson(5.0, 38))
+            .duration(SimTime::from_secs(4))
+        })
+        .collect()
+}
+
 /// Every scenario the detector perturbs: the determinism fingerprint
 /// workloads, the chaos/FF-parity runs, the seeded sweep grid, the
-/// overload matrix, the fleet matrix and the queue-timeout pair.
+/// overload matrix, the fleet matrix, the queue-timeout pair and the
+/// solo pair.
 pub fn race_matrix() -> Vec<Scenario> {
     let mut all = policy_scenarios();
     all.extend(chaos_scenarios());
@@ -311,6 +335,7 @@ pub fn race_matrix() -> Vec<Scenario> {
     all.extend(overload_scenarios());
     all.extend(fleet_scenarios());
     all.extend(timeout_scenarios());
+    all.extend(solo_scenarios());
     all
 }
 
@@ -458,6 +483,7 @@ pub fn detect_races(orders: &[TieBreak]) -> Result<Vec<RaceOutcome>, PlatformErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastgshare::platform::Platform;
 
     /// The timeout pair exercises what it is there for: the timers shed
     /// queued requests, with overload control off and on.
@@ -468,6 +494,19 @@ mod tests {
             let report = sc.run().expect("runs");
             let dropped: u64 = report.functions.values().map(|f| f.dropped).sum();
             assert!(dropped > 0, "{name}: no queue timeout shed a request");
+        }
+    }
+
+    /// The solo pair exercises what it is there for: the pod runs ahead.
+    #[test]
+    fn solo_scenarios_run_ahead() {
+        for sc in solo_scenarios() {
+            let mut p = Platform::new(sc.config.clone());
+            let f = p.deploy(sc.functions[0].clone()).expect("deploys");
+            p.set_load(f, sc.loads[0].1.clone());
+            p.run_for(sc.duration);
+            let inline = p.handler_counts().solo_steps;
+            assert!(inline > 0, "{}: none of {} bursts ran ahead", sc.name, p.ff_bursts());
         }
     }
 }

@@ -712,10 +712,12 @@ impl FastBackend {
             let share = self.cfg.policy.adapter_share(e.spec.sm_partition);
             // SM Allocation Adapter: stop at the first head pod that does
             // not fit (head-of-line, as in the paper).
-            if !adapter_fits(self.sm_running, share) {
+            let fits = self.sm_running + share <= SM_GLOBAL_LIMIT + 1e-9;
+            if !fits {
                 break;
             }
-            let expires = now + self.cfg.token_lease;
+            // A lease past the end of the clock lasts to its end.
+            let expires = now.checked_add(self.cfg.token_lease).unwrap_or(SimTime::MAX);
             self.pods.update(slot, |e| e.take_lease(expires, share));
             self.sm_running += share;
             self.tokens_dispatched += 1;
@@ -803,33 +805,7 @@ impl FastBackend {
 
     /// Returns a released lease's reserved share to the adapter budget.
     fn release_share(&mut self, lease: Lease) {
-        self.sm_running = released(self.sm_running, lease);
-    }
-
-    /// The pod at `slot`'s row, lifted out for a stretch of solo bursts
-    /// ([`SoloRow`]); `None` if the slot is vacant.
-    pub(crate) fn solo_row(&self, slot: usize) -> Option<SoloRow> {
-        Some(SoloRow {
-            entry: self.pods.get(slot)?.clone(),
-            sm_running: self.sm_running,
-            tokens_dispatched: self.tokens_dispatched,
-            cfg: self.cfg,
-        })
-    }
-
-    /// Writes a [`SoloRow`] back to `slot`, its row through
-    /// [`PodTable::update`] so the slot bits follow.
-    pub(crate) fn put_solo_row(&mut self, slot: usize, row: SoloRow) {
-        let SoloRow {
-            entry,
-            sm_running,
-            tokens_dispatched,
-            cfg: _,
-        } = row;
-        let put = self.pods.update(slot, |e| *e = entry);
-        debug_assert!(put.is_some(), "solo row written back to a vacant slot");
-        self.sm_running = sm_running;
-        self.tokens_dispatched = tokens_dispatched;
+        self.sm_running = (self.sm_running - lease.share).max(0.0);
     }
 
     /// The slot of a registered pod's row.
@@ -855,91 +831,6 @@ impl FastBackend {
             }
         }
         Ok(())
-    }
-}
-
-/// The SM Allocation Adapter's test: whether a lease reserving `share`
-/// fits beside the holders' `sm_running`.
-fn adapter_fits(sm_running: f64, share: f64) -> bool {
-    sm_running + share <= SM_GLOBAL_LIMIT + 1e-9
-}
-
-/// The holders' share once `lease` is released.
-fn released(sm_running: f64, lease: Lease) -> f64 {
-    (sm_running - lease.share).max(0.0)
-}
-
-/// A solo pod's backend row, lifted out of the table while the pod runs
-/// ahead: it holds the only lease and the only place in the ready queue
-/// a pass could grant. Each burst's token is decided here
-/// ([`Self::token`]) and its GPU time charged ([`Self::charge`]) by the
-/// rules [`FastBackend::request_at`], the dispatch pass and
-/// [`FastBackend::sync_point_at`] apply to the table, on the same
-/// arithmetic, so [`FastBackend::put_solo_row`] writes back exactly what
-/// they would have left.
-#[derive(Debug, Clone)]
-pub(crate) struct SoloRow {
-    entry: PodEntry,
-    sm_running: f64,
-    tokens_dispatched: u64,
-    cfg: BackendConfig,
-}
-
-/// How a solo pod's burst gets its token ([`SoloRow::token`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SoloToken {
-    /// Its lease is still valid, or the policy uses no tokens.
-    Held,
-    /// The request queued it and the node's pass granted it a fresh lease
-    /// at once: the caller accounts that pass.
-    Passed,
-    /// The request would not be granted at once (quota exhausted, or the
-    /// adapter refuses the share): the row is unchanged, and the pod
-    /// requests as usual.
-    Refused,
-}
-
-impl SoloRow {
-    /// The token for a burst at `now`. A lease that expired is released
-    /// and the pass that runs next grants the pod alone, as
-    /// `request_at` followed by that pass would.
-    pub(crate) fn token(&mut self, now: SimTime) -> SoloToken {
-        let e = &mut self.entry;
-        if !self.cfg.policy.uses_tokens() || e.lease_valid(now) {
-            return SoloToken::Held;
-        }
-        if e.quota_exhausted() {
-            return SoloToken::Refused;
-        }
-        let running = e.lease.map_or(self.sm_running, |l| released(self.sm_running, l));
-        let share = self.cfg.policy.adapter_share(e.spec.sm_partition);
-        let Some(expires) = now.checked_add(self.cfg.token_lease) else {
-            return SoloToken::Refused;
-        };
-        if !adapter_fits(running, share) {
-            return SoloToken::Refused;
-        }
-        e.take_lease(expires, share);
-        self.sm_running = running + share;
-        self.tokens_dispatched += 1;
-        SoloToken::Passed
-    }
-
-    /// Whether [`Self::charge`] can add `gpu_time` to the window's usage.
-    pub(crate) fn can_charge(&self, gpu_time: SimTime) -> bool {
-        self.entry.q_used.checked_add(gpu_time).is_some()
-    }
-
-    /// A burst's sync point at `now`: charges its `gpu_time` and releases
-    /// the lease unless it survives.
-    pub(crate) fn charge(&mut self, now: SimTime, gpu_time: SimTime) {
-        let e = &mut self.entry;
-        e.q_used += gpu_time;
-        if self.cfg.policy.uses_tokens() && !e.lease_valid(now) {
-            if let Some(lease) = e.lease.take() {
-                self.sm_running = released(self.sm_running, lease);
-            }
-        }
     }
 }
 
@@ -1060,72 +951,21 @@ mod tests {
         b.dispatch_pass(now).iter().map(|g| g.pod).collect()
     }
 
-    /// A lone pod's bursts, decided and charged on a lifted-out
-    /// [`SoloRow`] and written back once, leave the table, the adapter's
-    /// share and the token count that requests, passes and sync points
-    /// leave, under each policy, across lease expiries, up to the quota's
-    /// exhaustion, which the row refuses as the table blocks.
+    /// A lease longer than the clock has left lasts to the clock's end
+    /// instead of overflowing it.
     #[test]
-    fn a_solo_row_leaves_what_the_table_does() {
-        let bytes = |b: &FastBackend| {
-            let mut w = SnapWriter::new();
-            b.snap(&mut w);
-            w.finish()
+    fn a_lease_past_the_end_of_the_clock_saturates() {
+        let mut b = FastBackend::new(BackendConfig {
+            token_lease: SimTime::MAX,
+            ..BackendConfig::default()
+        });
+        b.register(PodId(0), spec(24.0, 1.0, 1.0));
+        let RequestOutcome::Granted(g) = req(&mut b, t(3), PodId(0)) else {
+            panic!()
         };
-        for policy in [SharingPolicy::FaST, SharingPolicy::SingleToken, SharingPolicy::Racing] {
-            let cfg = BackendConfig {
-                policy,
-                window: SimTime::from_millis(100),
-                token_lease: SimTime::from_millis(2),
-                ..BackendConfig::default()
-            };
-            let (mut table, mut lifted) = (FastBackend::new(cfg), FastBackend::new(cfg));
-            for b in [&mut table, &mut lifted] {
-                b.register_at(0, PodId(3), spec(24.0, 0.3, 0.3));
-            }
-            let mut row = lifted.solo_row(0).unwrap();
-            // 1.3 ms host gaps and 0.9 ms bursts: a 2 ms lease expires
-            // every other burst, and 30 ms of quota lasts 33 bursts.
-            let (gap, gpu) = (SimTime::from_micros(1_300), SimTime::from_micros(900));
-            let (mut now, mut blocked) = (SimTime::ZERO, false);
-            for _ in 0..40 {
-                let token = row.token(now);
-                let outcome = table.request_at(now, 0).unwrap();
-                let granted = match outcome {
-                    RequestOutcome::Granted(_) => token == SoloToken::Held,
-                    RequestOutcome::Queued => {
-                        let mut granted = Vec::new();
-                        table.dispatch_slots(now, &mut Vec::new(), &mut granted);
-                        token == SoloToken::Passed && granted == [0]
-                    }
-                    RequestOutcome::BlockedUntilReset => {
-                        // The row stays as the request found it.
-                        assert_eq!(token, SoloToken::Refused, "{policy:?}");
-                        blocked = true;
-                        break;
-                    }
-                };
-                assert!(granted, "{policy:?} at {now:?}: {token:?} vs {outcome:?}");
-                table.begin_burst_at(0).unwrap();
-                now += gpu;
-                assert!(row.can_charge(gpu));
-                row.charge(now, gpu);
-                table.sync_point_at(now, 0, gpu).unwrap();
-                now += gap;
-            }
-            assert_eq!(blocked, policy.uses_tokens(), "{policy:?}: the quota ran out");
-            lifted.put_solo_row(0, row);
-            if blocked {
-                // The table's request queued the pod; the lifted row goes
-                // back to the normal path, which does the same.
-                assert_eq!(lifted.request_at(now, 0), Some(RequestOutcome::BlockedUntilReset));
-            }
-            assert_eq!(bytes(&table), bytes(&lifted), "{policy:?}");
-            assert_eq!(table.sm_running().to_bits(), lifted.sm_running().to_bits(), "{policy:?}");
-            assert_eq!(table.tokens_dispatched(), lifted.tokens_dispatched(), "{policy:?}");
-            assert_eq!(table.has_grantable(), lifted.has_grantable(), "{policy:?}");
-            assert_eq!(table.has_waiter(), lifted.has_waiter(), "{policy:?}");
-        }
+        assert_eq!(g.expires, SimTime::MAX);
+        b.begin_burst(PodId(0)).unwrap();
+        assert!(b.sync_point(t(5), PodId(0), t(2)).unwrap(), "the lease holds");
     }
 
     #[test]

@@ -37,6 +37,6 @@ mod policy;
 pub use backend::{
     BackendConfig, BackendError, FastBackend, Grant, PodQuotaState, RequestOutcome, SM_GLOBAL_LIMIT,
 };
-pub(crate) use backend::{Ready, SoloRow, SoloToken};
+pub(crate) use backend::Ready;
 pub use estimator::BurstEstimator;
 pub use policy::{SchedPolicy, SharingPolicy};

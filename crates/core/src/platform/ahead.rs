@@ -6,7 +6,7 @@
 //! `BurstFastForward`, only for the driver to pop it straight back, and
 //! under spatio-temporal isolation its timeline depends on its own state
 //! alone. So while its steps would be the driver's next deliveries, the
-//! pod takes them here, inline, and defers their effects on the node.
+//! pod takes them here, inline.
 //!
 //! **Entry.** A data-plane handler steps the pod as its last action
 //! ([`Engine::run_ahead`]: `Arrival`, `HostDone`, `KernelFinish` and
@@ -23,21 +23,24 @@
 //!   deadline). Until the pod stops, nothing else moves and nothing is
 //!   pushed, so the limit holds for the whole stretch.
 //!
-//! **A stretch.** The pod's backend row ([`SoloRow`]) and its device lane
-//! ([`SoloLane`]) are lifted out, and each stage goes as the queue-stepped
-//! run would take it:
+//! **A stretch.** It reads the limit and the pod's SM cap once, when it
+//! opens, and takes each stage as the queue-stepped run would, through
+//! the same calls on the node:
 //! - a host phase ending before the limit is delivered inline;
-//! - a burst's token comes from the row: a valid lease is held, and an
-//!   expired one with quota left gets the grant the node's pass would
-//!   give it at once, with that pass's tie key claimed, counted and
-//!   traced;
-//! - the burst's span comes from its kernel spec at the pod's cap, by the
-//!   arithmetic of [`GpuDevice::fast_forward_burst`](fastg_gpu::GpuDevice::fast_forward_burst);
-//!   no timeline is built and nothing settles. If it ends before the
-//!   limit, its `BurstFastForward` is delivered inline and its sync point
-//!   charged to the row;
-//! - a completed request still goes through
-//!   [`Engine::complete_request`], after the stretch folds.
+//! - a burst's token is requested from the backend
+//!   ([`FastBackend::request_at`](crate::manager::FastBackend::request_at)).
+//!   A held lease is granted at once. A pod that queues is owed its
+//!   node's pass, and that pass runs at once: the stretch claims the tie
+//!   key `owe_pass` would claim, then runs the pass's grants
+//!   ([`Engine::grant_pass`]), which a lone waiter always gets;
+//! - the burst runs whole on the device
+//!   ([`GpuDevice::run_alone`](fastg_gpu::GpuDevice::run_alone)) if it
+//!   ends before the limit. It opens in the backend, its
+//!   `BurstFastForward` is delivered inline and its sync point runs
+//!   ([`Engine::sync_burst`]), and the fast-forward counters and the
+//!   request's burst GPU time are updated;
+//! - a completed request goes through [`Engine::complete_request`], and a
+//!   new stretch opens if the pod takes a next request.
 //!
 //! Each inline delivery takes the sequence number its push would have
 //! taken and counts as a delivered event
@@ -45,40 +48,26 @@
 //! driver's.
 //!
 //! **Stops.** The stretch ends at the first step it cannot take inline,
-//! and the normal path takes that step: a host phase or a burst ending at
-//! or past the limit is pushed (the burst as a real timeline, so samples,
-//! checkpoints and breaks find the state they always did), and a token
-//! the row cannot grant at once (quota exhausted, a share the adapter
-//! refuses, or a request at the limit itself) is requested as usual.
+//! and the normal path takes that step:
+//! - a host phase ending at or past the limit is pushed;
+//! - a token requested at the limit itself, or refused until the window
+//!   resets, is requested by [`Engine::try_start_burst`]: repeating a
+//!   refused request changes nothing on the row, and the pod owes its
+//!   node the pass as usual;
+//! - a burst holding its token and ending at or past the limit launches
+//!   as a real timeline, so samples, checkpoints and breaks find the
+//!   state they always did.
 //!
-//! **The fold.** Before that step, the stretch writes back in one update
-//! each what its stages did: the row (usage, lease, flags, with the
-//! adapter's running share and the tokens dispatched) through the
-//! table's update, so its slot bits follow; the device's busy time,
-//! occupied area and completions
-//! ([`GpuDevice::credit_solo`](fastg_gpu::GpuDevice::credit_solo)); and
-//! the engine's fast-forward counters. Each is an exact integer or
-//! `SimTime` sum, or the same floating-point operations in the same
-//! order, so the node is left bit for bit as the stepped run leaves it.
-//! `run_ahead_tests` in the `node` module compare the two.
+//! Nothing is deferred, so nothing is written back: the node is left as
+//! the stepped run leaves it because it went through the stepped run's
+//! own code. `run_ahead_tests` in the `node` module compare the two.
 
 use super::engine::{Engine, Event};
 use super::pod::PodAt;
-use crate::manager::{SoloRow, SoloToken};
+use crate::manager::RequestOutcome;
 use fastg_des::{EventQueue, SimTime};
-use fastg_gpu::{BurstTally, KernelDesc, SoloLane};
+use fastg_gpu::KernelDesc;
 use fastg_models::StageOp;
-
-/// What a stretch defers until it folds.
-struct Stretch {
-    /// Deliveries strictly before this are the driver's next ones.
-    limit: SimTime,
-    row: SoloRow,
-    lane: SoloLane,
-    bursts: BurstTally,
-    /// The GPU time of the stretch's last burst, which its request keeps.
-    last_burst: Option<SimTime>,
-}
 
 /// The step a stretch stopped at, for the normal path to take.
 enum Stop {
@@ -86,9 +75,11 @@ enum Stop {
     Host(SimTime),
     /// A burst (stage index) whose token is requested at this instant.
     Request(SimTime, usize),
-    /// A granted burst launched at this instant, ending at or past the
-    /// limit.
+    /// A burst holding its token, launched at this instant, ending at or
+    /// past the limit.
     Launch(SimTime, usize),
+    /// A burst whose pass did not grant it: the pod waits for its token.
+    Wait(usize),
     /// The request completed at this instant.
     Done(SimTime),
     /// The pod has no request to step.
@@ -100,11 +91,10 @@ impl Engine {
     /// (see the module docs), else through [`Engine::step_pod`].
     pub(super) fn run_ahead(&mut self, mut now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
         loop {
-            let Some(mut stretch) = self.open_stretch(at, queue) else {
+            let Some((limit, cap)) = self.open_stretch(at, queue) else {
                 return self.step_pod(now, at, queue);
             };
-            let stop = self.run_stretch(&mut stretch, now, at, queue);
-            self.fold(at, stretch);
+            let stop = self.run_stretch(limit, cap, now, at, queue);
             match stop {
                 Stop::Host(done) => queue.schedule(done, Event::HostDone(at.pod)),
                 Stop::Request(t, stage) | Stop::Launch(t, stage) => {
@@ -119,6 +109,14 @@ impl Engine {
                         self.try_start_burst(t, at, queue);
                     }
                 }
+                // Left waiting, as the stepped pass leaves a waiter it
+                // does not grant.
+                Stop::Wait(stage) => {
+                    if let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) {
+                        active.pending_stage = Some(stage);
+                        active.waiting_token = true;
+                    }
+                }
                 Stop::Done(t) => {
                     if self.complete_request(t, at, queue) {
                         now = t;
@@ -131,8 +129,9 @@ impl Engine {
         }
     }
 
-    /// Lifts out a stretch for the pod at `at` if it may run ahead now.
-    fn open_stretch(&self, at: PodAt, queue: &EventQueue<Event>) -> Option<Stretch> {
+    /// The limit and the pod's SM cap for a stretch of the pod at `at`,
+    /// if it may run ahead now.
+    fn open_stretch(&self, at: PodAt, queue: &EventQueue<Event>) -> Option<(SimTime, u32)> {
         // Solo first: on a shared node the slot, or the slab's length,
         // fails it.
         if at.slot != 0 {
@@ -143,21 +142,15 @@ impl Engine {
             return None;
         }
         let limit = queue.next_limit()?;
-        let (row, lane) = node.solo_parts(at.slot)?;
-        Some(Stretch {
-            limit,
-            row,
-            lane,
-            bursts: BurstTally::default(),
-            last_burst: None,
-        })
+        Some((limit, node.solo_cap(at.slot)?))
     }
 
     /// Takes the pod's steps inline from `now` until one of them cannot
     /// be, and returns that one.
     fn run_stretch(
         &mut self,
-        s: &mut Stretch,
+        limit: SimTime,
+        cap: u32,
         mut now: SimTime,
         at: PodAt,
         queue: &mut EventQueue<Event>,
@@ -171,7 +164,7 @@ impl Engine {
             let stage = match active.run.advance_indexed(profile) {
                 StageOp::Host(d) => {
                     let done = now + d;
-                    if done >= s.limit {
+                    if done >= limit {
                         return Stop::Host(done);
                     }
                     self.deliver_inline(done, &Event::HostDone(at.pod), queue);
@@ -181,65 +174,48 @@ impl Engine {
                 StageOp::Done => return Stop::Done(now),
                 StageOp::Burst(stage) => stage,
             };
-            let burst = profile
-                .stages
-                .get(stage)
-                .and_then(|st| st.burst())
-                .and_then(|(spec, count)| {
-                    let desc = KernelDesc {
-                        blocks: spec.blocks,
-                        work_per_block: spec.work_per_block,
-                        tag: at.pod.0,
-                    };
-                    s.lane.burst(desc, count)
-                });
-            // A pass granting the token runs inline only before the limit.
-            let Some(burst) = burst.filter(|b| now < s.limit && s.row.can_charge(b.span)) else {
+            // A token is requested inline only before the limit.
+            let burst = profile.stages.get(stage).and_then(|st| st.burst());
+            let Some((spec, count)) = burst.filter(|_| now < limit) else {
                 return Stop::Request(now, stage);
             };
-            match s.row.token(now) {
-                SoloToken::Held => {}
-                SoloToken::Passed => {
+            let desc = KernelDesc {
+                blocks: spec.blocks,
+                work_per_block: spec.work_per_block,
+                tag: at.pod.0,
+            };
+            match self.nodes.get_mut(at.node).and_then(|n| n.request_at(now, at.slot)) {
+                Some(RequestOutcome::Granted(_)) => {}
+                // The pass the pod's wait owes its node runs now.
+                Some(RequestOutcome::Queued) => {
                     queue.claim_tie_key();
-                    self.trace_pass(now, at.node);
-                    self.counts.dispatch_passes += 1;
+                    self.grant_pass(now, at.node);
+                    let granted = self.granted_scratch == [at.slot];
+                    debug_assert!(granted, "a lone waiter's pass grants it");
+                    if !granted {
+                        return Stop::Wait(stage);
+                    }
                 }
-                SoloToken::Refused => return Stop::Request(now, stage),
+                Some(RequestOutcome::BlockedUntilReset) | None => return Stop::Request(now, stage),
             }
-            let end = now.checked_add(burst.span).filter(|&end| end < s.limit);
-            let Some(end) = end.filter(|_| s.bursts.add(&burst)) else {
+            let Some(node) = self.nodes.get_mut(at.node) else {
+                return Stop::Idle;
+            };
+            let Some(end) = node.run_alone(at.slot, now, limit, cap, desc, count) else {
                 return Stop::Launch(now, stage);
             };
-            s.row.charge(end, burst.span);
-            s.last_burst = Some(burst.span);
+            let gpu_time = end - now;
+            if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
+                active.burst_gpu_time = gpu_time;
+            }
+            self.ff_bursts += 1;
+            self.ff_coalesced_kernels += u64::from(count);
+            self.counts.solo_steps += 1;
             self.deliver_inline(end, &Event::BurstFastForward(at.node, at.pod), queue);
+            self.sync_burst(end, at, gpu_time, queue);
+            debug_assert!(self.dispatch_pending.is_empty(), "a solo pod's sync point owes no pass");
             now = end;
         }
-    }
-
-    /// Writes a stretch back to the node, the pod and the engine's
-    /// counters.
-    fn fold(&mut self, at: PodAt, s: Stretch) {
-        let Stretch {
-            limit: _,
-            row,
-            lane: _,
-            bursts,
-            last_burst,
-        } = s;
-        let Some(node) = self.nodes.get_mut(at.node) else {
-            debug_assert!(false, "runtime per node");
-            return;
-        };
-        node.put_solo_parts(at.slot, row, &bursts);
-        if let Some(span) = last_burst {
-            if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
-                active.burst_gpu_time = span;
-            }
-        }
-        self.ff_bursts += bursts.bursts;
-        self.ff_coalesced_kernels += bursts.kernels;
-        self.counts.solo_steps += bursts.bursts;
     }
 
     /// Delivers `event` at `at` inline, traced and counted as the

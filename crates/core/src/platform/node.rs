@@ -19,10 +19,11 @@
 //!
 //! A solo pod, one alone on its node ([`NodeRt::is_solo`]), leaves them
 //! from the first two: it runs ahead a stretch of stages at a time (the
-//! `ahead` module), on its backend row and device lane lifted out here
-//! ([`NodeRt::solo_parts`]) and written back once per stretch
-//! ([`NodeRt::put_solo_parts`]). `run_ahead_tests` below compare it with
-//! the queue-stepped run.
+//! `ahead` module), through the same backend calls, the first half of
+//! the same pass ([`Engine::grant_pass`]) and the same sync point
+//! ([`Engine::sync_burst`]), with its bursts run whole on the device
+//! ([`NodeRt::run_alone`]). `run_ahead_tests` below compare it with the
+//! queue-stepped run.
 //!
 //! Per-kernel stepping, fast-forward breaks and zombie drains, the paths
 //! fast-forward falls back to, run here too.
@@ -31,12 +32,12 @@ use super::engine::{schedule_next, Engine, Event};
 use super::error::PlatformError;
 use super::pod::{ActiveReq, PodAt, PodRt};
 use super::report::NodeReport;
-use crate::manager::{FastBackend, RequestOutcome, SoloRow};
+use crate::manager::{FastBackend, RequestOutcome};
 use crate::modelshare::{ModelStorageServer, DEFAULT_CTX_OVERHEAD};
 use fastg_cluster::{ClusterError, FuncId, NodeId, NodeState, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader};
 use fastg_des::{sanitizer, snap_struct, EventQueue, SimTime, TimeSeries};
-use fastg_gpu::{BurstTally, ClientId, GpuDevice, KernelDesc, KernelId, SoloLane};
+use fastg_gpu::{ClientId, GpuDevice, KernelDesc, KernelId};
 use fastg_models::{InferenceRun, StageOp};
 
 /// One node's record: its health, its GPU device, its FaST Backend, its
@@ -162,19 +163,36 @@ impl NodeRt {
         solo
     }
 
-    /// The solo pod at `slot`'s backend row and device lane, lifted out
-    /// for a stretch of run-ahead; `None` if the device would not
-    /// fast-forward its bursts.
-    pub(super) fn solo_parts(&self, slot: usize) -> Option<(SoloRow, SoloLane)> {
-        let client = self.get(slot)?.client;
-        Some((self.backend.solo_row(slot)?, self.gpu.solo_lane(client)?))
+    /// The SM cap the solo pod at `slot` runs its bursts at; `None` if
+    /// the device would not fast-forward them.
+    pub(super) fn solo_cap(&self, slot: usize) -> Option<u32> {
+        self.gpu.burst_cap(self.get(slot)?.client)
     }
 
-    /// Writes a stretch back: the pod's backend row, and the bursts its
-    /// lane ran.
-    pub(super) fn put_solo_parts(&mut self, slot: usize, row: SoloRow, bursts: &BurstTally) {
-        self.backend.put_solo_row(slot, row);
-        self.gpu.credit_solo(bursts);
+    /// Runs the solo pod at `slot`'s burst of `count` launches of `desc`
+    /// whole from `now` at SM cap `cap`, if it ends before `before`
+    /// ([`GpuDevice::run_alone`]), and opens it in the backend. Returns
+    /// the burst's end.
+    pub(super) fn run_alone(
+        &mut self,
+        slot: usize,
+        now: SimTime,
+        before: SimTime,
+        cap: u32,
+        desc: KernelDesc,
+        count: u32,
+    ) -> Option<SimTime> {
+        let client = self.get(slot)?.client;
+        let end = self.gpu.run_alone(now, before, client, cap, desc, count)?;
+        let opened = self.backend.begin_burst_at(slot);
+        debug_assert!(opened.is_some(), "a solo pod has a backend row");
+        Some(end)
+    }
+
+    /// The pod at `slot` asks for its token at `now`
+    /// ([`FastBackend::request_at`]).
+    pub(super) fn request_at(&mut self, now: SimTime, slot: usize) -> Option<RequestOutcome> {
+        self.backend.request_at(now, slot)
     }
 
     // ----- pod lifecycle ----------------------------------------------
@@ -578,7 +596,7 @@ impl Engine {
         // A `None` outcome: the pod's backend row is gone (crash teardown
         // raced this burst); the pod itself is being destroyed, so do
         // nothing.
-        match node.backend.request_at(now, at.slot) {
+        match node.request_at(now, at.slot) {
             None => {}
             Some(RequestOutcome::Granted(_)) => self.launch_burst(now, at, queue),
             Some(RequestOutcome::Queued | RequestOutcome::BlockedUntilReset) => {
@@ -764,7 +782,7 @@ impl Engine {
     /// Synchronization point after a burst's last kernel: report usage to
     /// the backend (maybe losing the lease, whose capacity the next
     /// dispatch pass hands on). The caller steps the pod on.
-    fn sync_burst(
+    pub(super) fn sync_burst(
         &mut self,
         now: SimTime,
         at: PodAt,
@@ -918,26 +936,13 @@ impl Engine {
         self.dispatch_pending.insert(at, (key, node));
     }
 
-    /// Runs a node's owed dispatch pass, traced: one canonical-order walk
-    /// of the ready queue, granting tokens until the SM budget stops it,
-    /// then launching each granted pod's pending burst. This is the only
+    /// Runs a node's owed dispatch pass: [`Self::grant_pass`], then
+    /// each granted pod's pending burst is launched. This is the only
     /// place a pod waiting for a token starts, except that a solo pod runs
-    /// its own pass ahead (see the `ahead` module). A pass is skipped, and
-    /// counted as skipped, when no waiter is grantable (every waiter is
-    /// quota-blocked until its window resets), as it would grant nothing.
+    /// its node's pass ahead (see the `ahead` module).
     pub(super) fn run_pass(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        self.trace_pass(now, node);
-        let Some(n) = self.nodes.get_mut(node) else {
-            return;
-        };
-        if !n.backend.has_grantable() {
-            self.counts.dispatch_passes_skipped += 1;
-            return;
-        }
-        self.counts.dispatch_passes += 1;
-        let mut granted = std::mem::take(&mut self.granted_scratch);
-        n.backend
-            .dispatch_slots(now, &mut self.ready_scratch, &mut granted);
+        self.grant_pass(now, node);
+        let granted = std::mem::take(&mut self.granted_scratch);
         for &slot in &granted {
             let Some(n) = self.nodes.get(node) else {
                 break;
@@ -950,15 +955,30 @@ impl Engine {
                 self.launch_burst(now, at, queue);
             }
         }
-        granted.clear();
         self.granted_scratch = granted;
     }
 
-    /// Traces a dispatch pass of `node` run at `now`.
-    pub(super) fn trace_pass(&mut self, now: SimTime, node: NodeId) {
+    /// A dispatch pass's grants, traced: one canonical-order walk of the
+    /// node's ready queue, granting tokens until the SM budget stops it.
+    /// The granted slots, in grant order, are left in `granted_scratch`.
+    /// A pass is skipped, and counted as skipped, when no waiter is
+    /// grantable (every waiter is quota-blocked until its window resets),
+    /// as it would grant nothing.
+    pub(super) fn grant_pass(&mut self, now: SimTime, node: NodeId) {
         if self.cfg.trace_events {
             self.trace.push(format!("{now:?} dispatch pass {node:?}"));
         }
+        self.granted_scratch.clear();
+        let Some(n) = self.nodes.get_mut(node) else {
+            return;
+        };
+        if !n.backend.has_grantable() {
+            self.counts.dispatch_passes_skipped += 1;
+            return;
+        }
+        self.counts.dispatch_passes += 1;
+        n.backend
+            .dispatch_slots(now, &mut self.ready_scratch, &mut self.granted_scratch);
     }
 
     pub(super) fn on_window_reset(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
@@ -1289,6 +1309,31 @@ mod run_ahead_tests {
         let inline = drive(restore(), restore(), &odd_slices(), "restored");
         assert!(inline > 50, "{inline} bursts inline");
         assert_eq!(restore().run_for(SimTime::from_secs(1)).digest(), tail);
+    }
+
+    /// A token lease to the end of the clock, which config and snapshot
+    /// decode accept, lasts to its end from every grant, and so the run
+    /// goes as under a lease longer than the run: alone (its passes run
+    /// ahead inline) and beside a second replica.
+    #[test]
+    fn a_lease_to_the_end_of_the_clock_outlasts_the_run() {
+        for policy in [SharingPolicy::FaST, SharingPolicy::SingleToken] {
+            for replicas in [1, 2] {
+                let run = |lease: SimTime| {
+                    let mut p = Platform::new(traced(10).nodes(1).policy(policy).token_lease(lease));
+                    let f = FunctionConfig::new("f", "rnnt").replicas(replicas).resources(24.0, 0.5, 0.5);
+                    let f = p.deploy(f).unwrap();
+                    p.set_load(f, ArrivalProcess::poisson(20.0, 10));
+                    let digest = p.run_for(ms(300)).digest();
+                    (digest, p.handler_counts(), p.event_trace().to_vec())
+                };
+                let what = format!("{policy:?} x{replicas}");
+                let (end, long) = (run(SimTime::MAX), run(ms(10_000)));
+                assert_eq!(end.0, long.0, "{what}: report digest");
+                assert_eq!(end.1, long.1, "{what}: handler counts");
+                assert!(end.2 == long.2, "{what}: traces differ");
+            }
+        }
     }
 
     /// `{time}` of every `HostDone` and `BurstFastForward` line in a trace.

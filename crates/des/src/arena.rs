@@ -258,31 +258,6 @@ impl<K: ArenaKey, V: Snap> Snap for IdArena<K, V> {
     }
 }
 
-impl<K: ArenaKey> Snap for IdSet<K> {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            bits,
-            len,
-            _marker,
-        } = self;
-        w.len_prefix(*len);
-        bits.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.len_prefix()?;
-        let bits = Vec::<u64>::unsnap(r)?;
-        let live: u32 = bits.iter().map(|w| w.count_ones()).sum();
-        if usize::try_from(live).map_err(|_| SnapError::new("IdSet len"))? != len {
-            return Err(SnapError::new("IdSet len"));
-        }
-        Ok(IdSet {
-            bits,
-            len,
-            _marker: PhantomData,
-        })
-    }
-}
-
 impl<K: ArenaKey, V> std::ops::Index<K> for IdArena<K, V> {
     type Output = V;
 

@@ -53,14 +53,6 @@ impl BusyTracker {
         }
     }
 
-    /// Adds `busy` of intervals that began and ended while nothing else
-    /// was active: what a [`Self::begin`] and [`Self::end`] around each of
-    /// them would add, as one exact integer sum.
-    pub fn credit(&mut self, busy: SimTime) {
-        debug_assert_eq!(self.active, 0, "credited intervals overlap open activity");
-        self.busy_total += busy;
-    }
-
     /// Number of concurrently tracked activities.
     pub fn active(&self) -> u32 {
         self.active

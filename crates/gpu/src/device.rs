@@ -336,88 +336,6 @@ pub struct FfBreak {
     pub resumed: KernelStart,
 }
 
-/// A client alone on an idle device, inside the capped regime: every
-/// burst it launches would run as [`GpuDevice::fast_forward_burst`] runs
-/// it, with its full grant and nothing settling it before its end. The
-/// lane computes such a burst's shape without building a record
-/// ([`Self::burst`]), and [`GpuDevice::credit_solo`] credits whole
-/// bursts in one update. Valid while nothing else touches the device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SoloLane {
-    cap: u32,
-    clock_scale: f64,
-}
-
-/// One burst on a [`SoloLane`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoloBurst {
-    /// Kernels in the burst.
-    pub kernels: u32,
-    /// SMs each kernel holds.
-    pub granted: u32,
-    /// The burst's span, its kernels back to back: the GPU time its sync
-    /// point charges.
-    pub span: SimTime,
-}
-
-impl SoloLane {
-    /// `count` back-to-back launches of `desc`, shaped by the arithmetic
-    /// [`GpuDevice::fast_forward_burst`] uses; `None` when that call would
-    /// refuse the burst (empty, or its span past the end of the clock).
-    pub fn burst(&self, desc: KernelDesc, count: u32) -> Option<SoloBurst> {
-        if count == 0 {
-            return None;
-        }
-        let run = FfRun::capped(desc, count, self.cap, self.clock_scale);
-        Some(SoloBurst {
-            kernels: count,
-            granted: run.granted,
-            span: run.span()?,
-        })
-    }
-}
-
-/// Whole bursts run on a [`SoloLane`], summed for
-/// [`GpuDevice::credit_solo`]. Every sum is checked.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BurstTally {
-    /// Bursts.
-    pub bursts: u64,
-    /// Kernels of those bursts.
-    pub kernels: u64,
-    /// Their spans: the device's busy time, which the client's sync
-    /// points charge as GPU time.
-    pub busy: SimTime,
-    /// Their occupied area, grant × span (SM × µs).
-    pub occupied_sm_us: u64,
-}
-
-impl BurstTally {
-    /// Adds `burst`. Returns false, leaving the tally as it was, when a
-    /// sum would overflow.
-    pub fn add(&mut self, burst: &SoloBurst) -> bool {
-        match self.plus(burst) {
-            Some(sums) => {
-                *self = sums;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn plus(&self, burst: &SoloBurst) -> Option<BurstTally> {
-        let span = burst.span.as_micros();
-        Some(BurstTally {
-            bursts: self.bursts.checked_add(1)?,
-            kernels: self.kernels.checked_add(u64::from(burst.kernels))?,
-            busy: SimTime::from_micros(self.busy.as_micros().checked_add(span)?),
-            occupied_sm_us: u64::from(burst.granted)
-                .checked_mul(span)
-                .and_then(|area| self.occupied_sm_us.checked_add(area))?,
-        })
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 struct ClientStream {
     queued: VecDeque<KernelDesc>,
@@ -1027,7 +945,7 @@ impl GpuDevice {
         if count == 0 {
             return None;
         }
-        let cap = self.admission(client).flatten()?;
+        let cap = self.burst_cap(client)?;
         let run = FfRun::capped(desc, count, cap, self.clock_scale);
         let end = run.end_from(now)?;
         debug_assert!(self.free_sms >= run.granted, "capped regime violated");
@@ -1046,31 +964,42 @@ impl GpuDevice {
         Some(end)
     }
 
-    /// `client`'s [`SoloLane`] when it could fast-forward a burst on a
-    /// device where nothing is active; `None` otherwise.
-    pub fn solo_lane(&self, client: ClientId) -> Option<SoloLane> {
-        if !self.is_idle() {
-            return None;
-        }
-        let cap = self.admission(client).flatten()?;
-        Some(SoloLane {
-            cap,
-            clock_scale: self.clock_scale,
-        })
+    /// The SM cap `client`'s burst would be fast-forwarded at if it
+    /// started now; `None` when [`Self::fast_forward_burst`] would refuse
+    /// it, whatever its kernels.
+    pub fn burst_cap(&self, client: ClientId) -> Option<u32> {
+        self.admission(client).flatten()
     }
 
-    /// Credits whole bursts a [`SoloLane`] ran while the device stayed
-    /// idle, as if each had been fast-forwarded and completed in turn:
-    /// the busy time, occupied area and completions that
-    /// [`Self::fast_forward_burst`] and [`Self::ff_complete`] leave, as
-    /// one exact integer sum each. Nothing else changes: each such pair
-    /// hands its grant and its cap back.
-    pub fn credit_solo(&mut self, tally: &BurstTally) {
-        debug_assert!(self.is_idle(), "solo bursts credited on a busy device");
-        if tally.bursts == 0 {
-            return;
+    /// Runs `count` back-to-back launches of `desc` for `client` whole,
+    /// from `now` at SM cap `cap`, on a device nothing else is active on:
+    /// what [`Self::fast_forward_burst`] and [`Self::ff_complete`] at the
+    /// burst's end would do, fed to the metrics the same way, without a
+    /// record in between. Returns the end only if it is before `before`;
+    /// otherwise (or for an empty burst) the device is left untouched.
+    /// `cap` is [`Self::burst_cap`]'s answer for `client`, which the
+    /// caller reads once while it keeps the device to `client` alone.
+    pub fn run_alone(
+        &mut self,
+        now: SimTime,
+        before: SimTime,
+        client: ClientId,
+        cap: u32,
+        desc: KernelDesc,
+        count: u32,
+    ) -> Option<SimTime> {
+        debug_assert!(self.is_idle(), "a burst run alone on a busy device");
+        debug_assert_eq!(self.burst_cap(client), Some(cap), "stale SM cap for {client:?}");
+        if count == 0 {
+            return None;
         }
-        self.metrics.credit(tally.busy, tally.occupied_sm_us, tally.kernels);
+        let run = FfRun::capped(desc, count, cap, self.clock_scale);
+        let end = run.end_from(now).filter(|&end| end < before)?;
+        self.metrics.begin(now);
+        let area = u64::from(run.granted) * (end - now).as_micros();
+        self.metrics.settled(area, u64::from(count));
+        self.metrics.end(end);
+        Some(end)
     }
 
     /// Whether no client is active: none has a resident run, a queued
@@ -1614,12 +1543,12 @@ mod tests {
         }
     }
 
-    /// A solo lane's bursts, credited in one update, leave the device
-    /// bytes, metric bits and client GPU time that fast-forwarding and
-    /// completing each of them in turn leaves, at full and at a scaled
-    /// clock; each burst's span is its timeline's.
+    /// A burst run alone leaves the device bytes, metric bits and GPU
+    /// time that fast-forwarding and completing it leaves, at full and at
+    /// a scaled clock. A burst ending at the limit, and an empty one, are
+    /// refused with the device untouched, and a busy device has no cap.
     #[test]
-    fn solo_bursts_credit_what_fast_forwarded_ones_leave() {
+    fn a_burst_run_alone_leaves_what_a_fast_forwarded_one_does() {
         let bytes = |gpu: &GpuDevice| {
             let mut w = SnapWriter::new();
             gpu.snap(&mut w);
@@ -1627,46 +1556,38 @@ mod tests {
         };
         let bursts = [(kernel(19, 200), 4), (kernel(40, 100), 3), (kernel(5, 0), 2), (kernel(90, 7), 11)];
         for scale in [1.0, 1.5] {
-            let (mut stepped, mut credited) = (v100(), v100());
+            let (mut stepped, mut alone) = (v100(), v100());
             let c = stepped.register_client(12.0).unwrap();
-            assert_eq!(credited.register_client(12.0).unwrap(), c);
+            assert_eq!(alone.register_client(12.0).unwrap(), c);
             stepped.set_clock_scale(scale);
-            credited.set_clock_scale(scale);
-            let lane = credited.solo_lane(c).unwrap();
-            let mut tally = BurstTally::default();
-            let mut charged = SimTime::ZERO;
+            alone.set_clock_scale(scale);
+            let cap = alone.burst_cap(c).unwrap();
             let mut now = SimTime::from_micros(70);
             for (desc, count) in bursts {
                 let end = stepped.fast_forward_burst(now, c, desc, count).unwrap();
                 let done = stepped.ff_complete(end, c).unwrap();
-                charged += done.gpu_time;
-                let burst = lane.burst(desc, count).unwrap();
-                assert_eq!(now + burst.span, end, "span at scale {scale}");
-                assert_eq!(burst.span, done.gpu_time);
-                assert_eq!(u64::from(burst.kernels), done.completed);
-                assert!(tally.add(&burst));
+                let before = bytes(&alone);
+                assert_eq!(alone.run_alone(now, end, c, cap, desc, count), None, "at the limit");
+                assert_eq!(bytes(&alone), before);
+                let limit = end + SimTime::from_micros(1);
+                assert_eq!(alone.run_alone(now, limit, c, cap, desc, count), Some(end), "scale {scale}");
+                assert_eq!(end - now, done.gpu_time);
+                assert_eq!(bytes(&stepped), bytes(&alone));
                 // A host gap before the next burst.
                 now = end + SimTime::from_micros(1_300);
             }
-            assert_eq!(lane.burst(kernel(19, 200), 0), None, "an empty burst");
-            credited.credit_solo(&tally);
-            assert_eq!(bytes(&stepped), bytes(&credited));
-            assert_eq!(tally.busy, charged);
-            let (a, b) = (stepped.sample(now, false), credited.sample(now, false));
+            let before = bytes(&alone);
+            assert_eq!(alone.run_alone(now, SimTime::MAX, c, cap, kernel(19, 200), 0), None, "an empty burst");
+            assert_eq!(bytes(&alone), before);
+            let (a, b) = (stepped.sample(now, false), alone.sample(now, false));
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.sm_occupancy.to_bits(), b.sm_occupancy.to_bits());
             assert_eq!(a.kernels_completed, b.kernels_completed);
         }
-        // A busy device has no solo lane, and a tally refuses a sum that
-        // would overflow.
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap();
         gpu.fast_forward_burst(SimTime::ZERO, c, kernel(19, 200), 2).unwrap();
-        assert!(gpu.solo_lane(c).is_none());
-        let huge = SoloBurst { kernels: 1, granted: 80, span: SimTime::from_micros(u64::MAX / 64) };
-        let mut tally = BurstTally::default();
-        assert!(!tally.add(&huge));
-        assert_eq!(tally, BurstTally::default());
+        assert_eq!(gpu.burst_cap(c), None, "a busy device");
     }
 
     #[test]

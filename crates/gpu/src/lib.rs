@@ -48,8 +48,8 @@ pub mod mps;
 pub mod spec;
 
 pub use device::{
-    BurstTally, ClientId, FfBreak, FfDone, GpuDevice, KernelDesc, KernelDone, KernelId,
-    KernelStart, SoloBurst, SoloLane, clamp_clock_scale, MAX_CLOCK_SCALE,
+    ClientId, FfBreak, FfDone, GpuDevice, KernelDesc, KernelDone, KernelId, KernelStart,
+    clamp_clock_scale, MAX_CLOCK_SCALE,
 };
 pub use error::GpuError;
 pub use memory::{GpuMemory, MemError};

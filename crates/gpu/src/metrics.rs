@@ -30,12 +30,12 @@ pub struct GpuWindowStats {
 /// Live metric accounting for one GPU: utilization, SM occupancy and
 /// completions, with their exported series.
 ///
-/// The device feeds it through four entry points: `begin` and `end`
-/// around each resident run's busy interval, `settled` for the occupied
-/// area and completions a settle credits, and `credit` for whole bursts
-/// run ahead. The occupied area is an integer (SM × µs), so the order in
-/// which runs settle cannot change a bit of the occupancy; it is
-/// converted to a fraction once, when a window is read.
+/// The device feeds it through three entry points: `begin` and `end`
+/// around each resident run's busy interval, and `settled` for the
+/// occupied area and completions a settle credits. The occupied area is
+/// an integer (SM × µs), so the order in which runs settle cannot change
+/// a bit of the occupancy; it is converted to a fraction once, when a
+/// window is read.
 #[derive(Debug, Clone)]
 pub struct GpuMetrics {
     sm_count: u32,
@@ -81,16 +81,6 @@ impl GpuMetrics {
     /// finished, or the device was reset under it.
     pub(crate) fn end(&mut self, now: SimTime) {
         self.util.end(now);
-    }
-
-    /// Whole bursts that began and ended while the device was otherwise
-    /// idle, with nothing settling them in between: their busy intervals
-    /// total `busy`, their occupied area is `area` and `kernels` finished.
-    /// The same integers [`Self::begin`], [`Self::settled`] and
-    /// [`Self::end`] add burst by burst.
-    pub(crate) fn credit(&mut self, busy: SimTime, area: u64, kernels: u64) {
-        self.util.credit(busy);
-        self.settled(area, kernels);
     }
 
     /// Closes the current sampling window at `now`, appends the samples to
