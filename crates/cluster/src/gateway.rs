@@ -100,6 +100,19 @@ impl FuncState {
             self.retries.remove(at);
         }
     }
+
+    /// The function's rules of the invariant catalogue: its pod sets
+    /// ascend, its queue is in `(arrived, id)` order, and its idle pods
+    /// are members.
+    fn check_invariants(&self) -> Result<(), SnapError> {
+        let ascending = |v: &[PodId]| v.windows(2).all(|w| w[0] < w[1]);
+        SnapError::ensure(ascending(&self.idle_pods) && ascending(&self.members), "gateway pod set order")?;
+        let q = &self.queue;
+        let ordered = q.iter().zip(q.iter().skip(1)).all(|(a, b)| (a.arrived, a.id) < (b.arrived, b.id));
+        SnapError::ensure(ordered, "gateway queue order")?;
+        let members = self.idle_pods.iter().all(|p| self.members.binary_search(p).is_ok());
+        SnapError::ensure(members, "gateway idle pod not a member")
+    }
 }
 
 /// The gateway: per-function FIFO queues and pull-based dispatch.
@@ -408,6 +421,11 @@ impl Gateway {
     pub fn funcs(&self) -> Vec<FuncId> {
         self.funcs.keys().collect()
     }
+
+    /// Every function's rules of the invariant catalogue.
+    pub fn check_invariants(&self) -> Result<(), SnapError> {
+        self.funcs.values().try_for_each(FuncState::check_invariants)
+    }
 }
 
 snap_struct!(RequestId(raw));
@@ -422,16 +440,7 @@ snap_struct!(Request {
 snap_struct!(FuncState {
     queue, idle_pods, members, arrivals, dropped, capacity, rejected, shed_deadline, retries,
 } check |f| {
-    if f.idle_pods.windows(2).any(|w| w[0] >= w[1]) || f.members.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(SnapError::new("gateway pod set order"));
-    }
-    if f.queue.iter().zip(f.queue.iter().skip(1)).any(|(a, b)| (a.arrived, a.id) >= (b.arrived, b.id)) {
-        return Err(SnapError::new("gateway queue order"));
-    }
-    if f.idle_pods.iter().any(|p| f.members.binary_search(p).is_err()) {
-        return Err(SnapError::new("gateway idle pod not a member"));
-    }
-    Ok(())
+    f.check_invariants()
 });
 
 snap_struct!(Gateway {
@@ -442,8 +451,46 @@ snap_struct!(Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     const F: FuncId = FuncId(0);
+
+    /// The gateway's rules of the invariant catalogue: one forged function
+    /// state per rule, refused by decode and by a direct call of the rules,
+    /// each under the rule's name.
+    #[test]
+    fn catalogue_rules_refuse_forged_gateways_at_decode_and_live() {
+        // Pods 1 and 2 serve, pod 3 is idle.
+        let mut g = Gateway::new();
+        for pod in [PodId(1), PodId(2), PodId(3)] {
+            g.register_pod(F, pod);
+        }
+        arrive(&mut g, SimTime::ZERO, F);
+        arrive(&mut g, SimTime::from_micros(10), F);
+        assert_eq!(g.idle_count(F), 1);
+        type Forge = fn(&mut FuncState);
+        let rows: [(&str, Forge); 4] = [
+            ("gateway pod set order", |f| f.members.reverse()),
+            ("gateway pod set order", |f| f.idle_pods.push(PodId(1))),
+            ("gateway queue order", |f| {
+                let req = |id, at| Request { id: RequestId(id), func: F, arrived: SimTime::from_micros(at), deadline: SimTime::MAX };
+                f.queue.extend([req(7, 20), req(8, 20), req(5, 30), req(6, 20)]);
+            }),
+            ("gateway idle pod not a member", |f| f.members.retain(|&p| p != PodId(3))),
+        ];
+        let decode = |g: &Gateway| {
+            let mut w = SnapWriter::new();
+            g.snap(&mut w);
+            Gateway::unsnap(&mut SnapReader::new(&w.finish())).map(|_| ())
+        };
+        assert_eq!((g.check_invariants(), decode(&g)), (Ok(()), Ok(())));
+        for (rule, forge) in rows {
+            let mut bad = g.clone();
+            forge(bad.funcs.get_mut(F).expect("registered"));
+            let refused = Err(SnapError::new(rule));
+            assert_eq!((bad.check_invariants(), decode(&bad)), (refused.clone(), refused), "{rule}");
+        }
+    }
 
     /// Legacy-shaped arrival helper: no deadline, `(request, maybe pod)`.
     fn arrive(g: &mut Gateway, now: SimTime, func: FuncId) -> (Request, Option<PodId>) {

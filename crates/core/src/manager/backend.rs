@@ -813,24 +813,34 @@ impl FastBackend {
         self.pods.slot_of(pod).ok_or(BackendError::UnknownPod(pod))
     }
 
+    /// The catalogue's "backend row slot" rule: each row sits at the slot
+    /// `pod_at` names its pod at (a crashed pod keeps a slot, not a row).
+    pub(crate) fn check_rows(&self, pod_at: impl Fn(usize) -> Option<PodId>) -> Result<(), SnapError> {
+        let placed = self.pods.rows.iter().enumerate().all(|(s, r)| r.as_ref().map_or(true, |r| pod_at(s) == Some(r.pod)));
+        SnapError::ensure(placed, "backend row slot")
+    }
+
+    /// The backend's own rule of the catalogue: the adapter's running sum
+    /// is the held leases' shares, within 1e-6, and at most
+    /// [`SM_GLOBAL_LIMIT`].
+    pub(crate) fn check_sm_running(&self) -> Result<(), SnapError> {
+        let leased: f64 = self.pods.rows.iter().flatten().filter_map(|r| r.entry.lease).map(|l| l.share).sum();
+        let held = (self.sm_running - leased).abs() <= 1e-6 && self.sm_running <= SM_GLOBAL_LIMIT + 1e-6;
+        SnapError::ensure(held, "backend sm running")
+    }
+
     /// Moves every row to the slot `slot_of` names for its pod: the
     /// platform's decode places each restored row at the slot its pod
-    /// holds in the node's pod slab.
-    ///
-    /// # Errors
-    /// A [`SnapError`] if a row's pod has no slot, or two rows claim one.
-    pub(crate) fn place_rows(
-        &mut self,
-        mut slot_of: impl FnMut(PodId) -> Option<usize>,
-    ) -> Result<(), SnapError> {
+    /// holds in the node's pod slab. A row whose pod has no free slot
+    /// there takes a vacant one, where the catalogue's "backend row slot"
+    /// rule refuses it.
+    pub(crate) fn place_rows(&mut self, mut slot_of: impl FnMut(PodId) -> Option<usize>) {
         let table = std::mem::take(&mut self.pods);
         for row in table.rows.into_iter().flatten() {
-            let slot = slot_of(row.pod).ok_or(SnapError::new("backend row without a pod"))?;
-            if !self.pods.insert(slot, row.pod, row.entry) {
-                return Err(SnapError::new("backend row slot"));
-            }
+            let slot = slot_of(row.pod).filter(|&s| self.pods.get(s).is_none());
+            // Decode's row order check keeps each pod to one row.
+            self.pods.insert(slot.unwrap_or_else(|| self.pods.free_slot()), row.pod, row.entry);
         }
-        Ok(())
     }
 }
 
@@ -838,10 +848,7 @@ impl FastBackend {
 snap_struct!(BackendConfig {
     policy, window, token_lease,
 } skip { deferred_dispatch } check |cfg| {
-    if cfg.window == SimTime::ZERO || cfg.token_lease == SimTime::ZERO {
-        return Err(SnapError::new("backend config bounds"));
-    }
-    Ok(())
+    SnapError::ensure(cfg.window > SimTime::ZERO && cfg.token_lease > SimTime::ZERO, "backend config bounds")
 });
 
 snap_struct!(Lease { expires, share });
@@ -879,9 +886,7 @@ impl Snap for PodTable {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let rows: Vec<(PodId, PodEntry)> = Vec::unsnap(r)?;
-        if rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-            return Err(SnapError::new("backend row order"));
-        }
+        SnapError::ensure(rows.windows(2).all(|pair| pair[0].0 < pair[1].0), "backend row order")?;
         let mut table = PodTable::default();
         for (slot, (pod, entry)) in rows.into_iter().enumerate() {
             table.insert(slot, pod, entry);
@@ -898,10 +903,7 @@ snap_struct!(FastBackend {
     b.pods.update_all(|e| e.set_spec(e.spec, window));
     Ok(())
 } check |b| {
-    if !(b.sm_running.is_finite() && b.sm_running >= 0.0) {
-        return Err(SnapError::new("backend sm accounting"));
-    }
-    Ok(())
+    b.check_sm_running()
 });
 
 #[cfg(test)]
@@ -925,6 +927,43 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_micros(ms * MS)
+    }
+
+    /// A field edit a forged snapshot could make, for the platform's
+    /// catalogue tests.
+    impl FastBackend {
+        pub(crate) fn forge_sm_running(&mut self, sum: f64) {
+            self.sm_running = sum;
+        }
+    }
+
+    fn round_trip(b: &FastBackend) -> Result<FastBackend, SnapError> {
+        let mut w = SnapWriter::new();
+        b.snap(&mut w);
+        FastBackend::unsnap(&mut SnapReader::new(&w.finish()))
+    }
+
+    /// The adapter's running sum is the held leases' shares. Two 60 %
+    /// pods: one holds a lease and the other waits, since 120 % does not
+    /// fit. Forged to 0, the sum would let the next pass grant the waiter
+    /// too; decoded or checked live, it is refused, as are sums that are
+    /// not numbers or pass the limit.
+    #[test]
+    fn a_forged_adapter_sum_is_refused() {
+        let mut b = fast_backend(5);
+        for pod in [PodId(0), PodId(1)] {
+            b.register(pod, spec(60.0, 0.5, 1.0));
+            req(&mut b, t(0), pod);
+        }
+        assert_eq!((b.holders(), b.waiting(), b.sm_running()), (1, 1, 60.0));
+        assert_eq!(round_trip(&b).map(|b| b.sm_running()), Ok(60.0));
+        for forged in [0.0, 59.9, 120.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = b.clone();
+            bad.forge_sm_running(forged);
+            let refused = Err(SnapError::new("backend sm running"));
+            assert_eq!(bad.check_sm_running(), refused, "{forged}");
+            assert_eq!(round_trip(&bad).map(|_| ()), refused, "{forged}");
+        }
     }
 
     /// Requests a token, then runs the dispatch pass the engine would run

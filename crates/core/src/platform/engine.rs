@@ -557,12 +557,10 @@ impl Engine {
     /// Rebuilds an engine from [`Self::snap_state`] output, taken at
     /// `now`. The scheduler is reconstructed from the decoded config (its
     /// placement policy is not part of the payload) and then handed its
-    /// captured planes. The records must agree: each pod's function
-    /// exists, and its request's cursor and pending burst lie within that
-    /// function's profile; see [`NodeRt::check_decoded`] for a node and
-    /// its pods; a function's gateway members are exactly its pods that
-    /// neither drain nor died; and a function holds arrivals only while
-    /// a scaler is enabled.
+    /// captured planes. Decode resolves what it builds state from: each
+    /// function's model and profile fingerprint, and each pod's function
+    /// and node. Then [`Self::check_invariants`] runs the rules that span
+    /// the records, once.
     pub(super) fn unsnap_state(r: &mut SnapReader<'_>, now: SimTime) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
         let mut nodes = IdArena::unsnap_with(r, NodeRt::unsnap_at)?;
@@ -570,61 +568,26 @@ impl Engine {
         let mut selector = make_selector(&cfg);
         selector.restore_state(r)?;
         // Functions share their model's profile exactly as after deploy;
-        // the pods' cursors below walk it.
+        // the pods' cursors walk it.
         let mut funcs: IdArena<FuncId, FuncRt> = IdArena::unsnap(r)?;
         let mut zoo_profiles = Vec::new();
-        for (id, f) in funcs.iter_mut() {
+        for f in funcs.values_mut() {
             let (model, print) =
                 zoo_profile(&mut zoo_profiles, &f.spec.model).ok_or(SnapError::new("function model"))?;
-            if print != f.model_fingerprint {
-                return Err(SnapError::new("function model fingerprint"));
-            }
+            SnapError::ensure(print == f.model_fingerprint, "function model fingerprint")?;
             f.model = model;
-            if !f.completions.fits_warmup(cfg.warmup) || !f.goodput.fits_warmup(cfg.warmup) {
-                return Err(SnapError::new("function warm-up counters"));
-            }
-            if !arrival_window_fits(&f.arrival_window, now, PREDICT_WINDOW) {
-                return Err(SnapError::new("function arrival window"));
-            }
-            queue_timer_fits(&cfg, f, gateway.oldest_queued(id), now)?;
         }
         // Each pod takes a slot in its node's slab, then the backend rows
         // move to their pods' slots.
-        let mut serving = Vec::new();
         let pod_loc = IdArena::unsnap_with(r, |pod, r| {
             let node = NodeId::unsnap(r)?;
             let rt = PodRt::unsnap(r)?;
-            let profile = &funcs.get(rt.func).ok_or(SnapError::new("pod function binding"))?.model;
-            if let Some(active) = &rt.active {
-                if !active.run.fits(profile) {
-                    return Err(SnapError::new("inference cursor stage"));
-                }
-                if active.pending_stage.is_some_and(|s| s >= profile.stages.len()) {
-                    return Err(SnapError::new("active request pending stage"));
-                }
-            }
-            if !rt.draining && rt.zombie.is_none() {
-                serving.push((rt.func, pod));
-            }
+            SnapError::ensure(funcs.get(rt.func).is_some(), "pod function binding")?;
             let slot = nodes.get_mut(node).ok_or(SnapError::new("pod node"))?.insert(pod, rt);
             Ok(PodAt { pod, node, slot })
         })?;
-        let next_pod = r.u64()?;
-        if pod_loc.keys().any(|p| p.0 >= next_pod) {
-            return Err(SnapError::new("pod id space"));
-        }
         for n in nodes.values_mut() {
-            n.check_decoded(now, |f| funcs.get(f).and_then(|f| f.shared_model(cfg.model_sharing)))?;
-            n.place_backend_rows()?;
-        }
-        // Each function's member list (sorted, checked by the gateway's
-        // decode) holds exactly its serving pods: each serving pod is a
-        // member, and no other pod is.
-        let members: usize = gateway.funcs().into_iter().map(|f| gateway.member_count(f)).sum();
-        if members != serving.len()
-            || serving.iter().any(|&(f, pod)| gateway.members(f).binary_search(&pod).is_err())
-        {
-            return Err(SnapError::new("gateway members"));
+            n.place_backend_rows();
         }
         // The remaining fields decode in wire order, which is the order
         // a struct expression evaluates its fields in.
@@ -635,7 +598,7 @@ impl Engine {
             selector,
             funcs,
             pod_loc,
-            next_pod,
+            next_pod: r.u64()?,
             autoscale_db: Option::unsnap(r)?,
             next_func: r.u32()?,
             next_synth: r.u64()?,
@@ -654,21 +617,67 @@ impl Engine {
             trace: Vec::unsnap(r)?,
             zoo_profiles,
         };
-        if engine.autoscale_db.is_none() && engine.funcs.values().any(|f| !f.arrival_window.is_empty()) {
-            return Err(SnapError::new("function arrival window without a scaler"));
+        engine.check_invariants(now)?;
+        Ok(engine)
+    }
+
+    /// Every rule that spans the engine's parts, at `now`: decode runs it
+    /// once, after each part's own rules ran from its `check`.
+    pub(super) fn check_invariants(&self, now: SimTime) -> Result<(), SnapError> {
+        for (id, f) in self.funcs.iter() {
+            let fits = f.completions.fits_warmup(self.cfg.warmup) && f.goodput.fits_warmup(self.cfg.warmup);
+            SnapError::ensure(fits, "function warm-up counters")?;
+            let window = arrival_window_fits(&f.arrival_window, now, PREDICT_WINDOW);
+            SnapError::ensure(window, "function arrival window")?;
+            queue_timer_fits(&self.cfg, f, self.gateway.oldest_queued(id), now)?;
         }
-        let pending = &engine.dispatch_pending;
-        let keys_ascend = pending.windows(2).all(|p| p[0].0 < p[1].0);
+        // Each in-flight request's cursor and pending burst lie within its
+        // function's profile.
+        for (active, model) in self.all_pods().filter_map(|rt| Some((rt.active.as_ref()?, &self.funcs.get(rt.func)?.model))) {
+            SnapError::ensure(active.run.fits(model), "inference cursor stage")?;
+            let pending = active.pending_stage.map_or(true, |s| s < model.stages.len());
+            SnapError::ensure(pending, "active request pending stage")?;
+        }
+        SnapError::ensure(self.pod_loc.keys().all(|p| p.0 < self.next_pod), "pod id space")?;
+        let shared = |f| self.funcs.get(f).and_then(|f: &FuncRt| f.shared_model(self.cfg.model_sharing));
+        self.nodes.values().try_for_each(|n| n.check_invariants(now, shared))?;
+        self.check_gateway_members()?;
+        // Arrivals are recorded only while a scaler runs.
+        let recorded = self.autoscale_db.is_some() || self.funcs.values().all(|f| f.arrival_window.is_empty());
+        SnapError::ensure(recorded, "function arrival window without a scaler")?;
+        // Owed passes ascend by tie key and name distinct nodes that exist.
+        let pending = &self.dispatch_pending;
         let mut owed: Vec<NodeId> = pending.iter().map(|&(_, n)| n).collect();
         owed.sort_unstable();
-        owed.dedup();
-        if !keys_ascend
-            || owed.len() != pending.len()
-            || owed.iter().any(|&n| engine.nodes.get(n).is_none())
-        {
-            return Err(SnapError::new("engine dispatch passes"));
-        }
-        Ok(engine)
+        let passes = pending.windows(2).all(|p| p[0].0 < p[1].0) && owed.windows(2).all(|n| n[0] < n[1]);
+        SnapError::ensure(passes && owed.iter().all(|&n| self.nodes.get(n).is_some()), "engine dispatch passes")?;
+        self.check_overload_conservation()?;
+        self.check_retry_table()
+    }
+
+    /// The whole catalogue, which the sanitizer runs at every metrics
+    /// sample and report build: each part's own rules, then the above.
+    pub(super) fn check_all(&self, now: SimTime) -> Result<(), SnapError> {
+        self.gateway.check_invariants()?;
+        self.nodes.values().try_for_each(NodeRt::check_parts)?;
+        self.check_invariants(now)
+    }
+
+    /// Each function's members are exactly its serving pods: the pods
+    /// that neither drain nor died, in ascending order (the gateway's own
+    /// rule keeps member lists sorted).
+    fn check_gateway_members(&self) -> Result<(), SnapError> {
+        let mut serving: Vec<(FuncId, PodId)> = self
+            .pod_loc
+            .iter()
+            .filter_map(|(pod, at)| self.pod_rt(*at).map(|rt| (rt, pod)))
+            .filter(|(rt, _)| !rt.draining && rt.zombie.is_none())
+            .map(|(rt, pod)| (rt.func, pod))
+            .collect();
+        serving.sort_unstable();
+        let g = &self.gateway;
+        let members = g.funcs().into_iter().flat_map(|f| g.members(f).iter().map(move |&pod| (f, pod)));
+        SnapError::ensure(serving.into_iter().eq(members), "gateway members")
     }
 }
 

@@ -303,10 +303,10 @@ fn timeout_wait(cfg: &PlatformConfig, f: &FuncRt) -> Option<SimTime> {
     Some(f.slo.slo().scale(cfg.request_timeout_factor?))
 }
 
-/// Decode's check of a function's queue timer against the snapshot clock
-/// `now` and its queue's `head`: a timer is never before the clock, is
-/// armed only with timeouts on, and is armed at or before the head's
-/// timeout whenever the head has one.
+/// The catalogue's three queue-timer rules for function `f` at `now`,
+/// with `head` at the head of its queue: a timer is never before the
+/// clock, is armed only with timeouts on, and is armed at or before the
+/// head's timeout whenever the head has one.
 pub(super) fn queue_timer_fits(
     cfg: &PlatformConfig,
     f: &FuncRt,
@@ -314,15 +314,9 @@ pub(super) fn queue_timer_fits(
     now: SimTime,
 ) -> Result<(), SnapError> {
     let wait = timeout_wait(cfg, f);
-    if f.queue_timer.is_some_and(|at| at < now) {
-        return Err(SnapError::new("queue timer before the snapshot clock"));
-    }
-    if f.queue_timer.is_some() && wait.is_none() {
-        return Err(SnapError::new("queue timer without timeouts"));
-    }
+    SnapError::ensure(f.queue_timer.map_or(true, |at| at >= now), "queue timer before the snapshot clock")?;
+    SnapError::ensure(f.queue_timer.is_none() || wait.is_some(), "queue timer without timeouts")?;
     let head_timeout = head.zip(wait).and_then(|(r, wait)| r.timeout(wait));
-    if head_timeout.is_some_and(|due| f.queue_timer.map_or(true, |at| at > due)) {
-        return Err(SnapError::new("queue timer missing or after the head's timeout"));
-    }
-    Ok(())
+    let armed = head_timeout.map_or(true, |due| f.queue_timer.is_some_and(|at| at <= due));
+    SnapError::ensure(armed, "queue timer missing or after the head's timeout")
 }

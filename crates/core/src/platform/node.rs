@@ -270,34 +270,12 @@ impl NodeRt {
         debug_assert!(freed.is_ok() && unregistered.is_ok(), "a pod's reservation and client are live");
     }
 
-    /// The pods' reservations plus the store's bytes; `None` past
-    /// `u64::MAX`, which only forged records reach.
-    fn accounted_bytes(&self) -> Option<u64> {
-        self.pods().try_fold(self.store.total_bytes(), |sum, rt| sum.checked_add(rt.memory))
-    }
-
-    /// Shadow-check (`FASTG_SANITIZE=1`, rule `memory-total`), after every
-    /// pod create, teardown and node crash: the device's bytes in use are
-    /// the pods' reservations plus the store's.
-    fn sanitize_memory(&self) {
-        if sanitizer::active() {
-            let used = self.memory_used();
-            sanitizer::check(self.accounted_bytes() == Some(used), "memory-total", || {
-                format!(
-                    "{:?}: {used} B in use, pods and store account for {:?} B",
-                    self.id,
-                    self.accounted_bytes()
-                )
-            });
-        }
-    }
-
     /// Puts a created pod's runtime in the slab, and its backend table
     /// row (the FaSTPod controller's spec sync) at the same slot.
     pub(super) fn admit(&mut self, pod: PodId, rt: PodRt, resources: ResourceSpec) -> PodAt {
         let slot = self.insert(pod, rt);
         self.backend.register_at(slot, pod, resources);
-        self.sanitize_memory();
+        sanitizer::enforce(|| self.check_memory());
         PodAt { pod, node: self.id, slot }
     }
 
@@ -345,7 +323,7 @@ impl NodeRt {
             debug_assert!(released.is_ok(), "a sharing pod holds a store reference");
         }
         self.release(&rt);
-        self.sanitize_memory();
+        sanitizer::enforce(|| self.check_memory());
         Some(rt)
     }
 
@@ -366,7 +344,7 @@ impl NodeRt {
         self.store = ModelStorageServer::new(DEFAULT_CTX_OVERHEAD);
         let mut lost: Vec<(PodId, PodRt)> = self.pods.drain(..).flatten().collect();
         lost.sort_unstable_by_key(|&(pod, _)| pod);
-        self.sanitize_memory();
+        sanitizer::enforce(|| self.check_memory());
         lost
     }
 
@@ -436,58 +414,69 @@ impl NodeRt {
         Ok(NodeRt { id, ..NodeRt::unsnap(r)? })
     }
 
-    /// After decode, with every pod in its slab: a down node holds no pod;
-    /// each pod's MPS client is live on this node's device and its own,
-    /// with no client left over; the device's memory in use is the pods'
-    /// reservations plus the store's; and the store counts, per model, the
-    /// pods sharing it (`shared` names the model a function's pods share).
-    /// Resident kernels and bursts started no later than `now`, the
-    /// snapshot's clock.
-    pub(super) fn check_decoded<'f>(
+    // ----- invariant catalogue ----------------------------------------
+
+    /// The node's rules of the invariant catalogue at `now` (`shared` names
+    /// the model a function's pods share): besides the ones below and the
+    /// store's refcounts, a down node holds no pod, the device started
+    /// nothing after `now`, and each backend row sits at its pod's slot.
+    pub(super) fn check_invariants<'f>(
         &self,
         now: SimTime,
         shared: impl Fn(FuncId) -> Option<&'f str>,
     ) -> Result<(), SnapError> {
-        if self.is_down() && self.pod_count() > 0 {
-            return Err(SnapError::new("pod on a down node"));
-        }
+        SnapError::ensure(!self.is_down() || self.pod_count() == 0, "pod on a down node")?;
+        self.check_mps_clients()?;
+        self.check_memory()?;
+        // The store counts, per model, the pods sharing it: one name per
+        // reference, in the store's order; a mismatch stops the walk, so a
+        // forged count costs no more than the pods.
+        let mut sharing: Vec<&str> = self.pods().filter_map(|rt| shared(rt.func)).collect();
+        sharing.sort_unstable();
+        let counted = self.store.refcounts().flat_map(|(model, refs)| {
+            std::iter::repeat(model).take(usize::try_from(refs).unwrap_or(usize::MAX))
+        });
+        SnapError::ensure(sharing.into_iter().eq(counted), "model store refcount")?;
+        let started = self.gpu.latest_start().map_or(true, |t| t <= now);
+        SnapError::ensure(started, "device start after the snapshot clock")?;
+        self.backend.check_rows(|slot| self.at(slot).map(|at| at.pod))
+    }
+
+    /// Each pod's MPS client is live on this node's device and its own,
+    /// with no client left over.
+    fn check_mps_clients(&self) -> Result<(), SnapError> {
         let mut clients: Vec<ClientId> = self.pods().map(|rt| rt.client).collect();
         clients.sort_unstable();
         clients.dedup();
         let mps = self.gpu.mps();
-        if clients.len() != self.pod_count()
-            || clients.len() != mps.client_count()
-            || !clients.iter().all(|&c| mps.is_registered(c))
-        {
-            return Err(SnapError::new("pod mps client"));
-        }
-        if self.accounted_bytes() != Some(self.memory_used()) {
-            return Err(SnapError::new("pod memory reservation"));
-        }
-        let mut sharing: Vec<&str> = self.pods().filter_map(|rt| shared(rt.func)).collect();
-        sharing.sort_unstable();
-        // One name per reference, in the store's order; a mismatch stops
-        // the walk, so a forged count costs no more than the pods.
-        let counted = self.store.refcounts().flat_map(|(model, refs)| {
-            std::iter::repeat(model).take(usize::try_from(refs).unwrap_or(usize::MAX))
-        });
-        if !sharing.into_iter().eq(counted) {
-            return Err(SnapError::new("model store refcount"));
-        }
-        if self.gpu.latest_start().is_some_and(|t| t > now) {
-            return Err(SnapError::new("device start after the snapshot clock"));
-        }
-        Ok(())
+        let own = clients.len() == self.pod_count()
+            && clients.len() == mps.client_count()
+            && clients.iter().all(|&c| mps.is_registered(c));
+        SnapError::ensure(own, "pod mps client")
+    }
+
+    /// The device's bytes in use are the pods' reservations plus the
+    /// store's; the sanitizer runs it after every pod create, teardown and
+    /// node crash too.
+    fn check_memory(&self) -> Result<(), SnapError> {
+        let accounted = self.pods().try_fold(self.store.total_bytes(), |sum, rt| sum.checked_add(rt.memory));
+        SnapError::ensure(accounted == Some(self.memory_used()), "pod memory reservation")
+    }
+
+    /// The device's and the backend's own rules.
+    pub(super) fn check_parts(&self) -> Result<(), SnapError> {
+        self.gpu.check_invariants()?;
+        self.backend.check_sm_running()
     }
 
     /// After decode: moves every backend row to the slot its pod holds in
     /// the slab.
-    pub(super) fn place_backend_rows(&mut self) -> Result<(), SnapError> {
+    pub(super) fn place_backend_rows(&mut self) {
         let Self { backend, pods, .. } = self;
         backend.place_rows(|pod| {
             pods.iter()
                 .position(|p| p.as_ref().is_some_and(|(id, _)| *id == pod))
-        })
+        });
     }
 }
 
@@ -1038,7 +1027,7 @@ mod tests {
 
     /// Decode lays backend rows out in `PodId` order; placing them moves
     /// each to its pod's slab slot, and a row for a pod the node does not
-    /// hold is a typed error.
+    /// hold breaks the "backend row slot" rule.
     #[test]
     fn decoded_backend_rows_move_to_their_pods_slots() {
         let spec = ResourceSpec::new(24.0, 0.5, 0.5, 0);
@@ -1053,7 +1042,8 @@ mod tests {
         n.backend.snap(&mut w);
         let bytes = w.finish();
         n.backend = FastBackend::unsnap(&mut SnapReader::new(&bytes)).unwrap();
-        n.place_backend_rows().unwrap();
+        n.place_backend_rows();
+        assert_eq!(n.backend.check_rows(|slot| n.at(slot).map(|at| at.pod)), Ok(()));
         assert!(n.backend.request_at(SimTime::ZERO, 0).is_some());
         assert!(n.backend.request_at(SimTime::ZERO, 1).is_some());
         n.backend.dispatch_pass(SimTime::ZERO);
@@ -1065,8 +1055,9 @@ mod tests {
         let mut stray = node();
         stray.insert(PodId(5), pod_rt());
         stray.backend = FastBackend::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        stray.place_backend_rows();
         assert!(
-            stray.place_backend_rows().is_err(),
+            stray.backend.check_rows(|slot| stray.at(slot).map(|at| at.pod)).is_err(),
             "pod 3 is not on the node"
         );
     }
@@ -1080,10 +1071,119 @@ mod tests {
 mod decode_tests {
     use super::NodeRt;
     use crate::platform::engine::Engine;
-    use crate::platform::{FunctionConfig, Platform, PlatformConfig};
-    use fastg_cluster::NodeState;
-    use fastg_des::SimTime;
+    use crate::platform::pod::ActiveReq;
+    use crate::platform::{FunctionConfig, Platform, PlatformConfig, Snapshot};
+    use crate::profiler::ProfileDb;
+    use fastg_cluster::{FuncId, NodeState, PodId, Request, RequestId, ResourceSpec};
+    use fastg_des::{SimTime, SnapError};
+    use fastg_models::{zoo, InferenceRun, StageOp};
     use fastg_workload::ArrivalProcess;
+
+    /// Two GPUs: "busy" runs three 40 % pods under a backlog, with queue
+    /// timeouts on and a scaler recording arrivals, and "idle" one 10 %
+    /// pod with no load.
+    fn catalogue_platform() -> (Platform, FuncId, FuncId) {
+        let mut p = Platform::new(PlatformConfig::default().nodes(2).seed(17).request_timeout_factor(10.0));
+        let fc = |name: &str, replicas, sm| FunctionConfig::new(name, "resnet50").replicas(replicas).resources(sm, 1.0, 1.0);
+        let busy = p.deploy(fc("busy", 3, 40.0).slo_ms(200)).unwrap();
+        let idle = p.deploy(fc("idle", 1, 10.0)).unwrap();
+        p.enable_autoscaler(ProfileDb::new());
+        p.set_load(busy, ArrivalProcess::constant(300.0));
+        p.run_for(SimTime::from_millis(503));
+        (p, busy, idle)
+    }
+
+    /// A request in flight on some pod.
+    fn in_flight(w: &mut Engine) -> &mut ActiveReq {
+        let at = *w.pod_loc.values().find(|&&at| w.pod_rt(at).is_some_and(|rt| rt.active.is_some())).expect("busy");
+        w.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()).expect("in flight")
+    }
+
+    /// A node holding two pods or more.
+    fn crowded(w: &mut Engine) -> &mut NodeRt {
+        w.nodes.values_mut().find(|n| n.pod_count() >= 2).expect("placement")
+    }
+
+    /// The rules of the invariant catalogue that span the engine's parts,
+    /// and the backend's own: one forged platform per rule, refused by
+    /// decode and by a direct call of the whole catalogue, each under the
+    /// rule's name. A row may set the clock both see.
+    #[test]
+    fn catalogue_rules_refuse_forged_platforms_at_decode_and_live() {
+        let (p, busy, idle) = catalogue_platform();
+        let now = p.now();
+        let us = SimTime::from_micros;
+        let stages = zoo::by_name("resnet50").expect("a zoo model").stages.len();
+        let past_end = {
+            let rnnt = zoo::by_name("rnnt").expect("a zoo model");
+            let mut run = InferenceRun::default();
+            while run.advance_indexed(&rnnt) != StageOp::Done {}
+            run
+        };
+        let fake = |id, func| Request { id: RequestId(id), func, arrived: now, deadline: SimTime::MAX };
+        type Forge<'a> = Box<dyn Fn(&mut Engine) + 'a>;
+        let rows: Vec<(&str, SimTime, Forge)> = vec![
+            ("function warm-up counters", now, Box::new(|w| w.cfg.warmup = SimTime::MAX)),
+            ("function arrival window", now, Box::new(|w| w.funcs[busy].arrival_window.push_back(now + us(1)))),
+            ("queue timer before the snapshot clock", now, Box::new(|w| w.funcs[busy].queue_timer = Some(now - us(1)))),
+            ("queue timer without timeouts", now, Box::new(|w| w.cfg.request_timeout_factor = None)),
+            ("queue timer missing or after the head's timeout", now, Box::new(|w| w.funcs[busy].queue_timer = None)),
+            ("inference cursor stage", now, Box::new(|w| in_flight(w).run = past_end)),
+            ("active request pending stage", now, Box::new(|w| in_flight(w).pending_stage = Some(stages))),
+            ("pod id space", now, Box::new(|w| w.next_pod = 0)),
+            ("pod on a down node", now, Box::new(|w| crowded(w).state = NodeState::Down)),
+            ("pod mps client", now, Box::new(|w| {
+                let n = crowded(w);
+                let c = n.pods().next().expect("pod").client;
+                n.pods.iter_mut().flatten().for_each(|(_, rt)| rt.client = c);
+            })),
+            ("pod memory reservation", now, Box::new(|w| crowded(w).pods.iter_mut().flatten().for_each(|(_, rt)| rt.memory += 1))),
+            ("model store refcount", now, Box::new(|w| {
+                let n = crowded(w);
+                n.store.acquire(n.gpu.memory_mut(), "resnet50", 1).expect("stored already");
+            })),
+            // An earlier clock, and no recorded arrival to be after it.
+            ("device start after the snapshot clock", SimTime::ZERO, Box::new(|w| {
+                w.autoscale_db = None;
+                w.funcs.values_mut().for_each(|f| f.arrival_window.clear());
+            })),
+            ("backend row slot", now, Box::new(|w| {
+                let n = crowded(w);
+                n.backend.register_at(n.pods.len() + 1, PodId(1 << 40), ResourceSpec::new(10.0, 1.0, 1.0, 0));
+            })),
+            ("backend sm running", now, Box::new(|w| {
+                let n = crowded(w);
+                n.backend.forge_sm_running(n.backend.sm_running() + 1.0);
+            })),
+            ("gateway members", now, Box::new(|w| crowded(w).pods.iter_mut().flatten().for_each(|(_, rt)| rt.draining = true))),
+            ("function arrival window without a scaler", now, Box::new(|w| w.autoscale_db = None)),
+            ("engine dispatch passes", now, Box::new(|w| {
+                let nodes: Vec<_> = w.nodes.keys().collect();
+                w.dispatch_pending = vec![(2, nodes[0]), (1, nodes[1])];
+            })),
+            ("overload conservation", now, Box::new(|w| w.gateway.drop_request(&fake(1 << 40, busy)))),
+            // Crash retries whose requests are neither queued nor in flight.
+            ("gateway retry table", now, Box::new(|w| {
+                let live = w.funcs.keys().map(|f| w.gateway.queue_len(f)).sum::<usize>() + w.all_pods().count();
+                for id in 0..=live as u64 {
+                    let pod = w.gateway.requeue(fake((1 << 40) + id, idle)).expect("an idle pod");
+                    assert_eq!(w.gateway.on_pod_idle(idle, pod), None);
+                }
+            })),
+        ];
+        assert_eq!(p.sim.world().check_all(now), Ok(()));
+        assert!(Platform::from_snapshot(&p.checkpoint()).is_ok());
+        for (rule, at, forge) in rows {
+            let mut bad = p.clone();
+            forge(bad.sim.world_mut());
+            assert_eq!(bad.sim.world().check_all(at), Err(SnapError::new(rule)), "live {rule}");
+            // The payload opens with the clock, after the 8-byte header.
+            let mut bytes = bad.checkpoint().as_bytes().to_vec();
+            bytes[8..16].copy_from_slice(&at.as_micros().to_le_bytes());
+            let decoded = Platform::from_snapshot(&Snapshot::from_bytes(bytes).unwrap());
+            assert_eq!(decoded.map(|_| ()).map_err(|e| e.what), Err(rule), "decode {rule}");
+        }
+    }
 
     /// Two GPUs serving three half-GPU pods of one function: two pods on
     /// one node and one on the other.

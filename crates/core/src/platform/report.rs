@@ -1,9 +1,10 @@
 //! Run reports: the numbers the paper's figures plot, the engine's
-//! metric sampling, and the report flush with its conservation check.
+//! metric sampling, the report flush and its two catalogue rules.
 
 use super::engine::{schedule_next, Engine, Event};
 use super::lifecycle::is_synthetic;
 use fastg_cluster::FuncId;
+use fastg_des::snap::SnapError;
 use fastg_des::{sanitizer, EventQueue, SimTime, TimeSeries};
 use std::collections::BTreeMap;
 
@@ -289,26 +290,12 @@ impl Engine {
             rt.replica_series.push(now, self.gateway.member_count(f) as f64);
         }
         schedule_next(queue, now, self.cfg.sample_interval, Event::MetricsSample);
+        sanitizer::enforce(|| self.check_all(now));
     }
 
     pub(super) fn build_report(&mut self, now: SimTime) -> PlatformReport {
-        // Retry-table leak check: every terminal state clears its entry,
-        // so the table can never exceed the live request population.
-        if cfg!(debug_assertions) {
-            let queued: u64 = self
-                .funcs
-                .keys()
-                .map(|f| u64::try_from(self.gateway.queue_len(f)).unwrap_or(u64::MAX))
-                .sum();
-            let in_flight =
-                u64::try_from(self.all_pods().filter(|p| p.active.is_some()).count())
-                    .unwrap_or(u64::MAX);
-            debug_assert!(
-                self.gateway.retries_total() <= queued + in_flight,
-                "gateway retry table leaked: {} entries, {queued} queued, {in_flight} in flight",
-                self.gateway.retries_total(),
-            );
-        }
+        debug_assert_eq!(self.check_retry_table(), Ok(()), "the retry table leaked");
+        sanitizer::enforce(|| self.check_all(now));
         // Flush a final metric sample so short runs have data.
         for n in self.nodes.values_mut() {
             n.sample_metrics(now, true);
@@ -349,9 +336,6 @@ impl Engine {
             );
         }
         let nodes = self.nodes.values().map(|n| n.report(warmup)).collect();
-        if sanitizer::active() {
-            self.sanitize_conservation(&functions);
-        }
         PlatformReport {
             duration: now,
             warmup,
@@ -362,39 +346,37 @@ impl Engine {
         }
     }
 
-    /// Shadow-check (`FASTG_SANITIZE=1`): the overload conservation
-    /// identity at every report flush — every real arrival is accounted
-    /// for exactly once across terminal and pending states. Saturating
-    /// functions are excluded (their synthetic requests bypass the
-    /// gateway's arrival accounting).
-    fn sanitize_conservation(&self, functions: &BTreeMap<FuncId, FunctionReport>) {
-        for (&id, fr) in functions {
-            if self.funcs.get(id).map_or(true, |rt| rt.saturate) {
-                continue;
-            }
-            let queued = u64::try_from(self.gateway.queue_len(id)).unwrap_or(u64::MAX);
-            let in_flight = u64::try_from(
-                self.all_pods()
-                    .filter(|p| p.func == id)
-                    .filter_map(|p| p.active.as_ref())
-                    .filter(|a| !is_synthetic(&a.req))
-                    .count(),
-            )
-            .unwrap_or(u64::MAX);
-            let accounted = fr.completed
-                + fr.rejected
-                + fr.shed_deadline
-                + fr.dropped
-                + queued
-                + in_flight;
-            sanitizer::check(fr.arrivals == accounted, "overload-conservation", || {
-                format!(
-                    "function {id:?} ({}): arrivals {} != completed {} + rejected {} + shed {} \
-                     + dropped {} + queued {queued} + in_flight {in_flight} = {accounted}",
-                    fr.name, fr.arrivals, fr.completed, fr.rejected, fr.shed_deadline, fr.dropped,
-                )
-            });
+    /// The catalogue's overload conservation rule: every arrival at a
+    /// function is accounted for exactly once, as
+    /// `arrivals = completed + rejected + shed + dropped + queued + in flight`.
+    /// Saturating functions are exempt: their synthetic requests bypass
+    /// the gateway's arrival accounting.
+    pub(super) fn check_overload_conservation(&self) -> Result<(), SnapError> {
+        let mut flying: Vec<FuncId> = self
+            .all_pods()
+            .filter(|p| p.active.as_ref().is_some_and(|a| !is_synthetic(&a.req)))
+            .map(|p| p.func)
+            .collect();
+        flying.sort_unstable();
+        let g = &self.gateway;
+        for (id, f) in self.funcs.iter().filter(|(_, f)| !f.saturate) {
+            let in_flight = flying.partition_point(|&x| x <= id) - flying.partition_point(|&x| x < id);
+            let pending = u64::try_from(g.queue_len(id) + in_flight).unwrap_or(u64::MAX);
+            let states = [f.completions.count(), g.rejected(id), g.shed_deadline(id), g.dropped(id), pending];
+            let accounted = states.iter().try_fold(0u64, |sum, &n| sum.checked_add(n));
+            SnapError::ensure(accounted == Some(g.total_arrivals(id)), "overload conservation")?;
         }
+        Ok(())
+    }
+
+    /// The catalogue's retry-table bound: the gateway's crash-retry table
+    /// holds at most one entry per queued or in-flight request, since
+    /// every terminal state clears its entry. Every debug build checks it
+    /// at each report too.
+    pub(super) fn check_retry_table(&self) -> Result<(), SnapError> {
+        let queued: usize = self.funcs.keys().map(|f| self.gateway.queue_len(f)).sum();
+        let live = queued + self.all_pods().filter(|p| p.active.is_some()).count();
+        SnapError::ensure(self.gateway.retries_total() <= u64::try_from(live).unwrap_or(u64::MAX), "gateway retry table")
     }
 }
 

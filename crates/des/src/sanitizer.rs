@@ -10,8 +10,9 @@
 //! (seed, tie-break policy, fast-forward mode) so the exact failing
 //! trace can be reproduced from the command line.
 //!
-//! Checked invariants (hooked from `sim.rs`, `queue.rs`, the GPU device,
-//! the FaST Backend and the platform engine):
+//! Two kinds of rule are checked. Operation shadow-checks compare one
+//! operation's result with a slower oracle where it runs, through
+//! [`check`]:
 //!
 //! * `monotone-dispatch` — event dispatch time never decreases,
 //! * `cancel-token-generation` — a [`crate::CancelToken`] always names a
@@ -19,22 +20,21 @@
 //! * `ff-credit-order` — a GPU resident record's credited point never
 //!   moves backwards and never passes the settling instant or the run's
 //!   end, and a record's closing event arrives at its end,
-//! * `sm-conservation` — per-kernel SM grants stay within client caps and
-//!   the device-wide SM budget,
+//! * `sm-conservation` — each SM grant stays within its client's cap and
+//!   the device,
 //! * `window-area` — at every GPU metrics sample, the window's occupied
 //!   area is at most the SM count × its busy µs (occupancy ≤
 //!   utilization, in integers),
-//! * `overload-conservation` — every admitted request is accounted for
-//!   exactly once in the report identity
-//!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`,
 //! * `admission-summary` — the FaST Backend's slot bitsets and the GPU
 //!   device's running cap counts answer their admission tests as the row
-//!   and stream scans they replace do,
-//! * `memory-total` — after every pod create, teardown and node crash, a
-//!   node's device memory in use equals its pods' reservations plus its
-//!   model store's bytes.
+//!   and stream scans they replace do.
+//!
+//! The invariant catalogue's rules span structures: each is one function
+//! named by the [`SnapError`] it returns, which decode runs once and the
+//! platform runs live through [`enforce`] (ARCHITECTURE.md lists them).
 
 use crate::queue::TieBreak;
+use crate::snap::SnapError;
 use crate::time::SimTime;
 
 /// The replay recipe attached to every violation: enough to re-run the
@@ -155,6 +155,15 @@ pub fn on_event(index: u64, at: SimTime) {
 #[inline]
 pub fn check(cond: bool, rule: &'static str, detail: impl FnOnce() -> String) {
     imp::check(cond, rule, detail)
+}
+
+/// Runs catalogue rules when the sanitizer is armed: a broken one aborts
+/// as [`check`] does, under its name. Release builds compile it out.
+#[inline]
+pub fn enforce(rules: impl FnOnce() -> Result<(), SnapError>) {
+    if let Some(Err(e)) = active().then(rules) {
+        check(false, e.what, || "a catalogue rule is broken".to_string());
+    }
 }
 
 #[cfg(test)]

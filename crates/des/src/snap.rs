@@ -53,6 +53,12 @@ impl SnapError {
     pub fn new(what: &'static str) -> Self {
         SnapError { what }
     }
+
+    /// `Ok` if `holds`, else an error naming `what`: the verdict of one
+    /// rule of the invariant catalogue, or of one decode bound.
+    pub fn ensure(holds: bool, what: &'static str) -> Result<(), Self> {
+        holds.then_some(()).ok_or(SnapError { what })
+    }
 }
 
 impl fmt::Display for SnapError {

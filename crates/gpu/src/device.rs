@@ -225,17 +225,12 @@ impl Resident {
         done: u32,
         credited: SimTime,
     ) -> Result<Self, SnapError> {
-        if kernel.is_some() && run.count != 1 {
-            return Err(SnapError::new("gpu stepped run"));
-        }
-        if done >= run.count {
-            return Err(SnapError::new("gpu resident kernel"));
-        }
+        SnapError::ensure(kernel.is_none() || run.count == 1, "gpu stepped run")?;
+        SnapError::ensure(done < run.count, "gpu resident kernel")?;
         let end = run.end_from(start).ok_or(SnapError::new("gpu run span"))?;
         let kernel_start = start + run.duration * u64::from(done);
-        if credited < kernel_start || credited > kernel_start + run.duration {
-            return Err(SnapError::new("gpu credited point"));
-        }
+        let inside = credited >= kernel_start && credited <= kernel_start + run.duration;
+        SnapError::ensure(inside, "gpu credited point")?;
         Ok(Resident { done, credited, ..Resident::new(client, kernel, 0, run, start, end) })
     }
 
@@ -724,9 +719,7 @@ impl GpuDevice {
             }
             started.push(self.start_head(now, client)?);
         }
-        if sanitizer::active() {
-            self.sanitize_sm_conservation("on_kernel_finish");
-        }
+        sanitizer::enforce(|| self.check_sm_conservation());
         Ok(done)
     }
 
@@ -1022,30 +1015,7 @@ impl GpuDevice {
         for r in self.resident.iter_mut().filter(|r| r.kernel.is_none()) {
             r.settle(now, false, false, &mut self.free_sms, &mut self.metrics);
         }
-        if sanitizer::active() {
-            self.sanitize_sm_conservation("ff_sync");
-        }
-    }
-
-    /// Shadow-check (`FASTG_SANITIZE=1`): every SM is either free or
-    /// granted to exactly one resident kernel, stepped or fast-forwarded,
-    /// at all times. Records settled to different instants each hold their
-    /// resident kernel's grant, so the identity holds between settles too.
-    /// O(residents); only ever runs with the sanitizer armed.
-    fn sanitize_sm_conservation(&self, site: &'static str) {
-        let granted: u32 = self.resident.iter().map(|r| r.run.granted).sum();
-        sanitizer::check(
-            granted + self.free_sms == self.spec.sm_count,
-            "sm-conservation",
-            || {
-                format!(
-                    "{site}: granted {granted} + free {} != device {} ({} resident runs)",
-                    self.free_sms,
-                    self.spec.sm_count,
-                    self.resident.len()
-                )
-            },
-        );
+        sanitizer::enforce(|| self.check_sm_conservation());
     }
 
     /// Completes a fast-forwarded burst at its macro-event time `now` (the
@@ -1068,9 +1038,7 @@ impl GpuDevice {
         }
         burst.settle(end, true, true, &mut self.free_sms, &mut self.metrics);
         self.metrics.end(now);
-        if sanitizer::active() {
-            self.sanitize_sm_conservation("ff_complete");
-        }
+        sanitizer::enforce(|| self.check_sm_conservation());
         Some(FfDone {
             completed: u64::from(burst.done),
             gpu_time: burst.served(),
@@ -1184,46 +1152,66 @@ snap_struct!(GpuDevice {
     d.over_cap = over;
     Ok(())
 } check |d| {
-    if d.free_sms > d.spec.sm_count {
-        return Err(SnapError::new("gpu free sms"));
-    }
-    // Every SM is free or granted to exactly one resident kernel, stepped
-    // or fast-forwarded (summed wide, so no forged grant can wrap it).
-    let granted: u64 = d.resident.iter().map(|r| u64::from(r.run.granted)).sum();
-    if u64::from(d.free_sms) + granted != u64::from(d.spec.sm_count) {
-        return Err(SnapError::new("gpu sm conservation"));
-    }
-    if !(d.clock_scale > 0.0 && d.clock_scale <= MAX_CLOCK_SCALE) {
-        return Err(SnapError::new("gpu clock scale"));
-    }
-    if !d.streams.iter().map(|(id, _)| *id).eq(d.mps.caps().map(|(id, _)| id)) {
-        return Err(SnapError::new("gpu stream table"));
-    }
-    // Each stepped kernel is its client's stream head, and each burst's
-    // client has an idle stream and no other burst.
-    let heads = d.streams.iter().filter_map(|(id, s)| s.running.map(|k| (Some(k), *id)));
-    let resident = |(k, id): (Option<KernelId>, ClientId)| {
-        d.resident.iter().any(|r| r.kernel == k && r.client == id)
-    };
-    if heads.clone().count() != d.resident_kernels() || !heads.clone().all(resident) {
-        return Err(SnapError::new("gpu resident table"));
-    }
-    let idle = |c: ClientId| {
-        d.streams
-            .iter()
-            .any(|(id, s)| *id == c && s.running.is_none() && s.queued.is_empty())
-    };
-    let bursts = || d.resident.iter().filter(|r| r.kernel.is_none());
-    for (i, t) in bursts().enumerate() {
-        if !idle(t.client) || bursts().take(i).any(|u| u.client == t.client) {
-            return Err(SnapError::new("gpu ff stream"));
-        }
-    }
-    if d.resident.iter().any(|r| r.kernel.is_some_and(|id| id.0 >= d.next_kernel)) {
-        return Err(SnapError::new("gpu kernel id space"));
-    }
-    Ok(())
+    SnapError::ensure(d.clock_scale > 0.0 && d.clock_scale <= MAX_CLOCK_SCALE, "gpu clock scale")?;
+    d.check_invariants()
 });
+
+// The device's rules of the invariant catalogue, each named by the error
+// it returns: decode runs them from the device's `check`, the platform's
+// sanitizer at every metrics sample (SM conservation after every settle).
+impl GpuDevice {
+    /// Every rule of the device, in order. Besides the ones below: no more
+    /// SMs are free than the device has, the MPS caps are derived from its
+    /// SM count, the stream table lists the MPS clients in their order,
+    /// and every resident kernel's id was issued.
+    pub fn check_invariants(&self) -> Result<(), SnapError> {
+        SnapError::ensure(self.free_sms <= self.spec.sm_count, "gpu free sms")?;
+        self.check_sm_conservation()?;
+        SnapError::ensure(self.mps.sm_count() == self.spec.sm_count, "gpu mps sm count")?;
+        let streams = self.streams.iter().map(|(id, _)| *id);
+        SnapError::ensure(streams.eq(self.mps.caps().map(|(id, _)| id)), "gpu stream table")?;
+        self.check_resident_table()?;
+        self.check_burst_streams()?;
+        let issued = self.resident.iter().all(|r| r.kernel.map_or(true, |id| id.0 < self.next_kernel));
+        SnapError::ensure(issued, "gpu kernel id space")
+    }
+
+    /// Every SM is free or granted to exactly one resident kernel, stepped
+    /// or fast-forwarded: Σ granted + free = SMs. Records settled to
+    /// different instants each hold their resident kernel's grant, so the
+    /// identity holds between settles too (summed wide, so no forged grant
+    /// can wrap it).
+    fn check_sm_conservation(&self) -> Result<(), SnapError> {
+        let granted: u64 = self.resident.iter().map(|r| u64::from(r.run.granted)).sum();
+        let conserved = u64::from(self.free_sms) + granted == u64::from(self.spec.sm_count);
+        SnapError::ensure(conserved, "gpu sm conservation")
+    }
+
+    /// Each stepped kernel is its client's stream head, and each head is
+    /// resident.
+    fn check_resident_table(&self) -> Result<(), SnapError> {
+        let heads = self.streams.iter().filter_map(|(id, s)| s.running.map(|k| (Some(k), *id)));
+        let resident = |(k, id): (Option<KernelId>, ClientId)| {
+            self.resident.iter().any(|r| r.kernel == k && r.client == id)
+        };
+        let held = heads.clone().count() == self.resident_kernels() && heads.clone().all(resident);
+        SnapError::ensure(held, "gpu resident table")
+    }
+
+    /// Each burst's client has an idle stream and no other burst.
+    fn check_burst_streams(&self) -> Result<(), SnapError> {
+        let idle = |c: ClientId| {
+            self.streams
+                .iter()
+                .any(|(id, s)| *id == c && s.running.is_none() && s.queued.is_empty())
+        };
+        let bursts = || self.resident.iter().filter(|r| r.kernel.is_none());
+        let alone = bursts()
+            .enumerate()
+            .all(|(i, t)| idle(t.client) && !bursts().take(i).any(|u| u.client == t.client));
+        SnapError::ensure(alone, "gpu ff stream")
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -2162,6 +2150,55 @@ mod tests {
         let mut bad = resident_and_timeline();
         bad.resident[1].run.granted = 70;
         assert_eq!(round_trip(&bad).err(), Some(SnapError::new("gpu sm conservation")));
+    }
+
+    /// The device's rules of the invariant catalogue: one forged device
+    /// per rule, refused by decode and by a direct call of the rules, each
+    /// under the rule's name.
+    #[test]
+    fn catalogue_rules_refuse_forged_devices_at_decode_and_live() {
+        type Forge = fn(&mut GpuDevice);
+        let rows: [(&str, Forge); 8] = [
+            ("gpu free sms", |d| d.free_sms = 81),
+            ("gpu sm conservation", |d| d.free_sms -= 1),
+            ("gpu sm conservation", |d| d.resident[1].run.granted = 70),
+            ("gpu mps sm count", |d| d.mps.forge_sm_count(0)),
+            ("gpu stream table", |d| d.streams.push((ClientId(9), ClientStream::default()))),
+            ("gpu resident table", |d| d.streams[0].1.running = None),
+            ("gpu ff stream", |d| d.streams[1].1.queued.push_back(kernel(1, 10))),
+            ("gpu kernel id space", |d| d.next_kernel = 0),
+        ];
+        let gpu = resident_and_timeline();
+        assert_eq!(gpu.check_invariants(), Ok(()));
+        for (rule, forge) in rows {
+            let mut bad = gpu.clone();
+            forge(&mut bad);
+            assert_eq!(bad.check_invariants(), Err(SnapError::new(rule)), "live {rule}");
+            assert_eq!(round_trip(&bad).err(), Some(SnapError::new(rule)), "decode {rule}");
+        }
+    }
+
+    /// MPS caps are derived from the partitions on decode, not read: a
+    /// forged cap of 0 decodes as the partition's cap and the device runs
+    /// on, where a decoded cap of 0 would panic the next kernel start. A
+    /// partition outside (0, 100] does not decode.
+    #[test]
+    fn snapshot_derives_mps_caps_and_refuses_a_forged_partition() {
+        let mut gpu = v100();
+        let c = gpu.register_client(25.0).unwrap();
+        let first = gpu.launch(SimTime::ZERO, c, kernel(40, 10)).unwrap().unwrap();
+        assert!(gpu.launch(SimTime::ZERO, c, kernel(40, 10)).unwrap().is_none());
+        let mut forged = gpu.clone();
+        forged.mps.forge_client(0, 25.0, 0);
+        let mut back = round_trip(&forged).unwrap();
+        assert_eq!(back.mps.sm_cap(c), Ok(20));
+        let (_, started) = back.on_kernel_finish(first.finish_at, first.kernel).unwrap();
+        assert_eq!(started[0].granted_sms, 20);
+        for bad in [0.0, -1.0, 100.5, f64::NAN, f64::INFINITY] {
+            let mut forged = gpu.clone();
+            forged.mps.forge_client(0, bad, 20);
+            assert_eq!(round_trip(&forged).err(), Some(SnapError::new("mps client percentage")), "{bad}");
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl std::error::Error for MpsError {}
 struct ClientEntry {
     /// Active-thread percentage in `(0, 100]`.
     percentage: f64,
-    /// Cached SM cap derived from the percentage.
+    /// SM cap derived from the percentage (never on the wire).
     sm_cap: u32,
 }
 
@@ -91,6 +91,11 @@ impl MpsServer {
         self.mode
     }
 
+    /// The SM count the caps are derived from.
+    pub(crate) fn sm_count(&self) -> u32 {
+        self.sm_count
+    }
+
     /// Registers a new client with the given active-thread percentage
     /// (ignored — forced to 100 — in exclusive mode).
     pub fn register(&mut self, percentage: f64) -> Result<ClientId, MpsError> {
@@ -107,7 +112,7 @@ impl MpsServer {
         }
         let id = ClientId(self.next_id);
         self.next_id += 1;
-        let sm_cap = self.sm_cap_for(percentage);
+        let sm_cap = sm_cap_for(self.sm_count, percentage);
         // Ids only grow, so pushing keeps the table in ascending order.
         self.clients.push((
             id,
@@ -143,7 +148,7 @@ impl MpsServer {
         if !(percentage > 0.0 && percentage <= 100.0) {
             return Err(MpsError::BadPercentage(percentage));
         }
-        let cap = self.sm_cap_for(percentage);
+        let cap = sm_cap_for(self.sm_count, percentage);
         let (_, entry) = self
             .clients
             .iter_mut()
@@ -195,31 +200,35 @@ impl MpsServer {
     pub fn total_percentage(&self) -> f64 {
         self.clients.iter().map(|(_, e)| e.percentage).sum()
     }
+}
 
-    fn sm_cap_for(&self, percentage: f64) -> u32 {
-        // The rounded value is clamped into [1, sm_count] below.
-        // fastg-lint: allow(no-lossy-cast)
-        ((self.sm_count as f64 * percentage / 100.0).round() as u32)
-            .max(1)
-            .min(self.sm_count)
-    }
+/// The SM cap of `percentage` of `sm_count` SMs.
+fn sm_cap_for(sm_count: u32, percentage: f64) -> u32 {
+    // The rounded value is clamped into [1, sm_count] below.
+    // fastg-lint: allow(no-lossy-cast)
+    ((sm_count as f64 * percentage / 100.0).round() as u32)
+        .max(1)
+        .min(sm_count)
 }
 
 snap_struct!(ClientId(raw));
 
 snap_enum!(MpsMode, "mps mode tag" { Shared = 0, Exclusive = 1 });
 
-snap_struct!(ClientEntry { percentage, sm_cap });
+snap_struct!(ClientEntry { percentage } skip { sm_cap });
 
-snap_struct!(MpsServer { mode, sm_count, clients, next_id } check |s| {
-    // Lookups assume the ascending id order `register` keeps.
-    if s.clients.windows(2).any(|w| w[0].0 >= w[1].0) {
-        return Err(SnapError::new("mps client order"));
-    }
-    if s.clients.iter().any(|(c, _)| c.0 >= s.next_id) {
-        return Err(SnapError::new("mps client id space"));
+// Each cap is derived again from its percentage, which `register`
+// keeps in (0, 100].
+snap_struct!(MpsServer { mode, sm_count, clients, next_id } rebuild |s| {
+    for (_, e) in &mut s.clients {
+        SnapError::ensure(e.percentage > 0.0 && e.percentage <= 100.0, "mps client percentage")?;
+        e.sm_cap = sm_cap_for(s.sm_count, e.percentage);
     }
     Ok(())
+} check |s| {
+    // Lookups assume the ascending id order `register` keeps.
+    SnapError::ensure(s.clients.windows(2).all(|w| w[0].0 < w[1].0), "mps client order")?;
+    SnapError::ensure(s.clients.iter().all(|(c, _)| c.0 < s.next_id), "mps client id space")
 });
 
 #[cfg(test)]
@@ -229,6 +238,17 @@ mod tests {
 
     fn server(mode: MpsMode) -> MpsServer {
         MpsServer::new(&GpuSpec::v100(), mode)
+    }
+
+    /// Field edits a forged snapshot could make, for the device's tests.
+    impl MpsServer {
+        pub(crate) fn forge_sm_count(&mut self, sm_count: u32) {
+            self.sm_count = sm_count;
+        }
+
+        pub(crate) fn forge_client(&mut self, index: usize, percentage: f64, sm_cap: u32) {
+            self.clients[index].1 = ClientEntry { percentage, sm_cap };
+        }
     }
 
     #[test]

@@ -303,7 +303,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// the occupied area as one integer instead of a time-weighted value.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(SNAPSHOT_VERSION, 16, "bump SNAPSHOT_VERSION and re-pin");
+    assert_eq!(SNAPSHOT_VERSION, 17, "bump SNAPSHOT_VERSION and re-pin");
     let mut flash = flash_crowd_chaos_platform(TieBreak::Fifo);
     flash.run_for(SimTime::from_millis(2500));
     let mut fleet = fleet_platform(TieBreak::Fifo, true);
@@ -312,9 +312,9 @@ fn snapshot_bytes_are_pinned() {
     crashed.run_for(SimTime::from_millis(4500));
     assert!(!fleet.node_up(0) && !crashed.node_up(0), "node 0 crashed at 3 s");
     for (name, p, len, hash) in [
-        ("flash crowd", flash, 5_566, 0x1236_a95c_3aaa_fcd3),
-        ("fleet", fleet, 6_799, 0xd00c_a5a2_f500_7fb0),
-        ("flash crowd after the node crash", crashed, 5_691, 0xa0bd_0b19_fe6d_c755),
+        ("flash crowd", flash, 5_558, 0xe9f3_b2ee_750f_8b1a),
+        ("fleet", fleet, 6_791, 0xb35b_7c96_6a7a_4b57),
+        ("flash crowd after the node crash", crashed, 5_683, 0xd884_c6c7_c478_4236),
     ] {
         let snapshot = p.checkpoint();
         let bytes = snapshot.as_bytes();

@@ -1,7 +1,8 @@
 //! Model-based property testing of the whole platform: random operation
 //! sequences (deploy, scale, kill, run, load changes) must never violate
 //! the global invariants — request conservation, memory conservation,
-//! replica consistency, determinism.
+//! replica consistency, determinism — nor any rule of the invariant
+//! catalogue, which decoding a checkpoint runs.
 
 use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
@@ -29,6 +30,15 @@ fn arb_op() -> impl Strategy<Value = OpKind> {
         any::<u8>().prop_map(OpKind::KillOne),
         (0u8..120).prop_map(OpKind::LoadResnet),
     ]
+}
+
+/// Decodes the platform's checkpoint, which runs the whole invariant
+/// catalogue over its state; `checkpoint` takes `&self`, so the run goes
+/// on as it would have.
+fn assert_catalogue_holds(p: &Platform) {
+    if let Err(e) = Platform::from_snapshot(&p.checkpoint()) {
+        panic!("the catalogue refused the state at {:?}: {}", p.now(), e.what);
+    }
 }
 
 fn drive(ops: &[OpKind], seed: u64) -> (u64, Vec<(u64, u64)>, u64) {
@@ -59,6 +69,7 @@ fn drive(ops: &[OpKind], seed: u64) -> (u64, Vec<(u64, u64)>, u64) {
         match op {
             OpKind::Run(ms) => {
                 p.run_for(SimTime::from_millis(ms as u64));
+                assert_catalogue_holds(&p);
             }
             OpKind::ScaleResnet(n) => p.scale_to(resnet, n as usize),
             OpKind::ScaleRnnt(n) => p.scale_to(rnnt, n as usize),
@@ -79,6 +90,7 @@ fn drive(ops: &[OpKind], seed: u64) -> (u64, Vec<(u64, u64)>, u64) {
     p.scale_to(resnet, 2);
     p.scale_to(rnnt, 1);
     let report = p.run_for(SimTime::from_secs(8));
+    assert_catalogue_holds(&p);
     let per_func: Vec<(u64, u64)> = report
         .functions
         .values()
