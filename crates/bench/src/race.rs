@@ -324,10 +324,35 @@ fn solo_scenarios() -> Vec<Scenario> {
         .collect()
 }
 
+/// Four RNNT replicas at 12 % SMs on one node under Poisson load, under
+/// FaST, racing and time sharing: the node runs ahead, taking its pods'
+/// steps, its passes and its quota windows inline between arrivals, so
+/// the matrix perturbs the ties inside node stretches and the instants
+/// they stop at.
+fn node_scenarios() -> Vec<Scenario> {
+    [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken]
+        .into_iter()
+        .map(|policy| {
+            Scenario::new(
+                format!("node-{policy:?}"),
+                PlatformConfig::default()
+                    .nodes(1)
+                    .policy(policy)
+                    .oversubscribe(true)
+                    .fastforward(true)
+                    .seed(39),
+            )
+            .function(FunctionConfig::new("node", "rnnt").replicas(4).resources(12.0, 1.0, 1.0))
+            .load(0, ArrivalProcess::poisson(12.0, 40))
+            .duration(SimTime::from_secs(4))
+        })
+        .collect()
+}
+
 /// Every scenario the detector perturbs: the determinism fingerprint
 /// workloads, the chaos/FF-parity runs, the seeded sweep grid, the
-/// overload matrix, the fleet matrix, the queue-timeout pair and the
-/// solo pair.
+/// overload matrix, the fleet matrix, the queue-timeout pair, the solo
+/// pair and the node trio.
 pub fn race_matrix() -> Vec<Scenario> {
     let mut all = policy_scenarios();
     all.extend(chaos_scenarios());
@@ -336,6 +361,7 @@ pub fn race_matrix() -> Vec<Scenario> {
     all.extend(fleet_scenarios());
     all.extend(timeout_scenarios());
     all.extend(solo_scenarios());
+    all.extend(node_scenarios());
     all
 }
 
@@ -497,16 +523,33 @@ mod tests {
         }
     }
 
+    /// Runs a one-function scenario and returns its platform.
+    fn ran(sc: &Scenario) -> Platform {
+        let mut p = Platform::new(sc.config.clone());
+        let f = p.deploy(sc.functions[0].clone()).expect("deploys");
+        p.set_load(f, sc.loads[0].1.clone());
+        p.run_for(sc.duration);
+        p
+    }
+
     /// The solo pair exercises what it is there for: the pod runs ahead.
     #[test]
     fn solo_scenarios_run_ahead() {
         for sc in solo_scenarios() {
-            let mut p = Platform::new(sc.config.clone());
-            let f = p.deploy(sc.functions[0].clone()).expect("deploys");
-            p.set_load(f, sc.loads[0].1.clone());
-            p.run_for(sc.duration);
-            let inline = p.handler_counts().solo_steps;
+            let p = ran(&sc);
+            let inline = p.handler_counts().inline_bursts;
             assert!(inline > 0, "{}: none of {} bursts ran ahead", sc.name, p.ff_bursts());
+        }
+    }
+
+    /// The node trio exercises what it is there for: most bursts of the
+    /// node's four pods run inside its stretches.
+    #[test]
+    fn node_scenarios_run_ahead() {
+        for sc in node_scenarios() {
+            let p = ran(&sc);
+            let (inline, bursts) = (p.handler_counts().inline_bursts, p.ff_bursts());
+            assert!(inline * 2 > bursts, "{}: {inline} of {bursts} bursts ran ahead", sc.name);
         }
     }
 }

@@ -754,13 +754,6 @@ impl FastBackend {
         self.pods.waiting.count()
     }
 
-    /// Whether no pod but the one at `slot` holds a lease or waits for
-    /// one.
-    pub(crate) fn alone_at(&self, slot: usize) -> bool {
-        let pods = &self.pods;
-        pods.holders.iter().chain(pods.waiting.iter()).all(|s| s == slot)
-    }
-
     /// Whether any pod waits in the ready queue. A dispatch pass grants
     /// only waiting pods, so without one it is a no-op.
     pub fn has_waiter(&self) -> bool {

@@ -1,227 +1,405 @@
-//! Solo-pod run-ahead: a pod alone on its GPU advances a whole stretch
-//! of stages at a time.
+//! Run-ahead by the node: the pods of a busy node step inline, in rank
+//! order, while the next event is one of theirs.
 //!
-//! A pod alone on its node (the profiler's trials, the one-pod sharing
-//! cells) would push each next step, a `HostDone` or a
-//! `BurstFastForward`, only for the driver to pop it straight back, and
-//! under spatio-temporal isolation its timeline depends on its own state
-//! alone. So while its steps would be the driver's next deliveries, the
-//! pod takes them here, inline.
+//! A pod's steps, each a `HostDone` or a `BurstFastForward`, go through
+//! the queue: the handler pushes the step, the driver pops it back and
+//! dispatches it. On a node that has the queue to itself, as in the
+//! profiler's trials and the sharing grid's cells, that round trip is
+//! most of a step's cost. Under spatio-temporal isolation a pod's
+//! timeline depends on its node's state alone, so while the next
+//! delivery is one of the node's steps, the node takes it here, inline,
+//! through the same handlers.
 //!
-//! **Entry.** A data-plane handler steps the pod as its last action
+//! **Entry.** A data-plane handler steps a pod as its last action
 //! ([`Engine::run_ahead`]: `Arrival`, `HostDone`, `KernelFinish` and
 //! `BurstFastForward`; never a pass, a control-plane tick, a fault or an
-//! API call, which step pods through [`Engine::step_pod`]), and at that
-//! moment:
-//! - fast-forward is on;
-//! - the pod is solo ([`NodeRt::is_solo`](super::node::NodeRt::is_solo),
-//!   asked first: a pod at any slot but 0 fails at once, and at slot 0
-//!   one load of the slab's length tells a shared node apart);
-//! - no dispatch pass is owed at the current instant;
-//! - a run is in progress, so the queue has a limit
-//!   ([`EventQueue::next_limit`]: the earlier of its head and the run's
-//!   deadline). Until the pod stops, nothing else moves and nothing is
-//!   pushed, so the limit holds for the whole stretch.
+//! API call, which step pods through [`Engine::step_pod`]). Inside a run,
+//! with fast-forward on, the node's stretch opens if then the queue's
+//! head, the driver's next delivery after at most the node's own owed
+//! pass, is one of the node's steps: the pod's own next one, or a
+//! node-mate's; on a node with node-mates, the entry after it must be
+//! the node's too ([`EventQueue::second`]). A platform whose stretches
+//! keep taking few events, as a fleet, looks only now and then.
 //!
-//! **A stretch.** It reads the limit and the pod's SM cap once, when it
-//! opens, and takes each stage as the queue-stepped run would, through
-//! the same calls on the node:
-//! - a host phase ending before the limit is delivered inline;
-//! - a burst's token is requested from the backend
-//!   ([`FastBackend::request_at`](crate::manager::FastBackend::request_at)).
-//!   A held lease is granted at once. A pod that queues is owed its
-//!   node's pass, and that pass runs at once: the stretch claims the tie
-//!   key `owe_pass` would claim, then runs the pass's grants
-//!   ([`Engine::grant_pass`]), which a lone waiter always gets;
-//! - the burst runs whole on the device
-//!   ([`GpuDevice::run_alone`](fastg_gpu::GpuDevice::run_alone)) if it
-//!   ends before the limit. It opens in the backend, its
-//!   `BurstFastForward` is delivered inline and its sync point runs
-//!   ([`Engine::sync_burst`]), and the fast-forward counters and the
-//!   request's burst GPU time are updated;
-//! - a completed request goes through [`Engine::complete_request`], and a
-//!   new stretch opens if the pod takes a next request.
+//! **What a stretch delivers.** In exact rank order, the lesser of:
+//! - the steps the stretch pushed. Each push claims its sequence number,
+//!   and so its rank, as the queue-stepped push would
+//!   ([`EventQueue::claim`]), and waits aside in the stretch's buffer;
+//! - the queue's head, while it is a `HostDone` of one of the node's
+//!   pods, a `BurstFastForward` on the node, or the node's own
+//!   `WindowReset`.
 //!
-//! Each inline delivery takes the sequence number its push would have
-//! taken and counts as a delivered event
-//! ([`EventQueue::deliver_inline`]), traced and counted per kind like the
-//! driver's.
+//! Each goes through the driver's accounting ([`EventQueue::deliver_claimed`],
+//! [`EventQueue::deliver_head`]) and is traced and counted per kind, and
+//! then to its handler, whose last step of a pod is kept aside in turn.
+//! Once nothing is left at an instant, the node's owed dispatch pass runs
+//! there, as the driver's end of the instant would run it.
 //!
-//! **Stops.** The stretch ends at the first step it cannot take inline,
-//! and the normal path takes that step:
-//! - a host phase ending at or past the limit is pushed;
-//! - a token requested at the limit itself, or refused until the window
-//!   resets, is requested by [`Engine::try_start_burst`]: repeating a
-//!   refused request changes nothing on the row, and the pod owes its
-//!   node the pass as usual;
-//! - a burst holding its token and ending at or past the limit launches
-//!   as a real timeline, so samples, checkpoints and breaks find the
-//!   state they always did.
+//! **At once.** A step that is certainly the next delivery, before every
+//! kept step, the queue's head and the run's deadline, with no pass
+//! owed, is taken the moment it is made ([`Engine::step_pod`]): a host
+//! phase is delivered inline ([`EventQueue::deliver_inline`]), and a
+//! burst launched as the instant's last work on an idle device runs
+//! whole ([`GpuDevice::run_alone`](fastg_gpu::GpuDevice::run_alone)),
+//! without a resident record, its `BurstFastForward` delivered inline.
+//! A pod that queues with nothing else left at its instant has its
+//! node's pass run at once. On a node with one pod nearly every step is
+//! taken so.
 //!
-//! Nothing is deferred, so nothing is written back: the node is left as
-//! the stepped run leaves it because it went through the stepped run's
-//! own code. `run_ahead_tests` in the `node` module compare the two.
+//! **Stops.** The stretch stops at the first thing it cannot take this
+//! way: another event, a pass owed by another node, a step past the
+//! run's deadline, or a per-kernel launch (before the break it may
+//! bring). It then pushes its buffer at the ranks already claimed
+//! ([`EventQueue::push_claimed`]), so the queue, the sequence space, the
+//! event count, the traces and the checkpoint bytes are exactly what the
+//! queue-stepped run leaves. `run_ahead_tests` in the `node` module
+//! compare the two.
 
 use super::engine::{Engine, Event};
+use super::node::NodeRt;
 use super::pod::PodAt;
-use crate::manager::RequestOutcome;
-use fastg_des::{EventQueue, SimTime};
-use fastg_gpu::KernelDesc;
-use fastg_models::StageOp;
+use fastg_cluster::{NodeId, PodId};
+use fastg_des::{CancelToken, EventQueue, Rank, SimTime};
+use std::collections::VecDeque;
 
-/// The step a stretch stopped at, for the normal path to take.
-enum Stop {
-    /// A host phase ending at this instant, at or past the limit.
-    Host(SimTime),
-    /// A burst (stage index) whose token is requested at this instant.
-    Request(SimTime, usize),
-    /// A burst holding its token, launched at this instant, ending at or
-    /// past the limit.
-    Launch(SimTime, usize),
-    /// A burst whose pass did not grant it: the pod waits for its token.
-    Wait(usize),
-    /// The request completed at this instant.
-    Done(SimTime),
-    /// The pod has no request to step.
-    Idle,
+/// A step kept aside: the `HostDone` of the pod at `slot` of the
+/// stretch's node, or the `BurstFastForward` of its burst. Its rank is
+/// kept beside it, so each moves in registers.
+#[derive(Clone, Copy)]
+struct Kept {
+    slot: u32,
+    /// A `BurstFastForward` (else a `HostDone`).
+    burst: bool,
+}
+
+/// The step of `pod` on `node`: its `BurstFastForward` if `burst`, else
+/// its `HostDone`.
+fn step_event(node: NodeId, pod: PodId, burst: bool) -> Event {
+    if burst {
+        Event::BurstFastForward(node, pod)
+    } else {
+        Event::HostDone(pod)
+    }
+}
+
+/// A burst the device ran alone, whose `BurstFastForward` was delivered at
+/// once: its pod, and its end, from which the pod steps on.
+pub(super) type RanAlone = Option<(PodAt, SimTime)>;
+
+/// The open stretch: the node whose pods step inline, the steps it keeps
+/// aside, and what it reads of the queue. Closed and empty between
+/// events.
+#[derive(Clone, Default)]
+pub(super) struct Stretch {
+    /// The node whose pods step inline; `None` while no stretch is open.
+    node: Option<NodeId>,
+    /// The run's deadline.
+    deadline: SimTime,
+    /// The queue's head: while a stretch is open, only the stretch
+    /// changes the queue.
+    head: Option<(Rank, Event)>,
+    /// The earlier of the first kept step's time and the head's, or
+    /// `SimTime::MAX`: a step strictly before it is the next delivery.
+    before: SimTime,
+    /// The ranks the steps pushed while open claimed, in order: the next
+    /// is first.
+    ranks: VecDeque<Rank>,
+    /// The steps at those ranks.
+    steps: VecDeque<Kept>,
+    /// The last of `ranks`, while there is one.
+    last: Option<Rank>,
+    /// Events delivered inline since the stretch opened.
+    taken: u64,
+    /// Data-plane handlers since a stretch last took `WORTH` events.
+    misses: u32,
+}
+
+/// The events a stretch takes to pay for its opening and closing.
+const WORTH: u64 = 8;
+
+/// Handlers after which a platform whose stretches take fewer than
+/// `WORTH` events ([`Stretch::misses`]) looks for one only now and then.
+const MISSES_BEFORE_SKIPPING: u32 = 64;
+
+/// How often such a platform still looks: at every this many handlers.
+const LOOK_EVERY: u32 = 16;
+
+impl Stretch {
+    /// Schedules the step of the pod at `at` at `time`, its
+    /// `BurstFastForward` if `burst` and else its `HostDone`: kept aside
+    /// at the rank it claims while the pod's node's stretch is open, else
+    /// pushed. Returns the entry's token.
+    pub(super) fn push(&mut self, at: PodAt, time: SimTime, burst: bool, queue: &mut EventQueue<Event>) -> CancelToken {
+        let event = step_event(at.node, at.pod, burst);
+        if self.node != Some(at.node) {
+            return queue.schedule_cancellable(time, event);
+        }
+        let (rank, token) = queue.claim(time, &event);
+        let slot = u32::try_from(at.slot).unwrap_or(u32::MAX);
+        let kept = Kept { slot, burst };
+        self.before = self.before.min(time);
+        // A new step is most often the latest.
+        if self.ranks.is_empty() || self.last < Some(rank) {
+            self.last = Some(rank);
+            self.ranks.push_back(rank);
+            self.steps.push_back(kept);
+        } else {
+            let i = self.ranks.partition_point(|&r| r < rank);
+            self.ranks.insert(i, rank);
+            self.steps.insert(i, kept);
+        }
+        token
+    }
+
+    /// Whether a step of the pod at `at` at `time` is certainly the next
+    /// delivery: the pod's node's stretch is open, and `time` is before
+    /// every step kept aside and the queue's head, and within the run.
+    /// The caller rules out an owed pass.
+    fn is_next(&self, at: PodAt, time: SimTime) -> bool {
+        self.node == Some(at.node) && time < self.before && time <= self.deadline
+    }
+
+    /// Reads the queue's head again, after the stretch changed the queue.
+    fn read_head(&mut self, queue: &EventQueue<Event>) {
+        self.head = queue.head().map(|(rank, &event)| (rank, event));
+        self.refresh();
+    }
+
+    /// Recomputes [`Self::before`] after the first kept step or the head
+    /// changed.
+    fn refresh(&mut self) {
+        let kept = self.ranks.front().map(|rank| rank.time());
+        let head = self.head.map(|(rank, _)| rank.time());
+        self.before = [kept, head].into_iter().flatten().fold(SimTime::MAX, SimTime::min);
+    }
+
+    /// Delivers at once the `HostDone` of the pod at `at` at `time` if it
+    /// is certainly the next delivery ([`Self::is_next`]); returns whether
+    /// it did.
+    pub(super) fn takes_at_once(&mut self, at: PodAt, time: SimTime, queue: &mut EventQueue<Event>) -> bool {
+        let next = self.is_next(at, time);
+        if next {
+            queue.deliver_inline(time);
+            self.taken += 1;
+        }
+        next
+    }
+
+    /// The instant before which a burst launched now on `node` must end
+    /// to run alone: inside the node's stretch, with no pass owed
+    /// (`no_pass_owed`), the end comes before every step kept aside, the
+    /// queue's head and the run's deadline. The launch must be the
+    /// instant's last work on the node. `None` if it may not run alone.
+    pub(super) fn alone_before(&self, node: NodeId, no_pass_owed: bool) -> Option<SimTime> {
+        (self.node == Some(node) && no_pass_owed).then_some(self.before.min(self.deadline))
+    }
+
+    /// Whether the pass `node` would owe at `now` is what its open stretch
+    /// takes next: no pass is owed yet (`no_pass_owed`), and nothing else
+    /// is left at the instant. A pod that queues as its handler's last
+    /// action then has the pass run at once, as the end of the instant
+    /// would.
+    pub(super) fn pass_is_next(&self, node: NodeId, now: SimTime, no_pass_owed: bool) -> bool {
+        self.node == Some(node) && no_pass_owed && self.next().map_or(true, |(rank, _)| rank.time() > now)
+    }
+
+    /// Whether no stretch is open.
+    pub(super) fn is_closed(&self) -> bool {
+        self.node.is_none()
+    }
+
+    /// The next event: the first step kept aside if it ranks below the
+    /// queue's head, else the head.
+    fn next(&self) -> Option<(Rank, bool)> {
+        match (self.ranks.front(), self.head) {
+            (Some(&kept), head) if head.map_or(true, |(rank, _)| kept < rank) => Some((kept, true)),
+            (_, head) => head.map(|(rank, _)| (rank, false)),
+        }
+    }
 }
 
 impl Engine {
-    /// Steps the pod at `at` from `now`, running it ahead while it is solo
-    /// (see the module docs), else through [`Engine::step_pod`].
-    pub(super) fn run_ahead(&mut self, mut now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
-        loop {
-            let Some((limit, cap)) = self.open_stretch(at, queue) else {
-                return self.step_pod(now, at, queue);
-            };
-            let stop = self.run_stretch(limit, cap, now, at, queue);
-            match stop {
-                Stop::Host(done) => queue.schedule(done, Event::HostDone(at.pod)),
-                Stop::Request(t, stage) | Stop::Launch(t, stage) => {
-                    let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) else {
-                        debug_assert!(false, "burst belongs to a request");
-                        return;
-                    };
-                    active.pending_stage = Some(stage);
-                    if matches!(stop, Stop::Launch(..)) {
-                        self.launch_burst(t, at, queue);
-                    } else {
-                        self.try_start_burst(t, at, queue);
-                    }
-                }
-                // Left waiting, as the stepped pass leaves a waiter it
-                // does not grant.
-                Stop::Wait(stage) => {
-                    if let Some(active) = self.pod_rt_mut(at).and_then(|rt| rt.active.as_mut()) {
-                        active.pending_stage = Some(stage);
-                        active.waiting_token = true;
-                    }
-                }
-                Stop::Done(t) => {
-                    if self.complete_request(t, at, queue) {
-                        now = t;
-                        continue;
-                    }
-                }
-                Stop::Idle => debug_assert!(false, "stepping requires a live pod with a request"),
-            }
+    /// Steps the pod at `at` from `now`, a data-plane handler's last
+    /// action, and runs its node ahead from there while the next delivery
+    /// is one of the node's steps (see the module docs). Inside a stretch
+    /// it only steps the pod.
+    pub(super) fn run_ahead(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+        self.step_pod(now, at, queue);
+        if !(self.stretch.node.is_none() && self.run_ahead && self.cfg.fastforward) {
             return;
         }
+        // Once many handlers in a row found no stretch worth its cost (one
+        // that takes `WORTH` events), as on a fleet or between dense
+        // arrivals, look only at every `LOOK_EVERY`th handler: a stretch
+        // that does not open leaves the node to the driver, which
+        // changes nothing.
+        let s = &mut self.stretch;
+        s.misses = s.misses.saturating_add(1);
+        if s.misses > MISSES_BEFORE_SKIPPING && s.misses % LOOK_EVERY != 0 {
+            return;
+        }
+        let Some((deadline, head)) = queue.deadline().zip(self.opens(at.node, queue)) else {
+            return;
+        };
+        let s = &mut self.stretch;
+        (s.node, s.deadline, s.taken, s.head) = (Some(at.node), deadline, 0, Some(head));
+        s.refresh();
+        self.counts.stretches += 1;
+        self.run_stretch(at.node, queue);
+        let taken = self.stretch.taken;
+        self.counts.empty_stretches += u64::from(taken == 0);
+        if taken >= WORTH {
+            self.stretch.misses = 0;
+        }
+        self.close_stretch(queue);
     }
 
-    /// The limit and the pod's SM cap for a stretch of the pod at `at`,
-    /// if it may run ahead now.
-    fn open_stretch(&self, at: PodAt, queue: &EventQueue<Event>) -> Option<(SimTime, u32)> {
-        // Solo first: on a shared node the slot, or the slab's length,
-        // fails it.
-        if at.slot != 0 {
-            return None;
-        }
-        let node = self.nodes.get(at.node).filter(|n| n.is_solo(at.slot))?;
-        if !(self.run_ahead && self.cfg.fastforward && self.dispatch_pending.is_empty()) {
-            return None;
-        }
-        let limit = queue.next_limit()?;
-        Some((limit, node.solo_cap(at.slot)?))
+    /// The queue's head, if a stretch of `node` opens now: the head is
+    /// one of the node's steps, within the run, and any pass that runs
+    /// before it is the node's own. A node with node-mates also needs the
+    /// entry after the head to be one of its events (or none): on a fleet
+    /// the head is now and then a step of the same node, between other
+    /// nodes' events, and a stretch there would take that one step.
+    fn opens(&self, node: NodeId, queue: &EventQueue<Event>) -> Option<(Rank, Event)> {
+        let (rank, &event) = queue.head()?;
+        let ours = queue.deadline().is_some_and(|deadline| rank.time() <= deadline) && self.is_own_step(node, event);
+        let first = match self.dispatch_pending.as_slice() {
+            [] => ours,
+            // The instant's events come before its passes.
+            _ if rank.time() <= queue.now() => ours,
+            [(_, owed)] => *owed == node && ours,
+            _ => false,
+        };
+        let mine = |event| self.is_own_step(node, event) || event == Event::WindowReset(node);
+        let opens = first
+            && (self.nodes.get(node).is_some_and(NodeRt::is_lone)
+                || queue.second().map_or(true, |(_, &event)| mine(event)));
+        opens.then_some((rank, event))
     }
 
-    /// Takes the pod's steps inline from `now` until one of them cannot
-    /// be, and returns that one.
-    fn run_stretch(
-        &mut self,
-        limit: SimTime,
-        cap: u32,
-        mut now: SimTime,
-        at: PodAt,
-        queue: &mut EventQueue<Event>,
-    ) -> Stop {
-        loop {
-            let Engine { nodes, funcs, .. } = self;
-            let pod = nodes.get_mut(at.node).and_then(|n| n.get_mut(at.slot));
-            let Some((active, profile)) = pod.and_then(|rt| rt.request_and_profile(funcs)) else {
-                return Stop::Idle;
-            };
-            let stage = match active.run.advance_indexed(profile) {
-                StageOp::Host(d) => {
-                    let done = now + d;
-                    if done >= limit {
-                        return Stop::Host(done);
-                    }
-                    self.deliver_inline(done, &Event::HostDone(at.pod), queue);
-                    now = done;
-                    continue;
+    /// Takes the node's steps and its owed passes in the driver's order,
+    /// until the next is neither.
+    fn run_stretch(&mut self, node: NodeId, queue: &mut EventQueue<Event>) {
+        while self.stretch.node.is_some() {
+            debug_assert!(
+                self.stretch.head == queue.head().map(|(rank, &event)| (rank, event)),
+                "only the stretch changes the queue"
+            );
+            let now = queue.now();
+            let next = self.stretch.next();
+            if next.map_or(true, |(rank, _)| rank.time() > now) && !self.dispatch_pending.is_empty() {
+                // The instant is over: its first owed pass runs, if it is
+                // the node's.
+                if self.dispatch_pending[0].1 != node {
+                    break;
                 }
-                StageOp::Done => return Stop::Done(now),
-                StageOp::Burst(stage) => stage,
-            };
-            // A token is requested inline only before the limit.
-            let burst = profile.stages.get(stage).and_then(|st| st.burst());
-            let Some((spec, count)) = burst.filter(|_| now < limit) else {
-                return Stop::Request(now, stage);
-            };
-            let desc = KernelDesc {
-                blocks: spec.blocks,
-                work_per_block: spec.work_per_block,
-                tag: at.pod.0,
-            };
-            match self.nodes.get_mut(at.node).and_then(|n| n.request_at(now, at.slot)) {
-                Some(RequestOutcome::Granted(_)) => {}
-                // The pass the pod's wait owes its node runs now.
-                Some(RequestOutcome::Queued) => {
-                    queue.claim_tie_key();
-                    self.grant_pass(now, at.node);
-                    let granted = self.granted_scratch == [at.slot];
-                    debug_assert!(granted, "a lone waiter's pass grants it");
-                    if !granted {
-                        return Stop::Wait(stage);
-                    }
+                self.dispatch_pending.remove(0);
+                if let Some((at, end)) = self.run_pass(now, node, queue) {
+                    // A burst run alone: its sync point, and its pod steps
+                    // on.
+                    self.sync_burst(end, at, end - now, queue);
+                    self.step_pod(end, at, queue);
                 }
-                Some(RequestOutcome::BlockedUntilReset) | None => return Stop::Request(now, stage),
+                continue;
             }
-            let Some(node) = self.nodes.get_mut(at.node) else {
-                return Stop::Idle;
+            let Some((rank, kept)) = next.filter(|(rank, _)| rank.time() <= self.stretch.deadline) else {
+                break;
             };
-            let Some(end) = node.run_alone(at.slot, now, limit, cap, desc, count) else {
-                return Stop::Launch(now, stage);
-            };
-            let gpu_time = end - now;
-            if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
-                active.burst_gpu_time = gpu_time;
+            let now = rank.time();
+            if kept {
+                let k = self.stretch.steps.front().copied();
+                let slot = k.and_then(|k| usize::try_from(k.slot).ok());
+                let (Some(k), Some(at)) = (k, slot.and_then(|slot| self.nodes.get(node)?.at(slot))) else {
+                    debug_assert!(false, "a kept step belongs to a live pod");
+                    break;
+                };
+                let burst = k.burst;
+                self.stretch.ranks.pop_front();
+                self.stretch.steps.pop_front();
+                self.stretch.refresh();
+                queue.deliver_claimed(rank);
+                self.stretch.taken += 1;
+                self.note(now, &step_event(node, at.pod, burst));
+                if burst {
+                    self.counts.inline_bursts += 1;
+                    self.burst_ended(now, at, queue);
+                } else {
+                    self.step_pod(now, at, queue);
+                }
+                continue;
             }
-            self.ff_bursts += 1;
-            self.ff_coalesced_kernels += u64::from(count);
-            self.counts.solo_steps += 1;
-            self.deliver_inline(end, &Event::BurstFastForward(at.node, at.pod), queue);
-            self.sync_burst(end, at, gpu_time, queue);
-            debug_assert!(self.dispatch_pending.is_empty(), "a solo pod's sync point owes no pass");
-            now = end;
+            let own = |event| self.is_own_step(node, event) || event == Event::WindowReset(node);
+            let Some((_, event)) = self.stretch.head.filter(|&(_, event)| own(event)) else {
+                break;
+            };
+            queue.deliver_head();
+            self.stretch.read_head(queue);
+            self.stretch.taken += 1;
+            self.note(now, &event);
+            match event {
+                Event::HostDone(pod) => self.on_host_done(now, pod, queue),
+                Event::BurstFastForward(node, pod) => self.on_burst_ff(now, node, pod, queue),
+                // It schedules the next reset.
+                Event::WindowReset(node) => {
+                    self.on_window_reset(now, node, queue);
+                    self.stretch.read_head(queue);
+                }
+                Event::Arrival(_)
+                | Event::KernelFinish(..)
+                | Event::ScaleTick
+                | Event::MetricsSample
+                | Event::Fault(_)
+                | Event::HealthTick
+                | Event::QueueTimeout(_)
+                | Event::BreakerTick => debug_assert!(false, "a stretch delivers its node's events only"),
+            }
         }
     }
 
-    /// Delivers `event` at `at` inline, traced and counted as the
-    /// driver's delivery would be.
-    fn deliver_inline(&mut self, at: SimTime, event: &Event, queue: &mut EventQueue<Event>) {
-        queue.deliver_inline(at);
-        self.note(at, event);
+    /// Whether `event` is a step of a pod on `node`.
+    fn is_own_step(&self, node: NodeId, event: Event) -> bool {
+        match event {
+            Event::BurstFastForward(n, _) => n == node,
+            Event::HostDone(pod) => self.locate(pod).is_some_and(|at| at.node == node),
+            Event::Arrival(_)
+            | Event::KernelFinish(..)
+            | Event::WindowReset(_)
+            | Event::ScaleTick
+            | Event::MetricsSample
+            | Event::Fault(_)
+            | Event::HealthTick
+            | Event::QueueTimeout(_)
+            | Event::BreakerTick => false,
+        }
+    }
+
+    /// Counts the burst of `count` launches the pod at `at` ran alone to
+    /// `end`, and delivers its `BurstFastForward` at once: the stretch's
+    /// next delivery, as [`Stretch::alone_before`] made sure.
+    #[inline(always)]
+    pub(super) fn ran_alone(&mut self, end: SimTime, at: PodAt, count: u32, queue: &mut EventQueue<Event>) {
+        self.ff_bursts += 1;
+        self.ff_coalesced_kernels += u64::from(count);
+        let event = Event::BurstFastForward(at.node, at.pod);
+        queue.deliver_inline(end);
+        self.stretch.taken += 1;
+        self.counts.inline_bursts += 1;
+        self.note(end, &event);
+    }
+
+    /// Closes the open stretch, if any: its steps are pushed at the ranks
+    /// they claimed.
+    pub(super) fn close_stretch(&mut self, queue: &mut EventQueue<Event>) {
+        let Some(node) = self.stretch.node.take() else {
+            return;
+        };
+        let Engine { nodes, stretch, .. } = self;
+        while let (Some(rank), Some(k)) = (stretch.ranks.pop_front(), stretch.steps.pop_front()) {
+            let pod = usize::try_from(k.slot).ok().and_then(|slot| nodes.get(node)?.at(slot));
+            match pod {
+                Some(at) => queue.push_claimed(rank, step_event(node, at.pod, k.burst)),
+                None => debug_assert!(false, "a kept step belongs to a live pod"),
+            }
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! `autoscale`, `overload` and `report`.
 
 use crate::manager::{BackendConfig, BurstEstimator, FastBackend, Ready, SharingPolicy};
+use crate::platform::ahead::Stretch;
 use crate::platform::autoscale::{arrival_window_fits, PREDICT_WINDOW};
 use crate::platform::config::PlatformConfig;
 use crate::platform::lifecycle::{queue_timer_fits, FIRST_SYNTHETIC};
@@ -162,13 +163,15 @@ impl FuncRt {
     }
 }
 
-/// How many events of each kind the engine has handled, and how many
-/// dispatch passes it has run. Plain counters outside the report digest
-/// and the snapshot: a clone carries them, a platform restored from a
-/// snapshot starts them at zero. Passes are not events; an owed pass
-/// skipped because no waiter was grantable counts as skipped, not run.
-/// Events a solo pod delivered to itself inline count under their kind,
-/// like every other delivery.
+/// How many events of each kind the engine has handled, how many
+/// dispatch passes it has run, and how much of that ran ahead. Plain
+/// counters outside the report digest and the snapshot: a clone carries
+/// them, a platform restored from a snapshot starts them at zero. Passes
+/// are not events; an owed pass skipped because no waiter was grantable
+/// counts as skipped, not run. Events and passes a node's stretch took
+/// inline (see the `ahead` module) count under their kind, like every
+/// other delivery; the last three counters say how many that was, and
+/// only they differ between a run with run-ahead and one without.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HandlerCounts {
     /// `Arrival` events.
@@ -198,9 +201,16 @@ pub struct HandlerCounts {
     /// Owed dispatch passes skipped because no waiter was grantable
     /// (every waiter quota-blocked until its window resets).
     pub dispatch_passes_skipped: u64,
-    /// Bursts whose `BurstFastForward` a solo pod delivered to itself
-    /// inline (not events of their own; see the `ahead` module).
-    pub solo_steps: u64,
+    /// Bursts whose `BurstFastForward` a node's stretch delivered without
+    /// the heap: kept aside, or delivered the moment the burst launched.
+    /// One the stretch took as the queue's head does not count.
+    pub inline_bursts: u64,
+    /// Stretches opened: a data-plane handler's last step left one of its
+    /// node's steps at the queue's head.
+    pub stretches: u64,
+    /// Stretches that delivered no event: a per-kernel launch in the
+    /// node's owed pass stopped them first.
+    pub empty_stretches: u64,
 }
 
 impl HandlerCounts {
@@ -220,7 +230,9 @@ impl HandlerCounts {
             breaker_tick,
             dispatch_passes: _,
             dispatch_passes_skipped: _,
-            solo_steps: _,
+            inline_bursts: _,
+            stretches: _,
+            empty_stretches: _,
         } = *self;
         arrival
             + host_done
@@ -302,11 +314,15 @@ pub struct Engine {
     pub(super) dispatch_pending: Vec<(u64, NodeId)>,
     /// Per-kind handled events and dispatch passes.
     pub(super) counts: HandlerCounts,
-    /// Whether solo pods may run ahead (see the `ahead` module) when
+    /// Whether a node's pods may run ahead (see the `ahead` module) when
     /// fast-forward is on: true, except where a test turns it off to
     /// compare against the queue-stepped run. Not snapshotted; a restored
     /// platform has it on.
     pub(super) run_ahead: bool,
+    /// The open stretch, if any: the node whose pods step inline and the
+    /// steps it keeps aside, empty between events, and how long since a
+    /// stretch last paid off. Not snapshotted: it changes no result.
+    pub(super) stretch: Stretch,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     pub(super) trace: Vec<String>,
@@ -428,6 +444,7 @@ impl Engine {
             dispatch_pending: Vec::new(),
             counts: HandlerCounts::default(),
             run_ahead: true,
+            stretch: Stretch::default(),
             trace: Vec::new(),
             zoo_profiles: Vec::new(),
         }
@@ -470,7 +487,8 @@ impl World for Engine {
             return false;
         }
         let (_, node) = self.dispatch_pending.remove(0);
-        self.run_pass(now, node, queue);
+        let alone = self.run_pass(now, node, queue);
+        debug_assert!(alone.is_none(), "bursts run alone only inside a stretch");
         true
     }
 }
@@ -513,7 +531,7 @@ impl Engine {
     /// `ready_scratch`) are recycling caches with no semantic content
     /// between events; they restore empty, and so do the handler counts.
     /// The run-ahead switch is not state: run-ahead is on after a
-    /// restore, and nothing runs ahead between events.
+    /// restore, and no stretch is open between events.
     /// Functions carry their model's name and profile fingerprint, not
     /// the profile, so a snapshot restores only against a zoo that still
     /// has the models it names, profiled as they were.
@@ -527,7 +545,7 @@ impl Engine {
             cfg, gateway, nodes, selector, funcs, pod_loc, next_pod, autoscale_db, next_func,
             next_synth, unschedulable, killed, faults_injected, ff_bursts, ff_coalesced_kernels,
             burst_scratch: _, started_scratch: _, granted_scratch: _, ready_scratch: _,
-            dispatch_pending, counts: _, run_ahead: _, trace, zoo_profiles: _,
+            dispatch_pending, counts: _, run_ahead: _, stretch: _, trace, zoo_profiles: _,
         } = self;
         cfg.snap(w);
         nodes.snap(w);
@@ -614,6 +632,7 @@ impl Engine {
             dispatch_pending: Vec::unsnap(r)?,
             counts: HandlerCounts::default(),
             run_ahead: true,
+            stretch: Stretch::default(),
             trace: Vec::unsnap(r)?,
             zoo_profiles,
         };

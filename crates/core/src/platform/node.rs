@@ -12,33 +12,34 @@
 //! crashes and reclocks them itself.
 //!
 //! Three hot paths run here, each against one node:
-//! - `HostDone` → token request → burst launch ([`Engine::step_pod`]);
+//! - `HostDone` → token request → burst launch ([`Engine::step_pod`],
+//!   [`NodeRt::launch`]);
 //! - `BurstFastForward` → sync point → next phase
 //!   ([`Engine::on_burst_ff`]);
 //! - the end-of-instant dispatch pass ([`Engine::run_pass`]).
 //!
-//! A solo pod, one alone on its node ([`NodeRt::is_solo`]), leaves them
-//! from the first two: it runs ahead a stretch of stages at a time (the
-//! `ahead` module), through the same backend calls, the first half of
-//! the same pass ([`Engine::grant_pass`]) and the same sync point
-//! ([`Engine::sync_burst`]), with its bursts run whole on the device
-//! ([`NodeRt::run_alone`]). `run_ahead_tests` below compare it with the
-//! queue-stepped run.
+//! While the driver's next delivery is one of a node's pods' steps, the
+//! node takes them inline, through these same paths (the `ahead`
+//! module): the steps they make are kept aside at their claimed ranks,
+//! and a step that is certainly next is taken at once, a burst on an
+//! idle device run whole ([`GpuDevice::run_alone`]). `run_ahead_tests`
+//! below compare it with the queue-stepped run.
 //!
 //! Per-kernel stepping, fast-forward breaks and zombie drains, the paths
 //! fast-forward falls back to, run here too.
 
-use super::engine::{schedule_next, Engine, Event};
+use super::ahead::RanAlone;
+use super::engine::{schedule_next, Engine, Event, HandlerCounts};
 use super::error::PlatformError;
 use super::pod::{ActiveReq, PodAt, PodRt};
 use super::report::NodeReport;
-use crate::manager::{FastBackend, RequestOutcome};
+use crate::manager::{FastBackend, Ready, RequestOutcome};
 use crate::modelshare::{ModelStorageServer, DEFAULT_CTX_OVERHEAD};
 use fastg_cluster::{ClusterError, FuncId, NodeId, NodeState, PodId, Request, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader};
-use fastg_des::{sanitizer, snap_struct, EventQueue, SimTime, TimeSeries};
+use fastg_des::{sanitizer, snap_struct, CancelToken, EventQueue, SimTime, TimeSeries};
 use fastg_gpu::{ClientId, GpuDevice, KernelDesc, KernelId};
-use fastg_models::{InferenceRun, StageOp};
+use fastg_models::{InferenceRun, Stage, StageOp};
 
 /// One node's record: its health, its GPU device, its FaST Backend, its
 /// model store and its pods' records, in a slab addressed by slot. Slots
@@ -52,6 +53,18 @@ pub(super) struct NodeRt {
     backend: FastBackend,
     store: ModelStorageServer,
     pods: Vec<Option<(PodId, PodRt)>>,
+}
+
+/// What launching a pod's pending burst did ([`NodeRt::launch`]).
+pub(super) enum Launch {
+    /// Nothing: the pod is being destroyed.
+    Gone,
+    /// The burst ran alone to this end, in this many launches.
+    Alone(SimTime, u32),
+    /// The burst was fast-forwarded, its macro-event scheduled.
+    Fast,
+    /// The burst (this stage) goes kernel by kernel.
+    Kernels(usize),
 }
 
 // A node's record is its health, device, backend table and model store.
@@ -108,7 +121,7 @@ impl NodeRt {
     }
 
     /// The pod at `slot`, with its id.
-    fn at(&self, slot: usize) -> Option<PodAt> {
+    pub(super) fn at(&self, slot: usize) -> Option<PodAt> {
         let (pod, _) = self.pods.get(slot)?.as_ref()?;
         Some(PodAt { pod: *pod, node: self.id, slot })
     }
@@ -121,6 +134,12 @@ impl NodeRt {
     /// Pods on the node, draining and crashed ones included.
     pub(super) fn pod_count(&self) -> usize {
         self.pods().count()
+    }
+
+    /// Whether the node holds one pod: vacant trailing slots are trimmed,
+    /// so its slab's length tells.
+    pub(super) fn is_lone(&self) -> bool {
+        self.pods.len() == 1
     }
 
     /// Whether the node crashed.
@@ -151,42 +170,98 @@ impl NodeRt {
         ff
     }
 
-    /// Whether the pod at `slot` runs alone on the node: it holds the
-    /// only slot in use (vacant trailing slots are trimmed, so one load
-    /// tells), and nothing is left on the device. A crashed pod keeps
-    /// its slot while its kernels drain, so no other pod holds a lease,
-    /// a place in the ready queue, a request or kernels. Asked between
-    /// the pod's own bursts, when it has nothing on the device either.
-    pub(super) fn is_solo(&self, slot: usize) -> bool {
-        let solo = slot == 0 && self.pods.len() == 1 && self.gpu.is_idle();
-        debug_assert!(!solo || self.backend.alone_at(slot), "a lone pod's backend is its own");
-        solo
-    }
-
-    /// The SM cap the solo pod at `slot` runs its bursts at; `None` if
-    /// the device would not fast-forward them.
-    pub(super) fn solo_cap(&self, slot: usize) -> Option<u32> {
-        self.gpu.burst_cap(self.get(slot)?.client)
-    }
-
-    /// Runs the solo pod at `slot`'s burst of `count` launches of `desc`
-    /// whole from `now` at SM cap `cap`, if it ends before `before`
-    /// ([`GpuDevice::run_alone`]), and opens it in the backend. Returns
-    /// the burst's end.
-    pub(super) fn run_alone(
+    /// Launches the burst of the pod at `slot`, its model's `stage` at
+    /// `index`: opens it in the backend, then runs it whole on the idle
+    /// device if it ends before `alone_before`
+    /// ([`GpuDevice::run_alone`]), or fast-forwards it
+    /// ([`GpuDevice::fast_forward_burst`]) and has `schedule` schedule its
+    /// macro-event at its end. `cap` caches the pod's SM cap on the idle
+    /// device.
+    // Inlined into `step_pod`'s loop, as are `launched` and `ran_alone`:
+    // a pod stepping inline runs every burst through them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn launch(
         &mut self,
         slot: usize,
         now: SimTime,
-        before: SimTime,
-        cap: u32,
-        desc: KernelDesc,
-        count: u32,
-    ) -> Option<SimTime> {
-        let client = self.get(slot)?.client;
-        let end = self.gpu.run_alone(now, before, client, cap, desc, count)?;
-        let opened = self.backend.begin_burst_at(slot);
-        debug_assert!(opened.is_some(), "a solo pod has a backend row");
-        Some(end)
+        (index, stage): (usize, &Stage),
+        fastforward: bool,
+        alone_before: Option<SimTime>,
+        cap: &mut Option<Option<u32>>,
+        schedule: impl FnOnce(SimTime) -> CancelToken,
+    ) -> Launch {
+        // Crash teardown raced the grant; the pod is being destroyed.
+        if self.backend.begin_burst_at(slot).is_none() {
+            return Launch::Gone;
+        }
+        let Some((pod, rt)) = self.pods.get_mut(slot).and_then(Option::as_mut) else {
+            debug_assert!(false, "pod exists");
+            return Launch::Gone;
+        };
+        let client = rt.client;
+        let Some(active) = rt.active.as_mut() else {
+            debug_assert!(false, "burst belongs to a request");
+            return Launch::Gone;
+        };
+        active.waiting_token = false;
+        active.pending_stage = None;
+        // Fast-forward: an uncontended burst in the capped regime is
+        // coalesced into one macro-event at its analytic end instead of
+        // one KernelFinish per kernel, as the stage's one run. Any
+        // contention change cancels the macro-event and reconstructs
+        // per-kernel state (`ff_break_pod`).
+        let burst = stage.burst().filter(|_| fastforward);
+        if let Some((spec, count)) = burst {
+            let gpu = &mut self.gpu;
+            // Built at each call, each call's copy is its own.
+            let desc = || KernelDesc { blocks: spec.blocks, work_per_block: spec.work_per_block, tag: pod.0 };
+            // Nothing else can settle a burst on the idle device before
+            // it ends: it runs whole, with no record in between.
+            if let Some(before) = alone_before.filter(|_| gpu.is_idle()) {
+                let cap = *cap.get_or_insert_with(|| gpu.burst_cap(client));
+                if let Some(end) = cap.and_then(|cap| gpu.run_alone(now, before, client, cap, desc(), count)) {
+                    active.outstanding = 0;
+                    active.burst_gpu_time = end - now;
+                    return Launch::Alone(end, count);
+                }
+            }
+            active.outstanding = stage.kernels.len();
+            active.burst_gpu_time = SimTime::ZERO;
+            if let Some(end) = gpu.fast_forward_burst(now, client, desc(), count) {
+                active.ff = Some(schedule(end));
+                return Launch::Fast;
+            }
+        }
+        active.outstanding = stage.kernels.len();
+        active.burst_gpu_time = SimTime::ZERO;
+        Launch::Kernels(index)
+    }
+
+    /// A dispatch pass's grants, traced (into `trace` when tracing): one
+    /// canonical-order walk of the node's ready queue, granting tokens
+    /// until the SM budget stops it. The granted slots, in grant order,
+    /// are left in `granted`. A pass is skipped, and counted as skipped,
+    /// when no waiter is grantable (every waiter is quota-blocked until
+    /// its window resets), as it would grant nothing.
+    pub(super) fn grant_pass(
+        &mut self,
+        now: SimTime,
+        trace: Option<&mut Vec<String>>,
+        counts: &mut HandlerCounts,
+        ready: &mut Vec<Ready>,
+        granted: &mut Vec<usize>,
+    ) {
+        if let Some(trace) = trace {
+            trace.push(format!("{now:?} dispatch pass {:?}", self.id));
+        }
+        granted.clear();
+        if !self.backend.has_grantable() {
+            counts.dispatch_passes_skipped += 1;
+            return;
+        }
+        counts.dispatch_passes += 1;
+        self.backend.dispatch_slots(now, ready, granted);
     }
 
     /// The pod at `slot` asks for its token at `now`
@@ -546,116 +621,146 @@ impl Engine {
     }
 
     /// Advances a pod's inference cursor to its next blocking operation
-    /// (the cursor itself skips empty phases) through the queue: the
-    /// pod's next host phase or burst is pushed, or its burst waits for a
-    /// token; a completed request takes the next one from the same
-    /// instant. A data-plane handler that steps the pod as its last
-    /// action calls [`Self::run_ahead`] instead, which lets a solo pod run
-    /// ahead.
-    pub(super) fn step_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+    /// (the cursor itself skips empty phases): the pod's next host phase
+    /// is scheduled, its burst's token is requested and a granted burst
+    /// launched, or the pod waits for its node's pass; a completed request
+    /// takes the next one from the same instant. A data-plane handler that
+    /// steps the pod as its last action calls [`Self::run_ahead`] instead.
+    /// Inside the node's stretch, a step that is certainly the next
+    /// delivery is taken at once, and the pod steps on from it (see the
+    /// `ahead` module).
+    pub(super) fn step_pod(&mut self, mut now: SimTime, mut at: PodAt, queue: &mut EventQueue<Event>) {
+        // The SM cap the pod's bursts run alone at, read at the first.
+        let mut cap = None;
         loop {
-            let Engine { nodes, funcs, .. } = self;
-            let pod = nodes.get_mut(at.node).and_then(|n| n.get_mut(at.slot));
-            let Some((active, profile)) = pod.and_then(|rt| rt.request_and_profile(funcs)) else {
+            let Engine {
+                cfg, nodes, funcs, stretch, dispatch_pending, trace, counts, ready_scratch, granted_scratch, ..
+            } = self;
+            let Some(node) = nodes.get_mut(at.node) else {
+                debug_assert!(false, "runtime per node");
+                return;
+            };
+            let Some((active, profile)) = node.get_mut(at.slot).and_then(|rt| rt.request_and_profile(funcs)) else {
                 debug_assert!(false, "stepping requires a live pod with a request");
                 return;
             };
-            match active.run.advance_indexed(profile) {
-                StageOp::Host(d) => return queue.schedule(now + d, Event::HostDone(at.pod)),
-                StageOp::Burst(stage) => {
-                    active.pending_stage = Some(stage);
-                    return self.try_start_burst(now, at, queue);
+            let stage = match active.run.advance_indexed(profile) {
+                StageOp::Host(d) => {
+                    let done = now + d;
+                    if !(dispatch_pending.is_empty() && stretch.takes_at_once(at, done, queue)) {
+                        stretch.push(at, done, false, queue);
+                        return;
+                    }
+                    self.note(done, &Event::HostDone(at.pod));
+                    now = done;
+                    continue;
                 }
                 StageOp::Done => {
                     if !self.complete_request(now, at, queue) {
                         return;
                     }
+                    continue;
                 }
-            }
-        }
-    }
-
-    /// Requests the token for the pod's pending burst and launches the
-    /// burst if it is granted; else the pod waits for its node's pass.
-    pub(super) fn try_start_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
-        let Some(node) = self.nodes.get_mut(at.node) else {
-            debug_assert!(false, "runtime per node");
-            return;
-        };
-        // A `None` outcome: the pod's backend row is gone (crash teardown
-        // raced this burst); the pod itself is being destroyed, so do
-        // nothing.
-        match node.request_at(now, at.slot) {
-            None => {}
-            Some(RequestOutcome::Granted(_)) => self.launch_burst(now, at, queue),
-            Some(RequestOutcome::Queued | RequestOutcome::BlockedUntilReset) => {
+                StageOp::Burst(stage) => stage,
+            };
+            // A `None` outcome: the pod's backend row is gone (crash
+            // teardown raced this burst); the pod itself is being
+            // destroyed, so do nothing.
+            let Some(outcome) = node.request_at(now, at.slot) else {
+                return;
+            };
+            if !matches!(outcome, RequestOutcome::Granted(_)) {
                 if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
+                    active.pending_stage = Some(stage);
                     active.waiting_token = true;
-                } else {
-                    debug_assert!(false, "burst belongs to a request");
                 }
-                // The pod waits now (only a token policy queues it).
-                self.owe_pass(at.node, queue);
+                // The pod waits now (only a token policy queues it), and
+                // its node owes the pass; inside the node's stretch, with
+                // nothing else left at the instant, the pass runs at once.
+                if !stretch.pass_is_next(at.node, now, dispatch_pending.is_empty()) {
+                    self.owe_pass(at.node, queue);
+                    return;
+                }
+                queue.claim_tie_key();
+                node.grant_pass(now, cfg.trace_events.then_some(trace), counts, ready_scratch, granted_scratch);
+                // Unless the pass granted this pod alone, it launches what
+                // it granted.
+                if granted_scratch.as_slice() != [at.slot] {
+                    let Some((alone, end)) = self.launch_granted(now, at.node, queue) else {
+                        return;
+                    };
+                    self.sync_burst(end, alone, end - now, queue);
+                    (now, at, cap) = (end, alone, None);
+                    continue;
+                }
             }
+            // Inside the node's stretch, a burst nothing else can settle
+            // before it ends runs alone, and its macro-event is delivered
+            // at once: its sync point follows, and the pod steps on.
+            let before = stretch.alone_before(at.node, dispatch_pending.is_empty());
+            let schedule = |end| stretch.push(at, end, true, queue);
+            let stage = (stage, &profile.stages[stage]);
+            let launch = node.launch(at.slot, now, stage, cfg.fastforward, before, &mut cap, schedule);
+            let Some(end) = self.launched(now, at, launch, queue) else {
+                return;
+            };
+            self.sync_burst(end, at, end - now, queue);
+            now = end;
         }
     }
 
     /// Launches the pod's pending burst: as one fast-forwarded timeline
-    /// and macro-event when the device admits it, else kernel by kernel.
-    pub(super) fn launch_burst(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
-        let Engine { cfg, nodes, funcs, ff_bursts, .. } = self;
+    /// and macro-event when the device admits it, else kernel by kernel
+    /// ([`NodeRt::launch`]). Inside its node's stretch, a burst launched
+    /// as the instant's `last` work on the node may run alone instead, its
+    /// macro-event delivered at once, and then its end is returned (see
+    /// the `ahead` module); a per-kernel launch stops the stretch.
+    pub(super) fn launch_burst(&mut self, now: SimTime, at: PodAt, last: bool, queue: &mut EventQueue<Event>) -> Option<SimTime> {
+        let before = self.stretch.alone_before(at.node, self.dispatch_pending.is_empty()).filter(|_| last);
+        let Engine { cfg, nodes, funcs, stretch, .. } = self;
         let Some(node) = nodes.get_mut(at.node) else {
             debug_assert!(false, "runtime per node");
-            return;
+            return None;
         };
-        // Crash teardown raced the grant; the pod is being destroyed.
-        if node.backend.begin_burst_at(at.slot).is_none() {
-            return;
-        }
-        let Some((rt, gpu)) = node.pod_and_gpu(at.slot) else {
-            debug_assert!(false, "pod exists");
-            return;
+        let rt = node.get(at.slot);
+        let stage = rt.and_then(|rt| Some((funcs.get(rt.func)?, rt.active.as_ref()?.pending_stage?)));
+        let Some(stage) = stage.and_then(|(f, index)| Some((index, f.model.stages.get(index)?))) else {
+            debug_assert!(false, "launching a pending burst");
+            return None;
         };
-        let client = rt.client;
-        let Some((active, profile)) = rt.request_and_profile(funcs) else {
-            debug_assert!(false, "burst belongs to a request");
-            return;
-        };
-        active.waiting_token = false;
-        let Some(stage_index) = active.pending_stage.take() else {
-            debug_assert!(false, "launching an empty burst");
-            return;
-        };
-        // The cursor guarantees the stage is non-empty.
-        let stage = &profile.stages[stage_index];
-        active.outstanding = stage.kernels.len();
-        active.burst_gpu_time = SimTime::ZERO;
+        let schedule = |end| stretch.push(at, end, true, queue);
+        let launch = node.launch(at.slot, now, stage, cfg.fastforward, before, &mut None, schedule);
+        self.launched(now, at, launch, queue)
+    }
 
-        // Fast-forward: an uncontended burst in the capped regime is
-        // coalesced into one macro-event at its analytic end instead of
-        // one KernelFinish per kernel, as the stage's one run. Any
-        // contention change cancels the macro-event and reconstructs
-        // per-kernel state (`ff_break_pod`).
-        if let Some((spec, count)) = stage.burst().filter(|_| cfg.fastforward) {
-            let desc = KernelDesc {
-                blocks: spec.blocks,
-                work_per_block: spec.work_per_block,
-                tag: at.pod.0,
-            };
-            if let Some(end) = gpu.fast_forward_burst(now, client, desc, count) {
-                *ff_bursts += 1;
-                active.ff = Some(queue.schedule_cancellable(end, Event::BurstFastForward(at.node, at.pod)));
-                return;
+    /// Follows up the launch of the pod at `at`'s burst at `now`: counts a
+    /// fast-forwarded one, delivers the macro-event of one run alone and
+    /// returns its end, or launches it kernel by kernel.
+    #[inline(always)]
+    fn launched(&mut self, now: SimTime, at: PodAt, launch: Launch, queue: &mut EventQueue<Event>) -> Option<SimTime> {
+        match launch {
+            Launch::Gone => {}
+            Launch::Alone(end, count) => {
+                self.ran_alone(end, at, count, queue);
+                return Some(end);
+            }
+            Launch::Fast => self.ff_bursts += 1,
+            Launch::Kernels(stage) => {
+                // The per-kernel fallback is the one place a client
+                // activates while timelines may be live: if it pushes the
+                // active SM caps past the device, the node's timelines fall
+                // back first.
+                let node = self.nodes.get(at.node);
+                let client = node.and_then(|n| n.get(at.slot)).map(|rt| rt.client);
+                let breaks = node.zip(client).is_some_and(|(n, c)| n.gpu.has_ff() && !n.gpu.ff_admits(c));
+                self.close_stretch(queue);
+                if breaks {
+                    self.ff_break_node(now, at.node, queue);
+                }
+                self.launch_kernels(now, at, stage, queue);
             }
         }
-
-        // The per-kernel fallback is the one place a client activates
-        // while timelines may be live: if it pushes the active SM caps
-        // past the device, the node's timelines fall back first.
-        if gpu.has_ff() && !gpu.ff_admits(client) {
-            self.ff_break_node(now, at.node, queue);
-        }
-        self.launch_kernels(now, at, stage_index, queue);
+        None
     }
 
     /// The per-kernel fallback: launches every kernel of the stage into
@@ -807,6 +912,13 @@ impl Engine {
             return;
         };
         debug_assert_eq!(at.node, node, "macro-event names the pod's node");
+        self.burst_ended(now, at, queue);
+    }
+
+    /// The fast-forwarded burst of the pod at `at` reached its end `now`:
+    /// its timeline is dropped and its kernels accounted, its sync point
+    /// runs and the pod steps on.
+    pub(super) fn burst_ended(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
         let Engine { nodes, ff_coalesced_kernels, .. } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             debug_assert!(false, "located pod has a runtime");
@@ -842,6 +954,7 @@ impl Engine {
     /// macro-event, has the device reconstruct exact per-kernel state, and
     /// resumes normal stepping from the materialized mid-flight kernel.
     pub(super) fn ff_break_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+        debug_assert!(self.stretch.is_closed(), "a break inside a stretch: its token may be kept aside");
         let Engine { nodes, ff_coalesced_kernels, .. } = self;
         let Some((rt, gpu)) = nodes.get_mut(at.node).and_then(|n| n.pod_and_gpu(at.slot)) else {
             return;
@@ -897,7 +1010,7 @@ impl Engine {
     /// thereby a function of the instant's final backend state, not of
     /// same-instant event delivery order. A pass is owed only while the
     /// node has a waiter (a pod starts waiting only in `request`, and
-    /// `try_start_burst` owes its node the pass right after), and it runs
+    /// `step_pod` owes its node the pass right after), and it runs
     /// only if some waiter is grantable by then (see
     /// [`Engine::run_pass`]).
     ///
@@ -925,14 +1038,26 @@ impl Engine {
         self.dispatch_pending.insert(at, (key, node));
     }
 
-    /// Runs a node's owed dispatch pass: [`Self::grant_pass`], then
-    /// each granted pod's pending burst is launched. This is the only
-    /// place a pod waiting for a token starts, except that a solo pod runs
-    /// its node's pass ahead (see the `ahead` module).
-    pub(super) fn run_pass(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        self.grant_pass(now, node);
+    /// Runs a node's owed dispatch pass: its grants
+    /// ([`NodeRt::grant_pass`]), then each granted pod's pending burst is
+    /// launched ([`Self::launch_granted`]). This is the only place a pod
+    /// waiting for a token starts, except that inside its node's stretch
+    /// a pod runs the pass it owes at once (see [`Self::step_pod`]).
+    pub(super) fn run_pass(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) -> RanAlone {
+        let Engine { cfg, nodes, trace, counts, ready_scratch, granted_scratch, .. } = self;
+        match nodes.get_mut(node) {
+            Some(n) => n.grant_pass(now, cfg.trace_events.then_some(trace), counts, ready_scratch, granted_scratch),
+            None => granted_scratch.clear(),
+        }
+        self.launch_granted(now, node, queue)
+    }
+
+    /// Launches the pending bursts of the pods `node`'s pass granted, in
+    /// grant order; returns a burst that ran alone.
+    fn launch_granted(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) -> RanAlone {
         let granted = std::mem::take(&mut self.granted_scratch);
-        for &slot in &granted {
+        let mut alone = None;
+        for (i, &slot) in granted.iter().enumerate() {
             let Some(n) = self.nodes.get(node) else {
                 break;
             };
@@ -941,33 +1066,11 @@ impl Engine {
                 .and_then(|rt| rt.active.as_ref())
                 .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
             if let Some(at) = n.at(slot).filter(|_| has_burst) {
-                self.launch_burst(now, at, queue);
+                alone = self.launch_burst(now, at, i + 1 == granted.len(), queue).map(|end| (at, end));
             }
         }
         self.granted_scratch = granted;
-    }
-
-    /// A dispatch pass's grants, traced: one canonical-order walk of the
-    /// node's ready queue, granting tokens until the SM budget stops it.
-    /// The granted slots, in grant order, are left in `granted_scratch`.
-    /// A pass is skipped, and counted as skipped, when no waiter is
-    /// grantable (every waiter is quota-blocked until its window resets),
-    /// as it would grant nothing.
-    pub(super) fn grant_pass(&mut self, now: SimTime, node: NodeId) {
-        if self.cfg.trace_events {
-            self.trace.push(format!("{now:?} dispatch pass {node:?}"));
-        }
-        self.granted_scratch.clear();
-        let Some(n) = self.nodes.get_mut(node) else {
-            return;
-        };
-        if !n.backend.has_grantable() {
-            self.counts.dispatch_passes_skipped += 1;
-            return;
-        }
-        self.counts.dispatch_passes += 1;
-        n.backend
-            .dispatch_slots(now, &mut self.ready_scratch, &mut self.granted_scratch);
+        alone
     }
 
     pub(super) fn on_window_reset(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
@@ -1297,12 +1400,12 @@ mod run_ahead_tests {
     }
 
     /// Everything a run leaves that run-ahead must not change. The inline
-    /// burst count is the one counter that differs, so it is left out.
+    /// and stretch counters are the ones that differ, so they are left
+    /// out.
     fn assert_same_state(on: &Platform, off: &Platform, at: &str) {
         assert_eq!(on.now(), off.now(), "{at}: clock");
         assert_eq!(on.events_handled(), off.events_handled(), "{at}: events handled");
-        let mut counts = on.handler_counts();
-        counts.solo_steps = 0;
+        let counts = HandlerCounts { inline_bursts: 0, stretches: 0, empty_stretches: 0, ..on.handler_counts() };
         assert_eq!(counts, off.handler_counts(), "{at}: handler counts");
         let (a, b) = (on.event_trace(), off.event_trace());
         if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
@@ -1324,14 +1427,23 @@ mod run_ahead_tests {
             assert_eq!(on.run_for(d).digest(), off.run_for(d).digest(), "{at}: report digest");
             assert_same_state(&on, &off, &at);
         }
-        assert_eq!(off.handler_counts().solo_steps, 0, "{what}: switched off");
-        on.handler_counts().solo_steps
+        assert_eq!(off.handler_counts().inline_bursts, 0, "{what}: switched off");
+        on.handler_counts().inline_bursts
     }
 
     /// A profiler-style trial platform: one saturating pod alone on one GPU.
     fn lone(model: &str, policy: SharingPolicy, sm: f64, q: f64, cfg: PlatformConfig) -> Platform {
         let mut p = Platform::new(cfg.nodes(1).policy(policy));
         let f = FunctionConfig::new("lone", model).resources(sm, q, q);
+        p.deploy(f.saturating()).unwrap();
+        p
+    }
+
+    /// `pods` saturating replicas of `model` on one GPU, at `sm` % SMs
+    /// and quota `q` each.
+    fn shared(model: &str, policy: SharingPolicy, pods: usize, sm: f64, q: f64, cfg: PlatformConfig) -> Platform {
+        let mut p = Platform::new(cfg.nodes(1).policy(policy));
+        let f = FunctionConfig::new("shared", model).replicas(pods).resources(sm, q, q);
         p.deploy(f.saturating()).unwrap();
         p
     }
@@ -1500,6 +1612,139 @@ mod run_ahead_tests {
         }
     }
 
+    /// Lockstep pods on one node: deadlines fall between their steps, at
+    /// instants where several of them are kept aside, and a checkpoint is
+    /// restored at a slice boundary.
+    #[test]
+    fn a_deadline_and_a_restore_mid_node_stretch_leave_the_stepped_state() {
+        for policy in [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken] {
+            for pods in [2, 5] {
+                let cfg = traced(11).oversubscribe(true);
+                let build = || shared("gnmt", policy, pods, 12.0, 1.0, cfg.clone());
+                let what = format!("{policy:?} x{pods}");
+                let inline = drive(build(), build(), &odd_slices(), &what);
+                assert!(inline > 50, "{what}: {inline} bursts inline");
+                let (mut on, mut off) = (build(), build());
+                off.set_run_ahead(false);
+                on.run_for(SimTime::from_micros(777_777));
+                off.run_for(SimTime::from_micros(777_777));
+                let restore = |p: &Platform| Platform::from_snapshot(&p.checkpoint()).unwrap();
+                let inline = drive(restore(&on), restore(&off), &odd_slices(), &format!("{what} restored"));
+                assert!(inline > 50, "{what} restored: {inline} bursts inline");
+            }
+        }
+    }
+
+    /// Two pods whose leases expire together queue at the same instant;
+    /// the pass they owe grants both, inside the node's stretch.
+    #[test]
+    fn two_pods_queueing_at_one_instant_share_the_inline_pass() {
+        let cfg = traced(12).oversubscribe(true).token_lease(ms(3));
+        let build = || shared("rnnt", SharingPolicy::FaST, 2, 24.0, 1.0, cfg.clone());
+        let inline = drive(build(), build(), &odd_slices(), "FaST");
+        assert!(inline > 50, "{inline} bursts inline");
+        let mut p = build();
+        p.run_for(ms(500));
+        // Both pods wait at once: a pass follows two `HostDone`s at its
+        // instant.
+        let at = |l: &String| l.split_once("us ").map(|(t, _)| t.to_owned());
+        let shared = p.event_trace().windows(3).filter(|w| {
+            w[2].contains("dispatch pass")
+                && w.iter().all(|l| at(l) == at(&w[2]))
+                && w[..2].iter().all(|l| l.contains("HostDone"))
+        });
+        assert!(shared.count() > 5, "no pass owed by two pods at once");
+    }
+
+    /// A node's stretch stops at another node's quota window while it
+    /// keeps both its pods' bursts aside; its own windows it takes
+    /// inline.
+    #[test]
+    fn a_window_reset_stops_a_stretch_with_bursts_kept_aside() {
+        // Placement packs both pods on one node; the other has none, but
+        // its windows reset all the same.
+        let cfg = traced(13).nodes(2).policy(SharingPolicy::FaST);
+        let build = || {
+            let mut p = Platform::new(cfg.clone());
+            let f = FunctionConfig::new("a", "resnet50").replicas(2).resources(12.0, 1.0, 1.0);
+            p.deploy(f.saturating()).unwrap();
+            p
+        };
+        let inline = drive(build(), build(), &odd_slices(), "two nodes");
+        assert!(inline > 50, "{inline} bursts inline");
+        // The windows reset in phase: each instant's reset of the idle
+        // node stops the busy node's stretch, so one opens per window.
+        let mut p = build();
+        p.run_for(ms(1_000));
+        let c = p.handler_counts();
+        assert!(c.window_reset >= 18 && c.stretches >= 9, "{c:?}");
+    }
+
+    /// A metrics sample due at the very instant of a kept step: the
+    /// sample, of a lower class, comes first and stops the stretch; the
+    /// step follows through the queue.
+    #[test]
+    fn a_sample_at_the_instant_of_a_kept_step_comes_first() {
+        let build = |sample: SimTime| {
+            let cfg = traced(14).oversubscribe(true).sample_interval(sample);
+            shared("rnnt", SharingPolicy::FaST, 3, 12.0, 1.0, cfg)
+        };
+        let mut reference = build(ms(250));
+        reference.set_run_ahead(false);
+        reference.run_for(ms(60));
+        let steps: Vec<SimTime> = step_times(reference.event_trace())
+            .into_iter()
+            .filter(|&t| t > ms(20))
+            .collect();
+        for &at in steps.iter().step_by(7).take(4) {
+            let what = format!("sample every {at:?}");
+            let inline = drive(build(at), build(at), &[ms(150), SimTime::from_micros(333_333)], &what);
+            assert!(inline > 10, "{what}: {inline} bursts inline");
+            let mut p = build(at);
+            p.run_for(at);
+            let trace = p.event_trace();
+            let sampled = trace.iter().position(|l| l.ends_with("MetricsSample"));
+            let step = trace.iter().position(|l| {
+                l.starts_with(&format!("{at:?} ")) && (l.contains("HostDone") || l.contains("BurstFastForward"))
+            });
+            assert!(sampled.zip(step).is_some_and(|(s, t)| s < t), "{what}: the sample comes first");
+        }
+    }
+
+    /// Arrivals at the instants of kept steps of a shared node, under
+    /// every tie-break: the work class orders them by tie key, exactly as
+    /// with run-ahead off.
+    #[test]
+    fn an_arrival_at_the_instant_of_a_kept_step_is_ordered_by_the_tie_break() {
+        let build = |tb: TieBreak, arrivals: &[SimTime]| {
+            let mut p = Platform::new(traced(15).nodes(1).tiebreak(tb).oversubscribe(true));
+            let f = FunctionConfig::new("busy", "resnet50").replicas(3).resources(24.0, 1.0, 1.0);
+            let f = p.deploy(f).unwrap();
+            p.set_load(f, ArrivalProcess::trace(arrivals.to_vec()));
+            p
+        };
+        let backlog: Vec<SimTime> = (0..90).map(|i| SimTime::from_micros(1_000 + i)).collect();
+        let mut reference = build(TieBreak::Fifo, &backlog);
+        reference.set_run_ahead(false);
+        reference.run_for(ms(400));
+        let steps: Vec<SimTime> = step_times(reference.event_trace())
+            .into_iter()
+            .filter(|&t| t > ms(20) && t < ms(400))
+            .step_by(7)
+            .collect();
+        assert!(steps.len() > 10, "{} steps", steps.len());
+        let mut arrivals = backlog.clone();
+        arrivals.extend(&steps);
+        arrivals.sort_unstable();
+        arrivals.dedup();
+        let shuffles = [TieBreak::SeededShuffle(3), TieBreak::SeededShuffle(4)];
+        for tb in [TieBreak::Fifo, TieBreak::Lifo].into_iter().chain(shuffles) {
+            let slices = [ms(120), ms(95), ms(185)];
+            let inline = drive(build(tb, &arrivals), build(tb, &arrivals), &slices, &format!("{tb:?}"));
+            assert!(inline > 5, "{tb:?}: {inline} bursts inline");
+        }
+    }
+
     /// One profiler trial at `(sm, quota)`: its result and its report digest.
     fn trial(e: &Experiment, cfg: PlatformConfig, sm: f64, quota: f64) -> (TrialResult, u64) {
         let mut run = e.start_trial_in(cfg, sm, quota).unwrap();
@@ -1552,9 +1797,9 @@ mod run_ahead_tests {
         }
     }
 
-    /// `solo_steps` over every fast-forwarded burst.
+    /// `inline_bursts` over every fast-forwarded burst.
     fn inline_share(counts: &HandlerCounts, ff_bursts: u64) -> f64 {
-        counts.solo_steps as f64 / ff_bursts.max(1) as f64
+        counts.inline_bursts as f64 / ff_bursts.max(1) as f64
     }
 
     #[test]
@@ -1566,7 +1811,7 @@ mod run_ahead_tests {
                 let cfg = e.trial_config().fastforward(true);
                 let mut run = e.start_trial_in(cfg, sm, quota).unwrap();
                 run.extend_to(e.trial_duration);
-                inline += run.platform.handler_counts().solo_steps;
+                inline += run.platform.handler_counts().inline_bursts;
                 bursts += run.platform.ff_bursts();
             }
         }
@@ -1574,16 +1819,26 @@ mod run_ahead_tests {
         assert!(share >= 0.8, "{inline} of {bursts} bursts inline");
     }
 
+    /// The sharing grid's shared cells (Figures 9 and 10): 2, 4 and 8
+    /// saturating pods at 12 % SMs on one GPU under FaST, racing and time
+    /// sharing. Their pods step in lockstep or hand one token round, and
+    /// nearly every burst runs inside its node's stretch.
     #[test]
-    fn no_burst_runs_inline_on_a_two_pod_node() {
-        for policy in [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken] {
-            let cfg = traced(8).nodes(1).policy(policy).oversubscribe(true).trace_events(false);
-            let mut p = Platform::new(cfg);
-            let f = FunctionConfig::new("two", "rnnt").replicas(2).resources(12.0, 1.0, 1.0);
-            p.deploy(f.saturating()).unwrap();
-            p.run_for(SimTime::from_secs(2));
-            assert!(p.ff_bursts() > 100, "{policy:?}");
-            assert_eq!(p.handler_counts().solo_steps, 0, "{policy:?}");
+    fn most_bursts_on_shared_nodes_run_inline() {
+        for model in ["resnet50", "rnnt"] {
+            for policy in [SharingPolicy::FaST, SharingPolicy::Racing, SharingPolicy::SingleToken] {
+                for pods in [2, 4, 8] {
+                    let cfg = PlatformConfig::default().fastforward(true).oversubscribe(true);
+                    let mut p = shared(model, policy, pods, 12.0, 1.0, cfg);
+                    p.run_for(SimTime::from_secs(3));
+                    let share = inline_share(&p.handler_counts(), p.ff_bursts());
+                    let what = format!("{model} {policy:?} x{pods}");
+                    assert!(p.ff_bursts() > 50, "{what}: {} bursts", p.ff_bursts());
+                    assert!(share >= 0.9, "{what}: {share:.3} of {} bursts inline", p.ff_bursts());
+                    let c = p.handler_counts();
+                    assert_eq!(c.empty_stretches, 0, "{what}: {c:?}");
+                }
+            }
         }
     }
 
@@ -1609,6 +1864,7 @@ mod run_ahead_tests {
             p.set_load(f, ArrivalProcess::poisson(rate.min(0.7 * cap), 9 + i as u64));
         }
         p.run_for(ms(700));
+        eprintln!("DBG {:?} ff {} events {}", p.handler_counts(), p.ff_bursts(), p.events_handled());
         let share = inline_share(&p.handler_counts(), p.ff_bursts());
         assert!(p.ff_bursts() > 1_000, "{} bursts", p.ff_bursts());
         assert!(share < 0.01, "{:.4} of {} bursts inline", share, p.ff_bursts());
@@ -1618,17 +1874,19 @@ mod run_ahead_tests {
     const POLICIES: [SharingPolicy; 3] = [SharingPolicy::FaST, SharingPolicy::SingleToken, SharingPolicy::Racing];
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 160 } else { 1024 }))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 640 }))]
 
-        /// Run-ahead on and off, over a random lone pod (model, SM %,
-        /// quota, policy, seed, and a saturating or Poisson load), through
-        /// 1–4 random `run_for` slices with a checkpoint → restore at one
-        /// slice boundary: the digests, the event counts, every handler
-        /// count but `solo_steps`, the traces and the checkpoint bytes
-        /// match after every slice.
+        /// Run-ahead on and off, over a random node (model, 1–8 replicas
+        /// at a random SM % and quota, whose partitions sum below or above
+        /// the GPU, policy, seed, and a saturating or Poisson load),
+        /// through 1–4 random `run_for` slices with a checkpoint → restore
+        /// at one slice boundary: the digests, the event counts, every
+        /// handler count but the inline and stretch counters, the traces
+        /// and the checkpoint bytes match after every slice.
         #[test]
-        fn run_ahead_leaves_the_stepped_state_on_random_lone_pods(
+        fn run_ahead_leaves_the_stepped_state_on_random_nodes(
             model in 0usize..MODELS.len(),
+            replicas in 1usize..=8,
             sm_pct in 1u32..=100,
             quota_pct in 5u32..=100,
             policy in 0usize..POLICIES.len(),
@@ -1640,27 +1898,31 @@ mod run_ahead_tests {
             let (model, policy) = (MODELS[model], POLICIES[policy]);
             let (sm, quota) = (f64::from(sm_pct), f64::from(quota_pct) / 100.0);
             let build = || {
-                let mut p = Platform::new(traced(seed).nodes(1).policy(policy));
-                let f = FunctionConfig::new("lone", model).resources(sm, quota, quota);
-                // Under a third of the load range, the pod saturates;
+                let mut p = Platform::new(traced(seed).nodes(1).policy(policy).oversubscribe(true));
+                let f = FunctionConfig::new("node", model).replicas(replicas).resources(sm, quota, quota);
+                // Under a third of the load range, the pods saturate;
                 // above it, Poisson arrivals come at that share of the
-                // pod's ideal rate.
+                // pods' ideal rate.
                 if load_pct < 50 {
-                    p.deploy(f.saturating()).unwrap();
+                    p.deploy(f.saturating()).ok()?;
                 } else {
-                    let f = p.deploy(f).unwrap();
+                    let f = p.deploy(f).ok()?;
                     let sms = (80 * sm_pct / 100).max(1);
-                    let ideal = fastg_models::zoo::by_name(model).unwrap().ideal_rps(sms, quota);
-                    let rate = (ideal * f64::from(load_pct - 50) / 100.0).max(0.5);
+                    let ideal = fastg_models::zoo::by_name(model)?.ideal_rps(sms, quota);
+                    let rate = (ideal * replicas as f64 * f64::from(load_pct - 50) / 100.0).max(0.5);
                     p.set_load(f, ArrivalProcess::poisson(rate, seed));
                 }
-                p
+                Some(p)
             };
-            let (mut on, mut off) = (build(), build());
+            // Replicas the GPU's memory cannot hold are refused at deploy.
+            let Some(mut on) = build() else {
+                return Ok(());
+            };
+            let mut off = build().unwrap();
             off.set_run_ahead(false);
             let restore_at = restore_at % slices.len();
             for (i, &us) in slices.iter().enumerate() {
-                let at = format!("{model} {sm}/{quota} {policy:?} seed {seed} load {load_pct}, slice {i}");
+                let at = format!("{model} x{replicas} {sm}/{quota} {policy:?} seed {seed} load {load_pct}, slice {i}");
                 if i == restore_at {
                     on = Platform::from_snapshot(&on.checkpoint()).unwrap();
                     off = Platform::from_snapshot(&off.checkpoint()).unwrap();
@@ -1670,7 +1932,7 @@ mod run_ahead_tests {
                 prop_assert_eq!(on.run_for(d).digest(), off.run_for(d).digest(), "{}: report digest", at);
                 assert_same_state(&on, &off, &at);
             }
-            prop_assert_eq!(off.handler_counts().solo_steps, 0);
+            prop_assert_eq!(off.handler_counts().inline_bursts, 0);
         }
     }
 }

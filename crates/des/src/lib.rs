@@ -49,7 +49,7 @@ pub mod snap;
 mod time;
 
 pub use arena::{ArenaKey, IdArena, IdSet};
-pub use queue::{CancelToken, EventQueue, TieBreak};
+pub use queue::{CancelToken, EventQueue, Rank, TieBreak};
 pub use series::{BusyTracker, TimeSeries};
 pub use sim::{Simulation, StepOutcome, World};
 pub use snap::{Snap, SnapError, SnapReader, SnapWriter};

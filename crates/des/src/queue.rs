@@ -190,6 +190,31 @@ fn tie_of(rank: u128) -> u64 {
     order_of(rank) & TIE_MASK
 }
 
+/// An entry's place in pop order: its time, then its order word
+/// (`class << 56 | tie`), the two halves of its packed rank (see the
+/// module docs). Ranks are unique, and the lower one pops first. Kept as
+/// two words, so a world that holds ranks aside moves them as words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Rank {
+    time: SimTime,
+    order: u64,
+}
+
+impl Rank {
+    /// The entry's timestamp.
+    pub fn time(self) -> SimTime {
+        self.time
+    }
+
+    fn of(rank: u128) -> Self {
+        Rank { time: time_of(rank), order: order_of(rank) }
+    }
+
+    fn packed(self) -> u128 {
+        pack(self.time, self.order)
+    }
+}
+
 /// A handle to a cancellable entry, returned by
 /// [`EventQueue::schedule_cancellable`]. The token is generation-stamped:
 /// it wraps the entry's unique insertion sequence number, so a stale token
@@ -242,7 +267,8 @@ pub struct EventQueue<E> {
 
 /// The [`Simulation`](crate::Simulation) driver's clock, kept in the
 /// queue so that a world can deliver an event to itself inline (see
-/// [`EventQueue::deliver_inline`]) and the driver sees the delivery.
+/// [`EventQueue::deliver_claimed`] and [`EventQueue::deliver_head`]) and
+/// the driver sees the delivery.
 /// Not part of [`EventQueue::snap_state`]: a checkpoint encodes the
 /// clock on its own, and [`EventQueue::clear`] leaves it alone.
 #[derive(Debug, Clone, Copy)]
@@ -344,19 +370,33 @@ impl<E> EventQueue<E> {
     /// lives in exactly one place.
     fn push_entry(&mut self, at: SimTime, event: E) -> u64 {
         let seq = self.take_seq();
-        let order = u64::from((self.classify)(&event)) << TIE_BITS | self.tiebreak.key(seq);
-        let rank = pack(at, order);
+        self.insert(self.rank_of(at, &event, seq), event);
+        seq
+    }
+
+    /// The rank of `event` at `at` with insertion sequence `seq`.
+    fn rank_of(&self, at: SimTime, event: &E, seq: u64) -> u128 {
+        pack(at, self.order_of(event, seq))
+    }
+
+    /// The order word (`class << 56 | tie`) of `event` with insertion
+    /// sequence `seq`.
+    fn order_of(&self, event: &E, seq: u64) -> u64 {
+        u64::from((self.classify)(event)) << TIE_BITS | self.tiebreak.key(seq)
+    }
+
+    /// Puts an entry of `rank` on the heap.
+    fn insert(&mut self, rank: u128, event: E) {
         if std::mem::take(&mut self.held) {
             // Fill the held root: the entry sinks from the top.
             self.events[0] = event;
             self.sift_down(rank);
-            return seq;
+            return;
         }
         let pos = self.ranks.len();
         self.ranks.push(0);
         self.events.push(event);
         self.sift_up(pos, rank);
-        seq
     }
 
     /// Claims the next insertion sequence number without scheduling
@@ -371,6 +411,12 @@ impl<E> EventQueue<E> {
         self.tiebreak.key(seq)
     }
 
+    /// The driver clock's instant: the time of the last delivery, or of
+    /// the last deadline a run reached.
+    pub fn now(&self) -> SimTime {
+        self.clock.now
+    }
+
     /// The deadline of the [`Simulation::run_until`](crate::Simulation::run_until)
     /// in progress, as the driver was given it; `None` outside a run
     /// (stepping, API calls between runs).
@@ -378,37 +424,82 @@ impl<E> EventQueue<E> {
         self.clock.deadline
     }
 
-    /// Whether an entry pushed now at `at` would be the next thing the
-    /// driver delivers: a run is in progress, and `at` is strictly before
-    /// its deadline and strictly before every pending entry, whatever
-    /// their class or tie key. Work the world keeps outside the queue
-    /// (see [`World::end_of_instant`](crate::World::end_of_instant)) is
-    /// the world's to rule out.
-    pub fn is_next(&self, at: SimTime) -> bool {
-        self.next_limit().is_some_and(|limit| at < limit)
+    /// The entry the driver delivers next, if any, with its rank.
+    pub fn head(&self) -> Option<(Rank, &E)> {
+        let i = self.head_index()?;
+        Some((Rank::of(self.ranks[i]), &self.events[i]))
     }
 
-    /// The instant [`Self::is_next`] compares with: the earlier of the
-    /// run's deadline and the queue head, or `None` outside a run. Until
-    /// the queue changes, an entry pushed now at any time strictly
-    /// before it would be the next delivery, so a world taking several
-    /// steps inline can read it once.
-    pub fn next_limit(&self) -> Option<SimTime> {
-        let deadline = self.clock.deadline?;
-        Some(self.peek_time().map_or(deadline, |head| head.min(deadline)))
+    /// The entry ranked next after the head, if any, with its rank: what
+    /// [`Self::head`] names once the head is taken, unless that entry
+    /// was cancelled meanwhile (a cancelled entry may show here).
+    pub fn second(&self) -> Option<(Rank, &E)> {
+        let head = self.head_index()?;
+        let n = self.ranks.len();
+        // The head's children, and with a held root its siblings, the
+        // roots of the other sub-heaps.
+        let children = (ARITY * head + 1)..n.min(ARITY * head + ARITY + 1);
+        let siblings = if self.held { 1..n.min(ARITY + 1) } else { 0..0 };
+        let i = siblings.filter(|&i| i != head).chain(children).min_by_key(|&i| self.ranks[i])?;
+        Some((Rank::of(self.ranks[i]), &self.events[i]))
     }
 
-    /// Delivers an event inline: the world handles, at `at`, an event it
-    /// would otherwise push and have the driver pop straight back, which
-    /// [`Self::is_next`] must have confirmed. The delivery takes the
-    /// sequence number the push would have taken, moves the driver clock
-    /// to `at` and counts as a delivered event, so every later tie key,
+    /// Claims the rank that scheduling `event` at `at` now would give it,
+    /// and the token that would revoke it, without pushing it: the
+    /// sequence number is taken, so later entries keep theirs. A world
+    /// keeping the entry aside then either delivers it inline
+    /// ([`Self::deliver_claimed`]) or pushes it at that rank
+    /// ([`Self::push_claimed`]), which leaves the queue as
+    /// [`Self::schedule_cancellable`] would have. Its token revokes it
+    /// only once it is pushed.
+    pub fn claim(&mut self, at: SimTime, event: &E) -> (Rank, CancelToken) {
+        let seq = self.take_seq();
+        (Rank { time: at, order: self.order_of(event, seq) }, CancelToken(seq))
+    }
+
+    /// Pushes an entry at the rank [`Self::claim`] gave it.
+    pub fn push_claimed(&mut self, rank: Rank, event: E) {
+        debug_assert!(self.tiebreak.seq_of(rank.order) < self.next_seq, "pushing an unclaimed rank");
+        self.insert(rank.packed(), event);
+    }
+
+    /// Delivers a claimed entry inline: the world handles it at its time
+    /// instead of pushing it and having the driver pop it straight back.
+    /// It must be the next delivery: a run is in progress, and the rank
+    /// is below the head's and at or before the run's deadline. The clock
+    /// moves to its time and it counts as a delivered event, so
     /// [`Simulation::events_handled`](crate::Simulation::events_handled)
-    /// and a checkpoint's bytes are what the pushed event would have left.
+    /// and a checkpoint's bytes are what the pushed entry would have left.
+    pub fn deliver_claimed(&mut self, rank: Rank) {
+        debug_assert!(self.head_rank().map_or(true, |head| rank.packed() < head), "{rank:?} is not next");
+        debug_assert!(self.clock.deadline.is_some_and(|d| rank.time() <= d), "{rank:?} is past the run");
+        self.record_delivery(rank.time());
+    }
+
+    /// Delivers inline an event the world would otherwise schedule at `at`
+    /// now and have the driver pop straight back: it takes the sequence
+    /// number the push would have taken, and must be the next delivery,
+    /// as for [`Self::deliver_claimed`]. The clock moves to `at` and it
+    /// counts as a delivered event.
     pub fn deliver_inline(&mut self, at: SimTime) {
-        debug_assert!(self.is_next(at), "inline delivery at {at:?} is not the next one");
+        debug_assert!(self.peek_time().map_or(true, |head| at < head), "{at:?} is not next");
+        debug_assert!(self.clock.deadline.is_some_and(|d| at <= d), "{at:?} is past the run");
         self.take_seq();
         self.record_delivery(at);
+    }
+
+    /// Takes the head entry and delivers it inline, as the driver would:
+    /// the world handles it at its time. A run must be in progress, and
+    /// the head at or before its deadline.
+    pub fn deliver_head(&mut self) -> Option<(SimTime, E)>
+    where
+        E: Copy,
+    {
+        let deadline = self.clock.deadline;
+        debug_assert!(deadline.is_some(), "inline delivery outside a run");
+        let (at, event) = self.take_before(deadline.unwrap_or(SimTime::MAX))?;
+        self.record_delivery(at);
+        Some((at, event))
     }
 
     /// Moves the driver clock to `at`, a delivery, and counts it. Time
@@ -567,8 +658,8 @@ impl<E> EventQueue<E> {
 
     /// Takes the earliest live event if its timestamp is at or before
     /// `deadline`, leaving the root held (see the type docs) when no
-    /// cancelled entry is queued, and removing it otherwise. Only the
-    /// driver takes, and it delivers the event at once.
+    /// cancelled entry is queued, and removing it otherwise. The taker
+    /// delivers the event at once.
     pub(crate) fn take_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)>
     where
         E: Copy,
@@ -596,11 +687,16 @@ impl<E> EventQueue<E> {
     /// The rank of the earliest pending entry: the root, or while the root
     /// is held, its least child.
     fn head_rank(&self) -> Option<u128> {
+        Some(self.ranks[self.head_index()?])
+    }
+
+    /// Where the earliest pending entry sits (see [`Self::head_rank`]).
+    fn head_index(&self) -> Option<usize> {
         if !self.held {
-            return self.ranks.first().copied();
+            return (!self.ranks.is_empty()).then_some(0);
         }
         let end = self.ranks.len().min(ARITY + 1);
-        self.ranks.get(1..end)?.iter().copied().min()
+        (1..end).min_by_key(|&i| self.ranks[i])
     }
 
     /// The timestamp of the earliest live pending event, if any.
@@ -809,6 +905,30 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `second` names the entry the next pop after the head's returns,
+    /// with the root held by a take or not.
+    #[test]
+    fn the_second_entry_is_the_next_after_the_head() {
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = |m: u64| {
+            z = splitmix64(z);
+            z % m
+        };
+        for _ in 0..200 {
+            let mut q = EventQueue::new();
+            for e in 0..rand(40) {
+                q.schedule(SimTime::from_micros(rand(50)), e);
+            }
+            if rand(2) == 0 {
+                q.take_before(SimTime::MAX);
+            }
+            let mut after = q.clone();
+            after.pop();
+            let second = q.second().map(|(rank, &e)| (rank.time(), e));
+            assert_eq!(second, after.pop(), "{} entries", q.len());
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -43,12 +43,13 @@ pub enum StepOutcome {
 /// Drives a [`World`] by delivering events in timestamp order.
 ///
 /// The clock (the current instant and the count of delivered events)
-/// lives in the queue, so that a world may deliver to itself an event
-/// that would be the next one delivered anyway, without the push and the
-/// pop (see [`EventQueue::is_next`] and [`EventQueue::deliver_inline`]):
-/// such a delivery moves the clock and counts exactly as the driver's
-/// would. A world may do so only inside [`Self::run_until`], whose
-/// deadline it reads from [`EventQueue::deadline`].
+/// lives in the queue, so that a world may deliver to itself the event
+/// the driver would deliver next: one it claimed a rank for instead of
+/// pushing it ([`EventQueue::claim`], [`EventQueue::deliver_claimed`]),
+/// or the queue's head ([`EventQueue::deliver_head`]). Such a delivery
+/// moves the clock and counts exactly as the driver's would. A world may
+/// do so only inside [`Self::run_until`], whose deadline it reads from
+/// [`EventQueue::deadline`].
 #[derive(Clone)]
 pub struct Simulation<W: World> {
     world: W,
@@ -363,9 +364,10 @@ mod tests {
     }
 
     /// Pings (event `1`) every 10 µs, recording the deadline each ping
-    /// reads, and delivers every `inline_every`-th ping to itself inline
-    /// instead of scheduling it when the queue confirms that ping would
-    /// be delivered next. Other events do nothing.
+    /// reads. Every `inline_every`-th ping claims its rank instead of
+    /// being scheduled, and is delivered inline when that rank is below
+    /// the head's and within the run, else pushed at it. Other events do
+    /// nothing.
     struct Ahead {
         deadlines: Vec<Option<SimTime>>,
         inline_every: u32,
@@ -393,12 +395,17 @@ mod tests {
                     return;
                 }
                 let next = now + SimTime::from_micros(10);
-                let inline = self.inline_every > 0 && self.count % self.inline_every == 0;
-                if !(inline && queue.is_next(next)) {
+                if self.inline_every == 0 || self.count % self.inline_every != 0 {
                     queue.schedule(next, 1);
                     return;
                 }
-                queue.deliver_inline(next);
+                let (rank, _) = queue.claim(next, &1);
+                let before_head = queue.head().map_or(true, |(head, _)| rank < head);
+                if !(before_head && queue.deadline().is_some_and(|d| next <= d)) {
+                    queue.push_claimed(rank, 1);
+                    return;
+                }
+                queue.deliver_claimed(rank);
                 self.inlined += 1;
                 now = next;
             }
@@ -457,21 +464,49 @@ mod tests {
         }
     }
 
+    /// A claimed entry pushed at its rank pops where the scheduled one
+    /// would, its token revokes it, and the head delivered inline moves
+    /// the clock and counts like the driver's delivery.
     #[test]
-    fn an_entry_is_next_only_strictly_before_the_head_and_the_deadline() {
+    fn a_claimed_entry_keeps_its_rank_and_the_head_delivers_inline() {
+        use crate::TieBreak;
+        for tb in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::SeededShuffle(3)] {
+            let order = |claimed: bool| {
+                let mut queue = EventQueue::new();
+                queue.set_tiebreak(tb);
+                queue.schedule(SimTime::from_micros(20), 1);
+                let (rank, token) = queue.claim(SimTime::from_micros(20), &2);
+                queue.schedule(SimTime::from_micros(20), 3);
+                if claimed {
+                    assert_eq!(rank.time(), SimTime::from_micros(20));
+                    queue.push_claimed(rank, 2);
+                }
+                queue.schedule(SimTime::from_micros(10), 4);
+                let head = queue.head().map(|(r, &e)| (r.time(), e));
+                assert_eq!(head, Some((SimTime::from_micros(10), 4)), "{tb:?}");
+                if claimed {
+                    let mut cancelled = queue.clone();
+                    assert!(cancelled.cancel(token), "{tb:?}: the token revokes a pushed claim");
+                    assert_eq!(cancelled.len(), 3, "{tb:?}");
+                }
+                std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect::<Vec<u32>>()
+            };
+            let (pushed, kept_aside) = (order(true), order(false));
+            assert_eq!(pushed.len(), 4, "{tb:?}");
+            let mut without = pushed.clone();
+            without.retain(|&e| e != 2);
+            assert_eq!(without, kept_aside, "{tb:?}: later entries keep their ranks");
+        }
         let mut sim = Simulation::new(Ahead::new(0, 1));
         let (_, queue, _) = sim.parts_mut();
-        assert!(!queue.is_next(SimTime::ZERO), "outside a run nothing is");
+        queue.schedule(SimTime::from_micros(20), 5);
+        queue.schedule(SimTime::from_micros(30), 6);
         queue.set_deadline(Some(SimTime::from_micros(50)));
-        queue.schedule(SimTime::from_micros(20), 1);
-        assert!(queue.is_next(SimTime::from_micros(19)));
-        assert!(!queue.is_next(SimTime::from_micros(20)), "ties go to the queue");
-        queue.pop();
-        assert!(queue.is_next(SimTime::from_micros(49)));
-        assert!(!queue.is_next(SimTime::from_micros(50)), "the deadline bounds it");
         let before = queue.clock();
-        queue.deliver_inline(SimTime::from_micros(30));
-        assert_eq!(queue.clock(), (SimTime::from_micros(30), before.1 + 1));
+        assert_eq!(queue.deliver_head(), Some((SimTime::from_micros(20), 5)));
+        assert_eq!(queue.clock(), (SimTime::from_micros(20), before.1 + 1));
+        assert_eq!(queue.head().map(|(r, &e)| (r.time(), e)), Some((SimTime::from_micros(30), 6)));
+        assert_eq!(queue.len(), 1, "the taken head is gone");
     }
 
     // The panic is a `debug_assert!`: release builds skip the check.

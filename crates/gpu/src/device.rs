@@ -212,11 +212,9 @@ impl Resident {
         Resident { client, kernel, cap, run, start, done: 0, credited: start, end }
     }
 
-    /// Rebuilds a record from its encoded parts, deriving the run's end.
-    /// A stepped record is a run of one, a live record has a resident
-    /// kernel whose interval holds the credited point, and its whole run
-    /// fits the clock. The cap is left 0 for the device's decode to
-    /// derive.
+    /// Rebuilds a record from its encoded parts, deriving the run's end,
+    /// and runs the record's rules on it ([`Self::check`]). The cap is
+    /// left 0 for the device's decode to derive.
     fn from_parts(
         client: ClientId,
         kernel: Option<KernelId>,
@@ -225,13 +223,27 @@ impl Resident {
         done: u32,
         credited: SimTime,
     ) -> Result<Self, SnapError> {
+        // A run past the end of the clock fails the span rule.
+        let end = run.end_from(start).unwrap_or(SimTime::MAX);
+        let record = Resident { done, credited, ..Resident::new(client, kernel, 0, run, start, end) };
+        record.check()?;
+        Ok(record)
+    }
+
+    /// The record's rules of the invariant catalogue, each named by the
+    /// error it returns: a stepped record is a run of one, a live record
+    /// has a resident kernel, its whole run fits the clock and ends at its
+    /// end, and the resident kernel's interval holds the credited point.
+    /// Decode runs them on each record, and the device's catalogue on
+    /// every record live.
+    fn check(&self) -> Result<(), SnapError> {
+        let Resident { kernel, run, start, done, credited, end, .. } = *self;
         SnapError::ensure(kernel.is_none() || run.count == 1, "gpu stepped run")?;
         SnapError::ensure(done < run.count, "gpu resident kernel")?;
-        let end = run.end_from(start).ok_or(SnapError::new("gpu run span"))?;
+        SnapError::ensure(run.end_from(start) == Some(end), "gpu run span")?;
         let kernel_start = start + run.duration * u64::from(done);
         let inside = credited >= kernel_start && credited <= kernel_start + run.duration;
-        SnapError::ensure(inside, "gpu credited point")?;
-        Ok(Resident { done, credited, ..Resident::new(client, kernel, 0, run, start, end) })
+        SnapError::ensure(inside, "gpu credited point")
     }
 
     /// When the resident kernel started (the run's end once it ended).
@@ -1161,12 +1173,14 @@ snap_struct!(GpuDevice {
 // sanitizer at every metrics sample (SM conservation after every settle).
 impl GpuDevice {
     /// Every rule of the device, in order. Besides the ones below: no more
-    /// SMs are free than the device has, the MPS caps are derived from its
-    /// SM count, the stream table lists the MPS clients in their order,
-    /// and every resident kernel's id was issued.
+    /// SMs are free than the device has, every resident record keeps its
+    /// own rules, the MPS caps are derived from its SM count, the stream
+    /// table lists the MPS clients in their order, and every resident
+    /// kernel's id was issued.
     pub fn check_invariants(&self) -> Result<(), SnapError> {
         SnapError::ensure(self.free_sms <= self.spec.sm_count, "gpu free sms")?;
         self.check_sm_conservation()?;
+        self.resident.iter().try_for_each(Resident::check)?;
         SnapError::ensure(self.mps.sm_count() == self.spec.sm_count, "gpu mps sm count")?;
         let streams = self.streams.iter().map(|(id, _)| *id);
         SnapError::ensure(streams.eq(self.mps.caps().map(|(id, _)| id)), "gpu stream table")?;
@@ -1822,6 +1836,35 @@ mod tests {
         ];
         for (name, run, start, done, credited, ok) in cases {
             assert_eq!(timeline_decodes(run, start, done, credited), ok, "{name}");
+        }
+    }
+
+    /// The record rules run on the live device too: a burst and a stepped
+    /// kernel keep them as they settle, and a record that breaks one is
+    /// named by the device's catalogue.
+    #[test]
+    fn resident_records_are_checked_live() {
+        let (mut gpu, a, b, _) = three_clients();
+        let at = SimTime::from_micros;
+        gpu.fast_forward_burst(at(0), a, kernel(40, 100), 5).unwrap();
+        let stepped = gpu.launch(at(10), b, kernel(40, 100)).unwrap().unwrap();
+        for t in [50, 100] {
+            gpu.sample(at(t), t == 100);
+            assert_eq!(gpu.check_invariants(), Ok(()), "at {t}");
+        }
+        let forged = |forge: fn(&mut Resident)| {
+            let mut d = gpu.clone();
+            forge(&mut d.resident[0]);
+            d.check_invariants().err()
+        };
+        assert_eq!(forged(|r| r.credited = r.end + SimTime::from_micros(1)), Some(SnapError::new("gpu credited point")));
+        assert_eq!(forged(|r| r.done = r.run.count), Some(SnapError::new("gpu resident kernel")));
+        assert_eq!(forged(|r| r.end += SimTime::from_micros(1)), Some(SnapError::new("gpu run span")));
+        assert_eq!(forged(|r| r.kernel = Some(KernelId(0))), Some(SnapError::new("gpu stepped run")));
+        gpu.on_kernel_finish(stepped.finish_at, stepped.kernel).unwrap();
+        for t in [250, 333] {
+            gpu.sample(at(t), t == 250);
+            assert_eq!(gpu.check_invariants(), Ok(()), "at {t}");
         }
     }
 
