@@ -18,8 +18,10 @@
 //! head, the driver's next delivery after at most the node's own owed
 //! pass, is one of the node's steps: the pod's own next one, or a
 //! node-mate's; on a node with node-mates, the entry after it must be
-//! the node's too ([`EventQueue::second`]). A platform whose stretches
-//! keep taking few events, as a fleet, looks only now and then.
+//! the node's too ([`EventQueue::second`]). It is looked for only when
+//! the handler's step follows one of the same node's: a stretch pays
+//! only where a node's steps come back to back, which on a fleet they
+//! seldom do, and the look costs a queue peek per handler.
 //!
 //! **What a stretch delivers.** In exact rank order, the lesser of:
 //! - the steps the stretch pushed. Each push claims its sequence number,
@@ -33,18 +35,19 @@
 //! [`EventQueue::deliver_head`]) and is traced and counted per kind, and
 //! then to its handler, whose last step of a pod is kept aside in turn.
 //! Once nothing is left at an instant, the node's owed dispatch pass runs
-//! there, as the driver's end of the instant would run it.
+//! there ([`Engine::run_pass`]), as the driver's end of the instant would
+//! run it.
 //!
 //! **At once.** A step that is certainly the next delivery, before every
 //! kept step, the queue's head and the run's deadline, with no pass
-//! owed, is taken the moment it is made ([`Engine::step_pod`]): a host
-//! phase is delivered inline ([`EventQueue::deliver_inline`]), and a
-//! burst launched as the instant's last work on an idle device runs
-//! whole ([`GpuDevice::run_alone`](fastg_gpu::GpuDevice::run_alone)),
-//! without a resident record, its `BurstFastForward` delivered inline.
-//! A pod that queues with nothing else left at its instant has its
-//! node's pass run at once. On a node with one pod nearly every step is
-//! taken so.
+//! owed, is taken the moment it is made, in the pod's own step
+//! ([`Engine::step_pod`]): a host phase is delivered inline
+//! ([`EventQueue::deliver_inline`]), and a burst launched as the
+//! instant's last work on an idle device (by the pod's token request or
+//! as a pass's last grant) runs whole
+//! ([`GpuDevice::run_alone`](fastg_gpu::GpuDevice::run_alone)), without
+//! a resident record, its `BurstFastForward` delivered inline. On a node
+//! with one pod nearly every step is taken so.
 //!
 //! **Stops.** The stretch stops at the first thing it cannot take this
 //! way: another event, a pass owed by another node, a step past the
@@ -60,16 +63,24 @@ use super::node::NodeRt;
 use super::pod::PodAt;
 use fastg_cluster::{NodeId, PodId};
 use fastg_des::{CancelToken, EventQueue, Rank, SimTime};
-use std::collections::VecDeque;
 
-/// A step kept aside: the `HostDone` of the pod at `slot` of the
-/// stretch's node, or the `BurstFastForward` of its burst. Its rank is
-/// kept beside it, so each moves in registers.
+/// A step kept aside at the rank its push claimed: the `HostDone` of
+/// `pod`, at `slot` of the stretch's node, or the `BurstFastForward` of
+/// its burst.
 #[derive(Clone, Copy)]
 struct Kept {
+    rank: Rank,
+    pod: PodId,
     slot: u32,
     /// A `BurstFastForward` (else a `HostDone`).
     burst: bool,
+}
+
+impl Kept {
+    /// Where the step's pod lives on `node`.
+    fn at(self, node: NodeId) -> PodAt {
+        PodAt { pod: self.pod, node, slot: usize::try_from(self.slot).unwrap_or(usize::MAX) }
+    }
 }
 
 /// The step of `pod` on `node`: its `BurstFastForward` if `burst`, else
@@ -81,10 +92,6 @@ fn step_event(node: NodeId, pod: PodId, burst: bool) -> Event {
         Event::HostDone(pod)
     }
 }
-
-/// A burst the device ran alone, whose `BurstFastForward` was delivered at
-/// once: its pod, and its end, from which the pod steps on.
-pub(super) type RanAlone = Option<(PodAt, SimTime)>;
 
 /// The open stretch: the node whose pods step inline, the steps it keeps
 /// aside, and what it reads of the queue. Closed and empty between
@@ -101,28 +108,16 @@ pub(super) struct Stretch {
     /// The earlier of the first kept step's time and the head's, or
     /// `SimTime::MAX`: a step strictly before it is the next delivery.
     before: SimTime,
-    /// The ranks the steps pushed while open claimed, in order: the next
-    /// is first.
-    ranks: VecDeque<Rank>,
-    /// The steps at those ranks.
-    steps: VecDeque<Kept>,
-    /// The last of `ranks`, while there is one.
-    last: Option<Rank>,
-    /// Events delivered inline since the stretch opened.
-    taken: u64,
-    /// Data-plane handlers since a stretch last took `WORTH` events.
-    misses: u32,
+    /// The steps pushed while open, in rank order from `first`; those
+    /// before it are delivered, and dropped once the buffer is full or
+    /// every step is.
+    kept: Vec<Kept>,
+    /// The first step kept aside not yet delivered.
+    first: usize,
+    /// The node of the last pod a data-plane handler stepped outside a
+    /// stretch.
+    last: Option<NodeId>,
 }
-
-/// The events a stretch takes to pay for its opening and closing.
-const WORTH: u64 = 8;
-
-/// Handlers after which a platform whose stretches take fewer than
-/// `WORTH` events ([`Stretch::misses`]) looks for one only now and then.
-const MISSES_BEFORE_SKIPPING: u32 = 64;
-
-/// How often such a platform still looks: at every this many handlers.
-const LOOK_EVERY: u32 = 16;
 
 impl Stretch {
     /// Schedules the step of the pod at `at` at `time`, its
@@ -136,18 +131,14 @@ impl Stretch {
         }
         let (rank, token) = queue.claim(time, &event);
         let slot = u32::try_from(at.slot).unwrap_or(u32::MAX);
-        let kept = Kept { slot, burst };
-        self.before = self.before.min(time);
-        // A new step is most often the latest.
-        if self.ranks.is_empty() || self.last < Some(rank) {
-            self.last = Some(rank);
-            self.ranks.push_back(rank);
-            self.steps.push_back(kept);
-        } else {
-            let i = self.ranks.partition_point(|&r| r < rank);
-            self.ranks.insert(i, rank);
-            self.steps.insert(i, kept);
+        if self.kept.len() == self.kept.capacity() {
+            self.kept.drain(..self.first);
+            self.first = 0;
         }
+        // A new step is most often the latest, or near it.
+        let i = self.kept[self.first..].iter().rposition(|k| k.rank < rank).map_or(self.first, |i| self.first + i + 1);
+        self.kept.insert(i, Kept { rank, pod: at.pod, slot, burst });
+        self.before = self.before.min(time);
         token
     }
 
@@ -168,7 +159,7 @@ impl Stretch {
     /// Recomputes [`Self::before`] after the first kept step or the head
     /// changed.
     fn refresh(&mut self) {
-        let kept = self.ranks.front().map(|rank| rank.time());
+        let kept = self.kept.get(self.first).map(|k| k.rank.time());
         let head = self.head.map(|(rank, _)| rank.time());
         self.before = [kept, head].into_iter().flatten().fold(SimTime::MAX, SimTime::min);
     }
@@ -180,7 +171,6 @@ impl Stretch {
         let next = self.is_next(at, time);
         if next {
             queue.deliver_inline(time);
-            self.taken += 1;
         }
         next
     }
@@ -194,13 +184,15 @@ impl Stretch {
         (self.node == Some(node) && no_pass_owed).then_some(self.before.min(self.deadline))
     }
 
-    /// Whether the pass `node` would owe at `now` is what its open stretch
-    /// takes next: no pass is owed yet (`no_pass_owed`), and nothing else
-    /// is left at the instant. A pod that queues as its handler's last
-    /// action then has the pass run at once, as the end of the instant
-    /// would.
-    pub(super) fn pass_is_next(&self, node: NodeId, now: SimTime, no_pass_owed: bool) -> bool {
-        self.node == Some(node) && no_pass_owed && self.next().map_or(true, |(rank, _)| rank.time() > now)
+    /// Takes the first step kept aside.
+    fn pop(&mut self) -> Option<Kept> {
+        let k = self.kept.get(self.first).copied()?;
+        self.first += 1;
+        if self.first == self.kept.len() {
+            self.kept.clear();
+            self.first = 0;
+        }
+        Some(k)
     }
 
     /// Whether no stretch is open.
@@ -211,8 +203,8 @@ impl Stretch {
     /// The next event: the first step kept aside if it ranks below the
     /// queue's head, else the head.
     fn next(&self) -> Option<(Rank, bool)> {
-        match (self.ranks.front(), self.head) {
-            (Some(&kept), head) if head.map_or(true, |(rank, _)| kept < rank) => Some((kept, true)),
+        match (self.kept.get(self.first), self.head) {
+            (Some(&k), head) if head.map_or(true, |(rank, _)| k.rank < rank) => Some((k.rank, true)),
             (_, head) => head.map(|(rank, _)| (rank, false)),
         }
     }
@@ -225,56 +217,54 @@ impl Engine {
     /// it only steps the pod.
     pub(super) fn run_ahead(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
         self.step_pod(now, at, queue);
-        if !(self.stretch.node.is_none() && self.run_ahead && self.cfg.fastforward) {
+        if !(self.stretch.is_closed() && self.run_ahead && self.cfg.fastforward) {
             return;
         }
-        // Once many handlers in a row found no stretch worth its cost (one
-        // that takes `WORTH` events), as on a fleet or between dense
-        // arrivals, look only at every `LOOK_EVERY`th handler: a stretch
-        // that does not open leaves the node to the driver, which
-        // changes nothing.
-        let s = &mut self.stretch;
-        s.misses = s.misses.saturating_add(1);
-        if s.misses > MISSES_BEFORE_SKIPPING && s.misses % LOOK_EVERY != 0 {
+        // A stretch pays only where a node's steps come back to back: it
+        // is looked for when the last step a handler made was the node's
+        // too.
+        if self.stretch.last.replace(at.node) != Some(at.node) {
             return;
         }
-        let Some((deadline, head)) = queue.deadline().zip(self.opens(at.node, queue)) else {
+        let Some((deadline, head)) = self.opens(at, queue) else {
             return;
         };
         let s = &mut self.stretch;
-        (s.node, s.deadline, s.taken, s.head) = (Some(at.node), deadline, 0, Some(head));
+        (s.node, s.deadline, s.head) = (Some(at.node), deadline, Some(head));
         s.refresh();
         self.counts.stretches += 1;
+        let delivered = queue.delivered();
         self.run_stretch(at.node, queue);
-        let taken = self.stretch.taken;
-        self.counts.empty_stretches += u64::from(taken == 0);
-        if taken >= WORTH {
-            self.stretch.misses = 0;
-        }
+        self.counts.empty_stretches += u64::from(queue.delivered() == delivered);
         self.close_stretch(queue);
     }
 
-    /// The queue's head, if a stretch of `node` opens now: the head is
-    /// one of the node's steps, within the run, and any pass that runs
-    /// before it is the node's own. A node with node-mates also needs the
-    /// entry after the head to be one of its events (or none): on a fleet
-    /// the head is now and then a step of the same node, between other
-    /// nodes' events, and a stretch there would take that one step.
-    fn opens(&self, node: NodeId, queue: &EventQueue<Event>) -> Option<(Rank, Event)> {
+    /// The run's deadline and the queue's head, if the stretch of the pod
+    /// at `at`'s node opens now: the head is one of the node's steps,
+    /// within the run, and any pass that runs before it is the node's
+    /// own. A node with node-mates also needs the entry after the head to
+    /// be one of its events (or none): on a fleet the head is now and
+    /// then a step of the same node, between other nodes' events, and a
+    /// stretch there would take that one step.
+    fn opens(&self, at: PodAt, queue: &EventQueue<Event>) -> Option<(SimTime, (Rank, Event))> {
+        let node = at.node;
         let (rank, &event) = queue.head()?;
-        let ours = queue.deadline().is_some_and(|deadline| rank.time() <= deadline) && self.is_own_step(node, event);
-        let first = match self.dispatch_pending.as_slice() {
-            [] => ours,
+        // The pod's own next step is the most common head.
+        if !(event == Event::HostDone(at.pod) || self.is_own_step(node, event)) {
+            return None;
+        }
+        let deadline = queue.deadline().filter(|&deadline| rank.time() <= deadline)?;
+        let passes = match self.dispatch_pending.as_slice() {
+            [] => true,
             // The instant's events come before its passes.
-            _ if rank.time() <= queue.now() => ours,
-            [(_, owed)] => *owed == node && ours,
+            _ if rank.time() <= queue.now() => true,
+            [(_, owed)] => *owed == node,
             _ => false,
         };
         let mine = |event| self.is_own_step(node, event) || event == Event::WindowReset(node);
-        let opens = first
-            && (self.nodes.get(node).is_some_and(NodeRt::is_lone)
-                || queue.second().map_or(true, |(_, &event)| mine(event)));
-        opens.then_some((rank, event))
+        let alone = || self.nodes.get(node).is_some_and(NodeRt::is_lone);
+        let opens = passes && (alone() || queue.second().map_or(true, |(_, &event)| mine(event)));
+        opens.then_some((deadline, (rank, event)))
     }
 
     /// Takes the node's steps and its owed passes in the driver's order,
@@ -294,12 +284,7 @@ impl Engine {
                     break;
                 }
                 self.dispatch_pending.remove(0);
-                if let Some((at, end)) = self.run_pass(now, node, queue) {
-                    // A burst run alone: its sync point, and its pod steps
-                    // on.
-                    self.sync_burst(end, at, end - now, queue);
-                    self.step_pod(end, at, queue);
-                }
+                self.run_pass(now, node, queue);
                 continue;
             }
             let Some((rank, kept)) = next.filter(|(rank, _)| rank.time() <= self.stretch.deadline) else {
@@ -307,18 +292,13 @@ impl Engine {
             };
             let now = rank.time();
             if kept {
-                let k = self.stretch.steps.front().copied();
-                let slot = k.and_then(|k| usize::try_from(k.slot).ok());
-                let (Some(k), Some(at)) = (k, slot.and_then(|slot| self.nodes.get(node)?.at(slot))) else {
-                    debug_assert!(false, "a kept step belongs to a live pod");
+                let Some(k) = self.stretch.pop() else {
                     break;
                 };
-                let burst = k.burst;
-                self.stretch.ranks.pop_front();
-                self.stretch.steps.pop_front();
+                let (at, burst) = (k.at(node), k.burst);
+                debug_assert_eq!(self.nodes.get(node).and_then(|n| n.at(at.slot)), Some(at), "a kept step's pod lives");
                 self.stretch.refresh();
                 queue.deliver_claimed(rank);
-                self.stretch.taken += 1;
                 self.note(now, &step_event(node, at.pod, burst));
                 if burst {
                     self.counts.inline_bursts += 1;
@@ -334,7 +314,6 @@ impl Engine {
             };
             queue.deliver_head();
             self.stretch.read_head(queue);
-            self.stretch.taken += 1;
             self.note(now, &event);
             match event {
                 Event::HostDone(pod) => self.on_host_done(now, pod, queue),
@@ -382,7 +361,6 @@ impl Engine {
         self.ff_coalesced_kernels += u64::from(count);
         let event = Event::BurstFastForward(at.node, at.pod);
         queue.deliver_inline(end);
-        self.stretch.taken += 1;
         self.counts.inline_bursts += 1;
         self.note(end, &event);
     }
@@ -393,13 +371,10 @@ impl Engine {
         let Some(node) = self.stretch.node.take() else {
             return;
         };
-        let Engine { nodes, stretch, .. } = self;
-        while let (Some(rank), Some(k)) = (stretch.ranks.pop_front(), stretch.steps.pop_front()) {
-            let pod = usize::try_from(k.slot).ok().and_then(|slot| nodes.get(node)?.at(slot));
-            match pod {
-                Some(at) => queue.push_claimed(rank, step_event(node, at.pod, k.burst)),
-                None => debug_assert!(false, "a kept step belongs to a live pod"),
-            }
+        let s = &mut self.stretch;
+        for k in s.kept.drain(..).skip(s.first) {
+            queue.push_claimed(k.rank, step_event(node, k.pod, k.burst));
         }
+        s.first = 0;
     }
 }

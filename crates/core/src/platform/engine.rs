@@ -320,8 +320,8 @@ pub struct Engine {
     /// platform has it on.
     pub(super) run_ahead: bool,
     /// The open stretch, if any: the node whose pods step inline and the
-    /// steps it keeps aside, empty between events, and how long since a
-    /// stretch last paid off. Not snapshotted: it changes no result.
+    /// steps it keeps aside; closed and empty between events. Not
+    /// snapshotted: it changes no result.
     pub(super) stretch: Stretch,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
@@ -487,8 +487,7 @@ impl World for Engine {
             return false;
         }
         let (_, node) = self.dispatch_pending.remove(0);
-        let alone = self.run_pass(now, node, queue);
-        debug_assert!(alone.is_none(), "bursts run alone only inside a stretch");
+        self.run_pass(now, node, queue);
         true
     }
 }

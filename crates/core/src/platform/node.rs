@@ -28,7 +28,6 @@
 //! Per-kernel stepping, fast-forward breaks and zombie drains, the paths
 //! fast-forward falls back to, run here too.
 
-use super::ahead::RanAlone;
 use super::engine::{schedule_next, Engine, Event, HandlerCounts};
 use super::error::PlatformError;
 use super::pod::{ActiveReq, PodAt, PodRt};
@@ -626,78 +625,79 @@ impl Engine {
     /// launched, or the pod waits for its node's pass; a completed request
     /// takes the next one from the same instant. A data-plane handler that
     /// steps the pod as its last action calls [`Self::run_ahead`] instead.
-    /// Inside the node's stretch, a step that is certainly the next
-    /// delivery is taken at once, and the pod steps on from it (see the
-    /// `ahead` module).
-    pub(super) fn step_pod(&mut self, mut now: SimTime, mut at: PodAt, queue: &mut EventQueue<Event>) {
+    pub(super) fn step_pod(&mut self, now: SimTime, at: PodAt, queue: &mut EventQueue<Event>) {
+        self.step(now, at, None, queue);
+    }
+
+    /// Steps the pod at `at` from `now` ([`Self::step_pod`]). `granted`
+    /// is `Some` when its node's pass granted the burst it waits with,
+    /// which then launches first: `Some(true)` if it is the pass's last
+    /// grant. Inside the node's stretch, a step that is certainly the
+    /// next delivery is taken at once, and the pod steps on from it (see
+    /// the `ahead` module).
+    fn step(&mut self, mut now: SimTime, at: PodAt, mut granted: Option<bool>, queue: &mut EventQueue<Event>) {
         // The SM cap the pod's bursts run alone at, read at the first.
         let mut cap = None;
         loop {
-            let Engine {
-                cfg, nodes, funcs, stretch, dispatch_pending, trace, counts, ready_scratch, granted_scratch, ..
-            } = self;
+            let Engine { cfg, nodes, funcs, stretch, dispatch_pending, .. } = self;
             let Some(node) = nodes.get_mut(at.node) else {
                 debug_assert!(false, "runtime per node");
                 return;
             };
             let Some((active, profile)) = node.get_mut(at.slot).and_then(|rt| rt.request_and_profile(funcs)) else {
-                debug_assert!(false, "stepping requires a live pod with a request");
+                debug_assert!(granted.is_some(), "stepping requires a live pod with a request");
                 return;
             };
-            let stage = match active.run.advance_indexed(profile) {
-                StageOp::Host(d) => {
-                    let done = now + d;
-                    if !(dispatch_pending.is_empty() && stretch.takes_at_once(at, done, queue)) {
-                        stretch.push(at, done, false, queue);
-                        return;
+            let grant = granted.take();
+            let stage = match grant {
+                Some(_) => match active.pending_stage.filter(|_| active.waiting_token) {
+                    Some(stage) => stage,
+                    None => return,
+                },
+                None => match active.run.advance_indexed(profile) {
+                    StageOp::Host(d) => {
+                        let done = now + d;
+                        if !(dispatch_pending.is_empty() && stretch.takes_at_once(at, done, queue)) {
+                            stretch.push(at, done, false, queue);
+                            return;
+                        }
+                        self.note(done, &Event::HostDone(at.pod));
+                        now = done;
+                        continue;
                     }
-                    self.note(done, &Event::HostDone(at.pod));
-                    now = done;
-                    continue;
-                }
-                StageOp::Done => {
-                    if !self.complete_request(now, at, queue) {
-                        return;
+                    StageOp::Done => {
+                        if !self.complete_request(now, at, queue) {
+                            return;
+                        }
+                        continue;
                     }
-                    continue;
-                }
-                StageOp::Burst(stage) => stage,
+                    StageOp::Burst(stage) => stage,
+                },
             };
-            // A `None` outcome: the pod's backend row is gone (crash
-            // teardown raced this burst); the pod itself is being
-            // destroyed, so do nothing.
-            let Some(outcome) = node.request_at(now, at.slot) else {
-                return;
-            };
-            if !matches!(outcome, RequestOutcome::Granted(_)) {
-                if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
-                    active.pending_stage = Some(stage);
-                    active.waiting_token = true;
-                }
-                // The pod waits now (only a token policy queues it), and
-                // its node owes the pass; inside the node's stretch, with
-                // nothing else left at the instant, the pass runs at once.
-                if !stretch.pass_is_next(at.node, now, dispatch_pending.is_empty()) {
+            if grant.is_none() {
+                // A `None` outcome: the pod's backend row is gone (crash
+                // teardown raced this burst); the pod itself is being
+                // destroyed, so do nothing.
+                let Some(outcome) = node.request_at(now, at.slot) else {
+                    return;
+                };
+                if !matches!(outcome, RequestOutcome::Granted(_)) {
+                    if let Some(active) = node.get_mut(at.slot).and_then(|rt| rt.active.as_mut()) {
+                        active.pending_stage = Some(stage);
+                        active.waiting_token = true;
+                    }
+                    // The pod waits now (only a token policy queues it),
+                    // and its node owes the pass.
                     self.owe_pass(at.node, queue);
                     return;
-                }
-                queue.claim_tie_key();
-                node.grant_pass(now, cfg.trace_events.then_some(trace), counts, ready_scratch, granted_scratch);
-                // Unless the pass granted this pod alone, it launches what
-                // it granted.
-                if granted_scratch.as_slice() != [at.slot] {
-                    let Some((alone, end)) = self.launch_granted(now, at.node, queue) else {
-                        return;
-                    };
-                    self.sync_burst(end, alone, end - now, queue);
-                    (now, at, cap) = (end, alone, None);
-                    continue;
                 }
             }
             // Inside the node's stretch, a burst nothing else can settle
             // before it ends runs alone, and its macro-event is delivered
             // at once: its sync point follows, and the pod steps on.
-            let before = stretch.alone_before(at.node, dispatch_pending.is_empty());
+            // Of the bursts a pass grants, only the last may run alone:
+            // the others launch at its instant too.
+            let before = stretch.alone_before(at.node, dispatch_pending.is_empty()).filter(|_| grant != Some(false));
             let schedule = |end| stretch.push(at, end, true, queue);
             let stage = (stage, &profile.stages[stage]);
             let launch = node.launch(at.slot, now, stage, cfg.fastforward, before, &mut cap, schedule);
@@ -707,30 +707,6 @@ impl Engine {
             self.sync_burst(end, at, end - now, queue);
             now = end;
         }
-    }
-
-    /// Launches the pod's pending burst: as one fast-forwarded timeline
-    /// and macro-event when the device admits it, else kernel by kernel
-    /// ([`NodeRt::launch`]). Inside its node's stretch, a burst launched
-    /// as the instant's `last` work on the node may run alone instead, its
-    /// macro-event delivered at once, and then its end is returned (see
-    /// the `ahead` module); a per-kernel launch stops the stretch.
-    pub(super) fn launch_burst(&mut self, now: SimTime, at: PodAt, last: bool, queue: &mut EventQueue<Event>) -> Option<SimTime> {
-        let before = self.stretch.alone_before(at.node, self.dispatch_pending.is_empty()).filter(|_| last);
-        let Engine { cfg, nodes, funcs, stretch, .. } = self;
-        let Some(node) = nodes.get_mut(at.node) else {
-            debug_assert!(false, "runtime per node");
-            return None;
-        };
-        let rt = node.get(at.slot);
-        let stage = rt.and_then(|rt| Some((funcs.get(rt.func)?, rt.active.as_ref()?.pending_stage?)));
-        let Some(stage) = stage.and_then(|(f, index)| Some((index, f.model.stages.get(index)?))) else {
-            debug_assert!(false, "launching a pending burst");
-            return None;
-        };
-        let schedule = |end| stretch.push(at, end, true, queue);
-        let launch = node.launch(at.slot, now, stage, cfg.fastforward, before, &mut None, schedule);
-        self.launched(now, at, launch, queue)
     }
 
     /// Follows up the launch of the pod at `at`'s burst at `now`: counts a
@@ -1040,37 +1016,21 @@ impl Engine {
 
     /// Runs a node's owed dispatch pass: its grants
     /// ([`NodeRt::grant_pass`]), then each granted pod's pending burst is
-    /// launched ([`Self::launch_granted`]). This is the only place a pod
-    /// waiting for a token starts, except that inside its node's stretch
-    /// a pod runs the pass it owes at once (see [`Self::step_pod`]).
-    pub(super) fn run_pass(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) -> RanAlone {
+    /// launched, in grant order ([`Self::step`]). This is the only place
+    /// a pod waiting for a token starts.
+    pub(super) fn run_pass(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
         let Engine { cfg, nodes, trace, counts, ready_scratch, granted_scratch, .. } = self;
-        match nodes.get_mut(node) {
-            Some(n) => n.grant_pass(now, cfg.trace_events.then_some(trace), counts, ready_scratch, granted_scratch),
-            None => granted_scratch.clear(),
-        }
-        self.launch_granted(now, node, queue)
-    }
-
-    /// Launches the pending bursts of the pods `node`'s pass granted, in
-    /// grant order; returns a burst that ran alone.
-    fn launch_granted(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) -> RanAlone {
+        let Some(n) = nodes.get_mut(node) else {
+            return;
+        };
+        n.grant_pass(now, cfg.trace_events.then_some(trace), counts, ready_scratch, granted_scratch);
         let granted = std::mem::take(&mut self.granted_scratch);
-        let mut alone = None;
         for (i, &slot) in granted.iter().enumerate() {
-            let Some(n) = self.nodes.get(node) else {
-                break;
-            };
-            let has_burst = n
-                .get(slot)
-                .and_then(|rt| rt.active.as_ref())
-                .is_some_and(|a| a.waiting_token && a.pending_stage.is_some());
-            if let Some(at) = n.at(slot).filter(|_| has_burst) {
-                alone = self.launch_burst(now, at, i + 1 == granted.len(), queue).map(|end| (at, end));
+            if let Some(at) = self.nodes.get(node).and_then(|n| n.at(slot)) {
+                self.step(now, at, Some(i + 1 == granted.len()), queue);
             }
         }
         self.granted_scratch = granted;
-        alone
     }
 
     pub(super) fn on_window_reset(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
@@ -1864,7 +1824,6 @@ mod run_ahead_tests {
             p.set_load(f, ArrivalProcess::poisson(rate.min(0.7 * cap), 9 + i as u64));
         }
         p.run_for(ms(700));
-        eprintln!("DBG {:?} ff {} events {}", p.handler_counts(), p.ff_bursts(), p.events_handled());
         let share = inline_share(&p.handler_counts(), p.ff_bursts());
         assert!(p.ff_bursts() > 1_000, "{} bursts", p.ff_bursts());
         assert!(share < 0.01, "{:.4} of {} bursts inline", share, p.ff_bursts());
@@ -1873,20 +1832,61 @@ mod run_ahead_tests {
     const MODELS: [&str; 6] = ["resnet50", "bert_base", "rnnt", "gnmt", "resnext101", "vit_huge"];
     const POLICIES: [SharingPolicy; 3] = [SharingPolicy::FaST, SharingPolicy::SingleToken, SharingPolicy::Racing];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 96 } else { 640 }))]
+    /// One node of `replicas` pods of `model` at `sm_pct` % SMs and
+    /// `quota_pct` % quota each under `policy`. Under a third of the load
+    /// range the pods saturate; above it, Poisson arrivals come at that
+    /// share of the pods' ideal rate. `None` if the GPU's memory cannot
+    /// hold the replicas.
+    fn random_node(model: &str, replicas: usize, (sm_pct, quota_pct): (u32, u32), policy: SharingPolicy, seed: u64, load_pct: u32) -> Option<Platform> {
+        let (sm, quota) = (f64::from(sm_pct), f64::from(quota_pct) / 100.0);
+        let cfg = traced(seed).nodes(1).policy(policy).oversubscribe(replicas > 1);
+        let mut p = Platform::new(cfg);
+        let f = FunctionConfig::new("node", model).replicas(replicas).resources(sm, quota, quota);
+        if load_pct < 50 {
+            p.deploy(f.saturating()).ok()?;
+        } else {
+            let f = p.deploy(f).ok()?;
+            let sms = (80 * sm_pct / 100).max(1);
+            let ideal = fastg_models::zoo::by_name(model).unwrap().ideal_rps(sms, quota);
+            let rate = (ideal * replicas as f64 * f64::from(load_pct - 50) / 100.0).max(0.5);
+            p.set_load(f, ArrivalProcess::poisson(rate, seed));
+        }
+        Some(p)
+    }
 
-        /// Run-ahead on and off, over a random node (model, 1–8 replicas
-        /// at a random SM % and quota, whose partitions sum below or above
-        /// the GPU, policy, seed, and a saturating or Poisson load),
+    /// Runs `build()` with run-ahead on and off through `slices` (µs),
+    /// with a checkpoint → restore at the boundary before slice
+    /// `restore_at`: the digests, the event counts, every handler count
+    /// but the inline and stretch counters, the traces and the checkpoint
+    /// bytes match after every slice.
+    fn parity(build: impl Fn() -> Platform, slices: &[u64], restore_at: usize, what: &str) {
+        let (mut on, mut off) = (build(), build());
+        off.set_run_ahead(false);
+        let restore_at = restore_at % slices.len();
+        for (i, &us) in slices.iter().enumerate() {
+            let at = format!("{what}, slice {i}");
+            if i == restore_at {
+                on = Platform::from_snapshot(&on.checkpoint()).unwrap();
+                off = Platform::from_snapshot(&off.checkpoint()).unwrap();
+                off.set_run_ahead(false);
+            }
+            let d = SimTime::from_micros(us);
+            assert_eq!(on.run_for(d).digest(), off.run_for(d).digest(), "{at}: report digest");
+            assert_same_state(&on, &off, &at);
+        }
+        assert_eq!(off.handler_counts().inline_bursts, 0, "{what}: switched off");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 160 } else { 1024 }))]
+
+        /// Run-ahead on and off ([`parity`]) over a random lone pod (model,
+        /// SM %, quota, policy, seed, and a saturating or Poisson load),
         /// through 1–4 random `run_for` slices with a checkpoint → restore
-        /// at one slice boundary: the digests, the event counts, every
-        /// handler count but the inline and stretch counters, the traces
-        /// and the checkpoint bytes match after every slice.
+        /// at one slice boundary.
         #[test]
-        fn run_ahead_leaves_the_stepped_state_on_random_nodes(
+        fn run_ahead_leaves_the_stepped_state_on_random_lone_pods(
             model in 0usize..MODELS.len(),
-            replicas in 1usize..=8,
             sm_pct in 1u32..=100,
             quota_pct in 5u32..=100,
             policy in 0usize..POLICIES.len(),
@@ -1896,43 +1896,32 @@ mod run_ahead_tests {
             restore_at in 0usize..4,
         ) {
             let (model, policy) = (MODELS[model], POLICIES[policy]);
-            let (sm, quota) = (f64::from(sm_pct), f64::from(quota_pct) / 100.0);
-            let build = || {
-                let mut p = Platform::new(traced(seed).nodes(1).policy(policy).oversubscribe(true));
-                let f = FunctionConfig::new("node", model).replicas(replicas).resources(sm, quota, quota);
-                // Under a third of the load range, the pods saturate;
-                // above it, Poisson arrivals come at that share of the
-                // pods' ideal rate.
-                if load_pct < 50 {
-                    p.deploy(f.saturating()).ok()?;
-                } else {
-                    let f = p.deploy(f).ok()?;
-                    let sms = (80 * sm_pct / 100).max(1);
-                    let ideal = fastg_models::zoo::by_name(model)?.ideal_rps(sms, quota);
-                    let rate = (ideal * replicas as f64 * f64::from(load_pct - 50) / 100.0).max(0.5);
-                    p.set_load(f, ArrivalProcess::poisson(rate, seed));
-                }
-                Some(p)
-            };
-            // Replicas the GPU's memory cannot hold are refused at deploy.
-            let Some(mut on) = build() else {
-                return Ok(());
-            };
-            let mut off = build().unwrap();
-            off.set_run_ahead(false);
-            let restore_at = restore_at % slices.len();
-            for (i, &us) in slices.iter().enumerate() {
-                let at = format!("{model} x{replicas} {sm}/{quota} {policy:?} seed {seed} load {load_pct}, slice {i}");
-                if i == restore_at {
-                    on = Platform::from_snapshot(&on.checkpoint()).unwrap();
-                    off = Platform::from_snapshot(&off.checkpoint()).unwrap();
-                    off.set_run_ahead(false);
-                }
-                let d = SimTime::from_micros(us);
-                prop_assert_eq!(on.run_for(d).digest(), off.run_for(d).digest(), "{}: report digest", at);
-                assert_same_state(&on, &off, &at);
-            }
-            prop_assert_eq!(off.handler_counts().inline_bursts, 0);
+            let what = format!("{model} {sm_pct}/{quota_pct} {policy:?} seed {seed} load {load_pct}");
+            parity(|| random_node(model, 1, (sm_pct, quota_pct), policy, seed, load_pct).unwrap(), &slices, restore_at, &what);
+        }
+
+        /// The same over a random shared node: 2–8 replicas of a model at
+        /// one SM % and quota, their partitions summing below or above the
+        /// GPU. Where the GPU's memory cannot hold the replicas drawn, the
+        /// node holds as many as fit.
+        #[test]
+        fn run_ahead_leaves_the_stepped_state_on_random_nodes(
+            model in 0usize..MODELS.len(),
+            replicas in 2usize..=8,
+            sm_pct in 1u32..=100,
+            quota_pct in 5u32..=100,
+            policy in 0usize..POLICIES.len(),
+            seed in any::<u64>(),
+            load_pct in 0u32..150,
+            slices in prop::collection::vec(1u64..1_500_000, 1..5),
+            restore_at in 0usize..4,
+        ) {
+            let (model, policy) = (MODELS[model], POLICIES[policy]);
+            let node = |replicas| random_node(model, replicas, (sm_pct, quota_pct), policy, seed, load_pct);
+            // One replica always fits.
+            let replicas = (2..=replicas).rev().find(|&r| node(r).is_some()).unwrap_or(1);
+            let what = format!("{model} x{replicas} {sm_pct}/{quota_pct} {policy:?} seed {seed} load {load_pct}");
+            parity(|| node(replicas).unwrap(), &slices, restore_at, &what);
         }
     }
 }

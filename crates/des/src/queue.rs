@@ -417,6 +417,11 @@ impl<E> EventQueue<E> {
         self.clock.now
     }
 
+    /// The events delivered so far, by the driver or inline.
+    pub fn delivered(&self) -> u64 {
+        self.clock.handled
+    }
+
     /// The deadline of the [`Simulation::run_until`](crate::Simulation::run_until)
     /// in progress, as the driver was given it; `None` outside a run
     /// (stepping, API calls between runs).

@@ -505,6 +505,7 @@ mod tests {
         let before = queue.clock();
         assert_eq!(queue.deliver_head(), Some((SimTime::from_micros(20), 5)));
         assert_eq!(queue.clock(), (SimTime::from_micros(20), before.1 + 1));
+        assert_eq!(queue.delivered(), before.1 + 1);
         assert_eq!(queue.head().map(|(r, &e)| (r.time(), e)), Some((SimTime::from_micros(30), 6)));
         assert_eq!(queue.len(), 1, "the taken head is gone");
     }
