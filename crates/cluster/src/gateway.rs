@@ -396,11 +396,6 @@ impl Gateway {
         self.funcs.get(func).map_or(0, |st| st.queue.len())
     }
 
-    /// Number of idle pods for a function.
-    pub fn idle_count(&self, func: FuncId) -> usize {
-        self.funcs.get(func).map_or(0, |st| st.idle_pods.len())
-    }
-
     /// Registered pods for a function.
     pub fn member_count(&self, func: FuncId) -> usize {
         self.funcs.get(func).map_or(0, |st| st.members.len())
@@ -467,7 +462,7 @@ mod tests {
         }
         arrive(&mut g, SimTime::ZERO, F);
         arrive(&mut g, SimTime::from_micros(10), F);
-        assert_eq!(g.idle_count(F), 1);
+        assert_eq!(idle_count(&g, F), 1);
         type Forge = fn(&mut FuncState);
         let rows: [(&str, Forge); 4] = [
             ("gateway pod set order", |f| f.members.reverse()),
@@ -492,6 +487,11 @@ mod tests {
         }
     }
 
+    /// Pods of `func` parked idle, waiting for work.
+    fn idle_count(g: &Gateway, func: FuncId) -> usize {
+        g.funcs.get(func).map_or(0, |st| st.idle_pods.len())
+    }
+
     /// Legacy-shaped arrival helper: no deadline, `(request, maybe pod)`.
     fn arrive(g: &mut Gateway, now: SimTime, func: FuncId) -> (Request, Option<PodId>) {
         match g.on_arrival(now, func, SimTime::MAX) {
@@ -507,7 +507,7 @@ mod tests {
         let (req, pod) = arrive(&mut g, SimTime::ZERO, F);
         assert_eq!(pod, Some(PodId(1)));
         assert_eq!(req.id, RequestId(0));
-        assert_eq!(g.idle_count(F), 0);
+        assert_eq!(idle_count(&g, F), 0);
     }
 
     #[test]
@@ -593,7 +593,7 @@ mod tests {
         assert_eq!(g.on_pod_idle(F, PodId(1)).unwrap().id, r2.id);
         // Nothing left: pod parks idle.
         assert_eq!(g.on_pod_idle(F, PodId(1)), None);
-        assert_eq!(g.idle_count(F), 1);
+        assert_eq!(idle_count(&g, F), 1);
     }
 
     #[test]
@@ -618,7 +618,7 @@ mod tests {
         // The new pod polls and gets the backlog — and leaves the idle
         // set so arrivals cannot double-dispatch to it.
         assert_eq!(g.on_pod_idle(F, PodId(1)).unwrap().id, r0.id);
-        assert_eq!(g.idle_count(F), 0);
+        assert_eq!(idle_count(&g, F), 0);
         let (_, p1) = arrive(&mut g, SimTime::from_millis(1), F);
         assert_eq!(p1, None, "busy pod must not be double-dispatched");
     }
@@ -633,7 +633,7 @@ mod tests {
         let was_idle = g.deregister_pod(F, PodId(1));
         assert!(!was_idle);
         assert_eq!(g.on_pod_idle(F, PodId(1)), None);
-        assert_eq!(g.idle_count(F), 0);
+        assert_eq!(idle_count(&g, F), 0);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl ResourceSpec {
     pub fn area(&self) -> f64 {
         self.quota_limit * self.sm_partition / 100.0
     }
-
-    /// A spec used for profiling: `quota_request == quota_limit` (§3.3.2).
-    pub fn profiling(sm_partition: f64, quota: f64, gpu_mem: u64) -> Self {
-        Self::new(sm_partition, quota, quota, gpu_mem)
-    }
 }
 
 snap_struct!(FuncId(raw));
@@ -150,25 +145,6 @@ impl FaSTFuncSpec {
             slo,
         }
     }
-
-    /// Serializes to a JSON object (`name`, `model`, `slo_us`).
-    pub fn to_json(&self) -> String {
-        fastg_json::ObjectBuilder::new()
-            .field("name", self.name.as_str())
-            .field("model", self.model.as_str())
-            .field("slo_us", self.slo.as_micros())
-            .build()
-            .to_string_compact()
-    }
-
-    /// Parses the JSON object produced by [`FaSTFuncSpec::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let v = fastg_json::Value::parse(json).map_err(|e| format!("invalid JSON: {e}"))?;
-        let name = v["name"].as_str().ok_or("name missing")?;
-        let model = v["model"].as_str().ok_or("model missing")?;
-        let slo_us = v["slo_us"].as_u64().ok_or("slo_us missing")?;
-        Ok(FaSTFuncSpec::new(name, model, SimTime::from_micros(slo_us)))
-    }
 }
 
 #[cfg(test)]
@@ -179,12 +155,6 @@ mod tests {
     fn valid_spec_passes() {
         let s = ResourceSpec::new(12.0, 0.3, 0.8, 1 << 30);
         assert!((s.area() - 0.096).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profiling_spec_pins_request_to_limit() {
-        let s = ResourceSpec::profiling(24.0, 0.4, 0);
-        assert_eq!(s.quota_request, s.quota_limit);
     }
 
     // Debug builds reject an out-of-range spec; release builds clamp it
@@ -211,13 +181,5 @@ mod tests {
     fn limit_above_one_rejected() {
         let s = ResourceSpec::new(10.0, 0.5, 1.5, 0);
         assert_eq!((s.quota_request, s.quota_limit), (0.5, 1.0));
-    }
-
-    #[test]
-    fn func_spec_round_trips_json() {
-        let f = FaSTFuncSpec::new("fastsvc-resnet", "resnet50", SimTime::from_millis(69));
-        let json = f.to_json();
-        let back = FaSTFuncSpec::from_json(&json).unwrap();
-        assert_eq!(f, back);
     }
 }

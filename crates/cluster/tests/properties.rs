@@ -48,14 +48,12 @@ proptest! {
                 }
                 // Deregister an idle pod if any.
                 3 => {
-                    let idle_exists = g.idle_count(f) > 0;
-                    if idle_exists {
-                        // Idle pods are those registered but not busy.
-                        for i in 0..pods_registered {
-                            let p = PodId(i);
-                            if !busy.contains(&p) && g.deregister_pod(f, p) {
-                                break;
-                            }
+                    // Idle pods are those registered but not busy; the
+                    // first one that `deregister_pod` finds idle goes.
+                    for i in 0..pods_registered {
+                        let p = PodId(i);
+                        if !busy.contains(&p) && g.deregister_pod(f, p) {
+                            break;
                         }
                     }
                 }

@@ -727,6 +727,7 @@ impl FastBackend {
     }
 
     /// Snapshot of one pod's quota row.
+    // fastg-lint: allow(no-test-only-pub) — the only oracle of the backend property tests' scan model
     pub fn quota_state(&self, pod: PodId) -> Option<PodQuotaState> {
         let e = self.pods.get(self.pods.slot_of(pod)?)?;
         Some(PodQuotaState {

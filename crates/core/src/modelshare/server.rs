@@ -94,34 +94,25 @@ impl ModelStorageServer {
         self.models.values().map(|&(bytes, _)| bytes).sum()
     }
 
-    /// Pods sharing `model` (0 when absent).
-    pub fn refs(&self, model: &str) -> u32 {
-        self.models.get(model).map_or(0, |&(_, refs)| refs)
-    }
-
     /// Each stored model with the pods sharing it, by name.
     pub fn refcounts(&self) -> impl Iterator<Item = (&str, u32)> {
         self.models.iter().map(|(model, &(_, refs))| (model.as_str(), refs))
     }
 
-    /// Number of models with live storage.
-    pub fn model_count(&self) -> usize {
-        self.models.len()
+    /// The store's own rules of the invariant catalogue, which decode and
+    /// the node's catalogue both run.
+    pub(crate) fn check_invariants(&self) -> Result<(), SnapError> {
+        // `release` removes a model with its last reference.
+        let referenced = self.models.values().all(|&(_, refs)| refs > 0);
+        SnapError::ensure(referenced, "model store zero-ref model")?;
+        // Checked: decoded sizes may sum past `u64::MAX`, which
+        // `total_bytes` adds up unchecked.
+        let bytes = self.models.values().try_fold(0u64, |sum, &(bytes, _)| sum.checked_add(bytes));
+        SnapError::ensure(bytes.is_some(), "model store bytes")
     }
 }
 
-snap_struct!(ModelStorageServer { ctx_overhead, models } check |s| {
-    // `release` removes a model with its last reference.
-    if s.models.values().any(|&(_, refs)| refs == 0) {
-        return Err(SnapError::new("model store zero-ref model"));
-    }
-    // Checked: decoded sizes may sum past `u64::MAX`, which
-    // `total_bytes` adds up unchecked.
-    if s.models.values().try_fold(0u64, |sum, &(bytes, _)| sum.checked_add(bytes)).is_none() {
-        return Err(SnapError::new("model store bytes"));
-    }
-    Ok(())
-});
+snap_struct!(ModelStorageServer { ctx_overhead, models } check |s| { s.check_invariants() });
 
 /// Memory-footprint accounting used by node selection (Figure 13 math).
 pub mod footprint {
@@ -180,13 +171,26 @@ mod tests {
         GpuMemory::new(16 * 1024 * MB) // 16 GiB V100
     }
 
+    /// A model entry as a forged snapshot could hold it, for the
+    /// platform's catalogue tests.
+    impl ModelStorageServer {
+        pub(crate) fn forge_model(&mut self, model: &str, bytes: u64, refs: u32) {
+            self.models.insert(model.to_string(), (bytes, refs));
+        }
+    }
+
+    /// Pods sharing `model` (0 when absent).
+    fn refs(s: &ModelStorageServer, model: &str) -> u32 {
+        s.refcounts().find(|&(m, _)| m == model).map_or(0, |(_, refs)| refs)
+    }
+
     #[test]
     fn store_then_get_shares_one_copy() {
         let mut m = mem();
         let mut s = ModelStorageServer::new(300 * MB);
         assert!(!s.acquire(&mut m, "resnet50", 98 * MB).unwrap());
         assert!(s.acquire(&mut m, "resnet50", 98 * MB).unwrap());
-        assert_eq!(s.refs("resnet50"), 2);
+        assert_eq!(refs(&s, "resnet50"), 2);
         // One context + one weight copy.
         assert_eq!(s.model_bytes("resnet50"), 398 * MB);
         assert_eq!(m.used(), 398 * MB);
@@ -199,12 +203,12 @@ mod tests {
         s.acquire(&mut m, "m", 10 * MB).unwrap();
         s.acquire(&mut m, "m", 10 * MB).unwrap();
         s.release(&mut m, "m").unwrap();
-        assert_eq!(s.refs("m"), 1);
+        assert_eq!(refs(&s, "m"), 1);
         assert_eq!(m.used(), 310 * MB);
         s.release(&mut m, "m").unwrap();
         // Weights and context both freed.
         assert_eq!(m.used(), 0);
-        assert_eq!(s.model_count(), 0);
+        assert_eq!(s.refcounts().count(), 0);
     }
 
     #[test]
@@ -217,7 +221,7 @@ mod tests {
         assert_eq!(s.model_bytes("m"), 330 * MB);
         assert_eq!(s.model_bytes("other"), 305 * MB);
         assert_eq!(s.total_bytes(), 635 * MB);
-        assert_eq!(s.model_count(), 2);
+        assert_eq!(s.refcounts().count(), 2);
         assert_eq!(s.refcounts().collect::<Vec<_>>(), [("m", 2), ("other", 1)]);
     }
 
@@ -232,7 +236,7 @@ mod tests {
         );
         // The context is never reserved without the weights.
         assert_eq!(m.used(), 0);
-        assert_eq!(s.model_count(), 0);
+        assert_eq!(s.refcounts().count(), 0);
     }
 
     #[test]

@@ -98,6 +98,7 @@ impl Snapshot {
 
     /// Adopts raw bytes (e.g. read back from disk) as a snapshot,
     /// validating the magic and version.
+    // fastg-lint: allow(no-test-only-pub) — a checkpoint entry point for ROADMAP item 6's input tests
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
         Self::checked_payload(&bytes)?;
         Ok(Snapshot { bytes })
@@ -115,6 +116,7 @@ impl Snapshot {
     }
 
     /// The format version stamped in this snapshot's header.
+    // fastg-lint: allow(no-test-only-pub) — a checkpoint entry point for ROADMAP item 6's input tests
     pub fn version(&self) -> u32 {
         self.bytes
             .get(4..HEADER_LEN)

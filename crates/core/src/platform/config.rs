@@ -434,10 +434,21 @@ impl FunctionConfig {
         let sm = ann("sm_partition", 100.0)?;
         let q_req = ann("quota_request", 1.0)?;
         let q_lim = ann("quota_limit", q_req.max(1.0))?;
+        // The ranges `ResourceSpec::new` holds deployed specs to (NaN
+        // fails every comparison), so an accepted manifest deploys.
+        if !(sm > 0.0 && sm <= 100.0) {
+            return Err(format!("faasshare/sm_partition: {sm} is outside (0, 100]"));
+        }
+        if !(q_lim > 0.0 && q_lim <= 1.0) {
+            return Err(format!("faasshare/quota_limit: {q_lim} is outside (0, 1]"));
+        }
+        if !(q_req >= 0.0 && q_req <= q_lim) {
+            return Err(format!("faasshare/quota_request: {q_req} is outside [0, {q_lim}]"));
+        }
         let replicas = usize::try_from(v["spec"]["replicas"].as_u64().unwrap_or(1)).unwrap_or(usize::MAX);
         let slo_ms = v["spec"]["slo_ms"].as_u64().unwrap_or(1_000);
-        if slo_ms.checked_mul(1_000).is_none() {
-            return Err(format!("spec.slo_ms: {slo_ms} ms does not fit in µs"));
+        if slo_ms == 0 || slo_ms.checked_mul(1_000).is_none() {
+            return Err(format!("spec.slo_ms: {slo_ms} ms is not a positive time in µs"));
         }
         Ok(FunctionConfig::new(name, model)
             .replicas(replicas)
@@ -625,6 +636,182 @@ mod tests {
         let untimed = run(None);
         for factor in [1e300, f64::INFINITY] {
             assert_eq!(run(Some(factor)), untimed, "factor {factor}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// One change to a valid manifest.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        /// Flips bit `.1` of byte `.0` (modulo the length).
+        Flip(usize, u8),
+        /// Keeps the first `.0` bytes (modulo the length).
+        Truncate(usize),
+        /// Writes field `.0` as [`ODD_VALUES`]`[.1]`.
+        Replace(usize, usize),
+        /// Leaves field `.0` out.
+        Drop(usize),
+        /// Writes field `.0` twice, the second time as [`ODD_VALUES`]`[.1]`.
+        Duplicate(usize, usize),
+    }
+
+    /// Values no valid manifest holds: NaN, ±∞, subnormals, zero, negative
+    /// and huge numbers, as annotation strings and as JSON numbers.
+    const ODD_VALUES: [&str; 15] = [
+        "\"NaN\"", "\"inf\"", "\"-inf\"", "\"1e400\"", "\"-1\"", "\"5e-324\"", "\"0\"", "\"\"",
+        "-1", "0", "1e300", "-1e300", "4.9e-324", "18446744073709551615", "18446744073709551616",
+    ];
+
+    /// The fields of a valid manifest, as `(section, key, JSON value)`.
+    fn manifest_fields(
+        (sm, a, b): (u32, u32, u32),
+        replicas: u64,
+        slo_ms: u64,
+        model: &str,
+    ) -> Vec<(&'static str, &'static str, String)> {
+        let pct = |v: u32| format!("\"{}\"", f64::from(v) / 100.0);
+        vec![
+            ("", "kind", "\"FaSTFunc\"".to_string()),
+            ("metadata", "name", "\"f\"".to_string()),
+            ("annotations", "faasshare/sm_partition", format!("\"{sm}\"")),
+            ("annotations", "faasshare/quota_request", pct(a.min(b))),
+            ("annotations", "faasshare/quota_limit", pct(a.max(b))),
+            ("spec", "model", format!("\"{model}\"")),
+            ("spec", "replicas", replicas.to_string()),
+            ("spec", "slo_ms", slo_ms.to_string()),
+        ]
+    }
+
+    /// The manifest's JSON text, each section's fields in order.
+    fn render(fields: &[(&str, &str, String)]) -> String {
+        let section = |name: &str| {
+            fields
+                .iter()
+                .filter(|(s, _, _)| *s == name)
+                .map(|(_, k, v)| format!("\"{k}\":{v}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        format!(
+            "{{{},\"metadata\":{{{},\"annotations\":{{{}}}}},\"spec\":{{{}}}}}",
+            section(""),
+            section("metadata"),
+            section("annotations"),
+            section("spec")
+        )
+    }
+
+    /// Mutations, weighted towards odd values in the fields the parser
+    /// reads numbers from (fields 2 to 7).
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        let odd = || (2usize..8, 0usize..ODD_VALUES.len());
+        prop_oneof![
+            (0usize..4096, 0u8..8).prop_map(|(at, bit)| Mutation::Flip(at, bit)),
+            (0usize..4096).prop_map(Mutation::Truncate),
+            odd().prop_map(|(f, v)| Mutation::Replace(f, v)),
+            odd().prop_map(|(f, v)| Mutation::Replace(f, v)),
+            odd().prop_map(|(f, v)| Mutation::Replace(f, v)),
+            (0usize..8).prop_map(Mutation::Drop),
+            odd().prop_map(|(f, v)| Mutation::Duplicate(f, v)),
+        ]
+    }
+
+    /// A valid manifest with `mutations` applied, fields first, bytes last.
+    fn mutated_manifest(mut fields: Vec<(&'static str, &'static str, String)>, mutations: &[Mutation]) -> String {
+        for m in mutations {
+            match *m {
+                Mutation::Replace(f, v) => fields[f].2 = ODD_VALUES[v].to_string(),
+                Mutation::Duplicate(f, v) => {
+                    let (section, key, _) = fields[f].clone();
+                    fields.push((section, key, ODD_VALUES[v].to_string()));
+                }
+                _ => {}
+            }
+        }
+        for m in mutations {
+            if let Mutation::Drop(f) = *m {
+                fields[f].2.clear();
+            }
+        }
+        fields.retain(|(_, _, v)| !v.is_empty());
+        let mut bytes = render(&fields).into_bytes();
+        for m in mutations {
+            match *m {
+                Mutation::Flip(at, bit) => {
+                    let len = bytes.len().max(1);
+                    if let Some(b) = bytes.get_mut(at % len) {
+                        *b ^= 1 << bit;
+                    }
+                }
+                Mutation::Truncate(len) => bytes.truncate(len % (bytes.len() + 1)),
+                _ => {}
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// `fastgshare apply` on `text`, on the platform the CLI builds: the
+    /// parser answers `Ok` or `Err`, and an accepted manifest deploys and
+    /// serves a few requests, or fails with a typed error. Nothing panics.
+    fn apply(text: &str) {
+        use crate::platform::Platform;
+        use fastg_workload::ArrivalProcess;
+        let Ok(fc) = FunctionConfig::from_manifest(text) else {
+            return;
+        };
+        let cfg = PlatformConfig::default()
+            .nodes(1)
+            .policy(SharingPolicy::FaST)
+            .warmup(SimTime::from_secs(1))
+            .seed(42);
+        let mut p = Platform::new(cfg);
+        if let Ok(f) = p.deploy(fc) {
+            p.set_load(f, ArrivalProcess::poisson(100.0, 7));
+            p.run_for(SimTime::from_millis(30));
+        }
+    }
+
+    /// The cases `mutated_manifests_deploy_or_fail_typed` found: each
+    /// manifest used to parse, and its deploy then panicked in debug
+    /// builds (a resource outside the range `ResourceSpec::new` asserts,
+    /// a zero SLO). Each row is one valid manifest with one field changed.
+    #[test]
+    fn manifests_that_cannot_deploy_are_refused() {
+        let valid = manifest_fields((24, 30, 80), 2, 500, "rnnt");
+        assert!(FunctionConfig::from_manifest(&render(&valid)).is_ok());
+        for (field, value) in [
+            (3, "\"-1\""),   // quota_request below zero
+            (2, "\"150\""),  // sm_partition above 100 %
+            (2, "0"),        // no SMs at all
+            (4, "\"NaN\""),  // quota_limit NaN
+            (4, "1e300"),    // quota_limit above 1
+            (3, "\"0.9\""),  // quota_request above quota_limit
+            (7, "0"),        // a zero SLO
+        ] {
+            let mut fields = valid.clone();
+            fields[field].2 = value.to_string();
+            let text = render(&fields);
+            assert!(FunctionConfig::from_manifest(&text).is_err(), "{text}");
+            apply(&text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 1024 } else { 4096 }))]
+
+        /// The CLI's manifest parser, the one JSON entry point for
+        /// untrusted input, over mutated valid manifests.
+        #[test]
+        fn mutated_manifests_deploy_or_fail_typed(
+            resources in (1u32..=100, 0u32..=100, 1u32..=100),
+            replicas in 0u64..5,
+            slo_ms in 1u64..2_000,
+            model in 0usize..4,
+            mutations in prop::collection::vec(mutation(), 0..4),
+        ) {
+            let model = ["resnet50", "rnnt", "bert_base", "nope"][model];
+            apply(&mutated_manifest(manifest_fields(resources, replicas, slo_ms, model), &mutations));
         }
     }
 }

@@ -8,7 +8,7 @@ use super::engine::{schedule_next, Engine, Event, HandlerCounts};
 use super::error::PlatformError;
 use super::lifecycle::is_synthetic;
 use super::node::NodeRt;
-use super::overload::{BreakerState, BREAKER_WINDOW};
+use super::overload::BREAKER_WINDOW;
 use super::report::PlatformReport;
 use crate::profiler::ProfileDb;
 use crate::scheduler::SchedStats;
@@ -163,6 +163,7 @@ impl Platform {
     /// Events handled per kind, and dispatch passes run. Outside the
     /// report digest; a clone carries them, a platform restored from a
     /// snapshot counts from zero (see [`HandlerCounts`]).
+    // fastg-lint: allow(no-test-only-pub) — the only oracle of the run-ahead parity property tests
     pub fn handler_counts(&self) -> HandlerCounts {
         self.sim.world().counts
     }
@@ -201,11 +202,6 @@ impl Platform {
     /// Running pod ids of a function (targets for [`Self::kill_pod`]).
     pub fn pods_of(&self, func: FuncId) -> Vec<fastg_cluster::PodId> {
         self.sim.world().gateway.members(func).to_vec()
-    }
-
-    /// Pods crashed via failure injection so far.
-    pub fn killed_pods(&self) -> u64 {
-        self.sim.world().killed
     }
 
     /// Failure injection: power off node `node_index` immediately (same
@@ -252,23 +248,6 @@ impl Platform {
     /// Requests of a function waiting in the gateway queue.
     pub fn queued_requests(&self, func: FuncId) -> usize {
         self.sim.world().gateway.queue_len(func)
-    }
-
-    /// Requests of a function shed by the gateway so far.
-    pub fn dropped_requests(&self, func: FuncId) -> u64 {
-        self.sim.world().gateway.dropped(func)
-    }
-
-    /// The function's circuit-breaker state (`None` if the function is
-    /// unknown).
-    pub fn breaker_state(&self, func: FuncId) -> Option<BreakerState> {
-        self.sim.world().funcs.get(func).map(|f| f.breaker.state())
-    }
-
-    /// Whether the function is currently serving browned-out (reduced
-    /// quota).
-    pub fn brownout_active(&self, func: FuncId) -> bool {
-        self.sim.world().funcs.get(func).is_some_and(|f| f.breaker.browned())
     }
 
     /// Real (gateway-arrived) requests currently executing on a pod;
@@ -371,6 +350,7 @@ impl Platform {
 
     /// Replaces this platform's entire state with the snapshot's
     /// (successive-halving rewinds survivors this way in place).
+    // fastg-lint: allow(no-test-only-pub) — a checkpoint entry point for ROADMAP item 6's input tests
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapError> {
         *self = Self::from_snapshot(snapshot)?;
         Ok(())

@@ -45,8 +45,6 @@ pub use engine::HandlerCounts;
 pub use facade::Platform;
 pub use error::PlatformError;
 pub use overload::{BreakerState, CircuitBreaker, OverloadConfig};
-pub use sweep::{
-    run_sweep, run_sweep_stats, run_sweep_unshared, Scenario, SweepStats, TreatmentAction,
-};
+pub use sweep::{run_sweep, run_sweep_stats, Scenario, SweepStats, TreatmentAction};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use report::{FunctionReport, NodeReport, PlatformReport};

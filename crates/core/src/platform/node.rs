@@ -530,9 +530,10 @@ impl NodeRt {
     }
 
     /// The device's bytes in use are the pods' reservations plus the
-    /// store's; the sanitizer runs it after every pod create, teardown and
-    /// node crash too.
+    /// store's, once the store's own rules hold; the sanitizer runs it
+    /// after every pod create, teardown and node crash too.
     fn check_memory(&self) -> Result<(), SnapError> {
+        self.store.check_invariants()?;
         let accounted = self.pods().try_fold(self.store.total_bytes(), |sum, rt| sum.checked_add(rt.memory));
         SnapError::ensure(accounted == Some(self.memory_used()), "pod memory reservation")
     }
@@ -1205,6 +1206,8 @@ mod decode_tests {
                 let n = crowded(w);
                 n.store.acquire(n.gpu.memory_mut(), "resnet50", 1).expect("stored already");
             })),
+            ("model store zero-ref model", now, Box::new(|w| crowded(w).store.forge_model("rnnt", 0, 0))),
+            ("model store bytes", now, Box::new(|w| crowded(w).store.forge_model("rnnt", u64::MAX, 1))),
             // An earlier clock, and no recorded arrival to be after it.
             ("device start after the snapshot clock", SimTime::ZERO, Box::new(|w| {
                 w.autoscale_db = None;
@@ -1287,7 +1290,7 @@ mod decode_tests {
         // A store counting one more pod of the model than share it.
         let refcount = refused(|w| {
             let crowded = holding(w, 2);
-            assert_eq!(crowded.store.refs("resnet50"), 2);
+            assert!(crowded.store.refcounts().eq([("resnet50", 2)]));
             crowded.store.acquire(crowded.gpu.memory_mut(), "resnet50", 1).expect("stored already");
         });
         assert_eq!(refcount, "model store refcount");

@@ -88,17 +88,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// Canonical lowercase name (used in reports and displays).
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
 /// Why the breaker last tripped — decides Open-state behaviour (brownout
 /// serving for overload, fast-fail for crash-driven failures).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,16 +170,6 @@ impl CircuitBreaker {
             healthy_windows: 0,
             browned: false,
         }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Why the breaker last tripped.
-    pub fn cause(&self) -> TripCause {
-        self.cause
     }
 
     /// Times the breaker has tripped Closed/HalfOpen → Open.
@@ -471,12 +450,12 @@ mod tests {
         let mut b = CircuitBreaker::new();
         window(&mut b, 20, 4); // 20 % shed: below threshold
         assert_eq!(b.tick(ms(100)), BreakerAction::None);
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         window(&mut b, 20, 15); // 75 % shed: trip
         let act = b.tick(ms(200));
         assert_eq!(act, BreakerAction::EnterBrownout);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.cause(), TripCause::Shed);
+        assert_eq!(b.state, BreakerState::Open);
+        assert_eq!(b.cause, TripCause::Shed);
         assert_eq!(b.trips(), 1);
         assert!(b.browned());
         // Brownout serving: Open still admits.
@@ -486,8 +465,8 @@ mod tests {
     #[test]
     fn failure_trip_fast_fails() {
         let mut b = failure_tripped();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.cause(), TripCause::Failure);
+        assert_eq!(b.state, BreakerState::Open);
+        assert_eq!(b.cause, TripCause::Failure);
         assert!(!b.browned(), "failure trips never brown out");
         // Fast-fail, not brownout serving.
         assert_eq!(b.admit(99), AdmitDecision::Refuse);
@@ -496,34 +475,34 @@ mod tests {
     #[test]
     fn open_probes_then_closes_with_hysteresis() {
         let mut b = failure_tripped();
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         // Dwell not yet over, even one tick short of `OPEN_DURATION`.
         b.tick(ms(200));
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         b.tick(ms(599));
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         // Dwell over: HalfOpen, probes admitted.
         b.tick(ms(600));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         assert_eq!(b.admit(50), AdmitDecision::Probe);
         b.on_completion(50, true);
         b.tick(ms(700));
-        assert_eq!(b.state(), BreakerState::HalfOpen, "needs 2 healthy windows");
+        assert_eq!(b.state, BreakerState::HalfOpen, "needs 2 healthy windows");
         assert_eq!(b.admit(51), AdmitDecision::Probe);
         b.on_completion(51, true);
         b.tick(ms(800));
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
     }
 
     #[test]
     fn failed_probe_reopens() {
         let mut b = failure_tripped();
         b.tick(ms(600));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         assert_eq!(b.admit(50), AdmitDecision::Probe);
         b.on_failure(50);
         b.tick(ms(700));
-        assert_eq!(b.state(), BreakerState::Open, "dead probe must re-open");
+        assert_eq!(b.state, BreakerState::Open, "dead probe must re-open");
         assert_eq!(b.trips(), 2);
     }
 
@@ -557,7 +536,7 @@ mod tests {
             b.on_completion(id, true);
             b.tick(ms(t));
         }
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         assert!(b.browned(), "quota stays degraded until hysteresis clears");
         // One unhealthy window resets the streak.
         window(&mut b, 10, 1);

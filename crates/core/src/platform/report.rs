@@ -113,10 +113,6 @@ pub struct PlatformReport {
 }
 
 impl PlatformReport {
-    /// Total completions across functions.
-    pub fn total_completed(&self) -> u64 {
-        self.functions.values().map(|f| f.completed).sum()
-    }
 
     /// Total steady-state throughput across functions.
     pub fn total_throughput(&self) -> f64 {
@@ -424,7 +420,7 @@ mod tests {
             unschedulable_pods: 0,
             faults_injected: 0,
         };
-        assert_eq!(r.total_completed(), 0);
+        assert_eq!(r.functions.values().map(|f| f.completed).sum::<u64>(), 0);
         assert_eq!(r.total_throughput(), 0.0);
         assert_eq!(r.mean_utilization_active(), 0.0);
         assert!(!r.summary().is_empty());

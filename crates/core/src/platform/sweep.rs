@@ -23,8 +23,9 @@
 //! [`Platform::from_snapshot`] of a [`Platform::checkpoint`] would, and
 //! that is byte-identical to running straight through (see
 //! [`checkpoint`](crate::platform::checkpoint)), so factoring changes
-//! wall-clock time only, never results — [`run_sweep_unshared`] is the
-//! reference path the tests diff canonical reports against.
+//! wall-clock time only, never results — each cell's own
+//! [`Scenario::run`] is the reference the tests diff canonical reports
+//! against.
 
 use crate::platform::config::{FunctionConfig, PlatformConfig};
 use crate::platform::Platform;
@@ -295,19 +296,6 @@ pub fn run_sweep(
     run_sweep_stats(scenarios, threads).map(|(results, _)| results)
 }
 
-/// [`run_sweep`] without prefix factoring: every scenario replays its
-/// own warmup. Same results, more wall-clock — this is the reference
-/// path the tests diff reports against to prove factoring is exact.
-pub fn run_sweep_unshared(
-    scenarios: Vec<Scenario>,
-    threads: usize,
-) -> Result<Vec<(String, PlatformReport)>, PlatformError> {
-    fastg_par::try_par_map(scenarios, threads, |_, scenario| {
-        let name = scenario.name.clone();
-        Ok::<_, PlatformError>((name, scenario.run()?))
-    })
-}
-
 /// [`run_sweep`], also reporting how much work prefix sharing avoided.
 pub fn run_sweep_stats(
     scenarios: Vec<Scenario>,
@@ -392,6 +380,15 @@ mod tests {
     use super::*;
     use crate::platform::{FaultKind, FaultPlan, TieBreak};
 
+    /// Every cell run straight through, its warmup included: the
+    /// reference a shared-prefix sweep must match.
+    fn run_unshared(scenarios: Vec<Scenario>) -> Vec<(String, PlatformReport)> {
+        scenarios
+            .into_iter()
+            .map(|s| (s.name.clone(), s.run().expect("unshared cell")))
+            .collect()
+    }
+
     fn grid() -> Vec<Scenario> {
         [12.0, 24.0]
             .iter()
@@ -457,7 +454,7 @@ mod tests {
     #[test]
     fn prefix_sharing_is_digest_exact() {
         let (shared, stats) = run_sweep_stats(treatment_grid(), 2).expect("shared sweep");
-        let straight = run_sweep_unshared(treatment_grid(), 2).expect("unshared sweep");
+        let straight = run_unshared(treatment_grid());
         assert_eq!(stats.prefixes_shared, 1);
         assert_eq!(stats.cells_resumed, 4);
         assert_eq!(stats.warmup_avoided, SimTime::from_millis(1200));
@@ -508,7 +505,7 @@ mod tests {
     fn chaos_treatment_round_trips() {
         let (shared, stats) = run_sweep_stats(chaos_grid(), 2).expect("chaos sweep");
         assert_eq!(stats.cells_resumed, 2);
-        let straight = run_sweep_unshared(chaos_grid(), 1).expect("straight");
+        let straight = run_unshared(chaos_grid());
         assert_eq!(shared[0].1.digest(), straight[0].1.digest());
         assert_eq!(shared[1].1.digest(), straight[1].1.digest());
     }
@@ -624,7 +621,7 @@ mod tests {
                     let combo = format!("chaos={chaos} overload={overload} {tiebreak:?}");
                     let grid = || resume_parity_grid(chaos, overload, tiebreak);
                     let (shared, stats) = run_sweep_stats(grid(), 2).expect("shared sweep");
-                    let unshared = run_sweep_unshared(grid(), 2).expect("unshared sweep");
+                    let unshared = run_unshared(grid());
                     assert_eq!(stats.cells_resumed, 2, "{combo}: sharing never engaged");
                     assert_eq!(shared.len(), unshared.len());
                     for ((n1, r1), (n2, r2)) in shared.iter().zip(&unshared) {

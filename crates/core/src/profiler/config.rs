@@ -86,14 +86,6 @@ impl ConfigServer {
         })
     }
 
-    /// A reduced grid for fast trials in tests and examples.
-    pub fn coarse_grid() -> Self {
-        Self::new(SamplePlan::Grid {
-            spatial: vec![12.0, 24.0, 50.0, 100.0],
-            temporal: vec![0.4, 1.0],
-        })
-    }
-
     /// Materializes the sample list, deterministic for a given plan.
     ///
     /// # Errors

@@ -329,14 +329,14 @@ mod tests {
             assert!(db.records_of("resnet50").is_empty(), "{plan:?}: a trial ran");
         }
         assert!(matches!(
-            Experiment::new("resnet50", ConfigServer::coarse_grid()).start_trial(24.0, 0.0),
+            Experiment::new("resnet50", ConfigServer::paper_grid()).start_trial(24.0, 0.0),
             Err(PlatformError::SamplePlan(SamplePlanError::Temporal(_)))
         ));
     }
 
     #[test]
     fn unknown_model_fails_cleanly() {
-        let e = Experiment::new("nope", ConfigServer::coarse_grid());
+        let e = Experiment::new("nope", ConfigServer::paper_grid());
         let mut db = ProfileDb::new();
         assert!(e.run(&mut db).is_err());
         assert!(e.run_parallel(&mut db, 4).is_err());

@@ -23,4 +23,4 @@ pub mod search;
 pub use config::{ConfigServer, SamplePlan, SamplePlanError};
 pub use db::{ProfileDb, ProfileKey, ProfileRecord};
 pub use experiment::{Experiment, TrialResult, TrialRun, TrialSnapshot};
-pub use search::{predict_rps, SearchResult, SuccessiveHalving};
+pub use search::{SearchResult, SuccessiveHalving};

@@ -3,18 +3,13 @@
 //! The full Figure 8 grid costs `|spatial| × |temporal|` trials per
 //! function. Morphling's thesis — which FaST-Profiler builds on — is
 //! that near-optimal configurations can be found with far fewer trials.
-//! Two tools here:
-//!
-//! * [`SuccessiveHalving`] — racing-style search: run *all* candidate
-//!   configurations with short cheap trials, keep the best `1/eta` by
-//!   RPR (the scheduler's efficiency metric), re-run the survivors with
-//!   longer trials, repeat. The final survivor is measured at full
-//!   fidelity and inserted into the [`ProfileDb`].
-//! * [`predict_rps`] — inverse-distance-weighted interpolation over the
-//!   profiled points, so the scheduler can evaluate configurations that
-//!   were never run (the regression-model role in Morphling).
+//! [`SuccessiveHalving`] is a racing-style search: run *all* candidate
+//! configurations with short cheap trials, keep the best `1/eta` by RPR
+//! (the scheduler's efficiency metric), re-run the survivors with longer
+//! trials, repeat. The final survivor is measured at full fidelity and
+//! inserted into the [`ProfileDb`].
 
-use super::db::{ProfileDb, ProfileKey};
+use super::db::ProfileDb;
 use super::experiment::{Experiment, TrialSnapshot};
 use crate::platform::PlatformError;
 use crate::profiler::config::{check_point, ConfigServer, SamplePlan};
@@ -52,22 +47,6 @@ impl SuccessiveHalving {
             model: model.to_string(),
             // The paper grid lies in the profiled domain.
             candidates: ConfigServer::paper_grid().sample().unwrap_or_default(),
-            eta: 3,
-            base_trial: SimTime::from_millis(500),
-            seed: 1,
-        }
-    }
-
-    /// Searches over an explicit candidate list.
-    pub fn over(model: &str, candidates: Vec<(f64, f64)>) -> Self {
-        debug_assert!(!candidates.is_empty(), "no candidates");
-        let mut candidates = candidates;
-        if candidates.is_empty() {
-            candidates.push((100.0, 1.0));
-        }
-        SuccessiveHalving {
-            model: model.to_string(),
-            candidates,
             eta: 3,
             base_trial: SimTime::from_millis(500),
             seed: 1,
@@ -197,59 +176,20 @@ impl SuccessiveHalving {
     }
 }
 
-/// Predicts the throughput of an unprofiled `(sm %, quota)` configuration
-/// by inverse-distance-weighted interpolation over the `k = 4` nearest
-/// profiled points (exact hits return the measurement). Returns `None`
-/// when the function has no profile.
-pub fn predict_rps(db: &ProfileDb, func: &str, sm: f64, quota: f64) -> Option<f64> {
-    let records = db.records_of(func);
-    if records.is_empty() {
-        return None;
-    }
-    if let Some(r) = db.get(func, ProfileKey::new(sm, quota)) {
-        return Some(r.rps);
-    }
-    // Distance in normalized (sm/100, quota) space.
-    let mut scored: Vec<(f64, f64)> = records
-        .iter()
-        .map(|(k, r)| {
-            let ds = (k.sm() - sm) / 100.0;
-            let dq = k.quota() - quota;
-            ((ds * ds + dq * dq).sqrt(), r.rps)
-        })
-        .collect();
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let k = scored.len().min(4);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for &(d, rps) in &scored[..k] {
-        let w = 1.0 / (d + 1e-6);
-        num += w * rps;
-        den += w;
-    }
-    Some(num / den)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiler::config::SamplePlanError;
-    use crate::profiler::db::ProfileRecord;
 
-    fn rec(rps: f64) -> ProfileRecord {
-        ProfileRecord {
-            rps,
-            p50: SimTime::from_millis(10),
-            p99: SimTime::from_millis(20),
-            utilization: 0.0,
-            sm_occupancy: 0.0,
-        }
+    /// The paper-grid search for `model`, over `candidates` instead.
+    fn over(model: &str, candidates: Vec<(f64, f64)>) -> SuccessiveHalving {
+        SuccessiveHalving { candidates, ..SuccessiveHalving::over_paper_grid(model) }
     }
 
     #[test]
     fn search_finds_the_efficient_resnet_config() {
         // ResNet's best RPR is a small partition at modest quota.
-        let sh = SuccessiveHalving::over(
+        let sh = over(
             "resnet50",
             vec![
                 (6.0, 0.4),
@@ -294,64 +234,11 @@ mod tests {
     #[test]
     fn candidates_outside_the_profiled_domain_run_no_trial() {
         let mut db = ProfileDb::new();
-        let sh = SuccessiveHalving::over("resnet50", vec![(24.0, 0.4), (150.0, 0.4)]);
+        let sh = over("resnet50", vec![(24.0, 0.4), (150.0, 0.4)]);
         assert!(matches!(
             sh.run_with_threads(&mut db, 2),
             Err(PlatformError::SamplePlan(SamplePlanError::Spatial(_)))
         ));
         assert!(db.records_of("resnet50").is_empty(), "a trial ran");
-    }
-
-    #[test]
-    fn interpolation_exact_hit_returns_measurement() {
-        let mut db = ProfileDb::new();
-        db.insert("f", ProfileKey::new(12.0, 0.4), rec(40.0));
-        assert_eq!(predict_rps(&db, "f", 12.0, 0.4), Some(40.0));
-        assert_eq!(predict_rps(&db, "ghost", 12.0, 0.4), None);
-    }
-
-    #[test]
-    fn interpolation_blends_neighbours() {
-        let mut db = ProfileDb::new();
-        db.insert("f", ProfileKey::new(10.0, 0.4), rec(20.0));
-        db.insert("f", ProfileKey::new(30.0, 0.4), rec(60.0));
-        let mid = predict_rps(&db, "f", 20.0, 0.4).unwrap();
-        assert!(
-            (mid - 40.0).abs() < 1.0,
-            "midpoint should blend evenly: {mid}"
-        );
-        // Nearer one neighbour → skews towards it.
-        let near = predict_rps(&db, "f", 12.0, 0.4).unwrap();
-        assert!(near < 32.0, "near-20 prediction {near}");
-    }
-
-    #[test]
-    fn interpolation_against_measured_grid() {
-        // Profile a coarse ResNet grid, predict a held-out point, compare
-        // to its true measurement.
-        let mut db = ProfileDb::new();
-        Experiment::new(
-            "resnet50",
-            ConfigServer::new(SamplePlan::Grid {
-                spatial: vec![12.0, 50.0],
-                temporal: vec![0.4, 1.0],
-            }),
-        )
-        .trial_duration(SimTime::from_secs(2))
-        .run(&mut db)
-        .unwrap();
-        let predicted = predict_rps(&db, "resnet50", 24.0, 0.6).unwrap();
-        let truth = Experiment::new("resnet50", ConfigServer::paper_grid())
-            .trial_duration(SimTime::from_secs(2))
-            .run_trial(24.0, 0.6)
-            .unwrap()
-            .record
-            .rps;
-        let rel = (predicted - truth).abs() / truth;
-        assert!(
-            rel < 0.5,
-            "prediction {predicted} vs truth {truth} ({:.0}% off)",
-            rel * 100.0
-        );
     }
 }

@@ -32,8 +32,8 @@
 //! }
 //!
 //! let mut sim = Simulation::new(Counter { fired: 0 });
-//! sim.queue_mut().schedule(SimTime::ZERO, ());
-//! sim.run_until_idle();
+//! sim.parts_mut().1.schedule(SimTime::ZERO, ());
+//! sim.run_until(SimTime::from_millis(9));
 //! assert_eq!(sim.world().fired, 10);
 //! assert_eq!(sim.now(), SimTime::from_millis(9));
 //! ```

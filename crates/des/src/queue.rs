@@ -631,11 +631,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` to fire `delay` after `now`.
-    pub fn schedule_after(&mut self, now: SimTime, delay: SimTime, event: E) {
-        self.schedule(now + delay, event);
-    }
-
     /// Removes and returns the earliest live event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
@@ -648,17 +643,6 @@ impl<E> EventQueue<E> {
         );
         self.purge_dead_head();
         Some((time_of(rank), event))
-    }
-
-    /// Removes and returns the earliest live event if its timestamp is at
-    /// or before `deadline` (events at exactly `deadline` are delivered).
-    /// A single heap operation replaces the peek-then-pop dance drivers
-    /// would otherwise do.
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => None,
-        }
     }
 
     /// Takes the earliest live event if its timestamp is at or before
@@ -960,13 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_after(SimTime::from_micros(100), SimTime::from_micros(50), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(150)));
-    }
-
-    #[test]
     fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -1053,16 +1030,16 @@ mod tests {
         q.schedule(SimTime::from_micros(20), "b");
         q.schedule(SimTime::from_micros(30), "c");
         assert_eq!(
-            q.pop_before(SimTime::from_micros(20)),
+            q.take_before(SimTime::from_micros(20)),
             Some((SimTime::from_micros(10), "a"))
         );
         // Exactly at the deadline: delivered.
         assert_eq!(
-            q.pop_before(SimTime::from_micros(20)),
+            q.take_before(SimTime::from_micros(20)),
             Some((SimTime::from_micros(20), "b"))
         );
         // Strictly after: held back.
-        assert_eq!(q.pop_before(SimTime::from_micros(20)), None);
+        assert_eq!(q.take_before(SimTime::from_micros(20)), None);
         assert_eq!(q.len(), 1);
     }
 
@@ -1373,7 +1350,7 @@ mod tests {
         q.schedule(SimTime::from_micros(15), "live");
         q.cancel(tok);
         assert_eq!(
-            q.pop_before(SimTime::from_micros(20)),
+            q.take_before(SimTime::from_micros(20)),
             Some((SimTime::from_micros(15), "live"))
         );
     }

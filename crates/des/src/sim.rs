@@ -93,11 +93,6 @@ impl<W: World> Simulation<W> {
         &self.queue
     }
 
-    /// Mutable access to the event queue (e.g. to seed initial events).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<W::Event> {
-        &mut self.queue
-    }
-
     /// Simultaneous mutable access to world and queue, for drivers that
     /// invoke world methods which schedule events outside of `handle`.
     pub fn parts_mut(&mut self) -> (&mut W, &mut EventQueue<W::Event>, SimTime) {
@@ -153,12 +148,6 @@ impl<W: World> Simulation<W> {
         self.world.handle(now, ev, &mut self.queue);
     }
 
-    /// Runs until the queue is empty and no end-of-instant work remains.
-    /// The clock stops at the last event.
-    pub fn run_until_idle(&mut self) {
-        while self.advance(SimTime::MAX) {}
-    }
-
     /// Runs until the next pending event would be strictly after `deadline`
     /// (events at exactly `deadline` are delivered), or the queue empties.
     /// Every instant it reaches is closed: its end-of-instant work has
@@ -178,25 +167,17 @@ impl<W: World> Simulation<W> {
             self.queue.set_clock(deadline, handled);
         }
     }
-
-    /// Runs until `predicate(world)` returns true (checked after each event
-    /// and each unit of end-of-instant work) or the queue empties. Returns
-    /// whether the predicate was satisfied.
-    pub fn run_while<F: FnMut(&W) -> bool>(&mut self, mut keep_going: F) -> bool {
-        loop {
-            if !keep_going(&self.world) {
-                return true;
-            }
-            if self.step() == StepOutcome::Idle {
-                return false;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Steps until neither an event nor end-of-instant work is left; the
+    /// clock stops at the last event.
+    fn run_until_idle<W: World>(sim: &mut Simulation<W>) {
+        while sim.step() == StepOutcome::Handled {}
+    }
 
     struct Ping {
         count: u32,
@@ -208,7 +189,7 @@ mod tests {
         fn handle(&mut self, now: SimTime, ev: u32, queue: &mut EventQueue<u32>) {
             self.count += ev;
             if self.count < self.limit {
-                queue.schedule_after(now, SimTime::from_micros(10), 1);
+                queue.schedule(now + SimTime::from_micros(10), 1);
             }
         }
     }
@@ -216,8 +197,8 @@ mod tests {
     #[test]
     fn run_until_idle_drains() {
         let mut sim = Simulation::new(Ping { count: 0, limit: 5 });
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
-        sim.run_until_idle();
+        sim.parts_mut().1.schedule(SimTime::ZERO, 1);
+        run_until_idle(&mut sim);
         assert_eq!(sim.world().count, 5);
         assert_eq!(sim.now(), SimTime::from_micros(40));
         assert_eq!(sim.events_handled(), 5);
@@ -226,31 +207,13 @@ mod tests {
     #[test]
     fn run_until_stops_at_deadline_and_advances_clock() {
         let mut sim = Simulation::new(Ping { count: 0, limit: 100 });
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
+        sim.parts_mut().1.schedule(SimTime::ZERO, 1);
         sim.run_until(SimTime::from_micros(25));
         // Events at 0, 10, 20 delivered; 30 pending.
         assert_eq!(sim.world().count, 3);
         assert_eq!(sim.now(), SimTime::from_micros(25));
         sim.run_until(SimTime::from_micros(30));
         assert_eq!(sim.world().count, 4);
-    }
-
-    #[test]
-    fn run_while_predicate() {
-        let mut sim = Simulation::new(Ping { count: 0, limit: 100 });
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
-        let hit = sim.run_while(|w| w.count < 7);
-        assert!(hit);
-        assert_eq!(sim.world().count, 7);
-    }
-
-    #[test]
-    fn run_while_reports_exhaustion() {
-        let mut sim = Simulation::new(Ping { count: 0, limit: 3 });
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
-        let hit = sim.run_while(|w| w.count < 10);
-        assert!(!hit);
-        assert_eq!(sim.world().count, 3);
     }
 
     /// Logs deliveries and end-of-instant passes. Every delivered event
@@ -293,7 +256,7 @@ mod tests {
     fn closer(events: &[(u64, &'static str)]) -> Simulation<Closer> {
         let mut sim = Simulation::new(Closer::default());
         for &(t, ev) in events {
-            sim.queue_mut().schedule(SimTime::from_micros(t), ev);
+            sim.parts_mut().1.schedule(SimTime::from_micros(t), ev);
         }
         sim
     }
@@ -301,7 +264,7 @@ mod tests {
     #[test]
     fn end_of_instant_runs_once_the_instant_holds_no_event() {
         let mut sim = closer(&[(10, "a"), (10, "b"), (20, "c"), (10, "d")]);
-        sim.run_until_idle();
+        run_until_idle(&mut sim);
         assert_eq!(
             sim.world().log,
             ["10 a", "10 b", "10 d", "10 pass", "20 c", "20 pass"]
@@ -349,8 +312,8 @@ mod tests {
     #[test]
     fn a_world_without_end_of_instant_work_steps_event_by_event() {
         let mut sim = Simulation::new(Ping { count: 0, limit: 4 });
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
+        sim.parts_mut().1.schedule(SimTime::ZERO, 1);
+        sim.parts_mut().1.schedule(SimTime::ZERO, 1);
         let mut steps = 0;
         while sim.step() == StepOutcome::Handled {
             steps += 1;
@@ -416,7 +379,7 @@ mod tests {
     fn the_world_reads_the_deadline_run_until_was_given() {
         let mut sim = Simulation::new(Ahead::new(0, 100));
         assert_eq!(sim.queue().deadline(), None, "no run before the first");
-        sim.queue_mut().schedule(SimTime::ZERO, 1);
+        sim.parts_mut().1.schedule(SimTime::ZERO, 1);
         sim.run_until(SimTime::from_micros(45));
         let deadline = Some(SimTime::from_micros(45));
         assert_eq!(sim.world().deadlines, [deadline; 5]);
@@ -439,16 +402,16 @@ mod tests {
         for tb in [TieBreak::Fifo, TieBreak::Lifo].into_iter().chain(shuffles) {
             let run = |inline_every| {
                 let mut sim = Simulation::new(Ahead::new(inline_every, 1_000));
-                sim.queue_mut().set_tiebreak(tb);
-                sim.queue_mut().schedule(SimTime::ZERO, 1);
+                sim.parts_mut().1.set_tiebreak(tb);
+                sim.parts_mut().1.schedule(SimTime::ZERO, 1);
                 // An entry the pings run up to: none passes it inline.
-                sim.queue_mut().schedule(SimTime::from_micros(95), 7);
+                sim.parts_mut().1.schedule(SimTime::from_micros(95), 7);
                 sim.run_until(SimTime::from_micros(300));
                 let now = sim.now();
                 let handled = sim.events_handled();
                 // Two entries pushed now race at one instant; their order
                 // is decided by the tie keys the inline deliveries left.
-                let q = sim.queue_mut();
+                let q = sim.parts_mut().1;
                 q.schedule(SimTime::from_micros(400), 1);
                 q.schedule(SimTime::from_micros(400), 2);
                 let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -525,7 +488,7 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(Bad);
-        sim.queue_mut().schedule(SimTime::from_micros(10), true);
-        sim.run_until_idle();
+        sim.parts_mut().1.schedule(SimTime::from_micros(10), true);
+        run_until_idle(&mut sim);
     }
 }

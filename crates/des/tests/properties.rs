@@ -21,7 +21,6 @@ enum QueueOp {
     /// Cancel a token from beyond this queue's sequence space.
     CancelForeign,
     Pop,
-    PopBefore(u64),
     /// Take the head the way the simulation driver does, leaving the
     /// root held for the next push.
     Take,
@@ -60,7 +59,6 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         Just(QueueOp::Pop),
         Just(QueueOp::Take),
         Just(QueueOp::Take),
-        queue_time().prop_map(QueueOp::PopBefore),
         Just(QueueOp::RoundTrip),
     ]
 }
@@ -339,7 +337,7 @@ proptest! {
             if !open && world.end_of_instant(now, &mut queue) {
                 continue;
             }
-            match queue.pop_before(deadline) {
+            match queue.peek_time().filter(|&t| t <= deadline).and_then(|_| queue.pop()) {
                 Some((t, id)) => {
                     now = now.max(t);
                     world.handle(now, id, &mut queue);
@@ -384,8 +382,9 @@ fn tiebreak_of(policy: u8, seed: u64) -> TieBreak {
 fn check_against_model(tiebreak: TieBreak, ops: &[QueueOp]) -> Result<(), TestCaseError> {
     // The queue lives in a driver so that `Take` can reach the held root.
     let mut sim = Simulation::new(Taker::default());
-    sim.queue_mut().set_tiebreak(tiebreak);
-    sim.queue_mut().set_classifier(class_of);
+    let (_, q, _) = sim.parts_mut();
+    q.set_tiebreak(tiebreak);
+    q.set_classifier(class_of);
     let mut model = QueueModel {
         tiebreak,
         entries: Vec::new(),
@@ -401,7 +400,7 @@ fn check_against_model(tiebreak: TieBreak, ops: &[QueueOp]) -> Result<(), TestCa
     let foreign = foreign.unwrap();
     let mut tokens: Vec<(CancelToken, u64)> = Vec::new();
     for op in ops {
-        let q = sim.queue_mut();
+        let q = sim.parts_mut().1;
         match *op {
             QueueOp::Schedule(t, c) => {
                 let seq = model.schedule(t, c);
@@ -434,14 +433,6 @@ fn check_against_model(tiebreak: TieBreak, ops: &[QueueOp]) -> Result<(), TestCa
                 }
             }
             QueueOp::Pop => prop_assert_eq!(q.pop(), model.pop()),
-            QueueOp::PopBefore(d) => {
-                let deadline = SimTime::from_micros(d);
-                let expected = match model.peek_time() {
-                    Some(t) if t <= deadline => model.pop(),
-                    _ => None,
-                };
-                prop_assert_eq!(q.pop_before(deadline), expected);
-            }
             QueueOp::Take => {
                 // The model has no clock: rewind the driver's, so that an
                 // entry scheduled before the last take is no past event.
@@ -459,7 +450,7 @@ fn check_against_model(tiebreak: TieBreak, ops: &[QueueOp]) -> Result<(), TestCa
         prop_assert_eq!(q.len(), model.len(), "len after {:?}", op);
         prop_assert_eq!(q.peek_time(), model.peek_time(), "peek_time after {:?}", op);
     }
-    let q = sim.queue_mut();
+    let q = sim.parts_mut().1;
     while let Some(expected) = model.pop() {
         prop_assert_eq!(q.pop(), Some(expected));
     }

@@ -74,10 +74,6 @@ pub struct KernelDesc {
 }
 
 impl KernelDesc {
-    /// Total SM-time this kernel needs regardless of how it is scheduled.
-    pub fn total_work(&self) -> SimTime {
-        self.work_per_block * u64::from(self.blocks)
-    }
 }
 
 /// Effect: a kernel became resident.
@@ -1187,7 +1183,8 @@ impl GpuDevice {
         self.check_resident_table()?;
         self.check_burst_streams()?;
         let issued = self.resident.iter().all(|r| r.kernel.map_or(true, |id| id.0 < self.next_kernel));
-        SnapError::ensure(issued, "gpu kernel id space")
+        SnapError::ensure(issued, "gpu kernel id space")?;
+        self.memory.check_invariants()
     }
 
     /// Every SM is free or granted to exactly one resident kernel, stepped
@@ -2201,7 +2198,7 @@ mod tests {
     #[test]
     fn catalogue_rules_refuse_forged_devices_at_decode_and_live() {
         type Forge = fn(&mut GpuDevice);
-        let rows: [(&str, Forge); 8] = [
+        let rows: [(&str, Forge); 9] = [
             ("gpu free sms", |d| d.free_sms = 81),
             ("gpu sm conservation", |d| d.free_sms -= 1),
             ("gpu sm conservation", |d| d.resident[1].run.granted = 70),
@@ -2210,6 +2207,7 @@ mod tests {
             ("gpu resident table", |d| d.streams[0].1.running = None),
             ("gpu ff stream", |d| d.streams[1].1.queued.push_back(kernel(1, 10))),
             ("gpu kernel id space", |d| d.next_kernel = 0),
+            ("gpu memory accounting", |d| d.memory.forge_used(d.spec.memory_bytes + 1)),
         ];
         let gpu = resident_and_timeline();
         assert_eq!(gpu.check_invariants(), Ok(()));

@@ -71,6 +71,7 @@ impl MigProfile {
 
     /// This profile's compute share of the parent, in whole percent
     /// (rounded up: a `1g` instance owns ⌈100/7⌉ = 15 % of the SMs).
+    // fastg-lint: allow(no-test-only-pub) — MIG support is kept in scope by the ROADMAP (paper §2.3)
     pub fn compute_percent(self) -> u32 {
         (self.compute_slices() * 100).div_ceil(COMPUTE_SLICES)
     }
@@ -143,6 +144,7 @@ impl MigConfig {
     }
 
     /// The common "seven small instances" layout.
+    // fastg-lint: allow(no-test-only-pub) — MIG support is kept in scope by the ROADMAP (paper §2.3)
     pub fn seven_way(parent: GpuSpec) -> Result<Self, MigError> {
         Self::new(parent, vec![MigProfile::P1g; 7])
     }
@@ -156,6 +158,7 @@ impl MigConfig {
     /// slice (A100: 108 SMs / 7 ≈ 15 per slice, remainder unexposed —
     /// matching real MIG, where each GPC contributes 14 SMs), memory per
     /// memory slice.
+    // fastg-lint: allow(no-test-only-pub) — MIG support is kept in scope by the ROADMAP (paper §2.3)
     pub fn instances(&self) -> Vec<GpuSpec> {
         let sm_per_slice = self.parent.sm_count / COMPUTE_SLICES;
         let mem_per_slice = self.parent.memory_bytes / u64::from(MEMORY_SLICES);

@@ -194,12 +194,6 @@ impl MpsServer {
     pub fn client_ids(&self) -> Vec<ClientId> {
         self.clients.iter().map(|(c, _)| *c).collect()
     }
-
-    /// Sum of all clients' active-thread percentages; > 100 means the GPU is
-    /// spatially over-subscribed.
-    pub fn total_percentage(&self) -> f64 {
-        self.clients.iter().map(|(_, e)| e.percentage).sum()
-    }
 }
 
 /// The SM cap of `percentage` of `sm_count` SMs.
@@ -260,7 +254,8 @@ mod tests {
         assert_eq!(s.sm_cap(a).unwrap(), 10);
         assert_eq!(s.sm_cap(b).unwrap(), 19);
         assert_eq!(s.client_count(), 2);
-        assert!((s.total_percentage() - 36.0).abs() < 1e-9);
+        let total: f64 = s.client_ids().iter().map(|&c| s.percentage(c).unwrap()).sum();
+        assert!((total - 36.0).abs() < 1e-9);
     }
 
     #[test]

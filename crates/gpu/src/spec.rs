@@ -26,6 +26,7 @@ impl GpuSpec {
 
     /// NVIDIA A100 HGX: 108 SMs, 40 GiB. Used to show the under-utilization
     /// argument worsens on bigger parts.
+    // fastg-lint: allow(no-test-only-pub) — the part MIG partitions; MIG stays in scope (paper §2.3)
     pub fn a100() -> Self {
         GpuSpec {
             name: "A100 HGX".to_string(),
@@ -34,27 +35,9 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA T4: 40 SMs, 16 GiB. A smaller inference part.
-    pub fn t4() -> Self {
-        GpuSpec {
-            name: "Tesla T4".to_string(),
-            sm_count: 40,
-            memory_bytes: 16 * GIB,
-        }
-    }
-
-    /// NVIDIA H100 SXM: 132 SMs, 80 GiB. The paper's intro argument —
-    /// under-utilization worsens as parts grow — is sharpest here.
-    pub fn h100() -> Self {
-        GpuSpec {
-            name: "H100 SXM".to_string(),
-            sm_count: 132,
-            memory_bytes: 80 * GIB,
-        }
-    }
-
     /// A custom part for tests and what-if studies. A zero SM count is
     /// clamped to one — a GPU needs at least one SM.
+    // fastg-lint: allow(no-test-only-pub) — MIG's small-parent checks build on it; MIG stays in scope (paper §2.3)
     pub fn custom(name: &str, sm_count: u32, memory_bytes: u64) -> Self {
         debug_assert!(sm_count > 0, "a GPU needs at least one SM");
         GpuSpec {
@@ -98,7 +81,6 @@ mod tests {
         assert_eq!(v.sm_count, 80);
         assert_eq!(v.memory_bytes, 16 * GIB);
         assert_eq!(GpuSpec::a100().sm_count, 108);
-        assert_eq!(GpuSpec::t4().sm_count, 40);
     }
 
     #[test]

@@ -98,30 +98,6 @@ impl Value {
         }
     }
 
-    /// The numeric payload as a signed integer, if it is one.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Num(n)
-                // Exact integer-ness test, as in `as_u64`.
-                // fastg-lint: allow(no-float-eq)
-                if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 =>
-            {
-                // In-range integer by the guard above; `as` is exact.
-                // fastg-lint: allow(no-lossy-cast)
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_array(&self) -> Option<&Vec<Value>> {
         match self {

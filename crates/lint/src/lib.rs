@@ -59,14 +59,30 @@
 //!   silently skips serialization, so the codec destructures every
 //!   struct exhaustively and a new field becomes a compile error, not a
 //!   checkpoint that restores to a different simulation.
+//! * **`no-test-only-pub`** — a `pub fn` in library code under
+//!   `crates/*/src` is denied unless its name appears as an identifier in
+//!   code that is not a test: library code outside `#[cfg(test)]`,
+//!   `src/bin`, `examples/` and all of `crates/bench/` count as callers;
+//!   `tests/` directories, `#[cfg(test)]` items, comments (doc examples
+//!   included) and `use` declarations do not. It is the one workspace
+//!   pass ([`scan_test_only_pub`]); the others look at one file at a
+//!   time. The match is by name, so a function sharing its name with
+//!   another caller's target is never flagged. A function kept on
+//!   purpose carries an allow escape followed by its reason.
+//! * **`bad-allow`** — an allow escape that names no rule of [`RULES`],
+//!   or allows `no-test-only-pub` without a reason after it.
 //!
 //! Diagnostics carry `file:line:col` positions. Existing violations are
 //! allowlisted per-rule-per-file in a checked-in baseline
 //! (`lint-baseline.json`); any *new* violation fails `--check`. A per-line
-//! `// fastg-lint: allow(rule)` escape hatch suppresses a single finding.
+//! escape hatch, `// fastg-lint: allow(no-float-eq)` for instance,
+//! suppresses a single finding of the rules it names; standing alone on
+//! its line, it covers the next line.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 /// Deny panicking macros and methods in library code.
 pub const NO_PANIC: &str = "no-panic-in-lib";
@@ -92,9 +108,14 @@ pub const EXHAUSTIVE_EVENT_MATCH: &str = "exhaustive-event-match";
 pub const NO_BTREEMAP_HOT_PATH: &str = "no-btreemap-hot-path";
 /// Deny `..` rest patterns inside snapshot encode/decode bodies.
 pub const EXHAUSTIVE_SNAPSHOT_FIELDS: &str = "exhaustive-snapshot-fields";
+/// Deny `pub fn`s in library code that only tests call.
+pub const NO_TEST_ONLY_PUB: &str = "no-test-only-pub";
+/// Deny allow escapes that name no rule, or that allow
+/// `no-test-only-pub` without a reason.
+pub const BAD_ALLOW: &str = "bad-allow";
 
 /// Every rule, in diagnostic order.
-pub const RULES: [&str; 11] = [
+pub const RULES: [&str; 13] = [
     NO_PANIC,
     NO_WALLCLOCK,
     NO_UNORDERED_ITER,
@@ -106,6 +127,8 @@ pub const RULES: [&str; 11] = [
     EXHAUSTIVE_EVENT_MATCH,
     NO_BTREEMAP_HOT_PATH,
     EXHAUSTIVE_SNAPSHOT_FIELDS,
+    NO_TEST_ONLY_PUB,
+    BAD_ALLOW,
 ];
 
 /// One finding at a source position.
@@ -144,18 +167,6 @@ pub struct FileScope {
     pub threads_banned: bool,
     /// `no-btreemap-hot-path` applies (a per-event hot-path file).
     pub hot_path: bool,
-}
-
-impl FileScope {
-    /// Scope with every rule family enabled (used by fixture tests).
-    pub fn full() -> Self {
-        FileScope {
-            lib_code: true,
-            deterministic: true,
-            threads_banned: true,
-            hot_path: true,
-        }
-    }
 }
 
 /// Crates whose runtime must stay deterministic: sim time only, ordered
@@ -210,8 +221,7 @@ pub fn classify(rel_path: &str) -> Option<FileScope> {
 
 // ---------------------------------------------------------------------------
 // Source cleaning: strip comments, strings and char literals so the rule
-// pass sees only code tokens, while collecting `fastg-lint: allow(...)`
-// escapes per line.
+// pass sees only code tokens, while collecting the allow escapes per line.
 // ---------------------------------------------------------------------------
 
 /// Cleaned source: `code` has the same byte length and line structure as the
@@ -219,9 +229,22 @@ pub fn classify(rel_path: &str) -> Option<FileScope> {
 pub struct Cleaned {
     /// Code-only text (non-code bytes replaced by spaces).
     pub code: Vec<u8>,
-    /// Per 1-based line: rules allowed by a `// fastg-lint: allow(...)`
-    /// comment on that line.
+    /// Per 1-based line: rules allowed by a `// fastg-lint: allow(no-float-eq)`
+    /// style comment on that line, or standing alone on the line above.
     pub allows: BTreeMap<usize, Vec<String>>,
+    /// Every allow escape once, where its comment starts.
+    pub escapes: Vec<Escape>,
+}
+
+/// One rule named by an allow escape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Escape {
+    /// Byte offset of the comment that holds the escape.
+    pub offset: usize,
+    /// The rule name as written.
+    pub rule: String,
+    /// Whether text follows the closing parenthesis (the escape's reason).
+    pub reason: bool,
 }
 
 fn is_ident(b: u8) -> bool {
@@ -233,6 +256,7 @@ pub fn clean(source: &str) -> Cleaned {
     let src = source.as_bytes();
     let mut code = src.to_vec();
     let mut allows: BTreeMap<usize, Vec<String>> = BTreeMap::new();
+    let mut escapes = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -258,16 +282,20 @@ pub fn clean(source: &str) -> Cleaned {
                     i += 1;
                 }
                 let text = String::from_utf8_lossy(&src[start..i]).into_owned();
-                record_allows(&text, line, &mut allows);
-                // A comment alone on its line escapes the *next* line, so
-                // multi-line statements can carry a lead-in allow.
-                let standalone = src[..start]
-                    .iter()
-                    .rev()
-                    .take_while(|&&b| b != b'\n')
-                    .all(|b| b.is_ascii_whitespace());
-                if standalone {
-                    record_allows(&text, line + 1, &mut allows);
+                if let Some((rules, reason)) = parse_allow(&text) {
+                    // A comment alone on its line escapes the *next* line
+                    // too, so multi-line statements can carry a lead-in
+                    // allow.
+                    let standalone = src[..start]
+                        .iter()
+                        .rev()
+                        .take_while(|&&b| b != b'\n')
+                        .all(|b| b.is_ascii_whitespace());
+                    allows.entry(line).or_default().extend(rules.iter().cloned());
+                    if standalone {
+                        allows.entry(line + 1).or_default().extend(rules.iter().cloned());
+                    }
+                    escapes.extend(rules.into_iter().map(|rule| Escape { offset: start, rule, reason }));
                 }
                 blank(&mut code, start, i);
             }
@@ -384,7 +412,7 @@ pub fn clean(source: &str) -> Cleaned {
             _ => i += 1,
         }
     }
-    Cleaned { code, allows }
+    Cleaned { code, allows, escapes }
 }
 
 fn starts_raw_string(src: &[u8], i: usize) -> bool {
@@ -403,31 +431,29 @@ fn starts_raw_string(src: &[u8], i: usize) -> bool {
     src.get(j) == Some(&b'"')
 }
 
-fn record_allows(comment: &str, line: usize, allows: &mut BTreeMap<usize, Vec<String>>) {
-    let Some(pos) = comment.find("fastg-lint:") else {
-        return;
-    };
-    let rest = &comment[pos + "fastg-lint:".len()..];
-    let rest = rest.trim_start();
-    let Some(inner) = rest.strip_prefix("allow(").and_then(|r| r.split(')').next()) else {
-        return;
-    };
-    let entry = allows.entry(line).or_default();
-    for rule in inner.split(',') {
-        let rule = rule.trim();
-        if !rule.is_empty() {
-            entry.push(rule.to_string());
-        }
-    }
+/// The rules an allow escape comment names (comma-separated in the
+/// parentheses), and whether a reason follows the parenthesis.
+fn parse_allow(comment: &str) -> Option<(Vec<String>, bool)> {
+    let pos = comment.find("fastg-lint:")?;
+    let rest = comment[pos + "fastg-lint:".len()..].trim_start();
+    let (inner, after) = rest.strip_prefix("allow(")?.split_once(')')?;
+    let rules = inner
+        .split(',')
+        .map(str::trim)
+        .filter(|rule| !rule.is_empty())
+        .map(str::to_string)
+        .collect();
+    let reason = after.trim_start_matches(|c: char| c.is_whitespace() || matches!(c, '—' | '–' | '-' | ':'));
+    Some((rules, !reason.trim().is_empty()))
 }
 
 // ---------------------------------------------------------------------------
 // cfg(test) / cfg(debug_assertions) span exclusion
 // ---------------------------------------------------------------------------
 
-/// Blanks every item gated by `#[cfg(test)]` or `#[cfg(debug_assertions)]`
-/// (including `any(...)` combinations of the two) from the cleaned code.
-fn blank_cfg_spans(code: &mut [u8]) {
+/// Blanks every item whose `#[cfg(...)]` arguments `gated` accepts from
+/// the cleaned code.
+fn blank_cfg_spans(code: &mut [u8], gated: fn(&str) -> bool) {
     let mut i = 0usize;
     while i < code.len() {
         let Some(off) = find_from(code, i, b"#[cfg(") else {
@@ -439,11 +465,10 @@ fn blank_cfg_spans(code: &mut [u8]) {
             break;
         };
         let args = String::from_utf8_lossy(&code[args_start..args_end]).into_owned();
-        let gated = cfg_is_test_like(&args);
         let Some(attr_end) = matching(code, attr_start + 1, b'[', b']') else {
             break;
         };
-        if !gated {
+        if !gated(&args) {
             i = attr_end + 1;
             continue;
         }
@@ -498,6 +523,11 @@ fn cfg_is_test_like(args: &str) -> bool {
             .all(|p| matches!(p.trim(), "test" | "debug_assertions"));
     }
     false
+}
+
+/// Whether a `cfg(...)` argument list gates test-only code.
+fn cfg_is_test(args: &str) -> bool {
+    args.trim() == "test"
 }
 
 fn find_from(hay: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
@@ -574,7 +604,7 @@ const INT_TYPES: [&str; 12] = [
 /// already applied, baseline not).
 pub fn scan_file(rel_path: &str, source: &str, scope: FileScope) -> Vec<Diagnostic> {
     let mut cleaned = clean(source);
-    blank_cfg_spans(&mut cleaned.code);
+    blank_cfg_spans(&mut cleaned.code, cfg_is_test_like);
     let code = &cleaned.code;
     let map = LineMap::new(code);
     let mut out = Vec::new();
@@ -670,6 +700,18 @@ pub fn scan_file(rel_path: &str, source: &str, scope: FileScope) -> Vec<Diagnost
     }
     scan_float_eq(code, &mut push);
     scan_lossy_cast(code, &mut push);
+    for escape in &cleaned.escapes {
+        if !RULES.contains(&escape.rule.as_str()) {
+            let rule = &escape.rule;
+            push(BAD_ALLOW, escape.offset, format!("allow names no rule `{rule}`; see `RULES`"));
+        } else if escape.rule == NO_TEST_ONLY_PUB && !escape.reason {
+            push(
+                BAD_ALLOW,
+                escape.offset,
+                "allow(no-test-only-pub) needs its reason after the parenthesis".to_string(),
+            );
+        }
+    }
     out
 }
 
@@ -1116,6 +1158,191 @@ fn scan_lossy_cast(code: &[u8], push: &mut impl FnMut(&'static str, usize, Strin
 }
 
 // ---------------------------------------------------------------------------
+// Workspace pass: `no-test-only-pub`
+// ---------------------------------------------------------------------------
+
+/// Whether `rel_path` is test code, which calls nothing as far as
+/// `no-test-only-pub` is concerned: a file under a `tests` directory.
+fn is_test_file(rel_path: &str) -> bool {
+    rel_path.split('/').any(|seg| seg == "tests")
+}
+
+/// Whether `rel_path` is library code under `crates/*/src`, whose `pub fn`s
+/// `no-test-only-pub` checks.
+fn defines_api(rel_path: &str) -> bool {
+    let mut segs = rel_path.split('/');
+    segs.next() == Some("crates")
+        && segs.nth(1) == Some("src")
+        && classify(rel_path).is_some_and(|scope| scope.lib_code)
+}
+
+/// Blanks every `use ...;` declaration: a re-export names a function
+/// without calling it.
+fn blank_use_decls(code: &mut [u8]) {
+    let mut i = 0usize;
+    while let Some(off) = find_from(code, i, b"use") {
+        i = off + 3;
+        let word = (off == 0 || !is_ident(code[off - 1])) && !code.get(i).copied().is_some_and(is_ident);
+        if !word {
+            continue;
+        }
+        let end = find_from(code, i, b";").map_or(code.len(), |e| e + 1);
+        for b in &mut code[off..end] {
+            if *b != b'\n' {
+                *b = b' ';
+            }
+        }
+        i = end;
+    }
+}
+
+/// Each identifier of `code` with its byte offset (number literals are
+/// skipped).
+fn identifiers(code: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        while i < code.len() {
+            if !is_ident(code[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < code.len() && is_ident(code[i]) {
+                i += 1;
+            }
+            if !code[start].is_ascii_digit() {
+                return Some((start, &code[start..i]));
+            }
+        }
+        None
+    })
+}
+
+/// Qualifiers that may stand between `pub` and `fn`.
+const FN_QUALIFIERS: [&[u8]; 4] = [b"const", b"async", b"unsafe", b"extern"];
+
+/// `no-test-only-pub` over the whole workspace: every `pub fn` in library
+/// code under `crates/*/src` whose name no code outside tests mentions.
+/// `files` holds every workspace source as `(relative path, text)`.
+///
+/// A caller is any identifier in a file outside `tests` directories,
+/// once `#[cfg(test)]` items, comments, strings and `use` declarations
+/// are blanked; the name a `fn` keyword defines is not a caller.
+pub fn scan_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let mut called: BTreeSet<&[u8]> = BTreeSet::new();
+    let mut cleaned = Vec::new();
+    for (path, source) in files.iter().filter(|(path, _)| !is_test_file(path)) {
+        let mut c = clean(source);
+        blank_cfg_spans(&mut c.code, cfg_is_test);
+        blank_use_decls(&mut c.code);
+        cleaned.push((path, c));
+    }
+    for (_, c) in &cleaned {
+        let mut after_fn = false;
+        for (_, word) in identifiers(&c.code) {
+            if !after_fn {
+                called.insert(word);
+            }
+            after_fn = word == b"fn";
+        }
+    }
+    let mut out = Vec::new();
+    for (path, c) in cleaned.iter().filter(|(path, _)| defines_api(path)) {
+        let map = LineMap::new(&c.code);
+        let words: Vec<(usize, &[u8])> = identifiers(&c.code).collect();
+        for (k, &(off, name)) in words.iter().enumerate().skip(1) {
+            if words[k - 1].1 != b"fn" || called.contains(name) {
+                continue;
+            }
+            let before = words[..k - 1].iter().rev().find(|(_, w)| !FN_QUALIFIERS.contains(w));
+            if !before.is_some_and(|&(_, w)| w == b"pub") {
+                continue;
+            }
+            let (line, col) = map.pos(off);
+            let allowed = c.allows.get(&line).is_some_and(|rules| rules.iter().any(|r| r == NO_TEST_ONLY_PUB));
+            if !allowed {
+                let name = String::from_utf8_lossy(name);
+                out.push(Diagnostic {
+                    rule: NO_TEST_ONLY_PUB,
+                    file: path.to_string(),
+                    line,
+                    col,
+                    message: format!(
+                        "`pub fn {name}` has no caller outside tests; delete it, or keep it \
+                         with an allow escape that states why"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Directories the workspace walk never descends into.
+const SKIP_DIRS: [&str; 3] = ["target", ".git", ".github"];
+
+/// Every `.rs` file under `root`, sorted, skipping [`SKIP_DIRS`] and
+/// hidden directories.
+fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut stack = vec![root.to_path_buf()];
+    let mut files = Vec::new();
+    while let Some(dir) = stack.pop() {
+        let entries =
+            fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+            let path = entry.path();
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if path.is_dir() {
+                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
+                    stack.push(path);
+                }
+            } else if name.ends_with(".rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// `path` relative to `root`, with `/` separators.
+fn relative(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.components()
+        .map(|c| c.as_os_str().to_string_lossy().into_owned())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Lints the workspace at `root`: every in-scope file through
+/// [`scan_file`], then the whole tree through [`scan_test_only_pub`].
+/// Returns the diagnostics in `(file, line, col, rule)` order and the
+/// number of files [`scan_file`] scanned. This is the pass `--check` runs.
+pub fn lint_workspace(root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
+    let mut files = Vec::new();
+    for path in collect_sources(root)? {
+        let source =
+            fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        files.push((relative(root, &path), source));
+    }
+    let mut diags = Vec::new();
+    let mut scanned = 0usize;
+    for (rel, source) in &files {
+        if let Some(scope) = classify(rel) {
+            scanned += 1;
+            diags.extend(scan_file(rel, source, scope));
+        }
+    }
+    diags.extend(scan_test_only_pub(&files));
+    diags.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
+    });
+    Ok((diags, scanned))
+}
+
+// ---------------------------------------------------------------------------
 // Baseline: per-rule-per-file allowlisted violation counts
 // ---------------------------------------------------------------------------
 
@@ -1268,7 +1495,8 @@ mod tests {
     use super::*;
 
     fn scan(src: &str) -> Vec<Diagnostic> {
-        scan_file("lib.rs", src, FileScope::full())
+        let full = FileScope { lib_code: true, deterministic: true, threads_banned: true, hot_path: true };
+        scan_file("lib.rs", src, full)
     }
 
     #[test]
@@ -1321,6 +1549,19 @@ mod tests {
         let d = scan(src);
         assert_eq!(d.len(), 1, "only the un-escaped unwrap should remain");
         assert_eq!(d[0].line, 4);
+    }
+
+    #[test]
+    fn allow_naming_no_rule_is_a_finding() {
+        // A typo escapes nothing, so it must not pass silently.
+        let d = scan("fn f() { x.unwrap(); // fastg-lint: allow(no-panic-in-libs)\n}");
+        let rules: Vec<&str> = d.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, [NO_PANIC, BAD_ALLOW]);
+        // `no-test-only-pub` needs a reason after the parenthesis.
+        let d = scan("// fastg-lint: allow(no-test-only-pub)\npub fn f() {}\n");
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].rule, d[0].line), (BAD_ALLOW, 1));
+        assert!(scan("// fastg-lint: allow(no-test-only-pub) — the reason\npub fn f() {}\n").is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! fastg-lint --root DIR       # scan DIR instead of the workspace root
 //! ```
 
-use fastg_lint::{check, classify, diagnostics_json, scan_file, Baseline, Diagnostic};
+use fastg_lint::{check, diagnostics_json, lint_workspace, Baseline};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -61,41 +61,6 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Directories never descended into.
-const SKIP_DIRS: [&str; 3] = ["target", ".git", ".github"];
-
-fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut stack = vec![root.to_path_buf()];
-    let mut files = Vec::new();
-    while let Some(dir) = stack.pop() {
-        let entries =
-            fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".rs") {
-                files.push(path);
-            }
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
-fn relative(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
 fn run() -> Result<ExitCode, String> {
     let opts = parse_args()?;
     let root = opts
@@ -107,21 +72,7 @@ fn run() -> Result<ExitCode, String> {
         .clone()
         .unwrap_or_else(|| root.join("lint-baseline.json"));
 
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut scanned = 0usize;
-    for path in collect_sources(&root)? {
-        let rel = relative(&root, &path);
-        let Some(scope) = classify(&rel) else {
-            continue;
-        };
-        let source =
-            fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        scanned += 1;
-        diags.extend(scan_file(&rel, &source, scope));
-    }
-    diags.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
-    });
+    let (diags, scanned) = lint_workspace(&root)?;
 
     if opts.update_baseline {
         let baseline = Baseline::from_diagnostics(&diags);

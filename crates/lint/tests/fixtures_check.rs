@@ -4,13 +4,24 @@
 //! `--update-baseline` / `--check` CLI.
 
 use fastg_lint::{
-    scan_file, FileScope, EXHAUSTIVE_EVENT_MATCH, EXHAUSTIVE_SNAPSHOT_FIELDS,
-    NO_BTREEMAP_HOT_PATH, NO_DEFAULT_HASHER, NO_FLOAT_EQ, NO_LOSSY_CAST, NO_PANIC, NO_THREADS,
-    NO_TIEBREAK_DRAIN, NO_UNORDERED_ITER, NO_WALLCLOCK,
+    lint_workspace, scan_file, Diagnostic, FileScope, BAD_ALLOW, EXHAUSTIVE_EVENT_MATCH,
+    EXHAUSTIVE_SNAPSHOT_FIELDS, NO_BTREEMAP_HOT_PATH, NO_DEFAULT_HASHER, NO_FLOAT_EQ,
+    NO_LOSSY_CAST, NO_PANIC, NO_TEST_ONLY_PUB, NO_THREADS, NO_TIEBREAK_DRAIN, NO_UNORDERED_ITER,
+    NO_WALLCLOCK,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// Scope with every per-file rule family enabled.
+fn full() -> FileScope {
+    FileScope {
+        lib_code: true,
+        deterministic: true,
+        threads_banned: true,
+        hot_path: true,
+    }
+}
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -20,7 +31,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn rule_hits(name: &str, rule: &str) -> usize {
-    scan_file(name, &fixture(name), FileScope::full())
+    scan_file(name, &fixture(name), full())
         .iter()
         .filter(|d| d.rule == rule)
         .count()
@@ -174,7 +185,7 @@ fn violating_fixtures_have_no_cross_rule_noise() {
             EXHAUSTIVE_SNAPSHOT_FIELDS,
         ),
     ] {
-        let diags = scan_file(file, &fixture(file), FileScope::full());
+        let diags = scan_file(file, &fixture(file), full());
         assert!(
             diags.iter().all(|d| d.rule == rule),
             "{file} unexpectedly triggers {:?}",
@@ -184,6 +195,94 @@ fn violating_fixtures_have_no_cross_rule_noise() {
                 .collect::<Vec<_>>()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// `no-test-only-pub`: a small workspace tree through the pass `--check` runs.
+// ---------------------------------------------------------------------------
+
+fn test_only_pub_tree() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/test_only_pub")
+}
+
+/// The tree's findings of `rule`, as `(file, the line's text)`.
+fn tree_hits(rule: &str) -> Vec<(String, String)> {
+    let root = test_only_pub_tree();
+    let (diags, _) = lint_workspace(&root).expect("the fixture tree lints");
+    diags
+        .iter()
+        .filter(|d: &&Diagnostic| d.rule == rule)
+        .map(|d| {
+            let text = fs::read_to_string(root.join(&d.file)).expect("read fixture");
+            (d.file.clone(), text.lines().nth(d.line - 1).unwrap_or("").trim().to_string())
+        })
+        .collect()
+}
+
+const API: &str = "crates/api/src/lib.rs";
+
+#[test]
+fn test_only_pub_flags_what_only_tests_call() {
+    let hits = tree_hits(NO_TEST_ONLY_PUB);
+    let lines: Vec<&str> = hits.iter().map(|(file, line)| {
+        assert_eq!(file, API, "only library code defines API");
+        line.as_str()
+    }).collect();
+    // Callers in `tests/` and in a `#[cfg(test)]` module clear nothing,
+    // and neither do comments, strings or a re-export.
+    assert!(lines.contains(&"pub fn only_tests() -> u32 {"), "{lines:?}");
+    assert!(lines.contains(&"pub fn only_mentioned() -> &'static str {"), "{lines:?}");
+    // A mistyped allow escapes nothing.
+    assert!(lines.contains(&"pub fn mistyped() -> u32 {"), "{lines:?}");
+    assert_eq!(lines.len(), 3, "{lines:?}");
+}
+
+#[test]
+fn test_only_pub_callers_outside_tests_clear_it() {
+    let hits = tree_hits(NO_TEST_ONLY_PUB);
+    // An example, a binary target, a bench under `crates/bench` and
+    // library code each clear the function they call; `pub(crate)` and a
+    // binary's own functions are not library API.
+    for name in ["for_example", "for_bin", "for_bench", "for_lib", "total", "internal", "unused_in_bin"] {
+        assert!(
+            hits.iter().all(|(_, line)| !line.contains(&format!("fn {name}("))),
+            "{name} flagged: {hits:?}"
+        );
+    }
+}
+
+#[test]
+fn test_only_pub_allow_needs_a_known_rule_and_a_reason() {
+    // An allow with a reason suppresses the finding quietly.
+    let flagged = tree_hits(NO_TEST_ONLY_PUB);
+    assert!(flagged.iter().all(|(_, line)| !line.contains("fn allowed")), "{flagged:?}");
+    // Without a reason it still suppresses, but is a finding itself, as is
+    // an allow naming no rule.
+    let bad = tree_hits(BAD_ALLOW);
+    let lines: Vec<&str> = bad.iter().map(|(_, line)| line.as_str()).collect();
+    assert_eq!(
+        lines,
+        [
+            "// fastg-lint: allow(no-test-only-pub)",
+            "// fastg-lint: allow(no-test-only-pubb) — a mistyped rule allows nothing",
+        ]
+    );
+}
+
+#[test]
+fn test_only_pub_fails_check_on_the_tree() {
+    let root = test_only_pub_tree();
+    let out = Command::new(env!("CARGO_BIN_EXE_fastg-lint"))
+        .arg("--root")
+        .arg(&root)
+        .arg("--baseline")
+        .arg(root.join("no-such-baseline.json"))
+        .arg("--check")
+        .output()
+        .expect("run fastg-lint");
+    assert!(!out.status.success(), "a test-only `pub fn` must fail --check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("[no-test-only-pub] `pub fn only_tests`"), "stderr: {stderr}");
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +362,7 @@ fn json_output_is_parseable_and_positioned() {
     let tree = TempTree::new("json");
     tree.write(
         "crates/gpu/src/lib.rs",
-        "use std::time::Instant;\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "use std::time::Instant;\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
     );
     let out = tree.lint(&["--json"]);
     assert!(out.status.success());
@@ -291,7 +390,7 @@ fn allow_escape_respected_end_to_end() {
     let tree = TempTree::new("allow");
     tree.write(
         "crates/gpu/src/lib.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() } // fastg-lint: allow(no-panic-in-lib)\n",
+        "fn f(x: Option<u32>) -> u32 { x.unwrap() } // fastg-lint: allow(no-panic-in-lib)\n",
     );
     let out = tree.lint(&["--check"]);
     assert!(out.status.success(), "allow escape must suppress: {out:?}");

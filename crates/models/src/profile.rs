@@ -17,11 +17,6 @@ impl KernelSpec {
         let granted = sms.min(self.blocks.max(1)).max(1);
         self.work_per_block * u64::from(self.blocks.max(1).div_ceil(granted))
     }
-
-    /// SM-time regardless of scheduling.
-    pub fn total_work(&self) -> SimTime {
-        self.work_per_block * u64::from(self.blocks.max(1))
-    }
 }
 
 /// A host phase followed by an asynchronous burst of `n` launches of one
@@ -172,11 +167,6 @@ impl ModelProfile {
         }
         max_sms
     }
-
-    /// Total kernels launched per request.
-    pub fn kernels_per_request(&self) -> usize {
-        self.stages.iter().map(|s| s.kernels.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +194,6 @@ mod tests {
         assert_eq!(k.duration_at(80), SimTime::from_micros(100)); // capped by blocks
         assert_eq!(k.duration_at(10), SimTime::from_micros(200));
         assert_eq!(k.duration_at(7), SimTime::from_micros(300));
-        assert_eq!(k.total_work(), SimTime::from_micros(2_000));
     }
 
     #[test]
@@ -227,7 +216,7 @@ mod tests {
         // 10 SMs: 2×200 + 1×50 = 450us.
         assert_eq!(m.device_time_at(10), SimTime::from_micros(450));
         assert_eq!(m.latency_at(80), SimTime::from_micros(1_750));
-        assert_eq!(m.kernels_per_request(), 3);
+        assert_eq!(m.stages.iter().map(|s| s.kernels.len()).sum::<usize>(), 3);
     }
 
     #[test]

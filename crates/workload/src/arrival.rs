@@ -33,6 +33,7 @@ enum Kind {
 
 impl ArrivalProcess {
     /// Evenly spaced arrivals at `rate` requests/second.
+    // fastg-lint: allow(no-test-only-pub) — 31 tests drive it and pin digests on it; moving them would re-pin values
     pub fn constant(rate: f64) -> Self {
         debug_assert!(rate >= 0.0, "negative rate");
         let rate = rate.max(0.0);
@@ -177,21 +178,6 @@ impl ArrivalProcess {
             }
         }
     }
-
-    /// Collects every arrival in `[0, until)` into a vector (convenience
-    /// for tests and trial setup).
-    pub fn collect_until(&mut self, until: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let mut now = SimTime::ZERO;
-        while let Some(t) = self.next_after(now) {
-            if t >= until {
-                break;
-            }
-            out.push(t);
-            now = t;
-        }
-        out
-    }
 }
 
 snap_enum!(Kind, "arrival Kind tag" {
@@ -230,6 +216,22 @@ fn exp_sample(rng: &mut SmallRng, rate: f64) -> SimTime {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     let secs = -u.ln() / rate;
     SimTime::from_secs_f64(secs).max(SimTime::from_micros(1))
+}
+
+/// Test draws go through [`ArrivalProcess::next_after`], as the
+/// engine's arrival chain does.
+#[cfg(test)]
+impl ArrivalProcess {
+    /// Every arrival in `[0, until)`.
+    pub(crate) fn collect_until(&mut self, until: SimTime) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        let mut now = SimTime::ZERO;
+        while let Some(t) = self.next_after(now).filter(|&t| t < until) {
+            out.push(t);
+            now = t;
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -144,17 +144,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Fraction of samples at or below `threshold` (e.g. for SLO
-    /// attainment), or 1.0 when empty.
-    pub fn fraction_within(&self, threshold: SimTime) -> f64 {
-        if self.count == 0 {
-            return 1.0;
-        }
-        let stored = (Self::bucket_of(threshold) + 1).saturating_sub(self.base);
-        let within: u64 = self.counts.iter().take(stored).sum();
-        within as f64 / self.count as f64
-    }
 }
 
 snap_struct!(LatencyHistogram { base, counts, count, sum_us, min, max } check |h| {
@@ -181,7 +170,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), SimTime::ZERO);
         assert_eq!(h.quantile(0.99), SimTime::ZERO);
-        assert_eq!(h.fraction_within(SimTime::from_millis(1)), 1.0);
     }
 
     #[test]
@@ -204,19 +192,6 @@ mod tests {
         h.record(SimTime::from_micros(100));
         h.record(SimTime::from_micros(300));
         assert_eq!(h.mean(), SimTime::from_micros(200));
-    }
-
-    #[test]
-    fn fraction_within_threshold() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..90 {
-            h.record(SimTime::from_millis(10));
-        }
-        for _ in 0..10 {
-            h.record(SimTime::from_millis(1000));
-        }
-        let f = h.fraction_within(SimTime::from_millis(50));
-        assert!((f - 0.9).abs() < 0.01, "f = {f}");
     }
 
     #[test]
@@ -260,7 +235,9 @@ mod tests {
             LatencyHistogram::bucket_of(SimTime::from_millis(100)) + 1
         );
         assert_eq!(h.counts.iter().sum::<u64>(), 3);
-        assert_eq!(h.fraction_within(SimTime::from_millis(10)), 2.0 / 3.0);
+        // Two of the three samples lie at or below the 10 ms bucket.
+        let to_10ms = LatencyHistogram::bucket_of(SimTime::from_millis(10)) + 1 - h.base;
+        assert_eq!(h.counts[..to_10ms].iter().sum::<u64>(), 2);
     }
 
     /// A histogram encoding with the given stored range and total.

@@ -58,12 +58,6 @@ impl SloTracker {
         }
     }
 
-    /// Whether the violation ratio is at or below `budget`
-    /// (the paper requires < 1 %: `meets(0.01)`).
-    pub fn meets(&self, budget: f64) -> bool {
-        self.violation_ratio() <= budget
-    }
-
     /// The underlying latency histogram.
     pub fn histogram(&self) -> &LatencyHistogram {
         &self.histogram
@@ -91,8 +85,8 @@ mod tests {
         assert_eq!(t.total(), 100);
         assert_eq!(t.violations(), 1);
         assert!((t.violation_ratio() - 0.01).abs() < 1e-12);
-        assert!(t.meets(0.01));
-        assert!(!t.meets(0.005));
+        assert!(t.violation_ratio() <= 0.01);
+        assert!(t.violation_ratio() > 0.005);
     }
 
     #[test]
@@ -108,7 +102,7 @@ mod tests {
     fn empty_tracker_meets_everything() {
         let t = SloTracker::new(SimTime::from_millis(1));
         assert_eq!(t.violation_ratio(), 0.0);
-        assert!(t.meets(0.0));
+        assert!(t.violation_ratio() <= 0.0);
     }
 
     #[test]

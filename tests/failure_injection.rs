@@ -6,6 +6,12 @@ use fastg_workload::ArrivalProcess;
 use fastgshare::manager::SharingPolicy;
 use fastgshare::platform::{FunctionConfig, Platform, PlatformConfig};
 
+/// Requests of `f` shed so far, read from the report of a fork so that
+/// `p`'s own run goes on as it would have.
+fn dropped(p: &Platform, f: fastg_cluster::FuncId) -> u64 {
+    p.clone().report().functions[&f].dropped
+}
+
 fn loaded_platform(seed: u64) -> (Platform, fastg_cluster::FuncId) {
     let mut p = Platform::new(
         PlatformConfig::default()
@@ -34,7 +40,7 @@ fn crashed_requests_are_retried() {
     let pods = p.pods_of(f);
     assert!(p.kill_pod(pods[0]));
     assert!(p.kill_pod(pods[1]));
-    assert_eq!(p.killed_pods(), 2);
+    assert_eq!(p.pods_of(f), pods[2..], "two pods died");
     p.scale_to(f, 4);
     let report = p.run_for(SimTime::from_secs(5));
     let fr = &report.functions[&f];
@@ -77,18 +83,19 @@ fn total_crash_and_recovery() {
 fn chaos_churn_keeps_serving() {
     let (mut p, f) = loaded_platform(43);
     let mut victim = 0usize;
+    let mut killed = 0;
     for _ in 0..20 {
         p.run_for(SimTime::from_millis(400));
         let pods = p.pods_of(f);
         if !pods.is_empty() {
-            p.kill_pod(pods[victim % pods.len()]);
+            killed += u64::from(p.kill_pod(pods[victim % pods.len()]));
             victim += 1;
         }
         p.scale_to(f, 4);
     }
     let report = p.run_for(SimTime::from_secs(2));
     let fr = &report.functions[&f];
-    assert_eq!(p.killed_pods(), 20);
+    assert_eq!(killed, 20);
     assert!(
         fr.arrivals - fr.completed < 10,
         "{} arrived vs {} completed",
@@ -403,7 +410,7 @@ fn planned_pod_crash_is_healed() {
     p.set_load(f, ArrivalProcess::poisson(20.0, 57));
     let report = p.run_for(SimTime::from_secs(6));
     assert_eq!(p.faults_injected(), 2);
-    assert_eq!(p.killed_pods(), 2);
+    assert_eq!(report.functions[&f].time_to_recovery.len(), 2, "each crash killed a pod");
     assert_eq!(p.replicas(f), 3, "recovery should restore the desired count");
     assert!(!report.functions[&f].time_to_recovery.is_empty());
 }
@@ -473,13 +480,13 @@ fn zero_retry_budget_drops_at_the_crash_instant() {
         .unwrap();
     p.set_load(f, ArrivalProcess::constant(30.0));
     p.run_for(SimTime::from_millis(500));
-    let before = p.dropped_requests(f);
+    let before = dropped(&p, f);
     // The single replica is saturated at 30 rps, so it has a request in
     // flight; killing it must shed that request immediately (budget 0).
     let pods = p.pods_of(f);
     assert!(p.kill_pod(pods[0]));
     assert_eq!(
-        p.dropped_requests(f),
+        dropped(&p, f),
         before + 1,
         "budget 0 must drop the crash-lost request at the crash"
     );
@@ -555,8 +562,8 @@ fn retry_races_gateway_timeout_without_losing_requests() {
         for pod in p.pods_of(f) {
             p.kill_pod(pod);
         }
-        p.run_for(SimTime::from_secs(2));
-        (p.events_handled(), p.dropped_requests(f))
+        let report = p.run_for(SimTime::from_secs(2));
+        (p.events_handled(), report.functions[&f].dropped)
     };
     assert_eq!(rerun(), rerun());
 }
@@ -629,12 +636,12 @@ fn idle_pod_kill_is_immediate() {
     assert_eq!(p.replicas(f), 1);
     // Double-kill is a no-op.
     assert!(!p.kill_pod(pods[0]));
-    assert_eq!(p.killed_pods(), 1);
+    assert_eq!(p.pods_of(f), pods[1..], "one pod died");
 }
 
-/// A node crash counts only the pods it kills: a pod already killed,
-/// whose resident kernels are still draining on the GPU, is not counted
-/// a second time.
+/// A node crash kills only the pods still serving: a pod already killed,
+/// whose resident kernels are still draining on the GPU, left the member
+/// list at its kill and does not die a second time.
 #[test]
 fn node_crash_does_not_recount_a_draining_pod() {
     let mut p = Platform::new(
@@ -655,9 +662,10 @@ fn node_crash_does_not_recount_a_draining_pod() {
     p.run_for(SimTime::from_millis(137));
     let pods = p.pods_of(f);
     assert!(p.kill_pod(pods[0]));
-    assert_eq!(p.killed_pods(), 1);
+    assert_eq!(p.pods_of(f), pods[1..], "one pod died");
     assert!(p.crash_node(0));
-    assert_eq!(p.killed_pods(), 2, "two pods died, each counted once");
+    assert!(p.pods_of(f).is_empty(), "the crash took the live pod");
+    assert!(Platform::from_snapshot(&p.checkpoint()).is_ok(), "the catalogue refused the crash");
 }
 
 /// A degrade factor beyond the clock bound is clamped to it. A factor of
@@ -736,7 +744,7 @@ fn a_retry_past_its_timeout_is_dropped_once() {
         "b must reach the pod before its timeout"
     );
     assert!(p.kill_pod(p.pods_of(f)[0]));
-    assert_eq!(p.dropped_requests(f), 1, "b is dropped at the retry");
+    assert_eq!(dropped(&p, f), 1, "b is dropped at the retry");
     assert_eq!(p.queued_requests(f), 0, "b is not requeued");
     // A new pod finds nothing to serve, and nothing drops b again.
     p.scale_to(f, 1);

@@ -5,8 +5,9 @@ use fastg_cluster::FuncId;
 use fastg_des::SimTime;
 use fastg_workload::patterns;
 use fastgshare::manager::SharingPolicy;
-use fastgshare::platform::overload::QUEUE_CAPACITY;
-use fastgshare::platform::{BreakerState, FunctionConfig, Platform, PlatformConfig};
+use fastg_workload::ArrivalProcess;
+use fastgshare::platform::overload::{BREAKER_WINDOW, HALF_OPEN_PROBES, QUEUE_CAPACITY};
+use fastgshare::platform::{FunctionConfig, FunctionReport, Platform, PlatformConfig};
 
 /// Two replicas at half quota (~70 rps capacity) hit by a 400 rps flash
 /// crowd: the canonical overload scenario.
@@ -40,6 +41,19 @@ fn flash_platform(overload: bool, seed: u64) -> (Platform, FuncId) {
         ),
     );
     (p, f)
+}
+
+/// The report of `f` after a fork of `p` runs on to just before the next
+/// breaker tick, under `load` if given. No tick falls inside, so the
+/// breaker's admission policy is the one `p` holds now. The fork leaves
+/// `p`'s own run untouched.
+fn fork_to_next_tick(p: &Platform, f: FuncId, load: Option<ArrivalProcess>) -> FunctionReport {
+    let mut fork = p.clone();
+    if let Some(load) = load {
+        fork.set_load(f, load);
+    }
+    let report = fork.run_for(BREAKER_WINDOW - SimTime::from_micros(1));
+    report.functions[&f].clone()
 }
 
 /// The conservation identity every run must satisfy: arrivals are either
@@ -106,7 +120,11 @@ fn breaker_trips_and_brownout_serves_degraded() {
     // Run to mid-crowd: breaker must have tripped on shed rate.
     let r = p.run_for(SimTime::from_secs(9));
     assert!(r.functions[&f].breaker_trips >= 1, "no trip during the crowd");
-    assert!(p.brownout_active(f), "shed-rate trip should engage brownout");
+    let next = fork_to_next_tick(&p, f, None);
+    assert!(
+        next.browned_out > r.functions[&f].browned_out,
+        "shed-rate trip should engage brownout"
+    );
     assert!(
         r.functions[&f].browned_out > 0,
         "brownout mode admitted no requests"
@@ -117,12 +135,20 @@ fn breaker_trips_and_brownout_serves_degraded() {
 #[test]
 fn brownout_recovers_to_full_quota_after_the_crowd() {
     let (mut p, f) = flash_platform(true, 53);
-    p.run_for(SimTime::from_secs(9));
-    assert!(p.brownout_active(f), "crowd should brown the function out");
+    let r = p.run_for(SimTime::from_secs(9));
+    let next = fork_to_next_tick(&p, f, None);
+    assert!(
+        next.browned_out > r.functions[&f].browned_out,
+        "crowd should brown the function out"
+    );
     // Long quiet tail: hysteresis must close the breaker and restore quota.
-    p.run_for(SimTime::from_secs(21));
-    assert!(!p.brownout_active(f), "brownout never recovered");
-    assert_eq!(p.breaker_state(f), Some(BreakerState::Closed));
+    let r = &p.run_for(SimTime::from_secs(21)).functions[&f];
+    // A closed breaker admits every arrival, past the half-open probes,
+    // and none browned-out.
+    let next = fork_to_next_tick(&p, f, Some(ArrivalProcess::constant(40.0)));
+    assert!(next.arrivals - r.arrivals > HALF_OPEN_PROBES, "the fork offered too few arrivals");
+    assert_eq!(next.browned_out, r.browned_out, "brownout never recovered");
+    assert_eq!(next.rejected, r.rejected, "the breaker is not closed");
     assert_conserved(&mut p, f);
 }
 

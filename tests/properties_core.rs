@@ -424,7 +424,8 @@ proptest! {
             prop_assert_eq!(mem.used(), expected);
             prop_assert_eq!(server.total_bytes() + if private { PRIVATE } else { 0 }, expected);
             for j in 0..3 {
-                prop_assert_eq!(server.refs(models[j]), refs[j]);
+                let live = server.refcounts().find(|&(m, _)| m == models[j]).map_or(0, |(_, r)| r);
+                prop_assert_eq!(live, refs[j]);
             }
         }
     }

@@ -65,6 +65,7 @@ fn drive(ops: &[OpKind], seed: u64) -> (u64, Vec<(u64, u64)>, u64) {
         .unwrap();
     p.set_load(resnet, ArrivalProcess::poisson(40.0, seed));
     p.set_load(rnnt, ArrivalProcess::poisson(5.0, seed + 1));
+    let mut killed = 0u64;
     for &op in ops {
         match op {
             OpKind::Run(ms) => {
@@ -76,7 +77,7 @@ fn drive(ops: &[OpKind], seed: u64) -> (u64, Vec<(u64, u64)>, u64) {
             OpKind::KillOne(pick) => {
                 let pods = p.pods_of(resnet);
                 if !pods.is_empty() {
-                    p.kill_pod(pods[pick as usize % pods.len()]);
+                    killed += u64::from(p.kill_pod(pods[pick as usize % pods.len()]));
                 }
             }
             OpKind::LoadResnet(r) => {
@@ -96,7 +97,7 @@ fn drive(ops: &[OpKind], seed: u64) -> (u64, Vec<(u64, u64)>, u64) {
         .values()
         .map(|f| (f.arrivals, f.completed))
         .collect();
-    (p.events_handled(), per_func, p.killed_pods())
+    (p.events_handled(), per_func, killed)
 }
 
 proptest! {
